@@ -7,6 +7,7 @@ use neutraj_nn::{
 };
 use neutraj_obs::{Histogram, Registry};
 use neutraj_trajectory::{Grid, Trajectory};
+use std::borrow::Borrow;
 
 /// Normalized network inputs of one trajectory: coordinates + grid cells.
 pub type SeqInputs = (Vec<(f64, f64)>, Vec<(u32, u32)>);
@@ -596,12 +597,15 @@ impl NeuTrajModel {
     /// Embeds many trajectories through the lockstep batched forward
     /// (chunks of [`Self::MAX_EMBED_BATCH`]), bit-identical to calling
     /// [`Self::embed`] per trajectory but one GEMM per timestep instead of
-    /// one matvec per trajectory per timestep. Read-only.
-    pub fn embed_batch(&self, ts: &[Trajectory]) -> Vec<Vec<f64>> {
+    /// one matvec per trajectory per timestep. Read-only. Takes owned or
+    /// borrowed trajectories, so a caller holding them inside other
+    /// structures need not clone them into a slice.
+    pub fn embed_batch<T: Borrow<Trajectory>>(&self, ts: &[T]) -> Vec<Vec<f64>> {
         let mut ws = Workspace::new();
         let mut out = Vec::with_capacity(ts.len());
         for chunk in ts.chunks(Self::MAX_EMBED_BATCH) {
-            let inputs: Vec<SeqInputs> = chunk.iter().map(|t| self.seq_inputs(t)).collect();
+            let inputs: Vec<SeqInputs> =
+                chunk.iter().map(|t| self.seq_inputs(t.borrow())).collect();
             let refs: Vec<&SeqInputs> = inputs.iter().collect();
             out.extend(self.backbone.embed_batch_frozen(&refs, &mut ws));
         }

@@ -37,6 +37,12 @@ thread_local! {
     /// across serving threads.
     static SCAN_SCRATCH: RefCell<(Vec<f64>, Vec<f64>)> =
         const { RefCell::new((Vec::new(), Vec::new())) };
+
+    /// Reusable per-thread graph-walk scratch. Its visited array is as
+    /// long as the largest graph this thread has searched and is reset
+    /// per query by an epoch bump, so a lone graph query neither
+    /// allocates nor fills `N` slots.
+    static GRAPH_SCRATCH: RefCell<GraphScratch> = RefCell::new(GraphScratch::new());
 }
 
 /// A flat store of `N` trajectory embeddings of dimension `d`, with
@@ -285,10 +291,10 @@ impl EmbeddingStore {
     /// error is purely *recall* (a true neighbor left unvisited), never
     /// a mis-scored distance.
     ///
-    /// One heap, one graph scratch, and one candidate buffer are reused
-    /// across the batch. Panics when `graph` disagrees with the store
-    /// on row count or when `ef == 0` (the `Query` builder rejects both
-    /// earlier with typed errors).
+    /// One heap and one candidate buffer are reused across the batch, the
+    /// graph scratch across calls on the same thread. Panics when `graph`
+    /// disagrees with the store on row count or when `ef == 0` (the
+    /// `Query` builder rejects both earlier with typed errors).
     pub fn knn_graph_batch(
         &self,
         queries: &[&[f64]],
@@ -304,31 +310,33 @@ impl EmbeddingStore {
         assert!(ef > 0, "ef must be positive");
         let mut stats = GraphStats::default();
         let mut heap = NeighborHeap::new(k);
-        let mut scratch = GraphScratch::new();
         let mut cand: Vec<(f64, u32)> = Vec::new();
         let mut results = Vec::with_capacity(queries.len());
-        for q in queries {
-            assert_eq!(q.len(), self.dim, "query dim mismatch");
-            let qn = dot(q, q);
-            let s = graph.shortlist_into(
-                ef,
-                |i| (qn - 2.0 * dot(q, self.get(i as usize)) + self.norms[i as usize]).max(0.0),
-                &mut scratch,
-                &mut cand,
-            );
-            stats.hops += s.hops;
-            stats.candidates_scanned += s.candidates_scanned;
-            heap.reset(k);
-            for &(d2, i) in &cand {
-                heap.push(i as usize, d2);
+        GRAPH_SCRATCH.with(|cell| {
+            let scratch = &mut *cell.borrow_mut();
+            for q in queries {
+                assert_eq!(q.len(), self.dim, "query dim mismatch");
+                let qn = dot(q, q);
+                let s = graph.shortlist_into(
+                    ef,
+                    |i| (qn - 2.0 * dot(q, self.get(i as usize)) + self.norms[i as usize]).max(0.0),
+                    scratch,
+                    &mut cand,
+                );
+                stats.hops += s.hops;
+                stats.candidates_scanned += s.candidates_scanned;
+                heap.reset(k);
+                for &(d2, i) in &cand {
+                    heap.push(i as usize, d2);
+                }
+                let mut out = Vec::with_capacity(k.min(cand.len()));
+                heap.drain_sorted_into(&mut out);
+                for nb in &mut out {
+                    nb.dist = nb.dist.sqrt();
+                }
+                results.push(out);
             }
-            let mut out = Vec::with_capacity(k.min(cand.len()));
-            heap.drain_sorted_into(&mut out);
-            for nb in &mut out {
-                nb.dist = nb.dist.sqrt();
-            }
-            results.push(out);
-        }
+        });
         (results, stats)
     }
 

@@ -95,6 +95,45 @@ proptest! {
     }
 }
 
+/// Non-property pin for the batch sizes below the GEMM's packing
+/// threshold (`m < 8`), which take `matmul_nt`'s small-`m` arm — the
+/// lanes-across-rows AVX2 kernel or, under `NEUTRAJ_NO_SIMD=1`, its
+/// scalar oracle: the lockstep embed and the norm-trick scan still equal
+/// their scalar paths bit for bit. The store's shape leaves remainders
+/// in both kernel dimensions (`d = 6`, a 189-row last scan block), and
+/// duplicate rows put ties in the top-k.
+#[test]
+fn small_batches_match_scalar_embed_and_knn() {
+    let dim = 6;
+    let embs: Vec<Vec<f64>> = (0..701usize)
+        .map(|i| {
+            (0..dim)
+                .map(|c| ((i * 7 + c * 3) % 11) as f64 * 0.5)
+                .collect()
+        })
+        .collect();
+    let store = EmbeddingStore::from_embeddings(dim, &embs);
+    for b in [1usize, 3, 4, 7] {
+        for kind in [BackboneKind::SamLstm, BackboneKind::Lstm, BackboneKind::Gru] {
+            let m = model(kind);
+            let ts: Vec<Trajectory> = (0..b).map(|i| traj(i as u64, 3 + (i * 11) % 29)).collect();
+            let batched = m.embed_batch(&ts);
+            for (t, got) in ts.iter().zip(&batched) {
+                assert_eq!(&m.embed(t), got, "B={b} backbone {kind:?}");
+            }
+        }
+        let queries: Vec<Vec<f64>> = (0..b)
+            .map(|q| (0..dim).map(|c| ((q * 5 + c) % 9) as f64 * 0.5).collect())
+            .collect();
+        let qrefs: Vec<&[f64]> = queries.iter().map(|q| q.as_slice()).collect();
+        let batch = store.knn_batch(&qrefs, 12);
+        assert_eq!(batch.len(), b);
+        for (q, got) in qrefs.iter().zip(&batch) {
+            assert_eq!(&store.knn(q, 12), got, "B={b}");
+        }
+    }
+}
+
 /// Non-property pin: batching across the scalar/batched embed boundary
 /// composes — a `SimilarityDb` filled via scalar inserts answers batched
 /// queries bit-identically to scalar ones.

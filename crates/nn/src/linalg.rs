@@ -144,8 +144,11 @@ impl Mat {
 }
 
 /// Below this many `A` rows, packing the `B` panel costs about as much as
-/// the multiply it would accelerate; use the direct kernel instead.
+/// the multiply it would accelerate; use the direct kernel instead
+/// ([`simd::matmul_nt_direct`], vectorized across `B` rows).
 const PACK_MIN_M: usize = 8;
+// Every call the packed kernel declines must fit the vector arm.
+const _: () = assert!(PACK_MIN_M <= simd::DIRECT_MAX_M + 1);
 
 thread_local! {
     /// Reused packing scratch (`A` micro-panel, `B` panels) so repeated
@@ -193,7 +196,7 @@ pub fn matmul_nt_with_level(
     assert_eq!(b.len(), n * k, "matmul_nt: B shape");
     assert_eq!(c.len(), m * n, "matmul_nt: C shape");
     if m < PACK_MIN_M {
-        matmul_nt_direct(a, b, c, m, n, k);
+        simd::matmul_nt_direct(level, a, b, c, m, n, k);
         return;
     }
     PACK_SCRATCH.with(|scratch| {
@@ -238,22 +241,6 @@ pub fn matmul_nt_with_level(
             i += MR;
         }
     });
-}
-
-/// [`matmul_nt`] without panel packing, for small `m` (same ascending-`p`
-/// accumulation order, so results stay bit-identical).
-fn matmul_nt_direct(a: &[f64], b: &[f64], c: &mut [f64], m: usize, n: usize, k: usize) {
-    for i in 0..m {
-        let arow = &a[i * k..(i + 1) * k];
-        for j in 0..n {
-            let brow = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0;
-            for (&x, &y) in arow.iter().zip(brow) {
-                acc += x * y;
-            }
-            c[i * n + j] = acc;
-        }
-    }
 }
 
 /// `C = A·B` for row-major slices: `A` is `m×k`, `B` is `k×n`, `C` is

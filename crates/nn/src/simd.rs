@@ -11,6 +11,10 @@
 //!   ascending `p` with separate `_mm256_mul_pd`/`_mm256_add_pd` (no
 //!   FMA — the scalar oracle never contracts), vectorized only across
 //!   the `NR` *independent* accumulator columns;
+//! * the small-`m` `A·Bᵀ` arm keeps the same one-accumulator,
+//!   ascending-`p`, mul-then-add chain per output and vectorizes across
+//!   four `B` rows (four independent outputs), transposing `B` in
+//!   registers instead of packing it;
 //! * the u8 dot is exact integer arithmetic, where any summation order
 //!   yields the same value.
 
@@ -94,6 +98,70 @@ pub(crate) fn gemm_tile_nn(
             for (accc, &bvc) in accr.iter_mut().zip(brow) {
                 *accc += avr * bvc;
             }
+        }
+    }
+}
+
+/// Most `A` rows the vector arm of [`matmul_nt_direct`] keeps in
+/// registers at once (one accumulator per row beside the four
+/// transposed `B` vectors); `linalg::PACK_MIN_M − 1`, so every call the
+/// packed kernel declines lands on it.
+pub(crate) const DIRECT_MAX_M: usize = 7;
+
+/// [`crate::linalg::matmul_nt`] without panel packing, for small `m`:
+/// `c[i·n + j] = Σ_p a[i·k + p] · b[j·k + p]`, one accumulator per
+/// output starting at `+0.0` and summed in ascending `p` — the same
+/// chain as the packed kernel, `Mat::matvec_into` and (up to the sign of
+/// an all-`−0.0` sum) `dot`.
+///
+/// The scalar arm is that definition. The AVX2 arm runs the chain for
+/// four `B` rows at a time, one per lane: it loads a 4×4 block of `B`
+/// (rows `j..j+4`, columns `p..p+4`), transposes it in registers so lane
+/// `l` of vector `q` holds `b[j+l, p+q]`, and for every `A` row issues
+/// `acc[i] = acc[i] + a[i, p+q] · t[q]` for `q = 0..4` in order. Lanes
+/// never mix, multiply and add stay separate instructions (the scalar
+/// oracle never contracts), so every lane performs exactly the oracle's
+/// operations on the oracle's operands: bit-identical, with no packed
+/// copy of `B`. `k % 4` trailing columns take one gathered step each;
+/// `n % 4` trailing rows run the scalar arm.
+#[inline]
+#[allow(unsafe_code)]
+pub(crate) fn matmul_nt_direct(
+    level: SimdLevel,
+    a: &[f64],
+    b: &[f64],
+    c: &mut [f64],
+    m: usize,
+    n: usize,
+    k: usize,
+) {
+    assert_eq!(a.len(), m * k);
+    assert_eq!(b.len(), n * k);
+    assert_eq!(c.len(), m * n);
+    #[cfg(target_arch = "x86_64")]
+    if use_avx2(level) && (1..=DIRECT_MAX_M).contains(&m) {
+        // SAFETY: AVX2 presence just verified; shapes checked above and
+        // `m` is within the kernel's register budget.
+        let done = unsafe { avx2::matmul_nt_direct(a, b, c, m, n, k) };
+        nt_direct_columns(a, b, c, m, n, k, done);
+        return;
+    }
+    let _ = level;
+    nt_direct_columns(a, b, c, m, n, k, 0);
+}
+
+/// The scalar oracle of [`matmul_nt_direct`] over output columns
+/// `j0..n`.
+fn nt_direct_columns(a: &[f64], b: &[f64], c: &mut [f64], m: usize, n: usize, k: usize, j0: usize) {
+    for i in 0..m {
+        let arow = &a[i * k..(i + 1) * k];
+        for j in j0..n {
+            let brow = &b[j * k..(j + 1) * k];
+            let mut acc = 0.0;
+            for (&x, &y) in arow.iter().zip(brow) {
+                acc += x * y;
+            }
+            c[i * n + j] = acc;
         }
     }
 }
@@ -268,6 +336,143 @@ mod avx2 {
             _mm256_storeu_pd(row.as_mut_ptr(), vacc[r][0]);
             _mm256_storeu_pd(row.as_mut_ptr().add(4), vacc[r][1]);
         }
+    }
+
+    /// Transposes the 4×4 block of `B` at rows `j..j+4`, columns
+    /// `p..p+4` (row stride `k`): lane `l` of result `q` is
+    /// `b[(j+l)·k + p+q]`.
+    ///
+    /// # Safety
+    /// AVX2 must be available and `b` must be readable for `(j+4)·k`
+    /// doubles with `p + 4 <= k`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn transpose4(b: *const f64, k: usize, j: usize, p: usize) -> [__m256d; 4] {
+        let r0 = _mm256_loadu_pd(b.add(j * k + p));
+        let r1 = _mm256_loadu_pd(b.add((j + 1) * k + p));
+        let r2 = _mm256_loadu_pd(b.add((j + 2) * k + p));
+        let r3 = _mm256_loadu_pd(b.add((j + 3) * k + p));
+        let u0 = _mm256_unpacklo_pd(r0, r1);
+        let u1 = _mm256_unpackhi_pd(r0, r1);
+        let u2 = _mm256_unpacklo_pd(r2, r3);
+        let u3 = _mm256_unpackhi_pd(r2, r3);
+        [
+            _mm256_permute2f128_pd(u0, u2, 0x20),
+            _mm256_permute2f128_pd(u1, u3, 0x20),
+            _mm256_permute2f128_pd(u0, u2, 0x31),
+            _mm256_permute2f128_pd(u1, u3, 0x31),
+        ]
+    }
+
+    /// Outputs `c[i·n + j0 + 4·g + l]` for `i < M`, `g < G`, `l < 4`:
+    /// `M` rows of `A` against `G` groups of four `B` rows, `M·G`
+    /// accumulators (callers keep `M·G ≤ 8` so they stay in registers).
+    /// More than one group gives a short `M` enough independent add
+    /// chains to cover the add latency.
+    ///
+    /// # Safety
+    /// AVX2 must be available; `a` must be readable for `M·k` doubles,
+    /// `b` for `n·k`, `c` writable for `M·n`, and `j0 + 4·G <= n`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn nt_direct_groups<const M: usize, const G: usize>(
+        a: *const f64,
+        b: *const f64,
+        c: *mut f64,
+        n: usize,
+        k: usize,
+        j0: usize,
+    ) {
+        let mut acc = [[_mm256_setzero_pd(); M]; G];
+        let mut p = 0;
+        while p + 4 <= k {
+            for (g, rows) in acc.iter_mut().enumerate() {
+                let t = transpose4(b, k, j0 + 4 * g, p);
+                for (i, sum) in rows.iter_mut().enumerate() {
+                    for (q, &tq) in t.iter().enumerate() {
+                        let av = _mm256_set1_pd(*a.add(i * k + p + q));
+                        // Separate mul+add: the scalar oracle does not contract.
+                        *sum = _mm256_add_pd(*sum, _mm256_mul_pd(av, tq));
+                    }
+                }
+            }
+            p += 4;
+        }
+        while p < k {
+            for (g, rows) in acc.iter_mut().enumerate() {
+                let j = j0 + 4 * g;
+                let t = _mm256_set_pd(
+                    *b.add((j + 3) * k + p),
+                    *b.add((j + 2) * k + p),
+                    *b.add((j + 1) * k + p),
+                    *b.add(j * k + p),
+                );
+                for (i, sum) in rows.iter_mut().enumerate() {
+                    let av = _mm256_set1_pd(*a.add(i * k + p));
+                    *sum = _mm256_add_pd(*sum, _mm256_mul_pd(av, t));
+                }
+            }
+            p += 1;
+        }
+        for (g, rows) in acc.iter().enumerate() {
+            for (i, &sum) in rows.iter().enumerate() {
+                _mm256_storeu_pd(c.add(i * n + j0 + 4 * g), sum);
+            }
+        }
+    }
+
+    /// All whole groups of four `B` rows for exactly `M` rows of `A`,
+    /// `G` groups per pass while that many remain.
+    ///
+    /// # Safety
+    /// AVX2 must be available; `a` must be readable for `M·k` doubles,
+    /// `b` for `n·k`, and `c` writable for `M·n`.
+    #[target_feature(enable = "avx2")]
+    unsafe fn nt_direct_rows<const M: usize, const G: usize>(
+        a: *const f64,
+        b: *const f64,
+        c: *mut f64,
+        n: usize,
+        k: usize,
+    ) {
+        let mut j = 0;
+        while j + 4 * G <= n {
+            nt_direct_groups::<M, G>(a, b, c, n, k, j);
+            j += 4 * G;
+        }
+        while j + 4 <= n {
+            nt_direct_groups::<M, 1>(a, b, c, n, k, j);
+            j += 4;
+        }
+    }
+
+    /// Writes output columns `0..n − n % 4` and returns that count; the
+    /// caller finishes the rest with the scalar arm.
+    ///
+    /// # Safety
+    /// AVX2 must be available, `m` in `1..=7`, and the slices shaped
+    /// `m×k`, `n×k`, `m×n`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn matmul_nt_direct(
+        a: &[f64],
+        b: &[f64],
+        c: &mut [f64],
+        m: usize,
+        n: usize,
+        k: usize,
+    ) -> usize {
+        let (a, b, c) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+        match m {
+            1 => nt_direct_rows::<1, 4>(a, b, c, n, k),
+            2 => nt_direct_rows::<2, 2>(a, b, c, n, k),
+            3 => nt_direct_rows::<3, 2>(a, b, c, n, k),
+            4 => nt_direct_rows::<4, 2>(a, b, c, n, k),
+            5 => nt_direct_rows::<5, 1>(a, b, c, n, k),
+            6 => nt_direct_rows::<6, 1>(a, b, c, n, k),
+            7 => nt_direct_rows::<7, 1>(a, b, c, n, k),
+            _ => unreachable!("dispatcher admits m in 1..=7"),
+        }
+        n - n % 4
     }
 
     #[target_feature(enable = "avx2")]

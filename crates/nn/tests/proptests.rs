@@ -1,8 +1,11 @@
 //! Property-based tests of the neural substrate: linear-algebra kernel
 //! laws, optimizer behaviour, and encoder invariants on random inputs.
 
-use neutraj_nn::linalg::{add_assign, axpy, dot, euclidean, norm, sigmoid, softmax_inplace, Mat};
+use neutraj_nn::linalg::{
+    add_assign, axpy, dot, euclidean, matmul_nt_with_level, norm, sigmoid, softmax_inplace, Mat,
+};
 use neutraj_nn::{Adam, GruEncoder, LstmEncoder, SamLstmEncoder};
+use neutraj_obs::simd::SimdLevel;
 use proptest::prelude::*;
 
 fn arb_vec(len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -157,5 +160,60 @@ proptest! {
         prop_assert!(before.iter().all(|v| v.is_finite()));
         prop_assert!(after.iter().all(|v| v.is_finite()));
         prop_assert!(sam.memory.occupancy() > 0.0);
+    }
+}
+
+/// Values for the small-`m` GEMM property below: mostly ordinary
+/// magnitudes, salted with the inputs where a reordered or contracted
+/// kernel would show — signed zeros, subnormals, and magnitudes whose
+/// products overflow (so sums pass through ±inf and NaN).
+fn salted(state: &mut u64) -> f64 {
+    const SALT: [f64; 10] = [
+        0.0, -0.0, 5e-324, -5e-324, 1.1e-308, -2.2e-308, 1e300, -1e300, 1.3e154, -1.3e154,
+    ];
+    // splitmix64
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    if z & 7 == 0 {
+        SALT[(z >> 8) as usize % SALT.len()]
+    } else {
+        (z >> 11) as f64 / (1u64 << 53) as f64 * 20.0 - 10.0
+    }
+}
+
+/// The AVX2 arm of `matmul_nt` equals the scalar oracle and the
+/// per-element `dot` bit for bit on every shape around the small-`m`
+/// kernel: `m` on both sides of the packing threshold (8), every
+/// `n % 4` and `k % 4` remainder. On a host without AVX2 both levels
+/// run the scalar arm and the test still pins GEMM == `dot`.
+#[test]
+fn matmul_nt_small_m_bit_identical_across_levels_and_to_dot() {
+    let mut state = 2019u64;
+    for m in 1..=8usize {
+        for n in 1..=40usize {
+            for k in 1..=70usize {
+                let a: Vec<f64> = (0..m * k).map(|_| salted(&mut state)).collect();
+                let b: Vec<f64> = (0..n * k).map(|_| salted(&mut state)).collect();
+                let mut scalar = vec![f64::NAN; m * n];
+                let mut wide = vec![f64::NAN; m * n];
+                matmul_nt_with_level(SimdLevel::Scalar, &a, &b, &mut scalar, m, n, k);
+                matmul_nt_with_level(SimdLevel::Avx2, &a, &b, &mut wide, m, n, k);
+                for i in 0..m {
+                    for j in 0..n {
+                        // `dot` folds from -0.0 where the GEMM
+                        // accumulators start at +0.0: the chains differ
+                        // only in the sign of an all-(-0.0) sum, which
+                        // `0.0 +` maps onto the accumulator's.
+                        let want = 0.0 + dot(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
+                        let (s, w) = (scalar[i * n + j], wide[i * n + j]);
+                        assert_eq!(s.to_bits(), w.to_bits(), "{m}x{n}x{k} at ({i},{j})");
+                        assert_eq!(s.to_bits(), want.to_bits(), "{m}x{n}x{k} at ({i},{j})");
+                    }
+                }
+            }
+        }
     }
 }

@@ -16,13 +16,21 @@
 //! # Adaptive micro-batching
 //!
 //! Single queries enter a coalescing queue. The scheduler dispatches a
-//! batch when either `max_batch` requests are waiting or the *oldest*
-//! request has waited `batch_deadline` — so an idle service answers a
-//! lone query after at most one deadline, while a busy one fills batches
-//! to the brim without ever consulting a clock twice. Batches group by
-//! [`QuerySpec`] and ride the lockstep batched embed + blocked GEMM scan,
-//! whose per-row arithmetic is batch-size-invariant — coalesced results
-//! are bit-identical to issuing each query sequentially.
+//! batch when either `target` requests are waiting or the *oldest*
+//! request has waited `batch_deadline`, and a batch takes everything
+//! queued up to `max_batch`. `target` is learned from the traffic: it is
+//! the size of the batch dispatched last, so between 1 and `max_batch`,
+//! and starts at `max_batch`. A caller that arrives alone is therefore
+//! held for the deadline once — that batch of one sets the target to 1 —
+//! and afterwards dispatched the moment the scheduler sees it, while `W`
+//! callers in a closed loop keep producing batches of `W` (the `W`
+//! replies bring `W` new requests and the scheduler waits for all of
+//! them). The deadline stays the upper bound on how long any request is
+//! held. `DESIGN.md` §13 has the regimes, the switches between them and
+//! the two simpler rules that were measured and rejected. Batches group
+//! by [`QuerySpec`] and ride the lockstep batched embed + blocked GEMM
+//! scan, whose per-row arithmetic is batch-size-invariant — coalesced
+//! results are bit-identical to issuing each query sequentially.
 //!
 //! # The overload and failure ladder
 //!
@@ -55,7 +63,7 @@ use neutraj_model::{DbError, NeuTrajModel, SimilarityDb};
 use neutraj_obs::{names, Counter, Gauge, Histogram, Registry};
 use neutraj_trajectory::Trajectory;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -65,10 +73,12 @@ use std::time::{Duration, Instant};
 pub struct ServiceConfig {
     /// Round-robin shard count for the snapshot (see [`ShardConfig`]).
     pub nshards: usize,
-    /// Dispatch a batch as soon as this many requests are queued.
+    /// Most requests in one batch, and the coalescing target of a cold
+    /// service; afterwards the target follows the traffic (module docs).
     pub max_batch: usize,
-    /// …or as soon as the oldest queued request has waited this long.
-    /// Must be nonzero (a zero deadline would spin the scheduler).
+    /// A batch is dispatched, whatever the target, as soon as the oldest
+    /// queued request has waited this long. Must be nonzero (a zero
+    /// deadline would spin the scheduler).
     pub batch_deadline: Duration,
     /// Scoped threads for the parallel per-shard scan (1 = sequential).
     pub scan_threads: usize,
@@ -233,6 +243,10 @@ struct Shared {
     max_queue: usize,
     degrade_watermark: usize,
     quarantine_backoff: Duration,
+    /// Wall time of the scheduler's last dispatch in nanoseconds (0 =
+    /// nothing dispatched yet). A statistic for [`Shared::retry_hint`];
+    /// it publishes no other data, hence `Relaxed`.
+    last_dispatch_nanos: AtomicU64,
     metrics: Option<ServeMetrics>,
 }
 
@@ -249,12 +263,17 @@ impl Shared {
         }
     }
 
-    /// Backlog-drain estimate at queue depth `depth`: each `max_batch`
-    /// slice needs at least one coalescing deadline to dispatch. A hint,
-    /// not a promise — callers should treat it as a floor.
+    /// Backlog-drain estimate at queue depth `depth`: the backlog leaves
+    /// in `max_batch` slices, each priced at what the last dispatch took
+    /// (one coalescing deadline until something has been dispatched). A
+    /// hint, not a promise — callers should treat it as a floor.
     fn retry_hint(&self, depth: usize) -> Duration {
         let batches = (depth / self.max_batch.max(1)) as u32 + 1;
-        self.batch_deadline.saturating_mul(batches)
+        let slice = match self.last_dispatch_nanos.load(Ordering::Relaxed) {
+            0 => self.batch_deadline,
+            nanos => Duration::from_nanos(nanos),
+        };
+        slice.saturating_mul(batches)
     }
 }
 
@@ -384,6 +403,7 @@ impl SimilarityService {
             max_queue: cfg.max_queue,
             degrade_watermark,
             quarantine_backoff: cfg.quarantine_backoff,
+            last_dispatch_nanos: AtomicU64::new(0),
             metrics,
         });
         let worker = {
@@ -605,7 +625,14 @@ impl Drop for SimilarityService {
 }
 
 /// The scheduler: coalesce → purge expired → form batch → dispatch.
+///
+/// It dispatches when the queue holds `target` requests or the oldest
+/// has waited `batch_deadline`. `target` is the size of the batch it
+/// dispatched last (so between 1 and `max_batch`; see the module docs)
+/// and starts at `max_batch`: a cold service coalesces exactly as it
+/// would with a fixed target.
 fn scheduler_loop(shared: &Shared) {
+    let mut target = shared.max_batch;
     loop {
         let (batch, pressure) = {
             let mut q = lock_recover(&shared.queue);
@@ -615,7 +642,7 @@ fn scheduler_loop(shared: &Shared) {
                 if let Some(oldest) = q.oldest() {
                     let deadline = oldest + shared.batch_deadline;
                     let now = Instant::now();
-                    if q.len() >= shared.max_batch || now >= deadline || shutting_down {
+                    if q.len() >= target || now >= deadline || shutting_down {
                         break;
                     }
                     q = shared
@@ -640,6 +667,7 @@ fn scheduler_loop(shared: &Shared) {
             (batch, pressure)
         };
         if !batch.is_empty() {
+            target = batch.len();
             dispatch(shared, batch, pressure);
         }
     }
@@ -800,6 +828,10 @@ fn dispatch(shared: &Shared, batch: Vec<Pending>, pressure: usize) {
     for (spec, degraded, members) in groups {
         run_group(shared, &snapshot, spec, degraded, members, fault.as_deref());
     }
+    let nanos = u64::try_from(dispatched_at.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    shared
+        .last_dispatch_nanos
+        .store(nanos.max(1), Ordering::Relaxed);
 }
 
 /// Scans one spec-group under the full guard set and answers its
@@ -823,7 +855,7 @@ fn run_group(
     } else {
         members.iter().filter_map(|p| p.deadline).max()
     };
-    let trajs: Vec<Trajectory> = members.iter().map(|p| p.req.trajectory.clone()).collect();
+    let trajs: Vec<&Trajectory> = members.iter().map(|p| &p.req.trajectory).collect();
     let guard = ScanGuard {
         deadline: group_deadline,
         skip: &skip,
@@ -871,7 +903,7 @@ fn run_group(
             for p in members {
                 let one = snapshot
                     .scan_batch_guarded(
-                        std::slice::from_ref(&p.req.trajectory),
+                        &[&p.req.trajectory],
                         &spec,
                         1,
                         &ScanGuard {

@@ -316,7 +316,8 @@ impl Snapshot {
         spec: &QuerySpec,
         scan_threads: usize,
     ) -> Result<Vec<Vec<Neighbor>>, DbError> {
-        let scan = self.scan_batch_guarded(queries, spec, scan_threads, &ScanGuard::none())?;
+        let queries: Vec<&Trajectory> = queries.iter().collect();
+        let scan = self.scan_batch_guarded(&queries, spec, scan_threads, &ScanGuard::none())?;
         // Unguarded contract: a shard panic propagates to the caller
         // exactly as it did before panic isolation existed.
         if let Some(payload) = scan.first_panic {
@@ -335,7 +336,7 @@ impl Snapshot {
     /// as data in the [`GuardedScan`].
     pub(crate) fn scan_batch_guarded(
         &self,
-        queries: &[Trajectory],
+        queries: &[&Trajectory],
         spec: &QuerySpec,
         scan_threads: usize,
         guard: &ScanGuard<'_>,
