@@ -2,9 +2,8 @@
 
 use crate::ApproxAlgorithm;
 use neutraj_measures::DiscreteFrechet;
+use neutraj_trajectory::rng::Rng;
 use neutraj_trajectory::{Point, Trajectory};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Driemel & Silvestri-style curve simplification: snap every vertex of a
 /// curve to a randomly-shifted grid of resolution `delta` and collapse
@@ -27,7 +26,7 @@ impl FrechetGridApprox {
     /// as coordinates) and a random shift drawn from `seed`.
     pub fn new(delta: f64, seed: u64) -> Self {
         assert!(delta > 0.0 && delta.is_finite(), "delta must be positive");
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         Self {
             delta,
             shift: Point::new(rng.gen_range(0.0..delta), rng.gen_range(0.0..delta)),

@@ -1,9 +1,8 @@
 //! Landmark embedding approximation of the Hausdorff distance.
 
 use crate::ApproxAlgorithm;
+use neutraj_trajectory::rng::Rng;
 use neutraj_trajectory::{BoundingBox, Point, Trajectory};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Farach-Colton & Indyk-style constant-distortion embedding of point
 /// sets: each trajectory maps to the vector of distances from `K` fixed
@@ -27,7 +26,7 @@ impl HausdorffLandmarkApprox {
     pub fn new(extent: BoundingBox, k: usize, seed: u64) -> Self {
         assert!(k > 0, "need at least one landmark");
         assert!(!extent.is_empty(), "empty extent");
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let landmarks = (0..k)
             .map(|_| {
                 Point::new(

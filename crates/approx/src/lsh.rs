@@ -1,8 +1,7 @@
 //! Multi-table locality-sensitive hashing of curves.
 
+use neutraj_trajectory::rng::Rng;
 use neutraj_trajectory::{Point, Trajectory};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -32,7 +31,7 @@ impl CurveLsh {
     pub fn build(corpus: &[Trajectory], delta: f64, num_tables: usize, seed: u64) -> Self {
         assert!(delta > 0.0 && delta.is_finite(), "delta must be positive");
         assert!(num_tables > 0, "need at least one table");
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let shifts: Vec<Point> = (0..num_tables)
             .map(|_| Point::new(rng.gen_range(0.0..delta), rng.gen_range(0.0..delta)))
             .collect();

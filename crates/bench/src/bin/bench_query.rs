@@ -78,6 +78,7 @@ use neutraj_model::{
     QuantizedStore, Query, SimilarityDb, TrainConfig,
 };
 use neutraj_obs::{names, MetricsReport, Registry};
+use neutraj_trajectory::rng::{splitmix64, GOLDEN_GAMMA};
 use neutraj_trajectory::{BoundingBox, Grid, Point, Trajectory};
 
 /// Search depth; k = 10 matches the paper's top-k experiments.
@@ -286,7 +287,7 @@ struct GraphSection {
 }
 
 fn bench_scan(n: usize, dim: usize, batch: usize, seed: u64) -> ScanRow {
-    let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
+    let mut state = seed ^ GOLDEN_GAMMA;
     let store = {
         let mut store = EmbeddingStore::new(dim);
         let mut row = vec![0.0; dim];
@@ -350,7 +351,7 @@ fn bench_scan(n: usize, dim: usize, batch: usize, seed: u64) -> ScanRow {
 ///   shortlist over the *same* candidate lists;
 /// * at N ≥ 100k, both int8 paths ≥ 1.5× their f64 counterparts.
 fn bench_quant(n: usize, dim: usize, batch: usize, seed: u64, registry: &Registry) -> QuantRow {
-    let mut state = seed ^ 0x9e37_79b9_7f4a_7c15; // same corpus as bench_scan
+    let mut state = seed ^ GOLDEN_GAMMA; // same corpus as bench_scan
     let store = {
         let mut store = EmbeddingStore::new(dim);
         let mut row = vec![0.0; dim];
@@ -1025,14 +1026,9 @@ fn time_qps(per_round: usize, mut f: impl FnMut()) -> f64 {
 }
 
 /// splitmix64 step mapped to [-1, 1] — deterministic synthetic
-/// embeddings without touching the `rand` crate.
+/// embeddings.
 fn unit_f64(state: &mut u64) -> f64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
-    (z >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+    (splitmix64(state) >> 11) as f64 / (1u64 << 52) as f64 - 1.0
 }
 
 /// Deterministic trajectory shaped by `id` so every batch slot differs.

@@ -47,6 +47,7 @@ use neutraj_obs::{MetricsReport, Registry};
 use neutraj_serve::{
     sequential_reference, QuerySpec, ServeRequest, ServiceConfig, SimilarityService,
 };
+use neutraj_trajectory::rng::{splitmix64, GOLDEN_GAMMA};
 use neutraj_trajectory::{BoundingBox, Grid, Point, Trajectory};
 
 /// Search depth; k = 10 matches the paper's top-k experiments.
@@ -389,7 +390,7 @@ fn open_loop_shedding(
     let start = Instant::now();
     std::thread::scope(|scope| {
         scope.spawn(move || {
-            let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
+            let mut state = seed ^ GOLDEN_GAMMA;
             let mut t = 0.0f64;
             for i in 0..n_req {
                 t += exp_gap(&mut state, offered_qps);
@@ -439,11 +440,7 @@ fn open_loop_shedding(
 /// One exponential inter-arrival gap at `rate` arrivals/sec.
 fn exp_gap(state: &mut u64, rate: f64) -> f64 {
     // splitmix64 mapped to (0, 1], then inverse-CDF.
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^= z >> 31;
+    let z = splitmix64(state);
     let u = ((z >> 12) as f64 + 1.0) / (1u64 << 52) as f64;
     -u.ln() / rate
 }

@@ -19,6 +19,7 @@
 
 use neutraj_measures::NeighborHeap;
 use neutraj_nn::linalg::{dot, matmul_nt};
+use neutraj_trajectory::rng::{splitmix64, GOLDEN_GAMMA};
 
 /// Rows per assignment GEMM block — same L2-sized block the serving
 /// scans use.
@@ -405,22 +406,13 @@ fn row_of(data: &[f64], dim: usize, r: u32) -> &[f64] {
 fn sample_without_replacement(n: usize, count: usize, seed: u64) -> Vec<u32> {
     let count = count.min(n);
     let mut idx: Vec<u32> = (0..n as u32).collect();
-    let mut state = seed ^ 0x9e37_79b9_7f4a_7c15;
+    let mut state = seed ^ GOLDEN_GAMMA;
     for i in 0..count {
         let r = splitmix64(&mut state) as usize % (n - i);
         idx.swap(i, i + r);
     }
     idx.truncate(count);
     idx
-}
-
-/// One splitmix64 step.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -7,72 +7,71 @@ use neutraj_cluster::{
     DbscanParams, Label,
 };
 use neutraj_measures::DistanceMatrix;
-use proptest::prelude::*;
+use neutraj_trajectory::rng::{cases, Rng};
 
-fn arb_labels(n: usize) -> impl Strategy<Value = Vec<Label>> {
-    prop::collection::vec(-1i64..4, n).prop_map(|codes| {
-        codes
-            .into_iter()
-            .map(|c| {
-                if c < 0 {
-                    Label::Noise
-                } else {
-                    Label::Cluster(c as u32)
-                }
-            })
-            .collect()
-    })
+fn arb_labels(rng: &mut Rng, n: usize) -> Vec<Label> {
+    (0..n)
+        .map(|_| match rng.gen_range(-1i64..4) {
+            c if c < 0 => Label::Noise,
+            c => Label::Cluster(c as u32),
+        })
+        .collect()
 }
 
-fn arb_symmetric_dist(n: usize) -> impl Strategy<Value = DistanceMatrix> {
-    prop::collection::vec(0.0f64..30.0, n * (n - 1) / 2).prop_map(move |upper| {
-        let mut data = vec![0.0; n * n];
-        let mut it = upper.into_iter();
-        for i in 0..n {
-            for j in i + 1..n {
-                let d = it.next().expect("enough");
-                data[i * n + j] = d;
-                data[j * n + i] = d;
-            }
+fn arb_symmetric_dist(rng: &mut Rng, n: usize) -> DistanceMatrix {
+    let mut data = vec![0.0; n * n];
+    for i in 0..n {
+        for j in i + 1..n {
+            let d = rng.gen_range(0.0..30.0);
+            data[i * n + j] = d;
+            data[j * n + i] = d;
         }
-        DistanceMatrix::from_raw(n, data)
-    })
+    }
+    DistanceMatrix::from_raw(n, data)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn agreement_scores_are_bounded(a in arb_labels(12), b in arb_labels(12)) {
+#[test]
+fn agreement_scores_are_bounded() {
+    cases(64, |rng| {
+        let a = arb_labels(rng, 12);
+        let b = arb_labels(rng, 12);
         let ag = ClusterAgreement::between(&a, &b);
-        prop_assert!((0.0..=1.0 + 1e-12).contains(&ag.homogeneity));
-        prop_assert!((0.0..=1.0 + 1e-12).contains(&ag.completeness));
-        prop_assert!((0.0..=1.0 + 1e-12).contains(&ag.v_measure));
-        prop_assert!((-1.0..=1.0 + 1e-12).contains(&ag.ari));
-    }
+        assert!((0.0..=1.0 + 1e-12).contains(&ag.homogeneity));
+        assert!((0.0..=1.0 + 1e-12).contains(&ag.completeness));
+        assert!((0.0..=1.0 + 1e-12).contains(&ag.v_measure));
+        assert!((-1.0..=1.0 + 1e-12).contains(&ag.ari));
+    });
+}
 
-    #[test]
-    fn agreement_is_perfect_on_self(a in arb_labels(10)) {
+#[test]
+fn agreement_is_perfect_on_self() {
+    cases(64, |rng| {
+        let a = arb_labels(rng, 10);
         let ag = ClusterAgreement::between(&a, &a);
-        prop_assert!((ag.v_measure - 1.0).abs() < 1e-9);
-        prop_assert!((ag.ari - 1.0).abs() < 1e-9);
-    }
+        assert!((ag.v_measure - 1.0).abs() < 1e-9);
+        assert!((ag.ari - 1.0).abs() < 1e-9);
+    });
+}
 
-    #[test]
-    fn ari_and_v_are_symmetric_under_swap(a in arb_labels(10), b in arb_labels(10)) {
-        prop_assert!(
-            (adjusted_rand_index(&a, &b) - adjusted_rand_index(&b, &a)).abs() < 1e-9
-        );
+#[test]
+fn ari_and_v_are_symmetric_under_swap() {
+    cases(64, |rng| {
+        let a = arb_labels(rng, 10);
+        let b = arb_labels(rng, 10);
+        assert!((adjusted_rand_index(&a, &b) - adjusted_rand_index(&b, &a)).abs() < 1e-9);
         // V-measure swaps homogeneity and completeness.
         let (h1, c1, v1) = homogeneity_completeness_v(&a, &b);
         let (h2, c2, v2) = homogeneity_completeness_v(&b, &a);
-        prop_assert!((h1 - c2).abs() < 1e-9);
-        prop_assert!((c1 - h2).abs() < 1e-9);
-        prop_assert!((v1 - v2).abs() < 1e-9);
-    }
+        assert!((h1 - c2).abs() < 1e-9);
+        assert!((c1 - h2).abs() < 1e-9);
+        assert!((v1 - v2).abs() < 1e-9);
+    });
+}
 
-    #[test]
-    fn agreement_invariant_under_relabeling(a in arb_labels(10)) {
+#[test]
+fn agreement_invariant_under_relabeling() {
+    cases(64, |rng| {
+        let a = arb_labels(rng, 10);
         // Renaming cluster ids must not change any score.
         let renamed: Vec<Label> = a
             .iter()
@@ -82,54 +81,54 @@ proptest! {
             })
             .collect();
         let ag = ClusterAgreement::between(&a, &renamed);
-        prop_assert!((ag.v_measure - 1.0).abs() < 1e-9);
-        prop_assert!((ag.ari - 1.0).abs() < 1e-9);
-    }
+        assert!((ag.v_measure - 1.0).abs() < 1e-9);
+        assert!((ag.ari - 1.0).abs() < 1e-9);
+    });
+}
 
-    #[test]
-    fn dbscan_structural_invariants(
-        dist in arb_symmetric_dist(14),
-        eps in 0.5f64..20.0,
-        min_pts in 2usize..6,
-    ) {
+#[test]
+fn dbscan_structural_invariants() {
+    cases(64, |rng| {
+        let dist = arb_symmetric_dist(rng, 14);
+        let eps = rng.gen_range(0.5f64..20.0);
+        let min_pts = rng.gen_range(2usize..6);
         let labels = dbscan(&dist, DbscanParams { eps, min_pts });
-        prop_assert_eq!(labels.len(), 14);
+        assert_eq!(labels.len(), 14);
         // Contiguous cluster ids starting at 0.
         let k = num_clusters(&labels);
         for c in 0..k as u32 {
-            prop_assert!(labels.iter().any(|l| l.cluster() == Some(c)));
+            assert!(labels.iter().any(|l| l.cluster() == Some(c)));
         }
         // Every core point's cluster contains its whole eps-neighbourhood
         // (core points cannot have neighbours labelled into *no* cluster).
         for i in 0..14 {
-            let neighbourhood: Vec<usize> = (0..14)
-                .filter(|&j| dist.get(i, j) <= eps)
-                .collect();
+            let neighbourhood: Vec<usize> = (0..14).filter(|&j| dist.get(i, j) <= eps).collect();
             if neighbourhood.len() >= min_pts {
-                prop_assert!(
-                    labels[i] != Label::Noise,
-                    "core point {i} labelled noise"
-                );
+                assert!(labels[i] != Label::Noise, "core point {i} labelled noise");
                 for &j in &neighbourhood {
-                    prop_assert!(
+                    assert!(
                         labels[j] != Label::Noise,
                         "neighbour {j} of core {i} left as noise"
                     );
                 }
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn dbscan_monotone_in_eps_for_noise_count(
-        dist in arb_symmetric_dist(12),
-        eps in 1.0f64..10.0,
-    ) {
+#[test]
+fn dbscan_monotone_in_eps_for_noise_count() {
+    cases(64, |rng| {
+        let dist = arb_symmetric_dist(rng, 12);
+        let eps = rng.gen_range(1.0f64..10.0);
         let p1 = DbscanParams { eps, min_pts: 3 };
-        let p2 = DbscanParams { eps: eps * 2.0, min_pts: 3 };
+        let p2 = DbscanParams {
+            eps: eps * 2.0,
+            min_pts: 3,
+        };
         let noise = |labels: &[Label]| labels.iter().filter(|l| **l == Label::Noise).count();
         let n1 = noise(&dbscan(&dist, p1));
         let n2 = noise(&dbscan(&dist, p2));
-        prop_assert!(n2 <= n1, "noise grew with eps: {n1} -> {n2}");
-    }
+        assert!(n2 <= n1, "noise grew with eps: {n1} -> {n2}");
+    });
 }

@@ -295,18 +295,13 @@ mod tests {
     use neutraj_index::IvfIndex;
     use neutraj_measures::Hausdorff;
     use neutraj_model::{AnnParams, BackboneKind, NeuTrajModel, TrainConfig};
+    use neutraj_trajectory::rng::splitmix64;
     use neutraj_trajectory::{BoundingBox, Grid, Point, Trajectory};
 
     /// Clustered synthetic embeddings: `blobs` centers, `per` rows each.
     fn blob_store(blobs: usize, per: usize, dim: usize) -> EmbeddingStore {
         let mut state = 77u64;
-        let mut next = move || {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
+        let mut next = move || splitmix64(&mut state);
         let centers: Vec<f64> = (0..blobs * dim).map(|_| (next() % 300) as f64).collect();
         let embs: Vec<Vec<f64>> = (0..blobs * per)
             .map(|i| {

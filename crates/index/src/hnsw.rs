@@ -39,6 +39,8 @@
 //! exhaustive GEMM scan by construction (property-tested in the model
 //! crate across thread counts and SIMD modes).
 
+use neutraj_trajectory::cursor::{PutLe, Reader, Truncated};
+use neutraj_trajectory::rng::{mix64, GOLDEN_GAMMA};
 use std::cmp::Ordering;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
@@ -127,6 +129,12 @@ impl std::fmt::Display for HnswCodecError {
 }
 
 impl std::error::Error for HnswCodecError {}
+
+impl From<Truncated> for HnswCodecError {
+    fn from(e: Truncated) -> Self {
+        Self(e.to_string())
+    }
+}
 
 fn err(msg: impl Into<String>) -> HnswCodecError {
     HnswCodecError(msg.into())
@@ -252,13 +260,11 @@ impl HnswIndex {
     /// The hashed geometric level of `id` under this graph's seed: a
     /// splitmix64 draw `u ∈ (0, 1]` through `floor(-ln(u) · mL)`.
     fn level_for(&self, id: u32) -> u8 {
-        let mut z = self
-            .params
-            .seed
-            .wrapping_add((u64::from(id) + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
+        let z = mix64(
+            self.params
+                .seed
+                .wrapping_add((u64::from(id) + 1).wrapping_mul(GOLDEN_GAMMA)),
+        );
         // Top 53 bits → u ∈ (0, 1]; u = 1 maps to level 0.
         let u = ((z >> 11) as f64 + 1.0) / (1u64 << 53) as f64;
         let lvl = -u.ln() * self.ml;
@@ -809,7 +815,7 @@ impl HnswIndex {
     /// order. Levels are recomputed from `(seed, m)` on decode.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(48 + self.base.len() * 4);
-        out.extend_from_slice(HNSW_MAGIC);
+        out.put_slice(HNSW_MAGIC);
         for v in [
             self.params.m as u64,
             self.params.m0 as u64,
@@ -817,14 +823,14 @@ impl HnswIndex {
             self.params.seed,
             self.len as u64,
         ] {
-            out.extend_from_slice(&v.to_le_bytes());
+            out.put_u64_le(v);
         }
         for id in 0..self.len as u32 {
             for layer in 0..=self.levels[id as usize] as usize {
                 let ids = self.links(id, layer);
-                out.push(ids.len() as u8);
+                out.put_u8(ids.len() as u8);
                 for &nb in ids {
-                    out.extend_from_slice(&nb.to_le_bytes());
+                    out.put_u32_le(nb);
                 }
             }
         }
@@ -837,7 +843,7 @@ impl HnswIndex {
     /// upper-layer neighbors actually reaching that layer, and no
     /// trailing bytes.
     pub fn from_bytes(data: &[u8]) -> Result<HnswIndex, HnswCodecError> {
-        let mut c = Cursor { data, pos: 0 };
+        let mut c = Reader::new(data);
         if c.take(8)? != HNSW_MAGIC {
             return Err(err("bad magic (not an NTHNSW01 graph?)"));
         }
@@ -862,7 +868,7 @@ impl HnswIndex {
         for id in 0..len as u32 {
             let lvl = g.levels[id as usize] as usize;
             for layer in 0..=lvl {
-                let count = c.take(1)?[0] as usize;
+                let count = c.u8()? as usize;
                 let cap = if layer == 0 { m0 } else { m };
                 if count > cap {
                     return Err(err(format!(
@@ -872,7 +878,7 @@ impl HnswIndex {
                 let mut ids = Vec::with_capacity(count);
                 let mut prev: Option<u32> = None;
                 for _ in 0..count {
-                    let nb = u32::from_le_bytes(c.take(4)?.try_into().expect("4 bytes"));
+                    let nb = c.u32()?;
                     if nb as usize >= len {
                         return Err(err(format!(
                             "node {id} layer {layer} links to out-of-range id {nb} (len {len})"
@@ -898,10 +904,10 @@ impl HnswIndex {
                 g.set_links_sorted(id, layer, ids);
             }
         }
-        if c.pos != data.len() {
+        if !c.rest().is_empty() {
             return Err(err(format!(
                 "{} trailing bytes after the graph payload",
-                data.len() - c.pos
+                c.rest().len()
             )));
         }
         // Derive the entry point: lowest id of maximal level.
@@ -943,49 +949,16 @@ fn heuristic_select<D: Fn(u32, u32) -> f64>(cands: &[Cand], cap: usize, dist: &D
     selected
 }
 
-/// Bounds-checked little-endian slice cursor (mirrors the IVF codec).
-struct Cursor<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], HnswCodecError> {
-        if self.data.len() - self.pos < n {
-            return Err(err(format!(
-                "truncated payload: need {n} bytes at offset {}, have {}",
-                self.pos,
-                self.data.len() - self.pos
-            )));
-        }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u64(&mut self) -> Result<u64, HnswCodecError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use neutraj_trajectory::rng::splitmix64;
 
     /// Deterministic pseudo-random rows for a squared-L2 oracle.
     fn rows(n: usize, dim: usize, seed: u64) -> Vec<f64> {
         let mut state = seed;
-        let mut next = move || {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
         (0..n * dim)
-            .map(|_| (next() % 1000) as f64 / 10.0)
+            .map(|_| (splitmix64(&mut state) % 1000) as f64 / 10.0)
             .collect()
     }
 

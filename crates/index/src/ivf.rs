@@ -25,6 +25,8 @@
 //!
 //! [`PointGrid`]: crate::PointGrid
 
+use neutraj_trajectory::cursor::{PutLe, Reader, Truncated};
+
 /// Magic prefix of the serialized section ([`IvfIndex::to_bytes`]).
 pub const IVF_MAGIC: &[u8; 8] = b"NTIVF01\0";
 
@@ -91,6 +93,12 @@ impl core::fmt::Display for IvfCodecError {
 }
 
 impl std::error::Error for IvfCodecError {}
+
+impl From<Truncated> for IvfCodecError {
+    fn from(e: Truncated) -> Self {
+        Self(e.to_string())
+    }
+}
 
 /// An inverted-file index: a coarse quantizer plus one id list per cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -203,17 +211,17 @@ impl<Q: CoarseQuantizer> IvfIndex<Q> {
         let ids: usize = self.lists.iter().map(Vec::len).sum();
         let cap = 8 + 3 * 8 + self.nlists() * dim * 8 + self.nlists() * 8 + ids * 4;
         let mut buf = Vec::with_capacity(cap);
-        buf.extend_from_slice(IVF_MAGIC);
-        buf.extend_from_slice(&(dim as u64).to_le_bytes());
-        buf.extend_from_slice(&(self.nlists() as u64).to_le_bytes());
-        buf.extend_from_slice(&(self.len as u64).to_le_bytes());
+        buf.put_slice(IVF_MAGIC);
+        buf.put_u64_le(dim as u64);
+        buf.put_u64_le(self.nlists() as u64);
+        buf.put_u64_le(self.len as u64);
         for &v in self.quantizer.centroids() {
-            buf.extend_from_slice(&v.to_le_bytes());
+            buf.put_f64_le(v);
         }
         for list in &self.lists {
-            buf.extend_from_slice(&(list.len() as u64).to_le_bytes());
+            buf.put_u64_le(list.len() as u64);
             for &id in list {
-                buf.extend_from_slice(&id.to_le_bytes());
+                buf.put_u32_le(id);
             }
         }
         buf
@@ -224,7 +232,7 @@ impl<Q: CoarseQuantizer> IvfIndex<Q> {
     ///
     /// [`to_bytes`]: IvfIndex::to_bytes
     pub fn from_bytes(data: &[u8]) -> Result<IvfIndex<Q>, IvfCodecError> {
-        let mut cur = Cursor { data, pos: 0 };
+        let mut cur = Reader::new(data);
         let magic = cur.take(8)?;
         if magic != IVF_MAGIC {
             return Err(IvfCodecError(format!("bad magic {magic:02x?}")));
@@ -238,13 +246,9 @@ impl<Q: CoarseQuantizer> IvfIndex<Q> {
         if nlists == 0 || nlists > 1 << 24 {
             return Err(IvfCodecError(format!("implausible nlists {nlists}")));
         }
-        let mut centroids = Vec::with_capacity(nlists * dim);
-        for _ in 0..nlists * dim {
-            let v = f64::from_le_bytes(cur.take(8)?.try_into().unwrap());
-            if !v.is_finite() {
-                return Err(IvfCodecError(format!("non-finite centroid value {v}")));
-            }
-            centroids.push(v);
+        let centroids = cur.f64s(nlists * dim)?;
+        if let Some(v) = centroids.iter().find(|v| !v.is_finite()) {
+            return Err(IvfCodecError(format!("non-finite centroid value {v}")));
         }
         let mut lists = Vec::with_capacity(nlists);
         let mut total = 0usize;
@@ -256,10 +260,11 @@ impl<Q: CoarseQuantizer> IvfIndex<Q> {
                     "lists overflow len {len} at list {j}"
                 )));
             }
-            let mut list = Vec::with_capacity(count);
+            // A corrupt count must not reserve more than the buffer holds.
+            let mut list = Vec::with_capacity(count.min(cur.rest().len() / 4));
             let mut prev: Option<u32> = None;
             for _ in 0..count {
-                let id = u32::from_le_bytes(cur.take(4)?.try_into().unwrap());
+                let id = cur.u32()?;
                 if id as usize >= len {
                     return Err(IvfCodecError(format!("id {id} out of range (len {len})")));
                 }
@@ -276,41 +281,15 @@ impl<Q: CoarseQuantizer> IvfIndex<Q> {
                 "lists hold {total} ids, header says {len}"
             )));
         }
-        if cur.pos != data.len() {
+        if !cur.rest().is_empty() {
             return Err(IvfCodecError(format!(
                 "{} trailing bytes",
-                data.len() - cur.pos
+                cur.rest().len()
             )));
         }
         Ok(IvfIndex::from_parts(
             Q::from_centroids(dim, centroids),
             lists,
         ))
-    }
-}
-
-/// Minimal bounds-checked little-endian reader (the index crate carries
-/// no byte-buffer dependency).
-struct Cursor<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], IvfCodecError> {
-        if self.data.len() - self.pos < n {
-            return Err(IvfCodecError(format!(
-                "truncated: need {n} bytes at offset {}, have {}",
-                self.pos,
-                self.data.len() - self.pos
-            )));
-        }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u64(&mut self) -> Result<u64, IvfCodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 }

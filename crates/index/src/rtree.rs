@@ -279,11 +279,11 @@ fn build_upward(mut level: Vec<Node>) -> Node {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use neutraj_trajectory::rng::Rng;
     use neutraj_trajectory::Point;
-    use rand::{Rng, SeedableRng};
 
     fn corpus(n: usize, seed: u64) -> Vec<Trajectory> {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         (0..n as u64)
             .map(|id| {
                 let x0: f64 = rng.gen_range(0.0..1000.0);

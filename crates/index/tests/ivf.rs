@@ -8,17 +8,12 @@
 
 use neutraj_cluster::{KMeans, KMeansParams};
 use neutraj_index::{CoarseQuantizer, IvfIndex};
+use neutraj_trajectory::rng::splitmix64;
 
 /// Deterministic clustered rows: `blobs` centers, `per` rows each.
 fn blob_rows(blobs: usize, per: usize, dim: usize, seed: u64) -> Vec<f64> {
     let mut state = seed;
-    let mut next = move || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
+    let mut next = move || splitmix64(&mut state);
     let centers: Vec<f64> = (0..blobs * dim).map(|_| (next() % 500) as f64).collect();
     let mut data = Vec::with_capacity(blobs * per * dim);
     for b in 0..blobs {

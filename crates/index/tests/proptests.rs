@@ -2,29 +2,24 @@
 //! best-first kNN correctness on random corpora.
 
 use neutraj_index::{GridInvertedIndex, RTree, SpatialIndex};
+use neutraj_trajectory::rng::{cases, Rng};
 use neutraj_trajectory::{Grid, Point, Trajectory};
-use proptest::prelude::*;
 
-fn arb_corpus() -> impl Strategy<Value = Vec<Trajectory>> {
-    prop::collection::vec(
-        prop::collection::vec((-200.0f64..200.0, -200.0f64..200.0), 2..10),
-        3..40,
-    )
-    .prop_map(|tss| {
-        tss.into_iter()
-            .enumerate()
-            .map(|(i, pts)| {
-                Trajectory::new_unchecked(i as u64, pts.into_iter().map(Point::from).collect())
-            })
-            .collect()
-    })
+fn arb_corpus(rng: &mut Rng) -> Vec<Trajectory> {
+    (0..rng.gen_range(3..40u64))
+        .map(|id| {
+            let pts = (0..rng.gen_range(2..10))
+                .map(|_| Point::new(rng.gen_range(-200.0..200.0), rng.gen_range(-200.0..200.0)))
+                .collect();
+            Trajectory::new_unchecked(id, pts)
+        })
+        .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn rtree_range_query_equals_linear_filter(corpus in arb_corpus()) {
+#[test]
+fn rtree_range_query_equals_linear_filter() {
+    cases(48, |rng| {
+        let corpus = arb_corpus(rng);
         let tree = RTree::build(&corpus);
         let query = corpus[0].mbr().inflated(25.0);
         let got = tree.range_query(&query);
@@ -34,37 +29,42 @@ proptest! {
             .filter(|(_, t)| t.mbr().intersects(&query))
             .map(|(i, _)| i)
             .collect();
-        prop_assert_eq!(got, expected);
-    }
+        assert_eq!(got, expected);
+    });
+}
 
-    #[test]
-    fn rtree_knn_distances_are_sorted_and_tight(corpus in arb_corpus(), k in 1usize..10) {
+#[test]
+fn rtree_knn_distances_are_sorted_and_tight() {
+    cases(48, |rng| {
+        let corpus = arb_corpus(rng);
+        let k = rng.gen_range(1usize..10);
         let tree = RTree::build(&corpus);
         let q = corpus[0].mbr();
         let got = tree.knn_mbr(&q, k);
-        prop_assert_eq!(got.len(), k.min(corpus.len()));
+        assert_eq!(got.len(), k.min(corpus.len()));
         for w in got.windows(2) {
-            prop_assert!(w[0].1 <= w[1].1 + 1e-12, "knn distances unsorted");
+            assert!(w[0].1 <= w[1].1 + 1e-12, "knn distances unsorted");
         }
         // No non-returned item may be strictly closer than the worst
         // returned one.
         if let Some(&(_, worst)) = got.last() {
             for (i, t) in corpus.iter().enumerate() {
                 if !got.iter().any(|(gi, _)| *gi == i) {
-                    prop_assert!(
+                    assert!(
                         t.mbr().min_dist_box(&q) >= worst - 1e-12,
                         "missed closer item {i}"
                     );
                 }
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn both_indexes_are_sound_candidate_generators(
-        corpus in arb_corpus(),
-        radius in 0.0f64..100.0,
-    ) {
+#[test]
+fn both_indexes_are_sound_candidate_generators() {
+    cases(48, |rng| {
+        let corpus = arb_corpus(rng);
+        let radius = rng.gen_range(0.0f64..100.0);
         // "Sound" = no trajectory whose true nearest-point distance to the
         // query is within the radius may be pruned.
         let rtree = RTree::build(&corpus);
@@ -80,12 +80,12 @@ proptest! {
                 .flat_map(|p| q.points().iter().map(move |r| p.dist(r)))
                 .fold(f64::INFINITY, f64::min);
             if min_pair <= radius {
-                prop_assert!(rc.contains(&i), "rtree pruned true candidate {i}");
-                prop_assert!(ic.contains(&i), "inverted index pruned true candidate {i}");
+                assert!(rc.contains(&i), "rtree pruned true candidate {i}");
+                assert!(ic.contains(&i), "inverted index pruned true candidate {i}");
             }
         }
         // Candidate lists are sorted and deduplicated.
-        prop_assert!(rc.windows(2).all(|w| w[0] < w[1]));
-        prop_assert!(ic.windows(2).all(|w| w[0] < w[1]));
-    }
+        assert!(rc.windows(2).all(|w| w[0] < w[1]));
+        assert!(ic.windows(2).all(|w| w[0] < w[1]));
+    });
 }

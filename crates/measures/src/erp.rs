@@ -124,11 +124,11 @@ mod tests {
 
     #[test]
     fn triangle_inequality_on_random_sequences() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        use neutraj_trajectory::rng::Rng;
+        let mut rng = Rng::seed_from_u64(3);
         let e = Erp::default();
         for _ in 0..50 {
-            let rand_seq = |rng: &mut rand::rngs::StdRng| -> Vec<Point> {
+            let rand_seq = |rng: &mut Rng| -> Vec<Point> {
                 (0..rng.gen_range(1..7))
                     .map(|_| Point::new(rng.gen_range(-3.0..3.0), rng.gen_range(-3.0..3.0)))
                     .collect()

@@ -127,10 +127,10 @@ mod tests {
 
     #[test]
     fn triangle_inequality_on_random_sets() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        use neutraj_trajectory::rng::Rng;
+        let mut rng = Rng::seed_from_u64(1);
         for _ in 0..50 {
-            let rand_pts = |rng: &mut rand::rngs::StdRng| -> Vec<Point> {
+            let rand_pts = |rng: &mut Rng| -> Vec<Point> {
                 (0..rng.gen_range(1..8))
                     .map(|_| Point::new(rng.gen_range(-5.0..5.0), rng.gen_range(-5.0..5.0)))
                     .collect()

@@ -52,7 +52,6 @@ pub use hausdorff::Hausdorff;
 pub use matrix::{DistanceMatrix, FiniteStats};
 
 use neutraj_trajectory::Point;
-use serde::{Deserialize, Serialize};
 
 /// A trajectory similarity measure: maps two point sequences to a
 /// non-negative dissimilarity. Smaller is more similar.
@@ -115,7 +114,7 @@ pub enum Accel {
 
 /// Identifier of the measures the paper evaluates, convenient for CLI
 /// flags, experiment configs and reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MeasureKind {
     /// Discrete Fréchet distance.
     Frechet,

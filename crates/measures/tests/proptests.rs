@@ -5,84 +5,90 @@ use neutraj_measures::{
     knn_scan, knn_scan_pruned, DiscreteFrechet, DistanceMatrix, Dtw, Erp, Hausdorff, Measure,
     MeasureKind,
 };
+use neutraj_trajectory::rng::{cases, Rng};
 use neutraj_trajectory::{Point, Trajectory};
-use proptest::prelude::*;
 
-fn arb_points(max_len: usize) -> impl Strategy<Value = Vec<Point>> {
-    prop::collection::vec((-50.0f64..50.0, -50.0f64..50.0), 1..max_len)
-        .prop_map(|v| v.into_iter().map(Point::from).collect())
+fn arb_points(rng: &mut Rng, max_len: usize) -> Vec<Point> {
+    (0..rng.gen_range(1..max_len))
+        .map(|_| Point::new(rng.gen_range(-50.0..50.0), rng.gen_range(-50.0..50.0)))
+        .collect()
 }
 
-fn arb_corpus(n: usize) -> impl Strategy<Value = Vec<Trajectory>> {
-    prop::collection::vec(
-        prop::collection::vec((-50.0f64..50.0, -50.0f64..50.0), 2..12),
-        n..n + 1,
-    )
-    .prop_map(|tss| {
-        tss.into_iter()
-            .enumerate()
-            .map(|(i, pts)| {
-                Trajectory::new_unchecked(i as u64, pts.into_iter().map(Point::from).collect())
-            })
-            .collect()
-    })
+fn arb_corpus(rng: &mut Rng, n: usize) -> Vec<Trajectory> {
+    (0..n as u64)
+        .map(|id| {
+            let pts = (0..rng.gen_range(2..12))
+                .map(|_| Point::new(rng.gen_range(-50.0..50.0), rng.gen_range(-50.0..50.0)))
+                .collect();
+            Trajectory::new_unchecked(id, pts)
+        })
+        .collect()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn lower_bounds_are_valid_for_all_measures(a in arb_points(15), b in arb_points(15)) {
+#[test]
+fn lower_bounds_are_valid_for_all_measures() {
+    cases(48, |rng| {
+        let a = arb_points(rng, 15);
+        let b = arb_points(rng, 15);
         for kind in MeasureKind::ALL {
             let m = kind.measure();
             let lb = m.lower_bound(&a, &b);
             let d = m.dist(&a, &b);
-            prop_assert!(lb <= d + 1e-9, "{kind}: lb {lb} > dist {d}");
+            assert!(lb <= d + 1e-9, "{kind}: lb {lb} > dist {d}");
         }
-    }
+    });
+}
 
-    #[test]
-    fn banded_dtw_upper_bounds_and_converges(a in arb_points(12), b in arb_points(12)) {
+#[test]
+fn banded_dtw_upper_bounds_and_converges() {
+    cases(48, |rng| {
+        let a = arb_points(rng, 12);
+        let b = arb_points(rng, 12);
         let full = Dtw::full(&a, &b);
         let mut prev_band = f64::INFINITY;
         for band in [1usize, 2, 4, 8, 32] {
             let banded = Dtw::banded(&a, &b, band);
-            prop_assert!(banded >= full - 1e-9, "band {band}: {banded} < {full}");
+            assert!(banded >= full - 1e-9, "band {band}: {banded} < {full}");
             // Widening the band never worsens the approximation.
-            prop_assert!(banded <= prev_band + 1e-9);
+            assert!(banded <= prev_band + 1e-9);
             prev_band = banded;
         }
-        prop_assert!((Dtw::banded(&a, &b, 64) - full).abs() < 1e-9);
-    }
+        assert!((Dtw::banded(&a, &b, 64) - full).abs() < 1e-9);
+    });
+}
 
-    #[test]
-    fn erp_gap_choice_triangle_consistent(
-        a in arb_points(8),
-        b in arb_points(8),
-        gx in -10.0f64..10.0,
-        gy in -10.0f64..10.0,
-    ) {
+#[test]
+fn erp_gap_choice_triangle_consistent() {
+    cases(48, |rng| {
+        let a = arb_points(rng, 8);
+        let b = arb_points(rng, 8);
+        let gx = rng.gen_range(-10.0f64..10.0);
+        let gy = rng.gen_range(-10.0f64..10.0);
         // ERP stays a metric for any gap reference point.
         let erp = Erp::with_gap(Point::new(gx, gy));
         let d_ab = erp.dist(&a, &b);
-        prop_assert!((d_ab - erp.dist(&b, &a)).abs() < 1e-9);
-        prop_assert!(erp.dist(&a, &a) < 1e-9);
-    }
+        assert!((d_ab - erp.dist(&b, &a)).abs() < 1e-9);
+        assert!(erp.dist(&a, &a) < 1e-9);
+    });
+}
 
-    #[test]
-    fn frechet_dominates_hausdorff_dtw_dominates_frechet(
-        a in arb_points(10),
-        b in arb_points(10),
-    ) {
+#[test]
+fn frechet_dominates_hausdorff_dtw_dominates_frechet() {
+    cases(48, |rng| {
+        let a = arb_points(rng, 10);
+        let b = arb_points(rng, 10);
         let h = Hausdorff.dist(&a, &b);
         let f = DiscreteFrechet.dist(&a, &b);
         let d = Dtw.dist(&a, &b);
-        prop_assert!(h <= f + 1e-9);
-        prop_assert!(f <= d + 1e-9);
-    }
+        assert!(h <= f + 1e-9);
+        assert!(f <= d + 1e-9);
+    });
+}
 
-    #[test]
-    fn matrix_agrees_with_direct_calls(corpus in arb_corpus(6)) {
+#[test]
+fn matrix_agrees_with_direct_calls() {
+    cases(48, |rng| {
+        let corpus = arb_corpus(rng, 6);
         let m = DistanceMatrix::compute(&Hausdorff, &corpus);
         for i in 0..6 {
             for j in 0..6 {
@@ -91,35 +97,46 @@ proptest! {
                 } else {
                     Hausdorff.dist(corpus[i].points(), corpus[j].points())
                 };
-                prop_assert!((m.get(i, j) - direct).abs() < 1e-12);
+                assert!((m.get(i, j) - direct).abs() < 1e-12);
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn pruned_search_equals_plain_search(corpus in arb_corpus(20), k in 1usize..8) {
-        for kind in [MeasureKind::Frechet, MeasureKind::Hausdorff, MeasureKind::Dtw] {
+#[test]
+fn pruned_search_equals_plain_search() {
+    cases(48, |rng| {
+        let corpus = arb_corpus(rng, 20);
+        let k = rng.gen_range(1usize..8);
+        for kind in [
+            MeasureKind::Frechet,
+            MeasureKind::Hausdorff,
+            MeasureKind::Dtw,
+        ] {
             let m = kind.measure();
             let plain = knn_scan(&*m, &corpus[0], &corpus, k);
             let pruned = knn_scan_pruned(&*m, &corpus[0], &corpus, k);
-            prop_assert_eq!(&plain, &pruned, "{}", kind);
+            assert_eq!(&plain, &pruned, "{}", kind);
         }
-    }
+    });
+}
 
-    #[test]
-    fn scaling_coordinates_scales_distances(a in arb_points(8), b in arb_points(8), s in 0.1f64..10.0) {
+#[test]
+fn scaling_coordinates_scales_distances() {
+    cases(48, |rng| {
+        let a = arb_points(rng, 8);
+        let b = arb_points(rng, 8);
+        let s = rng.gen_range(0.1f64..10.0);
         // All four measures are positively homogeneous in the coordinates.
-        let scale = |pts: &[Point]| -> Vec<Point> {
-            pts.iter().map(|p| *p * s).collect()
-        };
+        let scale = |pts: &[Point]| -> Vec<Point> { pts.iter().map(|p| *p * s).collect() };
         for kind in MeasureKind::ALL {
             let m = kind.measure();
             let d1 = m.dist(&a, &b);
             let d2 = m.dist(&scale(&a), &scale(&b));
-            prop_assert!(
+            assert!(
                 (d2 - s * d1).abs() < 1e-6 * (1.0 + d1.abs() * s),
                 "{kind}: {d2} != {s}*{d1}"
             );
         }
-    }
+    });
 }

@@ -6,33 +6,22 @@
 use neutraj_measures::{
     top_k, DistanceMatrix, Edr, GroundTruthEngine, Lcss, Measure, MeasureKind, Neighbor,
 };
+use neutraj_trajectory::rng::{cases, Rng};
 use neutraj_trajectory::{Point, Trajectory};
-use proptest::prelude::*;
 
 /// Random corpus with clustered trajectories (so bounds actually prune),
 /// mixed lengths, and occasional empty / single-point degenerates.
-fn arb_corpus(n: usize) -> impl Strategy<Value = Vec<Trajectory>> {
-    prop::collection::vec(
-        (
-            0u8..4,                                                    // cluster
-            prop::collection::vec((-8.0f64..8.0, -8.0f64..8.0), 0..9), // jitter offsets
-        ),
-        n..n + 1,
-    )
-    .prop_map(|specs| {
-        specs
-            .into_iter()
-            .enumerate()
-            .map(|(i, (cluster, offs))| {
-                let (cx, cy) = (cluster as f64 * 60.0, cluster as f64 * -45.0);
-                let pts = offs
-                    .into_iter()
-                    .map(|(dx, dy)| Point::new(cx + dx, cy + dy))
-                    .collect();
-                Trajectory::new_unchecked(i as u64, pts)
-            })
-            .collect()
-    })
+fn arb_corpus(rng: &mut Rng, n: usize) -> Vec<Trajectory> {
+    (0..n as u64)
+        .map(|id| {
+            let cluster = rng.gen_range(0u8..4);
+            let (cx, cy) = (cluster as f64 * 60.0, cluster as f64 * -45.0);
+            let pts = (0..rng.gen_range(0..9))
+                .map(|_| Point::new(cx + rng.gen_range(-8.0..8.0), cy + rng.gen_range(-8.0..8.0)))
+                .collect();
+            Trajectory::new_unchecked(id, pts)
+        })
+        .collect()
 }
 
 /// Every measure with an accelerated kernel, plus two passthrough
@@ -78,41 +67,47 @@ fn naive_knn(measure: &dyn Measure, ts: &[Trajectory], q: usize, k: usize) -> Ve
     nn
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The tentpole guarantee: engine matrices are bit-identical to the
-    /// naive double loop for every measure at thread counts 1, 2 and 4,
-    /// symmetric, and zero on the diagonal.
-    #[test]
-    fn matrix_is_bit_identical_at_any_thread_count(ts in arb_corpus(24)) {
+/// The tentpole guarantee: engine matrices are bit-identical to the
+/// naive double loop for every measure at thread counts 1, 2 and 4,
+/// symmetric, and zero on the diagonal.
+#[test]
+fn matrix_is_bit_identical_at_any_thread_count() {
+    cases(24, |rng| {
+        let ts = arb_corpus(rng, 24);
         for (name, measure) in all_measures() {
             let naive = naive_matrix(&*measure, &ts);
             let engine = GroundTruthEngine::new(&*measure, &ts);
             for threads in [1usize, 2, 4] {
                 let m = engine.matrix(threads);
-                prop_assert_eq!(&m, &naive, "{} threads={}", name, threads);
+                assert_eq!(&m, &naive, "{} threads={}", name, threads);
             }
             for i in 0..ts.len() {
-                prop_assert_eq!(naive.get(i, i), 0.0);
+                assert_eq!(naive.get(i, i), 0.0);
                 for j in 0..ts.len() {
                     // Bitwise symmetry, NaN-safe.
-                    prop_assert_eq!(
+                    assert_eq!(
                         naive.get(i, j).to_bits(),
                         naive.get(j, i).to_bits(),
-                        "{} asymmetric at ({}, {})", name, i, j
+                        "{} asymmetric at ({}, {})",
+                        name,
+                        i,
+                        j
                     );
                 }
             }
         }
-    }
+    });
+}
 
-    /// knn lists under the full cascade (cheap bound ordering, bulk tail
-    /// pruning, tight bounds, early-abandoning DPs) equal a naive top-k
-    /// of the exact row — same indices, same distance bits, same tie
-    /// order — at every k and thread count.
-    #[test]
-    fn knn_lists_are_bit_identical(ts in arb_corpus(20), k in 1usize..8) {
+/// knn lists under the full cascade (cheap bound ordering, bulk tail
+/// pruning, tight bounds, early-abandoning DPs) equal a naive top-k
+/// of the exact row — same indices, same distance bits, same tie
+/// order — at every k and thread count.
+#[test]
+fn knn_lists_are_bit_identical() {
+    cases(24, |rng| {
+        let ts = arb_corpus(rng, 20);
+        let k = rng.gen_range(1usize..8);
         let queries: Vec<usize> = (0..ts.len()).collect();
         for (name, measure) in all_measures() {
             let engine = GroundTruthEngine::new(&*measure, &ts);
@@ -120,19 +115,19 @@ proptest! {
                 let got = engine.knn_lists(&queries, k, threads);
                 for (&q, got_q) in queries.iter().zip(&got) {
                     let want = naive_knn(&*measure, &ts, q, k);
-                    prop_assert_eq!(
-                        got_q, &want,
-                        "{} q={} k={} threads={}", name, q, k, threads
-                    );
+                    assert_eq!(got_q, &want, "{} q={} k={} threads={}", name, q, k, threads);
                 }
             }
         }
-    }
+    });
+}
 
-    /// Dense rows (self included) and sparse `distances` agree with the
-    /// direct per-pair calls bit-for-bit.
-    #[test]
-    fn rows_and_sparse_distances_are_bit_identical(ts in arb_corpus(14)) {
+/// Dense rows (self included) and sparse `distances` agree with the
+/// direct per-pair calls bit-for-bit.
+#[test]
+fn rows_and_sparse_distances_are_bit_identical() {
+    cases(24, |rng| {
+        let ts = arb_corpus(rng, 14);
         let queries: Vec<usize> = (0..ts.len()).step_by(3).collect();
         for (name, measure) in all_measures() {
             let engine = GroundTruthEngine::new(&*measure, &ts);
@@ -142,21 +137,21 @@ proptest! {
                     .iter()
                     .map(|t| measure.dist(ts[q].points(), t.points()))
                     .collect();
-                prop_assert_eq!(row, &want, "{} q={}", name, q);
+                assert_eq!(row, &want, "{} q={}", name, q);
             }
             let subset: Vec<usize> = (0..ts.len()).step_by(2).collect();
             let sparse = engine.distances(queries[0], &subset);
             for (&j, &d) in subset.iter().zip(&sparse) {
                 let want = measure.dist(ts[queries[0]].points(), ts[j].points());
-                prop_assert_eq!(d.to_bits(), want.to_bits(), "{} j={}", name, j);
+                assert_eq!(d.to_bits(), want.to_bits(), "{} j={}", name, j);
             }
         }
-    }
+    });
 }
 
 /// The public matrix entry points are now engine forwards; pin the
-/// equivalence on a deterministic corpus as a plain test too (fast signal
-/// when proptest shrinking is unavailable).
+/// equivalence on one hand-shaped corpus too (a readable failure next
+/// to the seeded cases above).
 #[test]
 fn distance_matrix_forwards_match_engine() {
     let ts: Vec<Trajectory> = (0..40u64)

@@ -11,24 +11,20 @@
 
 use neutraj_measures::{DistanceMatrix, GroundTruthEngine, MeasureKind};
 use neutraj_obs::simd::SimdLevel;
+use neutraj_trajectory::rng::{cases, Rng};
 use neutraj_trajectory::{Point, Trajectory};
-use proptest::prelude::*;
 
 /// Random corpora with lengths straddling the `LANES = 8` tiling and the
 /// kernels' tail handling (single-point trajectories included).
-fn arb_corpus() -> impl Strategy<Value = Vec<Trajectory>> {
-    prop::collection::vec(
-        prop::collection::vec((-50.0f64..50.0, -50.0f64..50.0), 1..24),
-        3..14,
-    )
-    .prop_map(|tss| {
-        tss.into_iter()
-            .enumerate()
-            .map(|(i, pts)| {
-                Trajectory::new_unchecked(i as u64, pts.into_iter().map(Point::from).collect())
-            })
-            .collect()
-    })
+fn arb_corpus(rng: &mut Rng) -> Vec<Trajectory> {
+    (0..rng.gen_range(3..14u64))
+        .map(|id| {
+            let pts = (0..rng.gen_range(1..24))
+                .map(|_| Point::new(rng.gen_range(-50.0..50.0), rng.gen_range(-50.0..50.0)))
+                .collect();
+            Trajectory::new_unchecked(id, pts)
+        })
+        .collect()
 }
 
 fn assert_matrices_bitwise(a: &DistanceMatrix, b: &DistanceMatrix, what: &str) {
@@ -46,15 +42,14 @@ fn assert_matrices_bitwise(a: &DistanceMatrix, b: &DistanceMatrix, what: &str) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Forced-AVX2 and forced-scalar engines agree bitwise with each
-    /// other AND with the naive `Measure::dist`, for every measure and
-    /// thread count — the end-to-end form of the per-row kernel
-    /// bit-identity tests inside `neutraj_measures::simd`.
-    #[test]
-    fn matrix_is_bit_identical_across_simd_levels_and_threads(ts in arb_corpus()) {
+/// Forced-AVX2 and forced-scalar engines agree bitwise with each
+/// other AND with the naive `Measure::dist`, for every measure and
+/// thread count — the end-to-end form of the per-row kernel
+/// bit-identity tests inside `neutraj_measures::simd`.
+#[test]
+fn matrix_is_bit_identical_across_simd_levels_and_threads() {
+    cases(24, |rng| {
+        let ts = arb_corpus(rng);
         for kind in MeasureKind::ALL {
             let measure = kind.measure();
             // Naive reference: the plain per-pair DP, no engine at all.
@@ -70,7 +65,7 @@ proptest! {
             let naive = DistanceMatrix::from_raw(n, naive);
             for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
                 let engine = GroundTruthEngine::new(&*measure, &ts).with_simd_level(level);
-                prop_assert_eq!(engine.simd_level(), level);
+                assert_eq!(engine.simd_level(), level);
                 for threads in [1usize, 2, 4] {
                     let got = engine.matrix(threads);
                     assert_matrices_bitwise(
@@ -81,12 +76,15 @@ proptest! {
                 }
             }
         }
-    }
+    });
+}
 
-    /// The k-nearest lists (heap + pruning path over the lane kernels)
-    /// agree exactly across forced dispatch levels and thread counts.
-    #[test]
-    fn knn_lists_agree_across_simd_levels(ts in arb_corpus()) {
+/// The k-nearest lists (heap + pruning path over the lane kernels)
+/// agree exactly across forced dispatch levels and thread counts.
+#[test]
+fn knn_lists_agree_across_simd_levels() {
+    cases(24, |rng| {
+        let ts = arb_corpus(rng);
         let queries: Vec<usize> = (0..ts.len().min(4)).collect();
         let k = 3.min(ts.len());
         for kind in MeasureKind::ALL {
@@ -98,8 +96,8 @@ proptest! {
                 let wide = GroundTruthEngine::new(&*measure, &ts)
                     .with_simd_level(SimdLevel::Avx2)
                     .knn_lists(&queries, k, threads);
-                prop_assert_eq!(&scalar, &wide, "{} threads={}", kind, threads);
+                assert_eq!(&scalar, &wide, "{} threads={}", kind, threads);
             }
         }
-    }
+    });
 }

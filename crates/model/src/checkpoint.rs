@@ -22,8 +22,8 @@ use crate::persist::{
     self, atomic_write, decode_f64s, decode_model, encode_f64s, encode_model, open_payload,
     read_enveloped, seal_payload, write_enveloped, PersistError,
 };
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use neutraj_nn::AdamState;
+use neutraj_trajectory::cursor::{PutLe, Reader};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicBool;
@@ -76,8 +76,8 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// Serializes the checkpoint to a raw payload: model payload followed
     /// by the `NTCKPT01` training-state section.
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(1 << 16);
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(1 << 16);
         encode_model(&mut buf, &self.model);
         let s = &self.state;
         buf.put_slice(CKPT_MAGIC);
@@ -94,36 +94,31 @@ impl Checkpoint {
             encode_f64s(&mut buf, m);
             encode_f64s(&mut buf, v);
         }
-        buf.freeze()
+        buf
     }
 
     /// Deserializes a checkpoint payload produced by
     /// [`Checkpoint::to_bytes`]. A plain model payload (no training-state
     /// section) is rejected — use [`NeuTrajModel::from_bytes`] for those.
-    pub fn from_bytes(mut data: &[u8]) -> Result<Checkpoint, PersistError> {
+    pub fn from_bytes(data: &[u8]) -> Result<Checkpoint, PersistError> {
+        let mut data = Reader::new(data);
         let model = decode_model(&mut data)?;
-        if data.remaining() < CKPT_MAGIC.len() || &data[..CKPT_MAGIC.len()] != CKPT_MAGIC {
+        if !data.rest().starts_with(CKPT_MAGIC) {
             return Err(fail(
                 "missing training-state section (a plain model file, not a checkpoint?)",
             ));
         }
-        data.advance(CKPT_MAGIC.len());
-        if data.remaining() < 8 + 1 + 8 + 8 + 8 {
-            return Err(fail("truncated checkpoint state header"));
-        }
-        let next_epoch = data.get_u64_le() as usize;
-        let early_stopped = data.get_u8() != 0;
-        let best_loss = data.get_f64_le();
-        let stale = data.get_u64_le() as usize;
-        let alpha = data.get_f64_le();
+        data.take(CKPT_MAGIC.len())?;
+        let next_epoch = data.u64()? as usize;
+        let early_stopped = data.u8()? != 0;
+        let best_loss = data.f64()?;
+        let stale = data.u64()? as usize;
+        let alpha = data.f64()?;
         let epoch_losses = decode_f64s(&mut data)?;
         let epoch_seconds = decode_f64s(&mut data)?;
-        if data.remaining() < 16 {
-            return Err(fail("truncated adam state header"));
-        }
-        let t64 = data.get_u64_le();
+        let t64 = data.u64()?;
         let t = i32::try_from(t64).map_err(|_| fail(format!("implausible adam timestep {t64}")))?;
-        let n_slots = data.get_u64_le() as usize;
+        let n_slots = data.u64()? as usize;
         if n_slots > 64 {
             return Err(fail(format!("implausible adam slot count {n_slots}")));
         }
@@ -136,10 +131,10 @@ impl Checkpoint {
             }
             moments.push((m, v));
         }
-        if data.has_remaining() {
+        if !data.rest().is_empty() {
             return Err(fail(format!(
                 "{} trailing bytes after checkpoint state",
-                data.remaining()
+                data.rest().len()
             )));
         }
         // Cross-field consistency: structural corruption that survives

@@ -939,78 +939,6 @@ impl SimilarityDb {
         out
     }
 
-    /// Top-k most similar stored trajectories to an ad-hoc `query`,
-    /// ascending by embedding distance.
-    ///
-    /// Legacy forward to [`SimilarityDb::search`]; panics on invalid
-    /// input — use `search` directly for typed rejection.
-    #[deprecated(since = "0.1.0", note = "use `search(query, &Query::new(k))`")]
-    pub fn knn(&self, query: &Trajectory, k: usize) -> Vec<Neighbor> {
-        self.search(query, &Query::new(k))
-            .unwrap_or_else(|e| panic!("knn: {e}"))
-    }
-
-    /// Top-k for a whole batch of ad-hoc queries; each result is
-    /// bit-identical to [`Self::knn`] on that query. Panics on invalid
-    /// input — use [`SimilarityDb::search_batch`] for typed rejection.
-    #[deprecated(since = "0.1.0", note = "use `search_batch(queries, &Query::new(k))`")]
-    pub fn knn_batch(&self, queries: &[Trajectory], k: usize) -> Vec<Vec<Neighbor>> {
-        self.search_batch(queries, &Query::new(k))
-            .unwrap_or_else(|e| panic!("knn_batch: {e}"))
-    }
-
-    /// Top-k by a precomputed query embedding. Panics on invalid input —
-    /// use [`SimilarityDb::search`] for typed rejection.
-    #[deprecated(since = "0.1.0", note = "use `search(&emb[..], &Query::new(k))`")]
-    pub fn knn_embedding(&self, query_emb: &[f64], k: usize) -> Vec<Neighbor> {
-        self.search(query_emb, &Query::new(k))
-            .unwrap_or_else(|e| panic!("knn_embedding: {e}"))
-    }
-
-    /// Top-k of a *stored* item (excluding itself). Panics on an
-    /// out-of-range index — use [`SimilarityDb::search`] for typed
-    /// rejection.
-    #[deprecated(since = "0.1.0", note = "use `search(idx, &Query::new(k))`")]
-    pub fn knn_of(&self, idx: usize, k: usize) -> Vec<Neighbor> {
-        self.search(idx, &Query::new(k))
-            .unwrap_or_else(|e| panic!("knn_of: {e}"))
-    }
-
-    /// The paper's protocol: shortlist by embeddings, re-rank the
-    /// shortlist by the exact `measure`, return top-k. Panics on invalid
-    /// input — use [`SimilarityDb::search`] for typed rejection.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `search(query, &Query::new(k).shortlist(s).rerank(&m))`"
-    )]
-    pub fn knn_reranked(
-        &self,
-        query: &Trajectory,
-        measure: &dyn Measure,
-        shortlist: usize,
-        k: usize,
-    ) -> Vec<Neighbor> {
-        self.search(query, &Query::new(k).shortlist(shortlist).rerank(measure))
-            .unwrap_or_else(|e| panic!("knn_reranked: {e}"))
-    }
-
-    /// Batched [`Self::knn_reranked`]. Panics on invalid input — use
-    /// [`SimilarityDb::search_batch`] for typed rejection.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `search_batch(queries, &Query::new(k).shortlist(s).rerank(&m))`"
-    )]
-    pub fn knn_reranked_batch(
-        &self,
-        queries: &[Trajectory],
-        measure: &dyn Measure,
-        shortlist: usize,
-        k: usize,
-    ) -> Vec<Vec<Neighbor>> {
-        self.search_batch(queries, &Query::new(k).shortlist(shortlist).rerank(measure))
-            .unwrap_or_else(|e| panic!("knn_reranked_batch: {e}"))
-    }
-
     /// Learned similarity `g` between two *stored* items.
     pub fn pair_similarity(&self, i: usize, j: usize) -> f64 {
         pair_similarity(self.embedding(i), self.embedding(j))
@@ -1129,37 +1057,6 @@ mod tests {
         let res = db.search(7usize, &Query::new(3)).unwrap();
         assert!(res.iter().all(|n| n.index != 7));
         assert_eq!(res.len(), 3);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_knn_forwards_still_match_the_query_api() {
-        let (model, trajs) = trained_model_and_corpus();
-        let db = SimilarityDb::with_corpus(model, trajs.clone(), 2);
-        assert_eq!(
-            db.knn(&trajs[7], 3),
-            db.search(&trajs[7], &Query::new(3)).unwrap()
-        );
-        assert_eq!(db.knn_of(7, 3), db.search(7usize, &Query::new(3)).unwrap());
-        let emb = db.embedding(4).to_vec();
-        assert_eq!(
-            db.knn_embedding(&emb, 3),
-            db.search(&emb[..], &Query::new(3)).unwrap()
-        );
-        assert_eq!(
-            db.knn_reranked(&trajs[3], &Hausdorff, 10, 5),
-            db.search(&trajs[3], &Query::new(5).shortlist(10).rerank(&Hausdorff))
-                .unwrap()
-        );
-        assert_eq!(
-            db.knn_batch(&trajs[..3], 4),
-            db.search_batch(&trajs[..3], &Query::new(4)).unwrap()
-        );
-        assert_eq!(
-            db.knn_reranked_batch(&trajs[..3], &Hausdorff, 10, 4),
-            db.search_batch(&trajs[..3], &Query::new(4).shortlist(10).rerank(&Hausdorff))
-                .unwrap()
-        );
     }
 
     #[test]

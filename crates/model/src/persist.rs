@@ -17,16 +17,17 @@
 //!   replace a good artifact, and any corruption of the bytes is caught by
 //!   the checksum before a single payload byte is parsed.
 //!
-//! Everything is dependency-free beyond `bytes`; the CRC32 is hand-rolled
-//! (IEEE 802.3 polynomial, the `cksum`/zlib convention).
+//! Fields are read and written through the workspace's one little-endian
+//! cursor (`neutraj_trajectory::cursor`); the CRC32 is hand-rolled (IEEE
+//! 802.3 polynomial, the `cksum`/zlib convention).
 
 use crate::backbone::{Backbone, NeuTrajModel};
 use crate::config::{BackboneKind, TrainConfig};
 use crate::loss::RankedBatchLoss;
 use crate::similarity::Normalization;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use neutraj_nn::linalg::Mat;
 use neutraj_nn::{GruEncoder, LstmEncoder, SamLstmEncoder, SpatialMemory};
+use neutraj_trajectory::cursor::{PutLe, Reader, Truncated};
 use neutraj_trajectory::{BoundingBox, Grid};
 use std::fs::File;
 use std::io::{Read, Write};
@@ -70,6 +71,13 @@ impl std::error::Error for PersistError {}
 impl From<std::io::Error> for PersistError {
     fn from(e: std::io::Error) -> Self {
         Self::Io(e)
+    }
+}
+
+/// A payload that ends mid-field is a structural decode failure.
+impl From<Truncated> for PersistError {
+    fn from(e: Truncated) -> Self {
+        Self::Format(e.to_string())
     }
 }
 
@@ -212,24 +220,25 @@ impl NeuTrajModel {
     /// Serializes the trained model (config, grid, parameters, spatial
     /// memory) into a raw payload buffer (no file envelope — see
     /// [`NeuTrajModel::write_to`] for the checksummed form).
-    pub fn to_bytes(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(1 << 16);
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(1 << 16);
         encode_model(&mut buf, self);
-        buf.freeze()
+        buf
     }
 
     /// Deserializes a model from a raw payload previously produced by
     /// [`NeuTrajModel::to_bytes`] (or the payload of a checkpoint — the
     /// trailing training-state section is skipped). Trailing bytes that
     /// are not a checkpoint section are rejected.
-    pub fn from_bytes(mut data: &[u8]) -> Result<NeuTrajModel, PersistError> {
-        let total = data.len();
-        let model = decode_model(&mut data)?;
-        if data.has_remaining() && !data.starts_with(crate::checkpoint::CKPT_MAGIC) {
+    pub fn from_bytes(data: &[u8]) -> Result<NeuTrajModel, PersistError> {
+        let mut r = Reader::new(data);
+        let model = decode_model(&mut r)?;
+        let rest = r.rest();
+        if !rest.is_empty() && !rest.starts_with(crate::checkpoint::CKPT_MAGIC) {
             return Err(fail(format!(
                 "{} trailing bytes after the {}-byte model payload",
-                data.remaining(),
-                total - data.remaining()
+                rest.len(),
+                r.offset()
             )));
         }
         Ok(model)
@@ -258,21 +267,18 @@ impl NeuTrajModel {
 
     /// Loads a model from a file written by [`NeuTrajModel::save`] or
     /// [`Checkpoint::save`](crate::Checkpoint::save) (checkpoints are a
-    /// superset of model files). Legacy headerless files (pre-envelope
-    /// format) are still accepted, without checksum protection.
+    /// superset of model files). A file without the envelope — a bare
+    /// `NTMODEL1` payload included — is rejected: nothing unchecksummed
+    /// is ever parsed.
     pub fn load<P: AsRef<Path>>(path: P) -> Result<NeuTrajModel, PersistError> {
         let mut data = Vec::new();
         File::open(path)?.read_to_end(&mut data)?;
-        if data.starts_with(MAGIC) {
-            // Legacy raw payload (written before the envelope existed).
-            return Self::from_bytes(&data);
-        }
         Self::from_bytes(open_payload(&data)?)
     }
 }
 
 /// Encodes the model payload (`NTMODEL1` codec) into `buf`.
-pub(crate) fn encode_model(buf: &mut BytesMut, model: &NeuTrajModel) {
+pub(crate) fn encode_model(buf: &mut Vec<u8>, model: &NeuTrajModel) {
     buf.put_slice(MAGIC);
     encode_config(buf, model.config());
     encode_grid(buf, model.grid());
@@ -299,26 +305,18 @@ pub(crate) fn encode_model(buf: &mut BytesMut, model: &NeuTrajModel) {
 
 /// Decodes a model payload, leaving `data` positioned after the backbone
 /// (so a following `NTCKPT01` section can be decoded by the caller).
-pub(crate) fn decode_model(data: &mut &[u8]) -> Result<NeuTrajModel, PersistError> {
-    if data.len() < MAGIC.len() || &data[..MAGIC.len()] != MAGIC {
+pub(crate) fn decode_model(data: &mut Reader<'_>) -> Result<NeuTrajModel, PersistError> {
+    if data.take(MAGIC.len())? != MAGIC {
         return Err(fail("bad magic header (not a NeuTraj model?)"));
     }
-    data.advance(MAGIC.len());
     let config = decode_config(data)?;
     let grid = decode_grid(data)?;
-    if !data.has_remaining() {
-        return Err(fail("missing backbone tag"));
-    }
-    let tag = data.get_u8();
-    let backbone = match tag {
+    let backbone = match data.u8()? {
         0 => {
             let p = decode_mat(data)?;
             let w_his = decode_mat(data)?;
             let b_his = decode_f64s(data)?;
-            if data.remaining() < 4 {
-                return Err(fail("missing scan width"));
-            }
-            let scan_width = data.get_u32_le();
+            let scan_width = data.u32()?;
             let memory = decode_memory(data)?;
             let dim = w_his.rows();
             if p.rows() != 5 * dim || b_his.len() != dim || memory.dim() != dim {
@@ -364,7 +362,7 @@ pub(crate) fn decode_model(data: &mut &[u8]) -> Result<NeuTrajModel, PersistErro
     Ok(NeuTrajModel::new(backbone, grid, config))
 }
 
-fn encode_config(buf: &mut BytesMut, cfg: &TrainConfig) {
+fn encode_config(buf: &mut Vec<u8>, cfg: &TrainConfig) {
     buf.put_u64_le(cfg.dim as u64);
     buf.put_u32_le(cfg.scan_width);
     buf.put_u8(match cfg.backbone {
@@ -388,37 +386,30 @@ fn encode_config(buf: &mut BytesMut, cfg: &TrainConfig) {
     buf.put_u64_le(cfg.patience.map_or(u64::MAX, |p| p as u64));
 }
 
-fn decode_config(data: &mut &[u8]) -> Result<TrainConfig, PersistError> {
-    let need = 8 + 4 + 5 + 8 * 3 + 8 * 2 + 8 * 2;
-    if data.remaining() < need {
-        return Err(fail(format!(
-            "truncated config: need {need} bytes, have {}",
-            data.remaining()
-        )));
-    }
-    let dim = data.get_u64_le() as usize;
-    let scan_width = data.get_u32_le();
-    let backbone = match data.get_u8() {
+fn decode_config(data: &mut Reader<'_>) -> Result<TrainConfig, PersistError> {
+    let dim = data.u64()? as usize;
+    let scan_width = data.u32()?;
+    let backbone = match data.u8()? {
         0 => BackboneKind::SamLstm,
         1 => BackboneKind::Lstm,
         2 => BackboneKind::Gru,
         other => return Err(fail(format!("unknown backbone kind {other}"))),
     };
-    let weighted_sampling = data.get_u8() != 0;
-    let rank_weighted = data.get_u8() != 0;
-    let margin_dissimilar = data.get_u8() != 0;
-    let normalization = match data.get_u8() {
+    let weighted_sampling = data.u8()? != 0;
+    let rank_weighted = data.u8()? != 0;
+    let margin_dissimilar = data.u8()? != 0;
+    let normalization = match data.u8()? {
         0 => Normalization::ExpDecay,
         1 => Normalization::RowSoftmax,
         other => return Err(fail(format!("unknown normalization tag {other}"))),
     };
-    let n_samples = data.get_u64_le() as usize;
-    let batch_anchors = data.get_u64_le() as usize;
-    let epochs = data.get_u64_le() as usize;
-    let lr = data.get_f64_le();
-    let alpha_raw = data.get_f64_le();
-    let seed = data.get_u64_le();
-    let patience_raw = data.get_u64_le();
+    let n_samples = data.u64()? as usize;
+    let batch_anchors = data.u64()? as usize;
+    let epochs = data.u64()? as usize;
+    let lr = data.f64()?;
+    let alpha_raw = data.f64()?;
+    let seed = data.u64()?;
+    let patience_raw = data.u64()?;
     Ok(TrainConfig {
         dim,
         scan_width,
@@ -447,7 +438,7 @@ fn decode_config(data: &mut &[u8]) -> Result<TrainConfig, PersistError> {
     })
 }
 
-fn encode_grid(buf: &mut BytesMut, grid: &Grid) {
+fn encode_grid(buf: &mut Vec<u8>, grid: &Grid) {
     let e = grid.extent();
     buf.put_f64_le(e.min_x);
     buf.put_f64_le(e.min_y);
@@ -456,18 +447,12 @@ fn encode_grid(buf: &mut BytesMut, grid: &Grid) {
     buf.put_f64_le(grid.cell_size());
 }
 
-fn decode_grid(data: &mut &[u8]) -> Result<Grid, PersistError> {
-    if data.remaining() < 40 {
-        return Err(fail(format!(
-            "truncated grid: need 40 bytes, have {}",
-            data.remaining()
-        )));
-    }
-    let min_x = data.get_f64_le();
-    let min_y = data.get_f64_le();
-    let max_x = data.get_f64_le();
-    let max_y = data.get_f64_le();
-    let cell = data.get_f64_le();
+fn decode_grid(data: &mut Reader<'_>) -> Result<Grid, PersistError> {
+    let min_x = data.f64()?;
+    let min_y = data.f64()?;
+    let max_x = data.f64()?;
+    let max_y = data.f64()?;
+    let cell = data.f64()?;
     if !(min_x <= max_x && min_y <= max_y) {
         return Err(fail("inverted grid extent"));
     }
@@ -475,7 +460,7 @@ fn decode_grid(data: &mut &[u8]) -> Result<Grid, PersistError> {
         .map_err(|e| fail(format!("invalid grid: {e}")))
 }
 
-fn encode_mat(buf: &mut BytesMut, m: &Mat) {
+fn encode_mat(buf: &mut Vec<u8>, m: &Mat) {
     buf.put_u64_le(m.rows() as u64);
     buf.put_u64_le(m.cols() as u64);
     for &v in m.as_slice() {
@@ -483,68 +468,34 @@ fn encode_mat(buf: &mut BytesMut, m: &Mat) {
     }
 }
 
-fn decode_mat(data: &mut &[u8]) -> Result<Mat, PersistError> {
-    if data.remaining() < 16 {
-        return Err(fail(format!(
-            "truncated matrix header: need 16 bytes, have {}",
-            data.remaining()
-        )));
-    }
-    let rows = data.get_u64_le() as usize;
-    let cols = data.get_u64_le() as usize;
+fn decode_mat(data: &mut Reader<'_>) -> Result<Mat, PersistError> {
+    let rows = data.u64()? as usize;
+    let cols = data.u64()? as usize;
     let n = rows
         .checked_mul(cols)
         .ok_or_else(|| fail("matrix shape overflow"))?;
     if rows == 0 || cols == 0 || n > 1 << 28 {
         return Err(fail(format!("implausible matrix shape {rows}x{cols}")));
     }
-    if data.remaining() < n * 8 {
-        return Err(fail(format!(
-            "truncated matrix data: need {} bytes, have {}",
-            n * 8,
-            data.remaining()
-        )));
-    }
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(data.get_f64_le());
-    }
-    Ok(Mat::from_vec(rows, cols, v))
+    Ok(Mat::from_vec(rows, cols, data.f64s(n)?))
 }
 
-pub(crate) fn encode_f64s(buf: &mut BytesMut, v: &[f64]) {
+pub(crate) fn encode_f64s(buf: &mut Vec<u8>, v: &[f64]) {
     buf.put_u64_le(v.len() as u64);
     for &x in v {
         buf.put_f64_le(x);
     }
 }
 
-pub(crate) fn decode_f64s(data: &mut &[u8]) -> Result<Vec<f64>, PersistError> {
-    if data.remaining() < 8 {
-        return Err(fail(format!(
-            "truncated vector header: need 8 bytes, have {}",
-            data.remaining()
-        )));
-    }
-    let n = data.get_u64_le() as usize;
+pub(crate) fn decode_f64s(data: &mut Reader<'_>) -> Result<Vec<f64>, PersistError> {
+    let n = data.u64()? as usize;
     if n > 1 << 28 {
         return Err(fail(format!("implausible vector length {n}")));
     }
-    if data.remaining() < n * 8 {
-        return Err(fail(format!(
-            "truncated vector data: need {} bytes, have {}",
-            n * 8,
-            data.remaining()
-        )));
-    }
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(data.get_f64_le());
-    }
-    Ok(v)
+    Ok(data.f64s(n)?)
 }
 
-fn encode_memory(buf: &mut BytesMut, m: &SpatialMemory) {
+fn encode_memory(buf: &mut Vec<u8>, m: &SpatialMemory) {
     buf.put_u64_le(m.cols() as u64);
     buf.put_u64_le(m.rows() as u64);
     buf.put_u64_le(m.dim() as u64);
@@ -557,16 +508,10 @@ fn encode_memory(buf: &mut BytesMut, m: &SpatialMemory) {
     }
 }
 
-fn decode_memory(data: &mut &[u8]) -> Result<SpatialMemory, PersistError> {
-    if data.remaining() < 24 {
-        return Err(fail(format!(
-            "truncated memory header: need 24 bytes, have {}",
-            data.remaining()
-        )));
-    }
-    let cols = data.get_u64_le() as usize;
-    let rows = data.get_u64_le() as usize;
-    let dim = data.get_u64_le() as usize;
+fn decode_memory(data: &mut Reader<'_>) -> Result<SpatialMemory, PersistError> {
+    let cols = data.u64()? as usize;
+    let rows = data.u64()? as usize;
+    let dim = data.u64()? as usize;
     let n = cols
         .checked_mul(rows)
         .and_then(|x| x.checked_mul(dim))
@@ -576,22 +521,13 @@ fn decode_memory(data: &mut &[u8]) -> Result<SpatialMemory, PersistError> {
             "implausible memory shape {cols}x{rows}x{dim}"
         )));
     }
-    if data.remaining() < n * 8 {
-        return Err(fail(format!(
-            "truncated memory data: need {} bytes, have {}",
-            n * 8,
-            data.remaining()
-        )));
-    }
+    let slots = data.f64s(n)?;
     let mut mem = SpatialMemory::new(cols, rows, dim);
     let ones = vec![1.0; dim];
-    let mut slot = vec![0.0; dim];
+    let mut slot = slots.chunks_exact(dim);
     for row in 0..rows as u32 {
         for col in 0..cols as u32 {
-            for v in slot.iter_mut() {
-                *v = data.get_f64_le();
-            }
-            mem.write(col, row, &ones, &slot);
+            mem.write(col, row, &ones, slot.next().expect("n = cols * rows * dim"));
         }
     }
     Ok(mem)
@@ -699,14 +635,19 @@ mod tests {
     }
 
     #[test]
-    fn legacy_headerless_file_still_loads() {
-        let (model, trajs) = trained(TrainConfig::nt_no_sam());
-        let dir = std::env::temp_dir().join("neutraj_persist_legacy");
+    fn headerless_payload_file_is_rejected() {
+        let (model, _) = trained(TrainConfig::nt_no_sam());
+        let dir = std::env::temp_dir().join("neutraj_persist_headerless");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("legacy.ntm");
-        std::fs::write(&path, model.to_bytes()).unwrap();
-        let back = NeuTrajModel::load(&path).unwrap();
-        assert_eq!(model.embed(&trajs[0]), back.embed(&trajs[0]));
+        let path = dir.join("bare.ntm");
+        // A bare NTMODEL1 payload decodes as a payload, but as a *file*
+        // it carries no checksum, so `load` refuses it.
+        let payload = model.to_bytes();
+        assert!(NeuTrajModel::from_bytes(&payload).is_ok());
+        std::fs::write(&path, &payload).unwrap();
+        let err = NeuTrajModel::load(&path).unwrap_err();
+        assert!(matches!(err, PersistError::Format(_)), "{err}");
+        assert!(err.to_string().contains("file magic"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -715,7 +656,7 @@ mod tests {
         let (model, _) = trained(TrainConfig::neutraj());
         let bytes = model.to_bytes();
         // Bad magic.
-        let mut bad = bytes.to_vec();
+        let mut bad = bytes.clone();
         bad[0] ^= 0xFF;
         assert!(NeuTrajModel::from_bytes(&bad).is_err());
         // Truncations at many offsets must error, never panic.
@@ -726,7 +667,7 @@ mod tests {
             );
         }
         // Trailing garbage after the payload is rejected.
-        let mut over = bytes.to_vec();
+        let mut over = bytes.clone();
         over.extend_from_slice(b"garbage");
         let e = NeuTrajModel::from_bytes(&over).unwrap_err().to_string();
         assert!(e.contains("trailing"), "{e}");

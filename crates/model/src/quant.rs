@@ -34,12 +34,12 @@ use crate::persist::{
     write_enveloped, PersistError,
 };
 use crate::search::EmbeddingStore;
-use bytes::{Buf, BufMut, BytesMut};
 use neutraj_index::{CoarseQuantizer, IvfIndex};
 use neutraj_measures::{Neighbor, NeighborHeap};
 use neutraj_nn::linalg::dot;
 use neutraj_nn::simd::{dot_u8, quant_scan_block, QuantQueryTerms};
 use neutraj_obs::simd::SimdLevel;
+use neutraj_trajectory::cursor::{PutLe, Reader};
 use std::path::Path;
 
 /// Section magic of the quantized-store codec, sealed inside the
@@ -202,7 +202,7 @@ impl QuantizedStore {
         &self.codes[i * self.dim..(i + 1) * self.dim]
     }
 
-    /// Dequantizes row `i` (tests and the error-bound proptest).
+    /// Dequantizes row `i` (tests and the error-bound property).
     pub fn dequantize(&self, i: usize) -> Vec<f64> {
         self.codes(i)
             .iter()
@@ -427,29 +427,26 @@ impl QuantizedStore {
     /// offset/scale, codes). Derived statistics are recomputed on load.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut buf =
-            BytesMut::with_capacity(QUANT_MAGIC.len() + 16 + self.len() * (self.dim + 16) + 32);
+            Vec::with_capacity(QUANT_MAGIC.len() + 16 + self.len() * (self.dim + 16) + 32);
         buf.put_slice(QUANT_MAGIC);
         buf.put_u64_le(self.len() as u64);
         buf.put_u64_le(self.dim as u64);
         encode_f64s(&mut buf, &self.offset);
         encode_f64s(&mut buf, &self.scale);
         buf.put_slice(&self.codes);
-        buf.to_vec()
+        buf
     }
 
     /// Parses an `NTQ08` section, validating structure (magic, counts,
     /// exact length) and values (finite offsets, non-negative finite
     /// scales) before rebuilding the derived statistics.
-    pub fn from_bytes(mut data: &[u8]) -> Result<Self, PersistError> {
-        if data.len() < QUANT_MAGIC.len() || &data[..QUANT_MAGIC.len()] != QUANT_MAGIC {
+    pub fn from_bytes(data: &[u8]) -> Result<Self, PersistError> {
+        let mut data = Reader::new(data);
+        if data.take(QUANT_MAGIC.len())? != QUANT_MAGIC {
             return Err(fail("bad quantized-store magic (not an NTQ08 section?)"));
         }
-        data.advance(QUANT_MAGIC.len());
-        if data.remaining() < 16 {
-            return Err(fail("NTQ08 header truncated"));
-        }
-        let n = data.get_u64_le() as usize;
-        let dim = data.get_u64_le() as usize;
+        let n = data.u64()? as usize;
+        let dim = data.u64()? as usize;
         if dim > QUANT_MAX_DIM {
             return Err(fail(format!("NTQ08 dim {dim} exceeds {QUANT_MAX_DIM}")));
         }
@@ -465,10 +462,10 @@ impl QuantizedStore {
         let want = n
             .checked_mul(dim)
             .ok_or_else(|| fail("NTQ08 code length overflows"))?;
-        if data.remaining() != want {
+        if data.rest().len() != want {
             return Err(fail(format!(
                 "NTQ08 code bytes mismatch: expected {want}, got {}",
-                data.remaining()
+                data.rest().len()
             )));
         }
         for (i, (&o, &s)) in offset.iter().zip(&scale).enumerate() {
@@ -479,7 +476,7 @@ impl QuantizedStore {
             }
         }
         let mut qs = Self::new(dim);
-        qs.codes = data.to_vec();
+        qs.codes = data.rest().to_vec();
         for (i, (&o, &s)) in offset.iter().zip(&scale).enumerate() {
             debug_assert_eq!(qs.offset.len(), i);
             qs.push_stats(o, s);

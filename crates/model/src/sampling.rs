@@ -7,8 +7,7 @@
 //! The NT-No-WS ablation replaces this with uniform random sampling.
 
 use crate::similarity::SimilarityMatrix;
-use rand::rngs::StdRng;
-use rand::Rng;
+use neutraj_trajectory::rng::Rng;
 
 /// The sampled pair lists for one anchor.
 #[derive(Debug, Clone, PartialEq)]
@@ -31,7 +30,7 @@ fn weighted_sample_without_replacement(
     weights: &[f64],
     skip: usize,
     n: usize,
-    rng: &mut StdRng,
+    rng: &mut Rng,
 ) -> Vec<usize> {
     let mut keyed: Vec<(f64, usize)> = Vec::with_capacity(weights.len().saturating_sub(1));
     for (i, &w) in weights.iter().enumerate() {
@@ -62,7 +61,7 @@ pub fn ranked_weighted_samples(
     sim: &SimilarityMatrix,
     anchor: usize,
     n: usize,
-    rng: &mut StdRng,
+    rng: &mut Rng,
 ) -> AnchorSamples {
     let row = sim.row(anchor);
     let mut similar = weighted_sample_without_replacement(row, anchor, n, rng);
@@ -85,7 +84,7 @@ pub fn ranked_random_samples(
     sim: &SimilarityMatrix,
     anchor: usize,
     n: usize,
-    rng: &mut StdRng,
+    rng: &mut Rng,
 ) -> AnchorSamples {
     let uniform = vec![1.0; sim.n()];
     let mut drawn = weighted_sample_without_replacement(&uniform, anchor, 2 * n, rng);
@@ -120,7 +119,6 @@ fn sort_by_similarity(idx: &mut [usize], row: &[f64], descending: bool) {
 mod tests {
     use super::*;
     use neutraj_measures::DistanceMatrix;
-    use rand::SeedableRng;
 
     fn line_sim(n: usize) -> SimilarityMatrix {
         let mut data = vec![0.0; n * n];
@@ -135,7 +133,7 @@ mod tests {
     #[test]
     fn weighted_samples_exclude_anchor_and_are_distinct() {
         let sim = line_sim(30);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         for anchor in [0, 7, 29] {
             let s = ranked_weighted_samples(&sim, anchor, 8, &mut rng);
             assert_eq!(s.similar.len(), 8);
@@ -152,7 +150,7 @@ mod tests {
     #[test]
     fn similar_list_is_ranked_descending() {
         let sim = line_sim(40);
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = Rng::seed_from_u64(2);
         let s = ranked_weighted_samples(&sim, 5, 10, &mut rng);
         let row = sim.row(5);
         for w in s.similar.windows(2) {
@@ -168,7 +166,7 @@ mod tests {
         // Statistically: the similar list of anchor 0 should be dominated
         // by small indices (nearby on the line).
         let sim = line_sim(50);
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         let mut near_hits = 0usize;
         let mut total = 0usize;
         for _ in 0..50 {
@@ -183,7 +181,7 @@ mod tests {
     #[test]
     fn random_sampling_is_roughly_uniform() {
         let sim = line_sim(50);
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = Rng::seed_from_u64(4);
         let mut near_hits = 0usize;
         let mut total = 0usize;
         for _ in 0..50 {
@@ -206,7 +204,7 @@ mod tests {
     #[test]
     fn over_asking_truncates() {
         let sim = line_sim(5);
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = Rng::seed_from_u64(5);
         let s = ranked_weighted_samples(&sim, 0, 10, &mut rng);
         assert_eq!(s.similar.len(), 4);
         let r = ranked_random_samples(&sim, 0, 10, &mut rng);
@@ -216,8 +214,8 @@ mod tests {
     #[test]
     fn deterministic_given_rng_seed() {
         let sim = line_sim(20);
-        let a = ranked_weighted_samples(&sim, 3, 6, &mut StdRng::seed_from_u64(9));
-        let b = ranked_weighted_samples(&sim, 3, 6, &mut StdRng::seed_from_u64(9));
+        let a = ranked_weighted_samples(&sim, 3, 6, &mut Rng::seed_from_u64(9));
+        let b = ranked_weighted_samples(&sim, 3, 6, &mut Rng::seed_from_u64(9));
         assert_eq!(a, b);
     }
 }

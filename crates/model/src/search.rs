@@ -3,7 +3,8 @@
 //! Once a corpus is embedded (`O(L)` each, once), a top-k query costs one
 //! embedding plus an `O(N·d)` scan — the linear-time claim of the paper.
 //! The paper's protocol re-ranks the learned top-50 with the exact
-//! measure (§VII-C.1); [`EmbeddingStore::knn_reranked`] implements that.
+//! measure (§VII-C.1); that is `Query::new(k).shortlist(50).rerank(&m)`
+//! through [`SimilarityDb::search`](crate::SimilarityDb::search).
 //!
 //! # Norm-trick scans
 //!
@@ -20,7 +21,7 @@
 
 use crate::backbone::NeuTrajModel;
 use neutraj_index::{CoarseQuantizer, GraphScratch, HnswIndex, IvfIndex};
-use neutraj_measures::{partial_sort_neighbors, top_k, Measure, Neighbor, NeighborHeap};
+use neutraj_measures::{partial_sort_neighbors, top_k, Neighbor, NeighborHeap};
 use neutraj_nn::linalg::{dot, euclidean_sq, matmul_nt};
 use neutraj_trajectory::Trajectory;
 use std::cell::RefCell;
@@ -439,64 +440,6 @@ impl EmbeddingStore {
         out.sort_unstable();
         out
     }
-
-    /// The paper's search protocol (§VII-C.1): retrieve `shortlist` items
-    /// by embedding distance, then re-rank that shortlist with the exact
-    /// `measure` and return the top `k`.
-    pub fn knn_reranked(
-        &self,
-        query_emb: &[f64],
-        query: &Trajectory,
-        corpus: &[Trajectory],
-        measure: &dyn Measure,
-        shortlist: usize,
-        k: usize,
-    ) -> Vec<Neighbor> {
-        self.knn_reranked_batch(&[query_emb], &[query], corpus, measure, shortlist, k)
-            .pop()
-            .expect("one query in, one result out")
-    }
-
-    /// Batched [`Self::knn_reranked`]: one norm-trick GEMM scan retrieves
-    /// every query's shortlist, then each shortlist is re-ranked with the
-    /// exact `measure`. `query_embs[i]` must embed `queries[i]`.
-    pub fn knn_reranked_batch(
-        &self,
-        query_embs: &[&[f64]],
-        queries: &[&Trajectory],
-        corpus: &[Trajectory],
-        measure: &dyn Measure,
-        shortlist: usize,
-        k: usize,
-    ) -> Vec<Vec<Neighbor>> {
-        assert_eq!(
-            query_embs.len(),
-            queries.len(),
-            "embs/queries length mismatch"
-        );
-        let shorts = self.knn_batch(query_embs, shortlist);
-        // One bounded heap reused across the batch: keeping the k best
-        // under `(dist, index)` is insertion-order independent, so this
-        // ranks exactly like sort-then-truncate did, without a
-        // shortlist-sized sort or a per-query allocation.
-        let mut heap = NeighborHeap::new(k);
-        shorts
-            .into_iter()
-            .zip(queries)
-            .map(|(short, query)| {
-                heap.reset(k);
-                for n in short {
-                    heap.push(
-                        n.index,
-                        measure.dist(query.points(), corpus[n.index].points()),
-                    );
-                }
-                let mut out = Vec::with_capacity(k);
-                heap.drain_sorted_into(&mut out);
-                out
-            })
-            .collect()
-    }
 }
 
 /// Work counters reported by one [`EmbeddingStore::knn_ann_batch`] call —
@@ -524,8 +467,6 @@ pub struct GraphStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neutraj_measures::Hausdorff;
-    use neutraj_trajectory::Point;
 
     fn store() -> EmbeddingStore {
         // Five 2-d embeddings on a line.
@@ -571,27 +512,6 @@ mod tests {
         let s = store();
         let res = s.knn_candidates(&[0.0, 0.0], &[4, 3], 1);
         assert_eq!(res[0].index, 3);
-    }
-
-    #[test]
-    fn rerank_uses_exact_measure() {
-        // Embeddings deliberately disagree with geometry: item 0 is
-        // embedded far but geometrically identical to the query.
-        let embs = vec![vec![100.0, 0.0], vec![1.0, 0.0], vec![2.0, 0.0]];
-        let s = EmbeddingStore::from_embeddings(2, &embs);
-        let mk = |id: u64, x: f64| {
-            Trajectory::new_unchecked(id, vec![Point::new(x, 0.0), Point::new(x + 1.0, 0.0)])
-        };
-        let corpus = vec![mk(0, 0.0), mk(1, 50.0), mk(2, 80.0)];
-        let query = mk(9, 0.0);
-        // Shortlist of all 3 lets the exact measure rescue item 0.
-        let res = s.knn_reranked(&[0.0, 0.0], &query, &corpus, &Hausdorff, 3, 1);
-        assert_eq!(res[0].index, 0);
-        assert_eq!(res[0].dist, 0.0);
-        // Shortlist of 2 misses it (embedding pruned it) — documents the
-        // approximation trade-off.
-        let res = s.knn_reranked(&[0.0, 0.0], &query, &corpus, &Hausdorff, 2, 1);
-        assert_ne!(res[0].index, 0);
     }
 
     #[test]

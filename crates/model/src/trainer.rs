@@ -13,10 +13,8 @@ use neutraj_measures::DistanceMatrix;
 use neutraj_nn::linalg::add_assign;
 use neutraj_nn::Adam;
 use neutraj_obs::{names, Counter, Gauge, Histogram, Registry};
+use neutraj_trajectory::rng::Rng;
 use neutraj_trajectory::{Grid, Trajectory};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::Instant;
@@ -337,16 +335,15 @@ impl Trainer {
             // reflect the current parameters (stale entries from many
             // updates ago act as noise in the attention read).
             backbone.reset_memory();
-            let mut rng = StdRng::seed_from_u64(
-                cfg.seed ^ (epoch as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-            );
+            let mut rng =
+                Rng::seed_from_u64(cfg.seed ^ (epoch as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
             // The anchor order is a function of the epoch index alone
             // (identity permutation reshuffled with the per-epoch RNG), so
             // a resumed run sees exactly the schedule the uninterrupted
             // run would have — carrying the shuffled order across epochs
             // would make epoch k depend on every earlier epoch's shuffle.
             let mut order: Vec<usize> = (0..n_seeds).collect();
-            order.shuffle(&mut rng);
+            rng.shuffle(&mut order);
             let mut epoch_loss = 0.0;
 
             for batch in order.chunks(cfg.batch_anchors) {

@@ -4,8 +4,8 @@
 //! exactly the scalar scan's neighbours — tie ordering included.
 
 use neutraj_model::{BackboneKind, EmbeddingStore, NeuTrajModel, TrainConfig};
+use neutraj_trajectory::rng::cases;
 use neutraj_trajectory::{BoundingBox, Grid, Point, Trajectory};
-use proptest::prelude::*;
 
 fn grid() -> Grid {
     Grid::new(BoundingBox::new(0.0, 0.0, 1000.0, 500.0), 50.0).unwrap()
@@ -39,16 +39,15 @@ fn traj(id: u64, len: usize) -> Trajectory {
     )
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Tentpole invariant: `embed_batch` is bit-identical to per-item
-    /// `embed` for every backbone at batch sizes 1..=17 with mixed
-    /// sequence lengths.
-    #[test]
-    fn embed_batch_bit_identical_to_scalar_embed(
-        lens in prop::collection::vec(2usize..40, 1..=17),
-    ) {
+/// Tentpole invariant: `embed_batch` is bit-identical to per-item
+/// `embed` for every backbone at batch sizes 1..=17 with mixed
+/// sequence lengths.
+#[test]
+fn embed_batch_bit_identical_to_scalar_embed() {
+    cases(12, |rng| {
+        let lens = (0..rng.gen_range(1..=17))
+            .map(|_| rng.gen_range(2usize..40))
+            .collect::<Vec<_>>();
         for kind in [BackboneKind::SamLstm, BackboneKind::Lstm, BackboneKind::Gru] {
             let m = model(kind);
             let ts: Vec<Trajectory> = lens
@@ -57,24 +56,25 @@ proptest! {
                 .map(|(i, &len)| traj(i as u64, len))
                 .collect();
             let batched = m.embed_batch(&ts);
-            prop_assert_eq!(batched.len(), ts.len());
+            assert_eq!(batched.len(), ts.len());
             for (t, got) in ts.iter().zip(&batched) {
                 let want = m.embed(t);
-                prop_assert_eq!(&want, got, "backbone {:?} diverged", kind);
+                assert_eq!(&want, got, "backbone {:?} diverged", kind);
             }
         }
-    }
+    });
+}
 
-    /// `knn_batch` returns exactly `knn` per query — same indices, same
-    /// distances, same tie ordering. Embeddings are drawn from a small
-    /// discrete set so duplicate rows (distance ties) are common, and the
-    /// corpus spans more than one scan block.
-    #[test]
-    fn knn_batch_exactly_matches_scalar_knn(
-        vals in prop::collection::vec(0u8..6, 600),
-        qvals in prop::collection::vec(0u8..6, 8),
-        k in 1usize..20,
-    ) {
+/// `knn_batch` returns exactly `knn` per query — same indices, same
+/// distances, same tie ordering. Embeddings are drawn from a small
+/// discrete set so duplicate rows (distance ties) are common, and the
+/// corpus spans more than one scan block.
+#[test]
+fn knn_batch_exactly_matches_scalar_knn() {
+    cases(12, |rng| {
+        let vals = (0..600).map(|_| rng.gen_range(0u8..6)).collect::<Vec<_>>();
+        let qvals = (0..8).map(|_| rng.gen_range(0u8..6)).collect::<Vec<_>>();
+        let k = rng.gen_range(1usize..20);
         let dim = 4;
         let embs: Vec<Vec<f64>> = vals
             .chunks(dim)
@@ -87,12 +87,12 @@ proptest! {
             .collect();
         let qrefs: Vec<&[f64]> = queries.iter().map(|q| q.as_slice()).collect();
         let batch = store.knn_batch(&qrefs, k);
-        prop_assert_eq!(batch.len(), queries.len());
+        assert_eq!(batch.len(), queries.len());
         for (q, got) in qrefs.iter().zip(&batch) {
             let want = store.knn(q, k);
-            prop_assert_eq!(&want, got, "batched scan diverged from scalar");
+            assert_eq!(&want, got, "batched scan diverged from scalar");
         }
-    }
+    });
 }
 
 /// Non-property pin for the batch sizes below the GEMM's packing

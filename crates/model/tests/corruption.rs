@@ -5,11 +5,11 @@
 
 use neutraj_model::{
     Checkpoint, EmbeddingStore, FaultyReader, FaultyWriter, HnswIndex, HnswParams, NeuTrajModel,
-    QuantizedStore, SimilarityDb, TrainConfig, TrainState,
+    PersistError, QuantizedStore, SimilarityDb, TrainConfig, TrainState,
 };
 use neutraj_nn::AdamState;
+use neutraj_trajectory::rng::cases;
 use neutraj_trajectory::{BoundingBox, Grid};
-use proptest::prelude::*;
 use std::sync::OnceLock;
 
 /// A small but real model file image (sealed envelope) shared across
@@ -124,7 +124,7 @@ fn graph_db_image() -> &'static (SimilarityDb, Vec<u8>) {
 }
 
 /// Writes `bytes` to a unique temp file and returns the path (each
-/// proptest case gets its own file so cases never race each other).
+/// case gets its own file so cases never race each other).
 fn scratch_file(tag: &str, bytes: &[u8]) -> std::path::PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
     static SEQ: AtomicU64 = AtomicU64::new(0);
@@ -153,12 +153,11 @@ fn undamaged_graph_index_file_roundtrips() {
     );
 }
 
-proptest! {
-    #[test]
-    fn any_bit_flip_in_a_graph_index_file_is_rejected(
-        offset in 0usize..1 << 20,
-        bit in 0u8..8,
-    ) {
+#[test]
+fn any_bit_flip_in_a_graph_index_file_is_rejected() {
+    cases(256, |rng| {
+        let offset = rng.gen_range(0usize..1 << 20);
+        let bit = rng.gen_range(0u8..8);
         let (db, image) = graph_db_image();
         let mut bytes = image.clone();
         let offset = offset % bytes.len();
@@ -167,27 +166,33 @@ proptest! {
         let mut fresh = db.clone();
         let res = fresh.load_graph_index(&path);
         std::fs::remove_file(&path).ok();
-        prop_assert!(
+        assert!(
             res.is_err(),
             "bit {bit} of byte {offset} flipped, NTHNSW01 file still loaded"
         );
-    }
+    });
+}
 
-    #[test]
-    fn any_truncation_of_a_graph_index_file_is_rejected(len in 0usize..1 << 20) {
+#[test]
+fn any_truncation_of_a_graph_index_file_is_rejected() {
+    cases(256, |rng| {
+        let len = rng.gen_range(0usize..1 << 20);
         let (db, image) = graph_db_image();
         let len = len % image.len();
         let path = scratch_file("trunc", &image[..len]);
         let mut fresh = db.clone();
         let res = fresh.load_graph_index(&path);
         std::fs::remove_file(&path).ok();
-        prop_assert!(res.is_err(), "file truncated to {len} bytes still loaded");
-    }
+        assert!(res.is_err(), "file truncated to {len} bytes still loaded");
+    });
+}
 
-    #[test]
-    fn trailing_garbage_after_a_graph_index_file_is_rejected(
-        extra in prop::collection::vec(0u8..=255, 1..64),
-    ) {
+#[test]
+fn trailing_garbage_after_a_graph_index_file_is_rejected() {
+    cases(256, |rng| {
+        let extra = (0..rng.gen_range(1..64))
+            .map(|_| rng.gen_range(0u8..=255))
+            .collect::<Vec<_>>();
         let (db, image) = graph_db_image();
         let mut bytes = image.clone();
         bytes.extend_from_slice(&extra);
@@ -195,15 +200,16 @@ proptest! {
         let mut fresh = db.clone();
         let res = fresh.load_graph_index(&path);
         std::fs::remove_file(&path).ok();
-        prop_assert!(res.is_err(), "{} trailing bytes still loaded", extra.len());
-    }
+        assert!(res.is_err(), "{} trailing bytes still loaded", extra.len());
+    });
+}
 
-    #[test]
-    fn raw_graph_payload_damage_never_panics(
-        offset in 0usize..1 << 20,
-        bit in 0u8..8,
-        cut in 0usize..1 << 20,
-    ) {
+#[test]
+fn raw_graph_payload_damage_never_panics() {
+    cases(256, |rng| {
+        let offset = rng.gen_range(0usize..1 << 20);
+        let bit = rng.gen_range(0u8..8);
+        let cut = rng.gen_range(0usize..1 << 20);
         // Below the envelope (no checksum): structural validation must
         // reject or accept without ever panicking, even when the damage
         // is re-sealed inside a fresh valid envelope.
@@ -219,83 +225,94 @@ proptest! {
         let mut fresh = db.clone();
         let _ = fresh.load_graph_index(&path); // must not panic
         std::fs::remove_file(&path).ok();
-    }
+    });
 }
 
-proptest! {
-    #[test]
-    fn any_bit_flip_in_a_quantized_store_file_is_rejected(
-        offset in 0usize..1 << 20,
-        bit in 0u8..8,
-    ) {
+#[test]
+fn any_bit_flip_in_a_quantized_store_file_is_rejected() {
+    cases(256, |rng| {
+        let offset = rng.gen_range(0usize..1 << 20);
+        let bit = rng.gen_range(0u8..8);
         let (_, image) = quant_image();
         let offset = offset % image.len();
         let mut r = FaultyReader::new(image.clone()).flip_bit(offset, bit);
-        prop_assert!(
+        assert!(
             QuantizedStore::read_from(&mut r).is_err(),
             "bit {bit} of byte {offset} flipped, NTQ08 file still loaded"
         );
-    }
+    });
+}
 
-    #[test]
-    fn any_truncation_of_a_quantized_store_file_is_rejected(len in 0usize..1 << 20) {
+#[test]
+fn any_truncation_of_a_quantized_store_file_is_rejected() {
+    cases(256, |rng| {
+        let len = rng.gen_range(0usize..1 << 20);
         let (_, image) = quant_image();
         let len = len % image.len();
         let mut r = FaultyReader::new(image.clone()).truncate_at(len);
-        prop_assert!(QuantizedStore::read_from(&mut r).is_err());
-    }
+        assert!(QuantizedStore::read_from(&mut r).is_err());
+    });
+}
 
-    #[test]
-    fn any_bit_flip_in_a_model_file_is_rejected(
-        offset in 0usize..1 << 20,
-        bit in 0u8..8,
-    ) {
+#[test]
+fn any_bit_flip_in_a_model_file_is_rejected() {
+    cases(256, |rng| {
+        let offset = rng.gen_range(0usize..1 << 20);
+        let bit = rng.gen_range(0u8..8);
         let (_, image) = model_image();
         let offset = offset % image.len();
         let mut r = FaultyReader::new(image.clone()).flip_bit(offset, bit);
         let res = NeuTrajModel::read_from(&mut r);
-        prop_assert!(
+        assert!(
             res.is_err(),
             "bit {bit} of byte {offset} flipped, file still loaded"
         );
-    }
+    });
+}
 
-    #[test]
-    fn any_truncation_of_a_model_file_is_rejected(len in 0usize..1 << 20) {
+#[test]
+fn any_truncation_of_a_model_file_is_rejected() {
+    cases(256, |rng| {
+        let len = rng.gen_range(0usize..1 << 20);
         let (_, image) = model_image();
         let len = len % image.len(); // strictly shorter than the file
         let mut r = FaultyReader::new(image.clone()).truncate_at(len);
-        prop_assert!(NeuTrajModel::read_from(&mut r).is_err());
-    }
+        assert!(NeuTrajModel::read_from(&mut r).is_err());
+    });
+}
 
-    #[test]
-    fn any_bit_flip_in_a_checkpoint_file_is_rejected(
-        offset in 0usize..1 << 20,
-        bit in 0u8..8,
-    ) {
+#[test]
+fn any_bit_flip_in_a_checkpoint_file_is_rejected() {
+    cases(256, |rng| {
+        let offset = rng.gen_range(0usize..1 << 20);
+        let bit = rng.gen_range(0u8..8);
         let (_, image) = ckpt_image();
         let offset = offset % image.len();
         let mut r = FaultyReader::new(image.clone()).flip_bit(offset, bit);
-        prop_assert!(Checkpoint::read_from(&mut r).is_err());
+        assert!(Checkpoint::read_from(&mut r).is_err());
         // A damaged checkpoint is equally unusable as a model file.
         let mut r = FaultyReader::new(image.clone()).flip_bit(offset, bit);
-        prop_assert!(NeuTrajModel::read_from(&mut r).is_err());
-    }
+        assert!(NeuTrajModel::read_from(&mut r).is_err());
+    });
+}
 
-    #[test]
-    fn any_truncation_of_a_checkpoint_file_is_rejected(len in 0usize..1 << 20) {
+#[test]
+fn any_truncation_of_a_checkpoint_file_is_rejected() {
+    cases(256, |rng| {
+        let len = rng.gen_range(0usize..1 << 20);
         let (_, image) = ckpt_image();
         let len = len % image.len();
         let mut r = FaultyReader::new(image.clone()).truncate_at(len);
-        prop_assert!(Checkpoint::read_from(&mut r).is_err());
-    }
+        assert!(Checkpoint::read_from(&mut r).is_err());
+    });
+}
 
-    #[test]
-    fn combined_damage_never_panics_and_never_alters_parameters(
-        offset in 0usize..1 << 20,
-        bit in 0u8..8,
-        cut in 0usize..1 << 20,
-    ) {
+#[test]
+fn combined_damage_never_panics_and_never_alters_parameters() {
+    cases(256, |rng| {
+        let offset = rng.gen_range(0usize..1 << 20);
+        let bit = rng.gen_range(0u8..8);
+        let cut = rng.gen_range(0usize..1 << 20);
         // Flip + truncate in one pass; the only acceptable `Ok` is the
         // undamaged identity case, and then the bytes must match exactly.
         let (model, image) = model_image();
@@ -305,44 +322,60 @@ proptest! {
             .truncate_at(cut);
         let intact = r.image() == &image[..];
         let mut r = r;
-        match NeuTrajModel::read_from(&mut r) {
-            Ok(loaded) => {
-                prop_assert!(intact, "damaged file loaded");
-                prop_assert_eq!(loaded.to_bytes(), model.to_bytes());
-            }
-            Err(_) => {}
+        if let Ok(loaded) = NeuTrajModel::read_from(&mut r) {
+            assert!(intact, "damaged file loaded");
+            assert_eq!(loaded.to_bytes(), model.to_bytes());
         }
-    }
+    });
+}
 
-    #[test]
-    fn raw_payload_damage_never_panics(
-        offset in 0usize..1 << 20,
-        bit in 0u8..8,
-        cut in 0usize..1 << 20,
-    ) {
+#[test]
+fn raw_payload_damage_never_panics() {
+    cases(256, |rng| {
+        let offset = rng.gen_range(0usize..1 << 20);
+        let bit = rng.gen_range(0u8..8);
+        let cut = rng.gen_range(0usize..1 << 20);
         // Below the envelope (no checksum), decoding damaged bytes must
         // still never panic — structural checks catch what they can, and
         // the envelope is the actual integrity layer above this.
         let (model, _) = model_image();
-        let mut payload = model.to_bytes().to_vec();
+        let mut payload = model.to_bytes();
         let off = offset % payload.len();
         payload[off] ^= 1 << (bit % 8);
         payload.truncate(1 + cut % payload.len());
         let _ = NeuTrajModel::from_bytes(&payload);
-    }
+    });
+}
 
-    #[test]
-    fn a_crash_at_any_write_offset_leaves_an_unloadable_torn_file(
-        budget in 0usize..1 << 20,
-    ) {
+/// A file holding only the `NTMODEL1` payload — the envelope, and with it
+/// the checksum, stripped — is refused by both file entry points with a
+/// typed error, though the same bytes still decode as a payload.
+#[test]
+fn an_envelope_stripped_model_file_is_rejected() {
+    let (model, _) = model_image();
+    let payload = model.to_bytes();
+    assert!(NeuTrajModel::from_bytes(&payload).is_ok());
+    let mut r = FaultyReader::new(payload.clone());
+    let streamed = NeuTrajModel::read_from(&mut r);
+    assert!(matches!(streamed, Err(PersistError::Format(_))));
+    let path = scratch_file("bare-model", &payload);
+    let loaded = NeuTrajModel::load(&path);
+    std::fs::remove_file(&path).ok();
+    assert!(matches!(loaded, Err(PersistError::Format(_))));
+}
+
+#[test]
+fn a_crash_at_any_write_offset_leaves_an_unloadable_torn_file() {
+    cases(256, |rng| {
+        let budget = rng.gen_range(0usize..1 << 20);
         let (model, image) = model_image();
         let budget = budget % image.len(); // crash strictly before the end
         let mut w = FaultyWriter::fails_after(budget);
-        prop_assert!(model.write_to(&mut w).is_err(), "short write not surfaced");
+        assert!(model.write_to(&mut w).is_err(), "short write not surfaced");
         // The torn prefix must never pass verification.
         let mut r = FaultyReader::new(w.written.clone());
-        prop_assert!(NeuTrajModel::read_from(&mut r).is_err());
-    }
+        assert!(NeuTrajModel::read_from(&mut r).is_err());
+    });
 }
 
 #[test]

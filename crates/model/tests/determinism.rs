@@ -9,8 +9,8 @@
 
 use neutraj_model::{Backbone, BackboneCache, BackboneGrads, BackboneKind, SeqInputs, TrainConfig};
 use neutraj_nn::SpatialMemory;
+use neutraj_trajectory::rng::{cases, Rng};
 use neutraj_trajectory::{BoundingBox, Grid};
-use proptest::prelude::*;
 
 /// Grid of 20 × 10 cells (1000 × 500 span, 50-unit cells).
 fn grid() -> Grid {
@@ -30,16 +30,19 @@ fn build(kind: BackboneKind) -> Backbone {
 }
 
 /// Random batch of variable-length sequences with in-grid cells.
-fn arb_batch() -> impl Strategy<Value = Vec<SeqInputs>> {
-    prop::collection::vec(
-        (2usize..12).prop_flat_map(|len| {
-            (
-                prop::collection::vec((-1.0f64..1.0, -1.0f64..1.0), len),
-                prop::collection::vec((0u32..COLS, 0u32..ROWS), len),
-            )
-        }),
-        5..12,
-    )
+fn arb_batch(rng: &mut Rng) -> Vec<SeqInputs> {
+    (0..rng.gen_range(5..12))
+        .map(|_| {
+            let len = rng.gen_range(2usize..12);
+            let coords = (0..len)
+                .map(|_| (rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
+                .collect();
+            let cells = (0..len)
+                .map(|_| (rng.gen_range(0..COLS), rng.gen_range(0..ROWS)))
+                .collect();
+            (coords, cells)
+        })
+        .collect()
 }
 
 /// Flattens a gradient buffer into comparable tensors.
@@ -76,7 +79,7 @@ fn pseudo_d_embs(out: &[(Vec<f64>, BackboneCache)]) -> Vec<Vec<f64>> {
         .collect()
 }
 
-fn assert_thread_invariance(kind: BackboneKind, batch: &[SeqInputs]) -> Result<(), TestCaseError> {
+fn assert_thread_invariance(kind: BackboneKind, batch: &[SeqInputs]) {
     let inputs: Vec<&SeqInputs> = batch.iter().collect();
 
     // Reference run on one thread.
@@ -96,18 +99,15 @@ fn assert_thread_invariance(kind: BackboneKind, batch: &[SeqInputs]) -> Result<(
     for threads in [2usize, 4, 8] {
         let mut b = build(kind);
         let out = b.forward_train_batch(&inputs, threads);
-        prop_assert_eq!(out.len(), ref_out.len());
+        assert_eq!(out.len(), ref_out.len());
         for (i, ((h_t, _), (h_1, _))) in out.iter().zip(&ref_out).enumerate() {
-            prop_assert_eq!(
-                h_t,
-                h_1,
+            assert_eq!(
+                h_t, h_1,
                 "{:?}: embedding {} diverged at {} threads",
-                kind,
-                i,
-                threads
+                kind, i, threads
             );
         }
-        prop_assert_eq!(
+        assert_eq!(
             memory_of(&b),
             ref_mem.clone(),
             "{:?}: spatial memory diverged at {} threads",
@@ -121,7 +121,7 @@ fn assert_thread_invariance(kind: BackboneKind, batch: &[SeqInputs]) -> Result<(
             .map(|((_, c), d)| (c, d.as_slice()))
             .collect();
         b.backward_batch(&jobs, &mut g, threads);
-        prop_assert_eq!(
+        assert_eq!(
             grad_tensors(&g),
             ref_grads.clone(),
             "{:?}: gradients diverged at {} threads",
@@ -129,26 +129,30 @@ fn assert_thread_invariance(kind: BackboneKind, batch: &[SeqInputs]) -> Result<(
             threads
         );
     }
-    Ok(())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
+#[test]
+fn lstm_batch_is_thread_count_invariant() {
+    cases(10, |rng| {
+        let batch = arb_batch(rng);
+        assert_thread_invariance(BackboneKind::Lstm, &batch);
+    });
+}
 
-    #[test]
-    fn lstm_batch_is_thread_count_invariant(batch in arb_batch()) {
-        assert_thread_invariance(BackboneKind::Lstm, &batch)?;
-    }
+#[test]
+fn gru_batch_is_thread_count_invariant() {
+    cases(10, |rng| {
+        let batch = arb_batch(rng);
+        assert_thread_invariance(BackboneKind::Gru, &batch);
+    });
+}
 
-    #[test]
-    fn gru_batch_is_thread_count_invariant(batch in arb_batch()) {
-        assert_thread_invariance(BackboneKind::Gru, &batch)?;
-    }
-
-    #[test]
-    fn sam_batch_is_thread_count_invariant(batch in arb_batch()) {
-        assert_thread_invariance(BackboneKind::SamLstm, &batch)?;
-    }
+#[test]
+fn sam_batch_is_thread_count_invariant() {
+    cases(10, |rng| {
+        let batch = arb_batch(rng);
+        assert_thread_invariance(BackboneKind::SamLstm, &batch);
+    });
 }
 
 /// The tiny-batch sequential fallback (`len < 4`) must agree with the

@@ -6,60 +6,60 @@ use neutraj_model::{
     pair_similarity, ranked_random_samples, ranked_weighted_samples, EmbeddingStore, Normalization,
     QuantizedStore, RankedBatchLoss, SimilarityMatrix,
 };
-use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use neutraj_trajectory::rng::{cases, Rng};
 
 /// A random symmetric distance matrix with zero diagonal.
-fn arb_dist(n: usize) -> impl Strategy<Value = DistanceMatrix> {
-    prop::collection::vec(0.01f64..50.0, n * (n - 1) / 2).prop_map(move |upper| {
-        let mut data = vec![0.0; n * n];
-        let mut it = upper.into_iter();
-        for i in 0..n {
-            for j in i + 1..n {
-                let d = it.next().expect("enough entries");
-                data[i * n + j] = d;
-                data[j * n + i] = d;
-            }
+fn arb_dist(rng: &mut Rng, n: usize) -> DistanceMatrix {
+    let mut data = vec![0.0; n * n];
+    for i in 0..n {
+        for j in i + 1..n {
+            let d = rng.gen_range(0.01..50.0);
+            data[i * n + j] = d;
+            data[j * n + i] = d;
         }
-        DistanceMatrix::from_raw(n, data)
-    })
+    }
+    DistanceMatrix::from_raw(n, data)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    #[test]
-    fn exp_decay_similarities_are_valid_and_symmetric(
-        dist in arb_dist(8),
-        alpha in 0.01f64..5.0,
-    ) {
+#[test]
+fn exp_decay_similarities_are_valid_and_symmetric() {
+    cases(48, |rng| {
+        let dist = arb_dist(rng, 8);
+        let alpha = rng.gen_range(0.01f64..5.0);
         let s = SimilarityMatrix::exp_decay(&dist, alpha);
         for i in 0..8 {
-            prop_assert!((s.get(i, i) - 1.0).abs() < 1e-12, "self-sim must be 1");
+            assert!((s.get(i, i) - 1.0).abs() < 1e-12, "self-sim must be 1");
             for j in 0..8 {
-                prop_assert!((0.0..=1.0).contains(&s.get(i, j)));
-                prop_assert!((s.get(i, j) - s.get(j, i)).abs() < 1e-12);
+                assert!((0.0..=1.0).contains(&s.get(i, j)));
+                assert!((s.get(i, j) - s.get(j, i)).abs() < 1e-12);
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn row_softmax_rows_are_distributions(dist in arb_dist(7), alpha in 0.01f64..5.0) {
+#[test]
+fn row_softmax_rows_are_distributions() {
+    cases(48, |rng| {
+        let dist = arb_dist(rng, 7);
+        let alpha = rng.gen_range(0.01f64..5.0);
         let s = SimilarityMatrix::with_normalization(&dist, alpha, Normalization::RowSoftmax);
         for i in 0..7 {
-            prop_assert!((s.row(i).iter().sum::<f64>() - 1.0).abs() < 1e-9);
+            assert!((s.row(i).iter().sum::<f64>() - 1.0).abs() < 1e-9);
         }
-    }
+    });
+}
 
-    #[test]
-    fn similarity_preserves_distance_order(dist in arb_dist(6), alpha in 0.05f64..3.0) {
+#[test]
+fn similarity_preserves_distance_order() {
+    cases(48, |rng| {
+        let dist = arb_dist(rng, 6);
+        let alpha = rng.gen_range(0.05f64..3.0);
         let s = SimilarityMatrix::exp_decay(&dist, alpha);
         for a in 0..6 {
             for i in 0..6 {
                 for j in 0..6 {
                     if dist.get(a, i) < dist.get(a, j) {
-                        prop_assert!(
+                        assert!(
                             s.get(a, i) >= s.get(a, j),
                             "closer seed got lower similarity"
                         );
@@ -67,60 +67,71 @@ proptest! {
                 }
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn sampling_invariants_hold(
-        dist in arb_dist(12),
-        anchor in 0usize..12,
-        n in 1usize..8,
-        rng_seed in 0u64..1000,
-    ) {
+#[test]
+fn sampling_invariants_hold() {
+    cases(48, |rng| {
+        let dist = arb_dist(rng, 12);
+        let anchor = rng.gen_range(0usize..12);
+        let n = rng.gen_range(1usize..8);
+        let rng_seed = rng.gen_range(0u64..1000);
         let sim = SimilarityMatrix::auto(&dist);
         for weighted in [true, false] {
-            let mut rng = StdRng::seed_from_u64(rng_seed);
+            let mut rng = Rng::seed_from_u64(rng_seed);
             let s = if weighted {
                 ranked_weighted_samples(&sim, anchor, n, &mut rng)
             } else {
                 ranked_random_samples(&sim, anchor, n, &mut rng)
             };
             let all: Vec<usize> = s.similar.iter().chain(&s.dissimilar).copied().collect();
-            prop_assert!(!all.contains(&anchor), "anchor sampled as its own pair");
-            prop_assert!(all.iter().all(|&i| i < 12));
+            assert!(!all.contains(&anchor), "anchor sampled as its own pair");
+            assert!(all.iter().all(|&i| i < 12));
             // Ranked orders.
             let row = sim.row(anchor);
             for w in s.similar.windows(2) {
-                prop_assert!(row[w[0]] >= row[w[1]]);
+                assert!(row[w[0]] >= row[w[1]]);
             }
             for w in s.dissimilar.windows(2) {
-                prop_assert!(row[w[0]] <= row[w[1]]);
+                assert!(row[w[0]] <= row[w[1]]);
             }
             // Weighted sampling: each list individually duplicate-free.
             let mut ss = s.similar.clone();
             ss.sort_unstable();
             ss.dedup();
-            prop_assert_eq!(ss.len(), s.similar.len());
+            assert_eq!(ss.len(), s.similar.len());
         }
-    }
+    });
+}
 
-    #[test]
-    fn rank_weights_always_normalized(n in 1usize..50) {
+#[test]
+fn rank_weights_always_normalized() {
+    cases(48, |rng| {
+        let n = rng.gen_range(1usize..50);
         for cfg in [RankedBatchLoss::neutraj(), RankedBatchLoss::siamese()] {
             let w = cfg.rank_weights(n);
-            prop_assert_eq!(w.len(), n);
-            prop_assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-            prop_assert!(w.iter().all(|&x| x > 0.0));
+            assert_eq!(w.len(), n);
+            assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+            assert!(w.iter().all(|&x| x > 0.0));
         }
-    }
+    });
+}
 
-    #[test]
-    fn pair_loss_gradients_match_finite_differences(
-        anchor in prop::collection::vec(-2.0f64..2.0, 4),
-        sample in prop::collection::vec(-2.0f64..2.0, 4),
-        target in 0.0f64..1.0,
-    ) {
+#[test]
+fn pair_loss_gradients_match_finite_differences() {
+    cases(48, |rng| {
+        let anchor = (0..4)
+            .map(|_| rng.gen_range(-2.0f64..2.0))
+            .collect::<Vec<_>>();
+        let sample = (0..4)
+            .map(|_| rng.gen_range(-2.0f64..2.0))
+            .collect::<Vec<_>>();
+        let target = rng.gen_range(0.0f64..1.0);
         // Skip the non-differentiable coincidence point.
-        prop_assume!(neutraj_nn::linalg::euclidean(&anchor, &sample) > 1e-3);
+        if neutraj_nn::linalg::euclidean(&anchor, &sample) <= 1e-3 {
+            return;
+        }
         let cfg = RankedBatchLoss::neutraj();
         let out = &cfg.similar_list(&anchor, &[&sample], &[target])[0];
         let eps = 1e-6;
@@ -132,36 +143,45 @@ proptest! {
             let fp = cfg.similar_list(&ap, &[&sample], &[target])[0].loss;
             let fm = cfg.similar_list(&am, &[&sample], &[target])[0].loss;
             let num = (fp - fm) / (2.0 * eps);
-            prop_assert!(
+            assert!(
                 (num - out.d_anchor[k]).abs() < 1e-5,
                 "k={k}: {num} vs {}",
                 out.d_anchor[k]
             );
         }
-    }
+    });
+}
 
-    #[test]
-    fn pair_similarity_is_a_valid_kernel(
-        a in prop::collection::vec(-5.0f64..5.0, 6),
-        b in prop::collection::vec(-5.0f64..5.0, 6),
-    ) {
+#[test]
+fn pair_similarity_is_a_valid_kernel() {
+    cases(48, |rng| {
+        let a = (0..6)
+            .map(|_| rng.gen_range(-5.0f64..5.0))
+            .collect::<Vec<_>>();
+        let b = (0..6)
+            .map(|_| rng.gen_range(-5.0f64..5.0))
+            .collect::<Vec<_>>();
         let g = pair_similarity(&a, &b);
-        prop_assert!(g > 0.0 && g <= 1.0);
-        prop_assert!((pair_similarity(&a, &b) - pair_similarity(&b, &a)).abs() < 1e-15);
-        prop_assert!((pair_similarity(&a, &a) - 1.0).abs() < 1e-15);
-    }
+        assert!(g > 0.0 && g <= 1.0);
+        assert!((pair_similarity(&a, &b) - pair_similarity(&b, &a)).abs() < 1e-15);
+        assert!((pair_similarity(&a, &a) - 1.0).abs() < 1e-15);
+    });
+}
 
-    /// The int8 codec's core numeric contract (`DESIGN.md` §12): with
-    /// per-row `scale = range/255` and `offset = min`, dequantization
-    /// recovers every component to within half a quantization step
-    /// (plus fp slop), and the NTQ08 byte roundtrip is lossless.
-    #[test]
-    fn quantize_dequantize_error_is_bounded_by_half_scale(
-        rows in prop::collection::vec(
-            prop::collection::vec(-1e4f64..1e4, 5),
-            1..12,
-        ),
-    ) {
+/// The int8 codec's core numeric contract (`DESIGN.md` §12): with
+/// per-row `scale = range/255` and `offset = min`, dequantization
+/// recovers every component to within half a quantization step
+/// (plus fp slop), and the NTQ08 byte roundtrip is lossless.
+#[test]
+fn quantize_dequantize_error_is_bounded_by_half_scale() {
+    cases(48, |rng| {
+        let rows = (0..rng.gen_range(1..12))
+            .map(|_| {
+                (0..5)
+                    .map(|_| rng.gen_range(-1e4f64..1e4))
+                    .collect::<Vec<_>>()
+            })
+            .collect::<Vec<_>>();
         let store = EmbeddingStore::from_embeddings(5, &rows);
         let qs = QuantizedStore::from_store(&store);
         for (i, row) in rows.iter().enumerate() {
@@ -173,13 +193,13 @@ proptest! {
             let bound = 0.5 * scale * (1.0 + 1e-9) + 1e-12 * hi.abs().max(lo.abs());
             let dq = qs.dequantize(i);
             for (d, (&v, &w)) in row.iter().zip(&dq).enumerate() {
-                prop_assert!(
+                assert!(
                     (v - w).abs() <= bound,
                     "row {i} dim {d}: |{v} - {w}| > {bound} (scale {scale})"
                 );
             }
         }
         let back = QuantizedStore::from_bytes(&qs.to_bytes()).expect("own bytes parse");
-        prop_assert_eq!(back, qs);
-    }
+        assert_eq!(back, qs);
+    });
 }

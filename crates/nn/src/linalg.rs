@@ -2,8 +2,7 @@
 
 use crate::simd::{self, MR, NR};
 use neutraj_obs::simd::SimdLevel;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use neutraj_trajectory::rng::Rng;
 
 /// A dense row-major `f64` matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,7 +25,7 @@ impl Mat {
     /// Xavier/Glorot-uniform initialized matrix: entries uniform in
     /// `±sqrt(6 / (rows + cols))`. Deterministic given `seed`.
     pub fn xavier(rows: usize, cols: usize, seed: u64) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let bound = (6.0 / (rows + cols) as f64).sqrt();
         let data = (0..rows * cols)
             .map(|_| rng.gen_range(-bound..bound))

@@ -32,6 +32,7 @@ use neutraj_model::persist::{
     atomic_write, open_payload, read_enveloped, seal_payload, write_enveloped,
 };
 use neutraj_model::{AnnParams, HnswParams, NeuTrajModel, PersistError};
+use neutraj_trajectory::cursor::{PutLe, Reader};
 use neutraj_trajectory::{Point, Trajectory};
 use std::fs::File;
 use std::io::{Read, Write};
@@ -48,58 +49,6 @@ fn fail(msg: impl Into<String>) -> PersistError {
     PersistError::Format(msg.into())
 }
 
-// ---------------------------------------------------------------------------
-// Little-endian cursor helpers (the serve crate stays dependency-free,
-// so no `bytes` here — a borrowed-slice cursor is all the codec needs).
-// ---------------------------------------------------------------------------
-
-struct Reader<'a> {
-    data: &'a [u8],
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], PersistError> {
-        if self.data.len() < n {
-            return Err(fail(format!(
-                "truncated snapshot: need {n} bytes for {what}, have {}",
-                self.data.len()
-            )));
-        }
-        let (head, tail) = self.data.split_at(n);
-        self.data = tail;
-        Ok(head)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, PersistError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, PersistError> {
-        Ok(u64::from_le_bytes(
-            self.take(8, what)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn usize(&mut self, what: &str) -> Result<usize, PersistError> {
-        let v = self.u64(what)?;
-        usize::try_from(v).map_err(|_| fail(format!("{what} {v} overflows usize")))
-    }
-
-    fn f64(&mut self, what: &str) -> Result<f64, PersistError> {
-        Ok(f64::from_le_bytes(
-            self.take(8, what)?.try_into().expect("8 bytes"),
-        ))
-    }
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 impl Snapshot {
     /// Serializes the snapshot into the raw `NTSNAP01` payload (no file
     /// envelope — see [`Snapshot::save`] for the checksummed form).
@@ -107,9 +56,9 @@ impl Snapshot {
         let cfg = self.shard_config();
         let model_bytes = self.model().to_bytes();
         let mut out = Vec::with_capacity(model_bytes.len() + (1 << 12));
-        out.extend_from_slice(SNAPSHOT_MAGIC);
-        put_u64(&mut out, self.epoch());
-        put_u64(&mut out, self.nshards() as u64);
+        out.put_slice(SNAPSHOT_MAGIC);
+        out.put_u64_le(self.epoch());
+        out.put_u64_le(self.nshards() as u64);
         let mut flags = 0u8;
         if cfg.quantized {
             flags |= FLAG_QUANTIZED;
@@ -120,32 +69,32 @@ impl Snapshot {
         if cfg.graph.is_some() {
             flags |= FLAG_GRAPH;
         }
-        out.push(flags);
+        out.put_u8(flags);
         if let Some(ann) = &cfg.ann {
-            put_u64(&mut out, ann.nlists as u64);
-            put_u64(&mut out, ann.train_iters as u64);
-            put_u64(&mut out, ann.train_sample as u64);
-            put_u64(&mut out, ann.seed);
+            out.put_u64_le(ann.nlists as u64);
+            out.put_u64_le(ann.train_iters as u64);
+            out.put_u64_le(ann.train_sample as u64);
+            out.put_u64_le(ann.seed);
         }
         if let Some(graph) = &cfg.graph {
-            put_u64(&mut out, graph.m as u64);
-            put_u64(&mut out, graph.m0 as u64);
-            put_u64(&mut out, graph.ef_construction as u64);
-            put_u64(&mut out, graph.seed);
+            out.put_u64_le(graph.m as u64);
+            out.put_u64_le(graph.m0 as u64);
+            out.put_u64_le(graph.ef_construction as u64);
+            out.put_u64_le(graph.seed);
         }
-        put_u64(&mut out, model_bytes.len() as u64);
-        out.extend_from_slice(&model_bytes);
-        put_u64(&mut out, self.len() as u64);
+        out.put_u64_le(model_bytes.len() as u64);
+        out.put_slice(&model_bytes);
+        out.put_u64_le(self.len() as u64);
         // Global order, so load-time round-robin placement reproduces
         // the exact shard layout (and therefore the exact global
         // indices) of the saved snapshot.
         for g in 0..self.len() {
             let t = self.trajectory(g).expect("global index in range");
-            put_u64(&mut out, t.id);
-            put_u64(&mut out, t.points().len() as u64);
+            out.put_u64_le(t.id);
+            out.put_u64_le(t.points().len() as u64);
             for p in t.points() {
-                put_f64(&mut out, p.x);
-                put_f64(&mut out, p.y);
+                out.put_f64_le(p.x);
+                out.put_f64_le(p.y);
             }
         }
         out
@@ -155,35 +104,35 @@ impl Snapshot {
     /// [`Snapshot::to_bytes`]. `build_threads` is the load-time embed
     /// parallelism — it affects speed only, never the rebuilt bits.
     pub fn from_bytes(data: &[u8], build_threads: usize) -> Result<Self, PersistError> {
-        let mut r = Reader { data };
-        if r.take(8, "magic")? != SNAPSHOT_MAGIC {
+        let mut r = Reader::new(data);
+        if r.take(8)? != SNAPSHOT_MAGIC {
             return Err(fail("bad snapshot magic (not a NeuTraj snapshot?)"));
         }
-        let epoch = r.u64("epoch")?;
-        let nshards = r.usize("shard count")?;
+        let epoch = r.u64()?;
+        let nshards = r.u64()? as usize;
         if nshards == 0 {
             return Err(fail("snapshot declares zero shards"));
         }
-        let flags = r.u8("flags")?;
+        let flags = r.u8()?;
         if flags & !(FLAG_QUANTIZED | FLAG_ANN | FLAG_GRAPH) != 0 {
             return Err(fail(format!("unknown snapshot flags {flags:#04x}")));
         }
         let ann = if flags & FLAG_ANN != 0 {
             Some(AnnParams {
-                nlists: r.usize("ann nlists")?,
-                train_iters: r.usize("ann train_iters")?,
-                train_sample: r.usize("ann train_sample")?,
-                seed: r.u64("ann seed")?,
+                nlists: r.u64()? as usize,
+                train_iters: r.u64()? as usize,
+                train_sample: r.u64()? as usize,
+                seed: r.u64()?,
             })
         } else {
             None
         };
         let graph = if flags & FLAG_GRAPH != 0 {
             let params = HnswParams {
-                m: r.usize("graph m")?,
-                m0: r.usize("graph m0")?,
-                ef_construction: r.usize("graph ef_construction")?,
-                seed: r.u64("graph seed")?,
+                m: r.u64()? as usize,
+                m0: r.u64()? as usize,
+                ef_construction: r.u64()? as usize,
+                seed: r.u64()?,
             };
             params
                 .validate()
@@ -192,36 +141,26 @@ impl Snapshot {
         } else {
             None
         };
-        let model_len = r.usize("model length")?;
-        let model = NeuTrajModel::from_bytes(r.take(model_len, "model payload")?)?;
-        let ntraj = r.usize("trajectory count")?;
+        let model_len = r.u64()? as usize;
+        let model = NeuTrajModel::from_bytes(r.take(model_len)?)?;
+        let ntraj = r.u64()? as usize;
         let mut corpus = Vec::with_capacity(ntraj.min(1 << 20));
         for g in 0..ntraj {
-            let id = r.u64("trajectory id")?;
-            let npts = r.usize("point count")?;
-            // 16 bytes per point must still fit in what remains — reject
-            // an implausible count before reserving for it.
-            if r.data.len() / 16 < npts {
-                return Err(fail(format!(
-                    "truncated snapshot: trajectory {g} declares {npts} points, \
-                     only {} bytes remain",
-                    r.data.len()
-                )));
-            }
-            let mut points = Vec::with_capacity(npts);
-            for _ in 0..npts {
-                let x = r.f64("point x")?;
-                let y = r.f64("point y")?;
-                points.push(Point::new(x, y));
-            }
+            let id = r.u64()?;
+            let npts = r.u64()? as usize;
+            let points = r
+                .f64s(npts.saturating_mul(2))?
+                .chunks_exact(2)
+                .map(|c| Point::new(c[0], c[1]))
+                .collect();
             let t = Trajectory::new(id, points)
                 .map_err(|e| fail(format!("invalid stored trajectory {g} (id {id}): {e}")))?;
             corpus.push(t);
         }
-        if !r.data.is_empty() {
+        if !r.rest().is_empty() {
             return Err(fail(format!(
                 "{} trailing bytes after the snapshot payload",
-                r.data.len()
+                r.rest().len()
             )));
         }
         let cfg = ShardConfig {

@@ -1,14 +1,13 @@
 //! Axis-aligned bounding boxes (minimum bounding rectangles).
 
 use crate::Point;
-use serde::{Deserialize, Serialize};
 
 /// An axis-aligned bounding box over 2-D points.
 ///
 /// Used as the minimum bounding rectangle (MBR) of a trajectory by the
 /// R-tree index (`neutraj-index`) and for the paper's centre-area
 /// preprocessing step (§VII-A.1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BoundingBox {
     /// Minimum x coordinate.
     pub min_x: f64,

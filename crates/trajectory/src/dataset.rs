@@ -1,8 +1,7 @@
 //! Trajectory corpora with the paper's preprocessing and split protocol.
 
+use crate::rng::Rng;
 use crate::{BoundingBox, Result, TrajError, Trajectory};
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
 /// Ratios for a train/validation/test split.
 ///
@@ -130,8 +129,8 @@ impl Dataset {
     pub fn split(&self, ratios: SplitRatios, seed: u64) -> Result<Split> {
         ratios.validate()?;
         let mut idx: Vec<usize> = (0..self.len()).collect();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        idx.shuffle(&mut rng);
+        let mut rng = Rng::seed_from_u64(seed);
+        rng.shuffle(&mut idx);
         let n_train = (self.len() as f64 * ratios.train).round() as usize;
         let n_val = (self.len() as f64 * ratios.validation).round() as usize;
         let n_train = n_train.min(self.len());
@@ -150,8 +149,8 @@ impl Dataset {
     /// Returns fewer when the corpus is smaller than `n`.
     pub fn sample_indices(&self, n: usize, seed: u64) -> Vec<usize> {
         let mut idx: Vec<usize> = (0..self.len()).collect();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        idx.shuffle(&mut rng);
+        let mut rng = Rng::seed_from_u64(seed);
+        rng.shuffle(&mut idx);
         idx.truncate(n);
         idx
     }

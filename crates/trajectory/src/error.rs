@@ -1,5 +1,6 @@
 //! Error types for the trajectory crate.
 
+use crate::cursor::Truncated;
 use std::fmt;
 use std::io;
 
@@ -67,6 +68,17 @@ impl std::error::Error for TrajError {
 impl From<io::Error> for TrajError {
     fn from(e: io::Error) -> Self {
         Self::Io(e)
+    }
+}
+
+/// A binary corpus that ends mid-field is a parse failure (line 0: the
+/// binary format has no lines).
+impl From<Truncated> for TrajError {
+    fn from(e: Truncated) -> Self {
+        Self::Parse {
+            line: 0,
+            msg: e.to_string(),
+        }
     }
 }
 

@@ -1,9 +1,8 @@
 //! Human-mobility generator standing in for the Geolife corpus.
 
 use super::{gaussian, jitter, sample_len};
+use crate::rng::Rng;
 use crate::{Dataset, Point, TrajError, Trajectory};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Generates a corpus of human-mobility trajectories with Geolife-like
 /// structure.
@@ -77,7 +76,7 @@ impl GeolifeLikeGenerator {
                 self.min_len, self.max_len
             )));
         }
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let half = self.extent_m / 2.0;
 
         // 1. Hotspots, biased toward the centre (population density).
@@ -116,7 +115,7 @@ impl GeolifeLikeGenerator {
 
     /// A meandering dense path from `a` to `b`: a correlated walk whose
     /// heading blends persistence with attraction toward the destination.
-    fn meander(&self, rng: &mut StdRng, a: Point, b: Point, half: f64) -> Vec<Point> {
+    fn meander(&self, rng: &mut Rng, a: Point, b: Point, half: f64) -> Vec<Point> {
         let dist = a.dist(&b).max(1.0);
         let step = 25.0; // metres between template vertices
         let n = ((dist * 1.4 / step).ceil() as usize).clamp(8, 600);
@@ -144,7 +143,7 @@ impl GeolifeLikeGenerator {
     }
 
     /// Instantiates one noisy trajectory from a template.
-    fn instantiate(&self, rng: &mut StdRng, id: u64, template: &[Point]) -> Trajectory {
+    fn instantiate(&self, rng: &mut Rng, id: u64, template: &[Point]) -> Trajectory {
         // Random contiguous portion of the route (people join/leave routes).
         let n = template.len();
         let start = rng.gen_range(0..n / 4 + 1);

@@ -27,15 +27,11 @@ pub use geolife::GeolifeLikeGenerator;
 pub use porto::PortoLikeGenerator;
 pub use roadnet::{RoadNetwork, RoadWalkGenerator};
 
+use crate::rng::Rng;
 use crate::Point;
-use rand::rngs::StdRng;
-use rand::Rng;
 
 /// Draws from a standard normal distribution via Box–Muller.
-///
-/// `rand` 0.8 without `rand_distr` has no gaussian sampler; this keeps the
-/// dependency set minimal.
-pub(crate) fn gaussian(rng: &mut StdRng) -> f64 {
+pub(crate) fn gaussian(rng: &mut Rng) -> f64 {
     // Avoid ln(0).
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen_range(0.0..1.0);
@@ -43,14 +39,14 @@ pub(crate) fn gaussian(rng: &mut StdRng) -> f64 {
 }
 
 /// A gaussian-jittered copy of `p` with standard deviation `sigma` per axis.
-pub(crate) fn jitter(rng: &mut StdRng, p: Point, sigma: f64) -> Point {
+pub(crate) fn jitter(rng: &mut Rng, p: Point, sigma: f64) -> Point {
     Point::new(p.x + gaussian(rng) * sigma, p.y + gaussian(rng) * sigma)
 }
 
 /// Samples a trajectory length from a truncated log-normal-ish
 /// distribution over `[min_len, max_len]` — GPS corpora are heavy-tailed
 /// in length, and a plain uniform would under-represent short trips.
-pub(crate) fn sample_len(rng: &mut StdRng, min_len: usize, max_len: usize) -> usize {
+pub(crate) fn sample_len(rng: &mut Rng, min_len: usize, max_len: usize) -> usize {
     debug_assert!(min_len <= max_len && min_len >= 2);
     let span = (max_len - min_len) as f64;
     // Squaring a uniform biases toward shorter trajectories.
@@ -61,11 +57,10 @@ pub(crate) fn sample_len(rng: &mut StdRng, min_len: usize, max_len: usize) -> us
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn gaussian_moments_are_plausible() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let n = 20_000;
         let samples: Vec<f64> = (0..n).map(|_| gaussian(&mut rng)).collect();
         let mean = samples.iter().sum::<f64>() / n as f64;
@@ -76,7 +71,7 @@ mod tests {
 
     #[test]
     fn sample_len_respects_bounds() {
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = Rng::seed_from_u64(2);
         for _ in 0..1000 {
             let l = sample_len(&mut rng, 10, 150);
             assert!((10..=150).contains(&l));
@@ -85,7 +80,7 @@ mod tests {
 
     #[test]
     fn jitter_zero_sigma_is_identity() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         let p = Point::new(5.0, -2.0);
         assert_eq!(jitter(&mut rng, p, 0.0), p);
     }

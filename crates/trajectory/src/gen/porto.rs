@@ -1,9 +1,8 @@
 //! Taxi-trip generator standing in for the Porto corpus.
 
 use super::{gaussian, jitter, sample_len};
+use crate::rng::Rng;
 use crate::{Dataset, Point, TrajError, Trajectory};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Generates taxi-trip trajectories with Porto-like structure.
 ///
@@ -77,7 +76,7 @@ impl PortoLikeGenerator {
                 self.fix_spacing_m
             )));
         }
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let half = self.extent_m / 2.0;
 
         let hubs: Vec<Point> = (0..self.num_hubs.max(2))
@@ -111,7 +110,7 @@ impl PortoLikeGenerator {
 
     /// A route that alternates straight segments along grid-ish headings
     /// (multiples of 45°) with gentle turns — a cheap stand-in for roads.
-    fn road_route(&self, rng: &mut StdRng, a: Point, b: Point, half: f64) -> Vec<Point> {
+    fn road_route(&self, rng: &mut Rng, a: Point, b: Point, half: f64) -> Vec<Point> {
         let step = 60.0;
         let mut pts = vec![a];
         let mut cur = a;
@@ -147,7 +146,7 @@ impl PortoLikeGenerator {
     }
 
     /// Instantiates one noisy trip from a template.
-    fn instantiate(&self, rng: &mut StdRng, id: u64, template: &[Point]) -> Trajectory {
+    fn instantiate(&self, rng: &mut Rng, id: u64, template: &[Point]) -> Trajectory {
         let n = template.len();
         let start = rng.gen_range(0..n / 5 + 1);
         let end = n - rng.gen_range(0..n / 5 + 1);

@@ -7,9 +7,8 @@
 //! with comparable local structure (degree ≤ 4, block-scale edge lengths).
 
 use super::jitter;
+use crate::rng::Rng;
 use crate::{Dataset, Point, Trajectory};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// An undirected planar road graph: nodes with coordinates and adjacency
 /// lists.
@@ -28,7 +27,7 @@ impl RoadNetwork {
     /// component; nodes outside it are dropped.
     pub fn synthetic_grid_city(nx: usize, ny: usize, block_m: f64, seed: u64) -> Self {
         assert!(nx >= 2 && ny >= 2, "need at least a 2x2 grid");
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let n = nx * ny;
         let mut nodes = Vec::with_capacity(n);
         for j in 0..ny {
@@ -160,14 +159,14 @@ impl RoadWalkGenerator {
     /// Generates the corpus deterministically from `seed`.
     pub fn generate(&self, net: &RoadNetwork, seed: u64) -> Dataset {
         assert!(net.num_nodes() > 1, "road network too small");
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let trajectories = (0..self.num_trajectories as u64)
             .map(|id| self.walk(net, &mut rng, id))
             .collect();
         Dataset::new(trajectories)
     }
 
-    fn walk(&self, net: &RoadNetwork, rng: &mut StdRng, id: u64) -> Trajectory {
+    fn walk(&self, net: &RoadNetwork, rng: &mut Rng, id: u64) -> Trajectory {
         // Start anywhere; avoid immediate backtracking when possible so
         // walks look like trips rather than jitter.
         let mut cur = rng.gen_range(0..net.num_nodes() as u32);

@@ -6,13 +6,12 @@
 //! spatial attention memory tensor.
 
 use crate::{BoundingBox, Point, Result, TrajError, Trajectory};
-use serde::{Deserialize, Serialize};
 
 /// A cell coordinate `(col, row)` within a [`Grid`].
 ///
 /// `col` indexes the x axis (`0..P`), `row` the y axis (`0..Q`), matching
 /// the paper's `Xᵍ = (xᵍ, yᵍ)` notation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GridCell {
     /// Column index along x, in `0..P`.
     pub col: u32,
@@ -63,7 +62,7 @@ impl GridSeq {
 }
 
 /// A uniform `P × Q` grid over a rectangular extent.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Grid {
     extent: BoundingBox,
     cell_size: f64,

@@ -4,11 +4,12 @@
 //!
 //! * a line-oriented CSV (`id,x0,y0,x1,y1,...`) that is trivially
 //!   inspectable and interoperable, and
-//! * a compact little-endian binary codec built on [`bytes`] for fast
-//!   round-trips of large corpora (embeddings caches, benchmark fixtures).
+//! * a compact little-endian binary codec (through [`crate::cursor`])
+//!   for fast round-trips of large corpora (embeddings caches, benchmark
+//!   fixtures).
 
+use crate::cursor::{PutLe, Reader};
 use crate::{Dataset, Point, Result, TrajError, Trajectory};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fs::File;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
@@ -89,9 +90,9 @@ pub fn read_csv_file<P: AsRef<Path>>(path: P) -> Result<Dataset> {
 }
 
 /// Encodes a dataset into the compact binary format.
-pub fn encode_binary(ds: &Dataset) -> Bytes {
+pub fn encode_binary(ds: &Dataset) -> Vec<u8> {
     let total_pts: usize = ds.trajectories().iter().map(Trajectory::len).sum();
-    let mut buf = BytesMut::with_capacity(16 + ds.len() * 12 + total_pts * 16);
+    let mut buf = Vec::with_capacity(16 + ds.len() * 12 + total_pts * 16);
     buf.put_slice(MAGIC);
     buf.put_u64_le(ds.len() as u64);
     for t in ds.trajectories() {
@@ -102,37 +103,26 @@ pub fn encode_binary(ds: &Dataset) -> Bytes {
             buf.put_f64_le(p.y);
         }
     }
-    buf.freeze()
+    buf
 }
 
 /// Decodes a dataset from the binary format produced by [`encode_binary`].
-pub fn decode_binary(mut data: &[u8]) -> Result<Dataset> {
-    let fail = |msg: &str| TrajError::Parse {
-        line: 0,
-        msg: msg.to_string(),
-    };
-    if data.len() < MAGIC.len() + 8 || &data[..MAGIC.len()] != MAGIC {
-        return Err(fail("bad magic header"));
+pub fn decode_binary(data: &[u8]) -> Result<Dataset> {
+    let mut r = Reader::new(data);
+    if r.take(MAGIC.len())? != MAGIC {
+        return Err(parse_err(0, "bad magic header"));
     }
-    data.advance(MAGIC.len());
-    let n = data.get_u64_le() as usize;
+    let n = r.u64()? as usize;
     let mut out = Vec::with_capacity(n.min(1 << 20));
     for _ in 0..n {
-        if data.remaining() < 12 {
-            return Err(fail("truncated trajectory header"));
-        }
-        let id = data.get_u64_le();
-        let len = data.get_u32_le() as usize;
-        if data.remaining() < len * 16 {
-            return Err(fail("truncated point data"));
-        }
-        let mut points = Vec::with_capacity(len);
-        for _ in 0..len {
-            let x = data.get_f64_le();
-            let y = data.get_f64_le();
-            points.push(Point::new(x, y));
-        }
-        out.push(Trajectory::new(id, points).map_err(|e| fail(&e.to_string()))?);
+        let id = r.u64()?;
+        let len = r.u32()? as usize;
+        let coords = r.f64s(len * 2)?;
+        let points = coords
+            .chunks_exact(2)
+            .map(|c| Point::new(c[0], c[1]))
+            .collect();
+        out.push(Trajectory::new(id, points).map_err(|e| parse_err(0, &e.to_string()))?);
     }
     Ok(Dataset::new(out))
 }
@@ -215,7 +205,7 @@ mod tests {
         let ds = tiny_corpus();
         let bytes = encode_binary(&ds);
         assert!(decode_binary(&bytes[..4]).is_err());
-        let mut bad = bytes.to_vec();
+        let mut bad = bytes.clone();
         bad[0] ^= 0xff;
         assert!(decode_binary(&bad).is_err());
         // truncated tail

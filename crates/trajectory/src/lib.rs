@@ -19,6 +19,10 @@
 //!   the substitution rationale.
 //! * [`io`] — a dependency-free CSV reader/writer and a compact binary
 //!   codec for trajectory corpora.
+//! * [`rng`] and [`cursor`] — the workspace's one seeded generator and
+//!   its one little-endian byte cursor; the workspace has no external
+//!   crates, so every crate's random draws and `NT*` codecs come from
+//!   these two modules.
 //!
 //! All randomized components take explicit `u64` seeds and are fully
 //! deterministic given the seed.
@@ -27,12 +31,14 @@
 #![warn(missing_docs)]
 
 mod bbox;
+pub mod cursor;
 mod dataset;
 mod error;
 pub mod gen;
 mod grid;
 pub mod io;
 mod point;
+pub mod rng;
 pub mod stats;
 pub mod timed;
 mod traj;

@@ -1,6 +1,5 @@
 //! Two-dimensional points.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
@@ -10,7 +9,7 @@ use std::ops::{Add, Mul, Sub};
 /// time information" (§III-A), so a point carries no timestamp. Coordinates
 /// are in metres within a city-local projection; the synthetic generators in
 /// [`crate::gen`] produce coordinates in the same convention.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     /// Easting (metres).
     pub x: f64,

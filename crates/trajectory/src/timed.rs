@@ -8,10 +8,9 @@
 //! seed-guided learning pipeline.
 
 use crate::{Point, Result, TrajError, Trajectory};
-use serde::{Deserialize, Serialize};
 
 /// A timestamped 2-D sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TimedPoint {
     /// Position.
     pub pos: Point,
@@ -31,7 +30,7 @@ impl TimedPoint {
 }
 
 /// A trajectory whose points carry strictly increasing timestamps.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimedTrajectory {
     /// Stable identifier within its corpus.
     pub id: u64,

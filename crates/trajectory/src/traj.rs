@@ -1,14 +1,13 @@
 //! Trajectories: identified sequences of points.
 
 use crate::{BoundingBox, Point, Result, TrajError};
-use serde::{Deserialize, Serialize};
 
 /// A trajectory: an identifier plus an ordered sequence of 2-D points.
 ///
 /// Matches the paper's definition `T = [X₁ᶜ, ..., Xₜᶜ, ...]` (§III-A);
 /// timestamps are deliberately absent because the studied measures compare
 /// shapes only.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trajectory {
     /// Stable identifier within its corpus.
     pub id: u64,

@@ -3,35 +3,38 @@
 //! generators.
 
 use neutraj_trajectory::gen::{GeolifeLikeGenerator, PortoLikeGenerator};
+use neutraj_trajectory::rng::{cases, Rng};
 use neutraj_trajectory::timed::{TimedPoint, TimedTrajectory};
 use neutraj_trajectory::{BoundingBox, Grid, Point, Trajectory};
-use proptest::prelude::*;
 
-fn arb_traj(min_len: usize) -> impl Strategy<Value = Trajectory> {
-    prop::collection::vec((-100.0f64..100.0, -100.0f64..100.0), min_len..min_len + 30)
-        .prop_map(|pts| Trajectory::new_unchecked(0, pts.into_iter().map(Point::from).collect()))
+fn arb_traj(rng: &mut Rng, min_len: usize) -> Trajectory {
+    let pts = (0..rng.gen_range(min_len..min_len + 30))
+        .map(|_| Point::new(rng.gen_range(-100.0..100.0), rng.gen_range(-100.0..100.0)))
+        .collect();
+    Trajectory::new_unchecked(0, pts)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    #[test]
-    fn resample_preserves_endpoints_and_total_length_monotone(
-        t in arb_traj(2),
-        n in 2usize..40,
-    ) {
+#[test]
+fn resample_preserves_endpoints_and_total_length_monotone() {
+    cases(64, |rng| {
+        let t = arb_traj(rng, 2);
+        let n = rng.gen_range(2usize..40);
         let r = t.resample(n).expect("valid inputs");
-        prop_assert_eq!(r.len(), n);
+        assert_eq!(r.len(), n);
         let first = r.first().expect("non-empty");
         let last = r.last().expect("non-empty");
-        prop_assert!(first.dist(&t.first().expect("ne")) < 1e-9);
-        prop_assert!(last.dist(&t.last().expect("ne")) < 1e-9);
+        assert!(first.dist(&t.first().expect("ne")) < 1e-9);
+        assert!(last.dist(&t.last().expect("ne")) < 1e-9);
         // Resampling along the polyline cannot create extra length.
-        prop_assert!(r.path_length() <= t.path_length() + 1e-6);
-    }
+        assert!(r.path_length() <= t.path_length() + 1e-6);
+    });
+}
 
-    #[test]
-    fn resample_points_lie_near_original_polyline(t in arb_traj(2), n in 2usize..30) {
+#[test]
+fn resample_points_lie_near_original_polyline() {
+    cases(64, |rng| {
+        let t = arb_traj(rng, 2);
+        let n = rng.gen_range(2usize..30);
         let r = t.resample(n).expect("valid inputs");
         for p in r.points() {
             let d = t
@@ -50,73 +53,98 @@ proptest! {
                     }
                 })
                 .fold(f64::INFINITY, f64::min);
-            prop_assert!(d < 1e-6, "resampled point {p} off-polyline by {d}");
+            assert!(d < 1e-6, "resampled point {p} off-polyline by {d}");
         }
-    }
+    });
+}
 
-    #[test]
-    fn simplify_error_bound_and_subset(t in arb_traj(3), eps in 0.0f64..20.0) {
+#[test]
+fn simplify_error_bound_and_subset() {
+    cases(64, |rng| {
+        let t = arb_traj(rng, 3);
+        let eps = rng.gen_range(0.0f64..20.0);
         let s = t.simplify(eps);
-        prop_assert!(s.len() <= t.len());
-        prop_assert!(s.len() >= 2);
+        assert!(s.len() <= t.len());
+        assert!(s.len() >= 2);
         // Simplified points are a subsequence of the original points.
         let mut it = t.points().iter();
         for sp in s.points() {
-            prop_assert!(
+            assert!(
                 it.any(|op| op == sp),
                 "simplified point is not an original point in order"
             );
         }
-    }
+    });
+}
 
-    #[test]
-    fn grid_roundtrip_and_containment(t in arb_traj(2), cell in 1.0f64..40.0) {
+#[test]
+fn grid_roundtrip_and_containment() {
+    cases(64, |rng| {
+        let t = arb_traj(rng, 2);
+        let cell = rng.gen_range(1.0f64..40.0);
         let grid = Grid::covering(std::slice::from_ref(&t), cell).expect("non-empty");
         for p in t.points() {
             let c = grid.cell_of(*p);
-            prop_assert!(c.col < grid.cols() && c.row < grid.rows());
+            assert!(c.col < grid.cols() && c.row < grid.rows());
             // The cell centre maps back to the same cell.
-            prop_assert_eq!(grid.cell_of(grid.cell_center(c)), c);
+            assert_eq!(grid.cell_of(grid.cell_center(c)), c);
             // Grid-unit coordinates land inside [0, P] x [0, Q].
             let (gx, gy) = grid.to_grid_units(*p);
-            prop_assert!(gx >= 0.0 && gx <= grid.cols() as f32 + 1e-3);
-            prop_assert!(gy >= 0.0 && gy <= grid.rows() as f32 + 1e-3);
+            assert!(gx >= 0.0 && gx <= grid.cols() as f32 + 1e-3);
+            assert!(gy >= 0.0 && gy <= grid.rows() as f32 + 1e-3);
         }
-    }
+    });
+}
 
-    #[test]
-    fn rescale_then_distances_scale(t in arb_traj(2), cell in 0.5f64..25.0) {
+#[test]
+fn rescale_then_distances_scale() {
+    cases(64, |rng| {
+        let t = arb_traj(rng, 2);
+        let cell = rng.gen_range(0.5f64..25.0);
         let grid = Grid::covering(std::slice::from_ref(&t), cell).expect("non-empty");
         let r = grid.rescale_trajectory(&t);
-        prop_assert!((r.path_length() - t.path_length() / cell).abs() < 1e-6);
-    }
+        assert!((r.path_length() - t.path_length() / cell).abs() < 1e-6);
+    });
+}
 
-    #[test]
-    fn bbox_union_is_commutative_and_monotone(
-        a in arb_traj(2),
-        b in arb_traj(2),
-    ) {
+#[test]
+fn bbox_union_is_commutative_and_monotone() {
+    cases(64, |rng| {
+        let a = arb_traj(rng, 2);
+        let b = arb_traj(rng, 2);
         let (ba, bb) = (a.mbr(), b.mbr());
         let u1 = ba.union(&bb);
         let u2 = bb.union(&ba);
-        prop_assert_eq!(u1, u2);
-        prop_assert!(u1.contains_box(&ba) && u1.contains_box(&bb));
-        prop_assert!(u1.area() + 1e-12 >= ba.area().max(bb.area()));
-    }
+        assert_eq!(u1, u2);
+        assert!(u1.contains_box(&ba) && u1.contains_box(&bb));
+        assert!(u1.area() + 1e-12 >= ba.area().max(bb.area()));
+    });
+}
 
-    #[test]
-    fn mbr_min_dist_lower_bounds_point_distances(a in arb_traj(2), b in arb_traj(2)) {
+#[test]
+fn mbr_min_dist_lower_bounds_point_distances() {
+    cases(64, |rng| {
+        let a = arb_traj(rng, 2);
+        let b = arb_traj(rng, 2);
         let lb = a.mbr().min_dist_box(&b.mbr());
         let min_pair = a
             .points()
             .iter()
             .flat_map(|p| b.points().iter().map(move |q| p.dist(q)))
             .fold(f64::INFINITY, f64::min);
-        prop_assert!(lb <= min_pair + 1e-9, "MBR bound {lb} > closest pair {min_pair}");
-    }
+        assert!(
+            lb <= min_pair + 1e-9,
+            "MBR bound {lb} > closest pair {min_pair}"
+        );
+    });
+}
 
-    #[test]
-    fn timed_interpolation_stays_on_hull(ts in prop::collection::vec(0.01f64..5.0, 2..10)) {
+#[test]
+fn timed_interpolation_stays_on_hull() {
+    cases(64, |rng| {
+        let ts = (0..rng.gen_range(2..10))
+            .map(|_| rng.gen_range(0.01f64..5.0))
+            .collect::<Vec<_>>();
         // Build strictly increasing times from positive gaps.
         let mut clock = 0.0;
         let pts: Vec<TimedPoint> = ts
@@ -127,38 +155,40 @@ proptest! {
                 TimedPoint::new(i as f64 * 3.0, (i as f64).sin(), clock)
             })
             .collect();
-        let bb = BoundingBox::from_points(
-            &pts.iter().map(|p| p.pos).collect::<Vec<_>>(),
-        );
+        let bb = BoundingBox::from_points(&pts.iter().map(|p| p.pos).collect::<Vec<_>>());
         let t = TimedTrajectory::new(9, pts).expect("monotone by construction");
         let (lo, hi) = t.time_span().expect("non-empty");
         for k in 0..=10 {
             let q = lo + (hi - lo) * k as f64 / 10.0;
             let p = t.position_at(q).expect("non-empty");
-            prop_assert!(bb.inflated(1e-9).contains(p), "interpolant left the hull");
+            assert!(bb.inflated(1e-9).contains(p), "interpolant left the hull");
         }
-    }
+    });
+}
 
-    #[test]
-    fn generators_respect_bounds(n in 5usize..40, seed in 0u64..500) {
+#[test]
+fn generators_respect_bounds() {
+    cases(64, |rng| {
+        let n = rng.gen_range(5usize..40);
+        let seed = rng.gen_range(0u64..500);
         let porto = PortoLikeGenerator {
             num_trajectories: n,
             ..Default::default()
         }
         .generate(seed);
-        prop_assert_eq!(porto.len(), n);
+        assert_eq!(porto.len(), n);
         for t in porto.trajectories() {
-            prop_assert!(t.len() >= 10);
-            prop_assert!(t.points().iter().all(Point::is_finite));
+            assert!(t.len() >= 10);
+            assert!(t.points().iter().all(Point::is_finite));
         }
         let geo = GeolifeLikeGenerator {
             num_trajectories: n,
             ..Default::default()
         }
         .generate(seed);
-        prop_assert_eq!(geo.len(), n);
+        assert_eq!(geo.len(), n);
         for t in geo.trajectories() {
-            prop_assert!(t.len() >= 10);
+            assert!(t.len() >= 10);
         }
-    }
+    });
 }

@@ -1,0 +1,150 @@
+//! Format pins: the CRC-32 of every `NT*` payload (and of the binary
+//! corpus) for one tiny fixed-seed object each, plus one fold of every
+//! draw mapping of the generator.
+//!
+//! The constants were recorded at the last commit that still built
+//! against external `rand`/`bytes` — through the xoshiro256++ stand-in
+//! under `benchmark/stubs`, whose streams and draw mappings
+//! `neutraj_trajectory::rng` reproduces — so a pin that moves means a
+//! byte format or a random stream changed, and every saved model,
+//! snapshot and recorded result with it. The objects are built from
+//! IEEE-exact arithmetic only (no `exp`/`ln`-dependent training), so
+//! the pins do not depend on the host's libm.
+
+use neutraj_cluster::{KMeans, KMeansParams};
+use neutraj_index::{HnswIndex, HnswParams, IvfIndex};
+use neutraj_model::persist::seal_payload;
+use neutraj_model::{
+    Checkpoint, EmbeddingStore, NeuTrajModel, QuantizedStore, TrainConfig, TrainState,
+};
+use neutraj_nn::AdamState;
+use neutraj_serve::{ShardConfig, Snapshot};
+use neutraj_trajectory::io::encode_binary;
+use neutraj_trajectory::rng::Rng;
+use neutraj_trajectory::{BoundingBox, Dataset, Grid, Point, Trajectory};
+
+/// CRC-32 of `payload`, read back from the `NTFILE01` envelope trailer.
+fn crc(payload: &[u8]) -> u32 {
+    let sealed = seal_payload(payload);
+    u32::from_le_bytes(sealed[sealed.len() - 4..].try_into().unwrap())
+}
+
+fn corpus() -> Vec<Trajectory> {
+    let mut rng = Rng::seed_from_u64(13);
+    (0..12u64)
+        .map(|id| {
+            let pts = (0..rng.gen_range(3..9))
+                .map(|_| Point::new(rng.gen_range(0.0..1000.0), rng.gen_range(0.0..=500.0)))
+                .collect();
+            Trajectory::new_unchecked(id, pts)
+        })
+        .collect()
+}
+
+fn model() -> NeuTrajModel {
+    let cfg = TrainConfig {
+        dim: 4,
+        seed: 13,
+        ..TrainConfig::neutraj()
+    };
+    let grid = Grid::new(BoundingBox::new(0.0, 0.0, 1000.0, 500.0), 50.0).unwrap();
+    NeuTrajModel::untrained(cfg, grid)
+}
+
+/// `n` rows of `dim` values in `[-1, 1)`.
+fn rows(n: usize, dim: usize) -> Vec<f64> {
+    let mut rng = Rng::seed_from_u64(29);
+    (0..n * dim).map(|_| rng.gen_range(-1.0..1.0)).collect()
+}
+
+#[test]
+fn draw_mappings_are_pinned() {
+    let mut rng = Rng::seed_from_u64(2019);
+    let mut order: Vec<u64> = (0..10).collect();
+    rng.shuffle(&mut order);
+    let mut fold = order.iter().fold(0u64, |h, &v| h.wrapping_mul(31) ^ v);
+    for _ in 0..64 {
+        let draws = [
+            rng.gen_range(-3.5..7.25f64).to_bits(),
+            rng.gen_range(1.0..=1.5f64).to_bits(),
+            rng.gen_range(0..1000usize) as u64,
+            rng.gen_range(-40..=40i32) as u64,
+            rng.gen_range(0..=255u8) as u64,
+            rng.gen_bool(0.3) as u64,
+        ];
+        fold = draws
+            .iter()
+            .fold(fold, |h, &v| h.wrapping_mul(0x100_0000_01b3) ^ v);
+    }
+    assert_eq!(fold, 0x4212_2d0f_8e26_ff07);
+}
+
+#[test]
+fn binary_corpus_is_pinned() {
+    assert_eq!(crc(&encode_binary(&Dataset::new(corpus()))), 0x99e3_b35a);
+}
+
+#[test]
+fn ntmodel1_and_ntckpt01_are_pinned() {
+    let model = model();
+    assert_eq!(crc(&model.to_bytes()), 0xb225_5afd);
+    let ckpt = Checkpoint {
+        model,
+        state: TrainState {
+            next_epoch: 2,
+            early_stopped: false,
+            best_loss: 0.5,
+            stale: 1,
+            alpha: 2.0,
+            epoch_losses: vec![0.75, 0.5],
+            epoch_seconds: vec![0.125, 0.25],
+            adam: AdamState {
+                t: 7,
+                moments: vec![(vec![0.01; 6], vec![0.02; 6])],
+            },
+        },
+    };
+    assert_eq!(crc(&ckpt.to_bytes()), 0x70cb_c2d6);
+}
+
+#[test]
+fn ntq08_is_pinned() {
+    let embs: Vec<Vec<f64>> = rows(40, 8).chunks(8).map(<[f64]>::to_vec).collect();
+    let store = EmbeddingStore::from_embeddings(8, &embs);
+    assert_eq!(
+        crc(&QuantizedStore::from_store(&store).to_bytes()),
+        0xef77_e21f
+    );
+}
+
+#[test]
+fn ntivf01_and_nthnsw01_are_pinned() {
+    let (n, dim) = (120, 4);
+    let data = rows(n, dim);
+    let params = KMeansParams {
+        k: 5,
+        ..Default::default()
+    };
+    let ivf = IvfIndex::build(KMeans::fit(&data, dim, &params), &data);
+    assert_eq!(crc(&ivf.to_bytes()), 0x8c2b_afe5);
+    let dist = |a: u32, b: u32| -> f64 {
+        let (ra, rb) = (
+            &data[a as usize * dim..][..dim],
+            &data[b as usize * dim..][..dim],
+        );
+        ra.iter().zip(rb).map(|(x, y)| (x - y) * (x - y)).sum()
+    };
+    let graph = HnswIndex::build(HnswParams::default(), n, 2, &dist);
+    assert_eq!(crc(&graph.to_bytes()), 0xfd93_aaa5);
+}
+
+#[test]
+fn ntsnap01_is_pinned() {
+    let cfg = ShardConfig {
+        quantized: true,
+        graph: Some(HnswParams::default()),
+        ..ShardConfig::new(2)
+    };
+    let snapshot = Snapshot::build(&model(), corpus(), &cfg).unwrap();
+    assert_eq!(crc(&snapshot.to_bytes()), 0x8ebd_195b);
+}
