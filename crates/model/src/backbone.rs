@@ -8,9 +8,18 @@ use neutraj_nn::{
 use neutraj_obs::{Histogram, Registry};
 use neutraj_trajectory::{Grid, Trajectory};
 use std::borrow::Borrow;
+use std::cell::RefCell;
 
 /// Normalized network inputs of one trajectory: coordinates + grid cells.
 pub type SeqInputs = (Vec<(f64, f64)>, Vec<(u32, u32)>);
+
+thread_local! {
+    /// What [`NeuTrajModel::embed_batch`] keeps between calls: the
+    /// lockstep state buffers and the converted inputs. A serving thread
+    /// embeds one small batch per dispatch; in steady state that allocates
+    /// the embeddings it returns and a few `B`-entry index vectors.
+    static EMBED_SCRATCH: RefCell<(Workspace, Vec<SeqInputs>)> = RefCell::default();
+}
 
 /// Pre-resolved per-phase timing instruments for the two-phase SAM memory
 /// protocol (see DESIGN.md, "Threading & determinism"): one observation
@@ -601,15 +610,21 @@ impl NeuTrajModel {
     /// borrowed trajectories, so a caller holding them inside other
     /// structures need not clone them into a slice.
     pub fn embed_batch<T: Borrow<Trajectory>>(&self, ts: &[T]) -> Vec<Vec<f64>> {
-        let mut ws = Workspace::new();
-        let mut out = Vec::with_capacity(ts.len());
-        for chunk in ts.chunks(Self::MAX_EMBED_BATCH) {
-            let inputs: Vec<SeqInputs> =
-                chunk.iter().map(|t| self.seq_inputs(t.borrow())).collect();
-            let refs: Vec<&SeqInputs> = inputs.iter().collect();
-            out.extend(self.backbone.embed_batch_frozen(&refs, &mut ws));
-        }
-        out
+        EMBED_SCRATCH.with(|scratch| {
+            let (ws, inputs) = &mut *scratch.borrow_mut();
+            let mut out = Vec::with_capacity(ts.len());
+            for chunk in ts.chunks(Self::MAX_EMBED_BATCH) {
+                if inputs.len() < chunk.len() {
+                    inputs.resize_with(chunk.len(), Default::default);
+                }
+                for (slot, t) in inputs.iter_mut().zip(chunk) {
+                    seq_inputs_into(&self.grid, t.borrow(), slot);
+                }
+                let refs: Vec<&SeqInputs> = inputs[..chunk.len()].iter().collect();
+                out.extend(self.backbone.embed_batch_frozen(&refs, ws));
+            }
+            out
+        })
     }
 
     /// Embeds a corpus using `threads` worker threads (memory frozen),
@@ -643,16 +658,22 @@ impl NeuTrajModel {
 /// Normalized network inputs for a trajectory over `grid` (free function
 /// used by both training and inference).
 pub(crate) fn seq_inputs(grid: &Grid, t: &Trajectory) -> SeqInputs {
-    let gs = grid.map_trajectory(t);
-    let span = grid.cols().max(grid.rows()) as f64;
-    let scale = 2.0 / span;
-    let coords = gs
-        .coords
-        .iter()
-        .map(|&(x, y)| (x as f64 * scale - 1.0, y as f64 * scale - 1.0))
-        .collect();
-    let cells = gs.cells.iter().map(|c| (c.col, c.row)).collect();
-    (coords, cells)
+    let mut inputs = SeqInputs::default();
+    seq_inputs_into(grid, t, &mut inputs);
+    inputs
+}
+
+/// [`seq_inputs`] into reused buffers.
+fn seq_inputs_into(grid: &Grid, t: &Trajectory, (coords, cells): &mut SeqInputs) {
+    let scale = 2.0 / grid.cols().max(grid.rows()) as f64;
+    coords.clear();
+    cells.clear();
+    for &p in t.points() {
+        let (x, y) = grid.to_grid_units(p);
+        coords.push((x as f64 * scale - 1.0, y as f64 * scale - 1.0));
+        let cell = grid.cell_of(p);
+        cells.push((cell.col, cell.row));
+    }
 }
 
 #[cfg(test)]

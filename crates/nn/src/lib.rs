@@ -10,6 +10,8 @@
 //!
 //! * [`linalg`] — dense row-major `f64` matrices and the handful of BLAS-1/2
 //!   kernels recurrent nets need.
+//! * [`activation`] — the one `exp`/`tanh`/`sigmoid` every cell uses:
+//!   IEEE-exact operations only (no libm), scalar oracle + AVX2 arm.
 //! * [`LstmCell`] / [`LstmEncoder`] — a standard LSTM used by the Siamese
 //!   baseline and the NT-No-SAM ablation.
 //! * [`GruCell`] / [`GruEncoder`] — a GRU backbone option (the paper notes
@@ -37,13 +39,15 @@
 //!   the intermediate cell state `ĉ_t`. This matches the reference
 //!   implementation of the paper, which detaches the memory tensor.
 
-// `deny` rather than `forbid`: the AVX2 GEMM/u8-dot micro-kernels in
-// `simd.rs` opt back in with scoped `#[allow(unsafe_code)]` — every
-// other module stays unsafe-free, and `target_feature` never leaks into
-// safe code (the dispatchers are safe fns that check bounds first).
+// `deny` rather than `forbid`: the AVX2 arms — the GEMM/u8-dot
+// micro-kernels in `simd.rs`, the `exp`/`tanh`/`sigmoid` lanes in
+// `activation.rs` — opt back in with scoped `#[allow(unsafe_code)]`;
+// every other module stays unsafe-free, and `target_feature` never leaks
+// into safe code (the dispatchers are safe fns that check bounds first).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod activation;
 mod adam;
 pub mod gradcheck;
 mod gru;

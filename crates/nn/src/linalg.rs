@@ -1,5 +1,7 @@
 //! Dense row-major matrices and the small kernel set RNN training needs.
 
+pub use crate::activation::sigmoid;
+use crate::activation::{exp_slice, sigmoid_slice, tanh_slice};
 use crate::simd::{self, MR, NR};
 use neutraj_obs::simd::SimdLevel;
 use neutraj_trajectory::rng::Rng;
@@ -90,16 +92,29 @@ impl Mat {
     }
 
     /// `y += A·x` into a caller-provided buffer of length `rows`.
+    ///
+    /// `A·x` is `x·Aᵀ` with one row on the left, so it runs on the small-`m`
+    /// arm of [`matmul_nt`] (four rows of `A` per vector): the per-sequence
+    /// forwards use the same kernels as the lockstep ones, and every
+    /// product is the single ascending-`p` chain it always was.
     pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
+        self.matvec_into_with_level(neutraj_obs::simd::level(), x, y);
+    }
+
+    /// [`Self::matvec_into`] with the dispatch level pinned (see
+    /// [`matmul_nt_with_level`]).
+    pub fn matvec_into_with_level(&self, level: SimdLevel, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "matvec: x length");
         assert_eq!(y.len(), self.rows, "matvec: y length");
-        for (r, yr) in y.iter_mut().enumerate() {
-            let row = self.row(r);
-            let mut acc = 0.0;
-            for (a, b) in row.iter().zip(x) {
-                acc += a * b;
-            }
-            *yr += acc;
+        // The kernel overwrites its output; `y` accumulates. Products
+        // land in a stack block first. (A matrix without columns has no
+        // data to chunk and adds nothing.)
+        let mut block = [0.0; 64];
+        let rows_of_64 = self.data.chunks(64 * self.cols.max(1));
+        for (rows, ys) in rows_of_64.zip(y.chunks_mut(64)) {
+            let acc = &mut block[..ys.len()];
+            simd::matmul_nt_direct(level, x, rows, acc, 1, ys.len(), self.cols);
+            add_assign(ys, acc);
         }
     }
 
@@ -353,28 +368,16 @@ pub fn euclidean_sq(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f64>()
 }
 
-/// Logistic sigmoid.
-#[inline]
-pub fn sigmoid(x: f64) -> f64 {
-    1.0 / (1.0 + (-x).exp())
-}
-
-/// Fused gate activation: sigmoid on the first `n_sigmoid` entries, tanh
-/// on the rest. One pass over the pre-activation buffer — the RNN cells
-/// call this right after the fused `P·z` matvec.
+/// Gate activation: sigmoid on the first `n_sigmoid` entries, tanh on the
+/// rest — the RNN cells call this right after the fused `P·z` product.
 #[inline]
 pub fn activate_gates(a: &mut [f64], n_sigmoid: usize) {
-    debug_assert!(n_sigmoid <= a.len());
     let (sig, tan) = a.split_at_mut(n_sigmoid);
-    for v in sig {
-        *v = sigmoid(*v);
-    }
-    for v in tan {
-        *v = v.tanh();
-    }
+    sigmoid_slice(sig);
+    tanh_slice(tan);
 }
 
-/// Fused LSTM cell update (one loop, no temporaries):
+/// LSTM cell update:
 ///
 /// `c ← f ⊙ c + i ⊙ g`, `tanh_c ← tanh(c)`, `h ← o ⊙ tanh_c`,
 ///
@@ -390,7 +393,10 @@ pub fn lstm_cell_update(gates: &[f64], c: &mut [f64], tanh_c: &mut [f64], h: &mu
     let (go, gg) = rest.split_at(d);
     for k in 0..d {
         c[k] = gf[k] * c[k] + gi[k] * gg[k];
-        tanh_c[k] = c[k].tanh();
+    }
+    tanh_c.copy_from_slice(c);
+    tanh_slice(tanh_c);
+    for k in 0..d {
         h[k] = go[k] * tanh_c[k];
     }
 }
@@ -401,9 +407,12 @@ pub fn softmax_inplace(x: &mut [f64]) {
         return;
     }
     let max = x.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let mut sum = 0.0;
     for v in x.iter_mut() {
-        *v = (*v - max).exp();
+        *v -= max;
+    }
+    exp_slice(x);
+    let mut sum = 0.0;
+    for v in x.iter() {
         sum += *v;
     }
     let inv = 1.0 / sum;
@@ -426,6 +435,7 @@ pub fn softmax_backward(y: &[f64], dy: &[f64], ds: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::activation::tanh;
 
     #[test]
     fn matvec_known_values() {
@@ -485,8 +495,8 @@ mod tests {
         activate_gates(&mut a, 2);
         assert_eq!(a[0], sigmoid(0.0));
         assert_eq!(a[1], sigmoid(1.0));
-        assert_eq!(a[2], (-1.0f64).tanh());
-        assert_eq!(a[3], 0.5f64.tanh());
+        assert_eq!(a[2], tanh(-1.0));
+        assert_eq!(a[3], tanh(0.5));
     }
 
     #[test]
@@ -501,8 +511,8 @@ mod tests {
         let c0 = 0.9 * c_prev[0] + 0.3 * 0.4;
         let c1 = 0.2 * c_prev[1] + 0.6 * -0.8;
         assert_eq!(c, vec![c0, c1]);
-        assert_eq!(tanh_c, vec![c0.tanh(), c1.tanh()]);
-        assert_eq!(h, vec![0.7 * c0.tanh(), 0.5 * c1.tanh()]);
+        assert_eq!(tanh_c, vec![tanh(c0), tanh(c1)]);
+        assert_eq!(h, vec![0.7 * tanh(c0), 0.5 * tanh(c1)]);
     }
 
     #[test]
@@ -609,6 +619,48 @@ mod tests {
                     y.as_slice(),
                     "row {i} of {m}x{n}x{k}"
                 );
+            }
+        }
+    }
+
+    /// `matvec_into` on the vector kernels is the row loop it replaced,
+    /// bit for bit, in both SIMD modes — accumulating into a `y` that is
+    /// not zero, over signed zeros, subnormals and overflowing products.
+    #[test]
+    fn matvec_into_bit_identical_to_the_row_loop() {
+        const SALT: [f64; 8] = [
+            0.0, -0.0, 5e-324, -2.2e-308, 1e300, -1e300, 1.3e154, -1.3e154,
+        ];
+        let mut rng = Rng::seed_from_u64(2019);
+        let mut draw = |n: usize| -> Vec<f64> {
+            (0..n)
+                .map(|_| match rng.gen_range(0..8usize) {
+                    0 => SALT[rng.gen_range(0..SALT.len())],
+                    _ => rng.gen_range(-10.0..10.0),
+                })
+                .collect()
+        };
+        // 1..=40 rows, and three shapes past the 64-row stack block.
+        for rows in (1..=40).chain([64, 65, 130]) {
+            for cols in 1..=70 {
+                let a = Mat::from_vec(rows, cols, draw(rows * cols));
+                let x = draw(cols);
+                let y0 = draw(rows);
+                let mut want = y0.clone();
+                for (r, yr) in want.iter_mut().enumerate() {
+                    let mut acc = 0.0;
+                    for (a, b) in a.row(r).iter().zip(&x) {
+                        acc += a * b;
+                    }
+                    *yr += acc;
+                }
+                for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+                    let mut got = y0.clone();
+                    a.matvec_into_with_level(level, &x, &mut got);
+                    for (g, w) in got.iter().zip(&want) {
+                        assert_eq!(g.to_bits(), w.to_bits(), "{rows}x{cols} {level:?}");
+                    }
+                }
             }
         }
     }

@@ -1,7 +1,5 @@
 //! The spatial memory tensor **M** (§IV-A) and the two-phase write log.
 
-use std::collections::HashMap;
-
 /// A `P × Q × d` grid-cell memory: each cell of the spatial grid owns a
 /// `d`-dimensional embedding that accumulates information from every
 /// trajectory that passed through it.
@@ -96,19 +94,30 @@ impl SpatialMemory {
         (g, k)
     }
 
+    /// The window of half-width `w` around `(col, row)` as it lies in
+    /// memory: one contiguous run of `(c1 − c0 + 1)·dim` values per grid
+    /// row, top to bottom — concatenated, the `K × dim` matrix `G_t` in
+    /// the row-major cell order of [`Self::window`]. The read-only forward
+    /// scores these runs where they are instead of copying them out.
+    pub fn window_runs(
+        &self,
+        col: u32,
+        row: u32,
+        w: u32,
+    ) -> impl Iterator<Item = &[f64]> + Clone + '_ {
+        let (c0, c1, r0, r1) = self.window_bounds(col, row, w);
+        (r0..=r1).map(move |r| &self.data[self.offset(c0, r)..self.offset(c1, r) + self.dim])
+    }
+
     /// [`Self::gather`] into a caller-provided buffer (appended, not
     /// cleared — the SAM cache packs all steps of a sequence into one flat
     /// allocation). Returns `K`.
     pub fn gather_append(&self, col: u32, row: u32, w: u32, out: &mut Vec<f64>) -> usize {
-        let (c0, c1, r0, r1) = self.window_bounds(col, row, w);
-        let k = ((c1 - c0 + 1) * (r1 - r0 + 1)) as usize;
-        out.reserve(k * self.dim);
-        for r in r0..=r1 {
-            for c in c0..=c1 {
-                out.extend_from_slice(self.slot(c, r));
-            }
+        let before = out.len();
+        for run in self.window_runs(col, row, w) {
+            out.extend_from_slice(run);
         }
-        k
+        (out.len() - before) / self.dim
     }
 
     /// The writer (§IV-C.2): `M(cell) ← w ⊙ value + (1 - w) ⊙ M(cell)`
@@ -129,8 +138,10 @@ impl SpatialMemory {
     /// recorded. Committing the logs of a batch in input order reproduces
     /// the write order of a fully sequential pass over that batch.
     pub fn commit(&mut self, log: &WriteLog) {
-        for e in &log.entries {
-            self.write(e.col, e.row, &e.weight, &e.value);
+        let d = self.dim;
+        for (i, &(col, row)) in log.cells.iter().enumerate() {
+            let at = i * d..(i + 1) * d;
+            self.write(col, row, &log.weights[at.clone()], &log.values[at]);
         }
     }
 
@@ -149,16 +160,6 @@ impl SpatialMemory {
     }
 }
 
-/// One buffered memory update, replayed verbatim by
-/// [`SpatialMemory::commit`].
-#[derive(Debug, Clone)]
-struct WriteEntry {
-    col: u32,
-    row: u32,
-    weight: Vec<f64>,
-    value: Vec<f64>,
-}
-
 /// Pending memory writes of one sequence — phase A of the two-phase
 /// training protocol.
 ///
@@ -170,13 +171,23 @@ struct WriteEntry {
 /// bit-identical to a sequential training forward started from the same
 /// memory state. Phase B replays the logs in fixed input order via
 /// [`SpatialMemory::commit`], preserving the deterministic write order.
+///
+/// Everything is flat and reused across [`Self::clear`]: a recorded step
+/// appends to three buffers and allocates nothing once they have grown.
 #[derive(Debug, Clone, Default)]
 pub struct WriteLog {
-    entries: Vec<WriteEntry>,
-    /// Current local value of every cell this sequence has written.
-    /// Lookup-only (never iterated), so map order cannot leak into
-    /// results.
-    overlay: HashMap<(u32, u32), Vec<f64>>,
+    /// Cell of every buffered write, in record order.
+    cells: Vec<(u32, u32)>,
+    /// Interpolation weights of every buffered write, `len × dim`.
+    weights: Vec<f64>,
+    /// Written values of every buffered write, `len × dim`.
+    values: Vec<f64>,
+    /// The distinct cells this sequence has written, in first-write
+    /// order. A sequence touches a handful of cells, so this is searched
+    /// linearly (newest first: a trajectory lingers).
+    touched: Vec<(u32, u32)>,
+    /// Current local value of every touched cell, `touched.len() × dim`.
+    overlay: Vec<f64>,
 }
 
 impl WriteLog {
@@ -187,17 +198,20 @@ impl WriteLog {
 
     /// Number of buffered writes.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.cells.len()
     }
 
     /// Whether no writes are buffered.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.cells.is_empty()
     }
 
     /// Drops all buffered writes (reuse across sequences).
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.cells.clear();
+        self.weights.clear();
+        self.values.clear();
+        self.touched.clear();
         self.overlay.clear();
     }
 
@@ -212,34 +226,40 @@ impl WriteLog {
         weight: &[f64],
         value: &[f64],
     ) {
-        assert_eq!(weight.len(), base.dim, "write weight arity");
-        assert_eq!(value.len(), base.dim, "write value arity");
-        let slot = self
-            .overlay
-            .entry((col, row))
-            .or_insert_with(|| base.slot(col, row).to_vec());
-        for k in 0..base.dim {
+        let d = base.dim;
+        assert_eq!(weight.len(), d, "write weight arity");
+        assert_eq!(value.len(), d, "write value arity");
+        let at = self.touched_index(col, row).unwrap_or_else(|| {
+            self.touched.push((col, row));
+            self.overlay.extend_from_slice(base.slot(col, row));
+            self.touched.len() - 1
+        });
+        let slot = &mut self.overlay[at * d..(at + 1) * d];
+        for k in 0..d {
             debug_assert!((0.0..=1.0).contains(&weight[k]), "weight out of range");
             slot[k] = weight[k] * value[k] + (1.0 - weight[k]) * slot[k];
         }
-        self.entries.push(WriteEntry {
-            col,
-            row,
-            weight: weight.to_vec(),
-            value: value.to_vec(),
-        });
+        self.cells.push((col, row));
+        self.weights.extend_from_slice(weight);
+        self.values.extend_from_slice(value);
+    }
+
+    fn touched_index(&self, col: u32, row: u32) -> Option<usize> {
+        self.touched.iter().rposition(|&cell| cell == (col, row))
     }
 
     /// The slot of `(col, row)` as this sequence sees it: its own pending
     /// write if one exists, else the snapshot's value.
     pub fn slot<'a>(&'a self, base: &'a SpatialMemory, col: u32, row: u32) -> &'a [f64] {
-        match self.overlay.get(&(col, row)) {
-            Some(v) => v.as_slice(),
+        match self.touched_index(col, row) {
+            Some(at) => &self.overlay[at * base.dim..(at + 1) * base.dim],
             None => base.slot(col, row),
         }
     }
 
-    /// [`SpatialMemory::gather_append`] reading through the overlay.
+    /// [`SpatialMemory::gather_append`] reading through the overlay: the
+    /// snapshot's window, then one pass over the touched cells that fall
+    /// inside it.
     pub fn gather_append(
         &self,
         base: &SpatialMemory,
@@ -248,12 +268,16 @@ impl WriteLog {
         w: u32,
         out: &mut Vec<f64>,
     ) -> usize {
+        let d = base.dim;
+        let before = out.len();
+        let k = base.gather_append(col, row, w, out);
         let (c0, c1, r0, r1) = base.window_bounds(col, row, w);
-        let k = ((c1 - c0 + 1) * (r1 - r0 + 1)) as usize;
-        out.reserve(k * base.dim);
-        for r in r0..=r1 {
-            for c in c0..=c1 {
-                out.extend_from_slice(self.slot(base, c, r));
+        let width = (c1 - c0 + 1) as usize;
+        for (at, &(c, r)) in self.touched.iter().enumerate() {
+            if (c0..=c1).contains(&c) && (r0..=r1).contains(&r) {
+                let ki = (r - r0) as usize * width + (c - c0) as usize;
+                out[before + ki * d..before + (ki + 1) * d]
+                    .copy_from_slice(&self.overlay[at * d..(at + 1) * d]);
             }
         }
         k

@@ -25,8 +25,9 @@
 //! B ([`SamLstmEncoder::commit`]) replays the logs in input order on one
 //! thread.
 
+use crate::activation::{sigmoid_slice, tanh_slice};
 use crate::linalg::{
-    activate_gates, dot, matmul_nt, sigmoid, softmax_backward, softmax_inplace, Mat,
+    activate_gates, add_assign, axpy, matmul_nt, softmax_backward, softmax_inplace, Mat,
 };
 use crate::memory::{SpatialMemory, WriteLog};
 use crate::workspace::{lockstep_order, prep, Workspace};
@@ -211,6 +212,35 @@ impl SamCache {
     }
 }
 
+/// The attention read of §IV-C.1 over the window rows `G` (`K × d`,
+/// handed over as the contiguous runs they occupy — one gathered block,
+/// or the memory's own rows): `attn ← softmax(G·ĉ)`, `mix ← Gᵀ·attn`.
+///
+/// The scores are an `m = 1` [`matmul_nt`] per run — four window rows per
+/// vector, each score still the single ascending chain over `d` — and
+/// `mix` accumulates row by row in window order, so the result does not
+/// depend on how the window is cut into runs.
+fn attention_read<'a>(
+    runs: impl Iterator<Item = &'a [f64]> + Clone,
+    c_hat: &[f64],
+    attn: &mut [f64],
+    mix: &mut [f64],
+) {
+    let d = c_hat.len();
+    let mut at = 0;
+    for run in runs.clone() {
+        let n = run.len() / d;
+        matmul_nt(c_hat, run, &mut attn[at..at + n], 1, n, d);
+        at += n;
+    }
+    debug_assert_eq!(at, attn.len());
+    softmax_inplace(attn);
+    mix.fill(0.0);
+    for (row, &av) in runs.flat_map(|run| run.chunks_exact(d)).zip(attn.iter()) {
+        axpy(mix, av, row);
+    }
+}
+
 impl SamLstmCell {
     /// New cell with Xavier weights, zero biases, forget bias 1 and
     /// spatial-gate bias −2.
@@ -350,62 +380,42 @@ impl SamLstmCell {
             cache.k_off.push(off + kwin);
             let g_rows = &cache.g_rows[off * d..(off + kwin) * d];
             cache.attn.resize(off + kwin, 0.0);
-            {
-                let attn = &mut cache.attn[off..];
-                for (ki, av) in attn.iter_mut().enumerate() {
-                    *av = dot(&g_rows[ki * d..(ki + 1) * d], c_hat);
-                }
-                softmax_inplace(attn);
-            }
-            let attn = &cache.attn[off..off + kwin];
             cache.mix.resize((t + 1) * d, 0.0);
-            {
-                let mix = &mut cache.mix[t * d..];
-                for (ki, &av) in attn.iter().enumerate() {
-                    let row_k = &g_rows[ki * d..(ki + 1) * d];
-                    for k in 0..d {
-                        mix[k] += av * row_k[k];
-                    }
-                }
-            }
+            attention_read(
+                std::iter::once(g_rows),
+                c_hat,
+                &mut cache.attn[off..],
+                &mut cache.mix[t * d..],
+            );
             ccat[..d].copy_from_slice(c_hat);
             ccat[d..].copy_from_slice(&cache.mix[t * d..(t + 1) * d]);
             cache.c_his.resize((t + 1) * d, 0.0);
             {
                 let c_his = &mut cache.c_his[t * d..];
                 self.w_his.matvec_into(ccat, c_his);
-                for (k, v) in c_his.iter_mut().enumerate() {
-                    *v = (*v + self.b_his[k]).tanh();
-                }
+                add_assign(c_his, &self.b_his);
+                tanh_slice(c_his);
             }
             // Eq. 4: blend; Eq. 6: hidden state.
-            cache.c.resize((t + 1) * d, 0.0);
-            cache.tanh_c.resize((t + 1) * d, 0.0);
-            {
-                let c_his = &cache.c_his[t * d..(t + 1) * d];
-                let c_out = &mut cache.c[t * d..];
-                let tanh_c = &mut cache.tanh_c[t * d..];
-                for k in 0..d {
-                    c[k] = c_hat[k] + gs[k] * c_his[k];
-                    tanh_c[k] = c[k].tanh();
-                    h[k] = go[k] * tanh_c[k];
-                    c_out[k] = c[k];
-                }
+            let c_his = &cache.c_his[t * d..(t + 1) * d];
+            for k in 0..d {
+                c[k] = c_hat[k] + gs[k] * c_his[k];
+            }
+            cache.c.extend_from_slice(c);
+            cache.tanh_c.extend_from_slice(c);
+            let tanh_c = &mut cache.tanh_c[t * d..];
+            tanh_slice(tanh_c);
+            for k in 0..d {
+                h[k] = go[k] * tanh_c[k];
             }
             // Write (§IV-C.2), outside the gradient tape.
+            if !matches!(mode, MemoryMode::Frozen(_)) {
+                write_w.copy_from_slice(gs);
+                sigmoid_slice(write_w);
+            }
             match &mut mode {
-                MemoryMode::Train(memory) => {
-                    for k in 0..d {
-                        write_w[k] = sigmoid(gs[k]);
-                    }
-                    memory.write(col, row, write_w, c);
-                }
-                MemoryMode::Buffered { base, log } => {
-                    for k in 0..d {
-                        write_w[k] = sigmoid(gs[k]);
-                    }
-                    log.record(base, col, row, write_w, c);
-                }
+                MemoryMode::Train(memory) => memory.write(col, row, write_w, c),
+                MemoryMode::Buffered { base, log } => log.record(base, col, row, write_w, c),
                 MemoryMode::Frozen(_) => {}
             }
             cache.len += 1;
@@ -417,8 +427,10 @@ impl SamLstmCell {
     /// analogue of [`crate::LstmCell::forward_coords_batch_ws`]). Each
     /// timestep runs two GEMMs over the active prefix — the fused gates
     /// (`(active × zlen)·Pᵀ`) and the attention projection
-    /// (`(active × 2d)·W_hisᵀ`) — while the per-slot attention read
-    /// (gather / scores / softmax / mix) stays the exact scalar loops of
+    /// (`(active × 2d)·W_hisᵀ`) — and each `tanh` over the whole active
+    /// block, while the per-slot attention read scores the memory's own
+    /// rows (nothing is gathered). Every output element is produced by
+    /// the same operations in the same order as in
     /// [`Self::forward_with_ws`], so results are **bit-identical** to the
     /// per-sequence [`MemoryMode::Frozen`] forward. Results are returned
     /// in input order.
@@ -457,9 +469,6 @@ impl SamLstmCell {
         let mix = prep(&mut ws.bmix, b * d);
         let ccat = prep(&mut ws.bcat, b * 2 * d);
         let c_his = prep(&mut ws.bhis, b * d);
-        // Gathered window rows (`K_t × d`); cleared per slot, allocation
-        // amortized across steps.
-        let mut g_buf: Vec<f64> = Vec::new();
         let mut out: Vec<Vec<f64>> = vec![Vec::new(); b];
         let mut active = b;
         for t in 0..max_len {
@@ -493,24 +502,12 @@ impl SamLstmCell {
                 for k in 0..d {
                     ch[k] = gf[k] * cs[k] + gi[k] * gg[k];
                 }
-                // Read (§IV-C.1) — identical scalar loops to the frozen
-                // per-sequence path.
+                // Read (§IV-C.1), on the memory's rows where they lie.
                 let (col, row) = seqs[order[s]].1[t];
-                g_buf.clear();
-                let kwin = memory.gather_append(col, row, scan_width, &mut g_buf);
-                let attn = prep(&mut ws.win, kwin);
-                for (ki, av) in attn.iter_mut().enumerate() {
-                    *av = dot(&g_buf[ki * d..(ki + 1) * d], ch);
-                }
-                softmax_inplace(attn);
+                let runs = memory.window_runs(col, row, scan_width);
+                let kwin = runs.clone().map(<[f64]>::len).sum::<usize>() / d;
                 let mx = &mut mix[s * d..(s + 1) * d];
-                mx.fill(0.0);
-                for (ki, &av) in attn.iter().enumerate() {
-                    let row_k = &g_buf[ki * d..(ki + 1) * d];
-                    for k in 0..d {
-                        mx[k] += av * row_k[k];
-                    }
-                }
+                attention_read(runs, ch, prep(&mut ws.win, kwin), mx);
                 let cc = &mut ccat[s * 2 * d..(s + 1) * 2 * d];
                 cc[..d].copy_from_slice(ch);
                 cc[d..].copy_from_slice(mx);
@@ -523,18 +520,25 @@ impl SamLstmCell {
                 d,
                 2 * d,
             );
+            // Each transcendental runs over the whole active block.
+            let (n, his) = (active * d, &mut c_his[..active * d]);
+            for row in his.chunks_exact_mut(d) {
+                add_assign(row, &self.b_his);
+            }
+            tanh_slice(his);
+            // Eq. 4: blend; Eq. 6: hidden state.
             for s in 0..active {
-                let a = &gates[s * 5 * d..(s + 1) * 5 * d];
-                let (gs_gate, go) = (&a[2 * d..3 * d], &a[3 * d..4 * d]);
-                let ch = &c_hat[s * d..(s + 1) * d];
-                let his = &mut c_his[s * d..(s + 1) * d];
-                let cs = &mut c[s * d..(s + 1) * d];
-                let hs = &mut h[s * d..(s + 1) * d];
-                // Eq. 4: blend; Eq. 6: hidden state.
+                let gs_gate = &gates[s * 5 * d + 2 * d..s * 5 * d + 3 * d];
                 for k in 0..d {
-                    his[k] = (his[k] + self.b_his[k]).tanh();
-                    cs[k] = ch[k] + gs_gate[k] * his[k];
-                    hs[k] = go[k] * cs[k].tanh();
+                    c[s * d + k] = c_hat[s * d + k] + gs_gate[k] * his[s * d + k];
+                }
+            }
+            h[..n].copy_from_slice(&c[..n]);
+            tanh_slice(&mut h[..n]);
+            for s in 0..active {
+                let go = &gates[s * 5 * d + 3 * d..s * 5 * d + 4 * d];
+                for (hv, &o) in h[s * d..(s + 1) * d].iter_mut().zip(go) {
+                    *hv *= o;
                 }
             }
         }
@@ -613,9 +617,7 @@ impl SamLstmCell {
             let kwin = cache.window_size(t);
             let g_rows = cache.g_rows(t);
             let d_attn = prep(&mut ws.win, kwin);
-            for (ki, dv) in d_attn.iter_mut().enumerate() {
-                *dv = dot(&g_rows[ki * d..(ki + 1) * d], d_mix);
-            }
+            matmul_nt(d_mix, g_rows, d_attn, 1, kwin, d);
             // A = softmax(scores).
             let d_scores = prep(&mut ws.win2, kwin);
             softmax_backward(cache.attn(t), d_attn, d_scores);
@@ -767,6 +769,7 @@ impl Encoder for SamLstmEncoder {
 mod tests {
     use super::*;
     use crate::gradcheck::check_gradient;
+    use crate::linalg::dot;
 
     type ToySeq = (Vec<(f64, f64)>, Vec<(u32, u32)>);
 
@@ -869,6 +872,66 @@ mod tests {
         let mut committed = base.clone();
         committed.commit(&log);
         assert_eq!(committed, seq_mem, "commit diverged from sequential writes");
+    }
+
+    /// The read as it was before the vector kernels — gathered rows, one
+    /// scalar `dot` chain per row, softmax, row-by-row mix — kept as the
+    /// oracle for [`attention_read`].
+    fn read_oracle(g: &[f64], c_hat: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        let d = c_hat.len();
+        let mut attn: Vec<f64> = g.chunks_exact(d).map(|row| dot(row, c_hat)).collect();
+        softmax_inplace(&mut attn);
+        let mut mix = vec![0.0; d];
+        for (row, &av) in g.chunks_exact(d).zip(&attn) {
+            for k in 0..d {
+                mix[k] += av * row[k];
+            }
+        }
+        (attn, mix)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The new read equals the old one bit for bit on interior (K = 25),
+    /// edge (K = 15) and corner (K = 9) windows of a warmed memory — in
+    /// place on the frozen memory's runs, and on a block gathered through
+    /// a write log's overlay (itself checked against per-cell lookups).
+    #[test]
+    fn attention_read_bit_identical_to_gather_dot_loop() {
+        for d in [5, 8, 32] {
+            let mem = warmed_memory(d);
+            let c_hat: Vec<f64> = (0..d).map(|k| (0.7 * k as f64).cos() * 1.5).collect();
+            let mut log = WriteLog::new();
+            for (i, &(c, r)) in [(1, 1), (0, 0), (4, 2), (1, 1), (5, 5)].iter().enumerate() {
+                let w: Vec<f64> = (0..d).map(|k| 0.5 + 0.01 * (k + i) as f64).collect();
+                let v: Vec<f64> = (0..d).map(|k| (i as f64 - 0.3 * k as f64).sin()).collect();
+                log.record(&mem, c, r, &w, &v);
+            }
+            for ((col, row), kwin) in [((2, 2), 25), ((0, 2), 15), ((0, 0), 9)] {
+                let (g, k) = mem.gather(col, row, 2);
+                assert_eq!(k, kwin);
+                let (attn, mix) = read_oracle(&g, &c_hat);
+                let (mut a, mut m) = (vec![f64::NAN; k], vec![f64::NAN; d]);
+                attention_read(mem.window_runs(col, row, 2), &c_hat, &mut a, &mut m);
+                assert_eq!(bits(&a), bits(&attn), "frozen d={d} K={k}");
+                assert_eq!(bits(&m), bits(&mix), "frozen d={d} K={k}");
+
+                let seen: Vec<f64> = mem
+                    .window(col, row, 2)
+                    .iter()
+                    .flat_map(|&(c, r)| log.slot(&mem, c, r).to_vec())
+                    .collect();
+                let mut g = Vec::new();
+                assert_eq!(log.gather_append(&mem, col, row, 2, &mut g), k);
+                assert_eq!(bits(&g), bits(&seen), "overlay gather d={d} K={k}");
+                let (attn, mix) = read_oracle(&seen, &c_hat);
+                attention_read(std::iter::once(g.as_slice()), &c_hat, &mut a, &mut m);
+                assert_eq!(bits(&a), bits(&attn), "overlay d={d} K={k}");
+                assert_eq!(bits(&m), bits(&mix), "overlay d={d} K={k}");
+            }
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub(crate) const NR: usize = 8;
 /// (`is_x86_feature_detected!` caches, ~one relaxed load per call).
 #[cfg(target_arch = "x86_64")]
 #[inline]
-fn use_avx2(level: SimdLevel) -> bool {
+pub(crate) fn use_avx2(level: SimdLevel) -> bool {
     level == SimdLevel::Avx2 && std::arch::is_x86_feature_detected!("avx2")
 }
 

@@ -15,7 +15,8 @@ use neutraj_cluster::{KMeans, KMeansParams};
 use neutraj_index::{HnswIndex, HnswParams, IvfIndex};
 use neutraj_model::persist::seal_payload;
 use neutraj_model::{
-    Checkpoint, EmbeddingStore, NeuTrajModel, QuantizedStore, TrainConfig, TrainState,
+    Backbone, BackboneKind, Checkpoint, EmbeddingStore, NeuTrajModel, QuantizedStore, TrainConfig,
+    TrainState,
 };
 use neutraj_nn::AdamState;
 use neutraj_serve::{ShardConfig, Snapshot};
@@ -147,4 +148,45 @@ fn ntsnap01_is_pinned() {
     };
     let snapshot = Snapshot::build(&model(), corpus(), &cfg).unwrap();
     assert_eq!(crc(&snapshot.to_bytes()), 0x8ebd_195b);
+}
+
+/// The forward pass is IEEE-exact operations only (`neutraj_nn::activation`
+/// instead of libm, one accumulation order in every kernel arm), so an
+/// embedding is a fixed bit pattern: the same on every host, with
+/// `NEUTRAJ_NO_SIMD=1` or without. One pin per backbone, under the
+/// untrained seed-2019 model; the SAM memory is filled first so the
+/// attention read scores, exponentiates and mixes non-trivial rows.
+#[test]
+fn embeddings_are_pinned() {
+    let grid = Grid::new(BoundingBox::new(0.0, 0.0, 1000.0, 500.0), 50.0).unwrap();
+    let pins = [
+        (BackboneKind::SamLstm, 0x17c8_e684u32),
+        (BackboneKind::Lstm, 0x3f93_3ec8),
+        (BackboneKind::Gru, 0x3a88_57ee),
+    ];
+    for (backbone, pin) in pins {
+        let cfg = TrainConfig {
+            backbone,
+            dim: 8,
+            seed: 2019,
+            ..TrainConfig::neutraj()
+        };
+        let mut model = NeuTrajModel::untrained(cfg, grid.clone());
+        if let Backbone::Sam(enc) = model.backbone_mut() {
+            let mut rng = Rng::seed_from_u64(2019);
+            for row in 0..grid.rows() {
+                for col in 0..grid.cols() {
+                    let v: Vec<f64> = (0..8).map(|_| rng.gen_range(-1.0..1.0)).collect();
+                    enc.memory.write(col, row, &[1.0; 8], &v);
+                }
+            }
+        }
+        let bytes: Vec<u8> = model
+            .embed_batch(&corpus())
+            .iter()
+            .flatten()
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
+        assert_eq!(crc(&bytes), pin, "{backbone:?}");
+    }
 }
