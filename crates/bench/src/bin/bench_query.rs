@@ -262,6 +262,12 @@ struct GraphRow {
     p99_us: f64,
     hops: usize,
     scanned_frac: f64,
+    /// The walk's unit costs: distance evaluations and adjacency
+    /// entries read per query, and wall time per evaluation — what a
+    /// query costs over what its distances alone would.
+    evals_per_query: f64,
+    links_per_query: f64,
+    ns_per_eval: f64,
 }
 
 /// The HNSW ef sweep over one corpus size, with its exhaustive baseline
@@ -758,9 +764,7 @@ fn bench_graph(n: usize, dim: usize, batch: usize, seed: u64, registry: &Registr
         ..HnswParams::default()
     };
     let t0 = Instant::now();
-    let graph = HnswIndex::build(params, store.len(), threads, &|a, b| {
-        store.row_dist_sq(a, b)
-    });
+    let graph = HnswIndex::build(params, store.len(), threads, &store);
     let build_secs = t0.elapsed().as_secs_f64();
     println!(
         "  graph n={n}: built HNSW (m {}, m0 {}, ef_c {}) with {threads} threads in {build_secs:.1}s",
@@ -796,12 +800,16 @@ fn bench_graph(n: usize, dim: usize, batch: usize, seed: u64, registry: &Registr
         registry
             .counter(names::GRAPH_CANDIDATES_SCANNED_TOTAL)
             .add(stats.candidates_scanned as u64);
+        registry
+            .counter(names::GRAPH_LINKS_SCANNED_TOTAL)
+            .add(stats.links_scanned as u64);
         let qps = time_qps(batch, || {
             std::hint::black_box(store.knn_graph_batch(&qrefs, K, &graph, ef));
         });
         let lat = latencies_us(&qrefs, |q| {
             std::hint::black_box(store.knn_graph_batch(q, K, &graph, ef));
         });
+        let evals_per_query = stats.candidates_scanned as f64 / qrefs.len() as f64;
         let row = GraphRow {
             ef,
             recall,
@@ -810,13 +818,19 @@ fn bench_graph(n: usize, dim: usize, batch: usize, seed: u64, registry: &Registr
             p99_us: percentile(&lat, 0.99),
             hops: stats.hops,
             scanned_frac: stats.candidates_scanned as f64 / (qrefs.len() * n) as f64,
+            evals_per_query,
+            links_per_query: stats.links_scanned as f64 / qrefs.len() as f64,
+            ns_per_eval: 1e9 / (qps * evals_per_query),
         };
         println!(
-            "  graph n={n}: ef {ef:>4} recall@{K} {recall:.4} {qps:.1} q/s ({:.1}x vs gemm) p50 {:.0}us p99 {:.0}us scanned {:.3}%",
+            "  graph n={n}: ef {ef:>4} recall@{K} {recall:.4} {qps:.1} q/s ({:.1}x vs gemm) p50 {:.0}us p99 {:.0}us scanned {:.3}% evals/q {:.0} links/q {:.0} ns/eval {:.0}",
             row.qps / gemm_qps,
             row.p50_us,
             row.p99_us,
-            100.0 * row.scanned_frac
+            100.0 * row.scanned_frac,
+            row.evals_per_query,
+            row.links_per_query,
+            row.ns_per_eval
         );
         rows.push(row);
     }
@@ -1180,8 +1194,9 @@ fn render_json(
                     .iter()
                     .map(|r| {
                         format!(
-                            "        {{\n          \"ef\": {},\n          \"recall_at_10\": {:.4},\n          \"qps\": {:.2},\n          \"p50_us\": {:.1},\n          \"p99_us\": {:.1},\n          \"speedup_vs_gemm\": {:.4},\n          \"hops\": {},\n          \"scanned_frac\": {:.6}\n        }}",
-                            r.ef, r.recall, r.qps, r.p50_us, r.p99_us, r.qps / s.gemm_qps, r.hops, r.scanned_frac
+                            "        {{\n          \"ef\": {},\n          \"recall_at_10\": {:.4},\n          \"qps\": {:.2},\n          \"p50_us\": {:.1},\n          \"p99_us\": {:.1},\n          \"speedup_vs_gemm\": {:.4},\n          \"hops\": {},\n          \"scanned_frac\": {:.6},\n          \"evals_per_query\": {:.2},\n          \"links_per_query\": {:.2},\n          \"ns_per_eval\": {:.1}\n        }}",
+                            r.ef, r.recall, r.qps, r.p50_us, r.p99_us, r.qps / s.gemm_qps, r.hops, r.scanned_frac,
+                            r.evals_per_query, r.links_per_query, r.ns_per_eval
                         )
                     })
                     .collect::<Vec<_>>()

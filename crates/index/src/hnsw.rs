@@ -3,9 +3,12 @@
 //! A hierarchical navigable-small-world graph over corpus row ids,
 //! built to the same contract as [`IvfIndex`](crate::IvfIndex): the
 //! index holds **no vectors** — callers supply a distance oracle over
-//! row ids (the model crate closes over its `EmbeddingStore` with the
+//! row ids (the model crate answers from its `EmbeddingStore` with the
 //! norm-trick squared-L2 so graph-internal distances are bit-identical
-//! to the exhaustive scan's rerank).
+//! to the exhaustive scan's rerank). The oracle is asked one *hop* at a
+//! time — every unvisited neighbour of the expanded node in one call
+//! ([`RowDistance::hop`] while building, a `FnMut(&[u32], &mut [f64])`
+//! while querying) — so a vector store can score them in one kernel.
 //!
 //! # Determinism
 //!
@@ -29,7 +32,19 @@
 //!
 //! All orderings use the `(distance, id)` total order (`f64::total_cmp`
 //! breaks no ties — ids do), so search results are independent of
-//! adjacency list order and heap internals.
+//! adjacency list order.
+//!
+//! # The beam
+//!
+//! One beam search serves queries and construction. Its state is a
+//! single pool of at most `ef` entries sorted by `(distance, id)`, each
+//! flagged once its adjacency has been expanded; a hop expands the
+//! nearest unexpanded entry and the layer ends when none is left. That
+//! is the textbook candidate-heap/result-heap rule — a candidate the
+//! result heap has evicted is farther than everything left in it, so
+//! popping one is exactly the stop test (DESIGN.md §15) — without the
+//! second heap, and the pool a layer ends with *is* the next layer's
+//! frontier: it is re-flagged in place, never drained or re-pushed.
 //!
 //! # Exhaustive anchor
 //!
@@ -42,8 +57,6 @@
 use neutraj_trajectory::cursor::{PutLe, Reader, Truncated};
 use neutraj_trajectory::rng::{mix64, GOLDEN_GAMMA};
 use std::cmp::Ordering;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
 
 /// Magic header + format version of the serialized graph payload.
 pub const HNSW_MAGIC: &[u8; 8] = b"NTHNSW01";
@@ -55,6 +68,8 @@ const MAX_LEVEL: u8 = 31;
 /// and keeping round-mate blindness (round members cannot link to each
 /// other) a vanishing fraction of the graph at scale.
 const ROUND_CAP: usize = 32_768;
+/// Ids per oracle call when `ef >= len` turns a query into a full scan.
+const FULL_SCAN_BLOCK: u32 = 256;
 
 /// Construction parameters for [`HnswIndex`].
 ///
@@ -116,6 +131,34 @@ pub struct GraphSearchStats {
     pub hops: usize,
     /// Distance evaluations performed.
     pub candidates_scanned: usize,
+    /// Adjacency entries read at those hops — one visited-array probe
+    /// each, whether or not the neighbour was then evaluated.
+    pub links_scanned: usize,
+}
+
+/// The build-time distance oracle: distances between corpus rows.
+///
+/// Any `Fn(u32, u32) -> f64 + Sync` is one (answering a hop pair by
+/// pair); a store that can score several rows against one in a single
+/// kernel call overrides [`RowDistance::hop`]. Both methods must agree
+/// bit for bit — the committed graph depends on every distance.
+pub trait RowDistance: Sync {
+    /// The (squared) distance between rows `a` and `b`.
+    fn pair(&self, a: u32, b: u32) -> f64;
+
+    /// `out[i] = pair(a, ids[i])` for one hop's worth of ids
+    /// (`out.len() == ids.len()`).
+    fn hop(&self, a: u32, ids: &[u32], out: &mut [f64]) {
+        for (o, &b) in out.iter_mut().zip(ids) {
+            *o = self.pair(a, b);
+        }
+    }
+}
+
+impl<F: Fn(u32, u32) -> f64 + Sync> RowDistance for F {
+    fn pair(&self, a: u32, b: u32) -> f64 {
+        self(a, b)
+    }
 }
 
 /// Decode error for the `NTHNSW01` graph codec.
@@ -162,15 +205,39 @@ impl PartialOrd for Cand {
     }
 }
 
-/// Reusable per-thread search state: an epoch-stamped visited set and
-/// the two beam heaps. Create once, reuse across queries — `begin`
-/// resets in O(1) (the visited array is only rewritten on epoch wrap).
+/// One beam-pool entry: a candidate plus whether its adjacency has
+/// been expanded on the current layer.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    d: f64,
+    id: u32,
+    expanded: bool,
+}
+
+impl Slot {
+    fn cand(&self) -> Cand {
+        Cand {
+            d: self.d,
+            id: self.id,
+        }
+    }
+}
+
+/// Reusable per-thread search state: an epoch-stamped visited set, the
+/// beam pool, and one hop's id and distance buffers. Create once, reuse
+/// across queries — a walk resets it in O(1) (the visited array is only
+/// rewritten on epoch wrap).
 #[derive(Debug, Default)]
 pub struct GraphScratch {
     visited: Vec<u32>,
     epoch: u32,
-    cand: BinaryHeap<Reverse<Cand>>,
-    res: BinaryHeap<Cand>,
+    /// The beam: at most `ef` entries, ascending by `(distance, id)`,
+    /// ids distinct. Between layers it is the frontier.
+    pool: Vec<Slot>,
+    /// The unvisited neighbours of the node being expanded …
+    ids: Vec<u32>,
+    /// … and their distances, filled by one oracle call.
+    dists: Vec<f64>,
 }
 
 impl GraphScratch {
@@ -179,6 +246,7 @@ impl GraphScratch {
         Self::default()
     }
 
+    /// Starts a layer over `n` nodes: forgets every visit.
     fn begin(&mut self, n: usize) {
         if self.visited.len() < n {
             self.visited.resize(n, self.epoch);
@@ -188,19 +256,70 @@ impl GraphScratch {
             self.visited.fill(0);
             self.epoch = 1;
         }
-        self.cand.clear();
-        self.res.clear();
+    }
+
+    /// Scores `ids` (replacing the hop buffer) with one oracle call —
+    /// none when the hop found every neighbour already visited, which
+    /// at wide beams is about half of them.
+    fn score<F: FnMut(&[u32], &mut [f64])>(&mut self, dq: &mut F) {
+        self.dists.clear();
+        if !self.ids.is_empty() {
+            self.dists.resize(self.ids.len(), 0.0);
+            dq(&self.ids, &mut self.dists);
+        }
+    }
+
+    /// Makes `(d, id)` the whole pool — the frontier a walk starts from.
+    fn seed(&mut self, d: f64, id: u32) {
+        self.pool.clear();
+        self.pool.push(Slot {
+            d,
+            id,
+            expanded: false,
+        });
+    }
+}
+
+/// Fixed-width adjacency rows: row `r` is the first `lens[r]` of the
+/// `width` slots at `slots[r · width]`, sorted ascending by id. Unused
+/// slots stay zero, so `==` compares adjacency.
+#[derive(Debug, Clone, PartialEq)]
+struct Arena {
+    width: usize,
+    slots: Vec<u32>,
+    lens: Vec<u8>,
+}
+
+impl Arena {
+    fn new(width: usize) -> Self {
+        Arena {
+            width,
+            slots: Vec::new(),
+            lens: Vec::new(),
+        }
+    }
+
+    fn rows(&self) -> usize {
+        self.lens.len()
+    }
+
+    /// Appends `rows` empty rows.
+    fn grow(&mut self, rows: usize) {
+        let rows = self.rows() + rows;
+        self.slots.resize(rows * self.width, 0);
+        self.lens.resize(rows, 0);
     }
 
     #[inline]
-    fn mark(&mut self, id: u32) -> bool {
-        let slot = &mut self.visited[id as usize];
-        if *slot == self.epoch {
-            false
-        } else {
-            *slot = self.epoch;
-            true
-        }
+    fn row(&self, r: usize) -> &[u32] {
+        &self.slots[r * self.width..][..self.lens[r] as usize]
+    }
+
+    fn set(&mut self, r: usize, ids: &[u32]) {
+        let slots = &mut self.slots[r * self.width..(r + 1) * self.width];
+        slots[..ids.len()].copy_from_slice(ids);
+        slots[ids.len()..].fill(0);
+        self.lens[r] = ids.len() as u8;
     }
 }
 
@@ -211,9 +330,11 @@ type NodePlan = Vec<Vec<Cand>>;
 /// A deterministic HNSW graph over row ids `0..len`.
 ///
 /// Layer-0 adjacency is a flat `len × m0` arena (memory-lean at
-/// N=10M); the sparse upper layers (~`len / m` nodes) live in a
-/// `BTreeMap`. Adjacency lists are stored sorted ascending by id —
-/// the canonical serialized form, validated on decode.
+/// N=10M); layers ≥ 1 are a second arena of `m`-wide rows, one per
+/// (node, layer) in id order, found through a per-node row offset — so
+/// `links` is two array reads on every layer. Adjacency lists are
+/// stored sorted ascending by id — the canonical serialized form,
+/// validated on decode.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HnswIndex {
     params: HnswParams,
@@ -222,11 +343,14 @@ pub struct HnswIndex {
     len: usize,
     /// Hashed level per node (recomputed on decode, never serialized).
     levels: Vec<u8>,
-    /// Flat `len × m0` layer-0 adjacency; `base_len[i]` entries valid.
-    base: Vec<u32>,
-    base_len: Vec<u8>,
-    /// Layers ≥ 1: id → one list per layer `1..=level`.
-    upper: BTreeMap<u32, Vec<Vec<u32>>>,
+    /// Layer 0: one `m0`-wide row per node.
+    base: Arena,
+    /// Layers ≥ 1: `m`-wide rows; node `id` owns rows `upper_row[id]
+    /// .. upper_row[id] + level(id)`, its layer `l` list in row
+    /// `upper_row[id] + l − 1`.
+    upper: Arena,
+    /// Upper-arena rows owned by smaller ids (a running sum of levels).
+    upper_row: Vec<u32>,
     /// Lowest id among nodes of maximal level (derived, not stored).
     entry: Option<u32>,
     max_level: u8,
@@ -248,9 +372,9 @@ impl HnswIndex {
             ml: 1.0 / (params.m as f64).ln(),
             len: 0,
             levels: Vec::new(),
-            base: Vec::new(),
-            base_len: Vec::new(),
-            upper: BTreeMap::new(),
+            base: Arena::new(params.m0),
+            upper: Arena::new(params.m),
+            upper_row: Vec::new(),
             entry: None,
             max_level: 0,
             indeg_lower: Vec::new(),
@@ -272,14 +396,17 @@ impl HnswIndex {
     }
 
     /// Builds the graph over `n` rows with `threads`-way parallel
-    /// rounds. `dist(a, b)` must return the (squared) distance between
-    /// rows `a` and `b`; the committed bytes are identical for every
-    /// `threads` value. Panics on invalid `params` (callers with typed
-    /// error surfaces validate first).
-    pub fn build<D>(params: HnswParams, n: usize, threads: usize, dist: &D) -> HnswIndex
-    where
-        D: Fn(u32, u32) -> f64 + Sync,
-    {
+    /// rounds. `dist` answers the (squared) distance between rows — a
+    /// plain `|a, b| …` closure or any other [`RowDistance`]; the
+    /// committed bytes are identical for every `threads` value. Panics
+    /// on invalid `params` (callers with typed error surfaces validate
+    /// first).
+    pub fn build<D: RowDistance>(
+        params: HnswParams,
+        n: usize,
+        threads: usize,
+        dist: &D,
+    ) -> HnswIndex {
         if let Err(e) = params.validate() {
             panic!("hnsw build: {e}");
         }
@@ -330,12 +457,12 @@ impl HnswIndex {
 
     /// Appends one node (id = `len`) and links it, exactly as a
     /// 1-node build round. `dist` must accept the new id. Returns the
-    /// assigned id.
-    pub fn insert<D: Fn(u32, u32) -> f64 + Sync>(&mut self, dist: &D) -> usize {
+    /// assigned id. `scratch` is the caller's to reuse: its visited
+    /// array is as long as the graph, too much to allocate per row.
+    pub fn insert<D: RowDistance>(&mut self, dist: &D, scratch: &mut GraphScratch) -> usize {
         let id = self.len as u32;
         self.grow_to(self.len + 1);
-        let mut scratch = GraphScratch::new();
-        let plan = self.plan_node(id, dist, &mut scratch);
+        let plan = self.plan_node(id, dist, scratch);
         self.commit_round(id as usize, std::slice::from_ref(&plan), dist, 1);
         id as usize
     }
@@ -347,58 +474,36 @@ impl HnswIndex {
             let id = self.len as u32;
             let lvl = self.level_for(id);
             self.levels.push(lvl);
-            self.base.resize(self.base.len() + self.params.m0, 0);
-            self.base_len.push(0);
-            if lvl > 0 {
-                self.upper.insert(id, vec![Vec::new(); lvl as usize]);
-            }
+            self.base.grow(1);
+            self.upper_row.push(self.upper.rows() as u32);
+            self.upper.grow(lvl as usize);
             self.indeg_lower.push(0);
             self.len += 1;
         }
     }
 
-    /// Phase A for one node: greedy-descend the layers above its
-    /// level, then beam-search and heuristically select links on each
-    /// layer it joins. Reads only committed state.
-    fn plan_node<D: Fn(u32, u32) -> f64>(
-        &self,
-        id: u32,
-        dist: &D,
-        scratch: &mut GraphScratch,
-    ) -> NodePlan {
+    /// Phase A for one node: beam-search every layer from the top and
+    /// heuristically select links on each layer the node joins. Reads
+    /// only committed state.
+    fn plan_node<D: RowDistance>(&self, id: u32, dist: &D, scratch: &mut GraphScratch) -> NodePlan {
         let lvl = self.levels[id as usize] as usize;
         let mut plan: NodePlan = vec![Vec::new(); lvl + 1];
         let Some(ep) = self.entry else {
             return plan; // first node: no links to make
         };
+        let ef = self.params.ef_construction;
         let mut stats = GraphSearchStats::default();
-        let mut dq = |x: u32| dist(id, x);
-        let dep = dq(ep);
+        let mut dq = |ids: &[u32], out: &mut [f64]| dist.hop(id, ids, out);
         // Same multi-entry beam shape as the query path: carrying the
         // whole frontier between layers keeps construction from wiring
         // each new node into a single directed pocket of its region.
-        let mut frontier = vec![Cand { d: dep, id: ep }];
-        for layer in (lvl + 1..=self.max_level as usize).rev() {
-            frontier = self.beam_search(
-                layer,
-                &frontier,
-                self.params.ef_construction,
-                &mut dq,
-                scratch,
-                &mut stats,
-            );
-        }
-        for layer in (0..=lvl.min(self.max_level as usize)).rev() {
-            let cands = self.beam_search(
-                layer,
-                &frontier,
-                self.params.ef_construction,
-                &mut dq,
-                scratch,
-                &mut stats,
-            );
-            plan[layer] = heuristic_select(&cands, self.params.m, dist);
-            frontier = cands;
+        scratch.seed(dist.pair(id, ep), ep);
+        for layer in (0..=self.max_level as usize).rev() {
+            self.beam_layer(layer, ef, &mut dq, scratch, &mut stats);
+            if layer <= lvl {
+                let cands = scratch.pool.iter().map(Slot::cand);
+                plan[layer] = heuristic_select(cands, self.params.m, dist);
+            }
         }
         plan
     }
@@ -407,10 +512,13 @@ impl HnswIndex {
     /// then merge backlinks grouped by `(target, layer)` — merge
     /// results are computed (in parallel) against the pre-round state
     /// and applied sequentially, so the outcome is thread-invariant.
-    fn commit_round<D>(&mut self, start: usize, plans: &[NodePlan], dist: &D, threads: usize)
-    where
-        D: Fn(u32, u32) -> f64 + Sync,
-    {
+    fn commit_round<D: RowDistance>(
+        &mut self,
+        start: usize,
+        plans: &[NodePlan],
+        dist: &D,
+        threads: usize,
+    ) {
         let mut reqs: Vec<(u32, u8, u32, f64)> = Vec::new();
         for (off, plan) in plans.iter().enumerate() {
             let id = (start + off) as u32;
@@ -493,7 +601,7 @@ impl HnswIndex {
     /// *live* in-degree counters, so it must run sequentially in job
     /// order (thread-invariant: the job order and counters are pure
     /// functions of committed state).
-    fn protect_lower_edges<D: Fn(u32, u32) -> f64>(
+    fn protect_lower_edges<D: RowDistance>(
         &self,
         target: u32,
         proposed: Vec<u32>,
@@ -520,7 +628,9 @@ impl HnswIndex {
                 .filter(|&y| !old.contains(&y) || self.droppable(target, y))
                 .collect();
             victims.sort_unstable_by(|&a, &b| {
-                dist(target, a).total_cmp(&dist(target, b)).then(a.cmp(&b))
+                dist.pair(target, a)
+                    .total_cmp(&dist.pair(target, b))
+                    .then(a.cmp(&b))
             });
             for &y in victims.iter().rev().take(overflow) {
                 keep.retain(|&z| z != y);
@@ -542,12 +652,7 @@ impl HnswIndex {
     /// each such node into the nearest selected target's list that can
     /// take it, evicting the worst droppable entry on overflow (never a
     /// node's last lower in-edge, which would just move the orphan).
-    fn repair_reachability<D: Fn(u32, u32) -> f64>(
-        &mut self,
-        start: usize,
-        plans: &[NodePlan],
-        dist: &D,
-    ) {
+    fn repair_reachability<D: RowDistance>(&mut self, start: usize, plans: &[NodePlan], dist: &D) {
         for (off, plan) in plans.iter().enumerate() {
             let id = (start + off) as u32;
             let Some(sel) = plan.first().filter(|sel| !sel.is_empty()) else {
@@ -568,7 +673,7 @@ impl HnswIndex {
                         .enumerate()
                         .filter(|(_, &x)| self.droppable(t, x))
                         .max_by(|(_, &a), (_, &b)| {
-                            dist(t, a).total_cmp(&dist(t, b)).then(a.cmp(&b))
+                            dist.pair(t, a).total_cmp(&dist.pair(t, b)).then(a.cmp(&b))
                         })
                         .map(|(pos, _)| pos);
                     match evict {
@@ -589,7 +694,7 @@ impl HnswIndex {
     /// The post-merge adjacency for `target` at `layer` given incoming
     /// backlinks: append under capacity, heuristic re-select on
     /// overflow. Pure (reads pre-round state only).
-    fn merge_backlinks<D: Fn(u32, u32) -> f64>(
+    fn merge_backlinks<D: RowDistance>(
         &self,
         target: u32,
         layer: usize,
@@ -607,16 +712,16 @@ impl HnswIndex {
             ids = old.to_vec();
             ids.extend(incoming.iter().map(|c| c.id));
         } else {
+            let mut d = vec![0.0; old.len()];
+            dist.hop(target, old, &mut d);
             let mut cands: Vec<Cand> = old
                 .iter()
-                .map(|&x| Cand {
-                    d: dist(target, x),
-                    id: x,
-                })
+                .zip(d)
+                .map(|(&id, d)| Cand { d, id })
                 .chain(incoming.iter().copied())
                 .collect();
             cands.sort_unstable();
-            ids = heuristic_select(&cands, cap, dist)
+            ids = heuristic_select(cands.into_iter(), cap, dist)
                 .into_iter()
                 .map(|c| c.id)
                 .collect();
@@ -632,15 +737,12 @@ impl HnswIndex {
     }
 
     fn set_links_sorted(&mut self, id: u32, layer: usize, ids: Vec<u32>) {
+        let row = self.row_of(id, layer).expect("node reaches the layer");
         if layer == 0 {
-            debug_assert!(ids.len() <= self.params.m0);
             // Maintain the lower-in-degree counters: an edge `id -> x`
-            // is a lower in-edge of `x` iff `id < x`. Both lists are
-            // sorted, so diff them.
-            let row = id as usize * self.params.m0;
-            let old_len = self.base_len[id as usize] as usize;
-            let old: Vec<u32> = self.base[row..row + old_len].to_vec();
-            for &x in &old {
+            // is a lower in-edge of `x` iff `id < x`.
+            let old = self.base.row(row);
+            for &x in old {
                 if x > id && !ids.contains(&x) {
                     self.indeg_lower[x as usize] -= 1;
                 }
@@ -650,92 +752,116 @@ impl HnswIndex {
                     self.indeg_lower[x as usize] += 1;
                 }
             }
-            self.base[row..row + ids.len()].copy_from_slice(&ids);
-            self.base_len[id as usize] = ids.len() as u8;
+        }
+        let arena = if layer == 0 {
+            &mut self.base
         } else {
-            debug_assert!(ids.len() <= self.params.m);
-            let lists = self.upper.get_mut(&id).expect("node has upper layers");
-            lists[layer - 1] = ids;
+            &mut self.upper
+        };
+        debug_assert!(ids.len() <= arena.width);
+        arena.set(row, &ids);
+    }
+
+    /// The row of its layer's arena that holds `id`'s `layer` list;
+    /// `None` above the node's level.
+    #[inline]
+    fn row_of(&self, id: u32, layer: usize) -> Option<usize> {
+        if layer == 0 {
+            Some(id as usize)
+        } else if layer <= self.levels[id as usize] as usize {
+            Some(self.upper_row[id as usize] as usize + layer - 1)
+        } else {
+            None
         }
     }
 
     /// The adjacency list of `id` at `layer` (sorted ascending by id).
+    #[inline]
     fn links(&self, id: u32, layer: usize) -> &[u32] {
-        if layer == 0 {
-            let row = id as usize * self.params.m0;
-            &self.base[row..row + self.base_len[id as usize] as usize]
-        } else {
-            match self.upper.get(&id) {
-                Some(lists) if layer <= lists.len() => &lists[layer - 1],
-                _ => &[],
-            }
-        }
+        let arena = if layer == 0 { &self.base } else { &self.upper };
+        self.row_of(id, layer).map_or(&[], |row| arena.row(row))
     }
 
     // -- search -------------------------------------------------------
 
-    /// Beam search at `layer` from one or more entry points: returns up
-    /// to `ef` nearest reachable nodes, sorted ascending by
-    /// `(distance, id)`. Multiple entries matter on strongly clustered
-    /// corpora: a single entry can land in a directed pocket whose only
-    /// exits run through nodes farther than the beam's worst result —
-    /// which the termination bound then prunes.
-    fn beam_search<F: FnMut(u32) -> f64>(
+    /// Beam search at `layer`, in place: `s.pool` comes in as the
+    /// frontier (one or more entries) and leaves as the up to `ef`
+    /// nearest reachable nodes, ascending by `(distance, id)`. Multiple
+    /// entries matter on strongly clustered corpora: a single entry can
+    /// land in a directed pocket whose only exits run through nodes
+    /// farther than the beam's worst result — which the termination
+    /// bound then prunes.
+    ///
+    /// Every entry left of `cursor` is expanded, so `cursor` finds the
+    /// nearest unexpanded entry without a second queue; an entry pushed
+    /// off the end of a full pool is farther than all that remain and
+    /// would never have been expanded.
+    fn beam_layer<F: FnMut(&[u32], &mut [f64])>(
         &self,
         layer: usize,
-        entries: &[Cand],
         ef: usize,
         dq: &mut F,
         s: &mut GraphScratch,
         stats: &mut GraphSearchStats,
-    ) -> Vec<Cand> {
-        debug_assert!(!entries.is_empty());
+    ) {
+        debug_assert!(!s.pool.is_empty() && s.pool.len() <= ef);
         s.begin(self.len);
-        for &e in entries {
-            if s.mark(e.id) {
-                s.cand.push(Reverse(e));
-                s.res.push(e);
-                if s.res.len() > ef {
-                    s.res.pop();
+        for slot in &mut s.pool {
+            slot.expanded = false;
+            s.visited[slot.id as usize] = s.epoch;
+        }
+        let mut cursor = 0;
+        while cursor < s.pool.len() {
+            s.pool[cursor].expanded = true;
+            let links = self.links(s.pool[cursor].id, layer);
+            stats.hops += 1;
+            stats.links_scanned += links.len();
+            s.ids.clear();
+            for &nb in links {
+                let seen = &mut s.visited[nb as usize];
+                if *seen != s.epoch {
+                    *seen = s.epoch;
+                    s.ids.push(nb);
                 }
             }
-        }
-        while let Some(&Reverse(c)) = s.cand.peek() {
-            let worst = *s.res.peek().expect("res never empty");
-            if s.res.len() >= ef && c > worst {
-                break;
-            }
-            s.cand.pop();
-            stats.hops += 1;
-            for &nb in self.links(c.id, layer) {
-                if !s.mark(nb) {
+            s.score(dq);
+            stats.candidates_scanned += s.ids.len();
+            for (&id, &d) in s.ids.iter().zip(&s.dists) {
+                let c = Cand { d, id };
+                let full = s.pool.len() == ef;
+                if full && c > s.pool[ef - 1].cand() {
                     continue;
                 }
-                let d = dq(nb);
-                stats.candidates_scanned += 1;
-                let cd = Cand { d, id: nb };
-                if s.res.len() < ef || cd < *s.res.peek().expect("res never empty") {
-                    s.cand.push(Reverse(cd));
-                    s.res.push(cd);
-                    if s.res.len() > ef {
-                        s.res.pop();
-                    }
+                let at = s.pool.partition_point(|x| x.cand() < c);
+                let slot = Slot {
+                    d,
+                    id,
+                    expanded: false,
+                };
+                if full {
+                    s.pool.copy_within(at..ef - 1, at + 1);
+                    s.pool[at] = slot;
+                } else {
+                    s.pool.insert(at, slot);
                 }
+                cursor = cursor.min(at);
+            }
+            while s.pool.get(cursor).is_some_and(|x| x.expanded) {
+                cursor += 1;
             }
         }
-        let mut out: Vec<Cand> = s.res.drain().collect();
-        out.sort_unstable();
-        out
     }
 
     /// Collects up to `ef` shortlist candidates for a query into
     /// `out` as `(squared_distance, id)`, sorted ascending by
-    /// `(distance, id)`. `dist_to_query(id)` is the caller's oracle.
+    /// `(distance, id)`. `dist_to_query(ids, out)` is the caller's
+    /// oracle: it writes the query's distance to row `ids[i]` into
+    /// `out[i]`, and is called once per hop.
     ///
     /// `ef >= len` degenerates to enumerating every row — the
     /// recall-1.0 anchor that makes a full-ef query bit-identical to
     /// the exhaustive scan regardless of graph connectivity.
-    pub fn shortlist_into<F: FnMut(u32) -> f64>(
+    pub fn shortlist_into<F: FnMut(&[u32], &mut [f64])>(
         &self,
         ef: usize,
         mut dist_to_query: F,
@@ -749,13 +875,23 @@ impl HnswIndex {
             return stats;
         }
         if ef >= self.len {
-            out.extend((0..self.len as u32).map(|i| (dist_to_query(i), i)));
+            // In hop-sized blocks, so the scratch stays hop-sized.
+            let n = self.len as u32;
+            for start in (0..n).step_by(FULL_SCAN_BLOCK as usize) {
+                let block = start..n.min(start + FULL_SCAN_BLOCK);
+                scratch.ids.clear();
+                scratch.ids.extend(block.clone());
+                scratch.score(&mut dist_to_query);
+                out.extend(scratch.dists.iter().copied().zip(block));
+            }
             stats.candidates_scanned = self.len;
             out.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
             return stats;
         }
         let ep = self.entry.expect("non-empty graph has an entry");
-        let dep = dist_to_query(ep);
+        scratch.ids.clear();
+        scratch.ids.push(ep);
+        scratch.score(&mut dist_to_query);
         stats.candidates_scanned += 1;
         // Beam every layer at full width, seeding each layer with all
         // of the previous layer's results (the original Algorithm-5
@@ -763,19 +899,11 @@ impl HnswIndex {
         // clustered corpora a single descent path can land in a
         // directed pocket of the right cluster that the layer-0 beam
         // cannot exit.
-        let mut frontier = vec![Cand { d: dep, id: ep }];
-        for layer in (1..=self.max_level as usize).rev() {
-            frontier = self.beam_search(
-                layer,
-                &frontier,
-                ef,
-                &mut dist_to_query,
-                scratch,
-                &mut stats,
-            );
+        scratch.seed(scratch.dists[0], ep);
+        for layer in (0..=self.max_level as usize).rev() {
+            self.beam_layer(layer, ef, &mut dist_to_query, scratch, &mut stats);
         }
-        let res = self.beam_search(0, &frontier, ef, &mut dist_to_query, scratch, &mut stats);
-        out.extend(res.into_iter().map(|c| (c.d, c.id)));
+        out.extend(scratch.pool.iter().map(|c| (c.d, c.id)));
         stats
     }
 
@@ -814,7 +942,7 @@ impl HnswIndex {
     /// followed by that many `u32` neighbor ids in strictly ascending
     /// order. Levels are recomputed from `(seed, m)` on decode.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(48 + self.base.len() * 4);
+        let mut out = Vec::with_capacity(48 + self.base.slots.len() * 4);
         out.put_slice(HNSW_MAGIC);
         for v in [
             self.params.m as u64,
@@ -926,33 +1054,41 @@ impl HnswIndex {
 /// walk candidates in ascending `(distance, id)` order, keep `c` only
 /// if no already-kept `s` is closer to `c` than the query is
 /// (`dist(c, s) < d(c, q)` prunes), then backfill pruned candidates up
-/// to `cap`.
-fn heuristic_select<D: Fn(u32, u32) -> f64>(cands: &[Cand], cap: usize, dist: &D) -> Vec<Cand> {
+/// to `cap`. A candidate's distances to everything kept so far are one
+/// oracle hop.
+fn heuristic_select<D: RowDistance>(
+    cands: impl Iterator<Item = Cand>,
+    cap: usize,
+    dist: &D,
+) -> Vec<Cand> {
     let mut selected: Vec<Cand> = Vec::with_capacity(cap);
+    let mut kept: Vec<u32> = Vec::with_capacity(cap);
+    let mut to_kept = vec![0.0; cap];
     let mut pruned: Vec<Cand> = Vec::new();
-    for &c in cands {
+    for c in cands {
         if selected.len() >= cap {
             break;
         }
-        if selected.iter().all(|s| dist(c.id, s.id) >= c.d) {
+        let to_kept = &mut to_kept[..kept.len()];
+        dist.hop(c.id, &kept, to_kept);
+        if to_kept.iter().all(|&d| d >= c.d) {
             selected.push(c);
+            kept.push(c.id);
         } else {
             pruned.push(c);
         }
     }
-    for &c in &pruned {
-        if selected.len() >= cap {
-            break;
-        }
-        selected.push(c);
-    }
+    let room = cap - selected.len();
+    selected.extend(pruned.into_iter().take(room));
     selected
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neutraj_trajectory::rng::splitmix64;
+    use neutraj_trajectory::rng::{cases, splitmix64, Rng};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     /// Deterministic pseudo-random rows for a squared-L2 oracle.
     fn rows(n: usize, dim: usize, seed: u64) -> Vec<f64> {
@@ -969,6 +1105,144 @@ mod tests {
             .zip(rb)
             .map(|(x, y)| (x - y) * (x - y))
             .sum::<f64>()
+    }
+
+    /// A per-id query oracle as the per-hop closure `shortlist_into` takes.
+    fn each(mut f: impl FnMut(u32) -> f64) -> impl FnMut(&[u32], &mut [f64]) {
+        move |ids, out| {
+            for (o, &i) in out.iter_mut().zip(ids) {
+                *o = f(i);
+            }
+        }
+    }
+
+    /// The textbook two-heap beam this module used before the pool —
+    /// kept as the oracle the pool must match expansion for expansion.
+    /// Returns the layer's result (ascending) and adds its work to
+    /// `stats`.
+    fn two_heap_beam(
+        g: &HnswIndex,
+        layer: usize,
+        entries: &[Cand],
+        ef: usize,
+        dq: &mut impl FnMut(u32) -> f64,
+        stats: &mut GraphSearchStats,
+    ) -> Vec<Cand> {
+        let mut visited = vec![false; g.len];
+        let mut mark = |id: u32| !std::mem::replace(&mut visited[id as usize], true);
+        let mut cand: BinaryHeap<Reverse<Cand>> = BinaryHeap::new();
+        let mut res: BinaryHeap<Cand> = BinaryHeap::new();
+        for &e in entries {
+            if mark(e.id) {
+                cand.push(Reverse(e));
+                res.push(e);
+                if res.len() > ef {
+                    res.pop();
+                }
+            }
+        }
+        while let Some(&Reverse(c)) = cand.peek() {
+            let worst = *res.peek().expect("res never empty");
+            if res.len() >= ef && c > worst {
+                break;
+            }
+            cand.pop();
+            stats.hops += 1;
+            for &nb in g.links(c.id, layer) {
+                stats.links_scanned += 1;
+                if !mark(nb) {
+                    continue;
+                }
+                let d = dq(nb);
+                stats.candidates_scanned += 1;
+                let cd = Cand { d, id: nb };
+                if res.len() < ef || cd < *res.peek().expect("res never empty") {
+                    cand.push(Reverse(cd));
+                    res.push(cd);
+                    if res.len() > ef {
+                        res.pop();
+                    }
+                }
+            }
+        }
+        let mut out = res.into_vec();
+        out.sort_unstable();
+        out
+    }
+
+    /// Random corpora on a coarse integer grid, with whole rows repeated:
+    /// many exactly tied distances and many zero ones, so every order in
+    /// the beam is decided by ids somewhere.
+    #[test]
+    fn pool_beam_matches_two_heap_oracle_on_every_layer() {
+        cases(24, |rng: &mut Rng| {
+            let n = rng.gen_range(70..260usize);
+            let dim = rng.gen_range(1..4usize);
+            let mut data: Vec<f64> = (0..n * dim)
+                .map(|_| f64::from(rng.gen_range(0..6u32)))
+                .collect();
+            for _ in 0..n / 4 {
+                let (a, b) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                data.copy_within(a * dim..(a + 1) * dim, b * dim);
+            }
+            // Narrow links so a small corpus still stacks several layers.
+            let params = HnswParams {
+                m: 3,
+                m0: 6,
+                ef_construction: rng.gen_range(4..40),
+                seed: rng.next_u64(),
+            };
+            let dist = |a: u32, b: u32| l2sq(&data, dim, a, b);
+            let g = HnswIndex::build(params, n, 1, &dist);
+            assert!(g.max_level() >= 2, "corpus too flat to test upper layers");
+            for threads in [2, 4] {
+                let other = HnswIndex::build(params, n, threads, &dist);
+                assert_eq!(other.to_bytes(), g.to_bytes(), "{threads} threads");
+                assert_eq!(other, g, "{threads} threads");
+            }
+
+            let mut scratch = GraphScratch::new();
+            let mut out = Vec::new();
+            for ef in [1, 2, 7, 64, n - 1] {
+                let q = rng.gen_range(0..n as u32);
+                let mut dq = |i: u32| dist(q, i);
+                // The oracle, layer by layer from the entry point; the
+                // pool is handed the oracle's frontier on each layer
+                // (one entry on the top layer, many below).
+                let ep = g.entry_point().expect("non-empty");
+                let mut want = GraphSearchStats {
+                    candidates_scanned: 1,
+                    ..Default::default()
+                };
+                let mut frontier = vec![Cand { d: dq(ep), id: ep }];
+                for layer in (0..=g.max_level() as usize).rev() {
+                    scratch.pool.clear();
+                    scratch.pool.extend(frontier.iter().map(|c| Slot {
+                        d: c.d,
+                        id: c.id,
+                        expanded: true,
+                    }));
+                    let mut got = GraphSearchStats::default();
+                    let before = want;
+                    frontier = two_heap_beam(&g, layer, &frontier, ef, &mut dq, &mut want);
+                    g.beam_layer(layer, ef, &mut each(&mut dq), &mut scratch, &mut got);
+                    let pool: Vec<Cand> = scratch.pool.iter().map(Slot::cand).collect();
+                    assert_eq!(pool, frontier, "ef {ef} layer {layer}");
+                    assert_eq!(got.hops, want.hops - before.hops, "ef {ef} layer {layer}");
+                    assert_eq!(
+                        got.candidates_scanned,
+                        want.candidates_scanned - before.candidates_scanned,
+                        "ef {ef} layer {layer}"
+                    );
+                    assert_eq!(got.links_scanned, want.links_scanned - before.links_scanned);
+                }
+                // And the whole walk, carrying its own pool across layers.
+                let got = g.shortlist_into(ef, each(&mut dq), &mut scratch, &mut out);
+                let shortlist: Vec<Cand> = out.iter().map(|&(d, id)| Cand { d, id }).collect();
+                assert_eq!(shortlist, frontier, "ef {ef}");
+                assert_eq!(got, want, "ef {ef}");
+            }
+        });
     }
 
     fn build_over(rows: &[f64], dim: usize, n: usize, threads: usize) -> HnswIndex {
@@ -999,7 +1273,7 @@ mod tests {
         let mut dq = |i: u32| l2sq(&data, dim, q, i);
         let mut out = Vec::new();
         let mut scratch = GraphScratch::new();
-        g.shortlist_into(n, &mut dq, &mut scratch, &mut out);
+        g.shortlist_into(n, each(&mut dq), &mut scratch, &mut out);
         let mut brute: Vec<(f64, u32)> = (0..n as u32).map(|i| (dq(i), i)).collect();
         brute.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         assert_eq!(out, brute);
@@ -1020,7 +1294,7 @@ mod tests {
                 .min()
                 .unwrap();
             let mut out = Vec::new();
-            let stats = g.shortlist_into(64, &mut dq, &mut scratch, &mut out);
+            let stats = g.shortlist_into(64, each(&mut dq), &mut scratch, &mut out);
             assert!(stats.hops > 0, "graph search must hop");
             assert!(out.len() <= 64);
             if out.first().map(|&(_, id)| id) == Some(truth.id) {
@@ -1044,16 +1318,15 @@ mod tests {
         // graphs differ; what must hold is the level/derived state and
         // search quality, plus codec round-tripping.
         let mut inc = HnswIndex::build(HnswParams::default(), 0, 1, &dist);
+        let mut scratch = GraphScratch::new();
         for _ in 0..n {
-            inc.insert(&dist);
+            inc.insert(&dist, &mut scratch);
         }
         assert_eq!(inc.len(), batch.len());
         assert_eq!(inc.max_level(), batch.max_level());
         assert_eq!(inc.entry_point(), batch.entry_point());
         let mut out = Vec::new();
-        let mut scratch = GraphScratch::new();
-        let mut dq = |i: u32| dist(3, i);
-        inc.shortlist_into(n, &mut dq, &mut scratch, &mut out);
+        inc.shortlist_into(n, each(|i| dist(3, i)), &mut scratch, &mut out);
         assert_eq!(out.len(), n);
         assert_eq!(out[0].1, 3);
     }
@@ -1111,7 +1384,7 @@ mod tests {
         assert_eq!(back, g);
         let mut out = vec![(0.0, 9u32)];
         let mut scratch = GraphScratch::new();
-        let stats = g.shortlist_into(5, |_| 0.0, &mut scratch, &mut out);
+        let stats = g.shortlist_into(5, each(|_| 0.0), &mut scratch, &mut out);
         assert!(out.is_empty());
         assert_eq!(stats, GraphSearchStats::default());
     }

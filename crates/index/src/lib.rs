@@ -46,7 +46,9 @@ mod ivf;
 mod pointgrid;
 mod rtree;
 
-pub use hnsw::{GraphScratch, GraphSearchStats, HnswCodecError, HnswIndex, HnswParams, HNSW_MAGIC};
+pub use hnsw::{
+    GraphScratch, GraphSearchStats, HnswCodecError, HnswIndex, HnswParams, RowDistance, HNSW_MAGIC,
+};
 pub use inverted::GridInvertedIndex;
 pub use ivf::{CoarseQuantizer, IvfCodecError, IvfIndex, IVF_MAGIC};
 pub use pointgrid::PointGrid;

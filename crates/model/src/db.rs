@@ -121,6 +121,7 @@ pub struct DbMetrics {
     ann_rerank_depth: Histogram,
     graph_hops: Counter,
     graph_candidates_scanned: Counter,
+    graph_links_scanned: Counter,
     graph_ef: Histogram,
     graph_rerank_depth: Histogram,
     quant_rows_scanned: Counter,
@@ -143,6 +144,7 @@ impl DbMetrics {
             ann_rerank_depth: registry.histogram(names::ANN_RERANK_DEPTH),
             graph_hops: registry.counter(names::GRAPH_HOPS_TOTAL),
             graph_candidates_scanned: registry.counter(names::GRAPH_CANDIDATES_SCANNED_TOTAL),
+            graph_links_scanned: registry.counter(names::GRAPH_LINKS_SCANNED_TOTAL),
             graph_ef: registry.histogram(names::GRAPH_EF),
             graph_rerank_depth: registry.histogram(names::GRAPH_RERANK_DEPTH),
             quant_rows_scanned: registry.counter(names::QUANT_ROWS_SCANNED_TOTAL),
@@ -395,9 +397,7 @@ impl SimilarityDb {
             )));
         }
         let store = &self.embeddings;
-        let graph = HnswIndex::build(*params, store.len(), threads.max(1), &|a, b| {
-            store.row_dist_sq(a, b)
-        });
+        let graph = HnswIndex::build(*params, store.len(), threads.max(1), store);
         self.graph = Some(graph);
         Ok(())
     }
@@ -580,6 +580,7 @@ impl SimilarityDb {
                 m.graph_hops.add(stats.hops as u64);
                 m.graph_candidates_scanned
                     .add(stats.candidates_scanned as u64);
+                m.graph_links_scanned.add(stats.links_scanned as u64);
                 m.graph_ef.observe(ef as f64);
                 // Fraction of the corpus exactly scored per query — the
                 // realized sub-linearity of the graph shortlist.
@@ -704,8 +705,7 @@ impl SimilarityDb {
         // queries see every inserted row — same liveness contract as
         // the IVF index.
         if let Some(graph) = &mut self.graph {
-            let store = &self.embeddings;
-            graph.insert(&|a, b| store.row_dist_sq(a, b));
+            self.embeddings.link_last_row(graph);
         }
         // And the quantized view: the new row quantizes on its own scale.
         if let Some(q) = &mut self.quant {
@@ -734,8 +734,7 @@ impl SimilarityDb {
                 ann.insert(e);
             }
             if let Some(graph) = &mut self.graph {
-                let store = &self.embeddings;
-                graph.insert(&|a, b| store.row_dist_sq(a, b));
+                self.embeddings.link_last_row(graph);
             }
             if let Some(q) = &mut self.quant {
                 q.push(e);

@@ -20,9 +20,10 @@
 //! trivially bit-identical.
 
 use crate::backbone::NeuTrajModel;
-use neutraj_index::{CoarseQuantizer, GraphScratch, HnswIndex, IvfIndex};
+use neutraj_index::{CoarseQuantizer, GraphScratch, HnswIndex, IvfIndex, RowDistance};
 use neutraj_measures::{partial_sort_neighbors, top_k, Neighbor, NeighborHeap};
 use neutraj_nn::linalg::{dot, euclidean_sq, matmul_nt};
+use neutraj_nn::simd::dot_rows;
 use neutraj_trajectory::Trajectory;
 use std::cell::RefCell;
 
@@ -41,8 +42,8 @@ thread_local! {
 
     /// Reusable per-thread graph-walk scratch. Its visited array is as
     /// long as the largest graph this thread has searched and is reset
-    /// per query by an epoch bump, so a lone graph query neither
-    /// allocates nor fills `N` slots.
+    /// per query by an epoch bump, so neither a lone graph query nor a
+    /// row inserted into a graph allocates or fills `N` slots.
     static GRAPH_SCRATCH: RefCell<GraphScratch> = RefCell::new(GraphScratch::new());
 }
 
@@ -143,6 +144,23 @@ impl EmbeddingStore {
     pub fn row_dist_sq(&self, a: u32, b: u32) -> f64 {
         let (a, b) = (a as usize, b as usize);
         (self.norms[a] - 2.0 * dot(self.get(a), self.get(b)) + self.norms[b]).max(0.0)
+    }
+
+    /// `out[i]` = the norm-trick squared distance from `q` (with `qn =
+    /// ‖q‖²`) to stored row `ids[i]` — one graph hop in one gathered-rows
+    /// kernel call ([`dot_rows`], bit-identical to [`dot`] per row), so
+    /// each entry equals the per-pair expression above bit for bit.
+    fn dists_to_rows(&self, q: &[f64], qn: f64, ids: &[u32], out: &mut [f64]) {
+        dot_rows(neutraj_obs::simd::level(), q, &self.data, ids, out);
+        for (o, &i) in out.iter_mut().zip(ids) {
+            *o = (qn - 2.0 * *o + self.norms[i as usize]).max(0.0);
+        }
+    }
+
+    /// Appends this store's newest row to `graph` (a one-node
+    /// construction round), on the thread's reusable walk scratch.
+    pub(crate) fn link_last_row(&self, graph: &mut HnswIndex) {
+        GRAPH_SCRATCH.with(|cell| graph.insert(self, &mut cell.borrow_mut()));
     }
 
     /// Top-k nearest stored items to `query` by embedding distance
@@ -282,7 +300,8 @@ impl EmbeddingStore {
     ///
     /// Per query, the graph's `ef`-bounded beam search (driven by the
     /// norm-trick oracle `(‖q‖² − 2·q·x + ‖x‖²).max(0)`, built from the
-    /// same [`dot`] as the blocked GEMM) yields up to `ef` candidates; a
+    /// same [`dot`] as the blocked GEMM and asked one hop's neighbours
+    /// at a time) yields up to `ef` candidates; a
     /// [`NeighborHeap`] then keeps the `k` smallest under the total
     /// order `(dist, index)`. With `ef ≥ N` the graph degenerates to
     /// enumerating every row, so the result is **bit-identical** to
@@ -320,12 +339,13 @@ impl EmbeddingStore {
                 let qn = dot(q, q);
                 let s = graph.shortlist_into(
                     ef,
-                    |i| (qn - 2.0 * dot(q, self.get(i as usize)) + self.norms[i as usize]).max(0.0),
+                    |ids, out| self.dists_to_rows(q, qn, ids, out),
                     scratch,
                     &mut cand,
                 );
                 stats.hops += s.hops;
                 stats.candidates_scanned += s.candidates_scanned;
+                stats.links_scanned += s.links_scanned;
                 heap.reset(k);
                 for &(d2, i) in &cand {
                     heap.push(i as usize, d2);
@@ -453,15 +473,31 @@ pub struct AnnStats {
     pub candidates_scanned: usize,
 }
 
+/// The store as the graph's build-time oracle: [`Self::row_dist_sq`]
+/// per pair, a whole hop through the gathered-rows kernel.
+impl RowDistance for EmbeddingStore {
+    fn pair(&self, a: u32, b: u32) -> f64 {
+        self.row_dist_sq(a, b)
+    }
+
+    fn hop(&self, a: u32, ids: &[u32], out: &mut [f64]) {
+        let a = a as usize;
+        self.dists_to_rows(self.get(a), self.norms[a], ids, out);
+    }
+}
+
 /// Work counters reported by one [`EmbeddingStore::knn_graph_batch`]
 /// call — the raw material for the graph-shortlist metrics
-/// (`neutraj_graph_hops_total`, `neutraj_graph_candidates_scanned_total`).
+/// (`neutraj_graph_hops_total`, `neutraj_graph_candidates_scanned_total`,
+/// `neutraj_graph_links_scanned_total`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GraphStats {
     /// Graph nodes whose adjacency was expanded across the batch.
     pub hops: usize,
     /// Distance evaluations performed across the batch.
     pub candidates_scanned: usize,
+    /// Adjacency entries read (visited-array probes) across the batch.
+    pub links_scanned: usize,
 }
 
 #[cfg(test)]

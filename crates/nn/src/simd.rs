@@ -15,6 +15,9 @@
 //!   ascending-`p`, mul-then-add chain per output and vectorizes across
 //!   four `B` rows (four independent outputs), transposing `B` in
 //!   registers instead of packing it;
+//! * the gathered-rows dot ([`dot_rows`]) is that arm with the four rows
+//!   named by an id list instead of being adjacent — one `dot` chain per
+//!   lane;
 //! * the u8 dot is exact integer arithmetic, where any summation order
 //!   yields the same value.
 
@@ -163,6 +166,43 @@ fn nt_direct_columns(a: &[f64], b: &[f64], c: &mut [f64], m: usize, n: usize, k:
             }
             c[i * n + j] = acc;
         }
+    }
+}
+
+/// `out[i] = dot(q, row ids[i])` over a row-major matrix of
+/// `q.len()`-wide rows — the distances of one graph hop in one call
+/// (`DESIGN.md` §15).
+///
+/// The scalar arm is the definition: [`crate::linalg::dot`]'s fold, one
+/// accumulator per output starting at `-0.0` and summed in ascending
+/// `p`. The AVX2 arm runs that chain for four gathered rows at a time,
+/// one per lane, transposing their 4×4 blocks in registers exactly as
+/// [`matmul_nt_direct`] does for adjacent rows; a group short of four
+/// ids repeats its last id (lanes never mix, the spare lanes are not
+/// stored). Multiply and add stay separate instructions, so each lane
+/// performs `dot`'s operations on `dot`'s operands: bit-identical,
+/// signed zeros included. Ids may repeat. Panics when an id names a row
+/// past the end of `rows`.
+#[inline]
+#[allow(unsafe_code)]
+pub fn dot_rows(level: SimdLevel, q: &[f64], rows: &[f64], ids: &[u32], out: &mut [f64]) {
+    let k = q.len();
+    assert_eq!(ids.len(), out.len(), "dot_rows: ids/out length mismatch");
+    // No division: this runs once per graph hop.
+    assert!(
+        ids.iter().all(|&i| (i as usize + 1) * k <= rows.len()),
+        "dot_rows: row id out of range"
+    );
+    #[cfg(target_arch = "x86_64")]
+    if use_avx2(level) && k > 0 {
+        // SAFETY: AVX2 presence just verified; every id addresses a
+        // whole `k`-wide row inside `rows` and `out` is as long as `ids`.
+        unsafe { avx2::dot_rows(q, rows, ids, out) };
+        return;
+    }
+    let _ = level;
+    for (o, &i) in out.iter_mut().zip(ids) {
+        *o = crate::linalg::dot(q, &rows[i as usize * k..][..k]);
     }
 }
 
@@ -338,20 +378,19 @@ mod avx2 {
         }
     }
 
-    /// Transposes the 4×4 block of `B` at rows `j..j+4`, columns
-    /// `p..p+4` (row stride `k`): lane `l` of result `q` is
-    /// `b[(j+l)·k + p+q]`.
+    /// Transposes the 4×4 block whose row `l` is the four doubles at
+    /// `rows[l]`: lane `l` of result `q` is `rows[l][q]`.
     ///
     /// # Safety
-    /// AVX2 must be available and `b` must be readable for `(j+4)·k`
-    /// doubles with `p + 4 <= k`.
+    /// AVX2 must be available and every pointer readable for four
+    /// doubles.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn transpose4(b: *const f64, k: usize, j: usize, p: usize) -> [__m256d; 4] {
-        let r0 = _mm256_loadu_pd(b.add(j * k + p));
-        let r1 = _mm256_loadu_pd(b.add((j + 1) * k + p));
-        let r2 = _mm256_loadu_pd(b.add((j + 2) * k + p));
-        let r3 = _mm256_loadu_pd(b.add((j + 3) * k + p));
+    unsafe fn transpose4(rows: [*const f64; 4]) -> [__m256d; 4] {
+        let r0 = _mm256_loadu_pd(rows[0]);
+        let r1 = _mm256_loadu_pd(rows[1]);
+        let r2 = _mm256_loadu_pd(rows[2]);
+        let r3 = _mm256_loadu_pd(rows[3]);
         let u0 = _mm256_unpacklo_pd(r0, r1);
         let u1 = _mm256_unpackhi_pd(r0, r1);
         let u2 = _mm256_unpacklo_pd(r2, r3);
@@ -362,6 +401,17 @@ mod avx2 {
             _mm256_permute2f128_pd(u0, u2, 0x31),
             _mm256_permute2f128_pd(u1, u3, 0x31),
         ]
+    }
+
+    /// Lane `l` is the single double at `rows[l]` — the `k % 4` tail
+    /// step of the transposing kernels.
+    ///
+    /// # Safety
+    /// AVX2 must be available and every pointer readable for one double.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn gather4(rows: [*const f64; 4]) -> __m256d {
+        _mm256_set_pd(*rows[3], *rows[2], *rows[1], *rows[0])
     }
 
     /// Outputs `c[i·n + j0 + 4·g + l]` for `i < M`, `g < G`, `l < 4`:
@@ -387,7 +437,8 @@ mod avx2 {
         let mut p = 0;
         while p + 4 <= k {
             for (g, rows) in acc.iter_mut().enumerate() {
-                let t = transpose4(b, k, j0 + 4 * g, p);
+                let j = j0 + 4 * g;
+                let t = transpose4(std::array::from_fn(|l| b.add((j + l) * k + p)));
                 for (i, sum) in rows.iter_mut().enumerate() {
                     for (q, &tq) in t.iter().enumerate() {
                         let av = _mm256_set1_pd(*a.add(i * k + p + q));
@@ -401,12 +452,7 @@ mod avx2 {
         while p < k {
             for (g, rows) in acc.iter_mut().enumerate() {
                 let j = j0 + 4 * g;
-                let t = _mm256_set_pd(
-                    *b.add((j + 3) * k + p),
-                    *b.add((j + 2) * k + p),
-                    *b.add((j + 1) * k + p),
-                    *b.add(j * k + p),
-                );
+                let t = gather4(std::array::from_fn(|l| b.add((j + l) * k + p)));
                 for (i, sum) in rows.iter_mut().enumerate() {
                     let av = _mm256_set1_pd(*a.add(i * k + p));
                     *sum = _mm256_add_pd(*sum, _mm256_mul_pd(av, t));
@@ -473,6 +519,87 @@ mod avx2 {
             _ => unreachable!("dispatcher admits m in 1..=7"),
         }
         n - n % 4
+    }
+
+    /// `out[i] = dot(q, row ids[base + i])` for `i < min(4·G, ids.len() −
+    /// base)`: `G` groups of four gathered rows, one accumulator per
+    /// group so short id lists still overlap `G` add chains. Lanes past
+    /// the end of `ids` recompute its last row and are not stored.
+    ///
+    /// # Safety
+    /// AVX2 must be available; `base < ids.len() == out.len()`, and
+    /// every id must address a whole `q.len()`-wide row of `rows`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn dot_rows_groups<const G: usize>(
+        q: &[f64],
+        rows: *const f64,
+        ids: &[u32],
+        base: usize,
+        out: &mut [f64],
+    ) {
+        let k = q.len();
+        let last = ids.len() - 1;
+        let row: [[*const f64; 4]; G] = std::array::from_fn(|g| {
+            std::array::from_fn(|l| {
+                let id = *ids.get_unchecked((base + 4 * g + l).min(last));
+                rows.add(id as usize * k)
+            })
+        });
+        // `dot` folds from -0.0 (the additive identity that keeps an
+        // all-`-0.0` sum negative).
+        let mut acc = [_mm256_set1_pd(-0.0); G];
+        let qp = q.as_ptr();
+        let mut p = 0;
+        while p + 4 <= k {
+            for (sum, r) in acc.iter_mut().zip(&row) {
+                let t = transpose4(r.map(|x| x.add(p)));
+                for (j, &tj) in t.iter().enumerate() {
+                    let qv = _mm256_set1_pd(*qp.add(p + j));
+                    // Separate mul+add: the scalar oracle does not contract.
+                    *sum = _mm256_add_pd(*sum, _mm256_mul_pd(qv, tj));
+                }
+            }
+            p += 4;
+        }
+        while p < k {
+            let qv = _mm256_set1_pd(*qp.add(p));
+            for (sum, r) in acc.iter_mut().zip(&row) {
+                let t = gather4(r.map(|x| x.add(p)));
+                *sum = _mm256_add_pd(*sum, _mm256_mul_pd(qv, t));
+            }
+            p += 1;
+        }
+        for (g, &sum) in acc.iter().enumerate() {
+            let start = base + 4 * g;
+            if start + 4 <= out.len() {
+                _mm256_storeu_pd(out.as_mut_ptr().add(start), sum);
+            } else if start < out.len() {
+                let mut lanes = [0.0f64; 4];
+                _mm256_storeu_pd(lanes.as_mut_ptr(), sum);
+                let n = out.len() - start;
+                out[start..].copy_from_slice(&lanes[..n]);
+            }
+        }
+    }
+
+    /// # Safety
+    /// AVX2 must be available; `ids.len() == out.len()`, `q` non-empty,
+    /// and every id must address a whole `q.len()`-wide row of `rows`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn dot_rows(q: &[f64], rows: &[f64], ids: &[u32], out: &mut [f64]) {
+        let rows = rows.as_ptr();
+        let n = ids.len();
+        let mut base = 0;
+        while base + 8 < n {
+            dot_rows_groups::<4>(q, rows, ids, base, out);
+            base += 16;
+        }
+        if base + 4 < n {
+            dot_rows_groups::<2>(q, rows, ids, base, out);
+        } else if base < n {
+            dot_rows_groups::<1>(q, rows, ids, base, out);
+        }
     }
 
     #[target_feature(enable = "avx2")]
@@ -626,6 +753,68 @@ mod tests {
             gemm_tile_nn(SimdLevel::Avx2, arows, &bmat, n, 2, &mut b);
             assert_eq!(a, b, "nn k={k}");
         }
+    }
+
+    #[test]
+    fn dot_rows_matches_dot_bitwise_across_levels() {
+        let mut seed = 31u64;
+        let nrows = 40usize;
+        // Payloads that tell a `-0.0` fold from a `+0.0` one and a fused
+        // multiply-add from a separate pair: signed zeros, subnormals
+        // (products underflow), and ordinary values.
+        let special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1.5, 3.25];
+        for k in [1usize, 3, 4, 31, 32, 33] {
+            let mut rows = fill(nrows * k, &mut seed);
+            let mut q = fill(k, &mut seed);
+            for v in rows.iter_mut().chain(q.iter_mut()) {
+                if lcg(&mut seed) >> 62 == 0 {
+                    *v = special[(lcg(&mut seed) >> 33) as usize % special.len()];
+                }
+            }
+            // Row 0 and the first query give an all-`-0.0` sum.
+            rows[..k].fill(-0.0);
+            for (qi, q) in [vec![1.0; k], q].iter().enumerate() {
+                for n in 0..=33usize {
+                    // Repeated ids, row 0 included, in no particular order.
+                    let ids: Vec<u32> = (0..n)
+                        .map(|i| {
+                            if i % 5 == 0 {
+                                0
+                            } else {
+                                (lcg(&mut seed) >> 33) as u32 % 7 * 5
+                            }
+                        })
+                        .collect();
+                    let mut narrow = vec![f64::NAN; n];
+                    let mut wide = vec![f64::NAN; n];
+                    dot_rows(SimdLevel::Scalar, q, &rows, &ids, &mut narrow);
+                    dot_rows(SimdLevel::Avx2, q, &rows, &ids, &mut wide);
+                    for (i, &id) in ids.iter().enumerate() {
+                        let want = crate::linalg::dot(q, &rows[id as usize * k..][..k]);
+                        assert_eq!(
+                            narrow[i].to_bits(),
+                            want.to_bits(),
+                            "scalar k={k} n={n} i={i}"
+                        );
+                        assert_eq!(wide[i].to_bits(), want.to_bits(), "avx2 k={k} n={n} i={i}");
+                    }
+                    if qi == 0 && n > 0 {
+                        assert_eq!(wide[0].to_bits(), (-0.0f64).to_bits(), "k={k}");
+                    }
+                }
+            }
+        }
+        // An empty query is an empty sum for every id.
+        let mut out = [1.0; 2];
+        dot_rows(SimdLevel::Avx2, &[], &[], &[], &mut []);
+        dot_rows(SimdLevel::Scalar, &[1.0], &[2.0, 3.0], &[1, 0], &mut out);
+        assert_eq!(out, [3.0, 2.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row id out of range")]
+    fn dot_rows_rejects_an_id_past_the_matrix() {
+        dot_rows(SimdLevel::Avx2, &[1.0, 1.0], &[0.0; 6], &[3], &mut [0.0]);
     }
 
     #[test]

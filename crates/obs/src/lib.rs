@@ -408,6 +408,9 @@ pub mod names {
     pub const GRAPH_HOPS_TOTAL: &str = "neutraj_graph_hops_total";
     /// Counter: distance evaluations performed by graph beam searches.
     pub const GRAPH_CANDIDATES_SCANNED_TOTAL: &str = "neutraj_graph_candidates_scanned_total";
+    /// Counter: adjacency entries read (visited-array probes) by graph
+    /// beam searches — the walk's bookkeeping beside its distances.
+    pub const GRAPH_LINKS_SCANNED_TOTAL: &str = "neutraj_graph_links_scanned_total";
     /// Histogram: the effective beam width (`ef`) of served graph
     /// queries after the fetch-depth floor.
     pub const GRAPH_EF: &str = "neutraj_graph_ef";

@@ -190,3 +190,30 @@ fn embeddings_are_pinned() {
         assert_eq!(crc(&bytes), pin, "{backbone:?}");
     }
 }
+
+/// A graph deep enough to have several upper layers (n = 5 000 at
+/// m = 16 draws levels 0..=3), plus one `knn_graph_batch` answer and
+/// its work counters. Recorded on the commit before the pool beam, the
+/// upper-layer arena and the hop-batched oracle landed: the walk must
+/// make the same expansions in the same order, so graph bytes, answer
+/// bits and `hops`/`candidates_scanned` all stay put. The store-backed
+/// oracle and the pair closure must build the same bytes.
+#[test]
+fn deep_graph_and_graph_answer_are_pinned() {
+    let (n, dim) = (5000, 8);
+    let embs: Vec<Vec<f64>> = rows(n, dim).chunks(dim).map(<[f64]>::to_vec).collect();
+    let store = EmbeddingStore::from_embeddings(dim, &embs);
+    let graph = HnswIndex::build(HnswParams::default(), n, 2, &|a, b| store.row_dist_sq(a, b));
+    assert!(graph.max_level() >= 2, "pin must cover ≥ 3 levels");
+    assert_eq!(crc(&graph.to_bytes()), 0x02a0_902a);
+    assert_eq!(HnswIndex::build(HnswParams::default(), n, 2, &store), graph);
+    let queries: Vec<&[f64]> = [3usize, 1711, 4999].iter().map(|&i| store.get(i)).collect();
+    let (answers, stats) = store.knn_graph_batch(&queries, 10, &graph, 48);
+    let mut bytes = Vec::new();
+    for nb in answers.iter().flatten() {
+        bytes.extend_from_slice(&(nb.index as u64).to_le_bytes());
+        bytes.extend_from_slice(&nb.dist.to_le_bytes());
+    }
+    assert_eq!(crc(&bytes), 0x0b7a_107b);
+    assert_eq!((stats.hops, stats.candidates_scanned), (363, 2049));
+}
