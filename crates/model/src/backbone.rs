@@ -2,8 +2,8 @@
 
 use crate::config::{BackboneKind, TrainConfig};
 use neutraj_nn::{
-    Adam, GruCache, GruEncoder, GruGrads, LstmCache, LstmEncoder, LstmGrads, SamCache, SamGrads,
-    SamLstmEncoder, SamSeqRef, Workspace, WriteLog,
+    Adam, GruCache, GruEncoder, GruGrads, LstmCache, LstmEncoder, LstmGrads, MemoryMode, SamGrads,
+    SamLstmEncoder, SamSeqRef, SamTapeRef, Workspace, WriteLog,
 };
 use neutraj_obs::{Histogram, Registry};
 use neutraj_trajectory::{Grid, Trajectory};
@@ -44,9 +44,49 @@ impl SamPhaseMetrics {
     }
 }
 
+/// Runs `work` over `parts` and returns the results in part order: the
+/// first part on the calling thread, every other on a scoped thread of
+/// its own. One part spawns nothing, so sequential callers pass one. A
+/// worker's panic continues on the caller with its own message (a dead
+/// tape, a shape mismatch) rather than a generic "worker panicked".
+fn fan_out<P: Send, R: Send>(
+    parts: impl IntoIterator<Item = P>,
+    work: impl Fn(P) -> R + Sync,
+) -> Vec<R> {
+    let mut parts = parts.into_iter();
+    let Some(first) = parts.next() else {
+        return Vec::new();
+    };
+    let work = &work;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = parts.map(|p| scope.spawn(move || work(p))).collect();
+        let mut out = vec![work(first)];
+        for h in handles {
+            out.push(
+                h.join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
+            );
+        }
+        out
+    })
+}
+
+/// Parts of at most this many items split `len` items over `threads`
+/// workers; everything in one part below four items or without threads.
+fn part_len(len: usize, threads: usize) -> usize {
+    if threads <= 1 || len < 4 {
+        len.max(1)
+    } else {
+        len.div_ceil(threads)
+    }
+}
+
 /// A recurrent encoder backbone (SAM-LSTM / LSTM / GRU) with uniform
 /// forward/backward/optimize entry points so the trainer is
 /// architecture-agnostic.
+// One backbone per model, never collected: the SAM variant's inline tape
+// bookkeeping costs nothing a `Box` would save.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone)]
 pub enum Backbone {
     /// SAM-augmented LSTM with its spatial memory.
@@ -60,8 +100,11 @@ pub enum Backbone {
 /// BPTT cache matching the backbone that produced it.
 #[derive(Debug, Clone)]
 pub enum BackboneCache {
-    /// SAM cache.
-    Sam(SamCache),
+    /// A SAM tape in the backbone's own batch storage: valid for
+    /// [`Backbone::backward_batch`] on the backbone that handed it out,
+    /// until its next [`Backbone::forward_train_batch`] or
+    /// [`Backbone::reset_memory`].
+    Sam(SamTapeRef),
     /// LSTM cache.
     Lstm(LstmCache),
     /// GRU cache.
@@ -137,28 +180,6 @@ impl Backbone {
         }
     }
 
-    /// Training-mode forward (SAM writes to its memory).
-    pub fn forward_train(
-        &mut self,
-        coords: &[(f64, f64)],
-        cells: &[(u32, u32)],
-    ) -> (Vec<f64>, BackboneCache) {
-        match self {
-            Self::Sam(e) => {
-                let (h, c) = e.forward(coords, cells, true);
-                (h, BackboneCache::Sam(c))
-            }
-            Self::Lstm(e) => {
-                let (h, c) = e.forward(coords);
-                (h, BackboneCache::Lstm(c))
-            }
-            Self::Gru(e) => {
-                let (h, c) = e.forward(coords);
-                (h, BackboneCache::Gru(c))
-            }
-        }
-    }
-
     /// Inference-mode forward: read-only, shareable across threads.
     pub fn forward_frozen(&self, coords: &[(f64, f64)], cells: &[(u32, u32)]) -> Vec<f64> {
         match self {
@@ -193,16 +214,11 @@ impl Backbone {
         }
     }
 
-    /// BPTT from an embedding gradient, accumulating into `grads`.
+    /// BPTT of one job of [`Self::backward_batch`] into `grads`, with one
+    /// worker's scratch buffers.
     ///
     /// Panics when `cache`/`grads` do not match the backbone variant.
-    pub fn backward(&self, cache: &BackboneCache, d_emb: &[f64], grads: &mut BackboneGrads) {
-        self.backward_ws(cache, d_emb, grads, &mut Workspace::new());
-    }
-
-    /// [`Self::backward`] with caller-provided scratch buffers (one
-    /// workspace per worker thread).
-    pub fn backward_ws(
+    fn backward_ws(
         &self,
         cache: &BackboneCache,
         d_emb: &[f64],
@@ -210,8 +226,8 @@ impl Backbone {
         ws: &mut Workspace,
     ) {
         match (self, cache, grads) {
-            (Self::Sam(e), BackboneCache::Sam(c), BackboneGrads::Sam(g)) => {
-                e.cell.backward_ws(c, d_emb, g, ws)
+            (Self::Sam(e), BackboneCache::Sam(tape), BackboneGrads::Sam(g)) => {
+                e.backward_batch_tape(*tape, d_emb, g, ws)
             }
             (Self::Lstm(e), BackboneCache::Lstm(c), BackboneGrads::Lstm(g)) => {
                 e.backward_ws(c, d_emb, g, ws)
@@ -274,38 +290,44 @@ impl Backbone {
                 })
                 .collect::<Vec<_>>()
         };
-        if threads <= 1 || inputs.len() < 4 {
-            return run(inputs);
-        }
-        let run = &run;
-        let chunk = inputs.len().div_ceil(threads);
-        let mut out = Vec::with_capacity(inputs.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = inputs
-                .chunks(chunk)
-                .map(|part| scope.spawn(move || run(part)))
-                .collect();
-            for h in handles {
-                out.extend(h.join().expect("forward worker panicked"));
-            }
-        });
-        out
+        let parts = inputs.chunks(part_len(inputs.len(), threads));
+        fan_out(parts, run).into_iter().flatten().collect()
     }
 
     /// Round-based two-phase SAM batch forward (see
     /// [`Self::forward_train_batch`]).
+    ///
+    /// The batch's BPTT tapes live in the encoder's own storage, laid out
+    /// once per batch by points and handed to the phase-A workers by input
+    /// index: nothing is allocated per sequence, nothing a worker
+    /// allocated is freed here, and after the first batch no page is
+    /// touched for the first time. Starting a batch ends the previous one
+    /// (its version rows are folded, its tapes die).
     fn sam_forward_train_batch(
         enc: &mut SamLstmEncoder,
         inputs: &[&SeqInputs],
         threads: usize,
         metrics: Option<&SamPhaseMetrics>,
     ) -> Vec<(Vec<f64>, BackboneCache)> {
-        let mut out: Vec<(Vec<f64>, BackboneCache)> = Vec::with_capacity(inputs.len());
+        enc.begin_batch(inputs.iter().map(|(coords, _)| coords.len()));
+        let SamLstmEncoder {
+            cell,
+            memory,
+            scan_width,
+            tapes,
+        } = enc;
+        let (cell, scan_width) = (&*cell, *scan_width);
+        let mut embs: Vec<Vec<f64>> = Vec::with_capacity(inputs.len());
         let mut logs: Vec<WriteLog> = (0..Self::SAM_ROUND.min(inputs.len()))
             .map(|_| WriteLog::new())
             .collect();
-        let mut ws = Workspace::new();
-        for round in inputs.chunks(Self::SAM_ROUND) {
+        let workers = threads.clamp(1, Self::SAM_ROUND);
+        let mut wss: Vec<Workspace> = (0..workers).map(|_| Workspace::new()).collect();
+        let mut slots = tapes.tapes_mut();
+        for (round, round_tapes) in inputs
+            .chunks(Self::SAM_ROUND)
+            .zip(slots.chunks_mut(Self::SAM_ROUND))
+        {
             let r = round.len();
             for log in logs.iter_mut().take(r) {
                 log.clear();
@@ -316,48 +338,39 @@ impl Backbone {
             // log overlay), so the embeddings and logs do not depend on
             // `threads`.
             let span = metrics.map(|m| m.phase_a_seconds.start_timer());
-            if threads <= 1 || r < 4 {
-                for ((coords, cells), log) in round.iter().zip(logs.iter_mut()) {
-                    let (h, c) = enc.forward_buffered_ws(coords, cells, log, &mut ws);
-                    out.push((h, BackboneCache::Sam(c)));
+            let snapshot: &_ = memory;
+            let chunk = part_len(r, workers);
+            let parts = round
+                .chunks(chunk)
+                .zip(logs[..r].chunks_mut(chunk))
+                .zip(round_tapes.chunks_mut(chunk))
+                .zip(wss.iter_mut());
+            let hs = fan_out(parts, |(((part, logs), tapes), ws)| {
+                let mut out = Vec::with_capacity(part.len());
+                for (((coords, cells), log), tape) in part.iter().zip(logs).zip(tapes) {
+                    let mode = MemoryMode::Buffered {
+                        base: snapshot,
+                        log,
+                    };
+                    out.push(cell.forward_into(coords, cells, mode, scan_width, ws, tape));
                 }
-            } else {
-                let frozen: &SamLstmEncoder = enc;
-                let chunk = r.div_ceil(threads);
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = round
-                        .chunks(chunk)
-                        .zip(logs[..r].chunks_mut(chunk))
-                        .map(|(part, log_part)| {
-                            scope.spawn(move || {
-                                let mut ws = Workspace::new();
-                                part.iter()
-                                    .zip(log_part.iter_mut())
-                                    .map(|((coords, cells), log)| {
-                                        let (h, c) =
-                                            frozen.forward_buffered_ws(coords, cells, log, &mut ws);
-                                        (h, BackboneCache::Sam(c))
-                                    })
-                                    .collect::<Vec<_>>()
-                            })
-                        })
-                        .collect();
-                    for h in handles {
-                        out.extend(h.join().expect("forward worker panicked"));
-                    }
-                });
-            }
+                out
+            });
+            embs.extend(hs.into_iter().flatten());
             drop(span);
             // Phase B: single-threaded ordered commit — the memory ends up
             // identical to replaying the round's writes in input order, and
             // the next round reads the updated memory.
             let span = metrics.map(|m| m.phase_b_seconds.start_timer());
             for log in &logs[..r] {
-                enc.memory.commit(log);
+                memory.commit(log);
             }
             drop(span);
         }
-        out
+        embs.into_iter()
+            .enumerate()
+            .map(|(i, h)| (h, BackboneCache::Sam(tapes.tape_ref(i))))
+            .collect()
     }
 
     /// BPTT over many (cache, embedding-gradient) jobs.
@@ -386,36 +399,22 @@ impl Backbone {
             }
             g
         };
-        let mut partials: Vec<BackboneGrads> = Vec::with_capacity(groups.len());
-        if threads <= 1 || jobs.len() < 4 {
-            let mut ws = Workspace::new();
-            for part in &groups {
-                partials.push(reduce_group(part, &mut ws));
-            }
+        // Contiguous runs of groups per worker keep the partials in group
+        // order no matter how many workers there are.
+        let per = if threads <= 1 || jobs.len() < 4 {
+            groups.len()
         } else {
-            // Contiguous runs of groups per worker keep the partials in
-            // group order no matter how many workers there are.
-            let reduce_group = &reduce_group;
-            let per = groups.len().div_ceil(threads);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = groups
-                    .chunks(per)
-                    .map(|run| {
-                        scope.spawn(move || {
-                            let mut ws = Workspace::new();
-                            run.iter()
-                                .map(|part| reduce_group(part, &mut ws))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    partials.extend(h.join().expect("backward worker panicked"));
-                }
-            });
-        }
-        for p in &partials {
-            grads.merge(p);
+            groups.len().div_ceil(threads)
+        };
+        let partials = fan_out(groups.chunks(per), |run| {
+            let mut ws = Workspace::new();
+            run.iter()
+                .map(|part| reduce_group(part, &mut ws))
+                .collect::<Vec<_>>()
+        });
+        let partials = partials.into_iter().flatten();
+        for p in partials {
+            grads.merge(&p);
         }
     }
 
@@ -438,16 +437,39 @@ impl Backbone {
     ///
     /// The trainer resets the memory at every epoch start so stored cell
     /// embeddings always reflect the *current* parameters rather than
-    /// stale values from many updates ago.
+    /// stale values from many updates ago. Tapes recorded before the
+    /// reset are dead.
     pub fn reset_memory(&mut self) {
         if let Self::Sam(e) = self {
             e.memory.reset();
         }
     }
 
-    /// Whether this backbone carries a spatial memory.
-    pub fn has_memory(&self) -> bool {
-        matches!(self, Self::Sam(_))
+    /// Ends a training run. For the SAM backbone this is the final memory
+    /// refresh — the spatial memory is repopulated by one coherent writing
+    /// pass over `inputs` under the final parameters, in the given order,
+    /// so inference reads a memory whose contents match the trained
+    /// encoder — after which the training-only state (version rows, the
+    /// batch tape storage) is dropped. No-op for other backbones.
+    pub fn finish_training(&mut self, inputs: &[SeqInputs]) {
+        if let Self::Sam(e) = self {
+            e.memory.reset();
+            for (coords, cells) in inputs {
+                let _ = e.forward(coords, cells, true);
+            }
+            e.end_training();
+        }
+    }
+
+    /// Bytes and timesteps of the BPTT tape the last
+    /// [`Self::forward_train_batch`] recorded into the backbone's own
+    /// storage (the SAM backbone; `(0, 0)` for the others, whose caches
+    /// travel with the results).
+    pub fn tape_size(&self) -> (usize, usize) {
+        match self {
+            Self::Sam(e) => (e.tapes.bytes(), e.tapes.points()),
+            _ => (0, 0),
+        }
     }
 
     /// Zero gradients shaped like this backbone's parameters.
@@ -485,41 +507,23 @@ impl Backbone {
         grads: &BackboneGrads,
         scale: f64,
     ) {
-        fn scaled(g: &[f64], s: f64) -> Vec<f64> {
-            g.iter().map(|v| v * s).collect()
-        }
         match (self, grads) {
             (Self::Sam(e), BackboneGrads::Sam(g)) => {
-                adam.step(
-                    slots[0],
-                    e.cell.p.as_mut_slice(),
-                    &scaled(g.p.as_slice(), scale),
-                );
-                adam.step(
+                adam.step_scaled(slots[0], e.cell.p.as_mut_slice(), g.p.as_slice(), scale);
+                adam.step_scaled(
                     slots[1],
                     e.cell.w_his.as_mut_slice(),
-                    &scaled(g.w_his.as_slice(), scale),
+                    g.w_his.as_slice(),
+                    scale,
                 );
-                adam.step(slots[2], &mut e.cell.b_his, &scaled(&g.b_his, scale));
+                adam.step_scaled(slots[2], &mut e.cell.b_his, &g.b_his, scale);
             }
             (Self::Lstm(e), BackboneGrads::Lstm(g)) => {
-                adam.step(
-                    slots[0],
-                    e.cell.p.as_mut_slice(),
-                    &scaled(g.p.as_slice(), scale),
-                );
+                adam.step_scaled(slots[0], e.cell.p.as_mut_slice(), g.p.as_slice(), scale);
             }
             (Self::Gru(e), BackboneGrads::Gru(g)) => {
-                adam.step(
-                    slots[0],
-                    e.cell.pzr.as_mut_slice(),
-                    &scaled(g.pzr.as_slice(), scale),
-                );
-                adam.step(
-                    slots[1],
-                    e.cell.ph.as_mut_slice(),
-                    &scaled(g.ph.as_slice(), scale),
-                );
+                adam.step_scaled(slots[0], e.cell.pzr.as_mut_slice(), g.pzr.as_slice(), scale);
+                adam.step_scaled(slots[1], e.cell.ph.as_mut_slice(), g.ph.as_slice(), scale);
             }
             _ => panic!("backbone/grads variant mismatch"),
         }
@@ -737,6 +741,107 @@ mod tests {
         let seq = model.embed_all(&ts, 1);
         let par = model.embed_all(&ts, 4);
         assert_eq!(seq, par);
+    }
+
+    fn sam_batch() -> (Backbone, TrainConfig, Vec<SeqInputs>) {
+        let g = grid();
+        let cfg = TrainConfig {
+            dim: 8,
+            ..TrainConfig::neutraj()
+        };
+        // Twelve overlapping walks: more than one round, shared cells.
+        let batch = (0..12).map(|i| seq_inputs(&g, &traj(i))).collect();
+        (Backbone::build(&cfg, &g), cfg, batch)
+    }
+
+    fn run_backward(b: &Backbone, out: &[(Vec<f64>, BackboneCache)]) -> BackboneGrads {
+        let d_emb = vec![0.25; b.dim()];
+        let jobs: Vec<(&BackboneCache, &[f64])> =
+            out.iter().map(|(_, c)| (c, d_emb.as_slice())).collect();
+        let mut grads = b.zero_grads();
+        b.backward_batch(&jobs, &mut grads, 2);
+        grads
+    }
+
+    /// The tape of a batch lives in the backbone: it can run backward any
+    /// number of times until the next batch starts, and never after.
+    #[test]
+    #[should_panic(expected = "after the batch that recorded it ended")]
+    fn sam_tape_dies_when_the_next_batch_starts() {
+        let (mut b, _, batch) = sam_batch();
+        let inputs: Vec<&SeqInputs> = batch.iter().collect();
+        let first = b.forward_train_batch(&inputs, 2);
+        let (BackboneGrads::Sam(g1), BackboneGrads::Sam(g2)) =
+            (run_backward(&b, &first), run_backward(&b, &first))
+        else {
+            panic!("SAM backbone")
+        };
+        assert_eq!(g1.p.as_slice(), g2.p.as_slice());
+        assert!(g1.p.as_slice().iter().any(|v| *v != 0.0));
+        let _second = b.forward_train_batch(&inputs, 2);
+        run_backward(&b, &first);
+    }
+
+    #[test]
+    #[should_panic(expected = "after the batch that recorded it ended")]
+    fn sam_tape_dies_when_the_memory_is_reset() {
+        let (mut b, _, batch) = sam_batch();
+        let inputs: Vec<&SeqInputs> = batch.iter().collect();
+        let out = b.forward_train_batch(&inputs, 1);
+        b.reset_memory();
+        run_backward(&b, &out);
+    }
+
+    /// Between a batch's forward and the next one the memory holds version
+    /// rows. Whatever is taken from the backbone in that state — a clone,
+    /// the model bytes, a checkpoint, an embedding — is what it would be
+    /// after the fold.
+    #[test]
+    fn snapshots_taken_mid_batch_see_current_memory_values() {
+        use crate::checkpoint::{Checkpoint, TrainState};
+        let (mut b, cfg, batch) = sam_batch();
+        let inputs: Vec<&SeqInputs> = batch.iter().collect();
+        let _ = b.forward_train_batch(&inputs, 2);
+        let (tape_bytes, points) = b.tape_size();
+        assert_eq!(points, 12 * 12);
+        assert!(tape_bytes > 0 && tape_bytes / points <= 4096);
+        let live = NeuTrajModel::new(b.clone(), grid(), cfg.clone());
+        b.finish_training(&[]);
+        assert_eq!(b.tape_size(), (0, 0));
+        // `finish_training` rebuilt the memory from no sequences: put the
+        // batch's back, folded, for the comparison.
+        let Backbone::Sam(e) = &mut b else {
+            panic!("SAM backbone")
+        };
+        let Backbone::Sam(live_e) = live.backbone() else {
+            panic!("SAM backbone")
+        };
+        e.memory = live_e.memory.clone();
+        e.memory.fold();
+        let folded = NeuTrajModel::new(b, grid(), cfg);
+        assert_eq!(live.to_bytes(), folded.to_bytes());
+        let t = traj(3);
+        assert_eq!(live.embed(&t), folded.embed(&t));
+        assert_eq!(
+            live.embed_batch(&[traj(1), traj(5)]),
+            folded.embed_batch(&[traj(1), traj(5)])
+        );
+        let reloaded = NeuTrajModel::from_bytes(&live.to_bytes()).unwrap();
+        assert_eq!(reloaded.embed(&t), live.embed(&t));
+        let ckpt = |model: NeuTrajModel| Checkpoint {
+            model,
+            state: TrainState {
+                next_epoch: 1,
+                early_stopped: false,
+                best_loss: 0.5,
+                stale: 0,
+                alpha: 1.0,
+                epoch_losses: vec![0.5],
+                epoch_seconds: vec![0.1],
+                adam: Default::default(),
+            },
+        };
+        assert_eq!(ckpt(live).to_bytes(), ckpt(folded).to_bytes());
     }
 
     #[test]

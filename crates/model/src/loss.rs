@@ -67,6 +67,44 @@ impl RankedBatchLoss {
         raw.into_iter().map(|r| r / sum).collect()
     }
 
+    /// One pair of a ranked list: the loss of `(anchor, sample)` against
+    /// the seed similarity `target` at list weight `weight` (an entry of
+    /// [`Self::rank_weights`]), on the similar (Eq. 8) or dissimilar
+    /// (Eq. 9) side.
+    pub fn pair(
+        &self,
+        anchor: &[f64],
+        sample: &[f64],
+        target: f64,
+        weight: f64,
+        dissimilar: bool,
+    ) -> PairLoss {
+        pair_loss(
+            anchor,
+            sample,
+            target,
+            weight,
+            dissimilar && self.margin_dissimilar,
+        )
+    }
+
+    fn list(
+        &self,
+        anchor: &[f64],
+        samples: &[&[f64]],
+        targets: &[f64],
+        dissimilar: bool,
+    ) -> Vec<PairLoss> {
+        assert_eq!(samples.len(), targets.len(), "samples/targets mismatch");
+        let w = self.rank_weights(samples.len());
+        samples
+            .iter()
+            .zip(targets)
+            .zip(w)
+            .map(|((s, &f), wl)| self.pair(anchor, s, f, wl, dissimilar))
+            .collect()
+    }
+
     /// Loss of the similar list `L_a^s` (Eq. 8): weighted MSE between the
     /// embedding similarity and the seed similarity, pair `l` weighted by
     /// `r_l`. `targets[l]` is `f(T_a, T_l^s)` from **S**; `samples[l]` the
@@ -77,14 +115,7 @@ impl RankedBatchLoss {
         samples: &[&[f64]],
         targets: &[f64],
     ) -> Vec<PairLoss> {
-        assert_eq!(samples.len(), targets.len(), "samples/targets mismatch");
-        let w = self.rank_weights(samples.len());
-        samples
-            .iter()
-            .zip(targets)
-            .zip(w)
-            .map(|((s, &f), wl)| pair_loss(anchor, s, f, wl, false))
-            .collect()
+        self.list(anchor, samples, targets, false)
     }
 
     /// Loss of the dissimilar list `L_a^d` (Eq. 9): squared-ReLU margin —
@@ -96,14 +127,7 @@ impl RankedBatchLoss {
         samples: &[&[f64]],
         targets: &[f64],
     ) -> Vec<PairLoss> {
-        assert_eq!(samples.len(), targets.len(), "samples/targets mismatch");
-        let w = self.rank_weights(samples.len());
-        samples
-            .iter()
-            .zip(targets)
-            .zip(w)
-            .map(|((s, &f), wl)| pair_loss(anchor, s, f, wl, self.margin_dissimilar))
-            .collect()
+        self.list(anchor, samples, targets, true)
     }
 }
 

@@ -15,7 +15,6 @@ use neutraj_nn::Adam;
 use neutraj_obs::{names, Counter, Gauge, Histogram, Registry};
 use neutraj_trajectory::rng::Rng;
 use neutraj_trajectory::{Grid, Trajectory};
-use std::collections::BTreeMap;
 use std::path::Path;
 use std::time::Instant;
 
@@ -59,6 +58,9 @@ pub struct TrainMetrics {
     pairs_total: Counter,
     loss: Gauge,
     epoch_seconds: Histogram,
+    forward_seconds: Histogram,
+    backward_seconds: Histogram,
+    tape_bytes: Gauge,
     adam_steps: Counter,
     sam: SamPhaseMetrics,
     ckpt_writes: Counter,
@@ -76,6 +78,9 @@ impl TrainMetrics {
             pairs_total: registry.counter(names::TRAIN_PAIRS_TOTAL),
             loss: registry.gauge(names::TRAIN_LOSS),
             epoch_seconds: registry.histogram(names::TRAIN_EPOCH_SECONDS),
+            forward_seconds: registry.histogram(names::TRAIN_FORWARD_SECONDS),
+            backward_seconds: registry.histogram(names::TRAIN_BACKWARD_SECONDS),
+            tape_bytes: registry.gauge(names::TRAIN_TAPE_BYTES),
             adam_steps: registry.counter(names::ADAM_STEPS_TOTAL),
             sam: SamPhaseMetrics::register(registry),
             ckpt_writes: registry.counter(names::CKPT_WRITES_TOTAL),
@@ -125,9 +130,10 @@ impl Trainer {
 
     /// Records training metrics into `registry`: per-epoch loss and
     /// wall-clock, cumulative training-pair and optimizer-step counters,
-    /// and per-phase timings of the two-phase SAM protocol. Metrics are
-    /// observational only — [`Trainer::fit`] results are bit-identical
-    /// with metrics on or off.
+    /// per-batch forward and backward seconds with the bytes of BPTT tape
+    /// between them, and per-phase timings of the two-phase SAM protocol.
+    /// Metrics are observational only — [`Trainer::fit`] results are
+    /// bit-identical with metrics on or off.
     pub fn with_metrics(mut self, registry: &Registry) -> Self {
         self.metrics = Some(TrainMetrics::register(registry));
         self
@@ -328,6 +334,15 @@ impl Trainer {
             None => 0,
         };
         let mut last_ckpt = Instant::now();
+        let metrics = self.metrics.as_ref();
+        let d = cfg.dim;
+        // Per-batch glue, reused: the row of every involved seed in the
+        // flat embedding / embedding-gradient buffers, and the rank weights
+        // of a sample list (all lists of a run have one length unless the
+        // seed set is tiny).
+        let mut row_of = vec![usize::MAX; n_seeds];
+        let (mut emb, mut d_emb) = (Vec::new(), Vec::new());
+        let mut rank_w = cfg.loss.rank_weights(cfg.n_samples);
 
         for epoch in start_epoch..cfg.epochs {
             let t0 = Instant::now();
@@ -373,7 +388,7 @@ impl Trainer {
                 involved.sort_unstable();
                 involved.dedup();
 
-                if let Some(m) = &self.metrics {
+                if let Some(m) = metrics {
                     let pairs: usize = samples
                         .iter()
                         .map(|s| s.similar.len() + s.dissimilar.len())
@@ -383,42 +398,48 @@ impl Trainer {
 
                 let batch_inputs: Vec<&SeqInputs> =
                     involved.iter().map(|&idx| &inputs[idx]).collect();
+                let span = metrics.map(|m| m.forward_seconds.start_timer());
                 let results = backbone.forward_train_batch_metered(
                     &batch_inputs,
                     self.threads,
-                    self.metrics.as_ref().map(|m| &m.sam),
+                    metrics.map(|m| &m.sam),
                 );
-                let mut embeddings: BTreeMap<usize, Vec<f64>> = BTreeMap::new();
-                let mut caches: BTreeMap<usize, BackboneCache> = BTreeMap::new();
-                for (&idx, (emb, cache)) in involved.iter().zip(results) {
-                    embeddings.insert(idx, emb);
-                    caches.insert(idx, cache);
+                drop(span);
+                if let Some(m) = metrics {
+                    m.tape_bytes.set(backbone.tape_size().0 as f64);
                 }
+                // `involved` is sorted and deduplicated: row `p` of the
+                // flat `B × d` buffers belongs to seed `involved[p]`.
+                for (p, &idx) in involved.iter().enumerate() {
+                    row_of[idx] = p;
+                }
+                emb.clear();
+                for (e, _) in &results {
+                    emb.extend_from_slice(e);
+                }
+                d_emb.clear();
+                d_emb.resize(involved.len() * d, 0.0);
 
                 // 3. Pair losses → embedding gradients.
-                let mut d_emb: BTreeMap<usize, Vec<f64>> =
-                    involved.iter().map(|&i| (i, vec![0.0; cfg.dim])).collect();
                 let mut batch_loss = 0.0;
                 for s in &samples {
-                    let anchor_emb = embeddings[&s.anchor].clone();
+                    let a = row_of[s.anchor];
                     for (list, dissimilar) in [(&s.similar, false), (&s.dissimilar, true)] {
-                        let sample_embs: Vec<&[f64]> =
-                            list.iter().map(|&i| embeddings[&i].as_slice()).collect();
-                        let targets: Vec<f64> =
-                            list.iter().map(|&i| sim.get(s.anchor, i)).collect();
-                        let pair_losses = if dissimilar {
-                            cfg.loss
-                                .dissimilar_list(&anchor_emb, &sample_embs, &targets)
-                        } else {
-                            cfg.loss.similar_list(&anchor_emb, &sample_embs, &targets)
-                        };
-                        for (pl, &i) in pair_losses.iter().zip(list) {
-                            batch_loss += pl.loss;
-                            add_assign(
-                                d_emb.get_mut(&s.anchor).expect("anchor embedded"),
-                                &pl.d_anchor,
+                        if list.len() != rank_w.len() {
+                            rank_w = cfg.loss.rank_weights(list.len());
+                        }
+                        for (&i, &w) in list.iter().zip(&rank_w) {
+                            let b = row_of[i];
+                            let pl = cfg.loss.pair(
+                                &emb[a * d..(a + 1) * d],
+                                &emb[b * d..(b + 1) * d],
+                                sim.get(s.anchor, i),
+                                w,
+                                dissimilar,
                             );
-                            add_assign(d_emb.get_mut(&i).expect("sample embedded"), &pl.d_sample);
+                            batch_loss += pl.loss;
+                            add_assign(&mut d_emb[a * d..(a + 1) * d], &pl.d_anchor);
+                            add_assign(&mut d_emb[b * d..(b + 1) * d], &pl.d_sample);
                         }
                     }
                 }
@@ -426,12 +447,15 @@ impl Trainer {
 
                 // 4. BPTT per trajectory, then one optimizer step.
                 grads.fill_zero();
-                let jobs: Vec<(&BackboneCache, &[f64])> = involved
+                let jobs: Vec<(&BackboneCache, &[f64])> = results
                     .iter()
-                    .filter(|&&idx| d_emb[&idx].iter().any(|v| *v != 0.0))
-                    .map(|&idx| (&caches[&idx], d_emb[&idx].as_slice()))
+                    .zip(d_emb.chunks_exact(d))
+                    .filter(|(_, g)| g.iter().any(|v| *v != 0.0))
+                    .map(|((_, cache), g)| (cache, g))
                     .collect();
+                let span = metrics.map(|m| m.backward_seconds.start_timer());
                 backbone.backward_batch(&jobs, &mut grads, self.threads);
+                drop(span);
                 adam.next_step();
                 backbone.adam_step(&mut adam, &slots, &grads, 1.0 / batch.len() as f64);
             }
@@ -491,16 +515,9 @@ impl Trainer {
             }
         }
 
-        // Final memory refresh: repopulate the spatial memory with one
-        // coherent writing pass over every seed under the *final*
-        // parameters, in a fixed order, so inference reads a memory whose
-        // contents match the trained encoder.
-        if backbone.has_memory() {
-            backbone.reset_memory();
-            for (coords, cells) in &inputs {
-                let _ = backbone.forward_train(coords, cells);
-            }
-        }
+        // Final memory refresh over every seed, in a fixed order, under
+        // the *final* parameters; training-only storage is dropped.
+        backbone.finish_training(&inputs);
 
         Ok((
             NeuTrajModel::new(backbone, self.grid.clone(), cfg.clone()),
@@ -761,6 +778,13 @@ mod tests {
         let loss = registry.gauge("neutraj_train_loss").get();
         assert_eq!(loss, *r_on.epoch_losses.last().unwrap());
         assert_eq!(registry.histogram("neutraj_train_epoch_seconds").count(), 3);
+        let batches = registry.counter("neutraj_nn_adam_steps_total").get();
+        for name in [names::TRAIN_FORWARD_SECONDS, names::TRAIN_BACKWARD_SECONDS] {
+            let h = registry.histogram(name);
+            assert_eq!(h.count(), batches, "{name}: one observation per batch");
+            assert!(h.sum() > 0.0, "{name}");
+        }
+        assert!(registry.gauge(names::TRAIN_TAPE_BYTES).get() > 0.0);
         // The neutraj preset uses the SAM backbone, so both phases ran.
         assert!(
             registry

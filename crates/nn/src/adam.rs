@@ -140,6 +140,14 @@ impl Adam {
     /// buffers of `slot`. Panics on length mismatch or an unregistered
     /// slot, and debug-asserts that `next_step` has been called.
     pub fn step(&mut self, slot: usize, param: &mut [f64], grad: &[f64]) {
+        self.step_scaled(slot, param, grad, 1.0);
+    }
+
+    /// [`Self::step`] on `scale · grad` (e.g. `1/batch` over a summed
+    /// gradient) without materializing the scaled tensor: the one multiply
+    /// per element happens where the gradient is read, so the update is
+    /// bit-identical to stepping on a pre-scaled copy.
+    pub fn step_scaled(&mut self, slot: usize, param: &mut [f64], grad: &[f64], scale: f64) {
         debug_assert!(self.t > 0, "call next_step() before step()");
         let mom = &mut self.slots[slot];
         assert_eq!(param.len(), grad.len(), "param/grad length mismatch");
@@ -147,7 +155,7 @@ impl Adam {
         let b1t = 1.0 - self.beta1.powi(self.t);
         let b2t = 1.0 - self.beta2.powi(self.t);
         for i in 0..param.len() {
-            let g = grad[i];
+            let g = grad[i] * scale;
             mom.m[i] = self.beta1 * mom.m[i] + (1.0 - self.beta1) * g;
             mom.v[i] = self.beta2 * mom.v[i] + (1.0 - self.beta2) * g * g;
             let m_hat = mom.m[i] / b1t;
@@ -184,6 +192,24 @@ mod tests {
         adam.next_step();
         adam.step(slot, &mut x, &[123.0]);
         assert!((x[0].abs() - 0.01).abs() < 1e-6, "step {}", x[0]);
+    }
+
+    #[test]
+    fn scaled_step_is_the_step_on_a_scaled_copy() {
+        let grad = [0.3, -1.7, 0.0, 5e-324, 123.456];
+        let scale = 1.0 / 20.0;
+        let scaled: Vec<f64> = grad.iter().map(|g| g * scale).collect();
+        let (mut a, mut b) = (Adam::new(0.008), Adam::new(0.008));
+        let (sa, sb) = (a.register(5), b.register(5));
+        let (mut xa, mut xb) = ([0.5; 5], [0.5; 5]);
+        for _ in 0..3 {
+            a.next_step();
+            b.next_step();
+            a.step(sa, &mut xa, &scaled);
+            b.step_scaled(sb, &mut xb, &grad, scale);
+        }
+        assert_eq!(xa.map(f64::to_bits), xb.map(f64::to_bits));
+        assert_eq!(a.export_state(), b.export_state());
     }
 
     #[test]

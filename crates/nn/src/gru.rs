@@ -6,7 +6,7 @@
 
 use crate::activation::tanh_slice;
 use crate::linalg::{activate_gates, matmul_nt, Mat};
-use crate::workspace::{lockstep_order, prep, Workspace};
+use crate::workspace::{lockstep_order, prep, scratch, Workspace};
 use crate::Encoder;
 
 /// A GRU cell with fused gate parameters.
@@ -294,6 +294,11 @@ impl GruCell {
     }
 
     /// [`Self::backward`] with caller-provided scratch buffers.
+    ///
+    /// Like the LSTM's: both weight gradients are applied once per
+    /// sequence as ordered GEMMs over the kept per-step gradients, and
+    /// only the hidden-state columns of the two transposed products are
+    /// computed.
     pub fn backward_ws(
         &self,
         cache: &GruCache,
@@ -303,19 +308,20 @@ impl GruCell {
     ) {
         let d = self.dim;
         assert_eq!(d_h_final.len(), d);
-        let zlen = cache.zlen;
         let dh = prep(&mut ws.h, d);
         dh.copy_from_slice(d_h_final);
         let dh_prev = prep(&mut ws.c, d);
-        let da = prep(&mut ws.gates, 2 * d);
-        let dpre_h = prep(&mut ws.t1, d);
-        let dzh = prep(&mut ws.z2, zlen);
-        let dzin = prep(&mut ws.z, zlen);
+        let da_all = scratch(&mut ws.da_all, cache.len * 2 * d);
+        let dpre_all = scratch(&mut ws.dpre_all, cache.len * d);
+        // Hidden-state columns of `phᵀ·dpre_h`, then of `pzrᵀ·da`.
+        let d_hid = prep(&mut ws.t1, d);
         for t in (0..cache.len).rev() {
             let gz = &cache.gz[t * d..(t + 1) * d];
             let gr = &cache.gr[t * d..(t + 1) * d];
             let hc = &cache.hc[t * d..(t + 1) * d];
             let h_prev = &cache.h_prev[t * d..(t + 1) * d];
+            let da = &mut da_all[t * 2 * d..(t + 1) * 2 * d];
+            let dpre_h = &mut dpre_all[t * d..(t + 1) * d];
             dh_prev.fill(0.0);
             // h = (1-z) h_prev + z hc
             for k in 0..d {
@@ -325,28 +331,22 @@ impl GruCell {
                 dpre_h[k] = dhc * (1.0 - hc[k] * hc[k]);
                 da[k] = dz_gate * gz[k] * (1.0 - gz[k]);
             }
-            grads
-                .ph
-                .outer_acc(dpre_h, &cache.zh[t * zlen..(t + 1) * zlen]);
-            dzh.fill(0.0);
-            self.ph.matvec_t_into(dpre_h, dzh);
+            self.ph.matvec_t_cols_into(dpre_h, self.in_dim, d_hid);
             // zh's h-part is r ⊙ h_prev.
             for k in 0..d {
-                let drh = dzh[self.in_dim + k];
+                let drh = d_hid[k];
                 let dr = drh * h_prev[k];
                 dh_prev[k] += drh * gr[k];
                 da[d + k] = dr * gr[k] * (1.0 - gr[k]);
             }
-            grads
-                .pzr
-                .outer_acc(da, &cache.zin[t * zlen..(t + 1) * zlen]);
-            dzin.fill(0.0);
-            self.pzr.matvec_t_into(da, dzin);
+            self.pzr.matvec_t_cols_into(da, self.in_dim, d_hid);
             for k in 0..d {
-                dh_prev[k] += dzin[self.in_dim + k];
+                dh_prev[k] += d_hid[k];
             }
             dh.copy_from_slice(dh_prev);
         }
+        grads.ph.outer_acc_rows_rev(dpre_all, &cache.zh);
+        grads.pzr.outer_acc_rows_rev(da_all, &cache.zin);
     }
 }
 

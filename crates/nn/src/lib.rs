@@ -19,6 +19,9 @@
 //! * [`SpatialMemory`] / [`WriteLog`] — the `P × Q × d` grid memory tensor
 //!   **M** (§IV-A) and the buffered write log of the two-phase parallel
 //!   training protocol.
+//! * [`SamTapes`] — the BPTT tape of a training batch: per step the *ids*
+//!   of the memory rows the attention read, not copies of them, in storage
+//!   reused from batch to batch.
 //! * [`Workspace`] — reusable scratch buffers threaded through every cell's
 //!   `*_ws` entry points, so steady-state training does zero per-timestep
 //!   heap allocation.
@@ -56,6 +59,7 @@ mod lstm;
 mod memory;
 mod sam;
 pub mod simd;
+mod tape;
 mod workspace;
 
 pub use adam::{Adam, AdamState};
@@ -63,6 +67,7 @@ pub use gru::{GruCache, GruCell, GruEncoder, GruGrads};
 pub use lstm::{LstmCache, LstmCell, LstmEncoder, LstmGrads};
 pub use memory::{SpatialMemory, WriteLog};
 pub use sam::{MemoryMode, SamCache, SamGrads, SamLstmCell, SamLstmEncoder, SamSeqRef};
+pub use tape::{SamTape, SamTapeMut, SamTapeRef, SamTapes};
 pub use workspace::Workspace;
 
 /// A recurrent trajectory encoder: maps a coordinate/grid-cell sequence to

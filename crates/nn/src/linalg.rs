@@ -155,6 +155,45 @@ impl Mat {
             }
         }
     }
+
+    /// `self += Σ_t u_t ⊗ v_t` over the rows of `u` (`T × rows`) and `v`
+    /// (`T × cols`), last row first — what a backward sweep over `T`
+    /// steps adds with one [`Self::outer_acc`] per step, as a single
+    /// ordered GEMM that reads and writes `self` once. Bit-identical to
+    /// that sweep on a zeroed-then-accumulated gradient (the zero rule is
+    /// on [`simd::outer_acc_rev`]).
+    pub fn outer_acc_rows_rev(&mut self, u: &[f64], v: &[f64]) {
+        self.outer_acc_rows_rev_with_level(neutraj_obs::simd::level(), u, v);
+    }
+
+    /// [`Self::outer_acc_rows_rev`] with the dispatch level pinned (see
+    /// [`matmul_nt_with_level`]).
+    pub fn outer_acc_rows_rev_with_level(&mut self, level: SimdLevel, u: &[f64], v: &[f64]) {
+        assert!(self.rows > 0, "outer_acc_rows_rev: no rows");
+        assert_eq!(u.len() % self.rows, 0, "outer_acc_rows_rev: U shape");
+        let steps = u.len() / self.rows;
+        simd::outer_acc_rev(level, &mut self.data, self.rows, self.cols, u, v, steps);
+    }
+
+    /// `y = (Aᵀ·x)[col0..col0 + y.len()]` (overwritten): the column slice
+    /// of [`Self::matvec_t_into`] a caller needs, each output one
+    /// ascending-row chain held in a register.
+    pub fn matvec_t_cols_into(&self, x: &[f64], col0: usize, y: &mut [f64]) {
+        self.matvec_t_cols_into_with_level(neutraj_obs::simd::level(), x, col0, y);
+    }
+
+    /// [`Self::matvec_t_cols_into`] with the dispatch level pinned (see
+    /// [`matmul_nt_with_level`]).
+    pub fn matvec_t_cols_into_with_level(
+        &self,
+        level: SimdLevel,
+        x: &[f64],
+        col0: usize,
+        y: &mut [f64],
+    ) {
+        assert_eq!(x.len(), self.rows, "matvec_t_cols: x length");
+        simd::matvec_t_cols(level, &self.data, self.cols, x, col0, y);
+    }
 }
 
 /// Below this many `A` rows, packing the `B` panel costs about as much as
@@ -659,6 +698,105 @@ mod tests {
                     a.matvec_into_with_level(level, &x, &mut got);
                     for (g, w) in got.iter().zip(&want) {
                         assert_eq!(g.to_bits(), w.to_bits(), "{rows}x{cols} {level:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Values that tell the accumulation rules apart: signed zeros,
+    /// subnormals (products underflow to ±0) and ordinary magnitudes.
+    fn salted(rng: &mut Rng, n: usize) -> Vec<f64> {
+        const SALT: [f64; 6] = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-300];
+        (0..n)
+            .map(|_| match rng.gen_range(0..4usize) {
+                0 => SALT[rng.gen_range(0..SALT.len())],
+                _ => rng.gen_range(-3.0..3.0),
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The ordered accumulate is the loop of rank-1 updates it replaces —
+    /// one per step, last step first, every term added — bit for bit, for
+    /// every sequence length the trainer sees, on the shapes of `dP`
+    /// (160×35), `dW_his` (32×64) and a ragged one, in both SIMD modes,
+    /// with zeros, signed zeros and subnormals in `u`. On an accumulator
+    /// without `−0.0` entries that is also `outer_acc`'s skipping sweep;
+    /// the one difference between the rules is pinned at the end.
+    #[test]
+    fn outer_acc_rows_rev_bit_identical_to_the_rank1_sweep() {
+        let mut rng = Rng::seed_from_u64(16);
+        for &(m, n) in &[(160usize, 35usize), (32, 64), (5, 3), (7, 9)] {
+            for steps in 1..=90usize {
+                let u = salted(&mut rng, steps * m);
+                let v: Vec<f64> = (0..steps * n).map(|_| rng.gen_range(-2.0..2.0)).collect();
+                let c0: Vec<f64> = (0..m * n)
+                    .map(|i| {
+                        if i % 3 == 0 {
+                            0.0
+                        } else {
+                            rng.gen_range(-1.0..1.0)
+                        }
+                    })
+                    .collect();
+                let mut want = c0.clone();
+                let mut skipping = Mat::from_vec(m, n, c0.clone());
+                for t in (0..steps).rev() {
+                    for r in 0..m {
+                        for j in 0..n {
+                            want[r * n + j] += u[t * m + r] * v[t * n + j];
+                        }
+                    }
+                    skipping.outer_acc(&u[t * m..(t + 1) * m], &v[t * n..(t + 1) * n]);
+                }
+                assert_eq!(bits(skipping.as_slice()), bits(&want), "skip rule {m}x{n}");
+                for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+                    let mut got = Mat::from_vec(m, n, c0.clone());
+                    got.outer_acc_rows_rev_with_level(level, &u, &v);
+                    assert_eq!(
+                        bits(got.as_slice()),
+                        bits(&want),
+                        "{m}x{n} T={steps} {level:?}"
+                    );
+                }
+            }
+        }
+        // The zero rule: a `−0.0` accumulator meets a zero term.
+        for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+            let mut got = Mat::from_vec(1, 8, vec![-0.0; 8]);
+            got.outer_acc_rows_rev_with_level(level, &[0.0], &[1.0; 8]);
+            assert_eq!(bits(got.as_slice()), bits(&[0.0; 8]), "{level:?}");
+        }
+        let mut skipping = Mat::from_vec(1, 8, vec![-0.0; 8]);
+        skipping.outer_acc(&[0.0], &[1.0; 8]);
+        assert_eq!(bits(skipping.as_slice()), bits(&[-0.0; 8]));
+    }
+
+    /// The transposed-columns product is the matching slice of
+    /// `matvec_t_into` on a zeroed buffer, for every column window of the
+    /// BPTT shapes and a ragged one, in both SIMD modes.
+    #[test]
+    fn matvec_t_cols_bit_identical_to_the_slice_of_matvec_t() {
+        let mut rng = Rng::seed_from_u64(61);
+        for &(rows, cols) in &[(160usize, 35usize), (32, 64), (40, 11), (5, 3), (25, 8)] {
+            let a = Mat::from_vec(rows, cols, salted(&mut rng, rows * cols));
+            let x = salted(&mut rng, rows);
+            let mut full = vec![0.0; cols];
+            a.matvec_t_into(&x, &mut full);
+            for col0 in [0, 1, 2, cols / 2] {
+                for len in (0..=cols - col0).rev().step_by(3) {
+                    for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+                        let mut got = vec![f64::NAN; len];
+                        a.matvec_t_cols_into_with_level(level, &x, col0, &mut got);
+                        assert_eq!(
+                            bits(&got),
+                            bits(&full[col0..col0 + len]),
+                            "{rows}x{cols} [{col0}..+{len}] {level:?}"
+                        );
                     }
                 }
             }

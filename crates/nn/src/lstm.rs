@@ -4,7 +4,7 @@
 //! (§VII-A.3), and as the base the SAM unit extends.
 
 use crate::linalg::{activate_gates, lstm_cell_update, matmul_nt, Mat};
-use crate::workspace::{lockstep_order, prep, Workspace};
+use crate::workspace::{lockstep_order, prep, scratch, Workspace};
 use crate::Encoder;
 
 /// A standard LSTM cell with fused parameters.
@@ -285,6 +285,12 @@ impl LstmCell {
     }
 
     /// [`Self::backward`] with caller-provided scratch buffers.
+    ///
+    /// The gate gradients `da_t` are kept for the whole sequence and
+    /// `dP += Σ_t da_t ⊗ z_t` applied once, as an ordered GEMM
+    /// ([`Mat::outer_acc_rows_rev`]) that adds the terms in the order the
+    /// step loop walks; `dh` is the hidden-state column slice of `Pᵀ·da`
+    /// ([`Mat::matvec_t_cols_into`]).
     pub fn backward_ws(
         &self,
         cache: &LstmCache,
@@ -294,12 +300,10 @@ impl LstmCell {
     ) {
         let d = self.dim;
         assert_eq!(d_h_final.len(), d, "d_h arity");
-        let zlen = cache.zlen;
         let dh = prep(&mut ws.h, d);
         dh.copy_from_slice(d_h_final);
         let dc = prep(&mut ws.c, d);
-        let da = prep(&mut ws.gates, 4 * d);
-        let dz = prep(&mut ws.z, zlen);
+        let da_all = scratch(&mut ws.da_all, cache.len * 4 * d);
         for t in (0..cache.len).rev() {
             let gates = &cache.gates[t * 4 * d..(t + 1) * 4 * d];
             let (gi, gf, go, gg) = (
@@ -314,6 +318,7 @@ impl LstmCell {
             } else {
                 None
             };
+            let da = &mut da_all[t * 4 * d..(t + 1) * 4 * d];
             for k in 0..d {
                 // h = o ⊙ tanh(c)
                 let d_o = dh[k] * tanh_c[k];
@@ -329,11 +334,9 @@ impl LstmCell {
                 da[2 * d + k] = d_o * go[k] * (1.0 - go[k]);
                 da[3 * d + k] = d_g * (1.0 - gg[k] * gg[k]);
             }
-            grads.p.outer_acc(da, &cache.z[t * zlen..(t + 1) * zlen]);
-            dz.fill(0.0);
-            self.p.matvec_t_into(da, dz);
-            dh.copy_from_slice(&dz[self.in_dim..self.in_dim + d]);
+            self.p.matvec_t_cols_into(da, self.in_dim, dh);
         }
+        grads.p.outer_acc_rows_rev(da_all, &cache.z);
     }
 }
 

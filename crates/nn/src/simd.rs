@@ -18,6 +18,11 @@
 //! * the gathered-rows dot ([`dot_rows`]) is that arm with the four rows
 //!   named by an id list instead of being adjacent — one `dot` chain per
 //!   lane;
+//! * the two BPTT kernels — the ordered rank-`T` accumulate
+//!   ([`outer_acc_rev`]) and the transposed-columns product
+//!   ([`matvec_t_cols`]) — keep one accumulator per output in a register
+//!   across the whole sum and add the terms in the order the per-step
+//!   sweeps they replace did, vectorized across output columns;
 //! * the u8 dot is exact integer arithmetic, where any summation order
 //!   yields the same value.
 
@@ -203,6 +208,107 @@ pub fn dot_rows(level: SimdLevel, q: &[f64], rows: &[f64], ids: &[u32], out: &mu
     let _ = level;
     for (o, &i) in out.iter_mut().zip(ids) {
         *o = crate::linalg::dot(q, &rows[i as usize * k..][..k]);
+    }
+}
+
+/// `c += Σ_t u_t ⊗ v_t` over the `steps` rows of `u` (`steps × m`) and
+/// `v` (`steps × n`), **last row first**: `c` is `m × n` row-major and
+/// every element is one chain `c[r,j] ← c[r,j] + u[t,r]·v[t,j]` for
+/// `t = steps−1, …, 0`, multiply and add separate — the additions a BPTT
+/// sweep makes when it applies one rank-1 update per step, walking the
+/// sequence backwards.
+///
+/// The scalar arm is that loop of rank-1 updates. The AVX2 arm holds a
+/// 4 × 8 tile of `c` in registers across all `steps` terms (`c` is read
+/// and written once per call instead of once per step), vectorized across
+/// the eight independent columns; a ragged last column tile is the
+/// 8-wide tile ending at column `n`, of which only the new lanes are
+/// stored. Lanes never mix, so both arms perform the same operations on
+/// the same operands: bit-identical.
+///
+/// **Zero rule:** every term is added, a `u[t,r] == 0` one too
+/// ([`crate::linalg::Mat::outer_acc`] skips those). `0·v = ±0` leaves any
+/// accumulator other than `−0.0` unchanged, and a sum that starts at
+/// `+0.0` never becomes `−0.0`, so on gradient buffers (zeroed, finite
+/// `v`) the two rules agree bit for bit; they differ only in turning a
+/// `−0.0` already in `c` into `+0.0`.
+#[inline]
+#[allow(unsafe_code)]
+pub(crate) fn outer_acc_rev(
+    level: SimdLevel,
+    c: &mut [f64],
+    m: usize,
+    n: usize,
+    u: &[f64],
+    v: &[f64],
+    steps: usize,
+) {
+    assert_eq!(c.len(), m * n, "outer_acc_rev: C shape");
+    assert_eq!(u.len(), steps * m, "outer_acc_rev: U shape");
+    assert_eq!(v.len(), steps * n, "outer_acc_rev: V shape");
+    #[cfg(target_arch = "x86_64")]
+    if use_avx2(level) && n >= 8 {
+        // SAFETY: AVX2 presence just verified; shapes checked above and
+        // `n` holds at least one whole 8-wide tile.
+        unsafe { avx2::outer_acc_rev(c, m, n, u, v, steps) };
+        return;
+    }
+    let _ = level;
+    for t in (0..steps).rev() {
+        let vt = &v[t * n..(t + 1) * n];
+        for (row, &ur) in c.chunks_exact_mut(n.max(1)).zip(&u[t * m..(t + 1) * m]) {
+            for (a, &b) in row.iter_mut().zip(vt) {
+                *a += ur * b;
+            }
+        }
+    }
+}
+
+/// `y[j] = Σ_r x[r]·a[r, col0 + j]` for the `y.len()` columns of the
+/// row-major `rows × cols` matrix `a` starting at `col0`: one accumulator
+/// per output starting at `+0.0`, summed in ascending `r`, multiply and
+/// add separate — the column slice `col0..col0 + y.len()` of
+/// [`crate::linalg::Mat::matvec_t_into`] into a zeroed buffer, without
+/// touching the other columns. BPTT needs only the hidden-state columns
+/// of `Pᵀ·da`, not the input and bias ones.
+///
+/// The scalar arm is the row sweep over that slice. The AVX2 arm keeps up
+/// to 32 outputs in registers across all rows (`y` is written once),
+/// vectorized across columns. Same operations, same operands per output:
+/// bit-identical. Zero rule as in [`outer_acc_rev`]: `x[r] == 0` terms
+/// are added, which `matvec_t_into`'s skip matches bit for bit on a
+/// zeroed `y` and finite `a`.
+#[inline]
+#[allow(unsafe_code)]
+pub(crate) fn matvec_t_cols(
+    level: SimdLevel,
+    a: &[f64],
+    cols: usize,
+    x: &[f64],
+    col0: usize,
+    y: &mut [f64],
+) {
+    assert_eq!(a.len(), x.len() * cols, "matvec_t_cols: A shape");
+    assert!(col0 + y.len() <= cols, "matvec_t_cols: column range");
+    #[cfg(target_arch = "x86_64")]
+    if use_avx2(level) {
+        // SAFETY: AVX2 presence just verified; shapes checked above.
+        unsafe { avx2::matvec_t_cols(a, cols, x, col0, y) };
+        return;
+    }
+    let _ = level;
+    matvec_t_cols_from(a, cols, x, col0, y, 0);
+}
+
+/// The scalar oracle of [`matvec_t_cols`] over outputs `j0..`.
+fn matvec_t_cols_from(a: &[f64], cols: usize, x: &[f64], col0: usize, y: &mut [f64], j0: usize) {
+    let y = &mut y[j0..];
+    y.fill(0.0);
+    for (r, &xr) in x.iter().enumerate() {
+        let row = &a[r * cols + col0 + j0..][..y.len()];
+        for (yc, &av) in y.iter_mut().zip(row) {
+            *yc += xr * av;
+        }
     }
 }
 
@@ -599,6 +705,172 @@ mod avx2 {
             dot_rows_groups::<2>(q, rows, ids, base, out);
         } else if base < n {
             dot_rows_groups::<1>(q, rows, ids, base, out);
+        }
+    }
+
+    /// One `M × 8` tile of [`super::outer_acc_rev`]: rows `r0..r0 + M`,
+    /// columns `j..j + 8` of `c`, all `steps` terms added last row first
+    /// with the tile held in registers. Lanes below `keep` are computed
+    /// and dropped (the ragged last tile overlaps its neighbour).
+    ///
+    /// # Safety
+    /// AVX2 must be available; `c` must be valid for `m·n` doubles, `u`
+    /// for `steps·m`, `v` for `steps·n`, with `r0 + M <= m`,
+    /// `j + 8 <= n` and `keep < 8`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    #[allow(clippy::too_many_arguments)]
+    unsafe fn outer_tile<const M: usize>(
+        c: *mut f64,
+        m: usize,
+        n: usize,
+        u: *const f64,
+        v: *const f64,
+        steps: usize,
+        r0: usize,
+        j: usize,
+        keep: usize,
+    ) {
+        let mut acc = [[_mm256_setzero_pd(); 2]; M];
+        for (i, a) in acc.iter_mut().enumerate() {
+            let row = c.add((r0 + i) * n + j);
+            *a = [_mm256_loadu_pd(row), _mm256_loadu_pd(row.add(4))];
+        }
+        for t in (0..steps).rev() {
+            let vt = v.add(t * n + j);
+            let (v0, v1) = (_mm256_loadu_pd(vt), _mm256_loadu_pd(vt.add(4)));
+            for (i, a) in acc.iter_mut().enumerate() {
+                let ur = _mm256_set1_pd(*u.add(t * m + r0 + i));
+                // Separate mul+add: the scalar oracle does not contract.
+                a[0] = _mm256_add_pd(a[0], _mm256_mul_pd(ur, v0));
+                a[1] = _mm256_add_pd(a[1], _mm256_mul_pd(ur, v1));
+            }
+        }
+        for (i, a) in acc.iter().enumerate() {
+            let row = c.add((r0 + i) * n + j);
+            if keep == 0 {
+                _mm256_storeu_pd(row, a[0]);
+                _mm256_storeu_pd(row.add(4), a[1]);
+            } else {
+                let mut lanes = [0.0f64; 8];
+                _mm256_storeu_pd(lanes.as_mut_ptr(), a[0]);
+                _mm256_storeu_pd(lanes.as_mut_ptr().add(4), a[1]);
+                for (l, &x) in lanes.iter().enumerate().skip(keep) {
+                    *row.add(l) = x;
+                }
+            }
+        }
+    }
+
+    /// Every column tile of rows `r0..r0 + M`.
+    ///
+    /// # Safety
+    /// As [`outer_tile`], with `n >= 8`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn outer_row_block<const M: usize>(
+        c: *mut f64,
+        m: usize,
+        n: usize,
+        u: *const f64,
+        v: *const f64,
+        steps: usize,
+        r0: usize,
+    ) {
+        let mut j = 0;
+        while j + 8 <= n {
+            outer_tile::<M>(c, m, n, u, v, steps, r0, j, 0);
+            j += 8;
+        }
+        if j < n {
+            outer_tile::<M>(c, m, n, u, v, steps, r0, n - 8, j - (n - 8));
+        }
+    }
+
+    /// # Safety
+    /// AVX2 must be available, `n >= 8`, and the slices shaped `m×n`,
+    /// `steps×m`, `steps×n`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn outer_acc_rev(
+        c: &mut [f64],
+        m: usize,
+        n: usize,
+        u: &[f64],
+        v: &[f64],
+        steps: usize,
+    ) {
+        let (c, u, v) = (c.as_mut_ptr(), u.as_ptr(), v.as_ptr());
+        let mut r = 0;
+        while r + 4 <= m {
+            outer_row_block::<4>(c, m, n, u, v, steps, r);
+            r += 4;
+        }
+        while r < m {
+            outer_row_block::<1>(c, m, n, u, v, steps, r);
+            r += 1;
+        }
+    }
+
+    /// Outputs `y[..4·NV]` of [`super::matvec_t_cols`] for the columns
+    /// starting at `col`: `NV` accumulators held across every row.
+    ///
+    /// # Safety
+    /// AVX2 must be available; `a` must be valid for `x.len()·cols`
+    /// doubles with `col + 4·NV <= cols`, and `y` writable for `4·NV`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn t_cols_block<const NV: usize>(
+        a: *const f64,
+        cols: usize,
+        x: &[f64],
+        col: usize,
+        y: *mut f64,
+    ) {
+        let mut acc = [_mm256_setzero_pd(); NV];
+        for (r, &xr) in x.iter().enumerate() {
+            let xv = _mm256_set1_pd(xr);
+            let row = a.add(r * cols + col);
+            for (q, sum) in acc.iter_mut().enumerate() {
+                // Separate mul+add: the scalar oracle does not contract.
+                *sum = _mm256_add_pd(*sum, _mm256_mul_pd(xv, _mm256_loadu_pd(row.add(4 * q))));
+            }
+        }
+        for (q, &sum) in acc.iter().enumerate() {
+            _mm256_storeu_pd(y.add(4 * q), sum);
+        }
+    }
+
+    /// # Safety
+    /// AVX2 must be available; `a` is `x.len() × cols` and
+    /// `col0 + y.len() <= cols`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn matvec_t_cols(
+        a: &[f64],
+        cols: usize,
+        x: &[f64],
+        col0: usize,
+        y: &mut [f64],
+    ) {
+        let (ap, yp, n) = (a.as_ptr(), y.as_mut_ptr(), y.len());
+        let mut j = 0;
+        while j + 32 <= n {
+            t_cols_block::<8>(ap, cols, x, col0 + j, yp.add(j));
+            j += 32;
+        }
+        if j + 16 <= n {
+            t_cols_block::<4>(ap, cols, x, col0 + j, yp.add(j));
+            j += 16;
+        }
+        if j + 8 <= n {
+            t_cols_block::<2>(ap, cols, x, col0 + j, yp.add(j));
+            j += 8;
+        }
+        if j + 4 <= n {
+            t_cols_block::<1>(ap, cols, x, col0 + j, yp.add(j));
+            j += 4;
+        }
+        if j < n {
+            super::matvec_t_cols_from(a, cols, x, col0, y, j);
         }
     }
 

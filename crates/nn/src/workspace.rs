@@ -20,12 +20,6 @@ pub struct Workspace {
     pub(crate) c: Vec<f64>,
     /// Gate pre-activations (forward) / `da` (backward); up to `5d`.
     pub(crate) gates: Vec<f64>,
-    /// `z`-sized scratch (`dz` / `dzin`).
-    pub(crate) z: Vec<f64>,
-    /// Second `z`-sized scratch (`dzh` for the GRU).
-    pub(crate) z2: Vec<f64>,
-    /// `[ĉ; mix]` concatenation scratch (`2d`, SAM).
-    pub(crate) cat: Vec<f64>,
     /// Gradient of the concatenation (`2d`, SAM).
     pub(crate) dcat: Vec<f64>,
     /// Small `d`-sized scratch (SAM write weights, `dĉ`, GRU `dh_prev`…).
@@ -40,6 +34,13 @@ pub struct Workspace {
     pub(crate) win: Vec<f64>,
     /// Attention-window scratch (`d_scores`).
     pub(crate) win2: Vec<f64>,
+    /// Attention-window row ids (memory rows only), size `K`.
+    pub(crate) ids: Vec<u32>,
+    /// Gate gradients `da_t` of a whole sequence, `T ×` up to `5d` (BPTT).
+    pub(crate) da_all: Vec<f64>,
+    /// Second per-sequence gradient block, `T × d` (SAM `dpre_his_t`, GRU
+    /// candidate gradients).
+    pub(crate) dpre_all: Vec<f64>,
     // --- Lockstep batched-inference buffers (`B` = batch size). All are
     // plain scratch like the rest of the workspace: sized on entry,
     // carrying nothing between calls.
@@ -78,6 +79,18 @@ pub(crate) fn prep(v: &mut Vec<f64>, n: usize) -> &mut [f64] {
     v.clear();
     v.resize(n, 0.0);
     v.as_mut_slice()
+}
+
+/// `n` values of scratch without the zero fill of [`prep`]: contents are
+/// arbitrary and the caller writes every element before reading it. For
+/// the per-sequence BPTT blocks, whose `T × 5d` memset would be paid per
+/// sequence.
+#[inline]
+pub(crate) fn scratch<T: Copy + Default>(v: &mut Vec<T>, n: usize) -> &mut [T] {
+    if v.len() < n {
+        v.resize(n, T::default());
+    }
+    &mut v[..n]
 }
 
 /// Slot order for the lockstep batched forward: input indices sorted by

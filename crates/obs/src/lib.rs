@@ -359,6 +359,15 @@ pub mod names {
     pub const TRAIN_LOSS: &str = "neutraj_train_loss";
     /// Histogram: wall-clock seconds per epoch.
     pub const TRAIN_EPOCH_SECONDS: &str = "neutraj_train_epoch_seconds";
+    /// Histogram: seconds of one batch's training forward (all rounds,
+    /// both SAM phases).
+    pub const TRAIN_FORWARD_SECONDS: &str = "neutraj_train_forward_seconds";
+    /// Histogram: seconds of one batch's BPTT (all groups, merge
+    /// included).
+    pub const TRAIN_BACKWARD_SECONDS: &str = "neutraj_train_backward_seconds";
+    /// Gauge: bytes of the BPTT tape the most recent batch recorded in
+    /// the backbone's own storage (the SAM backbone; 0 otherwise).
+    pub const TRAIN_TAPE_BYTES: &str = "neutraj_train_tape_bytes";
     /// Counter: Adam optimizer steps.
     pub const ADAM_STEPS_TOTAL: &str = "neutraj_nn_adam_steps_total";
     /// Histogram: SAM two-phase protocol, phase A (parallel forwards).

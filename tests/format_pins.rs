@@ -217,3 +217,65 @@ fn deep_graph_and_graph_answer_are_pinned() {
     assert_eq!(crc(&bytes), 0x0b7a_107b);
     assert_eq!((stats.hops, stats.candidates_scanned), (363, 2049));
 }
+
+/// Training is pinned too: epoch losses, the embedding of seed 0 and the
+/// fitted model's bytes (every weight and the whole spatial memory) of a
+/// 2-epoch, 40-seed, dim-8 fit, per backbone, at 1 and 4 threads.
+/// Recorded on the commit before the id tape, the reused batch tape and
+/// the GEMM-shaped weight gradients landed, so "the training step is
+/// bit-equal to the one it replaced" is a test, not a benchmark
+/// observation. The seeds are random walks that linger and cross
+/// themselves, so a sequence reads its own pending writes. Unlike the
+/// other pins this one runs `exp`/`ln` from the host's libm (similarity
+/// matrix, pair loss, weighted sampling): it holds on one libm, which is
+/// what Tier-1 runs on.
+#[test]
+fn training_is_pinned() {
+    use neutraj_measures::{DistanceMatrix, Hausdorff};
+    use neutraj_model::Trainer;
+
+    let grid = Grid::new(BoundingBox::new(0.0, 0.0, 1000.0, 500.0), 50.0).unwrap();
+    let mut rng = Rng::seed_from_u64(16);
+    let seeds: Vec<Trajectory> = (0..40u64)
+        .map(|id| {
+            let (mut x, mut y) = (rng.gen_range(100.0..900.0), rng.gen_range(100.0..400.0));
+            let pts = (0..rng.gen_range(10..30))
+                .map(|_| {
+                    x = (x + rng.gen_range(-45.0..45.0f64)).clamp(0.0, 1000.0);
+                    y = (y + rng.gen_range(-45.0..45.0f64)).clamp(0.0, 500.0);
+                    Point::new(x, y)
+                })
+                .collect();
+            Trajectory::new_unchecked(id, pts)
+        })
+        .collect();
+    let rescaled: Vec<Trajectory> = seeds.iter().map(|t| grid.rescale_trajectory(t)).collect();
+    let dist = DistanceMatrix::compute(&Hausdorff, &rescaled);
+    let pins = [
+        (BackboneKind::SamLstm, 0x740a_ec57u32),
+        (BackboneKind::Lstm, 0x5dd6_7182),
+        (BackboneKind::Gru, 0x8f5b_4b25),
+    ];
+    for (backbone, pin) in pins {
+        for threads in [1, 4] {
+            let cfg = TrainConfig {
+                backbone,
+                dim: 8,
+                epochs: 2,
+                ..TrainConfig::neutraj()
+            };
+            let (model, report) =
+                Trainer::new(cfg, grid.clone())
+                    .with_threads(threads)
+                    .fit(&seeds, &dist, |_| {});
+            let mut bytes: Vec<u8> = report
+                .epoch_losses
+                .iter()
+                .chain(&model.embed(&seeds[0]))
+                .flat_map(|v| v.to_le_bytes())
+                .collect();
+            bytes.extend_from_slice(&model.to_bytes());
+            assert_eq!(crc(&bytes), pin, "{backbone:?} at {threads} threads");
+        }
+    }
+}
