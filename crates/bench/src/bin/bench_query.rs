@@ -70,12 +70,12 @@
 use std::time::Instant;
 
 use neutraj_cluster::{KMeans, KMeansParams};
-use neutraj_eval::quantized_recall_at_k;
+use neutraj_eval::{mean_overlap_at_k, shortlist_recall_at_k};
 use neutraj_index::IvfIndex;
-use neutraj_measures::{DiscreteFrechet, Neighbor};
+use neutraj_measures::DiscreteFrechet;
 use neutraj_model::{
-    AnnIndex, AnnParams, BackboneKind, EmbeddingStore, HnswIndex, HnswParams, NeuTrajModel,
-    QuantizedStore, Query, SimilarityDb, TrainConfig,
+    AnnIndex, AnnParams, BackboneKind, DbMetrics, EmbeddingStore, HnswIndex, HnswParams,
+    NeuTrajModel, QuantizedStore, Query, SimilarityDb, TrainConfig,
 };
 use neutraj_obs::{names, MetricsReport, Registry};
 use neutraj_trajectory::rng::{splitmix64, GOLDEN_GAMMA};
@@ -351,7 +351,7 @@ fn bench_scan(n: usize, dim: usize, batch: usize, seed: u64) -> ScanRow {
 /// Three gates run in-process (panic on failure):
 ///
 /// * exhaustive quantized scan recall@10 ≥ 0.99 after the exact rerank
-///   (measured by [`quantized_recall_at_k`], which also publishes the
+///   (measured by [`shortlist_recall_at_k`], which also publishes the
 ///   `neutraj_quant_recall_at_k` gauge into `registry`);
 /// * IVF-shortlist quantized scan recall@10 ≥ 0.99 against the f64
 ///   shortlist over the *same* candidate lists;
@@ -376,7 +376,15 @@ fn bench_quant(n: usize, dim: usize, batch: usize, seed: u64, registry: &Registr
     let quant = QuantizedStore::from_store(&store);
 
     // Recall + byte accounting through the eval harness.
-    let rep = quantized_recall_at_k(&store, &quant, &qrefs, K, Some(registry));
+    let rep = shortlist_recall_at_k(
+        &store,
+        &qrefs,
+        K,
+        |q, k| quant.knn_batch(&store, q, k),
+        Some(&registry.gauge(names::QUANT_RECALL_AT_K)),
+    );
+    let bytes_int8 = rep.stats.bytes_scanned;
+    let bytes_f64 = rep.stats.rows_scanned * (8 * dim + 8);
     assert!(
         rep.recall_at_k >= 0.99,
         "quant-gate: n={n} exhaustive recall@{K} {:.4} < 0.99",
@@ -385,9 +393,9 @@ fn bench_quant(n: usize, dim: usize, batch: usize, seed: u64, registry: &Registr
     println!(
         "  quant-scan n={n}: recall@{K} {:.4} (>= 0.99), {} int8 bytes vs {} f64 bytes ({:.1}x less traffic)",
         rep.recall_at_k,
-        rep.bytes_scanned,
-        rep.bytes_f64,
-        rep.bytes_f64 as f64 / rep.bytes_scanned.max(1) as f64
+        bytes_int8,
+        bytes_f64,
+        bytes_f64 as f64 / bytes_int8.max(1) as f64
     );
 
     let f64_scan_qps = time_qps(batch, || {
@@ -419,7 +427,7 @@ fn bench_quant(n: usize, dim: usize, batch: usize, seed: u64, registry: &Registr
     let nprobe = (nlists / 4).max(1);
     let f64_ann = store.knn_ann_batch(&qrefs, K, &index, nprobe).0;
     let int8_ann = quant.knn_ann_batch(&store, &qrefs, K, &index, nprobe).0;
-    let ann_recall = mean_recall(&f64_ann, &int8_ann, K);
+    let ann_recall = mean_overlap_at_k(&f64_ann, &int8_ann, K);
     assert!(
         ann_recall >= 0.99,
         "quant-gate: n={n} ann recall@{K} {ann_recall:.4} < 0.99 at nprobe {nprobe}"
@@ -452,8 +460,8 @@ fn bench_quant(n: usize, dim: usize, batch: usize, seed: u64, registry: &Registr
         f64_scan_qps,
         int8_scan_qps,
         scan_recall: rep.recall_at_k,
-        bytes_int8: rep.bytes_scanned,
-        bytes_f64: rep.bytes_f64,
+        bytes_int8,
+        bytes_f64,
         ann_f64_qps,
         ann_int8_qps,
         ann_recall,
@@ -669,17 +677,13 @@ fn bench_ann(n: usize, dim: usize, batch: usize, seed: u64, registry: &Registry)
         .into_iter()
         .filter(|&p| p <= nlists)
         .collect();
+    let metrics = DbMetrics::register(registry);
     let mut rows = Vec::new();
     for nprobe in sweep {
         let (approx, stats) = store.knn_ann_batch(&qrefs, K, &index, nprobe);
-        let recall = mean_recall(&truth, &approx, K);
+        let recall = mean_overlap_at_k(&truth, &approx, K);
         registry.gauge(names::ANN_RECALL_AT_K).set(recall);
-        registry
-            .counter(names::ANN_LISTS_PROBED_TOTAL)
-            .add(stats.lists_probed as u64);
-        registry
-            .counter(names::ANN_CANDIDATES_SCANNED_TOTAL)
-            .add(stats.candidates_scanned as u64);
+        metrics.record_scan(&stats, None, qrefs.len(), n);
         let qps = time_qps(batch, || {
             std::hint::black_box(store.knn_ann_batch(&qrefs, K, &index, nprobe));
         });
@@ -789,20 +793,13 @@ fn bench_graph(n: usize, dim: usize, batch: usize, seed: u64, registry: &Registr
         .into_iter()
         .filter(|&ef| ef >= K && ef <= n)
         .collect();
+    let metrics = DbMetrics::register(registry);
     let mut rows = Vec::new();
     for ef in sweep {
         let (approx, stats) = store.knn_graph_batch(&qrefs, K, &graph, ef);
-        let recall = mean_recall(&truth, &approx, K);
+        let recall = mean_overlap_at_k(&truth, &approx, K);
         registry.gauge(names::GRAPH_RECALL_AT_K).set(recall);
-        registry
-            .counter(names::GRAPH_HOPS_TOTAL)
-            .add(stats.hops as u64);
-        registry
-            .counter(names::GRAPH_CANDIDATES_SCANNED_TOTAL)
-            .add(stats.candidates_scanned as u64);
-        registry
-            .counter(names::GRAPH_LINKS_SCANNED_TOTAL)
-            .add(stats.links_scanned as u64);
+        metrics.record_scan(&stats, Some(ef), qrefs.len(), n);
         let qps = time_qps(batch, || {
             std::hint::black_box(store.knn_graph_batch(&qrefs, K, &graph, ef));
         });
@@ -877,7 +874,7 @@ fn bench_graph(n: usize, dim: usize, batch: usize, seed: u64, registry: &Registr
     let mut nprobe = 1usize;
     let (matched_ivf_nprobe, matched_ivf_recall, matched_ivf_qps) = loop {
         let approx = store.knn_ann_batch(&qrefs, K, &index, nprobe).0;
-        let recall = mean_recall(&truth, &approx, K);
+        let recall = mean_overlap_at_k(&truth, &approx, K);
         if recall >= MATCHED || nprobe >= ivf_nlists {
             let qps = time_qps(batch, || {
                 std::hint::black_box(store.knn_ann_batch(&qrefs, K, &index, nprobe));
@@ -982,24 +979,6 @@ fn jittered_queries(store: &EmbeddingStore, batch: usize, state: &mut u64) -> Ve
 /// Integer square root (rounded), for the √N list-count heuristic.
 fn isqrt(n: usize) -> usize {
     (n as f64).sqrt().round() as usize
-}
-
-/// Mean fraction of each exhaustive top-`k` recovered by the ANN lists.
-fn mean_recall(truth: &[Vec<Neighbor>], approx: &[Vec<Neighbor>], k: usize) -> f64 {
-    let mut total = 0.0;
-    for (t, a) in truth.iter().zip(approx) {
-        let t = &t[..k.min(t.len())];
-        if t.is_empty() {
-            total += 1.0;
-            continue;
-        }
-        let hits = t
-            .iter()
-            .filter(|n| a.iter().any(|m| m.index == n.index))
-            .count();
-        total += hits as f64 / t.len() as f64;
-    }
-    total / truth.len().max(1) as f64
 }
 
 /// Per-query latencies in microseconds: applies `f` to each query singly

@@ -1,58 +1,47 @@
-//! ANN serving recall harness.
+//! Shortlist serving recall harness.
 //!
-//! Two recall notions, matching how the IVF shortlist path can miss:
+//! Two recall notions, matching how a shortlist view can miss:
 //!
-//! * [`embedding_recall_at_k`] — ANN versus the **brute-force embedding
-//!   scan** on the same store. This isolates the index: scored distances
-//!   are bit-identical between the two paths, so any gap is purely
-//!   candidates left unprobed. This is the number the serving bench
-//!   gates on (`recall@10 ≥ 0.98`).
+//! * [`shortlist_recall_at_k`] — a shortlist scan (an IVF probe, the
+//!   int8 codes, an HNSW beam: whatever the `scan` closure runs) versus
+//!   the **brute-force embedding scan** on the same store. Every view
+//!   scores what it returns exactly, so distances are bit-identical
+//!   between the two and any gap is purely rows the view left out. These
+//!   are the numbers the serving bench gates on (`recall@10 ≥ 0.98` for
+//!   IVF, `≥ 0.99` for int8 and the graph).
 //! * [`exact_measure_recall_at_k`] — the end-to-end ANN + exact-rerank
 //!   search versus exact-measure ground truth from the
 //!   `GroundTruthEngine` knn path (the pruned exact engine of
 //!   `neutraj-measures`). This folds in the model's embedding quality,
 //!   so it is bounded above by what the exhaustive learned scan achieves.
 //!
-//! When handed a [`Registry`], the harness publishes the measured recall
-//! through the `neutraj_ann_recall_at_k` gauge — the serving path itself
-//! never writes it (it has no ground truth), only evaluation does.
-
-//! A third notion rides the int8-quantized scan (`DESIGN.md` §12):
-//! [`quantized_recall_at_k`] scores the quantized shortlist + exact
-//! rerank against the same brute-force scan, publishing
-//! `neutraj_quant_recall_at_k` — the number the serving bench gates on
-//! (`recall@10 ≥ 0.99`).
-//!
-//! A fourth rides the HNSW graph shortlist (`DESIGN.md` §15):
-//! [`graph_recall_at_k`] scores the beam-searched shortlist + exact
-//! rerank against the same brute-force scan, publishing
-//! `neutraj_graph_recall_at_k` — the number the graph bench gates on
-//! (`recall@10 ≥ 0.99`).
+//! The serving path never writes a recall gauge (it has no ground
+//! truth); evaluation does, into the gauge the caller hands over —
+//! `neutraj_ann_recall_at_k`, `neutraj_quant_recall_at_k` or
+//! `neutraj_graph_recall_at_k`.
 
 use neutraj_measures::{GroundTruthEngine, Measure, Neighbor};
-use neutraj_model::{AnnIndex, EmbeddingStore, HnswIndex, QuantizedStore, Query, SimilarityDb};
-use neutraj_obs::{names, Registry};
+use neutraj_model::{EmbeddingStore, Query, ScanStats, SimilarityDb};
+use neutraj_obs::Gauge;
 
-/// One recall measurement of the IVF shortlist path against the
-/// exhaustive scan, with the probe-work telemetry alongside.
+/// One recall measurement of a shortlist scan against the exhaustive
+/// scan, with the scan's own work counters alongside.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AnnRecallReport {
+pub struct RecallReport {
     /// Result depth scored.
     pub k: usize,
-    /// Inverted lists probed per query.
-    pub nprobe: usize,
     /// Number of queries scored.
     pub queries: usize,
-    /// Mean fraction of the exhaustive top-`k` recovered by the ANN
-    /// path (1.0 when `nprobe ≥ nlists`).
+    /// Mean fraction of the exhaustive top-`k` the shortlist scan
+    /// recovered (1.0 when the view covers the corpus: `nprobe ≥ nlists`,
+    /// `ef ≥ N`).
     pub recall_at_k: f64,
-    /// Total inverted lists probed across the query set.
-    pub lists_probed: usize,
-    /// Total candidate rows exactly scored across the query set.
-    pub candidates_scanned: usize,
-    /// Mean fraction of the corpus exactly scored per query — the
-    /// realized sub-linearity (1.0 means the "shortlist" was the whole
-    /// corpus).
+    /// What the scan did across the query set.
+    pub stats: ScanStats,
+    /// Mean fraction of the corpus scored exactly in f64 per query — the
+    /// realized sub-linearity of an IVF or graph shortlist (1.0 means the
+    /// "shortlist" was the whole corpus; 0 for an int8 scan, which counts
+    /// `stats.rows_scanned` instead).
     pub mean_rerank_depth: f64,
 }
 
@@ -73,175 +62,50 @@ fn overlap_at_k(truth: &[Neighbor], result: &[Neighbor], k: usize) -> f64 {
     hits as f64 / t.len() as f64
 }
 
-/// Scores the IVF shortlist path against the brute-force norm-trick scan
-/// on `store`: both rank by the same exact embedding distance, so the
-/// reported recall is exactly the fraction of true top-`k` rows whose
-/// inverted list was probed. Publishes `neutraj_ann_recall_at_k` into
-/// `registry` when given.
+/// Mean, over a query set, of the fraction of each `truth` top-`k` that
+/// the matching `approx` list recovered; 1.0 for an empty set.
+pub fn mean_overlap_at_k(truth: &[Vec<Neighbor>], approx: &[Vec<Neighbor>], k: usize) -> f64 {
+    if truth.is_empty() {
+        return 1.0;
+    }
+    let total: f64 = truth
+        .iter()
+        .zip(approx)
+        .map(|(t, a)| overlap_at_k(t, a, k))
+        .sum();
+    total / truth.len() as f64
+}
+
+/// Scores one shortlist scan against the brute-force norm-trick scan on
+/// `store`. `scan` answers the same queries at the same depth through
+/// the view under test — `|q, k| store.knn_ann_batch(q, k, &index,
+/// nprobe)`, `|q, k| quant.knn_batch(&store, q, k)`, `|q, k|
+/// store.knn_graph_batch(q, k, &graph, ef)`. Both sides rank by the same
+/// exact embedding distance, so the reported recall is exactly the
+/// fraction of true top-`k` rows the view reached. Publishes it into
+/// `gauge` when given.
 ///
-/// Panics (like the underlying scan) when `index` does not match `store`
-/// or `nprobe == 0`.
-pub fn embedding_recall_at_k(
+/// Panics when the scan does (a view that does not match `store`, a
+/// zero `nprobe` or `ef`).
+pub fn shortlist_recall_at_k(
     store: &EmbeddingStore,
-    index: &AnnIndex,
     queries: &[&[f64]],
     k: usize,
-    nprobe: usize,
-    registry: Option<&Registry>,
-) -> AnnRecallReport {
+    scan: impl FnOnce(&[&[f64]], usize) -> (Vec<Vec<Neighbor>>, ScanStats),
+    gauge: Option<&Gauge>,
+) -> RecallReport {
     let truth = store.knn_batch(queries, k);
-    let (approx, stats) = store.knn_ann_batch(queries, k, index, nprobe);
-    let recall = if queries.is_empty() {
-        1.0
-    } else {
-        truth
-            .iter()
-            .zip(&approx)
-            .map(|(t, a)| overlap_at_k(t, a, k))
-            .sum::<f64>()
-            / queries.len() as f64
-    };
-    if let Some(reg) = registry {
-        reg.gauge(names::ANN_RECALL_AT_K).set(recall);
+    let (approx, stats) = scan(queries, k);
+    let recall_at_k = mean_overlap_at_k(&truth, &approx, k);
+    if let Some(gauge) = gauge {
+        gauge.set(recall_at_k);
     }
     let denom = (queries.len().max(1) * store.len().max(1)) as f64;
-    AnnRecallReport {
-        k,
-        nprobe,
-        queries: queries.len(),
-        recall_at_k: recall,
-        lists_probed: stats.lists_probed,
-        candidates_scanned: stats.candidates_scanned,
-        mean_rerank_depth: stats.candidates_scanned as f64 / denom,
-    }
-}
-
-/// One recall measurement of the int8-quantized scan against the
-/// exhaustive f64 scan, with the bytes-streamed telemetry alongside.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QuantRecallReport {
-    /// Result depth scored.
-    pub k: usize,
-    /// Number of queries scored.
-    pub queries: usize,
-    /// Mean fraction of the exhaustive top-`k` recovered by the
-    /// quantized shortlist + exact rerank.
-    pub recall_at_k: f64,
-    /// Rows scored through their u8 codes across the query set.
-    pub rows_scanned: usize,
-    /// Bytes the quantized scan streamed (`dim + 16` per row).
-    pub bytes_scanned: usize,
-    /// Bytes the f64 scan streams for the same work (`8·dim + 8` per
-    /// row) — the ratio is the memory-traffic saving.
-    pub bytes_f64: usize,
-    /// Shortlist survivors exactly re-scored.
-    pub reranked: usize,
-}
-
-/// Scores the int8-quantized exhaustive scan against the brute-force
-/// f64 norm-trick scan on the parent `store`. The quantized path
-/// re-scores its over-fetched shortlist exactly, so any recall gap is
-/// purely rows the approximate ordering dropped from the shortlist —
-/// returned distances are identical for recovered rows. Publishes
-/// `neutraj_quant_recall_at_k` into `registry` when given.
-///
-/// Panics (like the underlying scan) when `quant` is not a view of
-/// `store`.
-pub fn quantized_recall_at_k(
-    store: &EmbeddingStore,
-    quant: &QuantizedStore,
-    queries: &[&[f64]],
-    k: usize,
-    registry: Option<&Registry>,
-) -> QuantRecallReport {
-    let truth = store.knn_batch(queries, k);
-    let (approx, stats) = quant.knn_batch(store, queries, k);
-    let recall = if queries.is_empty() {
-        1.0
-    } else {
-        truth
-            .iter()
-            .zip(&approx)
-            .map(|(t, a)| overlap_at_k(t, a, k))
-            .sum::<f64>()
-            / queries.len() as f64
-    };
-    if let Some(reg) = registry {
-        reg.gauge(names::QUANT_RECALL_AT_K).set(recall);
-    }
-    QuantRecallReport {
+    RecallReport {
         k,
         queries: queries.len(),
-        recall_at_k: recall,
-        rows_scanned: stats.rows_scanned,
-        bytes_scanned: stats.bytes_scanned,
-        bytes_f64: stats.rows_scanned * (8 * store.dim() + 8),
-        reranked: stats.reranked,
-    }
-}
-
-/// One recall measurement of the HNSW graph shortlist path against the
-/// exhaustive scan, with the beam-search telemetry alongside.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GraphRecallReport {
-    /// Result depth scored.
-    pub k: usize,
-    /// Beam width used for the graph search.
-    pub ef: usize,
-    /// Number of queries scored.
-    pub queries: usize,
-    /// Mean fraction of the exhaustive top-`k` recovered by the graph
-    /// path (1.0 when `ef ≥ N`).
-    pub recall_at_k: f64,
-    /// Total greedy-descent + beam hops across the query set.
-    pub hops: usize,
-    /// Total candidate rows exactly scored across the query set.
-    pub candidates_scanned: usize,
-    /// Mean fraction of the corpus exactly scored per query — the
-    /// realized sub-linearity (1.0 means the beam visited everything).
-    pub mean_rerank_depth: f64,
-}
-
-/// Scores the HNSW graph shortlist path against the brute-force
-/// norm-trick scan on `store`: both rank by the same exact embedding
-/// distance (the graph search scores through the identical norm-trick
-/// oracle), so the reported recall is exactly the fraction of true
-/// top-`k` rows the beam reached. Publishes `neutraj_graph_recall_at_k`
-/// into `registry` when given.
-///
-/// Panics (like the underlying scan) when `graph` does not match `store`
-/// or `ef == 0`.
-pub fn graph_recall_at_k(
-    store: &EmbeddingStore,
-    graph: &HnswIndex,
-    queries: &[&[f64]],
-    k: usize,
-    ef: usize,
-    registry: Option<&Registry>,
-) -> GraphRecallReport {
-    let truth = store.knn_batch(queries, k);
-    let (approx, stats) = store.knn_graph_batch(queries, k, graph, ef);
-    let recall = if queries.is_empty() {
-        1.0
-    } else {
-        truth
-            .iter()
-            .zip(&approx)
-            .map(|(t, a)| overlap_at_k(t, a, k))
-            .sum::<f64>()
-            / queries.len() as f64
-    };
-    if let Some(reg) = registry {
-        reg.gauge(names::GRAPH_RECALL_AT_K).set(recall);
-    }
-    let denom = (queries.len().max(1) * store.len().max(1)) as f64;
-    GraphRecallReport {
-        k,
-        ef,
-        queries: queries.len(),
-        recall_at_k: recall,
-        hops: stats.hops,
-        candidates_scanned: stats.candidates_scanned,
+        recall_at_k,
+        stats,
         mean_rerank_depth: stats.candidates_scanned as f64 / denom,
     }
 }
@@ -294,7 +158,10 @@ mod tests {
     use neutraj_cluster::{KMeans, KMeansParams};
     use neutraj_index::IvfIndex;
     use neutraj_measures::Hausdorff;
-    use neutraj_model::{AnnParams, BackboneKind, NeuTrajModel, TrainConfig};
+    use neutraj_model::{
+        AnnIndex, AnnParams, BackboneKind, NeuTrajModel, QuantizedStore, TrainConfig,
+    };
+    use neutraj_obs::{names, Registry};
     use neutraj_trajectory::rng::splitmix64;
     use neutraj_trajectory::{BoundingBox, Grid, Point, Trajectory};
 
@@ -332,16 +199,14 @@ mod tests {
         let index = index_over(&store, 6);
         let queries: Vec<&[f64]> = (0..20).map(|i| store.get(i * 7)).collect();
         let registry = Registry::new();
-        let full = embedding_recall_at_k(
-            &store,
-            &index,
-            &queries,
-            10,
-            index.nlists(),
-            Some(&registry),
-        );
+        let ivf = |nprobe: usize, gauge: Option<&Gauge>| {
+            let scan = |q: &[&[f64]], k| store.knn_ann_batch(q, k, &index, nprobe);
+            shortlist_recall_at_k(&store, &queries, 10, scan, gauge)
+        };
+        let gauge = registry.gauge(names::ANN_RECALL_AT_K);
+        let full = ivf(index.nlists(), Some(&gauge));
         assert_eq!(full.recall_at_k, 1.0, "full probe must be exact");
-        assert_eq!(full.candidates_scanned, queries.len() * store.len());
+        assert_eq!(full.stats.candidates_scanned, queries.len() * store.len());
         assert!((full.mean_rerank_depth - 1.0).abs() < 1e-12);
         // The gauge carries the last published recall.
         let report = registry.snapshot();
@@ -353,14 +218,14 @@ mod tests {
             .1;
         assert_eq!(gauge, 1.0);
 
-        let partial = embedding_recall_at_k(&store, &index, &queries, 10, 1, None);
-        assert!(partial.candidates_scanned < full.candidates_scanned);
+        let partial = ivf(1, None);
+        assert!(partial.stats.candidates_scanned < full.stats.candidates_scanned);
         assert!(partial.mean_rerank_depth < 1.0);
         assert!(partial.recall_at_k <= 1.0);
         // Blob queries live inside one cell with all their neighbors, so
         // even nprobe = 1 recalls well on this geometry.
         assert!(partial.recall_at_k > 0.9, "{}", partial.recall_at_k);
-        assert_eq!(partial.lists_probed, queries.len());
+        assert_eq!(partial.stats.lists_probed, queries.len());
     }
 
     /// Smoothly spread rows, like trained-model embeddings. (The blob
@@ -387,17 +252,22 @@ mod tests {
         let quant = QuantizedStore::from_store(&store);
         let queries: Vec<&[f64]> = (0..25).map(|i| store.get(i * 71 + 3)).collect();
         let registry = Registry::new();
-        let r = quantized_recall_at_k(&store, &quant, &queries, 10, Some(&registry));
+        let gauge = registry.gauge(names::QUANT_RECALL_AT_K);
+        let int8 = |q: &[&[f64]], k| quant.knn_batch(&store, q, k);
+        let r = shortlist_recall_at_k(&store, &queries, 10, int8, Some(&gauge));
         assert!(
             r.recall_at_k >= 0.99,
             "quantized recall@10 {} below the 0.99 gate",
             r.recall_at_k
         );
         // Every scored row streamed ~8× fewer bytes than the f64 path.
-        assert_eq!(r.rows_scanned, queries.len() * store.len());
-        assert_eq!(r.bytes_scanned, r.rows_scanned * (store.dim() + 16));
-        assert_eq!(r.bytes_f64, r.rows_scanned * (8 * store.dim() + 8));
-        assert!(r.reranked > 0);
+        assert_eq!(r.stats.rows_scanned, queries.len() * store.len());
+        assert_eq!(
+            r.stats.bytes_scanned,
+            r.stats.rows_scanned * (store.dim() + 16)
+        );
+        assert!(r.stats.reranked > 0);
+        assert_eq!(r.mean_rerank_depth, 0.0);
         // The gauge carries the published recall.
         let report = registry.snapshot();
         let gauge = report
@@ -420,7 +290,12 @@ mod tests {
         );
         let queries: Vec<&[f64]> = (0..20).map(|i| store.get(i * 53 + 1)).collect();
         let registry = Registry::new();
-        let full = graph_recall_at_k(&store, &graph, &queries, 10, store.len(), Some(&registry));
+        let walk = |ef: usize, gauge: Option<&Gauge>| {
+            let scan = |q: &[&[f64]], k| store.knn_graph_batch(q, k, &graph, ef);
+            shortlist_recall_at_k(&store, &queries, 10, scan, gauge)
+        };
+        let gauge = registry.gauge(names::GRAPH_RECALL_AT_K);
+        let full = walk(store.len(), Some(&gauge));
         assert_eq!(full.recall_at_k, 1.0, "ef >= N must be exact");
         assert!((full.mean_rerank_depth - 1.0).abs() < 1e-12);
         let gauge = registry
@@ -432,10 +307,10 @@ mod tests {
             .1;
         assert_eq!(gauge, 1.0);
 
-        let narrow = graph_recall_at_k(&store, &graph, &queries, 10, 64, None);
-        assert!(narrow.candidates_scanned < full.candidates_scanned);
+        let narrow = walk(64, None);
+        assert!(narrow.stats.candidates_scanned < full.stats.candidates_scanned);
         assert!(narrow.mean_rerank_depth < 1.0);
-        assert!(narrow.hops > 0);
+        assert!(narrow.stats.hops > 0);
         assert!(
             narrow.recall_at_k > 0.8,
             "ef=64 recall@10 {} implausibly low",
@@ -447,7 +322,8 @@ mod tests {
     fn empty_query_set_scores_perfect_recall() {
         let store = blob_store(3, 10, 3);
         let index = index_over(&store, 3);
-        let r = embedding_recall_at_k(&store, &index, &[], 5, 1, None);
+        let ivf = |q: &[&[f64]], k| store.knn_ann_batch(q, k, &index, 1);
+        let r = shortlist_recall_at_k(&store, &[], 5, ivf, None);
         assert_eq!(r.recall_at_k, 1.0);
         assert_eq!(r.queries, 0);
     }

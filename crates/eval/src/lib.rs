@@ -7,8 +7,8 @@
 //!
 //! * [`metrics`] — top-k hitting ratio `HR@k`, cross recall `R10@50` and
 //!   the distance distortions `δ_H10`/`δ_R10` (§VII-A.4).
-//! * [`ann`] — recall@k of the IVF shortlist serving path against the
-//!   brute-force scan and against exact-measure ground truth.
+//! * [`ann`] — recall@k of a shortlist serving path (IVF, int8, graph)
+//!   against the brute-force scan and against exact-measure ground truth.
 //! * [`harness`] — corpus construction, ground-truth computation, method
 //!   runners (BruteForce / AP / Siamese / NeuTraj + ablations) and the
 //!   per-measure evaluation pipeline.
@@ -23,10 +23,7 @@ pub mod metrics;
 pub mod report;
 pub mod sweeps;
 
-pub use ann::{
-    embedding_recall_at_k, exact_measure_recall_at_k, graph_recall_at_k, quantized_recall_at_k,
-    AnnRecallReport, GraphRecallReport, QuantRecallReport,
-};
+pub use ann::{exact_measure_recall_at_k, mean_overlap_at_k, shortlist_recall_at_k, RecallReport};
 pub use harness::{
     DatasetKind, Evaluator, ExperimentWorld, GroundTruth, KnnGroundTruth, WorldConfig,
 };

@@ -94,6 +94,13 @@ pub trait Measure: Send + Sync {
     }
 }
 
+/// A borrowed measure prints as its name, so types that hold one derive `Debug`.
+impl std::fmt::Debug for dyn Measure + '_ {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
 /// The accelerated ground-truth kernels of [`GroundTruthEngine`], chosen
 /// via [`Measure::accel`]. Carries the parameters the kernel needs beyond
 /// the point sequences themselves (only ERP's gap point today).

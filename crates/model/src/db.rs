@@ -10,10 +10,9 @@
 //! Queries go through one front door: [`SimilarityDb::search`] /
 //! [`SimilarityDb::search_batch`] take a [`QueryTarget`] (ad-hoc
 //! trajectory, raw embedding, or stored index) plus a [`Query`] describing
-//! `k`, the shortlist width, and optional exact re-ranking. The historical
-//! `knn*` methods survive as one-line forwards. When instrumented via
-//! [`SimilarityDb::instrument`], every query records per-stage latencies
-//! (embed / scan / re-rank) and counters into a
+//! `k`, the shortlist width, and optional exact re-ranking. When
+//! instrumented via [`SimilarityDb::instrument`], every query records
+//! per-stage latencies (embed / scan / re-rank) and counters into a
 //! [`Registry`](neutraj_obs::Registry).
 //!
 //! At million-trajectory scale the exhaustive `O(N·d)` scan itself
@@ -22,26 +21,145 @@
 //! embeddings, and [`Query::shortlist_ann`] routes the scan through it —
 //! probe the `nprobe` nearest cells, exactly score only their members.
 //! Scored distances are bit-identical to the exhaustive scan's (only
-//! recall is approximate), inserts keep the index in lockstep, and
-//! [`SimilarityDb::save_ann_index`] / [`SimilarityDb::load_ann_index`]
-//! persist it inside the standard CRC-sealed envelope.
+//! recall is approximate) and inserts keep the index in lockstep. The
+//! HNSW graph ([`SimilarityDb::build_graph_index`]) and the int8 codes
+//! ([`SimilarityDb::build_quantized_store`]) are the other two
+//! [`ShortlistView`]s; all three are installed, dropped and persisted
+//! inside the standard CRC-sealed envelope by the same four methods
+//! ([`SimilarityDb::set_view`], [`clear_view`](SimilarityDb::clear_view),
+//! [`save_view`](SimilarityDb::save_view),
+//! [`load_view`](SimilarityDb::load_view)).
 
 use crate::backbone::NeuTrajModel;
 use crate::loss::pair_similarity;
 use crate::persist::{atomic_write, open_payload, seal_payload, PersistError};
 use crate::quant::QuantizedStore;
-use crate::query::{Query, QueryTarget};
-use crate::search::EmbeddingStore;
+use crate::query::{Query, QueryOf, QueryTarget};
+use crate::search::{EmbeddingStore, ScanStats};
 use neutraj_cluster::{KMeans, KMeansParams};
-use neutraj_index::{HnswIndex, HnswParams, IvfIndex};
+use neutraj_index::{HnswCodecError, HnswIndex, HnswParams, IvfCodecError, IvfIndex};
 use neutraj_measures::{Measure, Neighbor};
 use neutraj_obs::{names, Counter, Gauge, Histogram, Registry};
-use neutraj_trajectory::{TrajError, Trajectory};
+use neutraj_trajectory::{Grid, TrajError, Trajectory};
 use std::path::Path;
 
 /// The concrete ANN index the database serves from: an inverted-file
 /// index coarse-quantized by k-means.
 pub type AnnIndex = IvfIndex<KMeans>;
+
+/// One shortlist view over the stored embeddings — the IVF index, the
+/// HNSW graph or the int8 codes — seen only as something the database
+/// keeps: a row count that grows in lockstep with the store, and one
+/// sealed section to travel as. [`SimilarityDb::set_view`],
+/// [`clear_view`](SimilarityDb::clear_view),
+/// [`save_view`](SimilarityDb::save_view) and
+/// [`load_view`](SimilarityDb::load_view) are written once against it;
+/// building takes different parameters per view and scanning is a
+/// different algorithm per view, so those stay separate.
+pub trait ShortlistView: Sized {
+    /// What error messages call the view.
+    const NAME: &'static str;
+    /// Why a section failed to decode.
+    type DecodeError: std::fmt::Display;
+    /// Rows covered; equals the corpus size while installed.
+    fn rows(&self) -> usize;
+    /// Row dimensionality, for a view that stores vectors (the graph
+    /// stores none).
+    fn dim(&self) -> Option<usize>;
+    /// Takes in the newest row of `store`, which has just grown by one.
+    fn append(&mut self, store: &EmbeddingStore);
+    /// The view's section bytes (`NTIVF01`, `NTHNSW01`, `NTQ08`).
+    fn encode(&self) -> Vec<u8>;
+    /// Parses a section written by [`Self::encode`], checking its
+    /// structural invariants.
+    fn decode(bytes: &[u8]) -> Result<Self, Self::DecodeError>;
+    #[doc(hidden)]
+    fn slot(db: &SimilarityDb) -> &Option<Self>;
+    #[doc(hidden)]
+    fn slot_mut(db: &mut SimilarityDb) -> &mut Option<Self>;
+}
+
+impl ShortlistView for AnnIndex {
+    const NAME: &'static str = "ann index";
+    type DecodeError = IvfCodecError;
+    fn rows(&self) -> usize {
+        self.len()
+    }
+    fn dim(&self) -> Option<usize> {
+        Some(IvfIndex::dim(self))
+    }
+    /// Assign-to-nearest-centroid; no retraining (rebuild for that).
+    fn append(&mut self, store: &EmbeddingStore) {
+        self.insert(store.get(store.len() - 1));
+    }
+    fn encode(&self) -> Vec<u8> {
+        self.to_bytes()
+    }
+    fn decode(bytes: &[u8]) -> Result<Self, IvfCodecError> {
+        Self::from_bytes(bytes)
+    }
+    fn slot(db: &SimilarityDb) -> &Option<Self> {
+        &db.ann
+    }
+    fn slot_mut(db: &mut SimilarityDb) -> &mut Option<Self> {
+        &mut db.ann
+    }
+}
+
+impl ShortlistView for HnswIndex {
+    const NAME: &'static str = "graph index";
+    type DecodeError = HnswCodecError;
+    fn rows(&self) -> usize {
+        self.len()
+    }
+    fn dim(&self) -> Option<usize> {
+        None
+    }
+    /// The new node gets its hashed level and links immediately (a
+    /// one-node construction round), so graph queries see every row.
+    fn append(&mut self, store: &EmbeddingStore) {
+        store.link_last_row(self);
+    }
+    fn encode(&self) -> Vec<u8> {
+        self.to_bytes()
+    }
+    fn decode(bytes: &[u8]) -> Result<Self, HnswCodecError> {
+        Self::from_bytes(bytes)
+    }
+    fn slot(db: &SimilarityDb) -> &Option<Self> {
+        &db.graph
+    }
+    fn slot_mut(db: &mut SimilarityDb) -> &mut Option<Self> {
+        &mut db.graph
+    }
+}
+
+impl ShortlistView for QuantizedStore {
+    const NAME: &'static str = "quantized store";
+    type DecodeError = PersistError;
+    fn rows(&self) -> usize {
+        self.len()
+    }
+    fn dim(&self) -> Option<usize> {
+        Some(QuantizedStore::dim(self))
+    }
+    /// The new row quantizes on its own scale; old rows are untouched.
+    fn append(&mut self, store: &EmbeddingStore) {
+        self.push(store.get(store.len() - 1));
+    }
+    fn encode(&self) -> Vec<u8> {
+        self.to_bytes()
+    }
+    fn decode(bytes: &[u8]) -> Result<Self, PersistError> {
+        Self::from_bytes(bytes)
+    }
+    fn slot(db: &SimilarityDb) -> &Option<Self> {
+        &db.quant
+    }
+    fn slot_mut(db: &mut SimilarityDb) -> &mut Option<Self> {
+        &mut db.quant
+    }
+}
 
 /// Typed rejection of invalid serving-path input — the graceful-
 /// degradation contract: bad input never panics the process and never
@@ -151,6 +269,36 @@ impl DbMetrics {
             quant_bytes_scanned: registry.counter(names::QUANT_BYTES_SCANNED_TOTAL),
         }
     }
+
+    /// Folds one batched scan's work into the `neutraj_ann_*`,
+    /// `neutraj_graph_*` and `neutraj_quant_*` series — the one place
+    /// [`ScanStats`] become metrics, for the database and for a bench
+    /// that drives a store directly. `ef` is the beam width of a graph
+    /// scan (`None` for every other path); `queries` and `corpus` size
+    /// the batch.
+    pub fn record_scan(&self, stats: &ScanStats, ef: Option<usize>, queries: usize, corpus: usize) {
+        self.ann_lists_probed.add(stats.lists_probed as u64);
+        self.graph_hops.add(stats.hops as u64);
+        self.graph_links_scanned.add(stats.links_scanned as u64);
+        self.quant_rows_scanned.add(stats.rows_scanned as u64);
+        self.quant_bytes_scanned.add(stats.bytes_scanned as u64);
+        // Rows scored exactly in f64 belong to the graph walk when there
+        // is a beam, else to the IVF probe (an int8 scan has none).
+        let (scanned, depth) = match ef {
+            Some(ef) => {
+                self.graph_ef.observe(ef as f64);
+                (&self.graph_candidates_scanned, &self.graph_rerank_depth)
+            }
+            None => (&self.ann_candidates_scanned, &self.ann_rerank_depth),
+        };
+        if stats.candidates_scanned > 0 {
+            scanned.add(stats.candidates_scanned as u64);
+            // Fraction of the corpus exactly scored per query — the
+            // realized sub-linearity of the shortlist.
+            let denom = (queries.max(1) * corpus.max(1)) as f64;
+            depth.observe(stats.candidates_scanned as f64 / denom);
+        }
+    }
 }
 
 /// Configuration for [`SimilarityDb::build_ann_index`] — the IVF
@@ -195,19 +343,12 @@ pub struct SimilarityDb {
     trajectories: Vec<Trajectory>,
     /// Embeddings + precomputed row norms for norm-trick scans.
     embeddings: EmbeddingStore,
-    /// IVF shortlist index over the embeddings, kept in lockstep with the
-    /// store by [`SimilarityDb::insert`] once built. `None` until
-    /// [`SimilarityDb::build_ann_index`] (or a load) installs one.
+    /// The [`ShortlistView`]s over the embeddings — IVF index, HNSW
+    /// graph, int8 codes. Each is `None` until its `build_*` (or a
+    /// [`SimilarityDb::load_view`]) installs it, and from then on
+    /// [`SimilarityDb::insert`] keeps it in lockstep with the store.
     ann: Option<AnnIndex>,
-    /// HNSW graph shortlist index over the embeddings, kept in lockstep
-    /// with the store by [`SimilarityDb::insert`] once built. `None`
-    /// until [`SimilarityDb::build_graph_index`] (or a load) installs
-    /// one.
     graph: Option<HnswIndex>,
-    /// Int8-quantized view of the embeddings for [`Query::quantized`]
-    /// scans, kept in lockstep with the store by [`SimilarityDb::insert`]
-    /// once built. `None` until [`SimilarityDb::build_quantized_store`]
-    /// (or a load) installs one.
     quant: Option<QuantizedStore>,
     /// `None` (the default) records nothing; cloning an instrumented db
     /// shares the underlying instruments.
@@ -327,52 +468,6 @@ impl SimilarityDb {
         self.ann.as_ref()
     }
 
-    /// Installs an externally built index after checking it matches the
-    /// corpus (dimensionality and row count).
-    pub fn set_ann_index(&mut self, index: AnnIndex) -> Result<(), DbError> {
-        if index.dim() != self.embeddings.dim() || index.len() != self.len() {
-            return Err(self.reject(DbError::InvalidConfig(format!(
-                "ann index (dim {}, {} rows) does not match corpus (dim {}, {} rows)",
-                index.dim(),
-                index.len(),
-                self.embeddings.dim(),
-                self.len()
-            ))));
-        }
-        self.ann = Some(index);
-        Ok(())
-    }
-
-    /// Drops the ANN index; queries fall back to the exhaustive scan
-    /// (ANN queries start failing with [`DbError::InvalidConfig`]).
-    pub fn clear_ann_index(&mut self) {
-        self.ann = None;
-    }
-
-    /// Persists the ANN index to `path` inside the standard sealed
-    /// envelope (`NTFILE01` magic + length + CRC around the `NTIVF01`
-    /// section), written atomically via a same-directory temp file.
-    /// Errors when no index is built.
-    pub fn save_ann_index<P: AsRef<Path>>(&self, path: P) -> Result<(), PersistError> {
-        let ann = self.ann.as_ref().ok_or_else(|| {
-            PersistError::Format("no ann index to save: call build_ann_index first".into())
-        })?;
-        atomic_write(path.as_ref(), &seal_payload(&ann.to_bytes()))
-    }
-
-    /// Loads and installs an ANN index written by
-    /// [`SimilarityDb::save_ann_index`], verifying the envelope CRC, the
-    /// section's structural invariants, and that the index matches the
-    /// current corpus.
-    pub fn load_ann_index<P: AsRef<Path>>(&mut self, path: P) -> Result<(), PersistError> {
-        let data = std::fs::read(path.as_ref())?;
-        let payload = open_payload(&data)?;
-        let index =
-            AnnIndex::from_bytes(payload).map_err(|e| PersistError::Corrupted(e.to_string()))?;
-        self.set_ann_index(index)
-            .map_err(|e| PersistError::Format(e.to_string()))
-    }
-
     /// Builds a deterministic HNSW graph index over the current corpus
     /// snapshot for [`Query::shortlist_graph`] scans, with
     /// `threads`-way parallel construction rounds — the committed graph
@@ -407,51 +502,6 @@ impl SimilarityDb {
         self.graph.as_ref()
     }
 
-    /// Installs an externally built graph index after checking it
-    /// matches the corpus (row count — the graph stores no vectors, so
-    /// dimensionality is the store's concern).
-    pub fn set_graph_index(&mut self, graph: HnswIndex) -> Result<(), DbError> {
-        if graph.len() != self.len() {
-            return Err(self.reject(DbError::InvalidConfig(format!(
-                "graph index ({} rows) does not match corpus ({} rows)",
-                graph.len(),
-                self.len()
-            ))));
-        }
-        self.graph = Some(graph);
-        Ok(())
-    }
-
-    /// Drops the graph index; graph queries start failing with
-    /// [`DbError::InvalidConfig`] while other paths are unaffected.
-    pub fn clear_graph_index(&mut self) {
-        self.graph = None;
-    }
-
-    /// Persists the graph index to `path` inside the standard sealed
-    /// envelope (`NTFILE01` magic + length + CRC around the `NTHNSW01`
-    /// section), written atomically via a same-directory temp file.
-    /// Errors when no graph is built.
-    pub fn save_graph_index<P: AsRef<Path>>(&self, path: P) -> Result<(), PersistError> {
-        let graph = self.graph.as_ref().ok_or_else(|| {
-            PersistError::Format("no graph index to save: call build_graph_index first".into())
-        })?;
-        atomic_write(path.as_ref(), &seal_payload(&graph.to_bytes()))
-    }
-
-    /// Loads and installs a graph index written by
-    /// [`SimilarityDb::save_graph_index`], verifying the envelope CRC,
-    /// the section's structural invariants, and that the graph matches
-    /// the current corpus.
-    pub fn load_graph_index<P: AsRef<Path>>(&mut self, path: P) -> Result<(), PersistError> {
-        let data = std::fs::read(path.as_ref())?;
-        let payload = open_payload(&data)?;
-        let graph =
-            HnswIndex::from_bytes(payload).map_err(|e| PersistError::Corrupted(e.to_string()))?;
-        self.set_graph_index(graph)
-            .map_err(|e| PersistError::Format(e.to_string()))
-    }
-
     /// Builds (or rebuilds) the int8-quantized view of the current
     /// corpus snapshot for [`Query::quantized`] scans. Later
     /// [`SimilarityDb::insert`]s keep it in lockstep (the new row is
@@ -465,47 +515,52 @@ impl SimilarityDb {
         self.quant.as_ref()
     }
 
-    /// Installs an externally built quantized view after checking it
-    /// matches the corpus (dimensionality and row count).
-    pub fn set_quantized_store(&mut self, store: QuantizedStore) -> Result<(), DbError> {
-        if store.dim() != self.embeddings.dim() || store.len() != self.len() {
+    /// Installs an externally built view after checking it matches the
+    /// corpus (row count, and dimensionality where the view has one).
+    pub fn set_view<V: ShortlistView>(&mut self, view: V) -> Result<(), DbError> {
+        let dim = self.embeddings.dim();
+        let view_dim = view.dim().unwrap_or(dim);
+        if view_dim != dim || view.rows() != self.len() {
             return Err(self.reject(DbError::InvalidConfig(format!(
-                "quantized store (dim {}, {} rows) does not match corpus (dim {}, {} rows)",
-                store.dim(),
-                store.len(),
-                self.embeddings.dim(),
+                "{} (dim {view_dim}, {} rows) does not match corpus (dim {dim}, {} rows)",
+                V::NAME,
+                view.rows(),
                 self.len()
             ))));
         }
-        self.quant = Some(store);
+        *V::slot_mut(self) = Some(view);
         Ok(())
     }
 
-    /// Drops the quantized view; [`Query::quantized`] queries start
-    /// failing with [`DbError::InvalidConfig`].
-    pub fn clear_quantized_store(&mut self) {
-        self.quant = None;
+    /// Drops view `V`; queries that ask for it start failing with
+    /// [`DbError::InvalidConfig`] while other paths are unaffected.
+    pub fn clear_view<V: ShortlistView>(&mut self) {
+        *V::slot_mut(self) = None;
     }
 
-    /// Persists the quantized view to `path` inside the standard sealed
-    /// envelope (`NTFILE01` magic + length + CRC around the `NTQ08`
-    /// section), written atomically. Errors when no view is built.
-    pub fn save_quantized_store<P: AsRef<Path>>(&self, path: P) -> Result<(), PersistError> {
-        let q = self.quant.as_ref().ok_or_else(|| {
-            PersistError::Format(
-                "no quantized store to save: call build_quantized_store first".into(),
-            )
+    /// Persists view `V` to `path` inside the standard sealed envelope
+    /// (`NTFILE01` magic + length + CRC around the view's section),
+    /// written atomically via a same-directory temp file. Errors when the
+    /// view is not built.
+    pub fn save_view<V: ShortlistView>(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
+        let view = V::slot(self).as_ref().ok_or_else(|| {
+            PersistError::Format(format!("no {} to save: build one first", V::NAME))
         })?;
-        q.save(path)
+        atomic_write(path.as_ref(), &seal_payload(&view.encode()))
     }
 
-    /// Loads and installs a quantized view written by
-    /// [`SimilarityDb::save_quantized_store`], verifying the envelope
-    /// CRC, the `NTQ08` structural invariants, and that the view matches
-    /// the current corpus.
-    pub fn load_quantized_store<P: AsRef<Path>>(&mut self, path: P) -> Result<(), PersistError> {
-        let store = QuantizedStore::load(path)?;
-        self.set_quantized_store(store)
+    /// Loads and installs a view written by [`SimilarityDb::save_view`],
+    /// verifying the envelope CRC, the section's structural invariants,
+    /// and that the view matches the current corpus. On any error the
+    /// installed view, if there is one, stays.
+    pub fn load_view<V: ShortlistView>(
+        &mut self,
+        path: impl AsRef<Path>,
+    ) -> Result<(), PersistError> {
+        let data = std::fs::read(path.as_ref())?;
+        let view =
+            V::decode(open_payload(&data)?).map_err(|e| PersistError::Corrupted(e.to_string()))?;
+        self.set_view(view)
             .map_err(|e| PersistError::Format(e.to_string()))
     }
 
@@ -524,134 +579,90 @@ impl SimilarityDb {
             .map_err(|reason| self.reject(DbError::InvalidTrajectory { id: t.id, reason }))
     }
 
-    /// Validates a query *configuration* at the same boundary: typed
-    /// [`DbError::InvalidConfig`] (counted as a reject), never a panic.
-    /// The database-independent invariants (`k == 0`, explicit shortlist
-    /// narrower than `k`, `nprobe == 0`) live in [`Query::validate`] so
-    /// the serving layer can apply the identical contract before
-    /// queueing; the checks against *this* database's state (quantized
-    /// view / ANN index actually built) follow here.
-    fn check_query(&self, query: &Query) -> Result<(), DbError> {
-        if let Err(reason) = query.validate() {
-            return Err(self.reject(DbError::InvalidConfig(reason)));
+    /// Validates a raw query embedding: the model's dimension, finite.
+    fn check_embedding(&self, e: &[f64]) -> Result<(), DbError> {
+        if e.len() != self.model.dim() {
+            return Err(self.reject(DbError::InvalidEmbedding(format!(
+                "dimension {} does not match model dimension {}",
+                e.len(),
+                self.model.dim()
+            ))));
         }
-        if query.is_quantized() && self.quant.is_none() {
-            return Err(self.reject(DbError::InvalidConfig(
-                "quantized queries need the int8 view: call build_quantized_store \
-                 (or load_quantized_store) first"
-                    .into(),
-            )));
-        }
-        if query.ann_nprobe().is_some() && self.ann.is_none() {
-            return Err(self.reject(DbError::InvalidConfig(
-                "shortlist_ann requires an ANN index: call build_ann_index \
-                 (or load_ann_index) first"
-                    .into(),
-            )));
-        }
-        if query.graph_ef().is_some() && self.graph.is_none() {
-            return Err(self.reject(DbError::InvalidConfig(
-                "shortlist_graph requires a graph index: call build_graph_index \
-                 (or load_graph_index) first"
-                    .into(),
-            )));
+        if let Some(k) = e.iter().position(|v| !v.is_finite()) {
+            return Err(self.reject(DbError::InvalidEmbedding(format!(
+                "non-finite value at component {k}"
+            ))));
         }
         Ok(())
     }
 
-    /// The embedding-space scan stage shared by every search path:
-    /// exhaustive norm-trick GEMM, or the IVF/graph shortlist when the
-    /// query asks for one (recording the shortlist work counters).
-    /// Configuration has already passed [`Self::check_query`].
-    fn scan_batch(&self, qrefs: &[&[f64]], fetch: usize, query: &Query) -> Vec<Vec<Neighbor>> {
-        if query.is_quantized() {
-            return self.scan_batch_quantized(qrefs, fetch, query);
+    /// Validates a query *configuration* at the same boundary: typed
+    /// [`DbError::InvalidConfig`] (counted as a reject), never a panic.
+    /// The database-independent invariants (`k == 0`, explicit shortlist
+    /// narrower than `k`, `nprobe == 0`, …) live in [`QueryOf::validate`]
+    /// so the serving layer can apply the identical contract before
+    /// queueing; the checks against *this* database's state (the view a
+    /// knob routes through is actually built) follow here.
+    fn check_query<M: Copy>(&self, query: &QueryOf<M>) -> Result<(), DbError> {
+        if let Err(reason) = query.validate() {
+            return Err(self.reject(DbError::InvalidConfig(reason)));
         }
-        if let Some(ef) = query.graph_ef() {
-            let graph = self
-                .graph
-                .as_ref()
-                .expect("check_query verified the graph exists");
-            // The beam must be at least as wide as the fetch depth or
-            // the shortlist could never fill it.
-            let ef = ef.max(fetch);
-            let (shorts, stats) = self.embeddings.knn_graph_batch(qrefs, fetch, graph, ef);
-            if let Some(m) = &self.metrics {
-                m.graph_hops.add(stats.hops as u64);
-                m.graph_candidates_scanned
-                    .add(stats.candidates_scanned as u64);
-                m.graph_links_scanned.add(stats.links_scanned as u64);
-                m.graph_ef.observe(ef as f64);
-                // Fraction of the corpus exactly scored per query — the
-                // realized sub-linearity of the graph shortlist.
-                let denom = (qrefs.len().max(1) * self.len().max(1)) as f64;
-                m.graph_rerank_depth
-                    .observe(stats.candidates_scanned as f64 / denom);
-            }
-            return shorts;
-        }
-        match query.ann_nprobe() {
-            None => self.embeddings.knn_batch(qrefs, fetch),
-            Some(nprobe) => {
-                let ann = self
-                    .ann
-                    .as_ref()
-                    .expect("check_query verified the index exists");
-                let (shorts, stats) = self.embeddings.knn_ann_batch(qrefs, fetch, ann, nprobe);
-                if let Some(m) = &self.metrics {
-                    m.ann_lists_probed.add(stats.lists_probed as u64);
-                    m.ann_candidates_scanned
-                        .add(stats.candidates_scanned as u64);
-                    // Fraction of the corpus exactly scored per query —
-                    // the realized sub-linearity of the shortlist.
-                    let denom = (qrefs.len().max(1) * self.len().max(1)) as f64;
-                    m.ann_rerank_depth
-                        .observe(stats.candidates_scanned as f64 / denom);
-                }
-                shorts
-            }
-        }
+        self.require::<QuantizedStore>(query.is_quantized(), "quantized")?;
+        self.require::<AnnIndex>(query.ann_nprobe().is_some(), "shortlist_ann")?;
+        self.require::<HnswIndex>(query.graph_ef().is_some(), "shortlist_graph")
     }
 
-    /// The [`Query::quantized`] scan stage: score rows through the int8
-    /// view (exhaustively or over the IVF candidates), then exactly
-    /// re-score the over-fetched shortlist against the f64 store —
-    /// returned distances are exact; recall is what quantization trades.
-    fn scan_batch_quantized(
+    /// A query `knob` that routes through view `V` needs `V` installed.
+    fn require<V: ShortlistView>(&self, asked: bool, knob: &str) -> Result<(), DbError> {
+        if asked && V::slot(self).is_none() {
+            return Err(self.reject(DbError::InvalidConfig(format!(
+                "{knob} needs the {}: build or load one first",
+                V::NAME
+            ))));
+        }
+        Ok(())
+    }
+
+    /// The embedding-space scan stage shared by every search path: the
+    /// exhaustive norm-trick GEMM, or whichever shortlist view the query
+    /// asks for — int8 codes (whose over-fetched shortlist is re-scored
+    /// against the f64 store, so returned distances are exact), IVF
+    /// lists, both, or the graph — with the work it did recorded in one
+    /// place. Never reads the re-rank measure. Configuration has already
+    /// passed [`Self::check_query`].
+    fn scan_batch<M: Copy>(
         &self,
         qrefs: &[&[f64]],
         fetch: usize,
-        query: &Query,
+        query: &QueryOf<M>,
     ) -> Vec<Vec<Neighbor>> {
-        let quant = self
-            .quant
-            .as_ref()
-            .expect("check_query verified the quantized store exists");
-        let (shorts, stats) = match query.ann_nprobe() {
-            None => quant.knn_batch(&self.embeddings, qrefs, fetch),
-            Some(nprobe) => {
-                let ann = self
-                    .ann
-                    .as_ref()
-                    .expect("check_query verified the index exists");
-                if let Some(m) = &self.metrics {
-                    m.ann_lists_probed
-                        .add((qrefs.len() * nprobe.min(ann.nlists())) as u64);
-                }
-                quant.knn_ann_batch(&self.embeddings, qrefs, fetch, ann, nprobe)
+        const BUILT: &str = "check_query verified the view is built";
+        let store = &self.embeddings;
+        let ann = || self.ann.as_ref().expect(BUILT);
+        let quant = || self.quant.as_ref().expect(BUILT);
+        // The beam must be at least as wide as the fetch depth or the
+        // shortlist could never fill it.
+        let ef = query.graph_ef().map(|ef| ef.max(fetch));
+        let (shorts, stats) = match (query.is_quantized(), ef, query.ann_nprobe()) {
+            (true, _, None) => quant().knn_batch(store, qrefs, fetch),
+            (true, _, Some(nprobe)) => quant().knn_ann_batch(store, qrefs, fetch, ann(), nprobe),
+            (false, Some(ef), _) => {
+                store.knn_graph_batch(qrefs, fetch, self.graph.as_ref().expect(BUILT), ef)
             }
+            (false, None, Some(nprobe)) => store.knn_ann_batch(qrefs, fetch, ann(), nprobe),
+            (false, None, None) => (store.knn_batch(qrefs, fetch), ScanStats::default()),
         };
         if let Some(m) = &self.metrics {
-            m.quant_rows_scanned.add(stats.rows_scanned as u64);
-            m.quant_bytes_scanned.add(stats.bytes_scanned as u64);
+            m.record_scan(&stats, ef, qrefs.len(), self.len());
         }
         shorts
     }
 
     /// The embedding-space scan stage as a public seam: top-`fetch`
     /// neighbors for each already-embedded query, through whichever path
-    /// `query` selects (exhaustive GEMM, IVF shortlist, quantized view),
-    /// *without* the re-rank stage or [`Query::k`] truncation.
+    /// `query` selects (exhaustive GEMM, IVF shortlist, graph, quantized
+    /// view), *without* the re-rank stage or `k` truncation — so it takes
+    /// either query form and never looks at the measure.
     ///
     /// This is what a sharded serving layer needs from each partition:
     /// each shard returns its local top-`fetch` list, the results are
@@ -664,28 +675,30 @@ impl SimilarityDb {
     /// Validates the query configuration and each embedding (dimension,
     /// finiteness) with the same typed rejections as
     /// [`SimilarityDb::search`].
-    pub fn scan_embeddings(
+    pub fn scan_embeddings<M: Copy>(
         &self,
         qrefs: &[&[f64]],
         fetch: usize,
-        query: &Query,
+        query: &QueryOf<M>,
     ) -> Result<Vec<Vec<Neighbor>>, DbError> {
         self.check_query(query)?;
         for e in qrefs {
-            if e.len() != self.model.dim() {
-                return Err(self.reject(DbError::InvalidEmbedding(format!(
-                    "dimension {} does not match model dimension {}",
-                    e.len(),
-                    self.model.dim()
-                ))));
-            }
-            if let Some(k) = e.iter().position(|v| !v.is_finite()) {
-                return Err(self.reject(DbError::InvalidEmbedding(format!(
-                    "non-finite value at component {k}"
-                ))));
-            }
+            self.check_embedding(e)?;
         }
         Ok(self.scan_batch(qrefs, fetch, query))
+    }
+
+    /// Appends one embedded row to the store and to every built view.
+    fn append_row(&mut self, e: &[f64]) {
+        fn grow<V: ShortlistView>(view: &mut Option<V>, store: &EmbeddingStore) {
+            if let Some(v) = view {
+                v.append(store);
+            }
+        }
+        self.embeddings.push(e);
+        grow(&mut self.ann, &self.embeddings);
+        grow(&mut self.graph, &self.embeddings);
+        grow(&mut self.quant, &self.embeddings);
     }
 
     /// Inserts one trajectory; returns its index. Empty or non-finite
@@ -694,23 +707,7 @@ impl SimilarityDb {
     pub fn insert(&mut self, t: Trajectory) -> Result<usize, DbError> {
         self.check(&t)?;
         let e = self.model.embed(&t);
-        self.embeddings.push(&e);
-        // Keep the ANN index in lockstep: assign the new row to its
-        // nearest centroid (no retraining — rebuild for that).
-        if let Some(ann) = &mut self.ann {
-            ann.insert(&e);
-        }
-        // The graph index too: the new node gets its hashed level and
-        // links immediately (a one-node construction round), so graph
-        // queries see every inserted row — same liveness contract as
-        // the IVF index.
-        if let Some(graph) = &mut self.graph {
-            self.embeddings.link_last_row(graph);
-        }
-        // And the quantized view: the new row quantizes on its own scale.
-        if let Some(q) = &mut self.quant {
-            q.push(&e);
-        }
+        self.append_row(&e);
         self.trajectories.push(t);
         if let Some(m) = &self.metrics {
             m.corpus_size.set(self.trajectories.len() as f64);
@@ -729,16 +726,7 @@ impl SimilarityDb {
         }
         let embs = self.model.embed_all(&ts, threads);
         for e in &embs {
-            self.embeddings.push(e);
-            if let Some(ann) = &mut self.ann {
-                ann.insert(e);
-            }
-            if let Some(graph) = &mut self.graph {
-                self.embeddings.link_last_row(graph);
-            }
-            if let Some(q) = &mut self.quant {
-                q.push(e);
-            }
+            self.append_row(e);
         }
         self.trajectories.extend(ts);
         if let Some(m) = &self.metrics {
@@ -759,10 +747,9 @@ impl SimilarityDb {
     /// Invalid input — an empty/non-finite trajectory, an out-of-range
     /// stored index, a wrong-dimension or non-finite raw embedding —
     /// returns a typed [`DbError`] before any scan work (and counts into
-    /// `neutraj_db_rejects_total` when instrumented).
-    ///
-    /// Panics when re-ranking is requested for a raw-embedding target
-    /// (there is no trajectory to hand to the exact measure).
+    /// `neutraj_db_rejects_total` when instrumented). So does re-ranking
+    /// a raw-embedding target ([`DbError::InvalidConfig`]): there is no
+    /// trajectory to hand to the exact measure.
     pub fn search<'a>(
         &self,
         target: impl Into<QueryTarget<'a>>,
@@ -778,17 +765,13 @@ impl SimilarityDb {
                 Ok(self.search_resolved(&qe, Some(t), None, query))
             }
             QueryTarget::Embedding(e) => {
-                if e.len() != self.model.dim() {
-                    return Err(self.reject(DbError::InvalidEmbedding(format!(
-                        "dimension {} does not match model dimension {}",
-                        e.len(),
-                        self.model.dim()
-                    ))));
-                }
-                if let Some(k) = e.iter().position(|v| !v.is_finite()) {
-                    return Err(self.reject(DbError::InvalidEmbedding(format!(
-                        "non-finite value at component {k}"
-                    ))));
+                self.check_embedding(e)?;
+                if query.rerank_measure().is_some() {
+                    return Err(self.reject(DbError::InvalidConfig(
+                        "re-ranking needs a trajectory-backed target (a trajectory or a \
+                         stored index), not a raw embedding"
+                            .into(),
+                    )));
                 }
                 Ok(self.search_resolved(e, None, None, query))
             }
@@ -833,12 +816,8 @@ impl SimilarityDb {
         let qembs = self.model.embed_batch(queries);
         drop(span);
         let qrefs: Vec<&[f64]> = qembs.iter().map(|e| e.as_slice()).collect();
-        let fetch = match query.rerank_measure() {
-            Some(_) => query.effective_shortlist(),
-            None => query.k(),
-        };
         let span = m.map(|m| m.scan_seconds.start_timer());
-        let shorts = self.scan_batch(&qrefs, fetch, query);
+        let shorts = self.scan_batch(&qrefs, query.scan_fetch(), query);
         drop(span);
         if let Some(m) = m {
             m.candidates_total
@@ -851,7 +830,10 @@ impl SimilarityDb {
                 let out = shorts
                     .into_iter()
                     .zip(queries)
-                    .map(|(short, q)| self.rerank_shortlist(short, q, measure, query.k()))
+                    .map(|(short, q)| {
+                        let row = |i: usize| &self.trajectories[i];
+                        rerank_exact(self.model.grid(), short, q, row, measure, query.k())
+                    })
                     .collect();
                 drop(span);
                 Ok(out)
@@ -872,10 +854,7 @@ impl SimilarityDb {
         if let Some(m) = m {
             m.queries_total.inc();
         }
-        let want = match query.rerank_measure() {
-            Some(_) => query.effective_shortlist(),
-            None => query.k(),
-        };
+        let want = query.scan_fetch();
         let fetch = want + usize::from(exclude.is_some());
         let span = m.map(|m| m.scan_seconds.start_timer());
         let mut short = self
@@ -893,49 +872,14 @@ impl SimilarityDb {
         match query.rerank_measure() {
             None => short,
             Some(measure) => {
-                let qtraj = qtraj.expect(
-                    "re-ranking needs a trajectory-backed target \
-                     (QueryTarget::Trajectory or QueryTarget::Stored)",
-                );
+                let qtraj = qtraj.expect("search rejected re-ranking a raw embedding");
                 let span = m.map(|m| m.rerank_seconds.start_timer());
-                let out = self.rerank_shortlist(short, qtraj, measure, query.k());
+                let row = |i: usize| &self.trajectories[i];
+                let out = rerank_exact(self.model.grid(), short, qtraj, row, measure, query.k());
                 drop(span);
                 out
             }
         }
-    }
-
-    /// Re-ranks an embedding-space shortlist by the exact `measure` on
-    /// grid-rescaled coordinates (so values match the training scale),
-    /// ties broken by index, truncated to `k`.
-    fn rerank_shortlist(
-        &self,
-        short: Vec<Neighbor>,
-        query: &Trajectory,
-        measure: &dyn Measure,
-        k: usize,
-    ) -> Vec<Neighbor> {
-        let grid = self.model.grid();
-        let q = grid.rescale_trajectory(query);
-        let mut out: Vec<Neighbor> = short
-            .into_iter()
-            .map(|n| Neighbor {
-                index: n.index,
-                dist: measure.dist(
-                    q.points(),
-                    grid.rescale_trajectory(&self.trajectories[n.index])
-                        .points(),
-                ),
-            })
-            .collect();
-        out.sort_by(|a, b| {
-            a.dist
-                .partial_cmp(&b.dist)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.index.cmp(&b.index))
-        });
-        out.truncate(k);
-        out
     }
 
     /// Learned similarity `g` between two *stored* items.
@@ -1008,6 +952,38 @@ impl SimilarityDb {
         });
         out
     }
+}
+
+/// The exact re-rank stage: re-scores an embedding-space `shortlist` by
+/// `measure` on grid-rescaled coordinates (so values match the training
+/// scale), ties broken by index, truncated to `k`. `row` resolves a
+/// shortlisted index to its trajectory — a database's own rows, or a
+/// sharded snapshot's global ones — so both re-rank with this one
+/// comparator.
+pub fn rerank_exact<'t>(
+    grid: &Grid,
+    shortlist: Vec<Neighbor>,
+    query: &Trajectory,
+    row: impl Fn(usize) -> &'t Trajectory,
+    measure: &dyn Measure,
+    k: usize,
+) -> Vec<Neighbor> {
+    let q = grid.rescale_trajectory(query);
+    let mut out: Vec<Neighbor> = shortlist
+        .into_iter()
+        .map(|n| Neighbor {
+            index: n.index,
+            dist: measure.dist(q.points(), grid.rescale_trajectory(row(n.index)).points()),
+        })
+        .collect();
+    out.sort_by(|a, b| {
+        a.dist
+            .partial_cmp(&b.dist)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.index.cmp(&b.index))
+    });
+    out.truncate(k);
+    out
 }
 
 #[cfg(test)]
@@ -1169,12 +1145,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "trajectory-backed target")]
-    fn rerank_of_raw_embedding_panics() {
+    fn rerank_of_raw_embedding_is_a_typed_error() {
         let (model, trajs) = trained_model_and_corpus();
-        let db = SimilarityDb::with_corpus(model, trajs, 2);
+        let registry = Registry::new();
+        let mut db = SimilarityDb::with_corpus(model, trajs, 2);
+        db.instrument(&registry);
         let emb = db.embedding(0).to_vec();
-        let _ = db.search(&emb[..], &Query::new(2).rerank(&Hausdorff));
+        let err = db
+            .search(&emb[..], &Query::new(2).rerank(&Hausdorff))
+            .unwrap_err();
+        assert!(matches!(err, DbError::InvalidConfig(_)), "{err}");
+        assert!(
+            err.to_string().contains("trajectory-backed target"),
+            "{err}"
+        );
+        assert_eq!(registry.counter(names::DB_REJECTS_TOTAL).get(), 1);
+        // The same embedding without the re-rank is served.
+        assert_eq!(db.search(&emb[..], &Query::new(2)).unwrap()[0].index, 0);
     }
 
     #[test]
@@ -1427,7 +1414,7 @@ mod tests {
             let q = KMeans::from_centroids(db.model().dim(), vec![0.0; db.model().dim()]);
             IvfIndex::from_parts(q, vec![Vec::new()])
         };
-        let err = db.set_ann_index(tiny).unwrap_err();
+        let err = db.set_view(tiny).unwrap_err();
         assert!(matches!(err, DbError::InvalidConfig(_)), "{err}");
 
         // Every instrumented rejection above was counted (the empty-db
@@ -1491,52 +1478,6 @@ mod tests {
             .unwrap()
             .1;
         assert_eq!(before, after);
-    }
-
-    #[test]
-    fn ann_index_persists_through_the_sealed_envelope() {
-        let (model, trajs) = trained_model_and_corpus();
-        let mut db = SimilarityDb::with_corpus(model, trajs.clone(), 2);
-        let dir = std::env::temp_dir().join(format!("neutraj-ann-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("corpus.ivf");
-
-        // Nothing to save yet.
-        assert!(db.save_ann_index(&path).is_err());
-        db.build_ann_index(&AnnParams {
-            nlists: 4,
-            ..Default::default()
-        })
-        .unwrap();
-        db.save_ann_index(&path).unwrap();
-        let saved = db.ann_index().unwrap().clone();
-        db.clear_ann_index();
-        assert!(db.ann_index().is_none());
-        db.load_ann_index(&path).unwrap();
-        assert_eq!(db.ann_index().unwrap(), &saved);
-
-        // A flipped payload byte fails the envelope CRC.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x01;
-        let bad = dir.join("corrupt.ivf");
-        std::fs::write(&bad, &bytes).unwrap();
-        assert!(db.load_ann_index(&bad).is_err());
-        // The db keeps serving from the previously loaded index.
-        assert!(db.ann_index().is_some());
-
-        // An index for a different corpus is rejected at load time.
-        let mut small = SimilarityDb::with_corpus(db.model().clone(), trajs[..10].to_vec(), 2);
-        small
-            .build_ann_index(&AnnParams {
-                nlists: 3,
-                ..Default::default()
-            })
-            .unwrap();
-        let other = dir.join("other.ivf");
-        small.save_ann_index(&other).unwrap();
-        assert!(db.load_ann_index(&other).is_err());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1617,41 +1558,176 @@ mod tests {
         );
     }
 
-    #[test]
-    fn quantized_store_persists_through_the_sealed_envelope() {
+    /// The whole life of one shortlist view, whichever it is: `build`
+    /// builds it, `query` is a query only it can answer.
+    fn view_lifecycle<V>(build: impl Fn(&mut SimilarityDb), query: Query)
+    where
+        V: ShortlistView + Clone + PartialEq + std::fmt::Debug,
+    {
         let (model, trajs) = trained_model_and_corpus();
-        let mut db = SimilarityDb::with_corpus(model, trajs.clone(), 2);
-        let dir = std::env::temp_dir().join(format!("neutraj-ntq08-{}", std::process::id()));
+        let mut db = SimilarityDb::with_corpus(model, trajs[..36].to_vec(), 2);
+        let tag = V::NAME.replace(' ', "-");
+        let dir = std::env::temp_dir().join(format!("neutraj-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("corpus.ntq08");
+        let path = dir.join("corpus.view");
 
-        // Nothing to save yet.
-        assert!(db.save_quantized_store(&path).is_err());
-        db.build_quantized_store();
-        db.save_quantized_store(&path).unwrap();
-        let saved = db.quantized_store().unwrap().clone();
-        db.clear_quantized_store();
-        assert!(db.quantized_store().is_none());
-        db.load_quantized_store(&path).unwrap();
-        assert_eq!(db.quantized_store().unwrap(), &saved);
+        // Nothing to save, nothing to ask, before the view is built.
+        assert!(matches!(
+            db.save_view::<V>(&path),
+            Err(PersistError::Format(_))
+        ));
+        let err = db.search(&trajs[0], &query).unwrap_err();
+        assert!(matches!(err, DbError::InvalidConfig(_)), "{err}");
 
-        // A flipped payload byte fails the envelope CRC.
+        // Round trip: what loads is what was saved.
+        build(&mut db);
+        db.save_view::<V>(&path).unwrap();
+        let saved = V::slot(&db).clone().expect("just built");
+        let answer = db.search(&trajs[0], &query).unwrap();
+        db.clear_view::<V>();
+        assert!(V::slot(&db).is_none());
+        let err = db.search(&trajs[0], &query).unwrap_err();
+        assert!(matches!(err, DbError::InvalidConfig(_)), "{err}");
+        db.load_view::<V>(&path).unwrap();
+        assert_eq!(V::slot(&db).as_ref(), Some(&saved));
+        assert_eq!(db.search(&trajs[0], &query).unwrap(), answer);
+
+        // A flipped payload byte fails the envelope CRC, and the db keeps
+        // serving from the view it had.
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
-        let bad = dir.join("corrupt.ntq08");
+        let bad = dir.join("corrupt.view");
         std::fs::write(&bad, &bytes).unwrap();
-        assert!(db.load_quantized_store(&bad).is_err());
-        // The db keeps serving from the previously loaded view.
-        assert!(db.quantized_store().is_some());
+        assert!(matches!(
+            db.load_view::<V>(&bad),
+            Err(PersistError::Corrupted(_))
+        ));
+        assert_eq!(V::slot(&db).as_ref(), Some(&saved));
 
-        // A view for a different corpus is rejected at load time.
+        // A view of a different corpus is rejected at load time.
         let mut small = SimilarityDb::with_corpus(db.model().clone(), trajs[..10].to_vec(), 2);
-        small.build_quantized_store();
-        let other = dir.join("other.ntq08");
-        small.save_quantized_store(&other).unwrap();
-        assert!(db.load_quantized_store(&other).is_err());
+        build(&mut small);
+        let other = dir.join("other.view");
+        small.save_view::<V>(&other).unwrap();
+        assert!(matches!(
+            db.load_view::<V>(&other),
+            Err(PersistError::Format(_))
+        ));
+        assert_eq!(V::slot(&db).as_ref(), Some(&saved));
+
+        // Inserts, single and batched, keep the view in lockstep.
+        db.insert(trajs[36].clone()).unwrap();
+        db.insert_batch(trajs[37..].to_vec(), 2).unwrap();
+        assert_eq!(V::slot(&db).as_ref().unwrap().rows(), db.len());
+        assert_eq!(db.len(), trajs.len());
+        assert!(db.search(&trajs[39], &query).is_ok());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn ann_index_persists_through_the_sealed_envelope() {
+        let params = AnnParams {
+            nlists: 3,
+            ..Default::default()
+        };
+        view_lifecycle::<AnnIndex>(
+            |db| db.build_ann_index(&params).unwrap(),
+            Query::new(3).shortlist_ann(2),
+        );
+    }
+
+    #[test]
+    fn graph_index_persists_through_the_sealed_envelope() {
+        view_lifecycle::<HnswIndex>(
+            |db| db.build_graph_index(&HnswParams::default(), 2).unwrap(),
+            Query::new(3).shortlist_graph(16),
+        );
+    }
+
+    #[test]
+    fn quantized_store_persists_through_the_sealed_envelope() {
+        view_lifecycle::<QuantizedStore>(
+            SimilarityDb::build_quantized_store,
+            Query::new(3).quantized(),
+        );
+    }
+
+    /// The metric catalogue, database half: each scan path moves every
+    /// series it owns and none of another path's.
+    #[test]
+    fn each_scan_path_moves_its_own_series_and_no_other() {
+        use names::*;
+        const SERIES: [&str; 10] = [
+            ANN_LISTS_PROBED_TOTAL,
+            ANN_CANDIDATES_SCANNED_TOTAL,
+            ANN_RERANK_DEPTH,
+            GRAPH_HOPS_TOTAL,
+            GRAPH_CANDIDATES_SCANNED_TOTAL,
+            GRAPH_LINKS_SCANNED_TOTAL,
+            GRAPH_EF,
+            GRAPH_RERANK_DEPTH,
+            QUANT_ROWS_SCANNED_TOTAL,
+            QUANT_BYTES_SCANNED_TOTAL,
+        ];
+        let ann = &SERIES[..3];
+        let graph = &SERIES[3..8];
+        let quant = &SERIES[8..];
+        let int8_ivf = [&SERIES[..1], quant].concat();
+        let paths: [(&str, Query, &[&str]); 5] = [
+            ("exact", Query::new(4), &[]),
+            ("int8", Query::new(4).quantized(), quant),
+            ("ivf", Query::new(4).shortlist_ann(2), ann),
+            (
+                "int8 + ivf",
+                Query::new(4).quantized().shortlist_ann(2),
+                &int8_ivf,
+            ),
+            ("graph", Query::new(4).shortlist_graph(16), graph),
+        ];
+
+        let (model, trajs) = trained_model_and_corpus();
+        let registry = Registry::new();
+        let mut db = SimilarityDb::with_corpus(model, trajs.clone(), 2);
+        db.build_ann_index(&AnnParams {
+            nlists: 5,
+            ..Default::default()
+        })
+        .unwrap();
+        db.build_graph_index(&HnswParams::default(), 2).unwrap();
+        db.build_quantized_store();
+        db.instrument(&registry);
+        // A counter's value, or a histogram's observation count.
+        let read = || -> Vec<u64> {
+            let report = registry.snapshot();
+            SERIES
+                .iter()
+                .map(|name| {
+                    let counter = report.counters.iter().find(|(n, _)| n == name);
+                    let hist = report.histograms.iter().find(|h| h.name == *name);
+                    match (counter, hist) {
+                        (Some((_, v)), None) => *v,
+                        (None, Some(h)) => h.count,
+                        _ => panic!("{name} is not registered exactly once"),
+                    }
+                })
+                .collect()
+        };
+        let mut lists_probed = Vec::new();
+        for (path, query, owned) in paths {
+            let before = read();
+            db.search_batch(&trajs[..3], &query).unwrap();
+            db.search(&trajs[5], &query).unwrap();
+            let after = read();
+            for (i, name) in SERIES.iter().enumerate() {
+                let moved = after[i] > before[i];
+                assert_eq!(moved, owned.contains(name), "{path} scan and {name}");
+            }
+            lists_probed.push(after[0] - before[0]);
+        }
+        // The lists probed are counted, not estimated: the same queries
+        // at the same nprobe probe the same lists through f64 or int8.
+        assert_eq!(lists_probed, [0, 0, 4 * 2, 4 * 2, 0]);
     }
 
     #[test]

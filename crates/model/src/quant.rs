@@ -30,20 +30,19 @@
 //! with `S* = Σ codes`, `D = Σ q_code·x_code` (the u8 dot).
 
 use crate::persist::{
-    atomic_write, decode_f64s, encode_f64s, fail, open_payload, read_enveloped, seal_payload,
-    write_enveloped, PersistError,
+    decode_f64s, encode_f64s, fail, read_enveloped, write_enveloped, PersistError,
 };
-use crate::search::EmbeddingStore;
+use crate::search::{EmbeddingStore, ScanStats};
 use neutraj_index::{CoarseQuantizer, IvfIndex};
 use neutraj_measures::{Neighbor, NeighborHeap};
 use neutraj_nn::linalg::dot;
 use neutraj_nn::simd::{dot_u8, quant_scan_block, QuantQueryTerms};
 use neutraj_obs::simd::SimdLevel;
 use neutraj_trajectory::cursor::{PutLe, Reader};
-use std::path::Path;
 
 /// Section magic of the quantized-store codec, sealed inside the
-/// standard `NTFILE01` CRC envelope by [`QuantizedStore::save`].
+/// standard `NTFILE01` CRC envelope by
+/// [`SimilarityDb::save_view`](crate::SimilarityDb::save_view).
 pub(crate) const QUANT_MAGIC: &[u8; 8] = b"NTQ08\0\0\0";
 
 /// Maximum supported embedding dimensionality — the bound under which
@@ -82,19 +81,6 @@ pub struct QuantizedQuery {
     code_sum: f64,
     /// `‖dequantized query‖²`.
     dq_norm: f64,
-}
-
-/// Work counters reported by the quantized scan paths — raw material
-/// for `neutraj_quant_rows_scanned_total` / `_bytes_scanned_total`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QuantStats {
-    /// Rows scored through their u8 codes.
-    pub rows_scanned: usize,
-    /// Bytes those rows cost (`dim` code bytes + 16 bytes of row stats),
-    /// vs `8·dim + 8` for the f64 path.
-    pub bytes_scanned: usize,
-    /// Shortlist survivors re-scored exactly against the parent store.
-    pub reranked: usize,
 }
 
 /// Quantizes one row; returns `(codes, offset, scale)`.
@@ -275,10 +261,10 @@ impl QuantizedStore {
         parent: &EmbeddingStore,
         queries: &[&[f64]],
         k: usize,
-    ) -> (Vec<Vec<Neighbor>>, QuantStats) {
+    ) -> (Vec<Vec<Neighbor>>, ScanStats) {
         self.check_parent(parent);
         let refine = self.refine_width(k);
-        let mut stats = QuantStats::default();
+        let mut stats = ScanStats::default();
         let mut heap = NeighborHeap::new(refine.max(1));
         let mut short = Vec::new();
         // Rows are scored in contiguous blocks: one dispatched
@@ -353,7 +339,7 @@ impl QuantizedStore {
         k: usize,
         index: &IvfIndex<Q>,
         nprobe: usize,
-    ) -> (Vec<Vec<Neighbor>>, QuantStats) {
+    ) -> (Vec<Vec<Neighbor>>, ScanStats) {
         self.check_parent(parent);
         assert_eq!(index.dim(), self.dim, "ann index dim mismatch");
         assert_eq!(
@@ -363,7 +349,7 @@ impl QuantizedStore {
         );
         assert!(nprobe > 0, "nprobe must be positive");
         let refine = self.refine_width(k);
-        let mut stats = QuantStats::default();
+        let mut stats = ScanStats::default();
         let mut heap = NeighborHeap::new(refine.max(1));
         let mut cand: Vec<u32> = Vec::new();
         let mut short = Vec::new();
@@ -371,7 +357,7 @@ impl QuantizedStore {
             .iter()
             .map(|q| {
                 let qq = self.quantize_query(q);
-                index.candidates_into(q, nprobe, &mut cand);
+                stats.lists_probed += index.candidates_into(q, nprobe, &mut cand);
                 heap.reset(refine.max(1));
                 for &i in &cand {
                     heap.push(i as usize, self.approx_d2(&qq, i as usize));
@@ -395,7 +381,7 @@ impl QuantizedStore {
         q: &[f64],
         short: &[Neighbor],
         k: usize,
-        stats: &mut QuantStats,
+        stats: &mut ScanStats,
     ) -> Vec<Neighbor> {
         let qn = dot(q, q);
         let mut heap = NeighborHeap::new(k);
@@ -484,13 +470,6 @@ impl QuantizedStore {
         Ok(qs)
     }
 
-    /// Persists the store to `path` inside the standard sealed envelope
-    /// (`NTFILE01` magic + length + CRC around the `NTQ08` section),
-    /// written atomically.
-    pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<(), PersistError> {
-        atomic_write(path.as_ref(), &seal_payload(&self.to_bytes()))
-    }
-
     /// Streams the sealed envelope to `w` — the seam the fault-injection
     /// harness drives with `FaultyWriter`.
     pub fn write_to<W: std::io::Write>(&self, w: &mut W) -> Result<(), PersistError> {
@@ -502,14 +481,6 @@ impl QuantizedStore {
     /// [`FaultyReader`](crate::FaultyReader).
     pub fn read_from<R: std::io::Read>(r: &mut R) -> Result<Self, PersistError> {
         Self::from_bytes(&read_enveloped(r)?)
-    }
-
-    /// Loads a store written by [`Self::save`], verifying the envelope
-    /// CRC before parsing the section.
-    pub fn load<P: AsRef<Path>>(path: P) -> Result<Self, PersistError> {
-        let data = std::fs::read(path.as_ref())?;
-        let payload = open_payload(&data)?;
-        Self::from_bytes(payload)
     }
 }
 

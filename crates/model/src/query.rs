@@ -1,11 +1,16 @@
 //! The unified query surface for [`SimilarityDb`](crate::SimilarityDb).
 //!
-//! One [`Query`] value describes *how* to search (result size, shortlist
-//! width, optional exact re-ranking); a [`QueryTarget`] describes *what*
-//! to search for (an ad-hoc trajectory, a precomputed embedding, or a
-//! stored item). `db.search(target, &query)` and
-//! `db.search_batch(&trajectories, &query)` replace the six historical
-//! `knn*` variants, whose bodies are now one-line forwards.
+//! One [`QueryOf`] value describes *how* to search (result size,
+//! shortlist view, optional exact re-ranking); a [`QueryTarget`]
+//! describes *what* to search for (an ad-hoc trajectory, a precomputed
+//! embedding, or a stored item). The struct is generic over how the
+//! re-rank measure is named, and that is the only difference between its
+//! two forms: [`Query`] borrows any [`Measure`] (the paper's "generic" —
+//! a caller-owned `Erp` with its own gap, `Edr`, a custom impl), while
+//! [`QuerySpec`] names one of the paper's four by [`MeasureKind`], which
+//! makes it owned, `Eq` and `Hash` — it can cross threads, sit in a queue
+//! and key a coalescing group. [`QuerySpec::with_query`] is the one
+//! lowering from the second to the first.
 //!
 //! ```
 //! # use neutraj_model::Query;
@@ -15,31 +20,39 @@
 //! assert_eq!(reranked.k(), 10);
 //! ```
 
-use neutraj_measures::Measure;
+use neutraj_measures::{Measure, MeasureKind};
 use neutraj_trajectory::Trajectory;
 
-/// How to search: result size plus optional shortlist/re-rank settings.
+/// How to search: result size plus optional shortlist/re-rank settings,
+/// with the re-rank measure named by an `M` (see [`Query`] and
+/// [`QuerySpec`]).
 ///
 /// Built with a fluent builder: `Query::new(k).shortlist(s).rerank(&m)`.
-/// Without [`Query::rerank`] the search returns the top-k by embedding
+/// Without [`Self::rerank`] the search returns the top-k by embedding
 /// distance (the paper's linear-time approximate protocol). With it, an
 /// embedding-space shortlist is re-ranked by the exact measure on
 /// grid-rescaled coordinates and the top-k of that ordering is returned.
-#[derive(Clone, Copy)]
-pub struct Query<'m> {
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct QueryOf<M> {
     k: usize,
     shortlist: Option<usize>,
     ann: Option<usize>,
     graph: Option<usize>,
     quantized: bool,
-    rerank: Option<&'m dyn Measure>,
+    rerank: Option<M>,
 }
 
-/// Alias for callers that read better with an "options" noun
-/// (`db.search(&traj, &opts)`).
-pub type QueryOptions<'m> = Query<'m>;
+/// The library form: re-ranks by any borrowed [`Measure`].
+pub type Query<'m> = QueryOf<&'m dyn Measure>;
 
-impl<'m> Query<'m> {
+/// The owned form the service, its queue and the CLI speak: re-ranks by
+/// one of the paper's measures, named by [`MeasureKind`]. The
+/// micro-batching scheduler coalesces concurrent requests with equal
+/// specs into one lockstep batch, so equality doubles as
+/// batch-compatibility.
+pub type QuerySpec = QueryOf<MeasureKind>;
+
+impl<M: Copy> QueryOf<M> {
     /// A plain embedding-distance top-`k` query.
     pub fn new(k: usize) -> Self {
         Self {
@@ -92,7 +105,9 @@ impl<'m> Query<'m> {
     /// [`DbError::InvalidConfig`](crate::DbError::InvalidConfig).
     ///
     /// Composes with [`Self::rerank`]: the graph scan retrieves the
-    /// shortlist that the exact measure re-ranks.
+    /// shortlist that the exact measure re-ranks. (A serving snapshot
+    /// with no graph index but an IVF index answers a graph request
+    /// through the IVF shortlist instead, tagged `degraded: true`.)
     pub fn shortlist_graph(mut self, ef: usize) -> Self {
         self.graph = Some(ef);
         self
@@ -120,7 +135,7 @@ impl<'m> Query<'m> {
     /// Re-rank the embedding shortlist by `measure`, computed on
     /// grid-rescaled coordinates (the training scale), and return the
     /// top-k of the exact ordering.
-    pub fn rerank(mut self, measure: &'m dyn Measure) -> Self {
+    pub fn rerank(mut self, measure: M) -> Self {
         self.rerank = Some(measure);
         self
     }
@@ -134,6 +149,34 @@ impl<'m> Query<'m> {
     /// `max(2k, 50)` when unset.
     pub fn effective_shortlist(&self) -> usize {
         self.shortlist.unwrap_or_else(|| (2 * self.k).max(50))
+    }
+
+    /// The fetch width of the scan stage: the effective shortlist when a
+    /// re-rank follows, otherwise `k`. A sharded search fetches this many
+    /// from every shard, which keeps it bit-identical to
+    /// [`SimilarityDb::search`](crate::SimilarityDb::search).
+    pub fn scan_fetch(&self) -> usize {
+        match self.rerank {
+            Some(_) => self.effective_shortlist(),
+            None => self.k,
+        }
+    }
+
+    /// Whether the scan stage is the full-precision exhaustive scan —
+    /// the only shape the serving overload ladder may downgrade to a
+    /// cheaper shortlist view.
+    pub fn is_exact_scan(&self) -> bool {
+        !self.quantized && self.ann.is_none() && self.graph.is_none()
+    }
+
+    /// The degrade-ladder rewrite from the graph backend to the IVF
+    /// backend: clears the beam width and probes `nprobe` lists instead
+    /// (the two are mutually exclusive, so a plain `shortlist_ann` on a
+    /// graph query would not validate).
+    pub fn graph_to_ann(mut self, nprobe: usize) -> Self {
+        self.graph = None;
+        self.ann = Some(nprobe);
+        self
     }
 
     /// The ANN probe width, when [`Self::shortlist_ann`] was configured.
@@ -153,7 +196,7 @@ impl<'m> Query<'m> {
     }
 
     /// The re-rank measure, when configured.
-    pub fn rerank_measure(&self) -> Option<&'m dyn Measure> {
+    pub fn rerank_measure(&self) -> Option<M> {
         self.rerank
     }
 
@@ -210,16 +253,20 @@ impl<'m> Query<'m> {
     }
 }
 
-impl std::fmt::Debug for Query<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Query")
-            .field("k", &self.k)
-            .field("shortlist", &self.shortlist)
-            .field("ann", &self.ann)
-            .field("graph", &self.graph)
-            .field("quantized", &self.quantized)
-            .field("rerank", &self.rerank.map(|_| "dyn Measure"))
-            .finish()
+impl QuerySpec {
+    /// Runs `f` with the equivalent borrow-based [`Query`], holding the
+    /// instantiated re-rank measure alive for the duration — the single
+    /// lowering from the owned form to the execution form.
+    pub fn with_query<R>(&self, f: impl FnOnce(&Query) -> R) -> R {
+        let measure = self.rerank.map(|kind| kind.measure());
+        f(&QueryOf {
+            k: self.k,
+            shortlist: self.shortlist,
+            ann: self.ann,
+            graph: self.graph,
+            quantized: self.quantized,
+            rerank: measure.as_deref(),
+        })
     }
 }
 
@@ -260,5 +307,61 @@ impl<'a> From<&'a Vec<f64>> for QueryTarget<'a> {
 impl From<usize> for QueryTarget<'_> {
     fn from(idx: usize) -> Self {
         QueryTarget::Stored(idx)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn spec_lowers_to_the_same_query() {
+        let spec = QuerySpec::new(7)
+            .shortlist(20)
+            .shortlist_ann(3)
+            .quantized()
+            .rerank(MeasureKind::Hausdorff);
+        spec.with_query(|q| {
+            assert_eq!(q.k(), 7);
+            assert_eq!(q.effective_shortlist(), 20);
+            assert_eq!(q.ann_nprobe(), Some(3));
+            assert!(q.is_quantized());
+            assert_eq!(q.rerank_measure().map(|m| m.name()), Some("Hausdorff"));
+            assert_eq!(q.scan_fetch(), 20);
+        });
+        assert_eq!(spec.scan_fetch(), 20);
+        assert_eq!(QuerySpec::new(7).scan_fetch(), 7);
+        // The default shortlist is max(2k, 50).
+        assert_eq!(QuerySpec::new(7).rerank(MeasureKind::Dtw).scan_fetch(), 50);
+        // The graph beam width lowers through the same single path.
+        let graph = QuerySpec::new(5).shortlist_graph(40);
+        graph.with_query(|q| {
+            assert_eq!(q.graph_ef(), Some(40));
+            assert_eq!(q.ann_nprobe(), None);
+            assert!(q.rerank_measure().is_none());
+        });
+        assert_eq!(graph.graph_ef(), Some(40));
+        assert_eq!(graph.graph_to_ann(6), QuerySpec::new(5).shortlist_ann(6));
+    }
+
+    #[test]
+    fn spec_validation_matches_query_validation() {
+        let specs = [
+            (QuerySpec::new(0), false),
+            (QuerySpec::new(5).shortlist(3), false),
+            (QuerySpec::new(5).shortlist_ann(0), false),
+            (QuerySpec::new(5).shortlist(5), true),
+            (QuerySpec::new(1), true),
+            (QuerySpec::new(5).shortlist_graph(0), false),
+            (QuerySpec::new(5).shortlist_graph(3), false),
+            (QuerySpec::new(5).shortlist_graph(8).shortlist_ann(2), false),
+            (QuerySpec::new(5).shortlist_graph(8).quantized(), false),
+            (QuerySpec::new(5).shortlist_graph(8), true),
+        ];
+        for (spec, ok) in specs {
+            assert_eq!(spec.validate().is_ok(), ok, "{spec:?}");
+            // The lowered form is judged by the same code, so it agrees.
+            assert_eq!(spec.with_query(|q| q.validate()), spec.validate());
+        }
     }
 }

@@ -261,7 +261,7 @@ impl EmbeddingStore {
         k: usize,
         index: &IvfIndex<Q>,
         nprobe: usize,
-    ) -> (Vec<Vec<Neighbor>>, AnnStats) {
+    ) -> (Vec<Vec<Neighbor>>, ScanStats) {
         assert_eq!(index.dim(), self.dim, "ann index dim mismatch");
         assert_eq!(
             index.len(),
@@ -269,7 +269,7 @@ impl EmbeddingStore {
             "ann index is stale: row count mismatch"
         );
         assert!(nprobe > 0, "nprobe must be positive");
-        let mut stats = AnnStats::default();
+        let mut stats = ScanStats::default();
         let mut heap = NeighborHeap::new(k);
         let mut cand: Vec<u32> = Vec::new();
         let mut results = Vec::with_capacity(queries.len());
@@ -321,14 +321,14 @@ impl EmbeddingStore {
         k: usize,
         graph: &HnswIndex,
         ef: usize,
-    ) -> (Vec<Vec<Neighbor>>, GraphStats) {
+    ) -> (Vec<Vec<Neighbor>>, ScanStats) {
         assert_eq!(
             graph.len(),
             self.len(),
             "graph index is stale: row count mismatch"
         );
         assert!(ef > 0, "ef must be positive");
-        let mut stats = GraphStats::default();
+        let mut stats = ScanStats::default();
         let mut heap = NeighborHeap::new(k);
         let mut cand: Vec<(f64, u32)> = Vec::new();
         let mut results = Vec::with_capacity(queries.len());
@@ -462,15 +462,30 @@ impl EmbeddingStore {
     }
 }
 
-/// Work counters reported by one [`EmbeddingStore::knn_ann_batch`] call —
-/// the raw material for the serving-side ANN metrics
-/// (`neutraj_ann_lists_probed_total`, `neutraj_ann_candidates_scanned_total`).
+/// Work counters reported by one batched scan through a shortlist view
+/// — what [`DbMetrics::record_scan`](crate::DbMetrics::record_scan) turns
+/// into the `neutraj_ann_*`, `neutraj_graph_*` and `neutraj_quant_*`
+/// series. Each path fills the fields of the work it did and leaves the
+/// rest zero.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AnnStats {
-    /// Inverted lists visited across the batch.
+pub struct ScanStats {
+    /// IVF: inverted lists visited across the batch.
     pub lists_probed: usize,
-    /// Candidate rows exactly scored across the batch.
+    /// IVF and graph: rows scored exactly in f64 across the batch (the
+    /// graph's distance evaluations). The int8 paths score through codes
+    /// and count [`Self::rows_scanned`] instead.
     pub candidates_scanned: usize,
+    /// Graph: nodes whose adjacency was expanded across the batch.
+    pub hops: usize,
+    /// Graph: adjacency entries read (visited-array probes).
+    pub links_scanned: usize,
+    /// Int8: rows scored through their u8 codes.
+    pub rows_scanned: usize,
+    /// Int8: bytes those rows cost (`dim` code bytes + 16 bytes of row
+    /// stats), vs `8·dim + 8` for the f64 path.
+    pub bytes_scanned: usize,
+    /// Int8: shortlist survivors re-scored exactly against the f64 store.
+    pub reranked: usize,
 }
 
 /// The store as the graph's build-time oracle: [`Self::row_dist_sq`]
@@ -484,20 +499,6 @@ impl RowDistance for EmbeddingStore {
         let a = a as usize;
         self.dists_to_rows(self.get(a), self.norms[a], ids, out);
     }
-}
-
-/// Work counters reported by one [`EmbeddingStore::knn_graph_batch`]
-/// call — the raw material for the graph-shortlist metrics
-/// (`neutraj_graph_hops_total`, `neutraj_graph_candidates_scanned_total`,
-/// `neutraj_graph_links_scanned_total`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GraphStats {
-    /// Graph nodes whose adjacency was expanded across the batch.
-    pub hops: usize,
-    /// Distance evaluations performed across the batch.
-    pub candidates_scanned: usize,
-    /// Adjacency entries read (visited-array probes) across the batch.
-    pub links_scanned: usize,
 }
 
 #[cfg(test)]

@@ -4,8 +4,9 @@
 //! loaded file whose parameters differ from what was saved.
 
 use neutraj_model::{
-    Checkpoint, EmbeddingStore, FaultyReader, FaultyWriter, HnswIndex, HnswParams, NeuTrajModel,
-    PersistError, QuantizedStore, SimilarityDb, TrainConfig, TrainState,
+    AnnIndex, AnnParams, Checkpoint, EmbeddingStore, FaultyReader, FaultyWriter, HnswIndex,
+    HnswParams, NeuTrajModel, PersistError, QuantizedStore, ShortlistView, SimilarityDb,
+    TrainConfig, TrainState,
 };
 use neutraj_nn::AdamState;
 use neutraj_trajectory::rng::cases;
@@ -83,43 +84,61 @@ fn quant_image() -> &'static (QuantizedStore, Vec<u8>) {
     })
 }
 
-/// A populated database plus the sealed `NTHNSW01` graph-index file
-/// image produced by `save_graph_index` (envelope + payload).
-fn graph_db_image() -> &'static (SimilarityDb, Vec<u8>) {
-    static IMG: OnceLock<(SimilarityDb, Vec<u8>)> = OnceLock::new();
+/// A populated database with one shortlist view built by `build`, plus
+/// the sealed file image `save_view::<V>` writes for it (envelope +
+/// section).
+fn view_db_image<V: ShortlistView>(build: impl FnOnce(&mut SimilarityDb)) -> DbImage {
+    let grid = Grid::new(BoundingBox::new(0.0, 0.0, 1000.0, 500.0), 50.0).unwrap();
+    let cfg = TrainConfig {
+        dim: 6,
+        seed: 31,
+        ..TrainConfig::neutraj()
+    };
+    let model = NeuTrajModel::untrained(cfg, grid);
+    let corpus: Vec<neutraj_trajectory::Trajectory> = (0..40)
+        .map(|i| {
+            neutraj_trajectory::Trajectory::new_unchecked(
+                i as u64,
+                (0..4 + i % 9)
+                    .map(|k| {
+                        let (t, j) = (k as f64, i as f64);
+                        neutraj_trajectory::Point::new(
+                            500.0 + 450.0 * (0.31 * t + 0.11 * j).sin(),
+                            250.0 + 220.0 * (0.17 * t - 0.23 * j).cos(),
+                        )
+                    })
+                    .collect(),
+            )
+        })
+        .collect();
+    let mut db = SimilarityDb::with_corpus(model, corpus, 2);
+    build(&mut db);
+    let path = scratch_file("image", &[]);
+    db.save_view::<V>(&path).unwrap();
+    let image = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    (db, image)
+}
+
+type DbImage = (SimilarityDb, Vec<u8>);
+
+/// The `NTHNSW01` graph-index file, built once.
+fn graph_db_image() -> &'static DbImage {
+    static IMG: OnceLock<DbImage> = OnceLock::new();
     IMG.get_or_init(|| {
-        let grid = Grid::new(BoundingBox::new(0.0, 0.0, 1000.0, 500.0), 50.0).unwrap();
-        let cfg = TrainConfig {
-            dim: 6,
-            seed: 31,
-            ..TrainConfig::neutraj()
+        view_db_image::<HnswIndex>(|db| db.build_graph_index(&HnswParams::default(), 2).unwrap())
+    })
+}
+
+/// The `NTIVF01` IVF-index file, built once.
+fn ivf_db_image() -> &'static DbImage {
+    static IMG: OnceLock<DbImage> = OnceLock::new();
+    IMG.get_or_init(|| {
+        let params = AnnParams {
+            nlists: 5,
+            ..Default::default()
         };
-        let model = NeuTrajModel::untrained(cfg, grid);
-        let corpus: Vec<neutraj_trajectory::Trajectory> = (0..40)
-            .map(|i| {
-                neutraj_trajectory::Trajectory::new_unchecked(
-                    i as u64,
-                    (0..4 + i % 9)
-                        .map(|k| {
-                            let (t, j) = (k as f64, i as f64);
-                            neutraj_trajectory::Point::new(
-                                500.0 + 450.0 * (0.31 * t + 0.11 * j).sin(),
-                                250.0 + 220.0 * (0.17 * t - 0.23 * j).cos(),
-                            )
-                        })
-                        .collect(),
-                )
-            })
-            .collect();
-        let mut db = SimilarityDb::with_corpus(model, corpus, 2);
-        db.build_graph_index(&HnswParams::default(), 2).unwrap();
-        let dir = std::env::temp_dir().join(format!("neutraj-hnsw-img-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("graph.nthnsw");
-        db.save_graph_index(&path).unwrap();
-        let image = std::fs::read(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        (db, image)
+        view_db_image::<AnnIndex>(|db| db.build_ann_index(&params).unwrap())
     })
 }
 
@@ -128,84 +147,78 @@ fn graph_db_image() -> &'static (SimilarityDb, Vec<u8>) {
 fn scratch_file(tag: &str, bytes: &[u8]) -> std::path::PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
     static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!("neutraj-hnsw-corrupt-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("neutraj-view-corrupt-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(format!(
-        "{tag}-{}.nthnsw",
+        "{tag}-{}.view",
         SEQ.fetch_add(1, Ordering::Relaxed)
     ));
     std::fs::write(&path, bytes).unwrap();
     path
 }
 
-#[test]
-fn undamaged_graph_index_file_roundtrips() {
-    let (db, image) = graph_db_image();
+// The damage matrix of a shortlist-view file, written once for every
+// view that travels through `save_view` / `load_view`.
+
+fn undamaged_view_file_roundtrips<V: ShortlistView>((db, image): &DbImage) {
     let path = scratch_file("intact", image);
     let mut fresh = db.clone();
-    fresh.clear_graph_index();
-    fresh.load_graph_index(&path).expect("intact file loads");
+    fresh.clear_view::<V>();
+    fresh.load_view::<V>(&path).expect("intact file loads");
+    // Saved again, the loaded view is byte-identical to the saved one.
+    fresh.save_view::<V>(&path).unwrap();
+    let again = std::fs::read(&path).unwrap();
     std::fs::remove_file(&path).ok();
-    assert_eq!(
-        fresh.graph_index().unwrap().to_bytes(),
-        db.graph_index().unwrap().to_bytes(),
-        "loaded graph must be byte-identical to the saved one"
-    );
+    assert_eq!(&again, image, "{} changed across a round trip", V::NAME);
 }
 
-#[test]
-fn any_bit_flip_in_a_graph_index_file_is_rejected() {
+fn any_bit_flip_in_a_view_file_is_rejected<V: ShortlistView>((db, image): &DbImage) {
     cases(256, |rng| {
         let offset = rng.gen_range(0usize..1 << 20);
         let bit = rng.gen_range(0u8..8);
-        let (db, image) = graph_db_image();
         let mut bytes = image.clone();
         let offset = offset % bytes.len();
         bytes[offset] ^= 1 << bit;
         let path = scratch_file("flip", &bytes);
         let mut fresh = db.clone();
-        let res = fresh.load_graph_index(&path);
+        let res = fresh.load_view::<V>(&path);
         std::fs::remove_file(&path).ok();
         assert!(
             res.is_err(),
-            "bit {bit} of byte {offset} flipped, NTHNSW01 file still loaded"
+            "bit {bit} of byte {offset} flipped, {} file still loaded",
+            V::NAME
         );
     });
 }
 
-#[test]
-fn any_truncation_of_a_graph_index_file_is_rejected() {
+fn any_truncation_of_a_view_file_is_rejected<V: ShortlistView>((db, image): &DbImage) {
     cases(256, |rng| {
         let len = rng.gen_range(0usize..1 << 20);
-        let (db, image) = graph_db_image();
         let len = len % image.len();
         let path = scratch_file("trunc", &image[..len]);
         let mut fresh = db.clone();
-        let res = fresh.load_graph_index(&path);
+        let res = fresh.load_view::<V>(&path);
         std::fs::remove_file(&path).ok();
         assert!(res.is_err(), "file truncated to {len} bytes still loaded");
     });
 }
 
-#[test]
-fn trailing_garbage_after_a_graph_index_file_is_rejected() {
+fn trailing_garbage_after_a_view_file_is_rejected<V: ShortlistView>((db, image): &DbImage) {
     cases(256, |rng| {
         let extra = (0..rng.gen_range(1..64))
             .map(|_| rng.gen_range(0u8..=255))
             .collect::<Vec<_>>();
-        let (db, image) = graph_db_image();
         let mut bytes = image.clone();
         bytes.extend_from_slice(&extra);
         let path = scratch_file("trail", &bytes);
         let mut fresh = db.clone();
-        let res = fresh.load_graph_index(&path);
+        let res = fresh.load_view::<V>(&path);
         std::fs::remove_file(&path).ok();
         assert!(res.is_err(), "{} trailing bytes still loaded", extra.len());
     });
 }
 
-#[test]
-fn raw_graph_payload_damage_never_panics() {
+fn raw_view_section_damage_never_panics<V: ShortlistView>((db, image): &DbImage) {
     cases(256, |rng| {
         let offset = rng.gen_range(0usize..1 << 20);
         let bit = rng.gen_range(0u8..8);
@@ -213,19 +226,68 @@ fn raw_graph_payload_damage_never_panics() {
         // Below the envelope (no checksum): structural validation must
         // reject or accept without ever panicking, even when the damage
         // is re-sealed inside a fresh valid envelope.
-        let (db, image) = graph_db_image();
         let payload = neutraj_model::persist::open_payload(image).unwrap();
         let mut payload = payload.to_vec();
         let off = offset % payload.len();
         payload[off] ^= 1 << (bit % 8);
         payload.truncate(1 + cut % payload.len());
-        let _ = HnswIndex::from_bytes(&payload);
+        let _ = V::decode(&payload);
         let resealed = neutraj_model::persist::seal_payload(&payload);
         let path = scratch_file("reseal", &resealed);
         let mut fresh = db.clone();
-        let _ = fresh.load_graph_index(&path); // must not panic
+        let _ = fresh.load_view::<V>(&path); // must not panic
         std::fs::remove_file(&path).ok();
     });
+}
+
+#[test]
+fn undamaged_graph_index_file_roundtrips() {
+    undamaged_view_file_roundtrips::<HnswIndex>(graph_db_image());
+}
+
+#[test]
+fn any_bit_flip_in_a_graph_index_file_is_rejected() {
+    any_bit_flip_in_a_view_file_is_rejected::<HnswIndex>(graph_db_image());
+}
+
+#[test]
+fn any_truncation_of_a_graph_index_file_is_rejected() {
+    any_truncation_of_a_view_file_is_rejected::<HnswIndex>(graph_db_image());
+}
+
+#[test]
+fn trailing_garbage_after_a_graph_index_file_is_rejected() {
+    trailing_garbage_after_a_view_file_is_rejected::<HnswIndex>(graph_db_image());
+}
+
+#[test]
+fn raw_graph_payload_damage_never_panics() {
+    raw_view_section_damage_never_panics::<HnswIndex>(graph_db_image());
+}
+
+#[test]
+fn undamaged_ivf_index_file_roundtrips() {
+    undamaged_view_file_roundtrips::<AnnIndex>(ivf_db_image());
+}
+
+#[test]
+fn any_bit_flip_in_an_ivf_index_file_is_rejected() {
+    any_bit_flip_in_a_view_file_is_rejected::<AnnIndex>(ivf_db_image());
+}
+
+#[test]
+fn any_truncation_of_an_ivf_index_file_is_rejected() {
+    any_truncation_of_a_view_file_is_rejected::<AnnIndex>(ivf_db_image());
+}
+
+#[test]
+fn trailing_garbage_after_an_ivf_index_file_is_rejected() {
+    trailing_garbage_after_a_view_file_is_rejected::<AnnIndex>(ivf_db_image());
+}
+
+#[test]
+fn raw_ivf_payload_damage_never_panics() {
+    raw_view_section_damage_never_panics::<AnnIndex>(ivf_db_image());
 }
 
 #[test]

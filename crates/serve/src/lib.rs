@@ -18,8 +18,8 @@
 //!   alone ([`service`] module docs carry the scheduling policy).
 //!
 //! The typed surface ([`ServeRequest`] / [`ServeResponse`] /
-//! [`ServeError`], with [`QuerySpec`] as the owned twin of the library's
-//! `Query` builder) is shared by the service, the CLI, and library
+//! [`ServeError`], with [`QuerySpec`] — the owned form of the library's
+//! one query builder) is shared by the service, the CLI, and library
 //! callers, and the service route never panics on request input.
 //!
 //! The service is additionally **overload- and failure-hardened**

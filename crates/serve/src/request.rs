@@ -1,184 +1,15 @@
 //! The typed request/response surface shared by the service, the CLI,
 //! and library callers.
 //!
-//! [`QuerySpec`] is the *owned* twin of the borrow-based
-//! [`Query`](neutraj_model::Query) builder: same knobs, but the re-rank
-//! measure is named by [`MeasureKind`] instead of borrowed, so a spec can
-//! cross threads, sit in a queue, and key a coalescing group. Every
-//! execution path lowers a spec to a `Query` through
-//! [`QuerySpec::with_query`], so the two surfaces cannot drift.
+//! [`QuerySpec`] — the owned, hashable form of the library's query
+//! builder, re-exported from [`neutraj_model`] — says how to search;
+//! [`ServeRequest`] adds the trajectory, a deadline and a priority.
 
-use neutraj_measures::{MeasureKind, Neighbor};
-use neutraj_model::{DbError, Query};
+use neutraj_measures::Neighbor;
+use neutraj_model::DbError;
+pub use neutraj_model::QuerySpec;
 use neutraj_trajectory::Trajectory;
 use std::time::Duration;
-
-/// An owned, hashable description of *how* to search — the micro-batching
-/// scheduler coalesces concurrent requests with equal specs into one
-/// lockstep batch, so equality doubles as batch-compatibility.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct QuerySpec {
-    k: usize,
-    shortlist: Option<usize>,
-    nprobe: Option<usize>,
-    ef: Option<usize>,
-    quantized: bool,
-    rerank: Option<MeasureKind>,
-}
-
-impl QuerySpec {
-    /// A plain embedding-distance top-`k` spec.
-    pub fn new(k: usize) -> Self {
-        Self {
-            k,
-            ..Self::default()
-        }
-    }
-
-    /// Sets the embedding-space shortlist width (see
-    /// [`Query::shortlist`]).
-    pub fn shortlist(mut self, shortlist: usize) -> Self {
-        self.shortlist = Some(shortlist);
-        self
-    }
-
-    /// Routes the scan through the per-shard IVF index, probing `nprobe`
-    /// lists per shard (see [`Query::shortlist_ann`]).
-    pub fn shortlist_ann(mut self, nprobe: usize) -> Self {
-        self.nprobe = Some(nprobe);
-        self
-    }
-
-    /// Routes the scan through the per-shard HNSW graph index with beam
-    /// width `ef` (see [`Query::shortlist_graph`]). When the serving
-    /// snapshot has no graph index but does have an IVF index, the
-    /// service degrades the request to the IVF shortlist instead of
-    /// rejecting it (tagged `degraded: true`).
-    pub fn shortlist_graph(mut self, ef: usize) -> Self {
-        self.ef = Some(ef);
-        self
-    }
-
-    /// Scans through the per-shard int8-quantized view (see
-    /// [`Query::quantized`]).
-    pub fn quantized(mut self) -> Self {
-        self.quantized = true;
-        self
-    }
-
-    /// Re-ranks the merged shortlist with the exact `measure` and returns
-    /// the top-k of that ordering (see [`Query::rerank`]).
-    pub fn rerank(mut self, measure: MeasureKind) -> Self {
-        self.rerank = Some(measure);
-        self
-    }
-
-    /// Number of results requested.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// The re-rank measure, when configured.
-    pub fn rerank_measure(&self) -> Option<MeasureKind> {
-        self.rerank
-    }
-
-    /// Whether the scan goes through the quantized view.
-    pub fn is_quantized(&self) -> bool {
-        self.quantized
-    }
-
-    /// The per-shard ANN probe width, when configured.
-    pub fn ann_nprobe(&self) -> Option<usize> {
-        self.nprobe
-    }
-
-    /// The per-shard graph beam width, when configured.
-    pub fn graph_ef(&self) -> Option<usize> {
-        self.ef
-    }
-
-    /// The degrade-ladder rewrite from the graph backend to the IVF
-    /// backend: clears the beam width and probes `nprobe` lists instead
-    /// (the two backends are mutually exclusive, so a plain
-    /// `shortlist_ann` on a graph spec would produce an invalid spec).
-    pub(crate) fn graph_to_ann(mut self, nprobe: usize) -> Self {
-        self.ef = None;
-        self.nprobe = Some(nprobe);
-        self
-    }
-
-    /// Whether the scan stage is the full-precision exhaustive scan —
-    /// the only shape the overload ladder may downgrade to a cheaper
-    /// shortlist view (a spec already on a shortlist view has nothing
-    /// cheaper to fall back to).
-    pub(crate) fn is_exact_scan(&self) -> bool {
-        !self.quantized && self.nprobe.is_none() && self.ef.is_none()
-    }
-
-    /// Runs `f` with the equivalent borrow-based [`Query`], holding the
-    /// instantiated re-rank measure alive for the duration. This is the
-    /// single lowering from the owned surface to the execution surface —
-    /// the CLI's direct path and the service's sharded path both go
-    /// through it.
-    pub fn with_query<R>(&self, f: impl FnOnce(&Query) -> R) -> R {
-        let measure = self.rerank.map(|kind| kind.measure());
-        let mut q = Query::new(self.k);
-        if let Some(s) = self.shortlist {
-            q = q.shortlist(s);
-        }
-        if let Some(np) = self.nprobe {
-            q = q.shortlist_ann(np);
-        }
-        if let Some(ef) = self.ef {
-            q = q.shortlist_graph(ef);
-        }
-        if self.quantized {
-            q = q.quantized();
-        }
-        if let Some(m) = &measure {
-            q = q.rerank(&**m);
-        }
-        f(&q)
-    }
-
-    /// The scan-stage `Query` (everything but the re-rank, which a
-    /// sharded search applies once, globally, after the merge).
-    pub(crate) fn scan_query(&self) -> Query<'static> {
-        let mut q = Query::new(self.k);
-        if let Some(s) = self.shortlist {
-            q = q.shortlist(s);
-        }
-        if let Some(np) = self.nprobe {
-            q = q.shortlist_ann(np);
-        }
-        if let Some(ef) = self.ef {
-            q = q.shortlist_graph(ef);
-        }
-        if self.quantized {
-            q = q.quantized();
-        }
-        q
-    }
-
-    /// The fetch width of the scan stage: the effective shortlist when a
-    /// re-rank follows, otherwise `k` — mirrors what
-    /// [`SimilarityDb::search`](neutraj_model::SimilarityDb::search)
-    /// fetches, which keeps the sharded path bit-identical to it.
-    pub(crate) fn scan_fetch(&self) -> usize {
-        self.with_query(|q| match q.rerank_measure() {
-            Some(_) => q.effective_shortlist(),
-            None => q.k(),
-        })
-    }
-
-    /// The database-independent validity check, shared verbatim with the
-    /// direct path (it is [`Query::validate`] under the hood).
-    pub fn validate(&self) -> Result<(), ServeError> {
-        self.with_query(|q| q.validate())
-            .map_err(|reason| ServeError::Db(DbError::InvalidConfig(reason)))
-    }
-}
 
 /// Scheduling class of a request in the coalescing queue. The scheduler
 /// serves the high lane first, with anti-starvation promotion for
@@ -250,7 +81,8 @@ pub struct ServeResponse {
     /// The request's correlation id.
     pub id: u64,
     /// Top-k neighbors as **global** corpus indices, bit-identical to a
-    /// sequential [`Query`] search over the same snapshot.
+    /// sequential [`Query`](neutraj_model::Query) search over the same
+    /// snapshot.
     pub neighbors: Vec<Neighbor>,
     /// Epoch of the snapshot that answered — two responses with the same
     /// epoch saw the identical corpus.
@@ -328,33 +160,7 @@ impl std::error::Error for ServeError {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn spec_lowers_to_the_same_query() {
-        let spec = QuerySpec::new(7)
-            .shortlist(20)
-            .shortlist_ann(3)
-            .quantized()
-            .rerank(MeasureKind::Hausdorff);
-        spec.with_query(|q| {
-            assert_eq!(q.k(), 7);
-            assert_eq!(q.effective_shortlist(), 20);
-            assert_eq!(q.ann_nprobe(), Some(3));
-            assert!(q.is_quantized());
-            assert!(q.rerank_measure().is_some());
-        });
-        assert_eq!(spec.scan_fetch(), 20);
-        assert_eq!(QuerySpec::new(7).scan_fetch(), 7);
-        // Default shortlist matches Query's max(2k, 50).
-        assert_eq!(QuerySpec::new(7).rerank(MeasureKind::Dtw).scan_fetch(), 50);
-        // The graph beam width lowers through the same single path.
-        let graph = QuerySpec::new(5).shortlist_graph(40);
-        graph.with_query(|q| {
-            assert_eq!(q.graph_ef(), Some(40));
-            assert_eq!(q.ann_nprobe(), None);
-        });
-        assert_eq!(graph.graph_ef(), Some(40));
-    }
+    use neutraj_measures::MeasureKind;
 
     #[test]
     fn request_builders_set_deadline_and_priority() {
@@ -374,28 +180,5 @@ mod tests {
         assert!(!QuerySpec::new(3).shortlist_ann(2).is_exact_scan());
         // A graph spec already sits on a shortlist view.
         assert!(!QuerySpec::new(3).shortlist_graph(8).is_exact_scan());
-    }
-
-    #[test]
-    fn spec_validation_matches_query_validation() {
-        assert!(QuerySpec::new(0).validate().is_err());
-        assert!(QuerySpec::new(5).shortlist(3).validate().is_err());
-        assert!(QuerySpec::new(5).shortlist_ann(0).validate().is_err());
-        assert!(QuerySpec::new(5).shortlist(5).validate().is_ok());
-        assert!(QuerySpec::new(1).validate().is_ok());
-        // Graph-spec invariants are Query::validate's, verbatim.
-        assert!(QuerySpec::new(5).shortlist_graph(0).validate().is_err());
-        assert!(QuerySpec::new(5).shortlist_graph(3).validate().is_err());
-        assert!(QuerySpec::new(5)
-            .shortlist_graph(8)
-            .shortlist_ann(2)
-            .validate()
-            .is_err());
-        assert!(QuerySpec::new(5)
-            .shortlist_graph(8)
-            .quantized()
-            .validate()
-            .is_err());
-        assert!(QuerySpec::new(5).shortlist_graph(8).validate().is_ok());
     }
 }

@@ -520,7 +520,7 @@ impl SimilarityService {
             if self.shared.shutdown.load(Ordering::Acquire) {
                 return Err(ServeError::ShuttingDown);
             }
-            req.spec.validate()?;
+            req.spec.validate().map_err(DbError::InvalidConfig)?;
             req.trajectory
                 .validate()
                 .map_err(|reason| DbError::InvalidTrajectory {
@@ -535,7 +535,7 @@ impl SimilarityService {
             // scan seam so the rejection is not double-counted below.
             let snapshot = self.snapshot();
             let (spec, _) = effective_spec(&snapshot, req.spec, false);
-            spec.with_query(|q| snapshot.shard(0).scan_embeddings(&[], 0, q).map(|_| ()))?;
+            snapshot.shard(0).scan_embeddings(&[], 0, &spec)?;
             Ok(())
         })();
         if verdict.is_err() {

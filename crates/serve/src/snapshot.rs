@@ -29,7 +29,7 @@
 
 use crate::request::QuerySpec;
 use neutraj_measures::Neighbor;
-use neutraj_model::{AnnParams, DbError, HnswParams, NeuTrajModel, SimilarityDb};
+use neutraj_model::{rerank_exact, AnnParams, DbError, HnswParams, NeuTrajModel, SimilarityDb};
 use neutraj_trajectory::Trajectory;
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -125,15 +125,10 @@ pub struct Snapshot {
     epoch: u64,
     shards: Vec<SimilarityDb>,
     len: usize,
-    /// The ANN params the shards were built with — retained so a saved
-    /// snapshot can rebuild its per-shard indexes on load (they are not
-    /// recoverable from the built index alone).
-    ann: Option<AnnParams>,
-    /// The HNSW params the shards were built with (same retention
-    /// rationale as `ann`).
-    graph: Option<HnswParams>,
-    /// Whether per-shard int8 views were requested at build time.
-    quantized: bool,
+    /// What the shards were built with — retained so a saved snapshot
+    /// can rebuild its per-shard views on load (the index params are not
+    /// recoverable from a built index alone).
+    cfg: ShardConfig,
 }
 
 impl Snapshot {
@@ -156,14 +151,9 @@ impl Snapshot {
         for (g, t) in corpus.into_iter().enumerate() {
             parts[g % nshards].push(t);
         }
-        if cfg.ann.is_some() && parts.iter().any(|p| p.is_empty()) {
+        if (cfg.ann.is_some() || cfg.graph.is_some()) && parts.iter().any(|p| p.is_empty()) {
             return Err(DbError::InvalidConfig(format!(
-                "per-shard ANN needs every shard non-empty: corpus too small for {nshards} shards"
-            )));
-        }
-        if cfg.graph.is_some() && parts.iter().any(|p| p.is_empty()) {
-            return Err(DbError::InvalidConfig(format!(
-                "per-shard graph index needs every shard non-empty: \
+                "a per-shard index needs every shard non-empty: \
                  corpus too small for {nshards} shards"
             )));
         }
@@ -175,14 +165,10 @@ impl Snapshot {
             len += part.len();
             db.insert_batch(part, threads)?;
             if let Some(params) = &cfg.ann {
-                if !db.is_empty() {
-                    db.build_ann_index(params)?;
-                }
+                db.build_ann_index(params)?;
             }
             if let Some(params) = &cfg.graph {
-                if !db.is_empty() {
-                    db.build_graph_index(params, threads)?;
-                }
+                db.build_graph_index(params, threads)?;
             }
             if cfg.quantized {
                 db.build_quantized_store();
@@ -193,23 +179,15 @@ impl Snapshot {
             epoch: 0,
             shards,
             len,
-            ann: cfg.ann.clone(),
-            graph: cfg.graph,
-            quantized: cfg.quantized,
+            cfg: cfg.clone(),
         })
     }
 
-    /// The [`ShardConfig`] that rebuilds an equivalent snapshot (used by
-    /// the persistence codec; `build_threads` is a load-time choice, not
-    /// a property of the snapshot).
-    pub(crate) fn shard_config(&self) -> ShardConfig {
-        ShardConfig {
-            nshards: self.nshards(),
-            build_threads: 1,
-            ann: self.ann.clone(),
-            graph: self.graph,
-            quantized: self.quantized,
-        }
+    /// The [`ShardConfig`] this snapshot was built with (the persistence
+    /// codec saves its view fields; `build_threads` is a load-time
+    /// choice, not a property of the snapshot).
+    pub(crate) fn shard_config(&self) -> &ShardConfig {
+        &self.cfg
     }
 
     /// Renames the epoch — the persistence loader restores the saved
@@ -219,10 +197,10 @@ impl Snapshot {
         self
     }
 
-    /// Whether this snapshot carries per-shard int8 views (a degrade
-    /// target for the overload ladder).
+    /// Whether every shard carries an int8 view (a degrade target for
+    /// the overload ladder).
     pub(crate) fn has_quantized(&self) -> bool {
-        self.quantized && self.shards[0].quantized_store().is_some()
+        self.shards.iter().all(|s| s.quantized_store().is_some())
     }
 
     /// The per-shard IVF list count when ANN indexes are built (the
@@ -235,7 +213,7 @@ impl Snapshot {
     /// answerable only when they all do (and the graph→IVF degrade rung
     /// fires only when they don't).
     pub(crate) fn has_graph(&self) -> bool {
-        self.graph.is_some() && self.shards.iter().all(|s| s.graph_index().is_some())
+        self.shards.iter().all(|s| s.graph_index().is_some())
     }
 
     /// The epoch counter: bumped by one on every published mutation.
@@ -345,11 +323,10 @@ impl Snapshot {
             t.validate()
                 .map_err(|reason| DbError::InvalidTrajectory { id: t.id, reason })?;
         }
-        let scan_query = spec.scan_query();
         // Surface configuration rejections before embedding work, and
         // from every shard's perspective at once (shards are uniform, so
         // shard 0 speaks for all).
-        self.shards[0].scan_embeddings(&[], 0, &scan_query)?;
+        self.shards[0].scan_embeddings(&[], 0, spec)?;
         let nshards = self.nshards();
         let skipped = guard.skip.iter().filter(|&&s| s).count();
         let mut out = GuardedScan {
@@ -376,7 +353,7 @@ impl Snapshot {
                         panic!("injected shard {s} scan fault");
                     }
                 }
-                db.scan_embeddings(&qrefs, fetch, &scan_query)
+                db.scan_embeddings(&qrefs, fetch, spec)
             }))
         };
         // `None` slots (skipped or failed shards) are absent from the
@@ -447,47 +424,17 @@ impl Snapshot {
                 merged
                     .into_iter()
                     .zip(queries)
-                    .map(|(short, q)| self.rerank_global(short, q, &*measure, spec.k()))
+                    .map(|(short, q)| {
+                        // The same comparator and truncation as the
+                        // unsharded database's re-rank stage, applied once
+                        // over the merged list.
+                        let row = |g: usize| self.trajectory(g).expect("merged index in range");
+                        rerank_exact(self.model().grid(), short, q, row, &*measure, spec.k())
+                    })
                     .collect()
             }
         };
         Ok(out)
-    }
-
-    /// Re-ranks a merged global shortlist by the exact `measure` on
-    /// grid-rescaled coordinates — the same comparator and truncation as
-    /// the unsharded database's re-rank stage, applied once over the
-    /// merged list.
-    fn rerank_global(
-        &self,
-        short: Vec<Neighbor>,
-        query: &Trajectory,
-        measure: &dyn neutraj_measures::Measure,
-        k: usize,
-    ) -> Vec<Neighbor> {
-        let grid = self.model().grid();
-        let q = grid.rescale_trajectory(query);
-        let mut out: Vec<Neighbor> = short
-            .into_iter()
-            .map(|n| Neighbor {
-                index: n.index,
-                dist: measure.dist(
-                    q.points(),
-                    grid.rescale_trajectory(
-                        self.trajectory(n.index).expect("merged index in range"),
-                    )
-                    .points(),
-                ),
-            })
-            .collect();
-        out.sort_by(|a, b| {
-            a.dist
-                .partial_cmp(&b.dist)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.index.cmp(&b.index))
-        });
-        out.truncate(k);
-        out
     }
 }
 

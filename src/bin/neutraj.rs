@@ -295,14 +295,14 @@ fn cmd_knn(flags: &Flags) -> Result<(), String> {
         db.instrument(&registry);
     }
     // A stored-index target excludes the query itself from the results.
-    // The CLI speaks the same owned QuerySpec surface as the serving
-    // layer; with_query lowers it to the library's borrow-based Query.
+    // The CLI speaks the same owned QuerySpec as the serving layer;
+    // with_query lowers it to the borrowed form, which db.search
+    // validates.
     let mut spec = QuerySpec::new(k);
     if rerank {
         let kind: MeasureKind = req(flags, "measure")?.parse()?;
         spec = spec.shortlist((k + 1).max(50)).rerank(kind);
     }
-    spec.validate().map_err(|e| e.to_string())?;
     let results = spec
         .with_query(|query| db.search(q_pos, query))
         .map_err(|e| e.to_string())?;

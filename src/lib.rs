@@ -66,8 +66,8 @@ pub mod prelude {
         DiscreteFrechet, DistanceMatrix, Dtw, Erp, Hausdorff, Measure, MeasureKind,
     };
     pub use neutraj_model::{
-        Checkpoint, CheckpointPolicy, EmbeddingStore, NeuTrajModel, Query, QueryOptions,
-        QueryTarget, SimilarityDb, TrainConfig, TrainReport, Trainer,
+        Checkpoint, CheckpointPolicy, EmbeddingStore, NeuTrajModel, Query, QueryTarget,
+        SimilarityDb, TrainConfig, TrainReport, Trainer,
     };
     pub use neutraj_obs::{MetricsReport, Registry};
     pub use neutraj_serve::{
