@@ -42,6 +42,56 @@ use neutraj_measures::{Measure, Neighbor};
 use neutraj_obs::{names, Counter, Gauge, Histogram, Registry};
 use neutraj_trajectory::{Grid, TrajError, Trajectory};
 use std::path::Path;
+use std::sync::Arc;
+
+/// Rows per shared chunk of [`Rows`]. Small enough that extending a
+/// shared tail copies little (at most `CHUNK − 1` trajectories), large
+/// enough that copying the chunk pointers of a corpus is `N / 64` words.
+const CHUNK: usize = 64;
+
+/// The stored trajectories: append-only, held in chunks of [`CHUNK`] rows
+/// (every chunk but the last is full) that a database shares with its
+/// [`SimilarityDb::inserted`] successors. `clone` copies the chunk
+/// pointers, not the rows; appending to a chunk another database still
+/// holds copies that one chunk first (`Arc::make_mut`), so neither ever
+/// sees the other's rows.
+#[derive(Debug, Clone, Default)]
+struct Rows {
+    chunks: Vec<Arc<Vec<Trajectory>>>,
+}
+
+impl Rows {
+    fn len(&self) -> usize {
+        (self.chunks.last()).map_or(0, |last| (self.chunks.len() - 1) * CHUNK + last.len())
+    }
+
+    fn get(&self, i: usize) -> Option<&Trajectory> {
+        self.chunks.get(i / CHUNK)?.get(i % CHUNK)
+    }
+
+    /// Row `i`, which the caller knows is stored.
+    fn row(&self, i: usize) -> &Trajectory {
+        &self.chunks[i / CHUNK][i % CHUNK]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Trajectory> {
+        self.chunks.iter().flat_map(|c| c.iter())
+    }
+
+    /// Appends `ts`: tops up the last chunk, then fills whole new ones.
+    fn extend(&mut self, ts: impl IntoIterator<Item = Trajectory>) {
+        for t in ts {
+            match self.chunks.last_mut() {
+                Some(last) if last.len() < CHUNK => Arc::make_mut(last).push(t),
+                _ => {
+                    let mut chunk = Vec::with_capacity(CHUNK);
+                    chunk.push(t);
+                    self.chunks.push(Arc::new(chunk));
+                }
+            }
+        }
+    }
+}
 
 /// The concrete ANN index the database serves from: an inverted-file
 /// index coarse-quantized by k-means.
@@ -340,7 +390,7 @@ impl Default for AnnParams {
 #[derive(Debug, Clone)]
 pub struct SimilarityDb {
     model: NeuTrajModel,
-    trajectories: Vec<Trajectory>,
+    trajectories: Rows,
     /// Embeddings + precomputed row norms for norm-trick scans.
     embeddings: EmbeddingStore,
     /// The [`ShortlistView`]s over the embeddings — IVF index, HNSW
@@ -361,7 +411,7 @@ impl SimilarityDb {
         let store = EmbeddingStore::new(model.dim());
         Self {
             model,
-            trajectories: Vec::new(),
+            trajectories: Rows::default(),
             embeddings: store,
             ann: None,
             graph: None,
@@ -411,7 +461,7 @@ impl SimilarityDb {
 
     /// Returns `true` when the database is empty.
     pub fn is_empty(&self) -> bool {
-        self.trajectories.is_empty()
+        self.trajectories.chunks.is_empty()
     }
 
     /// Borrow a stored trajectory.
@@ -701,18 +751,36 @@ impl SimilarityDb {
         grow(&mut self.quant, &self.embeddings);
     }
 
+    /// Appends embedded rows and the trajectories they came from.
+    fn append_rows(&mut self, embs: &[Vec<f64>], ts: impl IntoIterator<Item = Trajectory>) {
+        for e in embs {
+            self.append_row(e);
+        }
+        self.trajectories.extend(ts);
+        debug_assert_eq!(self.len(), self.embeddings.len());
+        if let Some(m) = &self.metrics {
+            m.corpus_size.set(self.len() as f64);
+        }
+    }
+
+    /// Validates every trajectory of a batch, then embeds them with the
+    /// lockstep batched forward on `threads` workers — nothing is
+    /// embedded when one is rejected.
+    fn embed_checked(&self, ts: &[Trajectory], threads: usize) -> Result<Vec<Vec<f64>>, DbError> {
+        for t in ts {
+            self.check(t)?;
+        }
+        Ok(self.model.embed_all(ts, threads))
+    }
+
     /// Inserts one trajectory; returns its index. Empty or non-finite
     /// trajectories are rejected *before* embedding, leaving the store
     /// untouched.
     pub fn insert(&mut self, t: Trajectory) -> Result<usize, DbError> {
         self.check(&t)?;
         let e = self.model.embed(&t);
-        self.append_row(&e);
-        self.trajectories.push(t);
-        if let Some(m) = &self.metrics {
-            m.corpus_size.set(self.trajectories.len() as f64);
-        }
-        Ok(self.trajectories.len() - 1)
+        self.append_rows(&[e], [t]);
+        Ok(self.len() - 1)
     }
 
     /// Inserts many trajectories, embedding them with the lockstep
@@ -721,18 +789,47 @@ impl SimilarityDb {
     /// the whole batch with the store unchanged — a partially applied
     /// batch would leave callers guessing which indices exist.
     pub fn insert_batch(&mut self, ts: Vec<Trajectory>, threads: usize) -> Result<(), DbError> {
-        for t in &ts {
-            self.check(t)?;
-        }
-        let embs = self.model.embed_all(&ts, threads);
-        for e in &embs {
-            self.append_row(e);
-        }
-        self.trajectories.extend(ts);
-        if let Some(m) = &self.metrics {
-            m.corpus_size.set(self.trajectories.len() as f64);
-        }
+        let embs = self.embed_checked(&ts, threads)?;
+        self.append_rows(&embs, ts);
         Ok(())
+    }
+
+    /// The next database with `ts` appended; `self` is untouched, so
+    /// readers holding it are undisturbed (the copy-on-write step of a
+    /// snapshot rotation). All-or-nothing like [`Self::insert_batch`], and
+    /// it costs its rows plus one copy of what the scans need contiguous:
+    /// the trajectories are shared with `self` in chunks, the embedding
+    /// store and the int8 view are each copied once into buffers sized
+    /// for the new rows ([`EmbeddingStore::successor`]), and the rows then
+    /// go in through the same append as every other insert. The IVF
+    /// lists and the graph are cloned whole — an insert may edit any list
+    /// and many graph nodes.
+    pub fn inserted(&self, ts: &[Trajectory], threads: usize) -> Result<Self, DbError> {
+        let embs = self.embed_checked(ts, threads)?;
+        let mut next = Self {
+            model: self.model.clone(),
+            trajectories: self.trajectories.clone(),
+            embeddings: self.embeddings.successor(ts.len()),
+            ann: self.ann.clone(),
+            graph: self.graph.clone(),
+            quant: self.quant.as_ref().map(|q| q.successor(ts.len())),
+            metrics: self.metrics.clone(),
+        };
+        next.append_rows(&embs, ts.iter().cloned());
+        Ok(next)
+    }
+
+    /// How many of `parent`'s full trajectory chunks this database holds
+    /// by pointer rather than by copy, and how many `parent` has — equal
+    /// after any chain of [`Self::inserted`] calls. A test probe: it is
+    /// what notices a refactor that brings the deep copy back.
+    #[doc(hidden)]
+    pub fn shared_row_chunks(&self, parent: &Self) -> (usize, usize) {
+        let full = (parent.trajectories.chunks.iter()).filter(|c| c.len() == CHUNK);
+        let shared = (full.clone().zip(&self.trajectories.chunks))
+            .filter(|(theirs, ours)| Arc::ptr_eq(theirs, ours))
+            .count();
+        (shared, full.count())
     }
 
     /// Answers one query: embeds the target if needed (a no-op for
@@ -776,18 +873,13 @@ impl SimilarityDb {
                 Ok(self.search_resolved(e, None, None, query))
             }
             QueryTarget::Stored(idx) => {
-                if idx >= self.trajectories.len() {
+                let Some(stored) = self.trajectories.get(idx) else {
                     return Err(self.reject(DbError::UnknownIndex {
                         index: idx,
-                        len: self.trajectories.len(),
+                        len: self.len(),
                     }));
-                }
-                Ok(self.search_resolved(
-                    self.embeddings.get(idx),
-                    Some(&self.trajectories[idx]),
-                    Some(idx),
-                    query,
-                ))
+                };
+                Ok(self.search_resolved(self.embeddings.get(idx), Some(stored), Some(idx), query))
             }
         }
     }
@@ -831,7 +923,7 @@ impl SimilarityDb {
                     .into_iter()
                     .zip(queries)
                     .map(|(short, q)| {
-                        let row = |i: usize| &self.trajectories[i];
+                        let row = |i: usize| self.trajectories.row(i);
                         rerank_exact(self.model.grid(), short, q, row, measure, query.k())
                     })
                     .collect();
@@ -874,7 +966,7 @@ impl SimilarityDb {
             Some(measure) => {
                 let qtraj = qtraj.expect("search rejected re-ranking a raw embedding");
                 let span = m.map(|m| m.rerank_seconds.start_timer());
-                let row = |i: usize| &self.trajectories[i];
+                let row = |i: usize| self.trajectories.row(i);
                 let out = rerank_exact(self.model.grid(), short, qtraj, row, measure, query.k());
                 drop(span);
                 out
@@ -1728,6 +1820,252 @@ mod tests {
         // The lists probed are counted, not estimated: the same queries
         // at the same nprobe probe the same lists through f64 or int8.
         assert_eq!(lists_probed, [0, 0, 4 * 2, 4 * 2, 0]);
+    }
+
+    // -- Copy-on-write successors (`inserted`) ------------------------------
+
+    /// An untrained model and `n` short synthetic trajectories: the
+    /// sharing tests need more rows than two chunks, not fitted weights.
+    fn untrained_corpus(n: usize) -> (NeuTrajModel, Vec<Trajectory>) {
+        use neutraj_trajectory::{BoundingBox, Point};
+        let grid = Grid::new(BoundingBox::new(0.0, 0.0, 1000.0, 500.0), 50.0).unwrap();
+        let cfg = TrainConfig {
+            dim: 8,
+            seed: 9,
+            ..TrainConfig::neutraj()
+        };
+        let trajs = (0..n)
+            .map(|i| {
+                let id = i as f64;
+                let points = (0..3 + (i * 7) % 11).map(|k| {
+                    let t = k as f64;
+                    Point::new(
+                        500.0 + 450.0 * (0.41 * t + 0.11 * id).sin(),
+                        250.0 + 220.0 * (0.19 * t - 0.31 * id).cos(),
+                    )
+                });
+                Trajectory::new_unchecked(i as u64, points.collect())
+            })
+            .collect();
+        (NeuTrajModel::untrained(cfg, grid), trajs)
+    }
+
+    impl SimilarityDb {
+        /// What [`SimilarityDb::inserted`] replaced, kept as its oracle: a
+        /// deep copy of every row and buffer, then one scalar-embedded
+        /// [`SimilarityDb::insert`] per new row.
+        fn inserted_by_deep_copy(&self, ts: &[Trajectory]) -> Result<Self, DbError> {
+            let mut next = self.clone();
+            next.trajectories = Rows::default();
+            next.trajectories.extend(self.trajectories.iter().cloned());
+            for t in ts {
+                next.insert(t.clone())?;
+            }
+            Ok(next)
+        }
+    }
+
+    fn encoded<V: ShortlistView>(db: &SimilarityDb) -> Option<Vec<u8>> {
+        V::slot(db).as_ref().map(V::encode)
+    }
+
+    /// Same rows, same store, same view bytes, same answers.
+    fn assert_same_db(got: &SimilarityDb, want: &SimilarityDb, queries: &[Trajectory], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: len");
+        assert!(got.store() == want.store(), "{what}: store");
+        assert_eq!(
+            encoded::<AnnIndex>(got),
+            encoded::<AnnIndex>(want),
+            "{what}: ivf"
+        );
+        assert_eq!(
+            encoded::<HnswIndex>(got),
+            encoded::<HnswIndex>(want),
+            "{what}: graph"
+        );
+        assert_eq!(
+            encoded::<QuantizedStore>(got),
+            encoded::<QuantizedStore>(want),
+            "{what}: int8"
+        );
+        for i in 0..=want.len() {
+            assert_eq!(got.get(i), want.get(i), "{what}: row {i}");
+        }
+        let mut specs = vec![Query::new(5), Query::new(3).shortlist(9).rerank(&Hausdorff)];
+        if want.ann_index().is_some() {
+            specs.push(Query::new(5).shortlist_ann(2));
+        }
+        if want.graph_index().is_some() {
+            specs.push(Query::new(5).shortlist_graph(16));
+        }
+        if want.quantized_store().is_some() {
+            specs.push(Query::new(5).quantized());
+        }
+        for spec in &specs {
+            assert_eq!(
+                got.search_batch(queries, spec).unwrap(),
+                want.search_batch(queries, spec).unwrap(),
+                "{what}: answers of {spec:?}"
+            );
+            assert_eq!(
+                got.search(want.len() - 1, spec).unwrap(),
+                want.search(want.len() - 1, spec).unwrap(),
+                "{what}: stored-target answer of {spec:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn rows_fill_whole_chunks_and_share_them_between_clones() {
+        let (_, trajs) = untrained_corpus(3 * CHUNK + 5);
+        let mut rows = Rows::default();
+        rows.extend(trajs[..2 * CHUNK].iter().cloned());
+        assert_eq!((rows.len(), rows.chunks.len()), (2 * CHUNK, 2));
+        // A chunk is allocated once, at its final size.
+        assert!(rows.chunks.iter().all(|c| c.capacity() == CHUNK));
+
+        // Pushing into a clone whose last chunk is full copies nothing.
+        let mut child = rows.clone();
+        child.extend(trajs[2 * CHUNK..2 * CHUNK + 5].iter().cloned());
+        assert!(Arc::ptr_eq(&child.chunks[0], &rows.chunks[0]));
+        assert!(Arc::ptr_eq(&child.chunks[1], &rows.chunks[1]));
+        assert_eq!((child.len(), rows.len()), (2 * CHUNK + 5, 2 * CHUNK));
+
+        // Pushing into a shared, partly filled last chunk copies that one
+        // chunk: the sibling that shares it never sees the row.
+        let mut grand = child.clone();
+        grand.extend(trajs[2 * CHUNK + 5..].iter().cloned());
+        assert!(Arc::ptr_eq(&grand.chunks[1], &child.chunks[1]));
+        assert!(!Arc::ptr_eq(&grand.chunks[2], &child.chunks[2]));
+        assert_eq!((grand.len(), grand.chunks.len()), (3 * CHUNK + 5, 4));
+        assert_eq!((child.len(), child.chunks[2].len()), (2 * CHUNK + 5, 5));
+        assert!(child.get(2 * CHUNK + 5).is_none());
+        assert!(grand.iter().eq(trajs.iter()));
+        assert!(child.iter().eq(trajs[..2 * CHUNK + 5].iter()));
+        for (i, t) in trajs.iter().enumerate() {
+            assert_eq!(grand.get(i), Some(t));
+            assert_eq!(grand.row(i), t);
+        }
+        assert!(grand.get(trajs.len()).is_none());
+    }
+
+    /// A chain of `inserted` calls is the deep-copy chain, bit for bit —
+    /// per view, from corpus lengths on both sides of a chunk boundary,
+    /// with batches that end inside, on and past one — and every full
+    /// chunk of a parent is its child's by pointer.
+    #[test]
+    fn inserted_chain_equals_the_deep_copy_chain() {
+        type Build = fn(&mut SimilarityDb);
+        let views: [(&str, Build); 5] = [
+            ("exact", |_| ()),
+            ("int8", SimilarityDb::build_quantized_store),
+            ("ivf", |db| {
+                let params = AnnParams {
+                    nlists: 4,
+                    ..Default::default()
+                };
+                db.build_ann_index(&params).unwrap()
+            }),
+            ("graph", |db| {
+                db.build_graph_index(&HnswParams::default(), 2).unwrap()
+            }),
+            ("all three", |db| {
+                db.build_quantized_store();
+                let params = AnnParams {
+                    nlists: 4,
+                    ..Default::default()
+                };
+                db.build_ann_index(&params).unwrap();
+                db.build_graph_index(&HnswParams::default(), 2).unwrap()
+            }),
+        ];
+        let batches = [1, 0, CHUNK - 2, 1, CHUNK + 3];
+        let total: usize = batches.iter().sum();
+        let (model, trajs) = untrained_corpus(2 * CHUNK + 1 + total + 3);
+        let queries = &trajs[trajs.len() - 3..];
+        for (view, build) in views {
+            for start in [CHUNK, CHUNK + 1, 2 * CHUNK - 1] {
+                let mut parent =
+                    SimilarityDb::with_corpus(model.clone(), trajs[..start].to_vec(), 2);
+                build(&mut parent);
+                let mut oracle = parent.clone();
+                let mut at = start;
+                for n in batches {
+                    let what = format!("{view}, {start} rows, +{n} at {at}");
+                    let rows = &trajs[at..at + n];
+                    let child = parent.inserted(rows, 2).unwrap();
+                    oracle = oracle.inserted_by_deep_copy(rows).unwrap();
+                    assert_same_db(&child, &oracle, queries, &what);
+                    let (shared, full) = child.shared_row_chunks(&parent);
+                    assert_eq!((shared, full), (at / CHUNK, at / CHUNK), "{what}: sharing");
+                    assert_eq!(oracle.shared_row_chunks(&parent).0, 0, "{what}: oracle");
+                    assert_eq!(parent.len(), at, "{what}: parent grew");
+                    parent = child;
+                    at += n;
+                }
+            }
+        }
+    }
+
+    /// Two successors of one parent never see each other's rows, and the
+    /// parent sees neither's — what fails if the append into a shared
+    /// last chunk is ever done in place.
+    #[test]
+    fn forked_successors_are_independent_and_the_parent_is_untouched() {
+        let (model, trajs) = untrained_corpus(CHUNK + 40);
+        let n0 = CHUNK + 9; // a partly filled last chunk, shared by all three
+        let mut parent = SimilarityDb::with_corpus(model, trajs[..n0].to_vec(), 2);
+        parent.build_quantized_store();
+        let queries = &trajs[trajs.len() - 3..];
+        let frozen = parent.inserted_by_deep_copy(&[]).unwrap();
+
+        let left = parent.inserted(&trajs[n0..n0 + 4], 1).unwrap();
+        let right = parent.inserted(&trajs[n0 + 10..n0 + 17], 1).unwrap();
+        assert_same_db(&parent, &frozen, queries, "parent after two forks");
+        assert_same_db(
+            &left,
+            &frozen.inserted_by_deep_copy(&trajs[n0..n0 + 4]).unwrap(),
+            queries,
+            "left fork",
+        );
+        assert_same_db(
+            &right,
+            &frozen
+                .inserted_by_deep_copy(&trajs[n0 + 10..n0 + 17])
+                .unwrap(),
+            queries,
+            "right fork",
+        );
+        assert_eq!(left.get(n0), Some(&trajs[n0]));
+        assert_eq!(right.get(n0), Some(&trajs[n0 + 10]));
+        assert_eq!(parent.get(n0), None);
+
+        // The in-place inserts of a plain clone fork the same way.
+        let mut twin = parent.clone();
+        twin.insert(trajs[n0 + 20].clone()).unwrap();
+        assert_eq!(twin.get(n0), Some(&trajs[n0 + 20]));
+        assert_same_db(&parent, &frozen, queries, "parent after a clone's insert");
+    }
+
+    #[test]
+    fn inserted_rejects_the_whole_batch_and_counts_it_once() {
+        let (model, trajs) = untrained_corpus(30);
+        let registry = Registry::new();
+        let mut db = SimilarityDb::with_corpus(model, trajs[..20].to_vec(), 1);
+        db.instrument(&registry);
+        let empty = Trajectory::new_unchecked(900, vec![]);
+        let batch = [trajs[20].clone(), empty, trajs[21].clone()];
+        let err = db.inserted(&batch, 1).unwrap_err();
+        assert!(
+            matches!(err, DbError::InvalidTrajectory { id: 900, .. }),
+            "{err}"
+        );
+        assert_eq!(registry.counter(names::DB_REJECTS_TOTAL).get(), 1);
+        assert_eq!(db.len(), 20);
+        // A successor reports the size it has.
+        let next = db.inserted(&trajs[20..23], 1).unwrap();
+        assert_eq!(registry.gauge(names::DB_CORPUS_SIZE).get(), 23.0);
+        assert_eq!((db.len(), next.len()), (20, 23));
     }
 
     #[test]

@@ -32,7 +32,7 @@
 use crate::persist::{
     decode_f64s, encode_f64s, fail, read_enveloped, write_enveloped, PersistError,
 };
-use crate::search::{EmbeddingStore, ScanStats};
+use crate::search::{grown, EmbeddingStore, ScanStats};
 use neutraj_index::{CoarseQuantizer, IvfIndex};
 use neutraj_measures::{Neighbor, NeighborHeap};
 use neutraj_nn::linalg::dot;
@@ -132,6 +132,22 @@ impl QuantizedStore {
             qs.push(store.get(i));
         }
         qs
+    }
+
+    /// A copy of this view with room for exactly `extra` more rows — the
+    /// int8 counterpart of [`EmbeddingStore::successor`]: the codes and
+    /// the four per-row columns are each allocated once at their final
+    /// size, so the [`Self::push`]es that follow never move them.
+    pub(crate) fn successor(&self, extra: usize) -> Self {
+        Self {
+            dim: self.dim,
+            codes: grown(&self.codes, extra * self.dim),
+            offset: grown(&self.offset, extra),
+            scale: grown(&self.scale, extra),
+            code_sum: grown(&self.code_sum, extra),
+            dq_norm: grown(&self.dq_norm, extra),
+            level: self.level,
+        }
     }
 
     /// Pins the u8-dot dispatch level (tests force scalar and AVX2 in
@@ -556,6 +572,31 @@ mod tests {
             }
         }
         assert!(hit as f64 / total as f64 >= 0.99, "recall {hit}/{total}");
+    }
+
+    #[test]
+    fn successor_is_copied_once_and_never_moves() {
+        let s = store(41, 6);
+        let qs = QuantizedStore::from_store(&s);
+        let extra = 7;
+        let mut next = qs.successor(extra);
+        assert_eq!(next, qs);
+        assert_eq!(next.codes.capacity(), (qs.len() + extra) * 6);
+        let columns = |q: &QuantizedStore| {
+            [&q.offset, &q.scale, &q.code_sum, &q.dq_norm].map(|c| (c.as_ptr(), c.capacity()))
+        };
+        let (codes, cols) = (next.codes.as_ptr(), columns(&next));
+        assert!(cols.iter().all(|&(_, cap)| cap == qs.len() + extra));
+        let mut want = qs.clone();
+        for i in 0..extra {
+            next.push(s.get(i));
+            want.push(s.get(i));
+        }
+        // Same view as the clone-then-push path, in the buffers the
+        // successor was born with.
+        assert_eq!(next, want);
+        assert_eq!((next.codes.as_ptr(), columns(&next)), (codes, cols));
+        assert_eq!(next.codes.capacity(), next.codes.len());
     }
 
     #[test]

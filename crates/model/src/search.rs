@@ -95,6 +95,20 @@ impl EmbeddingStore {
         self.norms.reserve(additional);
     }
 
+    /// A copy of this store with room for exactly `extra` more rows: each
+    /// buffer is allocated once at its final size and filled by one copy,
+    /// so the [`Self::push`]es that follow never move it. (`clone` leaves
+    /// `capacity == len`, and the first push after it would double the
+    /// buffer into a fresh one — a second full copy.) The scans need the
+    /// rows contiguous, which is why this copy is not shared in pieces.
+    pub(crate) fn successor(&self, extra: usize) -> Self {
+        Self {
+            dim: self.dim,
+            data: grown(&self.data, extra * self.dim),
+            norms: grown(&self.norms, extra),
+        }
+    }
+
     /// Appends one embedding, precomputing its squared norm. Panics on
     /// dimension mismatch.
     pub fn push(&mut self, emb: &[f64]) {
@@ -462,6 +476,13 @@ impl EmbeddingStore {
     }
 }
 
+/// `v` copied into a buffer with room for exactly `extra` more elements.
+pub(crate) fn grown<T: Copy>(v: &[T], extra: usize) -> Vec<T> {
+    let mut out = Vec::with_capacity(v.len() + extra);
+    out.extend_from_slice(v);
+    out
+}
+
 /// Work counters reported by one batched scan through a shortlist view
 /// — what [`DbMetrics::record_scan`](crate::DbMetrics::record_scan) turns
 /// into the `neutraj_ann_*`, `neutraj_graph_*` and `neutraj_quant_*`
@@ -616,6 +637,28 @@ mod tests {
         assert_eq!(res[0].index, 0);
         assert_eq!(res[0].dist, 0.0, "self-distance must cancel exactly");
         assert!((res[1].dist - 5.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn successor_is_copied_once_and_never_moves() {
+        let embs: Vec<Vec<f64>> = (0..37).map(|i| vec![i as f64, 1.0, -0.5]).collect();
+        let s = EmbeddingStore::from_embeddings(3, &embs);
+        let extra = 5;
+        let mut next = s.successor(extra);
+        assert_eq!(next, s);
+        assert_eq!(next.data.capacity(), (s.len() + extra) * 3);
+        assert_eq!(next.norms.capacity(), s.len() + extra);
+        let (data, norms) = (next.data.as_ptr(), next.norms.as_ptr());
+        let mut want = s.clone();
+        for i in 0..extra {
+            next.push(&[0.25, i as f64, 2.0]);
+            want.push(&[0.25, i as f64, 2.0]);
+        }
+        // Same rows as the clone-then-push path, in the buffers the
+        // successor was born with.
+        assert_eq!(next, want);
+        assert_eq!((next.data.as_ptr(), next.norms.as_ptr()), (data, norms));
+        assert_eq!(next.data.capacity(), next.data.len());
     }
 
     #[test]

@@ -489,6 +489,15 @@ pub mod names {
     /// Gauge: epoch of the snapshot currently served (bumped once per
     /// writer swap; readers holding the old `Arc` drain undisturbed).
     pub const SERVE_SNAPSHOT_EPOCH: &str = "neutraj_serve_snapshot_epoch";
+    /// Histogram: seconds per published insert call (`insert` or
+    /// `insert_batch`) as its caller saw it — the wait for the writer
+    /// lock, the copy-on-write build of the next snapshot and the swap.
+    /// A rejected call records nothing here (see [`DB_REJECTS_TOTAL`]).
+    pub const SERVE_INSERT_SECONDS: &str = "neutraj_serve_insert_seconds";
+    /// Counter: rows appended by published insert calls, so
+    /// `insert_seconds.sum / insert_rows_total` is the served cost of a
+    /// new row.
+    pub const SERVE_INSERT_ROWS_TOTAL: &str = "neutraj_serve_insert_rows_total";
     /// Counter: requests shed by the overload ladder — bounded-admission
     /// rejections when the queue is full, plus queued lower-priority work
     /// evicted to make room for higher-priority arrivals. Every shed is

@@ -5,7 +5,8 @@
 //!
 //! * **Lock-free read snapshots** — the corpus is an immutable
 //!   [`Snapshot`] behind an `Arc`; writers build the next epoch
-//!   copy-on-write and publish it with a pointer swap, so readers never
+//!   copy-on-write — sharing with the old one whatever the new rows do
+//!   not change — and publish it with a pointer swap, so readers never
 //!   block on insert work ([`snapshot`] module docs carry the protocol).
 //! * **Sharded parallel scans** — a snapshot holds `S` round-robin
 //!   [`SimilarityDb`](neutraj_model::SimilarityDb) partitions scanned

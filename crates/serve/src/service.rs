@@ -13,6 +13,16 @@
 //! corpus, and nothing in between is observable (no torn reads). This is
 //! the std-only equivalent of arc-swap's load/store protocol.
 //!
+//! Building the next snapshot costs the new rows, not the corpus
+//! ([`Snapshot::inserted`]): the rows are embedded in one lockstep
+//! batch; the stored trajectories are shared between epochs in
+//! fixed-size chunks and a shard that receives no row is shared whole;
+//! the flat embedding matrix and the int8 codes — which the scans need
+//! contiguous — are copied once, straight into buffers sized for the new
+//! rows. The retired snapshot is freed after the pointer mutex is
+//! released, by whoever holds its last handle. `DESIGN.md` §13 has what
+//! is left that grows with the corpus and the designs that were rejected.
+//!
 //! # Adaptive micro-batching
 //!
 //! Single queries enter a coalescing queue. The scheduler dispatches a
@@ -134,6 +144,8 @@ struct ServeMetrics {
     coalesce_seconds: Histogram,
     request_seconds: Histogram,
     snapshot_epoch: Gauge,
+    insert_seconds: Histogram,
+    insert_rows_total: Counter,
     rejects_total: Counter,
     shed_total: Counter,
     deadline_expired_total: Counter,
@@ -151,6 +163,8 @@ impl ServeMetrics {
             coalesce_seconds: registry.histogram(names::SERVE_COALESCE_SECONDS),
             request_seconds: registry.histogram(names::SERVE_REQUEST_SECONDS),
             snapshot_epoch: registry.gauge(names::SERVE_SNAPSHOT_EPOCH),
+            insert_seconds: registry.histogram(names::SERVE_INSERT_SECONDS),
+            insert_rows_total: registry.counter(names::SERVE_INSERT_ROWS_TOTAL),
             rejects_total: registry.counter(names::DB_REJECTS_TOTAL),
             shed_total: registry.counter(names::SERVE_SHED_TOTAL),
             deadline_expired_total: registry.counter(names::SERVE_DEADLINE_EXPIRED_TOTAL),
@@ -550,27 +564,56 @@ impl SimilarityService {
     /// the new **global** index. In-flight readers keep the old snapshot
     /// until they next ask for one.
     pub fn insert(&self, t: Trajectory) -> Result<usize, ServeError> {
-        let _writer = lock_recover(&self.shared.write_lock);
-        let current = self.snapshot();
-        let idx = current.len();
-        let next = current.inserted(std::slice::from_ref(&t))?;
-        self.publish(next);
-        Ok(idx)
+        self.rotate(std::slice::from_ref(&t))
     }
 
     /// Inserts many trajectories as one epoch step (all-or-nothing).
     pub fn insert_batch(&self, ts: Vec<Trajectory>) -> Result<(), ServeError> {
+        self.rotate(&ts).map(|_| ())
+    }
+
+    /// One epoch step: builds the successor of the served snapshot with
+    /// `ts` appended and publishes it; returns the global index of the
+    /// first new row. A rejected batch publishes nothing and counts into
+    /// `neutraj_db_rejects_total`. The recorded time includes the wait
+    /// for the writer lock — it is what an inserting caller sees.
+    fn rotate(&self, ts: &[Trajectory]) -> Result<usize, ServeError> {
+        let called = Instant::now();
         let _writer = lock_recover(&self.shared.write_lock);
-        let next = self.snapshot().inserted(&ts)?;
-        self.publish(next);
-        Ok(())
+        let current = self.snapshot();
+        let built = current.inserted(ts);
+        let m = self.shared.metrics.as_ref();
+        match built {
+            Ok(next) => {
+                self.publish(next);
+                if let Some(m) = m {
+                    m.insert_rows_total.add(ts.len() as u64);
+                    m.insert_seconds.observe(called.elapsed().as_secs_f64());
+                }
+                Ok(current.len())
+            }
+            Err(e) => {
+                if let Some(m) = m {
+                    m.rejects_total.inc();
+                }
+                Err(e.into())
+            }
+        }
     }
 
     /// The swap — the only instant the snapshot mutex is held by a
-    /// writer, and it holds no other work.
+    /// writer, and it holds no other work: the next `Arc` is built before
+    /// the lock is taken and the retired one is dropped after it is
+    /// released, so a reader waiting for the pointer never waits for an
+    /// allocation or for a corpus being freed.
     fn publish(&self, next: Snapshot) {
         let epoch = next.epoch();
-        *lock_recover(&self.shared.snapshot) = Arc::new(next);
+        let next = Arc::new(next);
+        let retired = {
+            let mut served = lock_recover(&self.shared.snapshot);
+            std::mem::replace(&mut *served, next)
+        };
+        drop(retired);
         if let Some(m) = &self.shared.metrics {
             m.snapshot_epoch.set(epoch as f64);
         }

@@ -2,8 +2,10 @@
 //!
 //! A [`Snapshot`] is the unit of epoch rotation: readers clone an
 //! `Arc<Snapshot>` and scan it without any coordination; writers build
-//! the *next* snapshot off to the side (copy-on-write) and publish it
-//! with a pointer swap. A snapshot holds `S` round-robin shards, each a
+//! the *next* snapshot off to the side (copy-on-write, sharing with the
+//! old one whatever the new rows do not change — see
+//! [`Snapshot::inserted`]) and publish it with a pointer swap. A
+//! snapshot holds `S` round-robin shards, each a
 //! complete [`SimilarityDb`] partition (embeddings + optional per-shard
 //! IVF index and int8 view), scanned independently and merged under the
 //! scan's `(dist, index)` total order.
@@ -33,6 +35,7 @@ use neutraj_model::{rerank_exact, AnnParams, DbError, HnswParams, NeuTrajModel, 
 use neutraj_trajectory::Trajectory;
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Signature of the test-only scan fault injector: called with the shard
@@ -123,7 +126,10 @@ impl ShardConfig {
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     epoch: u64,
-    shards: Vec<SimilarityDb>,
+    /// Shared with the snapshots this one was rotated from and into: a
+    /// shard that receives no row of an insert is the same allocation in
+    /// both epochs.
+    shards: Vec<Arc<SimilarityDb>>,
     len: usize,
     /// What the shards were built with — retained so a saved snapshot
     /// can rebuild its per-shard views on load (the index params are not
@@ -173,7 +179,7 @@ impl Snapshot {
             if cfg.quantized {
                 db.build_quantized_store();
             }
-            shards.push(db);
+            shards.push(Arc::new(db));
         }
         Ok(Self {
             epoch: 0,
@@ -253,22 +259,46 @@ impl Snapshot {
     }
 
     /// The next snapshot with `ts` appended — copy-on-write: `self` is
-    /// untouched (readers holding it drain undisturbed), the clone
-    /// absorbs the inserts (each shard's IVF/quantized structures stay in
-    /// lockstep via [`SimilarityDb::insert`]), and the epoch advances.
-    /// All-or-nothing on invalid input for free: a rejected trajectory
-    /// discards the half-built clone.
+    /// untouched (readers holding it drain undisturbed) and the epoch
+    /// advances. The batch is dealt round-robin like the corpus was, and
+    /// each shard that receives rows is replaced by its
+    /// [`SimilarityDb::inserted`] successor (one lockstep embed of its
+    /// rows, every view kept in step); a shard that receives none is
+    /// shared with `self`. All-or-nothing: every trajectory is validated
+    /// before any is embedded, and the first invalid one, in batch order,
+    /// is the error.
     pub fn inserted(&self, ts: &[Trajectory]) -> Result<Self, DbError> {
-        let mut next = self.clone();
-        next.epoch += 1;
-        let s = next.shards.len();
+        // A shard validates its own rows again; this pass is what keeps a
+        // reject in one shard from costing another shard's embed.
         for t in ts {
-            let g = next.len;
-            let local = next.shards[g % s].insert(t.clone())?;
-            debug_assert_eq!(local, g / s, "round-robin placement drifted");
-            next.len += 1;
+            t.validate()
+                .map_err(|reason| DbError::InvalidTrajectory { id: t.id, reason })?;
         }
-        Ok(next)
+        let s = self.shards.len();
+        let mut parts: Vec<Vec<Trajectory>> = vec![Vec::new(); s];
+        for (k, t) in ts.iter().enumerate() {
+            parts[(self.len + k) % s].push(t.clone());
+        }
+        let threads = self.cfg.build_threads.max(1);
+        let mut shards = self.shards.clone();
+        for (shard, part) in shards.iter_mut().zip(&parts) {
+            if !part.is_empty() {
+                *shard = Arc::new(shard.inserted(part, threads)?);
+            }
+        }
+        Ok(Self {
+            epoch: self.epoch + 1,
+            shards,
+            len: self.len + ts.len(),
+            cfg: self.cfg.clone(),
+        })
+    }
+
+    /// Whether shard `s` is the same allocation here and in `other` —
+    /// a test probe for the sharing [`Snapshot::inserted`] promises.
+    #[doc(hidden)]
+    pub fn shares_shard(&self, other: &Self, s: usize) -> bool {
+        Arc::ptr_eq(&self.shards[s], &other.shards[s])
     }
 
     /// Answers one ad-hoc query — identical semantics (and, in exact

@@ -17,8 +17,9 @@ use neutraj_serve::{
     Priority, QuerySpec, ServeError, ServeRequest, ServiceConfig, SimilarityService,
 };
 use neutraj_trajectory::{BoundingBox, Grid, Point, Trajectory};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 fn model() -> NeuTrajModel {
@@ -622,4 +623,141 @@ fn invalid_service_configs_are_rejected_at_construction() {
         bad_configs.len() as u64,
         "every construction rejection must count"
     );
+}
+
+/// Adds every series of `registry` that is nonzero right now to `seen`.
+fn note_moved(registry: &Registry, seen: &mut BTreeSet<String>) {
+    let report = registry.snapshot();
+    seen.extend(
+        report
+            .counters
+            .into_iter()
+            .filter_map(|(n, v)| (v > 0).then_some(n)),
+    );
+    seen.extend(
+        report
+            .gauges
+            .into_iter()
+            .filter_map(|(n, v)| (v != 0.0).then_some(n)),
+    );
+    seen.extend(
+        report
+            .histograms
+            .into_iter()
+            .filter_map(|h| (h.count > 0).then_some(h.name)),
+    );
+}
+
+/// The metric catalogue, service half: one instrumented service is driven
+/// through a normal batch, an overloaded burst, a deadline expiry, a
+/// degraded batch, a quarantined shard, an insert and a rejected insert;
+/// afterwards every series the service registered must have moved at
+/// some point. A registered series that nothing can move is a bug (the
+/// database half is `db::tests::each_scan_path_moves_its_own_series_and_no_other`).
+#[test]
+fn every_registered_serve_series_moves() {
+    // Registered series no scenario below is expected to move. Empty on
+    // purpose: add a name only with the reason it cannot be driven here.
+    const NOT_APPLICABLE: [&str; 0] = [];
+
+    silence_injected_panics();
+    let registry = Registry::new();
+    let cfg = ServiceConfig {
+        nshards: 2,
+        quantized: true,
+        max_queue: 4,
+        max_batch: 8,
+        degrade_watermark: 3,
+        batch_deadline: Duration::from_millis(2),
+        quarantine_backoff: Duration::from_millis(1),
+        ..ServiceConfig::default()
+    };
+    let service = SimilarityService::with_metrics(model(), corpus(30), &cfg, &registry).unwrap();
+    let query = traj(9500, 10);
+    let spec = QuerySpec::new(5);
+    let request = |id: u64| ServeRequest::new(id, query.clone(), spec);
+    let mut moved = BTreeSet::new();
+
+    // A normal batch: a lone request, under every watermark. It leaves
+    // the coalescing target at one, so the next request dispatches alone.
+    let resp = service.query(request(1)).unwrap();
+    assert!(!resp.degraded && !resp.partial);
+    note_moved(&registry, &mut moved);
+
+    // The next scan meets the test at the barrier twice — once to say it
+    // has started, once to be let go — so the queue behind it is filled
+    // while the scheduler provably cannot drain it.
+    let gate = Arc::new(Barrier::new(2));
+    let first = AtomicBool::new(true);
+    let hook = Arc::clone(&gate);
+    service.set_scan_fault(Some(Arc::new(move |_shard| {
+        if first.swap(false, Ordering::SeqCst) {
+            hook.wait();
+            hook.wait();
+        }
+        false
+    })));
+    let held = service.submit(request(2));
+    gate.wait();
+    // Behind the held scan: one request that is already out of time, three
+    // that fill the queue to its bound of four, three more that are shed.
+    let expired = service.submit(request(3).with_deadline(Duration::ZERO));
+    let queued: Vec<_> = (4..7).map(|id| service.submit(request(id))).collect();
+    let shed: Vec<_> = (7..10).map(|id| service.submit(request(id))).collect();
+    note_moved(&registry, &mut moved); // the queue-depth gauge reads 4 now
+    gate.wait();
+    assert!(held.recv().unwrap().is_ok());
+    assert!(matches!(
+        expired.recv().unwrap(),
+        Err(ServeError::DeadlineExceeded)
+    ));
+    for rx in shed {
+        assert!(matches!(
+            rx.recv().unwrap(),
+            Err(ServeError::Overloaded { .. })
+        ));
+    }
+    // The three survivors leave as one batch at queue depth 3, which is
+    // the degrade watermark: answered through the int8 view, and tagged.
+    for rx in queued {
+        assert!(rx.recv().unwrap().unwrap().degraded);
+    }
+
+    // A quarantined shard.
+    service.set_scan_fault(Some(Arc::new(|shard| shard == 1)));
+    assert!(service.query(request(10)).unwrap().partial);
+    service.set_scan_fault(None);
+
+    // An insert, and a rejected one.
+    service.insert(traj(30, 9)).unwrap();
+    let poisoned = vec![
+        traj(31, 9),
+        Trajectory::new_unchecked(32, vec![]),
+        traj(33, 9),
+    ];
+    assert!(service.insert_batch(poisoned).is_err());
+    note_moved(&registry, &mut moved);
+
+    let report = registry.snapshot();
+    let registered: Vec<String> = (report.counters.into_iter().map(|(n, _)| n))
+        .chain(report.gauges.into_iter().map(|(n, _)| n))
+        .chain(report.histograms.into_iter().map(|h| h.name))
+        .filter(|n| n.starts_with("neutraj_serve_") || n == names::DB_REJECTS_TOTAL)
+        .collect();
+    for name in [
+        names::DB_REJECTS_TOTAL,
+        names::SERVE_QUEUE_DEPTH,
+        names::SERVE_INSERT_SECONDS,
+        names::SERVE_INSERT_ROWS_TOTAL,
+    ] {
+        assert!(
+            registered.iter().any(|n| n == name),
+            "{name} is not registered"
+        );
+    }
+    let stuck: Vec<&String> = registered
+        .iter()
+        .filter(|n| !moved.contains(*n) && !NOT_APPLICABLE.contains(&n.as_str()))
+        .collect();
+    assert!(stuck.is_empty(), "series that never moved: {stuck:?}");
 }

@@ -2,9 +2,18 @@
 //! never see a torn corpus — every answer equals the reference result of
 //! exactly one published epoch, old snapshots keep serving until the
 //! swap, and the final epoch serves the final corpus.
+//!
+//! The second half pins what a rotation shares with the snapshot it came
+//! from (DESIGN.md §13): a chain of `Snapshot::inserted` calls equals the
+//! row-by-row deep-copy oracle bit for bit, forks stay independent, and
+//! the sharing is observed through pointer-equality probes, not assumed.
 
-use neutraj_model::{BackboneKind, NeuTrajModel, TrainConfig};
-use neutraj_serve::{QuerySpec, ServeRequest, ServiceConfig, SimilarityService, Snapshot};
+use neutraj_measures::MeasureKind;
+use neutraj_model::{AnnParams, BackboneKind, HnswParams, NeuTrajModel, SimilarityDb, TrainConfig};
+use neutraj_obs::{names, Registry};
+use neutraj_serve::{
+    QuerySpec, ServeError, ServeRequest, ServiceConfig, ShardConfig, SimilarityService, Snapshot,
+};
 use neutraj_trajectory::{BoundingBox, Grid, Point, Trajectory};
 use std::time::Duration;
 
@@ -399,4 +408,281 @@ fn batch_insert_publishes_one_epoch() {
     assert!(service.insert_batch(poisoned).is_err());
     assert_eq!(service.epoch(), 1);
     assert_eq!(service.len(), 30);
+}
+
+/// A rejected insert is typed, counted once, and publishes nothing: the
+/// served snapshot is the very one that was served before the call.
+#[test]
+fn rejected_insert_is_typed_counted_and_changes_nothing() {
+    let registry = Registry::new();
+    let initial: Vec<Trajectory> = (0..20).map(|i| traj(i as u64, 5 + (i * 3) % 17)).collect();
+    let cfg = ServiceConfig {
+        nshards: 2,
+        ..ServiceConfig::default()
+    };
+    let service = SimilarityService::with_metrics(model(), initial, &cfg, &registry).unwrap();
+    let rejects = || registry.counter(names::DB_REJECTS_TOTAL).get();
+    let queries: Vec<Trajectory> = (0..4).map(|i| traj(5000 + i, 9)).collect();
+    let spec = QuerySpec::new(5);
+    let before = service.snapshot();
+    let answers = before.search_batch(&queries, &spec, 1).unwrap();
+
+    let poisoned = vec![
+        traj(20, 8),
+        Trajectory::new_unchecked(21, vec![]),
+        traj(22, 8),
+    ];
+    let err = service.insert_batch(poisoned).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            ServeError::Db(neutraj_model::DbError::InvalidTrajectory { id: 21, .. })
+        ),
+        "{err:?}"
+    );
+    assert_eq!(rejects(), 1);
+    let nan = traj(23, 6).map_points(|p| Point::new(f64::NAN, p.y));
+    assert!(service.insert(nan).is_err());
+    assert_eq!(rejects(), 2);
+
+    assert_eq!((service.len(), service.epoch()), (20, 0));
+    assert!(
+        std::sync::Arc::ptr_eq(&before, &service.snapshot()),
+        "a rejected insert published a snapshot"
+    );
+    for (q, want) in queries.iter().zip(&answers) {
+        let got = service
+            .query(ServeRequest::new(1, q.clone(), spec))
+            .unwrap();
+        assert_eq!((got.epoch, &got.neighbors), (0, want));
+    }
+    // Nothing was appended, so nothing was recorded as appended.
+    assert_eq!(registry.counter(names::SERVE_INSERT_ROWS_TOTAL).get(), 0);
+    assert_eq!(registry.histogram(names::SERVE_INSERT_SECONDS).count(), 0);
+
+    // And the write path still works, and says so.
+    service
+        .insert_batch(vec![traj(20, 8), traj(22, 8)])
+        .unwrap();
+    assert_eq!(service.insert(traj(24, 7)).unwrap(), 22);
+    assert_eq!((service.len(), service.epoch()), (23, 2));
+    assert_eq!(rejects(), 2);
+    assert_eq!(registry.counter(names::SERVE_INSERT_ROWS_TOTAL).get(), 3);
+    assert_eq!(registry.histogram(names::SERVE_INSERT_SECONDS).count(), 2);
+}
+
+/// Rows per shared trajectory chunk, found through the sharing probe
+/// rather than mirrored from `db.rs`: the size at which a growing
+/// database first reports a full chunk.
+fn chunk_rows(m: &NeuTrajModel) -> usize {
+    let mut db = SimilarityDb::new(m.clone());
+    while db.shared_row_chunks(&db).1 == 0 {
+        assert!(db.len() < 4096, "no full chunk after {} rows", db.len());
+        db.insert(traj(db.len() as u64, 2)).unwrap();
+    }
+    db.len()
+}
+
+/// The section bytes of each view a shard carries.
+fn view_bytes(db: &SimilarityDb) -> [Option<Vec<u8>>; 3] {
+    [
+        db.ann_index().map(|v| v.to_bytes()),
+        db.graph_index().map(|v| v.to_bytes()),
+        db.quantized_store().map(|v| v.to_bytes()),
+    ]
+}
+
+/// (a) + (c): for 1–3 shards and each view, one chain of rotations that
+/// starts every shard one row short of a full chunk, so its steps insert
+/// from `len % CHUNK` = CHUNK − 1, 0 and 1. After every step each shard
+/// equals the oracle — a deep copy grown by one scalar-embedded `insert`
+/// per row — in store, view bytes, rows and answers; every full chunk of
+/// a touched shard and every untouched shard is the parent's by pointer;
+/// and the parent still is what it was.
+#[test]
+fn rotation_chain_equals_the_row_by_row_oracle_and_shares_what_it_can() {
+    let m = model();
+    let chunk = chunk_rows(&m);
+    let ann = AnnParams {
+        nlists: 4,
+        ..AnnParams::default()
+    };
+    let views: [(&str, ShardConfig, QuerySpec); 4] = [
+        ("exact", ShardConfig::new(0), QuerySpec::new(5)),
+        (
+            "int8",
+            ShardConfig {
+                quantized: true,
+                ..ShardConfig::new(0)
+            },
+            QuerySpec::new(5).quantized(),
+        ),
+        (
+            "ivf",
+            ShardConfig {
+                ann: Some(ann),
+                ..ShardConfig::new(0)
+            },
+            QuerySpec::new(5).shortlist_ann(2),
+        ),
+        (
+            "graph",
+            ShardConfig {
+                graph: Some(HnswParams::default()),
+                ..ShardConfig::new(0)
+            },
+            QuerySpec::new(5).shortlist_graph(24),
+        ),
+    ];
+    let rerank = QuerySpec::new(3)
+        .shortlist(9)
+        .rerank(MeasureKind::Hausdorff);
+    let queries: Vec<Trajectory> = (0..3).map(|i| traj(7000 + i, 6 + 2 * i as usize)).collect();
+
+    for nshards in 1..=3usize {
+        let start = nshards * (chunk - 1);
+        let batches = [1, nshards - 1, nshards, nshards + 1, 8];
+        let total = start + batches.iter().sum::<usize>();
+        let all: Vec<Trajectory> = (0..total)
+            .map(|i| traj(i as u64, 3 + (i * 7) % 13))
+            .collect();
+        for (view, cfg, spec) in &views {
+            let cfg = ShardConfig {
+                nshards,
+                ..cfg.clone()
+            };
+            let mut parent = Snapshot::build(&m, all[..start].to_vec(), &cfg).unwrap();
+            let mut oracle: Vec<SimilarityDb> =
+                (0..nshards).map(|s| parent.shard(s).clone()).collect();
+            let mut shared_chunks = 0;
+            for n in batches {
+                let at = parent.len();
+                let what = format!("{view}, {nshards} shards, +{n} at {at}");
+                let before = parent.search_batch(&queries, spec, 1).unwrap();
+                let child = parent.inserted(&all[at..at + n]).unwrap();
+                for g in at..at + n {
+                    oracle[g % nshards].insert(all[g].clone()).unwrap();
+                }
+
+                assert_eq!((child.len(), child.epoch()), (at + n, parent.epoch() + 1));
+                for (g, t) in all[..at + n].iter().enumerate() {
+                    assert_eq!(child.trajectory(g), Some(t), "{what}: row {g}");
+                }
+                assert_eq!(child.trajectory(at + n), None, "{what}");
+                for (s, want) in oracle.iter().enumerate() {
+                    let got = child.shard(s);
+                    assert_eq!(got.len(), want.len(), "{what}: shard {s} len");
+                    assert!(got.store() == want.store(), "{what}: shard {s} store");
+                    assert!(
+                        view_bytes(got) == view_bytes(want),
+                        "{what}: shard {s} view bytes"
+                    );
+                    for sp in [spec, &rerank] {
+                        assert_eq!(
+                            sp.with_query(|q| got.search_batch(&queries, q)).unwrap(),
+                            sp.with_query(|q| want.search_batch(&queries, q)).unwrap(),
+                            "{what}: shard {s} answers of {sp:?}"
+                        );
+                    }
+                    // Rows at + k with (at + k) % nshards == s landed here.
+                    let touched = (at..at + n).any(|g| g % nshards == s);
+                    assert_eq!(
+                        child.shares_shard(&parent, s),
+                        !touched,
+                        "{what}: shard {s}"
+                    );
+                    let (shared, full) = got.shared_row_chunks(parent.shard(s));
+                    assert_eq!(full, parent.shard(s).len() / chunk, "{what}: shard {s}");
+                    assert_eq!(shared, full, "{what}: shard {s} copied a full chunk");
+                    shared_chunks += shared;
+                }
+                // The exact scan and the re-rank do not depend on how a
+                // snapshot came to be: the bulk build is a second oracle.
+                let bulk = Snapshot::build(&m, all[..at + n].to_vec(), &ShardConfig::new(nshards));
+                let bulk = bulk.unwrap();
+                for sp in [QuerySpec::new(5), rerank] {
+                    assert_eq!(
+                        child.search_batch(&queries, &sp, 1).unwrap(),
+                        bulk.search_batch(&queries, &sp, 1).unwrap(),
+                        "{what}: snapshot answers of {sp:?}"
+                    );
+                }
+                // Copy-on-write: the parent is what it was.
+                assert_eq!(parent.len(), at, "{what}: parent grew");
+                assert_eq!(
+                    parent.search_batch(&queries, spec, 1).unwrap(),
+                    before,
+                    "{what}: parent answers moved"
+                );
+                parent = child;
+            }
+            assert!(
+                shared_chunks > 0,
+                "{view}, {nshards} shards: nothing was shared"
+            );
+        }
+    }
+}
+
+/// (b): two different rotations off one parent never see each other's
+/// rows, and the parent sees neither's.
+#[test]
+fn forked_rotations_are_independent() {
+    let m = model();
+    let chunk = chunk_rows(&m);
+    let n0 = 2 * (chunk + 7); // both shards end in a partly filled chunk
+    let all: Vec<Trajectory> = (0..n0 + 20)
+        .map(|i| traj(i as u64, 3 + (i * 5) % 11))
+        .collect();
+    let cfg = ShardConfig {
+        quantized: true,
+        ..ShardConfig::new(2)
+    };
+    let parent = Snapshot::build(&m, all[..n0].to_vec(), &cfg).unwrap();
+    let queries: Vec<Trajectory> = (0..3).map(|i| traj(8000 + i, 8)).collect();
+    let spec = QuerySpec::new(6).quantized();
+    let before = parent.search_batch(&queries, &spec, 1).unwrap();
+
+    let left = parent.inserted(&all[n0..n0 + 3]).unwrap();
+    let right = parent.inserted(&all[n0 + 10..n0 + 15]).unwrap();
+    for (fork, rows) in [(&left, &all[n0..n0 + 3]), (&right, &all[n0 + 10..n0 + 15])] {
+        assert_eq!((fork.len(), fork.epoch()), (n0 + rows.len(), 1));
+        for (k, t) in rows.iter().enumerate() {
+            assert_eq!(fork.trajectory(n0 + k), Some(t));
+        }
+        assert_eq!(fork.trajectory(n0 + rows.len()), None);
+        let mut grown = all[..n0].to_vec();
+        grown.extend_from_slice(rows);
+        let want = Snapshot::build(&m, grown, &cfg).unwrap();
+        assert_eq!(
+            fork.search_batch(&queries, &spec, 1).unwrap(),
+            want.search_batch(&queries, &spec, 1).unwrap()
+        );
+    }
+    assert_eq!((parent.len(), parent.epoch()), (n0, 0));
+    assert_eq!(parent.trajectory(n0), None);
+    assert_eq!(parent.search_batch(&queries, &spec, 1).unwrap(), before);
+}
+
+/// (e): the bulk load fills whole chunks — a 20k-row build leaves every
+/// shard with `len / CHUNK` full chunks and at most one partial one, so
+/// set-up pays no per-row copy for the sharing.
+#[test]
+fn bulk_load_fills_whole_chunks() {
+    let m = model();
+    let chunk = chunk_rows(&m);
+    let corpus: Vec<Trajectory> = (0..20_000).map(|i| traj(i as u64, 1)).collect();
+    let cfg = ShardConfig {
+        build_threads: 2,
+        ..ShardConfig::new(3)
+    };
+    let snapshot = Snapshot::build(&m, corpus, &cfg).unwrap();
+    for s in 0..3 {
+        let db = snapshot.shard(s);
+        assert_eq!(db.len(), 20_000 / 3 + usize::from(s < 20_000 % 3));
+        assert_eq!(
+            db.shared_row_chunks(db),
+            (db.len() / chunk, db.len() / chunk)
+        );
+    }
 }
