@@ -9,7 +9,8 @@
 //!   `knn_naive` (per-row `euclidean_sq` + full top-k buffer), over
 //!   synthetic corpora of N ∈ {10k, 100k} embeddings at d = 32.
 //! * **embed** — `NeuTrajModel::embed_batch` (lockstep per-timestep
-//!   GEMM forward) against a per-trajectory `embed` loop, B = 32, for
+//!   GEMM forward) against a per-trajectory scalar-forward loop
+//!   (`Backbone::forward_frozen`), B = 32, for
 //!   all three backbones.
 //! * **serving** — the end-to-end `SimilarityDb::search_batch` pipeline
 //!   (embed → GEMM scan → exact re-rank) with metrics *disabled* vs
@@ -488,15 +489,22 @@ fn bench_embed(kind: BackboneKind, dim: usize, batch: usize, seed: u64) -> Embed
         .map(|i| synth_traj(i, 20 + (i as usize * 7) % 41))
         .collect();
 
+    // The scalar baseline is the per-sequence tape-recording forward
+    // (`embed` is itself a lockstep batch of one).
+    let scalar = |t: &Trajectory| {
+        let (coords, cells) = model.seq_inputs(t);
+        model.backbone().forward_frozen(&coords, &cells)
+    };
+
     // Bit-identity check before timing.
     let batched = model.embed_batch(&ts);
     for (t, got) in ts.iter().zip(&batched) {
-        assert_eq!(&model.embed(t), got, "{backbone}: batched embed diverged");
+        assert_eq!(&scalar(t), got, "{backbone}: batched embed diverged");
     }
 
     let scalar_qps = time_qps(ts.len(), || {
         for t in &ts {
-            std::hint::black_box(model.embed(t));
+            std::hint::black_box(scalar(t));
         }
     });
     let batched_qps = time_qps(ts.len(), || {

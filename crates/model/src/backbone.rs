@@ -2,8 +2,8 @@
 
 use crate::config::{BackboneKind, TrainConfig};
 use neutraj_nn::{
-    Adam, GruCache, GruEncoder, GruGrads, LstmCache, LstmEncoder, LstmGrads, MemoryMode, SamGrads,
-    SamLstmEncoder, SamSeqRef, SamTapeRef, Workspace, WriteLog,
+    Adam, GruCache, GruCell, GruGrads, LstmCache, LstmCell, LstmGrads, MemoryMode, SamGrads,
+    SamLstmEncoder, SamSeqRef, SamTapeRef, SamTapes, Workspace, WriteLog,
 };
 use neutraj_obs::{Histogram, Registry};
 use neutraj_trajectory::{Grid, Trajectory};
@@ -83,7 +83,10 @@ fn part_len(len: usize, threads: usize) -> usize {
 
 /// A recurrent encoder backbone (SAM-LSTM / LSTM / GRU) with uniform
 /// forward/backward/optimize entry points so the trainer is
-/// architecture-agnostic.
+/// architecture-agnostic. Each arm is one `neutraj_nn` cell and its three
+/// entry points (`forward_train`, `forward_batch`, `backward`); the SAM
+/// arm holds the cell inside the encoder that owns its memory, scan width
+/// and batch tapes.
 // One backbone per model, never collected: the SAM variant's inline tape
 // bookkeeping costs nothing a `Box` would save.
 #[allow(clippy::large_enum_variant)]
@@ -92,9 +95,9 @@ pub enum Backbone {
     /// SAM-augmented LSTM with its spatial memory.
     Sam(SamLstmEncoder),
     /// Plain LSTM.
-    Lstm(LstmEncoder),
+    Lstm(LstmCell),
     /// GRU.
-    Gru(GruEncoder),
+    Gru(GruCell),
 }
 
 /// BPTT cache matching the backbone that produced it.
@@ -157,8 +160,8 @@ impl Backbone {
                 cfg.scan_width,
                 cfg.seed,
             )),
-            BackboneKind::Lstm => Backbone::Lstm(LstmEncoder::new(cfg.dim, cfg.seed)),
-            BackboneKind::Gru => Backbone::Gru(GruEncoder::new(cfg.dim, cfg.seed)),
+            BackboneKind::Lstm => Backbone::Lstm(LstmCell::new(cfg.dim, cfg.seed)),
+            BackboneKind::Gru => Backbone::Gru(GruCell::new(cfg.dim, cfg.seed)),
         }
     }
 
@@ -166,8 +169,8 @@ impl Backbone {
     pub fn dim(&self) -> usize {
         match self {
             Self::Sam(e) => e.cell.dim(),
-            Self::Lstm(e) => e.cell.dim(),
-            Self::Gru(e) => e.cell.dim(),
+            Self::Lstm(c) => c.dim(),
+            Self::Gru(c) => c.dim(),
         }
     }
 
@@ -175,50 +178,58 @@ impl Backbone {
     pub fn num_params(&self) -> usize {
         match self {
             Self::Sam(e) => e.cell.num_params(),
-            Self::Lstm(e) => e.cell.num_params(),
-            Self::Gru(e) => e.cell.num_params(),
+            Self::Lstm(c) => c.num_params(),
+            Self::Gru(c) => c.num_params(),
         }
     }
 
-    /// Inference-mode forward: read-only, shareable across threads.
+    /// The scalar reference of the inference forward: one sequence
+    /// through the tape-recording `forward_train` (memory read-only), its
+    /// cache dropped. Production embeds through
+    /// [`Self::embed_batch_frozen`]; the bit-identity tests and
+    /// `bench_query`'s baseline column compare that against this.
     pub fn forward_frozen(&self, coords: &[(f64, f64)], cells: &[(u32, u32)]) -> Vec<f64> {
+        let ws = &mut Workspace::new();
         match self {
-            Self::Sam(e) => e.forward_frozen(coords, cells).0,
-            Self::Lstm(e) => e.forward(coords).0,
-            Self::Gru(e) => e.forward(coords).0,
+            Self::Sam(e) => {
+                let mut tapes = SamTapes::default();
+                e.cell
+                    .layout_tapes(&mut tapes, e.scan_width, std::iter::once(coords.len()));
+                let (mode, tape) = (MemoryMode::Frozen(&e.memory), &mut tapes.tapes_mut()[0]);
+                e.cell
+                    .forward_train(coords, cells, mode, e.scan_width, ws, tape)
+            }
+            Self::Lstm(c) => c.forward_train(coords, ws).0,
+            Self::Gru(c) => c.forward_train(coords, ws).0,
         }
     }
 
     /// Lockstep batched inference-mode forward: all sequences advance one
-    /// timestep together so each step's gate computation is one GEMM (see
-    /// [`neutraj_nn::LstmCell::forward_coords_batch_ws`]). Read-only and
+    /// timestep together so each step's gate computation is one GEMM (each
+    /// cell's `forward_batch`, one shared driver). Read-only and
     /// **bit-identical** to calling [`Self::forward_frozen`] per sequence;
     /// results are returned in input order.
     pub fn embed_batch_frozen(&self, inputs: &[&SeqInputs], ws: &mut Workspace) -> Vec<Vec<f64>> {
+        let coords = || inputs.iter().map(|(c, _)| c.as_slice()).collect::<Vec<_>>();
         match self {
             Self::Sam(e) => {
                 let refs: Vec<SamSeqRef<'_>> = inputs
                     .iter()
                     .map(|(c, g)| (c.as_slice(), g.as_slice()))
                     .collect();
-                e.forward_frozen_batch_ws(&refs, ws)
+                e.cell.forward_batch(&refs, &e.memory, e.scan_width, ws)
             }
-            Self::Lstm(e) => {
-                let refs: Vec<&[(f64, f64)]> = inputs.iter().map(|(c, _)| c.as_slice()).collect();
-                e.cell.forward_coords_batch_ws(&refs, ws)
-            }
-            Self::Gru(e) => {
-                let refs: Vec<&[(f64, f64)]> = inputs.iter().map(|(c, _)| c.as_slice()).collect();
-                e.cell.forward_coords_batch_ws(&refs, ws)
-            }
+            Self::Lstm(c) => c.forward_batch(&coords(), ws),
+            Self::Gru(c) => c.forward_batch(&coords(), ws),
         }
     }
 
     /// BPTT of one job of [`Self::backward_batch`] into `grads`, with one
     /// worker's scratch buffers.
     ///
-    /// Panics when `cache`/`grads` do not match the backbone variant.
-    fn backward_ws(
+    /// Panics when `cache`/`grads` do not match the backbone variant, or
+    /// when a SAM tape is from an earlier batch.
+    fn backward(
         &self,
         cache: &BackboneCache,
         d_emb: &[f64],
@@ -227,13 +238,13 @@ impl Backbone {
     ) {
         match (self, cache, grads) {
             (Self::Sam(e), BackboneCache::Sam(tape), BackboneGrads::Sam(g)) => {
-                e.backward_batch_tape(*tape, d_emb, g, ws)
+                e.cell.backward(e.tapes.get(*tape), &e.memory, d_emb, g, ws)
             }
-            (Self::Lstm(e), BackboneCache::Lstm(c), BackboneGrads::Lstm(g)) => {
-                e.backward_ws(c, d_emb, g, ws)
+            (Self::Lstm(cell), BackboneCache::Lstm(c), BackboneGrads::Lstm(g)) => {
+                cell.backward(c, d_emb, g, ws)
             }
-            (Self::Gru(e), BackboneCache::Gru(c), BackboneGrads::Gru(g)) => {
-                e.backward_ws(c, d_emb, g, ws)
+            (Self::Gru(cell), BackboneCache::Gru(c), BackboneGrads::Gru(g)) => {
+                cell.backward(c, d_emb, g, ws)
             }
             _ => panic!("backbone/cache/grads variant mismatch"),
         }
@@ -278,12 +289,12 @@ impl Backbone {
             let mut ws = Workspace::new();
             part.iter()
                 .map(|(coords, _cells)| match this {
-                    Backbone::Lstm(e) => {
-                        let (h, c) = e.forward_ws(coords, &mut ws);
+                    Backbone::Lstm(cell) => {
+                        let (h, c) = cell.forward_train(coords, &mut ws);
                         (h, BackboneCache::Lstm(c))
                     }
-                    Backbone::Gru(e) => {
-                        let (h, c) = e.forward_ws(coords, &mut ws);
+                    Backbone::Gru(cell) => {
+                        let (h, c) = cell.forward_train(coords, &mut ws);
                         (h, BackboneCache::Gru(c))
                     }
                     Backbone::Sam(_) => unreachable!("SAM handled above"),
@@ -352,7 +363,7 @@ impl Backbone {
                         base: snapshot,
                         log,
                     };
-                    out.push(cell.forward_into(coords, cells, mode, scan_width, ws, tape));
+                    out.push(cell.forward_train(coords, cells, mode, scan_width, ws, tape));
                 }
                 out
             });
@@ -395,7 +406,7 @@ impl Backbone {
         let reduce_group = |part: &[(&BackboneCache, &[f64])], ws: &mut Workspace| {
             let mut g = self.zero_grads();
             for (cache, d) in part {
-                self.backward_ws(cache, d, &mut g, ws);
+                self.backward(cache, d, &mut g, ws);
             }
             g
         };
@@ -447,15 +458,29 @@ impl Backbone {
 
     /// Ends a training run. For the SAM backbone this is the final memory
     /// refresh — the spatial memory is repopulated by one coherent writing
-    /// pass over `inputs` under the final parameters, in the given order,
-    /// so inference reads a memory whose contents match the trained
-    /// encoder — after which the training-only state (version rows, the
-    /// batch tape storage) is dropped. No-op for other backbones.
+    /// pass over `inputs` under the final parameters, in the given order
+    /// (per sequence: its forward into the encoder's tape storage, then
+    /// its commit — no fold in between, so a sequence costs what it
+    /// touches, not the grid), so inference reads a memory whose contents
+    /// match the trained encoder — after which the training-only state
+    /// (version rows, the batch tape storage) is dropped. No-op for other
+    /// backbones.
     pub fn finish_training(&mut self, inputs: &[SeqInputs]) {
         if let Self::Sam(e) = self {
             e.memory.reset();
+            let (mut ws, mut log) = (Workspace::new(), WriteLog::new());
             for (coords, cells) in inputs {
-                let _ = e.forward(coords, cells, true);
+                e.cell
+                    .layout_tapes(&mut e.tapes, e.scan_width, std::iter::once(coords.len()));
+                log.clear();
+                let mode = MemoryMode::Buffered {
+                    base: &e.memory,
+                    log: &mut log,
+                };
+                let tape = &mut e.tapes.tapes_mut()[0];
+                e.cell
+                    .forward_train(coords, cells, mode, e.scan_width, &mut ws, tape);
+                e.commit(&log);
             }
             e.end_training();
         }
@@ -476,8 +501,8 @@ impl Backbone {
     pub fn zero_grads(&self) -> BackboneGrads {
         match self {
             Self::Sam(e) => BackboneGrads::Sam(SamGrads::zeros_like(&e.cell)),
-            Self::Lstm(e) => BackboneGrads::Lstm(LstmGrads::zeros_like(&e.cell)),
-            Self::Gru(e) => BackboneGrads::Gru(GruGrads::zeros_like(&e.cell)),
+            Self::Lstm(c) => BackboneGrads::Lstm(LstmGrads::zeros_like(c)),
+            Self::Gru(c) => BackboneGrads::Gru(GruGrads::zeros_like(c)),
         }
     }
 
@@ -490,10 +515,10 @@ impl Backbone {
                 adam.register(e.cell.w_his.as_slice().len()),
                 adam.register(e.cell.b_his.len()),
             ],
-            Self::Lstm(e) => vec![adam.register(e.cell.p.as_slice().len())],
-            Self::Gru(e) => vec![
-                adam.register(e.cell.pzr.as_slice().len()),
-                adam.register(e.cell.ph.as_slice().len()),
+            Self::Lstm(c) => vec![adam.register(c.p.as_slice().len())],
+            Self::Gru(c) => vec![
+                adam.register(c.pzr.as_slice().len()),
+                adam.register(c.ph.as_slice().len()),
             ],
         }
     }
@@ -518,12 +543,12 @@ impl Backbone {
                 );
                 adam.step_scaled(slots[2], &mut e.cell.b_his, &g.b_his, scale);
             }
-            (Self::Lstm(e), BackboneGrads::Lstm(g)) => {
-                adam.step_scaled(slots[0], e.cell.p.as_mut_slice(), g.p.as_slice(), scale);
+            (Self::Lstm(c), BackboneGrads::Lstm(g)) => {
+                adam.step_scaled(slots[0], c.p.as_mut_slice(), g.p.as_slice(), scale);
             }
-            (Self::Gru(e), BackboneGrads::Gru(g)) => {
-                adam.step_scaled(slots[0], e.cell.pzr.as_mut_slice(), g.pzr.as_slice(), scale);
-                adam.step_scaled(slots[1], e.cell.ph.as_mut_slice(), g.ph.as_slice(), scale);
+            (Self::Gru(c), BackboneGrads::Gru(g)) => {
+                adam.step_scaled(slots[0], c.pzr.as_mut_slice(), g.pzr.as_slice(), scale);
+                adam.step_scaled(slots[1], c.ph.as_mut_slice(), g.ph.as_slice(), scale);
             }
             _ => panic!("backbone/grads variant mismatch"),
         }
@@ -595,11 +620,10 @@ impl NeuTrajModel {
         seq_inputs(&self.grid, t)
     }
 
-    /// Embeds one trajectory in `O(L)` (read-only; thread-safe via
-    /// [`NeuTrajModel::embed_all`]).
+    /// Embeds one trajectory in `O(L)`: [`Self::embed_batch`] of one, so
+    /// every production embed takes the same (lockstep) forward.
     pub fn embed(&self, t: &Trajectory) -> Vec<f64> {
-        let (coords, cells) = self.seq_inputs(t);
-        self.backbone.forward_frozen(&coords, &cells)
+        self.embed_batch(&[t]).pop().expect("one in, one out")
     }
 
     /// Sequences per lockstep GEMM round in [`Self::embed_batch`]. Large
@@ -608,11 +632,11 @@ impl NeuTrajModel {
     pub const MAX_EMBED_BATCH: usize = 256;
 
     /// Embeds many trajectories through the lockstep batched forward
-    /// (chunks of [`Self::MAX_EMBED_BATCH`]), bit-identical to calling
-    /// [`Self::embed`] per trajectory but one GEMM per timestep instead of
-    /// one matvec per trajectory per timestep. Read-only. Takes owned or
-    /// borrowed trajectories, so a caller holding them inside other
-    /// structures need not clone them into a slice.
+    /// (chunks of [`Self::MAX_EMBED_BATCH`]), bit-identical to the scalar
+    /// [`Backbone::forward_frozen`] per trajectory but one GEMM per
+    /// timestep instead of one matvec per trajectory per timestep.
+    /// Read-only. Takes owned or borrowed trajectories, so a caller holding
+    /// them inside other structures need not clone them into a slice.
     pub fn embed_batch<T: Borrow<Trajectory>>(&self, ts: &[T]) -> Vec<Vec<f64>> {
         EMBED_SCRATCH.with(|scratch| {
             let (ws, inputs) = &mut *scratch.borrow_mut();

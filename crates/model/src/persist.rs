@@ -26,7 +26,7 @@ use crate::config::{BackboneKind, TrainConfig};
 use crate::loss::RankedBatchLoss;
 use crate::similarity::Normalization;
 use neutraj_nn::linalg::Mat;
-use neutraj_nn::{GruEncoder, LstmEncoder, SamLstmEncoder, SpatialMemory};
+use neutraj_nn::{GruCell, LstmCell, SamLstmEncoder, SpatialMemory};
 use neutraj_trajectory::cursor::{PutLe, Reader, Truncated};
 use neutraj_trajectory::{BoundingBox, Grid};
 use std::fs::File;
@@ -291,14 +291,14 @@ pub(crate) fn encode_model(buf: &mut Vec<u8>, model: &NeuTrajModel) {
             buf.put_u32_le(e.scan_width);
             encode_memory(buf, &e.memory);
         }
-        Backbone::Lstm(e) => {
+        Backbone::Lstm(c) => {
             buf.put_u8(1);
-            encode_mat(buf, &e.cell.p);
+            encode_mat(buf, &c.p);
         }
-        Backbone::Gru(e) => {
+        Backbone::Gru(c) => {
             buf.put_u8(2);
-            encode_mat(buf, &e.cell.pzr);
-            encode_mat(buf, &e.cell.ph);
+            encode_mat(buf, &c.pzr);
+            encode_mat(buf, &c.ph);
         }
     }
 }
@@ -319,10 +319,29 @@ pub(crate) fn decode_model(data: &mut Reader<'_>) -> Result<NeuTrajModel, Persis
             let scan_width = data.u32()?;
             let memory = decode_memory(data)?;
             let dim = w_his.rows();
-            if p.rows() != 5 * dim || b_his.len() != dim || memory.dim() != dim {
+            if (p.rows(), p.cols()) != (5 * dim, dim + 3)
+                || w_his.cols() != 2 * dim
+                || b_his.len() != dim
+                || memory.dim() != dim
+            {
                 return Err(fail("inconsistent SAM tensor shapes"));
             }
-            let mut e = SamLstmEncoder::new(dim, memory.cols(), memory.rows(), scan_width, 0);
+            // The memory is indexed by the grid's cells, and the scan
+            // window sizes every BPTT tape step (`(2w+1)²` row ids).
+            let (cols, rows) = (grid.cols() as usize, grid.rows() as usize);
+            if (memory.cols(), memory.rows()) != (cols, rows)
+                || scan_width != config.scan_width
+                || scan_width as usize > cols.max(rows)
+            {
+                return Err(fail(format!(
+                    "SAM memory {}x{} / scan width {scan_width} against grid {cols}x{rows} / \
+                     configured width {}",
+                    memory.cols(),
+                    memory.rows(),
+                    config.scan_width
+                )));
+            }
+            let mut e = SamLstmEncoder::new(dim, cols, rows, scan_width, 0);
             e.cell.p = p;
             e.cell.w_his = w_his;
             e.cell.b_his = b_his;
@@ -334,13 +353,12 @@ pub(crate) fn decode_model(data: &mut Reader<'_>) -> Result<NeuTrajModel, Persis
             if p.rows() % 4 != 0 {
                 return Err(fail("LSTM weight rows not divisible by 4"));
             }
-            let dim = p.rows() / 4;
-            let mut e = LstmEncoder::new(dim, 0);
-            if e.cell.p.cols() != p.cols() {
+            let mut c = LstmCell::new(p.rows() / 4, 0);
+            if c.p.cols() != p.cols() {
                 return Err(fail("LSTM weight column mismatch"));
             }
-            e.cell.p = p;
-            Backbone::Lstm(e)
+            c.p = p;
+            Backbone::Lstm(c)
         }
         2 => {
             let pzr = decode_mat(data)?;
@@ -349,13 +367,13 @@ pub(crate) fn decode_model(data: &mut Reader<'_>) -> Result<NeuTrajModel, Persis
             if pzr.rows() != 2 * dim {
                 return Err(fail("GRU gate rows mismatch"));
             }
-            let mut e = GruEncoder::new(dim, 0);
-            if e.cell.pzr.cols() != pzr.cols() || e.cell.ph.cols() != ph.cols() {
+            let mut c = GruCell::new(dim, 0);
+            if c.pzr.cols() != pzr.cols() || c.ph.cols() != ph.cols() {
                 return Err(fail("GRU weight column mismatch"));
             }
-            e.cell.pzr = pzr;
-            e.cell.ph = ph;
-            Backbone::Gru(e)
+            c.pzr = pzr;
+            c.ph = ph;
+            Backbone::Gru(c)
         }
         other => return Err(fail(format!("unknown backbone tag {other}"))),
     };

@@ -1,5 +1,6 @@
 //! Property tests for the batched serving path: the lockstep GEMM
-//! forward must be bit-identical to the scalar embed for every backbone,
+//! forward must be bit-identical to the scalar (tape-recording,
+//! per-sequence) forward for every backbone,
 //! batch size and length mix, and batched norm-trick scans must return
 //! exactly the scalar scan's neighbours — tie ordering included.
 
@@ -39,9 +40,17 @@ fn traj(id: u64, len: usize) -> Trajectory {
     )
 }
 
-/// Tentpole invariant: `embed_batch` is bit-identical to per-item
-/// `embed` for every backbone at batch sizes 1..=17 with mixed
-/// sequence lengths.
+/// The scalar oracle: one trajectory through `Backbone::forward_frozen`,
+/// the per-sequence forward that also records the BPTT cache. `embed` is
+/// itself a lockstep batch of one, so it cannot be the reference.
+fn scalar_embed(m: &NeuTrajModel, t: &Trajectory) -> Vec<f64> {
+    let (coords, cells) = m.seq_inputs(t);
+    m.backbone().forward_frozen(&coords, &cells)
+}
+
+/// Tentpole invariant: `embed_batch` is bit-identical to the per-item
+/// scalar forward for every backbone at batch sizes 1..=17 with mixed
+/// sequence lengths — and so is `embed`, the batch of one.
 #[test]
 fn embed_batch_bit_identical_to_scalar_embed() {
     cases(12, |rng| {
@@ -58,8 +67,15 @@ fn embed_batch_bit_identical_to_scalar_embed() {
             let batched = m.embed_batch(&ts);
             assert_eq!(batched.len(), ts.len());
             for (t, got) in ts.iter().zip(&batched) {
-                let want = m.embed(t);
+                let want = scalar_embed(&m, t);
                 assert_eq!(&want, got, "backbone {:?} diverged", kind);
+                assert_eq!(want, m.embed(t), "backbone {:?}: embed of one", kind);
+                assert_eq!(
+                    want,
+                    m.embed_batch(&[t])[0],
+                    "backbone {:?}: batch of one",
+                    kind
+                );
             }
         }
     });
@@ -119,7 +135,7 @@ fn small_batches_match_scalar_embed_and_knn() {
             let ts: Vec<Trajectory> = (0..b).map(|i| traj(i as u64, 3 + (i * 11) % 29)).collect();
             let batched = m.embed_batch(&ts);
             for (t, got) in ts.iter().zip(&batched) {
-                assert_eq!(&m.embed(t), got, "B={b} backbone {kind:?}");
+                assert_eq!(&scalar_embed(&m, t), got, "B={b} backbone {kind:?}");
             }
         }
         let queries: Vec<Vec<f64>> = (0..b)

@@ -4,11 +4,12 @@
 //! loaded file whose parameters differ from what was saved.
 
 use neutraj_model::{
-    AnnIndex, AnnParams, Checkpoint, EmbeddingStore, FaultyReader, FaultyWriter, HnswIndex,
-    HnswParams, NeuTrajModel, PersistError, QuantizedStore, ShortlistView, SimilarityDb,
-    TrainConfig, TrainState,
+    AnnIndex, AnnParams, Backbone, BackboneKind, Checkpoint, EmbeddingStore, FaultyReader,
+    FaultyWriter, HnswIndex, HnswParams, NeuTrajModel, PersistError, QuantizedStore, ShortlistView,
+    SimilarityDb, TrainConfig, TrainState,
 };
-use neutraj_nn::AdamState;
+use neutraj_nn::linalg::Mat;
+use neutraj_nn::{AdamState, SamLstmEncoder, SpatialMemory};
 use neutraj_trajectory::rng::cases;
 use neutraj_trajectory::{BoundingBox, Grid};
 use std::sync::OnceLock;
@@ -424,6 +425,66 @@ fn an_envelope_stripped_model_file_is_rejected() {
     let loaded = NeuTrajModel::load(&path);
     std::fs::remove_file(&path).ok();
     assert!(matches!(loaded, Err(PersistError::Format(_))));
+}
+
+/// A correctly sealed, CRC-valid SAM payload whose tensors do not fit
+/// each other is refused at load with a typed error: every one of these
+/// used to load `Ok` and then panic in the first product (`p`, `W_his`),
+/// read the wrong cells (memory grid) or abort on the tape allocation
+/// (scan width). Well-formed models of all three backbones still
+/// round-trip bit for bit.
+#[test]
+fn ill_shaped_sam_payloads_are_rejected_at_load() {
+    let grid = || Grid::new(BoundingBox::new(0.0, 0.0, 500.0, 500.0), 50.0).unwrap();
+    let sam = |scan_width| {
+        let cfg = TrainConfig {
+            dim: 4,
+            scan_width,
+            ..TrainConfig::neutraj()
+        };
+        NeuTrajModel::untrained(cfg, grid())
+    };
+    type Damage = fn(&mut SamLstmEncoder);
+    let damages: [(&str, u32, Damage); 5] = [
+        ("p columns", 2, |e| e.cell.p = Mat::zeros(20, 8)),
+        ("W_his columns", 2, |e| e.cell.w_his = Mat::zeros(4, 9)),
+        ("memory grid", 2, |e| {
+            e.memory = SpatialMemory::new(11, 10, 4)
+        }),
+        ("scan width != config", 2, |e| e.scan_width = 40_000),
+        ("scan width > grid", 40_000, |_| {}),
+    ];
+    for (what, scan_width, damage) in damages {
+        let mut model = sam(scan_width);
+        let Backbone::Sam(e) = model.backbone_mut() else {
+            panic!("SAM backbone")
+        };
+        damage(e);
+        let mut sealed = Vec::new();
+        model.write_to(&mut sealed).unwrap();
+        let streamed = NeuTrajModel::read_from(&mut sealed.as_slice());
+        assert!(
+            matches!(streamed, Err(PersistError::Format(_))),
+            "{what}: loaded"
+        );
+        assert!(
+            NeuTrajModel::from_bytes(&model.to_bytes()).is_err(),
+            "{what}"
+        );
+    }
+    for preset in [
+        TrainConfig::neutraj(),
+        TrainConfig::nt_no_sam(),
+        TrainConfig {
+            backbone: BackboneKind::Gru,
+            ..TrainConfig::neutraj()
+        },
+    ] {
+        let model = NeuTrajModel::untrained(TrainConfig { dim: 4, ..preset }, grid());
+        let bytes = model.to_bytes();
+        let back = NeuTrajModel::from_bytes(&bytes).expect("well-formed model");
+        assert_eq!(back.to_bytes(), bytes);
+    }
 }
 
 #[test]

@@ -12,10 +12,10 @@
 //!   kernels recurrent nets need.
 //! * [`activation`] — the one `exp`/`tanh`/`sigmoid` every cell uses:
 //!   IEEE-exact operations only (no libm), scalar oracle + AVX2 arm.
-//! * [`LstmCell`] / [`LstmEncoder`] — a standard LSTM used by the Siamese
-//!   baseline and the NT-No-SAM ablation.
-//! * [`GruCell`] / [`GruEncoder`] — a GRU backbone option (the paper notes
-//!   SAM can augment "existing RNN architectures (GRU, LSTM)").
+//! * [`LstmCell`] — a standard LSTM used by the Siamese baseline and the
+//!   NT-No-SAM ablation.
+//! * [`GruCell`] — a GRU backbone option (the paper notes SAM can augment
+//!   "existing RNN architectures (GRU, LSTM)").
 //! * [`SpatialMemory`] / [`WriteLog`] — the `P × Q × d` grid memory tensor
 //!   **M** (§IV-A) and the buffered write log of the two-phase parallel
 //!   training protocol.
@@ -23,13 +23,20 @@
 //!   of the memory rows the attention read, not copies of them, in storage
 //!   reused from batch to batch.
 //! * [`Workspace`] — reusable scratch buffers threaded through every cell's
-//!   `*_ws` entry points, so steady-state training does zero per-timestep
-//!   heap allocation.
-//! * [`SamLstmEncoder`] — the SAM-augmented LSTM of §IV-B/§IV-C: four
-//!   sigmoid gates (forget/input/spatial/output), tanh candidate, an
-//!   attention *read* over the `(2w+1)²` scan window and a gated sparse
-//!   *write* back into the memory.
+//!   entry points, so steady-state training does zero per-timestep heap
+//!   allocation.
+//! * [`SamLstmCell`] / [`SamLstmEncoder`] — the SAM-augmented LSTM of
+//!   §IV-B/§IV-C: four sigmoid gates (forget/input/spatial/output), tanh
+//!   candidate, an attention *read* over the `(2w+1)²` scan window and a
+//!   gated sparse *write* back into the memory; the encoder is the cell
+//!   plus the memory, scan width and batch tapes it runs against.
 //! * [`Adam`] — the Adam optimizer (§V-B trains with Adam + BPTT).
+//!
+//! Each cell is one recurrent pass with three entry points, all taking a
+//! `&mut Workspace`: `forward_train` (one sequence, records what BPTT
+//! needs; also the scalar reference of every bit-identity test),
+//! `forward_batch` (lockstep inference over many sequences, bit-identical
+//! to it) and `backward`.
 //!
 //! Design notes (mirrors `DESIGN.md` §2):
 //!
@@ -63,21 +70,9 @@ mod tape;
 mod workspace;
 
 pub use adam::{Adam, AdamState};
-pub use gru::{GruCache, GruCell, GruEncoder, GruGrads};
-pub use lstm::{LstmCache, LstmCell, LstmEncoder, LstmGrads};
+pub use gru::{GruCache, GruCell, GruGrads};
+pub use lstm::{LstmCache, LstmCell, LstmGrads};
 pub use memory::{SpatialMemory, WriteLog};
-pub use sam::{MemoryMode, SamCache, SamGrads, SamLstmCell, SamLstmEncoder, SamSeqRef};
+pub use sam::{MemoryMode, SamGrads, SamLstmCell, SamLstmEncoder, SamSeqRef};
 pub use tape::{SamTape, SamTapeMut, SamTapeRef, SamTapes};
 pub use workspace::Workspace;
-
-/// A recurrent trajectory encoder: maps a coordinate/grid-cell sequence to
-/// a fixed-size embedding (the RNN's final hidden state, §V-A) and
-/// supports backpropagation-through-time from an embedding gradient.
-pub trait Encoder {
-    /// Embedding dimensionality `d`.
-    fn dim(&self) -> usize;
-
-    /// Encodes a sequence of `(x, y)` inputs (grid-unit coordinates) with
-    /// optional grid cells (ignored by plain RNNs). Returns the embedding.
-    fn embed(&mut self, coords: &[(f64, f64)], cells: &[(u32, u32)]) -> Vec<f64>;
-}

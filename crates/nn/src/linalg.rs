@@ -161,7 +161,7 @@ impl Mat {
     /// steps adds with one [`Self::outer_acc`] per step, as a single
     /// ordered GEMM that reads and writes `self` once. Bit-identical to
     /// that sweep on a zeroed-then-accumulated gradient (the zero rule is
-    /// on [`simd::outer_acc_rev`]).
+    /// on `simd::outer_acc_rev`).
     pub fn outer_acc_rows_rev(&mut self, u: &[f64], v: &[f64]) {
         self.outer_acc_rows_rev_with_level(neutraj_obs::simd::level(), u, v);
     }

@@ -364,7 +364,7 @@ impl<'a> Iterator for WindowRuns<'a> {
 /// pending writes, so every recorded write also produces the cell's new
 /// sequence-local value as a **local row** — appended, never edited, to
 /// the block the caller passes in (the sequence's tape), where row `i`
-/// belongs to write `i`. [`Self::overlay_ids`] puts the latest local row
+/// belongs to write `i`. `overlay_ids` puts the latest local row
 /// of every touched cell over a window's ids, which makes a buffered
 /// forward bit-identical to a sequential training forward started from
 /// the same memory state. Phase B replays the logs in fixed input order

@@ -25,7 +25,7 @@
 //! read-after-write semantics stay intact. Phase B
 //! ([`SamLstmEncoder::commit`]) replays the logs in input order on one
 //! thread. A sequential writing forward is the same thing with the commit
-//! right behind it.
+//! right behind it — a batch of one.
 //!
 //! # The tape
 //!
@@ -42,9 +42,8 @@ use crate::linalg::{
 };
 use crate::memory::{SpatialMemory, WriteLog, LOCAL_ROW};
 use crate::simd::dot_rows;
-use crate::tape::{named_row, SamTape, SamTapeMut, SamTapeRef, SamTapes, TapeShape};
-use crate::workspace::{lockstep_order, prep, scratch, Workspace};
-use crate::Encoder;
+use crate::tape::{named_row, SamTape, SamTapeMut, SamTapes, TapeShape};
+use crate::workspace::{lockstep, prep, scratch, Workspace};
 
 /// One borrowed sequence for the batched frozen forward: normalized
 /// coordinates plus the `(col, row)` grid cell of every point.
@@ -79,14 +78,13 @@ impl MemoryMode<'_> {
 /// Parameters of the SAM-augmented LSTM cell.
 ///
 /// `p` fuses the five weight blocks of Eqs. 1–2 into one
-/// `(5d) × (in + d + 1)` matrix over `z = [x; h_{t-1}; 1]`; row blocks in
+/// `(5d) × (d + 3)` matrix over `z = [x; y; h_{t-1}; 1]`; row blocks in
 /// order: forget `f`, input `i`, spatial `s`, output `o` (sigmoid) and
 /// candidate `g` (tanh). `w_his`/`b_his` are the attention projection of
 /// §IV-C.1 (`d × 2d` and `d`).
 #[derive(Debug, Clone)]
 pub struct SamLstmCell {
     dim: usize,
-    in_dim: usize,
     /// Fused recurrent weights.
     pub p: Mat,
     /// Attention projection weights (`W_his`).
@@ -129,41 +127,6 @@ impl SamGrads {
         self.p.add_from(&other.p);
         self.w_his.add_from(&other.w_his);
         crate::linalg::add_assign(&mut self.b_his, &other.b_his);
-    }
-}
-
-/// The tape of one sequence, owning its storage — what the
-/// one-sequence-at-a-time entry points return. Batches record into a
-/// shared [`SamTapes`] instead.
-#[derive(Debug, Clone, Default)]
-pub struct SamCache {
-    tapes: SamTapes,
-}
-
-impl SamCache {
-    /// The recorded tape.
-    pub fn tape(&self) -> SamTape<'_> {
-        self.tapes.tape(0)
-    }
-
-    /// Number of cached timesteps.
-    pub fn len(&self) -> usize {
-        self.tapes.points()
-    }
-
-    /// Whether the cache holds no steps.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Attention-window size `K_t` of step `t` (clipped at grid borders).
-    pub fn window_size(&self, t: usize) -> usize {
-        self.tape().window_size(t)
-    }
-
-    /// Post-softmax attention weights of step `t`.
-    pub fn attn(&self, t: usize) -> &[f64] {
-        self.tape().attn(t)
     }
 }
 
@@ -217,10 +180,10 @@ impl SamLstmCell {
     /// produced by near-random parameters, and reading them at half
     /// strength (σ(0) = 0.5) injects enough noise to slow convergence.
     /// The gate learns to open as the memory becomes informative.
-    pub fn new(in_dim: usize, dim: usize, seed: u64) -> Self {
-        assert!(dim > 0 && in_dim > 0);
-        let mut p = Mat::xavier(5 * dim, in_dim + dim + 1, seed);
-        let bias_col = in_dim + dim;
+    pub fn new(dim: usize, seed: u64) -> Self {
+        assert!(dim > 0);
+        let mut p = Mat::xavier(5 * dim, dim + 3, seed);
+        let bias_col = dim + 2;
         for r in 0..5 * dim {
             *p.get_mut(r, bias_col) = 0.0;
         }
@@ -232,7 +195,6 @@ impl SamLstmCell {
         }
         Self {
             dim,
-            in_dim,
             p,
             w_his: Mat::xavier(dim, 2 * dim, seed ^ 0xA5A5_5A5A),
             b_his: vec![0.0; dim],
@@ -250,7 +212,7 @@ impl SamLstmCell {
     }
 
     fn tape_shape(&self, scan_width: u32) -> TapeShape {
-        TapeShape::new(self.dim, self.in_dim + self.dim + 1, scan_width)
+        TapeShape::new(self.dim, scan_width)
     }
 
     /// Lays `tapes` out for a batch of sequences of the given lengths
@@ -264,58 +226,6 @@ impl SamLstmCell {
         tapes.layout(self.tape_shape(scan_width), lens);
     }
 
-    /// Runs the cell over a sequence of coordinates + grid cells with a
-    /// mutable memory; `write = true` is the sequential training forward:
-    /// the sequence's writes are committed right behind it (as version
-    /// rows — the returned tape stays valid).
-    pub fn forward(
-        &self,
-        coords: &[(f64, f64)],
-        cells: &[(u32, u32)],
-        memory: &mut SpatialMemory,
-        scan_width: u32,
-        write: bool,
-    ) -> (Vec<f64>, SamCache) {
-        if !write {
-            return self.forward_with(coords, cells, MemoryMode::Frozen(memory), scan_width);
-        }
-        let mut log = WriteLog::new();
-        let mode = MemoryMode::Buffered {
-            base: memory,
-            log: &mut log,
-        };
-        let out = self.forward_with(coords, cells, mode, scan_width);
-        memory.commit(&log);
-        out
-    }
-
-    /// [`Self::forward_with_ws`] with a one-shot workspace.
-    pub fn forward_with(
-        &self,
-        coords: &[(f64, f64)],
-        cells: &[(u32, u32)],
-        mode: MemoryMode<'_>,
-        scan_width: u32,
-    ) -> (Vec<f64>, SamCache) {
-        self.forward_with_ws(coords, cells, mode, scan_width, &mut Workspace::new())
-    }
-
-    /// [`Self::forward_into`] recording into a tape of its own.
-    pub fn forward_with_ws(
-        &self,
-        coords: &[(f64, f64)],
-        cells: &[(u32, u32)],
-        mode: MemoryMode<'_>,
-        scan_width: u32,
-        ws: &mut Workspace,
-    ) -> (Vec<f64>, SamCache) {
-        let mut cache = SamCache::default();
-        self.layout_tapes(&mut cache.tapes, scan_width, std::iter::once(coords.len()));
-        let tape = &mut cache.tapes.tapes_mut()[0];
-        let h = self.forward_into(coords, cells, mode, scan_width, ws, tape);
-        (h, cache)
-    }
-
     /// Runs the cell over a sequence of coordinates + grid cells,
     /// recording the BPTT tape into `tape` (a span laid out for this
     /// sequence's length by [`Self::layout_tapes`]); returns the final
@@ -323,12 +233,12 @@ impl SamLstmCell {
     ///
     /// The memory is read at every step; in [`MemoryMode::Buffered`] the
     /// step's cell state is also recorded in the write log.
-    /// [`MemoryMode::Frozen`] borrows the memory immutably, so
-    /// inference-time embedding is read-only and can run on many threads
-    /// over one shared memory.
+    /// [`MemoryMode::Frozen`] borrows the memory immutably and writes
+    /// nothing: the scalar reference [`Self::forward_batch`] is checked
+    /// against.
     ///
     /// Panics on empty input or mismatched coord/cell/tape lengths.
-    pub fn forward_into(
+    pub fn forward_train(
         &self,
         coords: &[(f64, f64)],
         cells: &[(u32, u32)],
@@ -340,7 +250,6 @@ impl SamLstmCell {
         assert!(!coords.is_empty(), "cannot encode an empty sequence");
         assert_eq!(coords.len(), cells.len(), "coords/cells length mismatch");
         assert_eq!(mode.memory().dim(), self.dim, "memory dim mismatch");
-        assert_eq!(self.in_dim, 2, "coordinate forward needs in_dim == 2");
         assert_eq!(tape.len(), coords.len(), "tape laid out for another length");
         let shape = self.tape_shape(scan_width);
         assert_eq!(tape.shape(), shape, "tape laid out for another cell");
@@ -422,76 +331,61 @@ impl SamLstmCell {
         h.to_vec()
     }
 
-    /// Lockstep batched read-only inference over many sequences (the SAM
-    /// analogue of [`crate::LstmCell::forward_coords_batch_ws`]). Each
-    /// timestep runs two GEMMs over the active prefix — the fused gates
-    /// (`(active × zlen)·Pᵀ`) and the attention projection
-    /// (`(active × 2d)·W_hisᵀ`) — and each `tanh` over the whole active
-    /// block, while the per-slot attention read scores the memory's own
-    /// rows (nothing is gathered). Every output element is produced by
-    /// the same operations in the same order as in
-    /// [`Self::forward_with_ws`], so results are **bit-identical** to the
+    /// Lockstep batched read-only inference over many sequences (the
+    /// `lockstep` driver of `workspace.rs`). Each timestep runs two GEMMs
+    /// over the active prefix — the fused gates (`(active × zlen)·Pᵀ`) and
+    /// the attention projection (`(active × 2d)·W_hisᵀ`) — and each `tanh`
+    /// over the whole active block, while the per-slot attention read
+    /// scores the memory's own rows (nothing is gathered). Every output
+    /// element is produced by the same operations in the same order as in
+    /// [`Self::forward_train`], so results are **bit-identical** to the
     /// per-sequence [`MemoryMode::Frozen`] forward. Results are returned
     /// in input order.
     ///
     /// Inference only: the memory is never written and no BPTT cache is
     /// produced. Panics on empty sequences or coord/cell length mismatch.
-    pub fn forward_frozen_batch_ws(
+    pub fn forward_batch(
         &self,
         seqs: &[SamSeqRef<'_>],
         memory: &SpatialMemory,
         scan_width: u32,
         ws: &mut Workspace,
     ) -> Vec<Vec<f64>> {
-        if seqs.is_empty() {
-            return Vec::new();
-        }
-        assert!(
-            seqs.iter().all(|(c, _)| !c.is_empty()),
-            "cannot encode an empty sequence"
-        );
         for (coords, cells) in seqs {
             assert_eq!(coords.len(), cells.len(), "coords/cells length mismatch");
         }
         assert_eq!(memory.dim(), self.dim, "memory dim mismatch");
-        assert_eq!(self.in_dim, 2, "coordinate forward needs in_dim == 2");
         let d = self.dim;
-        let zlen = self.in_dim + d + 1;
-        let order = lockstep_order(seqs.iter().map(|(c, _)| c.len()));
         let b = seqs.len();
-        let max_len = seqs[order[0]].0.len();
-        let h = prep(&mut ws.bh, b * d);
-        let c = prep(&mut ws.bc, b * d);
-        let z = prep(&mut ws.bz, b * zlen);
-        let gates = prep(&mut ws.bgates, b * 5 * d);
-        let c_hat = prep(&mut ws.bchat, b * d);
-        let mix = prep(&mut ws.bmix, b * d);
-        let ccat = prep(&mut ws.bcat, b * 2 * d);
-        let c_his = prep(&mut ws.bhis, b * d);
-        let mut out: Vec<Vec<f64>> = vec![Vec::new(); b];
-        let mut active = b;
-        for t in 0..max_len {
-            while seqs[order[active - 1]].0.len() <= t {
-                active -= 1;
-                out[order[active]] = h[active * d..(active + 1) * d].to_vec();
-            }
-            for s in 0..active {
-                let (x, y) = seqs[order[s]].0[t];
-                let zr = &mut z[s * zlen..(s + 1) * zlen];
-                zr[0] = x;
-                zr[1] = y;
-                zr[2..2 + d].copy_from_slice(&h[s * d..(s + 1) * d]);
-                zr[2 + d] = 1.0;
-            }
+        let Workspace {
+            bh,
+            bz,
+            bc,
+            bgates,
+            bchat,
+            bmix,
+            bcat,
+            bhis,
+            win,
+            ..
+        } = ws;
+        let c = prep(bc, b * d);
+        let gates = prep(bgates, b * 5 * d);
+        let c_hat = prep(bchat, b * d);
+        let mix = prep(bmix, b * d);
+        let ccat = prep(bcat, b * 2 * d);
+        let c_his = prep(bhis, b * d);
+        let step = |t: usize, slots: &[usize], z: &[f64], h: &mut [f64]| {
+            let active = slots.len();
             matmul_nt(
-                &z[..active * zlen],
+                z,
                 self.p.as_slice(),
                 &mut gates[..active * 5 * d],
                 active,
                 5 * d,
-                zlen,
+                d + 3,
             );
-            for s in 0..active {
+            for (s, &i) in slots.iter().enumerate() {
                 let a = &mut gates[s * 5 * d..(s + 1) * 5 * d];
                 activate_gates(a, 4 * d);
                 let (gf, gi, gg) = (&a[..d], &a[d..2 * d], &a[4 * d..]);
@@ -502,11 +396,11 @@ impl SamLstmCell {
                     ch[k] = gf[k] * cs[k] + gi[k] * gg[k];
                 }
                 // Read (§IV-C.1), on the memory's rows where they lie.
-                let (col, row) = seqs[order[s]].1[t];
+                let (col, row) = seqs[i].1[t];
                 let runs = memory.window_runs(col, row, scan_width);
                 let kwin = runs.clone().map(<[f64]>::len).sum::<usize>() / d;
                 let mx = &mut mix[s * d..(s + 1) * d];
-                attention_read(runs, ch, prep(&mut ws.win, kwin), mx);
+                attention_read(runs, ch, prep(win, kwin), mx);
                 let cc = &mut ccat[s * 2 * d..(s + 1) * 2 * d];
                 cc[..d].copy_from_slice(ch);
                 cc[d..].copy_from_slice(mx);
@@ -532,42 +426,16 @@ impl SamLstmCell {
                     c[s * d + k] = c_hat[s * d + k] + gs_gate[k] * his[s * d + k];
                 }
             }
-            h[..n].copy_from_slice(&c[..n]);
-            tanh_slice(&mut h[..n]);
+            h.copy_from_slice(&c[..n]);
+            tanh_slice(h);
             for s in 0..active {
                 let go = &gates[s * 5 * d + 3 * d..s * 5 * d + 4 * d];
                 for (hv, &o) in h[s * d..(s + 1) * d].iter_mut().zip(go) {
                     *hv *= o;
                 }
             }
-        }
-        for s in 0..active {
-            out[order[s]] = h[s * d..(s + 1) * d].to_vec();
-        }
-        out
-    }
-
-    /// [`Self::backward_ws`] with a one-shot workspace.
-    pub fn backward(
-        &self,
-        cache: &SamCache,
-        memory: &SpatialMemory,
-        d_h_final: &[f64],
-        grads: &mut SamGrads,
-    ) {
-        self.backward_ws(cache, memory, d_h_final, grads, &mut Workspace::new());
-    }
-
-    /// [`Self::backward_tape`] on a one-sequence cache.
-    pub fn backward_ws(
-        &self,
-        cache: &SamCache,
-        memory: &SpatialMemory,
-        d_h_final: &[f64],
-        grads: &mut SamGrads,
-        ws: &mut Workspace,
-    ) {
-        self.backward_tape(cache.tape(), memory, d_h_final, grads, ws);
+        };
+        lockstep(b, |i| seqs[i].0, d, bh, bz, step)
     }
 
     /// BPTT from the gradient of the final hidden state, accumulating
@@ -585,7 +453,7 @@ impl SamLstmCell {
     /// ([`Mat::outer_acc_rows_rev`]): each gradient element receives the
     /// terms it used to, in the order the step loop walks (last step
     /// first), only without a trip through memory per step.
-    pub fn backward_tape(
+    pub fn backward(
         &self,
         tape: SamTape<'_>,
         memory: &SpatialMemory,
@@ -686,8 +554,7 @@ impl SamLstmCell {
                 da[3 * d + k] = d_o[k] * go[k] * (1.0 - go[k]);
                 da[4 * d + k] = d_g * (1.0 - gg[k] * gg[k]);
             }
-            self.p
-                .matvec_t_cols_into_with_level(level, da, self.in_dim, dh);
+            self.p.matvec_t_cols_into_with_level(level, da, 2, dh);
         }
         grads
             .w_his
@@ -730,55 +597,18 @@ impl SamLstmEncoder {
     /// New encoder over a `cols × rows` grid.
     pub fn new(dim: usize, cols: usize, rows: usize, scan_width: u32, seed: u64) -> Self {
         Self {
-            cell: SamLstmCell::new(2, dim, seed),
+            cell: SamLstmCell::new(dim, seed),
             memory: SpatialMemory::new(cols, rows, dim),
             scan_width,
             tapes: SamTapes::default(),
         }
     }
 
-    /// Encodes a sequence; training mode writes to memory.
-    pub fn forward(
-        &mut self,
-        coords: &[(f64, f64)],
-        cells: &[(u32, u32)],
-        write: bool,
-    ) -> (Vec<f64>, SamCache) {
-        self.cell
-            .forward(coords, cells, &mut self.memory, self.scan_width, write)
-    }
-
-    /// Read-only encode against the encoder's (immutably borrowed) memory.
-    /// Usable concurrently from many threads via [`SamLstmCell::forward_with`].
-    pub fn forward_frozen(
-        &self,
-        coords: &[(f64, f64)],
-        cells: &[(u32, u32)],
-    ) -> (Vec<f64>, SamCache) {
-        self.cell.forward_with(
-            coords,
-            cells,
-            MemoryMode::Frozen(&self.memory),
-            self.scan_width,
-        )
-    }
-
-    /// Lockstep batched read-only encode against the encoder's memory; see
-    /// [`SamLstmCell::forward_frozen_batch_ws`].
-    pub fn forward_frozen_batch_ws(
-        &self,
-        seqs: &[SamSeqRef<'_>],
-        ws: &mut Workspace,
-    ) -> Vec<Vec<f64>> {
-        self.cell
-            .forward_frozen_batch_ws(seqs, &self.memory, self.scan_width, ws)
-    }
-
     /// Starts a training batch over sequences of the given lengths: the
     /// previous batch ends — its version rows are folded into the dense
     /// memory layout and its tapes die — and [`Self::tapes`] is laid out
     /// anew, one span per sequence in input order. Phase-A workers then
-    /// fill [`SamTapes::tapes_mut`] through [`SamLstmCell::forward_into`]
+    /// fill [`SamTapes::tapes_mut`] through [`SamLstmCell::forward_train`]
     /// in [`MemoryMode::Buffered`] against [`Self::memory`], and
     /// [`Self::commit`] applies their logs in input order.
     pub fn begin_batch(&mut self, lens: impl Iterator<Item = usize>) {
@@ -800,36 +630,6 @@ impl SamLstmEncoder {
     pub fn commit(&mut self, log: &WriteLog) {
         self.memory.commit(log);
     }
-
-    /// See [`SamLstmCell::backward`]; `cache` must come from a forward
-    /// over this encoder's memory.
-    pub fn backward(&self, cache: &SamCache, d_h: &[f64], grads: &mut SamGrads) {
-        self.cell.backward(cache, &self.memory, d_h, grads);
-    }
-
-    /// BPTT over one tape of the current batch (see
-    /// [`SamLstmCell::backward_tape`]). Panics when `tape` is from an
-    /// earlier batch.
-    pub fn backward_batch_tape(
-        &self,
-        tape: SamTapeRef,
-        d_h: &[f64],
-        grads: &mut SamGrads,
-        ws: &mut Workspace,
-    ) {
-        self.cell
-            .backward_tape(self.tapes.get(tape), &self.memory, d_h, grads, ws);
-    }
-}
-
-impl Encoder for SamLstmEncoder {
-    fn dim(&self) -> usize {
-        self.cell.dim()
-    }
-
-    fn embed(&mut self, coords: &[(f64, f64)], cells: &[(u32, u32)]) -> Vec<f64> {
-        self.forward(coords, cells, false).0
-    }
 }
 
 #[cfg(test)]
@@ -844,6 +644,72 @@ mod tests {
         let coords = vec![(0.5, 0.5), (1.4, 0.6), (2.5, 1.5), (3.1, 2.2)];
         let cells = vec![(0, 0), (1, 0), (2, 1), (3, 2)];
         (coords, cells)
+    }
+
+    /// One sequence through [`SamLstmCell::forward_train`] into a tape set
+    /// of its own. `write` is the sequential writing pass: phase A and its
+    /// commit back to back (as version rows — the tape stays valid).
+    fn run_ws(
+        cell: &SamLstmCell,
+        coords: &[(f64, f64)],
+        cells: &[(u32, u32)],
+        memory: &mut SpatialMemory,
+        scan_width: u32,
+        write: bool,
+        ws: &mut Workspace,
+    ) -> (Vec<f64>, SamTapes) {
+        let mut tapes = SamTapes::default();
+        cell.layout_tapes(&mut tapes, scan_width, std::iter::once(coords.len()));
+        let mut log = WriteLog::new();
+        let mode = if write {
+            MemoryMode::Buffered {
+                base: memory,
+                log: &mut log,
+            }
+        } else {
+            MemoryMode::Frozen(memory)
+        };
+        let tape = &mut tapes.tapes_mut()[0];
+        let h = cell.forward_train(coords, cells, mode, scan_width, ws, tape);
+        memory.commit(&log);
+        (h, tapes)
+    }
+
+    /// [`run_ws`] with a fresh workspace.
+    fn run(
+        cell: &SamLstmCell,
+        coords: &[(f64, f64)],
+        cells: &[(u32, u32)],
+        memory: &mut SpatialMemory,
+        scan_width: u32,
+        write: bool,
+    ) -> (Vec<f64>, SamTapes) {
+        let ws = &mut Workspace::new();
+        run_ws(cell, coords, cells, memory, scan_width, write, ws)
+    }
+
+    /// [`run`] on an encoder's cell, memory and scan width.
+    fn run_enc(enc: &mut SamLstmEncoder, (coords, cells): &ToySeq, write: bool) -> Vec<f64> {
+        run(
+            &enc.cell,
+            coords,
+            cells,
+            &mut enc.memory,
+            enc.scan_width,
+            write,
+        )
+        .0
+    }
+
+    fn backward(
+        cell: &SamLstmCell,
+        tapes: &SamTapes,
+        mem: &SpatialMemory,
+        d_h: &[f64],
+    ) -> SamGrads {
+        let mut grads = SamGrads::zeros_like(cell);
+        cell.backward(tapes.tape(0), mem, d_h, &mut grads, &mut Workspace::new());
+        grads
     }
 
     fn warmed_memory(dim: usize) -> SpatialMemory {
@@ -865,30 +731,30 @@ mod tests {
     fn forward_shapes() {
         let (coords, cells) = toy_seq();
         let mut enc = SamLstmEncoder::new(8, 6, 6, 2, 1);
-        let (h, cache) = enc.forward(&coords, &cells, true);
+        let (h, tapes) = run(&enc.cell, &coords, &cells, &mut enc.memory, 2, true);
         assert_eq!(h.len(), 8);
-        assert_eq!(cache.len(), 4);
+        assert_eq!(tapes.points(), 4);
         assert!(h.iter().all(|v| v.abs() <= 1.0));
     }
 
     #[test]
     fn writes_change_memory_reads_do_not() {
-        let (coords, cells) = toy_seq();
+        let seq = toy_seq();
         let mut enc = SamLstmEncoder::new(4, 6, 6, 1, 2);
         assert_eq!(enc.memory.occupancy(), 0.0);
-        let _ = enc.forward(&coords, &cells, false);
+        let _ = run_enc(&mut enc, &seq, false);
         assert_eq!(enc.memory.occupancy(), 0.0, "read-only pass wrote");
-        let _ = enc.forward(&coords, &cells, true);
+        let _ = run_enc(&mut enc, &seq, true);
         assert!(enc.memory.occupancy() > 0.0, "training pass did not write");
     }
 
     #[test]
     fn memory_contents_influence_embedding() {
-        let (coords, cells) = toy_seq();
+        let seq = toy_seq();
         let mut enc = SamLstmEncoder::new(4, 6, 6, 1, 3);
-        let (h_cold, _) = enc.forward(&coords, &cells, false);
+        let h_cold = run_enc(&mut enc, &seq, false);
         enc.memory = warmed_memory(4);
-        let (h_warm, _) = enc.forward(&coords, &cells, false);
+        let h_warm = run_enc(&mut enc, &seq, false);
         assert_ne!(h_cold, h_warm, "memory had no effect on the embedding");
     }
 
@@ -897,11 +763,12 @@ mod tests {
         let (coords, cells) = toy_seq();
         let mut enc = SamLstmEncoder::new(4, 6, 6, 0, 4);
         enc.memory = warmed_memory(4);
-        let (h, cache) = enc.forward(&coords, &cells, false);
+        let (h, tapes) = run(&enc.cell, &coords, &cells, &mut enc.memory, 0, false);
+        let tape = tapes.tape(0);
         assert_eq!(h.len(), 4);
-        assert!((0..cache.len()).all(|t| cache.window_size(t) == 1));
+        assert!((0..tape.len()).all(|t| tape.window_size(t) == 1));
         // Softmax over one score is exactly 1.
-        assert!((0..cache.len()).all(|t| (cache.attn(t)[0] - 1.0).abs() < 1e-15));
+        assert!((0..tape.len()).all(|t| (tape.attn(t)[0] - 1.0).abs() < 1e-15));
     }
 
     /// The tape as it was before row ids — every step's window copied out
@@ -944,7 +811,7 @@ mod tests {
             write: bool,
         ) -> (Vec<f64>, CopyTape) {
             let d = cell.dim;
-            let zlen = cell.in_dim + d + 1;
+            let zlen = d + 3;
             let mut tape = CopyTape {
                 len: 0,
                 zlen,
@@ -1100,7 +967,7 @@ mod tests {
                 grads.p.outer_acc(&da, &tape.z[t * zlen..(t + 1) * zlen]);
                 dz.fill(0.0);
                 cell.p.matvec_t_into(&da, &mut dz);
-                dh.copy_from_slice(&dz[cell.in_dim..cell.in_dim + d]);
+                dh.copy_from_slice(&dz[2..2 + d]);
             }
         }
     }
@@ -1198,25 +1065,25 @@ mod tests {
     #[test]
     fn id_tape_bit_identical_to_the_copied_window_tape() {
         for d in [5, 8, 32] {
-            let cell = SamLstmCell::new(2, d, 41 + d as u64);
+            let cell = SamLstmCell::new(d, 41 + d as u64);
             for (i, (coords, cells)) in crossing_seqs().iter().enumerate() {
                 for write in [false, true] {
                     let mut mem = warmed_memory(d);
                     let mut mem_o = mem.clone();
                     let (h_o, tape_o) = oracle::forward(&cell, coords, cells, &mut mem_o, 2, write);
-                    let (h, cache) = cell.forward(coords, cells, &mut mem, 2, write);
+                    let (h, tapes) = run(&cell, coords, cells, &mut mem, 2, write);
+                    let tape = tapes.tape(0);
                     assert_eq!(bits(&h), bits(&h_o), "d={d} seq {i} write={write}");
-                    let sizes: Vec<usize> =
-                        (0..cache.len()).map(|t| cache.window_size(t)).collect();
+                    let sizes: Vec<usize> = (0..tape.len()).map(|t| tape.window_size(t)).collect();
                     if i == 0 {
                         assert!(
                             [25, 20, 16, 12, 9].iter().all(|k| sizes.contains(k)),
                             "{sizes:?}"
                         );
                     }
-                    for t in 0..cache.len() {
+                    for t in 0..tape.len() {
                         assert_eq!(
-                            bits(cache.attn(t)),
+                            bits(tape.attn(t)),
                             bits(tape_o.attn(t)),
                             "d={d} seq {i} t={t}"
                         );
@@ -1227,7 +1094,7 @@ mod tests {
                     // Accumulate twice: the second pass adds onto non-zero
                     // gradients, like the second sequence of a group.
                     for _ in 0..2 {
-                        cell.backward(&cache, &mem, &d_h(d, i), &mut g);
+                        cell.backward(tape, &mem, &d_h(d, i), &mut g, &mut Workspace::new());
                         oracle::backward(&cell, &tape_o, &d_h(d, i), &mut g_o);
                     }
                     assert_eq!(
@@ -1249,7 +1116,7 @@ mod tests {
     #[test]
     fn backward_after_later_rounds_committed_over_the_same_cells() {
         for d in [5, 8, 32] {
-            let cell = SamLstmCell::new(2, d, 7);
+            let cell = SamLstmCell::new(d, 7);
             let seqs = crossing_seqs();
             let mut mem = warmed_memory(d);
             let mut tapes = SamTapes::default();
@@ -1268,7 +1135,9 @@ mod tests {
                         log: &mut logs[i],
                     };
                     let mut slot = slots.next().unwrap();
-                    hs.push(cell.forward_into(&seqs[i].0, &seqs[i].1, mode, 2, &mut ws, &mut slot));
+                    hs.push(
+                        cell.forward_train(&seqs[i].0, &seqs[i].1, mode, 2, &mut ws, &mut slot),
+                    );
                 }
                 mem.commit(&logs[0]);
                 mem.commit(&logs[1]);
@@ -1279,7 +1148,7 @@ mod tests {
                     log: &mut logs[2],
                 };
                 let mut slot = slots.next().unwrap();
-                hs.push(cell.forward_into(&seqs[2].0, &seqs[2].1, mode, 2, &mut ws, &mut slot));
+                hs.push(cell.forward_train(&seqs[2].0, &seqs[2].1, mode, 2, &mut ws, &mut slot));
                 mem.commit(&logs[2]);
 
                 let (mut g, mut g_o) = (SamGrads::zeros_like(&cell), SamGrads::zeros_like(&cell));
@@ -1293,7 +1162,7 @@ mod tests {
                         oracle::forward(&cell, coords, cells, &mut snapshot, 2, true);
                     assert_eq!(bits(&hs[i]), bits(&h_o), "d={d} batch {batch} seq {i}");
                     let r = tapes.tape_ref(i);
-                    cell.backward_tape(tapes.get(r), &mem, &d_h(d, i), &mut g, &mut ws);
+                    cell.backward(tapes.get(r), &mem, &d_h(d, i), &mut g, &mut ws);
                     oracle::backward(&cell, &tape_o, &d_h(d, i), &mut g_o);
                     assert_eq!(
                         grad_bits(&g),
@@ -1309,42 +1178,42 @@ mod tests {
         }
     }
 
-    fn recorded(write: bool) -> (SamLstmCell, SpatialMemory, SamCache) {
+    fn recorded(write: bool) -> (SamLstmCell, SpatialMemory, SamTapes) {
         let (coords, cells) = toy_seq();
-        let cell = SamLstmCell::new(2, 4, 5);
+        let cell = SamLstmCell::new(4, 5);
         let mut mem = warmed_memory(4);
-        let (_, cache) = cell.forward(&coords, &cells, &mut mem, 1, write);
-        (cell, mem, cache)
+        let (_, tapes) = run(&cell, &coords, &cells, &mut mem, 1, write);
+        (cell, mem, tapes)
     }
 
     #[test]
     #[should_panic(expected = "after the batch that recorded it ended")]
     fn tape_refuses_a_folded_memory() {
-        let (cell, mut mem, cache) = recorded(true);
+        let (cell, mut mem, tapes) = recorded(true);
         mem.fold();
-        cell.backward(&cache, &mem, &[1.0; 4], &mut SamGrads::zeros_like(&cell));
+        backward(&cell, &tapes, &mem, &[1.0; 4]);
     }
 
     #[test]
     #[should_panic(expected = "after the batch that recorded it ended")]
     fn tape_refuses_a_reset_memory() {
-        let (cell, mut mem, cache) = recorded(false);
+        let (cell, mut mem, tapes) = recorded(false);
         mem.reset();
-        cell.backward(&cache, &mem, &[1.0; 4], &mut SamGrads::zeros_like(&cell));
+        backward(&cell, &tapes, &mem, &[1.0; 4]);
     }
 
     #[test]
     #[should_panic(expected = "after the batch that recorded it ended")]
     fn tape_refuses_a_memory_edited_in_place() {
-        let (cell, mut mem, cache) = recorded(false);
+        let (cell, mut mem, tapes) = recorded(false);
         mem.write(5, 5, &[0.5; 4], &[1.0; 4]);
-        cell.backward(&cache, &mem, &[1.0; 4], &mut SamGrads::zeros_like(&cell));
+        backward(&cell, &tapes, &mem, &[1.0; 4]);
     }
 
     #[test]
     #[should_panic(expected = "after the batch that recorded it ended")]
     fn tape_ref_dies_when_the_storage_is_laid_out_again() {
-        let cell = SamLstmCell::new(2, 4, 5);
+        let cell = SamLstmCell::new(4, 5);
         let mut tapes = SamTapes::default();
         cell.layout_tapes(&mut tapes, 1, [3usize, 4].into_iter());
         let r = tapes.tape_ref(1);
@@ -1363,13 +1232,13 @@ mod tests {
         let mut enc = SamLstmEncoder::new(d, 6, 6, 2, 3);
         enc.memory = warmed_memory(d);
         let mut dense = enc.memory.clone();
-        for (coords, cells) in &seqs {
-            let (h, _) = enc.forward(coords, cells, true);
+        for seq @ (coords, cells) in &seqs {
+            let h = run_enc(&mut enc, seq, true);
             let (h_o, _) = oracle::forward(&enc.cell, coords, cells, &mut dense, 2, true);
             assert_eq!(bits(&h), bits(&h_o));
         }
         assert_eq!(enc.memory, dense);
-        let reference = SamLstmEncoder {
+        let mut reference = SamLstmEncoder {
             cell: enc.cell.clone(),
             memory: dense,
             scan_width: 2,
@@ -1381,22 +1250,19 @@ mod tests {
             .collect();
         let mut ws = Workspace::new();
         assert_eq!(
-            enc.forward_frozen_batch_ws(&refs, &mut ws),
-            reference.forward_frozen_batch_ws(&refs, &mut ws)
+            enc.cell.forward_batch(&refs, &enc.memory, 2, &mut ws),
+            reference
+                .cell
+                .forward_batch(&refs, &reference.memory, 2, &mut ws)
         );
-        for (coords, cells) in &seqs {
-            assert_eq!(
-                enc.forward_frozen(coords, cells).0,
-                reference.forward_frozen(coords, cells).0
-            );
-            assert_eq!(
-                enc.clone().forward_frozen(coords, cells).0,
-                reference.forward_frozen(coords, cells).0
-            );
+        for seq in &seqs {
+            let want = run_enc(&mut reference, seq, false);
+            assert_eq!(run_enc(&mut enc, seq, false), want);
+            assert_eq!(run_enc(&mut enc.clone(), seq, false), want);
         }
-        let before = enc.forward_frozen(&seqs[0].0, &seqs[0].1).0;
+        let before = run_enc(&mut enc, &seqs[0], false);
         enc.end_training();
-        assert_eq!(enc.forward_frozen(&seqs[0].0, &seqs[0].1).0, before);
+        assert_eq!(run_enc(&mut enc, &seqs[0], false), before);
         assert_eq!(enc.memory, reference.memory);
     }
 
@@ -1439,14 +1305,12 @@ mod tests {
     #[test]
     fn reused_workspace_is_bit_identical_to_fresh() {
         let (coords, cells) = toy_seq();
-        let cell = SamLstmCell::new(2, 4, 31);
-        let mem = warmed_memory(4);
+        let cell = SamLstmCell::new(4, 31);
+        let mut mem = warmed_memory(4);
         let w = vec![0.3, -0.9, 0.5, 0.1];
 
-        let (h_fresh, cache_fresh) =
-            cell.forward_with(&coords, &cells, MemoryMode::Frozen(&mem), 1);
-        let mut grads_fresh = SamGrads::zeros_like(&cell);
-        cell.backward(&cache_fresh, &mem, &w, &mut grads_fresh);
+        let (h_fresh, tapes_fresh) = run(&cell, &coords, &cells, &mut mem, 1, false);
+        let grads_fresh = backward(&cell, &tapes_fresh, &mem, &w);
 
         // Dirty the workspace with an unrelated sequence first.
         let mut ws = Workspace::new();
@@ -1454,11 +1318,10 @@ mod tests {
             .map(|i| (i as f64 * 0.3, 1.0 - i as f64 * 0.1))
             .collect();
         let dirty_cells: Vec<(u32, u32)> = (0..9).map(|i| (i % 6, (i * 2) % 6)).collect();
-        let _ = cell.forward_with_ws(&dirty, &dirty_cells, MemoryMode::Frozen(&mem), 2, &mut ws);
-        let (h_reuse, cache_reuse) =
-            cell.forward_with_ws(&coords, &cells, MemoryMode::Frozen(&mem), 1, &mut ws);
+        let _ = run_ws(&cell, &dirty, &dirty_cells, &mut mem, 2, false, &mut ws);
+        let (h_reuse, tapes_reuse) = run_ws(&cell, &coords, &cells, &mut mem, 1, false, &mut ws);
         let mut grads_reuse = SamGrads::zeros_like(&cell);
-        cell.backward_ws(&cache_reuse, &mem, &w, &mut grads_reuse, &mut ws);
+        cell.backward(tapes_reuse.tape(0), &mem, &w, &mut grads_reuse, &mut ws);
 
         assert_eq!(h_fresh, h_reuse);
         assert_eq!(grads_fresh.p.as_slice(), grads_reuse.p.as_slice());
@@ -1472,12 +1335,11 @@ mod tests {
     fn grad_check_p() {
         let d = 4;
         let (coords, cells) = toy_seq();
-        let cell = SamLstmCell::new(2, d, 17);
+        let cell = SamLstmCell::new(d, 17);
         let w: Vec<f64> = (0..d).map(|i| 0.8 - 0.4 * i as f64).collect();
         let mut mem = warmed_memory(d);
-        let (_, cache) = cell.forward(&coords, &cells, &mut mem, 1, false);
-        let mut grads = SamGrads::zeros_like(&cell);
-        cell.backward(&cache, &mem, &w, &mut grads);
+        let (_, tapes) = run(&cell, &coords, &cells, &mut mem, 1, false);
+        let grads = backward(&cell, &tapes, &mem, &w);
 
         let analytic = grads.p.as_slice().to_vec();
         let mut params = cell.p.as_slice().to_vec();
@@ -1486,7 +1348,7 @@ mod tests {
             let mut probe = base.clone();
             probe.p = Mat::from_vec(5 * d, 2 + d + 1, p.to_vec());
             let mut mem = warmed_memory(d);
-            let (h, _) = probe.forward(&coords, &cells, &mut mem, 1, false);
+            let (h, _) = run(&probe, &coords, &cells, &mut mem, 1, false);
             crate::linalg::dot(&w, &h)
         });
     }
@@ -1496,12 +1358,11 @@ mod tests {
     fn grad_check_attention_projection() {
         let d = 4;
         let (coords, cells) = toy_seq();
-        let cell = SamLstmCell::new(2, d, 23);
+        let cell = SamLstmCell::new(d, 23);
         let w = vec![1.0, -1.0, 0.5, 0.25];
         let mut mem = warmed_memory(d);
-        let (_, cache) = cell.forward(&coords, &cells, &mut mem, 2, false);
-        let mut grads = SamGrads::zeros_like(&cell);
-        cell.backward(&cache, &mem, &w, &mut grads);
+        let (_, tapes) = run(&cell, &coords, &cells, &mut mem, 2, false);
+        let grads = backward(&cell, &tapes, &mem, &w);
 
         let base = cell.clone();
         let analytic = grads.w_his.as_slice().to_vec();
@@ -1510,7 +1371,7 @@ mod tests {
             let mut probe = base.clone();
             probe.w_his = Mat::from_vec(d, 2 * d, p.to_vec());
             let mut mem = warmed_memory(d);
-            let (h, _) = probe.forward(&coords, &cells, &mut mem, 2, false);
+            let (h, _) = run(&probe, &coords, &cells, &mut mem, 2, false);
             crate::linalg::dot(&w, &h)
         });
         let analytic = grads.b_his.clone();
@@ -1519,7 +1380,7 @@ mod tests {
             let mut probe = base.clone();
             probe.b_his = p.to_vec();
             let mut mem = warmed_memory(d);
-            let (h, _) = probe.forward(&coords, &cells, &mut mem, 2, false);
+            let (h, _) = run(&probe, &coords, &cells, &mut mem, 2, false);
             crate::linalg::dot(&w, &h)
         });
     }
@@ -1533,13 +1394,12 @@ mod tests {
     fn gradient_semantics_memory_detached() {
         let d = 3;
         let (coords, cells) = toy_seq();
-        let cell = SamLstmCell::new(2, d, 29);
+        let cell = SamLstmCell::new(d, 29);
         let w = vec![0.7, -0.3, 1.1];
         // Forward in write mode (training), gradients computed on its cache.
         let mut mem = warmed_memory(d);
-        let (h_write, cache) = cell.forward(&coords, &cells, &mut mem, 1, true);
-        let mut grads = SamGrads::zeros_like(&cell);
-        cell.backward(&cache, &mem, &w, &mut grads);
+        let (h_write, tapes) = run(&cell, &coords, &cells, &mut mem, 1, true);
+        let grads = backward(&cell, &tapes, &mem, &w);
         // The gradient is finite and nonzero — training signal exists.
         assert!(grads.p.as_slice().iter().any(|g| *g != 0.0));
         assert!(grads.p.as_slice().iter().all(|g| g.is_finite()));
@@ -1548,45 +1408,24 @@ mod tests {
 
     #[test]
     fn batched_frozen_forward_bit_identical_to_scalar() {
-        let d = 5;
-        let cell = SamLstmCell::new(2, d, 37);
-        let mem = warmed_memory(d);
-        let seqs: Vec<ToySeq> = (0..9)
-            .map(|i| {
-                let len = 2 + (i * 5) % 11;
-                let coords: Vec<(f64, f64)> = (0..len)
-                    .map(|t| {
-                        let t = t as f64;
-                        let i = i as f64;
-                        ((0.1 * t + 0.01 * i).sin(), (0.2 * t - 0.03 * i).cos())
-                    })
+        let cell = SamLstmCell::new(5, 37);
+        let mem = warmed_memory(5);
+        crate::workspace::lockstep_tests::matches_scalar(
+            |seqs, ws| {
+                let refs: Vec<SamSeqRef<'_>> = seqs
+                    .iter()
+                    .map(|(c, g)| (c.as_slice(), g.as_slice()))
                     .collect();
-                let cells: Vec<(u32, u32)> =
-                    (0..len).map(|t| ((t + i) % 6, (2 * t + i) % 6)).collect();
-                (coords, cells)
-            })
-            .collect();
-        #[allow(clippy::type_complexity)]
-        let refs: Vec<(&[(f64, f64)], &[(u32, u32)])> = seqs
-            .iter()
-            .map(|(c, g)| (c.as_slice(), g.as_slice()))
-            .collect();
-        let mut ws = Workspace::new();
-        let batched = cell.forward_frozen_batch_ws(&refs, &mem, 1, &mut ws);
-        for ((coords, cells), got) in seqs.iter().zip(&batched) {
-            let (want, _) =
-                cell.forward_with_ws(coords, cells, MemoryMode::Frozen(&mem), 1, &mut ws);
-            assert_eq!(&want, got);
-        }
-        assert!(cell
-            .forward_frozen_batch_ws(&[], &mem, 1, &mut ws)
-            .is_empty());
+                cell.forward_batch(&refs, &mem, 1, ws)
+            },
+            |(coords, cells), ws| run_ws(&cell, coords, cells, &mut mem.clone(), 1, false, ws).0,
+        );
     }
 
     #[test]
     #[should_panic(expected = "length mismatch")]
     fn mismatched_cells_panic() {
         let mut enc = SamLstmEncoder::new(4, 6, 6, 1, 0);
-        let _ = enc.forward(&[(0.0, 0.0)], &[], false);
+        let _ = run_enc(&mut enc, &(vec![(0.0, 0.0)], vec![]), false);
     }
 }

@@ -19,8 +19,8 @@
 //!   named by an id list instead of being adjacent — one `dot` chain per
 //!   lane;
 //! * the two BPTT kernels — the ordered rank-`T` accumulate
-//!   ([`outer_acc_rev`]) and the transposed-columns product
-//!   ([`matvec_t_cols`]) — keep one accumulator per output in a register
+//!   (`outer_acc_rev`) and the transposed-columns product
+//!   (`matvec_t_cols`) — keep one accumulator per output in a register
 //!   across the whole sum and add the terms in the order the per-step
 //!   sweeps they replace did, vectorized across output columns;
 //! * the u8 dot is exact integer arithmetic, where any summation order
@@ -182,7 +182,7 @@ fn nt_direct_columns(a: &[f64], b: &[f64], c: &mut [f64], m: usize, n: usize, k:
 /// accumulator per output starting at `-0.0` and summed in ascending
 /// `p`. The AVX2 arm runs that chain for four gathered rows at a time,
 /// one per lane, transposing their 4×4 blocks in registers exactly as
-/// [`matmul_nt_direct`] does for adjacent rows; a group short of four
+/// `matmul_nt_direct` does for adjacent rows; a group short of four
 /// ids repeats its last id (lanes never mix, the spare lanes are not
 /// stored). Multiply and add stay separate instructions, so each lane
 /// performs `dot`'s operations on `dot`'s operands: bit-identical,

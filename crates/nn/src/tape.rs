@@ -10,7 +10,7 @@
 //!
 //! | `f64` block | width | |
 //! |---|---|---|
-//! | `z`      | `zlen` | `z_t = [x; h_{t-1}; 1]` |
+//! | `z`      | `zlen` | `z_t = [x; y; h_{t-1}; 1]` |
 //! | `gates`  | `5d`   | activated `[f, i, s, o, g]` |
 //! | `ccat`   | `2d`   | `[ĉ_t; mix_t]` (Eq. 3 and the attention mix) |
 //! | `c_his`  | `d`    | `tanh(W_his·ccat + b_his)` |
@@ -46,18 +46,18 @@ use crate::memory::{fresh_stamp, SpatialMemory, LOCAL_ROW};
 pub(crate) struct TapeShape {
     /// Hidden dimensionality `d`.
     pub d: usize,
-    /// `in_dim + d + 1`.
+    /// Width of `z = [x; y; h; 1]`, `d + 3`.
     pub zlen: usize,
     /// Largest attention window, `(2w+1)²`.
     pub kmax: usize,
 }
 
 impl TapeShape {
-    pub(crate) fn new(d: usize, zlen: usize, scan_width: u32) -> Self {
+    pub(crate) fn new(d: usize, scan_width: u32) -> Self {
         let side = 2 * scan_width as usize + 1;
         Self {
             d,
-            zlen,
+            zlen: d + 3,
             kmax: side * side,
         }
     }
@@ -96,7 +96,7 @@ pub struct SamTapes {
 }
 
 /// Names one sequence's tape in a [`SamTapes`] set as laid out by one
-/// [`SamTapes::layout`] call; dead once the set is laid out again.
+/// `SamTapes::layout` call; dead once the set is laid out again.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SamTapeRef {
     index: usize,

@@ -1,16 +1,18 @@
-//! Reusable scratch buffers for the RNN forward/backward hot paths.
+//! Reusable scratch buffers for the RNN forward/backward hot paths, and
+//! the one lockstep driver the batched inference forwards share.
 //!
 //! Every cell used to allocate a handful of `vec![0.0; d]` temporaries per
 //! timestep (and per backward step). A [`Workspace`] owns those buffers
-//! once; the `*_ws` entry points on [`crate::LstmCell`], [`crate::GruCell`]
-//! and [`crate::SamLstmCell`] reuse them across steps and across
-//! sequences, so steady-state training performs zero per-timestep heap
-//! allocations outside the (exactly-sized, once-per-sequence) BPTT caches.
+//! once; the three entry points of [`crate::LstmCell`], [`crate::GruCell`]
+//! and [`crate::SamLstmCell`] (`forward_train`, `forward_batch`,
+//! `backward`) reuse them across steps and across sequences, so
+//! steady-state training performs zero per-timestep heap allocations
+//! outside the (exactly-sized, once-per-sequence) BPTT caches.
 
 /// Scratch buffers shared by all RNN cells.
 ///
 /// A workspace is plain reusable memory: it carries no results between
-/// calls and any `*_ws` method may be called with any (possibly
+/// calls and any cell entry point may be called with any (possibly
 /// previously used) workspace. Each worker thread owns one.
 #[derive(Debug, Clone, Default)]
 pub struct Workspace {
@@ -98,15 +100,80 @@ pub(crate) fn scratch<T: Copy + Default>(v: &mut Vec<T>, n: usize) -> &mut [T] {
 /// order). With lengths descending, the sequences still running at any
 /// timestep are a contiguous slot prefix — finished ones retire off the
 /// end and every per-step GEMM runs over a dense `active × len` block.
-pub(crate) fn lockstep_order(lens: impl ExactSizeIterator<Item = usize>) -> Vec<usize> {
+fn lockstep_order(lens: impl Iterator<Item = usize>) -> Vec<usize> {
     let lens: Vec<usize> = lens.collect();
     let mut order: Vec<usize> = (0..lens.len()).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(lens[i]));
     order
 }
 
+/// The lockstep batched-inference loop every cell's `forward_batch` runs:
+/// all `b` coordinate sequences (`coords(i)` is the `i`-th) advance one
+/// timestep together, so a cell's per-step products are GEMMs over the
+/// sequences still running instead of one matvec each.
+///
+/// Slots are [`lockstep_order`]ed; a sequence retires — its hidden state
+/// becomes its embedding — as soon as its last step is done. Per timestep
+/// the driver stacks `z_t = [x; y; h_{t-1}; 1]` of the `active` running
+/// slots and calls `step(t, slots, z, h)`: `slots[s]` is the input index
+/// of slot `s`, `z` the `active × (d + 3)` stack, and `h` the
+/// `active × d` hidden states the step overwrites. State beyond `h` (cell
+/// states, gate blocks) is the step's own, indexed by slot: a slot's
+/// index never changes while it runs. The closure is a type parameter, so
+/// nothing here is dispatched dynamically.
+///
+/// `h` and `z` are the workspace buffers the two stacks live in.
+/// Embeddings come back in input order; an empty batch is an empty
+/// result. Panics when any sequence is empty.
+pub(crate) fn lockstep<'a>(
+    b: usize,
+    coords: impl Fn(usize) -> &'a [(f64, f64)],
+    d: usize,
+    h: &mut Vec<f64>,
+    z: &mut Vec<f64>,
+    mut step: impl FnMut(usize, &[usize], &[f64], &mut [f64]),
+) -> Vec<Vec<f64>> {
+    if b == 0 {
+        return Vec::new();
+    }
+    let order = lockstep_order((0..b).map(|i| coords(i).len()));
+    assert!(
+        !coords(order[b - 1]).is_empty(),
+        "cannot encode an empty sequence"
+    );
+    let zlen = d + 3;
+    let h = prep(h, b * d);
+    let z = prep(z, b * zlen);
+    let mut out: Vec<Vec<f64>> = vec![Vec::new(); b];
+    let mut active = b;
+    for t in 0..coords(order[0]).len() {
+        while coords(order[active - 1]).len() <= t {
+            active -= 1;
+            out[order[active]] = h[active * d..(active + 1) * d].to_vec();
+        }
+        for s in 0..active {
+            let (x, y) = coords(order[s])[t];
+            let zr = &mut z[s * zlen..(s + 1) * zlen];
+            zr[0] = x;
+            zr[1] = y;
+            zr[2..2 + d].copy_from_slice(&h[s * d..(s + 1) * d]);
+            zr[2 + d] = 1.0;
+        }
+        step(
+            t,
+            &order[..active],
+            &z[..active * zlen],
+            &mut h[..active * d],
+        );
+    }
+    for s in 0..active {
+        out[order[s]] = h[s * d..(s + 1) * d].to_vec();
+    }
+    out
+}
+
 #[cfg(test)]
-mod lockstep_tests {
+pub(crate) mod lockstep_tests {
     use super::*;
 
     #[test]
@@ -114,6 +181,56 @@ mod lockstep_tests {
         let lens = [3usize, 7, 3, 9, 7];
         let order = lockstep_order(lens.iter().copied());
         assert_eq!(order, vec![3, 1, 4, 0, 2]);
+    }
+
+    /// Coordinates plus grid cells (on a 6 × 6 grid) of one sequence.
+    pub(crate) type Seq = (Vec<(f64, f64)>, Vec<(u32, u32)>);
+
+    /// The one body of the three cells' lockstep tests: `batch` (a cell's
+    /// `forward_batch`) against `scalar` (its `forward_train`) on every
+    /// shape the [`lockstep`] driver branches on — a batch of one, equal
+    /// lengths (nothing retires early), duplicate lengths (stable
+    /// retirement), a one-step sequence among long ones, input that is
+    /// already descending, ascending or shuffled, and an empty batch.
+    /// Slot `i`'s sequence depends on `i`, so equality per index also pins
+    /// the input order of the results. One workspace throughout: every
+    /// call finds it dirty.
+    pub(crate) fn matches_scalar(
+        batch: impl Fn(&[Seq], &mut Workspace) -> Vec<Vec<f64>>,
+        scalar: impl Fn(&Seq, &mut Workspace) -> Vec<f64>,
+    ) {
+        let batches: [&[usize]; 8] = [
+            &[3, 8, 13, 7, 12, 6, 11, 5, 10],
+            &[7],
+            &[5, 5, 5, 5],
+            &[6, 3, 6, 3, 6],
+            &[12, 1, 9],
+            &[9, 7, 4, 2],
+            &[2, 4, 7, 9],
+            &[],
+        ];
+        let mut ws = Workspace::new();
+        for lens in batches {
+            let seqs: Vec<Seq> = (0u32..)
+                .zip(lens)
+                .map(|(i, &len)| {
+                    (0..len as u32)
+                        .map(|t| {
+                            let (tf, fi) = (t as f64, i as f64);
+                            (
+                                ((0.17 * tf + fi).sin(), (tf - 0.3 * fi).cos()),
+                                ((t + i) % 6, (2 * t + i) % 6),
+                            )
+                        })
+                        .unzip()
+                })
+                .collect();
+            let got = batch(&seqs, &mut ws);
+            assert_eq!(got.len(), seqs.len(), "lens {lens:?}");
+            for (i, (seq, got)) in seqs.iter().zip(&got).enumerate() {
+                assert_eq!(got, &scalar(seq, &mut ws), "lens {lens:?}, sequence {i}");
+            }
+        }
     }
 }
 

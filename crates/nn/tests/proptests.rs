@@ -4,7 +4,7 @@
 use neutraj_nn::linalg::{
     add_assign, axpy, dot, euclidean, matmul_nt_with_level, norm, sigmoid, softmax_inplace, Mat,
 };
-use neutraj_nn::{Adam, GruEncoder, LstmEncoder, SamLstmEncoder};
+use neutraj_nn::{Adam, GruCell, LstmCell, MemoryMode, SamLstmEncoder, Workspace, WriteLog};
 use neutraj_obs::simd::SimdLevel;
 use neutraj_trajectory::rng::{cases, splitmix64, Rng};
 
@@ -148,20 +148,47 @@ fn adam_always_moves_against_gradient_first_step() {
     });
 }
 
+/// One sequence through the SAM encoder as a training batch of one; with
+/// `write`, its buffered writes are committed right behind it.
+fn sam_forward(
+    enc: &mut SamLstmEncoder,
+    coords: &[(f64, f64)],
+    cells: &[(u32, u32)],
+    write: bool,
+) -> Vec<f64> {
+    enc.begin_batch(std::iter::once(coords.len()));
+    let mut log = WriteLog::new();
+    let mode = if write {
+        MemoryMode::Buffered {
+            base: &enc.memory,
+            log: &mut log,
+        }
+    } else {
+        MemoryMode::Frozen(&enc.memory)
+    };
+    let (ws, tape) = (&mut Workspace::new(), &mut enc.tapes.tapes_mut()[0]);
+    let h = enc
+        .cell
+        .forward_train(coords, cells, mode, enc.scan_width, ws, tape);
+    enc.commit(&log);
+    h
+}
+
 #[test]
 fn encoders_are_deterministic_and_finite() {
     cases(64, |rng| {
         let coords = (0..rng.gen_range(1..20))
             .map(|_| (rng.gen_range(-1.0f64..1.0), rng.gen_range(-1.0f64..1.0)))
             .collect::<Vec<_>>();
-        let lstm = LstmEncoder::new(6, 3);
-        let (h1, _) = lstm.forward(&coords);
-        let (h2, _) = lstm.forward(&coords);
+        let ws = &mut Workspace::new();
+        let lstm = LstmCell::new(6, 3);
+        let (h1, _) = lstm.forward_train(&coords, ws);
+        let (h2, _) = lstm.forward_train(&coords, ws);
         assert_eq!(&h1, &h2);
         assert!(h1.iter().all(|v| v.is_finite() && v.abs() <= 1.0));
 
-        let gru = GruEncoder::new(6, 4);
-        let (g1, _) = gru.forward(&coords);
+        let gru = GruCell::new(6, 4);
+        let (g1, _) = gru.forward_train(&coords, ws);
         assert!(g1.iter().all(|v| v.is_finite() && v.abs() <= 1.0));
 
         let mut sam = SamLstmEncoder::new(6, 8, 8, 2, 5);
@@ -174,7 +201,7 @@ fn encoders_are_deterministic_and_finite() {
                 )
             })
             .collect();
-        let (s1, _) = sam.forward(&coords, &cells, false);
+        let s1 = sam_forward(&mut sam, &coords, &cells, false);
         assert!(s1.iter().all(|v| v.is_finite()));
     });
 }
@@ -197,8 +224,8 @@ fn sam_write_then_read_changes_embedding_locally() {
                 )
             })
             .collect();
-        let (before, _) = sam.forward(&coords, &cells, true);
-        let (after, _) = sam.forward(&coords, &cells, false);
+        let before = sam_forward(&mut sam, &coords, &cells, true);
+        let after = sam_forward(&mut sam, &coords, &cells, false);
         assert!(before.iter().all(|v| v.is_finite()));
         assert!(after.iter().all(|v| v.is_finite()));
         assert!(sam.memory.occupancy() > 0.0);
