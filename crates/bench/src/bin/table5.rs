@@ -11,8 +11,9 @@ use neutraj_bench::Cli;
 use neutraj_eval::harness::{build_ap_for_world, DatasetKind, ExperimentWorld, WorldConfig};
 use neutraj_eval::report::{fmt_seconds, Table};
 use neutraj_index::{GridInvertedIndex, RTree, SpatialIndex};
-use neutraj_measures::{knn_query, MeasureKind};
+use neutraj_measures::{knn_query, partial_sort_neighbors, MeasureKind, Neighbor};
 use neutraj_model::{EmbeddingStore, TrainConfig};
+use neutraj_nn::linalg::euclidean_sq;
 use neutraj_trajectory::gen::PortoLikeGenerator;
 use neutraj_trajectory::{Grid, Trajectory};
 use std::time::Instant;
@@ -130,7 +131,7 @@ fn main() {
             let t0 = Instant::now();
             for (qi, &q) in queries.iter().enumerate() {
                 let q_emb = model.embed(&db_orig[q]);
-                let short = store.knn_candidates(&q_emb, &candidate_sets[qi], K);
+                let short = nearest_candidates(&store, &q_emb, &candidate_sets[qi]);
                 let _ = knn_query(
                     &*measure,
                     &db[q],
@@ -150,6 +151,24 @@ fn main() {
         table.row(involved_row);
         println!("{}", table.render());
     }
+}
+
+/// The `K` of `candidates` (row indices of `store`) nearest to `q_emb`
+/// by embedding distance — NeuTraj's ranking of an index's survivors.
+fn nearest_candidates(
+    store: &EmbeddingStore,
+    q_emb: &[f64],
+    candidates: &[usize],
+) -> Vec<Neighbor> {
+    let mut out: Vec<Neighbor> = candidates
+        .iter()
+        .map(|&index| Neighbor {
+            index,
+            dist: euclidean_sq(q_emb, store.get(index)),
+        })
+        .collect();
+    partial_sort_neighbors(&mut out, K);
+    out
 }
 
 /// A pruning radius that keeps roughly two thirds of the corpus as

@@ -51,7 +51,7 @@
 //! Like `nprobe = nlists` for IVF, `ef >= len` is the recall-1.0
 //! anchor: [`HnswIndex::shortlist_into`] degenerates to enumerating
 //! every row, so a full-ef graph query is bit-identical to the
-//! exhaustive GEMM scan by construction (property-tested in the model
+//! exhaustive scan by construction (property-tested in the model
 //! crate across thread counts and SIMD modes).
 
 use neutraj_trajectory::cursor::{PutLe, Reader, Truncated};

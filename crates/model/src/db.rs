@@ -674,7 +674,7 @@ impl SimilarityDb {
     }
 
     /// The embedding-space scan stage shared by every search path: the
-    /// exhaustive norm-trick GEMM, or whichever shortlist view the query
+    /// exhaustive fused norm-trick scan, or whichever shortlist view the query
     /// asks for — int8 codes (whose over-fetched shortlist is re-scored
     /// against the f64 store, so returned distances are exact), IVF
     /// lists, both, or the graph — with the work it did recorded in one
@@ -710,7 +710,7 @@ impl SimilarityDb {
 
     /// The embedding-space scan stage as a public seam: top-`fetch`
     /// neighbors for each already-embedded query, through whichever path
-    /// `query` selects (exhaustive GEMM, IVF shortlist, graph, quantized
+    /// `query` selects (exhaustive scan, IVF shortlist, graph, quantized
     /// view), *without* the re-rank stage or `k` truncation — so it takes
     /// either query form and never looks at the measure.
     ///
@@ -885,7 +885,7 @@ impl SimilarityDb {
     }
 
     /// Answers a whole batch of ad-hoc queries: one lockstep batched
-    /// embed, then one norm-trick GEMM scan per corpus block shared by
+    /// embed, then one fused norm-trick pass over the corpus shared by
     /// every query, then (optionally) per-query exact re-ranking. Each
     /// result is bit-identical to [`Self::search`] on that query.
     ///
@@ -982,8 +982,8 @@ impl SimilarityDb {
     /// Similarity join (the paper's motivating all-pairs workload, §I):
     /// all stored pairs `(i, j)` with exact distance ≤ `tau` under
     /// `measure`, found by **embedding-space candidate generation**
-    /// (pairs with embedding distance ≤ `emb_radius`, via the norm-trick
-    /// block GEMM of [`EmbeddingStore::pairs_within`]) followed by
+    /// (pairs with embedding distance ≤ `emb_radius`, via the fused
+    /// norm-trick scan of [`EmbeddingStore::pairs_within`]) followed by
     /// **exact verification** of the survivors only, parallelized across
     /// the available cores.
     ///

@@ -10,36 +10,40 @@
 //!
 //! Scans expand the squared distance as
 //! `‖q − x‖² = ‖q‖² − 2·q·x + ‖x‖²`: the per-row norms `‖x‖²` are
-//! precomputed once at insert time, so a whole batch of queries against a
-//! block of corpus rows reduces to one `B × block` GEMM of dot products
-//! (`q·x`) plus a cheap rank-1 correction — cache-blocked arithmetic
-//! instead of `N` memory-bound `euclidean_sq` loops. Candidates stream
-//! into a bounded [`NeighborHeap`] per query, so no `O(N)` distance
-//! buffer is ever allocated. The scalar [`EmbeddingStore::knn`] is the
-//! `B = 1` case of the same code path, making batched and scalar results
-//! trivially bit-identical.
+//! precomputed once at insert time, so a whole batch of queries against
+//! the corpus reduces to dot products (`q·x`) plus a rank-1 correction.
+//! One kernel does all of it in one pass over the row-major store
+//! ([`scan_rows`]): the dot chains of up to eight queries against four
+//! adjacent rows at a time (the unpacked, transposing chain the small
+//! GEMMs use — one accumulator per pair, ascending `p`, separate multiply
+//! and add), the correction on the accumulators while they are still in
+//! registers, and a comparison against each query's current admission
+//! threshold — `+∞` until its [`NeighborHeap`] is full, then the heap
+//! root's distance. Only pairs that pass leave the kernel, a few hundred
+//! of `N` per query, and they go through [`NeighborHeap::push`]: the
+//! comparison is a conservative pre-filter (non-strict, and allowed to be
+//! a few rows stale), the heap's `(dist, index)` total order is what
+//! decides an answer. No packed copy of a corpus block, no `B × block`
+//! score buffer and no `O(N)` distance buffer is ever written. Rows are
+//! walked in L1-sized chunks with every stripe of queries run over a
+//! chunk before the next, so the corpus is read once per batch. The
+//! scalar [`EmbeddingStore::knn`] is the `B = 1` case of the same code
+//! path, making batched and scalar results trivially bit-identical.
 
 use crate::backbone::NeuTrajModel;
 use neutraj_index::{CoarseQuantizer, GraphScratch, HnswIndex, IvfIndex, RowDistance};
-use neutraj_measures::{partial_sort_neighbors, top_k, Neighbor, NeighborHeap};
-use neutraj_nn::linalg::{dot, euclidean_sq, matmul_nt};
-use neutraj_nn::simd::dot_rows;
+use neutraj_measures::{top_k, Neighbor, NeighborHeap};
+use neutraj_nn::linalg::{dot, euclidean_sq};
+use neutraj_nn::simd::{dot_rows, scan_rows, ScanInput};
 use neutraj_trajectory::Trajectory;
 use std::cell::RefCell;
 
-/// Corpus rows per norm-trick GEMM block: at `d = 32` a `B×512` score
-/// block plus the `512×d` corpus slice stay comfortably in L2 while the
-/// GEMM is large enough to amortize the tile loop overhead.
-const SCAN_BLOCK: usize = 512;
+/// Rows on the query side of one [`EmbeddingStore::pairs_within`] pass:
+/// each pass scans the rows from its first query on (the upper triangle),
+/// so at most half a block's pairs per pass fall below the diagonal.
+const JOIN_BLOCK: usize = 512;
 
 thread_local! {
-    /// Reusable per-thread scan scratch — (flattened query batch,
-    /// `B × SCAN_BLOCK` score block). Thread-local rather than a `&mut`
-    /// parameter so the public query API stays `&self` and shareable
-    /// across serving threads.
-    static SCAN_SCRATCH: RefCell<(Vec<f64>, Vec<f64>)> =
-        const { RefCell::new((Vec::new(), Vec::new())) };
-
     /// Reusable per-thread graph-walk scratch. Its visited array is as
     /// long as the largest graph this thread has searched and is reset
     /// per query by an epoch bump, so neither a lone graph query nor a
@@ -180,7 +184,7 @@ impl EmbeddingStore {
     /// Top-k nearest stored items to `query` by embedding distance
     /// (equivalently, highest learned similarity `exp(-dist)`).
     ///
-    /// The `B = 1` case of [`Self::knn_batch`] — same norm-trick GEMM
+    /// The `B = 1` case of [`Self::knn_batch`] — same fused norm-trick
     /// scan, so scalar and batched queries return bit-identical results.
     pub fn knn(&self, query: &[f64], k: usize) -> Vec<Neighbor> {
         self.knn_batch(&[query], k)
@@ -188,10 +192,10 @@ impl EmbeddingStore {
             .expect("one query in, one result out")
     }
 
-    /// Top-k for a whole batch of queries with one norm-trick GEMM per
-    /// corpus block (see the module docs). Results are per query, in
-    /// query order; each is identical to [`Self::knn`] on that query,
-    /// including tie ordering.
+    /// Top-k for a whole batch of queries in one fused pass over the
+    /// rows (see the module docs). Results are per query, in query order;
+    /// each is identical to [`Self::knn`] on that query, including tie
+    /// ordering.
     ///
     /// Squared distances are compared during the scan (monotonic in the
     /// true distance, so ranks are unaffected) and the square root is
@@ -202,38 +206,33 @@ impl EmbeddingStore {
         for q in queries {
             assert_eq!(q.len(), self.dim, "query dim mismatch");
         }
-        if queries.is_empty() {
-            return Vec::new();
+        if k == 0 {
+            // Nothing can be kept, so no threshold would ever arm.
+            return vec![Vec::new(); queries.len()];
         }
-        let b = queries.len();
-        let d = self.dim;
-        let n = self.len();
+        let qflat = queries.concat();
         let qnorms: Vec<f64> = queries.iter().map(|q| dot(q, q)).collect();
-        let mut heaps: Vec<NeighborHeap> = (0..b).map(|_| NeighborHeap::new(k)).collect();
-        SCAN_SCRATCH.with(|cell| {
-            let (qbuf, scores) = &mut *cell.borrow_mut();
-            qbuf.clear();
-            for q in queries {
-                qbuf.extend_from_slice(q);
-            }
-            let mut start = 0;
-            while start < n {
-                let end = (start + SCAN_BLOCK).min(n);
-                let block = end - start;
-                scores.clear();
-                scores.resize(b * block, 0.0);
-                matmul_nt(qbuf, &self.data[start * d..end * d], scores, b, block, d);
-                for (qi, heap) in heaps.iter_mut().enumerate() {
-                    let qn = qnorms[qi];
-                    let row = &scores[qi * block..(qi + 1) * block];
-                    for (off, &s) in row.iter().enumerate() {
-                        let d2 = (qn - 2.0 * s + self.norms[start + off]).max(0.0);
-                        heap.push(start + off, d2);
-                    }
-                }
-                start = end;
-            }
-        });
+        let mut heaps: Vec<NeighborHeap> = queries.iter().map(|_| NeighborHeap::new(k)).collect();
+        let mut thresholds = vec![f64::INFINITY; queries.len()];
+        let input = ScanInput {
+            dim: self.dim,
+            queries: &qflat,
+            qnorms: &qnorms,
+            rows: &self.data,
+            row_norms: &self.norms,
+        };
+        // The kernel's threshold test only spares the heap rows that
+        // cannot enter it; the heap's `(dist, index)` order decides.
+        scan_rows(
+            neutraj_obs::simd::level(),
+            &input,
+            &mut thresholds,
+            |qi, row, d2| {
+                let heap = &mut heaps[qi];
+                heap.push(row, d2);
+                heap.threshold().map_or(f64::INFINITY, |worst| worst.dist)
+            },
+        );
         heaps
             .into_iter()
             .map(|h| {
@@ -254,9 +253,9 @@ impl EmbeddingStore {
     ///
     /// The per-candidate score is the very same norm-trick expression as
     /// the exhaustive scan, `(‖q‖² − 2·q·x + ‖x‖²).max(0)`, built from
-    /// the same [`dot`] the blocked GEMM is defined by (each GEMM output
-    /// element is one ascending-order accumulator — see
-    /// [`matmul_nt`]'s contract). A [`NeighborHeap`] keeps the `k`
+    /// the same ascending-order [`dot`] chain per row (a query's whole
+    /// candidate list goes through the gathered-rows kernel in one call,
+    /// as a graph hop does). A [`NeighborHeap`] keeps the `k`
     /// smallest under the total order `(dist, index)` regardless of
     /// insertion order, so with `nprobe ≥ nlists` (lists partition the
     /// corpus) the result is **bit-identical** to [`Self::knn_batch`] —
@@ -265,10 +264,10 @@ impl EmbeddingStore {
     /// probed cells: any error is purely *recall* (a true neighbor left
     /// unprobed), never a mis-scored distance.
     ///
-    /// One heap and one candidate buffer are reused across the whole
-    /// batch. Panics when `index` disagrees with the store on dimension
-    /// or row count, or when `nprobe == 0` (the `Query` builder rejects
-    /// that earlier with a typed error).
+    /// One heap, one candidate buffer and one distance buffer are reused
+    /// across the whole batch. Panics when `index` disagrees with the
+    /// store on dimension or row count, or when `nprobe == 0` (the
+    /// `Query` builder rejects that earlier with a typed error).
     pub fn knn_ann_batch<Q: CoarseQuantizer>(
         &self,
         queries: &[&[f64]],
@@ -286,17 +285,18 @@ impl EmbeddingStore {
         let mut stats = ScanStats::default();
         let mut heap = NeighborHeap::new(k);
         let mut cand: Vec<u32> = Vec::new();
+        let mut d2s: Vec<f64> = Vec::new();
         let mut results = Vec::with_capacity(queries.len());
         for q in queries {
             assert_eq!(q.len(), self.dim, "query dim mismatch");
-            let qn = dot(q, q);
             stats.lists_probed += index.candidates_into(q, nprobe, &mut cand);
             stats.candidates_scanned += cand.len();
+            d2s.clear();
+            d2s.resize(cand.len(), 0.0);
+            self.dists_to_rows(q, dot(q, q), &cand, &mut d2s);
             heap.reset(k);
-            for &i in &cand {
-                let i = i as usize;
-                let d2 = (qn - 2.0 * dot(q, self.get(i)) + self.norms[i]).max(0.0);
-                heap.push(i, d2);
+            for (&i, &d2) in cand.iter().zip(&d2s) {
+                heap.push(i as usize, d2);
             }
             let mut out = Vec::with_capacity(k.min(cand.len()));
             heap.drain_sorted_into(&mut out);
@@ -314,8 +314,8 @@ impl EmbeddingStore {
     ///
     /// Per query, the graph's `ef`-bounded beam search (driven by the
     /// norm-trick oracle `(‖q‖² − 2·q·x + ‖x‖²).max(0)`, built from the
-    /// same [`dot`] as the blocked GEMM and asked one hop's neighbours
-    /// at a time) yields up to `ef` candidates; a
+    /// same [`dot`] chain as the exhaustive scan and asked one hop's
+    /// neighbours at a time) yields up to `ef` candidates; a
     /// [`NeighborHeap`] then keeps the `k` smallest under the total
     /// order `(dist, index)`. With `ef ≥ N` the graph degenerates to
     /// enumerating every row, so the result is **bit-identical** to
@@ -376,10 +376,10 @@ impl EmbeddingStore {
     }
 
     /// Reference scalar scan — per-row [`euclidean_sq`] into a full
-    /// `N`-length distance buffer, then [`top_k`]. This is the pre-GEMM
-    /// baseline, kept for benchmarking the norm-trick path against (its
-    /// distances can differ from [`Self::knn`] in the last ulp because
-    /// the arithmetic is associated differently).
+    /// `N`-length distance buffer, then [`top_k`]. This is the
+    /// pre-norm-trick baseline, kept for benchmarking the fused scan
+    /// against (its distances can differ from [`Self::knn`] in the last
+    /// ulp because the arithmetic is associated differently).
     pub fn knn_naive(&self, query: &[f64], k: usize) -> Vec<Neighbor> {
         assert_eq!(query.len(), self.dim, "query dim mismatch");
         let dists: Vec<f64> = (0..self.len())
@@ -392,85 +392,55 @@ impl EmbeddingStore {
         out
     }
 
-    /// Like [`Self::knn`] but restricted to `candidates` (indices into the
-    /// store) — the index-assisted search path of Table V.
-    pub fn knn_candidates(&self, query: &[f64], candidates: &[usize], k: usize) -> Vec<Neighbor> {
-        assert_eq!(query.len(), self.dim, "query dim mismatch");
-        let mut out: Vec<Neighbor> = candidates
-            .iter()
-            .map(|&i| Neighbor {
-                index: i,
-                dist: euclidean_sq(query, self.get(i)),
-            })
-            .collect();
-        partial_sort_neighbors(&mut out, k);
-        for n in &mut out {
-            n.dist = n.dist.sqrt();
-        }
-        out
-    }
-
     /// All stored pairs `(i, j)` with `i < j` whose embedding distance is
     /// within `radius` — the candidate-generation kernel of
     /// [`SimilarityDb::similarity_join`](crate::SimilarityDb::similarity_join).
     ///
-    /// Runs the same norm-trick block GEMM as [`Self::knn_batch`], one
-    /// `SCAN_BLOCK × SCAN_BLOCK` tile of dot products at a time over the
-    /// upper triangle of the pair matrix, instead of `N²/2` memory-bound
-    /// `euclidean` calls. Pairs are emitted in lexicographic `(i, j)`
-    /// order. Matching the historical scalar loop's `!(dist > radius)`
-    /// test, a NaN radius keeps every pair; a negative radius keeps none.
+    /// Runs the same fused scan as [`Self::knn_batch`] with every
+    /// threshold fixed at `radius²`: `JOIN_BLOCK` (512) rows at a time are
+    /// the queries, the rows from the block's first on are the corpus,
+    /// instead of `N²/2` memory-bound `euclidean` calls. Pairs are
+    /// emitted in lexicographic `(i, j)` order. Matching the historical
+    /// scalar loop's `!(dist > radius)` test, a NaN radius keeps every
+    /// pair; a negative radius keeps none.
     pub fn pairs_within(&self, radius: f64) -> Vec<(usize, usize)> {
         if radius < 0.0 {
             return Vec::new();
         }
         let r2 = radius * radius;
+        // The kernel admits nothing under a NaN threshold.
+        let limit = if r2.is_nan() { f64::INFINITY } else { r2 };
         let d = self.dim;
         let n = self.len();
         let mut out = Vec::new();
-        SCAN_SCRATCH.with(|cell| {
-            let (_, scores) = &mut *cell.borrow_mut();
-            let mut istart = 0;
-            while istart < n {
-                let iend = (istart + SCAN_BLOCK).min(n);
-                let ib = iend - istart;
-                let mut jstart = istart;
-                while jstart < n {
-                    let jend = (jstart + SCAN_BLOCK).min(n);
-                    let jb = jend - jstart;
-                    scores.clear();
-                    scores.resize(ib * jb, 0.0);
-                    matmul_nt(
-                        &self.data[istart * d..iend * d],
-                        &self.data[jstart * d..jend * d],
-                        scores,
-                        ib,
-                        jb,
-                        d,
-                    );
-                    for io in 0..ib {
-                        let i = istart + io;
-                        let row = &scores[io * jb..(io + 1) * jb];
-                        // Stay strictly above the diagonal (i < j).
-                        let jo0 = (i + 1).saturating_sub(jstart);
-                        for (jo, &s) in row.iter().enumerate().skip(jo0) {
-                            let j = jstart + jo;
-                            let d2 = (self.norms[i] - 2.0 * s + self.norms[j]).max(0.0);
-                            // `d2 <= r2 || r2.is_nan()`: same keep-set as the
-                            // historical `!(euclidean > radius)` check, where a
-                            // NaN radius keeps every pair.
-                            if d2 <= r2 || r2.is_nan() {
-                                out.push((i, j));
-                            }
-                        }
+        let mut thresholds = vec![limit; JOIN_BLOCK.min(n)];
+        for istart in (0..n).step_by(JOIN_BLOCK) {
+            let iend = (istart + JOIN_BLOCK).min(n);
+            let input = ScanInput {
+                dim: d,
+                queries: &self.data[istart * d..iend * d],
+                qnorms: &self.norms[istart..iend],
+                rows: &self.data[istart * d..],
+                row_norms: &self.norms[istart..],
+            };
+            scan_rows(
+                neutraj_obs::simd::level(),
+                &input,
+                &mut thresholds[..iend - istart],
+                |io, jo, d2| {
+                    // Stay strictly above the diagonal (i < j).
+                    // `d2 <= r2 || r2.is_nan()`: same keep-set as the
+                    // historical `!(euclidean > radius)` check, where a
+                    // NaN radius keeps every pair.
+                    if io < jo && (d2 <= r2 || r2.is_nan()) {
+                        out.push((istart + io, istart + jo));
                     }
-                    jstart = jend;
-                }
-                istart = iend;
-            }
-        });
-        // The tile loop emits block-major; restore the documented
-        // lexicographic order (cheap next to the O(N²·d) GEMM above).
+                    limit
+                },
+            );
+        }
+        // The scan emits chunk-major; restore the documented
+        // lexicographic order (cheap next to the O(N²·d) scan above).
         out.sort_unstable();
         out
     }
@@ -559,17 +529,6 @@ mod tests {
         assert_eq!(res[0].index, 0);
         assert!((res[0].dist - 3.0).abs() < 1e-12);
         assert!((res[1].dist - 10.0_f64.sqrt()).abs() < 1e-12);
-        let rc = s.knn_candidates(&[0.0, 3.0], &[2, 1], 2);
-        assert_eq!(rc[0].index, 1);
-        assert!((rc[0].dist - 10.0_f64.sqrt()).abs() < 1e-12);
-        assert!((rc[1].dist - 13.0_f64.sqrt()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn candidates_restrict_search() {
-        let s = store();
-        let res = s.knn_candidates(&[0.0, 0.0], &[4, 3], 1);
-        assert_eq!(res[0].index, 3);
     }
 
     #[test]
@@ -602,7 +561,7 @@ mod tests {
     #[test]
     fn pairs_within_matches_scalar_loop() {
         use neutraj_nn::linalg::euclidean;
-        // Enough rows to cross block boundaries (> SCAN_BLOCK).
+        // Enough rows to cross block boundaries (> JOIN_BLOCK).
         let embs: Vec<Vec<f64>> = (0..700)
             .map(|i| vec![(i % 53) as f64 * 0.25, ((i * 11) % 17) as f64 * 0.5])
             .collect();

@@ -2,10 +2,14 @@
 //! forward must be bit-identical to the scalar (tape-recording,
 //! per-sequence) forward for every backbone,
 //! batch size and length mix, and batched norm-trick scans must return
-//! exactly the scalar scan's neighbours — tie ordering included.
+//! exactly the scalar scan's neighbours — tie ordering included — and
+//! exactly what a stored score matrix pushed row by row into the bounded
+//! heap returns.
 
+use neutraj_measures::{Neighbor, NeighborHeap};
 use neutraj_model::{BackboneKind, EmbeddingStore, NeuTrajModel, TrainConfig};
-use neutraj_trajectory::rng::cases;
+use neutraj_nn::linalg::{dot, matmul_nt};
+use neutraj_trajectory::rng::{cases, Rng};
 use neutraj_trajectory::{BoundingBox, Grid, Point, Trajectory};
 
 fn grid() -> Grid {
@@ -107,6 +111,133 @@ fn knn_batch_exactly_matches_scalar_knn() {
         for (q, got) in qrefs.iter().zip(&batch) {
             let want = store.knn(q, k);
             assert_eq!(&want, got, "batched scan diverged from scalar");
+        }
+    });
+}
+
+/// The scan as it was before the fused kernel, kept as the oracle: the
+/// whole `B × N` score matrix from `matmul_nt`, then the norm-trick
+/// expression and `NeighborHeap::push` for every row in order.
+fn knn_by_score_matrix(store: &EmbeddingStore, queries: &[&[f64]], k: usize) -> Vec<Vec<Neighbor>> {
+    let (b, n, d) = (queries.len(), store.len(), store.dim());
+    let mut scores = vec![0.0; b * n];
+    matmul_nt(&queries.concat(), store.as_flat(), &mut scores, b, n, d);
+    queries
+        .iter()
+        .enumerate()
+        .map(|(qi, q)| {
+            let qn = dot(q, q);
+            let mut heap = NeighborHeap::new(k);
+            for row in 0..n {
+                let x = store.get(row);
+                heap.push(row, (qn - 2.0 * scores[qi * n + row] + dot(x, x)).max(0.0));
+            }
+            let mut out = heap.into_sorted();
+            for nb in &mut out {
+                nb.dist = nb.dist.sqrt();
+            }
+            out
+        })
+        .collect()
+}
+
+/// `knn_batch` against the oracle, bit for bit, for every `k` that
+/// changes how thresholds arm: none kept, one, ten, exactly `N`, more.
+fn assert_scan_matches_oracle(store: &EmbeddingStore, queries: &[Vec<f64>], what: &str) {
+    let qrefs: Vec<&[f64]> = queries.iter().map(|q| q.as_slice()).collect();
+    let n = store.len();
+    let bits = |lists: &[Vec<Neighbor>]| -> Vec<Vec<(usize, u64)>> {
+        lists
+            .iter()
+            .map(|l| l.iter().map(|nb| (nb.index, nb.dist.to_bits())).collect())
+            .collect()
+    };
+    for k in [0, 1, 10, n, n + 5] {
+        let got = store.knn_batch(&qrefs, k);
+        let want = knn_by_score_matrix(store, &qrefs, k);
+        assert_eq!(
+            bits(&got),
+            bits(&want),
+            "{what}: B={} N={n} d={} k={k}",
+            queries.len(),
+            store.dim()
+        );
+        assert!(got.iter().all(|l| l.len() == k.min(n)));
+    }
+}
+
+fn random_rows(rng: &mut Rng, rows: usize, dim: usize) -> Vec<Vec<f64>> {
+    (0..rows)
+        .map(|_| (0..dim).map(|_| rng.unit_f64() - 0.5).collect())
+        .collect()
+}
+
+/// The fused scan equals the stored-score-matrix scan on every shape the
+/// kernel splits differently: batch sizes 1..=17 (each stripe width and
+/// the 8 + 8 + 1 split), row counts of every residue mod 16 with fewer
+/// than four included, and dimensions on both sides of the 4-column
+/// step.
+#[test]
+fn fused_scan_matches_score_matrix_on_every_shape() {
+    let mut rng = Rng::seed_from_u64(24);
+    for dim in [1usize, 3, 4, 31, 32, 33] {
+        for n in (0..=16).chain([77, 131]) {
+            let store = EmbeddingStore::from_embeddings(dim, &random_rows(&mut rng, n, dim));
+            for b in 1..=17 {
+                assert_scan_matches_oracle(&store, &random_rows(&mut rng, b, dim), "random");
+            }
+        }
+    }
+}
+
+/// ... and where a filter in front of the heap could go wrong: tied
+/// distances (the index decides) and a query that is a stored row (exact
+/// zero); `±0.0`, `NaN` and `±∞` in rows and queries (the store is a
+/// public type; a NaN score is distance 0 and must not be filtered out);
+/// a corpus whose distances fall with every row, so each one tightens
+/// the threshold the next is tested against, and one whose distances
+/// rise, so none does.
+#[test]
+fn fused_scan_matches_score_matrix_on_ties_specials_and_monotone_corpora() {
+    cases(6, |rng| {
+        let dim = [3usize, 6, 32][rng.gen_range(0usize..3)];
+        let n = rng.gen_range(40usize..200);
+        let b = rng.gen_range(1usize..=17);
+
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|_| (0..dim).map(|_| rng.gen_range(0u8..3) as f64).collect())
+            .collect();
+        let mut queries: Vec<Vec<f64>> = (0..b)
+            .map(|_| (0..dim).map(|_| rng.gen_range(0u8..3) as f64).collect())
+            .collect();
+        queries[0] = rows[n / 2].clone();
+        let store = EmbeddingStore::from_embeddings(dim, &rows);
+        assert_scan_matches_oracle(&store, &queries, "ties");
+
+        let special = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let mut rows = random_rows(rng, n, dim);
+        let mut queries = random_rows(rng, b, dim);
+        for v in rows.iter_mut().chain(queries.iter_mut()).flatten() {
+            if rng.gen_bool(0.05) {
+                *v = special[rng.gen_range(0usize..special.len())];
+            }
+        }
+        let store = EmbeddingStore::from_embeddings(dim, &rows);
+        assert_scan_matches_oracle(&store, &queries, "specials");
+
+        let base = random_rows(rng, 1, dim).remove(0);
+        let queries: Vec<Vec<f64>> = (0..b)
+            .map(|i| base.iter().map(|v| v + 1e-3 * i as f64).collect())
+            .collect();
+        for falling in [true, false] {
+            let rows: Vec<Vec<f64>> = (0..n)
+                .map(|j| {
+                    let step = if falling { n - j } else { j + 1 } as f64;
+                    base.iter().map(|v| v + step).collect()
+                })
+                .collect();
+            let store = EmbeddingStore::from_embeddings(dim, &rows);
+            assert_scan_matches_oracle(&store, &queries, "monotone");
         }
     });
 }

@@ -18,6 +18,10 @@
 //! * the gathered-rows dot ([`dot_rows`]) is that arm with the four rows
 //!   named by an id list instead of being adjacent — one `dot` chain per
 //!   lane;
+//! * the fused exact scan ([`scan_rows`]) is that arm again with the
+//!   norm-trick distance and a top-k admission pre-filter applied to the
+//!   accumulators while they are still in registers, so neither a packed
+//!   copy of the corpus nor a score block is ever written;
 //! * the two BPTT kernels — the ordered rank-`T` accumulate
 //!   (`outer_acc_rev`) and the transposed-columns product
 //!   (`matvec_t_cols`) — keep one accumulator per output in a register
@@ -208,6 +212,135 @@ pub fn dot_rows(level: SimdLevel, q: &[f64], rows: &[f64], ids: &[u32], out: &mu
     let _ = level;
     for (o, &i) in out.iter_mut().zip(ids) {
         *o = crate::linalg::dot(q, &rows[i as usize * k..][..k]);
+    }
+}
+
+/// The operands of [`scan_rows`]: `B` queries and `N` corpus rows of
+/// `dim` doubles each, both row-major, with their squared norms.
+#[derive(Debug, Clone, Copy)]
+pub struct ScanInput<'a> {
+    /// Doubles per query and per row.
+    pub dim: usize,
+    /// The `B × dim` queries.
+    pub queries: &'a [f64],
+    /// `‖q‖²` per query.
+    pub qnorms: &'a [f64],
+    /// The `N × dim` corpus rows.
+    pub rows: &'a [f64],
+    /// `‖x‖²` per row.
+    pub row_norms: &'a [f64],
+}
+
+/// Most queries one [`scan_rows`] stripe holds: one accumulator each
+/// beside the four transposed row vectors and a broadcast (13 `ymm`).
+const SCAN_STRIPE: usize = 8;
+
+/// Corpus rows per [`scan_rows`] chunk: about 16 KiB of them, so a chunk
+/// read for the first stripe of queries is still in L1 for the last, and
+/// a multiple of 16 so only the last chunk has a ragged tail.
+fn scan_chunk_rows(dim: usize) -> usize {
+    (16 * 1024 / (8 * dim.max(1)) / 16 * 16).max(16)
+}
+
+/// The norm-trick squared distance `‖q − x‖² = ‖q‖² − 2·q·x + ‖x‖²` from
+/// the dot `s = q·x`, clamped at zero (it goes epsilon-negative for
+/// near-identical rows; `max` also maps a NaN score to `0.0`).
+#[inline]
+fn norm_trick_sq(qn: f64, s: f64, xn: f64) -> f64 {
+    (qn - 2.0 * s + xn).max(0.0)
+}
+
+/// The exact scan, fused: for every query `qi` and row `j`, the dot
+/// `s = Σ_p q[p]·x[p]` (one accumulator starting at `+0.0`, ascending
+/// `p`, multiply and add separate — [`crate::linalg::matmul_nt`]'s
+/// chain), then `d2 = max(‖q‖² − 2·s + ‖x‖², 0)`, then
+/// `thresholds[qi] = admit(qi, j, d2)` **if** `d2 <= thresholds[qi]`.
+/// A top-k caller starts every threshold at `+∞` and returns its heap's
+/// worst kept distance once the heap is full; a range caller returns its
+/// radius unchanged. A NaN threshold admits nothing.
+///
+/// The threshold test is a *pre-filter*, not the decision: `admit` is
+/// called for every pair at or below the query's threshold as of that
+/// row — and, from the AVX2 arm, for a few above it, because a group of
+/// up to sixteen adjacent rows is tested against the thresholds as they
+/// stood when the group began. A threshold only ever falls, so a stale
+/// one only admits more; `admit` must decide for itself (a heap's own
+/// `(dist, index)` order, an exact radius test). Per query, rows arrive
+/// in ascending order.
+///
+/// Rows are walked in L1-sized chunks and every stripe of up to eight
+/// queries runs over a chunk before the next chunk is touched, so the
+/// corpus is read once however many queries there are. The scalar arm is
+/// the definition above. The AVX2 arm runs `matmul_nt_direct`'s
+/// transposing chain — four adjacent rows per vector, one lane each, no
+/// packed copy — and applies the same `d2` and `<=` lane-wise to the
+/// accumulators in registers; they are spilled only when some lane
+/// passes, and a passing lane's `d2` is recomputed by the scalar
+/// expression, so both arms hand `admit` the same bits.
+/// (`_mm256_max_pd(x, 0)` returns `0` for a NaN `x`, as `f64::max` does,
+/// so the filter never drops a lane the scalar arm keeps.) The first
+/// stripe over a chunk also prefetches the next chunk. A chunk's last
+/// `rows % 4` rows take the scalar arm.
+#[inline]
+#[allow(unsafe_code)]
+pub fn scan_rows<F: FnMut(usize, usize, f64) -> f64>(
+    level: SimdLevel,
+    input: &ScanInput<'_>,
+    thresholds: &mut [f64],
+    mut admit: F,
+) {
+    let (k, b, n) = (input.dim, input.qnorms.len(), input.row_norms.len());
+    assert_eq!(input.queries.len(), b * k, "scan_rows: queries shape");
+    assert_eq!(input.rows.len(), n * k, "scan_rows: rows shape");
+    assert_eq!(thresholds.len(), b, "scan_rows: one threshold per query");
+    #[cfg(target_arch = "x86_64")]
+    let wide = use_avx2(level);
+    let _ = level;
+    let chunk = scan_chunk_rows(k);
+    let mut c0 = 0;
+    while c0 < n {
+        let c1 = (c0 + chunk).min(n);
+        let mut q0 = 0;
+        while q0 < b {
+            let m = (b - q0).min(SCAN_STRIPE);
+            #[allow(unused_mut)]
+            let mut j = c0;
+            #[cfg(target_arch = "x86_64")]
+            if wide {
+                // SAFETY: AVX2 presence just verified; shapes checked
+                // above, `q0 + m <= b`, `c0 <= c1 <= n` and `m` is within
+                // the kernel's register budget.
+                j = unsafe { avx2::scan_stripe(input, q0, m, c0, c1, thresholds, &mut admit) };
+            }
+            scan_rows_scalar(input, q0..q0 + m, j..c1, thresholds, &mut admit);
+            q0 += m;
+        }
+        c0 = c1;
+    }
+}
+
+/// The scalar oracle of [`scan_rows`] over one block of queries and rows.
+fn scan_rows_scalar<F: FnMut(usize, usize, f64) -> f64>(
+    input: &ScanInput<'_>,
+    queries: std::ops::Range<usize>,
+    rows: std::ops::Range<usize>,
+    thresholds: &mut [f64],
+    admit: &mut F,
+) {
+    let k = input.dim;
+    for qi in queries {
+        let q = &input.queries[qi * k..(qi + 1) * k];
+        let qn = input.qnorms[qi];
+        for j in rows.clone() {
+            let mut s = 0.0;
+            for (&x, &y) in q.iter().zip(&input.rows[j * k..(j + 1) * k]) {
+                s += x * y;
+            }
+            let d2 = norm_trick_sq(qn, s, input.row_norms[j]);
+            if d2 <= thresholds[qi] {
+                thresholds[qi] = admit(qi, j, d2);
+            }
+        }
     }
 }
 
@@ -421,7 +554,7 @@ pub fn quant_scan_block(
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx2 {
-    use super::{MR, NR};
+    use super::{ScanInput, MR, NR};
     use core::arch::x86_64::*;
 
     #[target_feature(enable = "avx2")]
@@ -520,11 +653,53 @@ mod avx2 {
         _mm256_set_pd(*rows[3], *rows[2], *rows[1], *rows[0])
     }
 
-    /// Outputs `c[i·n + j0 + 4·g + l]` for `i < M`, `g < G`, `l < 4`:
-    /// `M` rows of `A` against `G` groups of four `B` rows, `M·G`
-    /// accumulators (callers keep `M·G ≤ 8` so they stay in registers).
-    /// More than one group gives a short `M` enough independent add
-    /// chains to cover the add latency.
+    /// The dot chains of `$m` rows of `A` (at `$a`) against `$g` groups
+    /// of four adjacent `B` rows (at `$b`, `$k` doubles each) from row
+    /// `$j0`, as a `[[__m256d; $m]; $g]`: lane `l` of `[g][i]` is
+    /// `Σ_p a[i, p] · b[$j0 + 4·g + l, p]`. `$m·$g` accumulators (callers
+    /// keep `$m·$g ≤ 8` so they stay in registers); more than one group
+    /// gives a short `$m` enough independent add chains to cover the add
+    /// latency. A macro because the accumulators must not leave their
+    /// registers between the chain and what a caller does with them, and
+    /// `#[target_feature]` functions cannot be `#[inline(always)]`.
+    ///
+    /// Expands to `unsafe` operations: AVX2 must be available, `$a` must
+    /// be readable for `$m·$k` doubles and `$b` for `($j0 + 4·$g)·$k`.
+    macro_rules! nt_chains {
+        ($m:ident, $g:ident, $a:expr, $b:expr, $k:expr, $j0:expr) => {{
+            let (a, b, k, j0): (*const f64, *const f64, usize, usize) = ($a, $b, $k, $j0);
+            let mut acc = [[_mm256_setzero_pd(); $m]; $g];
+            let mut p = 0;
+            while p + 4 <= k {
+                for (g, rows) in acc.iter_mut().enumerate() {
+                    let j = j0 + 4 * g;
+                    let t = transpose4(std::array::from_fn(|l| b.add((j + l) * k + p)));
+                    for (i, sum) in rows.iter_mut().enumerate() {
+                        for (q, &tq) in t.iter().enumerate() {
+                            let av = _mm256_set1_pd(*a.add(i * k + p + q));
+                            // Separate mul+add: the scalar oracle does not contract.
+                            *sum = _mm256_add_pd(*sum, _mm256_mul_pd(av, tq));
+                        }
+                    }
+                }
+                p += 4;
+            }
+            while p < k {
+                for (g, rows) in acc.iter_mut().enumerate() {
+                    let j = j0 + 4 * g;
+                    let t = gather4(std::array::from_fn(|l| b.add((j + l) * k + p)));
+                    for (i, sum) in rows.iter_mut().enumerate() {
+                        let av = _mm256_set1_pd(*a.add(i * k + p));
+                        *sum = _mm256_add_pd(*sum, _mm256_mul_pd(av, t));
+                    }
+                }
+                p += 1;
+            }
+            acc
+        }};
+    }
+
+    /// Outputs `c[i·n + j0 + 4·g + l]` for `i < M`, `g < G`, `l < 4`.
     ///
     /// # Safety
     /// AVX2 must be available; `a` must be readable for `M·k` doubles,
@@ -539,34 +714,7 @@ mod avx2 {
         k: usize,
         j0: usize,
     ) {
-        let mut acc = [[_mm256_setzero_pd(); M]; G];
-        let mut p = 0;
-        while p + 4 <= k {
-            for (g, rows) in acc.iter_mut().enumerate() {
-                let j = j0 + 4 * g;
-                let t = transpose4(std::array::from_fn(|l| b.add((j + l) * k + p)));
-                for (i, sum) in rows.iter_mut().enumerate() {
-                    for (q, &tq) in t.iter().enumerate() {
-                        let av = _mm256_set1_pd(*a.add(i * k + p + q));
-                        // Separate mul+add: the scalar oracle does not contract.
-                        *sum = _mm256_add_pd(*sum, _mm256_mul_pd(av, tq));
-                    }
-                }
-            }
-            p += 4;
-        }
-        while p < k {
-            for (g, rows) in acc.iter_mut().enumerate() {
-                let j = j0 + 4 * g;
-                let t = gather4(std::array::from_fn(|l| b.add((j + l) * k + p)));
-                for (i, sum) in rows.iter_mut().enumerate() {
-                    let av = _mm256_set1_pd(*a.add(i * k + p));
-                    *sum = _mm256_add_pd(*sum, _mm256_mul_pd(av, t));
-                }
-            }
-            p += 1;
-        }
-        for (g, rows) in acc.iter().enumerate() {
+        for (g, rows) in nt_chains!(M, G, a, b, k, j0).iter().enumerate() {
             for (i, &sum) in rows.iter().enumerate() {
                 _mm256_storeu_pd(c.add(i * n + j0 + 4 * g), sum);
             }
@@ -625,6 +773,159 @@ mod avx2 {
             _ => unreachable!("dispatcher admits m in 1..=7"),
         }
         n - n % 4
+    }
+
+    /// [`super::scan_rows`] for queries `q0..q0 + M` against rows
+    /// `j0..j0 + 4·G`: the chains of `nt_chains!`, then the distance and
+    /// the threshold test on the accumulators, lane-wise in
+    /// [`super::norm_trick_sq`]'s operand order — all `4·M·G` lanes
+    /// against the thresholds as they stood on entry, into one bit each.
+    /// Almost always no bit is set and nothing leaves the registers;
+    /// otherwise [`admit_hits`] hands the lanes that passed to `admit`.
+    ///
+    /// # Safety
+    /// AVX2 must be available; `input` must hold the shapes
+    /// [`super::scan_rows`] checks, with `q0 + M` queries,
+    /// `j0 + 4·G` rows and one threshold per query; `M·G <= 8`.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    unsafe fn scan_groups<const M: usize, const G: usize, F: FnMut(usize, usize, f64) -> f64>(
+        input: &ScanInput<'_>,
+        q0: usize,
+        j0: usize,
+        thresholds: &mut [f64],
+        admit: &mut F,
+    ) {
+        let k = input.dim;
+        let a = input.queries.as_ptr().add(q0 * k);
+        if q0 == 0 {
+            // The first stripe over a chunk is the one that waits for its
+            // rows; ask for the same rows of the next chunk now, so they
+            // arrive under this chunk's arithmetic. A prefetch past the
+            // end of the corpus does nothing, hence the wrapping offsets.
+            let next = (j0 + super::scan_chunk_rows(k)) * k;
+            let ahead = input.rows.as_ptr().wrapping_add(next).cast::<i8>();
+            for line in (0..4 * G * k * 8).step_by(64) {
+                _mm_prefetch::<_MM_HINT_T0>(ahead.wrapping_add(line));
+            }
+        }
+        let acc = nt_chains!(M, G, a, input.rows.as_ptr(), k, j0);
+        let qnorms: &[f64; M] = input.qnorms[q0..q0 + M].try_into().expect("M norms");
+        let limits: &[f64; M] = thresholds[q0..q0 + M].try_into().expect("M thresholds");
+        let (two, zero) = (_mm256_set1_pd(2.0), _mm256_setzero_pd());
+        let mut hits = 0u32;
+        for (g, sums) in acc.iter().enumerate() {
+            let xn = _mm256_loadu_pd(input.row_norms[j0 + 4 * g..][..4].as_ptr());
+            for (i, &s) in sums.iter().enumerate() {
+                let qn = _mm256_set1_pd(qnorms[i]);
+                let score = _mm256_add_pd(_mm256_sub_pd(qn, _mm256_mul_pd(two, s)), xn);
+                // A NaN score becomes 0 here as in `f64::max`: the second
+                // operand is returned when either is NaN.
+                let d2 = _mm256_max_pd(score, zero);
+                let pass = _mm256_cmp_pd::<_CMP_LE_OQ>(d2, _mm256_set1_pd(limits[i]));
+                hits |= (_mm256_movemask_pd(pass) as u32) << (4 * (g * M + i));
+            }
+        }
+        if hits != 0 {
+            admit_hits(input, q0, j0, &acc, hits, thresholds, admit);
+        }
+    }
+
+    /// The slow end of [`scan_groups`]: bit `4·(g·M + i) + l` of `hits`
+    /// says lane `l` of `acc[g][i]` — query `q0 + i`, row `j0 + 4·g + l`
+    /// — passed the filter. Each goes to `admit` with the scalar
+    /// expression's `d2`, a query's rows in ascending order.
+    ///
+    /// # Safety
+    /// AVX2 must be available.
+    #[inline(never)]
+    #[target_feature(enable = "avx2")]
+    unsafe fn admit_hits<const M: usize, const G: usize, F: FnMut(usize, usize, f64) -> f64>(
+        input: &ScanInput<'_>,
+        q0: usize,
+        j0: usize,
+        acc: &[[__m256d; M]; G],
+        mut hits: u32,
+        thresholds: &mut [f64],
+        admit: &mut F,
+    ) {
+        let mut dots = [[[0.0f64; 4]; M]; G];
+        for (lanes, sums) in dots.iter_mut().zip(acc) {
+            for (lane, &sum) in lanes.iter_mut().zip(sums) {
+                _mm256_storeu_pd(lane.as_mut_ptr(), sum);
+            }
+        }
+        while hits != 0 {
+            let bit = hits.trailing_zeros() as usize;
+            hits &= hits - 1;
+            let (g, i, l) = (bit / 4 / M, bit / 4 % M, bit % 4);
+            let (qi, row) = (q0 + i, j0 + 4 * g + l);
+            let d2 = super::norm_trick_sq(input.qnorms[qi], dots[g][i][l], input.row_norms[row]);
+            thresholds[qi] = admit(qi, row, d2);
+        }
+    }
+
+    /// Every whole group of four rows in `j0..j1` for exactly `M`
+    /// queries, `G` groups per pass while that many remain; returns the
+    /// first row not scanned.
+    ///
+    /// # Safety
+    /// As [`scan_groups`], with `j1` rows.
+    #[target_feature(enable = "avx2")]
+    unsafe fn scan_stripe_rows<
+        const M: usize,
+        const G: usize,
+        F: FnMut(usize, usize, f64) -> f64,
+    >(
+        input: &ScanInput<'_>,
+        q0: usize,
+        j0: usize,
+        j1: usize,
+        thresholds: &mut [f64],
+        admit: &mut F,
+    ) -> usize {
+        let mut j = j0;
+        while j + 4 * G <= j1 {
+            scan_groups::<M, G, F>(input, q0, j, thresholds, admit);
+            j += 4 * G;
+        }
+        // With `G == 1` the loop above took every whole group (and a
+        // second mention of its kernel would keep it from being inlined).
+        while G > 1 && j + 4 <= j1 {
+            scan_groups::<M, 1, F>(input, q0, j, thresholds, admit);
+            j += 4;
+        }
+        j
+    }
+
+    /// One stripe of `m` queries from `q0` over rows `j0..j1`; returns
+    /// the first row left for the scalar arm (`j1 − (j1 − j0) % 4`).
+    ///
+    /// # Safety
+    /// AVX2 must be available, `m` in `1..=8`, and `input` must hold the
+    /// shapes [`super::scan_rows`] checks, with at least `q0 + m`
+    /// queries and thresholds and `j1` rows.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn scan_stripe<F: FnMut(usize, usize, f64) -> f64>(
+        input: &ScanInput<'_>,
+        q0: usize,
+        m: usize,
+        j0: usize,
+        j1: usize,
+        thresholds: &mut [f64],
+        admit: &mut F,
+    ) -> usize {
+        match m {
+            1 => scan_stripe_rows::<1, 4, F>(input, q0, j0, j1, thresholds, admit),
+            2 => scan_stripe_rows::<2, 2, F>(input, q0, j0, j1, thresholds, admit),
+            3 => scan_stripe_rows::<3, 2, F>(input, q0, j0, j1, thresholds, admit),
+            4 => scan_stripe_rows::<4, 2, F>(input, q0, j0, j1, thresholds, admit),
+            5 => scan_stripe_rows::<5, 1, F>(input, q0, j0, j1, thresholds, admit),
+            6 => scan_stripe_rows::<6, 1, F>(input, q0, j0, j1, thresholds, admit),
+            7 => scan_stripe_rows::<7, 1, F>(input, q0, j0, j1, thresholds, admit),
+            8 => scan_stripe_rows::<8, 1, F>(input, q0, j0, j1, thresholds, admit),
+            _ => unreachable!("dispatcher admits m in 1..=8"),
+        }
     }
 
     /// `out[i] = dot(q, row ids[base + i])` for `i < min(4·G, ids.len() −
@@ -1087,6 +1388,231 @@ mod tests {
     #[should_panic(expected = "row id out of range")]
     fn dot_rows_rejects_an_id_past_the_matrix() {
         dot_rows(SimdLevel::Avx2, &[1.0, 1.0], &[0.0; 6], &[3], &mut [0.0]);
+    }
+
+    /// The `k` smallest `(d2, row)` under `(total_cmp, row)` — the order
+    /// of the model crate's bounded heap, which this crate cannot name —
+    /// as `(d2 bits, row)`.
+    struct TopK {
+        k: usize,
+        kept: Vec<(f64, usize)>,
+    }
+
+    impl TopK {
+        /// Offers a pair; returns the admission threshold afterwards.
+        fn push(&mut self, row: usize, d2: f64) -> f64 {
+            let at = self
+                .kept
+                .partition_point(|&(d, r)| d.total_cmp(&d2).then(r.cmp(&row)).is_lt());
+            self.kept.insert(at, (d2, row));
+            self.kept.truncate(self.k);
+            match self.kept.last() {
+                Some(&(worst, _)) if self.kept.len() == self.k => worst,
+                _ => f64::INFINITY,
+            }
+        }
+
+        fn bits(&self) -> Vec<(u64, usize)> {
+            self.kept.iter().map(|&(d, r)| (d.to_bits(), r)).collect()
+        }
+    }
+
+    fn scan_input<'a>(
+        dim: usize,
+        queries: &'a [f64],
+        rows: &'a [f64],
+        norms: &'a (Vec<f64>, Vec<f64>),
+    ) -> ScanInput<'a> {
+        ScanInput {
+            dim,
+            queries,
+            qnorms: &norms.0,
+            rows,
+            row_norms: &norms.1,
+        }
+    }
+
+    fn sq_norms(dim: usize, flat: &[f64]) -> Vec<f64> {
+        flat.chunks_exact(dim)
+            .map(|r| crate::linalg::dot(r, r))
+            .collect()
+    }
+
+    /// Every `d2` of the batch from a plain scalar `matmul_nt` and the
+    /// scalar norm-trick expression, query-major.
+    fn reference_d2(input: &ScanInput<'_>) -> Vec<f64> {
+        let (b, n) = (input.qnorms.len(), input.row_norms.len());
+        let mut scores = vec![0.0; b * n];
+        crate::linalg::matmul_nt_with_level(
+            SimdLevel::Scalar,
+            input.queries,
+            input.rows,
+            &mut scores,
+            b,
+            n,
+            input.dim,
+        );
+        for (qi, row) in scores.chunks_exact_mut(n.max(1)).enumerate() {
+            for (s, &xn) in row.iter_mut().zip(input.row_norms) {
+                *s = (input.qnorms[qi] - 2.0 * *s + xn).max(0.0);
+            }
+        }
+        scores
+    }
+
+    /// Top-`k` per query through [`scan_rows`] at `level`.
+    fn scan_topk(level: SimdLevel, input: &ScanInput<'_>, k: usize) -> Vec<Vec<(u64, usize)>> {
+        let b = input.qnorms.len();
+        let mut tops: Vec<TopK> = (0..b).map(|_| TopK { k, kept: vec![] }).collect();
+        let mut thresholds = vec![f64::INFINITY; b];
+        scan_rows(level, input, &mut thresholds, |qi, row, d2| {
+            tops[qi].push(row, d2)
+        });
+        tops.iter().map(TopK::bits).collect()
+    }
+
+    /// Both arms against the `matmul_nt` reference: the top-`k` for each
+    /// `k` (moving thresholds — the AVX2 arm may call `admit` more often,
+    /// never with other bits), and the exact admitted set under fixed
+    /// thresholds (nothing is stale, so the arms agree call for call).
+    fn check_scan(dim: usize, queries: &[f64], rows: &[f64], ks: &[usize], what: &str) {
+        let norms = (sq_norms(dim, queries), sq_norms(dim, rows));
+        let input = scan_input(dim, queries, rows, &norms);
+        let (b, n) = (norms.0.len(), norms.1.len());
+        let d2 = reference_d2(&input);
+        for &k in ks {
+            let want: Vec<Vec<(u64, usize)>> = (0..b)
+                .map(|qi| {
+                    let mut top = TopK { k, kept: vec![] };
+                    for row in 0..n {
+                        top.push(row, d2[qi * n + row]);
+                    }
+                    top.bits()
+                })
+                .collect();
+            for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+                let got = scan_topk(level, &input, k);
+                assert_eq!(got, want, "{what}: {level:?} d={dim} b={b} n={n} k={k}");
+            }
+        }
+        // A radius that splits the pairs, then the two ends.
+        let mut sorted = d2.clone();
+        sorted.sort_by(f64::total_cmp);
+        let median = sorted.get(sorted.len() / 2).copied().unwrap_or(0.0);
+        for limit in [median, f64::INFINITY, f64::NAN] {
+            let want: Vec<(usize, usize, u64)> = (0..b * n)
+                .filter(|&at| d2[at] <= limit)
+                .map(|at| (at / n, at % n, d2[at].to_bits()))
+                .collect();
+            for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+                let mut got = Vec::new();
+                scan_rows(level, &input, &mut vec![limit; b], |qi, row, d2| {
+                    got.push((qi, row, d2.to_bits()));
+                    limit
+                });
+                got.sort_unstable();
+                assert_eq!(
+                    got, want,
+                    "{what}: {level:?} d={dim} b={b} n={n} limit={limit}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn scan_rows_matches_matmul_nt_reference_bitwise_across_levels() {
+        let mut seed = 41u64;
+        // Every residue mod 16 (fewer than four rows included), then
+        // sizes that cross a chunk boundary with a ragged last chunk.
+        let sizes: Vec<usize> = (0..=16).chain([77, 131]).collect();
+        for dim in [1usize, 3, 4, 31, 32, 33] {
+            for &n in &sizes {
+                // Every stripe shape, and the 8 + 8 + 1 split.
+                for b in 1..=17usize {
+                    let rows = fill(n * dim, &mut seed);
+                    let queries = fill(b * dim, &mut seed);
+                    check_scan(dim, &queries, &rows, &[1, 10, n, n + 5], "random");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn scan_rows_keeps_ties_specials_and_monotone_corpora_exact() {
+        let mut seed = 43u64;
+        for dim in [3usize, 32] {
+            for (b, n) in [(1usize, 150usize), (5, 83), (8, 150), (17, 131)] {
+                // Rows from a tiny alphabet: duplicates everywhere, so the
+                // k-th distance is tied and the index decides; the first
+                // queries are rows themselves (the exact-zero cancellation).
+                let small = |s: &mut u64| (lcg(s) >> 33) as usize % 3;
+                let rows: Vec<f64> = (0..n * dim).map(|_| small(&mut seed) as f64).collect();
+                let mut queries: Vec<f64> = (0..b * dim).map(|_| small(&mut seed) as f64).collect();
+                let own = (b / 2 + 1).min(b) * dim;
+                queries[..own].copy_from_slice(&rows[dim..dim + own]);
+                check_scan(dim, &queries, &rows, &[1, 10, n], "ties");
+
+                // Signed zeros, NaN and infinities in rows and queries: a
+                // NaN score is distance 0 under `max`, and the filter must
+                // let it through.
+                let special = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+                let mut rows = fill(n * dim, &mut seed);
+                let mut queries = fill(b * dim, &mut seed);
+                for v in rows.iter_mut().chain(queries.iter_mut()) {
+                    if lcg(&mut seed) >> 60 == 0 {
+                        *v = special[(lcg(&mut seed) >> 33) as usize % special.len()];
+                    }
+                }
+                check_scan(dim, &queries, &rows, &[1, 10, n], "specials");
+
+                // Distances that fall with every row (each row enters the
+                // heap and tightens the threshold) and that rise with
+                // every row (none does once the heap is full).
+                let base = fill(dim, &mut seed);
+                let queries: Vec<f64> = (0..b * dim)
+                    .map(|at| base[at % dim] + 1e-3 * (at / dim) as f64)
+                    .collect();
+                for falling in [true, false] {
+                    let rows: Vec<f64> = (0..n * dim)
+                        .map(|at| {
+                            let j = at / dim;
+                            let step = if falling { n - j } else { j + 1 };
+                            base[at % dim] + step as f64
+                        })
+                        .collect();
+                    check_scan(dim, &queries, &rows, &[1, 10], "monotone");
+                }
+            }
+        }
+        // No queries, no rows, no dimensions.
+        let none = (vec![], vec![]);
+        scan_rows(
+            SimdLevel::Avx2,
+            &scan_input(4, &[], &[], &none),
+            &mut [],
+            |_, _, _| unreachable!("nothing to admit"),
+        );
+        let norms = (vec![0.0; 2], vec![0.0; 5]);
+        let mut calls = 0;
+        scan_rows(
+            SimdLevel::Avx2,
+            &scan_input(0, &[], &[], &norms),
+            &mut [f64::INFINITY; 2],
+            |_, _, d2| {
+                calls += 1;
+                assert_eq!(d2, 0.0);
+                f64::INFINITY
+            },
+        );
+        assert_eq!(calls, 10);
+    }
+
+    #[test]
+    #[should_panic(expected = "one threshold per query")]
+    fn scan_rows_rejects_a_short_threshold_slice() {
+        let norms = (vec![1.0; 2], vec![1.0; 3]);
+        let input = scan_input(1, &[1.0, 1.0], &[1.0, 1.0, 1.0], &norms);
+        scan_rows(SimdLevel::Avx2, &input, &mut [0.0], |_, _, _| 0.0);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   scan (the module docs carry the proof).
 //! * **Adaptive micro-batching** — concurrent single queries coalesce in
 //!   a deadline-bounded queue and dispatch through the lockstep batched
-//!   embed + blocked-GEMM scan, bit-identical to answering each query
+//!   embed + fused exact scan, bit-identical to answering each query
 //!   alone ([`service`] module docs carry the scheduling policy).
 //!
 //! The typed surface ([`ServeRequest`] / [`ServeResponse`] /

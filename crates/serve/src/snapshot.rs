@@ -16,8 +16,8 @@
 //! row `g = l·S + s` — strictly increasing in `l`, so each shard's
 //! `(dist, local)` order *is* its `(dist, global)` order. The per-row
 //! norm-trick score is a pure function of (query row, corpus row):
-//! `matmul_nt` computes every output element as one ascending-index dot
-//! accumulator, independent of batch size and blocking, so a row scores
+//! the fused scan computes every pair as one ascending-index dot
+//! accumulator, independent of batch size, stripe and chunk, so a row scores
 //! identically in any shard of any snapshot. Each shard returns its top
 //! `fetch` under the `(dist, index)` total order; the union of the
 //! per-shard top-`fetch` lists contains the global top-`fetch` (every
