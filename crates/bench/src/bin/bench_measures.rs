@@ -89,9 +89,10 @@ fn main() {
     // SIMD before/after: the PR 5 scalar lane kernels versus the AVX2
     // dispatch, forced in-process on the same engine workload. Only the
     // DP measures have lane kernels (Hausdorff takes the pairwise grid
-    // path), and only `matrix` routes through them — the knn path's
-    // early-abandoning kernels interleave threshold compares per DP row
-    // and stay scalar by design.
+    // path), and `matrix` is all lane kernels — the knn path runs them
+    // only for each query's first `k` candidates; its early-abandoning
+    // kernels interleave threshold compares per DP row and stay scalar
+    // by design.
     let detected = neutraj_obs::simd::detect();
     println!("simd: host dispatch level {detected:?}");
     let simd_rows: Vec<SimdRow> = [MeasureKind::Frechet, MeasureKind::Erp, MeasureKind::Dtw]

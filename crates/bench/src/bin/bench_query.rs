@@ -46,7 +46,7 @@
 //! * **graph** (`--graph`) — the HNSW graph shortlist (`DESIGN.md` §15)
 //!   over a *uniform* corpus with no partition-recoverable structure
 //!   (the clustered corpus is IVF's one-cell best case; uniform is the
-//!   regime where holding high recall is hard — see [`uniform_store`]),
+//!   regime where holding high recall is hard — see `uniform_store`),
 //!   sweeping N ∈ {100k, 1M} (10M with `--full`) × beam width ef.
 //!   Corpora are generated block-wise into a preallocated
 //!   [`EmbeddingStore`] — no intermediate `Vec<Vec<f64>>`,

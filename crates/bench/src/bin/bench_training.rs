@@ -13,9 +13,9 @@
 //! backwards, and everything else (sampling, pair losses, Adam, epoch
 //! bookkeeping) — from the trainer's own `neutraj_train_*_seconds`
 //! histograms, and the run ends with the BPTT tape's bytes per point,
-//! which must stay under [`TAPE_BYTES_PER_POINT_MAX`]: a tape that copies
-//! attention windows again (6.4 KB a step at the default shape) cannot
-//! come back unnoticed.
+//! which must stay under `TAPE_BYTES_PER_POINT_MAX` (4 096): a tape
+//! that copies attention windows again (6.4 KB a step at the default
+//! shape) cannot come back unnoticed.
 //!
 //! ```text
 //! cargo run -p neutraj-bench --release --bin bench_training [-- --size 250 --epochs 5]

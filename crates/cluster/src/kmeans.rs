@@ -253,7 +253,7 @@ impl KMeans {
 
     /// Assigns every row of `data` (row-major `n × dim`) to its nearest
     /// centroid, writing into `out` (resized to `n`). One `block × k`
-    /// GEMM per [`ASSIGN_BLOCK`] rows.
+    /// GEMM per `ASSIGN_BLOCK` (512) rows.
     pub fn assign_batch(&self, data: &[f64], out: &mut Vec<u32>) {
         assert_eq!(
             data.len() % self.dim,

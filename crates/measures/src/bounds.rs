@@ -3,8 +3,8 @@
 //!
 //! Every trajectory entering a [`crate::GroundTruthEngine`] is summarized
 //! once into a [`TrajCache`]: bounding box, endpoints, structure-of-arrays
-//! coordinate copies (so distance rows auto-vectorize), and — for ERP —
-//! the per-point gap costs and their sum. Bounds come in two tiers:
+//! coordinates (what the DP kernels and the lane groups read), and — for
+//! ERP — the per-point gap costs and their sum. Bounds come in two tiers:
 //!
 //! * **tier 0** ([`lb_cheap`]) is O(1) per pair, built only from cached
 //!   scalars (LB_Kim-style endpoint distances, MBR separation, gap-sum
@@ -15,16 +15,14 @@
 //! All bounds are mathematically `<=` the exact distance; they are *only*
 //! compared against a running threshold and never mixed into returned
 //! distances, so pruning cannot perturb a single output bit.
+//!
+//! These are the crate's only pruning bounds. A measure reaches them by
+//! naming its kernel in [`crate::Measure::accel`]; a measure that names
+//! none is computed in full for every pair.
 
 use crate::Accel;
 use neutraj_index::PointGrid;
 use neutraj_trajectory::{BoundingBox, Point, Trajectory};
-
-/// Zero padding appended to the wavefront kernels' coordinate copies so
-/// anti-diagonal slices can round their length up to a full vector width
-/// without a scalar remainder loop (the padded lanes compute garbage no
-/// valid cell ever reads).
-pub const WAVE_PAD: usize = 8;
 
 /// Cached per-trajectory summary used by the bound cascade and the
 /// vectorized DP kernels.
@@ -40,24 +38,8 @@ pub struct TrajCache {
     pub xs: Vec<f64>,
     /// Y coordinates, structure-of-arrays copy.
     pub ys: Vec<f64>,
-    /// `xs` followed by [`WAVE_PAD`] zeros (DP measures only): the
-    /// anti-diagonal kernels read fixed-width padded slices.
-    pub xs_pad: Vec<f64>,
-    /// `ys` followed by [`WAVE_PAD`] zeros (DP measures only).
-    pub ys_pad: Vec<f64>,
-    /// `xs` reversed then zero-padded (DP measures only): anti-diagonal
-    /// kernels walk the inner sequence backwards, and a reversed copy
-    /// turns that into a forward contiguous scan the auto-vectorizer
-    /// likes.
-    pub xs_rev: Vec<f64>,
-    /// `ys` reversed then zero-padded (DP measures only).
-    pub ys_rev: Vec<f64>,
     /// ERP only: `d(p_i, g)` per point (empty for other measures).
     pub gap_dists: Vec<f64>,
-    /// ERP only: `gap_dists` zero-padded, for the anti-diagonal kernel.
-    pub gap_pad: Vec<f64>,
-    /// ERP only: `gap_dists` reversed then zero-padded.
-    pub gap_rev: Vec<f64>,
     /// ERP only: sum of `gap_dists`.
     pub gap_sum: f64,
     /// Hausdorff only: point-bucket grid for exact nearest-point queries.
@@ -75,27 +57,12 @@ impl TrajCache {
         };
         let xs: Vec<f64> = pts.iter().map(|p| p.x).collect();
         let ys: Vec<f64> = pts.iter().map(|p| p.y).collect();
-        let pad = |it: &mut dyn Iterator<Item = f64>| -> Vec<f64> {
-            it.chain(std::iter::repeat_n(0.0, WAVE_PAD)).collect()
-        };
-        let (xs_pad, ys_pad, xs_rev, ys_rev) = if matches!(accel, Accel::Hausdorff) {
-            (Vec::new(), Vec::new(), Vec::new(), Vec::new())
-        } else {
-            (
-                pad(&mut xs.iter().copied()),
-                pad(&mut ys.iter().copied()),
-                pad(&mut xs.iter().rev().copied()),
-                pad(&mut ys.iter().rev().copied()),
-            )
-        };
-        let (gap_dists, gap_pad, gap_rev, gap_sum) = if let Accel::Erp { gap } = accel {
+        let (gap_dists, gap_sum) = if let Accel::Erp { gap } = accel {
             let g: Vec<f64> = pts.iter().map(|p| p.dist(&gap)).collect();
-            let padded = pad(&mut g.iter().copied());
-            let rev = pad(&mut g.iter().rev().copied());
             let sum = g.iter().sum();
-            (g, padded, rev, sum)
+            (g, sum)
         } else {
-            (Vec::new(), Vec::new(), Vec::new(), 0.0)
+            (Vec::new(), 0.0)
         };
         let grid = if matches!(accel, Accel::Hausdorff) {
             PointGrid::build(pts)
@@ -108,13 +75,7 @@ impl TrajCache {
             last,
             xs,
             ys,
-            xs_pad,
-            ys_pad,
-            xs_rev,
-            ys_rev,
             gap_dists,
-            gap_pad,
-            gap_rev,
             gap_sum,
             grid,
         }

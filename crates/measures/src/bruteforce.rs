@@ -31,40 +31,6 @@ pub fn knn_scan(
     top_k(&dists, k)
 }
 
-/// Like [`knn_scan`] but skips candidates whose [`Measure::lower_bound`]
-/// already exceeds the current k-th best distance — identical results,
-/// often far fewer exact computations (see the `pruning` tests).
-pub fn knn_scan_pruned(
-    measure: &dyn Measure,
-    query: &Trajectory,
-    database: &[Trajectory],
-    k: usize,
-) -> Vec<Neighbor> {
-    if k == 0 {
-        return Vec::new();
-    }
-    // Current top-k kept sorted ascending (k is small: 10-50).
-    let mut best: Vec<Neighbor> = Vec::with_capacity(k + 1);
-    for (index, t) in database.iter().enumerate() {
-        let threshold = if best.len() == k {
-            best.last().expect("k > 0").dist
-        } else {
-            f64::INFINITY
-        };
-        if measure.lower_bound(query.points(), t.points()) > threshold {
-            continue;
-        }
-        let dist = measure.dist(query.points(), t.points());
-        if dist > threshold || (dist == threshold && best.len() == k) {
-            continue;
-        }
-        let pos = best.partition_point(|n| (n.dist, n.index) < (dist, index));
-        best.insert(pos, Neighbor { index, dist });
-        best.truncate(k);
-    }
-    best
-}
-
 /// Like [`knn_scan`] but restricted to `candidates` (indices into
 /// `database`) — the shape index-assisted search takes: an index prunes to
 /// candidates, an exact or learned measure ranks them.
@@ -269,37 +235,6 @@ mod tests {
         assert_eq!(res.len(), 2);
         assert_eq!(res[0].index, 5);
         assert_eq!(res[1].index, 7);
-    }
-
-    #[test]
-    fn pruned_scan_matches_plain_scan() {
-        use crate::{DiscreteFrechet, Dtw, Hausdorff, Measure};
-        let db = corpus(60);
-        let measures: [&dyn Measure; 3] = [&DiscreteFrechet, &Hausdorff, &Dtw];
-        for m in measures {
-            for k in [1usize, 5, 20] {
-                let plain = knn_scan(m, &db[7], &db, k);
-                let pruned = knn_scan_pruned(m, &db[7], &db, k);
-                assert_eq!(plain, pruned, "{} k={k}", m.name());
-            }
-        }
-        assert!(knn_scan_pruned(&Hausdorff, &db[0], &db, 0).is_empty());
-    }
-
-    #[test]
-    fn lower_bounds_never_exceed_distance() {
-        use crate::{DiscreteFrechet, Dtw, Erp, Hausdorff, Measure};
-        let db = corpus(15);
-        let measures: [&dyn Measure; 4] = [&DiscreteFrechet, &Hausdorff, &Dtw, &Erp::default()];
-        for m in measures {
-            for i in 0..db.len() {
-                for j in 0..db.len() {
-                    let lb = m.lower_bound(db[i].points(), db[j].points());
-                    let d = m.dist(db[i].points(), db[j].points());
-                    assert!(lb <= d + 1e-9, "{}: lower bound {lb} > dist {d}", m.name());
-                }
-            }
-        }
     }
 
     #[test]

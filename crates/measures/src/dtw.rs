@@ -83,24 +83,6 @@ impl Measure for Dtw {
         false
     }
 
-    /// Every warping path aligns the two start points and the two end
-    /// points, so DTW ≥ d(a₀,b₀) and DTW ≥ d(aₙ,bₘ) — the sum when the
-    /// path has at least two cells.
-    fn lower_bound(&self, a: &[Point], b: &[Point]) -> f64 {
-        match (a.first(), b.first(), a.last(), b.last()) {
-            (Some(a0), Some(b0), Some(a1), Some(b1)) => {
-                let start = a0.dist(b0);
-                let end = a1.dist(b1);
-                if a.len() + b.len() > 2 {
-                    start + end
-                } else {
-                    start.max(end)
-                }
-            }
-            _ => f64::INFINITY,
-        }
-    }
-
     fn accel(&self) -> Option<Accel> {
         Some(Accel::Dtw)
     }

@@ -4,20 +4,23 @@
 //! step: the seed matrix **D** (§III-B) and every accuracy table need
 //! exact pairwise distances. [`GroundTruthEngine`] returns **bit-identical
 //! values** to the naive DPs in `dtw.rs` / `frechet.rs` / `hausdorff.rs` /
-//! `erp.rs` while skipping most of the work, via three layers:
+//! `erp.rs` while skipping most of the work. Each DP measure has one
+//! exact kernel per regime:
 //!
-//! 1. **per-measure fast paths** — the [`crate::bounds`] cascade (tier-0
-//!    LB_Kim endpoints + MBRs, tier-1 envelope bounds), early-abandoning
-//!    DPs that exit once every frontier-row cell exceeds the running
-//!    threshold, and grid-bucketed directed Hausdorff scans over
-//!    [`neutraj_index::PointGrid`] buckets;
-//! 2. **a work-stealing driver** — symmetric cache-blocked tiles handed
-//!    out by an atomic counter for [`GroundTruthEngine::matrix`], chunked
-//!    queries for [`GroundTruthEngine::knn_lists`] /
-//!    [`GroundTruthEngine::rows`], with per-thread reusable DP scratch
-//!    (no per-pair allocation anywhere);
-//! 3. **observability** — `neutraj_measures_*` counters and timers,
-//!    batched per worker and flushed once per thread.
+//! * **no threshold** — every pair of `matrix`, `rows` and `distances`,
+//!   and the first `k` candidates of a `knn_lists` query: the
+//!   lane-batched kernels, `LANES` (8) pairs per step of the DP chain;
+//! * **under a threshold** — the rest of a `knn_lists` query: the
+//!   [`crate::bounds`] cascade (tier-0 endpoints + MBRs, tier-1
+//!   envelopes), then a banded DP that abandons once every cell of its
+//!   band exceeds the running k-th best distance.
+//!
+//! Hausdorff has one directed scan for both regimes (locality probes,
+//! then [`neutraj_index::PointGrid`] buckets), and measures without an
+//! accelerated kernel pass through [`Measure::dist`]. One work-stealing
+//! tile loop deals `matrix` to the workers and chunked queries deal
+//! `knn_lists` / `rows`; each worker owns reusable DP scratch (no per-pair
+//! allocation) and flushes its `neutraj_measures_*` tallies once.
 //!
 //! Determinism: bounds and abandonment only *compare* against thresholds
 //! (strictly: a pair is skipped only when its distance provably exceeds
@@ -25,7 +28,7 @@
 //! sequence identical to the naive kernel's, so results match bit-for-bit
 //! at any thread count (`tests/pruning.rs`).
 
-use crate::bounds::{lb_cheap, lb_tight, TrajCache, WAVE_PAD};
+use crate::bounds::{lb_cheap, lb_tight, TrajCache};
 use crate::bruteforce::{Neighbor, NeighborHeap};
 use crate::simd::{self, LANES};
 use crate::{Accel, DistanceMatrix, Measure};
@@ -39,14 +42,16 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// fine enough to balance a triangular workload.
 const TILE: usize = 64;
 
-/// Per-thread reusable DP scratch: rolling rows (or rolling anti-diagonals
-/// in the wavefront kernels, which need a third buffer) and locally-batched
+// A tile edge is a whole number of lane groups: the tile loop finds a
+// tile's groups by dividing its positions by `LANES`.
+const _: () = assert!(TILE.is_multiple_of(LANES));
+
+/// Per-thread reusable DP scratch: two rolling rows and locally-batched
 /// metric tallies.
 #[derive(Debug, Default)]
 struct Scratch {
     prev: Vec<f64>,
     cur: Vec<f64>,
-    diag: Vec<f64>,
     tally: Tally,
 }
 
@@ -93,7 +98,7 @@ impl EngineMetrics {
 }
 
 // ---------------------------------------------------------------------------
-// UB-banded pruned kernels
+// UB-banded pruned kernels (under a threshold)
 // ---------------------------------------------------------------------------
 //
 // Each DP kernel mirrors its naive counterpart's arithmetic *exactly*
@@ -114,8 +119,12 @@ impl EngineMetrics {
 //   returned value is bit-identical to the naive DP's;
 // * `None` means the distance provably exceeds `threshold` (a band can
 //   only die, or the final cell exceed `p`, when `p == threshold`,
-//   because `result <= ub` always). Under an infinite threshold a result
-//   is always returned.
+//   because `result <= ub` always).
+//
+// The engine runs them only under a finite threshold (the tail of a knn
+// query). Without one the band is `ub`-wide, nearly the whole DP on
+// short trajectories, and the lane kernels below are several times
+// faster per pair (`DESIGN.md` §10).
 
 /// `Point::dist` over structure-of-arrays caches, bit-identical to the
 /// naive kernels' per-cell distance.
@@ -139,192 +148,7 @@ fn dtw_linear_ub(outer: &TrajCache, inner: &TrajCache) -> f64 {
 }
 
 // ---------------------------------------------------------------------------
-// Wavefront full-DP kernels (dense-matrix mode)
-// ---------------------------------------------------------------------------
-//
-// A dense matrix admits no threshold, and on short trajectories the
-// UB-band leaves the DP nearly full-width — so the matrix path wins on
-// *throughput* instead. The row-major recurrences are latency-bound: each
-// cell waits on its left neighbour through a `min`+`add` chain. Cells on
-// an anti-diagonal `i + j = t` only depend on the two previous diagonals,
-// so walking the DP by diagonals turns the inner loop into independent
-// element-wise lanes (distance, `min`, `add`) the auto-vectorizer can
-// pipeline. Each cell still evaluates the naive kernel's exact expression
-// over the same finished operands, so the result is bit-identical — only
-// the order cells are *scheduled* in changes.
-//
-// Buffers: `prev` holds diagonal `t - 2`, `cur` holds `t - 1`, `diag` is
-// written for `t`, indexed by `i` throughout. The reversed coordinate
-// copies in [`TrajCache`] make the inner sequence's anti-diagonal access
-// a forward contiguous scan.
-
-fn dtw_full(a: &TrajCache, b: &TrajCache, s: &mut Scratch) -> f64 {
-    let (outer, inner) = if a.len() >= b.len() { (a, b) } else { (b, a) };
-    let (rows, cols) = (outer.len(), inner.len());
-    // Padded (rows+1)x(cols+1) grid: G[0][0] = 0, first row/column +inf.
-    // Stale buffer contents are fine: every slot a diagonal reads was
-    // written by one of the two previous diagonals (edge writes included),
-    // so only the length matters — no per-pair refill.
-    // The banded kernels shrink these buffers, so each is grown
-    // independently back to this pair's height (plus lane padding).
-    for buf in [&mut s.prev, &mut s.cur, &mut s.diag] {
-        if buf.len() < rows + 1 + WAVE_PAD {
-            buf.resize(rows + 1 + WAVE_PAD, 0.0);
-        }
-    }
-    s.tally.dp_cells += (rows * cols) as u64;
-    for t in 0..=(rows + cols) {
-        // Interior cells (i, t - i): grid row i pairs point i-1 of the
-        // outer with point t-i-1 of the inner sequence. The slice length
-        // rounds up to a full vector width — the extra lanes compute
-        // garbage from the zero padding that no valid cell ever reads,
-        // and cost nothing next to a scalar remainder loop.
-        let lo = t.saturating_sub(cols).max(1);
-        let hi = t.saturating_sub(1).min(rows);
-        if lo <= hi {
-            let len = (hi - lo + 1).next_multiple_of(WAVE_PAD);
-            let k0 = lo + cols - t; // reversed index of inner point t-lo-1
-            let ox = &outer.xs_pad[lo - 1..lo - 1 + len];
-            let oy = &outer.ys_pad[lo - 1..lo - 1 + len];
-            let rx = &inner.xs_rev[k0..k0 + len];
-            let ry = &inner.ys_rev[k0..k0 + len];
-            let d2 = &s.prev[lo - 1..lo - 1 + len];
-            let d1a = &s.cur[lo - 1..lo - 1 + len];
-            let d1b = &s.cur[lo..lo + len];
-            let out = &mut s.diag[lo..lo + len];
-            for q in 0..len {
-                let (dx, dy) = (ox[q] - rx[q], oy[q] - ry[q]);
-                let d = (dx * dx + dy * dy).sqrt();
-                let best = d2[q].min(d1a[q]).min(d1b[q]);
-                out[q] = d + best;
-            }
-        }
-        // Edges go in after the interior loop: the padded lanes above may
-        // have scribbled over the left-column slot.
-        if t == 0 {
-            s.diag[0] = 0.0;
-        } else if t <= cols {
-            s.diag[0] = f64::INFINITY;
-        }
-        if t >= 1 && t <= rows {
-            s.diag[t] = f64::INFINITY;
-        }
-        if t == rows + cols {
-            return s.diag[rows];
-        }
-        // Rotate: prev <- cur, cur <- diag, diag <- (stale, overwritten).
-        std::mem::swap(&mut s.prev, &mut s.cur);
-        std::mem::swap(&mut s.cur, &mut s.diag);
-    }
-    unreachable!("loop returns at the final diagonal")
-}
-
-fn frechet_full(a: &TrajCache, b: &TrajCache, s: &mut Scratch) -> f64 {
-    let (outer, inner) = if a.len() >= b.len() { (a, b) } else { (b, a) };
-    let (rows, cols) = (outer.len(), inner.len());
-    // Unpadded rows x cols grid; the first row/column chain along the
-    // edges. Stale buffer contents are fine (see `dtw_full`).
-    // The banded kernels shrink these buffers, so each is grown
-    // independently back to this pair's height.
-    for buf in [&mut s.prev, &mut s.cur, &mut s.diag] {
-        if buf.len() < rows + WAVE_PAD {
-            buf.resize(rows + WAVE_PAD, 0.0);
-        }
-    }
-    s.tally.dp_cells += (rows * cols) as u64;
-    for t in 0..=(rows + cols - 2) {
-        let lo = (t + 1).saturating_sub(cols).max(1);
-        let hi = t.saturating_sub(1).min(rows - 1);
-        if lo <= hi {
-            let len = (hi - lo + 1).next_multiple_of(WAVE_PAD);
-            let k0 = lo + cols - 1 - t; // reversed index of inner point t-lo
-            let ox = &outer.xs_pad[lo..lo + len];
-            let oy = &outer.ys_pad[lo..lo + len];
-            let rx = &inner.xs_rev[k0..k0 + len];
-            let ry = &inner.ys_rev[k0..k0 + len];
-            let d2 = &s.prev[lo - 1..lo - 1 + len];
-            let d1a = &s.cur[lo - 1..lo - 1 + len];
-            let d1b = &s.cur[lo..lo + len];
-            let out = &mut s.diag[lo..lo + len];
-            for q in 0..len {
-                let (dx, dy) = (ox[q] - rx[q], oy[q] - ry[q]);
-                let d = (dx * dx + dy * dy).sqrt();
-                out[q] = d2[q].min(d1a[q]).min(d1b[q]).max(d);
-            }
-        }
-        if t < cols {
-            let d = pt_dist(outer, 0, inner, t);
-            s.diag[0] = if t == 0 { d } else { s.cur[0].max(d) };
-        }
-        if t >= 1 && t < rows {
-            s.diag[t] = s.cur[t - 1].max(pt_dist(outer, t, inner, 0));
-        }
-        if t == rows + cols - 2 {
-            return s.diag[rows - 1];
-        }
-        std::mem::swap(&mut s.prev, &mut s.cur);
-        std::mem::swap(&mut s.cur, &mut s.diag);
-    }
-    unreachable!("loop returns at the final diagonal")
-}
-
-fn erp_full(a: &TrajCache, b: &TrajCache, s: &mut Scratch) -> f64 {
-    let (outer, inner) = if a.len() >= b.len() { (a, b) } else { (b, a) };
-    let (rows, cols) = (outer.len(), inner.len());
-    // Padded (rows+1)x(cols+1) grid; first row/column are gap prefix
-    // sums. Stale buffer contents are fine (see `dtw_full`).
-    // The banded kernels shrink these buffers, so each is grown
-    // independently back to this pair's height (plus lane padding).
-    for buf in [&mut s.prev, &mut s.cur, &mut s.diag] {
-        if buf.len() < rows + 1 + WAVE_PAD {
-            buf.resize(rows + 1 + WAVE_PAD, 0.0);
-        }
-    }
-    s.tally.dp_cells += (rows * cols) as u64;
-    for t in 0..=(rows + cols) {
-        let lo = t.saturating_sub(cols).max(1);
-        let hi = t.saturating_sub(1).min(rows);
-        if lo <= hi {
-            let len = (hi - lo + 1).next_multiple_of(WAVE_PAD);
-            let k0 = lo + cols - t;
-            let ox = &outer.xs_pad[lo - 1..lo - 1 + len];
-            let oy = &outer.ys_pad[lo - 1..lo - 1 + len];
-            let go = &outer.gap_pad[lo - 1..lo - 1 + len];
-            let rx = &inner.xs_rev[k0..k0 + len];
-            let ry = &inner.ys_rev[k0..k0 + len];
-            let gr = &inner.gap_rev[k0..k0 + len];
-            let d2 = &s.prev[lo - 1..lo - 1 + len];
-            let d1a = &s.cur[lo - 1..lo - 1 + len];
-            let d1b = &s.cur[lo..lo + len];
-            let out = &mut s.diag[lo..lo + len];
-            for q in 0..len {
-                let (dx, dy) = (ox[q] - rx[q], oy[q] - ry[q]);
-                let d = (dx * dx + dy * dy).sqrt();
-                let match_cost = d2[q] + d;
-                let del_outer = d1a[q] + go[q];
-                let del_inner = d1b[q] + gr[q];
-                out[q] = match_cost.min(del_outer).min(del_inner);
-            }
-        }
-        if t == 0 {
-            s.diag[0] = 0.0;
-        } else if t <= cols {
-            s.diag[0] = s.cur[0] + inner.gap_dists[t - 1];
-        }
-        if t >= 1 && t <= rows {
-            s.diag[t] = s.cur[t - 1] + outer.gap_dists[t - 1];
-        }
-        if t == rows + cols {
-            return s.diag[rows];
-        }
-        std::mem::swap(&mut s.prev, &mut s.cur);
-        std::mem::swap(&mut s.cur, &mut s.diag);
-    }
-    unreachable!("loop returns at the final diagonal")
-}
-
-// ---------------------------------------------------------------------------
-// Lane-batched row-major kernels (dense-matrix mode)
+// Lane-batched row-major kernels (every unthresholded pair)
 // ---------------------------------------------------------------------------
 //
 // The row-major DP recurrences are latency-bound: each cell waits for its
@@ -338,7 +162,7 @@ fn erp_full(a: &TrajCache, b: &TrajCache, s: &mut Scratch) -> f64 {
 // Bit-identity is per-lane trivial: lane `l` evaluates the naive kernel's
 // exact expression text over its own operands in the naive iteration
 // order; other lanes never mix in (vector ops are element-wise). The only
-// departure from the naive kernels is that the *row* side is the tile's
+// departure from the naive kernels is that the *row* side is the caller's
 // trajectory rather than the longer of the two — and the recurrences are
 // transpose-invariant bitwise: the per-cell distance is sign-symmetric
 // under squaring and the three DP operands form the same value set, whose
@@ -349,19 +173,19 @@ fn erp_full(a: &TrajCache, b: &TrajCache, s: &mut Scratch) -> f64 {
 // Lanes shorter than the group's `maxc` compute garbage cells past their
 // own column count; dependencies only flow left/up, so garbage never
 // reaches a live column, and each lane's result is read at its own final
-// column. A lane group is built once per corpus (sorted by length, so
-// co-grouped lanes have similar `maxc` and padding work stays small) and
-// reused by every row of every tile.
+// column. Lane groups are built once per call over the inner sides of
+// its pairs — the length-sorted corpus for `matrix` and `rows` (sorted
+// so co-grouped lanes have similar `maxc` and padding work stays small),
+// the `to` list of `distances`, a knn query's first `k` candidates — and
+// reused by every outer trajectory that pairs with them.
 
-/// [`LANES`] corpus trajectories interleaved element-wise for the batched
-/// kernels: `gx[j * LANES + l]` is point `j` of lane `l`.
+/// Up to [`LANES`] trajectories interleaved element-wise for the batched
+/// kernels: `gx[j * LANES + l]` is point `j` of lane `l`. Only a list's
+/// final group has lanes past `count`; they are empty.
 struct LaneGroup {
-    /// Corpus index per lane. A short final group repeats its last real
-    /// index; the driver never writes results for the repeated lanes.
-    idx: [usize; LANES],
     /// Point count per lane.
     len: [usize; LANES],
-    /// Real (non-repeated) lanes: `LANES` except in the final group.
+    /// Real lanes: `LANES` except in a list's final group.
     count: usize,
     /// Longest lane; the batched DP runs all lanes to this column count.
     maxc: usize,
@@ -377,19 +201,21 @@ struct LaneGroup {
     gp: Vec<f64>,
 }
 
-fn build_lane_groups(caches: &[TrajCache], order: &[usize], erp: bool) -> Vec<LaneGroup> {
-    order
-        .chunks(LANES)
+/// Interleaves the trajectories `ids` names, in that order, [`LANES`] to
+/// a group: position `p` of `ids` is lane `p % LANES` of group
+/// `p / LANES`.
+fn build_lane_groups(caches: &[TrajCache], ids: &[usize], erp: bool) -> Vec<LaneGroup> {
+    ids.chunks(LANES)
         .map(|chunk| {
-            let last = *chunk.last().expect("chunks are non-empty");
-            let mut idx = [last; LANES];
-            idx[..chunk.len()].copy_from_slice(chunk);
-            let len = idx.map(|i| caches[i].len());
+            let lanes = || chunk.iter().map(|&i| &caches[i]).enumerate();
+            let mut len = [0; LANES];
+            for (l, c) in lanes() {
+                len[l] = c.len();
+            }
             let maxc = len.into_iter().max().unwrap_or(0);
             let mut gx = vec![0.0; maxc * LANES];
             let mut gy = vec![0.0; maxc * LANES];
-            for l in 0..LANES {
-                let c = &caches[idx[l]];
+            for (l, c) in lanes() {
                 for (j, (&x, &y)) in c.xs.iter().zip(&c.ys).enumerate() {
                     gx[j * LANES + l] = x;
                     gy[j * LANES + l] = y;
@@ -398,8 +224,7 @@ fn build_lane_groups(caches: &[TrajCache], order: &[usize], erp: bool) -> Vec<La
             let (gg, gp) = if erp {
                 let mut gg = vec![0.0; maxc * LANES];
                 let mut gp = vec![0.0; (maxc + 1) * LANES];
-                for l in 0..LANES {
-                    let c = &caches[idx[l]];
+                for (l, c) in lanes() {
                     let mut acc = 0.0f64;
                     for j in 0..maxc {
                         if let Some(&g) = c.gap_dists.get(j) {
@@ -416,7 +241,6 @@ fn build_lane_groups(caches: &[TrajCache], order: &[usize], erp: bool) -> Vec<La
                 (Vec::new(), Vec::new())
             };
             LaneGroup {
-                idx,
                 len,
                 count: chunk.len(),
                 maxc,
@@ -427,6 +251,26 @@ fn build_lane_groups(caches: &[TrajCache], order: &[usize], erp: bool) -> Vec<La
             }
         })
         .collect()
+}
+
+/// `outer` against every lane of `g` under the lane kernel of `accel`
+/// (`+inf` where either side is empty, the naive convention).
+fn lane_batch(
+    accel: Accel,
+    outer: &TrajCache,
+    g: &LaneGroup,
+    s: &mut Scratch,
+    level: SimdLevel,
+) -> [f64; LANES] {
+    if outer.is_empty() || g.maxc == 0 {
+        return [f64::INFINITY; LANES];
+    }
+    match accel {
+        Accel::Dtw => dtw_batch(outer, g, s, level),
+        Accel::Frechet => frechet_batch(outer, g, s, level),
+        Accel::Erp { .. } => erp_batch(outer, g, s, level),
+        Accel::Hausdorff => unreachable!("Hausdorff has no lane kernel"),
+    }
 }
 
 /// Batched [`crate::Dtw::full`]: `outer` against every lane of `g`. The
@@ -534,9 +378,6 @@ fn dtw_kernel(a: &TrajCache, b: &TrajCache, threshold: f64, s: &mut Scratch) -> 
     if a.is_empty() || b.is_empty() {
         return Some(f64::INFINITY);
     }
-    if threshold == f64::INFINITY {
-        return Some(dtw_full(a, b, s));
-    }
     let (outer, inner) = if a.len() >= b.len() { (a, b) } else { (b, a) };
     let cols = inner.len();
     let p = dtw_linear_ub(outer, inner).min(threshold);
@@ -610,9 +451,6 @@ fn frechet_linear_ub(outer: &TrajCache, inner: &TrajCache) -> f64 {
 fn frechet_kernel(a: &TrajCache, b: &TrajCache, threshold: f64, s: &mut Scratch) -> Option<f64> {
     if a.is_empty() || b.is_empty() {
         return Some(f64::INFINITY);
-    }
-    if threshold == f64::INFINITY {
-        return Some(frechet_full(a, b, s));
     }
     let (outer, inner) = if a.len() >= b.len() { (a, b) } else { (b, a) };
     let cols = inner.len();
@@ -724,9 +562,6 @@ fn erp_linear_ub(outer: &TrajCache, inner: &TrajCache) -> f64 {
 fn erp_kernel(a: &TrajCache, b: &TrajCache, threshold: f64, s: &mut Scratch) -> Option<f64> {
     if a.is_empty() || b.is_empty() {
         return Some(f64::INFINITY);
-    }
-    if threshold == f64::INFINITY {
-        return Some(erp_full(a, b, s));
     }
     let (outer, inner) = if a.len() >= b.len() { (a, b) } else { (b, a) };
     let cols = inner.len();
@@ -957,9 +792,8 @@ fn hausdorff_kernel(a: &TrajCache, b: &TrajCache, threshold: f64, t: &mut Tally)
     Some(d_ab.max(d_ba))
 }
 
-/// Dispatches one pair to its accelerated kernel. `None` means the exact
-/// distance provably exceeds `threshold` (never returned for an infinite
-/// threshold).
+/// Dispatches one pair of a knn query's tail to its thresholded kernel.
+/// `None` means the exact distance provably exceeds `threshold`.
 fn run_kernel(
     accel: Accel,
     a: &TrajCache,
@@ -1056,201 +890,47 @@ impl<'a> GroundTruthEngine<'a> {
         self.trajs.is_empty()
     }
 
-    /// Exact distance of one pair, orientation `(i, j)` — the same call
-    /// order the naive drivers use, so tie-breaking inside the kernels'
-    /// outer/inner swap is preserved.
-    fn pair_exact(&self, i: usize, j: usize, s: &mut Scratch) -> f64 {
-        s.tally.pairs += 1;
-        match self.accel {
-            Some(acc) => run_kernel(acc, &self.caches[i], &self.caches[j], f64::INFINITY, s)
-                .expect("kernels never abandon under an infinite threshold"),
-            None => self
-                .measure
-                .dist(self.trajs[i].points(), self.trajs[j].points()),
-        }
-    }
-
-    /// The full symmetric distance matrix, computed over cache-blocked
-    /// upper-triangle tiles handed to `threads` workers by an atomic
-    /// work-stealing counter. Every cell is exact (a dense matrix admits
-    /// no threshold), so the win here is throughput: the DP measures run
-    /// the lane-batched kernels ([`LANES`] pairs per chain step), and
-    /// Hausdorff gets scratch reuse plus its locality/grid scan.
+    /// The full symmetric distance matrix: upper-triangle tiles of the
+    /// corpus (length-sorted for the lane kernels) handed to `threads`
+    /// workers by an atomic work-stealing counter. Every cell is exact (a
+    /// dense matrix admits no threshold), so the win here is throughput:
+    /// the DP measures run the lane-batched kernels (eight pairs per chain
+    /// step), and Hausdorff gets scratch reuse plus its locality/grid scan.
     pub fn matrix(&self, threads: usize) -> DistanceMatrix {
-        match self.accel {
-            Some(acc @ (Accel::Dtw | Accel::Frechet | Accel::Erp { .. })) => {
-                self.matrix_batched(acc, threads)
-            }
-            _ => self.matrix_pairwise(threads),
-        }
-    }
-
-    /// Matrix path for the DP measures: corpus indices sorted by length,
-    /// interleaved into [`LaneGroup`]s once, then upper-triangle tiles
-    /// *of sorted positions* dealt to workers; each tile row runs one
-    /// batched kernel call per lane group. On diagonal tiles a group may
-    /// straddle the row's own position — those lanes are computed and
-    /// discarded (a few percent of one tile row's work) so every pair is
-    /// still produced exactly once.
-    fn matrix_batched(&self, accel: Accel, threads: usize) -> DistanceMatrix {
         let _span = self
             .metrics
             .as_ref()
             .map(|m| m.matrix_seconds.start_timer());
         let n = self.trajs.len();
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&i| (self.caches[i].len(), i));
-        let erp = matches!(accel, Accel::Erp { .. });
-        let groups = build_lane_groups(&self.caches, &order, erp);
+        let (order, groups) = self.corpus_lanes();
         let nb = n.div_ceil(TILE);
-        let mut tiles: Vec<(usize, usize)> = Vec::with_capacity(nb * (nb + 1) / 2);
-        for bi in 0..nb {
-            for bj in bi..nb {
-                tiles.push((bi, bj));
-            }
-        }
-        let threads = threads.max(1).min(tiles.len().max(1));
+        let tiles: Vec<(usize, usize)> = (0..nb)
+            .flat_map(|bi| (bi..nb).map(move |bj| (bi, bj)))
+            .collect();
         let next = AtomicUsize::new(0);
-        let gpb = TILE / LANES;
-        let run = || {
-            let mut s = Scratch::default();
+        let parts = self.workers(threads.min(tiles.len()), |_, s| {
             let mut out: Vec<(u32, u32, f64)> = Vec::new();
-            loop {
-                let t = next.fetch_add(1, Ordering::Relaxed);
-                if t >= tiles.len() {
-                    break;
+            while let Some(&(bi, bj)) = tiles.get(next.fetch_add(1, Ordering::Relaxed)) {
+                let inner = &order[..((bj + 1) * TILE).min(n)];
+                for p in bi * TILE..((bi + 1) * TILE).min(n) {
+                    let i = order[p];
+                    // Each pair once: row `p` takes the tile's positions
+                    // past the diagonal. A lane group straddling the
+                    // diagonal is computed whole and its earlier lanes
+                    // dropped (a few percent of one tile row's work).
+                    let from = (bj * TILE).max(p + 1);
+                    self.exact_row(i, inner, groups.as_deref(), from, s, |q, d| {
+                        out.push((i as u32, order[q] as u32, d));
+                    });
                 }
-                let (bi, bj) = tiles[t];
-                let (p0, p1) = (bi * TILE, ((bi + 1) * TILE).min(n));
-                let (g0, g1) = (bj * gpb, ((bj + 1) * gpb).min(groups.len()));
-                for (off, &i) in order[p0..p1].iter().enumerate() {
-                    let p = p0 + off;
-                    let oc = &self.caches[i];
-                    for (goff, grp) in groups[g0..g1].iter().enumerate() {
-                        let gbase = (g0 + goff) * LANES;
-                        // Highest real lane position <= p: nothing to emit.
-                        if gbase + grp.count <= p + 1 {
-                            continue;
-                        }
-                        let res: [f64; LANES] = if oc.is_empty() || grp.maxc == 0 {
-                            [f64::INFINITY; LANES]
-                        } else {
-                            match accel {
-                                Accel::Dtw => dtw_batch(oc, grp, &mut s, self.simd),
-                                Accel::Frechet => frechet_batch(oc, grp, &mut s, self.simd),
-                                Accel::Erp { .. } => erp_batch(oc, grp, &mut s, self.simd),
-                                Accel::Hausdorff => {
-                                    unreachable!("Hausdorff takes the pairwise path")
-                                }
-                            }
-                        };
-                        for (l, &d) in res.iter().enumerate().take(grp.count) {
-                            if gbase + l <= p {
-                                continue;
-                            }
-                            s.tally.pairs += 1;
-                            s.tally.dp_cells += (oc.len() * grp.len[l]) as u64;
-                            out.push((i as u32, grp.idx[l] as u32, d));
-                        }
-                    }
-                }
-            }
-            if let Some(m) = &self.metrics {
-                m.flush(s.tally);
             }
             out
-        };
-        let mut parts: Vec<Vec<(u32, u32, f64)>> = Vec::new();
-        if threads == 1 {
-            parts.push(run());
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads).map(|_| scope.spawn(run)).collect();
-                for h in handles {
-                    parts.push(h.join().expect("ground-truth matrix worker panicked"));
-                }
-            });
-        }
+        });
         let mut data = vec![0.0; n * n];
-        for part in parts {
-            for (i, j, d) in part {
-                let (i, j) = (i as usize, j as usize);
-                data[i * n + j] = d;
-                data[j * n + i] = d;
-            }
-        }
-        DistanceMatrix::from_raw(n, data)
-    }
-
-    /// Matrix path for Hausdorff and unaccelerated measures: per-pair
-    /// kernels over the same work-stealing tiles.
-    fn matrix_pairwise(&self, threads: usize) -> DistanceMatrix {
-        let _span = self
-            .metrics
-            .as_ref()
-            .map(|m| m.matrix_seconds.start_timer());
-        let n = self.trajs.len();
-        let nb = n.div_ceil(TILE);
-        let mut tiles: Vec<(usize, usize)> = Vec::with_capacity(nb * (nb + 1) / 2);
-        for bi in 0..nb {
-            for bj in bi..nb {
-                tiles.push((bi, bj));
-            }
-        }
-        let threads = threads.max(1).min(tiles.len().max(1));
-        let next = AtomicUsize::new(0);
-        let run = || {
-            let mut s = Scratch::default();
-            let mut out: Vec<(usize, Vec<f64>)> = Vec::new();
-            loop {
-                let t = next.fetch_add(1, Ordering::Relaxed);
-                if t >= tiles.len() {
-                    break;
-                }
-                let (bi, bj) = tiles[t];
-                let (i0, i1) = (bi * TILE, ((bi + 1) * TILE).min(n));
-                let (j0, j1) = (bj * TILE, ((bj + 1) * TILE).min(n));
-                let mut buf = Vec::with_capacity((i1 - i0) * (j1 - j0));
-                for i in i0..i1 {
-                    let lo = if bi == bj { i + 1 } else { j0 };
-                    for j in lo..j1 {
-                        buf.push(self.pair_exact(i, j, &mut s));
-                    }
-                }
-                out.push((t, buf));
-            }
-            if let Some(m) = &self.metrics {
-                m.flush(s.tally);
-            }
-            out
-        };
-        let mut parts: Vec<Vec<(usize, Vec<f64>)>> = Vec::new();
-        if threads == 1 {
-            parts.push(run());
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads).map(|_| scope.spawn(run)).collect();
-                for h in handles {
-                    parts.push(h.join().expect("ground-truth matrix worker panicked"));
-                }
-            });
-        }
-        let mut data = vec![0.0; n * n];
-        for part in parts {
-            for (t, buf) in part {
-                let (bi, bj) = tiles[t];
-                let (i0, i1) = (bi * TILE, ((bi + 1) * TILE).min(n));
-                let (j0, j1) = (bj * TILE, ((bj + 1) * TILE).min(n));
-                let mut vals = buf.into_iter();
-                for i in i0..i1 {
-                    let lo = if bi == bj { i + 1 } else { j0 };
-                    for j in lo..j1 {
-                        let d = vals.next().expect("tile buffer matches tile shape");
-                        data[i * n + j] = d;
-                        data[j * n + i] = d;
-                    }
-                }
-            }
+        for (i, j, d) in parts.into_iter().flatten() {
+            let (i, j) = (i as usize, j as usize);
+            data[i * n + j] = d;
+            data[j * n + i] = d;
         }
         DistanceMatrix::from_raw(n, data)
     }
@@ -1258,9 +938,10 @@ impl<'a> GroundTruthEngine<'a> {
     /// Top-`k` exact neighbour lists (self excluded, ascending by
     /// `(dist, index)`) for each query — the supervision shape the eval
     /// harness and TSMini-style training want. This is where the cascade
-    /// bites: candidates are visited in cheap-bound order, the running
-    /// kth-best distance prunes whole tails in bulk, survivors face the
-    /// tier-1 bound and finally an early-abandoning DP.
+    /// bites: candidates are visited in cheap-bound order, the first `k`
+    /// fill the heap through the lane kernels, then the running kth-best
+    /// distance prunes whole tails in bulk, survivors face the tier-1
+    /// bound and finally an early-abandoning DP.
     ///
     /// Identical to `top_k` over a naive exact row at any thread count.
     pub fn knn_lists(&self, queries: &[usize], k: usize, threads: usize) -> Vec<Vec<Neighbor>> {
@@ -1273,24 +954,25 @@ impl<'a> GroundTruthEngine<'a> {
     /// the eval harness's dense ground truth.
     pub fn rows(&self, queries: &[usize], threads: usize) -> Vec<Vec<f64>> {
         let _span = self.metrics.as_ref().map(|m| m.knn_seconds.start_timer());
-        let n = self.trajs.len();
+        let (order, groups) = self.corpus_lanes();
         self.query_map(queries, threads, |q, s| {
-            (0..n).map(|j| self.pair_exact(q, j, s)).collect()
+            let mut row = vec![0.0; order.len()];
+            self.exact_row(q, &order, groups.as_deref(), 0, s, |p, d| row[order[p]] = d);
+            row
         })
     }
 
-    /// Exact distances from `from` to each index in `to` (sparse row) —
-    /// used by top-k ground truth to score method rankings on demand.
+    /// Exact distances from `from` to each index in `to` (sparse row, any
+    /// order, repeats allowed) — used by top-k ground truth to score
+    /// method rankings on demand.
     pub fn distances(&self, from: usize, to: &[usize]) -> Vec<f64> {
-        let mut s = Scratch::default();
-        let out = to
-            .iter()
-            .map(|&j| self.pair_exact(from, j, &mut s))
-            .collect();
-        if let Some(m) = &self.metrics {
-            m.flush(s.tally);
-        }
-        out
+        let groups = self.lane_groups(to);
+        let mut rows = self.query_map(&[from], 1, |q, s| {
+            let mut row = vec![0.0; to.len()];
+            self.exact_row(q, to, groups.as_deref(), 0, s, |p, d| row[p] = d);
+            row
+        });
+        rows.pop().expect("one query, one row")
     }
 
     fn knn_one(&self, q: usize, k: usize, s: &mut Scratch) -> Vec<Neighbor> {
@@ -1300,15 +982,8 @@ impl<'a> GroundTruthEngine<'a> {
             return heap.into_sorted();
         }
         let Some(acc) = self.accel else {
-            for j in 0..n {
-                if j == q {
-                    continue;
-                }
-                s.tally.pairs += 1;
-                let d = self
-                    .measure
-                    .dist(self.trajs[q].points(), self.trajs[j].points());
-                heap.push(j, d);
+            for j in (0..n).filter(|&j| j != q) {
+                heap.push(j, self.pair_exact(q, j, s));
             }
             return heap.into_sorted();
         };
@@ -1321,77 +996,164 @@ impl<'a> GroundTruthEngine<'a> {
             .map(|j| (lb_cheap(acc, cq, &self.caches[j]), j))
             .collect();
         order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        s.tally.pairs += order.len() as u64;
-        for (pos, &(lb, j)) in order.iter().enumerate() {
-            match heap.threshold() {
-                Some(thr) => {
-                    if lb > thr.dist {
-                        s.tally.lb_pruned += (order.len() - pos) as u64;
-                        break;
-                    }
-                    if lb_tight(acc, cq, &self.caches[j]) > thr.dist {
-                        s.tally.lb_pruned += 1;
-                        continue;
-                    }
-                    match run_kernel(acc, cq, &self.caches[j], thr.dist, s) {
-                        Some(d) => heap.push(j, d),
-                        None => s.tally.ea_abandoned += 1,
-                    }
-                }
-                None => {
-                    let d = run_kernel(acc, cq, &self.caches[j], f64::INFINITY, s)
-                        .expect("kernels never abandon under an infinite threshold");
-                    heap.push(j, d);
-                }
+        // The first `k` have no threshold to prune against: fill the heap
+        // exactly, as one set of lane groups, sorted by length so that
+        // co-grouped lanes pad little. Which pushes happen in which order
+        // changes nothing — the heap's `(dist, index)` total order decides
+        // every admission.
+        let mut warm: Vec<usize> = order.iter().take(k).map(|&(_, j)| j).collect();
+        warm.sort_by_key(|&j| self.caches[j].len());
+        let groups = self.lane_groups(&warm);
+        self.exact_row(q, &warm, groups.as_deref(), 0, s, |p, d| {
+            heap.push(warm[p], d)
+        });
+        s.tally.pairs += (order.len() - warm.len()) as u64;
+        for (pos, &(lb, j)) in order.iter().enumerate().skip(warm.len()) {
+            let thr = heap.threshold().expect("the first k filled the heap").dist;
+            if lb > thr {
+                s.tally.lb_pruned += (order.len() - pos) as u64;
+                break;
+            }
+            if lb_tight(acc, cq, &self.caches[j]) > thr {
+                s.tally.lb_pruned += 1;
+                continue;
+            }
+            match run_kernel(acc, cq, &self.caches[j], thr, s) {
+                Some(d) => heap.push(j, d),
+                None => s.tally.ea_abandoned += 1,
             }
         }
         heap.into_sorted()
     }
 
+    /// Whether this measure has a lane kernel (the three DP measures).
+    fn has_lanes(&self) -> bool {
+        matches!(
+            self.accel,
+            Some(Accel::Dtw | Accel::Frechet | Accel::Erp { .. })
+        )
+    }
+
+    /// Lane groups over the trajectories `ids` names, in that order; `None`
+    /// for measures without a lane kernel.
+    fn lane_groups(&self, ids: &[usize]) -> Option<Vec<LaneGroup>> {
+        let erp = matches!(self.accel, Some(Accel::Erp { .. }));
+        self.has_lanes()
+            .then(|| build_lane_groups(&self.caches, ids, erp))
+    }
+
+    /// The corpus in the order the lane kernels want it — sorted by length,
+    /// so co-grouped lanes pad little — with its lane groups. Measures
+    /// without a lane kernel get corpus order and no groups.
+    fn corpus_lanes(&self) -> (Vec<usize>, Option<Vec<LaneGroup>>) {
+        let mut order: Vec<usize> = (0..self.trajs.len()).collect();
+        if self.has_lanes() {
+            order.sort_by_key(|&i| (self.caches[i].len(), i));
+        }
+        let groups = self.lane_groups(&order);
+        (order, groups)
+    }
+
+    /// Exact distances from corpus member `i` to `ids[p]` for every
+    /// `p >= from`, handed to `emit(p, dist)`: one lane-kernel call per
+    /// group of `groups` (built over `ids` by [`Self::lane_groups`]) from
+    /// the one holding `from` on, or one [`Self::pair_exact`] per pair
+    /// when the measure has no lane kernel.
+    fn exact_row(
+        &self,
+        i: usize,
+        ids: &[usize],
+        groups: Option<&[LaneGroup]>,
+        from: usize,
+        s: &mut Scratch,
+        mut emit: impl FnMut(usize, f64),
+    ) {
+        let (Some(acc), Some(groups)) = (self.accel, groups) else {
+            for (p, &j) in ids.iter().enumerate().skip(from) {
+                emit(p, self.pair_exact(i, j, s));
+            }
+            return;
+        };
+        let outer = &self.caches[i];
+        let last = ids.len().div_ceil(LANES);
+        for (gi, g) in groups.iter().enumerate().take(last).skip(from / LANES) {
+            let res = lane_batch(acc, outer, g, s, self.simd);
+            for (l, &d) in res.iter().enumerate().take(g.count) {
+                let p = gi * LANES + l;
+                if p < from {
+                    continue;
+                }
+                s.tally.pairs += 1;
+                s.tally.dp_cells += (outer.len() * g.len[l]) as u64;
+                emit(p, d);
+            }
+        }
+    }
+
+    /// Exact distance of one pair for the measures without a lane kernel
+    /// (Hausdorff and unaccelerated measures), orientation `(i, j)` — the
+    /// call order of the naive drivers.
+    fn pair_exact(&self, i: usize, j: usize, s: &mut Scratch) -> f64 {
+        s.tally.pairs += 1;
+        match self.accel {
+            Some(Accel::Hausdorff) => hausdorff_kernel(
+                &self.caches[i],
+                &self.caches[j],
+                f64::INFINITY,
+                &mut s.tally,
+            )
+            .expect("nothing is abandoned without a threshold"),
+            Some(_) => unreachable!("the DP measures take the lane kernels"),
+            None => self
+                .measure
+                .dist(self.trajs[i].points(), self.trajs[j].points()),
+        }
+    }
+
     /// Maps queries through `f` on up to `threads` workers (order
-    /// preserved), one reusable [`Scratch`] per worker, tallies flushed
-    /// once per worker.
+    /// preserved), each worker taking one contiguous chunk.
     fn query_map<R: Send>(
         &self,
         queries: &[usize],
         threads: usize,
         f: impl Fn(usize, &mut Scratch) -> R + Sync,
     ) -> Vec<R> {
-        let threads = threads.max(1);
-        if threads == 1 || queries.len() < 2 {
+        let chunk = queries.len().div_ceil(threads.max(1)).max(1);
+        let parts = self.workers(queries.len().div_ceil(chunk), |w, s| {
+            let part = queries.iter().skip(w * chunk).take(chunk);
+            part.map(|&q| f(q, s)).collect::<Vec<R>>()
+        });
+        parts.into_iter().flatten().collect()
+    }
+
+    /// Runs `work(w, scratch)` for every worker `w < threads` — on scoped
+    /// threads, or inline when there is at most one — each with its own
+    /// reusable [`Scratch`], whose tally is flushed to the registry once.
+    /// Results come back in worker order.
+    fn workers<R: Send>(
+        &self,
+        threads: usize,
+        work: impl Fn(usize, &mut Scratch) -> R + Sync,
+    ) -> Vec<R> {
+        let run = |w: usize| {
             let mut s = Scratch::default();
-            let out = queries.iter().map(|&q| f(q, &mut s)).collect();
+            let out = work(w, &mut s);
             if let Some(m) = &self.metrics {
                 m.flush(s.tally);
             }
-            return out;
+            out
+        };
+        if threads <= 1 {
+            return vec![run(0)];
         }
-        let chunk = queries.len().div_ceil(threads);
-        let fref = &f;
-        let mut parts: Vec<(Vec<R>, Tally)> = Vec::new();
         std::thread::scope(|scope| {
-            let handles: Vec<_> = queries
-                .chunks(chunk)
-                .map(|part| {
-                    scope.spawn(move || {
-                        let mut s = Scratch::default();
-                        let out: Vec<R> = part.iter().map(|&q| fref(q, &mut s)).collect();
-                        (out, s.tally)
-                    })
-                })
-                .collect();
-            for h in handles {
-                parts.push(h.join().expect("ground-truth query worker panicked"));
-            }
-        });
-        let mut out = Vec::with_capacity(queries.len());
-        for (part, tally) in parts {
-            out.extend(part);
-            if let Some(m) = &self.metrics {
-                m.flush(tally);
-            }
-        }
-        out
+            let run = &run;
+            let handles: Vec<_> = (0..threads).map(|w| scope.spawn(move || run(w))).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("ground-truth worker panicked"))
+                .collect()
+        })
     }
 }
 

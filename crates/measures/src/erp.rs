@@ -73,17 +73,6 @@ impl Measure for Erp {
         "ERP"
     }
 
-    /// Chen & Ng's gap-sum bound: `ERP(a, b) >= |Σᵢ d(aᵢ, g) − Σⱼ d(bⱼ, g)|`
-    /// (apply `d(aᵢ, bⱼ) >= |d(aᵢ, g) − d(bⱼ, g)|` to every matched pair
-    /// of any edit transcript).
-    fn lower_bound(&self, a: &[Point], b: &[Point]) -> f64 {
-        if a.is_empty() || b.is_empty() {
-            return f64::INFINITY;
-        }
-        let sum = |pts: &[Point]| pts.iter().map(|p| p.dist(&self.gap)).sum::<f64>();
-        (sum(a) - sum(b)).abs()
-    }
-
     fn accel(&self) -> Option<crate::Accel> {
         Some(crate::Accel::Erp { gap: self.gap })
     }

@@ -45,16 +45,6 @@ impl DiscreteFrechet {
         }
         prev[cols - 1]
     }
-
-    /// Cheap lower bound: the Fréchet distance is at least the distance
-    /// between the two start points and between the two end points.
-    /// Useful for pruning in search.
-    pub fn lower_bound(a: &[Point], b: &[Point]) -> f64 {
-        match (a.first(), b.first(), a.last(), b.last()) {
-            (Some(a0), Some(b0), Some(a1), Some(b1)) => a0.dist(b0).max(a1.dist(b1)),
-            _ => f64::INFINITY,
-        }
-    }
 }
 
 impl Measure for DiscreteFrechet {
@@ -64,10 +54,6 @@ impl Measure for DiscreteFrechet {
 
     fn name(&self) -> &'static str {
         "Frechet"
-    }
-
-    fn lower_bound(&self, a: &[Point], b: &[Point]) -> f64 {
-        DiscreteFrechet::lower_bound(a, b)
     }
 
     fn accel(&self) -> Option<Accel> {
@@ -125,13 +111,6 @@ mod tests {
         let a = pts(&[(0.0, 0.0)]);
         assert_eq!(DiscreteFrechet.dist(&a, &[]), f64::INFINITY);
         assert_eq!(DiscreteFrechet.dist(&[], &[]), f64::INFINITY);
-    }
-
-    #[test]
-    fn lower_bound_holds() {
-        let a = pts(&[(0.0, 0.0), (5.0, 1.0), (2.0, 2.0)]);
-        let b = pts(&[(1.0, 1.0), (3.0, 0.0), (4.0, 4.0)]);
-        assert!(DiscreteFrechet::lower_bound(&a, &b) <= DiscreteFrechet.dist(&a, &b) + 1e-12);
     }
 
     #[test]

@@ -59,21 +59,6 @@ impl Measure for Hausdorff {
         "Hausdorff"
     }
 
-    /// `d(p, B) ≥ d(p, MBR(B))` because `B ⊆ MBR(B)`, so the directed
-    /// Hausdorff distance is at least the farthest point-to-MBR distance;
-    /// symmetrize by taking the max of both directions. O(|A| + |B|).
-    fn lower_bound(&self, a: &[Point], b: &[Point]) -> f64 {
-        if a.is_empty() || b.is_empty() {
-            return f64::INFINITY;
-        }
-        let mbr_a = neutraj_trajectory::BoundingBox::from_points(a);
-        let mbr_b = neutraj_trajectory::BoundingBox::from_points(b);
-        let dir = |pts: &[Point], mbr: &neutraj_trajectory::BoundingBox| {
-            pts.iter().map(|p| mbr.min_dist(*p)).fold(0.0, f64::max)
-        };
-        dir(a, &mbr_b).max(dir(b, &mbr_a))
-    }
-
     fn accel(&self) -> Option<crate::Accel> {
         Some(crate::Accel::Hausdorff)
     }

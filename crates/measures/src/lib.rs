@@ -1,9 +1,11 @@
 //! # neutraj-measures
 //!
 //! Exact trajectory similarity measures and the machinery NeuTraj-RS needs
-//! around them: parallel pairwise distance matrices (the seed guidance of
-//! the paper, §V) and brute-force top-k search (the `BruteForce` baseline
-//! of Tables IV/V).
+//! around them: the exact ground-truth engine ([`GroundTruthEngine`]:
+//! parallel distance matrices — the seed guidance of the paper, §V — dense
+//! rows and top-k lists, pruned by the [`bounds`] cascade and bit-identical
+//! to the naive DPs) and brute-force top-k search (the `BruteForce`
+//! baseline of Tables IV/V).
 //!
 //! The four measures the paper evaluates are implemented faithfully:
 //!
@@ -40,9 +42,7 @@ mod simd;
 pub mod timed;
 
 pub use bounds::TrajCache;
-pub use bruteforce::{
-    knn_query, knn_scan, knn_scan_pruned, partial_sort_neighbors, top_k, Neighbor, NeighborHeap,
-};
+pub use bruteforce::{knn_query, knn_scan, partial_sort_neighbors, top_k, Neighbor, NeighborHeap};
 pub use dtw::Dtw;
 pub use engine::GroundTruthEngine;
 pub use erp::Erp;
@@ -61,6 +61,10 @@ use neutraj_trajectory::Point;
 /// shipped here are symmetric). Empty inputs yield `f64::INFINITY` by
 /// convention — a trajectory with no points is infinitely far from
 /// everything, including itself.
+///
+/// Pruning bounds come only from [`Measure::accel`] and the [`bounds`]
+/// module: a measure without an accelerated kernel is computed in full
+/// for every pair.
 pub trait Measure: Send + Sync {
     /// Computes the dissimilarity between two point sequences.
     fn dist(&self, a: &[Point], b: &[Point]) -> f64;
@@ -72,13 +76,6 @@ pub trait Measure: Send + Sync {
     /// DTW famously is not (§VII-A.2).
     fn is_metric(&self) -> bool {
         true
-    }
-
-    /// A cheap lower bound on [`Measure::dist`], used by
-    /// [`knn_scan_pruned`] to early-abandon candidates. The default of 0
-    /// is always valid; measures override it with O(L) bounds.
-    fn lower_bound(&self, _a: &[Point], _b: &[Point]) -> f64 {
-        0.0
     }
 
     /// Which accelerated kernel of the [`GroundTruthEngine`] computes this

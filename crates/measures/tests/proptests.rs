@@ -1,9 +1,9 @@
 //! Property-based tests of the exact measures: lower-bound validity,
-//! band monotonicity, matrix/search consistency on random trajectories.
+//! band monotonicity, matrix consistency on random trajectories.
 
+use neutraj_measures::bounds::{lb_cheap, lb_tight};
 use neutraj_measures::{
-    knn_scan, knn_scan_pruned, DiscreteFrechet, DistanceMatrix, Dtw, Erp, Hausdorff, Measure,
-    MeasureKind,
+    DiscreteFrechet, DistanceMatrix, Dtw, Erp, Hausdorff, Measure, MeasureKind, TrajCache,
 };
 use neutraj_trajectory::rng::{cases, Rng};
 use neutraj_trajectory::{Point, Trajectory};
@@ -25,16 +25,24 @@ fn arb_corpus(rng: &mut Rng, n: usize) -> Vec<Trajectory> {
         .collect()
 }
 
+/// The engine's two bound tiers, built from `TrajCache`s as the engine
+/// builds them: `lb_cheap <= lb_tight <= dist` in both orientations.
 #[test]
 fn lower_bounds_are_valid_for_all_measures() {
     cases(48, |rng| {
-        let a = arb_points(rng, 15);
-        let b = arb_points(rng, 15);
+        let a = Trajectory::new_unchecked(0, arb_points(rng, 15));
+        let b = Trajectory::new_unchecked(1, arb_points(rng, 15));
         for kind in MeasureKind::ALL {
             let m = kind.measure();
-            let lb = m.lower_bound(&a, &b);
-            let d = m.dist(&a, &b);
-            assert!(lb <= d + 1e-9, "{kind}: lb {lb} > dist {d}");
+            let accel = m.accel().expect("the paper measures are accelerated");
+            let (ca, cb) = (TrajCache::build(&a, accel), TrajCache::build(&b, accel));
+            let d = m.dist(a.points(), b.points());
+            for (x, y) in [(&ca, &cb), (&cb, &ca)] {
+                let cheap = lb_cheap(accel, x, y);
+                let tight = lb_tight(accel, x, y);
+                assert!(cheap <= tight, "{kind}: cheap {cheap} > tight {tight}");
+                assert!(tight <= d + 1e-9, "{kind}: tight {tight} > dist {d}");
+            }
         }
     });
 }
@@ -99,24 +107,6 @@ fn matrix_agrees_with_direct_calls() {
                 };
                 assert!((m.get(i, j) - direct).abs() < 1e-12);
             }
-        }
-    });
-}
-
-#[test]
-fn pruned_search_equals_plain_search() {
-    cases(48, |rng| {
-        let corpus = arb_corpus(rng, 20);
-        let k = rng.gen_range(1usize..8);
-        for kind in [
-            MeasureKind::Frechet,
-            MeasureKind::Hausdorff,
-            MeasureKind::Dtw,
-        ] {
-            let m = kind.measure();
-            let plain = knn_scan(&*m, &corpus[0], &corpus, k);
-            let pruned = knn_scan_pruned(&*m, &corpus[0], &corpus, k);
-            assert_eq!(&plain, &pruned, "{}", kind);
         }
     });
 }

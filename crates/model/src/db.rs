@@ -800,7 +800,7 @@ impl SimilarityDb {
     /// it costs its rows plus one copy of what the scans need contiguous:
     /// the trajectories are shared with `self` in chunks, the embedding
     /// store and the int8 view are each copied once into buffers sized
-    /// for the new rows ([`EmbeddingStore::successor`]), and the rows then
+    /// for the new rows (`EmbeddingStore::successor`), and the rows then
     /// go in through the same append as every other insert. The IVF
     /// lists and the graph are cloned whole — an insert may edit any list
     /// and many graph nodes.

@@ -151,7 +151,7 @@ struct HistInner {
 /// batch sizes, …) supporting exact counts/sums and bounded-error
 /// quantiles.
 ///
-/// Values are bucketed by exponent plus the top [`SUB_BITS`] mantissa bits
+/// Values are bucketed by exponent plus the top `SUB_BITS` (3) mantissa bits
 /// of their `f64` representation — a monotone, branch-light mapping with 8
 /// sub-buckets per power of two. Quantiles report the selected bucket's
 /// upper bound clamped into the observed `[min, max]`, so the relative
