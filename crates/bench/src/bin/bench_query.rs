@@ -4,15 +4,22 @@
 //! Two measurements, both single-threaded (queries/sec is per-core
 //! throughput; `embed_all` parallelism is benchmarked elsewhere):
 //!
-//! * **scan** — `EmbeddingStore::knn_batch` (one fused pass over the
-//!   rows via the norm trick `‖q−x‖² = ‖q‖² − 2·q·x + ‖x‖²`; the
+//! * **scan** — `EmbeddingStore::knn_batch` (the norm trick
+//!   `‖q−x‖² = ‖q‖² − 2·q·x + ‖x‖²`, one fused f64 pass over the rows
+//!   from a stripe of 8 queries up, the int8 lower bound below; the
 //!   `gemm_qps` key keeps its historical name) against `knn_naive`
 //!   (per-row `euclidean_sq` + full top-k buffer), over synthetic
 //!   corpora of N ∈ {10k, 100k} embeddings at d = 32; then what one row
-//!   costs one query at B ∈ {1, 4, 7, 8, 16} (`scan-batch` lines,
-//!   `"by_batch"` in the JSON), gated at N ≥ 100k on a full stripe of 8
-//!   costing a query no more than a stripe of 7 (`scan-gate:`; the
-//!   packed GEMM this replaced was 1.32× slower at 8).
+//!   costs one query at B ∈ {1, 4, 7, 8, 16} through `knn_batch`
+//!   (`scan-batch` lines, `"by_batch"` in the JSON) and through the fused
+//!   f64 pass alone (`f64-stripe` lines, `"f64_by_batch"`), after both
+//!   are checked equal bit for bit. Gated at N ≥ 100k: a full f64 stripe
+//!   of 8 costs a query no more than a stripe of 7 (`scan-gate:`; the
+//!   packed GEMM this replaced was 1.32× slower at 8), and a lone exact
+//!   query through the int8 bound is ≥ 2.5× the lone f64 pass
+//!   (`quant-gate:`; 64 bytes a row against 264). The `exact-bound` line
+//!   reports how many rows the bound leaves to the f64 score per lone
+//!   query (`"exact_bound_survivors"`).
 //! * **embed** — `NeuTrajModel::embed_batch` (lockstep per-timestep
 //!   GEMM forward) against a per-trajectory scalar-forward loop
 //!   (`Backbone::forward_frozen`), B = 32, for
@@ -25,15 +32,13 @@
 //!   [`neutraj_obs::MetricsReport`] is embedded in `BENCH_query.json`
 //!   under `"metrics"` and also written as Prometheus text to
 //!   `BENCH_query.prom` — including the `neutraj_ann_*` probe counters.
-//! * **quant** — the `NTQ08` int8 quantized scan (`DESIGN.md` §12):
-//!   approximate u8 integer-dot scoring with an exact over-fetch rerank,
-//!   exhaustive and through the IVF shortlist, against the f64 paths it
-//!   shadows. Gated in-process: recall@10 ≥ 0.99 after the exact rerank
-//!   at every swept N, and at N ≥ 100k a lone int8 scan ≥ 1.5× a lone
-//!   f64 scan (5.5× fewer bytes streamed; batched and IVF ratios are
-//!   reported, not gated — the f64 sides caught up) (the `quant-gate:` /
-//!   `quant-scan:` lines are the CI grep markers, and
-//!   `"quant_recall_ok"` lands in the JSON).
+//! * **quant** — the approximate `NTQ08` int8 view (`DESIGN.md` §12):
+//!   u8 integer-dot scoring with an exact over-fetch rerank, exhaustive
+//!   and through the IVF shortlist, against the f64 paths it shadows.
+//!   Gated in-process: recall@10 ≥ 0.99 after the exact rerank at every
+//!   swept N (≈ 4.1× fewer bytes streamed at d = 32; the speed ratios
+//!   are reported, not gated) (the `quant-scan:` lines are the CI grep
+//!   markers, and `"quant_recall_ok"` lands in the JSON).
 //! * **ann** (`--ann`) — the IVF shortlist + exact-rerank scan against
 //!   the exhaustive scan, sweeping N ∈ {100k, 1M} × nprobe over a
 //!   clustered corpus (real trajectory embeddings concentrate around
@@ -80,11 +85,13 @@ use std::time::Instant;
 use neutraj_cluster::{KMeans, KMeansParams};
 use neutraj_eval::{mean_overlap_at_k, shortlist_recall_at_k};
 use neutraj_index::IvfIndex;
-use neutraj_measures::DiscreteFrechet;
+use neutraj_measures::{DiscreteFrechet, Neighbor, NeighborHeap};
 use neutraj_model::{
     AnnIndex, AnnParams, BackboneKind, DbMetrics, EmbeddingStore, HnswIndex, HnswParams,
     NeuTrajModel, QuantizedStore, Query, SimilarityDb, TrainConfig,
 };
+use neutraj_nn::linalg::dot;
+use neutraj_nn::simd::{scan_rows, ScanInput, SCAN_STRIPE};
 use neutraj_obs::{names, MetricsReport, Registry};
 use neutraj_trajectory::rng::{splitmix64, GOLDEN_GAMMA};
 use neutraj_trajectory::{BoundingBox, Grid, Point, Trajectory};
@@ -101,6 +108,10 @@ const SCAN_BATCHES: [usize; 5] = [1, 4, 7, 8, 16];
 /// only printed (the quant and scan gates): below it one timed call is
 /// too short for the ratio to be stable on a shared host.
 const GATE_MIN_ROWS: usize = 100_000;
+
+/// Lone queries whose int8-bound survivors the `exact-bound` line
+/// summarises.
+const BOUND_QUERIES: usize = 256;
 
 /// Minimum wall-clock per timed measurement. Short enough to keep the
 /// default run in seconds, long enough to amortise timer noise.
@@ -124,10 +135,9 @@ fn main() {
         cli.dim, cli.queries, sizes
     );
 
-    let mut scan_rows = Vec::new();
-    for &n in &sizes {
-        scan_rows.push(bench_scan(n, cli.dim, cli.queries, cli.seed));
-    }
+    let scans: Vec<ScanRow> = (sizes.iter())
+        .map(|&n| bench_scan(n, cli.dim, cli.queries, cli.seed))
+        .collect();
     let embed_rows = [BackboneKind::SamLstm, BackboneKind::Lstm, BackboneKind::Gru]
         .map(|kind| bench_embed(kind, cli.dim, cli.queries, cli.seed));
 
@@ -192,7 +202,7 @@ fn main() {
     let json = render_json(
         &cli,
         host_cpus,
-        &scan_rows,
+        &scans,
         &embed_rows,
         &quant_rows,
         &serving,
@@ -211,8 +221,14 @@ struct ScanRow {
     n: usize,
     naive_qps: f64,
     gemm_qps: f64,
-    /// `(B, ns per row per query)`.
+    /// `(B, ns per row per query)` through `knn_batch`: the int8 bound
+    /// below a stripe, the fused f64 pass from one up.
     by_batch: Vec<(usize, f64)>,
+    /// `(B, ns per row per query)` of the fused f64 pass at every `B`.
+    f64_by_batch: Vec<(usize, f64)>,
+    /// Rows a lone query scored in f64 after the int8 bound: mean, p90
+    /// and max over [`BOUND_QUERIES`] queries.
+    survivors: (f64, f64, f64),
 }
 
 /// One embed measurement: scalar vs lockstep-batched queries/sec.
@@ -357,62 +373,152 @@ fn bench_scan(n: usize, dim: usize, batch: usize, seed: u64) -> ScanRow {
         gemm_qps / naive_qps
     );
 
-    // What a row costs a query as the batch grows: the fixed part of a
-    // stripe (loading and transposing four rows) is shared by its
-    // queries, so the cost falls up to a full stripe of eight.
+    // What a row costs a query as the batch grows. Through `knn_batch` a
+    // batch narrower than a stripe reads the int8 codes once per query;
+    // the fused f64 pass shares the fixed part of a stripe (loading and
+    // transposing four rows) among its queries, so its cost falls up to a
+    // full stripe of eight. Both regimes answer identically — checked at
+    // the widths on either side of the switch before anything is timed.
     let sweep: Vec<Vec<f64>> = (0..*SCAN_BATCHES.iter().max().expect("non-empty"))
         .map(|_| (0..dim).map(|_| unit_f64(&mut state)).collect())
         .collect();
     let sweep: Vec<&[f64]> = sweep.iter().map(|q| q.as_slice()).collect();
-    let by_batch: Vec<(usize, f64)> = SCAN_BATCHES
-        .iter()
-        .map(|&b| {
-            let qps = time_qps(b, || {
-                std::hint::black_box(store.knn_batch(&sweep[..b], K));
-            });
-            let ns = 1e9 / (qps * n as f64);
-            println!("  scan-batch n={n}: B={b} {ns:.2} ns/row/query");
-            (b, ns)
-        })
-        .collect();
-    let ns_at = |b: usize| by_batch.iter().find(|r| r.0 == b).expect("swept").1;
+    let norms: Vec<f64> = (0..n).map(|i| dot(store.get(i), store.get(i))).collect();
+    for b in [1, SCAN_STRIPE - 1, SCAN_STRIPE] {
+        assert_eq!(
+            store.knn_batch(&sweep[..b], K),
+            f64_stream(&store, &norms, &sweep[..b], K),
+            "B={b}: knn_batch diverged from the fused f64 pass"
+        );
+    }
+    let per_row = |label: &str, scan: &dyn Fn(&[&[f64]])| -> Vec<(usize, f64)> {
+        (SCAN_BATCHES.iter())
+            .map(|&b| {
+                let qps = time_qps(b, || scan(&sweep[..b]));
+                let ns = 1e9 / (qps * n as f64);
+                println!("  {label} n={n}: B={b} {ns:.2} ns/row/query");
+                (b, ns)
+            })
+            .collect()
+    };
+    let by_batch = per_row("scan-batch", &|qs| {
+        std::hint::black_box(store.knn_batch(qs, K));
+    });
+    let f64_by_batch = per_row("f64-stripe", &|qs| {
+        std::hint::black_box(f64_stream(&store, &norms, qs, K));
+    });
+    let ns_at = |rows: &[(usize, f64)], b: usize| rows.iter().find(|r| r.0 == b).expect("swept").1;
     if n >= GATE_MIN_ROWS {
-        // A full stripe must not cost a query more than a stripe of
+        // A full f64 stripe must not cost a query more than a stripe of
         // seven (the packed GEMM's threshold sat here and was 1.32x
         // slower at 8); 10 % covers the host's run-to-run noise.
+        let (f8, f7) = (ns_at(&f64_by_batch, 8), ns_at(&f64_by_batch, 7));
         assert!(
-            ns_at(8) <= 1.10 * ns_at(7),
-            "scan-gate: n={n} B=8 costs {:.2} ns/row/query, B=7 {:.2}",
-            ns_at(8),
-            ns_at(7)
+            f8 <= 1.10 * f7,
+            "scan-gate: n={n} B=8 costs {f8:.2} ns/row/query, B=7 {f7:.2}"
         );
-        println!("  scan-gate: n={n} B=8 no slower per query than B=7 (passed)");
+        println!("  scan-gate: n={n} f64 B=8 no slower per query than B=7 (passed)");
+        // A lone query streams 64 bytes a row through the codes where the
+        // f64 pass streams 264 (d = 32), and scores a few rows in f64.
+        let speedup = ns_at(&f64_by_batch, 1) / ns_at(&by_batch, 1);
+        assert!(
+            speedup >= 2.5,
+            "quant-gate: n={n} lone exact query through the int8 bound only {speedup:.2}x the lone f64 pass"
+        );
+        println!(
+            "  quant-gate: n={n} lone exact query through the int8 bound {speedup:.2}x the lone f64 pass (>= 2.5x) (passed)"
+        );
     } else {
         println!("  scan-gate: skipped (corpus under {GATE_MIN_ROWS} rows)");
     }
+
+    // How many rows the int8 bound leaves to the f64 score, per lone
+    // query over fresh queries from the corpus's own distribution.
+    let mut survivors: Vec<f64> = (0..BOUND_QUERIES)
+        .map(|_| {
+            let q: Vec<f64> = (0..dim).map(|_| unit_f64(&mut state)).collect();
+            store.knn_batch_with_stats(&[&q], K).1.bound_survivors as f64
+        })
+        .collect();
+    survivors.sort_by(f64::total_cmp);
+    let mean = survivors.iter().sum::<f64>() / survivors.len() as f64;
+    let (p90, max) = (percentile(&survivors, 0.9), survivors[survivors.len() - 1]);
+    let share = |rows: f64| 100.0 * rows / n as f64;
+    println!(
+        "  exact-bound n={n}: survivors mean {mean:.1} / p90 {p90:.0} / max {max:.0} rows per query ({:.3}% / {:.3}% / {:.3}% of rows)",
+        share(mean),
+        share(p90),
+        share(max)
+    );
     ScanRow {
         n,
         naive_qps,
         gemm_qps,
         by_batch,
+        f64_by_batch,
+        survivors: (mean, p90, max),
     }
 }
 
-/// The int8 quantized scan versus the f64 paths over one uniform N-row
+/// The fused f64 pass over `store` straight through `scan_rows` — what
+/// `knn_batch` runs from a full stripe up, at any `B` — with `norms` the
+/// rows' squared norms.
+fn f64_stream(
+    store: &EmbeddingStore,
+    norms: &[f64],
+    queries: &[&[f64]],
+    k: usize,
+) -> Vec<Vec<Neighbor>> {
+    let qflat = queries.concat();
+    let qnorms: Vec<f64> = queries.iter().map(|q| dot(q, q)).collect();
+    let mut heaps: Vec<NeighborHeap> = queries.iter().map(|_| NeighborHeap::new(k)).collect();
+    let mut thresholds = vec![f64::INFINITY; queries.len()];
+    let input = ScanInput {
+        dim: store.dim(),
+        queries: &qflat,
+        qnorms: &qnorms,
+        rows: store.as_flat(),
+        row_norms: norms,
+    };
+    scan_rows(
+        neutraj_obs::simd::level(),
+        &input,
+        &mut thresholds,
+        |qi, row, d2| {
+            heaps[qi].push(row, d2);
+            heaps[qi]
+                .threshold()
+                .map_or(f64::INFINITY, |worst| worst.dist)
+        },
+    );
+    heaps
+        .into_iter()
+        .map(|h| {
+            let mut out = h.into_sorted();
+            for nb in &mut out {
+                nb.dist = nb.dist.sqrt();
+            }
+            out
+        })
+        .collect()
+}
+
+/// The approximate int8 view versus the f64 paths over one uniform N-row
 /// corpus — the same corpus family as [`bench_scan`], the geometry of
 /// trained-model embeddings (smoothly spread rows; see `DESIGN.md` §12
-/// on the int8 resolution floor for why blob-degenerate corpora are
+/// for why corpora whose neighbours sit below one quantization step are
 /// excluded from the recall gate).
 ///
-/// Three gates run in-process (panic on failure):
+/// Two gates run in-process (panic on failure):
 ///
 /// * exhaustive quantized scan recall@10 ≥ 0.99 after the exact rerank
 ///   (measured by [`shortlist_recall_at_k`], which also publishes the
 ///   `neutraj_quant_recall_at_k` gauge into `registry`);
 /// * IVF-shortlist quantized scan recall@10 ≥ 0.99 against the f64
-///   shortlist over the *same* candidate lists;
-/// * at N ≥ 100k, a lone int8 scan ≥ 1.5× a lone f64 scan (the batch and
-///   IVF ratios are reported only — see the gate).
+///   shortlist over the *same* candidate lists.
+///
+/// The speed ratios are printed, not gated: what the codes buy a lone
+/// exact query is gated in [`bench_scan`].
 fn bench_quant(n: usize, dim: usize, batch: usize, seed: u64, registry: &Registry) -> QuantRow {
     let mut state = seed ^ GOLDEN_GAMMA; // same corpus as bench_scan
     let store = {
@@ -499,30 +605,6 @@ fn bench_quant(n: usize, dim: usize, batch: usize, seed: u64, registry: &Registr
         "  quant-ann n={n}: nprobe {nprobe}/{nlists} recall@{K} {ann_recall:.4}, f64 {ann_f64_qps:.1} q/s, int8 {ann_int8_qps:.1} q/s ({:.2}x)",
         ann_int8_qps / ann_f64_qps
     );
-
-    if n >= GATE_MIN_ROWS {
-        // What int8 still buys in time is bandwidth: a lone query streams
-        // the corpus once whichever path it takes, and the codes are 5.5x
-        // fewer bytes. A batch no longer shows it — the fused f64 scan
-        // reads the rows once per batch where the int8 scan reads its
-        // codes once per query — and neither does the IVF leg since its
-        // f64 side scores a list through the gathered-rows kernel, so
-        // those two ratios are printed above and not asserted.
-        let lone_f64_qps = time_qps(1, || {
-            std::hint::black_box(store.knn_batch(&qrefs[..1], K));
-        });
-        let lone_int8_qps = time_qps(1, || {
-            std::hint::black_box(quant.knn_batch(&store, &qrefs[..1], K));
-        });
-        assert!(
-            lone_int8_qps >= 1.5 * lone_f64_qps,
-            "quant-gate: n={n} lone int8 scan {lone_int8_qps:.1} q/s under 1.5x the lone f64 {lone_f64_qps:.1} q/s"
-        );
-        println!(
-            "  quant-gate: n={n} lone int8 scan {:.2}x the lone f64 scan (>= 1.5x), recall@{K} >= 0.99 (passed)",
-            lone_int8_qps / lone_f64_qps
-        );
-    }
 
     QuantRow {
         n,
@@ -1132,19 +1214,21 @@ fn render_json(
     let scan_objs = scan
         .iter()
         .map(|r| {
-            let by_batch = r
-                .by_batch
-                .iter()
-                .map(|(b, ns)| format!("{{\"b\": {b}, \"ns_per_row_query\": {ns:.3}}}"))
-                .collect::<Vec<_>>()
-                .join(", ");
+            let rows = |rows: &[(usize, f64)]| {
+                rows.iter()
+                    .map(|(b, ns)| format!("{{\"b\": {b}, \"ns_per_row_query\": {ns:.3}}}"))
+                    .collect::<Vec<_>>()
+                    .join(", ")
+            };
+            let (mean, p90, max) = r.survivors;
             format!(
-                "    {{\n      \"n\": {},\n      \"naive_qps\": {:.2},\n      \"gemm_qps\": {:.2},\n      \"speedup\": {:.4},\n      \"by_batch\": [{}]\n    }}",
+                "    {{\n      \"n\": {},\n      \"naive_qps\": {:.2},\n      \"gemm_qps\": {:.2},\n      \"speedup\": {:.4},\n      \"by_batch\": [{}],\n      \"f64_by_batch\": [{}],\n      \"exact_bound_survivors\": {{\"mean\": {mean:.2}, \"p90\": {p90:.0}, \"max\": {max:.0}}}\n    }}",
                 r.n,
                 r.naive_qps,
                 r.gemm_qps,
                 r.gemm_qps / r.naive_qps,
-                by_batch
+                rows(&r.by_batch),
+                rows(&r.f64_by_batch),
             )
         })
         .collect::<Vec<_>>()

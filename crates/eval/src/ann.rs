@@ -260,11 +260,12 @@ mod tests {
             "quantized recall@10 {} below the 0.99 gate",
             r.recall_at_k
         );
-        // Every scored row streamed ~8× fewer bytes than the f64 path.
+        // Every scored row streamed 48 bytes (16 of codes, 32 of row
+        // columns) where the f64 path streams 136.
         assert_eq!(r.stats.rows_scanned, queries.len() * store.len());
         assert_eq!(
             r.stats.bytes_scanned,
-            r.stats.rows_scanned * (store.dim() + 16)
+            r.stats.rows_scanned * (store.dim() + 32)
         );
         assert!(r.stats.reranked > 0);
         assert_eq!(r.mean_rerank_depth, 0.0);

@@ -116,17 +116,22 @@ pub trait ShortlistView: Sized {
     /// Row dimensionality, for a view that stores vectors (the graph
     /// stores none).
     fn dim(&self) -> Option<usize>;
-    /// Takes in the newest row of `store`, which has just grown by one.
-    fn append(&mut self, store: &EmbeddingStore);
+    /// Whether the view may serve `store`, beyond its shape (which
+    /// [`SimilarityDb::set_view`] checks for every view).
+    fn fits(&self, _store: &EmbeddingStore) -> bool {
+        true
+    }
     /// The view's section bytes (`NTIVF01`, `NTHNSW01`, `NTQ08`).
     fn encode(&self) -> Vec<u8>;
     /// Parses a section written by [`Self::encode`], checking its
     /// structural invariants.
     fn decode(bytes: &[u8]) -> Result<Self, Self::DecodeError>;
     #[doc(hidden)]
-    fn slot(db: &SimilarityDb) -> &Option<Self>;
+    fn slot(db: &SimilarityDb) -> Option<&Self>;
+    /// Installs `view` (already checked to fit) or, with `None`, drops
+    /// the installed one.
     #[doc(hidden)]
-    fn slot_mut(db: &mut SimilarityDb) -> &mut Option<Self>;
+    fn install(db: &mut SimilarityDb, view: Option<Self>);
 }
 
 impl ShortlistView for AnnIndex {
@@ -138,21 +143,17 @@ impl ShortlistView for AnnIndex {
     fn dim(&self) -> Option<usize> {
         Some(IvfIndex::dim(self))
     }
-    /// Assign-to-nearest-centroid; no retraining (rebuild for that).
-    fn append(&mut self, store: &EmbeddingStore) {
-        self.insert(store.get(store.len() - 1));
-    }
     fn encode(&self) -> Vec<u8> {
         self.to_bytes()
     }
     fn decode(bytes: &[u8]) -> Result<Self, IvfCodecError> {
         Self::from_bytes(bytes)
     }
-    fn slot(db: &SimilarityDb) -> &Option<Self> {
-        &db.ann
+    fn slot(db: &SimilarityDb) -> Option<&Self> {
+        db.ann.as_ref()
     }
-    fn slot_mut(db: &mut SimilarityDb) -> &mut Option<Self> {
-        &mut db.ann
+    fn install(db: &mut SimilarityDb, view: Option<Self>) {
+        db.ann = view;
     }
 }
 
@@ -165,25 +166,24 @@ impl ShortlistView for HnswIndex {
     fn dim(&self) -> Option<usize> {
         None
     }
-    /// The new node gets its hashed level and links immediately (a
-    /// one-node construction round), so graph queries see every row.
-    fn append(&mut self, store: &EmbeddingStore) {
-        store.link_last_row(self);
-    }
     fn encode(&self) -> Vec<u8> {
         self.to_bytes()
     }
     fn decode(bytes: &[u8]) -> Result<Self, HnswCodecError> {
         Self::from_bytes(bytes)
     }
-    fn slot(db: &SimilarityDb) -> &Option<Self> {
-        &db.graph
+    fn slot(db: &SimilarityDb) -> Option<&Self> {
+        db.graph.as_ref()
     }
-    fn slot_mut(db: &mut SimilarityDb) -> &mut Option<Self> {
-        &mut db.graph
+    fn install(db: &mut SimilarityDb, view: Option<Self>) {
+        db.graph = view;
     }
 }
 
+/// The int8 view *is* the store's code column: installing one only
+/// switches `Query::quantized()` on, and a view is adopted only when it
+/// holds exactly the codes the store derives from its own rows — the
+/// exact scan trusts those codes' error bounds.
 impl ShortlistView for QuantizedStore {
     const NAME: &'static str = "quantized store";
     type DecodeError = PersistError;
@@ -193,9 +193,8 @@ impl ShortlistView for QuantizedStore {
     fn dim(&self) -> Option<usize> {
         Some(QuantizedStore::dim(self))
     }
-    /// The new row quantizes on its own scale; old rows are untouched.
-    fn append(&mut self, store: &EmbeddingStore) {
-        self.push(store.get(store.len() - 1));
+    fn fits(&self, store: &EmbeddingStore) -> bool {
+        self.same_codes(store.codes())
     }
     fn encode(&self) -> Vec<u8> {
         self.to_bytes()
@@ -203,11 +202,11 @@ impl ShortlistView for QuantizedStore {
     fn decode(bytes: &[u8]) -> Result<Self, PersistError> {
         Self::from_bytes(bytes)
     }
-    fn slot(db: &SimilarityDb) -> &Option<Self> {
-        &db.quant
+    fn slot(db: &SimilarityDb) -> Option<&Self> {
+        db.quant.then(|| db.embeddings.codes())
     }
-    fn slot_mut(db: &mut SimilarityDb) -> &mut Option<Self> {
-        &mut db.quant
+    fn install(db: &mut SimilarityDb, view: Option<Self>) {
+        db.quant = view.is_some();
     }
 }
 
@@ -294,6 +293,7 @@ pub struct DbMetrics {
     graph_rerank_depth: Histogram,
     quant_rows_scanned: Counter,
     quant_bytes_scanned: Counter,
+    exact_bound_survivors: Histogram,
 }
 
 impl DbMetrics {
@@ -317,16 +317,21 @@ impl DbMetrics {
             graph_rerank_depth: registry.histogram(names::GRAPH_RERANK_DEPTH),
             quant_rows_scanned: registry.counter(names::QUANT_ROWS_SCANNED_TOTAL),
             quant_bytes_scanned: registry.counter(names::QUANT_BYTES_SCANNED_TOTAL),
+            exact_bound_survivors: registry.histogram(names::EXACT_BOUND_SURVIVORS),
         }
     }
 
     /// Folds one batched scan's work into the `neutraj_ann_*`,
-    /// `neutraj_graph_*` and `neutraj_quant_*` series — the one place
+    /// `neutraj_graph_*`, `neutraj_quant_*` and
+    /// `neutraj_exact_bound_survivors` series — the one place
     /// [`ScanStats`] become metrics, for the database and for a bench
     /// that drives a store directly. `ef` is the beam width of a graph
     /// scan (`None` for every other path); `queries` and `corpus` size
     /// the batch.
     pub fn record_scan(&self, stats: &ScanStats, ef: Option<usize>, queries: usize, corpus: usize) {
+        if let Some(survivors) = stats.survivors_per_query(queries) {
+            self.exact_bound_survivors.observe(survivors);
+        }
         self.ann_lists_probed.add(stats.lists_probed as u64);
         self.graph_hops.add(stats.hops as u64);
         self.graph_links_scanned.add(stats.links_scanned as u64);
@@ -394,12 +399,14 @@ pub struct SimilarityDb {
     /// Embeddings + precomputed row norms for norm-trick scans.
     embeddings: EmbeddingStore,
     /// The [`ShortlistView`]s over the embeddings — IVF index, HNSW
-    /// graph, int8 codes. Each is `None` until its `build_*` (or a
+    /// graph, int8 codes. Each is off until its `build_*` (or a
     /// [`SimilarityDb::load_view`]) installs it, and from then on
-    /// [`SimilarityDb::insert`] keeps it in lockstep with the store.
+    /// [`SimilarityDb::insert`] keeps it in lockstep with the store. The
+    /// int8 view is the store's own code column, so only whether it is
+    /// installed is kept here.
     ann: Option<AnnIndex>,
     graph: Option<HnswIndex>,
-    quant: Option<QuantizedStore>,
+    quant: bool,
     /// `None` (the default) records nothing; cloning an instrumented db
     /// shares the underlying instruments.
     metrics: Option<DbMetrics>,
@@ -415,7 +422,7 @@ impl SimilarityDb {
             embeddings: store,
             ann: None,
             graph: None,
-            quant: None,
+            quant: false,
             metrics: None,
         }
     }
@@ -552,25 +559,26 @@ impl SimilarityDb {
         self.graph.as_ref()
     }
 
-    /// Builds (or rebuilds) the int8-quantized view of the current
-    /// corpus snapshot for [`Query::quantized`] scans. Later
-    /// [`SimilarityDb::insert`]s keep it in lockstep (the new row is
-    /// quantized on its own scale — no re-quantization of old rows).
+    /// Switches on the int8 view of the corpus for [`Query::quantized`]
+    /// scans. The view is the store's own code column — every row was
+    /// quantized, on its own scale, when it was pushed — so this copies
+    /// nothing, and later [`SimilarityDb::insert`]s keep it in lockstep.
     pub fn build_quantized_store(&mut self) {
-        self.quant = Some(QuantizedStore::from_store(&self.embeddings));
+        self.quant = true;
     }
 
     /// The current quantized view, when one is built or loaded.
     pub fn quantized_store(&self) -> Option<&QuantizedStore> {
-        self.quant.as_ref()
+        QuantizedStore::slot(self)
     }
 
     /// Installs an externally built view after checking it matches the
-    /// corpus (row count, and dimensionality where the view has one).
+    /// corpus (row count, dimensionality where the view has one, and
+    /// [`ShortlistView::fits`]).
     pub fn set_view<V: ShortlistView>(&mut self, view: V) -> Result<(), DbError> {
         let dim = self.embeddings.dim();
         let view_dim = view.dim().unwrap_or(dim);
-        if view_dim != dim || view.rows() != self.len() {
+        if view_dim != dim || view.rows() != self.len() || !view.fits(&self.embeddings) {
             return Err(self.reject(DbError::InvalidConfig(format!(
                 "{} (dim {view_dim}, {} rows) does not match corpus (dim {dim}, {} rows)",
                 V::NAME,
@@ -578,14 +586,14 @@ impl SimilarityDb {
                 self.len()
             ))));
         }
-        *V::slot_mut(self) = Some(view);
+        V::install(self, Some(view));
         Ok(())
     }
 
     /// Drops view `V`; queries that ask for it start failing with
     /// [`DbError::InvalidConfig`] while other paths are unaffected.
     pub fn clear_view<V: ShortlistView>(&mut self) {
-        *V::slot_mut(self) = None;
+        V::install(self, None);
     }
 
     /// Persists view `V` to `path` inside the standard sealed envelope
@@ -593,7 +601,7 @@ impl SimilarityDb {
     /// written atomically via a same-directory temp file. Errors when the
     /// view is not built.
     pub fn save_view<V: ShortlistView>(&self, path: impl AsRef<Path>) -> Result<(), PersistError> {
-        let view = V::slot(self).as_ref().ok_or_else(|| {
+        let view = V::slot(self).ok_or_else(|| {
             PersistError::Format(format!("no {} to save: build one first", V::NAME))
         })?;
         atomic_write(path.as_ref(), &seal_payload(&view.encode()))
@@ -674,7 +682,7 @@ impl SimilarityDb {
     }
 
     /// The embedding-space scan stage shared by every search path: the
-    /// exhaustive fused norm-trick scan, or whichever shortlist view the query
+    /// exhaustive exact scan, or whichever shortlist view the query
     /// asks for — int8 codes (whose over-fetched shortlist is re-scored
     /// against the f64 store, so returned distances are exact), IVF
     /// lists, both, or the graph — with the work it did recorded in one
@@ -685,11 +693,11 @@ impl SimilarityDb {
         qrefs: &[&[f64]],
         fetch: usize,
         query: &QueryOf<M>,
-    ) -> Vec<Vec<Neighbor>> {
+    ) -> (Vec<Vec<Neighbor>>, ScanStats) {
         const BUILT: &str = "check_query verified the view is built";
         let store = &self.embeddings;
         let ann = || self.ann.as_ref().expect(BUILT);
-        let quant = || self.quant.as_ref().expect(BUILT);
+        let quant = || self.quantized_store().expect(BUILT);
         // The beam must be at least as wide as the fetch depth or the
         // shortlist could never fill it.
         let ef = query.graph_ef().map(|ef| ef.max(fetch));
@@ -700,19 +708,21 @@ impl SimilarityDb {
                 store.knn_graph_batch(qrefs, fetch, self.graph.as_ref().expect(BUILT), ef)
             }
             (false, None, Some(nprobe)) => store.knn_ann_batch(qrefs, fetch, ann(), nprobe),
-            (false, None, None) => (store.knn_batch(qrefs, fetch), ScanStats::default()),
+            (false, None, None) => store.knn_batch_with_stats(qrefs, fetch),
         };
         if let Some(m) = &self.metrics {
             m.record_scan(&stats, ef, qrefs.len(), self.len());
         }
-        shorts
+        (shorts, stats)
     }
 
     /// The embedding-space scan stage as a public seam: top-`fetch`
     /// neighbors for each already-embedded query, through whichever path
     /// `query` selects (exhaustive scan, IVF shortlist, graph, quantized
     /// view), *without* the re-rank stage or `k` truncation — so it takes
-    /// either query form and never looks at the measure.
+    /// either query form and never looks at the measure. The scan's
+    /// [`ScanStats`] come back beside the lists, for a caller that keeps
+    /// its own metrics.
     ///
     /// This is what a sharded serving layer needs from each partition:
     /// each shard returns its local top-`fetch` list, the results are
@@ -730,7 +740,7 @@ impl SimilarityDb {
         qrefs: &[&[f64]],
         fetch: usize,
         query: &QueryOf<M>,
-    ) -> Result<Vec<Vec<Neighbor>>, DbError> {
+    ) -> Result<(Vec<Vec<Neighbor>>, ScanStats), DbError> {
         self.check_query(query)?;
         for e in qrefs {
             self.check_embedding(e)?;
@@ -738,21 +748,26 @@ impl SimilarityDb {
         Ok(self.scan_batch(qrefs, fetch, query))
     }
 
-    /// Appends one embedded row to the store and to every built view.
+    /// Appends one embedded row to the store (its norm and codes with
+    /// it) and to the IVF lists and the graph when built: the new row is
+    /// assigned to its nearest centroid (no retraining — rebuild for
+    /// that), and gets its hashed level and links immediately (a
+    /// one-node construction round), so graph queries see every row.
     fn append_row(&mut self, e: &[f64]) {
-        fn grow<V: ShortlistView>(view: &mut Option<V>, store: &EmbeddingStore) {
-            if let Some(v) = view {
-                v.append(store);
-            }
-        }
         self.embeddings.push(e);
-        grow(&mut self.ann, &self.embeddings);
-        grow(&mut self.graph, &self.embeddings);
-        grow(&mut self.quant, &self.embeddings);
+        if let Some(ann) = &mut self.ann {
+            ann.insert(e);
+        }
+        if let Some(graph) = &mut self.graph {
+            self.embeddings.link_last_row(graph);
+        }
     }
 
     /// Appends embedded rows and the trajectories they came from.
     fn append_rows(&mut self, embs: &[Vec<f64>], ts: impl IntoIterator<Item = Trajectory>) {
+        // One allocation per store column for a bulk load, not a doubling
+        // series of each interleaved with the others.
+        self.embeddings.reserve(embs.len());
         for e in embs {
             self.append_row(e);
         }
@@ -799,7 +814,7 @@ impl SimilarityDb {
     /// snapshot rotation). All-or-nothing like [`Self::insert_batch`], and
     /// it costs its rows plus one copy of what the scans need contiguous:
     /// the trajectories are shared with `self` in chunks, the embedding
-    /// store and the int8 view are each copied once into buffers sized
+    /// store — rows, norms and codes — is copied once into buffers sized
     /// for the new rows (`EmbeddingStore::successor`), and the rows then
     /// go in through the same append as every other insert. The IVF
     /// lists and the graph are cloned whole — an insert may edit any list
@@ -812,7 +827,7 @@ impl SimilarityDb {
             embeddings: self.embeddings.successor(ts.len()),
             ann: self.ann.clone(),
             graph: self.graph.clone(),
-            quant: self.quant.as_ref().map(|q| q.successor(ts.len())),
+            quant: self.quant,
             metrics: self.metrics.clone(),
         };
         next.append_rows(&embs, ts.iter().cloned());
@@ -909,7 +924,7 @@ impl SimilarityDb {
         drop(span);
         let qrefs: Vec<&[f64]> = qembs.iter().map(|e| e.as_slice()).collect();
         let span = m.map(|m| m.scan_seconds.start_timer());
-        let shorts = self.scan_batch(&qrefs, query.scan_fetch(), query);
+        let (shorts, _) = self.scan_batch(&qrefs, query.scan_fetch(), query);
         drop(span);
         if let Some(m) = m {
             m.candidates_total
@@ -951,6 +966,7 @@ impl SimilarityDb {
         let span = m.map(|m| m.scan_seconds.start_timer());
         let mut short = self
             .scan_batch(&[emb], fetch, query)
+            .0
             .pop()
             .expect("one query in, one result out");
         drop(span);
@@ -1175,11 +1191,14 @@ mod tests {
         let (model, trajs) = trained_model_and_corpus();
         let db = SimilarityDb::with_corpus(model, trajs, 2);
         let qrefs = [db.embedding(1), db.embedding(2)];
-        let got = db.scan_embeddings(&qrefs, 5, &Query::new(5)).unwrap();
-        assert_eq!(got, db.store().knn_batch(&qrefs, 5));
+        let (got, stats) = db.scan_embeddings(&qrefs, 5, &Query::new(5)).unwrap();
+        assert_eq!(
+            (got.clone(), stats),
+            db.store().knn_batch_with_stats(&qrefs, 5)
+        );
         // The fetch width is explicit — the caller (a sharded merge)
         // controls it, not Query::k.
-        let wide = db.scan_embeddings(&qrefs, 9, &Query::new(2)).unwrap();
+        let (wide, _) = db.scan_embeddings(&qrefs, 9, &Query::new(2)).unwrap();
         assert_eq!(wide[0].len(), 9);
         // Uniform over-fetch preserves prefixes under the (dist, index)
         // total order, so the narrow result is the wide one's prefix.
@@ -1632,7 +1651,7 @@ mod tests {
         assert_eq!(res[0].index, idx);
 
         // The quantized work was counted, and each scored row cost
-        // dim + 16 bytes (vs 8·dim + 8 on the f64 path).
+        // dim + 32 bytes (vs 8·dim + 8 on the f64 path).
         let report = registry.snapshot();
         let counter = |name: &str| {
             report
@@ -1646,7 +1665,7 @@ mod tests {
         assert!(rows > 0);
         assert_eq!(
             counter(names::QUANT_BYTES_SCANNED_TOTAL),
-            rows * (db.model().dim() as u64 + 16)
+            rows * (db.model().dim() as u64 + 32)
         );
     }
 
@@ -1674,14 +1693,14 @@ mod tests {
         // Round trip: what loads is what was saved.
         build(&mut db);
         db.save_view::<V>(&path).unwrap();
-        let saved = V::slot(&db).clone().expect("just built");
+        let saved = V::slot(&db).cloned().expect("just built");
         let answer = db.search(&trajs[0], &query).unwrap();
         db.clear_view::<V>();
         assert!(V::slot(&db).is_none());
         let err = db.search(&trajs[0], &query).unwrap_err();
         assert!(matches!(err, DbError::InvalidConfig(_)), "{err}");
         db.load_view::<V>(&path).unwrap();
-        assert_eq!(V::slot(&db).as_ref(), Some(&saved));
+        assert_eq!(V::slot(&db), Some(&saved));
         assert_eq!(db.search(&trajs[0], &query).unwrap(), answer);
 
         // A flipped payload byte fails the envelope CRC, and the db keeps
@@ -1695,7 +1714,7 @@ mod tests {
             db.load_view::<V>(&bad),
             Err(PersistError::Corrupted(_))
         ));
-        assert_eq!(V::slot(&db).as_ref(), Some(&saved));
+        assert_eq!(V::slot(&db), Some(&saved));
 
         // A view of a different corpus is rejected at load time.
         let mut small = SimilarityDb::with_corpus(db.model().clone(), trajs[..10].to_vec(), 2);
@@ -1706,12 +1725,12 @@ mod tests {
             db.load_view::<V>(&other),
             Err(PersistError::Format(_))
         ));
-        assert_eq!(V::slot(&db).as_ref(), Some(&saved));
+        assert_eq!(V::slot(&db), Some(&saved));
 
         // Inserts, single and batched, keep the view in lockstep.
         db.insert(trajs[36].clone()).unwrap();
         db.insert_batch(trajs[37..].to_vec(), 2).unwrap();
-        assert_eq!(V::slot(&db).as_ref().unwrap().rows(), db.len());
+        assert_eq!(V::slot(&db).unwrap().rows(), db.len());
         assert_eq!(db.len(), trajs.len());
         assert!(db.search(&trajs[39], &query).is_ok());
         std::fs::remove_dir_all(&dir).ok();
@@ -1745,12 +1764,29 @@ mod tests {
         );
     }
 
+    /// The exact scan trusts the store's codes, so an int8 view is
+    /// adopted only when it is exactly those codes: one of another corpus
+    /// with the same shape is turned away.
+    #[test]
+    fn an_int8_view_is_adopted_only_if_it_is_the_stores_own_codes() {
+        let (model, trajs) = trained_model_and_corpus();
+        let mut db = SimilarityDb::with_corpus(model.clone(), trajs[..10].to_vec(), 1);
+        let other = SimilarityDb::with_corpus(model, trajs[10..20].to_vec(), 1);
+        let foreign = QuantizedStore::from_store(other.store());
+        assert_eq!((foreign.len(), foreign.dim()), (db.len(), db.model().dim()));
+        let err = db.set_view(foreign).unwrap_err();
+        assert!(matches!(err, DbError::InvalidConfig(_)), "{err}");
+        assert!(db.quantized_store().is_none());
+        db.set_view(QuantizedStore::from_store(db.store())).unwrap();
+        assert_eq!(db.quantized_store(), Some(db.store().codes()));
+    }
+
     /// The metric catalogue, database half: each scan path moves every
     /// series it owns and none of another path's.
     #[test]
     fn each_scan_path_moves_its_own_series_and_no_other() {
         use names::*;
-        const SERIES: [&str; 10] = [
+        const SERIES: [&str; 11] = [
             ANN_LISTS_PROBED_TOTAL,
             ANN_CANDIDATES_SCANNED_TOTAL,
             ANN_RERANK_DEPTH,
@@ -1761,13 +1797,16 @@ mod tests {
             GRAPH_RERANK_DEPTH,
             QUANT_ROWS_SCANNED_TOTAL,
             QUANT_BYTES_SCANNED_TOTAL,
+            EXACT_BOUND_SURVIVORS,
         ];
         let ann = &SERIES[..3];
         let graph = &SERIES[3..8];
-        let quant = &SERIES[8..];
+        let quant = &SERIES[8..10];
         let int8_ivf = [&SERIES[..1], quant].concat();
         let paths: [(&str, Query, &[&str]); 5] = [
-            ("exact", Query::new(4), &[]),
+            // A batch of three and a lone query: both narrower than a
+            // stripe, so both go through the int8 bound.
+            ("exact", Query::new(4), &SERIES[10..]),
             ("int8", Query::new(4).quantized(), quant),
             ("ivf", Query::new(4).shortlist_ann(2), ann),
             (
@@ -1866,7 +1905,7 @@ mod tests {
     }
 
     fn encoded<V: ShortlistView>(db: &SimilarityDb) -> Option<Vec<u8>> {
-        V::slot(db).as_ref().map(V::encode)
+        V::slot(db).map(V::encode)
     }
 
     /// Same rows, same store, same view bytes, same answers.

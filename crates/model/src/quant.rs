@@ -1,29 +1,45 @@
-//! Int8 scalar quantization of the embedding store: the `NTQ08` codec
-//! and the quantized scan paths (`DESIGN.md` §12).
+//! Int8 scalar quantization of the embedding store: the `NTQ08` codec,
+//! the per-row error bound the exact scan prunes with, and the
+//! approximate int8 scan paths (`DESIGN.md` §12).
 //!
 //! # Why
 //!
-//! At large `N` the exhaustive norm-trick scan and the IVF shortlist are
-//! *memory-bound*: every probed row streams `8·d` bytes of f64. A
-//! [`QuantizedStore`] is a lossy u8 view of the same rows — per-row
-//! scale+offset codes, `d` bytes each — so the scan reads ~8× fewer
-//! bytes and scores candidates with an exact-integer u8 dot product
-//! ([`neutraj_nn::simd::dot_u8`]). Quantization error only affects
-//! *which* rows make the over-fetched shortlist; the survivors are
-//! re-scored against the parent f64 store with the very same norm-trick
-//! expression the exact paths use, so reported distances are
-//! bit-identical to the exhaustive scan's and any loss is pure recall
-//! (measured ≥ 0.99 @ 10 by `neutraj-eval`).
+//! At large `N` a scan is *memory-bound*: every row streams `8·d + 8`
+//! bytes of f64 row and norm. Every [`EmbeddingStore`] therefore keeps a
+//! [`QuantizedStore`] of its rows beside them — per-row scale+offset
+//! codes, `d` bytes each plus four f64 row columns, 64 B a row at
+//! `d = 32` against 264 — quantized as each row is pushed. Two scans read
+//! it:
+//!
+//! * **The exact top-k of a narrow batch** ([`EmbeddingStore::knn_batch`]
+//!   with fewer queries than one f64 stripe): one pass over the codes
+//!   gives every row an approximate distance, and from it a lower and an
+//!   upper bound on the distance the f64 scan would compute. The running
+//!   `k`-th smallest upper bound is a threshold no answer can exceed;
+//!   only rows whose lower bound is at or under it — a few tenths of a
+//!   percent on trained embeddings — are scored in f64, by the f64
+//!   scan's own expression and heap. The bounds are proven, not tuned
+//!   (`DESIGN.md` §12), so the answers are the f64 scan's bit for bit.
+//! * **The approximate int8 view** (`Query::quantized()`,
+//!   [`QuantizedStore::knn_batch`]): an over-fetched shortlist by
+//!   approximate distance, re-scored against the f64 store with the very
+//!   same norm-trick expression the exact paths use, so reported
+//!   distances are exact and any loss is pure recall (measured ≥ 0.99 @
+//!   10 by `neutraj-eval`).
 //!
 //! # Quantization scheme
 //!
 //! Per row (the "block" of the codec): `offset = min(row)`,
 //! `scale = (max(row) − min(row)) / 255`, `code = round((v − offset) /
 //! scale)` ∈ [0, 255], so dequantization `v̂ = offset + scale·code` has
-//! per-element error ≤ `scale/2` (property-tested). A constant row gets
-//! `scale = 0` and all-zero codes — exact. The approximate distance
-//! between a quantized query `q̂` and row `x̂` expands like the norm
-//! trick, entirely from precomputed row statistics plus one integer dot:
+//! per-element error ≤ `scale·(1/2 + 2⁻⁴³)` and a row's error norm is at
+//! most [`QuantizedStore::row_error_bound`]. A constant row gets
+//! `scale = 0` and all-zero codes — exact. A row the bound cannot cover
+//! (a non-finite component, a range that overflows or is below `2⁻¹⁰⁰⁰`)
+//! gets `offset = 0`, `scale = +∞` and zero codes: an infinite bound, so
+//! the exact scan always scores it. The approximate distance between a
+//! quantized query `q̂` and row `x̂` expands like the norm trick, entirely
+//! from precomputed row statistics plus one integer dot:
 //!
 //! `‖q̂−x̂‖² = ‖q̂‖² − 2·(d·qo·xo + qo·xs·Sx + xo·qs·Sq + qs·xs·D) + ‖x̂‖²`
 //!
@@ -50,8 +66,29 @@ pub(crate) const QUANT_MAGIC: &[u8; 8] = b"NTQ08\0\0\0";
 /// [`dot_u8`]).
 pub const QUANT_MAX_DIM: usize = 32768;
 
-/// A u8 scale+offset view of an [`EmbeddingStore`], kept in lockstep
-/// with it by [`crate::SimilarityDb::insert`] once built.
+/// Rows scored per dispatched [`quant_scan_block`] call.
+const BLOCK: usize = 512;
+
+/// `2^e` for a normal exponent, as a constant.
+const fn pow2(e: i32) -> f64 {
+    f64::from_bits(((1023 + e) as u64) << 52)
+}
+
+/// Smallest non-zero row range the codec gives a finite bound: below it
+/// `255/range` can overflow and `range/255` lose bits to underflow, and
+/// the bound's derivation no longer holds.
+const MIN_RANGE: f64 = pow2(-1000);
+
+/// Relative widening of every computed bound. It covers the handful of
+/// roundings made while *evaluating* a bound (each at most `2⁻⁵³`) and
+/// the `2⁻⁴²` of the quantization error itself (`DESIGN.md` §12).
+const RHO: f64 = 1.0 + pow2(-40);
+
+/// A u8 scale+offset copy of an [`EmbeddingStore`]'s rows — the code
+/// column every store keeps (`EmbeddingStore::push` is the one place a
+/// row is quantized), and the int8 view
+/// [`SimilarityDb::quantized_store`](crate::SimilarityDb::quantized_store)
+/// hands out.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedStore {
     dim: usize,
@@ -59,12 +96,18 @@ pub struct QuantizedStore {
     codes: Vec<u8>,
     /// Per-row dequantization offset (the row minimum).
     offset: Vec<f64>,
-    /// Per-row dequantization scale (`range/255`, 0 for constant rows).
+    /// Per-row dequantization scale (`range/255`, 0 for constant rows,
+    /// `+∞` for rows without a finite bound).
     scale: Vec<f64>,
     /// Per-row `Σ codes` (exact in f64: ≤ 255·32768).
     code_sum: Vec<f64>,
     /// Per-row `‖dequantized row‖²`.
     dq_norm: Vec<f64>,
+    /// Largest `|offset| + 256·scale` over the rows with a finite scale:
+    /// no component of such a row is larger in magnitude.
+    magnitude: f64,
+    /// Largest scale of any row (`+∞` once a row without a bound is in).
+    max_scale: f64,
     /// Dispatch level for the u8 dot kernel, captured from
     /// [`neutraj_obs::simd::level`] at construction.
     level: SimdLevel,
@@ -83,12 +126,32 @@ pub struct QuantizedQuery {
     dq_norm: f64,
 }
 
-/// Quantizes one row; returns `(codes, offset, scale)`.
+impl QuantizedQuery {
+    /// A bound on `‖q − q̂‖`, like [`QuantizedStore::row_error_bound`].
+    pub(crate) fn error_bound(&self) -> f64 {
+        self.scale * error_factor(self.codes.len())
+    }
+
+    /// The query-side constants of [`quant_scan_block`].
+    fn terms(&self) -> QuantQueryTerms {
+        QuantQueryTerms {
+            dqo: self.codes.len() as f64 * self.offset,
+            qo: self.offset,
+            qs: self.scale,
+            qsum: self.code_sum,
+            qn: self.dq_norm,
+        }
+    }
+}
+
+/// Quantizes one row into `codes`; returns `(offset, scale)`. The one
+/// place the codec quantizes anything: stored rows and queries alike.
 fn quantize_row(row: &[f64], codes: &mut Vec<u8>) -> (f64, f64) {
     let mut lo = f64::INFINITY;
     let mut hi = f64::NEG_INFINITY;
+    let mut finite = true;
     for &v in row {
-        assert!(v.is_finite(), "cannot quantize a non-finite embedding");
+        finite &= v.is_finite();
         lo = lo.min(v);
         hi = hi.max(v);
     }
@@ -96,6 +159,12 @@ fn quantize_row(row: &[f64], codes: &mut Vec<u8>) -> (f64, f64) {
         return (0.0, 0.0);
     }
     let range = hi - lo;
+    if !finite || !range.is_finite() || (range > 0.0 && range < MIN_RANGE) {
+        // No finite bound: the exact scan scores this row whatever its
+        // codes say.
+        codes.extend(std::iter::repeat_n(0u8, row.len()));
+        return (0.0, f64::INFINITY);
+    }
     if range == 0.0 {
         codes.extend(std::iter::repeat_n(0u8, row.len()));
         return (lo, 0.0);
@@ -109,6 +178,32 @@ fn quantize_row(row: &[f64], codes: &mut Vec<u8>) -> (f64, f64) {
     (lo, scale)
 }
 
+/// `(Σ codes, ‖offset + scale·codes‖²)` of one quantized row.
+fn code_stats(codes: &[u8], offset: f64, scale: f64) -> (f64, f64) {
+    let (mut s, mut s2) = (0u64, 0u64);
+    for &c in codes {
+        s += u64::from(c);
+        s2 += u64::from(c) * u64::from(c);
+    }
+    let (sum, sumsq) = (s as f64, s2 as f64);
+    if !scale.is_finite() {
+        // All-zero codes under an infinite scale: no norm to speak of.
+        return (sum, 0.0);
+    }
+    // ‖off + s·c‖² = d·off² + 2·off·s·Σc + s²·Σc².
+    let d = codes.len() as f64;
+    (
+        sum,
+        d * offset * offset + 2.0 * offset * scale * sum + scale * scale * sumsq,
+    )
+}
+
+/// `√d/2`, widened by [`RHO`]: a row of `d` components quantized at
+/// `scale` is within `scale·error_factor(d)` of its dequantization.
+fn error_factor(dim: usize) -> f64 {
+    (dim as f64).sqrt() * 0.5 * RHO
+}
+
 impl QuantizedStore {
     /// An empty quantized store of dimensionality `dim`.
     pub fn new(dim: usize) -> Self {
@@ -120,33 +215,43 @@ impl QuantizedStore {
             scale: Vec::new(),
             code_sum: Vec::new(),
             dq_norm: Vec::new(),
+            magnitude: 0.0,
+            max_scale: 0.0,
             level: neutraj_obs::simd::level(),
         }
     }
 
-    /// Quantizes every row of `store`.
+    /// A copy of `store`'s codes — the store quantized each row as it
+    /// was pushed.
     pub fn from_store(store: &EmbeddingStore) -> Self {
-        let mut qs = Self::new(store.dim());
-        qs.codes.reserve(store.len() * store.dim());
-        for i in 0..store.len() {
-            qs.push(store.get(i));
-        }
-        qs
+        store.codes().clone()
     }
 
-    /// A copy of this view with room for exactly `extra` more rows — the
-    /// int8 counterpart of [`EmbeddingStore::successor`]: the codes and
-    /// the four per-row columns are each allocated once at their final
-    /// size, so the [`Self::push`]es that follow never move them.
+    /// Room for `additional` more rows without reallocating.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.codes.reserve(additional * self.dim);
+        for column in [
+            &mut self.offset,
+            &mut self.scale,
+            &mut self.code_sum,
+            &mut self.dq_norm,
+        ] {
+            column.reserve(additional);
+        }
+    }
+
+    /// A copy of this store with room for exactly `extra` more rows — how
+    /// `EmbeddingStore::successor` copies its codes: the codes and the
+    /// four per-row columns are each allocated once at their final size,
+    /// so the [`Self::push`]es that follow never move them.
     pub(crate) fn successor(&self, extra: usize) -> Self {
         Self {
-            dim: self.dim,
             codes: grown(&self.codes, extra * self.dim),
             offset: grown(&self.offset, extra),
             scale: grown(&self.scale, extra),
             code_sum: grown(&self.code_sum, extra),
             dq_norm: grown(&self.dq_norm, extra),
-            level: self.level,
+            ..*self
         }
     }
 
@@ -157,9 +262,8 @@ impl QuantizedStore {
         self
     }
 
-    /// Appends one row, quantizing it. Panics on dimension mismatch or
-    /// non-finite values (the db validates upstream).
-    pub fn push(&mut self, row: &[f64]) {
+    /// Appends one row, quantizing it. Panics on dimension mismatch.
+    pub(crate) fn push(&mut self, row: &[f64]) {
         assert_eq!(row.len(), self.dim, "embedding dim mismatch");
         let (off, scale) = quantize_row(row, &mut self.codes);
         self.push_stats(off, scale);
@@ -169,19 +273,15 @@ impl QuantizedStore {
     /// appended codes (shared by [`Self::push`] and the codec load).
     fn push_stats(&mut self, off: f64, scale: f64) {
         let i = self.offset.len();
-        let codes = &self.codes[i * self.dim..(i + 1) * self.dim];
-        let (mut s, mut s2) = (0u64, 0u64);
-        for &c in codes {
-            s += u64::from(c);
-            s2 += u64::from(c) * u64::from(c);
-        }
-        let (sum, sumsq) = (s as f64, s2 as f64);
+        let (sum, dq_norm) = code_stats(&self.codes[i * self.dim..(i + 1) * self.dim], off, scale);
         self.offset.push(off);
         self.scale.push(scale);
         self.code_sum.push(sum);
-        // ‖off + s·c‖² = d·off² + 2·off·s·Σc + s²·Σc².
-        self.dq_norm
-            .push(self.dim as f64 * off * off + 2.0 * off * scale * sum + scale * scale * sumsq);
+        self.dq_norm.push(dq_norm);
+        self.max_scale = self.max_scale.max(scale);
+        if scale.is_finite() {
+            self.magnitude = self.magnitude.max(off.abs() + 256.0 * scale);
+        }
     }
 
     /// Number of quantized rows.
@@ -204,6 +304,12 @@ impl QuantizedStore {
         &self.codes[i * self.dim..(i + 1) * self.dim]
     }
 
+    /// Row `i`'s `(offset, scale)`: it dequantizes to
+    /// `offset + scale·code` component by component.
+    pub fn offset_scale(&self, i: usize) -> (f64, f64) {
+        (self.offset[i], self.scale[i])
+    }
+
     /// Dequantizes row `i` (tests and the error-bound property).
     pub fn dequantize(&self, i: usize) -> Vec<f64> {
         self.codes(i)
@@ -212,21 +318,30 @@ impl QuantizedStore {
             .collect()
     }
 
+    /// A bound on `‖x − x̂‖` for stored row `i`, `x̂` its exact
+    /// dequantization: `scale·√d/2` widened by `1 + 2⁻⁴⁰`, which covers
+    /// the rounding of the quantizer and of this product. `+∞` for a row
+    /// without a finite bound, `0` for a constant row.
+    pub fn row_error_bound(&self, i: usize) -> f64 {
+        self.scale[i] * error_factor(self.dim)
+    }
+
+    /// Whether `other` holds exactly these codes and row statistics (the
+    /// dispatch level aside).
+    pub(crate) fn same_codes(&self, other: &Self) -> bool {
+        self.dim == other.dim
+            && self.codes == other.codes
+            && self.offset == other.offset
+            && self.scale == other.scale
+    }
+
     /// Quantizes a query against its own min/max and precomputes the
     /// statistics of the approximate-distance expansion.
     pub fn quantize_query(&self, q: &[f64]) -> QuantizedQuery {
         assert_eq!(q.len(), self.dim, "query dim mismatch");
         let mut codes = Vec::with_capacity(q.len());
         let (offset, scale) = quantize_row(q, &mut codes);
-        let (mut s, mut s2) = (0u64, 0u64);
-        for &c in &codes {
-            s += u64::from(c);
-            s2 += u64::from(c) * u64::from(c);
-        }
-        let (code_sum, sumsq) = (s as f64, s2 as f64);
-        let dq_norm = q.len() as f64 * offset * offset
-            + 2.0 * offset * scale * code_sum
-            + scale * scale * sumsq;
+        let (code_sum, dq_norm) = code_stats(&codes, offset, scale);
         QuantizedQuery {
             codes,
             offset,
@@ -257,6 +372,95 @@ impl QuantizedStore {
         (q.dq_norm - 2.0 * cross + self.dq_norm[i]).max(0.0)
     }
 
+    /// Scores rows `start..start + out.len()` against `qq` through their
+    /// codes: one dispatched [`quant_scan_block`] call fuses the
+    /// exact-integer u8 dots (four rows per step, the block's codes and
+    /// the query hot in L1/L2) with the 4-lane affine tail over the row
+    /// columns. `quant_score`'s operand order is
+    /// `approx_d2_from_dot`'s, so the scores are [`Self::approx_d2`]'s
+    /// bit for bit.
+    fn scan_block(
+        &self,
+        qq: &QuantizedQuery,
+        terms: &QuantQueryTerms,
+        start: usize,
+        out: &mut [f64],
+    ) {
+        let end = start + out.len();
+        quant_scan_block(
+            self.level,
+            &qq.codes,
+            &self.codes[start * self.dim..end * self.dim],
+            &self.offset[start..end],
+            &self.scale[start..end],
+            &self.code_sum[start..end],
+            &self.dq_norm[start..end],
+            terms,
+            out,
+        );
+    }
+
+    /// Bytes one row costs a scan through the codes: `dim` code bytes and
+    /// the four f64 row columns [`quant_scan_block`] reads.
+    fn row_bytes(&self) -> usize {
+        self.dim + 32
+    }
+
+    /// The rows that can be among the `k` nearest to `q` under the exact
+    /// f64 scan's `(d2, index)` order, ascending, into `out` — a superset
+    /// of that answer, usually a few tenths of a percent of the rows
+    /// (`DESIGN.md` §12 derives the bounds used here).
+    ///
+    /// One pass over the codes gives each row its approximate distance
+    /// `a`. A row's *upper bound* caps the `d2` the f64 scan computes for
+    /// it; the `k`-th smallest upper bound seen so far is a threshold `τ`
+    /// that every answer's `d2` is at or under. A row is kept while its
+    /// *lower bound* is `<= τ` — tested in squared space, as `a` against
+    /// a limit that changes only when `τ` does — and the kept rows are
+    /// filtered once more against the final `τ`.
+    pub(crate) fn bounded_rows(
+        &self,
+        q: &[f64],
+        k: usize,
+        cascade: &mut Cascade,
+        out: &mut Vec<usize>,
+    ) {
+        let qq = self.quantize_query(q);
+        let terms = qq.terms();
+        let mut pass = Pass::new(self, &qq);
+        let Cascade {
+            approx,
+            upper,
+            kept,
+        } = cascade;
+        upper.reset(k);
+        kept.clear();
+        let mut start = 0;
+        while start < self.len() {
+            let end = (start + BLOCK).min(self.len());
+            let block = &mut approx[..end - start];
+            self.scan_block(&qq, &terms, start, block);
+            let scales = &self.scale[start..end];
+            // A group of eight rows is looked at one by one only when one
+            // of them is under the limit of the worst-bounded row.
+            let (groups, tail) = block.as_chunks::<8>();
+            for (g, group) in groups.iter().enumerate() {
+                if group.iter().fold(false, |any, &a| any | (a <= pass.coarse)) {
+                    pass.offer(start + 8 * g, group, &scales[8 * g..], upper, kept);
+                }
+            }
+            let at = scales.len() - tail.len();
+            pass.offer(start + at, tail, &scales[at..], upper, kept);
+            start = end;
+        }
+        out.clear();
+        out.extend(
+            (kept.iter())
+                .filter(|&&(j, a)| a <= pass.limit(self.scale[j]))
+                .map(|&(j, _)| j),
+        );
+    }
+
     /// How many approximate-shortlist entries to keep ahead of the exact
     /// re-score for `k` final results: over-fetch absorbs quantization
     /// rank noise (recall@10 ≥ 0.99 on the eval harness).
@@ -283,27 +487,13 @@ impl QuantizedStore {
         let mut stats = ScanStats::default();
         let mut heap = NeighborHeap::new(refine.max(1));
         let mut short = Vec::new();
-        // Rows are scored in contiguous blocks: one dispatched
-        // `quant_scan_block` call per block fuses the exact-integer u8
-        // dots (four rows per step, the block's codes and the query hot
-        // in L1/L2) with the 4-lane affine tail over the precomputed
-        // row-statistic columns. Identical arithmetic to the per-row
-        // `approx_d2`, just batched — `quant_score`'s operand order is
-        // `approx_d2_from_dot`'s, so scores are bit-identical.
-        const BLOCK: usize = 512;
         let mut d2s = vec![0.0f64; BLOCK.min(self.len().max(1))];
         let results = queries
             .iter()
             .map(|q| {
                 let qq = self.quantize_query(q);
+                let terms = qq.terms();
                 heap.reset(refine.max(1));
-                let terms = QuantQueryTerms {
-                    dqo: self.dim as f64 * qq.offset,
-                    qo: qq.offset,
-                    qs: qq.scale,
-                    qsum: qq.code_sum,
-                    qn: qq.dq_norm,
-                };
                 // Only candidates that beat the current worst kept entry
                 // touch the heap; strict `<` is safe because indices
                 // ascend and the heap's tie-break is by index, so an
@@ -313,17 +503,7 @@ impl QuantizedStore {
                 while start < self.len() {
                     let end = (start + BLOCK).min(self.len());
                     let out = &mut d2s[..end - start];
-                    quant_scan_block(
-                        self.level,
-                        &qq.codes,
-                        &self.codes[start * self.dim..end * self.dim],
-                        &self.offset[start..end],
-                        &self.scale[start..end],
-                        &self.code_sum[start..end],
-                        &self.dq_norm[start..end],
-                        &terms,
-                        out,
-                    );
+                    self.scan_block(&qq, &terms, start, out);
                     for (j, &d2) in out.iter().enumerate() {
                         if d2 < t {
                             heap.push(start + j, d2);
@@ -335,7 +515,7 @@ impl QuantizedStore {
                     start = end;
                 }
                 stats.rows_scanned += self.len();
-                stats.bytes_scanned += self.len() * (self.dim + 16);
+                stats.bytes_scanned += self.len() * self.row_bytes();
                 short.clear();
                 heap.drain_sorted_into(&mut short);
                 self.rerank_exact(parent, q, &short, k, &mut stats)
@@ -379,7 +559,7 @@ impl QuantizedStore {
                     heap.push(i as usize, self.approx_d2(&qq, i as usize));
                 }
                 stats.rows_scanned += cand.len();
-                stats.bytes_scanned += cand.len() * (self.dim + 16);
+                stats.bytes_scanned += cand.len() * self.row_bytes();
                 short.clear();
                 heap.drain_sorted_into(&mut short);
                 self.rerank_exact(parent, q, &short, k, &mut stats)
@@ -500,6 +680,128 @@ impl QuantizedStore {
     }
 }
 
+/// Scratch of [`QuantizedStore::bounded_rows`], reused across the
+/// queries of a batch.
+pub(crate) struct Cascade {
+    /// One block of approximate distances.
+    approx: Vec<f64>,
+    /// The `k` smallest upper bounds seen so far.
+    upper: NeighborHeap,
+    /// Rows whose lower bound passed when they were scanned, with `a`.
+    kept: Vec<(usize, f64)>,
+}
+
+impl Cascade {
+    pub(crate) fn new(k: usize) -> Self {
+        Self {
+            approx: vec![0.0; BLOCK],
+            upper: NeighborHeap::new(k),
+            kept: Vec::new(),
+        }
+    }
+}
+
+/// One query's pass over the codes: the constants of its two bounds
+/// (`DESIGN.md` §12) and the threshold so far. With `a` a row's computed
+/// approximate distance, `e` its error bound and `τ` the threshold, the
+/// row can be an answer only if `a <= (√(τ + slack) + eps_q + e)² + slack`,
+/// and the f64 scan's `d2` for it is at most
+/// `(√(a + slack) + eps_q + e)² + slack`.
+struct Pass {
+    /// `‖q − q̂‖ <=` this.
+    eps_q: f64,
+    /// For every row with a finite bound, both `|a − ‖q̂ − x̂‖²|` and
+    /// `|d2 − ‖q − x‖²|` are at most this: the rounding of the
+    /// approximate distance's expansion and of the f64 norm trick.
+    slack: f64,
+    /// A row's error bound per unit of its scale.
+    factor: f64,
+    /// The largest error bound of any row.
+    max_err: f64,
+    /// `τ`: the `k`-th smallest upper bound so far (`+∞` until `k` are in).
+    tau: f64,
+    /// `√(τ + slack) + eps_q`, rounded up: how far from `q̂` an answer can
+    /// be, before the row's own error.
+    reach: f64,
+    /// The limit of a row with error bound `max_err`: no row over it can
+    /// be an answer.
+    coarse: f64,
+}
+
+impl Pass {
+    fn new(store: &QuantizedStore, qq: &QuantizedQuery) -> Self {
+        let d = store.dim as f64;
+        // `m_q + M` bounds every component of the query and of every row
+        // with a finite bound, and the terms of both expansions, so `W`
+        // caps their squared norms and cross sums — and when `W` is
+        // finite, none of them overflows.
+        let m = qq.offset.abs() + 256.0 * qq.scale + store.magnitude;
+        let w = 2.0 * d * m * m;
+        let factor = error_factor(store.dim);
+        Self {
+            eps_q: qq.error_bound(),
+            // Per unit of `W`: the norm trick's three dot chains of `d`
+            // products and two more roundings (`γ_{d+2}/2`), and the
+            // expansion's products of at most three factors summed in at
+            // most five roundings (`γ₈/2`), both under `(d + 11)·2⁻⁵²`.
+            // Underflow adds up to 2⁻¹⁰⁷⁵ a rounding, amplified at most
+            // 2¹⁸·d-fold by the integer factors: the `d·2⁻¹⁰²²` floor.
+            slack: (d + 11.0) * pow2(-52) * w + d * f64::MIN_POSITIVE,
+            factor,
+            max_err: store.max_scale * factor,
+            tau: f64::INFINITY,
+            reach: f64::INFINITY,
+            coarse: f64::INFINITY,
+        }
+    }
+
+    /// Sets `τ` and the limits that follow from it.
+    fn lower_tau(&mut self, tau: f64) {
+        self.tau = tau;
+        self.reach = (tau + self.slack).sqrt() * RHO + self.eps_q;
+        self.coarse = self.limit_at(self.max_err);
+    }
+
+    /// The largest `a` a row with error bound `err` can have and still
+    /// be an answer.
+    fn limit_at(&self, err: f64) -> f64 {
+        let r = self.reach + err;
+        r * r * RHO + self.slack
+    }
+
+    /// [`Self::limit_at`] for a row of scale `scale`.
+    fn limit(&self, scale: f64) -> f64 {
+        self.limit_at(scale * self.factor)
+    }
+
+    /// Offers rows `first..first + approx.len()`, of approximate
+    /// distances `approx` and scales `scales`: each one under its limit
+    /// is kept, and its upper bound may lower `τ`.
+    fn offer(
+        &mut self,
+        first: usize,
+        approx: &[f64],
+        scales: &[f64],
+        upper: &mut NeighborHeap,
+        kept: &mut Vec<(usize, f64)>,
+    ) {
+        for (j, (&a, &scale)) in (first..).zip(approx.iter().zip(scales)) {
+            let err = scale * self.factor;
+            if a <= self.limit_at(err) {
+                kept.push((j, a));
+                // An upper bound on the f64 scan's `d2` for this row.
+                let r = (a + self.slack).sqrt() + self.eps_q + err;
+                upper.push(j, (r * r + self.slack) * RHO);
+                if let Some(worst) = upper.threshold() {
+                    if worst.dist < self.tau {
+                        self.lower_tau(worst.dist);
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -541,6 +843,30 @@ mod tests {
     }
 
     #[test]
+    fn rows_without_a_finite_bound_get_an_infinite_one() {
+        let tiny = f64::MIN_POSITIVE;
+        let rows = [
+            vec![1.0, f64::NAN, 0.0],
+            vec![f64::INFINITY, 0.0, 1.0],
+            vec![f64::MAX, -f64::MAX, 0.0],
+            vec![tiny, 2.0 * tiny, 0.0],
+            vec![0.25, 0.5, 1.0],
+        ];
+        let s = EmbeddingStore::from_embeddings(3, &rows);
+        let qs = s.codes();
+        for i in 0..4 {
+            assert_eq!(qs.offset_scale(i), (0.0, f64::INFINITY), "row {i}");
+            assert_eq!(qs.codes(i), [0, 0, 0]);
+            assert_eq!(qs.row_error_bound(i), f64::INFINITY);
+        }
+        assert!(qs.row_error_bound(4).is_finite());
+        // Neither the bound's magnitude nor any statistic is poisoned.
+        assert_eq!(qs.magnitude, 0.25 + 256.0 * qs.scale[4]);
+        assert!(qs.dq_norm.iter().all(|v| v.is_finite()));
+        assert_eq!(qs, &qs.clone());
+    }
+
+    #[test]
     fn full_refine_matches_exact_scan_bitwise() {
         let s = store(300, 16);
         let qs = QuantizedStore::from_store(&s);
@@ -552,7 +878,7 @@ mod tests {
         let want = s.knn_batch(&qrefs, 75);
         assert_eq!(got, want);
         assert_eq!(stats.rows_scanned, 4 * 300);
-        assert_eq!(stats.bytes_scanned, 4 * 300 * (16 + 16));
+        assert_eq!(stats.bytes_scanned, 4 * 300 * (16 + 32));
     }
 
     #[test]
@@ -632,6 +958,7 @@ mod tests {
         assert_eq!(qq.offset, qs.offset[2]);
         assert_eq!(qq.scale, qs.scale[2]);
         assert_eq!(qq.dq_norm, qs.dq_norm[2]);
+        assert_eq!(qq.error_bound(), qs.row_error_bound(2));
         // Self-distance of a quantized row against itself is ~0.
         assert!(qs.approx_d2(&qq, 2) < 1e-18);
     }

@@ -29,12 +29,28 @@
 //! chunk before the next, so the corpus is read once per batch. The
 //! scalar [`EmbeddingStore::knn`] is the `B = 1` case of the same code
 //! path, making batched and scalar results trivially bit-identical.
+//!
+//! # Two regimes, one answer
+//!
+//! The fused scan reads the corpus once per batch, so its cost per query
+//! falls as a stripe of eight fills and a lone query pays for all 264
+//! bytes of every row (`8·d` of row and 8 of norm, `d = 32`). A batch of
+//! fewer than [`SCAN_STRIPE`] queries therefore takes the exact scan
+//! through the store's int8 codes instead (64 bytes a row; see the
+//! `quant` module): one pass over the codes bounds every row's f64
+//! distance from below and above, and only the rows whose lower bound is
+//! within the `k`-th smallest upper bound — a few tenths of a percent on
+//! trained embeddings — are scored, by [`scan_score`] (the fused scan's
+//! own expression) into the same [`NeighborHeap`]. The bounds are proven
+//! (`DESIGN.md` §12), so both regimes return the same bits, ties
+//! included; the regime is only the batch width.
 
 use crate::backbone::NeuTrajModel;
+use crate::quant::{Cascade, QuantizedStore};
 use neutraj_index::{CoarseQuantizer, GraphScratch, HnswIndex, IvfIndex, RowDistance};
 use neutraj_measures::{top_k, Neighbor, NeighborHeap};
 use neutraj_nn::linalg::{dot, euclidean_sq};
-use neutraj_nn::simd::{dot_rows, scan_rows, ScanInput};
+use neutraj_nn::simd::{dot_rows, scan_rows, scan_score, ScanInput, SCAN_STRIPE};
 use neutraj_trajectory::Trajectory;
 use std::cell::RefCell;
 
@@ -42,6 +58,10 @@ use std::cell::RefCell;
 /// each pass scans the rows from its first query on (the upper triangle),
 /// so at most half a block's pairs per pass fall below the diagonal.
 const JOIN_BLOCK: usize = 512;
+
+/// The capacity of a store built by `EmbeddingStore::successor` is a
+/// multiple of this many rows.
+const SUCCESSOR_ROWS: usize = 64;
 
 thread_local! {
     /// Reusable per-thread graph-walk scratch. Its visited array is as
@@ -52,22 +72,27 @@ thread_local! {
 }
 
 /// A flat store of `N` trajectory embeddings of dimension `d`, with
-/// per-row squared norms maintained for norm-trick scans.
+/// per-row squared norms maintained for norm-trick scans and the rows'
+/// int8 codes for the exact scan of a narrow batch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EmbeddingStore {
     dim: usize,
     data: Vec<f64>,
     /// `‖x_i‖²` for every stored row, kept in lockstep with `data`.
     norms: Vec<f64>,
+    /// Every stored row quantized, kept in lockstep with `data`.
+    codes: QuantizedStore,
 }
 
 impl EmbeddingStore {
-    /// An empty store of dimensionality `dim`.
+    /// An empty store of dimensionality `dim` (at most
+    /// [`QUANT_MAX_DIM`](crate::QUANT_MAX_DIM)).
     pub fn new(dim: usize) -> Self {
         Self {
             dim,
             data: Vec::new(),
             norms: Vec::new(),
+            codes: QuantizedStore::new(dim),
         }
     }
 
@@ -82,8 +107,7 @@ impl EmbeddingStore {
     /// embedding has the wrong dimension.
     pub fn from_embeddings(dim: usize, embs: &[Vec<f64>]) -> Self {
         let mut store = Self::new(dim);
-        store.data.reserve(embs.len() * dim);
-        store.norms.reserve(embs.len());
+        store.reserve(embs.len());
         for e in embs {
             store.push(e);
         }
@@ -93,32 +117,44 @@ impl EmbeddingStore {
     /// Pre-allocates room for `additional` more rows — the block-wise
     /// corpus-generation path (`bench_query`) fills a store row by row
     /// without ever materializing a `Vec<Vec<f64>>`, so at N=10M the
-    /// only large allocations are this flat matrix and the norm cache.
+    /// only large allocations are this flat matrix, the norm cache and
+    /// the codes.
     pub fn reserve(&mut self, additional: usize) {
         self.data.reserve(additional * self.dim);
         self.norms.reserve(additional);
+        self.codes.reserve(additional);
     }
 
-    /// A copy of this store with room for exactly `extra` more rows: each
-    /// buffer is allocated once at its final size and filled by one copy,
-    /// so the [`Self::push`]es that follow never move it. (`clone` leaves
-    /// `capacity == len`, and the first push after it would double the
-    /// buffer into a fresh one — a second full copy.) The scans need the
-    /// rows contiguous, which is why this copy is not shared in pieces.
+    /// A copy of this store with room for `extra` more rows: each buffer
+    /// is allocated once and filled by one copy, so the [`Self::push`]es
+    /// that follow never move it. (`clone` leaves `capacity == len`, and
+    /// the first push after it would double the buffer into a fresh one —
+    /// a second full copy.) The scans need the rows contiguous, which is
+    /// why this copy is not shared in pieces.
+    ///
+    /// The room is rounded up to whole [`SUCCESSOR_ROWS`] rows. A rotation
+    /// frees the store before last; if each successor were a few rows
+    /// larger than the one before, the freed buffers would never fit the
+    /// next one, and every other rotation would fault in its 5 MB from
+    /// fresh pages.
     pub(crate) fn successor(&self, extra: usize) -> Self {
+        let rows = self.norms.len();
+        let extra = (rows + extra).next_multiple_of(SUCCESSOR_ROWS) - rows;
         Self {
             dim: self.dim,
             data: grown(&self.data, extra * self.dim),
             norms: grown(&self.norms, extra),
+            codes: self.codes.successor(extra),
         }
     }
 
-    /// Appends one embedding, precomputing its squared norm. Panics on
-    /// dimension mismatch.
+    /// Appends one embedding, precomputing its squared norm and its
+    /// codes. Panics on dimension mismatch.
     pub fn push(&mut self, emb: &[f64]) {
         assert_eq!(emb.len(), self.dim, "embedding dim mismatch");
         self.data.extend_from_slice(emb);
         self.norms.push(dot(emb, emb));
+        self.codes.push(emb);
     }
 
     /// Number of stored embeddings.
@@ -152,6 +188,13 @@ impl EmbeddingStore {
     /// so its distances match the norm-trick paths bit-for-bit.
     pub(crate) fn norm_sq(&self, i: usize) -> f64 {
         self.norms[i]
+    }
+
+    /// The rows' int8 codes — what
+    /// [`SimilarityDb::quantized_store`](crate::SimilarityDb::quantized_store)
+    /// hands out as the int8 view.
+    pub(crate) fn codes(&self) -> &QuantizedStore {
+        &self.codes
     }
 
     /// Norm-trick squared distance between stored rows `a` and `b` —
@@ -192,10 +235,11 @@ impl EmbeddingStore {
             .expect("one query in, one result out")
     }
 
-    /// Top-k for a whole batch of queries in one fused pass over the
-    /// rows (see the module docs). Results are per query, in query order;
-    /// each is identical to [`Self::knn`] on that query, including tie
-    /// ordering.
+    /// Top-k for a whole batch of queries: one fused pass over the rows,
+    /// or per query one pass over the codes for a batch narrower than a
+    /// stripe (see the module docs). Results are per query, in query
+    /// order; each is identical to [`Self::knn`] on that query, including
+    /// tie ordering, whichever regime answers it.
     ///
     /// Squared distances are compared during the scan (monotonic in the
     /// true distance, so ranks are unaffected) and the square root is
@@ -203,13 +247,50 @@ impl EmbeddingStore {
     /// epsilon-negative for near-identical rows, so it is clamped at 0;
     /// for `x == q` bitwise it cancels to exactly 0.
     pub fn knn_batch(&self, queries: &[&[f64]], k: usize) -> Vec<Vec<Neighbor>> {
+        self.knn_batch_with_stats(queries, k).0
+    }
+
+    /// [`Self::knn_batch`] with the work it did: for a batch answered
+    /// through the codes, the rows scored through them
+    /// ([`ScanStats::bound_rows`]) and the rows then scored in f64
+    /// ([`ScanStats::bound_survivors`]); zero for a fused f64 pass.
+    pub fn knn_batch_with_stats(
+        &self,
+        queries: &[&[f64]],
+        k: usize,
+    ) -> (Vec<Vec<Neighbor>>, ScanStats) {
         for q in queries {
             assert_eq!(q.len(), self.dim, "query dim mismatch");
         }
         if k == 0 {
             // Nothing can be kept, so no threshold would ever arm.
-            return vec![Vec::new(); queries.len()];
+            return (vec![Vec::new(); queries.len()], ScanStats::default());
         }
+        if queries.len() >= SCAN_STRIPE {
+            return (self.knn_fused(queries, k), ScanStats::default());
+        }
+        let mut stats = ScanStats::default();
+        let mut cascade = Cascade::new(k);
+        let mut rows = Vec::new();
+        let results = queries
+            .iter()
+            .map(|q| {
+                self.codes.bounded_rows(q, k, &mut cascade, &mut rows);
+                stats.bound_rows += self.norms.len();
+                stats.bound_survivors += rows.len();
+                let qn = dot(q, q);
+                let mut heap = NeighborHeap::new(k);
+                for &j in &rows {
+                    heap.push(j, scan_score(q, qn, self.get(j), self.norms[j]));
+                }
+                sqrt_dists(heap.into_sorted())
+            })
+            .collect();
+        (results, stats)
+    }
+
+    /// The fused f64 pass of [`Self::knn_batch`], for `k > 0`.
+    fn knn_fused(&self, queries: &[&[f64]], k: usize) -> Vec<Vec<Neighbor>> {
         let qflat = queries.concat();
         let qnorms: Vec<f64> = queries.iter().map(|q| dot(q, q)).collect();
         let mut heaps: Vec<NeighborHeap> = queries.iter().map(|_| NeighborHeap::new(k)).collect();
@@ -235,13 +316,7 @@ impl EmbeddingStore {
         );
         heaps
             .into_iter()
-            .map(|h| {
-                let mut out = h.into_sorted();
-                for nb in &mut out {
-                    nb.dist = nb.dist.sqrt();
-                }
-                out
-            })
+            .map(|h| sqrt_dists(h.into_sorted()))
             .collect()
     }
 
@@ -300,10 +375,7 @@ impl EmbeddingStore {
             }
             let mut out = Vec::with_capacity(k.min(cand.len()));
             heap.drain_sorted_into(&mut out);
-            for nb in &mut out {
-                nb.dist = nb.dist.sqrt();
-            }
-            results.push(out);
+            results.push(sqrt_dists(out));
         }
         (results, stats)
     }
@@ -366,10 +438,7 @@ impl EmbeddingStore {
                 }
                 let mut out = Vec::with_capacity(k.min(cand.len()));
                 heap.drain_sorted_into(&mut out);
-                for nb in &mut out {
-                    nb.dist = nb.dist.sqrt();
-                }
-                results.push(out);
+                results.push(sqrt_dists(out));
             }
         });
         (results, stats)
@@ -385,11 +454,7 @@ impl EmbeddingStore {
         let dists: Vec<f64> = (0..self.len())
             .map(|i| euclidean_sq(query, self.get(i)))
             .collect();
-        let mut out = top_k(&dists, k);
-        for n in &mut out {
-            n.dist = n.dist.sqrt();
-        }
-        out
+        sqrt_dists(top_k(&dists, k))
     }
 
     /// All stored pairs `(i, j)` with `i < j` whose embedding distance is
@@ -453,11 +518,20 @@ pub(crate) fn grown<T: Copy>(v: &[T], extra: usize) -> Vec<T> {
     out
 }
 
-/// Work counters reported by one batched scan through a shortlist view
-/// — what [`DbMetrics::record_scan`](crate::DbMetrics::record_scan) turns
-/// into the `neutraj_ann_*`, `neutraj_graph_*` and `neutraj_quant_*`
-/// series. Each path fills the fields of the work it did and leaves the
-/// rest zero.
+/// `out` with each squared distance replaced by its square root.
+fn sqrt_dists(mut out: Vec<Neighbor>) -> Vec<Neighbor> {
+    for nb in &mut out {
+        nb.dist = nb.dist.sqrt();
+    }
+    out
+}
+
+/// Work counters reported by one batched scan — what
+/// [`DbMetrics::record_scan`](crate::DbMetrics::record_scan) turns into
+/// the `neutraj_ann_*`, `neutraj_graph_*`, `neutraj_quant_*` and
+/// `neutraj_exact_bound_survivors` series. Each path fills the fields of
+/// the work it did and leaves the rest zero; `+=` sums the scans of
+/// several shards.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ScanStats {
     /// IVF: inverted lists visited across the batch.
@@ -472,11 +546,41 @@ pub struct ScanStats {
     pub links_scanned: usize,
     /// Int8: rows scored through their u8 codes.
     pub rows_scanned: usize,
-    /// Int8: bytes those rows cost (`dim` code bytes + 16 bytes of row
-    /// stats), vs `8·dim + 8` for the f64 path.
+    /// Int8: bytes those rows cost (`dim` code bytes + the four f64 row
+    /// columns the kernel reads, 32 bytes), vs `8·dim + 8` for the f64
+    /// path.
     pub bytes_scanned: usize,
     /// Int8: shortlist survivors re-scored exactly against the f64 store.
     pub reranked: usize,
+    /// Exact, narrower than a stripe: rows scored through their codes to
+    /// bound their f64 distances (the corpus once per query).
+    pub bound_rows: usize,
+    /// Exact, narrower than a stripe: rows whose lower bound let them
+    /// through to the f64 score.
+    pub bound_survivors: usize,
+}
+
+impl ScanStats {
+    /// Rows scored in f64 after the int8 bound, per query of a
+    /// `queries`-wide batch (summed over the shards it scanned); `None`
+    /// when no query went through the bound.
+    pub fn survivors_per_query(&self, queries: usize) -> Option<f64> {
+        (self.bound_rows > 0).then(|| self.bound_survivors as f64 / queries.max(1) as f64)
+    }
+}
+
+impl std::ops::AddAssign for ScanStats {
+    fn add_assign(&mut self, o: Self) {
+        self.lists_probed += o.lists_probed;
+        self.candidates_scanned += o.candidates_scanned;
+        self.hops += o.hops;
+        self.links_scanned += o.links_scanned;
+        self.rows_scanned += o.rows_scanned;
+        self.bytes_scanned += o.bytes_scanned;
+        self.reranked += o.reranked;
+        self.bound_rows += o.bound_rows;
+        self.bound_survivors += o.bound_survivors;
+    }
 }
 
 /// The store as the graph's build-time oracle: [`Self::row_dist_sq`]
@@ -602,22 +706,25 @@ mod tests {
     fn successor_is_copied_once_and_never_moves() {
         let embs: Vec<Vec<f64>> = (0..37).map(|i| vec![i as f64, 1.0, -0.5]).collect();
         let s = EmbeddingStore::from_embeddings(3, &embs);
-        let extra = 5;
-        let mut next = s.successor(extra);
-        assert_eq!(next, s);
-        assert_eq!(next.data.capacity(), (s.len() + extra) * 3);
-        assert_eq!(next.norms.capacity(), s.len() + extra);
-        let (data, norms) = (next.data.as_ptr(), next.norms.as_ptr());
-        let mut want = s.clone();
-        for i in 0..extra {
-            next.push(&[0.25, i as f64, 2.0]);
-            want.push(&[0.25, i as f64, 2.0]);
+        // Room for 5 more rounds up to a whole 64 rows; room for 27 more
+        // is exactly that.
+        for extra in [5, 27] {
+            let mut next = s.successor(extra);
+            assert_eq!(next, s);
+            assert_eq!(next.data.capacity(), SUCCESSOR_ROWS * 3);
+            assert_eq!(next.norms.capacity(), SUCCESSOR_ROWS);
+            let (data, norms) = (next.data.as_ptr(), next.norms.as_ptr());
+            let mut want = s.clone();
+            for i in 0..SUCCESSOR_ROWS - s.len() {
+                next.push(&[0.25, i as f64, 2.0]);
+                want.push(&[0.25, i as f64, 2.0]);
+            }
+            // Same rows as the clone-then-push path, in the buffers the
+            // successor was born with.
+            assert_eq!(next, want);
+            assert_eq!((next.data.as_ptr(), next.norms.as_ptr()), (data, norms));
+            assert_eq!(next.data.capacity(), next.data.len());
         }
-        // Same rows as the clone-then-push path, in the buffers the
-        // successor was born with.
-        assert_eq!(next, want);
-        assert_eq!((next.data.as_ptr(), next.norms.as_ptr()), (data, norms));
-        assert_eq!(next.data.capacity(), next.data.len());
     }
 
     #[test]

@@ -144,6 +144,17 @@ fn knn_by_score_matrix(store: &EmbeddingStore, queries: &[&[f64]], k: usize) -> 
 /// `knn_batch` against the oracle, bit for bit, for every `k` that
 /// changes how thresholds arm: none kept, one, ten, exactly `N`, more.
 fn assert_scan_matches_oracle(store: &EmbeddingStore, queries: &[Vec<f64>], what: &str) {
+    let n = store.len();
+    assert_scan_matches_oracle_at(store, queries, &[0, 1, 10, n, n + 5], what);
+}
+
+/// [`assert_scan_matches_oracle`] at the depths `ks`.
+fn assert_scan_matches_oracle_at(
+    store: &EmbeddingStore,
+    queries: &[Vec<f64>],
+    ks: &[usize],
+    what: &str,
+) {
     let qrefs: Vec<&[f64]> = queries.iter().map(|q| q.as_slice()).collect();
     let n = store.len();
     let bits = |lists: &[Vec<Neighbor>]| -> Vec<Vec<(usize, u64)>> {
@@ -152,7 +163,7 @@ fn assert_scan_matches_oracle(store: &EmbeddingStore, queries: &[Vec<f64>], what
             .map(|l| l.iter().map(|nb| (nb.index, nb.dist.to_bits())).collect())
             .collect()
     };
-    for k in [0, 1, 10, n, n + 5] {
+    for &k in ks {
         let got = store.knn_batch(&qrefs, k);
         let want = knn_by_score_matrix(store, &qrefs, k);
         assert_eq!(
@@ -238,6 +249,181 @@ fn fused_scan_matches_score_matrix_on_ties_specials_and_monotone_corpora() {
                 .collect();
             let store = EmbeddingStore::from_embeddings(dim, &rows);
             assert_scan_matches_oracle(&store, &queries, "monotone");
+        }
+    });
+}
+
+/// Batch widths on both sides of the regime switch: below a stripe of
+/// eight the exact top-k goes through the int8 lower bound, from eight up
+/// through the fused f64 pass.
+const REGIMES: [usize; 6] = [1, 3, 4, 7, 8, 16];
+
+/// `x` moved `n` ulps away from zero.
+fn ulps(x: f64, n: u64) -> f64 {
+    f64::from_bits(x.to_bits() + n)
+}
+
+/// Components of a row whose codes all round up by half a step: the
+/// minimum `0` and maximum `255·s` pin the row's scale at `s`, and every
+/// other component sits just past the middle of its step, so its
+/// dequantization is `s/2` larger than it. Returns the row and the codes
+/// it quantizes to.
+fn half_step_row(rng: &mut Rng, dim: usize, s: f64) -> (Vec<f64>, Vec<f64>) {
+    let mut row = vec![0.0; dim];
+    let mut codes = vec![0.0; dim];
+    row[dim - 1] = 255.0 * s;
+    codes[dim - 1] = 255.0;
+    for c in 1..dim - 1 {
+        let code = rng.gen_range(1u8..254) as f64;
+        row[c] = (code + 0.5 + 1e-6) * s;
+        codes[c] = code + 1.0;
+    }
+    (row, codes)
+}
+
+/// The inputs a bound over int8 codes could get wrong, each through the
+/// stored-score-matrix oracle at every [`REGIMES`] width and at
+/// `k ∈ {0, 1, 3, N, N + 3}` (`DESIGN.md` §12 derives the bound):
+///
+/// * constant rows and queries (`scale = 0`: the error bounds are zero
+///   and only the rounding slack separates a bound from the approximate
+///   distance), an ulp apart, with duplicates;
+/// * exact ties at the k-th distance (the index decides);
+/// * rows one ulp from the query;
+/// * rows whose codes all round up by half a step beside rows the codes
+///   hold exactly, with exact queries — only the rows' error bound keeps
+///   the half-step rows — and the mirror image, half-step queries among
+///   constant rows, where only the query's does;
+/// * corpora and queries scaled by 10^±150, and by 10^±160, where
+///   squares overflow or underflow;
+/// * corpora of 0, 1 and 7 rows;
+/// * non-finite rows and queries, which have no bound: scored, and no
+///   panic.
+#[test]
+fn bounded_scan_matches_score_matrix_on_adversarial_rows() {
+    /// What a case is, its rows, and sixteen queries.
+    type Case = (&'static str, Vec<Vec<f64>>, Vec<Vec<f64>>);
+    let dim = 8;
+    cases(4, |rng| {
+        let mut stores: Vec<Case> = Vec::new();
+        let constant = |v: f64| vec![v; dim];
+
+        let c = 0.5 + rng.unit_f64();
+        let rows = (0..40).map(|j| constant(ulps(c, j % 25))).collect();
+        let queries = (0..16).map(|i| constant(ulps(c, 2 * i))).collect();
+        stores.push(("constant rows an ulp apart", rows, queries));
+
+        // The origin and its two nearest rows, then 2·dim rows all at
+        // distance exactly 1: k = 3 cuts through the tie.
+        let mut rows = vec![constant(0.0)];
+        for sign in [0.5, -0.5] {
+            rows.push((0..dim).map(|c| if c == 0 { sign } else { 0.0 }).collect());
+        }
+        for c in 0..dim {
+            for sign in [1.0, -1.0] {
+                rows.push((0..dim).map(|i| if i == c { sign } else { 0.0 }).collect());
+            }
+        }
+        rows.extend((0..20).map(|_| (0..dim).map(|_| rng.gen_range(0u8..3) as f64).collect()));
+        let mut queries = vec![constant(0.0); 8];
+        queries.extend(rows[..8].iter().cloned());
+        stores.push(("ties at the k-th distance", rows, queries));
+
+        let q: Vec<f64> = (0..dim).map(|_| rng.unit_f64() - 0.5).collect();
+        let mut rows = vec![q.clone(), q.clone()];
+        for c in 0..dim {
+            for step in [f64::next_up, f64::next_down] {
+                let mut row = q.clone();
+                row[c] = step(row[c]);
+                rows.push(row);
+            }
+        }
+        rows.extend((0..20).map(|_| {
+            q.iter()
+                .map(|v| v + 1e-3 * (rng.unit_f64() - 0.5))
+                .collect()
+        }));
+        let queries = (0..16).map(|i| rows[i % rows.len()].clone()).collect();
+        stores.push(("rows an ulp from the query", rows, queries));
+
+        // Half-step rows `H` and, for each, an exactly held row `E` whose
+        // norm lies between `‖H‖` and `‖Ĥ‖`; queries are constant and at
+        // or below every component, so `Ĥ` is farther from them than `H`.
+        let mut rows = Vec::new();
+        for _ in 0..20 {
+            let s = 1e-3 * (1.0 + rng.unit_f64());
+            let (h, codes) = half_step_row(rng, dim, s);
+            let norm = |v: &[f64]| dot(v, v).sqrt();
+            let target = 0.5 * (norm(&h) + s * norm(&codes));
+            let mu = target / norm(&codes);
+            rows.push(h);
+            rows.push(codes.iter().map(|c| mu * c).collect());
+        }
+        let queries = (0..16).map(|i| constant(-1e-4 * i as f64)).collect();
+        stores.push(("half-step rows, exact queries", rows, queries));
+
+        // Constant rows densely around the mean of half-step queries (one
+        // query with its middle components rotated, so all share it).
+        let q = half_step_row(rng, dim, 1e-3).0;
+        let queries: Vec<Vec<f64>> = (0..16)
+            .map(|i| {
+                let mut q = q.clone();
+                q[1..dim - 1].rotate_left(i % (dim - 2));
+                q
+            })
+            .collect();
+        let mean = q.iter().sum::<f64>() / dim as f64;
+        let rows = (0..40)
+            .map(|j| constant(mean + (j as f64 - 20.0) * 6e-5))
+            .collect();
+        stores.push(("half-step queries, constant rows", rows, queries));
+
+        // Positive components at 10^160: a squared norm, and with it the
+        // approximate distance, is +∞ (mixed signs make it NaN, which the
+        // kernels' clamp maps to 0 — row 47).
+        for scale in [1e150, 1e-150, 1e160, 1e-160] {
+            let scaled = |rows: Vec<Vec<f64>>| -> Vec<Vec<f64>> {
+                rows.into_iter()
+                    .map(|r| r.into_iter().map(|v| (v + 1.0) * scale).collect())
+                    .collect()
+            };
+            stores.push((
+                "scaled corpus and queries",
+                scaled(random_rows(rng, 60, dim)),
+                scaled(random_rows(rng, 16, dim)),
+            ));
+        }
+        let mut rows = random_rows(rng, 60, dim);
+        for (at, scale) in [(3, 1e150), (17, 1e-150), (29, 1e160), (41, 1e-160)] {
+            rows[at].iter_mut().for_each(|v| *v = (*v + 1.0) * scale);
+        }
+        rows[47].iter_mut().for_each(|v| *v *= 1e160);
+        let mut queries = random_rows(rng, 16, dim);
+        queries[2].iter_mut().for_each(|v| *v = (*v + 1.0) * 1e160);
+        stores.push(("a few scaled rows and queries", rows, queries));
+
+        for n in [0, 1, 7] {
+            stores.push((
+                "tiny corpus",
+                random_rows(rng, n, dim),
+                random_rows(rng, 16, dim),
+            ));
+        }
+
+        let mut rows = random_rows(rng, 50, dim);
+        rows[5][2] = f64::NAN;
+        rows[23][0] = f64::INFINITY;
+        rows[37] = constant(f64::NEG_INFINITY);
+        let mut queries = random_rows(rng, 16, dim);
+        queries[1][4] = f64::NAN;
+        stores.push(("non-finite rows and a non-finite query", rows, queries));
+
+        for (what, rows, queries) in stores {
+            let store = EmbeddingStore::from_embeddings(dim, &rows);
+            let n = store.len();
+            for b in REGIMES {
+                assert_scan_matches_oracle_at(&store, &queries[..b], &[0, 1, 3, n, n + 3], what);
+            }
         }
     });
 }

@@ -168,36 +168,71 @@ fn pair_similarity_is_a_valid_kernel() {
     });
 }
 
-/// The int8 codec's core numeric contract (`DESIGN.md` §12): with
-/// per-row `scale = range/255` and `offset = min`, dequantization
-/// recovers every component to within half a quantization step
-/// (plus fp slop), and the NTQ08 byte roundtrip is lossless.
+/// `a − b` as an unevaluated sum `s + e`, exactly (Knuth's TwoSum).
+fn two_diff(a: f64, b: f64) -> (f64, f64) {
+    let s = a - b;
+    let bb = s - a;
+    (s, (a - (s - bb)) - (b + bb))
+}
+
+/// The int8 codec's core numeric contract, the inequality the exact
+/// scan's lower bound rests on (`DESIGN.md` §12): with per-row
+/// `scale = range/255` and `offset = min`, each component is within half
+/// a step of its dequantization `offset + scale·code`, so a row is within
+/// `scale·√d/2` of it — up to the derived rounding term
+/// `QuantizedStore::row_error_bound` carries, not a tuned slack. Over
+/// magnitudes from 10⁻¹⁵⁰ to 10¹⁵⁰, near-constant rows, rows whose every
+/// inner component rounds by almost exactly half a step, and 1 to 64
+/// components. The NTQ08 byte roundtrip is lossless.
 #[test]
 fn quantize_dequantize_error_is_bounded_by_half_scale() {
-    cases(48, |rng| {
+    cases(64, |rng| {
+        let dim = rng.gen_range(1usize..=64);
+        let magnitude = 10f64.powi(rng.gen_range(-150i32..=150));
         let rows = (0..rng.gen_range(1..12))
-            .map(|_| {
-                (0..5)
-                    .map(|_| rng.gen_range(-1e4f64..1e4))
-                    .collect::<Vec<_>>()
+            .map(|r| {
+                let center = magnitude * (rng.unit_f64() - 0.5);
+                let scale = magnitude * rng.unit_f64();
+                (0..dim)
+                    .map(|c| match r % 3 {
+                        0 => center + scale * (rng.unit_f64() - 0.5),
+                        1 => center * (1.0 + 1e-14 * rng.unit_f64()),
+                        // Pinned to [0, 255·s] by its first two
+                        // components, the rest just past a half step.
+                        _ => match c {
+                            0 => 0.0,
+                            1 => 255.0 * scale,
+                            _ => scale * (rng.gen_range(0u8..255) as f64 + 0.5 + 1e-9),
+                        },
+                    })
+                    .collect::<Vec<f64>>()
             })
             .collect::<Vec<_>>();
-        let store = EmbeddingStore::from_embeddings(5, &rows);
+        let store = EmbeddingStore::from_embeddings(dim, &rows);
         let qs = QuantizedStore::from_store(&store);
         for (i, row) in rows.iter().enumerate() {
-            let lo = row.iter().cloned().fold(f64::INFINITY, f64::min);
-            let hi = row.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            let scale = (hi - lo) / 255.0;
-            // Half a step, with slack for the rounding done in
-            // `(v - lo) * (255/range)` floating-point arithmetic.
-            let bound = 0.5 * scale * (1.0 + 1e-9) + 1e-12 * hi.abs().max(lo.abs());
-            let dq = qs.dequantize(i);
-            for (d, (&v, &w)) in row.iter().zip(&dq).enumerate() {
-                assert!(
-                    (v - w).abs() <= bound,
-                    "row {i} dim {d}: |{v} - {w}| > {bound} (scale {scale})"
-                );
+            let (offset, scale) = qs.offset_scale(i);
+            // `‖x − x̂‖` from exact residuals: `v − offset` by TwoSum and
+            // `scale·code` by a fused multiply-add's remainder, so the
+            // only roundings left are the few below, whose error the
+            // final widening covers.
+            let mut sq = 0.0;
+            for (&v, &code) in row.iter().zip(qs.codes(i)) {
+                let (t, et) = two_diff(v, offset);
+                let p = scale * f64::from(code);
+                let ep = scale.mul_add(f64::from(code), -p);
+                let r = (t - p) + (et - ep);
+                sq += r * r;
             }
+            let err = sq.sqrt() * (1.0 + (dim as f64 + 4.0) * f64::EPSILON)
+                + scale * f64::EPSILON * f64::EPSILON;
+            let bound = qs.row_error_bound(i);
+            assert!(
+                err <= bound,
+                "row {i} (d {dim}, magnitude {magnitude:e}): ‖x − x̂‖ {err:e} > {bound:e}"
+            );
+            // ... and the bound is the half step, not a loose one.
+            assert!(bound <= scale * (dim as f64).sqrt() * 0.5 * (1.0 + 1e-11));
         }
         let back = QuantizedStore::from_bytes(&qs.to_bytes()).expect("own bytes parse");
         assert_eq!(back, qs);

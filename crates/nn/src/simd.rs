@@ -233,7 +233,10 @@ pub struct ScanInput<'a> {
 
 /// Most queries one [`scan_rows`] stripe holds: one accumulator each
 /// beside the four transposed row vectors and a broadcast (13 `ymm`).
-const SCAN_STRIPE: usize = 8;
+/// A batch narrower than this reads the corpus once per stripe it does
+/// not fill, which is why the exact top-k answers such batches through
+/// the int8 lower bound instead (`DESIGN.md` §6).
+pub const SCAN_STRIPE: usize = 8;
 
 /// Corpus rows per [`scan_rows`] chunk: about 16 KiB of them, so a chunk
 /// read for the first stripe of queries is still in L1 for the last, and
@@ -248,6 +251,20 @@ fn scan_chunk_rows(dim: usize) -> usize {
 #[inline]
 fn norm_trick_sq(qn: f64, s: f64, xn: f64) -> f64 {
     (qn - 2.0 * s + xn).max(0.0)
+}
+
+/// The `d2` [`scan_rows`] hands `admit` for query `q` (squared norm `qn`)
+/// and row `x` (squared norm `xn`): the dot from `+0.0` in ascending
+/// `p`, then `max(qn − 2·dot + xn, 0)`. Both arms of the scan produce exactly
+/// these bits, so a caller that scores a few rows on its own through
+/// this function agrees with the scan bit for bit.
+#[inline]
+pub fn scan_score(q: &[f64], qn: f64, x: &[f64], xn: f64) -> f64 {
+    let mut s = 0.0;
+    for (&a, &b) in q.iter().zip(x) {
+        s += a * b;
+    }
+    norm_trick_sq(qn, s, xn)
 }
 
 /// The exact scan, fused: for every query `qi` and row `j`, the dot
@@ -332,11 +349,7 @@ fn scan_rows_scalar<F: FnMut(usize, usize, f64) -> f64>(
         let q = &input.queries[qi * k..(qi + 1) * k];
         let qn = input.qnorms[qi];
         for j in rows.clone() {
-            let mut s = 0.0;
-            for (&x, &y) in q.iter().zip(&input.rows[j * k..(j + 1) * k]) {
-                s += x * y;
-            }
-            let d2 = norm_trick_sq(qn, s, input.row_norms[j]);
+            let d2 = scan_score(q, qn, &input.rows[j * k..(j + 1) * k], input.row_norms[j]);
             if d2 <= thresholds[qi] {
                 thresholds[qi] = admit(qi, j, d2);
             }

@@ -438,8 +438,9 @@ pub mod names {
     pub const SIMD_DISPATCH: &str = "neutraj_simd_dispatch";
 
     /// Counter: bytes read by the int8-quantized embedding scan (codes
-    /// plus per-row constants). Compare against `dim × 8` bytes per row
-    /// for the f64 path to see the realized bandwidth saving.
+    /// plus the four f64 per-row constants, `dim + 32` a row). Compare
+    /// against `dim × 8 + 8` bytes per row for the f64 path to see the
+    /// realized bandwidth saving.
     pub const QUANT_BYTES_SCANNED_TOTAL: &str = "neutraj_quant_bytes_scanned_total";
     /// Counter: rows scored by the quantized scan before exact rerank.
     pub const QUANT_ROWS_SCANNED_TOTAL: &str = "neutraj_quant_rows_scanned_total";
@@ -447,6 +448,11 @@ pub mod names {
     /// against the full-precision scan (the eval harness writes it;
     /// serving never does).
     pub const QUANT_RECALL_AT_K: &str = "neutraj_quant_recall_at_k";
+    /// Histogram: rows an exact top-k query scored in f64 after the int8
+    /// lower bound let them through, per query of a batch narrower than
+    /// one f64 stripe (summed over shards). A model whose distances bunch
+    /// up shows here before it shows as latency.
+    pub const EXACT_BOUND_SURVIVORS: &str = "neutraj_exact_bound_survivors";
 
     /// Counter: candidate pairs considered by the exact ground-truth
     /// engine (matrix cells, knn candidates, eval rows).

@@ -134,7 +134,9 @@ impl Default for ServiceConfig {
 
 /// Instrument handles for the service route, resolved once (the request
 /// path only touches atomics). Rejections share the database's
-/// `neutraj_db_rejects_total` so one counter covers every boundary.
+/// `neutraj_db_rejects_total` so one counter covers every boundary, and
+/// exact scans the database's `neutraj_exact_bound_survivors` (the shard
+/// databases themselves are not instrumented).
 #[derive(Debug, Clone)]
 struct ServeMetrics {
     requests_total: Counter,
@@ -151,6 +153,7 @@ struct ServeMetrics {
     deadline_expired_total: Counter,
     degraded_total: Counter,
     shard_quarantined_total: Counter,
+    exact_bound_survivors: Histogram,
 }
 
 impl ServeMetrics {
@@ -170,6 +173,7 @@ impl ServeMetrics {
             deadline_expired_total: registry.counter(names::SERVE_DEADLINE_EXPIRED_TOTAL),
             degraded_total: registry.counter(names::SERVE_DEGRADED_TOTAL),
             shard_quarantined_total: registry.counter(names::SERVE_SHARD_QUARANTINED_TOTAL),
+            exact_bound_survivors: registry.histogram(names::EXACT_BOUND_SURVIVORS),
         }
     }
 }
@@ -907,6 +911,10 @@ fn run_group(
     match snapshot.scan_batch_guarded(&trajs, &spec, shared.scan_threads, &guard) {
         Ok(scan) => {
             update_health(shared, nshards, &skip, &scan.failed, Instant::now());
+            let survivors = scan.stats.survivors_per_query(members.len());
+            if let (Some(m), Some(survivors)) = (&shared.metrics, survivors) {
+                m.exact_bound_survivors.observe(survivors);
+            }
             if scan.expired {
                 for p in members {
                     shared.count_deadline();

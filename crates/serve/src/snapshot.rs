@@ -31,7 +31,9 @@
 
 use crate::request::QuerySpec;
 use neutraj_measures::Neighbor;
-use neutraj_model::{rerank_exact, AnnParams, DbError, HnswParams, NeuTrajModel, SimilarityDb};
+use neutraj_model::{
+    rerank_exact, AnnParams, DbError, HnswParams, NeuTrajModel, ScanStats, SimilarityDb,
+};
 use neutraj_trajectory::Trajectory;
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -84,6 +86,8 @@ pub(crate) struct GuardedScan {
     /// The deadline passed before results were produced; `results` is
     /// empty and must not be used.
     pub expired: bool,
+    /// The work of the shard scans that answered, summed.
+    pub stats: ScanStats,
 }
 
 impl GuardedScan {
@@ -365,6 +369,7 @@ impl Snapshot {
             first_panic: None,
             skipped,
             expired: false,
+            stats: ScanStats::default(),
         };
         let expired = |d: &Option<Instant>| d.is_some_and(|d| Instant::now() >= d);
         if expired(&guard.deadline) {
@@ -403,7 +408,11 @@ impl Snapshot {
                     return Ok(out);
                 }
                 match scan(s, db) {
-                    Ok(r) => per_shard[s] = Some(r?),
+                    Ok(r) => {
+                        let (lists, stats) = r?;
+                        per_shard[s] = Some(lists);
+                        out.stats += stats;
+                    }
                     Err(payload) => {
                         out.failed.push(s);
                         out.first_panic.get_or_insert(payload);
@@ -430,7 +439,11 @@ impl Snapshot {
             for (s, r) in joined.into_iter().enumerate() {
                 match r {
                     None => {}
-                    Some(Ok(r)) => per_shard[s] = Some(r?),
+                    Some(Ok(r)) => {
+                        let (lists, stats) = r?;
+                        per_shard[s] = Some(lists);
+                        out.stats += stats;
+                    }
                     Some(Err(payload)) => {
                         out.failed.push(s);
                         out.first_panic.get_or_insert(payload);

@@ -742,10 +742,15 @@ fn every_registered_serve_series_moves() {
     let registered: Vec<String> = (report.counters.into_iter().map(|(n, _)| n))
         .chain(report.gauges.into_iter().map(|(n, _)| n))
         .chain(report.histograms.into_iter().map(|h| h.name))
-        .filter(|n| n.starts_with("neutraj_serve_") || n == names::DB_REJECTS_TOTAL)
+        .filter(|n| {
+            n.starts_with("neutraj_serve_")
+                || n == names::DB_REJECTS_TOTAL
+                || n == names::EXACT_BOUND_SURVIVORS
+        })
         .collect();
     for name in [
         names::DB_REJECTS_TOTAL,
+        names::EXACT_BOUND_SURVIVORS,
         names::SERVE_QUEUE_DEPTH,
         names::SERVE_INSERT_SECONDS,
         names::SERVE_INSERT_ROWS_TOTAL,
