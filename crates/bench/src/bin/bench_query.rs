@@ -19,7 +19,9 @@
 //!   query through the int8 bound is ≥ 2.5× the lone f64 pass
 //!   (`quant-gate:`; 64 bytes a row against 264). The `exact-bound` line
 //!   reports how many rows the bound leaves to the f64 score per lone
-//!   query (`"exact_bound_survivors"`).
+//!   query (`"exact_bound_survivors"`); those scans are recorded into the
+//!   exported registry, so `neutraj_exact_bound_survivors` and the
+//!   `neutraj_quant_*` counters carry them.
 //! * **embed** — `NeuTrajModel::embed_batch` (lockstep per-timestep
 //!   GEMM forward) against a per-trajectory scalar-forward loop
 //!   (`Backbone::forward_frozen`), B = 32, for
@@ -32,13 +34,6 @@
 //!   [`neutraj_obs::MetricsReport`] is embedded in `BENCH_query.json`
 //!   under `"metrics"` and also written as Prometheus text to
 //!   `BENCH_query.prom` — including the `neutraj_ann_*` probe counters.
-//! * **quant** — the approximate `NTQ08` int8 view (`DESIGN.md` §12):
-//!   u8 integer-dot scoring with an exact over-fetch rerank, exhaustive
-//!   and through the IVF shortlist, against the f64 paths it shadows.
-//!   Gated in-process: recall@10 ≥ 0.99 after the exact rerank at every
-//!   swept N (≈ 4.1× fewer bytes streamed at d = 32; the speed ratios
-//!   are reported, not gated) (the `quant-scan:` lines are the CI grep
-//!   markers, and `"quant_recall_ok"` lands in the JSON).
 //! * **ann** (`--ann`) — the IVF shortlist + exact-rerank scan against
 //!   the exhaustive scan, sweeping N ∈ {100k, 1M} × nprobe over a
 //!   clustered corpus (real trajectory embeddings concentrate around
@@ -83,12 +78,12 @@
 use std::time::Instant;
 
 use neutraj_cluster::{KMeans, KMeansParams};
-use neutraj_eval::{mean_overlap_at_k, shortlist_recall_at_k};
+use neutraj_eval::mean_overlap_at_k;
 use neutraj_index::IvfIndex;
 use neutraj_measures::{DiscreteFrechet, Neighbor, NeighborHeap};
 use neutraj_model::{
     AnnIndex, AnnParams, BackboneKind, DbMetrics, EmbeddingStore, HnswIndex, HnswParams,
-    NeuTrajModel, QuantizedStore, Query, SimilarityDb, TrainConfig,
+    NeuTrajModel, Query, SimilarityDb, TrainConfig,
 };
 use neutraj_nn::linalg::dot;
 use neutraj_nn::simd::{scan_rows, ScanInput, SCAN_STRIPE};
@@ -105,7 +100,7 @@ const K: usize = 10;
 const SCAN_BATCHES: [usize; 5] = [1, 4, 7, 8, 16];
 
 /// Smallest corpus at which a throughput *ratio* is asserted rather than
-/// only printed (the quant and scan gates): below it one timed call is
+/// only printed (the scan gates): below it one timed call is
 /// too short for the ratio to be stable on a shared host.
 const GATE_MIN_ROWS: usize = 100_000;
 
@@ -135,21 +130,16 @@ fn main() {
         cli.dim, cli.queries, sizes
     );
 
-    let scans: Vec<ScanRow> = (sizes.iter())
-        .map(|&n| bench_scan(n, cli.dim, cli.queries, cli.seed))
-        .collect();
-    let embed_rows = [BackboneKind::SamLstm, BackboneKind::Lstm, BackboneKind::Gru]
-        .map(|kind| bench_embed(kind, cli.dim, cli.queries, cli.seed));
-
-    // One registry shared by the ANN sweep and the instrumented serving
-    // leg, so every neutraj_* series (including the ann probe counters)
+    // One registry shared by the exact-bound sweep, the ANN and graph
+    // sweeps and the instrumented serving leg, so every neutraj_* series
     // lands in a single exported snapshot.
     let registry = Registry::new();
 
-    let quant_rows: Vec<QuantRow> = sizes
-        .iter()
-        .map(|&n| bench_quant(n, cli.dim, cli.queries, cli.seed, &registry))
+    let scans: Vec<ScanRow> = (sizes.iter())
+        .map(|&n| bench_scan(n, cli.dim, cli.queries, cli.seed, &registry))
         .collect();
+    let embed_rows = [BackboneKind::SamLstm, BackboneKind::Lstm, BackboneKind::Gru]
+        .map(|kind| bench_embed(kind, cli.dim, cli.queries, cli.seed));
 
     let ann_sections: Vec<AnnSection> = if cli.ann {
         let ann_sizes: Vec<usize> = if cli.size == 0 {
@@ -204,7 +194,6 @@ fn main() {
         host_cpus,
         &scans,
         &embed_rows,
-        &quant_rows,
         &serving,
         &ann_sections,
         &graph_sections,
@@ -248,24 +237,6 @@ struct ServingRow {
     ann_qps: f64,
     ann_nlists: usize,
     ann_nprobe: usize,
-    quant_qps: f64,
-}
-
-/// One int8 measurement: the NTQ08 quantized scan (approximate u8
-/// scoring with exact over-fetch rerank) versus the f64 paths it
-/// shadows, exhaustive and through the IVF shortlist.
-struct QuantRow {
-    n: usize,
-    f64_scan_qps: f64,
-    int8_scan_qps: f64,
-    scan_recall: f64,
-    bytes_int8: usize,
-    bytes_f64: usize,
-    ann_f64_qps: f64,
-    ann_int8_qps: f64,
-    ann_recall: f64,
-    nlists: usize,
-    nprobe: usize,
 }
 
 /// One ANN operating point: recall and latency at a probe width.
@@ -329,7 +300,7 @@ struct GraphSection {
     ivf_nlists: usize,
 }
 
-fn bench_scan(n: usize, dim: usize, batch: usize, seed: u64) -> ScanRow {
+fn bench_scan(n: usize, dim: usize, batch: usize, seed: u64, registry: &Registry) -> ScanRow {
     let mut state = seed ^ GOLDEN_GAMMA;
     let store = {
         let mut store = EmbeddingStore::new(dim);
@@ -433,11 +404,15 @@ fn bench_scan(n: usize, dim: usize, batch: usize, seed: u64) -> ScanRow {
     }
 
     // How many rows the int8 bound leaves to the f64 score, per lone
-    // query over fresh queries from the corpus's own distribution.
+    // query over fresh queries from the corpus's own distribution —
+    // recorded as the database records a scan.
+    let metrics = DbMetrics::register(registry);
     let mut survivors: Vec<f64> = (0..BOUND_QUERIES)
         .map(|_| {
             let q: Vec<f64> = (0..dim).map(|_| unit_f64(&mut state)).collect();
-            store.knn_batch_with_stats(&[&q], K).1.bound_survivors as f64
+            let (_, stats) = store.knn_batch_with_stats(&[&q], K);
+            metrics.record_scan(&stats, None, 1, n);
+            stats.bound_survivors as f64
         })
         .collect();
     survivors.sort_by(f64::total_cmp);
@@ -501,124 +476,6 @@ fn f64_stream(
             out
         })
         .collect()
-}
-
-/// The approximate int8 view versus the f64 paths over one uniform N-row
-/// corpus — the same corpus family as [`bench_scan`], the geometry of
-/// trained-model embeddings (smoothly spread rows; see `DESIGN.md` §12
-/// for why corpora whose neighbours sit below one quantization step are
-/// excluded from the recall gate).
-///
-/// Two gates run in-process (panic on failure):
-///
-/// * exhaustive quantized scan recall@10 ≥ 0.99 after the exact rerank
-///   (measured by [`shortlist_recall_at_k`], which also publishes the
-///   `neutraj_quant_recall_at_k` gauge into `registry`);
-/// * IVF-shortlist quantized scan recall@10 ≥ 0.99 against the f64
-///   shortlist over the *same* candidate lists.
-///
-/// The speed ratios are printed, not gated: what the codes buy a lone
-/// exact query is gated in [`bench_scan`].
-fn bench_quant(n: usize, dim: usize, batch: usize, seed: u64, registry: &Registry) -> QuantRow {
-    let mut state = seed ^ GOLDEN_GAMMA; // same corpus as bench_scan
-    let store = {
-        let mut store = EmbeddingStore::new(dim);
-        let mut row = vec![0.0; dim];
-        for _ in 0..n {
-            for v in &mut row {
-                *v = unit_f64(&mut state);
-            }
-            store.push(&row);
-        }
-        store
-    };
-    let queries: Vec<Vec<f64>> = (0..batch)
-        .map(|_| (0..dim).map(|_| unit_f64(&mut state)).collect())
-        .collect();
-    let qrefs: Vec<&[f64]> = queries.iter().map(|q| q.as_slice()).collect();
-    let quant = QuantizedStore::from_store(&store);
-
-    // Recall + byte accounting through the eval harness.
-    let rep = shortlist_recall_at_k(
-        &store,
-        &qrefs,
-        K,
-        |q, k| quant.knn_batch(&store, q, k),
-        Some(&registry.gauge(names::QUANT_RECALL_AT_K)),
-    );
-    let bytes_int8 = rep.stats.bytes_scanned;
-    let bytes_f64 = rep.stats.rows_scanned * (8 * dim + 8);
-    assert!(
-        rep.recall_at_k >= 0.99,
-        "quant-gate: n={n} exhaustive recall@{K} {:.4} < 0.99",
-        rep.recall_at_k
-    );
-    println!(
-        "  quant-scan n={n}: recall@{K} {:.4} (>= 0.99), {} int8 bytes vs {} f64 bytes ({:.1}x less traffic)",
-        rep.recall_at_k,
-        bytes_int8,
-        bytes_f64,
-        bytes_f64 as f64 / bytes_int8.max(1) as f64
-    );
-
-    let f64_scan_qps = time_qps(batch, || {
-        std::hint::black_box(store.knn_batch(&qrefs, K));
-    });
-    let int8_scan_qps = time_qps(batch, || {
-        std::hint::black_box(quant.knn_batch(&store, &qrefs, K));
-    });
-    println!(
-        "  quant-scan n={n}: f64 {f64_scan_qps:.1} q/s, int8 {int8_scan_qps:.1} q/s ({:.2}x)",
-        int8_scan_qps / f64_scan_qps
-    );
-
-    // IVF shortlist leg: both sides probe the same lists, so the recall
-    // delta isolates the u8 scoring (the candidate sets are identical).
-    let nlists = isqrt(n).max(4);
-    let quantizer = KMeans::fit(
-        store.as_flat(),
-        dim,
-        &KMeansParams {
-            k: nlists,
-            max_iters: 10,
-            sample: if n > 200_000 { 100_000 } else { 0 },
-            seed,
-        },
-    );
-    let index: AnnIndex = IvfIndex::build(quantizer, store.as_flat());
-    let nlists = index.nlists();
-    let nprobe = (nlists / 4).max(1);
-    let f64_ann = store.knn_ann_batch(&qrefs, K, &index, nprobe).0;
-    let int8_ann = quant.knn_ann_batch(&store, &qrefs, K, &index, nprobe).0;
-    let ann_recall = mean_overlap_at_k(&f64_ann, &int8_ann, K);
-    assert!(
-        ann_recall >= 0.99,
-        "quant-gate: n={n} ann recall@{K} {ann_recall:.4} < 0.99 at nprobe {nprobe}"
-    );
-    let ann_f64_qps = time_qps(batch, || {
-        std::hint::black_box(store.knn_ann_batch(&qrefs, K, &index, nprobe));
-    });
-    let ann_int8_qps = time_qps(batch, || {
-        std::hint::black_box(quant.knn_ann_batch(&store, &qrefs, K, &index, nprobe));
-    });
-    println!(
-        "  quant-ann n={n}: nprobe {nprobe}/{nlists} recall@{K} {ann_recall:.4}, f64 {ann_f64_qps:.1} q/s, int8 {ann_int8_qps:.1} q/s ({:.2}x)",
-        ann_int8_qps / ann_f64_qps
-    );
-
-    QuantRow {
-        n,
-        f64_scan_qps,
-        int8_scan_qps,
-        scan_recall: rep.recall_at_k,
-        bytes_int8,
-        bytes_f64,
-        ann_f64_qps,
-        ann_int8_qps,
-        ann_recall,
-        nlists,
-        nprobe,
-    }
 }
 
 fn bench_embed(kind: BackboneKind, dim: usize, batch: usize, seed: u64) -> EmbedRow {
@@ -753,23 +610,6 @@ fn bench_serving(n: usize, dim: usize, batch: usize, seed: u64, registry: &Regis
         "  serving n={n}: ann shortlist (nprobe {nprobe}/{nlists}) {ann_qps:.1} q/s ({:.2}x vs exhaustive)",
         ann_qps / enabled_qps
     );
-
-    // Quantized serving leg: the same pipeline with the int8 scan
-    // scoring the embedding shortlist (exact rerank inside the scan, so
-    // the measure rerank sees true distances). Runs instrumented so the
-    // exported registry carries nonzero `neutraj_quant_*` counters.
-    db.build_quantized_store();
-    let quant_query = Query::new(K)
-        .shortlist(50)
-        .rerank(&DiscreteFrechet)
-        .quantized();
-    let quant_qps = time_qps(batch, || {
-        let _ = std::hint::black_box(db.search_batch(&queries, &quant_query));
-    });
-    println!(
-        "  serving n={n}: int8 quantized scan {quant_qps:.1} q/s ({:.2}x vs exhaustive f64)",
-        quant_qps / enabled_qps
-    );
     ServingRow {
         n,
         disabled_qps,
@@ -777,7 +617,6 @@ fn bench_serving(n: usize, dim: usize, batch: usize, seed: u64, registry: &Regis
         ann_qps,
         ann_nlists: nlists,
         ann_nprobe: nprobe,
-        quant_qps,
     }
 }
 
@@ -1205,7 +1044,6 @@ fn render_json(
     host_cpus: usize,
     scan: &[ScanRow],
     embed: &[EmbedRow],
-    quant: &[QuantRow],
     serving: &ServingRow,
     ann: &[AnnSection],
     graph: &[GraphSection],
@@ -1246,44 +1084,15 @@ fn render_json(
         })
         .collect::<Vec<_>>()
         .join(",\n");
-    // `quant_recall_ok` is the key the CI smoke greps; like the ANN
-    // sweep, the in-process gates panic before an untrue value could
-    // render, but compute it from the data anyway.
-    let quant_recall_ok = quant
-        .iter()
-        .all(|r| r.scan_recall >= 0.99 && r.ann_recall >= 0.99);
-    let quant_objs = quant
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\n      \"n\": {},\n      \"f64_scan_qps\": {:.2},\n      \"int8_scan_qps\": {:.2},\n      \"scan_speedup\": {:.4},\n      \"scan_recall_at_10\": {:.4},\n      \"bytes_int8\": {},\n      \"bytes_f64\": {},\n      \"ann_nlists\": {},\n      \"ann_nprobe\": {},\n      \"ann_f64_qps\": {:.2},\n      \"ann_int8_qps\": {:.2},\n      \"ann_speedup\": {:.4},\n      \"ann_recall_at_10\": {:.4}\n    }}",
-                r.n,
-                r.f64_scan_qps,
-                r.int8_scan_qps,
-                r.int8_scan_qps / r.f64_scan_qps,
-                r.scan_recall,
-                r.bytes_int8,
-                r.bytes_f64,
-                r.nlists,
-                r.nprobe,
-                r.ann_f64_qps,
-                r.ann_int8_qps,
-                r.ann_int8_qps / r.ann_f64_qps,
-                r.ann_recall
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
     let serving_obj = format!(
-        "  \"serving\": {{\n    \"n\": {},\n    \"metrics_disabled_qps\": {:.2},\n    \"metrics_enabled_qps\": {:.2},\n    \"metrics_overhead\": {:.4},\n    \"ann_qps\": {:.2},\n    \"ann_nlists\": {},\n    \"ann_nprobe\": {},\n    \"quant_qps\": {:.2}\n  }}",
+        "  \"serving\": {{\n    \"n\": {},\n    \"metrics_disabled_qps\": {:.2},\n    \"metrics_enabled_qps\": {:.2},\n    \"metrics_overhead\": {:.4},\n    \"ann_qps\": {:.2},\n    \"ann_nlists\": {},\n    \"ann_nprobe\": {}\n  }}",
         serving.n,
         serving.disabled_qps,
         serving.enabled_qps,
         serving.disabled_qps / serving.enabled_qps - 1.0,
         serving.ann_qps,
         serving.ann_nlists,
-        serving.ann_nprobe,
-        serving.quant_qps
+        serving.ann_nprobe
     );
     // The ANN block only appears on `--ann` runs; `ann_recall_ok` is the
     // key the CI smoke greps for. It can only render as true — the sweep
@@ -1327,7 +1136,7 @@ fn render_json(
     // render as true — the in-process gates panic otherwise — but
     // compute it from the data anyway. Each section also records the
     // matched-recall IVF point, so the JSON carries the graph-vs-IVF
-    // comparison alongside the quant block's int8-vs-f64 one.
+    // comparison.
     let graph_obj = if graph.is_empty() {
         String::new()
     } else {
@@ -1371,14 +1180,12 @@ fn render_json(
         format!("  \"graph_recall_ok\": {recall_ok},\n  \"graph\": [\n{sections}\n  ],\n")
     };
     format!(
-        "{{\n  \"bench\": \"query\",\n  \"dim\": {},\n  \"k\": {K},\n  \"batch\": {},\n  \"host_cpus\": {},\n  \"scan\": [\n{}\n  ],\n  \"embed\": [\n{}\n  ],\n  \"quant_recall_ok\": {},\n  \"quant\": [\n{}\n  ],\n{},\n{}{}  \"metrics\": {}\n}}\n",
+        "{{\n  \"bench\": \"query\",\n  \"dim\": {},\n  \"k\": {K},\n  \"batch\": {},\n  \"host_cpus\": {},\n  \"scan\": [\n{}\n  ],\n  \"embed\": [\n{}\n  ],\n{},\n{}{}  \"metrics\": {}\n}}\n",
         cli.dim,
         cli.queries,
         host_cpus,
         scan_objs,
         embed_objs,
-        quant_recall_ok,
-        quant_objs,
         serving_obj,
         ann_obj,
         graph_obj,

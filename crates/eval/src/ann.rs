@@ -2,13 +2,13 @@
 //!
 //! Two recall notions, matching how a shortlist view can miss:
 //!
-//! * [`shortlist_recall_at_k`] — a shortlist scan (an IVF probe, the
-//!   int8 codes, an HNSW beam: whatever the `scan` closure runs) versus
-//!   the **brute-force embedding scan** on the same store. Every view
-//!   scores what it returns exactly, so distances are bit-identical
-//!   between the two and any gap is purely rows the view left out. These
-//!   are the numbers the serving bench gates on (`recall@10 ≥ 0.98` for
-//!   IVF, `≥ 0.99` for int8 and the graph).
+//! * [`shortlist_recall_at_k`] — a shortlist scan (an IVF probe or an
+//!   HNSW beam: whatever the `scan` closure runs) versus the
+//!   **brute-force embedding scan** on the same store. Every view scores
+//!   what it returns exactly, so distances are bit-identical between the
+//!   two and any gap is purely rows the view left out. These are the
+//!   numbers the serving bench gates on (`recall@10 ≥ 0.98` for IVF,
+//!   `≥ 0.99` for the graph).
 //! * [`exact_measure_recall_at_k`] — the end-to-end ANN + exact-rerank
 //!   search versus exact-measure ground truth from the
 //!   `GroundTruthEngine` knn path (the pruned exact engine of
@@ -17,8 +17,7 @@
 //!
 //! The serving path never writes a recall gauge (it has no ground
 //! truth); evaluation does, into the gauge the caller hands over —
-//! `neutraj_ann_recall_at_k`, `neutraj_quant_recall_at_k` or
-//! `neutraj_graph_recall_at_k`.
+//! `neutraj_ann_recall_at_k` or `neutraj_graph_recall_at_k`.
 
 use neutraj_measures::{GroundTruthEngine, Measure, Neighbor};
 use neutraj_model::{EmbeddingStore, Query, ScanStats, SimilarityDb};
@@ -40,8 +39,7 @@ pub struct RecallReport {
     pub stats: ScanStats,
     /// Mean fraction of the corpus scored exactly in f64 per query — the
     /// realized sub-linearity of an IVF or graph shortlist (1.0 means the
-    /// "shortlist" was the whole corpus; 0 for an int8 scan, which counts
-    /// `stats.rows_scanned` instead).
+    /// "shortlist" was the whole corpus).
     pub mean_rerank_depth: f64,
 }
 
@@ -79,8 +77,7 @@ pub fn mean_overlap_at_k(truth: &[Vec<Neighbor>], approx: &[Vec<Neighbor>], k: u
 /// Scores one shortlist scan against the brute-force norm-trick scan on
 /// `store`. `scan` answers the same queries at the same depth through
 /// the view under test — `|q, k| store.knn_ann_batch(q, k, &index,
-/// nprobe)`, `|q, k| quant.knn_batch(&store, q, k)`, `|q, k|
-/// store.knn_graph_batch(q, k, &graph, ef)`. Both sides rank by the same
+/// nprobe)` or `|q, k| store.knn_graph_batch(q, k, &graph, ef)`. Both sides rank by the same
 /// exact embedding distance, so the reported recall is exactly the
 /// fraction of true top-`k` rows the view reached. Publishes it into
 /// `gauge` when given.
@@ -158,9 +155,7 @@ mod tests {
     use neutraj_cluster::{KMeans, KMeansParams};
     use neutraj_index::IvfIndex;
     use neutraj_measures::Hausdorff;
-    use neutraj_model::{
-        AnnIndex, AnnParams, BackboneKind, NeuTrajModel, QuantizedStore, TrainConfig,
-    };
+    use neutraj_model::{AnnIndex, AnnParams, BackboneKind, NeuTrajModel, TrainConfig};
     use neutraj_obs::{names, Registry};
     use neutraj_trajectory::rng::splitmix64;
     use neutraj_trajectory::{BoundingBox, Grid, Point, Trajectory};
@@ -228,10 +223,7 @@ mod tests {
         assert_eq!(partial.stats.lists_probed, queries.len());
     }
 
-    /// Smoothly spread rows, like trained-model embeddings. (The blob
-    /// store is *adversarial* for per-row int8: its intra-blob jitter is
-    /// smaller than the quantization step, so same-blob rows tie under
-    /// code noise — see DESIGN.md §12 on the resolution floor.)
+    /// Smoothly spread rows, like trained-model embeddings.
     fn uniform_store(n: usize, dim: usize) -> EmbeddingStore {
         let mut seed = 11u64;
         let mut unit = move || {
@@ -244,40 +236,6 @@ mod tests {
             .map(|_| (0..dim).map(|_| unit() * 4.0 - 2.0).collect())
             .collect();
         EmbeddingStore::from_embeddings(dim, &embs)
-    }
-
-    #[test]
-    fn quantized_scan_recall_at_10_clears_the_serving_gate() {
-        let store = uniform_store(2000, 16);
-        let quant = QuantizedStore::from_store(&store);
-        let queries: Vec<&[f64]> = (0..25).map(|i| store.get(i * 71 + 3)).collect();
-        let registry = Registry::new();
-        let gauge = registry.gauge(names::QUANT_RECALL_AT_K);
-        let int8 = |q: &[&[f64]], k| quant.knn_batch(&store, q, k);
-        let r = shortlist_recall_at_k(&store, &queries, 10, int8, Some(&gauge));
-        assert!(
-            r.recall_at_k >= 0.99,
-            "quantized recall@10 {} below the 0.99 gate",
-            r.recall_at_k
-        );
-        // Every scored row streamed 48 bytes (16 of codes, 32 of row
-        // columns) where the f64 path streams 136.
-        assert_eq!(r.stats.rows_scanned, queries.len() * store.len());
-        assert_eq!(
-            r.stats.bytes_scanned,
-            r.stats.rows_scanned * (store.dim() + 32)
-        );
-        assert!(r.stats.reranked > 0);
-        assert_eq!(r.mean_rerank_depth, 0.0);
-        // The gauge carries the published recall.
-        let report = registry.snapshot();
-        let gauge = report
-            .gauges
-            .iter()
-            .find(|(n, _)| n == names::QUANT_RECALL_AT_K)
-            .expect("quant recall gauge")
-            .1;
-        assert_eq!(gauge, r.recall_at_k);
     }
 
     #[test]

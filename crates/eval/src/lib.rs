@@ -7,7 +7,7 @@
 //!
 //! * [`metrics`] — top-k hitting ratio `HR@k`, cross recall `R10@50` and
 //!   the distance distortions `δ_H10`/`δ_R10` (§VII-A.4).
-//! * [`ann`] — recall@k of a shortlist serving path (IVF, int8, graph)
+//! * [`ann`] — recall@k of a shortlist serving path (IVF, graph)
 //!   against the brute-force scan and against exact-measure ground truth.
 //! * [`harness`] — corpus construction, ground-truth computation, method
 //!   runners (BruteForce / AP / Siamese / NeuTraj + ablations) and the

@@ -22,13 +22,14 @@
 //! probe the `nprobe` nearest cells, exactly score only their members.
 //! Scored distances are bit-identical to the exhaustive scan's (only
 //! recall is approximate) and inserts keep the index in lockstep. The
-//! HNSW graph ([`SimilarityDb::build_graph_index`]) and the int8 codes
-//! ([`SimilarityDb::build_quantized_store`]) are the other two
-//! [`ShortlistView`]s; all three are installed, dropped and persisted
-//! inside the standard CRC-sealed envelope by the same four methods
+//! HNSW graph ([`SimilarityDb::build_graph_index`]) is the other
+//! [`ShortlistView`]; both are installed, dropped and persisted inside
+//! the standard CRC-sealed envelope by the same four methods
 //! ([`SimilarityDb::set_view`], [`clear_view`](SimilarityDb::clear_view),
 //! [`save_view`](SimilarityDb::save_view),
-//! [`load_view`](SimilarityDb::load_view)).
+//! [`load_view`](SimilarityDb::load_view)). The store's int8 codes are
+//! no view: they are a column of the store itself, which the exact scan
+//! of a narrow batch reads (see the `search` module).
 
 use crate::backbone::NeuTrajModel;
 use crate::loss::pair_similarity;
@@ -97,8 +98,8 @@ impl Rows {
 /// index coarse-quantized by k-means.
 pub type AnnIndex = IvfIndex<KMeans>;
 
-/// One shortlist view over the stored embeddings — the IVF index, the
-/// HNSW graph or the int8 codes — seen only as something the database
+/// One shortlist view over the stored embeddings — the IVF index or the
+/// HNSW graph — seen only as something the database
 /// keeps: a row count that grows in lockstep with the store, and one
 /// sealed section to travel as. [`SimilarityDb::set_view`],
 /// [`clear_view`](SimilarityDb::clear_view),
@@ -116,12 +117,7 @@ pub trait ShortlistView: Sized {
     /// Row dimensionality, for a view that stores vectors (the graph
     /// stores none).
     fn dim(&self) -> Option<usize>;
-    /// Whether the view may serve `store`, beyond its shape (which
-    /// [`SimilarityDb::set_view`] checks for every view).
-    fn fits(&self, _store: &EmbeddingStore) -> bool {
-        true
-    }
-    /// The view's section bytes (`NTIVF01`, `NTHNSW01`, `NTQ08`).
+    /// The view's section bytes (`NTIVF01`, `NTHNSW01`).
     fn encode(&self) -> Vec<u8>;
     /// Parses a section written by [`Self::encode`], checking its
     /// structural invariants.
@@ -177,36 +173,6 @@ impl ShortlistView for HnswIndex {
     }
     fn install(db: &mut SimilarityDb, view: Option<Self>) {
         db.graph = view;
-    }
-}
-
-/// The int8 view *is* the store's code column: installing one only
-/// switches `Query::quantized()` on, and a view is adopted only when it
-/// holds exactly the codes the store derives from its own rows — the
-/// exact scan trusts those codes' error bounds.
-impl ShortlistView for QuantizedStore {
-    const NAME: &'static str = "quantized store";
-    type DecodeError = PersistError;
-    fn rows(&self) -> usize {
-        self.len()
-    }
-    fn dim(&self) -> Option<usize> {
-        Some(QuantizedStore::dim(self))
-    }
-    fn fits(&self, store: &EmbeddingStore) -> bool {
-        self.same_codes(store.codes())
-    }
-    fn encode(&self) -> Vec<u8> {
-        self.to_bytes()
-    }
-    fn decode(bytes: &[u8]) -> Result<Self, PersistError> {
-        Self::from_bytes(bytes)
-    }
-    fn slot(db: &SimilarityDb) -> Option<&Self> {
-        db.quant.then(|| db.embeddings.codes())
-    }
-    fn install(db: &mut SimilarityDb, view: Option<Self>) {
-        db.quant = view.is_some();
     }
 }
 
@@ -338,7 +304,7 @@ impl DbMetrics {
         self.quant_rows_scanned.add(stats.rows_scanned as u64);
         self.quant_bytes_scanned.add(stats.bytes_scanned as u64);
         // Rows scored exactly in f64 belong to the graph walk when there
-        // is a beam, else to the IVF probe (an int8 scan has none).
+        // is a beam, else to the IVF probe (the exact scan counts none).
         let (scanned, depth) = match ef {
             Some(ef) => {
                 self.graph_ef.observe(ef as f64);
@@ -399,14 +365,11 @@ pub struct SimilarityDb {
     /// Embeddings + precomputed row norms for norm-trick scans.
     embeddings: EmbeddingStore,
     /// The [`ShortlistView`]s over the embeddings — IVF index, HNSW
-    /// graph, int8 codes. Each is off until its `build_*` (or a
+    /// graph. Each is off until its `build_*` (or a
     /// [`SimilarityDb::load_view`]) installs it, and from then on
-    /// [`SimilarityDb::insert`] keeps it in lockstep with the store. The
-    /// int8 view is the store's own code column, so only whether it is
-    /// installed is kept here.
+    /// [`SimilarityDb::insert`] keeps it in lockstep with the store.
     ann: Option<AnnIndex>,
     graph: Option<HnswIndex>,
-    quant: bool,
     /// `None` (the default) records nothing; cloning an instrumented db
     /// shares the underlying instruments.
     metrics: Option<DbMetrics>,
@@ -422,7 +385,6 @@ impl SimilarityDb {
             embeddings: store,
             ann: None,
             graph: None,
-            quant: false,
             metrics: None,
         }
     }
@@ -559,26 +521,19 @@ impl SimilarityDb {
         self.graph.as_ref()
     }
 
-    /// Switches on the int8 view of the corpus for [`Query::quantized`]
-    /// scans. The view is the store's own code column — every row was
-    /// quantized, on its own scale, when it was pushed — so this copies
-    /// nothing, and later [`SimilarityDb::insert`]s keep it in lockstep.
-    pub fn build_quantized_store(&mut self) {
-        self.quant = true;
-    }
-
-    /// The current quantized view, when one is built or loaded.
+    /// The store's int8 codes — every row quantized, on its own scale,
+    /// when it was pushed. Always `Some`: the `Option` is a compatibility
+    /// spelling from when the codes were an optional view.
     pub fn quantized_store(&self) -> Option<&QuantizedStore> {
-        QuantizedStore::slot(self)
+        Some(self.embeddings.codes())
     }
 
     /// Installs an externally built view after checking it matches the
-    /// corpus (row count, dimensionality where the view has one, and
-    /// [`ShortlistView::fits`]).
+    /// corpus (row count, and dimensionality where the view has one).
     pub fn set_view<V: ShortlistView>(&mut self, view: V) -> Result<(), DbError> {
         let dim = self.embeddings.dim();
         let view_dim = view.dim().unwrap_or(dim);
-        if view_dim != dim || view.rows() != self.len() || !view.fits(&self.embeddings) {
+        if view_dim != dim || view.rows() != self.len() {
             return Err(self.reject(DbError::InvalidConfig(format!(
                 "{} (dim {view_dim}, {} rows) does not match corpus (dim {dim}, {} rows)",
                 V::NAME,
@@ -665,7 +620,6 @@ impl SimilarityDb {
         if let Err(reason) = query.validate() {
             return Err(self.reject(DbError::InvalidConfig(reason)));
         }
-        self.require::<QuantizedStore>(query.is_quantized(), "quantized")?;
         self.require::<AnnIndex>(query.ann_nprobe().is_some(), "shortlist_ann")?;
         self.require::<HnswIndex>(query.graph_ef().is_some(), "shortlist_graph")
     }
@@ -683,11 +637,9 @@ impl SimilarityDb {
 
     /// The embedding-space scan stage shared by every search path: the
     /// exhaustive exact scan, or whichever shortlist view the query
-    /// asks for — int8 codes (whose over-fetched shortlist is re-scored
-    /// against the f64 store, so returned distances are exact), IVF
-    /// lists, both, or the graph — with the work it did recorded in one
-    /// place. Never reads the re-rank measure. Configuration has already
-    /// passed [`Self::check_query`].
+    /// asks for — IVF lists or the graph — with the work it did recorded
+    /// in one place. Never reads the re-rank measure. Configuration has
+    /// already passed [`Self::check_query`].
     fn scan_batch<M: Copy>(
         &self,
         qrefs: &[&[f64]],
@@ -696,19 +648,17 @@ impl SimilarityDb {
     ) -> (Vec<Vec<Neighbor>>, ScanStats) {
         const BUILT: &str = "check_query verified the view is built";
         let store = &self.embeddings;
-        let ann = || self.ann.as_ref().expect(BUILT);
-        let quant = || self.quantized_store().expect(BUILT);
         // The beam must be at least as wide as the fetch depth or the
         // shortlist could never fill it.
         let ef = query.graph_ef().map(|ef| ef.max(fetch));
-        let (shorts, stats) = match (query.is_quantized(), ef, query.ann_nprobe()) {
-            (true, _, None) => quant().knn_batch(store, qrefs, fetch),
-            (true, _, Some(nprobe)) => quant().knn_ann_batch(store, qrefs, fetch, ann(), nprobe),
-            (false, Some(ef), _) => {
+        let (shorts, stats) = match (ef, query.ann_nprobe()) {
+            (Some(ef), _) => {
                 store.knn_graph_batch(qrefs, fetch, self.graph.as_ref().expect(BUILT), ef)
             }
-            (false, None, Some(nprobe)) => store.knn_ann_batch(qrefs, fetch, ann(), nprobe),
-            (false, None, None) => store.knn_batch_with_stats(qrefs, fetch),
+            (None, Some(nprobe)) => {
+                store.knn_ann_batch(qrefs, fetch, self.ann.as_ref().expect(BUILT), nprobe)
+            }
+            (None, None) => store.knn_batch_with_stats(qrefs, fetch),
         };
         if let Some(m) = &self.metrics {
             m.record_scan(&stats, ef, qrefs.len(), self.len());
@@ -718,8 +668,8 @@ impl SimilarityDb {
 
     /// The embedding-space scan stage as a public seam: top-`fetch`
     /// neighbors for each already-embedded query, through whichever path
-    /// `query` selects (exhaustive scan, IVF shortlist, graph, quantized
-    /// view), *without* the re-rank stage or `k` truncation — so it takes
+    /// `query` selects (exhaustive scan, IVF shortlist, graph), *without*
+    /// the re-rank stage or `k` truncation — so it takes
     /// either query form and never looks at the measure. The scan's
     /// [`ScanStats`] come back beside the lists, for a caller that keeps
     /// its own metrics.
@@ -827,7 +777,6 @@ impl SimilarityDb {
             embeddings: self.embeddings.successor(ts.len()),
             ann: self.ann.clone(),
             graph: self.graph.clone(),
-            quant: self.quant,
             metrics: self.metrics.clone(),
         };
         next.append_rows(&embs, ts.iter().cloned());
@@ -1591,6 +1540,9 @@ mod tests {
         assert_eq!(before, after);
     }
 
+    /// A "quantized" query is the plain one: exhaustive answers, bit for
+    /// bit, for every target flavor and composed with IVF and re-ranking,
+    /// with no view to build first.
     #[test]
     fn quantized_query_matches_exhaustive_on_small_corpus() {
         let (model, trajs) = trained_model_and_corpus();
@@ -1598,16 +1550,6 @@ mod tests {
         let mut db = SimilarityDb::with_corpus(model, trajs[..30].to_vec(), 2);
         db.instrument(&registry);
 
-        // Without the int8 view the query is a typed config rejection.
-        let err = db
-            .search(&trajs[3], &Query::new(6).quantized())
-            .unwrap_err();
-        assert!(matches!(err, DbError::InvalidConfig(_)), "{err}");
-
-        db.build_quantized_store();
-        // At 30 rows the over-fetched shortlist covers the whole corpus,
-        // so the exact rerank makes quantized == exhaustive, bit for bit,
-        // for every target flavor.
         let q = Query::new(6);
         let qq = Query::new(6).quantized();
         assert_eq!(
@@ -1644,14 +1586,14 @@ mod tests {
             .unwrap();
         assert_eq!(rr[0].index, 3);
 
-        // Inserts keep the view in lockstep.
+        // Inserts keep the store's codes in lockstep.
         let idx = db.insert(trajs[35].clone()).unwrap();
         assert_eq!(db.quantized_store().unwrap().len(), db.len());
         let res = db.search(&trajs[35], &Query::new(1).quantized()).unwrap();
         assert_eq!(res[0].index, idx);
 
-        // The quantized work was counted, and each scored row cost
-        // dim + 32 bytes (vs 8·dim + 8 on the f64 path).
+        // The exact scans narrower than a stripe streamed the codes, and
+        // each row cost dim + 32 bytes (vs 8·dim + 8 on the f64 path).
         let report = registry.snapshot();
         let counter = |name: &str| {
             report
@@ -1756,31 +1698,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn quantized_store_persists_through_the_sealed_envelope() {
-        view_lifecycle::<QuantizedStore>(
-            SimilarityDb::build_quantized_store,
-            Query::new(3).quantized(),
-        );
-    }
-
-    /// The exact scan trusts the store's codes, so an int8 view is
-    /// adopted only when it is exactly those codes: one of another corpus
-    /// with the same shape is turned away.
-    #[test]
-    fn an_int8_view_is_adopted_only_if_it_is_the_stores_own_codes() {
-        let (model, trajs) = trained_model_and_corpus();
-        let mut db = SimilarityDb::with_corpus(model.clone(), trajs[..10].to_vec(), 1);
-        let other = SimilarityDb::with_corpus(model, trajs[10..20].to_vec(), 1);
-        let foreign = QuantizedStore::from_store(other.store());
-        assert_eq!((foreign.len(), foreign.dim()), (db.len(), db.model().dim()));
-        let err = db.set_view(foreign).unwrap_err();
-        assert!(matches!(err, DbError::InvalidConfig(_)), "{err}");
-        assert!(db.quantized_store().is_none());
-        db.set_view(QuantizedStore::from_store(db.store())).unwrap();
-        assert_eq!(db.quantized_store(), Some(db.store().codes()));
-    }
-
     /// The metric catalogue, database half: each scan path moves every
     /// series it owns and none of another path's.
     #[test]
@@ -1799,22 +1716,12 @@ mod tests {
             QUANT_BYTES_SCANNED_TOTAL,
             EXACT_BOUND_SURVIVORS,
         ];
-        let ann = &SERIES[..3];
-        let graph = &SERIES[3..8];
-        let quant = &SERIES[8..10];
-        let int8_ivf = [&SERIES[..1], quant].concat();
-        let paths: [(&str, Query, &[&str]); 5] = [
+        let paths: [(&str, Query, &[&str]); 3] = [
             // A batch of three and a lone query: both narrower than a
-            // stripe, so both go through the int8 bound.
-            ("exact", Query::new(4), &SERIES[10..]),
-            ("int8", Query::new(4).quantized(), quant),
-            ("ivf", Query::new(4).shortlist_ann(2), ann),
-            (
-                "int8 + ivf",
-                Query::new(4).quantized().shortlist_ann(2),
-                &int8_ivf,
-            ),
-            ("graph", Query::new(4).shortlist_graph(16), graph),
+            // stripe, so both stream the codes through the int8 bound.
+            ("exact", Query::new(4), &SERIES[8..]),
+            ("ivf", Query::new(4).shortlist_ann(2), &SERIES[..3]),
+            ("graph", Query::new(4).shortlist_graph(16), &SERIES[3..8]),
         ];
 
         let (model, trajs) = trained_model_and_corpus();
@@ -1826,7 +1733,6 @@ mod tests {
         })
         .unwrap();
         db.build_graph_index(&HnswParams::default(), 2).unwrap();
-        db.build_quantized_store();
         db.instrument(&registry);
         // A counter's value, or a histogram's observation count.
         let read = || -> Vec<u64> {
@@ -1856,9 +1762,9 @@ mod tests {
             }
             lists_probed.push(after[0] - before[0]);
         }
-        // The lists probed are counted, not estimated: the same queries
-        // at the same nprobe probe the same lists through f64 or int8.
-        assert_eq!(lists_probed, [0, 0, 4 * 2, 4 * 2, 0]);
+        // The lists probed are counted, not estimated: four queries at
+        // nprobe 2.
+        assert_eq!(lists_probed, [0, 4 * 2, 0]);
     }
 
     // -- Copy-on-write successors (`inserted`) ------------------------------
@@ -1908,7 +1814,8 @@ mod tests {
         V::slot(db).map(V::encode)
     }
 
-    /// Same rows, same store, same view bytes, same answers.
+    /// Same rows, same store (rows, norms and codes), same view bytes,
+    /// same answers.
     fn assert_same_db(got: &SimilarityDb, want: &SimilarityDb, queries: &[Trajectory], what: &str) {
         assert_eq!(got.len(), want.len(), "{what}: len");
         assert!(got.store() == want.store(), "{what}: store");
@@ -1922,11 +1829,6 @@ mod tests {
             encoded::<HnswIndex>(want),
             "{what}: graph"
         );
-        assert_eq!(
-            encoded::<QuantizedStore>(got),
-            encoded::<QuantizedStore>(want),
-            "{what}: int8"
-        );
         for i in 0..=want.len() {
             assert_eq!(got.get(i), want.get(i), "{what}: row {i}");
         }
@@ -1936,9 +1838,6 @@ mod tests {
         }
         if want.graph_index().is_some() {
             specs.push(Query::new(5).shortlist_graph(16));
-        }
-        if want.quantized_store().is_some() {
-            specs.push(Query::new(5).quantized());
         }
         for spec in &specs {
             assert_eq!(
@@ -1995,9 +1894,8 @@ mod tests {
     #[test]
     fn inserted_chain_equals_the_deep_copy_chain() {
         type Build = fn(&mut SimilarityDb);
-        let views: [(&str, Build); 5] = [
+        let views: [(&str, Build); 4] = [
             ("exact", |_| ()),
-            ("int8", SimilarityDb::build_quantized_store),
             ("ivf", |db| {
                 let params = AnnParams {
                     nlists: 4,
@@ -2008,8 +1906,7 @@ mod tests {
             ("graph", |db| {
                 db.build_graph_index(&HnswParams::default(), 2).unwrap()
             }),
-            ("all three", |db| {
-                db.build_quantized_store();
+            ("both", |db| {
                 let params = AnnParams {
                     nlists: 4,
                     ..Default::default()
@@ -2053,8 +1950,7 @@ mod tests {
     fn forked_successors_are_independent_and_the_parent_is_untouched() {
         let (model, trajs) = untrained_corpus(CHUNK + 40);
         let n0 = CHUNK + 9; // a partly filled last chunk, shared by all three
-        let mut parent = SimilarityDb::with_corpus(model, trajs[..n0].to_vec(), 2);
-        parent.build_quantized_store();
+        let parent = SimilarityDb::with_corpus(model, trajs[..n0].to_vec(), 2);
         let queries = &trajs[trajs.len() - 3..];
         let frozen = parent.inserted_by_deep_copy(&[]).unwrap();
 

@@ -67,7 +67,7 @@ pub use fault::{FaultyReader, FaultyWriter};
 pub use loss::{pair_similarity, PairLoss, RankedBatchLoss};
 pub use neutraj_index::{HnswIndex, HnswParams};
 pub use persist::PersistError;
-pub use quant::{QuantizedQuery, QuantizedStore, QUANT_MAX_DIM};
+pub use quant::{QuantizedStore, QUANT_MAX_DIM};
 pub use query::{Query, QueryOf, QuerySpec, QueryTarget};
 pub use sampling::{ranked_random_samples, ranked_weighted_samples, AnchorSamples};
 pub use search::{EmbeddingStore, ScanStats};

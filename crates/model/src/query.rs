@@ -1,7 +1,9 @@
 //! The unified query surface for [`SimilarityDb`](crate::SimilarityDb).
 //!
-//! One [`QueryOf`] value describes *how* to search (result size,
-//! shortlist view, optional exact re-ranking); a [`QueryTarget`]
+//! One [`QueryOf`] value describes *how* to search (result size, an
+//! optional IVF or graph shortlist, optional exact re-ranking — the
+//! exhaustive scan is exact whichever of its two regimes answers); a
+//! [`QueryTarget`]
 //! describes *what* to search for (an ad-hoc trajectory, a precomputed
 //! embedding, or a stored item). The struct is generic over how the
 //! re-rank measure is named, and that is the only difference between its
@@ -38,7 +40,6 @@ pub struct QueryOf<M> {
     shortlist: Option<usize>,
     ann: Option<usize>,
     graph: Option<usize>,
-    quantized: bool,
     rerank: Option<M>,
 }
 
@@ -60,7 +61,6 @@ impl<M: Copy> QueryOf<M> {
             shortlist: None,
             ann: None,
             graph: None,
-            quantized: false,
             rerank: None,
         }
     }
@@ -101,7 +101,7 @@ impl<M: Copy> QueryOf<M> {
     /// a graph index
     /// ([`SimilarityDb::build_graph_index`](crate::SimilarityDb::build_graph_index));
     /// searching without one — or with `ef == 0`, `ef < k`, or combined
-    /// with [`Self::shortlist_ann`]/[`Self::quantized`] — returns
+    /// with [`Self::shortlist_ann`] — returns
     /// [`DbError::InvalidConfig`](crate::DbError::InvalidConfig).
     ///
     /// Composes with [`Self::rerank`]: the graph scan retrieves the
@@ -113,22 +113,11 @@ impl<M: Copy> QueryOf<M> {
         self
     }
 
-    /// Scans through the database's int8-quantized embedding view
-    /// instead of the f64 rows: ~8× fewer bytes streamed per scored
-    /// row, an over-fetched approximate shortlist, then an exact
-    /// re-score against the f64 store — so returned *distances* are
-    /// always exact and only *recall* is approximate (≥ 0.99 @ 10 on
-    /// the eval harness). Requires
-    /// [`SimilarityDb::build_quantized_store`](crate::SimilarityDb::build_quantized_store);
-    /// searching without one returns
-    /// [`DbError::InvalidConfig`](crate::DbError::InvalidConfig).
-    ///
-    /// Composes with [`Self::shortlist_ann`] (the IVF candidates are
-    /// scored through their codes) and with [`Self::rerank`] (the
-    /// quantized scan retrieves the shortlist the exact measure
-    /// re-ranks).
-    pub fn quantized(mut self) -> Self {
-        self.quantized = true;
+    /// Returns the query unchanged. A compatibility spelling: the exact
+    /// scan already reads the store's int8 codes whenever that is faster
+    /// (a batch narrower than one f64 stripe) and its answers are exact
+    /// either way, so there is no separate int8 path left to ask for.
+    pub fn quantized(self) -> Self {
         self
     }
 
@@ -166,7 +155,7 @@ impl<M: Copy> QueryOf<M> {
     /// the only shape the serving overload ladder may downgrade to a
     /// cheaper shortlist view.
     pub fn is_exact_scan(&self) -> bool {
-        !self.quantized && self.ann.is_none() && self.graph.is_none()
+        self.ann.is_none() && self.graph.is_none()
     }
 
     /// The degrade-ladder rewrite from the graph backend to the IVF
@@ -190,9 +179,10 @@ impl<M: Copy> QueryOf<M> {
         self.graph
     }
 
-    /// Whether the scan goes through the quantized embedding view.
+    /// Always `false`: [`Self::quantized`] no longer changes the query. A
+    /// compatibility spelling, like that method.
     pub fn is_quantized(&self) -> bool {
-        self.quantized
+        false
     }
 
     /// The re-rank measure, when configured.
@@ -243,11 +233,6 @@ impl<M: Copy> QueryOf<M> {
                         .into(),
                 );
             }
-            if self.quantized {
-                return Err("shortlist_graph does not compose with the quantized scan \
-                            (the graph already scores exactly in f64)"
-                    .into());
-            }
         }
         Ok(())
     }
@@ -264,7 +249,6 @@ impl QuerySpec {
             shortlist: self.shortlist,
             ann: self.ann,
             graph: self.graph,
-            quantized: self.quantized,
             rerank: measure.as_deref(),
         })
     }
@@ -319,13 +303,14 @@ mod tests {
         let spec = QuerySpec::new(7)
             .shortlist(20)
             .shortlist_ann(3)
-            .quantized()
             .rerank(MeasureKind::Hausdorff);
+        // `quantized()` changes nothing, so the coalescer groups the two.
+        assert_eq!(spec.quantized(), spec);
+        assert!(!spec.quantized().is_quantized());
         spec.with_query(|q| {
             assert_eq!(q.k(), 7);
             assert_eq!(q.effective_shortlist(), 20);
             assert_eq!(q.ann_nprobe(), Some(3));
-            assert!(q.is_quantized());
             assert_eq!(q.rerank_measure().map(|m| m.name()), Some("Hausdorff"));
             assert_eq!(q.scan_fetch(), 20);
         });
@@ -355,7 +340,7 @@ mod tests {
             (QuerySpec::new(5).shortlist_graph(0), false),
             (QuerySpec::new(5).shortlist_graph(3), false),
             (QuerySpec::new(5).shortlist_graph(8).shortlist_ann(2), false),
-            (QuerySpec::new(5).shortlist_graph(8).quantized(), false),
+            (QuerySpec::new(5).shortlist_graph(8).quantized(), true),
             (QuerySpec::new(5).shortlist_graph(8), true),
         ];
         for (spec, ok) in specs {

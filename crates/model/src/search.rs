@@ -184,15 +184,9 @@ impl EmbeddingStore {
         &self.data
     }
 
-    /// Cached `‖row i‖²` — shared with the quantized scan's exact rerank
-    /// so its distances match the norm-trick paths bit-for-bit.
-    pub(crate) fn norm_sq(&self, i: usize) -> f64 {
-        self.norms[i]
-    }
-
     /// The rows' int8 codes — what
     /// [`SimilarityDb::quantized_store`](crate::SimilarityDb::quantized_store)
-    /// hands out as the int8 view.
+    /// hands out.
     pub(crate) fn codes(&self) -> &QuantizedStore {
         &self.codes
     }
@@ -251,8 +245,9 @@ impl EmbeddingStore {
     }
 
     /// [`Self::knn_batch`] with the work it did: for a batch answered
-    /// through the codes, the rows scored through them
-    /// ([`ScanStats::bound_rows`]) and the rows then scored in f64
+    /// through the codes, the rows scored through them and the bytes
+    /// that cost ([`ScanStats::rows_scanned`],
+    /// [`ScanStats::bytes_scanned`]) and the rows then scored in f64
     /// ([`ScanStats::bound_survivors`]); zero for a fused f64 pass.
     pub fn knn_batch_with_stats(
         &self,
@@ -276,7 +271,8 @@ impl EmbeddingStore {
             .iter()
             .map(|q| {
                 self.codes.bounded_rows(q, k, &mut cascade, &mut rows);
-                stats.bound_rows += self.norms.len();
+                stats.rows_scanned += self.codes.len();
+                stats.bytes_scanned += self.codes.len() * self.codes.row_bytes();
                 stats.bound_survivors += rows.len();
                 let qn = dot(q, q);
                 let mut heap = NeighborHeap::new(k);
@@ -537,24 +533,19 @@ pub struct ScanStats {
     /// IVF: inverted lists visited across the batch.
     pub lists_probed: usize,
     /// IVF and graph: rows scored exactly in f64 across the batch (the
-    /// graph's distance evaluations). The int8 paths score through codes
-    /// and count [`Self::rows_scanned`] instead.
+    /// graph's distance evaluations).
     pub candidates_scanned: usize,
     /// Graph: nodes whose adjacency was expanded across the batch.
     pub hops: usize,
     /// Graph: adjacency entries read (visited-array probes).
     pub links_scanned: usize,
-    /// Int8: rows scored through their u8 codes.
+    /// Exact, narrower than a stripe: rows scored through their u8 codes
+    /// to bound their f64 distances (the corpus once per query).
     pub rows_scanned: usize,
-    /// Int8: bytes those rows cost (`dim` code bytes + the four f64 row
-    /// columns the kernel reads, 32 bytes), vs `8·dim + 8` for the f64
-    /// path.
+    /// Exact, narrower than a stripe: bytes those rows cost (`dim` code
+    /// bytes + the four f64 row columns the kernel reads, 32 bytes), vs
+    /// `8·dim + 8` for the fused f64 pass.
     pub bytes_scanned: usize,
-    /// Int8: shortlist survivors re-scored exactly against the f64 store.
-    pub reranked: usize,
-    /// Exact, narrower than a stripe: rows scored through their codes to
-    /// bound their f64 distances (the corpus once per query).
-    pub bound_rows: usize,
     /// Exact, narrower than a stripe: rows whose lower bound let them
     /// through to the f64 score.
     pub bound_survivors: usize,
@@ -565,7 +556,7 @@ impl ScanStats {
     /// `queries`-wide batch (summed over the shards it scanned); `None`
     /// when no query went through the bound.
     pub fn survivors_per_query(&self, queries: usize) -> Option<f64> {
-        (self.bound_rows > 0).then(|| self.bound_survivors as f64 / queries.max(1) as f64)
+        (self.rows_scanned > 0).then(|| self.bound_survivors as f64 / queries.max(1) as f64)
     }
 }
 
@@ -577,8 +568,6 @@ impl std::ops::AddAssign for ScanStats {
         self.links_scanned += o.links_scanned;
         self.rows_scanned += o.rows_scanned;
         self.bytes_scanned += o.bytes_scanned;
-        self.reranked += o.reranked;
-        self.bound_rows += o.bound_rows;
         self.bound_survivors += o.bound_survivors;
     }
 }

@@ -4,10 +4,11 @@
 //! batch size and length mix, and batched norm-trick scans must return
 //! exactly the scalar scan's neighbours — tie ordering included — and
 //! exactly what a stored score matrix pushed row by row into the bounded
-//! heap returns.
+//! heap returns, whether asked through the store or through a copy of its
+//! int8 codes.
 
 use neutraj_measures::{Neighbor, NeighborHeap};
-use neutraj_model::{BackboneKind, EmbeddingStore, NeuTrajModel, TrainConfig};
+use neutraj_model::{BackboneKind, EmbeddingStore, NeuTrajModel, QuantizedStore, TrainConfig};
 use neutraj_nn::linalg::{dot, matmul_nt};
 use neutraj_trajectory::rng::{cases, Rng};
 use neutraj_trajectory::{BoundingBox, Grid, Point, Trajectory};
@@ -142,7 +143,8 @@ fn knn_by_score_matrix(store: &EmbeddingStore, queries: &[&[f64]], k: usize) -> 
 }
 
 /// `knn_batch` against the oracle, bit for bit, for every `k` that
-/// changes how thresholds arm: none kept, one, ten, exactly `N`, more.
+/// changes how thresholds arm: none kept, one, ten, exactly `N`, more —
+/// and at the [`CODE_WIDTHS`], `QuantizedStore::knn_batch` too.
 fn assert_scan_matches_oracle(store: &EmbeddingStore, queries: &[Vec<f64>], what: &str) {
     let n = store.len();
     assert_scan_matches_oracle_at(store, queries, &[0, 1, 10, n, n + 5], what);
@@ -163,19 +165,25 @@ fn assert_scan_matches_oracle_at(
             .map(|l| l.iter().map(|nb| (nb.index, nb.dist.to_bits())).collect())
             .collect()
     };
+    let codes = CODE_WIDTHS
+        .contains(&queries.len())
+        .then(|| QuantizedStore::from_store(store));
     for &k in ks {
         let got = store.knn_batch(&qrefs, k);
         let want = knn_by_score_matrix(store, &qrefs, k);
-        assert_eq!(
-            bits(&got),
-            bits(&want),
-            "{what}: B={} N={n} d={} k={k}",
-            queries.len(),
-            store.dim()
-        );
+        let shape = format!("B={} N={n} d={} k={k}", queries.len(), store.dim());
+        assert_eq!(bits(&got), bits(&want), "{what}: {shape}");
         assert!(got.iter().all(|l| l.len() == k.min(n)));
+        if let Some(codes) = &codes {
+            let (via_codes, _) = codes.knn_batch(store, &qrefs, k);
+            assert_eq!(bits(&via_codes), bits(&want), "{what}, via codes: {shape}");
+        }
     }
 }
+
+/// The batch widths at which the oracle also asks a copy of the store's
+/// codes: the narrowest and widest on each side of the regime switch.
+const CODE_WIDTHS: [usize; 4] = [1, 7, 8, 16];
 
 fn random_rows(rng: &mut Rng, rows: usize, dim: usize) -> Vec<Vec<f64>> {
     (0..rows)
@@ -296,6 +304,8 @@ fn half_step_row(rng: &mut Rng, dim: usize, s: f64) -> (Vec<f64>, Vec<f64>) {
 ///   constant rows, where only the query's does;
 /// * corpora and queries scaled by 10^±150, and by 10^±160, where
 ///   squares overflow or underflow;
+/// * clustered rows whose jitter within a cluster is below one
+///   quantization step, so the codes of a cluster's rows barely differ;
 /// * corpora of 0, 1 and 7 rows;
 /// * non-finite rows and queries, which have no bound: scored, and no
 ///   panic.
@@ -401,6 +411,25 @@ fn bounded_scan_matches_score_matrix_on_adversarial_rows() {
         let mut queries = random_rows(rng, 16, dim);
         queries[2].iter_mut().for_each(|v| *v = (*v + 1.0) * 1e160);
         stores.push(("a few scaled rows and queries", rows, queries));
+
+        // Four clusters of 150 rows, centres in [0, 300) and jitter
+        // in [0, 2): a row's range spans the centres, so its quantization
+        // step (≈ 1.2) is wider than the jitter, and a cluster holds
+        // more rows than any small over-fetch of the codes' ranking could
+        // be sure to cover. Half the queries are stored rows, half fresh
+        // jitter around the centres.
+        let centres: Vec<Vec<f64>> = (0..4)
+            .map(|_| (0..dim).map(|_| rng.gen_range(0u32..300) as f64).collect())
+            .collect();
+        let mut jittered = |c: &[f64]| -> Vec<f64> {
+            c.iter()
+                .map(|v| v + rng.gen_range(0u32..100) as f64 / 50.0)
+                .collect()
+        };
+        let rows: Vec<Vec<f64>> = (0..600).map(|i| jittered(&centres[i % 4])).collect();
+        let mut queries: Vec<Vec<f64>> = (0..8).map(|i| rows[i * 71].clone()).collect();
+        queries.extend((0..8).map(|i| jittered(&centres[i % 4])));
+        stores.push(("clusters finer than a quantization step", rows, queries));
 
         for n in [0, 1, 7] {
             stores.push((

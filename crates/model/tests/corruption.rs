@@ -4,9 +4,8 @@
 //! loaded file whose parameters differ from what was saved.
 
 use neutraj_model::{
-    AnnIndex, AnnParams, Backbone, BackboneKind, Checkpoint, EmbeddingStore, FaultyReader,
-    FaultyWriter, HnswIndex, HnswParams, NeuTrajModel, PersistError, QuantizedStore, ShortlistView,
-    SimilarityDb, TrainConfig, TrainState,
+    AnnIndex, AnnParams, Backbone, BackboneKind, Checkpoint, FaultyReader, FaultyWriter, HnswIndex,
+    HnswParams, NeuTrajModel, PersistError, ShortlistView, SimilarityDb, TrainConfig, TrainState,
 };
 use neutraj_nn::linalg::Mat;
 use neutraj_nn::{AdamState, SamLstmEncoder, SpatialMemory};
@@ -61,27 +60,6 @@ fn ckpt_image() -> &'static (Checkpoint, Vec<u8>) {
         let mut sink = Vec::new();
         ckpt.write_to(&mut sink).unwrap();
         (ckpt, sink)
-    })
-}
-
-/// A sealed `NTQ08` quantized-store file image.
-fn quant_image() -> &'static (QuantizedStore, Vec<u8>) {
-    static IMG: OnceLock<(QuantizedStore, Vec<u8>)> = OnceLock::new();
-    IMG.get_or_init(|| {
-        let mut seed = 3u64;
-        let mut unit = move || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (seed >> 11) as f64 / (1u64 << 53) as f64
-        };
-        let embs: Vec<Vec<f64>> = (0..25)
-            .map(|_| (0..6).map(|_| unit() * 8.0 - 4.0).collect())
-            .collect();
-        let qs = QuantizedStore::from_store(&EmbeddingStore::from_embeddings(6, &embs));
-        let mut sink = Vec::new();
-        qs.write_to(&mut sink).unwrap();
-        (qs, sink)
     })
 }
 
@@ -292,32 +270,6 @@ fn raw_ivf_payload_damage_never_panics() {
 }
 
 #[test]
-fn any_bit_flip_in_a_quantized_store_file_is_rejected() {
-    cases(256, |rng| {
-        let offset = rng.gen_range(0usize..1 << 20);
-        let bit = rng.gen_range(0u8..8);
-        let (_, image) = quant_image();
-        let offset = offset % image.len();
-        let mut r = FaultyReader::new(image.clone()).flip_bit(offset, bit);
-        assert!(
-            QuantizedStore::read_from(&mut r).is_err(),
-            "bit {bit} of byte {offset} flipped, NTQ08 file still loaded"
-        );
-    });
-}
-
-#[test]
-fn any_truncation_of_a_quantized_store_file_is_rejected() {
-    cases(256, |rng| {
-        let len = rng.gen_range(0usize..1 << 20);
-        let (_, image) = quant_image();
-        let len = len % image.len();
-        let mut r = FaultyReader::new(image.clone()).truncate_at(len);
-        assert!(QuantizedStore::read_from(&mut r).is_err());
-    });
-}
-
-#[test]
 fn any_bit_flip_in_a_model_file_is_rejected() {
     cases(256, |rng| {
         let offset = rng.gen_range(0usize..1 << 20);
@@ -499,18 +451,6 @@ fn a_crash_at_any_write_offset_leaves_an_unloadable_torn_file() {
         let mut r = FaultyReader::new(w.written.clone());
         assert!(NeuTrajModel::read_from(&mut r).is_err());
     });
-}
-
-#[test]
-fn undamaged_quantized_store_roundtrips_through_the_faulty_reader() {
-    let (qs, image) = quant_image();
-    let mut r = FaultyReader::new(image.clone());
-    let loaded = QuantizedStore::read_from(&mut r).expect("intact file loads");
-    assert_eq!(&loaded, qs);
-    // And through an uninterrupted FaultyWriter.
-    let mut w = FaultyWriter::fails_after(usize::MAX);
-    qs.write_to(&mut w).unwrap();
-    assert_eq!(&w.written, image);
 }
 
 #[test]

@@ -175,7 +175,7 @@ fn two_diff(a: f64, b: f64) -> (f64, f64) {
     (s, (a - (s - bb)) - (b + bb))
 }
 
-/// The int8 codec's core numeric contract, the inequality the exact
+/// The int8 quantizer's core numeric contract, the inequality the exact
 /// scan's lower bound rests on (`DESIGN.md` §12): with per-row
 /// `scale = range/255` and `offset = min`, each component is within half
 /// a step of its dequantization `offset + scale·code`, so a row is within
@@ -183,7 +183,7 @@ fn two_diff(a: f64, b: f64) -> (f64, f64) {
 /// `QuantizedStore::row_error_bound` carries, not a tuned slack. Over
 /// magnitudes from 10⁻¹⁵⁰ to 10¹⁵⁰, near-constant rows, rows whose every
 /// inner component rounds by almost exactly half a step, and 1 to 64
-/// components. The NTQ08 byte roundtrip is lossless.
+/// components.
 #[test]
 fn quantize_dequantize_error_is_bounded_by_half_scale() {
     cases(64, |rng| {
@@ -234,7 +234,5 @@ fn quantize_dequantize_error_is_bounded_by_half_scale() {
             // ... and the bound is the half step, not a loose one.
             assert!(bound <= scale * (dim as f64).sqrt() * 0.5 * (1.0 + 1e-11));
         }
-        let back = QuantizedStore::from_bytes(&qs.to_bytes()).expect("own bytes parse");
-        assert_eq!(back, qs);
     });
 }

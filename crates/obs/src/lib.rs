@@ -437,17 +437,15 @@ pub mod names {
     /// instrumented, so exported snapshots say which path actually ran.
     pub const SIMD_DISPATCH: &str = "neutraj_simd_dispatch";
 
-    /// Counter: bytes read by the int8-quantized embedding scan (codes
-    /// plus the four f64 per-row constants, `dim + 32` a row). Compare
-    /// against `dim × 8 + 8` bytes per row for the f64 path to see the
+    /// Counter: bytes the exact scan of a batch narrower than one f64
+    /// stripe read through the int8 codes (codes plus the four f64
+    /// per-row constants, `dim + 32` a row). Compare against
+    /// `dim × 8 + 8` bytes per row for the fused f64 pass to see the
     /// realized bandwidth saving.
     pub const QUANT_BYTES_SCANNED_TOTAL: &str = "neutraj_quant_bytes_scanned_total";
-    /// Counter: rows scored by the quantized scan before exact rerank.
+    /// Counter: rows that scan bounded through their int8 codes (the
+    /// corpus once per query).
     pub const QUANT_ROWS_SCANNED_TOTAL: &str = "neutraj_quant_rows_scanned_total";
-    /// Gauge: most recent recall@k of the quantized scan + exact rerank
-    /// against the full-precision scan (the eval harness writes it;
-    /// serving never does).
-    pub const QUANT_RECALL_AT_K: &str = "neutraj_quant_recall_at_k";
     /// Histogram: rows an exact top-k query scored in f64 after the int8
     /// lower bound let them through, per query of a batch narrower than
     /// one f64 stripe (summed over shards). A model whose distances bunch
@@ -516,8 +514,9 @@ pub mod names {
     /// answered with a typed `DeadlineExceeded` error.
     pub const SERVE_DEADLINE_EXPIRED_TOTAL: &str = "neutraj_serve_deadline_expired_total";
     /// Counter: requests answered in degraded mode — the pressure ladder
-    /// downgraded an exact-scan spec to the quantized/ANN shortlist view
-    /// to shed scan cost. Responses are tagged `degraded: true`.
+    /// downgraded an exact-scan spec to the IVF shortlist, or the
+    /// capability ladder a graph spec to it. Responses are tagged
+    /// `degraded: true`.
     pub const SERVE_DEGRADED_TOTAL: &str = "neutraj_serve_degraded_total";
     /// Counter: shard quarantine events — a shard scanner panicked, was
     /// isolated by `catch_unwind`, and entered exponential-backoff

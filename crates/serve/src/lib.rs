@@ -26,8 +26,8 @@
 //! The service is additionally **overload- and failure-hardened**
 //! (`DESIGN.md` §14): bounded admission with typed
 //! [`ServeError::Overloaded`] shedding, per-request deadlines with
-//! cooperative cancellation, graceful degradation of exact scans to
-//! quantized/ANN shortlist views under queue pressure, panic-isolated
+//! cooperative cancellation, graceful degradation of exact scans to the
+//! IVF shortlist under queue pressure, panic-isolated
 //! shard scans with quarantine + backoff re-admission, and
 //! crash-recoverable snapshots sealed through the checksummed `NTFILE01`
 //! envelope ([`persist`] module docs carry the codec).

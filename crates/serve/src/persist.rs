@@ -14,13 +14,14 @@
 //! The payload (`NTSNAP01` codec, little-endian throughout) carries the
 //! *inputs* of the snapshot, not its derived state:
 //!
-//! * the epoch and shard layout (`nshards`, quantized/ANN/graph flags,
-//!   [`AnnParams`], and [`HnswParams`]),
+//! * the epoch and shard layout (`nshards`, quantized/ANN/graph flags —
+//!   the first inert, kept so the format holds — [`AnnParams`], and
+//!   [`HnswParams`]),
 //! * the trained model through its own `NTMODEL1` codec
 //!   ([`NeuTrajModel::to_bytes`]), and
 //! * every stored trajectory in **global** order (id + raw points).
 //!
-//! Embeddings, IVF centroids, HNSW graphs, and int8 views are
+//! Embeddings (with their int8 codes), IVF centroids and HNSW graphs are
 //! *recomputed* on load by [`Snapshot::build`] — the build pipeline is
 //! deterministic (lockstep batched embed, seeded k-means, seeded
 //! hashed-level graph construction), so the rebuilt snapshot answers

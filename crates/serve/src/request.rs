@@ -88,8 +88,8 @@ pub struct ServeResponse {
     /// epoch saw the identical corpus.
     pub epoch: u64,
     /// `true` when the overload ladder downgraded this request's
-    /// exact-scan spec to a quantized/ANN shortlist view under queue
-    /// pressure: the answer is a best-effort shortlist result, not the
+    /// exact-scan spec to the IVF shortlist under queue pressure (or a
+    /// graph spec to it on a snapshot without graphs): the answer is a best-effort shortlist result, not the
     /// exact-scan oracle answer. Never set silently — every degraded
     /// response counts into `neutraj_serve_degraded_total`.
     pub degraded: bool,
@@ -176,7 +176,8 @@ mod tests {
         // Only the full-precision exhaustive scan is downgrade-eligible.
         assert!(QuerySpec::new(3).is_exact_scan());
         assert!(QuerySpec::new(3).rerank(MeasureKind::Dtw).is_exact_scan());
-        assert!(!QuerySpec::new(3).quantized().is_exact_scan());
+        // A "quantized" spec is the plain one: an exact scan.
+        assert!(QuerySpec::new(3).quantized().is_exact_scan());
         assert!(!QuerySpec::new(3).shortlist_ann(2).is_exact_scan());
         // A graph spec already sits on a shortlist view.
         assert!(!QuerySpec::new(3).shortlist_graph(8).is_exact_scan());

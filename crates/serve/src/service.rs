@@ -17,7 +17,7 @@
 //! ([`Snapshot::inserted`]): the rows are embedded in one lockstep
 //! batch; the stored trajectories are shared between epochs in
 //! fixed-size chunks and a shard that receives no row is shared whole;
-//! the flat embedding matrix and the int8 codes — which the scans need
+//! the flat embedding matrix and its int8 codes — which the scans need
 //! contiguous — are copied once, straight into buffers sized for the new
 //! rows. The retired snapshot is freed after the pointer mutex is
 //! released, by whoever holds its last handle. `DESIGN.md` §13 has what
@@ -58,8 +58,8 @@
 //!    burning a scan) and cooperatively between shard scans.
 //! 3. **Graceful degradation** — when the queue depth at dispatch
 //!    reaches the degrade watermark, exact-scan specs are downgraded to
-//!    the snapshot's quantized (preferred) or IVF shortlist view when
-//!    one is built; responses are tagged `degraded: true` and counted.
+//!    the snapshot's IVF shortlist when one is built; responses are
+//!    tagged `degraded: true` and counted.
 //! 4. **Panic isolation and quarantine** — shard scans run under
 //!    `catch_unwind`; a panicking shard is quarantined with exponential
 //!    backoff re-admission (one trial scan per backoff expiry, strikes
@@ -98,7 +98,10 @@ pub struct ServiceConfig {
     pub ann: Option<neutraj_model::AnnParams>,
     /// Build a per-shard HNSW graph index at construction when set.
     pub graph: Option<neutraj_model::HnswParams>,
-    /// Build per-shard int8 views at construction when `true`.
+    /// Inert: every shard keeps its store's int8 codes, and the exact
+    /// scan reads them whenever that is faster, whatever this says. Kept
+    /// so existing configurations compile, and saved with a snapshot so
+    /// its byte format holds; slated for removal.
     pub quantized: bool,
     /// Bounded admission: at most this many requests may wait in the
     /// coalescing queue; overflow is answered
@@ -106,8 +109,8 @@ pub struct ServiceConfig {
     /// for an explicitly unbounded queue, e.g. as a bench baseline).
     pub max_queue: usize,
     /// Queue depth at dispatch beyond which exact-scan specs degrade to
-    /// the quantized/ANN shortlist view when one is built (`0` = auto:
-    /// half of `max_queue`).
+    /// the IVF shortlist when one is built (`0` = auto: half of
+    /// `max_queue`).
     pub degrade_watermark: usize,
     /// Base quarantine backoff after a shard scan panics; doubles per
     /// consecutive strike (capped at 64×), halts at zero strikes.
@@ -545,8 +548,8 @@ impl SimilarityService {
                     id: req.trajectory.id,
                     reason,
                 })?;
-            // Configuration-vs-snapshot checks (quantized view / ANN /
-            // graph index actually built) — shards are uniform, shard 0
+            // Configuration-vs-snapshot checks (ANN / graph index
+            // actually built) — shards are uniform, shard 0
             // speaks for all. Vets the *effective* spec so a graph
             // request the degrade ladder can answer through IVF is
             // admitted rather than bounced. Uses the un-instrumented
@@ -774,9 +777,10 @@ fn form_batch(shared: &Shared, q: &mut Lanes) -> Vec<Pending> {
 ///    through the IVF shortlist when one is built — the request stays
 ///    servable instead of bouncing off a capability mismatch.
 /// 2. **Overload downgrade**: under queue pressure an exact-scan spec
-///    falls back to the snapshot's quantized view (preferred: exact
-///    rerank keeps reported distances exact) or IVF shortlist when one
-///    is built.
+///    falls back to the snapshot's IVF shortlist at `⌈nlists/2⌉` probes
+///    when one is built. (Pressure means batches of eight or more, which
+///    the exact scan already answers in one fused f64 pass; only
+///    scoring fewer rows sheds cost there.)
 ///
 /// Returns the effective spec and whether it was downgraded.
 fn effective_spec(snapshot: &Snapshot, spec: QuerySpec, pressured: bool) -> (QuerySpec, bool) {
@@ -788,9 +792,6 @@ fn effective_spec(snapshot: &Snapshot, spec: QuerySpec, pressured: bool) -> (Que
     }
     if !pressured || !spec.is_exact_scan() {
         return (spec, false);
-    }
-    if snapshot.has_quantized() {
-        return (spec.quantized(), true);
     }
     if let Some(nlists) = snapshot.ann_nlists() {
         return (spec.shortlist_ann(nlists.div_ceil(2)), true);

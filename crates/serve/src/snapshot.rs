@@ -7,7 +7,7 @@
 //! [`Snapshot::inserted`]) and publish it with a pointer swap. A
 //! snapshot holds `S` round-robin shards, each a
 //! complete [`SimilarityDb`] partition (embeddings + optional per-shard
-//! IVF index and int8 view), scanned independently and merged under the
+//! IVF index and HNSW graph), scanned independently and merged under the
 //! scan's `(dist, index)` total order.
 //!
 //! # Why the sharded scan is bit-identical (exact mode)
@@ -24,7 +24,7 @@
 //! global winner is a winner within its own shard), so sorting the
 //! concatenation by `(dist, global index)` and truncating to `fetch`
 //! reproduces the unsharded scan's list element for element, bit for
-//! bit. IVF and quantized shortlists are per-shard structures, so their
+//! bit. IVF and graph shortlists are per-shard structures, so their
 //! *recall* depends on the sharding, but every scored distance is still
 //! exact and the merged result is still deterministic for a given
 //! snapshot — the concurrency bit-identity tests pin both claims.
@@ -108,7 +108,10 @@ pub struct ShardConfig {
     pub ann: Option<AnnParams>,
     /// Build a per-shard HNSW graph index over each partition when set.
     pub graph: Option<HnswParams>,
-    /// Build a per-shard int8-quantized view when `true`.
+    /// Inert: every shard keeps its store's int8 codes whatever this
+    /// says (see `ServiceConfig::quantized`). Kept so existing
+    /// configurations compile and saved in the `NTSNAP01` flag byte so
+    /// the format holds; slated for removal.
     pub quantized: bool,
 }
 
@@ -145,7 +148,7 @@ impl Snapshot {
     /// Builds epoch-0 over `corpus`, partitioned round-robin (global row
     /// `g` lands in shard `g % S` at local row `g / S`). Each shard
     /// embeds its partition with the lockstep batched forward; per-shard
-    /// IVF/quantized structures are built when configured.
+    /// IVF indexes and graphs are built when configured.
     pub fn build(
         model: &NeuTrajModel,
         corpus: Vec<Trajectory>,
@@ -180,9 +183,6 @@ impl Snapshot {
             if let Some(params) = &cfg.graph {
                 db.build_graph_index(params, threads)?;
             }
-            if cfg.quantized {
-                db.build_quantized_store();
-            }
             shards.push(Arc::new(db));
         }
         Ok(Self {
@@ -207,14 +207,8 @@ impl Snapshot {
         self
     }
 
-    /// Whether every shard carries an int8 view (a degrade target for
-    /// the overload ladder).
-    pub(crate) fn has_quantized(&self) -> bool {
-        self.shards.iter().all(|s| s.quantized_store().is_some())
-    }
-
     /// The per-shard IVF list count when ANN indexes are built (the
-    /// other degrade target).
+    /// degrade target).
     pub(crate) fn ann_nlists(&self) -> Option<usize> {
         self.shards[0].ann_index().map(|ix| ix.nlists())
     }

@@ -70,7 +70,8 @@ fn ann_params() -> AnnParams {
     }
 }
 
-/// Every shortlist mode the request surface can express.
+/// Every shortlist mode the request surface can express. A "quantized"
+/// spec is the plain spec, so its answers must be the plain spec's.
 fn all_specs() -> Vec<QuerySpec> {
     vec![
         QuerySpec::new(5),
@@ -106,6 +107,9 @@ fn coalesced_batches_match_sequential_queries() {
     let m = model();
     let corpus = corpus(48);
     let qs = queries(6);
+    // The reference of a "quantized" spec below is the plain spec's, bit
+    // for bit, and the two coalesce into one group.
+    assert_eq!(QuerySpec::new(5).quantized(), QuerySpec::new(5));
     for nshards in [1usize, 2, 4] {
         let service =
             SimilarityService::new(m.clone(), corpus.clone(), &service_config(nshards)).unwrap();
@@ -253,7 +257,7 @@ fn burst_coalesces_into_fewer_batches() {
 fn invalid_requests_are_rejected_not_panicked() {
     let registry = Registry::new();
     let m = model();
-    // No ANN, no quantized view: those specs must be rejected up front.
+    // No ANN index: IVF specs must be rejected up front.
     let cfg = ServiceConfig {
         nshards: 2,
         ..ServiceConfig::default()
@@ -269,8 +273,7 @@ fn invalid_requests_are_rejected_not_panicked() {
         ),
         ServeRequest::new(2, q.clone(), QuerySpec::new(5).shortlist_ann(0)),
         ServeRequest::new(3, q.clone(), QuerySpec::new(5).shortlist_ann(2)),
-        ServeRequest::new(4, q.clone(), QuerySpec::new(5).quantized()),
-        ServeRequest::new(5, Trajectory::new_unchecked(9, vec![]), QuerySpec::new(5)),
+        ServeRequest::new(4, Trajectory::new_unchecked(9, vec![]), QuerySpec::new(5)),
     ];
     let n_bad = bad.len() as u64;
     for req in bad {

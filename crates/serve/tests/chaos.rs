@@ -11,7 +11,7 @@
 //! * dropping the service drains the queue — every accepted request is
 //!   answered before the scheduler exits.
 
-use neutraj_model::{BackboneKind, NeuTrajModel, TrainConfig};
+use neutraj_model::{AnnParams, BackboneKind, NeuTrajModel, TrainConfig};
 use neutraj_obs::{names, Registry};
 use neutraj_serve::{
     Priority, QuerySpec, ServeError, ServeRequest, ServiceConfig, SimilarityService,
@@ -444,14 +444,22 @@ fn high_priority_arrival_evicts_newest_normal_when_full() {
     assert!(high.recv().unwrap().is_ok());
 }
 
-/// Under queue pressure, exact scans degrade to the quantized view:
-/// tagged, counted, and still answering exactly what the quantized
-/// reference answers — never silently wrong.
+/// An IVF index over each shard with `nlists` lists.
+fn ivf(nlists: usize) -> Option<AnnParams> {
+    Some(AnnParams {
+        nlists,
+        ..AnnParams::default()
+    })
+}
+
+/// Under queue pressure, exact scans degrade to the IVF shortlist at
+/// `⌈nlists/2⌉` probes: tagged, counted, and answering exactly what that
+/// shortlist spec answers — never silently wrong.
 #[test]
-fn pressure_degrades_exact_scans_to_the_quantized_view() {
+fn pressure_degrades_exact_scans_to_the_ivf_shortlist() {
     let registry = Registry::new();
     let cfg = ServiceConfig {
-        quantized: true,
+        ann: ivf(5),
         max_batch: 64,
         max_queue: 256,
         // Any queued request counts as pressure — every dispatch in this
@@ -462,33 +470,34 @@ fn pressure_degrades_exact_scans_to_the_quantized_view() {
     };
     let service = SimilarityService::with_metrics(model(), corpus(30), &cfg, &registry).unwrap();
     let snapshot = service.snapshot();
+    let nlists = snapshot.shard(0).ann_index().unwrap().nlists();
     let query = traj(9200, 10);
     let spec = QuerySpec::new(5);
-    let quant_oracle = snapshot.search(&query, &spec.quantized()).unwrap();
-    let exact_oracle = snapshot.search(&query, &spec).unwrap();
+    let ivf_oracle = snapshot
+        .search(&query, &spec.shortlist_ann(nlists.div_ceil(2)))
+        .unwrap();
 
+    // A "quantized" spec is an exact scan, so it degrades alike.
     let receivers: Vec<_> = (0..12u64)
-        .map(|i| service.submit(ServeRequest::new(i, query.clone(), spec)))
+        .map(|i| {
+            let spec = if i % 2 == 0 { spec } else { spec.quantized() };
+            service.submit(ServeRequest::new(i, query.clone(), spec))
+        })
         .collect();
     for rx in receivers {
         let resp = rx.recv().unwrap().unwrap();
         assert!(resp.degraded, "dispatch under watermark-1 must degrade");
         assert_eq!(
-            resp.neighbors, quant_oracle,
-            "a degraded answer must equal the quantized-spec reference"
+            resp.neighbors, ivf_oracle,
+            "a degraded answer must equal the IVF-shortlist reference"
         );
     }
     assert!(counter(&registry, names::SERVE_DEGRADED_TOTAL) >= 12);
 
-    // Sanity: the quantized view's exact-rerank contract means the
-    // degraded answer is itself usually the exact answer — but the tag,
-    // not the luck, is the contract.
-    let _ = exact_oracle;
-
-    // An already-quantized spec has nothing to degrade to and is never
-    // tagged.
+    // A spec already on the IVF shortlist has nothing to degrade to and
+    // is never tagged.
     let resp = service
-        .query(ServeRequest::new(99, query.clone(), spec.quantized()))
+        .query(ServeRequest::new(99, query.clone(), spec.shortlist_ann(1)))
         .unwrap();
     assert!(!resp.degraded);
 }
@@ -664,7 +673,7 @@ fn every_registered_serve_series_moves() {
     let registry = Registry::new();
     let cfg = ServiceConfig {
         nshards: 2,
-        quantized: true,
+        ann: ivf(3),
         max_queue: 4,
         max_batch: 8,
         degrade_watermark: 3,
@@ -718,7 +727,8 @@ fn every_registered_serve_series_moves() {
         ));
     }
     // The three survivors leave as one batch at queue depth 3, which is
-    // the degrade watermark: answered through the int8 view, and tagged.
+    // the degrade watermark: answered through the IVF shortlist, and
+    // tagged.
     for rx in queued {
         assert!(rx.recv().unwrap().unwrap().degraded);
     }

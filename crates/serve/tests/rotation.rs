@@ -483,12 +483,12 @@ fn chunk_rows(m: &NeuTrajModel) -> usize {
     db.len()
 }
 
-/// The section bytes of each view a shard carries.
-fn view_bytes(db: &SimilarityDb) -> [Option<Vec<u8>>; 3] {
+/// The section bytes of each view a shard carries. (The int8 codes are
+/// a column of the store, compared with it.)
+fn view_bytes(db: &SimilarityDb) -> [Option<Vec<u8>>; 2] {
     [
         db.ann_index().map(|v| v.to_bytes()),
         db.graph_index().map(|v| v.to_bytes()),
-        db.quantized_store().map(|v| v.to_bytes()),
     ]
 }
 

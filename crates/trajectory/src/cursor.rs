@@ -1,7 +1,7 @@
 //! The workspace's one little-endian byte cursor.
 //!
-//! Every `NT*` byte format (model, checkpoint, int8 view, IVF, HNSW,
-//! snapshot, binary corpus) is written through [`PutLe`] on a `Vec<u8>`
+//! Every `NT*` byte format (model, checkpoint, IVF, HNSW, snapshot,
+//! binary corpus) is written through [`PutLe`] on a `Vec<u8>`
 //! and read through [`Reader`], whose getters check bounds and return
 //! [`Truncated`] instead of panicking; each codec converts that one
 //! error into its own error type.

@@ -15,8 +15,7 @@ use neutraj_cluster::{KMeans, KMeansParams};
 use neutraj_index::{HnswIndex, HnswParams, IvfIndex};
 use neutraj_model::persist::seal_payload;
 use neutraj_model::{
-    Backbone, BackboneKind, Checkpoint, EmbeddingStore, NeuTrajModel, QuantizedStore, TrainConfig,
-    TrainState,
+    Backbone, BackboneKind, Checkpoint, EmbeddingStore, NeuTrajModel, TrainConfig, TrainState,
 };
 use neutraj_nn::AdamState;
 use neutraj_serve::{ShardConfig, Snapshot};
@@ -106,16 +105,6 @@ fn ntmodel1_and_ntckpt01_are_pinned() {
         },
     };
     assert_eq!(crc(&ckpt.to_bytes()), 0x70cb_c2d6);
-}
-
-#[test]
-fn ntq08_is_pinned() {
-    let embs: Vec<Vec<f64>> = rows(40, 8).chunks(8).map(<[f64]>::to_vec).collect();
-    let store = EmbeddingStore::from_embeddings(8, &embs);
-    assert_eq!(
-        crc(&QuantizedStore::from_store(&store).to_bytes()),
-        0xef77_e21f
-    );
 }
 
 #[test]
