@@ -35,8 +35,9 @@ use neutraj_obs::simd::SimdLevel;
 /// dependency-chain latency with independent work.
 pub(crate) const LANES: usize = 8;
 
-/// Whether the AVX2 arm may actually run: the caller asked for it AND
-/// the host supports it (`is_x86_feature_detected!` caches in a static,
+/// Whether the AVX2 arm may actually run: the caller asked for it (or
+/// for a higher tier — the DP lanes have no AVX-512 arm, see
+/// `DESIGN.md` §12) AND the host supports it (`is_x86_feature_detected!` caches in a static,
 /// so this is ~one relaxed load per *row*, not per cell). The second
 /// check makes every dispatcher below sound no matter what level a test
 /// passes — requesting `Avx2` on a non-AVX2 host falls back to the
@@ -44,7 +45,7 @@ pub(crate) const LANES: usize = 8;
 #[cfg(target_arch = "x86_64")]
 #[inline]
 fn use_avx2(level: SimdLevel) -> bool {
-    level == SimdLevel::Avx2 && std::arch::is_x86_feature_detected!("avx2")
+    level >= SimdLevel::Avx2 && std::arch::is_x86_feature_detected!("avx2")
 }
 
 /// Whether [`frechet_row0`]/[`frechet_row`] run in *squared-distance*

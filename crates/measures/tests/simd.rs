@@ -1,14 +1,15 @@
 //! Property-based bit-identity tests for the SIMD-dispatched DP kernels
-//! (`DESIGN.md` §12): with dispatch forced to either level, every engine
+//! (`DESIGN.md` §12): with dispatch forced to any level, every engine
 //! entry point that runs the lane-batched kernels — `matrix`, `rows`,
 //! `distances` and the heap-filling first `k` candidates of `knn_lists` —
 //! must reproduce the naive per-pair DPs *bitwise*, at every thread count.
 //!
 //! The forcing is in-process ([`GroundTruthEngine::with_simd_level`]) so
-//! one test run exercises both arms regardless of the `NEUTRAJ_NO_SIMD`
-//! environment override; on hosts without AVX2 the `Avx2` request safely
-//! falls back to the scalar arm and the assertions still hold (both
-//! sides then run the same code).
+//! one test run exercises every arm regardless of the `NEUTRAJ_NO_SIMD`
+//! environment override; the DP lanes have no AVX-512 arm, so `Avx512`
+//! runs the AVX2 one, and on hosts without AVX2 a vector request safely
+//! falls back to the scalar arm and the assertions still hold (every
+//! level then runs the same code).
 
 use neutraj_measures::{top_k, DistanceMatrix, GroundTruthEngine, Measure, MeasureKind, Neighbor};
 use neutraj_obs::simd::SimdLevel;
@@ -73,7 +74,7 @@ fn naive_knn(measure: &dyn Measure, ts: &[Trajectory], q: usize, k: usize) -> Ve
     nn
 }
 
-/// Forced-AVX2 and forced-scalar engines agree bitwise with the naive
+/// Engines forced to every level agree bitwise with the naive
 /// `Measure::dist` for every measure and thread count — the end-to-end
 /// form of the per-row kernel bit-identity tests inside
 /// `neutraj_measures::simd`: the matrix, dense rows of every query, and
@@ -105,7 +106,7 @@ fn matrix_is_bit_identical_across_simd_levels_and_threads() {
                     .iter()
                     .map(|&q| bits(&(0..n).map(|j| dist(q, j)).collect::<Vec<_>>()))
                     .collect();
-                for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+                for level in SimdLevel::ALL {
                     let engine = GroundTruthEngine::new(&*measure, ts).with_simd_level(level);
                     assert_eq!(engine.simd_level(), level);
                     for threads in [1usize, 2, 4] {
@@ -133,8 +134,8 @@ fn matrix_is_bit_identical_across_simd_levels_and_threads() {
 }
 
 /// The k-nearest lists (lane kernels fill the heap, the pruned banded
-/// kernels take the tail) equal a naive top-k of the exact row at both
-/// forced dispatch levels and every thread count, for `k` from 1 to past
+/// kernels take the tail) equal a naive top-k of the exact row at every
+/// forced dispatch level and every thread count, for `k` from 1 to past
 /// the corpus size.
 #[test]
 fn knn_lists_agree_across_simd_levels() {
@@ -150,7 +151,7 @@ fn knn_lists_agree_across_simd_levels() {
                         .iter()
                         .map(|&q| naive_knn(&*measure, ts, q, k))
                         .collect();
-                    for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+                    for level in SimdLevel::ALL {
                         let engine = GroundTruthEngine::new(&*measure, ts).with_simd_level(level);
                         for threads in [1usize, 2, 4] {
                             assert_eq!(

@@ -12,11 +12,11 @@
 //!   oracle;
 //! * [`exp_slice`], [`sigmoid_slice`], [`tanh_slice`] map a whole slice
 //!   in place. Their scalar arm calls the functions above; their AVX2 arm
-//!   performs the same operations on four lanes at a time, in the same
-//!   order, with separate multiply and add (no FMA in either arm: rustc
-//!   never contracts, and a fused step would round once where the oracle
-//!   rounds twice). The arms agree bit for bit, including on NaN, ±inf
-//!   and subnormal inputs.
+//!   performs the same operations on four lanes at a time, and their
+//!   AVX-512 arm on eight, in the same order, with separate multiply and
+//!   add (no FMA in any arm: rustc never contracts, and a fused step
+//!   would round once where the oracle rounds twice). The arms agree bit
+//!   for bit, including on NaN, ±inf and subnormal inputs.
 //!
 //! `exp`: `x = k·ln2 + r` with `k = round(x·log₂e)` taken by the
 //! add-a-big-constant trick (no float→int conversion, so nothing to go
@@ -46,7 +46,7 @@
 //! ulp below `|x| = 1`); `sigmoid` never by more than 2 above `x = −35`.
 
 #[cfg(target_arch = "x86_64")]
-use crate::simd::use_avx2;
+use crate::simd::{use_avx2, use_avx512};
 use neutraj_obs::simd::SimdLevel;
 
 const LOG2E: f64 = std::f64::consts::LOG2_E;
@@ -82,8 +82,8 @@ const INV_FACT: [f64; 14] = {
     c
 };
 
-/// `a > b ? a : b` — `_mm256_max_pd(a, b)`, which returns `b` when
-/// either is NaN.
+/// `a > b ? a : b` — `_mm256_max_pd(a, b)` and `_mm512_max_pd(a, b)`,
+/// which return `b` when either is NaN.
 #[inline(always)]
 fn max(a: f64, b: f64) -> f64 {
     if a > b {
@@ -93,7 +93,7 @@ fn max(a: f64, b: f64) -> f64 {
     }
 }
 
-/// `a < b ? a : b` — `_mm256_min_pd(a, b)`.
+/// `a < b ? a : b` — `_mm256_min_pd(a, b)`, `_mm512_min_pd(a, b)`.
 #[inline(always)]
 fn min(a: f64, b: f64) -> f64 {
     if a < b {
@@ -198,18 +198,28 @@ enum Map {
     Tanh,
 }
 
+/// The widest arm maps the whole groups of its width; each narrower arm
+/// takes what the wider one left (the AVX2 arm a last group of four,
+/// the scalar functions the rest).
 #[inline]
 #[allow(unsafe_code)]
 fn map_slice(level: SimdLevel, map: Map, x: &mut [f64]) {
+    #[allow(unused_mut)]
+    let mut done = 0;
     #[cfg(target_arch = "x86_64")]
-    let done = if use_avx2(level) {
-        // SAFETY: AVX2 presence just verified; the kernel stays inside `x`.
-        unsafe { avx2::map_slice(map, x) }
-    } else {
-        0
-    };
-    #[cfg(not(target_arch = "x86_64"))]
-    let (done, _) = (0, level);
+    {
+        if use_avx512(level) {
+            // SAFETY: AVX-512F/DQ presence just verified; the kernel
+            // stays inside `x`.
+            done = unsafe { avx512::map_slice(map, x) };
+        }
+        if use_avx2(level) {
+            // SAFETY: AVX2 presence just verified; the kernel stays
+            // inside `x[done..]`.
+            done += unsafe { avx2::map_slice(map, &mut x[done..]) };
+        }
+    }
+    let _ = level;
     let f = match map {
         Map::Exp => exp,
         Map::Sigmoid => sigmoid,
@@ -393,6 +403,154 @@ mod avx2 {
     }
 }
 
+/// The AVX2 arm above at eight lanes, translated line for line: every
+/// `_mm256_` operation is its `_mm512_` namesake, and the two selects
+/// take a mask register (`_mm512_cmp_pd_mask` for the compare,
+/// `_mm512_mask_blend_pd(mask, y, x)` for `_mm256_blendv_pd(y, x,
+/// mask)`). `min`/`max` keep their operand order, so NaN lanes take the
+/// same operand. The bitwise `pd` operations are AVX512DQ.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod avx512 {
+    use super::*;
+    use core::arch::x86_64::*;
+
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn splat_bits(b: u64) -> __m512i {
+        _mm512_set1_epi64(b as i64)
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn exp_reduced(x: __m512d) -> (__m512d, __m512d) {
+        let s = |v: f64| _mm512_set1_pd(v);
+        let round = s(ROUND);
+        let t = _mm512_add_pd(_mm512_mul_pd(x, s(LOG2E)), round);
+        let k = _mm512_sub_pd(t, round);
+        let hi = _mm512_sub_pd(x, _mm512_mul_pd(k, s(LN2_HI)));
+        let lo = _mm512_mul_pd(k, s(LN2_LO));
+        let r = _mm512_sub_pd(hi, lo);
+        let c = _mm512_sub_pd(_mm512_sub_pd(hi, r), lo);
+        let r2 = _mm512_mul_pd(r, r);
+        let c_ = &INV_FACT;
+        let mut even = s(c_[12]);
+        let mut odd = s(c_[13]);
+        for n in [10, 8, 6, 4, 2] {
+            even = _mm512_add_pd(_mm512_mul_pd(even, r2), s(c_[n]));
+            odd = _mm512_add_pd(_mm512_mul_pd(odd, r2), s(c_[n + 1]));
+        }
+        let q = _mm512_add_pd(even, _mm512_mul_pd(r, odd));
+        let tail = _mm512_add_pd(_mm512_mul_pd(r2, q), c);
+        let u = _mm512_add_pd(s(1.0), r);
+        let lost = _mm512_add_pd(_mm512_sub_pd(s(1.0), u), r);
+        (_mm512_add_pd(u, _mm512_add_pd(lost, tail)), t)
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn scale(e: __m512d, t: __m512d) -> __m512d {
+        let one = splat_bits(1);
+        let w = _mm512_sub_epi64(_mm512_castpd_si512(t), splat_bits(ROUND.to_bits() - 2048));
+        let h = _mm512_srli_epi64::<1>(w);
+        let lower = _mm512_slli_epi64::<52>(_mm512_sub_epi64(h, one));
+        let upper = _mm512_slli_epi64::<52>(_mm512_sub_epi64(_mm512_sub_epi64(w, h), one));
+        _mm512_mul_pd(
+            _mm512_mul_pd(e, _mm512_castsi512_pd(lower)),
+            _mm512_castsi512_pd(upper),
+        )
+    }
+
+    /// `x` where `x` is NaN, else `y`.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn keep_nan(x: __m512d, y: __m512d) -> __m512d {
+        _mm512_mask_blend_pd(_mm512_cmp_pd_mask::<_CMP_UNORD_Q>(x, x), y, x)
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn clamp(x: __m512d) -> __m512d {
+        _mm512_min_pd(
+            _mm512_max_pd(x, _mm512_set1_pd(EXP_LO)),
+            _mm512_set1_pd(EXP_HI),
+        )
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn exp(x: __m512d) -> __m512d {
+        let (e, t) = exp_reduced(clamp(x));
+        keep_nan(x, scale(e, t))
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn sigmoid(x: __m512d) -> __m512d {
+        let sign = _mm512_castsi512_pd(splat_bits(SIGN));
+        let (e, t) = exp_reduced(clamp(_mm512_xor_pd(x, sign)));
+        let one = _mm512_set1_pd(1.0);
+        keep_nan(x, _mm512_div_pd(one, _mm512_add_pd(one, scale(e, t))))
+    }
+
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512dq")]
+    fn tanh(x: __m512d) -> __m512d {
+        let s = |v: f64| _mm512_set1_pd(v);
+        let sign = _mm512_castsi512_pd(splat_bits(SIGN));
+        let a = _mm512_andnot_pd(sign, x);
+        let z = _mm512_mul_pd(a, a);
+        let mut n = s(44.0);
+        for c in [12_870.0, 810_810.0, 11_486_475.0] {
+            n = _mm512_add_pd(_mm512_mul_pd(n, z), s(c));
+        }
+        let mut d = s(45.0);
+        for c in [13_860.0, 945_945.0, 16_216_200.0, 34_459_425.0] {
+            d = _mm512_add_pd(_mm512_mul_pd(d, z), s(c));
+        }
+        let small = _mm512_sub_pd(a, _mm512_mul_pd(a, _mm512_mul_pd(z, _mm512_div_pd(n, d))));
+        let (e, t) = exp_reduced(_mm512_mul_pd(s(2.0), _mm512_min_pd(a, s(TANH_ONE))));
+        let pow = _mm512_slli_epi64::<52>(_mm512_sub_epi64(
+            _mm512_castpd_si512(t),
+            splat_bits(ROUND.to_bits() - 1023),
+        ));
+        let e = _mm512_mul_pd(e, _mm512_castsi512_pd(pow));
+        let one = s(1.0);
+        let big = _mm512_sub_pd(one, _mm512_div_pd(s(2.0), _mm512_add_pd(e, one)));
+        let y = _mm512_mask_blend_pd(
+            _mm512_cmp_pd_mask::<_CMP_LT_OQ>(a, s(TANH_SMALL)),
+            big,
+            small,
+        );
+        keep_nan(x, _mm512_or_pd(y, _mm512_and_pd(x, sign)))
+    }
+
+    /// Maps the whole groups of eight in `x` and returns how many
+    /// elements that was; the caller finishes the rest.
+    ///
+    /// # Safety
+    /// AVX-512F and AVX-512DQ must be available.
+    #[target_feature(enable = "avx512f,avx512dq")]
+    pub(super) unsafe fn map_slice(map: Map, x: &mut [f64]) -> usize {
+        let done = x.len() - x.len() % 8;
+        let p = x.as_mut_ptr();
+        macro_rules! each8 {
+            ($f:ident) => {
+                for i in (0..done).step_by(8) {
+                    // SAFETY (of the loads and stores): i + 8 <= done <= len.
+                    _mm512_storeu_pd(p.add(i), $f(_mm512_loadu_pd(p.add(i))));
+                }
+            };
+        }
+        match map {
+            Map::Exp => each8!(exp),
+            Map::Sigmoid => each8!(sigmoid),
+            Map::Tanh => each8!(tanh),
+        }
+        done
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -528,9 +686,10 @@ mod tests {
         }
     }
 
-    /// The AVX2 arm equals the scalar arm bit for bit, for every slice
-    /// length around the four-lane step (on a host without AVX2 both
-    /// levels run the scalar arm).
+    /// Every arm equals the scalar arm bit for bit, for every slice
+    /// length around the four- and eight-lane steps, so the `len % 8` tail
+    /// that falls to the AVX2 and scalar arms is covered too (on a host
+    /// without a tier, its level runs the arm below).
     #[test]
     fn slices_agree_bit_for_bit_across_levels() {
         type Oracle = fn(f64) -> f64;
@@ -541,15 +700,15 @@ mod tests {
             (tanh, tanh_slice_with_level),
         ];
         cases(512, |rng| {
-            for len in 0..=9 {
+            for len in 0..=17 {
                 let x: Vec<f64> = (0..len).map(|_| salted(rng)).collect();
                 for (f, slice) in maps {
-                    let (mut narrow, mut wide) = (x.clone(), x.clone());
-                    slice(SimdLevel::Scalar, &mut narrow);
-                    slice(SimdLevel::Avx2, &mut wide);
-                    for ((&xi, n), w) in x.iter().zip(&narrow).zip(&wide) {
-                        assert_eq!(n.to_bits(), w.to_bits(), "x = {xi:e}");
-                        assert_eq!(n.to_bits(), f(xi).to_bits(), "x = {xi:e}");
+                    for level in SimdLevel::ALL {
+                        let mut got = x.clone();
+                        slice(level, &mut got);
+                        for (&xi, g) in x.iter().zip(&got) {
+                            assert_eq!(g.to_bits(), f(xi).to_bits(), "{level:?}: x = {xi:e}");
+                        }
                     }
                 }
             }

@@ -5,7 +5,7 @@
 //! as an ablation axis beyond the paper.
 
 use crate::activation::tanh_slice;
-use crate::linalg::{activate_gates, matmul_nt, Mat};
+use crate::linalg::{activate_gates, Mat, PackedNt};
 use crate::workspace::{lockstep, prep, scratch, Workspace};
 
 /// A GRU cell over 2-D coordinate inputs, with fused gate parameters.
@@ -157,7 +157,8 @@ impl GruCell {
     /// Lockstep batched inference over many coordinate sequences (the
     /// `lockstep` driver of `workspace.rs`). Each timestep runs two GEMMs
     /// over the active prefix — gates (`(active × zlen)·pzrᵀ`) and
-    /// candidates (`(active × zlen)·phᵀ`) — instead of `2·active` matvecs.
+    /// candidates (`(active × zlen)·phᵀ`) — instead of `2·active` matvecs,
+    /// over panels of both packed once per call (`linalg::PackedNt`).
     /// Bit-identical to per-sequence [`Self::forward_train`]; results in
     /// input order.
     ///
@@ -172,21 +173,19 @@ impl GruCell {
             bz2,
             bgates,
             bmix,
+            panels,
+            panels2,
             ..
         } = ws;
+        let level = neutraj_obs::simd::level();
+        let pzr = PackedNt::new(&self.pzr, b, panels);
+        let ph = PackedNt::new(&self.ph, b, panels2);
         let z2 = prep(bz2, b * zlen);
         let gates = prep(bgates, b * 2 * d);
         let hc = prep(bmix, b * d);
         let step = |_t: usize, slots: &[usize], z: &[f64], h: &mut [f64]| {
             let active = slots.len();
-            matmul_nt(
-                z,
-                self.pzr.as_slice(),
-                &mut gates[..active * 2 * d],
-                active,
-                2 * d,
-                zlen,
-            );
+            pzr.matmul(level, z, &mut gates[..active * 2 * d], active);
             for s in 0..active {
                 let a = &mut gates[s * 2 * d..(s + 1) * 2 * d];
                 activate_gates(a, 2 * d); // both gates sigmoid
@@ -200,14 +199,7 @@ impl GruCell {
                 }
                 zr[2 + d] = 1.0;
             }
-            matmul_nt(
-                &z2[..active * zlen],
-                self.ph.as_slice(),
-                &mut hc[..active * d],
-                active,
-                d,
-                zlen,
-            );
+            ph.matmul(level, &z2[..active * zlen], &mut hc[..active * d], active);
             tanh_slice(&mut hc[..active * d]);
             for s in 0..active {
                 let gz = &gates[s * 2 * d..s * 2 * d + d];
@@ -360,6 +352,18 @@ mod tests {
                 cell.forward_batch(&refs, ws)
             },
             |(coords, _), ws| cell.forward_train(coords, ws).0,
+        );
+    }
+
+    #[test]
+    fn batched_forward_narrower_than_pack_min_m_packs_nothing() {
+        let cell = GruCell::new(6, 41);
+        crate::workspace::lockstep_tests::packs_only_wide_batches(
+            |seqs, ws| {
+                let refs: Vec<&[(f64, f64)]> = seqs.iter().map(|(c, _)| c.as_slice()).collect();
+                cell.forward_batch(&refs, ws)
+            },
+            2,
         );
     }
 }

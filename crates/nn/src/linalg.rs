@@ -199,28 +199,30 @@ impl Mat {
 /// Below this many `A` rows, packing the `B` panel costs about as much as
 /// the multiply it would accelerate; use the direct kernel instead
 /// ([`simd::matmul_nt_direct`], vectorized across `B` rows).
-const PACK_MIN_M: usize = 8;
+pub(crate) const PACK_MIN_M: usize = 8;
 // Every call the packed kernel declines must fit the vector arm.
 const _: () = assert!(PACK_MIN_M <= simd::DIRECT_MAX_M + 1);
 
 thread_local! {
-    /// Reused packing scratch (`A` micro-panel, `B` panels) so repeated
-    /// GEMM calls — one per RNN timestep, one per scan block — allocate
-    /// nothing in steady state.
-    static PACK_SCRATCH: std::cell::RefCell<(Vec<f64>, Vec<f64>)> =
-        const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
+    /// Reused `B`-panel scratch, so the `matmul_nt` calls that pack per
+    /// call (k-means assignment blocks, tests) allocate nothing in steady
+    /// state. The lockstep recurrent step does not use it: its weights
+    /// are packed once per call into the workspace ([`PackedNt`]).
+    static PACK_SCRATCH: std::cell::RefCell<Vec<f64>> = const { std::cell::RefCell::new(Vec::new()) };
 }
 
 /// `C = A·Bᵀ` for row-major slices: `A` is `m×k`, `B` is `n×k`, `C` is
 /// `m×n` (overwritten).
 ///
-/// The kernel packs `B` into `k`-major panels of `NR` columns and each
-/// `MR`-row `A` stripe into a `k`-major micro-panel, then runs an
-/// `MR×NR` register tile over them: every `k` iteration issues
-/// `MR·NR` independent multiply-adds fed by two contiguous loads, which
-/// both hides FMA latency and lets the compiler vectorize across the
-/// accumulators. Partial edge tiles are padded inside the packed panels
-/// (their lanes are computed and discarded, never stored).
+/// The kernel packs `B` into `k`-major panels of `NR` columns
+/// (`pack_nt`), then runs an `MR×NR` register tile over each `MR`-row
+/// stripe of `A` and each panel (`matmul_nt_panels`): every `k`
+/// iteration issues `MR·NR` independent multiply-adds fed by one
+/// contiguous panel load and `MR` broadcasts, which hides the add latency
+/// and lets the tile vectorize across the accumulators. Partial edge
+/// tiles are padded inside the packed panels (their lanes are computed
+/// and discarded, never stored). Below `PACK_MIN_M = 8` rows it packs
+/// nothing and runs the unpacked small-`m` arm (`simd::matmul_nt_direct`).
 ///
 /// Every output element still owns a *single* accumulator that sums
 /// `a[i,p]·b[j,p]` in ascending `p` order — exactly the order
@@ -233,9 +235,9 @@ pub fn matmul_nt(a: &[f64], b: &[f64], c: &mut [f64], m: usize, n: usize, k: usi
 }
 
 /// [`matmul_nt`] with the micro-kernel dispatch level pinned — the
-/// bit-identity tests force the scalar oracle and the AVX2 path in one
-/// process. Production callers use [`matmul_nt`], which follows the
-/// process-wide cached [`neutraj_obs::simd::level`].
+/// bit-identity tests force every level in one process. Production
+/// callers use [`matmul_nt`], which follows the process-wide cached
+/// [`neutraj_obs::simd::level`].
 pub fn matmul_nt_with_level(
     level: SimdLevel,
     a: &[f64],
@@ -253,47 +255,96 @@ pub fn matmul_nt_with_level(
         return;
     }
     PACK_SCRATCH.with(|scratch| {
-        let (ap, bp) = &mut *scratch.borrow_mut();
-        let ntiles = n.div_ceil(NR);
-        // Pack B once: panel `jt` holds columns `jt*NR..` k-major, so the
-        // kernel's per-p loads are contiguous. Padding lanes of a partial
-        // final panel are left as stale scratch — the kernel computes
-        // them into accumulators that are never stored.
-        bp.resize(ntiles * k * NR, 0.0);
-        for jt in 0..ntiles {
-            let j0 = jt * NR;
-            let nh = (n - j0).min(NR);
-            let panel = &mut bp[jt * k * NR..(jt + 1) * k * NR];
-            for jj in 0..nh {
-                let brow = &b[(j0 + jj) * k..(j0 + jj + 1) * k];
-                for (p, &v) in brow.iter().enumerate() {
-                    panel[p * NR + jj] = v;
-                }
-            }
-        }
-        ap.resize(k * MR, 0.0);
-        let mut i = 0;
-        while i < m {
-            let mh = (m - i).min(MR);
-            for r in 0..mh {
-                let arow = &a[(i + r) * k..(i + r + 1) * k];
-                for (p, &v) in arow.iter().enumerate() {
-                    ap[p * MR + r] = v;
-                }
-            }
-            for jt in 0..ntiles {
-                let j0 = jt * NR;
-                let nh = (n - j0).min(NR);
-                let panel = &bp[jt * k * NR..(jt + 1) * k * NR];
-                let mut acc = [[0.0f64; NR]; MR];
-                simd::gemm_tile_nt(level, ap, panel, &mut acc);
-                for (r, accr) in acc.iter().enumerate().take(mh) {
-                    c[(i + r) * n + j0..(i + r) * n + j0 + nh].copy_from_slice(&accr[..nh]);
-                }
-            }
-            i += MR;
-        }
+        let panels = &mut *scratch.borrow_mut();
+        pack_nt(b, n, k, panels);
+        matmul_nt_panels(level, a, panels, c, m, n, k);
     });
+}
+
+/// Packs the row-major `n×k` `B` of `A·Bᵀ` into `panels`: panel `jt`
+/// holds columns `jt·NR..` `k`-major, so the tile's per-`p` loads are
+/// contiguous. Padding lanes of a partial final panel are left as stale
+/// scratch — the tile computes them into accumulators that are never
+/// stored.
+fn pack_nt(b: &[f64], n: usize, k: usize, panels: &mut Vec<f64>) {
+    let ntiles = n.div_ceil(NR);
+    panels.resize(ntiles * k * NR, 0.0);
+    for jt in 0..ntiles {
+        let j0 = jt * NR;
+        let panel = &mut panels[jt * k * NR..(jt + 1) * k * NR];
+        for jj in 0..(n - j0).min(NR) {
+            let brow = &b[(j0 + jj) * k..(j0 + jj + 1) * k];
+            for (p, &v) in brow.iter().enumerate() {
+                panel[p * NR + jj] = v;
+            }
+        }
+    }
+}
+
+/// The product half of [`matmul_nt`]: `C = A·Bᵀ` over `B`'s panels from
+/// [`pack_nt`], one [`simd::gemm_stripe_nt`] per `MR` rows of `A`. A
+/// short last stripe repeats its last row in the missing ones (computed,
+/// never stored).
+fn matmul_nt_panels(
+    level: SimdLevel,
+    a: &[f64],
+    panels: &[f64],
+    c: &mut [f64],
+    m: usize,
+    n: usize,
+    k: usize,
+) {
+    let mut i = 0;
+    while i < m {
+        let mh = (m - i).min(MR);
+        let arows: [&[f64]; MR] = std::array::from_fn(|r| {
+            let row = i + r.min(mh - 1);
+            &a[row * k..(row + 1) * k]
+        });
+        simd::gemm_stripe_nt(level, arows, panels, &mut c[i * n..(i + mh) * n], n);
+        i += MR;
+    }
+}
+
+/// The `B` of many `C = A·Bᵀ` products with one `B` — a recurrent cell's
+/// step weights, which every lockstep timestep multiplies by a new stack
+/// of `z` rows — packed once. [`Self::matmul`] is [`matmul_nt_with_level`]
+/// without the per-call packing: the same panels, the same kernels, the
+/// same bits. The panels live in caller-owned scratch (a
+/// [`crate::Workspace`] buffer) and are packed from the weights as they
+/// are now, so nothing can go stale when an optimizer moves them.
+pub(crate) struct PackedNt<'a> {
+    b: &'a Mat,
+    /// `b`'s panels; empty when no product may reach `PACK_MIN_M` rows.
+    panels: &'a [f64],
+}
+
+impl<'a> PackedNt<'a> {
+    /// Packs `b` into `buf` if a product of up to `max_m` rows may take
+    /// the packed kernel (`max_m ≥ PACK_MIN_M`); a narrower batch packs
+    /// nothing and leaves `buf` untouched.
+    pub(crate) fn new(b: &'a Mat, max_m: usize, buf: &'a mut Vec<f64>) -> Self {
+        let panels: &'a [f64] = if max_m >= PACK_MIN_M {
+            pack_nt(b.as_slice(), b.rows(), b.cols(), buf);
+            buf
+        } else {
+            &[]
+        };
+        Self { b, panels }
+    }
+
+    /// `C = A·Bᵀ` for the `m` rows of `A` (`m` no more than the `max_m`
+    /// the panels were packed for), bit for bit [`matmul_nt_with_level`].
+    pub(crate) fn matmul(&self, level: SimdLevel, a: &[f64], c: &mut [f64], m: usize) {
+        let (n, k) = (self.b.rows(), self.b.cols());
+        assert_eq!(a.len(), m * k, "matmul_nt: A shape");
+        assert_eq!(c.len(), m * n, "matmul_nt: C shape");
+        if m < PACK_MIN_M {
+            simd::matmul_nt_direct(level, a, self.b.as_slice(), c, m, n, k);
+        } else {
+            matmul_nt_panels(level, a, self.panels, c, m, n, k);
+        }
+    }
 }
 
 /// `C = A·B` for row-major slices: `A` is `m×k`, `B` is `k×n`, `C` is
@@ -663,7 +714,7 @@ mod tests {
     }
 
     /// `matvec_into` on the vector kernels is the row loop it replaced,
-    /// bit for bit, in both SIMD modes — accumulating into a `y` that is
+    /// bit for bit, at every SIMD level — accumulating into a `y` that is
     /// not zero, over signed zeros, subnormals and overflowing products.
     #[test]
     fn matvec_into_bit_identical_to_the_row_loop() {
@@ -693,7 +744,7 @@ mod tests {
                     }
                     *yr += acc;
                 }
-                for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+                for level in SimdLevel::ALL {
                     let mut got = y0.clone();
                     a.matvec_into_with_level(level, &x, &mut got);
                     for (g, w) in got.iter().zip(&want) {
@@ -723,7 +774,7 @@ mod tests {
     /// The ordered accumulate is the loop of rank-1 updates it replaces —
     /// one per step, last step first, every term added — bit for bit, for
     /// every sequence length the trainer sees, on the shapes of `dP`
-    /// (160×35), `dW_his` (32×64) and a ragged one, in both SIMD modes,
+    /// (160×35), `dW_his` (32×64) and a ragged one, at every SIMD level,
     /// with zeros, signed zeros and subnormals in `u`. On an accumulator
     /// without `−0.0` entries that is also `outer_acc`'s skipping sweep;
     /// the one difference between the rules is pinned at the end.
@@ -754,7 +805,7 @@ mod tests {
                     skipping.outer_acc(&u[t * m..(t + 1) * m], &v[t * n..(t + 1) * n]);
                 }
                 assert_eq!(bits(skipping.as_slice()), bits(&want), "skip rule {m}x{n}");
-                for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+                for level in SimdLevel::ALL {
                     let mut got = Mat::from_vec(m, n, c0.clone());
                     got.outer_acc_rows_rev_with_level(level, &u, &v);
                     assert_eq!(
@@ -766,7 +817,7 @@ mod tests {
             }
         }
         // The zero rule: a `−0.0` accumulator meets a zero term.
-        for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+        for level in SimdLevel::ALL {
             let mut got = Mat::from_vec(1, 8, vec![-0.0; 8]);
             got.outer_acc_rows_rev_with_level(level, &[0.0], &[1.0; 8]);
             assert_eq!(bits(got.as_slice()), bits(&[0.0; 8]), "{level:?}");
@@ -778,7 +829,7 @@ mod tests {
 
     /// The transposed-columns product is the matching slice of
     /// `matvec_t_into` on a zeroed buffer, for every column window of the
-    /// BPTT shapes and a ragged one, in both SIMD modes.
+    /// BPTT shapes and a ragged one, at every SIMD level.
     #[test]
     fn matvec_t_cols_bit_identical_to_the_slice_of_matvec_t() {
         let mut rng = Rng::seed_from_u64(61);
@@ -789,7 +840,7 @@ mod tests {
             a.matvec_t_into(&x, &mut full);
             for col0 in [0, 1, 2, cols / 2] {
                 for len in (0..=cols - col0).rev().step_by(3) {
-                    for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+                    for level in SimdLevel::ALL {
                         let mut got = vec![f64::NAN; len];
                         a.matvec_t_cols_into_with_level(level, &x, col0, &mut got);
                         assert_eq!(
@@ -798,6 +849,43 @@ mod tests {
                             "{rows}x{cols} [{col0}..+{len}] {level:?}"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    /// Panels packed once and reused over many `A` blocks give what a
+    /// per-call `matmul_nt` gives, bit for bit, at every level — the
+    /// lockstep step's contract with its per-timestep products — over
+    /// the step shapes (160×35 gates, 32×64 `W_his`) and ragged ones with
+    /// odd and even panel counts, for every block height from 1 to 17 (the
+    /// narrow ones take the direct arm on the unpacked `B`). Every level
+    /// also equals the scalar one.
+    #[test]
+    fn panels_packed_once_equal_per_call_matmul_nt() {
+        let mut rng = Rng::seed_from_u64(29);
+        for &(n, k) in &[
+            (160usize, 35usize),
+            (32, 64),
+            (20, 7),
+            (24, 3),
+            (9, 11),
+            (1, 5),
+        ] {
+            let b = Mat::from_vec(n, k, salted(&mut rng, n * k));
+            let mut buf = vec![f64::NAN; 3];
+            let packed = PackedNt::new(&b, 17, &mut buf);
+            for m in (1..=17).chain((1..=17).rev()) {
+                let a = salted(&mut rng, m * k);
+                let mut want = vec![f64::NAN; m * n];
+                matmul_nt_with_level(SimdLevel::Scalar, &a, b.as_slice(), &mut want, m, n, k);
+                for level in SimdLevel::ALL {
+                    let mut per_call = vec![f64::NAN; m * n];
+                    matmul_nt_with_level(level, &a, b.as_slice(), &mut per_call, m, n, k);
+                    let mut once = vec![f64::NAN; m * n];
+                    packed.matmul(level, &a, &mut once, m);
+                    assert_eq!(bits(&once), bits(&per_call), "{n}x{k} m={m} {level:?}");
+                    assert_eq!(bits(&once), bits(&want), "{n}x{k} m={m} {level:?}");
                 }
             }
         }

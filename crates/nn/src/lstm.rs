@@ -3,7 +3,7 @@
 //! Used as the backbone of the Siamese baseline and the NT-No-SAM ablation
 //! (§VII-A.3), and as the base the SAM unit extends.
 
-use crate::linalg::{activate_gates, lstm_cell_update, matmul_nt, Mat};
+use crate::linalg::{activate_gates, lstm_cell_update, Mat, PackedNt};
 use crate::workspace::{lockstep, prep, scratch, Workspace};
 
 /// A standard LSTM cell over 2-D coordinate inputs, with fused parameters.
@@ -145,7 +145,8 @@ impl LstmCell {
     /// Lockstep batched inference over many coordinate sequences (the
     /// `lockstep` driver of `workspace.rs`): the per-step gate computation
     /// is a single `(active × zlen)·Pᵀ` GEMM instead of `active`
-    /// independent matvecs.
+    /// independent matvecs, over panels of `P` packed once per call
+    /// (`linalg::PackedNt`).
     ///
     /// Because [`crate::linalg::matmul_nt`] accumulates each output
     /// element in the exact order [`Mat::matvec_into`] does, the returned
@@ -162,21 +163,17 @@ impl LstmCell {
             bc,
             bgates,
             t1,
+            panels,
             ..
         } = ws;
+        let level = neutraj_obs::simd::level();
+        let p = PackedNt::new(&self.p, b, panels);
         let c = prep(bc, b * d);
         let gates = prep(bgates, b * 4 * d);
         let tanh_c = prep(t1, d);
         let step = |_t: usize, slots: &[usize], z: &[f64], h: &mut [f64]| {
             let active = slots.len();
-            matmul_nt(
-                z,
-                self.p.as_slice(),
-                &mut gates[..active * 4 * d],
-                active,
-                4 * d,
-                d + 3,
-            );
+            p.matmul(level, z, &mut gates[..active * 4 * d], active);
             for s in 0..active {
                 let g = &mut gates[s * 4 * d..(s + 1) * 4 * d];
                 activate_gates(g, 3 * d);
@@ -378,6 +375,18 @@ mod tests {
                 cell.forward_batch(&refs, ws)
             },
             |(coords, _), ws| cell.forward_train(coords, ws).0,
+        );
+    }
+
+    #[test]
+    fn batched_forward_narrower_than_pack_min_m_packs_nothing() {
+        let cell = LstmCell::new(8, 42);
+        crate::workspace::lockstep_tests::packs_only_wide_batches(
+            |seqs, ws| {
+                let refs: Vec<&[(f64, f64)]> = seqs.iter().map(|(c, _)| c.as_slice()).collect();
+                cell.forward_batch(&refs, ws)
+            },
+            1,
         );
     }
 }

@@ -39,6 +39,7 @@
 use crate::activation::{sigmoid_slice, tanh_slice};
 use crate::linalg::{
     activate_gates, add_assign, axpy, dot, matmul_nt, softmax_backward, softmax_inplace, Mat,
+    PackedNt,
 };
 use crate::memory::{SpatialMemory, WriteLog, LOCAL_ROW};
 use crate::simd::dot_rows;
@@ -334,7 +335,8 @@ impl SamLstmCell {
     /// Lockstep batched read-only inference over many sequences (the
     /// `lockstep` driver of `workspace.rs`). Each timestep runs two GEMMs
     /// over the active prefix — the fused gates (`(active × zlen)·Pᵀ`) and
-    /// the attention projection (`(active × 2d)·W_hisᵀ`) — and each `tanh`
+    /// the attention projection (`(active × 2d)·W_hisᵀ`), both over weight
+    /// panels packed once per call (`linalg::PackedNt`) — and each `tanh`
     /// over the whole active block, while the per-slot attention read
     /// scores the memory's own rows (nothing is gathered). Every output
     /// element is produced by the same operations in the same order as in
@@ -367,8 +369,13 @@ impl SamLstmCell {
             bcat,
             bhis,
             win,
+            panels,
+            panels2,
             ..
         } = ws;
+        let level = neutraj_obs::simd::level();
+        let p = PackedNt::new(&self.p, b, panels);
+        let w_his = PackedNt::new(&self.w_his, b, panels2);
         let c = prep(bc, b * d);
         let gates = prep(bgates, b * 5 * d);
         let c_hat = prep(bchat, b * d);
@@ -377,14 +384,7 @@ impl SamLstmCell {
         let c_his = prep(bhis, b * d);
         let step = |t: usize, slots: &[usize], z: &[f64], h: &mut [f64]| {
             let active = slots.len();
-            matmul_nt(
-                z,
-                self.p.as_slice(),
-                &mut gates[..active * 5 * d],
-                active,
-                5 * d,
-                d + 3,
-            );
+            p.matmul(level, z, &mut gates[..active * 5 * d], active);
             for (s, &i) in slots.iter().enumerate() {
                 let a = &mut gates[s * 5 * d..(s + 1) * 5 * d];
                 activate_gates(a, 4 * d);
@@ -405,13 +405,11 @@ impl SamLstmCell {
                 cc[..d].copy_from_slice(ch);
                 cc[d..].copy_from_slice(mx);
             }
-            matmul_nt(
+            w_his.matmul(
+                level,
                 &ccat[..active * 2 * d],
-                self.w_his.as_slice(),
                 &mut c_his[..active * d],
                 active,
-                d,
-                2 * d,
             );
             // Each transcendental runs over the whole active block.
             let (n, his) = (active * d, &mut c_his[..active * d]);
@@ -1419,6 +1417,22 @@ mod tests {
                 cell.forward_batch(&refs, &mem, 1, ws)
             },
             |(coords, cells), ws| run_ws(&cell, coords, cells, &mut mem.clone(), 1, false, ws).0,
+        );
+    }
+
+    #[test]
+    fn batched_forward_narrower_than_pack_min_m_packs_nothing() {
+        let cell = SamLstmCell::new(5, 37);
+        let mem = warmed_memory(5);
+        crate::workspace::lockstep_tests::packs_only_wide_batches(
+            |seqs, ws| {
+                let refs: Vec<SamSeqRef<'_>> = seqs
+                    .iter()
+                    .map(|(c, g)| (c.as_slice(), g.as_slice()))
+                    .collect();
+                cell.forward_batch(&refs, &mem, 1, ws)
+            },
+            2,
         );
     }
 

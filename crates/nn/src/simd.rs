@@ -1,16 +1,18 @@
-//! AVX2 micro-kernels for the register-tiled GEMMs in [`crate::linalg`]
-//! and the u8 integer dot product behind the int8-quantized embedding
+//! AVX2 and AVX-512 micro-kernels for the register-tiled GEMMs in
+//! [`crate::linalg`] and the u8 integer dot product behind the int8 code
 //! scan (`DESIGN.md` §12).
 //!
 //! Same policy as the measures DP kernels: every function takes an
 //! explicit [`SimdLevel`] and carries a pure-Rust scalar arm that *is*
-//! the oracle — the AVX2 arm computes the same expression per output
+//! the oracle — the vector arms compute the same expression per output
 //! element in the same order, so results are bit-identical:
 //!
 //! * the GEMM tiles keep one accumulator per output element, summed in
-//!   ascending `p` with separate `_mm256_mul_pd`/`_mm256_add_pd` (no
-//!   FMA — the scalar oracle never contracts), vectorized only across
-//!   the `NR` *independent* accumulator columns;
+//!   ascending `p` with separate `mul`/`add` instructions (no FMA — the
+//!   scalar oracle never contracts), vectorized only across the
+//!   *independent* accumulator columns: `NR` of them per AVX2 tile, `2·NR`
+//!   (two adjacent panels) per AVX-512 tile, the only kernel here with a
+//!   512-bit arm;
 //! * the small-`m` `A·Bᵀ` arm keeps the same one-accumulator,
 //!   ascending-`p`, mul-then-add chain per output and vectorizes across
 //!   four `B` rows (four independent outputs), transposing `B` in
@@ -29,6 +31,9 @@
 //!   sweeps they replace did, vectorized across output columns;
 //! * the u8 dot is exact integer arithmetic, where any summation order
 //!   yields the same value.
+//!
+//! Levels are ordered: a kernel without an AVX-512 arm runs its AVX2 arm
+//! at [`SimdLevel::Avx512`].
 
 use neutraj_obs::simd::SimdLevel;
 
@@ -37,39 +42,118 @@ pub(crate) const MR: usize = 4;
 /// Columns per GEMM micro-tile (matches `linalg::NR`).
 pub(crate) const NR: usize = 8;
 
-/// Whether the AVX2 arm may run: requested level AND host support
-/// (`is_x86_feature_detected!` caches, ~one relaxed load per call).
+/// Whether the AVX2 arm may run: requested level (AVX2 or above) AND
+/// host support (`is_x86_feature_detected!` caches, ~one relaxed load
+/// per call).
 #[cfg(target_arch = "x86_64")]
 #[inline]
 pub(crate) fn use_avx2(level: SimdLevel) -> bool {
-    level == SimdLevel::Avx2 && std::arch::is_x86_feature_detected!("avx2")
+    level >= SimdLevel::Avx2 && std::arch::is_x86_feature_detected!("avx2")
 }
 
-/// The packed `MR×NR` register tile of [`crate::linalg::matmul_nt`]:
-/// `ap` is the `k`-major A micro-panel (`k·MR`), `panel` the `k`-major
-/// B panel (`k·NR`); `acc[r][c] += Σ_p ap[p·MR+r] · panel[p·NR+c]` in
-/// ascending `p`, one accumulator per element.
+/// Whether an AVX-512 arm may run: requested level AND host support for
+/// both `avx512f` and `avx512dq` (the bitwise `pd` operations of the
+/// activation lanes are DQ), as [`neutraj_obs::simd::detect`] requires.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+pub(crate) fn use_avx512(level: SimdLevel) -> bool {
+    level >= SimdLevel::Avx512
+        && std::arch::is_x86_feature_detected!("avx512f")
+        && std::arch::is_x86_feature_detected!("avx512dq")
+}
+
+/// One `MR`-row stripe of [`crate::linalg::matmul_nt`]'s product over
+/// `B`'s packed panels: `panels` holds `n.div_ceil(NR)` `k`-major panels
+/// of `NR` columns (`k·NR` each, padding lanes arbitrary), and `c` the
+/// stripe's `c.len() / n ≤ MR` output rows, `n` wide, overwritten with
+/// `c[r·n + j] = Σ_p arows[r][p] · b[j, p]`. Rows of `arows` past the
+/// stripe's are computed and not stored.
+///
+/// Every panel runs [`gemm_tile_nt`], except at [`SimdLevel::Avx512`],
+/// where each pair of adjacent panels runs one AVX-512 tile — the same
+/// chain per output, eight lanes a vector — and an odd last panel takes
+/// the AVX2 tile. The panel layout does not depend on the level.
 #[inline]
 #[allow(unsafe_code)]
-pub(crate) fn gemm_tile_nt(level: SimdLevel, ap: &[f64], panel: &[f64], acc: &mut [[f64; NR]; MR]) {
-    assert_eq!(ap.len() % MR, 0);
-    assert_eq!(ap.len() / MR, panel.len() / NR);
-    assert_eq!(panel.len() % NR, 0);
+pub(crate) fn gemm_stripe_nt(
+    level: SimdLevel,
+    arows: [&[f64]; MR],
+    panels: &[f64],
+    c: &mut [f64],
+    n: usize,
+) {
+    let k = arows[0].len();
+    for row in &arows {
+        assert_eq!(row.len(), k);
+    }
+    let ntiles = n.div_ceil(NR);
+    assert_eq!(
+        panels.len(),
+        ntiles * k * NR,
+        "gemm_stripe_nt: panels shape"
+    );
+    assert!(c.len() <= MR * n && c.len().is_multiple_of(n.max(1)));
+    let mut jt = 0;
+    #[cfg(target_arch = "x86_64")]
+    if use_avx512(level) {
+        while jt + 2 <= ntiles {
+            let mut acc = [[0.0f64; 2 * NR]; MR];
+            // SAFETY: AVX-512F presence just verified; every A row holds
+            // `k` doubles and the two panels `2·k·NR` (checked above).
+            unsafe { avx512::gemm_tile_nt(arows, &panels[jt * k * NR..][..2 * k * NR], &mut acc) };
+            store_tile(&acc, c, n, jt * NR);
+            jt += 2;
+        }
+    }
+    while jt < ntiles {
+        let mut acc = [[0.0f64; NR]; MR];
+        gemm_tile_nt(level, arows, &panels[jt * k * NR..][..k * NR], &mut acc);
+        store_tile(&acc, c, n, jt * NR);
+        jt += 1;
+    }
+}
+
+/// Copies the columns `j0..` of a tile that exist (`n` wide) into the
+/// `c.len() / n` rows of `c`. A whole tile row is a fixed-size copy
+/// (a few vector moves, where a copy of run-time length is a `memcpy`
+/// call per row).
+#[inline]
+fn store_tile<const W: usize>(acc: &[[f64; W]; MR], c: &mut [f64], n: usize, j0: usize) {
+    let nh = (n - j0).min(W);
+    for (crow, accr) in c.chunks_exact_mut(n).zip(acc) {
+        if nh == W {
+            crow[j0..j0 + W].copy_from_slice(accr);
+        } else {
+            crow[j0..j0 + nh].copy_from_slice(&accr[..nh]);
+        }
+    }
+}
+
+/// The packed `MR×NR` register tile of [`gemm_stripe_nt`]: `arows` are
+/// the `MR` A rows (`k` each), `panel` the `k`-major B panel (`k·NR`);
+/// `acc[r][c] += Σ_p arows[r][p] · panel[p·NR+c]` in ascending `p`, one
+/// accumulator per element.
+#[inline]
+#[allow(unsafe_code)]
+fn gemm_tile_nt(level: SimdLevel, arows: [&[f64]; MR], panel: &[f64], acc: &mut [[f64; NR]; MR]) {
+    let k = arows[0].len();
+    for row in &arows {
+        assert_eq!(row.len(), k);
+    }
+    assert_eq!(panel.len(), k * NR);
     #[cfg(target_arch = "x86_64")]
     if use_avx2(level) {
         // SAFETY: AVX2 presence just verified; lengths checked above.
-        unsafe { avx2::gemm_tile_nt(ap, panel, acc) };
+        unsafe { avx2::gemm_tile_nt(arows, panel, acc) };
         return;
     }
     let _ = level;
-    for (av, bv) in ap.chunks_exact(MR).zip(panel.chunks_exact(NR)) {
-        // Fixed-size views give the optimizer exact trip counts for the
+    for (p, bv) in panel.chunks_exact(NR).enumerate() {
+        // A fixed-size view gives the optimizer exact trip counts for the
         // MR×NR unrolled multiply-add block.
-        let av: &[f64; MR] = av.try_into().expect("A panel chunk");
         let bv: &[f64; NR] = bv.try_into().expect("B panel chunk");
-        for r in 0..MR {
-            let ar = av[r];
-            let accr = &mut acc[r];
+        for (accr, arow) in acc.iter_mut().zip(&arows) {
+            let ar = arow[p];
             for cc in 0..NR {
                 accr[cc] += ar * bv[cc];
             }
@@ -570,9 +654,16 @@ mod avx2 {
     use super::{ScanInput, MR, NR};
     use core::arch::x86_64::*;
 
+    /// # Safety
+    /// AVX2 must be available; every row of `arows` must hold `k`
+    /// doubles and `panel` `k·NR`.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gemm_tile_nt(ap: &[f64], panel: &[f64], acc: &mut [[f64; NR]; MR]) {
-        let k = ap.len() / MR;
+    pub(super) unsafe fn gemm_tile_nt(
+        arows: [&[f64]; MR],
+        panel: &[f64],
+        acc: &mut [[f64; NR]; MR],
+    ) {
+        let k = arows[0].len();
         // Eight ymm accumulators: rows r=0..4 × column halves h=0..2.
         let mut vacc = [[_mm256_setzero_pd(); 2]; MR];
         for (r, row) in acc.iter().enumerate() {
@@ -581,12 +672,12 @@ mod avx2 {
                 _mm256_loadu_pd(row.as_ptr().add(4)),
             ];
         }
-        let (app, bpp) = (ap.as_ptr(), panel.as_ptr());
+        let bpp = panel.as_ptr();
         for p in 0..k {
             let b0 = _mm256_loadu_pd(bpp.add(p * NR));
             let b1 = _mm256_loadu_pd(bpp.add(p * NR + 4));
             for (r, vr) in vacc.iter_mut().enumerate() {
-                let ar = _mm256_set1_pd(*app.add(p * MR + r));
+                let ar = _mm256_set1_pd(*arows[r].get_unchecked(p));
                 // Separate mul+add: the scalar oracle does not contract.
                 vr[0] = _mm256_add_pd(vr[0], _mm256_mul_pd(ar, b0));
                 vr[1] = _mm256_add_pd(vr[1], _mm256_mul_pd(ar, b1));
@@ -1300,6 +1391,56 @@ mod avx2 {
     }
 }
 
+/// The one 512-bit GEMM kernel, under the same rules as `avx2`: called
+/// only through [`gemm_stripe_nt`] after its bounds checks, and only when
+/// runtime detection reported AVX-512.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod avx512 {
+    use super::{MR, NR};
+    use core::arch::x86_64::*;
+
+    /// [`super::gemm_tile_nt`] over two adjacent panels at once:
+    /// `acc[r][h·NR + c] += Σ_p arows[r][p] · panels[h·k·NR + p·NR + c]`
+    /// in ascending `p`, in eight zmm accumulators (rows `r = 0..4` ×
+    /// panels `h = 0..2`), lane `c` of `[r][h]` the chain of output
+    /// column `h·NR + c` — the AVX2 tile's operations, eight lanes wide.
+    ///
+    /// # Safety
+    /// AVX-512F must be available; every row of `arows` must hold `k`
+    /// doubles and `panels` `2·k·NR`.
+    #[target_feature(enable = "avx512f")]
+    pub(super) unsafe fn gemm_tile_nt(
+        arows: [&[f64]; MR],
+        panels: &[f64],
+        acc: &mut [[f64; 2 * NR]; MR],
+    ) {
+        let k = arows[0].len();
+        let mut vacc = [[_mm512_setzero_pd(); 2]; MR];
+        for (r, row) in acc.iter().enumerate() {
+            vacc[r] = [
+                _mm512_loadu_pd(row.as_ptr()),
+                _mm512_loadu_pd(row.as_ptr().add(NR)),
+            ];
+        }
+        let (b0p, b1p) = (panels.as_ptr(), panels.as_ptr().add(k * NR));
+        for p in 0..k {
+            let b0 = _mm512_loadu_pd(b0p.add(p * NR));
+            let b1 = _mm512_loadu_pd(b1p.add(p * NR));
+            for (r, vr) in vacc.iter_mut().enumerate() {
+                let ar = _mm512_set1_pd(*arows[r].get_unchecked(p));
+                // Separate mul+add: the scalar oracle does not contract.
+                vr[0] = _mm512_add_pd(vr[0], _mm512_mul_pd(ar, b0));
+                vr[1] = _mm512_add_pd(vr[1], _mm512_mul_pd(ar, b1));
+            }
+        }
+        for (r, row) in acc.iter_mut().enumerate() {
+            _mm512_storeu_pd(row.as_mut_ptr(), vacc[r][0]);
+            _mm512_storeu_pd(row.as_mut_ptr().add(NR), vacc[r][1]);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1317,27 +1458,99 @@ mod tests {
             .collect()
     }
 
+    /// The stripe over packed panels is the scalar definition bit for
+    /// bit at every level: one to four live rows, panel counts odd and
+    /// even (the AVX-512 pairs and the odd last panel), ragged last
+    /// panels, signed zeros and subnormals salted in.
     #[test]
     fn gemm_tiles_agree_bitwise_across_levels() {
         let mut seed = 9u64;
-        for k in [1usize, 3, 16, 61] {
-            let ap = fill(k * MR, &mut seed);
-            let panel = fill(k * NR, &mut seed);
-            let mut a = [[0.5f64; NR]; MR];
-            let mut b = a;
-            gemm_tile_nt(SimdLevel::Scalar, &ap, &panel, &mut a);
-            gemm_tile_nt(SimdLevel::Avx2, &ap, &panel, &mut b);
-            assert_eq!(a, b, "nt k={k}");
+        let special = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300];
+        for k in [1usize, 3, 16, 35, 61] {
+            for n in [1usize, 8, 11, 16, 20, 24, 35, 40, 64] {
+                let ntiles = n.div_ceil(NR);
+                let mut rows = fill(MR * k, &mut seed);
+                let mut b = fill(n * k, &mut seed);
+                for v in rows.iter_mut().chain(b.iter_mut()) {
+                    if lcg(&mut seed) >> 61 == 0 {
+                        *v = special[(lcg(&mut seed) >> 33) as usize % special.len()];
+                    }
+                }
+                // Padding lanes of the last panel hold garbage: computed,
+                // never stored.
+                let mut panels = vec![f64::NAN; ntiles * k * NR];
+                for j in 0..n {
+                    for p in 0..k {
+                        panels[(j / NR) * k * NR + p * NR + j % NR] = b[j * k + p];
+                    }
+                }
+                for mh in 1..=MR {
+                    let arows: [&[f64]; MR] =
+                        std::array::from_fn(|r| &rows[r.min(mh - 1) * k..][..k]);
+                    let mut want = vec![0.0f64; mh * n];
+                    for (r, w) in want.chunks_exact_mut(n).enumerate() {
+                        for (j, wj) in w.iter_mut().enumerate() {
+                            for p in 0..k {
+                                *wj += arows[r][p] * b[j * k + p];
+                            }
+                        }
+                    }
+                    for level in SimdLevel::ALL {
+                        let mut got = vec![f64::NAN; mh * n];
+                        gemm_stripe_nt(level, arows, &panels, &mut got, n);
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&got), bits(&want), "{level:?} k={k} n={n} mh={mh}");
+                    }
+                }
+            }
 
             let n = NR + 3;
             let rows = fill(MR * k, &mut seed);
             let bmat = fill(k * n, &mut seed);
             let arows: [&[f64]; MR] = std::array::from_fn(|r| &rows[r * k..(r + 1) * k]);
-            let mut a = [[0.25f64; NR]; MR];
-            let mut b = a;
-            gemm_tile_nn(SimdLevel::Scalar, arows, &bmat, n, 2, &mut a);
-            gemm_tile_nn(SimdLevel::Avx2, arows, &bmat, n, 2, &mut b);
-            assert_eq!(a, b, "nn k={k}");
+            let mut want = [[0.25f64; NR]; MR];
+            gemm_tile_nn(SimdLevel::Scalar, arows, &bmat, n, 2, &mut want);
+            for level in SimdLevel::ALL {
+                let mut got = [[0.25f64; NR]; MR];
+                gemm_tile_nn(level, arows, &bmat, n, 2, &mut got);
+                assert_eq!(got, want, "nn {level:?} k={k}");
+            }
+        }
+    }
+
+    /// A kernel with no 512-bit arm runs its AVX2 arm at `Avx512`, not
+    /// the scalar one. Bits cannot tell those apart, so this watches the
+    /// one difference the arms are allowed: the AVX2 scan tests a group
+    /// of rows against the thresholds as they stood when the group began,
+    /// and so calls `admit` for rows the scalar arm has already ruled out.
+    #[test]
+    fn kernels_without_a_512_arm_run_the_avx2_arm_at_avx512() {
+        let dim = 4;
+        // Distances that rise with every row: with k = 1 the scalar arm
+        // admits row 0 only, a vector arm the rest of its first group too.
+        let rows: Vec<f64> = (0..64 * dim).map(|at| (at / dim) as f64).collect();
+        let queries = vec![-1.0; dim];
+        let norms = (sq_norms(dim, &queries), sq_norms(dim, &rows));
+        let input = scan_input(dim, &queries, &rows, &norms);
+        let calls = |level: SimdLevel| {
+            let mut log = Vec::new();
+            let mut top = TopK { k: 1, kept: vec![] };
+            scan_rows(level, &input, &mut [f64::INFINITY], |_, row, d2| {
+                log.push((row, d2.to_bits()));
+                top.push(row, d2)
+            });
+            log
+        };
+        let (scalar, avx2, avx512) = (
+            calls(SimdLevel::Scalar),
+            calls(SimdLevel::Avx2),
+            calls(SimdLevel::Avx512),
+        );
+        assert_eq!(avx512, avx2);
+        assert_eq!(scalar.len(), 1);
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            assert!(avx2.len() > 1, "the AVX2 arm did not run");
         }
     }
 
@@ -1371,21 +1584,20 @@ mod tests {
                             }
                         })
                         .collect();
-                    let mut narrow = vec![f64::NAN; n];
-                    let mut wide = vec![f64::NAN; n];
-                    dot_rows(SimdLevel::Scalar, q, &rows, &ids, &mut narrow);
-                    dot_rows(SimdLevel::Avx2, q, &rows, &ids, &mut wide);
-                    for (i, &id) in ids.iter().enumerate() {
-                        let want = crate::linalg::dot(q, &rows[id as usize * k..][..k]);
-                        assert_eq!(
-                            narrow[i].to_bits(),
-                            want.to_bits(),
-                            "scalar k={k} n={n} i={i}"
-                        );
-                        assert_eq!(wide[i].to_bits(), want.to_bits(), "avx2 k={k} n={n} i={i}");
-                    }
-                    if qi == 0 && n > 0 {
-                        assert_eq!(wide[0].to_bits(), (-0.0f64).to_bits(), "k={k}");
+                    for level in SimdLevel::ALL {
+                        let mut got = vec![f64::NAN; n];
+                        dot_rows(level, q, &rows, &ids, &mut got);
+                        for (i, &id) in ids.iter().enumerate() {
+                            let want = crate::linalg::dot(q, &rows[id as usize * k..][..k]);
+                            assert_eq!(
+                                got[i].to_bits(),
+                                want.to_bits(),
+                                "{level:?} k={k} n={n} i={i}"
+                            );
+                        }
+                        if qi == 0 && n > 0 {
+                            assert_eq!(got[0].to_bits(), (-0.0f64).to_bits(), "{level:?} k={k}");
+                        }
                     }
                 }
             }
@@ -1503,7 +1715,7 @@ mod tests {
                     top.bits()
                 })
                 .collect();
-            for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+            for level in SimdLevel::ALL {
                 let got = scan_topk(level, &input, k);
                 assert_eq!(got, want, "{what}: {level:?} d={dim} b={b} n={n} k={k}");
             }
@@ -1517,7 +1729,7 @@ mod tests {
                 .filter(|&at| d2[at] <= limit)
                 .map(|at| (at / n, at % n, d2[at].to_bits()))
                 .collect();
-            for level in [SimdLevel::Scalar, SimdLevel::Avx2] {
+            for level in SimdLevel::ALL {
                 let mut got = Vec::new();
                 scan_rows(level, &input, &mut vec![limit; b], |qi, row, d2| {
                     got.push((qi, row, d2.to_bits()));
@@ -1634,11 +1846,10 @@ mod tests {
         for n in [0usize, 1, 15, 16, 17, 128, 333] {
             let a: Vec<u8> = (0..n).map(|_| (lcg(&mut seed) >> 32) as u8).collect();
             let b: Vec<u8> = (0..n).map(|_| (lcg(&mut seed) >> 32) as u8).collect();
-            assert_eq!(
-                dot_u8(SimdLevel::Scalar, &a, &b),
-                dot_u8(SimdLevel::Avx2, &a, &b),
-                "n={n}"
-            );
+            let want = dot_u8(SimdLevel::Scalar, &a, &b);
+            for level in SimdLevel::ALL {
+                assert_eq!(dot_u8(level, &a, &b), want, "{level:?} n={n}");
+            }
         }
         // Saturation-adjacent extremes exercise the i32 pair bound.
         let a = vec![255u8; 1024];
@@ -1669,38 +1880,20 @@ mod tests {
                     qsum: q.iter().map(|&c| f64::from(c)).sum(),
                     qn: 7.5,
                 };
-                let mut narrow = vec![0.0f64; rows];
-                let mut wide = vec![0.0f64; rows];
-                quant_scan_block(
-                    SimdLevel::Scalar,
-                    &q,
-                    &codes,
-                    &xo,
-                    &xs,
-                    &sxv,
-                    &dn,
-                    &t,
-                    &mut narrow,
-                );
-                quant_scan_block(
-                    SimdLevel::Avx2,
-                    &q,
-                    &codes,
-                    &xo,
-                    &xs,
-                    &sxv,
-                    &dn,
-                    &t,
-                    &mut wide,
-                );
-                for (r, (a, b)) in narrow.iter().zip(&wide).enumerate() {
-                    assert_eq!(a.to_bits(), b.to_bits(), "d={d} rows={rows} row {r}");
+                let scored = |level: SimdLevel| {
+                    let mut out = vec![0.0f64; rows];
+                    quant_scan_block(level, &q, &codes, &xo, &xs, &sxv, &dn, &t, &mut out);
+                    out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                };
+                let narrow = scored(SimdLevel::Scalar);
+                for level in SimdLevel::ALL {
+                    assert_eq!(scored(level), narrow, "{level:?} d={d} rows={rows}");
                 }
                 // Cross-check one row against the standalone dot + score.
                 if rows > 0 {
                     let dot = dot_u8(SimdLevel::Scalar, &q, &codes[..d]);
                     let want = quant_score(&t, xo[0], xs[0], sxv[0], dn[0], dot as f64);
-                    assert_eq!(narrow[0].to_bits(), want.to_bits(), "d={d} rows={rows}");
+                    assert_eq!(narrow[0], want.to_bits(), "d={d} rows={rows}");
                 }
             }
         }

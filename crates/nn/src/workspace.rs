@@ -1,5 +1,6 @@
-//! Reusable scratch buffers for the RNN forward/backward hot paths, and
-//! the one lockstep driver the batched inference forwards share.
+//! Reusable scratch buffers for the RNN forward/backward hot paths
+//! (the lockstep step's packed weight panels among them), and the one
+//! lockstep driver the batched inference forwards share.
 //!
 //! Every cell used to allocate a handful of `vec![0.0; d]` temporaries per
 //! timestep (and per backward step). A [`Workspace`] owns those buffers
@@ -64,6 +65,13 @@ pub struct Workspace {
     pub(crate) bcat: Vec<f64>,
     /// Stacked SAM historical states `c_his`, `B × d`.
     pub(crate) bhis: Vec<f64>,
+    /// The step's first weight matrix packed into GEMM panels once per
+    /// `forward_batch` call (SAM and LSTM `p`, GRU `pzr`); a batch
+    /// narrower than `PACK_MIN_M` packs nothing (`linalg::PackedNt`).
+    pub(crate) panels: Vec<f64>,
+    /// The step's second weight matrix, packed likewise (SAM `w_his`, GRU
+    /// `ph`).
+    pub(crate) panels2: Vec<f64>,
 }
 
 impl Workspace {
@@ -231,6 +239,36 @@ pub(crate) mod lockstep_tests {
                 assert_eq!(got, &scalar(seq, &mut ws), "lens {lens:?}, sequence {i}");
             }
         }
+    }
+
+    /// `batch` (a cell's `forward_batch`) packs no weight panels for a
+    /// batch narrower than `PACK_MIN_M` — no step of it can read them, and
+    /// a lone query must not pay for them — and packs its `products` (1 or
+    /// 2) weight matrices for a batch of `PACK_MIN_M`. Fresh workspaces, so
+    /// an untouched buffer has no allocation at all.
+    pub(crate) fn packs_only_wide_batches(
+        batch: impl Fn(&[Seq], &mut Workspace) -> Vec<Vec<f64>>,
+        products: usize,
+    ) {
+        use crate::linalg::PACK_MIN_M;
+        let seqs = |b: u32| -> Vec<Seq> {
+            (0..b)
+                .map(|i| {
+                    (0..5 + i)
+                        .map(|t| ((0.1 * t as f64, 0.3 * i as f64), (t % 6, i % 6)))
+                        .unzip()
+                })
+                .collect()
+        };
+        for b in 1..PACK_MIN_M as u32 {
+            let mut ws = Workspace::new();
+            assert_eq!(batch(&seqs(b), &mut ws).len(), b as usize);
+            assert_eq!(ws.panels.capacity() + ws.panels2.capacity(), 0, "B = {b}");
+        }
+        let mut ws = Workspace::new();
+        batch(&seqs(PACK_MIN_M as u32), &mut ws);
+        let packed = [&ws.panels, &ws.panels2].map(|p| !p.is_empty());
+        assert_eq!(packed, [true, products == 2]);
     }
 }
 

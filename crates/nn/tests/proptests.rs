@@ -248,23 +248,44 @@ fn salted(state: &mut u64) -> f64 {
     }
 }
 
-/// The AVX2 arm of `matmul_nt` equals the scalar oracle and the
-/// per-element `dot` bit for bit on every shape around the small-`m`
-/// kernel: `m` on both sides of the packing threshold (8), every
-/// `n % 4` and `k % 4` remainder. On a host without AVX2 both levels
-/// run the scalar arm and the test still pins GEMM == `dot`.
+/// Every arm of `matmul_nt` equals the scalar oracle and the per-element
+/// `dot` bit for bit on every shape around the small-`m` kernel and the
+/// packed one: `m` on both sides of the packing threshold (8) up to 17
+/// (a second stripe of four, a short last stripe), every `n % 4` and
+/// `k % 4` remainder, and panel counts odd and even (the AVX-512 tile
+/// takes panels in pairs, an odd last one the AVX2 tile). On a host
+/// without a tier its level runs the arm below and the test still pins
+/// GEMM == `dot`.
 #[test]
 fn matmul_nt_small_m_bit_identical_across_levels_and_to_dot() {
     let mut state = 2019u64;
-    for m in 1..=8usize {
-        for n in 1..=40usize {
-            for k in 1..=70usize {
+    for m in 1..=17usize {
+        // Past the threshold, sparser `n` and `k` that keep one, two,
+        // three and five panels, full and ragged, and every `k % 4`.
+        let (ns, ks): (Vec<usize>, Vec<usize>) = if m <= 8 {
+            ((1..=40).collect(), (1..=70).collect())
+        } else {
+            (
+                vec![1, 5, 8, 9, 16, 20, 24, 35, 40],
+                vec![1, 2, 3, 4, 7, 16, 35, 64],
+            )
+        };
+        for &n in &ns {
+            for &k in &ks {
                 let a: Vec<f64> = (0..m * k).map(|_| salted(&mut state)).collect();
                 let b: Vec<f64> = (0..n * k).map(|_| salted(&mut state)).collect();
-                let mut scalar = vec![f64::NAN; m * n];
-                let mut wide = vec![f64::NAN; m * n];
-                matmul_nt_with_level(SimdLevel::Scalar, &a, &b, &mut scalar, m, n, k);
-                matmul_nt_with_level(SimdLevel::Avx2, &a, &b, &mut wide, m, n, k);
+                let run = |level: SimdLevel| {
+                    let mut c = vec![f64::NAN; m * n];
+                    matmul_nt_with_level(level, &a, &b, &mut c, m, n, k);
+                    c
+                };
+                let scalar = run(SimdLevel::Scalar);
+                for level in SimdLevel::ALL {
+                    let wide = run(level);
+                    for (at, (s, w)) in scalar.iter().zip(&wide).enumerate() {
+                        assert_eq!(s.to_bits(), w.to_bits(), "{level:?} {m}x{n}x{k} at {at}");
+                    }
+                }
                 for i in 0..m {
                     for j in 0..n {
                         // `dot` folds from -0.0 where the GEMM
@@ -272,8 +293,7 @@ fn matmul_nt_small_m_bit_identical_across_levels_and_to_dot() {
                         // only in the sign of an all-(-0.0) sum, which
                         // `0.0 +` maps onto the accumulator's.
                         let want = 0.0 + dot(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
-                        let (s, w) = (scalar[i * n + j], wide[i * n + j]);
-                        assert_eq!(s.to_bits(), w.to_bits(), "{m}x{n}x{k} at ({i},{j})");
+                        let s = scalar[i * n + j];
                         assert_eq!(s.to_bits(), want.to_bits(), "{m}x{n}x{k} at ({i},{j})");
                     }
                 }

@@ -432,9 +432,9 @@ pub mod names {
     pub const GRAPH_RECALL_AT_K: &str = "neutraj_graph_recall_at_k";
 
     /// Gauge: the SIMD dispatch level the process resolved at startup
-    /// (`0` scalar, `1` avx2 — see [`crate::simd::SimdLevel`]). Written
-    /// by [`crate::simd::publish`] wherever a vectorized workload is
-    /// instrumented, so exported snapshots say which path actually ran.
+    /// (`0` scalar, `1` avx2, `2` avx512 — see [`crate::simd::SimdLevel`]).
+    /// Written by [`crate::simd::publish`] wherever a vectorized workload
+    /// is instrumented, so exported snapshots say which path actually ran.
     pub const SIMD_DISPATCH: &str = "neutraj_simd_dispatch";
 
     /// Counter: bytes the exact scan of a batch narrower than one f64

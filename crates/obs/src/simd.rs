@@ -1,9 +1,15 @@
 //! Runtime SIMD dispatch policy, shared by every crate with a
 //! hand-vectorized kernel (`neutraj-measures` DP lanes, `neutraj-nn`
-//! GEMM microkernel, the quantized integer-dot scan in `neutraj-model`).
+//! GEMM microkernels and activation lanes, the int8 code scan in
+//! `neutraj-nn`).
 //!
 //! The policy is deliberately tiny (see DESIGN.md §12):
 //!
+//! * **Three ordered tiers.** [`SimdLevel::Scalar`] < [`SimdLevel::Avx2`]
+//!   < [`SimdLevel::Avx512`], and a level implies every level below it:
+//!   a kernel with no arm at the requested tier runs its widest arm
+//!   below it (every AVX2 arm runs at `Avx512`), so a kernel gains a
+//!   tier without any caller changing.
 //! * **Detect once, cache forever.** [`level`] probes the host CPU the
 //!   first time it is called and caches the answer in a `OnceLock`; the
 //!   hot paths pay one relaxed atomic load per *kernel invocation* (not
@@ -14,9 +20,9 @@
 //!   scalar oracles on.
 //! * **Explicit levels for tests.** Every vectorized kernel in the
 //!   workspace also has an entry point taking a [`SimdLevel`] parameter,
-//!   so property tests compare both paths *in one process* without
-//!   racing on environment variables ([`level`] is only the default
-//!   argument, never the only switch).
+//!   so property tests compare every arm *in one process* (looping over
+//!   [`SimdLevel::ALL`]) without racing on environment variables
+//!   ([`level`] is only the default argument, never the only switch).
 //!
 //! Detection itself is safe code (`is_x86_feature_detected!`); the
 //! `unsafe` lives next to the intrinsics in the crates that own them,
@@ -25,7 +31,8 @@
 use std::sync::OnceLock;
 
 /// The instruction-set tiers the workspace dispatches between. Ordered:
-/// a level implies every level below it.
+/// a level implies every level below it, so kernels test `level >= …`
+/// for each arm they have and never `==`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdLevel {
     /// Portable scalar Rust — the bit-identity oracle, always available.
@@ -34,34 +41,50 @@ pub enum SimdLevel {
     /// contraction so results stay bit-identical to the scalar oracle
     /// (rustc never contracts `a * b + c` on its own).
     Avx2,
+    /// AVX-512 (`avx512f` + `avx512dq`) 512-bit vectors (8 × f64 lanes),
+    /// for the multiply/add-bound kernels that have an arm for it (the
+    /// packed GEMM tile, the activation lanes); every other kernel runs
+    /// its AVX2 arm here. Same no-FMA rule.
+    Avx512,
 }
 
 impl SimdLevel {
-    /// Stable lowercase name (`"scalar"` / `"avx2"`), used in bench
-    /// JSON and log markers.
+    /// Every level, lowest first — what the bit-identity tests loop over.
+    pub const ALL: [SimdLevel; 3] = [Self::Scalar, Self::Avx2, Self::Avx512];
+
+    /// Stable lowercase name (`"scalar"` / `"avx2"` / `"avx512"`), used
+    /// in bench JSON and log markers.
     pub fn name(self) -> &'static str {
         match self {
             Self::Scalar => "scalar",
             Self::Avx2 => "avx2",
+            Self::Avx512 => "avx512",
         }
     }
 
     /// The value the `neutraj_simd_dispatch` gauge carries for this
-    /// level (`0.0` scalar, `1.0` avx2) — a gauge is numeric, so the
-    /// tiers are encoded by rank.
+    /// level (`0.0` scalar, `1.0` avx2, `2.0` avx512) — a gauge is
+    /// numeric, so the tiers are encoded by rank.
     pub fn gauge_value(self) -> f64 {
         match self {
             Self::Scalar => 0.0,
             Self::Avx2 => 1.0,
+            Self::Avx512 => 2.0,
         }
     }
 }
 
-/// Raw hardware probe, ignoring both the cache and the env override.
-/// On non-x86_64 targets this is a compile-time `Scalar`.
+/// Raw hardware probe, ignoring both the cache and the env override:
+/// the highest tier whose features the host reports. On non-x86_64
+/// targets this is a compile-time `Scalar`.
 pub fn detect() -> SimdLevel {
     #[cfg(target_arch = "x86_64")]
     {
+        if std::arch::is_x86_feature_detected!("avx512f")
+            && std::arch::is_x86_feature_detected!("avx512dq")
+        {
+            return SimdLevel::Avx512;
+        }
         if std::arch::is_x86_feature_detected!("avx2") {
             return SimdLevel::Avx2;
         }
@@ -112,10 +135,21 @@ mod tests {
     #[test]
     fn levels_are_ordered_and_named() {
         assert!(SimdLevel::Scalar < SimdLevel::Avx2);
-        assert_eq!(SimdLevel::Scalar.name(), "scalar");
-        assert_eq!(SimdLevel::Avx2.name(), "avx2");
-        assert_eq!(SimdLevel::Scalar.gauge_value(), 0.0);
-        assert_eq!(SimdLevel::Avx2.gauge_value(), 1.0);
+        assert!(SimdLevel::Avx2 < SimdLevel::Avx512);
+        assert!(SimdLevel::ALL.windows(2).all(|w| w[0] < w[1]));
+        let names: Vec<&str> = SimdLevel::ALL.iter().map(|l| l.name()).collect();
+        assert_eq!(names, ["scalar", "avx2", "avx512"]);
+        let gauges: Vec<f64> = SimdLevel::ALL.iter().map(|l| l.gauge_value()).collect();
+        assert_eq!(gauges, [0.0, 1.0, 2.0]);
+    }
+
+    /// Names the host's tier; CI runs this with `--nocapture` so the log
+    /// says which arms the SIMD-live test leg exercised.
+    #[test]
+    fn host_level_is_named() {
+        let host = detect();
+        println!("simd: detect() = {}", host.name());
+        assert!(SimdLevel::ALL.contains(&host));
     }
 
     #[test]
