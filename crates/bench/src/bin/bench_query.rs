@@ -23,9 +23,9 @@
 //!   exported registry, so `neutraj_exact_bound_survivors` and the
 //!   `neutraj_quant_*` counters carry them.
 //! * **embed** — `NeuTrajModel::embed_batch` (lockstep per-timestep
-//!   GEMM forward) against a per-trajectory scalar-forward loop
-//!   (`Backbone::forward_frozen`), B = 32, for
-//!   all three backbones.
+//!   GEMM forward) against `NeuTrajModel::embed` called one trajectory at
+//!   a time (a lockstep batch of one each; the `scalar_qps` key keeps its
+//!   historical name), B = 32, for all three backbones.
 //! * **serving** — the end-to-end `SimilarityDb::search_batch` pipeline
 //!   (embed → fused scan → exact re-rank) with metrics *disabled* vs
 //!   *enabled*, backing the "near-zero overhead when off" claim of
@@ -220,7 +220,8 @@ struct ScanRow {
     survivors: (f64, f64, f64),
 }
 
-/// One embed measurement: scalar vs lockstep-batched queries/sec.
+/// One embed measurement: one-at-a-time `embed` vs lockstep-batched
+/// queries/sec.
 struct EmbedRow {
     backbone: &'static str,
     scalar_qps: f64,
@@ -496,29 +497,23 @@ fn bench_embed(kind: BackboneKind, dim: usize, batch: usize, seed: u64) -> Embed
         .map(|i| synth_traj(i, 20 + (i as usize * 7) % 41))
         .collect();
 
-    // The scalar baseline is the per-sequence tape-recording forward
-    // (`embed` is itself a lockstep batch of one).
-    let scalar = |t: &Trajectory| {
-        let (coords, cells) = model.seq_inputs(t);
-        model.backbone().forward_frozen(&coords, &cells)
-    };
-
-    // Bit-identity check before timing.
+    // The baseline embeds one trajectory at a time; bit-identity with
+    // the batch is checked before timing.
     let batched = model.embed_batch(&ts);
     for (t, got) in ts.iter().zip(&batched) {
-        assert_eq!(&scalar(t), got, "{backbone}: batched embed diverged");
+        assert_eq!(&model.embed(t), got, "{backbone}: batched embed diverged");
     }
 
     let scalar_qps = time_qps(ts.len(), || {
         for t in &ts {
-            std::hint::black_box(scalar(t));
+            std::hint::black_box(model.embed(t));
         }
     });
     let batched_qps = time_qps(ts.len(), || {
         std::hint::black_box(model.embed_batch(&ts));
     });
     println!(
-        "  embed {backbone}: scalar {scalar_qps:.1} q/s, batched {batched_qps:.1} q/s ({:.2}x)",
+        "  embed {backbone}: one at a time {scalar_qps:.1} q/s, batched {batched_qps:.1} q/s ({:.2}x)",
         batched_qps / scalar_qps
     );
     EmbedRow {

@@ -2,8 +2,8 @@
 
 use crate::config::{BackboneKind, TrainConfig};
 use neutraj_nn::{
-    Adam, GruCache, GruCell, GruGrads, LstmCache, LstmCell, LstmGrads, MemoryMode, SamGrads,
-    SamLstmEncoder, SamSeqRef, SamTapeRef, SamTapes, Workspace, WriteLog,
+    Adam, GruCache, GruCell, GruGrads, LstmCache, LstmCell, LstmGrads, SamGrads, SamLstmEncoder,
+    SamSeqRef, SamTapeRef, Workspace, WriteLog,
 };
 use neutraj_obs::{Histogram, Registry};
 use neutraj_trajectory::{Grid, Trajectory};
@@ -83,10 +83,10 @@ fn part_len(len: usize, threads: usize) -> usize {
 
 /// A recurrent encoder backbone (SAM-LSTM / LSTM / GRU) with uniform
 /// forward/backward/optimize entry points so the trainer is
-/// architecture-agnostic. Each arm is one `neutraj_nn` cell and its three
-/// entry points (`forward_train`, `forward_batch`, `backward`); the SAM
-/// arm holds the cell inside the encoder that owns its memory, scan width
-/// and batch tapes.
+/// architecture-agnostic. Each arm is one `neutraj_nn` cell and its two
+/// entry points (`forward_batch`, recording or not, and `backward`); the
+/// SAM arm holds the cell inside the encoder that owns its memory, scan
+/// width and batch tapes.
 // One backbone per model, never collected: the SAM variant's inline tape
 // bookkeeping costs nothing a `Box` would save.
 #[allow(clippy::large_enum_variant)]
@@ -183,44 +183,19 @@ impl Backbone {
         }
     }
 
-    /// The scalar reference of the inference forward: one sequence
-    /// through the tape-recording `forward_train` (memory read-only), its
-    /// cache dropped. Production embeds through
-    /// [`Self::embed_batch_frozen`]; the bit-identity tests and
-    /// `bench_query`'s baseline column compare that against this.
-    pub fn forward_frozen(&self, coords: &[(f64, f64)], cells: &[(u32, u32)]) -> Vec<f64> {
-        let ws = &mut Workspace::new();
-        match self {
-            Self::Sam(e) => {
-                let mut tapes = SamTapes::default();
-                e.cell
-                    .layout_tapes(&mut tapes, e.scan_width, std::iter::once(coords.len()));
-                let (mode, tape) = (MemoryMode::Frozen(&e.memory), &mut tapes.tapes_mut()[0]);
-                e.cell
-                    .forward_train(coords, cells, mode, e.scan_width, ws, tape)
-            }
-            Self::Lstm(c) => c.forward_train(coords, ws).0,
-            Self::Gru(c) => c.forward_train(coords, ws).0,
-        }
-    }
-
     /// Lockstep batched inference-mode forward: all sequences advance one
     /// timestep together so each step's gate computation is one GEMM (each
-    /// cell's `forward_batch`, one shared driver). Read-only and
-    /// **bit-identical** to calling [`Self::forward_frozen`] per sequence;
-    /// results are returned in input order.
+    /// cell's `forward_batch`, unrecorded). Read-only; an embedding is a
+    /// function of its own sequence alone — bit-identical at every batch
+    /// width, order and company. Results are returned in input order.
     pub fn embed_batch_frozen(&self, inputs: &[&SeqInputs], ws: &mut Workspace) -> Vec<Vec<f64>> {
-        let coords = || inputs.iter().map(|(c, _)| c.as_slice()).collect::<Vec<_>>();
         match self {
             Self::Sam(e) => {
-                let refs: Vec<SamSeqRef<'_>> = inputs
-                    .iter()
-                    .map(|(c, g)| (c.as_slice(), g.as_slice()))
-                    .collect();
-                e.cell.forward_batch(&refs, &e.memory, e.scan_width, ws)
+                e.cell
+                    .forward_batch(&sam_refs(inputs), &e.memory, e.scan_width, None, ws)
             }
-            Self::Lstm(c) => c.forward_batch(&coords(), ws),
-            Self::Gru(c) => c.forward_batch(&coords(), ws),
+            Self::Lstm(c) => c.forward_batch(&coords(inputs), None, ws),
+            Self::Gru(c) => c.forward_batch(&coords(inputs), None, ws),
         }
     }
 
@@ -286,20 +261,22 @@ impl Backbone {
         }
         let this: &Backbone = self;
         let run = |part: &[&SeqInputs]| {
-            let mut ws = Workspace::new();
-            part.iter()
-                .map(|(coords, _cells)| match this {
-                    Backbone::Lstm(cell) => {
-                        let (h, c) = cell.forward_train(coords, &mut ws);
-                        (h, BackboneCache::Lstm(c))
-                    }
-                    Backbone::Gru(cell) => {
-                        let (h, c) = cell.forward_train(coords, &mut ws);
-                        (h, BackboneCache::Gru(c))
-                    }
-                    Backbone::Sam(_) => unreachable!("SAM handled above"),
-                })
-                .collect::<Vec<_>>()
+            let (ws, seqs) = (&mut Workspace::new(), coords(part));
+            match this {
+                Backbone::Lstm(cell) => {
+                    let mut caches = vec![LstmCache::default(); part.len()];
+                    let hs = cell.forward_batch(&seqs, Some(&mut caches), ws);
+                    let caches = caches.into_iter().map(BackboneCache::Lstm);
+                    hs.into_iter().zip(caches).collect::<Vec<_>>()
+                }
+                Backbone::Gru(cell) => {
+                    let mut caches = vec![GruCache::default(); part.len()];
+                    let hs = cell.forward_batch(&seqs, Some(&mut caches), ws);
+                    let caches = caches.into_iter().map(BackboneCache::Gru);
+                    hs.into_iter().zip(caches).collect()
+                }
+                Backbone::Sam(_) => unreachable!("SAM handled above"),
+            }
         };
         let parts = inputs.chunks(part_len(inputs.len(), threads));
         fan_out(parts, run).into_iter().flatten().collect()
@@ -329,9 +306,7 @@ impl Backbone {
         } = enc;
         let (cell, scan_width) = (&*cell, *scan_width);
         let mut embs: Vec<Vec<f64>> = Vec::with_capacity(inputs.len());
-        let mut logs: Vec<WriteLog> = (0..Self::SAM_ROUND.min(inputs.len()))
-            .map(|_| WriteLog::new())
-            .collect();
+        let mut logs = vec![WriteLog::new(); Self::SAM_ROUND.min(inputs.len())];
         let workers = threads.clamp(1, Self::SAM_ROUND);
         let mut wss: Vec<Workspace> = (0..workers).map(|_| Workspace::new()).collect();
         let mut slots = tapes.tapes_mut();
@@ -340,14 +315,11 @@ impl Backbone {
             .zip(slots.chunks_mut(Self::SAM_ROUND))
         {
             let r = round.len();
-            for log in logs.iter_mut().take(r) {
-                log.clear();
-            }
-            // Phase A: forwards against the round-start snapshot, writes
-            // buffered. The threaded and sequential paths run the exact
-            // same per-sequence computation (buffered reads through the
-            // log overlay), so the embeddings and logs do not depend on
-            // `threads`.
+            // Phase A: each worker's part of the round in one recording
+            // lockstep forward against the round-start snapshot, writes
+            // buffered. A sequence's state, tape and log depend on that
+            // sequence and the snapshot alone (its reads go through its
+            // own log's overlay), so they do not depend on `threads`.
             let span = metrics.map(|m| m.phase_a_seconds.start_timer());
             let snapshot: &_ = memory;
             let chunk = part_len(r, workers);
@@ -357,15 +329,8 @@ impl Backbone {
                 .zip(round_tapes.chunks_mut(chunk))
                 .zip(wss.iter_mut());
             let hs = fan_out(parts, |(((part, logs), tapes), ws)| {
-                let mut out = Vec::with_capacity(part.len());
-                for (((coords, cells), log), tape) in part.iter().zip(logs).zip(tapes) {
-                    let mode = MemoryMode::Buffered {
-                        base: snapshot,
-                        log,
-                    };
-                    out.push(cell.forward_train(coords, cells, mode, scan_width, ws, tape));
-                }
-                out
+                let record = Some((tapes, logs));
+                cell.forward_batch(&sam_refs(part), snapshot, scan_width, record, ws)
             });
             embs.extend(hs.into_iter().flatten());
             drop(span);
@@ -459,27 +424,24 @@ impl Backbone {
     /// Ends a training run. For the SAM backbone this is the final memory
     /// refresh — the spatial memory is repopulated by one coherent writing
     /// pass over `inputs` under the final parameters, in the given order
-    /// (per sequence: its forward into the encoder's tape storage, then
-    /// its commit — no fold in between, so a sequence costs what it
-    /// touches, not the grid), so inference reads a memory whose contents
-    /// match the trained encoder — after which the training-only state
-    /// (version rows, the batch tape storage) is dropped. No-op for other
-    /// backbones.
+    /// (per sequence: a recording batch of one into the encoder's tape
+    /// storage, then its commit — no fold in between, so a sequence costs
+    /// what it touches, not the grid), so inference reads a memory whose
+    /// contents match the trained encoder — after which the training-only
+    /// state (version rows, the batch tape storage) is dropped. No-op for
+    /// other backbones.
     pub fn finish_training(&mut self, inputs: &[SeqInputs]) {
         if let Self::Sam(e) = self {
             e.memory.reset();
-            let (mut ws, mut log) = (Workspace::new(), WriteLog::new());
-            for (coords, cells) in inputs {
+            let (ws, mut log) = (&mut Workspace::new(), WriteLog::new());
+            for input in inputs {
+                let lens = std::iter::once(input.0.len());
+                e.cell.layout_tapes(&mut e.tapes, e.scan_width, lens);
+                let mut spans = e.tapes.tapes_mut();
+                let record = Some((&mut spans[..], std::slice::from_mut(&mut log)));
                 e.cell
-                    .layout_tapes(&mut e.tapes, e.scan_width, std::iter::once(coords.len()));
-                log.clear();
-                let mode = MemoryMode::Buffered {
-                    base: &e.memory,
-                    log: &mut log,
-                };
-                let tape = &mut e.tapes.tapes_mut()[0];
-                e.cell
-                    .forward_train(coords, cells, mode, e.scan_width, &mut ws, tape);
+                    .forward_batch(&sam_refs(&[input]), &e.memory, e.scan_width, record, ws);
+                drop(spans);
                 e.commit(&log);
             }
             e.end_training();
@@ -632,9 +594,9 @@ impl NeuTrajModel {
     pub const MAX_EMBED_BATCH: usize = 256;
 
     /// Embeds many trajectories through the lockstep batched forward
-    /// (chunks of [`Self::MAX_EMBED_BATCH`]), bit-identical to the scalar
-    /// [`Backbone::forward_frozen`] per trajectory but one GEMM per
-    /// timestep instead of one matvec per trajectory per timestep.
+    /// (chunks of [`Self::MAX_EMBED_BATCH`]), bit-identical to
+    /// [`Self::embed`] per trajectory but one GEMM per timestep instead of
+    /// one matvec per trajectory per timestep.
     /// Read-only. Takes owned or borrowed trajectories, so a caller holding
     /// them inside other structures need not clone them into a slice.
     pub fn embed_batch<T: Borrow<Trajectory>>(&self, ts: &[T]) -> Vec<Vec<f64>> {
@@ -681,6 +643,19 @@ impl NeuTrajModel {
     pub fn similarity(&self, a: &Trajectory, b: &Trajectory) -> f64 {
         crate::loss::pair_similarity(&self.embed(a), &self.embed(b))
     }
+}
+
+/// The coordinate sequences of `inputs`, borrowed.
+fn coords<'a>(inputs: &[&'a SeqInputs]) -> Vec<&'a [(f64, f64)]> {
+    inputs.iter().map(|(c, _)| c.as_slice()).collect()
+}
+
+/// `inputs` borrowed as the SAM cell takes them.
+fn sam_refs<'a>(inputs: &[&'a SeqInputs]) -> Vec<SamSeqRef<'a>> {
+    inputs
+        .iter()
+        .map(|(c, g)| (c.as_slice(), g.as_slice()))
+        .collect()
 }
 
 /// Normalized network inputs for a trajectory over `grid` (free function

@@ -7,10 +7,12 @@
 //! drive random batches through threads ∈ {1, 2, 4, 8} and compare with
 //! `==`, not a tolerance.
 
-use neutraj_model::{Backbone, BackboneCache, BackboneGrads, BackboneKind, SeqInputs, TrainConfig};
+use neutraj_model::{
+    Backbone, BackboneCache, BackboneGrads, BackboneKind, NeuTrajModel, SeqInputs, TrainConfig,
+};
 use neutraj_nn::SpatialMemory;
 use neutraj_trajectory::rng::{cases, Rng};
-use neutraj_trajectory::{BoundingBox, Grid};
+use neutraj_trajectory::{BoundingBox, Grid, Point, Trajectory};
 
 /// Grid of 20 × 10 cells (1000 × 500 span, 50-unit cells).
 fn grid() -> Grid {
@@ -41,6 +43,30 @@ fn arb_batch(rng: &mut Rng) -> Vec<SeqInputs> {
                 .map(|_| (rng.gen_range(0..COLS), rng.gen_range(0..ROWS)))
                 .collect();
             (coords, cells)
+        })
+        .collect()
+}
+
+/// Sixteen lingering, self-crossing random walks like `training_is_pinned`'s
+/// (steps shorter than a cell, lengths 10–29): from its second step on, a
+/// SAM sequence's scan window holds cells it has written, so its reads go
+/// through its own write log's overlay inside one lockstep batch. Sixteen
+/// sequences make phase-A parts of 8, 4, 2 and 1 at threads 1, 2, 4, 8 —
+/// lockstep widths on both sides of the packing threshold (8) — and
+/// LSTM/GRU parts of 16, 8, 4 and 2.
+fn walk_batch(rng: &mut Rng) -> Vec<SeqInputs> {
+    let model = NeuTrajModel::untrained(TrainConfig::neutraj(), grid());
+    (0..16u64)
+        .map(|id| {
+            let (mut x, mut y) = (rng.gen_range(100.0..900.0), rng.gen_range(100.0..400.0));
+            let pts = (0..rng.gen_range(10..30))
+                .map(|_| {
+                    x = (x + rng.gen_range(-45.0..45.0f64)).clamp(0.0, 1000.0);
+                    y = (y + rng.gen_range(-45.0..45.0f64)).clamp(0.0, 500.0);
+                    Point::new(x, y)
+                })
+                .collect();
+            model.seq_inputs(&Trajectory::new_unchecked(id, pts))
         })
         .collect()
 }
@@ -152,6 +178,16 @@ fn sam_batch_is_thread_count_invariant() {
     cases(10, |rng| {
         let batch = arb_batch(rng);
         assert_thread_invariance(BackboneKind::SamLstm, &batch);
+    });
+}
+
+#[test]
+fn walks_reading_their_own_writes_are_thread_count_invariant() {
+    cases(4, |rng| {
+        let batch = walk_batch(rng);
+        for kind in [BackboneKind::SamLstm, BackboneKind::Lstm, BackboneKind::Gru] {
+            assert_thread_invariance(kind, &batch);
+        }
     });
 }
 

@@ -70,11 +70,30 @@ pub struct GruCache {
     gr: Vec<f64>,
     /// Candidates, `T × d`.
     hc: Vec<f64>,
-    /// Previous hidden states, `T × d`.
-    h_prev: Vec<f64>,
 }
 
 impl GruCache {
+    /// An empty cache with room for `steps` steps of a `d`-wide cell.
+    fn with_steps(steps: usize, d: usize) -> Self {
+        Self {
+            len: steps,
+            zin: Vec::with_capacity(steps * (d + 3)),
+            zh: Vec::with_capacity(steps * (d + 3)),
+            gz: Vec::with_capacity(steps * d),
+            gr: Vec::with_capacity(steps * d),
+            hc: Vec::with_capacity(steps * d),
+        }
+    }
+
+    /// Appends the next step.
+    fn push(&mut self, zin: &[f64], zh: &[f64], gz: &[f64], gr: &[f64], hc: &[f64]) {
+        self.zin.extend_from_slice(zin);
+        self.zh.extend_from_slice(zh);
+        self.gz.extend_from_slice(gz);
+        self.gr.extend_from_slice(gr);
+        self.hc.extend_from_slice(hc);
+    }
+
     /// Number of cached timesteps.
     pub fn len(&self) -> usize {
         self.len
@@ -107,66 +126,32 @@ impl GruCell {
         self.pzr.rows() * self.pzr.cols() + self.ph.rows() * self.ph.cols()
     }
 
-    /// Runs the cell over one coordinate sequence; returns the final
-    /// hidden state and the cache for [`Self::backward`]. Also the scalar
-    /// reference [`Self::forward_batch`] is checked against.
-    ///
-    /// Panics when `coords` is empty.
-    pub fn forward_train(&self, coords: &[(f64, f64)], ws: &mut Workspace) -> (Vec<f64>, GruCache) {
-        assert!(!coords.is_empty(), "cannot encode an empty sequence");
-        let d = self.dim;
-        let zlen = d + 3;
-        let steps = coords.len();
-        let mut cache = GruCache {
-            len: steps,
-            zin: Vec::with_capacity(steps * zlen),
-            zh: Vec::with_capacity(steps * zlen),
-            gz: Vec::with_capacity(steps * d),
-            gr: Vec::with_capacity(steps * d),
-            hc: vec![0.0; steps * d],
-            h_prev: Vec::with_capacity(steps * d),
-        };
-        let h = prep(&mut ws.h, d);
-        for (t, &(x, y)) in coords.iter().enumerate() {
-            cache.h_prev.extend_from_slice(h);
-            cache.zin.extend_from_slice(&[x, y]);
-            cache.zin.extend_from_slice(h);
-            cache.zin.push(1.0);
-            let a = prep(&mut ws.gates, 2 * d);
-            self.pzr
-                .matvec_into(&cache.zin[t * zlen..(t + 1) * zlen], a);
-            activate_gates(a, 2 * d); // both gates sigmoid
-            let (gz, gr) = a.split_at(d);
-            cache.gz.extend_from_slice(gz);
-            cache.gr.extend_from_slice(gr);
-            cache.zh.extend_from_slice(&[x, y]);
-            cache
-                .zh
-                .extend(gr.iter().zip(h.iter()).map(|(g, hv)| g * hv));
-            cache.zh.push(1.0);
-            let hc = &mut cache.hc[t * d..(t + 1) * d];
-            self.ph.matvec_into(&cache.zh[t * zlen..(t + 1) * zlen], hc);
-            tanh_slice(hc);
-            for k in 0..d {
-                h[k] = (1.0 - gz[k]) * h[k] + gz[k] * hc[k];
-            }
-        }
-        (h.to_vec(), cache)
-    }
-
-    /// Lockstep batched inference over many coordinate sequences (the
-    /// `lockstep` driver of `workspace.rs`). Each timestep runs two GEMMs
+    /// The recurrent pass over many coordinate sequences in lockstep (the
+    /// `lockstep` loop of `workspace.rs`). Each timestep runs two GEMMs
     /// over the active prefix — gates (`(active × zlen)·pzrᵀ`) and
-    /// candidates (`(active × zlen)·phᵀ`) — instead of `2·active` matvecs,
-    /// over panels of both packed once per call (`linalg::PackedNt`).
-    /// Bit-identical to per-sequence [`Self::forward_train`]; results in
-    /// input order.
+    /// candidates (`(active × zlen)·phᵀ`) — over panels of both packed
+    /// once per call (`linalg::PackedNt`). Returns the final hidden states
+    /// in input order; a sequence's state depends on that sequence alone.
     ///
-    /// Inference only (no BPTT cache). Panics when any sequence is empty.
-    pub fn forward_batch(&self, seqs: &[&[(f64, f64)]], ws: &mut Workspace) -> Vec<Vec<f64>> {
+    /// With `caches` (one per sequence, in input order) the pass also
+    /// records what [`Self::backward`] needs, each cache replaced by one
+    /// for its sequence. Panics when any sequence is empty or `caches` has
+    /// another length.
+    pub fn forward_batch(
+        &self,
+        seqs: &[&[(f64, f64)]],
+        mut caches: Option<&mut [GruCache]>,
+        ws: &mut Workspace,
+    ) -> Vec<Vec<f64>> {
         let d = self.dim;
         let zlen = d + 3;
         let b = seqs.len();
+        if let Some(caches) = caches.as_deref_mut() {
+            assert_eq!(caches.len(), b, "one cache per sequence");
+            for (cache, seq) in caches.iter_mut().zip(seqs) {
+                *cache = GruCache::with_steps(seq.len(), d);
+            }
+        }
         let Workspace {
             bh,
             bz,
@@ -201,12 +186,16 @@ impl GruCell {
             }
             ph.matmul(level, &z2[..active * zlen], &mut hc[..active * d], active);
             tanh_slice(&mut hc[..active * d]);
-            for s in 0..active {
-                let gz = &gates[s * 2 * d..s * 2 * d + d];
+            for (s, &i) in slots.iter().enumerate() {
+                let (gz, gr) = gates[s * 2 * d..(s + 1) * 2 * d].split_at(d);
                 let hs = &mut h[s * d..(s + 1) * d];
                 let hcs = &hc[s * d..(s + 1) * d];
                 for k in 0..d {
                     hs[k] = (1.0 - gz[k]) * hs[k] + gz[k] * hcs[k];
+                }
+                if let Some(caches) = caches.as_deref_mut() {
+                    let zin = &z[s * zlen..(s + 1) * zlen];
+                    caches[i].push(zin, &z2[s * zlen..(s + 1) * zlen], gz, gr, hcs);
                 }
             }
         };
@@ -239,7 +228,7 @@ impl GruCell {
             let gz = &cache.gz[t * d..(t + 1) * d];
             let gr = &cache.gr[t * d..(t + 1) * d];
             let hc = &cache.hc[t * d..(t + 1) * d];
-            let h_prev = &cache.h_prev[t * d..(t + 1) * d];
+            let h_prev = &cache.zin[t * (d + 3) + 2..][..d];
             let da = &mut da_all[t * 2 * d..(t + 1) * 2 * d];
             let dpre_h = &mut dpre_all[t * d..(t + 1) * d];
             dh_prev.fill(0.0);
@@ -275,13 +264,59 @@ mod tests {
     use super::*;
     use crate::gradcheck::check_gradient;
     use crate::linalg::dot;
+    use crate::workspace::lockstep_tests::{self, bits};
 
     fn toy_inputs() -> Vec<(f64, f64)> {
         vec![(0.4, -0.6), (0.9, 0.2), (-0.3, 0.7)]
     }
 
+    /// One sequence through the recording forward, a batch of one.
+    fn forward_ws(
+        cell: &GruCell,
+        coords: &[(f64, f64)],
+        ws: &mut Workspace,
+    ) -> (Vec<f64>, GruCache) {
+        let mut caches = [GruCache::default()];
+        let h = cell
+            .forward_batch(&[coords], Some(&mut caches), ws)
+            .pop()
+            .unwrap();
+        let [cache] = caches;
+        (h, cache)
+    }
+
     fn forward(cell: &GruCell, coords: &[(f64, f64)]) -> (Vec<f64>, GruCache) {
-        cell.forward_train(coords, &mut Workspace::new())
+        forward_ws(cell, coords, &mut Workspace::new())
+    }
+
+    /// The per-sequence loop the lockstep forward replaced — two matvecs
+    /// per step — kept as its oracle.
+    fn scalar_forward(cell: &GruCell, coords: &[(f64, f64)]) -> (Vec<f64>, GruCache) {
+        let d = cell.dim;
+        let mut cache = GruCache::with_steps(coords.len(), d);
+        let mut h = vec![0.0; d];
+        let (mut a, mut hc) = (vec![0.0; 2 * d], vec![0.0; d]);
+        for &(x, y) in coords {
+            let zin: Vec<f64> = [x, y].iter().chain(&h).chain(&[1.0]).copied().collect();
+            a.fill(0.0);
+            cell.pzr.matvec_into(&zin, &mut a);
+            activate_gates(&mut a, 2 * d);
+            let (gz, gr) = a.split_at(d);
+            let rh = gr.iter().zip(&h).map(|(g, hv)| g * hv);
+            let zh: Vec<f64> = [x, y].into_iter().chain(rh).chain([1.0]).collect();
+            hc.fill(0.0);
+            cell.ph.matvec_into(&zh, &mut hc);
+            tanh_slice(&mut hc);
+            for k in 0..d {
+                h[k] = (1.0 - gz[k]) * h[k] + gz[k] * hc[k];
+            }
+            cache.push(&zin, &zh, gz, gr, &hc);
+        }
+        (h, cache)
+    }
+
+    fn cache_bits(h: &[f64], c: &GruCache) -> Vec<u64> {
+        bits([h, &c.zin, &c.zh, &c.gz, &c.gr, &c.hc])
     }
 
     #[test]
@@ -298,9 +333,9 @@ mod tests {
     fn reused_workspace_is_bit_identical_to_fresh() {
         let cell = GruCell::new(6, 5);
         let mut ws = Workspace::new();
-        let _ = cell.forward_train(&[(3.0, 3.0); 9], &mut ws);
+        let _ = forward_ws(&cell, &[(3.0, 3.0); 9], &mut ws);
         let (h_fresh, cache) = forward(&cell, &toy_inputs());
-        let (h_reused, _) = cell.forward_train(&toy_inputs(), &mut ws);
+        let (h_reused, _) = forward_ws(&cell, &toy_inputs(), &mut ws);
         assert_eq!(h_fresh, h_reused);
         let w = vec![0.25; 6];
         let mut g1 = GruGrads::zeros_like(&cell);
@@ -346,22 +381,31 @@ mod tests {
     #[test]
     fn batched_forward_bit_identical_to_scalar() {
         let cell = GruCell::new(6, 41);
-        crate::workspace::lockstep_tests::matches_scalar(
+        lockstep_tests::matches_scalar(
             |seqs, ws| {
                 let refs: Vec<&[(f64, f64)]> = seqs.iter().map(|(c, _)| c.as_slice()).collect();
-                cell.forward_batch(&refs, ws)
+                let mut caches = vec![GruCache::default(); seqs.len()];
+                let hs = cell.forward_batch(&refs, Some(&mut caches), ws);
+                assert_eq!(hs, cell.forward_batch(&refs, None, ws), "recording moved h");
+                hs.iter()
+                    .zip(&caches)
+                    .map(|(h, c)| cache_bits(h, c))
+                    .collect()
             },
-            |(coords, _), ws| cell.forward_train(coords, ws).0,
+            |(coords, _)| {
+                let (h, cache) = scalar_forward(&cell, coords);
+                cache_bits(&h, &cache)
+            },
         );
     }
 
     #[test]
     fn batched_forward_narrower_than_pack_min_m_packs_nothing() {
         let cell = GruCell::new(6, 41);
-        crate::workspace::lockstep_tests::packs_only_wide_batches(
+        lockstep_tests::packs_only_wide_batches(
             |seqs, ws| {
                 let refs: Vec<&[(f64, f64)]> = seqs.iter().map(|(c, _)| c.as_slice()).collect();
-                cell.forward_batch(&refs, ws)
+                cell.forward_batch(&refs, None, ws)
             },
             2,
         );

@@ -32,11 +32,11 @@
 //!   plus the memory, scan width and batch tapes it runs against.
 //! * [`Adam`] — the Adam optimizer (§V-B trains with Adam + BPTT).
 //!
-//! Each cell is one recurrent pass with three entry points, all taking a
-//! `&mut Workspace`: `forward_train` (one sequence, records what BPTT
-//! needs; also the scalar reference of every bit-identity test),
-//! `forward_batch` (lockstep inference over many sequences, bit-identical
-//! to it) and `backward`.
+//! Each cell is one recurrent pass with two entry points, both taking a
+//! `&mut Workspace`: `forward_batch` (many sequences in lockstep; with its
+//! optional recording — LSTM/GRU caches, SAM tapes and write logs — it is
+//! the training forward, without it inference) and `backward`. The
+//! per-sequence loops it replaced survive as `#[cfg(test)]` oracles.
 //!
 //! Design notes (mirrors `DESIGN.md` §2):
 //!
@@ -73,6 +73,6 @@ pub use adam::{Adam, AdamState};
 pub use gru::{GruCache, GruCell, GruGrads};
 pub use lstm::{LstmCache, LstmCell, LstmGrads};
 pub use memory::{SpatialMemory, WriteLog};
-pub use sam::{MemoryMode, SamGrads, SamLstmCell, SamLstmEncoder, SamSeqRef};
+pub use sam::{SamGrads, SamLstmCell, SamLstmEncoder, SamSeqRef};
 pub use tape::{SamTape, SamTapeMut, SamTapeRef, SamTapes};
 pub use workspace::Workspace;

@@ -66,6 +66,25 @@ pub struct LstmCache {
 }
 
 impl LstmCache {
+    /// An empty cache with room for `steps` steps of a `d`-wide cell.
+    fn with_steps(steps: usize, d: usize) -> Self {
+        Self {
+            len: steps,
+            z: Vec::with_capacity(steps * (d + 3)),
+            gates: Vec::with_capacity(steps * 4 * d),
+            c: Vec::with_capacity(steps * d),
+            tanh_c: Vec::with_capacity(steps * d),
+        }
+    }
+
+    /// Appends the next step.
+    fn push(&mut self, z: &[f64], gates: &[f64], c: &[f64], tanh_c: &[f64]) {
+        self.z.extend_from_slice(z);
+        self.gates.extend_from_slice(gates);
+        self.c.extend_from_slice(c);
+        self.tanh_c.extend_from_slice(tanh_c);
+    }
+
     /// Number of cached timesteps.
     pub fn len(&self) -> usize {
         self.len
@@ -104,59 +123,32 @@ impl LstmCell {
         self.p.rows() * self.p.cols()
     }
 
-    /// Runs the cell over one coordinate sequence, returning the final
-    /// hidden state and the cache for [`Self::backward`]: zero
-    /// per-timestep allocations beyond the exactly-sized cache. Also the
-    /// scalar reference [`Self::forward_batch`] is checked against.
+    /// The recurrent pass over many coordinate sequences in lockstep (the
+    /// `lockstep` loop of `workspace.rs`): the per-step gate computation
+    /// is a single `(active × zlen)·Pᵀ` GEMM over panels of `P` packed
+    /// once per call (`linalg::PackedNt`). Returns the final hidden states
+    /// in input order; a sequence's state depends on that sequence alone,
+    /// bit for bit, whatever else is in the batch.
     ///
-    /// Panics when `coords` is empty.
-    pub fn forward_train(
+    /// With `caches` (one per sequence, in input order) the pass also
+    /// records what [`Self::backward`] needs: each cache is replaced by one
+    /// for its sequence, filled step by step as its slot advances. Panics
+    /// when any sequence is empty or `caches` has another length.
+    pub fn forward_batch(
         &self,
-        coords: &[(f64, f64)],
+        seqs: &[&[(f64, f64)]],
+        mut caches: Option<&mut [LstmCache]>,
         ws: &mut Workspace,
-    ) -> (Vec<f64>, LstmCache) {
-        assert!(!coords.is_empty(), "cannot encode an empty sequence");
+    ) -> Vec<Vec<f64>> {
         let d = self.dim;
         let zlen = d + 3;
-        let steps = coords.len();
-        let mut cache = LstmCache {
-            len: steps,
-            z: Vec::with_capacity(steps * zlen),
-            gates: vec![0.0; steps * 4 * d],
-            c: Vec::with_capacity(steps * d),
-            tanh_c: vec![0.0; steps * d],
-        };
-        let h = prep(&mut ws.h, d);
-        let c = prep(&mut ws.c, d);
-        for (t, &(x, y)) in coords.iter().enumerate() {
-            cache.z.extend_from_slice(&[x, y]);
-            cache.z.extend_from_slice(h);
-            cache.z.push(1.0);
-            let a = &mut cache.gates[t * 4 * d..(t + 1) * 4 * d];
-            self.p.matvec_into(&cache.z[t * zlen..(t + 1) * zlen], a);
-            // Activate: [i, f, o] sigmoid; [g] tanh.
-            activate_gates(a, 3 * d);
-            lstm_cell_update(a, c, &mut cache.tanh_c[t * d..(t + 1) * d], h);
-            cache.c.extend_from_slice(c);
-        }
-        (h.to_vec(), cache)
-    }
-
-    /// Lockstep batched inference over many coordinate sequences (the
-    /// `lockstep` driver of `workspace.rs`): the per-step gate computation
-    /// is a single `(active × zlen)·Pᵀ` GEMM instead of `active`
-    /// independent matvecs, over panels of `P` packed once per call
-    /// (`linalg::PackedNt`).
-    ///
-    /// Because [`crate::linalg::matmul_nt`] accumulates each output
-    /// element in the exact order [`Mat::matvec_into`] does, the returned
-    /// embeddings are **bit-identical** to running [`Self::forward_train`]
-    /// per sequence. Results are returned in input order.
-    ///
-    /// Inference only (no BPTT cache). Panics when any sequence is empty.
-    pub fn forward_batch(&self, seqs: &[&[(f64, f64)]], ws: &mut Workspace) -> Vec<Vec<f64>> {
-        let d = self.dim;
         let b = seqs.len();
+        if let Some(caches) = caches.as_deref_mut() {
+            assert_eq!(caches.len(), b, "one cache per sequence");
+            for (cache, seq) in caches.iter_mut().zip(seqs) {
+                *cache = LstmCache::with_steps(seq.len(), d);
+            }
+        }
         let Workspace {
             bh,
             bz,
@@ -174,15 +166,14 @@ impl LstmCell {
         let step = |_t: usize, slots: &[usize], z: &[f64], h: &mut [f64]| {
             let active = slots.len();
             p.matmul(level, z, &mut gates[..active * 4 * d], active);
-            for s in 0..active {
+            for (s, &i) in slots.iter().enumerate() {
                 let g = &mut gates[s * 4 * d..(s + 1) * 4 * d];
                 activate_gates(g, 3 * d);
-                lstm_cell_update(
-                    g,
-                    &mut c[s * d..(s + 1) * d],
-                    tanh_c,
-                    &mut h[s * d..(s + 1) * d],
-                );
+                let cs = &mut c[s * d..(s + 1) * d];
+                lstm_cell_update(g, cs, tanh_c, &mut h[s * d..(s + 1) * d]);
+                if let Some(caches) = caches.as_deref_mut() {
+                    caches[i].push(&z[s * zlen..(s + 1) * zlen], g, cs, tanh_c);
+                }
             }
         };
         lockstep(b, |i| seqs[i], d, bh, bz, step)
@@ -252,13 +243,51 @@ mod tests {
     use super::*;
     use crate::gradcheck::check_gradient;
     use crate::linalg::dot;
+    use crate::workspace::lockstep_tests::{self, bits};
 
     fn toy_inputs() -> Vec<(f64, f64)> {
         vec![(0.5, -0.2), (1.0, 0.3), (-0.4, 0.8), (0.1, 0.1)]
     }
 
+    /// One sequence through the recording forward, a batch of one.
+    fn forward_ws(
+        cell: &LstmCell,
+        coords: &[(f64, f64)],
+        ws: &mut Workspace,
+    ) -> (Vec<f64>, LstmCache) {
+        let mut caches = [LstmCache::default()];
+        let h = cell
+            .forward_batch(&[coords], Some(&mut caches), ws)
+            .pop()
+            .unwrap();
+        let [cache] = caches;
+        (h, cache)
+    }
+
     fn forward(cell: &LstmCell, coords: &[(f64, f64)]) -> (Vec<f64>, LstmCache) {
-        cell.forward_train(coords, &mut Workspace::new())
+        forward_ws(cell, coords, &mut Workspace::new())
+    }
+
+    /// The per-sequence loop the lockstep forward replaced — one matvec
+    /// per step — kept as its oracle.
+    fn scalar_forward(cell: &LstmCell, coords: &[(f64, f64)]) -> (Vec<f64>, LstmCache) {
+        let d = cell.dim;
+        let mut cache = LstmCache::with_steps(coords.len(), d);
+        let (mut h, mut c) = (vec![0.0; d], vec![0.0; d]);
+        let (mut a, mut tanh_c) = (vec![0.0; 4 * d], vec![0.0; d]);
+        for &(x, y) in coords {
+            let z: Vec<f64> = [x, y].iter().chain(&h).chain(&[1.0]).copied().collect();
+            a.fill(0.0);
+            cell.p.matvec_into(&z, &mut a);
+            activate_gates(&mut a, 3 * d);
+            lstm_cell_update(&a, &mut c, &mut tanh_c, &mut h);
+            cache.push(&z, &a, &c, &tanh_c);
+        }
+        (h, cache)
+    }
+
+    fn cache_bits(h: &[f64], cache: &LstmCache) -> Vec<u64> {
+        bits([h, &cache.z, &cache.gates, &cache.c, &cache.tanh_c])
     }
 
     #[test]
@@ -278,9 +307,9 @@ mod tests {
         let cell = LstmCell::new(8, 42);
         let mut ws = Workspace::new();
         // Dirty the workspace with a different sequence first.
-        let _ = cell.forward_train(&[(9.0, -9.0); 7], &mut ws);
+        let _ = forward_ws(&cell, &[(9.0, -9.0); 7], &mut ws);
         let (h_fresh, cache_fresh) = forward(&cell, &toy_inputs());
-        let (h_reused, cache_reused) = cell.forward_train(&toy_inputs(), &mut ws);
+        let (h_reused, cache_reused) = forward_ws(&cell, &toy_inputs(), &mut ws);
         assert_eq!(h_fresh, h_reused);
         let mut g1 = LstmGrads::zeros_like(&cell);
         let mut g2 = LstmGrads::zeros_like(&cell);
@@ -306,7 +335,6 @@ mod tests {
         let cell = LstmCell::new(4, 0);
         let _ = forward(&cell, &[]);
     }
-
     #[test]
     fn forget_bias_initialized_to_one() {
         let cell = LstmCell::new(4, 9);
@@ -369,22 +397,31 @@ mod tests {
     #[test]
     fn batched_forward_bit_identical_to_scalar() {
         let cell = LstmCell::new(8, 42);
-        crate::workspace::lockstep_tests::matches_scalar(
+        lockstep_tests::matches_scalar(
             |seqs, ws| {
                 let refs: Vec<&[(f64, f64)]> = seqs.iter().map(|(c, _)| c.as_slice()).collect();
-                cell.forward_batch(&refs, ws)
+                let mut caches = vec![LstmCache::default(); seqs.len()];
+                let hs = cell.forward_batch(&refs, Some(&mut caches), ws);
+                assert_eq!(hs, cell.forward_batch(&refs, None, ws), "recording moved h");
+                hs.iter()
+                    .zip(&caches)
+                    .map(|(h, c)| cache_bits(h, c))
+                    .collect()
             },
-            |(coords, _), ws| cell.forward_train(coords, ws).0,
+            |(coords, _)| {
+                let (h, cache) = scalar_forward(&cell, coords);
+                cache_bits(&h, &cache)
+            },
         );
     }
 
     #[test]
     fn batched_forward_narrower_than_pack_min_m_packs_nothing() {
         let cell = LstmCell::new(8, 42);
-        crate::workspace::lockstep_tests::packs_only_wide_batches(
+        lockstep_tests::packs_only_wide_batches(
             |seqs, ws| {
                 let refs: Vec<&[(f64, f64)]> = seqs.iter().map(|(c, _)| c.as_slice()).collect();
-                cell.forward_batch(&refs, ws)
+                cell.forward_batch(&refs, None, ws)
             },
             1,
         );

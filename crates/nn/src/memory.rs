@@ -10,9 +10,9 @@
 //! the grid — row id = cell index) and, behind them, **version rows**.
 //! [`SpatialMemory::commit`] never edits a row in place: it appends a new
 //! version row per written cell and repoints the cell at it. Every read
-//! ([`SpatialMemory::slot`], [`SpatialMemory::window_runs`], `==`,
-//! `clone`) follows the cell's current row, so live version rows are
-//! invisible to readers. [`SpatialMemory::fold`] copies each repointed
+//! of a cell ([`SpatialMemory::slot`], the window ids the attention read
+//! names, `==`, `clone`) follows the cell's current row, so live version
+//! rows are invisible to readers. [`SpatialMemory::fold`] copies each repointed
 //! cell's current row back into its dense row and drops the version rows.
 //!
 //! Everything that edits or drops a row a tape may name — `fold`,
@@ -221,39 +221,18 @@ impl SpatialMemory {
         k
     }
 
-    /// Gathers the window slots into a flat `K × dim` row-major buffer
-    /// (the matrix `G_t` of §IV-C.1). Returns the buffer and `K`.
-    pub fn gather(&self, col: u32, row: u32, w: u32) -> (Vec<f64>, usize) {
-        let mut g = Vec::new();
-        for run in self.window_runs(col, row, w) {
-            g.extend_from_slice(run);
-        }
-        let k = g.len() / self.dim;
-        (g, k)
-    }
-
-    /// The window of half-width `w` around `(col, row)` as it lies in
-    /// memory: one contiguous run of `(c1 − c0 + 1)·dim` values per grid
-    /// row, top to bottom — concatenated, the `K × dim` matrix `G_t` in
-    /// the row-major cell order of [`Self::window`]. The read-only forward
-    /// scores these runs where they are instead of copying them out.
-    /// While version rows are live the runs are single cells (each cell's
-    /// current row); the concatenation is the same.
-    pub fn window_runs(
-        &self,
-        col: u32,
-        row: u32,
-        w: u32,
-    ) -> impl Iterator<Item = &[f64]> + Clone + '_ {
-        let (c0, c1, r0, r1) = self.window_bounds(col, row, w);
-        WindowRuns {
-            memory: self,
-            c0,
-            c1,
-            r1,
-            col: c0,
-            row: r0,
-        }
+    /// Copies the window's current slots into a flat `K × dim` row-major
+    /// buffer (the matrix `G_t` of §IV-C.1) and returns it with `K` — the
+    /// copied-window oracle the id read is tested against.
+    #[cfg(test)]
+    pub(crate) fn gather(&self, col: u32, row: u32, w: u32) -> (Vec<f64>, usize) {
+        let cells = self.window(col, row, w);
+        let g = cells
+            .iter()
+            .flat_map(|&(c, r)| self.slot(c, r))
+            .copied()
+            .collect();
+        (g, cells.len())
     }
 
     /// The writer (§IV-C.2): `M(cell) ← w ⊙ value + (1 - w) ⊙ M(cell)`
@@ -315,43 +294,6 @@ impl SpatialMemory {
             .filter(|&cell| self.cell_row(cell).iter().any(|v| *v != 0.0))
             .count();
         occupied as f64 / self.cells() as f64
-    }
-}
-
-/// [`SpatialMemory::window_runs`]: whole grid-row runs of the dense
-/// layout, or cell by cell through the version pointers.
-#[derive(Clone)]
-struct WindowRuns<'a> {
-    memory: &'a SpatialMemory,
-    c0: u32,
-    c1: u32,
-    r1: u32,
-    col: u32,
-    row: u32,
-}
-
-impl<'a> Iterator for WindowRuns<'a> {
-    type Item = &'a [f64];
-
-    fn next(&mut self) -> Option<&'a [f64]> {
-        if self.row > self.r1 {
-            return None;
-        }
-        let m = self.memory;
-        let first = m.cell_index(self.col, self.row);
-        if m.head.is_empty() {
-            let last = m.cell_index(self.c1, self.row);
-            self.row += 1;
-            Some(&m.data[first * m.dim..(last + 1) * m.dim])
-        } else {
-            if self.col == self.c1 {
-                self.col = self.c0;
-                self.row += 1;
-            } else {
-                self.col += 1;
-            }
-            Some(m.cell_row(first))
-        }
     }
 }
 

@@ -15,66 +15,41 @@
 //! `ĉ_t`) but the gathered memory rows `G_t` are treated as constants and
 //! writes are not backpropagated — see the crate docs.
 //!
-//! # Memory access modes
+//! # Reading and writing the memory
 //!
-//! A forward either only reads the memory ([`MemoryMode::Frozen`]) or is
-//! phase A of the two-phase training protocol ([`MemoryMode::Buffered`]):
-//! it reads an immutable memory snapshot (shareable across threads) and
-//! records its writes into a per-sequence [`WriteLog`], seeing its own
-//! pending writes as local rows of its tape, so within-sequence
-//! read-after-write semantics stay intact. Phase B
-//! ([`SamLstmEncoder::commit`]) replays the logs in input order on one
-//! thread. A sequential writing forward is the same thing with the commit
-//! right behind it — a batch of one.
+//! The one forward, [`SamLstmCell::forward_batch`], reads an immutable
+//! memory, so many threads may share one. Without recording it is
+//! inference. Recording, it is phase A of the two-phase training
+//! protocol: every sequence fills its tape and records its writes into a
+//! [`WriteLog`] of its own, and sees its own pending writes as local rows
+//! of its tape, so within-sequence read-after-write semantics stay
+//! intact. Phase B ([`SamLstmEncoder::commit`]) replays the logs in input
+//! order on one thread. A sequential writing forward is the same thing
+//! with the commit right behind it — a batch of one.
 //!
 //! # The tape
 //!
-//! The training forward records a [`SamTape`](crate::tape::SamTape): per
+//! A recording forward fills a [`SamTape`](crate::tape::SamTape): per
 //! step the usual activations and, for the attention window, the **ids**
-//! of the rows it read — not the rows. Scores and the mix are computed on
-//! the rows where they lie ([`crate::simd::dot_rows`]), and the backward
-//! pass reads the same ids, so it needs the memory too. The memory keeps
-//! named rows unchanged until its epoch ends (see [`crate::SpatialMemory`]).
+//! of the rows it read — not the rows. Every forward, recording or not,
+//! scores and mixes the rows where they lie ([`crate::simd::dot_rows`]),
+//! and the backward pass reads the same ids, so it needs the memory too.
+//! The memory keeps named rows unchanged until its epoch ends (see
+//! [`crate::SpatialMemory`]).
 
 use crate::activation::{sigmoid_slice, tanh_slice};
 use crate::linalg::{
-    activate_gates, add_assign, axpy, dot, matmul_nt, softmax_backward, softmax_inplace, Mat,
-    PackedNt,
+    activate_gates, add_assign, axpy, dot, softmax_backward, softmax_inplace, Mat, PackedNt,
 };
 use crate::memory::{SpatialMemory, WriteLog, LOCAL_ROW};
 use crate::simd::dot_rows;
-use crate::tape::{named_row, SamTape, SamTapeMut, SamTapes, TapeShape};
+use crate::tape::{named_row, SamTape, SamTapeMut, SamTapes, TapeFields, TapeShape};
 use crate::workspace::{lockstep, prep, scratch, Workspace};
+use neutraj_obs::simd::SimdLevel;
 
-/// One borrowed sequence for the batched frozen forward: normalized
+/// One borrowed sequence for [`SamLstmCell::forward_batch`]: normalized
 /// coordinates plus the `(col, row)` grid cell of every point.
 pub type SamSeqRef<'a> = (&'a [(f64, f64)], &'a [(u32, u32)]);
-
-/// How a forward pass accesses the spatial memory.
-#[derive(Debug)]
-pub enum MemoryMode<'a> {
-    /// Read-only access (inference); many threads may share one memory.
-    Frozen(&'a SpatialMemory),
-    /// Phase A of two-phase training: the sequence reads the frozen `base`
-    /// snapshot overlaid with its own pending writes (so it sees them
-    /// exactly as a sequential writer would), and its writes are buffered
-    /// in `log` for a later ordered [`SpatialMemory::commit`].
-    Buffered {
-        /// Immutable batch-start snapshot of the memory.
-        base: &'a SpatialMemory,
-        /// This sequence's pending writes.
-        log: &'a mut WriteLog,
-    },
-}
-
-impl MemoryMode<'_> {
-    fn memory(&self) -> &SpatialMemory {
-        match self {
-            MemoryMode::Frozen(m) => m,
-            MemoryMode::Buffered { base, .. } => base,
-        }
-    }
-}
 
 /// Parameters of the SAM-augmented LSTM cell.
 ///
@@ -131,40 +106,51 @@ impl SamGrads {
     }
 }
 
-/// The attention read of §IV-C.1 over the window rows `G` (`K × d`,
-/// handed over as the contiguous runs they occupy in the memory):
-/// `attn ← softmax(G·ĉ)`, `mix ← Gᵀ·attn`.
-///
-/// The scores are an `m = 1` [`matmul_nt`] per run — four window rows per
-/// vector, each score still the single ascending chain over `d` — and
-/// `mix` accumulates row by row in window order, so the result does not
-/// depend on how the window is cut into runs.
-fn attention_read<'a>(
-    runs: impl Iterator<Item = &'a [f64]> + Clone,
+/// The attention read of §IV-C.1 at cell `(col, row)`, half-width `w`:
+/// names the window's rows in `ids` and scores them against `ĉ` where
+/// they lie; with `own` — a sequence's write log and the local rows it has
+/// filled — puts that sequence's pending writes over the cells it has
+/// touched and scores those; then `attn ← softmax(scores)` and
+/// `mix ← Σ_k attn_k·row_k`, row by row in window order. Returns `K`, the
+/// length of `ids` and `attn` that is used.
+#[allow(clippy::too_many_arguments)]
+fn read_window(
+    level: SimdLevel,
+    memory: &SpatialMemory,
+    own: Option<(&WriteLog, &[f64])>,
+    (col, row, w): (u32, u32, u32),
     c_hat: &[f64],
+    ids: &mut [u32],
     attn: &mut [f64],
     mix: &mut [f64],
-) {
+) -> usize {
     let d = c_hat.len();
-    let mut at = 0;
-    for run in runs.clone() {
-        let n = run.len() / d;
-        matmul_nt(c_hat, run, &mut attn[at..at + n], 1, n, d);
-        at += n;
-    }
-    debug_assert_eq!(at, attn.len());
-    softmax_inplace(attn);
+    let kwin = memory.window_ids(col, row, w, ids);
+    let (ids, attn) = (&mut ids[..kwin], &mut attn[..kwin]);
+    dot_rows(level, c_hat, memory.all_rows(), ids, attn);
+    let local = match own {
+        Some((log, local)) => {
+            log.overlay_ids(memory, col, row, w, ids, |k, at| {
+                attn[k] = dot(c_hat, &local[at * d..(at + 1) * d]);
+            });
+            local
+        }
+        None => &[],
+    };
+    finish_attention(attn);
     mix.fill(0.0);
-    for (row, &av) in runs.flat_map(|run| run.chunks_exact(d)).zip(attn.iter()) {
-        axpy(mix, av, row);
+    for (&id, &av) in ids.iter().zip(attn.iter()) {
+        axpy(mix, av, named_row(memory, local, id));
     }
+    kwin
 }
 
 /// Scores of named rows ([`dot_rows`], [`dot`]) to attention weights.
-/// Both fold from `−0.0` where the GEMM of [`attention_read`] starts at
-/// `+0.0`; the sums differ only when every product is `−0.0`, and adding
-/// `+0.0` maps exactly that case onto the GEMM's result (a GEMM sum is
-/// never `−0.0`). **Scores start at `+0.0`** in every forward.
+/// Both fold from `−0.0` where a GEMM accumulator
+/// ([`crate::linalg::matmul_nt`]) starts at `+0.0`; the sums differ only
+/// when every product is `−0.0`, and adding `+0.0` maps exactly that case
+/// onto the GEMM's result (a GEMM sum is never `−0.0`), so a window scores
+/// as the product `ĉ·Gᵀ` would. **Scores start at `+0.0`**.
 fn finish_attention(scores: &mut [f64]) {
     for s in scores.iter_mut() {
         *s += 0.0;
@@ -227,147 +213,64 @@ impl SamLstmCell {
         tapes.layout(self.tape_shape(scan_width), lens);
     }
 
-    /// Runs the cell over a sequence of coordinates + grid cells,
-    /// recording the BPTT tape into `tape` (a span laid out for this
-    /// sequence's length by [`Self::layout_tapes`]); returns the final
-    /// hidden state.
-    ///
-    /// The memory is read at every step; in [`MemoryMode::Buffered`] the
-    /// step's cell state is also recorded in the write log.
-    /// [`MemoryMode::Frozen`] borrows the memory immutably and writes
-    /// nothing: the scalar reference [`Self::forward_batch`] is checked
-    /// against.
-    ///
-    /// Panics on empty input or mismatched coord/cell/tape lengths.
-    pub fn forward_train(
-        &self,
-        coords: &[(f64, f64)],
-        cells: &[(u32, u32)],
-        mut mode: MemoryMode<'_>,
-        scan_width: u32,
-        ws: &mut Workspace,
-        tape: &mut SamTapeMut<'_>,
-    ) -> Vec<f64> {
-        assert!(!coords.is_empty(), "cannot encode an empty sequence");
-        assert_eq!(coords.len(), cells.len(), "coords/cells length mismatch");
-        assert_eq!(mode.memory().dim(), self.dim, "memory dim mismatch");
-        assert_eq!(tape.len(), coords.len(), "tape laid out for another length");
-        let shape = self.tape_shape(scan_width);
-        assert_eq!(tape.shape(), shape, "tape laid out for another cell");
-        let (d, zlen, kmax) = (shape.d, shape.zlen, shape.kmax);
-        let level = neutraj_obs::simd::level();
-        let f = tape.fields(mode.memory().epoch());
-        let h = prep(&mut ws.h, d);
-        let c = prep(&mut ws.c, d);
-        let write_w = prep(&mut ws.t1, d);
-        for (t, &(x, y)) in coords.iter().enumerate() {
-            let (col, row) = cells[t];
-            let z = &mut f.z[t * zlen..(t + 1) * zlen];
-            z[0] = x;
-            z[1] = y;
-            z[2..2 + d].copy_from_slice(h);
-            z[2 + d] = 1.0;
-            let a = &mut f.gates[t * 5 * d..(t + 1) * 5 * d];
-            a.fill(0.0);
-            self.p.matvec_into(z, a);
-            activate_gates(a, 4 * d);
-            let (gf, gi, gs, go, gg) = (
-                &a[..d],
-                &a[d..2 * d],
-                &a[2 * d..3 * d],
-                &a[3 * d..4 * d],
-                &a[4 * d..],
-            );
-            // Eq. 3: intermediate cell state.
-            let ccat = &mut f.ccat[t * 2 * d..(t + 1) * 2 * d];
-            let (c_hat, mix) = ccat.split_at_mut(d);
-            for k in 0..d {
-                c_hat[k] = gf[k] * c[k] + gi[k] * gg[k];
-            }
-            // Read (§IV-C.1): name the window's rows, score them where
-            // they lie, then put the sequence's own pending writes over
-            // the cells it has touched and score those.
-            let memory = mode.memory();
-            let ids = &mut f.ids[t * kmax..(t + 1) * kmax];
-            let kwin = memory.window_ids(col, row, scan_width, ids);
-            f.klen[t] = kwin as u32;
-            let ids = &mut ids[..kwin];
-            let attn = &mut f.attn[t * kmax..t * kmax + kwin];
-            dot_rows(level, c_hat, memory.all_rows(), ids, attn);
-            let written = &f.local[..t * d];
-            if let MemoryMode::Buffered { base, log } = &mode {
-                log.overlay_ids(base, col, row, scan_width, ids, |k, at| {
-                    attn[k] = dot(c_hat, &written[at * d..(at + 1) * d]);
-                });
-            }
-            finish_attention(attn);
-            mix.fill(0.0);
-            for (&id, &av) in ids.iter().zip(attn.iter()) {
-                axpy(mix, av, named_row(memory, written, id));
-            }
-            let c_his = &mut f.c_his[t * d..(t + 1) * d];
-            c_his.fill(0.0);
-            self.w_his.matvec_into(ccat, c_his);
-            add_assign(c_his, &self.b_his);
-            tanh_slice(c_his);
-            // Eq. 4: blend; Eq. 6: hidden state.
-            let c_hat = &ccat[..d];
-            for k in 0..d {
-                c[k] = c_hat[k] + gs[k] * c_his[k];
-            }
-            f.c[t * d..(t + 1) * d].copy_from_slice(c);
-            let tanh_c = &mut f.tanh_c[t * d..(t + 1) * d];
-            tanh_c.copy_from_slice(c);
-            tanh_slice(tanh_c);
-            for k in 0..d {
-                h[k] = go[k] * tanh_c[k];
-            }
-            // Write (§IV-C.2), outside the gradient tape.
-            if let MemoryMode::Buffered { base, log } = &mut mode {
-                write_w.copy_from_slice(gs);
-                sigmoid_slice(write_w);
-                log.record(base, col, row, write_w, c, f.local);
-            }
-        }
-        h.to_vec()
-    }
-
-    /// Lockstep batched read-only inference over many sequences (the
-    /// `lockstep` driver of `workspace.rs`). Each timestep runs two GEMMs
-    /// over the active prefix — the fused gates (`(active × zlen)·Pᵀ`) and
-    /// the attention projection (`(active × 2d)·W_hisᵀ`), both over weight
+    /// The recurrent pass over many sequences in lockstep (the `lockstep`
+    /// loop of `workspace.rs`). Each timestep runs two GEMMs over the
+    /// active prefix — the fused gates (`(active × zlen)·Pᵀ`) and the
+    /// attention projection (`(active × 2d)·W_hisᵀ`), both over weight
     /// panels packed once per call (`linalg::PackedNt`) — and each `tanh`
-    /// over the whole active block, while the per-slot attention read
-    /// scores the memory's own rows (nothing is gathered). Every output
-    /// element is produced by the same operations in the same order as in
-    /// [`Self::forward_train`], so results are **bit-identical** to the
-    /// per-sequence [`MemoryMode::Frozen`] forward. Results are returned
-    /// in input order.
+    /// over the whole active block, while each slot's attention read
+    /// scores the memory's own rows (nothing is gathered). Returns the
+    /// final hidden states in input order; a sequence's state depends on
+    /// that sequence (and the memory) alone, whatever else is in the batch.
     ///
-    /// Inference only: the memory is never written and no BPTT cache is
-    /// produced. Panics on empty sequences or coord/cell length mismatch.
+    /// The memory is only read. With `record` — one tape span (laid out
+    /// for the sequence's length by [`Self::layout_tapes`]) and one write
+    /// log per sequence, in input order — the pass is phase A of training:
+    /// each step is taped into its sequence's span, each log is cleared
+    /// and then receives its sequence's gated writes (§IV-C.2), and a
+    /// sequence's reads see its own pending writes. Commit the logs in
+    /// input order to apply them. Panics on empty sequences, coord/cell
+    /// length mismatch, or tapes laid out for other lengths or another
+    /// cell.
     pub fn forward_batch(
         &self,
         seqs: &[SamSeqRef<'_>],
         memory: &SpatialMemory,
         scan_width: u32,
+        record: Option<(&mut [SamTapeMut<'_>], &mut [WriteLog])>,
         ws: &mut Workspace,
     ) -> Vec<Vec<f64>> {
         for (coords, cells) in seqs {
             assert_eq!(coords.len(), cells.len(), "coords/cells length mismatch");
         }
         assert_eq!(memory.dim(), self.dim, "memory dim mismatch");
-        let d = self.dim;
+        let shape = self.tape_shape(scan_width);
+        let (d, zlen, kmax) = (shape.d, shape.zlen, shape.kmax);
         let b = seqs.len();
+        let mut record = record.map(|(tapes, logs)| {
+            assert_eq!(tapes.len(), b, "one tape per sequence");
+            assert_eq!(logs.len(), b, "one write log per sequence");
+            logs.iter_mut().for_each(WriteLog::clear);
+            let fields: Vec<TapeFields<'_>> = tapes
+                .iter_mut()
+                .zip(seqs)
+                .map(|(tape, (coords, _))| {
+                    assert_eq!(tape.len(), coords.len(), "tape laid out for another length");
+                    assert_eq!(tape.shape(), shape, "tape laid out for another cell");
+                    tape.fields(memory.epoch())
+                })
+                .collect();
+            (fields, logs)
+        });
         let Workspace {
             bh,
             bz,
             bc,
             bgates,
-            bchat,
-            bmix,
             bcat,
             bhis,
+            t1,
+            ids,
             win,
             panels,
             panels2,
@@ -378,10 +281,10 @@ impl SamLstmCell {
         let w_his = PackedNt::new(&self.w_his, b, panels2);
         let c = prep(bc, b * d);
         let gates = prep(bgates, b * 5 * d);
-        let c_hat = prep(bchat, b * d);
-        let mix = prep(bmix, b * d);
         let ccat = prep(bcat, b * 2 * d);
         let c_his = prep(bhis, b * d);
+        let write_w = prep(t1, d);
+        let (ids, attn) = (scratch(ids, kmax), prep(win, kmax));
         let step = |t: usize, slots: &[usize], z: &[f64], h: &mut [f64]| {
             let active = slots.len();
             p.matmul(level, z, &mut gates[..active * 5 * d], active);
@@ -389,21 +292,27 @@ impl SamLstmCell {
                 let a = &mut gates[s * 5 * d..(s + 1) * 5 * d];
                 activate_gates(a, 4 * d);
                 let (gf, gi, gg) = (&a[..d], &a[d..2 * d], &a[4 * d..]);
-                // Eq. 3: intermediate cell state.
-                let ch = &mut c_hat[s * d..(s + 1) * d];
+                // Eq. 3: intermediate cell state, then the read (§IV-C.1)
+                // into the other half of `[ĉ; mix]`.
+                let (ch, mx) = ccat[s * 2 * d..(s + 1) * 2 * d].split_at_mut(d);
                 let cs = &c[s * d..(s + 1) * d];
                 for k in 0..d {
                     ch[k] = gf[k] * cs[k] + gi[k] * gg[k];
                 }
-                // Read (§IV-C.1), on the memory's rows where they lie.
                 let (col, row) = seqs[i].1[t];
-                let runs = memory.window_runs(col, row, scan_width);
-                let kwin = runs.clone().map(<[f64]>::len).sum::<usize>() / d;
-                let mx = &mut mix[s * d..(s + 1) * d];
-                attention_read(runs, ch, prep(win, kwin), mx);
-                let cc = &mut ccat[s * 2 * d..(s + 1) * 2 * d];
-                cc[..d].copy_from_slice(ch);
-                cc[d..].copy_from_slice(mx);
+                let at = (col, row, scan_width);
+                match &mut record {
+                    Some((fields, logs)) => {
+                        let f = &mut fields[i];
+                        let own = Some((&logs[i], &f.local[..t * d]));
+                        let span = t * kmax..(t + 1) * kmax;
+                        let (ids, attn) = (&mut f.ids[span.clone()], &mut f.attn[span]);
+                        f.klen[t] = read_window(level, memory, own, at, ch, ids, attn, mx) as u32;
+                    }
+                    None => {
+                        read_window(level, memory, None, at, ch, ids, attn, mx);
+                    }
+                }
             }
             w_his.matmul(
                 level,
@@ -421,14 +330,33 @@ impl SamLstmCell {
             for s in 0..active {
                 let gs_gate = &gates[s * 5 * d + 2 * d..s * 5 * d + 3 * d];
                 for k in 0..d {
-                    c[s * d + k] = c_hat[s * d + k] + gs_gate[k] * his[s * d + k];
+                    c[s * d + k] = ccat[s * 2 * d + k] + gs_gate[k] * his[s * d + k];
                 }
             }
             h.copy_from_slice(&c[..n]);
             tanh_slice(h);
-            for s in 0..active {
-                let go = &gates[s * 5 * d + 3 * d..s * 5 * d + 4 * d];
-                for (hv, &o) in h[s * d..(s + 1) * d].iter_mut().zip(go) {
+            for (s, &i) in slots.iter().enumerate() {
+                let (a, hs) = (
+                    &gates[s * 5 * d..(s + 1) * 5 * d],
+                    &mut h[s * d..(s + 1) * d],
+                );
+                if let Some((fields, logs)) = &mut record {
+                    // Tape the step (`hs` is `tanh c` yet), then the write
+                    // (§IV-C.2), outside the gradient tape.
+                    let (f, cs) = (&mut fields[i], &c[s * d..(s + 1) * d]);
+                    f.z[t * zlen..(t + 1) * zlen].copy_from_slice(&z[s * zlen..(s + 1) * zlen]);
+                    f.gates[t * 5 * d..(t + 1) * 5 * d].copy_from_slice(a);
+                    f.ccat[t * 2 * d..(t + 1) * 2 * d]
+                        .copy_from_slice(&ccat[s * 2 * d..(s + 1) * 2 * d]);
+                    f.c_his[t * d..(t + 1) * d].copy_from_slice(&his[s * d..(s + 1) * d]);
+                    f.c[t * d..(t + 1) * d].copy_from_slice(cs);
+                    f.tanh_c[t * d..(t + 1) * d].copy_from_slice(hs);
+                    write_w.copy_from_slice(&a[2 * d..3 * d]);
+                    sigmoid_slice(write_w);
+                    let (col, row) = seqs[i].1[t];
+                    logs[i].record(memory, col, row, write_w, cs, f.local);
+                }
+                for (hv, &o) in hs.iter_mut().zip(&a[3 * d..4 * d]) {
                     *hv *= o;
                 }
             }
@@ -606,9 +534,9 @@ impl SamLstmEncoder {
     /// previous batch ends — its version rows are folded into the dense
     /// memory layout and its tapes die — and [`Self::tapes`] is laid out
     /// anew, one span per sequence in input order. Phase-A workers then
-    /// fill [`SamTapes::tapes_mut`] through [`SamLstmCell::forward_train`]
-    /// in [`MemoryMode::Buffered`] against [`Self::memory`], and
-    /// [`Self::commit`] applies their logs in input order.
+    /// fill [`SamTapes::tapes_mut`] and their write logs through a
+    /// recording [`SamLstmCell::forward_batch`] against [`Self::memory`],
+    /// and [`Self::commit`] applies the logs in input order.
     pub fn begin_batch(&mut self, lens: impl Iterator<Item = usize>) {
         self.memory.fold();
         self.cell
@@ -635,6 +563,7 @@ mod tests {
     use super::*;
     use crate::gradcheck::check_gradient;
     use crate::linalg::dot;
+    use crate::workspace::lockstep_tests;
 
     type ToySeq = (Vec<(f64, f64)>, Vec<(u32, u32)>);
 
@@ -644,33 +573,34 @@ mod tests {
         (coords, cells)
     }
 
-    /// One sequence through [`SamLstmCell::forward_train`] into a tape set
-    /// of its own. `write` is the sequential writing pass: phase A and its
-    /// commit back to back (as version rows — the tape stays valid).
+    /// `toy_seq`'s coordinates over cells no window of half-width ≤ 2 of
+    /// it reaches from a later one: the sequence never reads its own
+    /// writes, so its tape is the whole derivative of its output.
+    fn detached_seq() -> ToySeq {
+        (toy_seq().0, vec![(0, 0), (3, 0), (0, 3), (3, 3)])
+    }
+
+    /// One sequence through the recording [`SamLstmCell::forward_batch`]
+    /// into a tape set of its own, its writes committed right behind it
+    /// (as version rows — the tape stays valid): the sequential writing
+    /// pass.
     fn run_ws(
         cell: &SamLstmCell,
         coords: &[(f64, f64)],
         cells: &[(u32, u32)],
         memory: &mut SpatialMemory,
         scan_width: u32,
-        write: bool,
         ws: &mut Workspace,
     ) -> (Vec<f64>, SamTapes) {
         let mut tapes = SamTapes::default();
         cell.layout_tapes(&mut tapes, scan_width, std::iter::once(coords.len()));
         let mut log = WriteLog::new();
-        let mode = if write {
-            MemoryMode::Buffered {
-                base: memory,
-                log: &mut log,
-            }
-        } else {
-            MemoryMode::Frozen(memory)
-        };
-        let tape = &mut tapes.tapes_mut()[0];
-        let h = cell.forward_train(coords, cells, mode, scan_width, ws, tape);
+        let mut spans = tapes.tapes_mut();
+        let record = Some((&mut spans[..], std::slice::from_mut(&mut log)));
+        let h = cell.forward_batch(&[(coords, cells)], memory, scan_width, record, ws);
+        drop(spans);
         memory.commit(&log);
-        (h, tapes)
+        (h.into_iter().next().unwrap(), tapes)
     }
 
     /// [`run_ws`] with a fresh workspace.
@@ -680,23 +610,37 @@ mod tests {
         cells: &[(u32, u32)],
         memory: &mut SpatialMemory,
         scan_width: u32,
-        write: bool,
     ) -> (Vec<f64>, SamTapes) {
-        let ws = &mut Workspace::new();
-        run_ws(cell, coords, cells, memory, scan_width, write, ws)
-    }
-
-    /// [`run`] on an encoder's cell, memory and scan width.
-    fn run_enc(enc: &mut SamLstmEncoder, (coords, cells): &ToySeq, write: bool) -> Vec<f64> {
-        run(
-            &enc.cell,
+        run_ws(
+            cell,
             coords,
             cells,
-            &mut enc.memory,
-            enc.scan_width,
-            write,
+            memory,
+            scan_width,
+            &mut Workspace::new(),
         )
-        .0
+    }
+
+    /// One sequence through the read-only forward.
+    fn read(
+        cell: &SamLstmCell,
+        (coords, cells): &ToySeq,
+        memory: &SpatialMemory,
+        w: u32,
+    ) -> Vec<f64> {
+        let seq = [(coords.as_slice(), cells.as_slice())];
+        let ws = &mut Workspace::new();
+        cell.forward_batch(&seq, memory, w, None, ws).pop().unwrap()
+    }
+
+    /// An encoder's cell, memory and scan width: [`run`] with `write`,
+    /// else [`read`].
+    fn run_enc(enc: &mut SamLstmEncoder, seq: &ToySeq, write: bool) -> Vec<f64> {
+        if write {
+            run(&enc.cell, &seq.0, &seq.1, &mut enc.memory, enc.scan_width).0
+        } else {
+            read(&enc.cell, seq, &enc.memory, enc.scan_width)
+        }
     }
 
     fn backward(
@@ -729,7 +673,7 @@ mod tests {
     fn forward_shapes() {
         let (coords, cells) = toy_seq();
         let mut enc = SamLstmEncoder::new(8, 6, 6, 2, 1);
-        let (h, tapes) = run(&enc.cell, &coords, &cells, &mut enc.memory, 2, true);
+        let (h, tapes) = run(&enc.cell, &coords, &cells, &mut enc.memory, 2);
         assert_eq!(h.len(), 8);
         assert_eq!(tapes.points(), 4);
         assert!(h.iter().all(|v| v.abs() <= 1.0));
@@ -761,7 +705,7 @@ mod tests {
         let (coords, cells) = toy_seq();
         let mut enc = SamLstmEncoder::new(4, 6, 6, 0, 4);
         enc.memory = warmed_memory(4);
-        let (h, tapes) = run(&enc.cell, &coords, &cells, &mut enc.memory, 0, false);
+        let (h, tapes) = run(&enc.cell, &coords, &cells, &mut enc.memory, 0);
         let tape = tapes.tape(0);
         assert_eq!(h.len(), 4);
         assert!((0..tape.len()).all(|t| tape.window_size(t) == 1));
@@ -776,6 +720,8 @@ mod tests {
     /// ordered-GEMM gradients are checked against, bit for bit.
     mod oracle {
         use super::super::*;
+        use crate::linalg::matmul_nt;
+        use crate::workspace::lockstep_tests::bits;
 
         pub struct CopyTape {
             len: usize,
@@ -795,6 +741,28 @@ mod tests {
         impl CopyTape {
             pub fn attn(&self, t: usize) -> &[f64] {
                 &self.attn[self.k_off[t]..self.k_off[t + 1]]
+            }
+
+            /// `h`, then every step's fields, as bits — laid out like
+            /// [`super::tape_bits`] lays out an id tape.
+            pub fn bits(&self, h: &[f64]) -> Vec<u64> {
+                let (zlen, d) = (self.zlen, self.zlen - 3);
+                let mut parts: Vec<&[f64]> = vec![h];
+                for t in 0..self.len {
+                    let (k0, k1) = (self.k_off[t], self.k_off[t + 1]);
+                    parts.extend([
+                        &self.z[t * zlen..(t + 1) * zlen],
+                        &self.gates[t * 5 * d..(t + 1) * 5 * d],
+                        &self.c_hat[t * d..(t + 1) * d],
+                        &self.mix[t * d..(t + 1) * d],
+                        &self.c_his[t * d..(t + 1) * d],
+                        &self.c[t * d..(t + 1) * d],
+                        &self.tanh_c[t * d..(t + 1) * d],
+                        &self.attn[k0..k1],
+                        &self.g_rows[k0 * d..k1 * d],
+                    ]);
+                }
+                bits(parts)
             }
         }
 
@@ -860,12 +828,12 @@ mod tests {
                 tape.k_off.push(off + kwin);
                 tape.attn.resize(off + kwin, 0.0);
                 tape.mix.resize((t + 1) * d, 0.0);
-                attention_read(
-                    std::iter::once(g.as_slice()),
-                    c_hat,
-                    &mut tape.attn[off..],
-                    &mut tape.mix[t * d..],
-                );
+                let (attn, mix) = (&mut tape.attn[off..], &mut tape.mix[t * d..]);
+                matmul_nt(c_hat, &g, attn, 1, kwin, d);
+                softmax_inplace(attn);
+                for (row, &av) in g.chunks_exact(d).zip(attn.iter()) {
+                    axpy(mix, av, row);
+                }
                 ccat[..d].copy_from_slice(c_hat);
                 ccat[d..].copy_from_slice(&tape.mix[t * d..(t + 1) * d]);
                 tape.c_his.resize((t + 1) * d, 0.0);
@@ -982,6 +950,27 @@ mod tests {
         ]
     }
 
+    /// `h`, then every step of `tape` — the window as the rows its ids
+    /// name in `memory` — as bits, laid out like
+    /// [`oracle::CopyTape::bits`].
+    fn tape_bits(h: &[f64], tape: SamTape<'_>, memory: &SpatialMemory) -> Vec<u64> {
+        let TapeShape { d, zlen, .. } = tape.shape();
+        let mut parts: Vec<&[f64]> = vec![h];
+        for t in 0..tape.len() {
+            parts.extend([
+                &tape.z_all()[t * zlen..(t + 1) * zlen],
+                tape.gates(t),
+                &tape.ccat_all()[t * 2 * d..(t + 1) * 2 * d],
+                tape.c_his(t),
+                tape.c(t),
+                tape.tanh_c(t),
+                tape.attn(t),
+            ]);
+            parts.extend(tape.ids(t).iter().map(|&id| tape.row(memory, id)));
+        }
+        lockstep_tests::bits(parts)
+    }
+
     /// Sequences on the 6×6 grid of `warmed_memory` whose `w = 2` windows
     /// are interior (K = 25), edge (15, 20) and corner (9, 12, 16), that
     /// linger in a cell and cross their own path — so steps read the
@@ -1056,20 +1045,26 @@ mod tests {
 
     /// The id tape against the copied-window tape: same final state, same
     /// attention weights at every step, same three gradients, bit for bit
-    /// — read-only, and with writes (the sequence's own rows overlaid on
-    /// the windows), at d ∈ {5, 8, 32}. The kernels under it are checked
-    /// per `SimdLevel` in `linalg`/`simd`; this test runs at the process
-    /// level, which the `NEUTRAJ_NO_SIMD=1` leg flips.
+    /// — with writes (the sequence's own rows overlaid on the windows), at
+    /// d ∈ {5, 8, 32}; read-only, which records nothing, the same final
+    /// state. The kernels under it are checked per `SimdLevel` in
+    /// `linalg`/`simd`; this test runs at the process level, which the
+    /// `NEUTRAJ_NO_SIMD=1` leg flips.
     #[test]
     fn id_tape_bit_identical_to_the_copied_window_tape() {
         for d in [5, 8, 32] {
             let cell = SamLstmCell::new(d, 41 + d as u64);
-            for (i, (coords, cells)) in crossing_seqs().iter().enumerate() {
+            for (i, seq @ (coords, cells)) in crossing_seqs().iter().enumerate() {
                 for write in [false, true] {
                     let mut mem = warmed_memory(d);
                     let mut mem_o = mem.clone();
                     let (h_o, tape_o) = oracle::forward(&cell, coords, cells, &mut mem_o, 2, write);
-                    let (h, tapes) = run(&cell, coords, cells, &mut mem, 2, write);
+                    if !write {
+                        let h = read(&cell, seq, &mem, 2);
+                        assert_eq!(bits(&h), bits(&h_o), "d={d} seq {i} read-only");
+                        continue;
+                    }
+                    let (h, tapes) = run(&cell, coords, cells, &mut mem, 2);
                     let tape = tapes.tape(0);
                     assert_eq!(bits(&h), bits(&h_o), "d={d} seq {i} write={write}");
                     let sizes: Vec<usize> = (0..tape.len()).map(|t| tape.window_size(t)).collect();
@@ -1106,16 +1101,20 @@ mod tests {
     }
 
     /// The batch protocol on shared tape storage: two sequences of a round
-    /// read the round-start snapshot, their logs are committed in order, a
-    /// later round reads and commits over the same cells — and only then
-    /// does the backward run. Every tape must still read the rows its
-    /// forward read. Run twice on the same storage: the second batch reuses
-    /// (dirty) buffers after a fold.
+    /// read the round-start snapshot in one lockstep batch, their logs are
+    /// committed in order, a later round reads and commits over the same
+    /// cells — and only then does the backward run. Every tape must still
+    /// read the rows its forward read. Run twice on the same storage: the
+    /// second batch reuses (dirty) buffers after a fold.
     #[test]
     fn backward_after_later_rounds_committed_over_the_same_cells() {
         for d in [5, 8, 32] {
             let cell = SamLstmCell::new(d, 7);
             let seqs = crossing_seqs();
+            let refs: Vec<SamSeqRef<'_>> = seqs
+                .iter()
+                .map(|(c, g)| (c.as_slice(), g.as_slice()))
+                .collect();
             let mut mem = warmed_memory(d);
             let mut tapes = SamTapes::default();
             let mut ws = Workspace::new();
@@ -1123,31 +1122,20 @@ mod tests {
                 mem.fold();
                 cell.layout_tapes(&mut tapes, 2, seqs.iter().map(|(c, _)| c.len()));
                 let round_start = mem.clone();
-                let mut slots = tapes.tapes_mut().into_iter();
+                let mut spans = tapes.tapes_mut();
                 let mut logs = [WriteLog::new(), WriteLog::new(), WriteLog::new()];
-                let mut hs = Vec::new();
+                let (spans_1, spans_2) = spans.split_at_mut(2);
+                let (logs_1, logs_2) = logs.split_at_mut(2);
                 // Round 1: sequences 0 and 1 against the same snapshot.
-                for i in 0..2 {
-                    let mode = MemoryMode::Buffered {
-                        base: &mem,
-                        log: &mut logs[i],
-                    };
-                    let mut slot = slots.next().unwrap();
-                    hs.push(
-                        cell.forward_train(&seqs[i].0, &seqs[i].1, mode, 2, &mut ws, &mut slot),
-                    );
-                }
-                mem.commit(&logs[0]);
-                mem.commit(&logs[1]);
+                let rec = Some((spans_1, &mut *logs_1));
+                let mut hs = cell.forward_batch(&refs[..2], &mem, 2, rec, &mut ws);
+                mem.commit(&logs_1[0]);
+                mem.commit(&logs_1[1]);
                 // Round 2: sequence 2 reads version rows and writes more.
                 let after_round_1 = mem.clone();
-                let mode = MemoryMode::Buffered {
-                    base: &mem,
-                    log: &mut logs[2],
-                };
-                let mut slot = slots.next().unwrap();
-                hs.push(cell.forward_train(&seqs[2].0, &seqs[2].1, mode, 2, &mut ws, &mut slot));
-                mem.commit(&logs[2]);
+                let rec = Some((spans_2, &mut *logs_2));
+                hs.extend(cell.forward_batch(&refs[2..], &mem, 2, rec, &mut ws));
+                mem.commit(&logs_2[0]);
 
                 let (mut g, mut g_o) = (SamGrads::zeros_like(&cell), SamGrads::zeros_like(&cell));
                 for (i, (coords, cells)) in seqs.iter().enumerate() {
@@ -1176,18 +1164,18 @@ mod tests {
         }
     }
 
-    fn recorded(write: bool) -> (SamLstmCell, SpatialMemory, SamTapes) {
+    fn recorded() -> (SamLstmCell, SpatialMemory, SamTapes) {
         let (coords, cells) = toy_seq();
         let cell = SamLstmCell::new(4, 5);
         let mut mem = warmed_memory(4);
-        let (_, tapes) = run(&cell, &coords, &cells, &mut mem, 1, write);
+        let (_, tapes) = run(&cell, &coords, &cells, &mut mem, 1);
         (cell, mem, tapes)
     }
 
     #[test]
     #[should_panic(expected = "after the batch that recorded it ended")]
     fn tape_refuses_a_folded_memory() {
-        let (cell, mut mem, tapes) = recorded(true);
+        let (cell, mut mem, tapes) = recorded();
         mem.fold();
         backward(&cell, &tapes, &mem, &[1.0; 4]);
     }
@@ -1195,7 +1183,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "after the batch that recorded it ended")]
     fn tape_refuses_a_reset_memory() {
-        let (cell, mut mem, tapes) = recorded(false);
+        let (cell, mut mem, tapes) = recorded();
         mem.reset();
         backward(&cell, &tapes, &mem, &[1.0; 4]);
     }
@@ -1203,7 +1191,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "after the batch that recorded it ended")]
     fn tape_refuses_a_memory_edited_in_place() {
-        let (cell, mut mem, tapes) = recorded(false);
+        let (cell, mut mem, tapes) = recorded();
         mem.write(5, 5, &[0.5; 4], &[1.0; 4]);
         backward(&cell, &tapes, &mem, &[1.0; 4]);
     }
@@ -1220,9 +1208,9 @@ mod tests {
     }
 
     /// Version rows are an implementation detail of the batch in flight:
-    /// the frozen forwards (per sequence and lockstep), a clone and a
-    /// further training forward all read current values through them, with
-    /// no fold in between.
+    /// the read-only forward (of one and of a batch), a clone and a further
+    /// training forward all read current values through them, with no
+    /// fold in between.
     #[test]
     fn readers_see_current_values_while_version_rows_are_live() {
         let d = 8;
@@ -1248,10 +1236,10 @@ mod tests {
             .collect();
         let mut ws = Workspace::new();
         assert_eq!(
-            enc.cell.forward_batch(&refs, &enc.memory, 2, &mut ws),
+            enc.cell.forward_batch(&refs, &enc.memory, 2, None, &mut ws),
             reference
                 .cell
-                .forward_batch(&refs, &reference.memory, 2, &mut ws)
+                .forward_batch(&refs, &reference.memory, 2, None, &mut ws)
         );
         for seq in &seqs {
             let want = run_enc(&mut reference, seq, false);
@@ -1266,7 +1254,7 @@ mod tests {
 
     /// The read as it was before the vector kernels — gathered rows, one
     /// scalar `dot` chain per row, softmax, row-by-row mix — kept as the
-    /// oracle for [`attention_read`].
+    /// oracle for [`read_window`].
     fn read_oracle(g: &[f64], c_hat: &[f64]) -> (Vec<f64>, Vec<f64>) {
         let d = c_hat.len();
         let mut attn: Vec<f64> = g.chunks_exact(d).map(|row| dot(row, c_hat)).collect();
@@ -1280,22 +1268,40 @@ mod tests {
         (attn, mix)
     }
 
-    /// The frozen read equals the gather-and-dot loop bit for bit on
-    /// interior (K = 25), edge (K = 15) and corner (K = 9) windows of a
-    /// warmed memory, in place on the memory's runs.
+    /// The id read equals the gather-and-dot loop bit for bit on interior
+    /// (K = 25), edge (K = 15) and corner (K = 9) windows of a warmed
+    /// memory, dense and again while version rows are live.
     #[test]
-    fn attention_read_bit_identical_to_gather_dot_loop() {
+    fn id_read_bit_identical_to_gather_dot_loop() {
+        let level = neutraj_obs::simd::level();
         for d in [5, 8, 32] {
-            let mem = warmed_memory(d);
+            let mut mem = warmed_memory(d);
             let c_hat: Vec<f64> = (0..d).map(|k| (0.7 * k as f64).cos() * 1.5).collect();
-            for ((col, row), kwin) in [((2, 2), 25), ((0, 2), 15), ((0, 0), 9)] {
-                let (g, k) = mem.gather(col, row, 2);
-                assert_eq!(k, kwin);
-                let (attn, mix) = read_oracle(&g, &c_hat);
-                let (mut a, mut m) = (vec![f64::NAN; k], vec![f64::NAN; d]);
-                attention_read(mem.window_runs(col, row, 2), &c_hat, &mut a, &mut m);
-                assert_eq!(bits(&a), bits(&attn), "frozen d={d} K={k}");
-                assert_eq!(bits(&m), bits(&mix), "frozen d={d} K={k}");
+            for versions in [false, true] {
+                if versions {
+                    let (mut log, mut local) = (WriteLog::new(), vec![0.0; 2 * d]);
+                    for (col, row) in [(1, 2), (2, 2)] {
+                        log.record(&mem, col, row, &vec![0.5; d], &c_hat, &mut local);
+                    }
+                    mem.commit(&log);
+                }
+                for ((col, row), kwin) in [((2, 2), 25), ((0, 2), 15), ((0, 0), 9)] {
+                    let (g, k) = mem.gather(col, row, 2);
+                    assert_eq!(k, kwin);
+                    let (attn, mix) = read_oracle(&g, &c_hat);
+                    let (mut ids, mut a, mut m) = ([0; 25], [f64::NAN; 25], vec![f64::NAN; d]);
+                    let at = (col, row, 2);
+                    assert_eq!(
+                        read_window(level, &mem, None, at, &c_hat, &mut ids, &mut a, &mut m),
+                        k
+                    );
+                    assert_eq!(
+                        bits(&a[..k]),
+                        bits(&attn),
+                        "d={d} K={k} versions={versions}"
+                    );
+                    assert_eq!(bits(&m), bits(&mix), "d={d} K={k} versions={versions}");
+                }
             }
         }
     }
@@ -1304,10 +1310,10 @@ mod tests {
     fn reused_workspace_is_bit_identical_to_fresh() {
         let (coords, cells) = toy_seq();
         let cell = SamLstmCell::new(4, 31);
-        let mut mem = warmed_memory(4);
         let w = vec![0.3, -0.9, 0.5, 0.1];
 
-        let (h_fresh, tapes_fresh) = run(&cell, &coords, &cells, &mut mem, 1, false);
+        let mut mem = warmed_memory(4);
+        let (h_fresh, tapes_fresh) = run(&cell, &coords, &cells, &mut mem, 1);
         let grads_fresh = backward(&cell, &tapes_fresh, &mem, &w);
 
         // Dirty the workspace with an unrelated sequence first.
@@ -1316,8 +1322,16 @@ mod tests {
             .map(|i| (i as f64 * 0.3, 1.0 - i as f64 * 0.1))
             .collect();
         let dirty_cells: Vec<(u32, u32)> = (0..9).map(|i| (i % 6, (i * 2) % 6)).collect();
-        let _ = run_ws(&cell, &dirty, &dirty_cells, &mut mem, 2, false, &mut ws);
-        let (h_reuse, tapes_reuse) = run_ws(&cell, &coords, &cells, &mut mem, 1, false, &mut ws);
+        let _ = run_ws(
+            &cell,
+            &dirty,
+            &dirty_cells,
+            &mut warmed_memory(4),
+            2,
+            &mut ws,
+        );
+        let mut mem = warmed_memory(4);
+        let (h_reuse, tapes_reuse) = run_ws(&cell, &coords, &cells, &mut mem, 1, &mut ws);
         let mut grads_reuse = SamGrads::zeros_like(&cell);
         cell.backward(tapes_reuse.tape(0), &mem, &w, &mut grads_reuse, &mut ws);
 
@@ -1327,17 +1341,32 @@ mod tests {
         assert_eq!(grads_fresh.b_his, grads_reuse.b_his);
     }
 
+    /// The analytic gradient of `w · h_T` over [`detached_seq`] on a warmed
+    /// memory, from its tape — which names no local row, so the read-only
+    /// forward is the function it differentiates.
+    fn detached_grads(cell: &SamLstmCell, scan_width: u32, w: &[f64]) -> SamGrads {
+        let (coords, cells) = detached_seq();
+        let mut mem = warmed_memory(cell.dim());
+        let (_, tapes) = run(cell, &coords, &cells, &mut mem, scan_width);
+        let tape = tapes.tape(0);
+        assert!((0..tape.len()).all(|t| tape.ids(t).iter().all(|id| id & LOCAL_ROW == 0)));
+        backward(cell, &tapes, &mem, w)
+    }
+
+    /// `w · h_T` of the read-only forward over [`detached_seq`].
+    fn detached_objective(cell: &SamLstmCell, scan_width: u32, w: &[f64]) -> f64 {
+        let mem = warmed_memory(cell.dim());
+        dot(w, &read(cell, &detached_seq(), &mem, scan_width))
+    }
+
     /// Gradient check for the fused recurrent weights `P` through the full
     /// read-attention path, with a warmed memory so attention is active.
     #[test]
     fn grad_check_p() {
         let d = 4;
-        let (coords, cells) = toy_seq();
         let cell = SamLstmCell::new(d, 17);
         let w: Vec<f64> = (0..d).map(|i| 0.8 - 0.4 * i as f64).collect();
-        let mut mem = warmed_memory(d);
-        let (_, tapes) = run(&cell, &coords, &cells, &mut mem, 1, false);
-        let grads = backward(&cell, &tapes, &mem, &w);
+        let grads = detached_grads(&cell, 1, &w);
 
         let analytic = grads.p.as_slice().to_vec();
         let mut params = cell.p.as_slice().to_vec();
@@ -1345,9 +1374,7 @@ mod tests {
         check_gradient(&mut params, &analytic, 1e-6, 1e-4, |p| {
             let mut probe = base.clone();
             probe.p = Mat::from_vec(5 * d, 2 + d + 1, p.to_vec());
-            let mut mem = warmed_memory(d);
-            let (h, _) = run(&probe, &coords, &cells, &mut mem, 1, false);
-            crate::linalg::dot(&w, &h)
+            detached_objective(&probe, 1, &w)
         });
     }
 
@@ -1355,12 +1382,9 @@ mod tests {
     #[test]
     fn grad_check_attention_projection() {
         let d = 4;
-        let (coords, cells) = toy_seq();
         let cell = SamLstmCell::new(d, 23);
         let w = vec![1.0, -1.0, 0.5, 0.25];
-        let mut mem = warmed_memory(d);
-        let (_, tapes) = run(&cell, &coords, &cells, &mut mem, 2, false);
-        let grads = backward(&cell, &tapes, &mem, &w);
+        let grads = detached_grads(&cell, 2, &w);
 
         let base = cell.clone();
         let analytic = grads.w_his.as_slice().to_vec();
@@ -1368,26 +1392,22 @@ mod tests {
         check_gradient(&mut params, &analytic, 1e-6, 1e-4, |p| {
             let mut probe = base.clone();
             probe.w_his = Mat::from_vec(d, 2 * d, p.to_vec());
-            let mut mem = warmed_memory(d);
-            let (h, _) = run(&probe, &coords, &cells, &mut mem, 2, false);
-            crate::linalg::dot(&w, &h)
+            detached_objective(&probe, 2, &w)
         });
         let analytic = grads.b_his.clone();
         let mut params = cell.b_his.clone();
         check_gradient(&mut params, &analytic, 1e-6, 1e-4, |p| {
             let mut probe = base.clone();
             probe.b_his = p.to_vec();
-            let mut mem = warmed_memory(d);
-            let (h, _) = run(&probe, &coords, &cells, &mut mem, 2, false);
-            crate::linalg::dot(&w, &h)
+            detached_objective(&probe, 2, &w)
         });
     }
 
-    /// With training writes enabled during the *probed* forward as well,
-    /// the analytic gradient still matches: within a single sequence the
-    /// write at step t only affects later reads through the memory, which
-    /// is deliberately outside the tape — so we check against a forward
-    /// whose writes are disabled to pin the documented semantics.
+    /// A sequence that does read its own writes still gets a finite,
+    /// non-zero gradient: within a sequence the write at step t affects
+    /// later reads only through the memory, which is deliberately outside
+    /// the tape (the gradient checks above use a sequence that never
+    /// reads its own writes, so the two semantics agree there).
     #[test]
     fn gradient_semantics_memory_detached() {
         let d = 3;
@@ -1396,7 +1416,9 @@ mod tests {
         let w = vec![0.7, -0.3, 1.1];
         // Forward in write mode (training), gradients computed on its cache.
         let mut mem = warmed_memory(d);
-        let (h_write, tapes) = run(&cell, &coords, &cells, &mut mem, 1, true);
+        let (h_write, tapes) = run(&cell, &coords, &cells, &mut mem, 1);
+        let tape = tapes.tape(0);
+        assert!((0..tape.len()).any(|t| tape.ids(t).iter().any(|id| id & LOCAL_ROW != 0)));
         let grads = backward(&cell, &tapes, &mem, &w);
         // The gradient is finite and nonzero — training signal exists.
         assert!(grads.p.as_slice().iter().any(|g| *g != 0.0));
@@ -1404,19 +1426,52 @@ mod tests {
         assert!(h_write.iter().all(|v| v.is_finite()));
     }
 
+    /// The lockstep forward against the copied-window oracle on every
+    /// shape the lockstep loop branches on: read-only, the final states;
+    /// recording (each sequence against its own copy of the memory, its
+    /// writes applied in place), the final states and every taped step
+    /// with the window rows its ids name.
     #[test]
-    fn batched_frozen_forward_bit_identical_to_scalar() {
+    fn batched_forward_bit_identical_to_scalar() {
         let cell = SamLstmCell::new(5, 37);
         let mem = warmed_memory(5);
-        crate::workspace::lockstep_tests::matches_scalar(
+        lockstep_tests::matches_scalar(
             |seqs, ws| {
                 let refs: Vec<SamSeqRef<'_>> = seqs
                     .iter()
                     .map(|(c, g)| (c.as_slice(), g.as_slice()))
                     .collect();
-                cell.forward_batch(&refs, &mem, 1, ws)
+                cell.forward_batch(&refs, &mem, 1, None, ws)
+                    .iter()
+                    .map(|h| bits(h))
+                    .collect()
             },
-            |(coords, cells), ws| run_ws(&cell, coords, cells, &mut mem.clone(), 1, false, ws).0,
+            |(coords, cells)| {
+                bits(&oracle::forward(&cell, coords, cells, &mut mem.clone(), 1, false).0)
+            },
+        );
+        lockstep_tests::matches_scalar(
+            |seqs, ws| {
+                let refs: Vec<SamSeqRef<'_>> = seqs
+                    .iter()
+                    .map(|(c, g)| (c.as_slice(), g.as_slice()))
+                    .collect();
+                let mut tapes = SamTapes::default();
+                cell.layout_tapes(&mut tapes, 1, seqs.iter().map(|(c, _)| c.len()));
+                let mut logs = vec![WriteLog::new(); seqs.len()];
+                let mut spans = tapes.tapes_mut();
+                let hs =
+                    cell.forward_batch(&refs, &mem, 1, Some((&mut spans[..], &mut logs[..])), ws);
+                drop(spans);
+                hs.iter()
+                    .enumerate()
+                    .map(|(i, h)| tape_bits(h, tapes.tape(i), &mem))
+                    .collect()
+            },
+            |(coords, cells)| {
+                let (h, tape) = oracle::forward(&cell, coords, cells, &mut mem.clone(), 1, true);
+                tape.bits(&h)
+            },
         );
     }
 
@@ -1424,13 +1479,13 @@ mod tests {
     fn batched_forward_narrower_than_pack_min_m_packs_nothing() {
         let cell = SamLstmCell::new(5, 37);
         let mem = warmed_memory(5);
-        crate::workspace::lockstep_tests::packs_only_wide_batches(
+        lockstep_tests::packs_only_wide_batches(
             |seqs, ws| {
                 let refs: Vec<SamSeqRef<'_>> = seqs
                     .iter()
                     .map(|(c, g)| (c.as_slice(), g.as_slice()))
                     .collect();
-                cell.forward_batch(&refs, &mem, 1, ws)
+                cell.forward_batch(&refs, &mem, 1, None, ws)
             },
             2,
         );

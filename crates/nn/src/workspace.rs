@@ -1,14 +1,14 @@
 //! Reusable scratch buffers for the RNN forward/backward hot paths
 //! (the lockstep step's packed weight panels among them), and the one
-//! lockstep driver the batched inference forwards share.
+//! lockstep loop every forward runs — training and inference alike.
 //!
 //! Every cell used to allocate a handful of `vec![0.0; d]` temporaries per
 //! timestep (and per backward step). A [`Workspace`] owns those buffers
-//! once; the three entry points of [`crate::LstmCell`], [`crate::GruCell`]
-//! and [`crate::SamLstmCell`] (`forward_train`, `forward_batch`,
-//! `backward`) reuse them across steps and across sequences, so
-//! steady-state training performs zero per-timestep heap allocations
-//! outside the (exactly-sized, once-per-sequence) BPTT caches.
+//! once; the two entry points of [`crate::LstmCell`], [`crate::GruCell`]
+//! and [`crate::SamLstmCell`] (`forward_batch`, `backward`) reuse them
+//! across steps and across batches, so steady-state training performs
+//! zero per-timestep heap allocations outside the (exactly-sized,
+//! once-per-sequence) BPTT caches.
 
 /// Scratch buffers shared by all RNN cells.
 ///
@@ -17,15 +17,14 @@
 /// previously used) workspace. Each worker thread owns one.
 #[derive(Debug, Clone, Default)]
 pub struct Workspace {
-    /// Running hidden state (forward) / `dh` (backward).
+    /// `dh` (backward).
     pub(crate) h: Vec<f64>,
-    /// Running cell state (forward) / `dc` (backward).
+    /// `dc` (backward).
     pub(crate) c: Vec<f64>,
-    /// Gate pre-activations (forward) / `da` (backward); up to `5d`.
-    pub(crate) gates: Vec<f64>,
     /// Gradient of the concatenation (`2d`, SAM).
     pub(crate) dcat: Vec<f64>,
-    /// Small `d`-sized scratch (SAM write weights, `dĉ`, GRU `dh_prev`…).
+    /// Small `d`-sized scratch (SAM write weights, LSTM `tanh c`, GRU
+    /// `dh` columns…).
     pub(crate) t1: Vec<f64>,
     /// Small `d`-sized scratch.
     pub(crate) t2: Vec<f64>,
@@ -33,20 +32,21 @@ pub struct Workspace {
     pub(crate) t3: Vec<f64>,
     /// Small `d`-sized scratch.
     pub(crate) t4: Vec<f64>,
-    /// Attention-window scratch (`d_attn`, size `K ≤ (2w+1)²`).
+    /// Attention-window scratch (unrecorded attention weights, `d_attn`;
+    /// size `K ≤ (2w+1)²`).
     pub(crate) win: Vec<f64>,
     /// Attention-window scratch (`d_scores`).
     pub(crate) win2: Vec<f64>,
-    /// Attention-window row ids (memory rows only), size `K`.
+    /// Attention-window row ids, size `K`.
     pub(crate) ids: Vec<u32>,
     /// Gate gradients `da_t` of a whole sequence, `T ×` up to `5d` (BPTT).
     pub(crate) da_all: Vec<f64>,
     /// Second per-sequence gradient block, `T × d` (SAM `dpre_his_t`, GRU
     /// candidate gradients).
     pub(crate) dpre_all: Vec<f64>,
-    // --- Lockstep batched-inference buffers (`B` = batch size). All are
-    // plain scratch like the rest of the workspace: sized on entry,
-    // carrying nothing between calls.
+    // --- Lockstep buffers (`B` = batch size). All are plain scratch like
+    // the rest of the workspace: sized on entry, carrying nothing between
+    // calls.
     /// Stacked `z_t = [x; h; 1]` rows, `B × zlen`.
     pub(crate) bz: Vec<f64>,
     /// Second stacked `z` buffer (GRU's `[x; r ⊙ h; 1]`), `B × zlen`.
@@ -57,9 +57,7 @@ pub struct Workspace {
     pub(crate) bc: Vec<f64>,
     /// Stacked gate pre-activations, up to `B × 5d`.
     pub(crate) bgates: Vec<f64>,
-    /// Stacked SAM intermediate cell states `ĉ`, `B × d`.
-    pub(crate) bchat: Vec<f64>,
-    /// Stacked SAM attention mixes / GRU candidates, `B × d`.
+    /// Stacked GRU candidates, `B × d`.
     pub(crate) bmix: Vec<f64>,
     /// Stacked SAM `[ĉ; mix]` concatenations, `B × 2d`.
     pub(crate) bcat: Vec<f64>,
@@ -115,7 +113,7 @@ fn lockstep_order(lens: impl Iterator<Item = usize>) -> Vec<usize> {
     order
 }
 
-/// The lockstep batched-inference loop every cell's `forward_batch` runs:
+/// The lockstep loop every cell's `forward_batch` runs, recording or not:
 /// all `b` coordinate sequences (`coords(i)` is the `i`-th) advance one
 /// timestep together, so a cell's per-step products are GEMMs over the
 /// sequences still running instead of one matvec each.
@@ -127,8 +125,9 @@ fn lockstep_order(lens: impl Iterator<Item = usize>) -> Vec<usize> {
 /// of slot `s`, `z` the `active × (d + 3)` stack, and `h` the
 /// `active × d` hidden states the step overwrites. State beyond `h` (cell
 /// states, gate blocks) is the step's own, indexed by slot: a slot's
-/// index never changes while it runs. The closure is a type parameter, so
-/// nothing here is dispatched dynamically.
+/// index never changes while it runs; what a step records goes to
+/// `slots[s]`'s own cache or tape at step `t`. The closure is a type
+/// parameter, so nothing here is dispatched dynamically.
 ///
 /// `h` and `z` are the workspace buffers the two stacks live in.
 /// Embeddings come back in input order; an empty batch is an empty
@@ -194,18 +193,26 @@ pub(crate) mod lockstep_tests {
     /// Coordinates plus grid cells (on a 6 × 6 grid) of one sequence.
     pub(crate) type Seq = (Vec<(f64, f64)>, Vec<(u32, u32)>);
 
+    /// The bit patterns of `parts`, concatenated: what the lockstep tests
+    /// compare.
+    pub(crate) fn bits<'a>(parts: impl IntoIterator<Item = &'a [f64]>) -> Vec<u64> {
+        parts.into_iter().flatten().map(|x| x.to_bits()).collect()
+    }
+
     /// The one body of the three cells' lockstep tests: `batch` (a cell's
-    /// `forward_batch`) against `scalar` (its `forward_train`) on every
-    /// shape the [`lockstep`] driver branches on — a batch of one, equal
-    /// lengths (nothing retires early), duplicate lengths (stable
-    /// retirement), a one-step sequence among long ones, input that is
-    /// already descending, ascending or shuffled, and an empty batch.
-    /// Slot `i`'s sequence depends on `i`, so equality per index also pins
-    /// the input order of the results. One workspace throughout: every
-    /// call finds it dirty.
+    /// recording `forward_batch`, one [`bits`] vector per sequence: the
+    /// final state and everything recorded for the backward pass) against
+    /// `scalar` (the cell's `#[cfg(test)]` per-sequence oracle, the same
+    /// for one sequence) on every shape the [`lockstep`] loop branches
+    /// on — a batch of one, equal lengths (nothing retires early),
+    /// duplicate lengths (stable retirement), a one-step sequence among
+    /// long ones, input that is already descending, ascending or shuffled,
+    /// and an empty batch. Slot `i`'s sequence depends on `i`, so equality
+    /// per index also pins the input order of the results. One workspace
+    /// throughout: every call finds it dirty.
     pub(crate) fn matches_scalar(
-        batch: impl Fn(&[Seq], &mut Workspace) -> Vec<Vec<f64>>,
-        scalar: impl Fn(&Seq, &mut Workspace) -> Vec<f64>,
+        batch: impl Fn(&[Seq], &mut Workspace) -> Vec<Vec<u64>>,
+        scalar: impl Fn(&Seq) -> Vec<u64>,
     ) {
         let batches: [&[usize]; 8] = [
             &[3, 8, 13, 7, 12, 6, 11, 5, 10],
@@ -236,7 +243,7 @@ pub(crate) mod lockstep_tests {
             let got = batch(&seqs, &mut ws);
             assert_eq!(got.len(), seqs.len(), "lens {lens:?}");
             for (i, (seq, got)) in seqs.iter().zip(&got).enumerate() {
-                assert_eq!(got, &scalar(seq, &mut ws), "lens {lens:?}, sequence {i}");
+                assert_eq!(got, &scalar(seq), "lens {lens:?}, sequence {i}");
             }
         }
     }

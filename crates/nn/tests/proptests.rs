@@ -4,7 +4,7 @@
 use neutraj_nn::linalg::{
     add_assign, axpy, dot, euclidean, matmul_nt_with_level, norm, sigmoid, softmax_inplace, Mat,
 };
-use neutraj_nn::{Adam, GruCell, LstmCell, MemoryMode, SamLstmEncoder, Workspace, WriteLog};
+use neutraj_nn::{Adam, GruCell, LstmCell, SamLstmEncoder, Workspace, WriteLog};
 use neutraj_obs::simd::SimdLevel;
 use neutraj_trajectory::rng::{cases, splitmix64, Rng};
 
@@ -148,30 +148,32 @@ fn adam_always_moves_against_gradient_first_step() {
     });
 }
 
-/// One sequence through the SAM encoder as a training batch of one; with
-/// `write`, its buffered writes are committed right behind it.
+/// One sequence through the SAM encoder: with `write`, a recording
+/// training batch of one with its buffered writes committed right behind
+/// it; without, the read-only forward.
 fn sam_forward(
     enc: &mut SamLstmEncoder,
     coords: &[(f64, f64)],
     cells: &[(u32, u32)],
     write: bool,
 ) -> Vec<f64> {
+    let (seq, ws) = ([(coords, cells)], &mut Workspace::new());
+    if !write {
+        return enc
+            .cell
+            .forward_batch(&seq, &enc.memory, enc.scan_width, None, ws)[0]
+            .clone();
+    }
     enc.begin_batch(std::iter::once(coords.len()));
     let mut log = WriteLog::new();
-    let mode = if write {
-        MemoryMode::Buffered {
-            base: &enc.memory,
-            log: &mut log,
-        }
-    } else {
-        MemoryMode::Frozen(&enc.memory)
-    };
-    let (ws, tape) = (&mut Workspace::new(), &mut enc.tapes.tapes_mut()[0]);
+    let mut spans = enc.tapes.tapes_mut();
+    let record = Some((&mut spans[..], std::slice::from_mut(&mut log)));
     let h = enc
         .cell
-        .forward_train(coords, cells, mode, enc.scan_width, ws, tape);
+        .forward_batch(&seq, &enc.memory, enc.scan_width, record, ws);
+    drop(spans);
     enc.commit(&log);
-    h
+    h[0].clone()
 }
 
 #[test]
@@ -182,14 +184,14 @@ fn encoders_are_deterministic_and_finite() {
             .collect::<Vec<_>>();
         let ws = &mut Workspace::new();
         let lstm = LstmCell::new(6, 3);
-        let (h1, _) = lstm.forward_train(&coords, ws);
-        let (h2, _) = lstm.forward_train(&coords, ws);
+        let h1 = lstm.forward_batch(&[coords.as_slice()], None, ws);
+        let h2 = lstm.forward_batch(&[coords.as_slice()], None, ws);
         assert_eq!(&h1, &h2);
-        assert!(h1.iter().all(|v| v.is_finite() && v.abs() <= 1.0));
+        assert!(h1[0].iter().all(|v| v.is_finite() && v.abs() <= 1.0));
 
         let gru = GruCell::new(6, 4);
-        let (g1, _) = gru.forward_train(&coords, ws);
-        assert!(g1.iter().all(|v| v.is_finite() && v.abs() <= 1.0));
+        let g1 = gru.forward_batch(&[coords.as_slice()], None, ws);
+        assert!(g1[0].iter().all(|v| v.is_finite() && v.abs() <= 1.0));
 
         let mut sam = SamLstmEncoder::new(6, 8, 8, 2, 5);
         let cells: Vec<(u32, u32)> = coords
