@@ -13,11 +13,9 @@
 //! cargo run -p neutraj-bench --release --bin ablation_design [-- --size N]
 //! ```
 
-use neutraj_bench::{learned_rankings, Cli};
-use neutraj_eval::harness::{
-    default_threads, DatasetKind, ExperimentWorld, KnnGroundTruth, WorldConfig,
-};
-use neutraj_eval::report::{fmt_ratio, Table};
+use neutraj_bench::Cli;
+use neutraj_eval::harness::DatasetKind;
+use neutraj_eval::report::{fmt_metres, fmt_ratio, Table};
 use neutraj_measures::MeasureKind;
 use neutraj_model::{BackboneKind, Normalization, RankedBatchLoss, TrainConfig};
 
@@ -31,55 +29,37 @@ fn main() {
         cli.size, cli.queries, cli.epochs
     );
 
-    let world = ExperimentWorld::build(WorldConfig {
-        size: cli.size,
-        seed: cli.seed,
-        ..WorldConfig::small(DatasetKind::PortoLike)
-    });
-    let kind = MeasureKind::Hausdorff;
-    let measure = kind.measure();
-    let db_rescaled = world.test_db_rescaled();
-    let queries = world.query_positions(cli.queries);
-    let gt = KnnGroundTruth::compute(
-        kind.measure(),
-        &db_rescaled,
-        &queries,
-        KnnGroundTruth::MIN_DEPTH,
-        default_threads(),
-    );
-    let cell = world.grid.cell_size();
-
-    let variants: Vec<(&str, TrainConfig)> = vec![
-        (
-            "NeuTraj (default)",
-            cli.train_config(TrainConfig::neutraj()),
-        ),
+    let world = cli.world(DatasetKind::PortoLike);
+    let gt = world.ground_truth(MeasureKind::Hausdorff, cli.queries);
+    let base = cli.train_config(TrainConfig::neutraj());
+    let variants = [
+        ("NeuTraj (default)", base.clone()),
         (
             "normalization: row-softmax (paper text)",
             TrainConfig {
                 normalization: Normalization::RowSoftmax,
-                ..cli.train_config(TrainConfig::neutraj())
+                ..base.clone()
             },
         ),
         (
             "backbone: plain LSTM",
             TrainConfig {
                 backbone: BackboneKind::Lstm,
-                ..cli.train_config(TrainConfig::neutraj())
+                ..base.clone()
             },
         ),
         (
             "backbone: GRU",
             TrainConfig {
                 backbone: BackboneKind::Gru,
-                ..cli.train_config(TrainConfig::neutraj())
+                ..base.clone()
             },
         ),
         (
             "scan width w = 0",
             TrainConfig {
                 scan_width: 0,
-                ..cli.train_config(TrainConfig::neutraj())
+                ..base.clone()
             },
         ),
         (
@@ -89,22 +69,21 @@ fn main() {
                     rank_weighted: true,
                     margin_dissimilar: false,
                 },
-                ..cli.train_config(TrainConfig::neutraj())
+                ..base
             },
         ),
     ];
 
     let mut table = Table::new(vec!["Variant", "HR@10", "HR@50", "R10@50", "dH10(m)"]);
     for (name, cfg) in variants {
-        let (model, _) = world.train(&*measure, cfg);
-        let rankings = learned_rankings(&world, &model, &gt);
-        let q = gt.evaluate(&rankings).scale_distortions(cell);
+        let (model, _) = world.train(gt.measure(), cfg);
+        let q = world.score(&model, &gt);
         table.row(vec![
             name.to_string(),
             fmt_ratio(q.hr10),
             fmt_ratio(q.hr50),
             fmt_ratio(q.r10_at_50),
-            format!("{}", q.delta_h10.round() as i64),
+            fmt_metres(q.delta_h10),
         ]);
     }
     println!("{}", table.render());

@@ -9,7 +9,7 @@
 //!   inline replica of the pre-engine round-robin `compute_parallel`
 //!   (per-pair `measure.dist`, rows dealt round-robin).
 //! * **knn** — `GroundTruthEngine::knn_lists` at depth 50 (the
-//!   [`KnnGroundTruth`] workload) against a full-scan `top_k` over naive
+//!   [`GroundTruth`] workload) against a full-scan `top_k` over naive
 //!   per-pair rows, parallelised with the same `parallel_map` the old
 //!   harness used.
 //!
@@ -38,20 +38,18 @@
 //! `--size N` sets the Porto-like corpus size (default 1000, the paper's
 //! seed-pool scale); `--queries` the number of knn query rows.
 //!
-//! [`KnnGroundTruth`]: neutraj_eval::KnnGroundTruth
+//! [`GroundTruth`]: neutraj_eval::GroundTruth
 
 use std::time::Instant;
 
 use neutraj_bench::Cli;
-use neutraj_eval::harness::{
-    default_threads, parallel_map, DatasetKind, ExperimentWorld, WorldConfig,
-};
+use neutraj_eval::harness::{default_threads, parallel_map, DatasetKind};
 use neutraj_measures::{top_k, DistanceMatrix, GroundTruthEngine, Measure, MeasureKind, Neighbor};
 use neutraj_obs::simd::SimdLevel;
 use neutraj_obs::Registry;
 use neutraj_trajectory::Trajectory;
 
-/// knn depth; matches `KnnGroundTruth::MIN_DEPTH` (R10@50 needs 50).
+/// knn depth; matches `GroundTruth::MIN_DEPTH` (R10@50 needs 50).
 const K: usize = 50;
 
 /// Timed passes per measurement; the fastest is reported.
@@ -66,11 +64,7 @@ fn main() {
         ..Cli::defaults()
     });
     let threads = default_threads();
-    let world = ExperimentWorld::build(WorldConfig {
-        size: cli.size,
-        seed: cli.seed,
-        ..WorldConfig::small(DatasetKind::PortoLike)
-    });
+    let world = cli.world(DatasetKind::PortoLike);
     // The full rescaled corpus — the same grid units the seed matrix and
     // ground truth are computed in everywhere else.
     let corpus = &world.rescaled;
@@ -305,7 +299,7 @@ fn baseline_matrix(
 }
 
 /// The pre-engine knn ground truth: a full naive row per query, then
-/// `top_k` — exactly what `GroundTruth::compute` + `knn_of` used to do.
+/// `top_k` — exactly what the pre-engine dense ground truth + `knn_of` did.
 fn baseline_knn(
     measure: &dyn Measure,
     trajectories: &[Trajectory],

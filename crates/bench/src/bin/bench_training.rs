@@ -22,7 +22,7 @@
 //! ```
 
 use neutraj_bench::Cli;
-use neutraj_eval::harness::{default_threads, DatasetKind, ExperimentWorld, WorldConfig};
+use neutraj_eval::harness::{default_threads, DatasetKind};
 use neutraj_measures::{DistanceMatrix, MeasureKind};
 use neutraj_model::{Backbone, NeuTrajModel, TrainConfig, Trainer};
 use neutraj_obs::{names, MetricsReport, Registry};
@@ -57,11 +57,7 @@ fn main() {
         ..Cli::defaults()
     });
 
-    let world = ExperimentWorld::build(WorldConfig {
-        size: cli.size,
-        seed: cli.seed,
-        ..WorldConfig::small(DatasetKind::PortoLike)
-    });
+    let world = cli.world(DatasetKind::PortoLike);
     let seeds = world.seed_trajectories();
     let seed_rescaled = world.seed_rescaled();
     let measure = MeasureKind::Frechet.measure();

@@ -8,12 +8,10 @@
 //! ```
 
 use neutraj_bench::Cli;
-use neutraj_eval::harness::{
-    default_threads, model_rankings, DatasetKind, ExperimentWorld, KnnGroundTruth, WorldConfig,
-};
+use neutraj_eval::harness::DatasetKind;
 use neutraj_eval::report::{fmt_ratio, Table};
-use neutraj_measures::{DistanceMatrix, MeasureKind};
-use neutraj_model::{TrainConfig, Trainer};
+use neutraj_measures::MeasureKind;
+use neutraj_model::TrainConfig;
 use neutraj_trajectory::gen::{RoadNetwork, RoadWalkGenerator};
 use neutraj_trajectory::Trajectory;
 
@@ -29,11 +27,7 @@ fn main() {
         cli.size, n_walks
     );
 
-    let world = ExperimentWorld::build(WorldConfig {
-        size: cli.size,
-        seed: cli.seed,
-        ..WorldConfig::small(DatasetKind::GeolifeLike)
-    });
+    let world = cli.world(DatasetKind::GeolifeLike);
 
     // Synthetic seeds: random walks on a synthetic road network covering
     // the same city extent as the real corpus.
@@ -56,14 +50,6 @@ fn main() {
         .iter()
         .map(|t| t.map_points(|p| neutraj_trajectory::Point::new(p.x + dx, p.y + dy)))
         .collect();
-    let synth_rescaled: Vec<Trajectory> = synth_seeds
-        .iter()
-        .map(|t| world.grid.rescale_trajectory(t))
-        .collect();
-
-    let db = world.test_db();
-    let db_rescaled = world.test_db_rescaled();
-    let queries = world.query_positions(cli.queries);
 
     let mut hr_table = Table::new(vec![
         "Measure",
@@ -72,39 +58,13 @@ fn main() {
         "Best R10@50",
         "Zero R10@50",
     ]);
+    let cfg = cli.train_config(TrainConfig::neutraj());
     for kind in MeasureKind::ALL {
-        let measure = kind.measure();
-        let gt = KnnGroundTruth::compute(
-            kind.measure(),
-            &db_rescaled,
-            &queries,
-            KnnGroundTruth::MIN_DEPTH,
-            default_threads(),
-        );
-
-        // Best: trained on real seeds.
-        let (best_model, _) = world.train(&*measure, cli.train_config(TrainConfig::neutraj()));
-        let best = gt.evaluate(&model_rankings(
-            &best_model,
-            &db,
-            &queries,
-            default_threads(),
-        ));
-
-        // Zero: trained on the synthetic road-walk seeds.
-        let dist = DistanceMatrix::compute_parallel(&*measure, &synth_rescaled, default_threads());
-        let (zero_model, _) = Trainer::new(
-            cli.train_config(TrainConfig::neutraj()),
-            world.grid.clone(),
-        )
-        .fit(&synth_seeds, &dist, |_| {});
-        let zero = gt.evaluate(&model_rankings(
-            &zero_model,
-            &db,
-            &queries,
-            default_threads(),
-        ));
-
+        let gt = world.ground_truth(kind, cli.queries);
+        // Best: trained on real seeds. Zero: on the synthetic walks.
+        let (best, _) = world.train(gt.measure(), cfg.clone());
+        let (zero, _) = world.fit(gt.measure(), cfg.clone(), &synth_seeds);
+        let (best, zero) = (world.score(&best, &gt), world.score(&zero, &gt));
         hr_table.row(vec![
             kind.name().to_string(),
             fmt_ratio(best.hr10),

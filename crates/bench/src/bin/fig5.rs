@@ -6,7 +6,7 @@
 //! ```
 
 use neutraj_bench::Cli;
-use neutraj_eval::harness::{DatasetKind, ExperimentWorld, WorldConfig};
+use neutraj_eval::harness::DatasetKind;
 use neutraj_eval::report::Table;
 use neutraj_measures::MeasureKind;
 use neutraj_model::TrainConfig;
@@ -21,11 +21,7 @@ fn main() {
         cli.size, cli.epochs
     );
 
-    let world = ExperimentWorld::build(WorldConfig {
-        size: cli.size,
-        seed: cli.seed,
-        ..WorldConfig::small(DatasetKind::PortoLike)
-    });
+    let world = cli.world(DatasetKind::PortoLike);
 
     for kind in MeasureKind::ALL {
         let measure = kind.measure();

@@ -7,11 +7,8 @@
 //! ```
 
 use neutraj_bench::Cli;
-use neutraj_eval::harness::{
-    default_threads, DatasetKind, ExperimentWorld, KnnGroundTruth, WorldConfig,
-};
+use neutraj_eval::harness::{DatasetKind, ExperimentWorld, WorldConfig};
 use neutraj_eval::report::{fmt_ratio, Table};
-use neutraj_eval::sweeps::sweep_training_size;
 use neutraj_measures::MeasureKind;
 use neutraj_model::TrainConfig;
 use neutraj_trajectory::SplitRatios;
@@ -33,7 +30,8 @@ fn main() {
         },
         ..WorldConfig::small(DatasetKind::PortoLike)
     });
-    let max_seeds = world.seed_trajectories().len();
+    let pool = world.seed_trajectories();
+    let max_seeds = pool.len();
     let sweep: Vec<usize> = [max_seeds / 8, max_seeds / 4, max_seeds / 2, max_seeds]
         .into_iter()
         .filter(|&n| n >= 20)
@@ -43,39 +41,24 @@ fn main() {
         sweep, cli.queries
     );
 
-    let db_rescaled = world.test_db_rescaled();
-    let queries = world.query_positions(cli.queries);
-
     for kind in [
         MeasureKind::Frechet,
         MeasureKind::Hausdorff,
         MeasureKind::Dtw,
     ] {
-        let measure = kind.measure();
-        let gt = KnnGroundTruth::compute(
-            kind.measure(),
-            &db_rescaled,
-            &queries,
-            KnnGroundTruth::MIN_DEPTH,
-            default_threads(),
-        );
+        let gt = world.ground_truth(kind, cli.queries);
+        // Each model trains on the first `n` seeds of the pool.
+        let hr10 = |preset, n: usize| {
+            let (model, _) = world.fit(gt.measure(), cli.train_config(preset), &pool[..n]);
+            fmt_ratio(world.score(&model, &gt).hr10)
+        };
         let mut table = Table::new(vec!["#seeds", "NeuTraj", "NT-No-SAM"]);
-        let full = sweep_training_size(
-            &world,
-            &*measure,
-            &gt,
-            &cli.train_config(TrainConfig::neutraj()),
-            &sweep,
-        );
-        let nosam = sweep_training_size(
-            &world,
-            &*measure,
-            &gt,
-            &cli.train_config(TrainConfig::nt_no_sam()),
-            &sweep,
-        );
-        for ((n, qf), (_, qn)) in full.iter().zip(&nosam) {
-            table.row(vec![format!("{n}"), fmt_ratio(qf.hr10), fmt_ratio(qn.hr10)]);
+        for &n in &sweep {
+            table.row(vec![
+                format!("{n}"),
+                hr10(TrainConfig::neutraj(), n),
+                hr10(TrainConfig::nt_no_sam(), n),
+            ]);
         }
         println!("[{kind}]");
         println!("{}", table.render());

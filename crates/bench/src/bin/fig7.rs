@@ -6,11 +6,9 @@
 //! ```
 
 use neutraj_bench::Cli;
-use neutraj_eval::harness::{
-    default_threads, DatasetKind, ExperimentWorld, KnnGroundTruth, WorldConfig,
-};
+use neutraj_eval::harness::DatasetKind;
 use neutraj_eval::report::{fmt_ratio, Table};
-use neutraj_eval::sweeps::sweep_dim;
+use neutraj_eval::sweeps::sweep;
 use neutraj_measures::MeasureKind;
 use neutraj_model::TrainConfig;
 
@@ -31,32 +29,22 @@ fn main() {
         cli.size, dims
     );
 
-    let world = ExperimentWorld::build(WorldConfig {
-        size: cli.size,
-        seed: cli.seed,
-        ..WorldConfig::small(DatasetKind::PortoLike)
-    });
-    let db_rescaled = world.test_db_rescaled();
-    let queries = world.query_positions(cli.queries);
-
+    let world = cli.world(DatasetKind::PortoLike);
+    let with_dim = |base: &TrainConfig, dim| TrainConfig {
+        dim,
+        ..base.clone()
+    };
     for kind in [
         MeasureKind::Frechet,
         MeasureKind::Hausdorff,
         MeasureKind::Dtw,
     ] {
-        let measure = kind.measure();
-        let gt = KnnGroundTruth::compute(
-            kind.measure(),
-            &db_rescaled,
-            &queries,
-            KnnGroundTruth::MIN_DEPTH,
-            default_threads(),
-        );
+        let gt = world.ground_truth(kind, cli.queries);
         let mut table = Table::new(vec!["d", "NeuTraj", "NT-No-SAM"]);
         let base_full = cli.train_config(TrainConfig::neutraj());
         let base_nosam = cli.train_config(TrainConfig::nt_no_sam());
-        let full = sweep_dim(&world, &*measure, &gt, &base_full, dims);
-        let nosam = sweep_dim(&world, &*measure, &gt, &base_nosam, dims);
+        let full = sweep(&world, &gt, &base_full, dims, with_dim);
+        let nosam = sweep(&world, &gt, &base_nosam, dims, with_dim);
         for ((d, qf), (_, qn)) in full.iter().zip(&nosam) {
             table.row(vec![format!("{d}"), fmt_ratio(qf.hr10), fmt_ratio(qn.hr10)]);
         }

@@ -6,11 +6,9 @@
 //! ```
 
 use neutraj_bench::Cli;
-use neutraj_eval::harness::{
-    default_threads, DatasetKind, ExperimentWorld, KnnGroundTruth, WorldConfig,
-};
+use neutraj_eval::harness::DatasetKind;
 use neutraj_eval::report::{fmt_ratio, Table};
-use neutraj_eval::sweeps::sweep_scan_width;
+use neutraj_eval::sweeps::sweep;
 use neutraj_measures::MeasureKind;
 use neutraj_model::TrainConfig;
 
@@ -25,30 +23,20 @@ fn main() {
         cli.size
     );
 
-    let world = ExperimentWorld::build(WorldConfig {
-        size: cli.size,
-        seed: cli.seed,
-        ..WorldConfig::small(DatasetKind::PortoLike)
-    });
-    let db_rescaled = world.test_db_rescaled();
-    let queries = world.query_positions(cli.queries);
-
+    let world = cli.world(DatasetKind::PortoLike);
     for kind in [
         MeasureKind::Frechet,
         MeasureKind::Hausdorff,
         MeasureKind::Dtw,
     ] {
-        let measure = kind.measure();
-        let gt = KnnGroundTruth::compute(
-            kind.measure(),
-            &db_rescaled,
-            &queries,
-            KnnGroundTruth::MIN_DEPTH,
-            default_threads(),
-        );
+        let gt = world.ground_truth(kind, cli.queries);
         let mut table = Table::new(vec!["w", "NeuTraj HR@10"]);
         let base = cli.train_config(TrainConfig::neutraj());
-        for (w, q) in sweep_scan_width(&world, &*measure, &gt, &base, &[0, 1, 2, 3, 4]) {
+        let widths = sweep(&world, &gt, &base, &[0, 1, 2, 3, 4], |b, w| TrainConfig {
+            scan_width: w,
+            ..b.clone()
+        });
+        for (w, q) in widths {
             table.row(vec![format!("{w}"), fmt_ratio(q.hr10)]);
         }
         println!("[{kind}]");

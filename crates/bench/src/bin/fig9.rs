@@ -10,7 +10,7 @@
 
 use neutraj_bench::Cli;
 use neutraj_cluster::{compare_clusterings, num_clusters, DbscanParams};
-use neutraj_eval::harness::{default_threads, DatasetKind, ExperimentWorld, WorldConfig};
+use neutraj_eval::harness::{default_threads, DatasetKind};
 use neutraj_eval::report::{fmt_ratio, Table};
 use neutraj_measures::{DistanceMatrix, MeasureKind};
 use neutraj_model::{EmbeddingStore, TrainConfig};
@@ -23,11 +23,7 @@ fn main() {
         cli.size
     );
 
-    let world = ExperimentWorld::build(WorldConfig {
-        size: cli.size,
-        seed: cli.seed,
-        ..WorldConfig::small(DatasetKind::PortoLike)
-    });
+    let world = cli.world(DatasetKind::PortoLike);
     let measure = MeasureKind::Frechet.measure();
     let (model, _) = world.train(&*measure, cli.train_config(TrainConfig::neutraj()));
 

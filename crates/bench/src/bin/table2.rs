@@ -5,27 +5,27 @@
 //! cargo run -p neutraj-bench --release --bin table2 [-- --size N --full]
 //! ```
 
-use neutraj_bench::{run_method_on_measure, Cli, MethodSpec};
-use neutraj_eval::harness::{
-    default_threads, DatasetKind, ExperimentWorld, KnnGroundTruth, WorldConfig,
-};
-use neutraj_eval::report::{fmt_metres, fmt_ratio, Table};
-use neutraj_measures::MeasureKind;
+use neutraj_bench::{accuracy_tables, Cli, MethodSpec};
+use neutraj_eval::harness::DatasetKind;
 use neutraj_model::TrainConfig;
 
 fn main() {
-    let cli = Cli::parse(Cli::accuracy_defaults()).scaled_for_full();
+    let cli = Cli::parse(Cli {
+        queries: 40,
+        ..Cli::defaults()
+    })
+    .scaled_for_full();
     println!(
         "Table II: performance comparison (size={}, queries={}, epochs={}, d={})\n",
         cli.size, cli.queries, cli.epochs, cli.dim
     );
-
+    let methods = [
+        MethodSpec::Ap,
+        MethodSpec::Learned(cli.train_config(TrainConfig::siamese())),
+        MethodSpec::Learned(cli.train_config(TrainConfig::neutraj())),
+    ];
     for kind in [DatasetKind::GeolifeLike, DatasetKind::PortoLike] {
-        let world = ExperimentWorld::build(WorldConfig {
-            size: cli.size,
-            seed: cli.seed,
-            ..WorldConfig::small(kind)
-        });
+        let world = cli.world(kind);
         println!(
             "== {} ({} trajectories, {} seeds, {} test) ==",
             kind.name(),
@@ -33,44 +33,6 @@ fn main() {
             world.split.train.len(),
             world.split.test.len()
         );
-        for measure in MeasureKind::ALL {
-            let db_rescaled = world.test_db_rescaled();
-            let queries = world.query_positions(cli.queries);
-            let gt = KnnGroundTruth::compute(
-                measure.measure(),
-                &db_rescaled,
-                &queries,
-                KnnGroundTruth::MIN_DEPTH,
-                default_threads(),
-            );
-            let mut table = Table::new(vec![
-                "Method", "HR@10", "HR@50", "R10@50", "dH10(m)", "dR10(m)",
-            ]);
-            let methods = [
-                MethodSpec::Ap,
-                MethodSpec::Learned(cli.train_config(TrainConfig::siamese())),
-                MethodSpec::Learned(cli.train_config(TrainConfig::neutraj())),
-            ];
-            for spec in &methods {
-                match run_method_on_measure(&world, measure, spec, &gt) {
-                    Some(row) => {
-                        table.row(vec![
-                            row.method,
-                            fmt_ratio(row.quality.hr10),
-                            fmt_ratio(row.quality.hr50),
-                            fmt_ratio(row.quality.r10_at_50),
-                            fmt_metres(row.quality.delta_h10),
-                            fmt_metres(row.quality.delta_r10),
-                        ]);
-                    }
-                    None => {
-                        // ERP has no AP baseline — the paper prints "—".
-                        table.row(vec!["AP", "-", "-", "-", "-", "-"]);
-                    }
-                }
-            }
-            println!("[{measure}]");
-            println!("{}", table.render());
-        }
+        accuracy_tables(&world, cli.queries, &methods);
     }
 }

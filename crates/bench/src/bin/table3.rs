@@ -5,60 +5,29 @@
 //! cargo run -p neutraj-bench --release --bin table3 [-- --size N --full]
 //! ```
 
-use neutraj_bench::{run_method_on_measure, Cli, MethodSpec};
-use neutraj_eval::harness::{
-    default_threads, DatasetKind, ExperimentWorld, KnnGroundTruth, WorldConfig,
-};
-use neutraj_eval::report::{fmt_metres, fmt_ratio, Table};
-use neutraj_measures::MeasureKind;
+use neutraj_bench::{accuracy_tables, Cli, MethodSpec};
+use neutraj_eval::harness::DatasetKind;
 use neutraj_model::TrainConfig;
 
 fn main() {
-    let cli = Cli::parse(Cli::accuracy_defaults()).scaled_for_full();
+    let cli = Cli::parse(Cli {
+        queries: 40,
+        ..Cli::defaults()
+    })
+    .scaled_for_full();
     println!(
         "Table III: ablation study (size={}, queries={}, epochs={}, d={})\n",
         cli.size, cli.queries, cli.epochs, cli.dim
     );
-
+    let methods = [
+        TrainConfig::nt_no_ws(),
+        TrainConfig::nt_no_sam(),
+        TrainConfig::neutraj(),
+    ]
+    .map(|preset| MethodSpec::Learned(cli.train_config(preset)));
     for kind in [DatasetKind::GeolifeLike, DatasetKind::PortoLike] {
-        let world = ExperimentWorld::build(WorldConfig {
-            size: cli.size,
-            seed: cli.seed,
-            ..WorldConfig::small(kind)
-        });
+        let world = cli.world(kind);
         println!("== {} ==", kind.name());
-        for measure in MeasureKind::ALL {
-            let db_rescaled = world.test_db_rescaled();
-            let queries = world.query_positions(cli.queries);
-            let gt = KnnGroundTruth::compute(
-                measure.measure(),
-                &db_rescaled,
-                &queries,
-                KnnGroundTruth::MIN_DEPTH,
-                default_threads(),
-            );
-            let mut table = Table::new(vec![
-                "Method", "HR@10", "HR@50", "R10@50", "dH10(m)", "dR10(m)",
-            ]);
-            for preset in [
-                TrainConfig::nt_no_ws(),
-                TrainConfig::nt_no_sam(),
-                TrainConfig::neutraj(),
-            ] {
-                let spec = MethodSpec::Learned(cli.train_config(preset));
-                if let Some(row) = run_method_on_measure(&world, measure, &spec, &gt) {
-                    table.row(vec![
-                        row.method,
-                        fmt_ratio(row.quality.hr10),
-                        fmt_ratio(row.quality.hr50),
-                        fmt_ratio(row.quality.r10_at_50),
-                        fmt_metres(row.quality.delta_h10),
-                        fmt_metres(row.quality.delta_r10),
-                    ]);
-                }
-            }
-            println!("[{measure}]");
-            println!("{}", table.render());
-        }
+        accuracy_tables(&world, cli.queries, &methods);
     }
 }

@@ -7,7 +7,7 @@
 //! ```
 
 use neutraj_bench::Cli;
-use neutraj_eval::harness::{DatasetKind, ExperimentWorld, WorldConfig};
+use neutraj_eval::harness::DatasetKind;
 use neutraj_eval::report::{fmt_seconds, Table};
 use neutraj_measures::MeasureKind;
 use neutraj_model::{EmbeddingStore, TrainConfig};
@@ -33,11 +33,7 @@ fn main() {
         embed_n
     );
 
-    let world = ExperimentWorld::build(WorldConfig {
-        size: cli.size,
-        seed: cli.seed,
-        ..WorldConfig::small(DatasetKind::PortoLike)
-    });
+    let world = cli.world(DatasetKind::PortoLike);
     let measure = MeasureKind::Frechet.measure();
 
     let embed_corpus: Vec<Trajectory> = PortoLikeGenerator {

@@ -8,10 +8,7 @@
 //! ```
 
 use neutraj_bench::Cli;
-use neutraj_eval::harness::{
-    default_threads, model_rankings, DatasetKind, ExperimentWorld, GroundTruth, WorldConfig,
-};
-use neutraj_eval::metrics::evaluate_query;
+use neutraj_eval::harness::{default_threads, model_rankings, DatasetKind, GroundTruth};
 use neutraj_eval::report::Table;
 use neutraj_measures::MeasureKind;
 use neutraj_model::TrainConfig;
@@ -26,16 +23,8 @@ fn main() {
         cli.size
     );
 
-    let world = ExperimentWorld::build(WorldConfig {
-        size: cli.size,
-        seed: cli.seed,
-        ..WorldConfig::small(DatasetKind::PortoLike)
-    });
-    let measure = MeasureKind::Frechet.measure();
-    let (model, _) = world.train(&*measure, cli.train_config(TrainConfig::neutraj()));
-
+    let world = cli.world(DatasetKind::PortoLike);
     let db = world.test_db();
-    let db_rescaled = world.test_db_rescaled();
 
     // Pick representative queries: the shortest and the longest test
     // trajectories (the paper shows one short, one long).
@@ -43,20 +32,36 @@ fn main() {
     by_len.sort_by_key(|&i| db[i].len());
     let queries = vec![by_len[0], *by_len.last().expect("non-empty db")];
 
-    let gt = GroundTruth::compute(&*measure, &db_rescaled, &queries, default_threads());
+    // Full depth: every exact distance of both queries, in rank order
+    // (dH5 reads the exact distances of NeuTraj's own top 5).
+    let gt = GroundTruth::compute(
+        MeasureKind::Frechet,
+        &world.test_db_rescaled(),
+        &queries,
+        db.len() - 1,
+        default_threads(),
+    );
+    let (model, _) = world.train(gt.measure(), cli.train_config(TrainConfig::neutraj()));
     let rankings = model_rankings(&model, &db, &queries, default_threads());
     let cell = world.grid.cell_size();
 
-    for (qi, &q) in queries.iter().enumerate() {
-        let truth = &gt.rankings[qi];
-        let result = &rankings[qi];
-        let exact = &gt.exact[qi];
-        let quality = evaluate_query(truth, result, exact);
+    let scored = gt
+        .lists()
+        .iter()
+        .zip(&rankings)
+        .zip(gt.evaluate_each(&rankings));
+    for (&q, ((list, result), quality)) in queries.iter().zip(scored) {
+        let truth: Vec<usize> = list.iter().map(|n| n.index).collect();
+        let mut exact = vec![f64::NAN; db.len()];
+        for n in list {
+            exact[n.index] = n.dist;
+        }
+        let quality = quality.scale_distortions(cell);
         let avg = |ids: &[usize], k: usize| -> f64 {
             let k = k.min(ids.len());
             ids[..k].iter().map(|&i| exact[i]).sum::<f64>() / k as f64 * cell
         };
-        let delta_h5 = (avg(result, 5) - avg(truth, 5)).abs();
+        let delta_h5 = (avg(result, 5) - avg(&truth, 5)).abs();
         println!(
             "Query T{} ({} points): HR@10 {:.2}; HR@50 {:.2}; R10@50 {:.2}; dH5 {:.0}m; dH10 {:.0}m; dR10 {:.0}m",
             db[q].id,
@@ -65,8 +70,8 @@ fn main() {
             quality.hr50,
             quality.r10_at_50,
             delta_h5,
-            quality.delta_h10 * cell,
-            quality.delta_r10 * cell,
+            quality.delta_h10,
+            quality.delta_r10,
         );
         let mut table = Table::new(vec![
             "Rank",

@@ -7,10 +7,8 @@
 //! cargo run -p neutraj-bench --release --bin tune [-- --size N]
 //! ```
 
-use neutraj_bench::{learned_rankings, Cli};
-use neutraj_eval::harness::{
-    default_threads, DatasetKind, ExperimentWorld, KnnGroundTruth, WorldConfig,
-};
+use neutraj_bench::Cli;
+use neutraj_eval::harness::{default_threads, DatasetKind};
 use neutraj_eval::report::{fmt_ratio, Table};
 use neutraj_measures::{DistanceMatrix, MeasureKind};
 use neutraj_model::{RankedBatchLoss, SimilarityMatrix, TrainConfig};
@@ -21,24 +19,13 @@ fn main() {
         ..Cli::defaults()
     });
     for dataset in [DatasetKind::GeolifeLike, DatasetKind::PortoLike] {
-        let world = ExperimentWorld::build(WorldConfig {
-            size: cli.size,
-            seed: cli.seed,
-            ..WorldConfig::small(dataset)
-        });
-        let kind = MeasureKind::Frechet;
-        let measure = kind.measure();
-        let db_rescaled = world.test_db_rescaled();
-        let queries = world.query_positions(cli.queries);
-        let gt = KnnGroundTruth::compute(
-            kind.measure(),
-            &db_rescaled,
-            &queries,
-            KnnGroundTruth::MIN_DEPTH,
+        let world = cli.world(dataset);
+        let gt = world.ground_truth(MeasureKind::Frechet, cli.queries);
+        let dist = DistanceMatrix::compute_parallel(
+            gt.measure(),
+            &world.seed_rescaled(),
             default_threads(),
         );
-        let seed_rescaled = world.seed_rescaled();
-        let dist = DistanceMatrix::compute_parallel(&*measure, &seed_rescaled, default_threads());
         let auto = SimilarityMatrix::auto_alpha(&dist);
         println!("== {} (auto alpha {:.4}) ==", dataset.name(), auto);
 
@@ -53,9 +40,8 @@ fn main() {
                     loss,
                     ..cli.train_config(TrainConfig::neutraj())
                 };
-                let (model, _) = world.train(&*measure, cfg);
-                let rankings = learned_rankings(&world, &model, &gt);
-                let q = gt.evaluate(&rankings);
+                let (model, _) = world.train(gt.measure(), cfg);
+                let q = world.score(&model, &gt);
                 table.row(vec![
                     format!("{alpha_mul}"),
                     loss_name.to_string(),

@@ -6,8 +6,8 @@
 //! * [`Cli`] — a tiny flag parser (`--size`, `--epochs`, `--dim`,
 //!   `--queries`, `--seed`, `--full`, `--ann`, `--graph`) so runs scale
 //!   from smoke-test to paper-scale without recompiling;
-//! * [`AccuracyRow`] / [`run_method_on_measure`] — the evaluation loop
-//!   shared by Tables II/III and Figs. 6–8/10.
+//! * [`accuracy_tables`] — the per-measure table loop of Tables II/III
+//!   over a list of [`MethodSpec`]s.
 //!
 //! Default sizes are CPU-sized (minutes, not hours); `--full` selects the
 //! larger configurations recorded in `EXPERIMENTS.md`.
@@ -15,12 +15,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use neutraj_eval::harness::{
-    ap_rankings, build_ap_for_world, default_threads, model_rankings, Evaluator, ExperimentWorld,
-};
-use neutraj_eval::SearchQuality;
+use neutraj_eval::harness::{DatasetKind, ExperimentWorld, WorldConfig};
+use neutraj_eval::report::{fmt_metres, fmt_ratio, Table};
 use neutraj_measures::MeasureKind;
-use neutraj_model::{NeuTrajModel, TrainConfig};
+use neutraj_model::TrainConfig;
 
 /// Minimal command-line configuration shared by all experiment binaries.
 #[derive(Debug, Clone, PartialEq)]
@@ -112,21 +110,6 @@ impl Cli {
         cli
     }
 
-    /// Default configuration for accuracy experiments.
-    pub fn accuracy_defaults() -> Cli {
-        Cli {
-            size: 400,
-            queries: 40,
-            epochs: 10,
-            dim: 32,
-            seed: 2019,
-            full: false,
-            ann: false,
-            graph: false,
-            overload: false,
-        }
-    }
-
     /// Applies `--full` scaling used by the accuracy binaries.
     pub fn scaled_for_full(mut self) -> Cli {
         if self.full {
@@ -136,6 +119,15 @@ impl Cli {
             self.dim = self.dim.max(64);
         }
         self
+    }
+
+    /// The experiment world of `kind` at this CLI's size and seed.
+    pub fn world(&self, kind: DatasetKind) -> ExperimentWorld {
+        ExperimentWorld::build(WorldConfig {
+            size: self.size,
+            seed: self.seed,
+            ..WorldConfig::small(kind)
+        })
     }
 
     /// The training configuration for a method preset under this CLI.
@@ -149,15 +141,6 @@ impl Cli {
     }
 }
 
-/// One accuracy-table row: method name + metrics.
-#[derive(Debug, Clone)]
-pub struct AccuracyRow {
-    /// Method display name.
-    pub method: String,
-    /// Mean quality over the query workload.
-    pub quality: SearchQuality,
-}
-
 /// Which competitor a row runs.
 pub enum MethodSpec {
     /// The AP approximate-algorithm baseline.
@@ -166,55 +149,55 @@ pub enum MethodSpec {
     Learned(TrainConfig),
 }
 
-/// Runs one method under one measure on a world and returns its row.
-/// `gt` must be computed over `world.test_db_rescaled()` with the same
-/// queries. δ distortions are scaled to metres via the world's cell size.
-pub fn run_method_on_measure(
-    world: &ExperimentWorld,
-    kind: MeasureKind,
-    spec: &MethodSpec,
-    gt: &dyn Evaluator,
-) -> Option<AccuracyRow> {
-    let db_rescaled = world.test_db_rescaled();
-    let cell = world.grid.cell_size();
-    match spec {
-        MethodSpec::Ap => {
-            let ap = build_ap_for_world(kind, &db_rescaled, world.config.seed)?;
-            let rankings = ap_rankings(ap.as_ref(), &db_rescaled, gt.queries());
-            Some(AccuracyRow {
-                method: "AP".to_string(),
-                quality: gt.evaluate(&rankings).scale_distortions(cell),
-            })
+/// The per-measure loop of Tables II and III: for each paper measure,
+/// scores every method against the exact ground truth of `queries` test
+/// queries (δ in metres) and prints one table, with `-` where a method
+/// does not exist (the paper has no AP under ERP).
+pub fn accuracy_tables(world: &ExperimentWorld, queries: usize, methods: &[MethodSpec]) {
+    for kind in MeasureKind::ALL {
+        let gt = world.ground_truth(kind, queries);
+        let mut table = Table::new(vec![
+            "Method", "HR@10", "HR@50", "R10@50", "dH10(m)", "dR10(m)",
+        ]);
+        for spec in methods {
+            let (name, quality) = match spec {
+                MethodSpec::Ap => ("AP", world.score_ap(&gt)),
+                MethodSpec::Learned(cfg) => {
+                    let (model, _) = world.train(gt.measure(), cfg.clone());
+                    (cfg.method_name(), Some(world.score(&model, &gt)))
+                }
+            };
+            let cells = match quality {
+                Some(q) => vec![
+                    fmt_ratio(q.hr10),
+                    fmt_ratio(q.hr50),
+                    fmt_ratio(q.r10_at_50),
+                    fmt_metres(q.delta_h10),
+                    fmt_metres(q.delta_r10),
+                ],
+                None => vec!["-".to_string(); 5],
+            };
+            table.row([vec![name.to_string()], cells].concat());
         }
-        MethodSpec::Learned(cfg) => {
-            let measure = kind.measure();
-            let (model, _) = world.train(&*measure, cfg.clone());
-            let rankings = learned_rankings(world, &model, gt);
-            Some(AccuracyRow {
-                method: cfg.method_name().to_string(),
-                quality: gt.evaluate(&rankings).scale_distortions(cell),
-            })
-        }
+        println!("[{kind}]");
+        println!("{}", table.render());
     }
-}
-
-/// Rankings of a trained model over the world's test database.
-pub fn learned_rankings(
-    world: &ExperimentWorld,
-    model: &NeuTrajModel,
-    gt: &dyn Evaluator,
-) -> Vec<Vec<usize>> {
-    let db = world.test_db();
-    model_rankings(model, &db, gt.queries(), default_threads())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn accuracy_cli() -> Cli {
+        Cli {
+            queries: 40,
+            ..Cli::defaults()
+        }
+    }
+
     #[test]
     fn cli_parses_flags() {
-        let d = Cli::accuracy_defaults();
+        let d = accuracy_cli();
         let got = Cli::parse_from(
             d.clone(),
             ["--size", "99", "--dim", "8", "--full", "--ann", "--graph"]
@@ -235,20 +218,20 @@ mod tests {
     #[should_panic(expected = "unknown flag")]
     fn cli_rejects_typos() {
         let _ = Cli::parse_from(
-            Cli::accuracy_defaults(),
+            accuracy_cli(),
             ["--sise", "99"].iter().map(|s| s.to_string()),
         );
     }
 
     #[test]
     fn full_scaling_monotone() {
-        let mut cli = Cli::accuracy_defaults();
+        let mut cli = accuracy_cli();
         cli.full = true;
         let scaled = cli.clone().scaled_for_full();
         assert!(scaled.size >= cli.size);
         assert!(scaled.epochs >= cli.epochs);
         // Without --full nothing changes.
-        let mut small = Cli::accuracy_defaults();
+        let mut small = accuracy_cli();
         small.full = false;
         assert_eq!(small.clone().scaled_for_full(), small);
     }
@@ -259,7 +242,7 @@ mod tests {
             dim: 12,
             epochs: 3,
             seed: 7,
-            ..Cli::accuracy_defaults()
+            ..accuracy_cli()
         };
         let cfg = cli.train_config(TrainConfig::nt_no_sam());
         assert_eq!(cfg.dim, 12);

@@ -6,6 +6,11 @@
 //! against exact ground truth. Queries are members of the database; the
 //! query itself is removed from both ground truth and method rankings so
 //! the trivial self-hit does not inflate every method equally.
+//!
+//! Every accuracy number goes through one path:
+//! [`ExperimentWorld::ground_truth`] sets up the exact lists,
+//! [`ExperimentWorld::fit`] trains, and [`ExperimentWorld::score`] (or
+//! [`ExperimentWorld::score_ap`]) ranks the test db and scores it.
 
 use crate::metrics::{evaluate_query, SearchQuality};
 use neutraj_approx::ApproxKnn;
@@ -49,7 +54,8 @@ pub struct WorldConfig {
 }
 
 impl WorldConfig {
-    /// A small default world for quick runs: 400 Porto-like taxi trips.
+    /// A small default world of `kind` for quick runs: 400 trajectories,
+    /// 50 m cells, seed 2019 and the paper's split.
     pub fn small(kind: DatasetKind) -> Self {
         Self {
             kind,
@@ -111,40 +117,24 @@ impl ExperimentWorld {
 
     /// Seed trajectories (original coordinates) in split order.
     pub fn seed_trajectories(&self) -> Vec<Trajectory> {
-        self.split
-            .train
-            .iter()
-            .map(|&i| self.corpus[i].clone())
-            .collect()
+        pick(&self.corpus, &self.split.train)
     }
 
     /// Seed trajectories rescaled to grid units (for the guidance matrix).
     pub fn seed_rescaled(&self) -> Vec<Trajectory> {
-        self.split
-            .train
-            .iter()
-            .map(|&i| self.rescaled[i].clone())
-            .collect()
+        pick(&self.rescaled, &self.split.train)
     }
 
     /// Test-set trajectories in original coordinates — the search
     /// database of §VII-B.
     pub fn test_db(&self) -> Vec<Trajectory> {
-        self.split
-            .test
-            .iter()
-            .map(|&i| self.corpus[i].clone())
-            .collect()
+        pick(&self.corpus, &self.split.test)
     }
 
     /// Test-set trajectories in grid units (for exact ground truth on the
     /// same scale the model trains against).
     pub fn test_db_rescaled(&self) -> Vec<Trajectory> {
-        self.split
-            .test
-            .iter()
-            .map(|&i| self.rescaled[i].clone())
-            .collect()
+        pick(&self.rescaled, &self.split.test)
     }
 
     /// The first `n` test positions used as queries (positions are
@@ -153,25 +143,76 @@ impl ExperimentWorld {
         (0..n.min(self.split.test.len())).collect()
     }
 
-    /// Trains a method preset on this world's seeds under `measure`.
-    pub fn train(&self, measure: &dyn Measure, cfg: TrainConfig) -> (NeuTrajModel, TrainReport) {
-        self.train_with_callback(measure, cfg, |_| {})
+    /// Exact ground truth under `kind` for the first `queries` test
+    /// positions, over the test db in grid units, at
+    /// [`GroundTruth::MIN_DEPTH`].
+    pub fn ground_truth(&self, kind: MeasureKind, queries: usize) -> GroundTruth {
+        GroundTruth::compute(
+            kind,
+            &self.test_db_rescaled(),
+            &self.query_positions(queries),
+            GroundTruth::MIN_DEPTH,
+            default_threads(),
+        )
     }
 
-    /// [`Self::train`] with an epoch callback (Fig. 5 convergence curves).
-    pub fn train_with_callback(
+    /// [`Self::fit`] on this world's seed split.
+    pub fn train(&self, measure: &dyn Measure, cfg: TrainConfig) -> (NeuTrajModel, TrainReport) {
+        self.fit(measure, cfg, &self.seed_trajectories())
+    }
+
+    /// Trains `cfg` on `seeds` (original coordinates): their guidance
+    /// matrix under `measure` on this world's grid, then the trainer at
+    /// [`default_threads`]. `seeds` is usually the seed split; Fig. 6
+    /// passes a prefix of it, Fig. 10 trajectories from elsewhere.
+    pub fn fit(
         &self,
         measure: &dyn Measure,
         cfg: TrainConfig,
-        on_epoch: impl FnMut(&neutraj_model::EpochStats),
+        seeds: &[Trajectory],
     ) -> (NeuTrajModel, TrainReport) {
-        let seeds = self.seed_trajectories();
-        let seed_rescaled = self.seed_rescaled();
-        let dist = DistanceMatrix::compute_parallel(measure, &seed_rescaled, default_threads());
+        let rescaled: Vec<Trajectory> = seeds
+            .iter()
+            .map(|t| self.grid.rescale_trajectory(t))
+            .collect();
+        let dist = DistanceMatrix::compute_parallel(measure, &rescaled, default_threads());
         Trainer::new(cfg, self.grid.clone())
             .with_threads(default_threads())
-            .fit(&seeds, &dist, on_epoch)
+            .fit(seeds, &dist, |_| {})
     }
+
+    /// Ranks the test db with `model` for each of `gt`'s queries and
+    /// scores the rankings, δ in metres.
+    pub fn score(&self, model: &NeuTrajModel, gt: &GroundTruth) -> SearchQuality {
+        let rankings = model_rankings(model, &self.test_db(), gt.queries(), default_threads());
+        gt.evaluate(&rankings)
+            .scale_distortions(self.grid.cell_size())
+    }
+
+    /// [`Self::score`] for the AP baseline of `gt`'s measure, built over
+    /// the test db in grid units; `None` where the paper has no AP (ERP).
+    pub fn score_ap(&self, gt: &GroundTruth) -> Option<SearchQuality> {
+        let db = self.test_db_rescaled();
+        let ap = build_ap_for_world(gt.kind(), &db, self.config.seed)?;
+        let rankings: Vec<Vec<usize>> = gt
+            .queries()
+            .iter()
+            .map(|&q| {
+                strip_query(
+                    ap.knn(&db[q], db.len()).iter().map(|n| n.index).collect(),
+                    q,
+                )
+            })
+            .collect();
+        Some(
+            gt.evaluate(&rankings)
+                .scale_distortions(self.grid.cell_size()),
+        )
+    }
+}
+
+fn pick(from: &[Trajectory], indices: &[usize]) -> Vec<Trajectory> {
+    indices.iter().map(|&i| from[i].clone()).collect()
 }
 
 /// Number of worker threads used by the harness.
@@ -179,92 +220,17 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(4, |n| n.get())
 }
 
-/// Exact ground truth of a query workload: per-query exact distances to
-/// every database item plus the ascending ranking (self excluded).
-#[derive(Debug, Clone)]
-pub struct GroundTruth {
-    /// Query positions within the database.
-    pub queries: Vec<usize>,
-    /// `exact[q][i]`: exact distance from query `q` to database item `i`.
-    pub exact: Vec<Vec<f64>>,
-    /// Ascending exact ranking per query (query itself removed).
-    pub rankings: Vec<Vec<usize>>,
-}
-
-impl GroundTruth {
-    /// Computes the ground truth by brute force under `measure`,
-    /// parallelized over queries (dense rows through the
-    /// [`GroundTruthEngine`] — bit-identical to direct `measure.dist`
-    /// calls, with scratch reuse and the accelerated kernels).
-    pub fn compute(
-        measure: &dyn Measure,
-        db: &[Trajectory],
-        queries: &[usize],
-        threads: usize,
-    ) -> Self {
-        let exact = GroundTruthEngine::new(measure, db).rows(queries, threads.max(1));
-        let rankings = queries
-            .iter()
-            .zip(&exact)
-            .map(|(&q, row)| ranked_indices(row, Some(q)))
-            .collect();
-        Self {
-            queries: queries.to_vec(),
-            exact,
-            rankings,
-        }
-    }
-
-    /// Scores a method's per-query rankings against this ground truth.
-    /// `rankings[k]` must correspond to `self.queries[k]` and must not
-    /// contain the query itself (use [`strip_query`]).
-    pub fn evaluate(&self, rankings: &[Vec<usize>]) -> SearchQuality {
-        assert_eq!(rankings.len(), self.queries.len(), "ranking count");
-        let per_query: Vec<SearchQuality> = rankings
-            .iter()
-            .zip(self.rankings.iter().zip(&self.exact))
-            .map(|(result, (truth, exact))| evaluate_query(truth, result, exact))
-            .collect();
-        SearchQuality::mean(&per_query)
-    }
-}
-
-/// Anything that can score per-query method rankings: the dense
-/// [`GroundTruth`] (exact distances to *every* database item) and the
-/// pruned [`KnnGroundTruth`] (depth-limited exact lists, missing
-/// distances filled on demand). Both produce identical [`SearchQuality`]
-/// values; sweeps and bench drivers take `&dyn Evaluator` so callers pick
-/// the cheap one.
-pub trait Evaluator {
-    /// Query positions within the database, in evaluation order.
-    fn queries(&self) -> &[usize];
-
-    /// Scores a method's per-query rankings. `rankings[k]` must
-    /// correspond to `queries()[k]` and must not contain the query itself
-    /// (use [`strip_query`]).
-    fn evaluate(&self, rankings: &[Vec<usize>]) -> SearchQuality;
-}
-
-impl Evaluator for GroundTruth {
-    fn queries(&self) -> &[usize] {
-        &self.queries
-    }
-
-    fn evaluate(&self, rankings: &[Vec<usize>]) -> SearchQuality {
-        GroundTruth::evaluate(self, rankings)
-    }
-}
-
-/// Exact ground truth held as depth-limited top-k lists instead of dense
-/// `N × N` rows — the shape the pruned [`GroundTruthEngine`] produces in
-/// far less time than a dense scan.
+/// Exact ground truth of a query workload, held as depth-limited top-k
+/// lists from the pruned [`GroundTruthEngine`].
 ///
 /// The scored metrics ([`evaluate_query`]) only ever read the top 50 of
 /// the exact ranking plus the exact distances of the method's top 50, so
-/// a `depth >= 50` list reproduces the dense [`GroundTruth`] scores
-/// **exactly**; the few method-ranked items outside the lists are
-/// computed on demand through the engine (same bits as a dense row).
-pub struct KnnGroundTruth {
+/// a `depth >= 50` list scores exactly like dense `N × N` rows would; the
+/// few method-ranked items outside the lists are computed on demand
+/// through the engine (same bits as a dense row). At depth `N − 1` the
+/// lists are the dense ranking and rows themselves.
+pub struct GroundTruth {
+    kind: MeasureKind,
     measure: Box<dyn Measure>,
     db: Vec<Trajectory>,
     queries: Vec<usize>,
@@ -272,24 +238,26 @@ pub struct KnnGroundTruth {
     lists: Vec<Vec<Neighbor>>,
 }
 
-impl KnnGroundTruth {
+impl GroundTruth {
     /// Depth floor keeping every metric of [`evaluate_query`] faithful
     /// (`HR@50`, `R10@50` and `δ_R10` read 50 ground-truth entries).
     pub const MIN_DEPTH: usize = 50;
 
-    /// Computes top-`depth` exact neighbour lists for each query under
-    /// `measure` via the pruned engine. `depth` is clamped up to
+    /// Computes top-`depth` exact neighbour lists for each query (a
+    /// position in `db`) under `kind`. `depth` is clamped up to
     /// [`Self::MIN_DEPTH`].
     pub fn compute(
-        measure: Box<dyn Measure>,
+        kind: MeasureKind,
         db: &[Trajectory],
         queries: &[usize],
         depth: usize,
         threads: usize,
     ) -> Self {
+        let measure = kind.measure();
         let depth = depth.max(Self::MIN_DEPTH);
         let lists = GroundTruthEngine::new(&*measure, db).knn_lists(queries, depth, threads);
         Self {
+            kind,
             measure,
             db: db.to_vec(),
             queries: queries.to_vec(),
@@ -297,22 +265,42 @@ impl KnnGroundTruth {
         }
     }
 
-    /// The exact neighbour lists, parallel to `queries()`.
+    /// The measure the lists are exact under.
+    pub fn kind(&self) -> MeasureKind {
+        self.kind
+    }
+
+    /// The measure the lists are exact under, instantiated.
+    pub fn measure(&self) -> &dyn Measure {
+        &*self.measure
+    }
+
+    /// Query positions within the database, in evaluation order.
+    pub fn queries(&self) -> &[usize] {
+        &self.queries
+    }
+
+    /// The exact neighbour lists, parallel to [`Self::queries`].
     pub fn lists(&self) -> &[Vec<Neighbor>] {
         &self.lists
     }
 
-    /// Scores a method's per-query rankings; same contract — and same
-    /// result, bit for bit — as [`GroundTruth::evaluate`].
+    /// Scores a method's per-query rankings: the mean of
+    /// [`Self::evaluate_each`].
     pub fn evaluate(&self, rankings: &[Vec<usize>]) -> SearchQuality {
+        SearchQuality::mean(&self.evaluate_each(rankings))
+    }
+
+    /// Scores each of a method's rankings. `rankings[k]` must correspond
+    /// to `queries()[k]` and must not contain the query itself (use
+    /// [`strip_query`]).
+    pub fn evaluate_each(&self, rankings: &[Vec<usize>]) -> Vec<SearchQuality> {
         assert_eq!(rankings.len(), self.queries.len(), "ranking count");
         let engine = GroundTruthEngine::new(&*self.measure, &self.db);
-        let per_query: Vec<SearchQuality> = rankings
+        rankings
             .iter()
-            .enumerate()
-            .map(|(qi, result)| {
-                let q = self.queries[qi];
-                let list = &self.lists[qi];
+            .zip(self.queries.iter().zip(&self.lists))
+            .map(|(result, (&q, list))| {
                 let truth: Vec<usize> = list.iter().map(|n| n.index).collect();
                 // Sparse exact row: list entries first, then whatever the
                 // method ranked in its top 50 that the list missed. The
@@ -331,31 +319,8 @@ impl KnnGroundTruth {
                 }
                 evaluate_query(&truth, result, &exact)
             })
-            .collect();
-        SearchQuality::mean(&per_query)
+            .collect()
     }
-}
-
-impl Evaluator for KnnGroundTruth {
-    fn queries(&self) -> &[usize] {
-        &self.queries
-    }
-
-    fn evaluate(&self, rankings: &[Vec<usize>]) -> SearchQuality {
-        KnnGroundTruth::evaluate(self, rankings)
-    }
-}
-
-/// Ascending ranking of database indices by `dists`, excluding `skip`.
-pub fn ranked_indices(dists: &[f64], skip: Option<usize>) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..dists.len()).filter(|&i| Some(i) != skip).collect();
-    idx.sort_by(|&a, &b| {
-        dists[a]
-            .partial_cmp(&dists[b])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    idx
 }
 
 /// Removes the query's own index from a ranking.
@@ -384,17 +349,6 @@ pub fn model_rankings(
                 .into_iter()
                 .map(|n| n.index)
                 .collect()
-        })
-        .collect()
-}
-
-/// Per-query rankings of an AP baseline, self removed.
-pub fn ap_rankings(ap: &dyn ApproxKnn, db: &[Trajectory], queries: &[usize]) -> Vec<Vec<usize>> {
-    queries
-        .iter()
-        .map(|&q| {
-            let ranked = ap.knn(&db[q], db.len());
-            strip_query(ranked.into_iter().map(|n| n.index).collect(), q)
         })
         .collect()
 }
@@ -441,13 +395,16 @@ pub fn parallel_map<T: Sync, R: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neutraj_measures::Hausdorff;
 
     fn small_world() -> ExperimentWorld {
         ExperimentWorld::build(WorldConfig {
             size: 120,
             ..WorldConfig::small(DatasetKind::PortoLike)
         })
+    }
+
+    fn indices(list: &[Neighbor]) -> Vec<usize> {
+        list.iter().map(|n| n.index).collect()
     }
 
     #[test]
@@ -474,19 +431,18 @@ mod tests {
     #[test]
     fn ground_truth_rankings_are_sorted_and_self_free() {
         let w = small_world();
-        let db = w.test_db_rescaled();
-        let queries = w.query_positions(5);
-        let gt = GroundTruth::compute(&Hausdorff, &db, &queries, 2);
-        for (qi, ranking) in gt.rankings.iter().enumerate() {
-            let q = gt.queries[qi];
-            assert!(!ranking.contains(&q), "self in ranking");
-            assert_eq!(ranking.len(), db.len() - 1);
-            for w2 in ranking.windows(2) {
-                assert!(gt.exact[qi][w2[0]] <= gt.exact[qi][w2[1]]);
+        let gt = w.ground_truth(MeasureKind::Hausdorff, 5);
+        let depth = GroundTruth::MIN_DEPTH.min(w.split.test.len() - 1);
+        for (&q, list) in gt.queries().iter().zip(gt.lists()) {
+            assert!(!indices(list).contains(&q), "self in ranking");
+            assert_eq!(list.len(), depth);
+            for w2 in list.windows(2) {
+                assert!(w2[0].dist <= w2[1].dist);
             }
         }
         // Perfect method scores 1.0 everywhere.
-        let q = gt.evaluate(&gt.rankings);
+        let perfect: Vec<Vec<usize>> = gt.lists().iter().map(|l| indices(l)).collect();
+        let q = gt.evaluate(&perfect);
         assert_eq!(q.hr10, 1.0);
         assert_eq!(q.delta_h10, 0.0);
     }
@@ -496,10 +452,9 @@ mod tests {
         let w = small_world();
         let db = w.test_db_rescaled();
         let queries = w.query_positions(4);
-        let seq = GroundTruth::compute(&Hausdorff, &db, &queries, 1);
-        let par = GroundTruth::compute(&Hausdorff, &db, &queries, 4);
-        assert_eq!(seq.exact, par.exact);
-        assert_eq!(seq.rankings, par.rankings);
+        let seq = GroundTruth::compute(MeasureKind::Hausdorff, &db, &queries, 50, 1);
+        let par = GroundTruth::compute(MeasureKind::Hausdorff, &db, &queries, 50, 4);
+        assert_eq!(seq.lists(), par.lists());
     }
 
     #[test]
@@ -508,20 +463,45 @@ mod tests {
         let db = w.test_db_rescaled();
         let queries = w.query_positions(6);
         for kind in MeasureKind::ALL {
-            let dense = GroundTruth::compute(&*kind.measure(), &db, &queries, 3);
-            let knn = KnnGroundTruth::compute(
-                kind.measure(),
-                &db,
-                &queries,
-                KnnGroundTruth::MIN_DEPTH,
-                3,
-            );
-            assert_eq!(Evaluator::queries(&dense), Evaluator::queries(&knn));
+            // The dense oracle: every exact distance, ranked by
+            // `(dist, index)` with the query removed.
+            let rows = GroundTruthEngine::new(&*kind.measure(), &db).rows(&queries, 3);
+            let dense: Vec<Vec<usize>> = queries
+                .iter()
+                .zip(&rows)
+                .map(|(&q, row)| {
+                    let mut idx: Vec<usize> = (0..row.len()).filter(|&i| i != q).collect();
+                    idx.sort_by(|&a, &b| {
+                        row[a]
+                            .partial_cmp(&row[b])
+                            .unwrap_or(std::cmp::Ordering::Equal)
+                            .then(a.cmp(&b))
+                    });
+                    idx
+                })
+                .collect();
+            let oracle = |rankings: &[Vec<usize>]| {
+                let each: Vec<SearchQuality> = rankings
+                    .iter()
+                    .zip(dense.iter().zip(&rows))
+                    .map(|(r, (truth, row))| evaluate_query(truth, r, row))
+                    .collect();
+                SearchQuality::mean(&each)
+            };
+
+            // At full depth the lists are the dense ranking and row.
+            let full = GroundTruth::compute(kind, &db, &queries, db.len() - 1, 3);
+            for ((list, ranking), row) in full.lists().iter().zip(&dense).zip(&rows) {
+                assert_eq!(indices(list), *ranking, "{kind}: full-depth ranking");
+                for n in list {
+                    assert_eq!(n.dist.to_bits(), row[n.index].to_bits(), "{kind}");
+                }
+            }
+
             // Score an imperfect method: a deliberately perturbed ranking
             // (rotate the true one), so every metric is exercised away
             // from the trivial 1.0/0.0 fixed point.
             let rankings: Vec<Vec<usize>> = dense
-                .rankings
                 .iter()
                 .map(|r| {
                     let mut rot = r.clone();
@@ -530,12 +510,14 @@ mod tests {
                     rot
                 })
                 .collect();
-            let a = dense.evaluate(&rankings);
-            let b = knn.evaluate(&rankings);
-            assert_eq!(a, b, "{kind}: knn ground truth diverged from dense");
+            let knn = GroundTruth::compute(kind, &db, &queries, GroundTruth::MIN_DEPTH, 3);
+            assert_eq!(knn.queries(), &queries[..]);
+            let a = oracle(&rankings);
+            assert_eq!(knn.evaluate(&rankings), a, "{kind}: diverged from dense");
+            assert_eq!(full.evaluate(&rankings), a, "{kind}: full depth diverged");
             // And on the perfect ranking both give the same (1.0, 0.0).
-            let p = knn.evaluate(&dense.rankings);
-            assert_eq!(p, dense.evaluate(&dense.rankings), "{kind}");
+            let p = knn.evaluate(&dense);
+            assert_eq!(p, oracle(&dense), "{kind}");
             assert_eq!(p.hr10, 1.0, "{kind}");
         }
     }
@@ -549,13 +531,9 @@ mod tests {
             n_samples: 5,
             ..TrainConfig::neutraj()
         };
-        let (model, _) = w.train(&Hausdorff, cfg);
-        let db = w.test_db();
-        let db_rescaled = w.test_db_rescaled();
-        let queries = w.query_positions(8);
-        let gt = GroundTruth::compute(&Hausdorff, &db_rescaled, &queries, 4);
-        let rankings = model_rankings(&model, &db, &queries, 4);
-        let quality = gt.evaluate(&rankings);
+        let gt = w.ground_truth(MeasureKind::Hausdorff, 8);
+        let (model, _) = w.train(gt.measure(), cfg);
+        let quality = w.score(&model, &gt);
         // Random ranking expectation for HR@10 is 10/(N-1) ≈ 0.12 here.
         assert!(
             quality.hr10 > 0.25,
@@ -567,14 +545,12 @@ mod tests {
     #[test]
     fn ap_baseline_runs_and_scores() {
         let w = small_world();
-        let db_rescaled = w.test_db_rescaled();
-        let queries = w.query_positions(5);
-        let gt = GroundTruth::compute(&Hausdorff, &db_rescaled, &queries, 4);
-        let ap = build_ap_for_world(MeasureKind::Hausdorff, &db_rescaled, 3).unwrap();
-        let rankings = ap_rankings(ap.as_ref(), &db_rescaled, &queries);
-        let q = gt.evaluate(&rankings);
-        assert!(q.hr10 > 0.0, "AP found nothing at all");
-        assert!(build_ap_for_world(MeasureKind::Erp, &db_rescaled, 3).is_none());
+        let q = w.score_ap(&w.ground_truth(MeasureKind::Hausdorff, 5));
+        assert!(
+            q.expect("Hausdorff has an AP").hr10 > 0.0,
+            "AP found nothing at all"
+        );
+        assert!(w.score_ap(&w.ground_truth(MeasureKind::Erp, 5)).is_none());
     }
 
     #[test]

@@ -9,10 +9,11 @@
 //!   the distance distortions `δ_H10`/`δ_R10` (§VII-A.4).
 //! * [`ann`] — recall@k of a shortlist serving path (IVF, graph)
 //!   against the brute-force scan and against exact-measure ground truth.
-//! * [`harness`] — corpus construction, ground-truth computation, method
-//!   runners (BruteForce / AP / Siamese / NeuTraj + ablations) and the
-//!   per-measure evaluation pipeline.
-//! * [`report`] — fixed-width table and CSV emission for the binaries.
+//! * [`harness`] — corpus construction and split, exact ground truth,
+//!   and the one fit → rank → score path every accuracy number takes
+//!   (learned presets and the AP baseline).
+//! * [`sweeps`] — one model per value of a training knob (Figs. 7–8).
+//! * [`report`] — fixed-width table emission for the binaries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,7 +25,5 @@ pub mod report;
 pub mod sweeps;
 
 pub use ann::{exact_measure_recall_at_k, mean_overlap_at_k, shortlist_recall_at_k, RecallReport};
-pub use harness::{
-    DatasetKind, Evaluator, ExperimentWorld, GroundTruth, KnnGroundTruth, WorldConfig,
-};
+pub use harness::{DatasetKind, ExperimentWorld, GroundTruth, WorldConfig};
 pub use metrics::SearchQuality;

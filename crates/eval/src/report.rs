@@ -1,4 +1,4 @@
-//! Fixed-width table and CSV emission for the experiment binaries.
+//! Fixed-width table emission for the experiment binaries.
 
 use std::fmt::Write as _;
 
@@ -25,11 +25,6 @@ impl Table {
         cells.resize(self.header.len(), String::new());
         self.rows.push(cells);
         self
-    }
-
-    /// Number of data rows.
-    pub fn num_rows(&self) -> usize {
-        self.rows.len()
     }
 
     /// Renders the table with aligned columns and a separator rule.
@@ -59,22 +54,6 @@ impl Table {
         let rule: usize = widths.iter().sum::<usize>() + 2 * (cols.saturating_sub(1));
         out.push_str(&"-".repeat(rule));
         out.push('\n');
-        for row in &self.rows {
-            emit(&mut out, row);
-        }
-        out
-    }
-
-    /// Renders as CSV (comma-separated, no quoting — callers must not put
-    /// commas in cells; debug-asserted).
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let emit = |out: &mut String, cells: &[String]| {
-            debug_assert!(cells.iter().all(|c| !c.contains(',')));
-            out.push_str(&cells.join(","));
-            out.push('\n');
-        };
-        emit(&mut out, &self.header);
         for row in &self.rows {
             emit(&mut out, row);
         }
@@ -122,15 +101,6 @@ mod tests {
         let off2 = lines[2].find("0.4947").unwrap();
         let off3 = lines[3].find("0.2374").unwrap();
         assert_eq!(off2, off3);
-    }
-
-    #[test]
-    fn csv_roundtrip_shape() {
-        let mut t = Table::new(vec!["a", "b"]);
-        t.row(vec!["1"]); // short row padded
-        let csv = t.to_csv();
-        assert_eq!(csv, "a,b\n1,\n");
-        assert_eq!(t.num_rows(), 1);
     }
 
     #[test]

@@ -1,104 +1,27 @@
-//! Parameter-sensitivity sweeps (Figs. 6–8): train one model per
+//! Parameter-sensitivity sweeps (Figs. 7–8): train one model per
 //! parameter value and report its search quality under a fixed ground
 //! truth.
 
-use crate::harness::{default_threads, model_rankings, Evaluator, ExperimentWorld};
+use crate::harness::{ExperimentWorld, GroundTruth};
 use crate::metrics::SearchQuality;
-use neutraj_measures::Measure;
 use neutraj_model::TrainConfig;
 
-/// Trains `cfg` on `world` under `measure` and scores it against `gt`
-/// (distortions scaled to metres) — the shared inner loop of every
-/// accuracy figure.
-pub fn evaluate_config(
-    world: &ExperimentWorld,
-    measure: &dyn Measure,
-    cfg: TrainConfig,
-    gt: &dyn Evaluator,
-) -> SearchQuality {
-    let (model, _) = world.train(measure, cfg);
-    let db = world.test_db();
-    let rankings = model_rankings(&model, &db, gt.queries(), default_threads());
-    gt.evaluate(&rankings)
-        .scale_distortions(world.grid.cell_size())
-}
-
 /// Sweeps one knob: for each `value`, `apply` derives a configuration
-/// from `base`, a model is trained and evaluated. Returns
-/// `(value, quality)` pairs in input order.
+/// from `base`, which is trained on `world`'s seeds under `gt`'s measure
+/// and scored against `gt` (δ in metres). Returns `(value, quality)`
+/// pairs in input order.
 pub fn sweep<V: Copy>(
     world: &ExperimentWorld,
-    measure: &dyn Measure,
-    gt: &dyn Evaluator,
+    gt: &GroundTruth,
     base: &TrainConfig,
     values: &[V],
     mut apply: impl FnMut(&TrainConfig, V) -> TrainConfig,
 ) -> Vec<(V, SearchQuality)> {
     values
         .iter()
-        .map(|&v| (v, evaluate_config(world, measure, apply(base, v), gt)))
-        .collect()
-}
-
-/// The Fig. 7 sweep: embedding dimension `d`.
-pub fn sweep_dim(
-    world: &ExperimentWorld,
-    measure: &dyn Measure,
-    gt: &dyn Evaluator,
-    base: &TrainConfig,
-    dims: &[usize],
-) -> Vec<(usize, SearchQuality)> {
-    sweep(world, measure, gt, base, dims, |b, d| TrainConfig {
-        dim: d,
-        ..b.clone()
-    })
-}
-
-/// The Fig. 8 sweep: SAM scan width `w`.
-pub fn sweep_scan_width(
-    world: &ExperimentWorld,
-    measure: &dyn Measure,
-    gt: &dyn Evaluator,
-    base: &TrainConfig,
-    widths: &[u32],
-) -> Vec<(u32, SearchQuality)> {
-    sweep(world, measure, gt, base, widths, |b, w| TrainConfig {
-        scan_width: w,
-        ..b.clone()
-    })
-}
-
-/// The Fig. 6 sweep: number of training seeds. Trains on the first `n`
-/// trajectories of the world's seed pool for each `n` in `counts`
-/// (clamped to the pool size), recomputing the guidance matrix per
-/// subset.
-pub fn sweep_training_size(
-    world: &ExperimentWorld,
-    measure: &dyn Measure,
-    gt: &dyn Evaluator,
-    base: &TrainConfig,
-    counts: &[usize],
-) -> Vec<(usize, SearchQuality)> {
-    use neutraj_measures::DistanceMatrix;
-    use neutraj_model::Trainer;
-    let pool = world.seed_trajectories();
-    let pool_rescaled = world.seed_rescaled();
-    let db = world.test_db();
-    counts
-        .iter()
-        .map(|&raw_n| {
-            let n = raw_n.clamp(2, pool.len());
-            let dist =
-                DistanceMatrix::compute_parallel(measure, &pool_rescaled[..n], default_threads());
-            let (model, _) = Trainer::new(base.clone(), world.grid.clone())
-                .with_threads(default_threads())
-                .fit(&pool[..n], &dist, |_| {});
-            let rankings = model_rankings(&model, &db, gt.queries(), default_threads());
-            (
-                raw_n,
-                gt.evaluate(&rankings)
-                    .scale_distortions(world.grid.cell_size()),
-            )
+        .map(|&v| {
+            let (model, _) = world.train(gt.measure(), apply(base, v));
+            (v, world.score(&model, gt))
         })
         .collect()
 }
@@ -106,22 +29,15 @@ pub fn sweep_training_size(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{DatasetKind, KnnGroundTruth, WorldConfig};
+    use crate::harness::{DatasetKind, WorldConfig};
     use neutraj_measures::MeasureKind;
 
-    fn tiny() -> (ExperimentWorld, KnnGroundTruth) {
+    fn tiny() -> (ExperimentWorld, GroundTruth) {
         let world = ExperimentWorld::build(WorldConfig {
             size: 100,
             ..WorldConfig::small(DatasetKind::PortoLike)
         });
-        let queries = world.query_positions(4);
-        let gt = KnnGroundTruth::compute(
-            MeasureKind::Hausdorff.measure(),
-            &world.test_db_rescaled(),
-            &queries,
-            KnnGroundTruth::MIN_DEPTH,
-            default_threads(),
-        );
+        let gt = world.ground_truth(MeasureKind::Hausdorff, 4);
         (world, gt)
     }
 
@@ -135,10 +51,12 @@ mod tests {
     }
 
     #[test]
-    fn sweep_dim_produces_one_result_per_value() {
+    fn sweep_produces_one_result_per_value() {
         let (world, gt) = tiny();
-        let measure = MeasureKind::Hausdorff.measure();
-        let results = sweep_dim(&world, &*measure, &gt, &tiny_cfg(), &[4, 8]);
+        let results = sweep(&world, &gt, &tiny_cfg(), &[4, 8], |b, d| TrainConfig {
+            dim: d,
+            ..b.clone()
+        });
         assert_eq!(results.len(), 2);
         assert_eq!(results[0].0, 4);
         assert_eq!(results[1].0, 8);
@@ -150,9 +68,12 @@ mod tests {
     #[test]
     fn sweep_is_deterministic() {
         let (world, gt) = tiny();
-        let measure = MeasureKind::Hausdorff.measure();
-        let a = sweep_scan_width(&world, &*measure, &gt, &tiny_cfg(), &[0, 2]);
-        let b = sweep_scan_width(&world, &*measure, &gt, &tiny_cfg(), &[0, 2]);
+        let widths = |b: &TrainConfig, w| TrainConfig {
+            scan_width: w,
+            ..b.clone()
+        };
+        let a = sweep(&world, &gt, &tiny_cfg(), &[0, 2], widths);
+        let b = sweep(&world, &gt, &tiny_cfg(), &[0, 2], widths);
         assert_eq!(
             a.iter().map(|(_, q)| q.hr10).collect::<Vec<_>>(),
             b.iter().map(|(_, q)| q.hr10).collect::<Vec<_>>()

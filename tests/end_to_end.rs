@@ -1,10 +1,7 @@
 //! End-to-end integration tests: the full paper pipeline (generate →
 //! split → seed distances → train → embed → search) across crates.
 
-use neutraj::eval::harness::{
-    build_ap_for_world, default_threads, model_rankings, DatasetKind, ExperimentWorld, GroundTruth,
-    WorldConfig,
-};
+use neutraj::eval::harness::{DatasetKind, ExperimentWorld, GroundTruth, WorldConfig};
 use neutraj::prelude::*;
 
 fn world(size: usize, seed: u64) -> ExperimentWorld {
@@ -15,21 +12,15 @@ fn world(size: usize, seed: u64) -> ExperimentWorld {
     })
 }
 
-fn hr10_of(world: &ExperimentWorld, kind: MeasureKind, cfg: TrainConfig, gt: &GroundTruth) -> f64 {
-    let measure = kind.measure();
-    let (model, _) = world.train(&*measure, cfg);
-    let db = world.test_db();
-    let rankings = model_rankings(&model, &db, &gt.queries, default_threads());
-    gt.evaluate(&rankings).hr10
+fn hr10_of(world: &ExperimentWorld, cfg: TrainConfig, gt: &GroundTruth) -> f64 {
+    let (model, _) = world.train(gt.measure(), cfg);
+    world.score(&model, gt).hr10
 }
 
 #[test]
 fn neutraj_beats_chance_on_hausdorff() {
     let w = world(220, 31);
-    let kind = MeasureKind::Hausdorff;
-    let db_rescaled = w.test_db_rescaled();
-    let queries = w.query_positions(12);
-    let gt = GroundTruth::compute(&*kind.measure(), &db_rescaled, &queries, default_threads());
+    let gt = w.ground_truth(MeasureKind::Hausdorff, 12);
 
     let cfg = TrainConfig {
         dim: 24,
@@ -37,9 +28,9 @@ fn neutraj_beats_chance_on_hausdorff() {
         n_samples: 8,
         ..TrainConfig::neutraj()
     };
-    let neutraj_hr = hr10_of(&w, kind, cfg, &gt);
+    let neutraj_hr = hr10_of(&w, cfg, &gt);
 
-    let chance = 10.0 / (db_rescaled.len() - 1) as f64;
+    let chance = 10.0 / (w.split.test.len() - 1) as f64;
     assert!(
         neutraj_hr > 2.0 * chance,
         "NeuTraj HR@10 {neutraj_hr:.3} not above chance {chance:.3}"
@@ -57,10 +48,7 @@ fn neutraj_beats_chance_on_hausdorff() {
 #[ignore = "env-dependent: NeuTraj-vs-AP margin at toy scale is within cross-host FP noise"]
 fn neutraj_beats_ap_on_hausdorff_at_scale() {
     let w = world(220, 31);
-    let kind = MeasureKind::Hausdorff;
-    let db_rescaled = w.test_db_rescaled();
-    let queries = w.query_positions(12);
-    let gt = GroundTruth::compute(&*kind.measure(), &db_rescaled, &queries, default_threads());
+    let gt = w.ground_truth(MeasureKind::Hausdorff, 12);
 
     let cfg = TrainConfig {
         dim: 24,
@@ -68,11 +56,9 @@ fn neutraj_beats_ap_on_hausdorff_at_scale() {
         n_samples: 8,
         ..TrainConfig::neutraj()
     };
-    let neutraj_hr = hr10_of(&w, kind, cfg, &gt);
+    let neutraj_hr = hr10_of(&w, cfg, &gt);
 
-    let ap = build_ap_for_world(kind, &db_rescaled, 31).expect("Hausdorff AP");
-    let ap_rankings = neutraj::eval::harness::ap_rankings(ap.as_ref(), &db_rescaled, &queries);
-    let ap_hr = gt.evaluate(&ap_rankings).hr10;
+    let ap_hr = w.score_ap(&gt).expect("Hausdorff AP").hr10;
     assert!(
         neutraj_hr > ap_hr,
         "NeuTraj HR@10 {neutraj_hr:.3} did not beat AP {ap_hr:.3}"
@@ -82,18 +68,16 @@ fn neutraj_beats_ap_on_hausdorff_at_scale() {
 #[test]
 fn pipeline_works_on_every_paper_measure() {
     let w = world(150, 17);
-    let queries = w.query_positions(6);
-    let db_rescaled = w.test_db_rescaled();
-    let chance = 10.0 / (db_rescaled.len() - 1) as f64;
+    let chance = 10.0 / (w.split.test.len() - 1) as f64;
     for kind in MeasureKind::ALL {
-        let gt = GroundTruth::compute(&*kind.measure(), &db_rescaled, &queries, default_threads());
+        let gt = w.ground_truth(kind, 6);
         let cfg = TrainConfig {
             dim: 16,
             epochs: 6,
             n_samples: 5,
             ..TrainConfig::neutraj()
         };
-        let hr = hr10_of(&w, kind, cfg, &gt);
+        let hr = hr10_of(&w, cfg, &gt);
         assert!(
             hr > 1.5 * chance,
             "{kind}: HR@10 {hr:.3} vs chance {chance:.3}"
@@ -106,20 +90,14 @@ fn reranking_improves_or_preserves_top10_quality() {
     // The paper's protocol: re-rank the learned top-50 by exact distance.
     // δ of the re-ranked list (δ_R10) must be ≤ δ of the raw list (δ_H10).
     let w = world(200, 5);
-    let kind = MeasureKind::Frechet;
-    let db_rescaled = w.test_db_rescaled();
-    let queries = w.query_positions(10);
-    let gt = GroundTruth::compute(&*kind.measure(), &db_rescaled, &queries, default_threads());
+    let gt = w.ground_truth(MeasureKind::Frechet, 10);
     let cfg = TrainConfig {
         dim: 16,
         epochs: 6,
         ..TrainConfig::neutraj()
     };
-    let measure = kind.measure();
-    let (model, _) = w.train(&*measure, cfg);
-    let db = w.test_db();
-    let rankings = model_rankings(&model, &db, &queries, default_threads());
-    let q = gt.evaluate(&rankings);
+    let (model, _) = w.train(gt.measure(), cfg);
+    let q = w.score(&model, &gt);
     assert!(
         q.delta_r10 <= q.delta_h10 + 1e-9,
         "re-ranked distortion {} worse than raw {}",
