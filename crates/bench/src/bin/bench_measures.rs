@@ -10,8 +10,7 @@
 //!   (per-pair `measure.dist`, rows dealt round-robin).
 //! * **knn** — `GroundTruthEngine::knn_lists` at depth 50 (the
 //!   [`GroundTruth`] workload) against a full-scan `top_k` over naive
-//!   per-pair rows, parallelised with the same `parallel_map` the old
-//!   harness used.
+//!   per-pair rows, one contiguous chunk of queries per worker.
 //!
 //! A third section measures the SIMD dispatch (`DESIGN.md` §12): the
 //! matrix workload with the lane kernels forced scalar versus forced
@@ -43,11 +42,11 @@
 use std::time::Instant;
 
 use neutraj_bench::Cli;
-use neutraj_eval::harness::{default_threads, parallel_map, DatasetKind};
+use neutraj_eval::harness::DatasetKind;
 use neutraj_measures::{top_k, DistanceMatrix, GroundTruthEngine, Measure, MeasureKind, Neighbor};
 use neutraj_obs::simd::SimdLevel;
 use neutraj_obs::Registry;
-use neutraj_trajectory::Trajectory;
+use neutraj_trajectory::{par, Trajectory};
 
 /// knn depth; matches `GroundTruth::MIN_DEPTH` (R10@50 needs 50).
 const K: usize = 50;
@@ -63,7 +62,7 @@ fn main() {
         dim: 0,
         ..Cli::defaults()
     });
-    let threads = default_threads();
+    let threads = par::threads();
     let world = cli.world(DatasetKind::PortoLike);
     // The full rescaled corpus — the same grid units the seed matrix and
     // ground truth are computed in everywhere else.
@@ -240,52 +239,29 @@ fn bench_simd(kind: MeasureKind, corpus: &[Trajectory], threads: usize) -> SimdR
     }
 }
 
-/// The pre-engine `DistanceMatrix::compute_parallel`, preserved verbatim
-/// as the baseline: per-pair `measure.dist` over upper-triangle rows
-/// dealt round-robin to scoped workers.
+/// The pre-engine `DistanceMatrix::compute_parallel` as the baseline:
+/// per-pair `measure.dist` over upper-triangle rows dealt round-robin to
+/// the workers.
 fn baseline_matrix(
     measure: &dyn Measure,
     trajectories: &[Trajectory],
     threads: usize,
 ) -> DistanceMatrix {
     let n = trajectories.len();
-    let threads = threads.max(1).min(n.max(1));
-    let mut data = vec![0.0; n * n];
-    if threads == 1 || n < 32 {
-        for i in 0..n {
-            for j in i + 1..n {
-                let d = measure.dist(trajectories[i].points(), trajectories[j].points());
-                data[i * n + j] = d;
-                data[j * n + i] = d;
-            }
-        }
-        return DistanceMatrix::from_raw(n, data);
-    }
-    let mut rows: Vec<Vec<(usize, Vec<f64>)>> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut i = t;
-                    while i < n {
-                        let mut row = Vec::with_capacity(n - i - 1);
-                        for j in i + 1..n {
-                            row.push(
-                                measure.dist(trajectories[i].points(), trajectories[j].points()),
-                            );
-                        }
-                        out.push((i, row));
-                        i += threads;
-                    }
-                    out
-                })
-            })
-            .collect();
-        for h in handles {
-            rows.push(h.join().expect("distance worker panicked"));
-        }
+    let workers = if n < 32 { 1 } else { threads.clamp(1, n) };
+    let rows = par::fan_out(0..workers, |t| {
+        let row = |i: usize| -> Vec<f64> {
+            let a = trajectories[i].points();
+            (i + 1..n)
+                .map(|j| measure.dist(a, trajectories[j].points()))
+                .collect()
+        };
+        (t..n)
+            .step_by(workers)
+            .map(|i| (i, row(i)))
+            .collect::<Vec<_>>()
     });
+    let mut data = vec![0.0; n * n];
     for worker_rows in rows {
         for (i, row) in worker_rows {
             for (off, d) in row.into_iter().enumerate() {
@@ -306,7 +282,7 @@ fn baseline_knn(
     queries: &[usize],
     threads: usize,
 ) -> Vec<Vec<Neighbor>> {
-    parallel_map(queries, threads, |&q| {
+    let knn = |&q: &usize| {
         let dists: Vec<f64> = trajectories
             .iter()
             .enumerate()
@@ -321,7 +297,12 @@ fn baseline_knn(
         let mut nn = top_k(&dists, K);
         nn.retain(|n| n.index != q);
         nn
-    })
+    };
+    let chunk = queries.len().div_ceil(threads.max(1)).max(1);
+    let parts = par::fan_out(queries.chunks(chunk), |part| {
+        part.iter().map(knn).collect::<Vec<_>>()
+    });
+    parts.into_iter().flatten().collect()
 }
 
 /// Hand-rolled JSON (the dependency set has no serde_json).

@@ -89,7 +89,7 @@ use neutraj_nn::linalg::dot;
 use neutraj_nn::simd::{scan_rows, ScanInput, SCAN_STRIPE};
 use neutraj_obs::{names, MetricsReport, Registry};
 use neutraj_trajectory::rng::{splitmix64, GOLDEN_GAMMA};
-use neutraj_trajectory::{BoundingBox, Grid, Point, Trajectory};
+use neutraj_trajectory::{par, BoundingBox, Grid, Point, Trajectory};
 
 /// Search depth; k = 10 matches the paper's top-k experiments.
 const K: usize = 10;
@@ -124,7 +124,7 @@ fn main() {
     } else {
         vec![cli.size]
     };
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host_cpus = par::threads();
     println!(
         "bench_query: dim {}, k {K}, batch {}, corpora {:?}, host cpus {host_cpus}",
         cli.dim, cli.queries, sizes
@@ -754,7 +754,7 @@ fn bench_graph(n: usize, dim: usize, batch: usize, seed: u64, registry: &Registr
     let queries = jittered_queries(&store, batch, &mut state);
     let qrefs: Vec<&[f64]> = queries.iter().map(|q| q.as_slice()).collect();
 
-    let threads = std::thread::available_parallelism().map_or(1, |v| v.get());
+    let threads = par::threads();
     let params = HnswParams {
         seed,
         ..HnswParams::default()

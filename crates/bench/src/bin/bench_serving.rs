@@ -60,7 +60,7 @@ use neutraj_serve::{
     sequential_reference, QuerySpec, ServeRequest, ServiceConfig, SimilarityService,
 };
 use neutraj_trajectory::rng::{splitmix64, GOLDEN_GAMMA};
-use neutraj_trajectory::{BoundingBox, Grid, Point, Trajectory};
+use neutraj_trajectory::{par, BoundingBox, Grid, Point, Trajectory};
 
 /// Search depth; k = 10 matches the paper's top-k experiments.
 const K: usize = 10;
@@ -84,7 +84,7 @@ fn main() {
         epochs: 0,
         ..neutraj_bench::Cli::defaults()
     });
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host_cpus = par::threads();
     println!(
         "bench_serving: corpus {}, dim {}, k {K}, query pool {}, clients {CLIENTS}, host cpus {host_cpus}",
         cli.size, cli.dim, cli.queries

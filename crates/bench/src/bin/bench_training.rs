@@ -22,10 +22,11 @@
 //! ```
 
 use neutraj_bench::Cli;
-use neutraj_eval::harness::{default_threads, DatasetKind};
+use neutraj_eval::harness::DatasetKind;
 use neutraj_measures::{DistanceMatrix, MeasureKind};
 use neutraj_model::{Backbone, NeuTrajModel, TrainConfig, Trainer};
 use neutraj_obs::{names, MetricsReport, Registry};
+use neutraj_trajectory::par;
 
 const THREAD_COUNTS: [usize; 2] = [1, 4];
 
@@ -61,9 +62,9 @@ fn main() {
     let seeds = world.seed_trajectories();
     let seed_rescaled = world.seed_rescaled();
     let measure = MeasureKind::Frechet.measure();
-    let dist = DistanceMatrix::compute_parallel(&*measure, &seed_rescaled, default_threads());
+    let dist = DistanceMatrix::compute_parallel(&*measure, &seed_rescaled, par::threads());
 
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host_cpus = par::threads();
     println!(
         "bench_training: SAM backbone, {} seeds, dim {}, {} epochs, threads {:?}, host cpus {}",
         seeds.len(),

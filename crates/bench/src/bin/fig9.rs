@@ -10,11 +10,12 @@
 
 use neutraj_bench::Cli;
 use neutraj_cluster::{compare_clusterings, num_clusters, DbscanParams};
-use neutraj_eval::harness::{default_threads, DatasetKind};
+use neutraj_eval::harness::DatasetKind;
 use neutraj_eval::report::{fmt_ratio, Table};
 use neutraj_measures::{DistanceMatrix, MeasureKind};
 use neutraj_model::{EmbeddingStore, TrainConfig};
 use neutraj_nn::linalg::euclidean;
+use neutraj_trajectory::par;
 
 fn main() {
     let cli = Cli::parse(Cli::defaults());
@@ -30,11 +31,11 @@ fn main() {
     // Cluster the test set: exact pairwise distances as ground truth.
     let db = world.test_db();
     let db_rescaled = world.test_db_rescaled();
-    let exact = DistanceMatrix::compute_parallel(&*measure, &db_rescaled, default_threads());
+    let exact = DistanceMatrix::compute_parallel(&*measure, &db_rescaled, par::threads());
 
     // Embedding distances, rescaled so both matrices share a distance
     // scale (match the mean so one ε sweep serves both).
-    let store = EmbeddingStore::build(&model, &db, default_threads());
+    let store = EmbeddingStore::build(&model, &db, par::threads());
     let n = db.len();
     let mut emb = vec![0.0; n * n];
     for i in 0..n {

@@ -16,7 +16,7 @@ use neutraj_eval::report::{fmt_seconds, Table};
 use neutraj_measures::{knn_scan, MeasureKind};
 use neutraj_model::{EmbeddingStore, NeuTrajModel, TrainConfig};
 use neutraj_trajectory::gen::PortoLikeGenerator;
-use neutraj_trajectory::Trajectory;
+use neutraj_trajectory::{par, Trajectory};
 use std::time::Instant;
 
 const K: usize = 50;
@@ -118,7 +118,7 @@ fn main() {
             // the model (it normalizes internally via the grid).
             let db_orig = &db_all[..size];
             for (model, row) in [(&no_sam, &mut nosam_row), (&neutraj, &mut neutraj_row)] {
-                let store = EmbeddingStore::build(model, db_orig, num_threads());
+                let store = EmbeddingStore::build(model, db_orig, par::threads());
                 let t0 = Instant::now();
                 for (qi, _q) in queries.iter().enumerate() {
                     let q_emb = model.embed(&db_orig[qi]);
@@ -155,8 +155,4 @@ fn rerank(
         .collect();
     exact.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
     std::hint::black_box(exact);
-}
-
-fn num_threads() -> usize {
-    std::thread::available_parallelism().map_or(4, |n| n.get())
 }

@@ -15,7 +15,7 @@ use neutraj_measures::{knn_query, partial_sort_neighbors, MeasureKind, Neighbor}
 use neutraj_model::{EmbeddingStore, TrainConfig};
 use neutraj_nn::linalg::euclidean_sq;
 use neutraj_trajectory::gen::PortoLikeGenerator;
-use neutraj_trajectory::{Grid, Trajectory};
+use neutraj_trajectory::{par, Grid, Trajectory};
 use std::time::Instant;
 
 const K: usize = 50;
@@ -86,7 +86,7 @@ fn main() {
                 }
             };
             let ap = build_ap_for_world(kind, db, cli.seed).expect("Frechet AP exists");
-            let store = EmbeddingStore::build(&model, db_orig, num_threads());
+            let store = EmbeddingStore::build(&model, db_orig, par::threads());
 
             let queries: Vec<usize> = (0..cli.queries.min(size)).collect();
             let mut involved_total = 0usize;
@@ -183,8 +183,4 @@ fn pruning_radius(db: &[Trajectory]) -> f64 {
             bb.union(&t.mbr())
         });
     (extent.width().powi(2) + extent.height().powi(2)).sqrt() / 8.0
-}
-
-fn num_threads() -> usize {
-    std::thread::available_parallelism().map_or(4, |n| n.get())
 }

@@ -12,7 +12,7 @@ use neutraj_eval::report::{fmt_seconds, Table};
 use neutraj_measures::MeasureKind;
 use neutraj_model::{EmbeddingStore, TrainConfig};
 use neutraj_trajectory::gen::PortoLikeGenerator;
-use neutraj_trajectory::Trajectory;
+use neutraj_trajectory::{par, Trajectory};
 use std::time::Instant;
 
 fn main() {
@@ -70,7 +70,7 @@ fn main() {
         let t_epoch = report.epoch_seconds.iter().sum::<f64>() / epochs.max(1) as f64;
 
         let t0 = Instant::now();
-        let store = EmbeddingStore::build(&model, &embed_corpus, num_threads());
+        let store = EmbeddingStore::build(&model, &embed_corpus, par::threads());
         let embed_time = t0.elapsed().as_secs_f64();
         std::hint::black_box(store);
 
@@ -87,8 +87,4 @@ fn main() {
         "Note: t_total includes the seed distance matrix; #epoch is the count\n\
          until early stopping (patience 3) or the --epochs cap."
     );
-}
-
-fn num_threads() -> usize {
-    std::thread::available_parallelism().map_or(4, |n| n.get())
 }

@@ -8,10 +8,11 @@
 //! ```
 
 use neutraj_bench::Cli;
-use neutraj_eval::harness::{default_threads, model_rankings, DatasetKind, GroundTruth};
+use neutraj_eval::harness::{model_rankings, DatasetKind, GroundTruth};
 use neutraj_eval::report::Table;
 use neutraj_measures::MeasureKind;
 use neutraj_model::TrainConfig;
+use neutraj_trajectory::par;
 
 fn main() {
     let cli = Cli::parse(Cli {
@@ -39,10 +40,10 @@ fn main() {
         &world.test_db_rescaled(),
         &queries,
         db.len() - 1,
-        default_threads(),
+        par::threads(),
     );
     let (model, _) = world.train(gt.measure(), cli.train_config(TrainConfig::neutraj()));
-    let rankings = model_rankings(&model, &db, &queries, default_threads());
+    let rankings = model_rankings(&model, &db, &queries, par::threads());
     let cell = world.grid.cell_size();
 
     let scored = gt

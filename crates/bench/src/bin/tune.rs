@@ -8,10 +8,11 @@
 //! ```
 
 use neutraj_bench::Cli;
-use neutraj_eval::harness::{default_threads, DatasetKind};
+use neutraj_eval::harness::DatasetKind;
 use neutraj_eval::report::{fmt_ratio, Table};
 use neutraj_measures::{DistanceMatrix, MeasureKind};
 use neutraj_model::{RankedBatchLoss, SimilarityMatrix, TrainConfig};
+use neutraj_trajectory::par;
 
 fn main() {
     let cli = Cli::parse(Cli {
@@ -21,11 +22,8 @@ fn main() {
     for dataset in [DatasetKind::GeolifeLike, DatasetKind::PortoLike] {
         let world = cli.world(dataset);
         let gt = world.ground_truth(MeasureKind::Frechet, cli.queries);
-        let dist = DistanceMatrix::compute_parallel(
-            gt.measure(),
-            &world.seed_rescaled(),
-            default_threads(),
-        );
+        let dist =
+            DistanceMatrix::compute_parallel(gt.measure(), &world.seed_rescaled(), par::threads());
         let auto = SimilarityMatrix::auto_alpha(&dist);
         println!("== {} (auto alpha {:.4}) ==", dataset.name(), auto);
 

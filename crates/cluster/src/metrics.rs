@@ -3,7 +3,7 @@
 //! (Hubert & Arabie).
 
 use crate::dbscan::Label;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// The four agreement scores the paper reports in Fig. 9.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,17 +64,19 @@ pub fn adjusted_rand_index(truth: &[Label], pred: &[Label]) -> f64 {
 }
 
 /// Joint counts `n_tp[(t, p)]` and the two marginals.
+/// Ordered maps, so every sum over them runs in key order and the scores
+/// repeat bit for bit.
 type Contingency = (
-    HashMap<(i64, i64), f64>,
-    HashMap<i64, f64>,
-    HashMap<i64, f64>,
+    BTreeMap<(i64, i64), f64>,
+    BTreeMap<i64, f64>,
+    BTreeMap<i64, f64>,
 );
 
 /// Contingency counts: `n_tp[(t, p)]`, `n_t[t]`, `n_p[p]`.
 fn contingency(t: &[i64], p: &[i64]) -> Contingency {
-    let mut joint: HashMap<(i64, i64), f64> = HashMap::new();
-    let mut mt: HashMap<i64, f64> = HashMap::new();
-    let mut mp: HashMap<i64, f64> = HashMap::new();
+    let mut joint: BTreeMap<(i64, i64), f64> = BTreeMap::new();
+    let mut mt: BTreeMap<i64, f64> = BTreeMap::new();
+    let mut mp: BTreeMap<i64, f64> = BTreeMap::new();
     for (&a, &b) in t.iter().zip(p) {
         *joint.entry((a, b)).or_insert(0.0) += 1.0;
         *mt.entry(a).or_insert(0.0) += 1.0;
@@ -83,7 +85,7 @@ fn contingency(t: &[i64], p: &[i64]) -> Contingency {
     (joint, mt, mp)
 }
 
-fn entropy(marginal: &HashMap<i64, f64>, n: f64) -> f64 {
+fn entropy(marginal: &BTreeMap<i64, f64>, n: f64) -> f64 {
     marginal
         .values()
         .filter(|&&c| c > 0.0)
@@ -251,6 +253,22 @@ mod tests {
         let ag = ClusterAgreement::between(&e, &e);
         assert_eq!(ag.v_measure, 1.0);
         assert_eq!(ag.ari, 1.0);
+    }
+
+    #[test]
+    fn scores_repeat_bit_for_bit() {
+        // Dozens of uneven clusters on each side: summed in hash order,
+        // the entropy terms round differently from one map to the next.
+        let t: Vec<i64> = (0..600).map(|i| (i * i) % 53).collect();
+        let p: Vec<i64> = (0..600).map(|i| (i * 7) % 41 - 1).collect();
+        let (t, p) = (labels(&t), labels(&p));
+        let bits = |a: ClusterAgreement| {
+            [a.homogeneity, a.completeness, a.v_measure, a.ari].map(f64::to_bits)
+        };
+        let first = bits(ClusterAgreement::between(&t, &p));
+        for _ in 0..200 {
+            assert_eq!(bits(ClusterAgreement::between(&t, &p)), first);
+        }
     }
 
     #[test]

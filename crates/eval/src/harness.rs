@@ -17,7 +17,7 @@ use neutraj_approx::ApproxKnn;
 use neutraj_measures::{DistanceMatrix, GroundTruthEngine, Measure, MeasureKind, Neighbor};
 use neutraj_model::{NeuTrajModel, Query, SimilarityDb, TrainConfig, TrainReport, Trainer};
 use neutraj_trajectory::gen::{GeolifeLikeGenerator, PortoLikeGenerator};
-use neutraj_trajectory::{Dataset, Grid, Split, SplitRatios, Trajectory};
+use neutraj_trajectory::{par, Dataset, Grid, Split, SplitRatios, Trajectory};
 
 /// Which synthetic corpus stands in for which real dataset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,7 +152,7 @@ impl ExperimentWorld {
             &self.test_db_rescaled(),
             &self.query_positions(queries),
             GroundTruth::MIN_DEPTH,
-            default_threads(),
+            par::threads(),
         )
     }
 
@@ -163,7 +163,7 @@ impl ExperimentWorld {
 
     /// Trains `cfg` on `seeds` (original coordinates): their guidance
     /// matrix under `measure` on this world's grid, then the trainer at
-    /// [`default_threads`]. `seeds` is usually the seed split; Fig. 6
+    /// [`par::threads`]. `seeds` is usually the seed split; Fig. 6
     /// passes a prefix of it, Fig. 10 trajectories from elsewhere.
     pub fn fit(
         &self,
@@ -175,16 +175,16 @@ impl ExperimentWorld {
             .iter()
             .map(|t| self.grid.rescale_trajectory(t))
             .collect();
-        let dist = DistanceMatrix::compute_parallel(measure, &rescaled, default_threads());
+        let dist = DistanceMatrix::compute_parallel(measure, &rescaled, par::threads());
         Trainer::new(cfg, self.grid.clone())
-            .with_threads(default_threads())
+            .with_threads(par::threads())
             .fit(seeds, &dist, |_| {})
     }
 
     /// Ranks the test db with `model` for each of `gt`'s queries and
     /// scores the rankings, δ in metres.
     pub fn score(&self, model: &NeuTrajModel, gt: &GroundTruth) -> SearchQuality {
-        let rankings = model_rankings(model, &self.test_db(), gt.queries(), default_threads());
+        let rankings = model_rankings(model, &self.test_db(), gt.queries(), par::threads());
         gt.evaluate(&rankings)
             .scale_distortions(self.grid.cell_size())
     }
@@ -213,11 +213,6 @@ impl ExperimentWorld {
 
 fn pick(from: &[Trajectory], indices: &[usize]) -> Vec<Trajectory> {
     indices.iter().map(|&i| from[i].clone()).collect()
-}
-
-/// Number of worker threads used by the harness.
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism().map_or(4, |n| n.get())
 }
 
 /// Exact ground truth of a query workload, held as depth-limited top-k
@@ -365,31 +360,6 @@ pub fn build_ap_for_world(
     // the paper's 50 m cells) reproduces both their speed and their
     // characteristic accuracy loss.
     neutraj_approx::build_ap(kind, db_rescaled, 8.0, seed)
-}
-
-/// Maps `items` through `f` on up to `threads` scoped worker threads,
-/// preserving order.
-pub fn parallel_map<T: Sync, R: Send>(
-    items: &[T],
-    threads: usize,
-    f: impl Fn(&T) -> R + Sync,
-) -> Vec<R> {
-    let threads = threads.max(1);
-    if threads == 1 || items.len() < 2 {
-        return items.iter().map(&f).collect();
-    }
-    let chunk = items.len().div_ceil(threads);
-    let mut out: Vec<Vec<R>> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|part| scope.spawn(|| part.iter().map(&f).collect::<Vec<R>>()))
-            .collect();
-        for h in handles {
-            out.push(h.join().expect("parallel_map worker panicked"));
-        }
-    });
-    out.into_iter().flatten().collect()
 }
 
 #[cfg(test)]
@@ -551,15 +521,6 @@ mod tests {
             "AP found nothing at all"
         );
         assert!(w.score_ap(&w.ground_truth(MeasureKind::Erp, 5)).is_none());
-    }
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let items: Vec<i32> = (0..37).collect();
-        let out = parallel_map(&items, 5, |x| x * 2);
-        assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-        let single = parallel_map(&items, 1, |x| x + 1);
-        assert_eq!(single[36], 37);
     }
 
     #[test]

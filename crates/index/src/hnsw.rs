@@ -55,6 +55,7 @@
 //! crate across thread counts and SIMD modes).
 
 use neutraj_trajectory::cursor::{PutLe, Reader, Truncated};
+use neutraj_trajectory::par;
 use neutraj_trajectory::rng::{mix64, GOLDEN_GAMMA};
 use std::cmp::Ordering;
 
@@ -424,30 +425,17 @@ impl HnswIndex {
             let end = start + size;
             g.grow_to(end);
             // Phase A: plan every round member against the frozen
-            // committed graph. Workers own disjoint plan slices.
-            let mut plans: Vec<NodePlan> = vec![NodePlan::new(); size];
-            if threads == 1 || size == 1 {
-                let s = &mut scratches[0];
-                for (off, plan) in plans.iter_mut().enumerate() {
-                    *plan = g.plan_node((start + off) as u32, dist, s);
-                }
-            } else {
-                let chunk = size.div_ceil(threads);
-                let gref = &g;
-                std::thread::scope(|scope| {
-                    for (ci, (chunk_plans, s)) in plans
-                        .chunks_mut(chunk)
-                        .zip(scratches.iter_mut())
-                        .enumerate()
-                    {
-                        scope.spawn(move || {
-                            for (off, plan) in chunk_plans.iter_mut().enumerate() {
-                                *plan = gref.plan_node((start + ci * chunk + off) as u32, dist, s);
-                            }
-                        });
-                    }
-                });
-            }
+            // committed graph, one contiguous run of ids per worker.
+            let (chunk, gref) = (size.div_ceil(threads), &g);
+            let runs = (start..end).step_by(chunk).zip(scratches.iter_mut());
+            let plans: Vec<NodePlan> = par::fan_out(runs, |(from, s)| {
+                (from..(from + chunk).min(end))
+                    .map(|id| gref.plan_node(id as u32, dist, s))
+                    .collect::<Vec<_>>()
+            })
+            .into_iter()
+            .flatten()
+            .collect();
             // Phase B: commit sequentially in id order.
             g.commit_round(start, &plans, dist, threads);
             start = end;
@@ -541,27 +529,22 @@ impl HnswIndex {
                 _ => jobs.push((target, layer, vec![Cand { d, id: src }])),
             }
         }
-        let mut outs: Vec<Vec<u32>> = vec![Vec::new(); jobs.len()];
-        let merge = |gref: &HnswIndex, (target, layer, incoming): &(u32, u8, Vec<Cand>)| {
-            gref.merge_backlinks(*target, *layer as usize, incoming, dist)
-        };
-        if threads == 1 || jobs.len() < 2 * threads {
-            for (out, job) in outs.iter_mut().zip(jobs.iter()) {
-                *out = merge(self, job);
-            }
+        let chunk = if jobs.len() < 2 * threads {
+            jobs.len().max(1)
         } else {
-            let chunk = jobs.len().div_ceil(threads);
-            let gref = &*self;
-            std::thread::scope(|scope| {
-                for (out_chunk, job_chunk) in outs.chunks_mut(chunk).zip(jobs.chunks(chunk)) {
-                    scope.spawn(move || {
-                        for (out, job) in out_chunk.iter_mut().zip(job_chunk.iter()) {
-                            *out = merge(gref, job);
-                        }
-                    });
-                }
-            });
-        }
+            jobs.len().div_ceil(threads)
+        };
+        let gref = &*self;
+        let outs: Vec<Vec<u32>> = par::fan_out(jobs.chunks(chunk), |part| {
+            part.iter()
+                .map(|(target, layer, incoming)| {
+                    gref.merge_backlinks(*target, *layer as usize, incoming, dist)
+                })
+                .collect::<Vec<_>>()
+        })
+        .into_iter()
+        .flatten()
+        .collect();
         // Apply sequentially in job order. Layer-0 merges pass through
         // the lower-in-edge guard: the merge decisions were computed in
         // parallel against pre-round state, but whether an eviction

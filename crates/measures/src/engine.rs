@@ -34,7 +34,7 @@ use crate::simd::{self, LANES};
 use crate::{Accel, DistanceMatrix, Measure};
 use neutraj_obs::simd::SimdLevel;
 use neutraj_obs::{names, Counter, Histogram, Registry};
-use neutraj_trajectory::{Point, Trajectory};
+use neutraj_trajectory::{par, Point, Trajectory};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Edge length of the square tiles [`GroundTruthEngine::matrix`] deals to
@@ -908,7 +908,8 @@ impl<'a> GroundTruthEngine<'a> {
             .flat_map(|bi| (bi..nb).map(move |bj| (bi, bj)))
             .collect();
         let next = AtomicUsize::new(0);
-        let parts = self.workers(threads.min(tiles.len()), |_, s| {
+        let parts = par::fan_out(0..threads.max(1).min(tiles.len()), |_| {
+            let mut s = Scratch::default();
             let mut out: Vec<(u32, u32, f64)> = Vec::new();
             while let Some(&(bi, bj)) = tiles.get(next.fetch_add(1, Ordering::Relaxed)) {
                 let inner = &order[..((bj + 1) * TILE).min(n)];
@@ -919,11 +920,12 @@ impl<'a> GroundTruthEngine<'a> {
                     // diagonal is computed whole and its earlier lanes
                     // dropped (a few percent of one tile row's work).
                     let from = (bj * TILE).max(p + 1);
-                    self.exact_row(i, inner, groups.as_deref(), from, s, |q, d| {
+                    self.exact_row(i, inner, groups.as_deref(), from, &mut s, |q, d| {
                         out.push((i as u32, order[q] as u32, d));
                     });
                 }
             }
+            self.flush(s);
             out
         });
         let mut data = vec![0.0; n * n];
@@ -950,8 +952,8 @@ impl<'a> GroundTruthEngine<'a> {
     }
 
     /// Dense exact rows (`out[qi][j] = dist(queries[qi], j)`, including
-    /// `j == q`), parallelized over queries — the drop-in engine behind
-    /// the eval harness's dense ground truth.
+    /// `j == q`), parallelized over queries — the dense oracle the eval
+    /// harness's tests score its top-k ground truth against.
     pub fn rows(&self, queries: &[usize], threads: usize) -> Vec<Vec<f64>> {
         let _span = self.metrics.as_ref().map(|m| m.knn_seconds.start_timer());
         let (order, groups) = self.corpus_lanes();
@@ -1111,7 +1113,8 @@ impl<'a> GroundTruthEngine<'a> {
     }
 
     /// Maps queries through `f` on up to `threads` workers (order
-    /// preserved), each worker taking one contiguous chunk.
+    /// preserved), each worker taking one contiguous chunk with its own
+    /// reusable [`Scratch`].
     fn query_map<R: Send>(
         &self,
         queries: &[usize],
@@ -1119,41 +1122,20 @@ impl<'a> GroundTruthEngine<'a> {
         f: impl Fn(usize, &mut Scratch) -> R + Sync,
     ) -> Vec<R> {
         let chunk = queries.len().div_ceil(threads.max(1)).max(1);
-        let parts = self.workers(queries.len().div_ceil(chunk), |w, s| {
-            let part = queries.iter().skip(w * chunk).take(chunk);
-            part.map(|&q| f(q, s)).collect::<Vec<R>>()
+        let parts = par::fan_out(queries.chunks(chunk), |part| {
+            let mut s = Scratch::default();
+            let out: Vec<R> = part.iter().map(|&q| f(q, &mut s)).collect();
+            self.flush(s);
+            out
         });
         parts.into_iter().flatten().collect()
     }
 
-    /// Runs `work(w, scratch)` for every worker `w < threads` — on scoped
-    /// threads, or inline when there is at most one — each with its own
-    /// reusable [`Scratch`], whose tally is flushed to the registry once.
-    /// Results come back in worker order.
-    fn workers<R: Send>(
-        &self,
-        threads: usize,
-        work: impl Fn(usize, &mut Scratch) -> R + Sync,
-    ) -> Vec<R> {
-        let run = |w: usize| {
-            let mut s = Scratch::default();
-            let out = work(w, &mut s);
-            if let Some(m) = &self.metrics {
-                m.flush(s.tally);
-            }
-            out
-        };
-        if threads <= 1 {
-            return vec![run(0)];
+    /// Adds a worker's tally to the registry, once per worker.
+    fn flush(&self, s: Scratch) {
+        if let Some(m) = &self.metrics {
+            m.flush(s.tally);
         }
-        std::thread::scope(|scope| {
-            let run = &run;
-            let handles: Vec<_> = (0..threads).map(|w| scope.spawn(move || run(w))).collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("ground-truth worker panicked"))
-                .collect()
-        })
     }
 }
 

@@ -6,7 +6,7 @@ use neutraj_nn::{
     SamSeqRef, SamTapeRef, Workspace, WriteLog,
 };
 use neutraj_obs::{Histogram, Registry};
-use neutraj_trajectory::{Grid, Trajectory};
+use neutraj_trajectory::{par, Grid, Trajectory};
 use std::borrow::Borrow;
 use std::cell::RefCell;
 
@@ -42,33 +42,6 @@ impl SamPhaseMetrics {
             phase_b_seconds: registry.histogram("neutraj_train_sam_phase_b_seconds"),
         }
     }
-}
-
-/// Runs `work` over `parts` and returns the results in part order: the
-/// first part on the calling thread, every other on a scoped thread of
-/// its own. One part spawns nothing, so sequential callers pass one. A
-/// worker's panic continues on the caller with its own message (a dead
-/// tape, a shape mismatch) rather than a generic "worker panicked".
-fn fan_out<P: Send, R: Send>(
-    parts: impl IntoIterator<Item = P>,
-    work: impl Fn(P) -> R + Sync,
-) -> Vec<R> {
-    let mut parts = parts.into_iter();
-    let Some(first) = parts.next() else {
-        return Vec::new();
-    };
-    let work = &work;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = parts.map(|p| scope.spawn(move || work(p))).collect();
-        let mut out = vec![work(first)];
-        for h in handles {
-            out.push(
-                h.join()
-                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
-            );
-        }
-        out
-    })
 }
 
 /// Parts of at most this many items split `len` items over `threads`
@@ -279,7 +252,7 @@ impl Backbone {
             }
         };
         let parts = inputs.chunks(part_len(inputs.len(), threads));
-        fan_out(parts, run).into_iter().flatten().collect()
+        par::fan_out(parts, run).into_iter().flatten().collect()
     }
 
     /// Round-based two-phase SAM batch forward (see
@@ -328,7 +301,7 @@ impl Backbone {
                 .zip(logs[..r].chunks_mut(chunk))
                 .zip(round_tapes.chunks_mut(chunk))
                 .zip(wss.iter_mut());
-            let hs = fan_out(parts, |(((part, logs), tapes), ws)| {
+            let hs = par::fan_out(parts, |(((part, logs), tapes), ws)| {
                 let record = Some((tapes, logs));
                 cell.forward_batch(&sam_refs(part), snapshot, scan_width, record, ws)
             });
@@ -382,7 +355,7 @@ impl Backbone {
         } else {
             groups.len().div_ceil(threads)
         };
-        let partials = fan_out(groups.chunks(per), |run| {
+        let partials = par::fan_out(groups.chunks(per), |run| {
             let mut ws = Workspace::new();
             run.iter()
                 .map(|part| reduce_group(part, &mut ws))
@@ -620,22 +593,13 @@ impl NeuTrajModel {
     /// Embeds a corpus using `threads` worker threads (memory frozen),
     /// each worker running the lockstep batched forward on its chunk.
     pub fn embed_all(&self, ts: &[Trajectory], threads: usize) -> Vec<Vec<f64>> {
-        let threads = threads.max(1);
-        if threads == 1 || ts.len() < 16 {
-            return self.embed_batch(ts);
-        }
-        let chunk = ts.len().div_ceil(threads);
-        let mut out: Vec<Vec<Vec<f64>>> = Vec::with_capacity(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = ts
-                .chunks(chunk)
-                .map(|part| scope.spawn(move || self.embed_batch(part)))
-                .collect();
-            for h in handles {
-                out.push(h.join().expect("embed worker panicked"));
-            }
-        });
-        out.into_iter().flatten().collect()
+        let chunk = if threads <= 1 || ts.len() < 16 {
+            ts.len().max(1)
+        } else {
+            ts.len().div_ceil(threads)
+        };
+        let parts = par::fan_out(ts.chunks(chunk), |part| self.embed_batch(part));
+        parts.into_iter().flatten().collect()
     }
 
     /// Learned similarity `g(Ti,Tj) = exp(-‖E_i − E_j‖)` of two

@@ -41,7 +41,7 @@ use neutraj_cluster::{KMeans, KMeansParams};
 use neutraj_index::{HnswCodecError, HnswIndex, HnswParams, IvfCodecError, IvfIndex};
 use neutraj_measures::{Measure, Neighbor};
 use neutraj_obs::{names, Counter, Gauge, Histogram, Registry};
-use neutraj_trajectory::{Grid, TrajError, Trajectory};
+use neutraj_trajectory::{par, Grid, TrajError, Trajectory};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -981,27 +981,14 @@ impl SimilarityDb {
                 })
                 .collect()
         };
-        let threads = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        let mut out = if threads <= 1 || candidates.len() < 1024 {
-            verify(&candidates)
+        // Verified in chunks, re-concatenated in chunk order, so the
+        // pre-sort content is independent of the thread count.
+        let chunk = if candidates.len() < 1024 {
+            candidates.len().max(1)
         } else {
-            // Verified in parallel chunks, re-concatenated in chunk order,
-            // so the pre-sort content is independent of the thread count.
-            let chunk = candidates.len().div_ceil(threads);
-            let mut parts: Vec<Vec<(usize, usize, f64)>> = Vec::new();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = candidates
-                    .chunks(chunk)
-                    .map(|c| scope.spawn(move || verify(c)))
-                    .collect();
-                for h in handles {
-                    parts.push(h.join().expect("join verifier panicked"));
-                }
-            });
-            parts.concat()
+            candidates.len().div_ceil(par::threads())
         };
+        let mut out = par::fan_out(candidates.chunks(chunk), verify).concat();
         out.sort_by(|a, b| {
             a.2.partial_cmp(&b.2)
                 .unwrap_or(std::cmp::Ordering::Equal)

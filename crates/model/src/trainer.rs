@@ -14,7 +14,7 @@ use neutraj_nn::linalg::add_assign;
 use neutraj_nn::Adam;
 use neutraj_obs::{names, Counter, Gauge, Histogram, Registry};
 use neutraj_trajectory::rng::Rng;
-use neutraj_trajectory::{Grid, Trajectory};
+use neutraj_trajectory::{par, Grid, Trajectory};
 use std::path::Path;
 use std::time::Instant;
 
@@ -156,8 +156,7 @@ impl Trainer {
     /// more threads than cores would only add scheduling overhead, never
     /// change the output.
     pub fn with_threads(mut self, threads: usize) -> Self {
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        self.threads = threads.clamp(1, cores);
+        self.threads = threads.clamp(1, par::threads());
         self
     }
 

@@ -34,7 +34,7 @@ use neutraj_measures::Neighbor;
 use neutraj_model::{
     rerank_exact, AnnParams, DbError, HnswParams, NeuTrajModel, ScanStats, SimilarityDb,
 };
-use neutraj_trajectory::Trajectory;
+use neutraj_trajectory::{par, Trajectory};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -335,8 +335,8 @@ impl Snapshot {
     /// The guarded core of [`Snapshot::search_batch`]: shard scans run
     /// under `catch_unwind` so one panicking shard cannot take down the
     /// caller, quarantined shards are skipped, and the deadline is
-    /// checked cooperatively — before the embed, between sequential
-    /// shard scans, and before the re-rank stage — so expired work stops
+    /// checked cooperatively — before the embed, before each shard scan,
+    /// and before the re-rank stage — so expired work stops
     /// burning CPU as early as possible. Configuration errors
     /// ([`DbError`]) still return `Err`; panics and skips are reported
     /// as data in the [`GuardedScan`].
@@ -374,34 +374,42 @@ impl Snapshot {
         let qembs = self.model().embed_batch(queries);
         let qrefs: Vec<&[f64]> = qembs.iter().map(|e| e.as_slice()).collect();
 
-        let is_skipped = |s: usize| guard.skip.get(s).copied().unwrap_or(false);
-        let scan = |s: usize, db: &SimilarityDb| {
+        let scan = |s: usize| {
             catch_unwind(AssertUnwindSafe(|| {
                 if let Some(fault) = guard.fault {
                     if fault(s) {
                         panic!("injected shard {s} scan fault");
                     }
                 }
-                db.scan_embeddings(&qrefs, fetch, spec)
+                self.shards[s].scan_embeddings(&qrefs, fetch, spec)
             }))
         };
+        // One part for all shards, or one per shard when fanning out.
+        // Each part checks the deadline before each of its shard scans
+        // (once the latest member deadline passes, finishing the scan can
+        // no longer help anyone) and catches a panicking scan in place.
+        let live: Vec<usize> = (0..nshards)
+            .filter(|&s| !guard.skip.get(s).copied().unwrap_or(false))
+            .collect();
+        let per_part = if scan_threads <= 1 { nshards } else { 1 };
+        let parts = par::fan_out(live.chunks(per_part), |part| {
+            let mut done = Vec::with_capacity(part.len());
+            for &s in part {
+                if expired(&guard.deadline) {
+                    return (done, true);
+                }
+                done.push((s, scan(s)));
+            }
+            (done, false)
+        });
         // `None` slots (skipped or failed shards) are absent from the
         // merge; shard order is preserved either way so results stay
         // thread-count independent.
         let mut per_shard: Vec<Option<Vec<Vec<Neighbor>>>> = vec![None; nshards];
-        if scan_threads <= 1 || nshards == 1 {
-            for (s, db) in self.shards.iter().enumerate() {
-                if is_skipped(s) {
-                    continue;
-                }
-                // Cooperative cancellation between shard scans: once the
-                // latest member deadline passes, finishing the scan can
-                // no longer help anyone.
-                if expired(&guard.deadline) {
-                    out.expired = true;
-                    return Ok(out);
-                }
-                match scan(s, db) {
+        for (done, part_expired) in parts {
+            out.expired |= part_expired;
+            for (s, r) in done {
+                match r {
                     Ok(r) => {
                         let (lists, stats) = r?;
                         per_shard[s] = Some(lists);
@@ -413,37 +421,9 @@ impl Snapshot {
                     }
                 }
             }
-        } else {
-            // Scoped fan-out, rejoined in shard order. A panicking shard
-            // scan is caught inside its own thread — captured, not
-            // propagated.
-            let scan = &scan;
-            let joined = std::thread::scope(|scope| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter()
-                    .enumerate()
-                    .map(|(s, db)| (!is_skipped(s)).then(|| scope.spawn(move || scan(s, db))))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.map(|h| h.join().expect("catch_unwind never panics")))
-                    .collect::<Vec<_>>()
-            });
-            for (s, r) in joined.into_iter().enumerate() {
-                match r {
-                    None => {}
-                    Some(Ok(r)) => {
-                        let (lists, stats) = r?;
-                        per_shard[s] = Some(lists);
-                        out.stats += stats;
-                    }
-                    Some(Err(payload)) => {
-                        out.failed.push(s);
-                        out.first_panic.get_or_insert(payload);
-                    }
-                }
-            }
+        }
+        if out.expired {
+            return Ok(out);
         }
 
         let merged: Vec<Vec<Neighbor>> = (0..queries.len())

@@ -19,10 +19,11 @@
 //!   the substitution rationale.
 //! * [`io`] — a dependency-free CSV reader/writer and a compact binary
 //!   codec for trajectory corpora.
-//! * [`rng`] and [`cursor`] — the workspace's one seeded generator and
-//!   its one little-endian byte cursor; the workspace has no external
-//!   crates, so every crate's random draws and `NT*` codecs come from
-//!   these two modules.
+//! * [`rng`], [`cursor`] and [`par`] — the workspace's one seeded
+//!   generator, its one little-endian byte cursor and its one fan-out;
+//!   the workspace has no external crates, so every crate's random
+//!   draws, `NT*` codecs and worker threads come from these three
+//!   modules.
 //!
 //! All randomized components take explicit `u64` seeds and are fully
 //! deterministic given the seed.
@@ -37,6 +38,7 @@ mod error;
 pub mod gen;
 mod grid;
 pub mod io;
+pub mod par;
 mod point;
 pub mod rng;
 pub mod stats;

@@ -16,8 +16,8 @@
 //! (see `neutraj::trajectory::io`).
 
 use neutraj::prelude::*;
-use neutraj::trajectory::io;
 use neutraj::trajectory::stats::CorpusStats;
+use neutraj::trajectory::{io, par};
 use std::collections::HashMap;
 use std::process::ExitCode;
 
@@ -158,7 +158,7 @@ fn cmd_train(flags: &Flags) -> Result<(), String> {
     let epochs: usize = opt_parse(flags, "epochs", 15)?;
     let cell_size: f64 = opt_parse(flags, "cell-size", 50.0)?;
     let seed: u64 = opt_parse(flags, "seed", 2019)?;
-    let threads: usize = opt_parse(flags, "threads", default_threads())?;
+    let threads: usize = opt_parse(flags, "threads", par::threads())?;
     let out = req(flags, "out")?;
     let ckpt_dir = flags.get("checkpoint-dir").cloned();
     let ckpt_every: usize = opt_parse(flags, "checkpoint-every", 1)?;
@@ -254,7 +254,7 @@ fn cmd_embed(flags: &Flags) -> Result<(), String> {
     let model = NeuTrajModel::load(req(flags, "model")?).map_err(|e| e.to_string())?;
     let ds = load_corpus(flags)?;
     let out = req(flags, "out")?;
-    let threads: usize = opt_parse(flags, "threads", default_threads())?;
+    let threads: usize = opt_parse(flags, "threads", par::threads())?;
     let embs = model.embed_all(ds.trajectories(), threads);
     let mut text = String::new();
     for (t, e) in ds.trajectories().iter().zip(&embs) {
@@ -281,7 +281,7 @@ fn cmd_knn(flags: &Flags) -> Result<(), String> {
         .parse()
         .map_err(|_| "bad --query id".to_string())?;
     let k: usize = opt_parse(flags, "k", 10)?;
-    let threads: usize = opt_parse(flags, "threads", default_threads())?;
+    let threads: usize = opt_parse(flags, "threads", par::threads())?;
     let rerank = flags.contains_key("rerank");
 
     let trajs = ds.trajectories().to_vec();
@@ -318,8 +318,4 @@ fn cmd_knn(flags: &Flags) -> Result<(), String> {
         eprint!("{}", registry.snapshot().to_prometheus());
     }
     Ok(())
-}
-
-fn default_threads() -> usize {
-    std::thread::available_parallelism().map_or(4, |n| n.get())
 }
