@@ -4,13 +4,15 @@
 //!
 //! Two measurements per measure, both at the same thread count:
 //!
-//! * **matrix** — `GroundTruthEngine::matrix` (lower-bound cascade,
-//!   early-abandoning DP kernels, work-stealing 64×64 tiles) against an
-//!   inline replica of the pre-engine round-robin `compute_parallel`
-//!   (per-pair `measure.dist`, rows dealt round-robin).
+//! * **matrix** — `GroundTruthEngine::matrix` (lane-batched DP kernels,
+//!   work-stealing 64×64 tiles) against an inline replica of the
+//!   pre-engine round-robin `compute_parallel` (per-pair `measure.dist`,
+//!   rows dealt round-robin).
 //! * **knn** — `GroundTruthEngine::knn_lists` at depth 50 (the
-//!   [`GroundTruth`] workload) against a full-scan `top_k` over naive
-//!   per-pair rows, one contiguous chunk of queries per worker.
+//!   [`GroundTruth`] workload: lower-bound cascade, the same lane kernels
+//!   on its survivors, Hausdorff scans abandoned past the threshold)
+//!   against a full-scan `top_k` over naive per-pair rows, one contiguous
+//!   chunk of queries per worker.
 //!
 //! A third section measures the SIMD dispatch (`DESIGN.md` §12): the
 //! matrix workload with the lane kernels forced scalar versus forced
@@ -28,7 +30,8 @@
 //! [`neutraj_obs::MetricsReport`] (pair / prune / abandon / DP-cell
 //! counters and the derived `neutraj_measures_prune_rate` gauge) is
 //! embedded in `BENCH_measures.json` under `"metrics"` — CI greps it for
-//! a nonzero `neutraj_measures_lb_pruned_total`.
+//! a nonzero `neutraj_measures_lb_pruned_total` and
+//! `neutraj_measures_ea_abandoned_total`.
 //!
 //! ```text
 //! cargo run -p neutraj-bench --release --bin bench_measures [-- --size 1000 --queries 100]
@@ -84,10 +87,8 @@ fn main() {
     // SIMD before/after: the PR 5 scalar lane kernels versus the AVX2
     // dispatch, forced in-process on the same engine workload. Only the
     // DP measures have lane kernels (Hausdorff takes the pairwise grid
-    // path), and `matrix` is all lane kernels — the knn path runs them
-    // only for each query's first `k` candidates; its early-abandoning
-    // kernels interleave threshold compares per DP row and stay scalar
-    // by design.
+    // path), and `matrix` is all lane kernels — the knn path runs the same
+    // ones, but behind its bound cascade, which would blur the A/B.
     let detected = neutraj_obs::simd::detect();
     println!("simd: host dispatch level {detected:?}");
     let simd_rows: Vec<SimdRow> = [MeasureKind::Frechet, MeasureKind::Erp, MeasureKind::Dtw]

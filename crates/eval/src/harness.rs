@@ -435,7 +435,10 @@ mod tests {
         for kind in MeasureKind::ALL {
             // The dense oracle: every exact distance, ranked by
             // `(dist, index)` with the query removed.
-            let rows = GroundTruthEngine::new(&*kind.measure(), &db).rows(&queries, 3);
+            let measure = kind.measure();
+            let engine = GroundTruthEngine::new(&*measure, &db);
+            let all: Vec<usize> = (0..db.len()).collect();
+            let rows: Vec<Vec<f64>> = queries.iter().map(|&q| engine.distances(q, &all)).collect();
             let dense: Vec<Vec<usize>> = queries
                 .iter()
                 .zip(&rows)

@@ -5,22 +5,19 @@
 //! exact pairwise distances. [`GroundTruthEngine`] returns **bit-identical
 //! values** to the naive DPs in `dtw.rs` / `frechet.rs` / `hausdorff.rs` /
 //! `erp.rs` while skipping most of the work. Each DP measure has one
-//! exact kernel per regime:
+//! exact kernel, the lane-batched DP: `LANES` (8) pairs per step of the
+//! DP chain, for every pair of `matrix` and `distances` and every pair a
+//! `knn_lists` query scores. A knn query skips the rest through the
+//! [`crate::bounds`] cascade (tier-0 endpoints + MBRs, tier-1 envelopes)
+//! against its running k-th best distance.
 //!
-//! * **no threshold** — every pair of `matrix`, `rows` and `distances`,
-//!   and the first `k` candidates of a `knn_lists` query: the
-//!   lane-batched kernels, `LANES` (8) pairs per step of the DP chain;
-//! * **under a threshold** — the rest of a `knn_lists` query: the
-//!   [`crate::bounds`] cascade (tier-0 endpoints + MBRs, tier-1
-//!   envelopes), then a banded DP that abandons once every cell of its
-//!   band exceeds the running k-th best distance.
-//!
-//! Hausdorff has one directed scan for both regimes (locality probes,
-//! then [`neutraj_index::PointGrid`] buckets), and measures without an
-//! accelerated kernel pass through [`Measure::dist`]. One work-stealing
-//! tile loop deals `matrix` to the workers and chunked queries deal
-//! `knn_lists` / `rows`; each worker owns reusable DP scratch (no per-pair
-//! allocation) and flushes its `neutraj_measures_*` tallies once.
+//! Hausdorff has one directed scan (locality probes, then
+//! [`neutraj_index::PointGrid`] buckets) that abandons past a knn
+//! threshold, and measures without an accelerated kernel pass through
+//! [`Measure::dist`]. One work-stealing tile loop deals `matrix` to the
+//! workers and chunked queries deal `knn_lists`; each worker owns
+//! reusable DP scratch (two rolling rows) and flushes its
+//! `neutraj_measures_*` tallies once.
 //!
 //! Determinism: bounds and abandonment only *compare* against thresholds
 //! (strictly: a pair is skipped only when its distance provably exceeds
@@ -66,6 +63,14 @@ struct Tally {
     dp_cells: u64,
 }
 
+impl Tally {
+    /// Counts `n` knn candidates the bound cascade discarded unscored.
+    fn prune(&mut self, n: usize) {
+        self.pairs += n as u64;
+        self.lb_pruned += n as u64;
+    }
+}
+
 #[derive(Debug, Clone)]
 struct EngineMetrics {
     // (all handles are cheap Arc clones resolved once at construction)
@@ -98,57 +103,7 @@ impl EngineMetrics {
 }
 
 // ---------------------------------------------------------------------------
-// UB-banded pruned kernels (under a threshold)
-// ---------------------------------------------------------------------------
-//
-// Each DP kernel mirrors its naive counterpart's arithmetic *exactly*
-// (same operand order, same reductions) but only computes a band of cells
-// per row. Before the DP, a greedy walk produces `ub`: the f64 cost of
-// one concrete valid alignment, accumulated front-to-back — exactly the
-// value the DP would assign that path (f64 `+`/`max` commute operand-wise
-// per step), so `ub >= result` holds in f64, not just in real arithmetic.
-// With `p = min(ub, threshold)`:
-//
-// * cells left of the previous row's first kept (`<= p`) column, and
-//   cells right of the break column, are provably `> p` — every
-//   alignment reaching them crosses the previous row at a pruned column
-//   (cell values never decrease along an alignment) — so they are
-//   skipped and their slots read as `+inf`;
-// * a cell whose true value is `<= p` has its entire optimal prefix
-//   `<= p`, hence unpruned, hence computed with naive operands — the
-//   returned value is bit-identical to the naive DP's;
-// * `None` means the distance provably exceeds `threshold` (a band can
-//   only die, or the final cell exceed `p`, when `p == threshold`,
-//   because `result <= ub` always).
-//
-// The engine runs them only under a finite threshold (the tail of a knn
-// query). Without one the band is `ub`-wide, nearly the whole DP on
-// short trajectories, and the lane kernels below are several times
-// faster per pair (`DESIGN.md` §10).
-
-/// `Point::dist` over structure-of-arrays caches, bit-identical to the
-/// naive kernels' per-cell distance.
-#[inline]
-fn pt_dist(a: &TrajCache, i: usize, b: &TrajCache, j: usize) -> f64 {
-    let (dx, dy) = (a.xs[i] - b.xs[j], a.ys[i] - b.ys[j]);
-    (dx * dx + dy * dy).sqrt()
-}
-
-/// Cost of the linear-interpolation warping path `(k, k*cols/rows)`,
-/// accumulated in path order — a bitwise-valid DTW upper bound (the DP
-/// would assign this exact f64 value to this path) at one distance per
-/// outer point. `rows >= cols` per the kernels' swap.
-fn dtw_linear_ub(outer: &TrajCache, inner: &TrajCache) -> f64 {
-    let (rows, cols) = (outer.len(), inner.len());
-    let mut acc = 0.0f64;
-    for k in 0..rows {
-        acc += pt_dist(outer, k, inner, k * cols / rows);
-    }
-    acc
-}
-
-// ---------------------------------------------------------------------------
-// Lane-batched row-major kernels (every unthresholded pair)
+// Lane-batched row-major kernels (every DP pair)
 // ---------------------------------------------------------------------------
 //
 // The row-major DP recurrences are latency-bound: each cell waits for its
@@ -174,10 +129,11 @@ fn dtw_linear_ub(outer: &TrajCache, inner: &TrajCache) -> f64 {
 // own column count; dependencies only flow left/up, so garbage never
 // reaches a live column, and each lane's result is read at its own final
 // column. Lane groups are built once per call over the inner sides of
-// its pairs — the length-sorted corpus for `matrix` and `rows` (sorted
-// so co-grouped lanes have similar `maxc` and padding work stays small),
-// the `to` list of `distances`, a knn query's first `k` candidates — and
-// reused by every outer trajectory that pairs with them.
+// its pairs — the length-sorted corpus for `matrix` (sorted so co-grouped
+// lanes have similar `maxc` and padding work stays small), the `to` list
+// of `distances`, a knn query's first `k` candidates and each batch of
+// its tail survivors — and reused by every outer trajectory that pairs
+// with them.
 
 /// Up to [`LANES`] trajectories interleaved element-wise for the batched
 /// kernels: `gx[j * LANES + l]` is point `j` of lane `l`. Only a list's
@@ -374,266 +330,6 @@ fn erp_batch(outer: &TrajCache, g: &LaneGroup, s: &mut Scratch, level: SimdLevel
     })
 }
 
-fn dtw_kernel(a: &TrajCache, b: &TrajCache, threshold: f64, s: &mut Scratch) -> Option<f64> {
-    if a.is_empty() || b.is_empty() {
-        return Some(f64::INFINITY);
-    }
-    let (outer, inner) = if a.len() >= b.len() { (a, b) } else { (b, a) };
-    let cols = inner.len();
-    let p = dtw_linear_ub(outer, inner).min(threshold);
-    s.prev.clear();
-    s.prev.resize(cols + 1, f64::INFINITY);
-    s.cur.clear();
-    s.cur.resize(cols + 1, f64::INFINITY);
-    s.prev[0] = 0.0;
-    // Band state: `sc` = first column this row may keep (first kept column
-    // of the previous row), `ec` = last kept column of the previous row.
-    let (mut sc, mut ec) = (1usize, 0usize);
-    let mut cells = 0u64;
-    for i in 0..outer.len() {
-        let (px, py) = (outer.xs[i], outer.ys[i]);
-        s.cur[0] = f64::INFINITY;
-        if sc > 1 {
-            s.cur[sc - 1] = f64::INFINITY;
-        }
-        let (mut first, mut last) = (usize::MAX, 0usize);
-        let mut j = sc;
-        while j <= cols {
-            let (dx, dy) = (px - inner.xs[j - 1], py - inner.ys[j - 1]);
-            let d = (dx * dx + dy * dy).sqrt();
-            let best = s.prev[j - 1].min(s.prev[j]).min(s.cur[j - 1]);
-            let v = d + best;
-            s.cur[j] = v;
-            cells += 1;
-            if v <= p {
-                if first == usize::MAX {
-                    first = j;
-                }
-                last = j;
-            } else if j > ec {
-                // Past the previous row's band with a pruned value: every
-                // remaining cell chains off pruned cells only.
-                break;
-            }
-            j += 1;
-        }
-        if first == usize::MAX {
-            s.tally.dp_cells += cells;
-            return None;
-        }
-        for v in &mut s.cur[(j + 1).min(cols + 1)..] {
-            *v = f64::INFINITY;
-        }
-        std::mem::swap(&mut s.prev, &mut s.cur);
-        sc = first;
-        ec = last;
-    }
-    s.tally.dp_cells += cells;
-    let v = s.prev[cols];
-    if v <= p {
-        Some(v)
-    } else {
-        None
-    }
-}
-
-/// Max along the linear-interpolation coupling — a bitwise-valid
-/// discrete-Fréchet upper bound (f64 `max` is exact).
-fn frechet_linear_ub(outer: &TrajCache, inner: &TrajCache) -> f64 {
-    let (rows, cols) = (outer.len(), inner.len());
-    let mut acc = 0.0f64;
-    for k in 0..rows {
-        acc = acc.max(pt_dist(outer, k, inner, k * cols / rows));
-    }
-    acc
-}
-
-fn frechet_kernel(a: &TrajCache, b: &TrajCache, threshold: f64, s: &mut Scratch) -> Option<f64> {
-    if a.is_empty() || b.is_empty() {
-        return Some(f64::INFINITY);
-    }
-    let (outer, inner) = if a.len() >= b.len() { (a, b) } else { (b, a) };
-    let cols = inner.len();
-    let p = frechet_linear_ub(outer, inner).min(threshold);
-    s.prev.clear();
-    s.prev.resize(cols, f64::INFINITY);
-    s.cur.clear();
-    s.cur.resize(cols, f64::INFINITY);
-    let mut cells = 0u64;
-    // Row 0 chains horizontally only: the first pruned cell ends the row.
-    let (mut sc, mut ec);
-    {
-        let (px, py) = (outer.xs[0], outer.ys[0]);
-        let (mut first, mut last) = (usize::MAX, 0usize);
-        let mut j = 0usize;
-        while j < cols {
-            let (dx, dy) = (px - inner.xs[j], py - inner.ys[j]);
-            let d = (dx * dx + dy * dy).sqrt();
-            let reach = if j == 0 { d } else { s.cur[j - 1].max(d) };
-            s.cur[j] = reach;
-            cells += 1;
-            if reach <= p {
-                if first == usize::MAX {
-                    first = j;
-                }
-                last = j;
-            } else {
-                break;
-            }
-            j += 1;
-        }
-        if first == usize::MAX {
-            s.tally.dp_cells += cells;
-            return None;
-        }
-        for v in &mut s.cur[(j + 1).min(cols)..] {
-            *v = f64::INFINITY;
-        }
-        std::mem::swap(&mut s.prev, &mut s.cur);
-        sc = first;
-        ec = last;
-    }
-    for i in 1..outer.len() {
-        let (px, py) = (outer.xs[i], outer.ys[i]);
-        if sc > 0 {
-            s.cur[sc - 1] = f64::INFINITY;
-        }
-        let (mut first, mut last) = (usize::MAX, 0usize);
-        let mut j = sc;
-        while j < cols {
-            let (dx, dy) = (px - inner.xs[j], py - inner.ys[j]);
-            let d = (dx * dx + dy * dy).sqrt();
-            let reach = if j == 0 {
-                s.prev[0].max(d)
-            } else {
-                s.prev[j - 1].min(s.prev[j]).min(s.cur[j - 1]).max(d)
-            };
-            s.cur[j] = reach;
-            cells += 1;
-            if reach <= p {
-                if first == usize::MAX {
-                    first = j;
-                }
-                last = j;
-            } else if j > ec {
-                break;
-            }
-            j += 1;
-        }
-        if first == usize::MAX {
-            s.tally.dp_cells += cells;
-            return None;
-        }
-        for v in &mut s.cur[(j + 1).min(cols)..] {
-            *v = f64::INFINITY;
-        }
-        std::mem::swap(&mut s.prev, &mut s.cur);
-        sc = first;
-        ec = last;
-    }
-    s.tally.dp_cells += cells;
-    let v = s.prev[cols - 1];
-    if v <= p {
-        Some(v)
-    } else {
-        None
-    }
-}
-
-/// Cost of the edit sequence that matches along the linear alignment and
-/// deletes the remaining outer points, accumulated in path order — a
-/// bitwise-valid ERP upper bound.
-fn erp_linear_ub(outer: &TrajCache, inner: &TrajCache) -> f64 {
-    let (rows, cols) = (outer.len(), inner.len());
-    let mut acc = 0.0f64;
-    let mut next_j = 0usize;
-    for k in 0..rows {
-        let j = k * cols / rows;
-        if j == next_j {
-            acc += pt_dist(outer, k, inner, j);
-            next_j += 1;
-        } else {
-            acc += outer.gap_dists[k];
-        }
-    }
-    acc
-}
-
-fn erp_kernel(a: &TrajCache, b: &TrajCache, threshold: f64, s: &mut Scratch) -> Option<f64> {
-    if a.is_empty() || b.is_empty() {
-        return Some(f64::INFINITY);
-    }
-    let (outer, inner) = if a.len() >= b.len() { (a, b) } else { (b, a) };
-    let cols = inner.len();
-    let p = erp_linear_ub(outer, inner).min(threshold);
-    // Row 0: align every inner prefix entirely to gaps (cached costs).
-    // Prefix sums of non-negative costs are non-decreasing, so the kept
-    // band is [0, ec].
-    s.prev.clear();
-    s.prev.push(0.0);
-    for j in 0..cols {
-        let v = s.prev[j] + inner.gap_dists[j];
-        s.prev.push(v);
-    }
-    s.cur.clear();
-    s.cur.resize(cols + 1, 0.0);
-    let mut ec = 0usize;
-    while ec < cols && s.prev[ec + 1] <= p {
-        ec += 1;
-    }
-    let mut sc = 1usize;
-    let mut cells = 0u64;
-    for i in 0..outer.len() {
-        let (px, py) = (outer.xs[i], outer.ys[i]);
-        let gi = outer.gap_dists[i];
-        // Column 0 (delete the whole outer prefix) is always computed: it
-        // is O(1) and keeps the vertical chain's slot valid.
-        s.cur[0] = s.prev[0] + gi;
-        cells += 1;
-        let (mut first, mut last) = (if s.cur[0] <= p { 0 } else { usize::MAX }, 0usize);
-        if sc > 1 {
-            s.cur[sc - 1] = f64::INFINITY;
-        }
-        let mut j = sc;
-        while j <= cols {
-            let (dx, dy) = (px - inner.xs[j - 1], py - inner.ys[j - 1]);
-            let d = (dx * dx + dy * dy).sqrt();
-            let match_cost = s.prev[j - 1] + d;
-            let del_outer = s.prev[j] + gi;
-            let del_inner = s.cur[j - 1] + inner.gap_dists[j - 1];
-            let v = match_cost.min(del_outer).min(del_inner);
-            s.cur[j] = v;
-            cells += 1;
-            if v <= p {
-                if first == usize::MAX {
-                    first = j;
-                }
-                last = j;
-            } else if j > ec {
-                break;
-            }
-            j += 1;
-        }
-        if first == usize::MAX {
-            s.tally.dp_cells += cells;
-            return None;
-        }
-        for v in &mut s.cur[(j + 1).min(cols + 1)..] {
-            *v = f64::INFINITY;
-        }
-        std::mem::swap(&mut s.prev, &mut s.cur);
-        sc = first.max(1);
-        ec = last;
-    }
-    s.tally.dp_cells += cells;
-    let v = s.prev[cols];
-    if v <= p {
-        Some(v)
-    } else {
-        None
-    }
-}
-
 /// Linear probes tried per query point before falling back to the grid:
 /// for far-apart pairs almost any target point clears the running `worst`,
 /// exactly like the naive scan's early break on its first candidates.
@@ -792,29 +488,12 @@ fn hausdorff_kernel(a: &TrajCache, b: &TrajCache, threshold: f64, t: &mut Tally)
     Some(d_ab.max(d_ba))
 }
 
-/// Dispatches one pair of a knn query's tail to its thresholded kernel.
-/// `None` means the exact distance provably exceeds `threshold`.
-fn run_kernel(
-    accel: Accel,
-    a: &TrajCache,
-    b: &TrajCache,
-    threshold: f64,
-    s: &mut Scratch,
-) -> Option<f64> {
-    match accel {
-        Accel::Dtw => dtw_kernel(a, b, threshold, s),
-        Accel::Frechet => frechet_kernel(a, b, threshold, s),
-        Accel::Erp { .. } => erp_kernel(a, b, threshold, s),
-        Accel::Hausdorff => hausdorff_kernel(a, b, threshold, &mut s.tally),
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Engine
 // ---------------------------------------------------------------------------
 
 /// Pruned exact ground-truth driver over a fixed corpus: distance
-/// matrices, dense exact rows and top-k supervision lists, all
+/// matrices, sparse exact rows and top-k supervision lists, all
 /// bit-identical to the naive per-pair DPs at any thread count.
 ///
 /// Construction summarizes every trajectory once ([`TrajCache`]); measures
@@ -902,7 +581,13 @@ impl<'a> GroundTruthEngine<'a> {
             .as_ref()
             .map(|m| m.matrix_seconds.start_timer());
         let n = self.trajs.len();
-        let (order, groups) = self.corpus_lanes();
+        // The lane kernels want the corpus sorted by length, so co-grouped
+        // lanes pad little; measures without them keep corpus order.
+        let mut order: Vec<usize> = (0..n).collect();
+        if self.has_lanes() {
+            order.sort_by_key(|&i| (self.caches[i].len(), i));
+        }
+        let groups = self.lane_groups(&order);
         let nb = n.div_ceil(TILE);
         let tiles: Vec<(usize, usize)> = (0..nb)
             .flat_map(|bi| (bi..nb).map(move |bj| (bi, bj)))
@@ -943,25 +628,14 @@ impl<'a> GroundTruthEngine<'a> {
     /// bites: candidates are visited in cheap-bound order, the first `k`
     /// fill the heap through the lane kernels, then the running kth-best
     /// distance prunes whole tails in bulk, survivors face the tier-1
-    /// bound and finally an early-abandoning DP.
+    /// bound, and what is left is scored `LANES` at a time by the same
+    /// lane kernels (Hausdorff: one directed scan each, abandoned past the
+    /// threshold).
     ///
     /// Identical to `top_k` over a naive exact row at any thread count.
     pub fn knn_lists(&self, queries: &[usize], k: usize, threads: usize) -> Vec<Vec<Neighbor>> {
         let _span = self.metrics.as_ref().map(|m| m.knn_seconds.start_timer());
         self.query_map(queries, threads, |q, s| self.knn_one(q, k, s))
-    }
-
-    /// Dense exact rows (`out[qi][j] = dist(queries[qi], j)`, including
-    /// `j == q`), parallelized over queries — the dense oracle the eval
-    /// harness's tests score its top-k ground truth against.
-    pub fn rows(&self, queries: &[usize], threads: usize) -> Vec<Vec<f64>> {
-        let _span = self.metrics.as_ref().map(|m| m.knn_seconds.start_timer());
-        let (order, groups) = self.corpus_lanes();
-        self.query_map(queries, threads, |q, s| {
-            let mut row = vec![0.0; order.len()];
-            self.exact_row(q, &order, groups.as_deref(), 0, s, |p, d| row[order[p]] = d);
-            row
-        })
     }
 
     /// Exact distances from `from` to each index in `to` (sparse row, any
@@ -1009,20 +683,47 @@ impl<'a> GroundTruthEngine<'a> {
         self.exact_row(q, &warm, groups.as_deref(), 0, s, |p, d| {
             heap.push(warm[p], d)
         });
-        s.tally.pairs += (order.len() - warm.len()) as u64;
-        for (pos, &(lb, j)) in order.iter().enumerate().skip(warm.len()) {
+        // The tail, against the heap's root: the bulk cut ends the query,
+        // the tight bound drops one candidate, and each batch of up to
+        // `LANES` survivors is scored in one lane group before the root is
+        // re-read (Hausdorff, with no lanes, takes one directed scan per
+        // survivor, abandoned past the root). A candidate is skipped only
+        // when its bound exceeds the root at that moment, and the root
+        // never falls below the final k-th best, so the lists are exact.
+        let lanes = self.has_lanes();
+        let batch_len = if lanes { LANES } else { 1 };
+        let mut batch = Vec::with_capacity(batch_len);
+        let mut pos = warm.len();
+        while pos < order.len() {
             let thr = heap.threshold().expect("the first k filled the heap").dist;
-            if lb > thr {
-                s.tally.lb_pruned += (order.len() - pos) as u64;
-                break;
+            batch.clear();
+            while pos < order.len() && batch.len() < batch_len {
+                let (lb, j) = order[pos];
+                if lb > thr {
+                    s.tally.prune(order.len() - pos);
+                    pos = order.len();
+                } else {
+                    pos += 1;
+                    if lb_tight(acc, cq, &self.caches[j]) > thr {
+                        s.tally.prune(1);
+                    } else {
+                        batch.push(j);
+                    }
+                }
             }
-            if lb_tight(acc, cq, &self.caches[j]) > thr {
-                s.tally.lb_pruned += 1;
-                continue;
-            }
-            match run_kernel(acc, cq, &self.caches[j], thr, s) {
-                Some(d) => heap.push(j, d),
-                None => s.tally.ea_abandoned += 1,
+            if lanes {
+                let groups = self.lane_groups(&batch);
+                self.exact_row(q, &batch, groups.as_deref(), 0, s, |p, d| {
+                    heap.push(batch[p], d)
+                });
+            } else {
+                for &j in &batch {
+                    s.tally.pairs += 1;
+                    match hausdorff_kernel(cq, &self.caches[j], thr, &mut s.tally) {
+                        Some(d) => heap.push(j, d),
+                        None => s.tally.ea_abandoned += 1,
+                    }
+                }
             }
         }
         heap.into_sorted()
@@ -1042,18 +743,6 @@ impl<'a> GroundTruthEngine<'a> {
         let erp = matches!(self.accel, Some(Accel::Erp { .. }));
         self.has_lanes()
             .then(|| build_lane_groups(&self.caches, ids, erp))
-    }
-
-    /// The corpus in the order the lane kernels want it — sorted by length,
-    /// so co-grouped lanes pad little — with its lane groups. Measures
-    /// without a lane kernel get corpus order and no groups.
-    fn corpus_lanes(&self) -> (Vec<usize>, Option<Vec<LaneGroup>>) {
-        let mut order: Vec<usize> = (0..self.trajs.len()).collect();
-        if self.has_lanes() {
-            order.sort_by_key(|&i| (self.caches[i].len(), i));
-        }
-        let groups = self.lane_groups(&order);
-        (order, groups)
     }
 
     /// Exact distances from corpus member `i` to `ids[p]` for every
@@ -1225,14 +914,15 @@ mod tests {
         for kind in MeasureKind::ALL {
             let measure = kind.measure();
             let engine = GroundTruthEngine::new(&*measure, &ts);
-            let rows = engine.rows(&queries, 2);
-            for (qi, &q) in queries.iter().enumerate() {
+            let all: Vec<usize> = (0..ts.len()).collect();
+            for &q in &queries {
+                let row = engine.distances(q, &all);
                 let naive: Vec<f64> = ts
                     .iter()
                     .map(|t| measure.dist(ts[q].points(), t.points()))
                     .collect();
-                assert_eq!(rows[qi], naive, "{kind} q={q}");
-                assert_eq!(rows[qi][q], 0.0);
+                assert_eq!(row, naive, "{kind} q={q}");
+                assert_eq!(row[q], 0.0);
             }
             let sparse = engine.distances(queries[0], &[3, 9, 3]);
             assert_eq!(sparse[0], sparse[2]);

@@ -82,7 +82,7 @@ pub trait Measure: Send + Sync {
     /// measure, if any. The default (`None`) routes every pair through
     /// [`Measure::dist`] unchanged, so custom measures keep working; the
     /// four paper measures override this to unlock the lower-bound
-    /// cascade, early-abandoning DPs and grid-bucketed Hausdorff.
+    /// cascade, the lane-batched DPs and grid-bucketed Hausdorff.
     ///
     /// Implementations must guarantee that the accelerated kernel is
     /// **bit-identical** to [`Measure::dist`] (see `tests/pruning.rs`).
@@ -103,13 +103,14 @@ impl std::fmt::Debug for dyn Measure + '_ {
 /// the point sequences themselves (only ERP's gap point today).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Accel {
-    /// Early-abandoning min-sum DP (Dynamic Time Warping).
+    /// Lane-batched min-sum DP (Dynamic Time Warping).
     Dtw,
-    /// Early-abandoning min-max DP (discrete Fréchet).
+    /// Lane-batched min-max DP (discrete Fréchet).
     Frechet,
-    /// Grid-bucketed directed scans (symmetric Hausdorff).
+    /// Grid-bucketed directed scans (symmetric Hausdorff), abandoned past
+    /// a knn threshold.
     Hausdorff,
-    /// Early-abandoning edit DP with the given gap reference point.
+    /// Lane-batched edit DP with the given gap reference point.
     Erp {
         /// The gap reference point `g` of the measure instance.
         gap: Point,

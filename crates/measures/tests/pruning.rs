@@ -99,31 +99,69 @@ fn matrix_is_bit_identical_at_any_thread_count() {
     });
 }
 
+/// Forty copies of five bases. Four share their endpoints and their
+/// point set in different orders, so every cheap and tight bound between
+/// them is zero and a query's tail scores several lane groups, with
+/// exact ties across group boundaries; the fifth lies far off, so the
+/// bulk cut fires.
+fn tied_corpus() -> Vec<Trajectory> {
+    let inner = [
+        (1.0, 1.0),
+        (2.0, -1.0),
+        (3.0, 2.0),
+        (4.0, -2.0),
+        (5.0, 1.0),
+        (6.0, -1.0),
+        (7.0, 2.0),
+    ];
+    (0..40u64)
+        .map(|id| {
+            let b = (id % 5) as usize;
+            let shift = if b == 4 { 100.0 } else { 0.0 };
+            // `k * (b + 1) % 7` permutes the interior: 7 is prime.
+            let path = std::iter::once((0.0, 0.0))
+                .chain((0..7).map(|k| inner[k * (b + 1) % 7]))
+                .chain([(8.0, 0.0)]);
+            let pts = path
+                .map(|(x, y)| Point::new(x + shift, y + shift))
+                .collect();
+            Trajectory::new_unchecked(id, pts)
+        })
+        .collect()
+}
+
 /// knn lists under the full cascade (cheap bound ordering, bulk tail
-/// pruning, tight bounds, early-abandoning DPs) equal a naive top-k
-/// of the exact row — same indices, same distance bits, same tie
-/// order — at every k and thread count.
+/// pruning, tight bounds, lane groups of tail survivors scored between
+/// threshold reads) equal a naive top-k of the exact row — same indices,
+/// same distance bits, same tie order — at every k and thread count, on
+/// random corpora and on [`tied_corpus`] at k = 1, 8 and 9.
 #[test]
 fn knn_lists_are_bit_identical() {
-    cases(24, |rng| {
-        let ts = arb_corpus(rng, 20);
-        let k = rng.gen_range(1usize..8);
+    let check = |ts: &[Trajectory], k: usize| {
         let queries: Vec<usize> = (0..ts.len()).collect();
         for (name, measure) in all_measures() {
-            let engine = GroundTruthEngine::new(&*measure, &ts);
+            let engine = GroundTruthEngine::new(&*measure, ts);
             for threads in [1usize, 3] {
                 let got = engine.knn_lists(&queries, k, threads);
                 for (&q, got_q) in queries.iter().zip(&got) {
-                    let want = naive_knn(&*measure, &ts, q, k);
+                    let want = naive_knn(&*measure, ts, q, k);
                     assert_eq!(got_q, &want, "{} q={} k={} threads={}", name, q, k, threads);
                 }
             }
         }
+    };
+    cases(24, |rng| {
+        let ts = arb_corpus(rng, 20);
+        check(&ts, rng.gen_range(1usize..8));
     });
+    let ts = tied_corpus();
+    for k in [1, 8, 9] {
+        check(&ts, k);
+    }
 }
 
-/// Dense rows (self included) and sparse `distances` agree with the
-/// direct per-pair calls bit-for-bit.
+/// Dense rows (`distances` to the whole corpus, self included) and sparse
+/// `distances` agree with the direct per-pair calls bit-for-bit.
 #[test]
 fn rows_and_sparse_distances_are_bit_identical() {
     cases(24, |rng| {
@@ -131,8 +169,9 @@ fn rows_and_sparse_distances_are_bit_identical() {
         let queries: Vec<usize> = (0..ts.len()).step_by(3).collect();
         for (name, measure) in all_measures() {
             let engine = GroundTruthEngine::new(&*measure, &ts);
-            let rows = engine.rows(&queries, 2);
-            for (&q, row) in queries.iter().zip(&rows) {
+            let all: Vec<usize> = (0..ts.len()).collect();
+            for &q in &queries {
+                let row = &engine.distances(q, &all);
                 let want: Vec<f64> = ts
                     .iter()
                     .map(|t| measure.dist(ts[q].points(), t.points()))

@@ -1,8 +1,7 @@
 //! Property-based bit-identity tests for the SIMD-dispatched DP kernels
 //! (`DESIGN.md` §12): with dispatch forced to any level, every engine
-//! entry point that runs the lane-batched kernels — `matrix`, `rows`,
-//! `distances` and the heap-filling first `k` candidates of `knn_lists` —
-//! must reproduce the naive per-pair DPs *bitwise*, at every thread count.
+//! entry point that runs the lane-batched kernels — `matrix`,
+//! `distances` and every DP pair `knn_lists` scores — must reproduce the naive per-pair DPs *bitwise*, at every thread count.
 //!
 //! The forcing is in-process ([`GroundTruthEngine::with_simd_level`]) so
 //! one test run exercises every arm regardless of the `NEUTRAJ_NO_SIMD`
@@ -112,13 +111,12 @@ fn matrix_is_bit_identical_across_simd_levels_and_threads() {
                     for threads in [1usize, 2, 4] {
                         let what = format!("{kind} level={level:?} threads={threads}");
                         assert_matrices_bitwise(&engine.matrix(threads), &naive, &what);
-                        let rows: Vec<Vec<u64>> = engine
-                            .rows(&queries, threads)
-                            .iter()
-                            .map(|r| bits(r))
-                            .collect();
-                        assert_eq!(rows, naive_rows, "{what}: rows");
                     }
+                    let rows: Vec<Vec<u64>> = queries
+                        .iter()
+                        .map(|&q| bits(&engine.distances(q, &queries)))
+                        .collect();
+                    assert_eq!(rows, naive_rows, "{kind} level={level:?}: rows");
                     if n > 0 {
                         let want: Vec<f64> = to.iter().map(|&j| dist(q, j)).collect();
                         assert_eq!(
@@ -133,8 +131,8 @@ fn matrix_is_bit_identical_across_simd_levels_and_threads() {
     });
 }
 
-/// The k-nearest lists (lane kernels fill the heap, the pruned banded
-/// kernels take the tail) equal a naive top-k of the exact row at every
+/// The k-nearest lists (lane kernels fill the heap and score the tail's
+/// survivors) equal a naive top-k of the exact row at every
 /// forced dispatch level and every thread count, for `k` from 1 to past
 /// the corpus size.
 #[test]

@@ -458,14 +458,15 @@ pub mod names {
     /// Counter: pairs discarded by the lower-bound cascade before any DP
     /// cell was computed.
     pub const MEASURES_LB_PRUNED_TOTAL: &str = "neutraj_measures_lb_pruned_total";
-    /// Counter: dynamic programs abandoned mid-flight once every frontier
-    /// cell exceeded the running threshold.
+    /// Counter: directed Hausdorff scans abandoned mid-flight once their
+    /// partial max exceeded a knn query's running k-th best distance (the
+    /// DP measures score every pair they do not prune to the end).
     pub const MEASURES_EA_ABANDONED_TOTAL: &str = "neutraj_measures_ea_abandoned_total";
     /// Counter: DP cells (or Hausdorff point probes) actually computed.
     pub const MEASURES_DP_CELLS_TOTAL: &str = "neutraj_measures_dp_cells_total";
     /// Histogram: wall-clock seconds per distance-matrix build.
     pub const MEASURES_MATRIX_SECONDS: &str = "neutraj_measures_matrix_seconds";
-    /// Histogram: wall-clock seconds per knn-list / row batch.
+    /// Histogram: wall-clock seconds per knn-list batch.
     pub const MEASURES_KNN_SECONDS: &str = "neutraj_measures_knn_seconds";
     /// Derived gauge (computed at snapshot time, never registered):
     /// `measures_lb_pruned_total / measures_pairs_total`.
