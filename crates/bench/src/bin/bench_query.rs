@@ -82,8 +82,8 @@ use neutraj_eval::mean_overlap_at_k;
 use neutraj_index::IvfIndex;
 use neutraj_measures::{DiscreteFrechet, Neighbor, NeighborHeap};
 use neutraj_model::{
-    AnnIndex, AnnParams, BackboneKind, DbMetrics, EmbeddingStore, HnswIndex, HnswParams,
-    NeuTrajModel, Query, SimilarityDb, TrainConfig,
+    AnnParams, BackboneKind, DbMetrics, EmbeddingStore, HnswIndex, HnswParams, NeuTrajModel, Query,
+    SimilarityDb, TrainConfig,
 };
 use neutraj_nn::linalg::dot;
 use neutraj_nn::simd::{scan_rows, ScanInput, SCAN_STRIPE};
@@ -648,7 +648,7 @@ fn bench_ann(n: usize, dim: usize, batch: usize, seed: u64, registry: &Registry)
             seed,
         },
     );
-    let index: AnnIndex = IvfIndex::build(quantizer, store.as_flat());
+    let index = IvfIndex::build(quantizer, store.as_flat());
     let build_secs = t0.elapsed().as_secs_f64();
     let nlists = index.nlists(); // k clamps to distinct rows on tiny corpora
     println!("  ann n={n}: built {nlists}-list IVF index in {build_secs:.1}s");
@@ -861,7 +861,7 @@ fn bench_graph(n: usize, dim: usize, batch: usize, seed: u64, registry: &Registr
             seed,
         },
     );
-    let index: AnnIndex = IvfIndex::build(quantizer, store.as_flat());
+    let index = IvfIndex::build(quantizer, store.as_flat());
     let ivf_nlists = index.nlists();
     let mut nprobe = 1usize;
     let (matched_ivf_nprobe, matched_ivf_recall, matched_ivf_qps) = loop {

@@ -362,40 +362,6 @@ impl KMeans {
     }
 }
 
-/// [`KMeans`] is *the* coarse quantizer of the serving stack: this impl
-/// plugs it into `neutraj_index::IvfIndex`. Pure delegation — the
-/// inherent methods carry the determinism contract (lower-index tie
-/// breaks, GEMM/scalar agreement) the trait documents.
-impl neutraj_index::CoarseQuantizer for KMeans {
-    fn dim(&self) -> usize {
-        self.dim()
-    }
-
-    fn k(&self) -> usize {
-        self.k()
-    }
-
-    fn centroids(&self) -> &[f64] {
-        self.centroids()
-    }
-
-    fn assign(&self, row: &[f64]) -> usize {
-        self.assign(row)
-    }
-
-    fn assign_batch(&self, data: &[f64], out: &mut Vec<u32>) {
-        self.assign_batch(data, out)
-    }
-
-    fn nearest(&self, row: &[f64], nprobe: usize) -> Vec<usize> {
-        self.nearest(row, nprobe)
-    }
-
-    fn from_centroids(dim: usize, centroids: Vec<f64>) -> KMeans {
-        KMeans::from_centroids(dim, centroids)
-    }
-}
-
 /// Row `r` of a flat row-major matrix.
 fn row_of(data: &[f64], dim: usize, r: u32) -> &[f64] {
     &data[r as usize * dim..(r as usize + 1) * dim]

@@ -153,9 +153,8 @@ pub fn exact_measure_recall_at_k(
 mod tests {
     use super::*;
     use neutraj_cluster::{KMeans, KMeansParams};
-    use neutraj_index::IvfIndex;
     use neutraj_measures::Hausdorff;
-    use neutraj_model::{AnnIndex, AnnParams, BackboneKind, NeuTrajModel, TrainConfig};
+    use neutraj_model::{AnnParams, BackboneKind, IvfIndex, NeuTrajModel, TrainConfig};
     use neutraj_obs::{names, Registry};
     use neutraj_trajectory::rng::splitmix64;
     use neutraj_trajectory::{BoundingBox, Grid, Point, Trajectory};
@@ -176,7 +175,7 @@ mod tests {
         EmbeddingStore::from_embeddings(dim, &embs)
     }
 
-    fn index_over(store: &EmbeddingStore, nlists: usize) -> AnnIndex {
+    fn index_over(store: &EmbeddingStore, nlists: usize) -> IvfIndex {
         let q = KMeans::fit(
             store.as_flat(),
             store.dim(),

@@ -1,86 +1,26 @@
 //! IVF (inverted-file) index over embedding rows — the coarse half of the
 //! sub-linear serving path.
 //!
-//! A fitted coarse quantizer partitions the embedding space into
-//! `nlists` Voronoi cells; each cell owns an inverted list of the row ids
-//! assigned to it. A query probes the `nprobe` cells whose centroids are
+//! A fitted k-means quantizer ([`KMeans`]) partitions the embedding
+//! space into `nlists` Voronoi cells; each cell owns an inverted list of
+//! the row ids assigned to it. A query probes the `nprobe` cells whose centroids are
 //! nearest, unions their lists into a candidate shortlist, and leaves
 //! exact reranking (the norm-trick scan in `neutraj-model`) to the
 //! caller. Because the lists partition the corpus, `nprobe = nlists`
 //! degenerates to the exhaustive scan — the recall-1.0 anchor the
 //! property tests pin down.
 //!
-//! The quantizer is a type parameter implementing [`CoarseQuantizer`]
-//! rather than a concrete k-means type: `neutraj-measures` (and through
-//! it `neutraj-cluster`) already depends on this crate for [`PointGrid`]
-//! (the exact ground-truth engine), so the k-means implementation in
-//! `neutraj-cluster` plugs in from above — `neutraj-model` instantiates
-//! `IvfIndex<KMeans>` — keeping the crate graph acyclic.
-//!
 //! Everything is deterministic: probe order is ascending
 //! `(distance², centroid index)` and each list keeps ids in insertion
 //! (ascending) order, so candidate enumeration is reproducible across
 //! runs and identical between a bulk-assigned index and one grown by
 //! incremental [`IvfIndex::insert`] calls.
-//!
-//! [`PointGrid`]: crate::PointGrid
 
+use neutraj_cluster::KMeans;
 use neutraj_trajectory::cursor::{PutLe, Reader, Truncated};
 
 /// Magic prefix of the serialized section ([`IvfIndex::to_bytes`]).
 pub const IVF_MAGIC: &[u8; 8] = b"NTIVF01\0";
-
-/// A fitted coarse quantizer: a flat set of `k` centroids of dimension
-/// `dim` that can assign rows to cells and order cells by distance.
-/// Implemented by `neutraj_cluster::KMeans`; the contract every
-/// implementation must honor for [`IvfIndex`] determinism:
-///
-/// * [`assign`](CoarseQuantizer::assign) breaks ties toward the lower
-///   centroid index and agrees exactly with
-///   [`assign_batch`](CoarseQuantizer::assign_batch);
-/// * [`nearest`](CoarseQuantizer::nearest) orders ascending by
-///   `(distance², centroid index)`;
-/// * [`from_centroids`](CoarseQuantizer::from_centroids) rebuilds a
-///   quantizer that assigns identically to the one
-///   [`centroids`](CoarseQuantizer::centroids) was read from.
-pub trait CoarseQuantizer {
-    /// Centroid dimensionality.
-    fn dim(&self) -> usize;
-
-    /// Number of centroids (cells).
-    fn k(&self) -> usize;
-
-    /// The flat row-major `k × dim` centroid matrix.
-    fn centroids(&self) -> &[f64];
-
-    /// Index of the centroid nearest to `row`.
-    fn assign(&self, row: &[f64]) -> usize;
-
-    /// Assigns every row of `data` (row-major `n × dim`) to its nearest
-    /// centroid, writing into `out` (cleared and resized to `n`). The
-    /// default is the scalar loop; implementations override with a
-    /// blocked GEMM pass that must agree bit-for-bit.
-    fn assign_batch(&self, data: &[f64], out: &mut Vec<u32>) {
-        assert_eq!(
-            data.len() % self.dim(),
-            0,
-            "quantizer: data not a multiple of dim"
-        );
-        let dim = self.dim();
-        out.clear();
-        out.extend(data.chunks_exact(dim).map(|row| self.assign(row) as u32));
-    }
-
-    /// The `nprobe` centroids nearest to `row`, ascending by
-    /// `(distance², index)` — the coarse probe order of an IVF query.
-    fn nearest(&self, row: &[f64], nprobe: usize) -> Vec<usize>;
-
-    /// Rebuilds a quantizer from a row-major `k × dim` centroid matrix
-    /// (the persistence path).
-    fn from_centroids(dim: usize, centroids: Vec<f64>) -> Self
-    where
-        Self: Sized;
-}
 
 /// Errors decoding a serialized IVF section.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,10 +40,10 @@ impl From<Truncated> for IvfCodecError {
     }
 }
 
-/// An inverted-file index: a coarse quantizer plus one id list per cell.
+/// An inverted-file index: a k-means quantizer plus one id list per cell.
 #[derive(Debug, Clone, PartialEq)]
-pub struct IvfIndex<Q> {
-    quantizer: Q,
+pub struct IvfIndex {
+    quantizer: KMeans,
     /// `lists[j]` holds the ids assigned to centroid `j`, ascending.
     lists: Vec<Vec<u32>>,
     /// Total ids across all lists; also the next id [`insert`] assigns.
@@ -112,11 +52,11 @@ pub struct IvfIndex<Q> {
     len: usize,
 }
 
-impl<Q: CoarseQuantizer> IvfIndex<Q> {
+impl IvfIndex {
     /// Builds an index over `data` (row-major `n × dim`) with an
     /// already-fitted `quantizer`: one batched assignment pass, row `i`
     /// getting id `i`. Panics on ragged data.
-    pub fn build(quantizer: Q, data: &[f64]) -> IvfIndex<Q> {
+    pub fn build(quantizer: KMeans, data: &[f64]) -> IvfIndex {
         let mut assign = Vec::new();
         quantizer.assign_batch(data, &mut assign);
         let mut lists = vec![Vec::new(); quantizer.k()];
@@ -132,7 +72,7 @@ impl<Q: CoarseQuantizer> IvfIndex<Q> {
 
     /// Rebuilds an index from its parts (the persistence path). Panics
     /// when a list references a centroid that doesn't exist.
-    pub fn from_parts(quantizer: Q, lists: Vec<Vec<u32>>) -> IvfIndex<Q> {
+    pub fn from_parts(quantizer: KMeans, lists: Vec<Vec<u32>>) -> IvfIndex {
         assert_eq!(
             lists.len(),
             quantizer.k(),
@@ -147,7 +87,7 @@ impl<Q: CoarseQuantizer> IvfIndex<Q> {
     }
 
     /// The coarse quantizer.
-    pub fn quantizer(&self) -> &Q {
+    pub fn quantizer(&self) -> &KMeans {
         &self.quantizer
     }
 
@@ -231,7 +171,7 @@ impl<Q: CoarseQuantizer> IvfIndex<Q> {
     /// centroid finiteness, and that the lists partition `0..len`.
     ///
     /// [`to_bytes`]: IvfIndex::to_bytes
-    pub fn from_bytes(data: &[u8]) -> Result<IvfIndex<Q>, IvfCodecError> {
+    pub fn from_bytes(data: &[u8]) -> Result<IvfIndex, IvfCodecError> {
         let mut cur = Reader::new(data);
         let magic = cur.take(8)?;
         if magic != IVF_MAGIC {
@@ -288,7 +228,7 @@ impl<Q: CoarseQuantizer> IvfIndex<Q> {
             )));
         }
         Ok(IvfIndex::from_parts(
-            Q::from_centroids(dim, centroids),
+            KMeans::from_centroids(dim, centroids),
             lists,
         ))
     }

@@ -9,33 +9,25 @@
 //!   with the Sort-Tile-Recursive (STR) algorithm;
 //! * [`GridInvertedIndex`] — a grid-cell → trajectory inverted index.
 //!
-//! A third, finer-grained structure serves the exact ground-truth engine
-//! in `neutraj-measures` rather than Table V:
-//!
-//! * [`PointGrid`] — a per-trajectory point-bucket grid answering exact
-//!   nearest-point queries by ring expansion (the inner `min` of the
-//!   directed Hausdorff distance).
-//!
-//! A fourth operates on the *learned embedding* space rather than raw
-//! trajectories — the serving-side ANN shortlist:
-//!
-//! * [`IvfIndex`] — an inverted-file index whose coarse quantizer (a
-//!   [`CoarseQuantizer`], in practice the k-means of `neutraj-cluster`)
-//!   buckets embedding rows into Voronoi cells; probing the `nprobe`
-//!   nearest cells yields a sub-linear candidate shortlist for exact
-//!   reranking.
-//! * [`HnswIndex`] — a deterministic hierarchical navigable-small-world
-//!   graph over embedding row ids behind the same shortlist seam:
-//!   `ef`-bounded beam search yields a near-logarithmic candidate
-//!   shortlist whose recall holds as `N` grows past where IVF's probe
-//!   cost climbs.
-//!
 //! Both answer the same question: *which trajectories could possibly be
 //! within distance `r` of this query?* The guarantee they provide is for
 //! measures lower-bounded by MBR separation (Hausdorff and Fréchet are:
 //! every point of one trajectory must be matched, so
 //! `d(T_i, T_j) ≥ min_dist(mbr_i, mbr_j)`). The candidate set is then
 //! ranked by brute force, an approximate algorithm, or NeuTraj embeddings.
+//!
+//! Two more operate on the *learned embedding* space rather than raw
+//! trajectories — the serving-side ANN shortlists:
+//!
+//! * [`IvfIndex`] — an inverted-file index whose coarse quantizer (the
+//!   `KMeans` of `neutraj-cluster`) buckets embedding rows into Voronoi
+//!   cells; probing the `nprobe` nearest cells yields a sub-linear
+//!   candidate shortlist for exact reranking.
+//! * [`HnswIndex`] — a deterministic hierarchical navigable-small-world
+//!   graph over embedding row ids behind the same shortlist seam:
+//!   `ef`-bounded beam search yields a near-logarithmic candidate
+//!   shortlist whose recall holds as `N` grows past where IVF's probe
+//!   cost climbs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,15 +35,13 @@
 mod hnsw;
 mod inverted;
 mod ivf;
-mod pointgrid;
 mod rtree;
 
 pub use hnsw::{
     GraphScratch, GraphSearchStats, HnswCodecError, HnswIndex, HnswParams, RowDistance, HNSW_MAGIC,
 };
 pub use inverted::GridInvertedIndex;
-pub use ivf::{CoarseQuantizer, IvfCodecError, IvfIndex, IVF_MAGIC};
-pub use pointgrid::PointGrid;
+pub use ivf::{IvfCodecError, IvfIndex, IVF_MAGIC};
 pub use rtree::RTree;
 
 use neutraj_trajectory::Trajectory;

@@ -1,13 +1,7 @@
-//! IVF index behavior with the real k-means coarse quantizer.
-//!
-//! These live as integration tests (not a `#[cfg(test)]` module in
-//! `ivf.rs`) because `neutraj-cluster` is a dev-dependency here: the
-//! unit-test harness recompiles the crate, under which `CoarseQuantizer`
-//! would be a distinct type from the one `KMeans` implements. Linking
-//! against the published lib makes them unify.
+//! IVF index behavior with its k-means coarse quantizer.
 
 use neutraj_cluster::{KMeans, KMeansParams};
-use neutraj_index::{CoarseQuantizer, IvfIndex};
+use neutraj_index::IvfIndex;
 use neutraj_trajectory::rng::splitmix64;
 
 /// Deterministic clustered rows: `blobs` centers, `per` rows each.
@@ -26,7 +20,7 @@ fn blob_rows(blobs: usize, per: usize, dim: usize, seed: u64) -> Vec<f64> {
     data
 }
 
-fn ivf_over(data: &[f64], dim: usize, nlists: usize) -> IvfIndex<KMeans> {
+fn ivf_over(data: &[f64], dim: usize, nlists: usize) -> IvfIndex {
     let q = KMeans::fit(
         data,
         dim,
@@ -109,54 +103,12 @@ fn incremental_insert_matches_bulk_rebuild() {
 }
 
 #[test]
-fn default_scalar_assign_batch_matches_kmeans_gemm_pass() {
-    /// The trait's default `assign_batch` (scalar loop) against the
-    /// KMeans GEMM override, through a forwarding wrapper.
-    struct Scalar<'a>(&'a KMeans);
-    impl CoarseQuantizer for Scalar<'_> {
-        fn dim(&self) -> usize {
-            self.0.dim()
-        }
-        fn k(&self) -> usize {
-            self.0.k()
-        }
-        fn centroids(&self) -> &[f64] {
-            self.0.centroids()
-        }
-        fn assign(&self, row: &[f64]) -> usize {
-            self.0.assign(row)
-        }
-        fn nearest(&self, row: &[f64], nprobe: usize) -> Vec<usize> {
-            self.0.nearest(row, nprobe)
-        }
-        fn from_centroids(_dim: usize, _c: Vec<f64>) -> Self {
-            unreachable!("not constructed in this test")
-        }
-    }
-    let dim = 6;
-    let data = blob_rows(5, 33, dim, 3);
-    let km = KMeans::fit(
-        &data,
-        dim,
-        &KMeansParams {
-            k: 5,
-            ..Default::default()
-        },
-    );
-    let mut via_gemm = Vec::new();
-    km.assign_batch(&data, &mut via_gemm);
-    let mut via_default = Vec::new();
-    CoarseQuantizer::assign_batch(&Scalar(&km), &data, &mut via_default);
-    assert_eq!(via_gemm, via_default);
-}
-
-#[test]
 fn codec_roundtrips_exactly() {
     let dim = 3;
     let data = blob_rows(5, 20, dim, 5);
     let ivf = ivf_over(&data, dim, 5);
     let bytes = ivf.to_bytes();
-    let back = IvfIndex::<KMeans>::from_bytes(&bytes).expect("decode");
+    let back = IvfIndex::from_bytes(&bytes).expect("decode");
     assert_eq!(ivf, back);
 }
 
@@ -166,7 +118,7 @@ fn codec_rejects_corruption() {
     let data = blob_rows(3, 15, dim, 1);
     let ivf = ivf_over(&data, dim, 3);
     let good = ivf.to_bytes();
-    let decode = IvfIndex::<KMeans>::from_bytes;
+    let decode = IvfIndex::from_bytes;
 
     // Bad magic.
     let mut bad = good.clone();
@@ -206,6 +158,6 @@ fn empty_corpus_insert_only_index_works() {
     assert_eq!(ivf.insert(&[99.0, 99.0]), 1);
     assert_eq!(ivf.list(0), &[0]);
     assert_eq!(ivf.list(1), &[1]);
-    let back = IvfIndex::<KMeans>::from_bytes(&ivf.to_bytes()).expect("decode");
+    let back = IvfIndex::from_bytes(&ivf.to_bytes()).expect("decode");
     assert_eq!(ivf, back);
 }

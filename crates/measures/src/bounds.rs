@@ -20,8 +20,8 @@
 //! naming its kernel in [`crate::Measure::accel`]; a measure that names
 //! none is computed in full for every pair.
 
+use crate::pointgrid::PointGrid;
 use crate::Accel;
-use neutraj_index::PointGrid;
 use neutraj_trajectory::{BoundingBox, Point, Trajectory};
 
 /// Cached per-trajectory summary used by the bound cascade and the
@@ -43,7 +43,7 @@ pub struct TrajCache {
     /// ERP only: sum of `gap_dists`.
     pub gap_sum: f64,
     /// Hausdorff only: point-bucket grid for exact nearest-point queries.
-    pub grid: Option<PointGrid>,
+    pub(crate) grid: Option<PointGrid>,
 }
 
 impl TrajCache {

@@ -84,7 +84,11 @@ pub fn partial_sort_neighbors(v: &mut Vec<Neighbor>, k: usize) {
     v.sort_unstable_by(neighbor_order);
 }
 
-fn neighbor_order(a: &Neighbor, b: &Neighbor) -> std::cmp::Ordering {
+/// The `(dist, index)` order of neighbour lists: [`f64::total_cmp`] on
+/// distance, ties by index. It stays a total order when a measure
+/// returns NaN (NaNs sort last), which a `partial_cmp` comparator does
+/// not, and a sort may panic on a comparator that is not total.
+pub fn neighbor_order(a: &Neighbor, b: &Neighbor) -> std::cmp::Ordering {
     a.dist.total_cmp(&b.dist).then(a.index.cmp(&b.index))
 }
 

@@ -11,8 +11,8 @@
 //! [`crate::bounds`] cascade (tier-0 endpoints + MBRs, tier-1 envelopes)
 //! against its running k-th best distance.
 //!
-//! Hausdorff has one directed scan (locality probes, then
-//! [`neutraj_index::PointGrid`] buckets) that abandons past a knn
+//! Hausdorff has one directed scan (locality probes, then the
+//! crate-private `PointGrid` buckets) that abandons past a knn
 //! threshold, and measures without an accelerated kernel pass through
 //! [`Measure::dist`]. One work-stealing tile loop deals `matrix` to the
 //! workers and chunked queries deal `knn_lists`; each worker owns

@@ -38,11 +38,14 @@ mod extra;
 mod frechet;
 mod hausdorff;
 mod matrix;
+mod pointgrid;
 mod simd;
 pub mod timed;
 
 pub use bounds::TrajCache;
-pub use bruteforce::{knn_query, knn_scan, partial_sort_neighbors, top_k, Neighbor, NeighborHeap};
+pub use bruteforce::{
+    knn_query, knn_scan, neighbor_order, partial_sort_neighbors, top_k, Neighbor, NeighborHeap,
+};
 pub use dtw::Dtw;
 pub use engine::GroundTruthEngine;
 pub use erp::Erp;

@@ -6,6 +6,8 @@
 //! the ring's lower bound proves no closer point can exist. This is the
 //! inner `min` of the directed Hausdorff distance; the ring bound turns
 //! its O(|B|) scan into a handful of bucket probes for clustered data.
+//! Its one user is the ground-truth engine's Hausdorff scan, which keeps
+//! one grid per trajectory in its `TrajCache`.
 
 use neutraj_trajectory::{BoundingBox, Point};
 
@@ -13,7 +15,7 @@ use neutraj_trajectory::{BoundingBox, Point};
 /// layout (one contiguous `Vec<Point>` reordered by cell, plus per-cell
 /// start offsets).
 #[derive(Debug, Clone)]
-pub struct PointGrid {
+pub(crate) struct PointGrid {
     bbox: BoundingBox,
     /// Cell side length (> 0 even for degenerate boxes).
     cell: f64,
@@ -28,7 +30,7 @@ pub struct PointGrid {
 impl PointGrid {
     /// Builds a grid over `points` with roughly one point per cell.
     /// Returns `None` for an empty point set.
-    pub fn build(points: &[Point]) -> Option<Self> {
+    pub(crate) fn build(points: &[Point]) -> Option<Self> {
         if points.is_empty() {
             return None;
         }
@@ -86,32 +88,15 @@ impl PointGrid {
         })
     }
 
-    /// Number of bucketed points.
-    pub fn len(&self) -> usize {
-        self.pts.len()
-    }
-
-    /// Returns `true` when no points are bucketed (never for grids
-    /// obtained from [`PointGrid::build`]).
-    pub fn is_empty(&self) -> bool {
-        self.pts.is_empty()
-    }
-
     /// Exact minimum squared distance from `p` to the point set — unless
-    /// the scan can prove the minimum cannot exceed-check usefully: once
-    /// the running best drops to `cutoff_sq` or below, the scan stops and
-    /// returns that (still an upper bound on the true minimum). Callers
-    /// that only act when the result is **greater** than `cutoff_sq`
-    /// therefore observe exact values whenever it matters.
-    pub fn min_dist_sq_pruned(&self, p: Point, cutoff_sq: f64) -> f64 {
-        self.min_dist_sq_from(p, cutoff_sq, f64::INFINITY)
-    }
-
-    /// [`Self::min_dist_sq_pruned`] seeded with a known member distance:
-    /// `best` must be `f64::INFINITY` or the squared distance from `p` to
-    /// some point of the set (an upper bound on the true minimum), so the
-    /// returned value is still exact whenever it exceeds `cutoff_sq`.
-    pub fn min_dist_sq_from(&self, p: Point, cutoff_sq: f64, mut best: f64) -> f64 {
+    /// the running best drops to `cutoff_sq` or below, in which case the
+    /// scan stops and returns that (still an upper bound on the true
+    /// minimum). Callers that only act when the result is **greater**
+    /// than `cutoff_sq` therefore observe exact values whenever it
+    /// matters. `best` seeds the scan: it must be `f64::INFINITY` or the
+    /// squared distance from `p` to some point of the set (an upper bound
+    /// on the true minimum).
+    pub(crate) fn min_dist_sq_from(&self, p: Point, cutoff_sq: f64, mut best: f64) -> f64 {
         let cx = (((p.x - self.bbox.min_x) / self.cell) as isize).clamp(0, self.nx as isize - 1);
         let cy = (((p.y - self.bbox.min_y) / self.cell) as isize).clamp(0, self.ny as isize - 1);
         // Distance from p to the grid's bounding box: every bucketed point
@@ -198,8 +183,6 @@ mod tests {
             })
             .collect();
         let g = PointGrid::build(&pts).unwrap();
-        assert_eq!(g.len(), pts.len());
-        assert!(!g.is_empty());
         for i in (0..200u64).step_by(7) {
             let h = i.wrapping_mul(0xD1B54A32D192ED03);
             let p = Point::new(
@@ -207,7 +190,7 @@ mod tests {
                 ((h >> 13) % 1200) as f64 * 0.1,
             );
             assert_eq!(
-                g.min_dist_sq_pruned(p, f64::NEG_INFINITY),
+                g.min_dist_sq_from(p, f64::NEG_INFINITY, f64::INFINITY),
                 naive_min_sq(p, &pts)
             );
         }
@@ -219,14 +202,14 @@ mod tests {
         let same = vec![Point::new(3.0, 4.0); 5];
         let g = PointGrid::build(&same).unwrap();
         assert_eq!(
-            g.min_dist_sq_pruned(Point::new(0.0, 0.0), f64::NEG_INFINITY),
+            g.min_dist_sq_from(Point::new(0.0, 0.0), f64::NEG_INFINITY, f64::INFINITY),
             25.0
         );
         let line: Vec<Point> = (0..50).map(|i| Point::new(i as f64, 2.0)).collect();
         let g = PointGrid::build(&line).unwrap();
         let p = Point::new(17.4, -1.0);
         assert_eq!(
-            g.min_dist_sq_pruned(p, f64::NEG_INFINITY),
+            g.min_dist_sq_from(p, f64::NEG_INFINITY, f64::INFINITY),
             naive_min_sq(p, &line)
         );
     }
@@ -240,10 +223,10 @@ mod tests {
         // A generous cutoff lets the scan stop at any point within it; the
         // returned value must still be <= cutoff (so a "> cutoff" test
         // behaves exactly as with the true minimum).
-        let got = g.min_dist_sq_pruned(p, 100.0);
+        let got = g.min_dist_sq_from(p, 100.0, f64::INFINITY);
         assert!(got <= 100.0);
         assert!(got >= exact);
         // With a cutoff below the true minimum the result is exact.
-        assert_eq!(g.min_dist_sq_pruned(p, exact * 0.5), exact);
+        assert_eq!(g.min_dist_sq_from(p, exact * 0.5, f64::INFINITY), exact);
     }
 }

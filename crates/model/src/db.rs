@@ -39,7 +39,7 @@ use crate::query::{Query, QueryOf, QueryTarget};
 use crate::search::{EmbeddingStore, ScanStats};
 use neutraj_cluster::{KMeans, KMeansParams};
 use neutraj_index::{HnswCodecError, HnswIndex, HnswParams, IvfCodecError, IvfIndex};
-use neutraj_measures::{Measure, Neighbor};
+use neutraj_measures::{neighbor_order, Measure, Neighbor};
 use neutraj_obs::{names, Counter, Gauge, Histogram, Registry};
 use neutraj_trajectory::{par, Grid, TrajError, Trajectory};
 use std::path::Path;
@@ -94,10 +94,6 @@ impl Rows {
     }
 }
 
-/// The concrete ANN index the database serves from: an inverted-file
-/// index coarse-quantized by k-means.
-pub type AnnIndex = IvfIndex<KMeans>;
-
 /// One shortlist view over the stored embeddings — the IVF index or the
 /// HNSW graph — seen only as something the database
 /// keeps: a row count that grows in lockstep with the store, and one
@@ -130,7 +126,7 @@ pub trait ShortlistView: Sized {
     fn install(db: &mut SimilarityDb, view: Option<Self>);
 }
 
-impl ShortlistView for AnnIndex {
+impl ShortlistView for IvfIndex {
     const NAME: &'static str = "ann index";
     type DecodeError = IvfCodecError;
     fn rows(&self) -> usize {
@@ -368,7 +364,7 @@ pub struct SimilarityDb {
     /// graph. Each is off until its `build_*` (or a
     /// [`SimilarityDb::load_view`]) installs it, and from then on
     /// [`SimilarityDb::insert`] keeps it in lockstep with the store.
-    ann: Option<AnnIndex>,
+    ann: Option<IvfIndex>,
     graph: Option<HnswIndex>,
     /// `None` (the default) records nothing; cloning an instrumented db
     /// shares the underlying instruments.
@@ -483,7 +479,7 @@ impl SimilarityDb {
     }
 
     /// The current ANN index, when one is built or loaded.
-    pub fn ann_index(&self) -> Option<&AnnIndex> {
+    pub fn ann_index(&self) -> Option<&IvfIndex> {
         self.ann.as_ref()
     }
 
@@ -620,7 +616,7 @@ impl SimilarityDb {
         if let Err(reason) = query.validate() {
             return Err(self.reject(DbError::InvalidConfig(reason)));
         }
-        self.require::<AnnIndex>(query.ann_nprobe().is_some(), "shortlist_ann")?;
+        self.require::<IvfIndex>(query.ann_nprobe().is_some(), "shortlist_ann")?;
         self.require::<HnswIndex>(query.graph_ef().is_some(), "shortlist_graph")
     }
 
@@ -989,18 +985,15 @@ impl SimilarityDb {
             candidates.len().div_ceil(par::threads())
         };
         let mut out = par::fan_out(candidates.chunks(chunk), verify).concat();
-        out.sort_by(|a, b| {
-            a.2.partial_cmp(&b.2)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then((a.0, a.1).cmp(&(b.0, b.1)))
-        });
+        out.sort_by(|a, b| a.2.total_cmp(&b.2).then((a.0, a.1).cmp(&(b.0, b.1))));
         out
     }
 }
 
 /// The exact re-rank stage: re-scores an embedding-space `shortlist` by
 /// `measure` on grid-rescaled coordinates (so values match the training
-/// scale), ties broken by index, truncated to `k`. `row` resolves a
+/// scale), in [`neighbor_order`] (ties by index, a NaN distance last),
+/// truncated to `k`. `row` resolves a
 /// shortlisted index to its trajectory — a database's own rows, or a
 /// sharded snapshot's global ones — so both re-rank with this one
 /// comparator.
@@ -1020,12 +1013,7 @@ pub fn rerank_exact<'t>(
             dist: measure.dist(q.points(), grid.rescale_trajectory(row(n.index)).points()),
         })
         .collect();
-    out.sort_by(|a, b| {
-        a.dist
-            .partial_cmp(&b.dist)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.index.cmp(&b.index))
-    });
+    out.sort_by(neighbor_order);
     out.truncate(k);
     out
 }
@@ -1034,9 +1022,10 @@ pub fn rerank_exact<'t>(
 mod tests {
     use super::*;
     use crate::{TrainConfig, Trainer};
-    use neutraj_measures::{DistanceMatrix, Hausdorff};
+    use neutraj_measures::{partial_sort_neighbors, DistanceMatrix, Hausdorff};
     use neutraj_trajectory::gen::PortoLikeGenerator;
-    use neutraj_trajectory::Grid;
+    use neutraj_trajectory::{Grid, Point};
+    use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 
     fn trained_model_and_corpus() -> (NeuTrajModel, Vec<Trajectory>) {
         let ds = PortoLikeGenerator {
@@ -1268,6 +1257,70 @@ mod tests {
         for w in res.windows(2) {
             assert!(w[0].dist <= w[1].dist);
         }
+    }
+
+    /// The `call`-th distance of [`NanEveryThird`]: NaN on every third
+    /// call, a few tied values otherwise.
+    fn nan_every_third(call: usize) -> f64 {
+        if call.is_multiple_of(3) {
+            f64::NAN
+        } else {
+            (call * 7 % 5) as f64
+        }
+    }
+
+    /// A user measure that returns NaN for every third pair it scores.
+    struct NanEveryThird(AtomicUsize);
+
+    impl Measure for NanEveryThird {
+        fn dist(&self, _: &[Point], _: &[Point]) -> f64 {
+            nan_every_third(self.0.fetch_add(1, AtomicOrdering::Relaxed))
+        }
+        fn name(&self) -> &'static str {
+            "nan_every_third"
+        }
+    }
+
+    #[test]
+    fn rerank_with_nan_distances_follows_neighbor_order() {
+        let trajs = PortoLikeGenerator {
+            num_trajectories: 40,
+            max_len: 30,
+            ..Default::default()
+        }
+        .generate(5)
+        .trajectories()
+        .to_vec();
+        let grid = Grid::covering(&trajs, 100.0).unwrap();
+        // Shortlisted in reverse, so the sort has to move every row.
+        let shortlist: Vec<Neighbor> = (0..trajs.len())
+            .rev()
+            .map(|index| Neighbor { index, dist: 0.0 })
+            .collect();
+        let measure = NanEveryThird(AtomicUsize::new(0));
+        let got = rerank_exact(
+            &grid,
+            shortlist.clone(),
+            &trajs[0],
+            |i| &trajs[i],
+            &measure,
+            30,
+        );
+        // The measure scores the shortlist once, in shortlist order.
+        let mut want: Vec<Neighbor> = shortlist
+            .iter()
+            .enumerate()
+            .map(|(call, n)| Neighbor {
+                index: n.index,
+                dist: nan_every_third(call),
+            })
+            .collect();
+        partial_sort_neighbors(&mut want, 30);
+        let bits = |v: &[Neighbor]| -> Vec<(usize, u64)> {
+            v.iter().map(|n| (n.index, n.dist.to_bits())).collect()
+        };
+        assert_eq!(bits(&got), bits(&want));
+        assert!(got[29].dist.is_nan(), "NaN distances sort last");
     }
 
     #[test]
@@ -1671,7 +1724,7 @@ mod tests {
             nlists: 3,
             ..Default::default()
         };
-        view_lifecycle::<AnnIndex>(
+        view_lifecycle::<IvfIndex>(
             |db| db.build_ann_index(&params).unwrap(),
             Query::new(3).shortlist_ann(2),
         );
@@ -1807,8 +1860,8 @@ mod tests {
         assert_eq!(got.len(), want.len(), "{what}: len");
         assert!(got.store() == want.store(), "{what}: store");
         assert_eq!(
-            encoded::<AnnIndex>(got),
-            encoded::<AnnIndex>(want),
+            encoded::<IvfIndex>(got),
+            encoded::<IvfIndex>(want),
             "{what}: ivf"
         );
         assert_eq!(

@@ -62,14 +62,14 @@ pub use backbone::{
 };
 pub use checkpoint::{Checkpoint, CheckpointPolicy, TrainState, CKPT_EXTENSION};
 pub use config::{BackboneKind, TrainConfig};
-pub use db::{rerank_exact, AnnIndex, AnnParams, DbError, DbMetrics, ShortlistView, SimilarityDb};
+pub use db::{rerank_exact, AnnParams, DbError, DbMetrics, ShortlistView, SimilarityDb};
 pub use fault::{FaultyReader, FaultyWriter};
 pub use loss::{pair_similarity, PairLoss, RankedBatchLoss};
-pub use neutraj_index::{HnswIndex, HnswParams};
+pub use neutraj_index::{HnswIndex, HnswParams, IvfIndex};
 pub use persist::PersistError;
 pub use quant::{QuantizedStore, QUANT_MAX_DIM};
 pub use query::{Query, QueryOf, QuerySpec, QueryTarget};
 pub use sampling::{ranked_random_samples, ranked_weighted_samples, AnchorSamples};
 pub use search::{EmbeddingStore, ScanStats};
 pub use similarity::{Normalization, SimilarityMatrix};
-pub use trainer::{seed_mse, EpochStats, TrainMetrics, TrainReport, Trainer};
+pub use trainer::{EpochStats, TrainMetrics, TrainReport, Trainer};

@@ -47,7 +47,7 @@
 
 use crate::backbone::NeuTrajModel;
 use crate::quant::{Cascade, QuantizedStore};
-use neutraj_index::{CoarseQuantizer, GraphScratch, HnswIndex, IvfIndex, RowDistance};
+use neutraj_index::{GraphScratch, HnswIndex, IvfIndex, RowDistance};
 use neutraj_measures::{top_k, Neighbor, NeighborHeap};
 use neutraj_nn::linalg::{dot, euclidean_sq};
 use neutraj_nn::simd::{dot_rows, scan_rows, scan_score, ScanInput, SCAN_STRIPE};
@@ -339,11 +339,11 @@ impl EmbeddingStore {
     /// across the whole batch. Panics when `index` disagrees with the
     /// store on dimension or row count, or when `nprobe == 0` (the
     /// `Query` builder rejects that earlier with a typed error).
-    pub fn knn_ann_batch<Q: CoarseQuantizer>(
+    pub fn knn_ann_batch(
         &self,
         queries: &[&[f64]],
         k: usize,
-        index: &IvfIndex<Q>,
+        index: &IvfIndex,
         nprobe: usize,
     ) -> (Vec<Vec<Neighbor>>, ScanStats) {
         assert_eq!(index.dim(), self.dim, "ann index dim mismatch");

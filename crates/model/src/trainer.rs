@@ -5,7 +5,6 @@ use crate::backbone::{
 };
 use crate::checkpoint::{Checkpoint, CheckpointPolicy, TrainState};
 use crate::config::TrainConfig;
-use crate::loss::pair_similarity;
 use crate::persist::PersistError;
 use crate::sampling::{ranked_random_samples, ranked_weighted_samples, AnchorSamples};
 use crate::similarity::SimilarityMatrix;
@@ -562,32 +561,6 @@ impl Trainer {
             m.ckpt_writes.inc();
         }
         Ok(())
-    }
-}
-
-/// Convenience: how well a model's learned similarity matches seed ground
-/// truth — mean squared error of `g` vs `S` over all seed pairs. Used by
-/// validation-loss tracking in experiments.
-pub fn seed_mse(model: &NeuTrajModel, seeds: &[Trajectory], sim: &SimilarityMatrix) -> f64 {
-    let embs = model.embed_all(seeds, 1);
-    let n = seeds.len();
-    let mut sum = 0.0;
-    let mut cnt = 0usize;
-    for i in 0..n {
-        for j in 0..n {
-            if i == j {
-                continue;
-            }
-            let g = pair_similarity(&embs[i], &embs[j]);
-            let f = sim.get(i, j);
-            sum += (g - f) * (g - f);
-            cnt += 1;
-        }
-    }
-    if cnt == 0 {
-        0.0
-    } else {
-        sum / cnt as f64
     }
 }
 

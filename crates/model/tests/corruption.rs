@@ -4,8 +4,9 @@
 //! loaded file whose parameters differ from what was saved.
 
 use neutraj_model::{
-    AnnIndex, AnnParams, Backbone, BackboneKind, Checkpoint, FaultyReader, FaultyWriter, HnswIndex,
-    HnswParams, NeuTrajModel, PersistError, ShortlistView, SimilarityDb, TrainConfig, TrainState,
+    AnnParams, Backbone, BackboneKind, Checkpoint, FaultyReader, FaultyWriter, HnswIndex,
+    HnswParams, IvfIndex, NeuTrajModel, PersistError, ShortlistView, SimilarityDb, TrainConfig,
+    TrainState,
 };
 use neutraj_nn::linalg::Mat;
 use neutraj_nn::{AdamState, SamLstmEncoder, SpatialMemory};
@@ -117,7 +118,7 @@ fn ivf_db_image() -> &'static DbImage {
             nlists: 5,
             ..Default::default()
         };
-        view_db_image::<AnnIndex>(|db| db.build_ann_index(&params).unwrap())
+        view_db_image::<IvfIndex>(|db| db.build_ann_index(&params).unwrap())
     })
 }
 
@@ -246,27 +247,27 @@ fn raw_graph_payload_damage_never_panics() {
 
 #[test]
 fn undamaged_ivf_index_file_roundtrips() {
-    undamaged_view_file_roundtrips::<AnnIndex>(ivf_db_image());
+    undamaged_view_file_roundtrips::<IvfIndex>(ivf_db_image());
 }
 
 #[test]
 fn any_bit_flip_in_an_ivf_index_file_is_rejected() {
-    any_bit_flip_in_a_view_file_is_rejected::<AnnIndex>(ivf_db_image());
+    any_bit_flip_in_a_view_file_is_rejected::<IvfIndex>(ivf_db_image());
 }
 
 #[test]
 fn any_truncation_of_an_ivf_index_file_is_rejected() {
-    any_truncation_of_a_view_file_is_rejected::<AnnIndex>(ivf_db_image());
+    any_truncation_of_a_view_file_is_rejected::<IvfIndex>(ivf_db_image());
 }
 
 #[test]
 fn trailing_garbage_after_an_ivf_index_file_is_rejected() {
-    trailing_garbage_after_a_view_file_is_rejected::<AnnIndex>(ivf_db_image());
+    trailing_garbage_after_a_view_file_is_rejected::<IvfIndex>(ivf_db_image());
 }
 
 #[test]
 fn raw_ivf_payload_damage_never_panics() {
-    raw_view_section_damage_never_panics::<AnnIndex>(ivf_db_image());
+    raw_view_section_damage_never_panics::<IvfIndex>(ivf_db_image());
 }
 
 #[test]

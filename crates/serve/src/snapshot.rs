@@ -30,7 +30,7 @@
 //! snapshot — the concurrency bit-identity tests pin both claims.
 
 use crate::request::QuerySpec;
-use neutraj_measures::Neighbor;
+use neutraj_measures::{neighbor_order, Neighbor};
 use neutraj_model::{
     rerank_exact, AnnParams, DbError, HnswParams, NeuTrajModel, ScanStats, SimilarityDb,
 };
@@ -478,7 +478,7 @@ fn merge_shard_lists(
             dist: n.dist,
         }));
     }
-    all.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.index.cmp(&b.index)));
+    all.sort_by(neighbor_order);
     all.truncate(fetch);
     all
 }
