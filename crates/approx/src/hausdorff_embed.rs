@@ -1,6 +1,6 @@
 //! Landmark embedding approximation of the Hausdorff distance.
 
-use crate::ApproxAlgorithm;
+use crate::ApproxKnn;
 use neutraj_trajectory::rng::Rng;
 use neutraj_trajectory::{BoundingBox, Point, Trajectory};
 
@@ -12,12 +12,15 @@ use neutraj_trajectory::{BoundingBox, Point, Trajectory};
 /// distance (1-Lipschitz property of `min_dist` per landmark) and
 /// approximates it increasingly well as landmarks densify. Query cost is
 /// `O(K)` per pair after `O(K·L)` preprocessing per trajectory — the
-/// "AP" baseline for Hausdorff.
+/// "AP" baseline for Hausdorff, searched through [`ApproxKnn`] once
+/// [`index`](Self::index) has stored the corpus signatures.
 #[derive(Debug, Clone)]
 pub struct HausdorffLandmarkApprox {
     landmarks: Vec<Point>,
     clip: f64,
     quantization: f64,
+    /// Signatures of the indexed corpus, in corpus order.
+    sigs: Vec<Vec<f64>>,
 }
 
 impl HausdorffLandmarkApprox {
@@ -40,6 +43,7 @@ impl HausdorffLandmarkApprox {
             landmarks,
             clip,
             quantization: 0.0,
+            sigs: Vec::new(),
         }
     }
 
@@ -54,20 +58,16 @@ impl HausdorffLandmarkApprox {
         self
     }
 
-    /// Number of landmarks `K`.
-    pub fn num_landmarks(&self) -> usize {
-        self.landmarks.len()
-    }
-}
-
-impl ApproxAlgorithm for HausdorffLandmarkApprox {
-    type Sig = Vec<f64>;
-
-    fn name(&self) -> &'static str {
-        "AP-Hausdorff(landmark-embedding)"
+    /// Stores the signatures of `corpus`, the items
+    /// [`ApproxKnn::distances`] scores a query against.
+    pub fn index(mut self, corpus: &[Trajectory]) -> Self {
+        self.sigs = corpus.iter().map(|t| self.signature(t)).collect();
+        self
     }
 
-    fn signature(&self, t: &Trajectory) -> Vec<f64> {
+    /// The embedding of `t`: its clipped, quantized distance from each
+    /// landmark.
+    pub fn signature(&self, t: &Trajectory) -> Vec<f64> {
         self.landmarks
             .iter()
             .map(|l| {
@@ -86,11 +86,23 @@ impl ApproxAlgorithm for HausdorffLandmarkApprox {
             .collect()
     }
 
-    fn dist(&self, a: &Vec<f64>, b: &Vec<f64>) -> f64 {
+    /// The `L∞` difference of two signatures.
+    pub fn dist(&self, a: &[f64], b: &[f64]) -> f64 {
         a.iter()
             .zip(b)
             .map(|(x, y)| (x - y).abs())
             .fold(0.0, f64::max)
+    }
+}
+
+impl ApproxKnn for HausdorffLandmarkApprox {
+    fn name(&self) -> &'static str {
+        "AP-Hausdorff(landmark-embedding)"
+    }
+
+    fn distances(&self, query: &Trajectory) -> Vec<f64> {
+        let qs = self.signature(query);
+        self.sigs.iter().map(|s| self.dist(&qs, s)).collect()
     }
 }
 

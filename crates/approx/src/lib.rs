@@ -3,22 +3,18 @@
 //! The hand-crafted approximate algorithms the paper compares against as
 //! **AP** (§VII-A.3): "state-of-the-art approximate algorithms from \[12\]
 //! (Fréchet and DTW) and \[4\] (Hausdorff)". The originals are
-//! closed-source; these reimplementations follow the same algorithmic
-//! families (see `DESIGN.md` §3):
+//! closed-source; [`build_ap`] builds one reimplementation per measure
+//! from the same algorithmic family (see `DESIGN.md` §3), and every one
+//! is reached through the one [`ApproxKnn`] trait:
 //!
-//! * [`FrechetGridApprox`] — Driemel & Silvestri-style randomly-shifted
-//!   grid snapping: curves are reduced to deduplicated cell-centre
-//!   *signatures* and the discrete Fréchet distance is computed on the
-//!   (much shorter) signatures, giving an `O(m²)`, `±O(δ)`-error
-//!   approximation. [`CurveLsh`] exposes the companion multi-table LSH
-//!   for candidate pruning.
-//! * [`HausdorffLandmarkApprox`] — Farach-Colton & Indyk-style metric
-//!   embedding: each trajectory maps to the vector of (clipped) distances
-//!   from `K` fixed landmarks; the `L∞` difference of two such vectors
-//!   lower-bounds and approximates the Hausdorff distance.
-//! * [`DtwDownsampleApprox`] — the classic coarsening approximation of
-//!   DTW (FastDTW / PAA family): resample both curves to `m` points,
-//!   compute banded DTW, and rescale by the length ratio.
+//! * Fréchet and DTW — Driemel & Silvestri curve LSH ([`CurveLsh`]):
+//!   items rank by how many randomly-shifted grid hash tables they share
+//!   a bucket with the query in, MBR-centre distance breaking ties.
+//! * Hausdorff — [`HausdorffLandmarkApprox`], a Farach-Colton &
+//!   Indyk-style metric embedding: each trajectory maps to the vector of
+//!   (clipped, quantized) distances from `K` fixed landmarks; the `L∞`
+//!   difference of two such vectors lower-bounds and approximates the
+//!   Hausdorff distance.
 //!
 //! ERP has no published approximate algorithm, matching the paper's "—"
 //! entries ([`build_ap`] returns `None`).
@@ -30,125 +26,43 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod dtw_fast;
-mod frechet_grid;
 mod hausdorff_embed;
 mod lsh;
 
-pub use dtw_fast::DtwDownsampleApprox;
-pub use frechet_grid::FrechetGridApprox;
 pub use hausdorff_embed::HausdorffLandmarkApprox;
 pub use lsh::CurveLsh;
 
-use neutraj_measures::{top_k, MeasureKind, Neighbor};
-use neutraj_trajectory::Trajectory;
+use neutraj_measures::{partial_sort_neighbors, top_k, MeasureKind, Neighbor};
+use neutraj_trajectory::{BoundingBox, Point, Trajectory};
 
-/// An approximate-similarity algorithm with a per-trajectory signature
-/// that is computed once and reused across queries.
-pub trait ApproxAlgorithm: Send + Sync {
-    /// The precomputed per-trajectory representation.
-    type Sig: Send + Sync;
-
-    /// Human-readable algorithm name.
-    fn name(&self) -> &'static str;
-
-    /// Computes the signature of a trajectory.
-    fn signature(&self, t: &Trajectory) -> Self::Sig;
-
-    /// Approximate distance between two signatures.
-    fn dist(&self, a: &Self::Sig, b: &Self::Sig) -> f64;
-}
-
-/// A corpus preprocessed for approximate top-k search: all signatures
-/// computed up front, queries cost `O(N · sig)` instead of `O(N · L²)`.
-pub struct ApproxIndex<A: ApproxAlgorithm> {
-    algo: A,
-    sigs: Vec<A::Sig>,
-}
-
-impl<A: ApproxAlgorithm> ApproxIndex<A> {
-    /// Preprocesses `corpus` under `algo`.
-    pub fn build(algo: A, corpus: &[Trajectory]) -> Self {
-        let sigs = corpus.iter().map(|t| algo.signature(t)).collect();
-        Self { algo, sigs }
-    }
-
-    /// Number of indexed trajectories.
-    pub fn len(&self) -> usize {
-        self.sigs.len()
-    }
-
-    /// Returns `true` when nothing is indexed.
-    pub fn is_empty(&self) -> bool {
-        self.sigs.is_empty()
-    }
-
-    /// The underlying algorithm.
-    pub fn algorithm(&self) -> &A {
-        &self.algo
-    }
-
-    /// Approximate distance between the query and indexed item `i`.
-    pub fn dist_to(&self, query_sig: &A::Sig, i: usize) -> f64 {
-        self.algo.dist(query_sig, &self.sigs[i])
-    }
-
-    /// Top-k most similar indexed items to `query` under the approximate
-    /// distance.
-    pub fn knn(&self, query: &Trajectory, k: usize) -> Vec<Neighbor> {
-        let qs = self.algo.signature(query);
-        let dists: Vec<f64> = self.sigs.iter().map(|s| self.algo.dist(&qs, s)).collect();
-        top_k(&dists, k)
-    }
-
-    /// Top-k restricted to `candidates` (index-assisted search, Table V).
-    pub fn knn_candidates(
-        &self,
-        query: &Trajectory,
-        candidates: &[usize],
-        k: usize,
-    ) -> Vec<Neighbor> {
-        let qs = self.algo.signature(query);
-        let mut out: Vec<Neighbor> = candidates
-            .iter()
-            .map(|&i| Neighbor {
-                index: i,
-                dist: self.algo.dist(&qs, &self.sigs[i]),
-            })
-            .collect();
-        out.sort_by(|a, b| {
-            a.dist
-                .partial_cmp(&b.dist)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.index.cmp(&b.index))
-        });
-        out.truncate(k);
-        out
-    }
-}
-
-/// Object-safe facade over [`ApproxIndex`] so experiment harnesses can
-/// treat all AP baselines uniformly.
+/// An AP baseline over a preprocessed corpus: one approximate distance
+/// per indexed trajectory, ranked the same way as every exact list
+/// (`f64::total_cmp`, ties by index).
 pub trait ApproxKnn: Send + Sync {
     /// Algorithm name.
     fn name(&self) -> &'static str;
-    /// Top-k search (see [`ApproxIndex::knn`]).
-    fn knn(&self, query: &Trajectory, k: usize) -> Vec<Neighbor>;
-    /// Candidate-restricted top-k (see [`ApproxIndex::knn_candidates`]).
-    fn knn_candidates(&self, query: &Trajectory, candidates: &[usize], k: usize) -> Vec<Neighbor>;
-}
 
-impl<A: ApproxAlgorithm> ApproxKnn for ApproxIndex<A> {
-    fn name(&self) -> &'static str {
-        self.algo.name()
-    }
+    /// One approximate distance per indexed trajectory, in corpus order.
+    fn distances(&self, query: &Trajectory) -> Vec<f64>;
 
+    /// Top-k most similar indexed items to `query` under the approximate
+    /// distance.
     fn knn(&self, query: &Trajectory, k: usize) -> Vec<Neighbor> {
-        ApproxIndex::knn(self, query, k)
+        top_k(&self.distances(query), k)
     }
 
+    /// Top-k restricted to `candidates` (index-assisted search, Table V).
     fn knn_candidates(&self, query: &Trajectory, candidates: &[usize], k: usize) -> Vec<Neighbor> {
-        ApproxIndex::knn_candidates(self, query, candidates, k)
+        let dists = self.distances(query);
+        let mut out: Vec<Neighbor> = candidates
+            .iter()
+            .map(|&index| Neighbor {
+                index,
+                dist: dists[index],
+            })
+            .collect();
+        partial_sort_neighbors(&mut out, k);
+        out
     }
 }
 
@@ -177,17 +91,16 @@ pub fn build_ap(
         MeasureKind::Hausdorff => {
             let extent = corpus
                 .iter()
-                .fold(neutraj_trajectory::BoundingBox::EMPTY, |bb, t| {
-                    bb.union(&t.mbr())
-                });
+                .fold(BoundingBox::EMPTY, |bb, t| bb.union(&t.mbr()));
             // A coarse landmark set with quantized entries: like the
             // published embedding, the speedup comes precisely from
             // projecting to few dimensions, which is also what caps its
             // accuracy.
-            Some(Box::new(ApproxIndex::build(
-                HausdorffLandmarkApprox::new(extent, 5, seed).with_quantization(scale),
-                corpus,
-            )))
+            Some(Box::new(
+                HausdorffLandmarkApprox::new(extent, 5, seed)
+                    .with_quantization(scale)
+                    .index(corpus),
+            ))
         }
         MeasureKind::Erp => None,
     }
@@ -197,40 +110,39 @@ pub fn build_ap(
 /// number of hash tables in which they collide with the query, break ties
 /// by MBR-centre distance, and rank non-colliding items purely by MBR
 /// distance (far behind every collider).
-pub struct LshKnn {
+struct LshKnn {
     lsh: CurveLsh,
-    centers: Vec<neutraj_trajectory::Point>,
+    centers: Vec<Point>,
 }
 
 impl LshKnn {
-    /// Builds the LSH tables over `corpus` with resolution `delta` and
-    /// `tables` hash tables.
-    pub fn build(corpus: &[Trajectory], delta: f64, tables: usize, seed: u64) -> Self {
-        let lsh = CurveLsh::build(corpus, delta, tables, seed);
-        let centers = corpus
-            .iter()
-            .map(|t| {
-                let bb = t.mbr();
-                if bb.is_empty() {
-                    neutraj_trajectory::Point::ORIGIN
-                } else {
-                    bb.center()
-                }
-            })
-            .collect();
-        Self { lsh, centers }
+    /// Builds `tables` hash tables of resolution `delta` over `corpus`.
+    fn build(corpus: &[Trajectory], delta: f64, tables: usize, seed: u64) -> Self {
+        Self {
+            lsh: CurveLsh::build(corpus, delta, tables, seed),
+            centers: corpus.iter().map(center).collect(),
+        }
+    }
+}
+
+/// MBR centre of `t`, the origin for an empty trajectory.
+fn center(t: &Trajectory) -> Point {
+    let bb = t.mbr();
+    if bb.is_empty() {
+        Point::ORIGIN
+    } else {
+        bb.center()
+    }
+}
+
+impl ApproxKnn for LshKnn {
+    fn name(&self) -> &'static str {
+        "AP-LSH(curve)"
     }
 
-    fn scores(&self, query: &Trajectory) -> Vec<f64> {
+    fn distances(&self, query: &Trajectory) -> Vec<f64> {
         let l = self.lsh.num_tables() as f64;
-        let qc = {
-            let bb = query.mbr();
-            if bb.is_empty() {
-                neutraj_trajectory::Point::ORIGIN
-            } else {
-                bb.center()
-            }
-        };
+        let qc = center(query);
         // Base distance: MBR-centre separation, normalized small relative
         // to one collision step.
         let mut dists: Vec<f64> = self
@@ -242,35 +154,6 @@ impl LshKnn {
             dists[i] -= count as f64;
         }
         dists
-    }
-}
-
-impl ApproxKnn for LshKnn {
-    fn name(&self) -> &'static str {
-        "AP-LSH(curve)"
-    }
-
-    fn knn(&self, query: &Trajectory, k: usize) -> Vec<Neighbor> {
-        top_k(&self.scores(query), k)
-    }
-
-    fn knn_candidates(&self, query: &Trajectory, candidates: &[usize], k: usize) -> Vec<Neighbor> {
-        let scores = self.scores(query);
-        let mut out: Vec<Neighbor> = candidates
-            .iter()
-            .map(|&i| Neighbor {
-                index: i,
-                dist: scores[i],
-            })
-            .collect();
-        out.sort_by(|a, b| {
-            a.dist
-                .partial_cmp(&b.dist)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.index.cmp(&b.index))
-        });
-        out.truncate(k);
-        out
     }
 }
 
@@ -301,6 +184,21 @@ mod tests {
         }
     }
 
+    /// A baseline whose every third distance is NaN.
+    struct NanEveryThird(usize);
+
+    impl ApproxKnn for NanEveryThird {
+        fn name(&self) -> &'static str {
+            "nan-every-third"
+        }
+
+        fn distances(&self, _query: &Trajectory) -> Vec<f64> {
+            (0..self.0)
+                .map(|i| if i % 3 == 0 { f64::NAN } else { i as f64 })
+                .collect()
+        }
+    }
+
     #[test]
     fn candidate_restriction_respected() {
         let corpus = PortoLikeGenerator {
@@ -313,5 +211,32 @@ mod tests {
         let res = ap.knn_candidates(&ts[0], &[3, 7, 9], 2);
         assert_eq!(res.len(), 2);
         assert!(res.iter().all(|n| [3, 7, 9].contains(&n.index)));
+
+        // The candidate ranking is the full ranking filtered to the
+        // candidates, for both baselines and at every depth.
+        let candidates = [0, 2, 3, 5, 7, 9, 11, 14];
+        for kind in [MeasureKind::Frechet, MeasureKind::Hausdorff] {
+            let ap = build_ap(kind, ts, 50.0, 3).unwrap();
+            for q in [0, 4, 9] {
+                for k in [0, 1, 3, candidates.len(), 20] {
+                    let want: Vec<Neighbor> = ap
+                        .knn(&ts[q], ts.len())
+                        .into_iter()
+                        .filter(|n| candidates.contains(&n.index))
+                        .take(k)
+                        .collect();
+                    assert_eq!(ap.knn_candidates(&ts[q], &candidates, k), want);
+                }
+            }
+        }
+
+        // NaN distances keep the order total: they rank last, by index.
+        let nan = NanEveryThird(12);
+        let order: Vec<usize> = nan
+            .knn_candidates(&ts[0], &[9, 0, 4, 3, 8, 6, 1], 7)
+            .iter()
+            .map(|n| n.index)
+            .collect();
+        assert_eq!(order, [1, 4, 8, 0, 3, 6, 9]);
     }
 }

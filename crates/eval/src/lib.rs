@@ -7,8 +7,8 @@
 //!
 //! * [`metrics`] — top-k hitting ratio `HR@k`, cross recall `R10@50` and
 //!   the distance distortions `δ_H10`/`δ_R10` (§VII-A.4).
-//! * [`ann`] — recall@k of a shortlist serving path (IVF, graph)
-//!   against the brute-force scan and against exact-measure ground truth.
+//! * [`ann`] — recall@k of an approximate neighbour list against its
+//!   exact truth (`bench_query`'s IVF and graph recall gauges).
 //! * [`harness`] — corpus construction and split, exact ground truth,
 //!   and the one fit → rank → score path every accuracy number takes
 //!   (learned presets and the AP baseline).
@@ -24,6 +24,6 @@ pub mod metrics;
 pub mod report;
 pub mod sweeps;
 
-pub use ann::{exact_measure_recall_at_k, mean_overlap_at_k, shortlist_recall_at_k, RecallReport};
+pub use ann::mean_overlap_at_k;
 pub use harness::{DatasetKind, ExperimentWorld, GroundTruth, WorldConfig};
 pub use metrics::SearchQuality;

@@ -1279,6 +1279,10 @@ mod tests {
             let mut out = Vec::new();
             let stats = g.shortlist_into(64, each(&mut dq), &mut scratch, &mut out);
             assert!(stats.hops > 0, "graph search must hop");
+            assert!(
+                stats.candidates_scanned < n,
+                "a narrow beam scores fewer rows"
+            );
             assert!(out.len() <= 64);
             if out.first().map(|&(_, id)| id) == Some(truth.id) {
                 hits += 1;

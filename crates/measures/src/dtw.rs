@@ -15,38 +15,6 @@ use neutraj_trajectory::Point;
 pub struct Dtw;
 
 impl Dtw {
-    /// DTW restricted to a Sakoe–Chiba band of half-width `band` (in index
-    /// units). `band >= max(|a|,|b|)` is equivalent to unconstrained DTW.
-    /// A narrow band is the classic fast approximation of DTW and is used
-    /// by the approximate baselines.
-    pub fn banded(a: &[Point], b: &[Point], band: usize) -> f64 {
-        if a.is_empty() || b.is_empty() {
-            return f64::INFINITY;
-        }
-        // Keep `b` as the inner (column) sequence.
-        let (rows, cols) = (a.len(), b.len());
-        // The band must at least cover the diagonal slope difference.
-        let slope_pad = rows.abs_diff(cols);
-        let band = band.max(slope_pad);
-        let mut prev = vec![f64::INFINITY; cols + 1];
-        let mut cur = vec![f64::INFINITY; cols + 1];
-        prev[0] = 0.0;
-        for i in 1..=rows {
-            cur.fill(f64::INFINITY);
-            // Column window for this row under the band constraint.
-            let center = i * cols / rows;
-            let lo = center.saturating_sub(band).max(1);
-            let hi = (center + band).min(cols);
-            for j in lo..=hi {
-                let d = a[i - 1].dist(&b[j - 1]);
-                let best = prev[j - 1].min(prev[j]).min(cur[j - 1]);
-                cur[j] = d + best;
-            }
-            std::mem::swap(&mut prev, &mut cur);
-        }
-        prev[cols]
-    }
-
     /// Unconstrained DTW.
     pub fn full(a: &[Point], b: &[Point]) -> f64 {
         if a.is_empty() || b.is_empty() {
@@ -132,24 +100,6 @@ mod tests {
         assert_eq!(Dtw.dist(&a, &[]), f64::INFINITY);
         assert_eq!(Dtw.dist(&[], &a), f64::INFINITY);
         assert_eq!(Dtw.dist(&[], &[]), f64::INFINITY);
-    }
-
-    #[test]
-    fn wide_band_matches_full() {
-        let a = pts(&[0.0, 3.0, 1.0, 4.0, 2.0]);
-        let b = pts(&[1.0, 2.0, 0.0, 5.0]);
-        let full = Dtw::full(&a, &b);
-        let banded = Dtw::banded(&a, &b, 10);
-        assert!((full - banded).abs() < 1e-12);
-    }
-
-    #[test]
-    fn narrow_band_upper_bounds_full() {
-        let a = pts(&[0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]);
-        let b = pts(&[7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0, 0.0]);
-        let full = Dtw::full(&a, &b);
-        let banded = Dtw::banded(&a, &b, 1);
-        assert!(banded >= full - 1e-12, "banded {banded} < full {full}");
     }
 
     #[test]

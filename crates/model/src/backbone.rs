@@ -5,7 +5,7 @@ use neutraj_nn::{
     Adam, GruCache, GruCell, GruGrads, LstmCache, LstmCell, LstmGrads, SamGrads, SamLstmEncoder,
     SamSeqRef, SamTapeRef, Workspace, WriteLog,
 };
-use neutraj_obs::{Histogram, Registry};
+use neutraj_obs::{names, Histogram, Registry};
 use neutraj_trajectory::{par, Grid, Trajectory};
 use std::borrow::Borrow;
 use std::cell::RefCell;
@@ -38,8 +38,8 @@ impl SamPhaseMetrics {
     /// Resolves the SAM phase instruments in `registry`.
     pub fn register(registry: &Registry) -> Self {
         Self {
-            phase_a_seconds: registry.histogram("neutraj_train_sam_phase_a_seconds"),
-            phase_b_seconds: registry.histogram("neutraj_train_sam_phase_b_seconds"),
+            phase_a_seconds: registry.histogram(names::SAM_PHASE_A_SECONDS),
+            phase_b_seconds: registry.histogram(names::SAM_PHASE_B_SECONDS),
         }
     }
 }

@@ -1541,6 +1541,7 @@ mod tests {
         let _ = db
             .search_batch(&trajs[..3], &Query::new(4).shortlist_ann(2))
             .unwrap();
+        let partial = registry.counter(names::ANN_CANDIDATES_SCANNED_TOTAL).get();
         let _ = db
             .search(&trajs[0], &Query::new(4).shortlist_ann(nlists))
             .unwrap();
@@ -1558,9 +1559,13 @@ mod tests {
             (3 * 2 + nlists) as u64
         );
         // Full probe scans the whole corpus; partial probes scan a
-        // nonempty subset.
-        let scanned = counter(names::ANN_CANDIDATES_SCANNED_TOTAL);
-        assert!(scanned >= db.len() as u64, "scanned {scanned}");
+        // nonempty proper subset.
+        let full = counter(names::ANN_CANDIDATES_SCANNED_TOTAL) - partial;
+        assert_eq!(full, db.len() as u64);
+        assert!(
+            partial > 0 && partial < 3 * db.len() as u64,
+            "scanned {partial}"
+        );
         let depth = report
             .histograms
             .iter()

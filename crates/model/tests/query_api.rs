@@ -5,7 +5,7 @@
 //! did not touch) so the comparison is against the genuine old behaviour,
 //! not against the forwards.
 
-use neutraj_measures::{Hausdorff, Measure, Neighbor};
+use neutraj_measures::{top_k, Hausdorff, Measure, Neighbor};
 use neutraj_model::{
     AnnParams, BackboneKind, HnswParams, NeuTrajModel, Query, SimilarityDb, TrainConfig,
 };
@@ -175,7 +175,8 @@ fn search_batch_bit_identical_to_old_batch_paths() {
 /// `(dist, index)` total order is insertion-order independent. Holds
 /// at every corpus-embedding thread count (the embeddings themselves
 /// are thread-invariant, so the index and the scan must be too), and
-/// composes with exact re-ranking.
+/// composes with exact re-ranking — which, over a shortlist of the
+/// whole corpus, is the exact-measure top-k.
 #[test]
 fn ann_full_probe_bit_identical_to_exhaustive_scan() {
     cases(10, |rng| {
@@ -216,6 +217,30 @@ fn ann_full_probe_bit_identical_to_exhaustive_scan() {
             let rr_ex = db.search_batch(&queries, &rr).unwrap();
             let rr_ann = db.search_batch(&queries, &rr.shortlist_ann(nl)).unwrap();
             assert_eq!(&rr_ex, &rr_ann, "reranked, threads {}", threads);
+            // Full probe + a shortlist of the whole corpus re-ranks every
+            // row: the exact top-k in the grid-rescaled coordinates.
+            let grid = db.model().grid();
+            let rows: Vec<Trajectory> = (0..db.len())
+                .map(|i| grid.rescale_trajectory(db.get(i).unwrap()))
+                .collect();
+            let truth: Vec<Vec<Neighbor>> = queries
+                .iter()
+                .map(|q| {
+                    let q = grid.rescale_trajectory(q);
+                    let d: Vec<f64> = rows
+                        .iter()
+                        .map(|r| Hausdorff.dist(q.points(), r.points()))
+                        .collect();
+                    top_k(&d, k)
+                })
+                .collect();
+            let whole = Query::new(k).shortlist(db.len()).rerank(&Hausdorff);
+            let exact = db.search_batch(&queries, &whole.shortlist_ann(nl)).unwrap();
+            assert_eq!(
+                &exact, &truth,
+                "full probe + full shortlist, threads {}",
+                threads
+            );
             per_thread.push((ann, rr_ann));
         }
         // Thread-count invariance of the whole ANN pipeline.

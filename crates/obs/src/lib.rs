@@ -409,8 +409,8 @@ pub mod names {
     /// Histogram: per-query rerank depth (candidates scored / corpus
     /// size) — how sub-linear the shortlist actually was.
     pub const ANN_RERANK_DEPTH: &str = "neutraj_ann_rerank_depth";
-    /// Gauge: most recent recall@k measured against exhaustive ground
-    /// truth (the eval harness writes it; serving never does).
+    /// Gauge: most recent recall@k of the IVF shortlist against the
+    /// exhaustive scan (`bench_query` writes it; serving never does).
     pub const ANN_RECALL_AT_K: &str = "neutraj_ann_recall_at_k";
 
     /// Counter: HNSW graph nodes expanded by graph-shortlist queries.
@@ -427,8 +427,8 @@ pub mod names {
     /// corpus size) — how sub-linear the graph shortlist actually was.
     pub const GRAPH_RERANK_DEPTH: &str = "neutraj_graph_rerank_depth";
     /// Gauge: most recent recall@k of the graph shortlist + exact
-    /// rerank against exhaustive ground truth (the eval harness writes
-    /// it; serving never does).
+    /// rerank against the exhaustive scan (`bench_query` writes it;
+    /// serving never does).
     pub const GRAPH_RECALL_AT_K: &str = "neutraj_graph_recall_at_k";
 
     /// Gauge: the SIMD dispatch level the process resolved at startup
