@@ -12,7 +12,8 @@
 //!   corpora of N ∈ {10k, 100k} embeddings at d = 32; then what one row
 //!   costs one query at B ∈ {1, 4, 7, 8, 16} through `knn_batch`
 //!   (`scan-batch` lines, `"by_batch"` in the JSON) and through the fused
-//!   f64 pass alone (`f64-stripe` lines, `"f64_by_batch"`), after both
+//!   f64 pass alone (`EmbeddingStore::knn_fused`, `f64-stripe` lines,
+//!   `"f64_by_batch"`), after both
 //!   are checked equal bit for bit. Gated at N ≥ 100k: a full f64 stripe
 //!   of 8 costs a query no more than a stripe of 7 (`scan-gate:`; the
 //!   packed GEMM this replaced was 1.32× slower at 8), and a lone exact
@@ -80,13 +81,12 @@ use std::time::Instant;
 use neutraj_cluster::{KMeans, KMeansParams};
 use neutraj_eval::mean_overlap_at_k;
 use neutraj_index::IvfIndex;
-use neutraj_measures::{DiscreteFrechet, Neighbor, NeighborHeap};
+use neutraj_measures::DiscreteFrechet;
 use neutraj_model::{
     AnnParams, BackboneKind, DbMetrics, EmbeddingStore, HnswIndex, HnswParams, NeuTrajModel, Query,
     SimilarityDb, TrainConfig,
 };
-use neutraj_nn::linalg::dot;
-use neutraj_nn::simd::{scan_rows, ScanInput, SCAN_STRIPE};
+use neutraj_nn::simd::SCAN_STRIPE;
 use neutraj_obs::{names, MetricsReport, Registry};
 use neutraj_trajectory::rng::{splitmix64, GOLDEN_GAMMA};
 use neutraj_trajectory::{par, BoundingBox, Grid, Point, Trajectory};
@@ -355,11 +355,10 @@ fn bench_scan(n: usize, dim: usize, batch: usize, seed: u64, registry: &Registry
         .map(|_| (0..dim).map(|_| unit_f64(&mut state)).collect())
         .collect();
     let sweep: Vec<&[f64]> = sweep.iter().map(|q| q.as_slice()).collect();
-    let norms: Vec<f64> = (0..n).map(|i| dot(store.get(i), store.get(i))).collect();
     for b in [1, SCAN_STRIPE - 1, SCAN_STRIPE] {
         assert_eq!(
             store.knn_batch(&sweep[..b], K),
-            f64_stream(&store, &norms, &sweep[..b], K),
+            store.knn_fused(&sweep[..b], K),
             "B={b}: knn_batch diverged from the fused f64 pass"
         );
     }
@@ -377,7 +376,7 @@ fn bench_scan(n: usize, dim: usize, batch: usize, seed: u64, registry: &Registry
         std::hint::black_box(store.knn_batch(qs, K));
     });
     let f64_by_batch = per_row("f64-stripe", &|qs| {
-        std::hint::black_box(f64_stream(&store, &norms, qs, K));
+        std::hint::black_box(store.knn_fused(qs, K));
     });
     let ns_at = |rows: &[(usize, f64)], b: usize| rows.iter().find(|r| r.0 == b).expect("swept").1;
     if n >= GATE_MIN_ROWS {
@@ -434,49 +433,6 @@ fn bench_scan(n: usize, dim: usize, batch: usize, seed: u64, registry: &Registry
         f64_by_batch,
         survivors: (mean, p90, max),
     }
-}
-
-/// The fused f64 pass over `store` straight through `scan_rows` — what
-/// `knn_batch` runs from a full stripe up, at any `B` — with `norms` the
-/// rows' squared norms.
-fn f64_stream(
-    store: &EmbeddingStore,
-    norms: &[f64],
-    queries: &[&[f64]],
-    k: usize,
-) -> Vec<Vec<Neighbor>> {
-    let qflat = queries.concat();
-    let qnorms: Vec<f64> = queries.iter().map(|q| dot(q, q)).collect();
-    let mut heaps: Vec<NeighborHeap> = queries.iter().map(|_| NeighborHeap::new(k)).collect();
-    let mut thresholds = vec![f64::INFINITY; queries.len()];
-    let input = ScanInput {
-        dim: store.dim(),
-        queries: &qflat,
-        qnorms: &qnorms,
-        rows: store.as_flat(),
-        row_norms: norms,
-    };
-    scan_rows(
-        neutraj_obs::simd::level(),
-        &input,
-        &mut thresholds,
-        |qi, row, d2| {
-            heaps[qi].push(row, d2);
-            heaps[qi]
-                .threshold()
-                .map_or(f64::INFINITY, |worst| worst.dist)
-        },
-    );
-    heaps
-        .into_iter()
-        .map(|h| {
-            let mut out = h.into_sorted();
-            for nb in &mut out {
-                nb.dist = nb.dist.sqrt();
-            }
-            out
-        })
-        .collect()
 }
 
 fn bench_embed(kind: BackboneKind, dim: usize, batch: usize, seed: u64) -> EmbedRow {
@@ -638,8 +594,9 @@ fn bench_ann(n: usize, dim: usize, batch: usize, seed: u64, registry: &Registry)
     // sub-samples past 200k rows (centroid quality saturates long before
     // the full corpus is seen); list assignment always covers every row.
     let t0 = Instant::now();
+    let flat = store.to_flat();
     let quantizer = KMeans::fit(
-        store.as_flat(),
+        &flat,
         dim,
         &KMeansParams {
             k: nlists,
@@ -648,7 +605,8 @@ fn bench_ann(n: usize, dim: usize, batch: usize, seed: u64, registry: &Registry)
             seed,
         },
     );
-    let index = IvfIndex::build(quantizer, store.as_flat());
+    let index = IvfIndex::build(quantizer, &flat);
+    drop(flat);
     let build_secs = t0.elapsed().as_secs_f64();
     let nlists = index.nlists(); // k clamps to distinct rows on tiny corpora
     println!("  ann n={n}: built {nlists}-list IVF index in {build_secs:.1}s");
@@ -851,8 +809,9 @@ fn bench_graph(n: usize, dim: usize, batch: usize, seed: u64, registry: &Registr
                 (ef, 1.0, qps)
             }
         };
+    let flat = store.to_flat();
     let quantizer = KMeans::fit(
-        store.as_flat(),
+        &flat,
         dim,
         &KMeansParams {
             k: isqrt(n).max(4),
@@ -861,7 +820,8 @@ fn bench_graph(n: usize, dim: usize, batch: usize, seed: u64, registry: &Registr
             seed,
         },
     );
-    let index = IvfIndex::build(quantizer, store.as_flat());
+    let index = IvfIndex::build(quantizer, &flat);
+    drop(flat);
     let ivf_nlists = index.nlists();
     let mut nprobe = 1usize;
     let (matched_ivf_nprobe, matched_ivf_recall, matched_ivf_qps) = loop {
@@ -908,15 +868,14 @@ fn bench_graph(n: usize, dim: usize, batch: usize, seed: u64, registry: &Registr
 /// `⌈√N⌉` centres with small per-row jitter (real trajectory embeddings
 /// concentrate around motion patterns). Rows are generated block-wise
 /// straight into a preallocated [`EmbeddingStore`] — no intermediate
-/// `Vec<Vec<f64>>` — so a 10M-row corpus costs exactly its flat f64
-/// buffer plus norms and generation never doubles peak RSS.
+/// `Vec<Vec<f64>>` — so a 10M-row corpus costs its rows, norms and codes
+/// in 64-row chunks, and generation never doubles peak RSS.
 fn clustered_store(n: usize, dim: usize, state: &mut u64) -> EmbeddingStore {
     let ncenters = isqrt(n).max(4);
     let centers: Vec<f64> = (0..ncenters * dim)
         .map(|_| 100.0 * unit_f64(state))
         .collect();
     let mut store = EmbeddingStore::new(dim);
-    store.reserve(n);
     let mut row = vec![0.0; dim];
     for i in 0..n {
         let c = &centers[(i % ncenters) * dim..(i % ncenters + 1) * dim];
@@ -936,11 +895,10 @@ fn clustered_store(n: usize, dim: usize, state: &mut u64) -> EmbeddingStore {
 /// graph-vs-IVF comparison instead runs where high recall is genuinely
 /// hard: with neighbors scattered across cells, IVF must probe a large
 /// corpus fraction to hold recall while the beam's `O(ef·m·log N)` walk
-/// doesn't care. Same block-wise preallocated generation (and so the
-/// same flat-buffer peak RSS) as [`clustered_store`].
+/// doesn't care. Same row-by-row generation (and so the same peak RSS)
+/// as [`clustered_store`].
 fn uniform_store(n: usize, dim: usize, state: &mut u64) -> EmbeddingStore {
     let mut store = EmbeddingStore::new(dim);
-    store.reserve(n);
     let mut row = vec![0.0; dim];
     for _ in 0..n {
         for v in row.iter_mut() {

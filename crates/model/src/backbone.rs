@@ -592,7 +592,11 @@ impl NeuTrajModel {
 
     /// Embeds a corpus using `threads` worker threads (memory frozen),
     /// each worker running the lockstep batched forward on its chunk.
-    pub fn embed_all(&self, ts: &[Trajectory], threads: usize) -> Vec<Vec<f64>> {
+    pub fn embed_all<T: Borrow<Trajectory> + Sync>(
+        &self,
+        ts: &[T],
+        threads: usize,
+    ) -> Vec<Vec<f64>> {
         let chunk = if threads <= 1 || ts.len() < 16 {
             ts.len().max(1)
         } else {

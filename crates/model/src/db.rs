@@ -32,6 +32,7 @@
 //! of a narrow batch reads (see the `search` module).
 
 use crate::backbone::NeuTrajModel;
+use crate::chunks::Chunks;
 use crate::loss::pair_similarity;
 use crate::persist::{atomic_write, open_payload, seal_payload, PersistError};
 use crate::quant::QuantizedStore;
@@ -42,57 +43,12 @@ use neutraj_index::{HnswCodecError, HnswIndex, HnswParams, IvfCodecError, IvfInd
 use neutraj_measures::{neighbor_order, Measure, Neighbor};
 use neutraj_obs::{names, Counter, Gauge, Histogram, Registry};
 use neutraj_trajectory::{par, Grid, TrajError, Trajectory};
+use std::borrow::Borrow;
 use std::path::Path;
-use std::sync::Arc;
 
-/// Rows per shared chunk of [`Rows`]. Small enough that extending a
-/// shared tail copies little (at most `CHUNK − 1` trajectories), large
-/// enough that copying the chunk pointers of a corpus is `N / 64` words.
-const CHUNK: usize = 64;
-
-/// The stored trajectories: append-only, held in chunks of [`CHUNK`] rows
-/// (every chunk but the last is full) that a database shares with its
-/// [`SimilarityDb::inserted`] successors. `clone` copies the chunk
-/// pointers, not the rows; appending to a chunk another database still
-/// holds copies that one chunk first (`Arc::make_mut`), so neither ever
-/// sees the other's rows.
-#[derive(Debug, Clone, Default)]
-struct Rows {
-    chunks: Vec<Arc<Vec<Trajectory>>>,
-}
-
-impl Rows {
-    fn len(&self) -> usize {
-        (self.chunks.last()).map_or(0, |last| (self.chunks.len() - 1) * CHUNK + last.len())
-    }
-
-    fn get(&self, i: usize) -> Option<&Trajectory> {
-        self.chunks.get(i / CHUNK)?.get(i % CHUNK)
-    }
-
-    /// Row `i`, which the caller knows is stored.
-    fn row(&self, i: usize) -> &Trajectory {
-        &self.chunks[i / CHUNK][i % CHUNK]
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &Trajectory> {
-        self.chunks.iter().flat_map(|c| c.iter())
-    }
-
-    /// Appends `ts`: tops up the last chunk, then fills whole new ones.
-    fn extend(&mut self, ts: impl IntoIterator<Item = Trajectory>) {
-        for t in ts {
-            match self.chunks.last_mut() {
-                Some(last) if last.len() < CHUNK => Arc::make_mut(last).push(t),
-                _ => {
-                    let mut chunk = Vec::with_capacity(CHUNK);
-                    chunk.push(t);
-                    self.chunks.push(Arc::new(chunk));
-                }
-            }
-        }
-    }
-}
+/// The stored trajectories, in chunks a database shares with its
+/// [`SimilarityDb::inserted`] successors.
+type Rows = Chunks<Vec<Trajectory>>;
 
 /// One shortlist view over the stored embeddings — the IVF index or the
 /// HNSW graph — seen only as something the database
@@ -426,7 +382,7 @@ impl SimilarityDb {
 
     /// Returns `true` when the database is empty.
     pub fn is_empty(&self) -> bool {
-        self.trajectories.chunks.is_empty()
+        self.len() == 0
     }
 
     /// Borrow a stored trajectory.
@@ -464,8 +420,10 @@ impl SimilarityDb {
                 "cannot train an ann index over an empty corpus".into(),
             )));
         }
+        // One transient contiguous copy of the rows, gone on return.
+        let flat = self.embeddings.to_flat();
         let quantizer = KMeans::fit(
-            self.embeddings.as_flat(),
+            &flat,
             self.embeddings.dim(),
             &KMeansParams {
                 k: params.nlists,
@@ -474,7 +432,7 @@ impl SimilarityDb {
                 seed: params.seed,
             },
         );
-        self.ann = Some(IvfIndex::build(quantizer, self.embeddings.as_flat()));
+        self.ann = Some(IvfIndex::build(quantizer, &flat));
         Ok(())
     }
 
@@ -711,9 +669,6 @@ impl SimilarityDb {
 
     /// Appends embedded rows and the trajectories they came from.
     fn append_rows(&mut self, embs: &[Vec<f64>], ts: impl IntoIterator<Item = Trajectory>) {
-        // One allocation per store column for a bulk load, not a doubling
-        // series of each interleaved with the others.
-        self.embeddings.reserve(embs.len());
         for e in embs {
             self.append_row(e);
         }
@@ -727,9 +682,13 @@ impl SimilarityDb {
     /// Validates every trajectory of a batch, then embeds them with the
     /// lockstep batched forward on `threads` workers — nothing is
     /// embedded when one is rejected.
-    fn embed_checked(&self, ts: &[Trajectory], threads: usize) -> Result<Vec<Vec<f64>>, DbError> {
+    fn embed_checked<T: Borrow<Trajectory> + Sync>(
+        &self,
+        ts: &[T],
+        threads: usize,
+    ) -> Result<Vec<Vec<f64>>, DbError> {
         for t in ts {
-            self.check(t)?;
+            self.check(t.borrow())?;
         }
         Ok(self.model.embed_all(ts, threads))
     }
@@ -758,38 +717,38 @@ impl SimilarityDb {
     /// The next database with `ts` appended; `self` is untouched, so
     /// readers holding it are undisturbed (the copy-on-write step of a
     /// snapshot rotation). All-or-nothing like [`Self::insert_batch`], and
-    /// it costs its rows plus one copy of what the scans need contiguous:
-    /// the trajectories are shared with `self` in chunks, the embedding
-    /// store — rows, norms and codes — is copied once into buffers sized
-    /// for the new rows (`EmbeddingStore::successor`), and the rows then
-    /// go in through the same append as every other insert. The IVF
-    /// lists and the graph are cloned whole — an insert may edit any list
-    /// and many graph nodes.
-    pub fn inserted(&self, ts: &[Trajectory], threads: usize) -> Result<Self, DbError> {
+    /// it costs its rows plus at most one partial chunk per list: the
+    /// trajectories and the embedding store — rows, norms and codes —
+    /// are shared with `self` in chunks (64 rows, 512 for the codes), and
+    /// the new rows go in through the same append as every other insert,
+    /// copying a shared last chunk first. Each trajectory is copied once,
+    /// into its chunk. The IVF lists and the graph are cloned whole — an
+    /// insert may edit any list and many graph nodes.
+    pub fn inserted<T: Borrow<Trajectory> + Sync>(
+        &self,
+        ts: &[T],
+        threads: usize,
+    ) -> Result<Self, DbError> {
         let embs = self.embed_checked(ts, threads)?;
-        let mut next = Self {
-            model: self.model.clone(),
-            trajectories: self.trajectories.clone(),
-            embeddings: self.embeddings.successor(ts.len()),
-            ann: self.ann.clone(),
-            graph: self.graph.clone(),
-            metrics: self.metrics.clone(),
-        };
-        next.append_rows(&embs, ts.iter().cloned());
+        let mut next = self.clone();
+        next.append_rows(&embs, ts.iter().map(|t| t.borrow().clone()));
         Ok(next)
     }
 
-    /// How many of `parent`'s full trajectory chunks this database holds
-    /// by pointer rather than by copy, and how many `parent` has — equal
-    /// after any chain of [`Self::inserted`] calls. A test probe: it is
-    /// what notices a refactor that brings the deep copy back.
+    /// How many of `parent`'s full chunks this database holds by pointer
+    /// rather than by copy, beside how many `parent` has — for the
+    /// trajectories, the store's rows and norms, and its codes, in that
+    /// order; each pair is equal after any chain of [`Self::inserted`]
+    /// calls. A test probe: it is what notices a refactor that brings a
+    /// deep copy back.
     #[doc(hidden)]
-    pub fn shared_row_chunks(&self, parent: &Self) -> (usize, usize) {
-        let full = (parent.trajectories.chunks.iter()).filter(|c| c.len() == CHUNK);
-        let shared = (full.clone().zip(&self.trajectories.chunks))
-            .filter(|(theirs, ours)| Arc::ptr_eq(theirs, ours))
-            .count();
-        (shared, full.count())
+    pub fn shared_row_chunks(&self, parent: &Self) -> [(usize, usize); 3] {
+        let [rows, codes] = self.embeddings.shared_chunks(&parent.embeddings);
+        [
+            self.trajectories.shared_with(&parent.trajectories),
+            rows,
+            codes,
+        ]
     }
 
     /// Answers one query: embeds the target if needed (a no-op for
@@ -1021,6 +980,7 @@ pub fn rerank_exact<'t>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunks::{CHUNK, CODE_CHUNK};
     use crate::{TrainConfig, Trainer};
     use neutraj_measures::{partial_sort_neighbors, DistanceMatrix, Hausdorff};
     use neutraj_trajectory::gen::PortoLikeGenerator;
@@ -1848,6 +1808,11 @@ mod tests {
             let mut next = self.clone();
             next.trajectories = Rows::default();
             next.trajectories.extend(self.trajectories.iter().cloned());
+            let store = &self.embeddings;
+            next.embeddings = EmbeddingStore::new(store.dim());
+            for i in 0..store.len() {
+                next.embeddings.push(store.get(i));
+            }
             for t in ts {
                 next.insert(t.clone())?;
             }
@@ -1903,25 +1868,30 @@ mod tests {
         let (_, trajs) = untrained_corpus(3 * CHUNK + 5);
         let mut rows = Rows::default();
         rows.extend(trajs[..2 * CHUNK].iter().cloned());
-        assert_eq!((rows.len(), rows.chunks.len()), (2 * CHUNK, 2));
+        assert_eq!((rows.len(), rows.blocks().len()), (2 * CHUNK, 2));
         // A chunk is allocated once, at its final size.
-        assert!(rows.chunks.iter().all(|c| c.capacity() == CHUNK));
+        assert!(rows.blocks().all(|c| c.capacity() == CHUNK));
 
         // Pushing into a clone whose last chunk is full copies nothing.
         let mut child = rows.clone();
         child.extend(trajs[2 * CHUNK..2 * CHUNK + 5].iter().cloned());
-        assert!(Arc::ptr_eq(&child.chunks[0], &rows.chunks[0]));
-        assert!(Arc::ptr_eq(&child.chunks[1], &rows.chunks[1]));
+        assert_eq!(child.shared_with(&rows), (2, 2));
         assert_eq!((child.len(), rows.len()), (2 * CHUNK + 5, 2 * CHUNK));
 
         // Pushing into a shared, partly filled last chunk copies that one
         // chunk: the sibling that shares it never sees the row.
         let mut grand = child.clone();
         grand.extend(trajs[2 * CHUNK + 5..].iter().cloned());
-        assert!(Arc::ptr_eq(&grand.chunks[1], &child.chunks[1]));
-        assert!(!Arc::ptr_eq(&grand.chunks[2], &child.chunks[2]));
-        assert_eq!((grand.len(), grand.chunks.len()), (3 * CHUNK + 5, 4));
-        assert_eq!((child.len(), child.chunks[2].len()), (2 * CHUNK + 5, 5));
+        assert_eq!(grand.shared_with(&child), (2, 2));
+        assert!(!std::ptr::eq(
+            grand.block(2 * CHUNK),
+            child.block(2 * CHUNK)
+        ));
+        assert_eq!((grand.len(), grand.blocks().len()), (3 * CHUNK + 5, 4));
+        assert_eq!(
+            (child.len(), child.block(2 * CHUNK).len()),
+            (2 * CHUNK + 5, 5)
+        );
         assert!(child.get(2 * CHUNK + 5).is_none());
         assert!(grand.iter().eq(trajs.iter()));
         assert!(child.iter().eq(trajs[..2 * CHUNK + 5].iter()));
@@ -1935,7 +1905,8 @@ mod tests {
     /// A chain of `inserted` calls is the deep-copy chain, bit for bit —
     /// per view, from corpus lengths on both sides of a chunk boundary,
     /// with batches that end inside, on and past one — and every full
-    /// chunk of a parent is its child's by pointer.
+    /// chunk of a parent (trajectories, store rows, codes) is its child's
+    /// by pointer.
     #[test]
     fn inserted_chain_equals_the_deep_copy_chain() {
         type Build = fn(&mut SimilarityDb);
@@ -1962,10 +1933,10 @@ mod tests {
         ];
         let batches = [1, 0, CHUNK - 2, 1, CHUNK + 3];
         let total: usize = batches.iter().sum();
-        let (model, trajs) = untrained_corpus(2 * CHUNK + 1 + total + 3);
+        let (model, trajs) = untrained_corpus(CODE_CHUNK - 1 + total + 3);
         let queries = &trajs[trajs.len() - 3..];
         for (view, build) in views {
-            for start in [CHUNK, CHUNK + 1, 2 * CHUNK - 1] {
+            for start in [CHUNK, CHUNK + 1, 2 * CHUNK - 1, CODE_CHUNK - 1] {
                 let mut parent =
                     SimilarityDb::with_corpus(model.clone(), trajs[..start].to_vec(), 2);
                 build(&mut parent);
@@ -1977,9 +1948,14 @@ mod tests {
                     let child = parent.inserted(rows, 2).unwrap();
                     oracle = oracle.inserted_by_deep_copy(rows).unwrap();
                     assert_same_db(&child, &oracle, queries, &what);
-                    let (shared, full) = child.shared_row_chunks(&parent);
-                    assert_eq!((shared, full), (at / CHUNK, at / CHUNK), "{what}: sharing");
-                    assert_eq!(oracle.shared_row_chunks(&parent).0, 0, "{what}: oracle");
+                    let (rows, codes) = (at / CHUNK, at / CODE_CHUNK);
+                    assert_eq!(
+                        child.shared_row_chunks(&parent),
+                        [(rows, rows), (rows, rows), (codes, codes)],
+                        "{what}: sharing"
+                    );
+                    let copied = oracle.shared_row_chunks(&parent).map(|(shared, _)| shared);
+                    assert_eq!(copied, [0; 3], "{what}: oracle");
                     assert_eq!(parent.len(), at, "{what}: parent grew");
                     parent = child;
                     at += n;
@@ -2019,6 +1995,20 @@ mod tests {
         assert_eq!(left.get(n0), Some(&trajs[n0]));
         assert_eq!(right.get(n0), Some(&trajs[n0 + 10]));
         assert_eq!(parent.get(n0), None);
+        // The store and its codes fork with the rows: each side shares
+        // the one full chunk of the rows and copied the partial ones.
+        for fork in [&left, &right] {
+            assert_eq!(fork.shared_row_chunks(&parent), [(1, 1), (1, 1), (0, 0)]);
+            assert_eq!(fork.store().len(), fork.len());
+            assert_eq!(fork.quantized_store().unwrap().len(), fork.len());
+        }
+        assert!(parent.store() == frozen.store(), "parent store");
+        assert!(
+            parent.quantized_store() == frozen.quantized_store(),
+            "parent codes"
+        );
+        assert_eq!(parent.store().len(), n0);
+        assert_ne!(left.embedding(n0), right.embedding(n0));
 
         // The in-place inserts of a plain clone fork the same way.
         let mut twin = parent.clone();

@@ -45,6 +45,7 @@
 
 mod backbone;
 mod checkpoint;
+mod chunks;
 mod config;
 mod db;
 pub mod fault;

@@ -19,7 +19,10 @@
 //! expression and heap. The bounds are proven, not tuned (`DESIGN.md`
 //! §12), so the answers are the f64 scan's bit for bit. The codes are
 //! derived state: nothing persists them, and a store rebuilds them as
-//! it loads its rows.
+//! it loads its rows. They live in shared chunks of 512 rows — eight of
+//! the store's row chunks — each holding its rows' codes and, inline,
+//! their four columns; the scan makes one [`quant_scan_block`] call per
+//! chunk, and a snapshot successor shares every full chunk.
 //!
 //! # Quantization scheme
 //!
@@ -39,7 +42,8 @@
 //!
 //! with `S* = Σ codes`, `D = Σ q_code·x_code` (the u8 dot).
 
-use crate::search::{grown, EmbeddingStore, ScanStats};
+use crate::chunks::{Block, Chunks, CODE_CHUNK};
+use crate::search::{EmbeddingStore, ScanStats};
 use neutraj_measures::{Neighbor, NeighborHeap};
 use neutraj_nn::simd::{quant_scan_block, QuantQueryTerms};
 use neutraj_obs::simd::SimdLevel;
@@ -48,9 +52,6 @@ use neutraj_obs::simd::SimdLevel;
 /// the AVX2 u8 dot's i32 pair accumulators cannot overflow (see
 /// [`neutraj_nn::simd::dot_u8`]).
 pub const QUANT_MAX_DIM: usize = 32768;
-
-/// Rows scored per dispatched [`quant_scan_block`] call.
-const BLOCK: usize = 512;
 
 /// `2^e` for a normal exponent, as a constant.
 const fn pow2(e: i32) -> f64 {
@@ -71,21 +72,12 @@ const RHO: f64 = 1.0 + pow2(-40);
 /// column every store keeps (`EmbeddingStore::push` is the one place a
 /// row is quantized), and what
 /// [`SimilarityDb::quantized_store`](crate::SimilarityDb::quantized_store)
-/// hands out.
+/// hands out. It grows in lockstep with the store's rows, in shared
+/// chunks of 512 rows.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantizedStore {
     dim: usize,
-    /// `N×dim` row-major codes.
-    codes: Vec<u8>,
-    /// Per-row dequantization offset (the row minimum).
-    offset: Vec<f64>,
-    /// Per-row dequantization scale (`range/255`, 0 for constant rows,
-    /// `+∞` for rows without a finite bound).
-    scale: Vec<f64>,
-    /// Per-row `Σ codes` (exact in f64: ≤ 255·32768).
-    code_sum: Vec<f64>,
-    /// Per-row `‖dequantized row‖²`.
-    dq_norm: Vec<f64>,
+    blocks: Chunks<CodeBlock, CODE_CHUNK>,
     /// Largest `|offset| + 256·scale` over the rows with a finite scale:
     /// no component of such a row is larger in magnitude.
     magnitude: f64,
@@ -94,6 +86,43 @@ pub struct QuantizedStore {
     /// Dispatch level for the u8 dot kernel, captured from
     /// [`neutraj_obs::simd::level`] at construction.
     level: SimdLevel,
+}
+
+/// One chunk of a [`QuantizedStore`]: up to [`CODE_CHUNK`] rows' codes, and
+/// the four per-row columns [`quant_scan_block`] reads held inline, one
+/// after another, so a chunk is two streams for the scan, not five.
+#[derive(Debug, Clone, PartialEq)]
+struct CodeBlock {
+    /// Row-major codes, `dim` a row.
+    codes: Vec<u8>,
+    /// Rows held.
+    rows: usize,
+    /// Per row, by [`OFFSET`], [`SCALE`], [`CODE_SUM`] and [`DQ_NORM`];
+    /// slots past `rows` stay 0.
+    columns: [[f64; CODE_CHUNK]; 4],
+}
+
+/// The dequantization offset (the row minimum).
+const OFFSET: usize = 0;
+/// The dequantization scale (`range/255`, 0 for constant rows, `+∞` for
+/// rows without a finite bound).
+const SCALE: usize = 1;
+/// `Σ codes` (exact in f64: ≤ 255·32768).
+const CODE_SUM: usize = 2;
+/// `‖dequantized row‖²`.
+const DQ_NORM: usize = 3;
+
+impl CodeBlock {
+    /// Column `c` of the rows held.
+    fn column(&self, c: usize) -> &[f64] {
+        &self.columns[c][..self.rows]
+    }
+}
+
+impl Block for CodeBlock {
+    fn rows(&self) -> usize {
+        self.rows
+    }
 }
 
 /// A query quantized against its own min/max, with the statistics the
@@ -193,11 +222,7 @@ impl QuantizedStore {
         assert!(dim <= QUANT_MAX_DIM, "dim exceeds QUANT_MAX_DIM");
         Self {
             dim,
-            codes: Vec::new(),
-            offset: Vec::new(),
-            scale: Vec::new(),
-            code_sum: Vec::new(),
-            dq_norm: Vec::new(),
+            blocks: Chunks::default(),
             magnitude: 0.0,
             max_scale: 0.0,
             level: neutraj_obs::simd::level(),
@@ -210,59 +235,48 @@ impl QuantizedStore {
         store.codes().clone()
     }
 
-    /// Room for `additional` more rows without reallocating.
-    pub(crate) fn reserve(&mut self, additional: usize) {
-        self.codes.reserve(additional * self.dim);
-        for column in [
-            &mut self.offset,
-            &mut self.scale,
-            &mut self.code_sum,
-            &mut self.dq_norm,
-        ] {
-            column.reserve(additional);
-        }
-    }
-
-    /// A copy of this store with room for exactly `extra` more rows — how
-    /// `EmbeddingStore::successor` copies its codes: the codes and the
-    /// four per-row columns are each allocated once at their final size,
-    /// so the [`Self::push`]es that follow never move them.
-    pub(crate) fn successor(&self, extra: usize) -> Self {
-        Self {
-            codes: grown(&self.codes, extra * self.dim),
-            offset: grown(&self.offset, extra),
-            scale: grown(&self.scale, extra),
-            code_sum: grown(&self.code_sum, extra),
-            dq_norm: grown(&self.dq_norm, extra),
-            ..*self
-        }
-    }
-
     /// Appends one row, quantizing it, and its row statistics. Panics on
     /// dimension mismatch.
     pub(crate) fn push(&mut self, row: &[f64]) {
         assert_eq!(row.len(), self.dim, "embedding dim mismatch");
-        let (off, scale) = quantize_row(row, &mut self.codes);
-        let i = self.offset.len();
-        let (sum, dq_norm) = code_stats(&self.codes[i * self.dim..(i + 1) * self.dim], off, scale);
-        self.offset.push(off);
-        self.scale.push(scale);
-        self.code_sum.push(sum);
-        self.dq_norm.push(dq_norm);
+        let dim = self.dim;
+        let block = self.blocks.tail(|| CodeBlock {
+            codes: Vec::with_capacity(CODE_CHUNK * dim),
+            rows: 0,
+            columns: [[0.0; CODE_CHUNK]; 4],
+        });
+        let (off, scale) = quantize_row(row, &mut block.codes);
+        let i = block.rows;
+        let (sum, dq_norm) = code_stats(&block.codes[i * dim..], off, scale);
+        for (c, v) in [
+            (OFFSET, off),
+            (SCALE, scale),
+            (CODE_SUM, sum),
+            (DQ_NORM, dq_norm),
+        ] {
+            block.columns[c][i] = v;
+        }
+        block.rows += 1;
         self.max_scale = self.max_scale.max(scale);
         if scale.is_finite() {
             self.magnitude = self.magnitude.max(off.abs() + 256.0 * scale);
         }
     }
 
+    /// How many of `parent`'s full chunks this store holds by pointer,
+    /// and how many `parent` has.
+    pub(crate) fn shared_chunks(&self, parent: &Self) -> (usize, usize) {
+        self.blocks.shared_with(&parent.blocks)
+    }
+
     /// Number of quantized rows.
     pub fn len(&self) -> usize {
-        self.offset.len()
+        self.blocks.len()
     }
 
     /// Returns `true` when no rows are stored.
     pub fn is_empty(&self) -> bool {
-        self.offset.is_empty()
+        self.len() == 0
     }
 
     /// Embedding dimensionality.
@@ -272,20 +286,24 @@ impl QuantizedStore {
 
     /// The u8 codes of row `i`.
     pub fn codes(&self, i: usize) -> &[u8] {
-        &self.codes[i * self.dim..(i + 1) * self.dim]
+        &self.blocks.block(i).codes[i % CODE_CHUNK * self.dim..][..self.dim]
     }
 
     /// Row `i`'s `(offset, scale)`: it dequantizes to
     /// `offset + scale·code` component by component.
     pub fn offset_scale(&self, i: usize) -> (f64, f64) {
-        (self.offset[i], self.scale[i])
+        let block = self.blocks.block(i);
+        (
+            block.columns[OFFSET][i % CODE_CHUNK],
+            block.columns[SCALE][i % CODE_CHUNK],
+        )
     }
 
     /// Dequantizes row `i` (tests and the error-bound property).
     pub fn dequantize(&self, i: usize) -> Vec<f64> {
-        self.codes(i)
-            .iter()
-            .map(|&c| self.offset[i] + self.scale[i] * f64::from(c))
+        let (offset, scale) = self.offset_scale(i);
+        (self.codes(i).iter())
+            .map(|&c| offset + scale * f64::from(c))
             .collect()
     }
 
@@ -294,7 +312,7 @@ impl QuantizedStore {
     /// the rounding of the quantizer and of this product. `+∞` for a row
     /// without a finite bound, `0` for a constant row.
     pub fn row_error_bound(&self, i: usize) -> f64 {
-        self.scale[i] * error_factor(self.dim)
+        self.offset_scale(i).1 * error_factor(self.dim)
     }
 
     /// Quantizes a query against its own min/max and precomputes the
@@ -311,33 +329,6 @@ impl QuantizedStore {
             code_sum,
             dq_norm,
         }
-    }
-
-    /// Scores rows `start..start + out.len()` against `qq` through their
-    /// codes — the approximate squared distance `‖q̂ − x̂‖²` of the module
-    /// docs, clamped at 0: one dispatched [`quant_scan_block`] call fuses
-    /// the exact-integer u8 dots (four rows per step, the block's codes
-    /// and the query hot in L1/L2) with the 4-lane affine tail over the
-    /// row columns.
-    fn scan_block(
-        &self,
-        qq: &QuantizedQuery,
-        terms: &QuantQueryTerms,
-        start: usize,
-        out: &mut [f64],
-    ) {
-        let end = start + out.len();
-        quant_scan_block(
-            self.level,
-            &qq.codes,
-            &self.codes[start * self.dim..end * self.dim],
-            &self.offset[start..end],
-            &self.scale[start..end],
-            &self.code_sum[start..end],
-            &self.dq_norm[start..end],
-            terms,
-            out,
-        );
     }
 
     /// Bytes one row costs a scan through the codes: `dim` code bytes and
@@ -375,28 +366,39 @@ impl QuantizedStore {
         } = cascade;
         upper.reset(k);
         kept.clear();
-        let mut start = 0;
-        while start < self.len() {
-            let end = (start + BLOCK).min(self.len());
-            let block = &mut approx[..end - start];
-            self.scan_block(&qq, &terms, start, block);
-            let scales = &self.scale[start..end];
+        for (c, block) in self.blocks.blocks().enumerate() {
+            let (start, approx) = (c * CODE_CHUNK, &mut approx[..block.rows()]);
+            // One dispatched call scores the chunk: the exact-integer u8
+            // dots (four rows per step, the chunk's codes and the query
+            // hot in L1) fused with the 4-lane affine tail over the row
+            // columns — `‖q̂ − x̂‖²` of the module docs, clamped at 0.
+            quant_scan_block(
+                self.level,
+                &qq.codes,
+                &block.codes,
+                block.column(OFFSET),
+                block.column(SCALE),
+                block.column(CODE_SUM),
+                block.column(DQ_NORM),
+                &terms,
+                approx,
+            );
             // A group of eight rows is looked at one by one only when one
             // of them is under the limit of the worst-bounded row.
-            let (groups, tail) = block.as_chunks::<8>();
+            let scales = block.column(SCALE);
+            let (groups, tail) = approx.as_chunks::<8>();
             for (g, group) in groups.iter().enumerate() {
                 if group.iter().fold(false, |any, &a| any | (a <= pass.coarse)) {
                     pass.offer(start + 8 * g, group, &scales[8 * g..], upper, kept);
                 }
             }
-            let at = scales.len() - tail.len();
+            let at = approx.len() - tail.len();
             pass.offer(start + at, tail, &scales[at..], upper, kept);
-            start = end;
         }
         out.clear();
         out.extend(
             (kept.iter())
-                .filter(|&&(j, a)| a <= pass.limit(self.scale[j]))
+                .filter(|&&(j, a)| a <= pass.limit(self.offset_scale(j).1))
                 .map(|&(j, _)| j),
         );
     }
@@ -429,7 +431,7 @@ impl QuantizedStore {
 /// Scratch of [`QuantizedStore::bounded_rows`], reused across the
 /// queries of a batch.
 pub(crate) struct Cascade {
-    /// One block of approximate distances.
+    /// One chunk's approximate distances.
     approx: Vec<f64>,
     /// The `k` smallest upper bounds seen so far.
     upper: NeighborHeap,
@@ -440,7 +442,7 @@ pub(crate) struct Cascade {
 impl Cascade {
     pub(crate) fn new(k: usize) -> Self {
         Self {
-            approx: vec![0.0; BLOCK],
+            approx: vec![0.0; CODE_CHUNK],
             upper: NeighborHeap::new(k),
             kept: Vec::new(),
         }
@@ -572,7 +574,7 @@ mod tests {
         let qs = QuantizedStore::from_store(&s);
         for i in 0..s.len() {
             let dq = qs.dequantize(i);
-            let bound = qs.scale[i] * 0.5000001 + 1e-12;
+            let bound = qs.offset_scale(i).1 * 0.5000001 + 1e-12;
             for (a, b) in s.get(i).iter().zip(&dq) {
                 assert!((a - b).abs() <= bound, "row {i}: |{a} - {b}| > {bound}");
             }
@@ -585,7 +587,7 @@ mod tests {
         let qs = QuantizedStore::from_store(&s);
         assert_eq!(qs.dequantize(0), vec![0.5; 3]);
         assert_eq!(qs.dequantize(1), vec![-2.0; 3]);
-        assert_eq!(qs.scale, vec![0.0, 0.0]);
+        assert_eq!([0, 1].map(|i| qs.offset_scale(i).1), [0.0, 0.0]);
     }
 
     #[test]
@@ -607,34 +609,9 @@ mod tests {
         }
         assert!(qs.row_error_bound(4).is_finite());
         // Neither the bound's magnitude nor any statistic is poisoned.
-        assert_eq!(qs.magnitude, 0.25 + 256.0 * qs.scale[4]);
-        assert!(qs.dq_norm.iter().all(|v| v.is_finite()));
+        assert_eq!(qs.magnitude, 0.25 + 256.0 * qs.offset_scale(4).1);
+        assert!((qs.blocks.blocks()).all(|b| b.column(DQ_NORM).iter().all(|v| v.is_finite())));
         assert_eq!(qs, &qs.clone());
-    }
-
-    #[test]
-    fn successor_is_copied_once_and_never_moves() {
-        let s = store(41, 6);
-        let qs = QuantizedStore::from_store(&s);
-        let extra = 7;
-        let mut next = qs.successor(extra);
-        assert_eq!(next, qs);
-        assert_eq!(next.codes.capacity(), (qs.len() + extra) * 6);
-        let columns = |q: &QuantizedStore| {
-            [&q.offset, &q.scale, &q.code_sum, &q.dq_norm].map(|c| (c.as_ptr(), c.capacity()))
-        };
-        let (codes, cols) = (next.codes.as_ptr(), columns(&next));
-        assert!(cols.iter().all(|&(_, cap)| cap == qs.len() + extra));
-        let mut want = qs.clone();
-        for i in 0..extra {
-            next.push(s.get(i));
-            want.push(s.get(i));
-        }
-        // Same view as the clone-then-push path, in the buffers the
-        // successor was born with.
-        assert_eq!(next, want);
-        assert_eq!((next.codes.as_ptr(), columns(&next)), (codes, cols));
-        assert_eq!(next.codes.capacity(), next.codes.len());
     }
 
     #[test]
@@ -643,9 +620,8 @@ mod tests {
         let qs = QuantizedStore::from_store(&s);
         let qq = qs.quantize_query(s.get(2));
         assert_eq!(qq.codes, qs.codes(2));
-        assert_eq!(qq.offset, qs.offset[2]);
-        assert_eq!(qq.scale, qs.scale[2]);
-        assert_eq!(qq.dq_norm, qs.dq_norm[2]);
+        assert_eq!((qq.offset, qq.scale), qs.offset_scale(2));
+        assert_eq!(qq.dq_norm, qs.blocks.block(2).column(DQ_NORM)[2]);
         assert_eq!(qq.error_bound(), qs.row_error_bound(2));
     }
 }

@@ -24,11 +24,14 @@
 //! comparison is a conservative pre-filter (non-strict, and allowed to be
 //! a few rows stale), the heap's `(dist, index)` total order is what
 //! decides an answer. No packed copy of a corpus block, no `B × block`
-//! score buffer and no `O(N)` distance buffer is ever written. Rows are
-//! walked in L1-sized chunks with every stripe of queries run over a
-//! chunk before the next, so the corpus is read once per batch. The
-//! scalar [`EmbeddingStore::knn`] is the `B = 1` case of the same code
-//! path, making batched and scalar results trivially bit-identical.
+//! score buffer and no `O(N)` distance buffer is ever written. The store
+//! holds its rows in shared chunks of 64 (the `chunks` module), and the
+//! kernel runs once per chunk with every query's threshold carried from
+//! one chunk to the next; within a chunk every stripe of queries runs
+//! over its rows (at `d = 32` one L1 chunk of the kernel) before the next
+//! chunk, so the corpus is read once per batch. The scalar
+//! [`EmbeddingStore::knn`] is the `B = 1` case of the same code path,
+//! making batched and scalar results trivially bit-identical.
 //!
 //! # Two regimes, one answer
 //!
@@ -46,22 +49,15 @@
 //! included; the regime is only the batch width.
 
 use crate::backbone::NeuTrajModel;
+use crate::chunks::{Block, Chunks, CHUNK};
 use crate::quant::{Cascade, QuantizedStore};
 use neutraj_index::{GraphScratch, HnswIndex, IvfIndex, RowDistance};
 use neutraj_measures::{top_k, Neighbor, NeighborHeap};
 use neutraj_nn::linalg::{dot, euclidean_sq};
-use neutraj_nn::simd::{dot_rows, scan_rows, scan_score, ScanInput, SCAN_STRIPE};
+use neutraj_nn::simd::{dot_rows, scan_rows, scan_score, RowSource, ScanInput, SCAN_STRIPE};
 use neutraj_trajectory::Trajectory;
 use std::cell::RefCell;
-
-/// Rows on the query side of one [`EmbeddingStore::pairs_within`] pass:
-/// each pass scans the rows from its first query on (the upper triangle),
-/// so at most half a block's pairs per pass fall below the diagonal.
-const JOIN_BLOCK: usize = 512;
-
-/// The capacity of a store built by `EmbeddingStore::successor` is a
-/// multiple of this many rows.
-const SUCCESSOR_ROWS: usize = 64;
+use std::sync::OnceLock;
 
 thread_local! {
     /// Reusable per-thread graph-walk scratch. Its visited array is as
@@ -71,17 +67,52 @@ thread_local! {
     static GRAPH_SCRATCH: RefCell<GraphScratch> = RefCell::new(GraphScratch::new());
 }
 
-/// A flat store of `N` trajectory embeddings of dimension `d`, with
-/// per-row squared norms maintained for norm-trick scans and the rows'
-/// int8 codes for the exact scan of a narrow batch.
+/// One chunk of an [`EmbeddingStore`]: up to [`CHUNK`] rows, row-major,
+/// and their squared norms.
+#[derive(Debug, Clone, PartialEq)]
+struct RowBlock {
+    rows: Vec<f64>,
+    norms: Vec<f64>,
+}
+
+impl Block for RowBlock {
+    fn rows(&self) -> usize {
+        self.norms.len()
+    }
+}
+
+/// [`EmbeddingStore::as_flat`]'s copy of the rows: made on first call,
+/// dropped by a push, never cloned and never compared.
+#[derive(Debug, Default)]
+struct FlatCache(OnceLock<Vec<f64>>);
+
+impl Clone for FlatCache {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
+}
+
+impl PartialEq for FlatCache {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+/// `N` trajectory embeddings of dimension `d`, with per-row squared norms
+/// maintained for norm-trick scans and the rows' int8 codes for the exact
+/// scan of a narrow batch. Rows and norms are held in shared chunks of 64
+/// rows and the codes in chunks of 512 (the `chunks` module), so a clone
+/// costs a pointer per chunk and a
+/// [`SimilarityDb::inserted`](crate::SimilarityDb::inserted) successor
+/// copies at most one partial chunk of each.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EmbeddingStore {
     dim: usize,
-    data: Vec<f64>,
-    /// `‖x_i‖²` for every stored row, kept in lockstep with `data`.
-    norms: Vec<f64>,
-    /// Every stored row quantized, kept in lockstep with `data`.
+    /// The rows and `‖x_i‖²`, in lockstep.
+    rows: Chunks<RowBlock>,
+    /// Every stored row quantized, kept in lockstep with `rows`.
     codes: QuantizedStore,
+    flat: FlatCache,
 }
 
 impl EmbeddingStore {
@@ -90,9 +121,9 @@ impl EmbeddingStore {
     pub fn new(dim: usize) -> Self {
         Self {
             dim,
-            data: Vec::new(),
-            norms: Vec::new(),
+            rows: Chunks::default(),
             codes: QuantizedStore::new(dim),
+            flat: FlatCache::default(),
         }
     }
 
@@ -107,64 +138,35 @@ impl EmbeddingStore {
     /// embedding has the wrong dimension.
     pub fn from_embeddings(dim: usize, embs: &[Vec<f64>]) -> Self {
         let mut store = Self::new(dim);
-        store.reserve(embs.len());
         for e in embs {
             store.push(e);
         }
         store
     }
 
-    /// Pre-allocates room for `additional` more rows — the block-wise
-    /// corpus-generation path (`bench_query`) fills a store row by row
-    /// without ever materializing a `Vec<Vec<f64>>`, so at N=10M the
-    /// only large allocations are this flat matrix, the norm cache and
-    /// the codes.
-    pub fn reserve(&mut self, additional: usize) {
-        self.data.reserve(additional * self.dim);
-        self.norms.reserve(additional);
-        self.codes.reserve(additional);
-    }
-
-    /// A copy of this store with room for `extra` more rows: each buffer
-    /// is allocated once and filled by one copy, so the [`Self::push`]es
-    /// that follow never move it. (`clone` leaves `capacity == len`, and
-    /// the first push after it would double the buffer into a fresh one —
-    /// a second full copy.) The scans need the rows contiguous, which is
-    /// why this copy is not shared in pieces.
-    ///
-    /// The room is rounded up to whole [`SUCCESSOR_ROWS`] rows. A rotation
-    /// frees the store before last; if each successor were a few rows
-    /// larger than the one before, the freed buffers would never fit the
-    /// next one, and every other rotation would fault in its 5 MB from
-    /// fresh pages.
-    pub(crate) fn successor(&self, extra: usize) -> Self {
-        let rows = self.norms.len();
-        let extra = (rows + extra).next_multiple_of(SUCCESSOR_ROWS) - rows;
-        Self {
-            dim: self.dim,
-            data: grown(&self.data, extra * self.dim),
-            norms: grown(&self.norms, extra),
-            codes: self.codes.successor(extra),
-        }
-    }
-
     /// Appends one embedding, precomputing its squared norm and its
     /// codes. Panics on dimension mismatch.
     pub fn push(&mut self, emb: &[f64]) {
         assert_eq!(emb.len(), self.dim, "embedding dim mismatch");
-        self.data.extend_from_slice(emb);
-        self.norms.push(dot(emb, emb));
+        let dim = self.dim;
+        let block = self.rows.tail(|| RowBlock {
+            rows: Vec::with_capacity(CHUNK * dim),
+            norms: Vec::with_capacity(CHUNK),
+        });
+        block.rows.extend_from_slice(emb);
+        block.norms.push(dot(emb, emb));
         self.codes.push(emb);
+        self.flat.0.take();
     }
 
     /// Number of stored embeddings.
     pub fn len(&self) -> usize {
-        self.data.len().checked_div(self.dim).unwrap_or(0)
+        self.rows.len()
     }
 
     /// Returns `true` when the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
+        self.len() == 0
     }
 
     /// Embedding dimensionality.
@@ -174,14 +176,33 @@ impl EmbeddingStore {
 
     /// Embedding of item `i`.
     pub fn get(&self, i: usize) -> &[f64] {
-        &self.data[i * self.dim..(i + 1) * self.dim]
+        &self.rows.block(i).rows[i % CHUNK * self.dim..][..self.dim]
     }
 
-    /// The flat row-major `N × dim` embedding matrix — the training
-    /// input for the ANN coarse quantizer
-    /// ([`SimilarityDb::build_ann_index`](crate::SimilarityDb::build_ann_index)).
+    /// `‖x_i‖²` of item `i`.
+    fn norm(&self, i: usize) -> f64 {
+        self.rows.block(i).norms[i % CHUNK]
+    }
+
+    /// The rows as one row-major `N × dim` matrix, copied — what the IVF
+    /// quantizer is fitted to and its lists are built from.
+    pub fn to_flat(&self) -> Vec<f64> {
+        let mut flat = Vec::with_capacity(self.len() * self.dim);
+        for block in self.rows.blocks() {
+            flat.extend_from_slice(&block.rows);
+        }
+        flat
+    }
+
+    /// The rows as one row-major `N × dim` matrix: [`Self::to_flat`],
+    /// copied once into a cache the store keeps until its next push. A
+    /// clone does not carry the cache and `==` ignores it.
+    ///
+    /// It exists only for the benchmark package's set-up, which cannot
+    /// change with the store; no crate calls it, and it goes once that
+    /// set-up moves to [`Self::to_flat`] (ROADMAP item 8(c)).
     pub fn as_flat(&self) -> &[f64] {
-        &self.data
+        self.flat.0.get_or_init(|| self.to_flat())
     }
 
     /// The rows' int8 codes — what
@@ -191,6 +212,15 @@ impl EmbeddingStore {
         &self.codes
     }
 
+    /// How many of `parent`'s full row chunks, then code chunks, this
+    /// store holds by pointer, each beside how many `parent` has.
+    pub(crate) fn shared_chunks(&self, parent: &Self) -> [(usize, usize); 2] {
+        [
+            self.rows.shared_with(&parent.rows),
+            self.codes.shared_chunks(&parent.codes),
+        ]
+    }
+
     /// Norm-trick squared distance between stored rows `a` and `b` —
     /// the distance oracle the HNSW graph is built and searched with,
     /// the same `(‖a‖² − 2·a·b + ‖b‖²).max(0)` expression as every
@@ -198,7 +228,7 @@ impl EmbeddingStore {
     /// distances agree bit-for-bit.
     pub fn row_dist_sq(&self, a: u32, b: u32) -> f64 {
         let (a, b) = (a as usize, b as usize);
-        (self.norms[a] - 2.0 * dot(self.get(a), self.get(b)) + self.norms[b]).max(0.0)
+        (self.norm(a) - 2.0 * dot(self.get(a), self.get(b)) + self.norm(b)).max(0.0)
     }
 
     /// `out[i]` = the norm-trick squared distance from `q` (with `qn =
@@ -206,9 +236,9 @@ impl EmbeddingStore {
     /// kernel call ([`dot_rows`], bit-identical to [`dot`] per row), so
     /// each entry equals the per-pair expression above bit for bit.
     fn dists_to_rows(&self, q: &[f64], qn: f64, ids: &[u32], out: &mut [f64]) {
-        dot_rows(neutraj_obs::simd::level(), q, &self.data, ids, out);
+        dot_rows(neutraj_obs::simd::level(), q, self, ids, out);
         for (o, &i) in out.iter_mut().zip(ids) {
-            *o = (qn - 2.0 * *o + self.norms[i as usize]).max(0.0);
+            *o = (qn - 2.0 * *o + self.norm(i as usize)).max(0.0);
         }
     }
 
@@ -254,15 +284,15 @@ impl EmbeddingStore {
         queries: &[&[f64]],
         k: usize,
     ) -> (Vec<Vec<Neighbor>>, ScanStats) {
+        if queries.len() >= SCAN_STRIPE {
+            return (self.knn_fused(queries, k), ScanStats::default());
+        }
         for q in queries {
             assert_eq!(q.len(), self.dim, "query dim mismatch");
         }
         if k == 0 {
-            // Nothing can be kept, so no threshold would ever arm.
+            // Nothing can be kept, so no bound would ever arm.
             return (vec![Vec::new(); queries.len()], ScanStats::default());
-        }
-        if queries.len() >= SCAN_STRIPE {
-            return (self.knn_fused(queries, k), ScanStats::default());
         }
         let mut stats = ScanStats::default();
         let mut cascade = Cascade::new(k);
@@ -277,7 +307,7 @@ impl EmbeddingStore {
                 let qn = dot(q, q);
                 let mut heap = NeighborHeap::new(k);
                 for &j in &rows {
-                    heap.push(j, scan_score(q, qn, self.get(j), self.norms[j]));
+                    heap.push(j, scan_score(q, qn, self.get(j), self.norm(j)));
                 }
                 sqrt_dists(heap.into_sorted())
             })
@@ -285,31 +315,42 @@ impl EmbeddingStore {
         (results, stats)
     }
 
-    /// The fused f64 pass of [`Self::knn_batch`], for `k > 0`.
-    fn knn_fused(&self, queries: &[&[f64]], k: usize) -> Vec<Vec<Neighbor>> {
+    /// The fused f64 pass of [`Self::knn_batch`], at any batch width —
+    /// `knn_batch` takes it from a full stripe up. One [`scan_rows`] call
+    /// per chunk, each query's threshold carried from chunk to chunk.
+    pub fn knn_fused(&self, queries: &[&[f64]], k: usize) -> Vec<Vec<Neighbor>> {
+        for q in queries {
+            assert_eq!(q.len(), self.dim, "query dim mismatch");
+        }
+        if k == 0 {
+            // Nothing can be kept, so no threshold would ever arm.
+            return vec![Vec::new(); queries.len()];
+        }
         let qflat = queries.concat();
         let qnorms: Vec<f64> = queries.iter().map(|q| dot(q, q)).collect();
         let mut heaps: Vec<NeighborHeap> = queries.iter().map(|_| NeighborHeap::new(k)).collect();
         let mut thresholds = vec![f64::INFINITY; queries.len()];
-        let input = ScanInput {
-            dim: self.dim,
-            queries: &qflat,
-            qnorms: &qnorms,
-            rows: &self.data,
-            row_norms: &self.norms,
-        };
-        // The kernel's threshold test only spares the heap rows that
-        // cannot enter it; the heap's `(dist, index)` order decides.
-        scan_rows(
-            neutraj_obs::simd::level(),
-            &input,
-            &mut thresholds,
-            |qi, row, d2| {
-                let heap = &mut heaps[qi];
-                heap.push(row, d2);
-                heap.threshold().map_or(f64::INFINITY, |worst| worst.dist)
-            },
-        );
+        for (c, block) in self.rows.blocks().enumerate() {
+            let input = ScanInput {
+                dim: self.dim,
+                queries: &qflat,
+                qnorms: &qnorms,
+                rows: &block.rows,
+                row_norms: &block.norms,
+            };
+            // The kernel's threshold test only spares the heap rows that
+            // cannot enter it; the heap's `(dist, index)` order decides.
+            scan_rows(
+                neutraj_obs::simd::level(),
+                &input,
+                &mut thresholds,
+                |qi, row, d2| {
+                    let heap = &mut heaps[qi];
+                    heap.push(c * CHUNK + row, d2);
+                    heap.threshold().map_or(f64::INFINITY, |worst| worst.dist)
+                },
+            );
+        }
         heaps
             .into_iter()
             .map(|h| sqrt_dists(h.into_sorted()))
@@ -458,12 +499,12 @@ impl EmbeddingStore {
     /// [`SimilarityDb::similarity_join`](crate::SimilarityDb::similarity_join).
     ///
     /// Runs the same fused scan as [`Self::knn_batch`] with every
-    /// threshold fixed at `radius²`: `JOIN_BLOCK` (512) rows at a time are
-    /// the queries, the rows from the block's first on are the corpus,
-    /// instead of `N²/2` memory-bound `euclidean` calls. Pairs are
-    /// emitted in lexicographic `(i, j)` order. Matching the historical
-    /// scalar loop's `!(dist > radius)` test, a NaN radius keeps every
-    /// pair; a negative radius keeps none.
+    /// threshold fixed at `radius²`: each chunk's rows in turn are the
+    /// queries, that chunk and every later one the corpus, instead of
+    /// `N²/2` memory-bound `euclidean` calls. Pairs are emitted in
+    /// lexicographic `(i, j)` order. Matching the historical scalar loop's
+    /// `!(dist > radius)` test, a NaN radius keeps every pair; a negative
+    /// radius keeps none.
     pub fn pairs_within(&self, radius: f64) -> Vec<(usize, usize)> {
         if radius < 0.0 {
             return Vec::new();
@@ -471,47 +512,40 @@ impl EmbeddingStore {
         let r2 = radius * radius;
         // The kernel admits nothing under a NaN threshold.
         let limit = if r2.is_nan() { f64::INFINITY } else { r2 };
-        let d = self.dim;
-        let n = self.len();
         let mut out = Vec::new();
-        let mut thresholds = vec![limit; JOIN_BLOCK.min(n)];
-        for istart in (0..n).step_by(JOIN_BLOCK) {
-            let iend = (istart + JOIN_BLOCK).min(n);
-            let input = ScanInput {
-                dim: d,
-                queries: &self.data[istart * d..iend * d],
-                qnorms: &self.norms[istart..iend],
-                rows: &self.data[istart * d..],
-                row_norms: &self.norms[istart..],
-            };
-            scan_rows(
-                neutraj_obs::simd::level(),
-                &input,
-                &mut thresholds[..iend - istart],
-                |io, jo, d2| {
-                    // Stay strictly above the diagonal (i < j).
-                    // `d2 <= r2 || r2.is_nan()`: same keep-set as the
-                    // historical `!(euclidean > radius)` check, where a
-                    // NaN radius keeps every pair.
-                    if io < jo && (d2 <= r2 || r2.is_nan()) {
-                        out.push((istart + io, istart + jo));
-                    }
-                    limit
-                },
-            );
+        let mut thresholds = vec![limit; CHUNK];
+        for (ci, queries) in self.rows.blocks().enumerate() {
+            let thresholds = &mut thresholds[..queries.rows()];
+            for (cj, rows) in self.rows.blocks().enumerate().skip(ci) {
+                let input = ScanInput {
+                    dim: self.dim,
+                    queries: &queries.rows,
+                    qnorms: &queries.norms,
+                    rows: &rows.rows,
+                    row_norms: &rows.norms,
+                };
+                scan_rows(
+                    neutraj_obs::simd::level(),
+                    &input,
+                    thresholds,
+                    |io, jo, d2| {
+                        // Stay strictly above the diagonal (i < j).
+                        // `d2 <= r2 || r2.is_nan()`: same keep-set as the
+                        // historical `!(euclidean > radius)` check, where
+                        // a NaN radius keeps every pair.
+                        if (cj > ci || io < jo) && (d2 <= r2 || r2.is_nan()) {
+                            out.push((ci * CHUNK + io, cj * CHUNK + jo));
+                        }
+                        limit
+                    },
+                );
+            }
         }
         // The scan emits chunk-major; restore the documented
         // lexicographic order (cheap next to the O(N²·d) scan above).
         out.sort_unstable();
         out
     }
-}
-
-/// `v` copied into a buffer with room for exactly `extra` more elements.
-pub(crate) fn grown<T: Copy>(v: &[T], extra: usize) -> Vec<T> {
-    let mut out = Vec::with_capacity(v.len() + extra);
-    out.extend_from_slice(v);
-    out
 }
 
 /// `out` with each squared distance replaced by its square root.
@@ -572,6 +606,15 @@ impl std::ops::AddAssign for ScanStats {
     }
 }
 
+/// The rows as the gathered-rows kernel's source: each id through its
+/// chunk.
+impl RowSource for EmbeddingStore {
+    #[inline]
+    fn row(&self, id: u32, _k: usize) -> &[f64] {
+        self.get(id as usize)
+    }
+}
+
 /// The store as the graph's build-time oracle: [`Self::row_dist_sq`]
 /// per pair, a whole hop through the gathered-rows kernel.
 impl RowDistance for EmbeddingStore {
@@ -581,7 +624,7 @@ impl RowDistance for EmbeddingStore {
 
     fn hop(&self, a: u32, ids: &[u32], out: &mut [f64]) {
         let a = a as usize;
-        self.dists_to_rows(self.get(a), self.norms[a], ids, out);
+        self.dists_to_rows(self.get(a), self.norm(a), ids, out);
     }
 }
 
@@ -654,7 +697,7 @@ mod tests {
     #[test]
     fn pairs_within_matches_scalar_loop() {
         use neutraj_nn::linalg::euclidean;
-        // Enough rows to cross block boundaries (> JOIN_BLOCK).
+        // Enough rows to cross many chunk boundaries.
         let embs: Vec<Vec<f64>> = (0..700)
             .map(|i| vec![(i % 53) as f64 * 0.25, ((i * 11) % 17) as f64 * 0.5])
             .collect();
@@ -689,31 +732,6 @@ mod tests {
         assert_eq!(res[0].index, 0);
         assert_eq!(res[0].dist, 0.0, "self-distance must cancel exactly");
         assert!((res[1].dist - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn successor_is_copied_once_and_never_moves() {
-        let embs: Vec<Vec<f64>> = (0..37).map(|i| vec![i as f64, 1.0, -0.5]).collect();
-        let s = EmbeddingStore::from_embeddings(3, &embs);
-        // Room for 5 more rounds up to a whole 64 rows; room for 27 more
-        // is exactly that.
-        for extra in [5, 27] {
-            let mut next = s.successor(extra);
-            assert_eq!(next, s);
-            assert_eq!(next.data.capacity(), SUCCESSOR_ROWS * 3);
-            assert_eq!(next.norms.capacity(), SUCCESSOR_ROWS);
-            let (data, norms) = (next.data.as_ptr(), next.norms.as_ptr());
-            let mut want = s.clone();
-            for i in 0..SUCCESSOR_ROWS - s.len() {
-                next.push(&[0.25, i as f64, 2.0]);
-                want.push(&[0.25, i as f64, 2.0]);
-            }
-            // Same rows as the clone-then-push path, in the buffers the
-            // successor was born with.
-            assert_eq!(next, want);
-            assert_eq!((next.data.as_ptr(), next.norms.as_ptr()), (data, norms));
-            assert_eq!(next.data.capacity(), next.data.len());
-        }
     }
 
     #[test]

@@ -115,7 +115,7 @@ fn knn_batch_exactly_matches_scalar_knn() {
 fn knn_by_score_matrix(store: &EmbeddingStore, queries: &[&[f64]], k: usize) -> Vec<Vec<Neighbor>> {
     let (b, n, d) = (queries.len(), store.len(), store.dim());
     let mut scores = vec![0.0; b * n];
-    matmul_nt(&queries.concat(), store.as_flat(), &mut scores, b, n, d);
+    matmul_nt(&queries.concat(), &store.to_flat(), &mut scores, b, n, d);
     queries
         .iter()
         .enumerate()
@@ -505,5 +505,98 @@ fn db_knn_batch_matches_scalar_knn() {
     let batch = db.search_batch(&queries, &q).unwrap();
     for (one, got) in queries.iter().zip(&batch) {
         assert_eq!(&db.search(one, &q).unwrap(), got);
+    }
+}
+
+/// A store grown through `SimilarityDb::inserted` — batches of 1, 8 and
+/// 63 rows, from corpora on both sides of the 64-row row-chunk and the
+/// 512-row code-chunk boundaries —
+/// is the store a bulk load builds over the same rows: `==` (rows, norms
+/// and codes), the same exact answers in both scan regimes, the same
+/// `pairs_within` (one pair split across chunks among them), the same
+/// IVF and graph shortlists, and `as_flat` the same bits. A clone does
+/// not carry `as_flat`'s copy.
+#[test]
+fn store_grown_by_inserted_equals_the_bulk_store() {
+    use neutraj_model::{AnnParams, HnswParams, SimilarityDb};
+    let m = model(BackboneKind::Lstm);
+    let batches = [1usize, 8, 63];
+    let grown_by: usize = batches.iter().sum();
+    let ts: Vec<Trajectory> = (0..513 + grown_by)
+        .map(|i| traj(i as u64, 3 + (i * 7) % 13))
+        .collect();
+    let queries: Vec<Vec<f64>> = (0..16)
+        .map(|i| m.embed(&traj(1000 + i, 4 + i as usize)))
+        .collect();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for start in [0usize, 1, 63, 64, 65, 129, 511, 512, 513] {
+        let mut db = SimilarityDb::new(m.clone());
+        let mut at = start;
+        db = db.inserted(&ts[..start], 1).unwrap();
+        for n in batches {
+            db = db.inserted(&ts[at..at + n], 2).unwrap();
+            at += n;
+        }
+        let rows = &ts[..at];
+        let grown = db.store();
+        let embs = m.embed_batch(rows);
+        let bulk = EmbeddingStore::from_embeddings(m.dim(), &embs);
+        let what = format!("from {start} rows to {at}");
+        assert!(grown == &bulk, "{what}: store");
+        assert_eq!(
+            bits(grown.as_flat()),
+            bits(&embs.concat()),
+            "{what}: as_flat"
+        );
+        let twin = grown.clone();
+        assert_ne!(
+            twin.as_flat().as_ptr(),
+            grown.as_flat().as_ptr(),
+            "{what}: cache cloned"
+        );
+
+        for b in CODE_WIDTHS {
+            let qrefs: Vec<&[f64]> = queries[..b].iter().map(|q| q.as_slice()).collect();
+            for k in [1, 10, at] {
+                assert_eq!(
+                    grown.knn_batch(&qrefs, k),
+                    bulk.knn_batch(&qrefs, k),
+                    "{what}: B={b} k={k}"
+                );
+            }
+            assert_scan_matches_oracle_at(grown, &queries[..b], &[10], &what);
+        }
+
+        // A radius that keeps the pair of the first and the last row, which
+        // sit in different chunks.
+        let (first, last) = (1, at - 1);
+        let d2: f64 = (grown.get(first).iter().zip(grown.get(last)))
+            .map(|(a, b)| (a - b) * (a - b))
+            .sum();
+        let radius = d2.sqrt() * (1.0 + 1e-9);
+        let pairs = grown.pairs_within(radius);
+        assert!(pairs.contains(&(first, last)), "{what}: cross-chunk pair");
+        assert_eq!(pairs, bulk.pairs_within(radius), "{what}: pairs_within");
+
+        let mut views = SimilarityDb::with_corpus(m.clone(), rows.to_vec(), 1);
+        let ann = AnnParams {
+            nlists: 4,
+            ..AnnParams::default()
+        };
+        views.build_ann_index(&ann).unwrap();
+        views.build_graph_index(&HnswParams::default(), 1).unwrap();
+        assert!(views.store() == &bulk, "{what}: bulk database store");
+        let (ivf, graph) = (views.ann_index().unwrap(), views.graph_index().unwrap());
+        let qrefs: Vec<&[f64]> = queries.iter().map(|q| q.as_slice()).collect();
+        assert_eq!(
+            grown.knn_ann_batch(&qrefs, 10, ivf, 2),
+            bulk.knn_ann_batch(&qrefs, 10, ivf, 2),
+            "{what}: ivf shortlist"
+        );
+        assert_eq!(
+            grown.knn_graph_batch(&qrefs, 10, graph, 16),
+            bulk.knn_graph_batch(&qrefs, 10, graph, 16),
+            "{what}: graph shortlist"
+        );
     }
 }

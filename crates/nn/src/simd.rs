@@ -262,9 +262,25 @@ fn nt_direct_columns(a: &[f64], b: &[f64], c: &mut [f64], m: usize, n: usize, k:
     }
 }
 
-/// `out[i] = dot(q, row ids[i])` over a row-major matrix of
-/// `q.len()`-wide rows — the distances of one graph hop in one call
-/// (`DESIGN.md` §15).
+/// Where [`dot_rows`] finds the rows its ids name: one row-major matrix
+/// (a `[f64]`, the SAM memory's rows) or rows spread over several (an
+/// embedding store's chunks).
+pub trait RowSource {
+    /// Row `id`, `k` doubles. Panics when there is no such row.
+    fn row(&self, id: u32, k: usize) -> &[f64];
+}
+
+impl RowSource for [f64] {
+    #[inline]
+    fn row(&self, id: u32, k: usize) -> &[f64] {
+        let start = id as usize * k;
+        assert!(start + k <= self.len(), "dot_rows: row id out of range");
+        &self[start..start + k]
+    }
+}
+
+/// `out[i] = dot(q, row ids[i])` over the `q.len()`-wide rows of `rows`
+/// — the distances of one graph hop in one call (`DESIGN.md` §15).
 ///
 /// The scalar arm is the definition: [`crate::linalg::dot`]'s fold, one
 /// accumulator per output starting at `-0.0` and summed in ascending
@@ -275,28 +291,38 @@ fn nt_direct_columns(a: &[f64], b: &[f64], c: &mut [f64], m: usize, n: usize, k:
 /// stored). Multiply and add stay separate instructions, so each lane
 /// performs `dot`'s operations on `dot`'s operands: bit-identical,
 /// signed zeros included. Ids may repeat. Panics when an id names a row
-/// past the end of `rows`.
+/// `rows` does not hold.
 #[inline]
 #[allow(unsafe_code)]
-pub fn dot_rows(level: SimdLevel, q: &[f64], rows: &[f64], ids: &[u32], out: &mut [f64]) {
+pub fn dot_rows<S: RowSource + ?Sized>(
+    level: SimdLevel,
+    q: &[f64],
+    rows: &S,
+    ids: &[u32],
+    out: &mut [f64],
+) {
     let k = q.len();
     assert_eq!(ids.len(), out.len(), "dot_rows: ids/out length mismatch");
-    // No division: this runs once per graph hop.
-    assert!(
-        ids.iter().all(|&i| (i as usize + 1) * k <= rows.len()),
-        "dot_rows: row id out of range"
-    );
     #[cfg(target_arch = "x86_64")]
     if use_avx2(level) && k > 0 {
-        // SAFETY: AVX2 presence just verified; every id addresses a
-        // whole `k`-wide row inside `rows` and `out` is as long as `ids`.
+        // SAFETY: AVX2 presence just verified and `out` is as long as
+        // `ids`; the kernel takes each row through `gathered_row`, which
+        // checks it holds `k` doubles.
         unsafe { avx2::dot_rows(q, rows, ids, out) };
         return;
     }
     let _ = level;
     for (o, &i) in out.iter_mut().zip(ids) {
-        *o = crate::linalg::dot(q, &rows[i as usize * k..][..k]);
+        *o = crate::linalg::dot(q, gathered_row(rows, i, k));
     }
+}
+
+/// Row `id` of `rows`, checked to be `k` doubles wide.
+#[inline]
+fn gathered_row<S: RowSource + ?Sized>(rows: &S, id: u32, k: usize) -> &[f64] {
+    let row = rows.row(id, k);
+    assert_eq!(row.len(), k, "dot_rows: row width");
+    row
 }
 
 /// The operands of [`scan_rows`]: `B` queries and `N` corpus rows of
@@ -651,7 +677,7 @@ pub fn quant_scan_block(
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx2 {
-    use super::{ScanInput, MR, NR};
+    use super::{RowSource, ScanInput, MR, NR};
     use core::arch::x86_64::*;
 
     /// # Safety
@@ -1038,13 +1064,12 @@ mod avx2 {
     /// the end of `ids` recompute its last row and are not stored.
     ///
     /// # Safety
-    /// AVX2 must be available; `base < ids.len() == out.len()`, and
-    /// every id must address a whole `q.len()`-wide row of `rows`.
+    /// AVX2 must be available and `base < ids.len() == out.len()`.
     #[inline]
     #[target_feature(enable = "avx2")]
-    unsafe fn dot_rows_groups<const G: usize>(
+    unsafe fn dot_rows_groups<const G: usize, S: RowSource + ?Sized>(
         q: &[f64],
-        rows: *const f64,
+        rows: &S,
         ids: &[u32],
         base: usize,
         out: &mut [f64],
@@ -1054,7 +1079,7 @@ mod avx2 {
         let row: [[*const f64; 4]; G] = std::array::from_fn(|g| {
             std::array::from_fn(|l| {
                 let id = *ids.get_unchecked((base + 4 * g + l).min(last));
-                rows.add(id as usize * k)
+                super::gathered_row(rows, id, k).as_ptr()
             })
         });
         // `dot` folds from -0.0 (the additive identity that keeps an
@@ -1095,21 +1120,24 @@ mod avx2 {
     }
 
     /// # Safety
-    /// AVX2 must be available; `ids.len() == out.len()`, `q` non-empty,
-    /// and every id must address a whole `q.len()`-wide row of `rows`.
+    /// AVX2 must be available, `ids.len() == out.len()` and `q` non-empty.
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dot_rows(q: &[f64], rows: &[f64], ids: &[u32], out: &mut [f64]) {
-        let rows = rows.as_ptr();
+    pub(super) unsafe fn dot_rows<S: RowSource + ?Sized>(
+        q: &[f64],
+        rows: &S,
+        ids: &[u32],
+        out: &mut [f64],
+    ) {
         let n = ids.len();
         let mut base = 0;
         while base + 8 < n {
-            dot_rows_groups::<4>(q, rows, ids, base, out);
+            dot_rows_groups::<4, S>(q, rows, ids, base, out);
             base += 16;
         }
         if base + 4 < n {
-            dot_rows_groups::<2>(q, rows, ids, base, out);
+            dot_rows_groups::<2, S>(q, rows, ids, base, out);
         } else if base < n {
-            dot_rows_groups::<1>(q, rows, ids, base, out);
+            dot_rows_groups::<1, S>(q, rows, ids, base, out);
         }
     }
 
@@ -1586,7 +1614,7 @@ mod tests {
                         .collect();
                     for level in SimdLevel::ALL {
                         let mut got = vec![f64::NAN; n];
-                        dot_rows(level, q, &rows, &ids, &mut got);
+                        dot_rows(level, q, rows.as_slice(), &ids, &mut got);
                         for (i, &id) in ids.iter().enumerate() {
                             let want = crate::linalg::dot(q, &rows[id as usize * k..][..k]);
                             assert_eq!(
@@ -1604,15 +1632,27 @@ mod tests {
         }
         // An empty query is an empty sum for every id.
         let mut out = [1.0; 2];
-        dot_rows(SimdLevel::Avx2, &[], &[], &[], &mut []);
-        dot_rows(SimdLevel::Scalar, &[1.0], &[2.0, 3.0], &[1, 0], &mut out);
+        dot_rows(SimdLevel::Avx2, &[], &[][..], &[], &mut []);
+        dot_rows(
+            SimdLevel::Scalar,
+            &[1.0],
+            &[2.0, 3.0][..],
+            &[1, 0],
+            &mut out,
+        );
         assert_eq!(out, [3.0, 2.0]);
     }
 
     #[test]
     #[should_panic(expected = "row id out of range")]
     fn dot_rows_rejects_an_id_past_the_matrix() {
-        dot_rows(SimdLevel::Avx2, &[1.0, 1.0], &[0.0; 6], &[3], &mut [0.0]);
+        dot_rows(
+            SimdLevel::Avx2,
+            &[1.0, 1.0],
+            &[0.0; 6][..],
+            &[3],
+            &mut [0.0],
+        );
     }
 
     /// The `k` smallest `(d2, row)` under `(total_cmp, row)` — the order

@@ -258,7 +258,8 @@ impl Snapshot {
 
     /// The next snapshot with `ts` appended — copy-on-write: `self` is
     /// untouched (readers holding it drain undisturbed) and the epoch
-    /// advances. The batch is dealt round-robin like the corpus was, and
+    /// advances. The batch is dealt round-robin like the corpus was (by
+    /// reference: a row is copied once, into its shard's chunk), and
     /// each shard that receives rows is replaced by its
     /// [`SimilarityDb::inserted`] successor (one lockstep embed of its
     /// rows, every view kept in step); a shard that receives none is
@@ -273,9 +274,9 @@ impl Snapshot {
                 .map_err(|reason| DbError::InvalidTrajectory { id: t.id, reason })?;
         }
         let s = self.shards.len();
-        let mut parts: Vec<Vec<Trajectory>> = vec![Vec::new(); s];
+        let mut parts: Vec<Vec<&Trajectory>> = vec![Vec::new(); s];
         for (k, t) in ts.iter().enumerate() {
-            parts[(self.len + k) % s].push(t.clone());
+            parts[(self.len + k) % s].push(t);
         }
         let threads = self.cfg.build_threads.max(1);
         let mut shards = self.shards.clone();

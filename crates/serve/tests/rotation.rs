@@ -476,7 +476,7 @@ fn rejected_insert_is_typed_counted_and_changes_nothing() {
 /// database first reports a full chunk.
 fn chunk_rows(m: &NeuTrajModel) -> usize {
     let mut db = SimilarityDb::new(m.clone());
-    while db.shared_row_chunks(&db).1 == 0 {
+    while db.shared_row_chunks(&db)[0].1 == 0 {
         assert!(db.len() < 4096, "no full chunk after {} rows", db.len());
         db.insert(traj(db.len() as u64, 2)).unwrap();
     }
@@ -591,9 +591,18 @@ fn rotation_chain_equals_the_row_by_row_oracle_and_shares_what_it_can() {
                         !touched,
                         "{what}: shard {s}"
                     );
-                    let (shared, full) = got.shared_row_chunks(parent.shard(s));
+                    // Trajectories, store rows, codes: every full chunk of
+                    // each list is the parent's.
+                    let lists = got.shared_row_chunks(parent.shard(s));
+                    for (list, (shared, full)) in lists.into_iter().enumerate() {
+                        assert_eq!(
+                            shared, full,
+                            "{what}: shard {s} copied a chunk of list {list}"
+                        );
+                    }
+                    let (shared, full) = lists[0];
                     assert_eq!(full, parent.shard(s).len() / chunk, "{what}: shard {s}");
-                    assert_eq!(shared, full, "{what}: shard {s} copied a full chunk");
+                    assert_eq!(lists[1], lists[0], "{what}: shard {s} store rows");
                     shared_chunks += shared;
                 }
                 // The exact scan and the re-rank do not depend on how a
@@ -680,9 +689,10 @@ fn bulk_load_fills_whole_chunks() {
     for s in 0..3 {
         let db = snapshot.shard(s);
         assert_eq!(db.len(), 20_000 / 3 + usize::from(s < 20_000 % 3));
-        assert_eq!(
-            db.shared_row_chunks(db),
-            (db.len() / chunk, db.len() / chunk)
-        );
+        // The codes come in chunks of their own size: whole ones too.
+        let full = (db.len() / chunk, db.len() / chunk);
+        let [rows, store, codes] = db.shared_row_chunks(db);
+        assert_eq!((rows, store), (full, full));
+        assert!(codes.0 == codes.1 && codes.1 > 0, "{codes:?}");
     }
 }
