@@ -19,12 +19,11 @@
 
 use crate::backbone::NeuTrajModel;
 use crate::persist::{
-    self, atomic_write, decode_f64s, decode_model, encode_f64s, encode_model, open_payload,
-    read_enveloped, seal_payload, write_enveloped, PersistError,
+    decode_f64s, decode_model, encode_f64s, encode_model, fail, load_sealed, save_sealed,
+    PersistError,
 };
 use neutraj_nn::AdamState;
 use neutraj_trajectory::cursor::{PutLe, Reader};
-use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -34,10 +33,6 @@ pub(crate) const CKPT_MAGIC: &[u8; 8] = b"NTCKPT01";
 
 /// File extension of checkpoint files written by the trainer.
 pub const CKPT_EXTENSION: &str = "ntc";
-
-fn fail(msg: impl Into<String>) -> PersistError {
-    persist::fail(msg)
-}
 
 /// The mutable training state at an epoch boundary — everything
 /// [`Trainer::fit`](crate::Trainer::fit) needs, beyond the parameters
@@ -175,29 +170,15 @@ impl Checkpoint {
         })
     }
 
-    /// Writes the checkpoint through any [`Write`] sink, wrapped in the
-    /// checksummed file envelope (the fault-injection seam).
-    pub fn write_to<W: Write>(&self, w: &mut W) -> Result<(), PersistError> {
-        write_enveloped(w, &self.to_bytes())
-    }
-
-    /// Reads an envelope-wrapped checkpoint from any [`Read`] source.
-    pub fn read_from<R: Read>(r: &mut R) -> Result<Checkpoint, PersistError> {
-        let payload = read_enveloped(r)?;
-        Self::from_bytes(&payload)
-    }
-
     /// Atomically writes the checkpoint to `path` (envelope + temp file +
     /// fsync + rename).
     pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<(), PersistError> {
-        atomic_write(path.as_ref(), &seal_payload(&self.to_bytes()))
+        save_sealed(path.as_ref(), &self.to_bytes())
     }
 
     /// Loads and verifies a checkpoint file.
     pub fn load<P: AsRef<Path>>(path: P) -> Result<Checkpoint, PersistError> {
-        let mut data = Vec::new();
-        std::fs::File::open(path)?.read_to_end(&mut data)?;
-        Self::from_bytes(open_payload(&data)?)
+        Self::from_bytes(&load_sealed(path.as_ref())?)
     }
 
     /// The canonical checkpoint filename for a boundary after
@@ -360,6 +341,14 @@ mod tests {
     use crate::TrainConfig;
     use neutraj_trajectory::{BoundingBox, Grid};
 
+    /// A fresh directory of this test process under the temp dir.
+    fn scratch_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("neutraj_ckpt_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     fn ckpt(next_epoch: usize) -> Checkpoint {
         let grid = Grid::new(BoundingBox::new(0.0, 0.0, 100.0, 100.0), 10.0).unwrap();
         let cfg = TrainConfig {
@@ -423,8 +412,7 @@ mod tests {
 
     #[test]
     fn file_roundtrip_and_model_superset_load() {
-        let dir = std::env::temp_dir().join("neutraj_ckpt_roundtrip");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("roundtrip");
         let c = ckpt(4);
         let path = dir.join(Checkpoint::file_name(4));
         c.save(&path).unwrap();
@@ -438,9 +426,7 @@ mod tests {
 
     #[test]
     fn newest_valid_skips_damaged_files() {
-        let dir = std::env::temp_dir().join("neutraj_ckpt_fallback");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("fallback");
         ckpt(1).save(dir.join(Checkpoint::file_name(1))).unwrap();
         ckpt(2).save(dir.join(Checkpoint::file_name(2))).unwrap();
         // Damage the newest.
@@ -463,9 +449,7 @@ mod tests {
 
     #[test]
     fn all_damaged_is_an_error_and_empty_is_none() {
-        let dir = std::env::temp_dir().join("neutraj_ckpt_all_bad");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("all_bad");
         assert!(Checkpoint::load_newest_valid(&dir, |_, _| {})
             .unwrap()
             .is_none());
@@ -492,9 +476,7 @@ mod tests {
 
     #[test]
     fn retention_prunes_oldest() {
-        let dir = std::env::temp_dir().join("neutraj_ckpt_prune");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("prune");
         for e in 1..=5 {
             ckpt(e).save(dir.join(Checkpoint::file_name(e))).unwrap();
         }

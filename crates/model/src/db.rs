@@ -34,7 +34,7 @@
 use crate::backbone::NeuTrajModel;
 use crate::chunks::Chunks;
 use crate::loss::pair_similarity;
-use crate::persist::{atomic_write, open_payload, seal_payload, PersistError};
+use crate::persist::{load_sealed, save_sealed, PersistError};
 use crate::quant::QuantizedStore;
 use crate::query::{Query, QueryOf, QueryTarget};
 use crate::search::{EmbeddingStore, ScanStats};
@@ -513,7 +513,7 @@ impl SimilarityDb {
         let view = V::slot(self).ok_or_else(|| {
             PersistError::Format(format!("no {} to save: build one first", V::NAME))
         })?;
-        atomic_write(path.as_ref(), &seal_payload(&view.encode()))
+        save_sealed(path.as_ref(), &view.encode())
     }
 
     /// Loads and installs a view written by [`SimilarityDb::save_view`],
@@ -524,9 +524,8 @@ impl SimilarityDb {
         &mut self,
         path: impl AsRef<Path>,
     ) -> Result<(), PersistError> {
-        let data = std::fs::read(path.as_ref())?;
-        let view =
-            V::decode(open_payload(&data)?).map_err(|e| PersistError::Corrupted(e.to_string()))?;
+        let view = V::decode(&load_sealed(path.as_ref())?)
+            .map_err(|e| PersistError::Corrupted(e.to_string()))?;
         self.set_view(view)
             .map_err(|e| PersistError::Format(e.to_string()))
     }

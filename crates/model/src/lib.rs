@@ -48,7 +48,6 @@ mod checkpoint;
 mod chunks;
 mod config;
 mod db;
-pub mod fault;
 mod loss;
 pub mod persist;
 mod quant;
@@ -64,7 +63,6 @@ pub use backbone::{
 pub use checkpoint::{Checkpoint, CheckpointPolicy, TrainState, CKPT_EXTENSION};
 pub use config::{BackboneKind, TrainConfig};
 pub use db::{rerank_exact, AnnParams, DbError, DbMetrics, ShortlistView, SimilarityDb};
-pub use fault::{FaultyReader, FaultyWriter};
 pub use loss::{pair_similarity, PairLoss, RankedBatchLoss};
 pub use neutraj_index::{HnswIndex, HnswParams, IvfIndex};
 pub use persist::PersistError;

@@ -30,8 +30,9 @@ use neutraj_nn::{GruCell, LstmCell, SamLstmEncoder, SpatialMemory};
 use neutraj_trajectory::cursor::{PutLe, Reader, Truncated};
 use neutraj_trajectory::{BoundingBox, Grid};
 use std::fs::File;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Magic header + format version of the model payload codec.
 const MAGIC: &[u8; 8] = b"NTMODEL1";
@@ -155,42 +156,30 @@ pub fn open_payload(data: &[u8]) -> Result<&[u8], PersistError> {
     Ok(payload)
 }
 
-/// Writes `payload` wrapped in the file envelope to `w` (the generic
-/// `Write` seam that fault-injection tests hook into).
-pub fn write_enveloped<W: Write>(w: &mut W, payload: &[u8]) -> Result<(), PersistError> {
-    w.write_all(FILE_MAGIC)?;
-    w.write_all(&(payload.len() as u64).to_le_bytes())?;
-    w.write_all(payload)?;
-    w.write_all(&crc32(payload).to_le_bytes())?;
-    w.flush()?;
-    Ok(())
-}
+/// Temp files named by the same process: the counter keeps two saves to
+/// one path, from two threads, off each other's temp file.
+static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Reads a whole enveloped file image from `r` and returns the verified
-/// payload.
-pub fn read_enveloped<R: Read>(r: &mut R) -> Result<Vec<u8>, PersistError> {
-    let mut data = Vec::new();
-    r.read_to_end(&mut data)?;
-    let payload = open_payload(&data)?;
-    Ok(payload.to_vec())
-}
-
-/// Atomically replaces the file at `path` with `bytes`: write to a
-/// temporary sibling, fsync it, rename over the destination, then fsync
-/// the directory (best-effort) so the rename itself is durable. A crash at
-/// any point leaves either the old file or the new file, never a torn mix.
-pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
+/// Seals `payload` in the file envelope and atomically replaces the file
+/// at `path` with it: write a temporary sibling named for this call
+/// (`<name>.<pid>.<seq>.tmp`), fsync it, rename it over the destination,
+/// then fsync the directory (best-effort) so the rename itself is
+/// durable. A crash at any point leaves either the old file or the new
+/// one, never a torn mix; on any error the temp file is removed. Every
+/// artifact's `save` is this.
+pub fn save_sealed(path: &Path, payload: &[u8]) -> Result<(), PersistError> {
     let tmp = match path.file_name() {
         Some(name) => {
             let mut n = name.to_os_string();
-            n.push(".tmp");
+            let seq = TMP_SEQ.fetch_add(1, Ordering::Relaxed);
+            n.push(format!(".{}.{seq}.tmp", std::process::id()));
             path.with_file_name(n)
         }
         None => return Err(fail(format!("invalid destination path {path:?}"))),
     };
     let write_tmp = || -> Result<(), PersistError> {
         let mut f = File::create(&tmp)?;
-        f.write_all(bytes)?;
+        f.write_all(&seal_payload(payload))?;
         f.sync_all()?;
         Ok(())
     };
@@ -216,10 +205,23 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
     Ok(())
 }
 
+/// Reads the file at `path` and returns its payload once the envelope's
+/// size and checksum verify (see [`open_payload`]). Every artifact's
+/// `load` is this, then its own decoder.
+pub fn load_sealed(path: &Path) -> Result<Vec<u8>, PersistError> {
+    let mut data = std::fs::read(path)?;
+    let len = open_payload(&data)?.len();
+    // Cut the payload out in place (16 = magic + length): no second
+    // buffer the size of the file.
+    data.truncate(16 + len);
+    data.drain(..16);
+    Ok(data)
+}
+
 impl NeuTrajModel {
     /// Serializes the trained model (config, grid, parameters, spatial
     /// memory) into a raw payload buffer (no file envelope — see
-    /// [`NeuTrajModel::write_to`] for the checksummed form).
+    /// [`NeuTrajModel::save`] for the checksummed file).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(1 << 16);
         encode_model(&mut buf, self);
@@ -244,25 +246,11 @@ impl NeuTrajModel {
         Ok(model)
     }
 
-    /// Writes the model through any [`Write`] sink, wrapped in the
-    /// checksummed file envelope. This is the seam the fault-injection
-    /// harness targets (see [`fault`](crate::fault)).
-    pub fn write_to<W: Write>(&self, w: &mut W) -> Result<(), PersistError> {
-        write_enveloped(w, &self.to_bytes())
-    }
-
-    /// Reads an envelope-wrapped model from any [`Read`] source, verifying
-    /// size and checksum before parsing.
-    pub fn read_from<R: Read>(r: &mut R) -> Result<NeuTrajModel, PersistError> {
-        let payload = read_enveloped(r)?;
-        Self::from_bytes(&payload)
-    }
-
     /// Writes the model to a file: checksummed envelope, temp-file +
     /// fsync + atomic rename (a crash mid-save never corrupts an existing
     /// model file).
     pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<(), PersistError> {
-        atomic_write(path.as_ref(), &seal_payload(&self.to_bytes()))
+        save_sealed(path.as_ref(), &self.to_bytes())
     }
 
     /// Loads a model from a file written by [`NeuTrajModel::save`] or
@@ -271,9 +259,7 @@ impl NeuTrajModel {
     /// `NTMODEL1` payload included — is rejected: nothing unchecksummed
     /// is ever parsed.
     pub fn load<P: AsRef<Path>>(path: P) -> Result<NeuTrajModel, PersistError> {
-        let mut data = Vec::new();
-        File::open(path)?.read_to_end(&mut data)?;
-        Self::from_bytes(open_payload(&data)?)
+        Self::from_bytes(&load_sealed(path.as_ref())?)
     }
 }
 
@@ -635,28 +621,81 @@ mod tests {
         }
     }
 
+    /// A fresh directory of this test process under the temp dir.
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("neutraj_persist_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// The names in `dir` that end in `.tmp`.
+    fn tmp_siblings(dir: &Path) -> Vec<String> {
+        std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|n| n.ends_with(".tmp"))
+            .collect()
+    }
+
     #[test]
     fn file_roundtrip() {
         let (model, trajs) = trained(TrainConfig::neutraj());
-        let dir = std::env::temp_dir().join("neutraj_persist_test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("test");
         let path = dir.join("model.ntm");
         model.save(&path).unwrap();
         let back = NeuTrajModel::load(&path).unwrap();
         assert_eq!(model.embed(&trajs[0]), back.embed(&trajs[0]));
         // No temp file left behind by the atomic write.
-        assert!(!dir.join("model.ntm.tmp").exists());
+        assert_eq!(tmp_siblings(&dir), Vec::<String>::new());
         // Saving over an existing file keeps it loadable.
         model.save(&path).unwrap();
         assert!(NeuTrajModel::load(&path).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Concurrent saves to one path each write their own temp file: every
+    /// save succeeds, the last rename wins whole, and nothing is left
+    /// behind. (With one shared `<name>.tmp`, saves truncated each
+    /// other's temp file and the later renames failed.)
+    #[test]
+    fn concurrent_saves_to_one_path_all_succeed() {
+        let dir = scratch_dir("concurrent");
+        let path = dir.join("model.ntm");
+        let grid = Grid::new(BoundingBox::new(0.0, 0.0, 500.0, 500.0), 50.0).unwrap();
+        let models: Vec<NeuTrajModel> = (0..4)
+            .map(|seed| {
+                let cfg = TrainConfig {
+                    dim: 8,
+                    seed,
+                    ..TrainConfig::neutraj()
+                };
+                NeuTrajModel::untrained(cfg, grid.clone())
+            })
+            .collect();
+        let images: Vec<Vec<u8>> = models.iter().map(NeuTrajModel::to_bytes).collect();
+        // Four parts, each on a thread of its own.
+        neutraj_trajectory::par::fan_out(&models, |model| {
+            for round in 0..20 {
+                if let Err(e) = model.save(&path) {
+                    panic!("save {round} failed: {e}");
+                }
+            }
+        });
+        let last = NeuTrajModel::load(&path).unwrap().to_bytes();
+        assert!(
+            images.contains(&last),
+            "the final file is none of the saved models"
+        );
+        assert_eq!(tmp_siblings(&dir), Vec::<String>::new());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn headerless_payload_file_is_rejected() {
         let (model, _) = trained(TrainConfig::nt_no_sam());
-        let dir = std::env::temp_dir().join("neutraj_persist_headerless");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("headerless");
         let path = dir.join("bare.ntm");
         // A bare NTMODEL1 payload decodes as a payload, but as a *file*
         // it carries no checksum, so `load` refuses it.

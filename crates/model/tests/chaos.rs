@@ -40,7 +40,7 @@ fn cfg(preset: TrainConfig) -> TrainConfig {
 }
 
 fn tmp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("neutraj_chaos_{tag}"));
+    let dir = std::env::temp_dir().join(format!("neutraj_chaos_{tag}_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     dir

@@ -7,7 +7,7 @@
 //! Corruption anywhere in the file — a flipped bit, a torn tail, trailing
 //! garbage — is rejected by the envelope **before** a single payload byte
 //! is parsed, so a damaged snapshot can never be adopted (the persistence
-//! suite drives this with [`FaultyReader`](neutraj_model::FaultyReader)).
+//! suite damages sealed file images and hands each to [`Snapshot::load`]).
 //!
 //! # What is stored
 //!
@@ -29,14 +29,10 @@
 //! compact and structurally simple enough to validate field by field.
 
 use crate::snapshot::{ShardConfig, Snapshot};
-use neutraj_model::persist::{
-    atomic_write, open_payload, read_enveloped, seal_payload, write_enveloped,
-};
+use neutraj_model::persist::{load_sealed, save_sealed};
 use neutraj_model::{AnnParams, HnswParams, NeuTrajModel, PersistError};
 use neutraj_trajectory::cursor::{PutLe, Reader};
 use neutraj_trajectory::{Point, Trajectory};
-use std::fs::File;
-use std::io::{Read, Write};
 use std::path::Path;
 
 /// Magic header + format version of the snapshot payload codec.
@@ -176,26 +172,11 @@ impl Snapshot {
         Ok(snapshot.with_epoch(epoch))
     }
 
-    /// Writes the snapshot through any [`Write`] sink, wrapped in the
-    /// checksummed `NTFILE01` envelope — the seam the fault-injection
-    /// harness targets (see [`FaultyWriter`](neutraj_model::FaultyWriter)).
-    pub fn write_to<W: Write>(&self, w: &mut W) -> Result<(), PersistError> {
-        write_enveloped(w, &self.to_bytes())
-    }
-
-    /// Reads an envelope-wrapped snapshot from any [`Read`] source,
-    /// verifying size and checksum before parsing a single payload byte
-    /// (see [`FaultyReader`](neutraj_model::FaultyReader)).
-    pub fn read_from<R: Read>(r: &mut R, build_threads: usize) -> Result<Self, PersistError> {
-        let payload = read_enveloped(r)?;
-        Self::from_bytes(&payload, build_threads)
-    }
-
     /// Persists the snapshot to a file: checksummed envelope, temp-file +
     /// fsync + atomic rename — a crash mid-save leaves either the old
     /// file or the new one, never a torn mix.
     pub fn save<P: AsRef<Path>>(&self, path: P) -> Result<(), PersistError> {
-        atomic_write(path.as_ref(), &seal_payload(&self.to_bytes()))
+        save_sealed(path.as_ref(), &self.to_bytes())
     }
 
     /// Loads a snapshot saved by [`Snapshot::save`], rebuilding shards
@@ -203,8 +184,6 @@ impl Snapshot {
     /// [`SimilarityService::from_snapshot`](crate::SimilarityService::from_snapshot)
     /// to resume serving at the saved epoch.
     pub fn load<P: AsRef<Path>>(path: P, build_threads: usize) -> Result<Self, PersistError> {
-        let mut data = Vec::new();
-        File::open(path)?.read_to_end(&mut data)?;
-        Self::from_bytes(open_payload(&data)?, build_threads)
+        Self::from_bytes(&load_sealed(path.as_ref())?, build_threads)
     }
 }

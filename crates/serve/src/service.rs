@@ -15,13 +15,15 @@
 //!
 //! Building the next snapshot costs the new rows, not the corpus
 //! ([`Snapshot::inserted`]): the rows are embedded in one lockstep
-//! batch; the stored trajectories are shared between epochs in
-//! fixed-size chunks and a shard that receives no row is shared whole;
-//! the flat embedding matrix and its int8 codes — which the scans need
-//! contiguous — are copied once, straight into buffers sized for the new
-//! rows. The retired snapshot is freed after the pointer mutex is
-//! released, by whoever holds its last handle. `DESIGN.md` §13 has what
-//! is left that grows with the corpus and the designs that were rejected.
+//! batch; the stored trajectories, the embedding rows with their norms
+//! and the rows' int8 codes are all shared between epochs in fixed-size
+//! chunks, so a rotation copies at most one partial chunk of each; a
+//! shard that receives no row is shared whole. The rotation suite
+//! (`tests/rotation.rs`) checks the sharing against a deep-copy oracle.
+//! The retired snapshot is freed after the pointer mutex is released, by
+//! whoever holds its last handle. `DESIGN.md` §13 has the chunk layout,
+//! what is left that grows with the corpus and the designs that were
+//! rejected.
 //!
 //! # Adaptive micro-batching
 //!

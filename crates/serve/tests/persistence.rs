@@ -1,15 +1,18 @@
 //! Snapshot persistence suite: save/load through the sealed `NTFILE01`
 //! envelope round-trips the served corpus bit-identically (exact,
 //! quantized, and ANN paths), preserves the epoch across restart, and —
-//! the crash-recovery contract — rejects every corrupted image at the
-//! envelope before a single payload byte is parsed, so a damaged
-//! snapshot can never be adopted.
+//! the crash-recovery contract — rejects every damaged file `load` is
+//! handed, so a damaged snapshot can never be adopted. The damage cases
+//! are `neutraj-model`'s matrix, shared with its corruption suite.
 
-use neutraj_model::{
-    AnnParams, BackboneKind, FaultyReader, FaultyWriter, NeuTrajModel, PersistError, TrainConfig,
-};
+#[path = "../../model/tests/damage/mod.rs"]
+mod damage;
+
+use damage::Sealed;
+use neutraj_model::{AnnParams, Backbone, BackboneKind, NeuTrajModel, TrainConfig};
 use neutraj_serve::{QuerySpec, ServeRequest, ServiceConfig, SimilarityService, Snapshot};
 use neutraj_trajectory::{BoundingBox, Grid, Point, Trajectory};
+use std::sync::OnceLock;
 use std::time::Duration;
 
 fn model() -> NeuTrajModel {
@@ -93,7 +96,9 @@ fn snapshot_roundtrip_is_bit_identical_across_query_shapes() {
 /// across restart) and the resumed service picks up writes from there.
 #[test]
 fn save_load_resumes_service_at_the_saved_epoch() {
-    let dir = std::env::temp_dir().join("neutraj_serve_persistence");
+    let dir =
+        std::env::temp_dir().join(format!("neutraj_serve_persistence_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("snapshot.nts");
 
@@ -114,7 +119,11 @@ fn save_load_resumes_service_at_the_saved_epoch() {
         .unwrap();
     service.save_snapshot(&path).unwrap();
     // No temp file left behind by the atomic write.
-    assert!(!dir.join("snapshot.nts.tmp").exists());
+    let names: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert_eq!(names, ["snapshot.nts"]);
     drop(service);
 
     let restored = Snapshot::load(&path, 2).unwrap();
@@ -133,53 +142,81 @@ fn save_load_resumes_service_at_the_saved_epoch() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The corruption contract: any damaged image — a flipped bit anywhere,
-/// a torn tail, trailing garbage — is rejected by the envelope checks
-/// and never adopted as a snapshot.
+/// The snapshot file `Snapshot::save` writes, over a service with every
+/// optional part on (two shards, IVF, the inert int8 flag), built once.
+fn snapshot_file() -> &'static Sealed {
+    static IMG: OnceLock<Sealed> = OnceLock::new();
+    IMG.get_or_init(|| {
+        let service = SimilarityService::new(model(), corpus(16), &full_config()).unwrap();
+        let snapshot = service.snapshot();
+        Sealed::new(
+            "snapshot",
+            snapshot.to_bytes(),
+            move |p| snapshot.save(p),
+            |p| Ok(Snapshot::load(p, 1)?.to_bytes()),
+        )
+    })
+}
+
+/// The corruption contract: any damaged file — a flipped bit anywhere,
+/// a torn tail, trailing garbage, a stripped envelope, damage resealed
+/// under a valid checksum — is rejected by `Snapshot::load` and never
+/// adopted; a save that cannot write is an I/O error and leaves nothing.
 #[test]
 fn corrupted_snapshot_images_are_rejected_never_adopted() {
-    let service = SimilarityService::new(model(), corpus(16), &full_config()).unwrap();
-    let snapshot = service.snapshot();
-    let mut sealed = Vec::new();
-    snapshot.write_to(&mut sealed).unwrap();
+    let file = snapshot_file();
+    damage::intact_roundtrips(file);
+    damage::bit_flips_are_rejected(file, 256);
+    damage::every_truncation_is_rejected(file);
+    damage::trailing_garbage_is_rejected(file, 256);
+    damage::stripped_envelope_is_rejected(file);
+    damage::combined_damage_never_loads_altered_bytes(file, 256);
+    damage::a_save_into_a_missing_directory_is_an_io_error(file);
+}
 
-    // The pristine image loads.
-    let mut ok = FaultyReader::new(sealed.clone());
-    assert!(Snapshot::read_from(&mut ok, 1).is_ok());
+/// Damage below the envelope, resealed under a valid checksum, reaches
+/// the `NTSNAP01` decoder and the rebuild: neither may panic.
+#[test]
+fn resealed_snapshot_payload_damage_never_panics() {
+    damage::resealed_payload_damage_never_panics(snapshot_file(), 64);
+}
 
-    // A single flipped bit anywhere in the file is caught. Probe a
-    // spread of positions: header, lengths, model payload, trajectory
-    // data, checksum.
-    let step = (sealed.len() / 48).max(1);
-    for pos in (0..sealed.len()).step_by(step) {
-        let mut r = FaultyReader::new(sealed.clone()).flip_bit(pos, 3);
-        let err = Snapshot::read_from(&mut r, 1);
-        assert!(err.is_err(), "bit flip at byte {pos} was adopted");
-    }
-
-    // Torn writes (truncation at any prefix) are caught by the size
-    // check before any parsing.
-    for cut in [0, 7, 16, sealed.len() / 2, sealed.len() - 1] {
-        let mut r = FaultyReader::new(sealed.clone()).truncate_at(cut);
-        match Snapshot::read_from(&mut r, 1) {
-            Err(PersistError::Corrupted(_)) | Err(PersistError::Format(_)) => {}
-            other => panic!("truncation at {cut} not rejected: {other:?}"),
-        }
-    }
-
-    // Trailing garbage changes the declared size — rejected.
-    let mut over = sealed.clone();
-    over.extend_from_slice(b"junk");
-    let mut r = FaultyReader::new(over);
-    assert!(matches!(
-        Snapshot::read_from(&mut r, 1),
-        Err(PersistError::Corrupted(_))
-    ));
-
-    // A failing sink surfaces the I/O error instead of a half file.
-    let mut w = FaultyWriter::fails_after(32);
-    assert!(matches!(
-        snapshot.write_to(&mut w),
-        Err(PersistError::Io(_))
-    ));
+/// A snapshot whose embedded model is ill-shaped SAM — its scan width
+/// disagrees with its config, or exceeds its grid — is refused by
+/// `Snapshot::load` before anything is built from it.
+#[test]
+fn ill_shaped_sam_model_in_a_snapshot_is_rejected_at_load() {
+    let file = snapshot_file();
+    let payload = file.payload();
+    // The model rides as `len:u64 ‖ NTMODEL1…`: splice another one in.
+    let at = payload
+        .windows(8)
+        .position(|w| w == b"NTMODEL1")
+        .expect("the model section");
+    let len = u64::from_le_bytes(payload[at - 8..at].try_into().unwrap()) as usize;
+    let splice = |bad: &NeuTrajModel| {
+        let bytes = bad.to_bytes();
+        let mut out = payload[..at - 8].to_vec();
+        out.extend_from_slice(&(bytes.len() as u64).to_le_bytes());
+        out.extend_from_slice(&bytes);
+        out.extend_from_slice(&payload[at + len..]);
+        out
+    };
+    // The splice itself is sound: the intact model spliced back is the
+    // intact payload.
+    assert_eq!(splice(&model()), payload);
+    let mut wide = model();
+    let Backbone::Sam(e) = wide.backbone_mut() else {
+        panic!("SAM backbone")
+    };
+    e.scan_width = 40_000;
+    damage::sealed_payload_is_rejected(file, &splice(&wide), "scan width != config");
+    let past_grid = NeuTrajModel::untrained(
+        TrainConfig {
+            scan_width: 40_000,
+            ..model().config().clone()
+        },
+        model().grid().clone(),
+    );
+    damage::sealed_payload_is_rejected(file, &splice(&past_grid), "scan width > grid");
 }

@@ -215,7 +215,7 @@ mod tests {
     #[test]
     fn file_roundtrips() {
         let ds = tiny_corpus();
-        let dir = std::env::temp_dir().join("neutraj_io_test");
+        let dir = std::env::temp_dir().join(format!("neutraj_io_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let csv = dir.join("corpus.csv");
         let bin = dir.join("corpus.bin");
