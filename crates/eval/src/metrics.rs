@@ -1,7 +1,5 @@
 //! Top-k search quality metrics (§VII-A.4).
 
-use neutraj_measures::Neighbor;
-
 /// The quality metrics of one method on one query set, matching the
 /// columns of Tables II/III: `HR@10`, `HR@50`, `R10@50` and the distance
 /// distortions `δ_H10`/`δ_R10` (in the distance unit of the supplied
@@ -121,11 +119,6 @@ impl SearchQuality {
         self.delta_r10 *= factor;
         self
     }
-}
-
-/// Extracts the index ranking from a neighbour list.
-pub fn ranking_of(neighbors: &[Neighbor]) -> Vec<usize> {
-    neighbors.iter().map(|n| n.index).collect()
 }
 
 #[cfg(test)]

@@ -236,12 +236,6 @@ impl Histogram {
         }
     }
 
-    /// Records a duration in seconds.
-    #[inline]
-    pub fn observe_duration(&self, d: std::time::Duration) {
-        self.observe(d.as_secs_f64());
-    }
-
     /// Starts an RAII span: the elapsed wall-clock seconds are recorded
     /// when the returned [`SpanTimer`] drops.
     pub fn start_timer(&self) -> SpanTimer {
@@ -326,11 +320,6 @@ pub struct SpanTimer {
 }
 
 impl SpanTimer {
-    /// Seconds elapsed so far (the span keeps running).
-    pub fn elapsed_seconds(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-
     /// Stops the span now, recording the elapsed time (equivalent to
     /// dropping it, but reads better at explicit stage boundaries).
     pub fn stop(self) {}

@@ -11,148 +11,153 @@
 //!
 //! # What is stored
 //!
-//! The payload (`NTSNAP01` codec, little-endian throughout) carries the
-//! *inputs* of the snapshot, not its derived state:
+//! The `NTSNAP02` payload is framing plus length-prefixed sections
+//! (`len:u64 ‖ bytes`), each written by its structure's own codec:
 //!
-//! * the epoch and shard layout (`nshards`, quantized/ANN/graph flags —
-//!   the first inert, kept so the format holds — [`AnnParams`], and
-//!   [`HnswParams`]),
-//! * the trained model through its own `NTMODEL1` codec
-//!   ([`NeuTrajModel::to_bytes`]), and
-//! * every stored trajectory in **global** order (id + raw points).
+//! ```text
+//! NTSNAP02 ‖ epoch:u64 ‖ nshards:u64 ‖ flags:u8 (bit 0 IVF, bit 1 graph)
+//! ‖ NTMODEL1 model ‖ NTRAJv1 corpus (global order)
+//! ‖ per shard: section( NTIVF01? ‖ NTHNSW01? )
+//! ```
 //!
-//! Embeddings (with their int8 codes), IVF centroids and HNSW graphs are
-//! *recomputed* on load by [`Snapshot::build`] — the build pipeline is
-//! deterministic (lockstep batched embed, seeded k-means, seeded
-//! hashed-level graph construction), so the rebuilt snapshot answers
-//! queries bit-identically to the one that was saved, and the file stays
-//! compact and structurally simple enough to validate field by field.
+//! The views are stored as served, so a snapshot that took inserts comes
+//! back with the very IVF lists and graphs it had: a load re-embeds the
+//! corpus ([`Snapshot::build`], the pinned lockstep forward) and installs
+//! each shard's views with `SimilarityDb::set_view`, which checks them
+//! against the shard's rows — no k-means fit, no graph build. Every shard
+//! is a section even with no views, so a shard count the bytes cannot
+//! back is refused before anything is allocated per shard.
 
 use crate::snapshot::{ShardConfig, Snapshot};
 use neutraj_model::persist::{load_sealed, save_sealed};
-use neutraj_model::{AnnParams, HnswParams, NeuTrajModel, PersistError};
+use neutraj_model::{HnswIndex, IvfIndex, NeuTrajModel, PersistError, ShortlistView};
 use neutraj_trajectory::cursor::{PutLe, Reader};
-use neutraj_trajectory::{Point, Trajectory};
+use neutraj_trajectory::io::{decode_binary, encode_binary};
 use std::path::Path;
 
 /// Magic header + format version of the snapshot payload codec.
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"NTSNAP01";
+pub const SNAPSHOT_MAGIC: &[u8; 8] = b"NTSNAP02";
 
-const FLAG_QUANTIZED: u8 = 1 << 0;
-const FLAG_ANN: u8 = 1 << 1;
-const FLAG_GRAPH: u8 = 1 << 2;
+const FLAG_ANN: u8 = 1 << 0;
+const FLAG_GRAPH: u8 = 1 << 1;
 
 fn fail(msg: impl Into<String>) -> PersistError {
     PersistError::Format(msg.into())
 }
 
+fn put_section(out: &mut Vec<u8>, bytes: &[u8]) {
+    out.put_u64_le(bytes.len() as u64);
+    out.put_slice(bytes);
+}
+
+fn section<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], PersistError> {
+    let len = r.u64()? as usize;
+    Ok(r.take(len)?)
+}
+
+/// Decodes view `V` from shard `s`'s section and installs it, when the
+/// flags say one is there.
+fn install<V: ShortlistView>(
+    snapshot: &mut Snapshot,
+    s: usize,
+    r: &mut Reader,
+    present: bool,
+) -> Result<(), PersistError> {
+    if present {
+        let view = V::decode(section(r)?)
+            .map_err(|e| fail(format!("shard {s}'s stored {}: {e}", V::NAME)))?;
+        snapshot
+            .set_view(s, view)
+            .map_err(|e| fail(format!("shard {s}: {e}")))?;
+    }
+    Ok(())
+}
+
 impl Snapshot {
-    /// Serializes the snapshot into the raw `NTSNAP01` payload (no file
+    /// Serializes the snapshot into the raw `NTSNAP02` payload (no file
     /// envelope — see [`Snapshot::save`] for the checksummed form).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let cfg = self.shard_config();
-        let model_bytes = self.model().to_bytes();
-        let mut out = Vec::with_capacity(model_bytes.len() + (1 << 12));
+        // Every shard carries the same views (`build` and `inserted`
+        // keep them uniform), so shard 0 speaks for all.
+        let first = self.shard(0);
+        let mut flags = 0u8;
+        if first.ann_index().is_some() {
+            flags |= FLAG_ANN;
+        }
+        if first.graph_index().is_some() {
+            flags |= FLAG_GRAPH;
+        }
+        let mut out = Vec::new();
         out.put_slice(SNAPSHOT_MAGIC);
         out.put_u64_le(self.epoch());
         out.put_u64_le(self.nshards() as u64);
-        let mut flags = 0u8;
-        if cfg.quantized {
-            flags |= FLAG_QUANTIZED;
-        }
-        if cfg.ann.is_some() {
-            flags |= FLAG_ANN;
-        }
-        if cfg.graph.is_some() {
-            flags |= FLAG_GRAPH;
-        }
         out.put_u8(flags);
-        if let Some(ann) = &cfg.ann {
-            out.put_u64_le(ann.nlists as u64);
-            out.put_u64_le(ann.train_iters as u64);
-            out.put_u64_le(ann.train_sample as u64);
-            out.put_u64_le(ann.seed);
-        }
-        if let Some(graph) = &cfg.graph {
-            out.put_u64_le(graph.m as u64);
-            out.put_u64_le(graph.m0 as u64);
-            out.put_u64_le(graph.ef_construction as u64);
-            out.put_u64_le(graph.seed);
-        }
-        out.put_u64_le(model_bytes.len() as u64);
-        out.put_slice(&model_bytes);
-        out.put_u64_le(self.len() as u64);
+        put_section(&mut out, &self.model().to_bytes());
         // Global order, so load-time round-robin placement reproduces
         // the exact shard layout (and therefore the exact global
         // indices) of the saved snapshot.
-        for g in 0..self.len() {
-            let t = self.trajectory(g).expect("global index in range");
-            out.put_u64_le(t.id);
-            out.put_u64_le(t.points().len() as u64);
-            for p in t.points() {
-                out.put_f64_le(p.x);
-                out.put_f64_le(p.y);
+        let rows = (0..self.len()).map(|g| self.trajectory(g).expect("global index in range"));
+        put_section(&mut out, &encode_binary(rows));
+        for s in 0..self.nshards() {
+            let db = self.shard(s);
+            let mut views = Vec::new();
+            if let Some(ix) = db.ann_index() {
+                put_section(&mut views, &ix.encode());
             }
+            if let Some(g) = db.graph_index() {
+                put_section(&mut views, &g.encode());
+            }
+            put_section(&mut out, &views);
         }
         out
     }
 
-    /// Rebuilds a snapshot from a raw payload produced by
-    /// [`Snapshot::to_bytes`]. `build_threads` is the load-time embed
-    /// parallelism — it affects speed only, never the rebuilt bits.
+    /// Restores a snapshot from a raw payload produced by
+    /// [`Snapshot::to_bytes`]: re-embeds the corpus, installs each
+    /// shard's saved views, restores the epoch. `build_threads` is the
+    /// load-time embed parallelism — it affects speed only, never the
+    /// restored bits.
     pub fn from_bytes(data: &[u8], build_threads: usize) -> Result<Self, PersistError> {
         let mut r = Reader::new(data);
-        if r.take(8)? != SNAPSHOT_MAGIC {
+        let magic = r.take(8)?;
+        if magic == b"NTSNAP01" {
+            return Err(fail(
+                "an NTSNAP01 snapshot (views not stored): rebuild it from its corpus",
+            ));
+        }
+        if magic != SNAPSHOT_MAGIC {
             return Err(fail("bad snapshot magic (not a NeuTraj snapshot?)"));
         }
         let epoch = r.u64()?;
-        let nshards = r.u64()? as usize;
-        if nshards == 0 {
-            return Err(fail("snapshot declares zero shards"));
-        }
+        let nshards = r.u64()?;
         let flags = r.u8()?;
-        if flags & !(FLAG_QUANTIZED | FLAG_ANN | FLAG_GRAPH) != 0 {
+        if flags & !(FLAG_ANN | FLAG_GRAPH) != 0 {
             return Err(fail(format!("unknown snapshot flags {flags:#04x}")));
         }
-        let ann = if flags & FLAG_ANN != 0 {
-            Some(AnnParams {
-                nlists: r.u64()? as usize,
-                train_iters: r.u64()? as usize,
-                train_sample: r.u64()? as usize,
-                seed: r.u64()?,
-            })
-        } else {
-            None
+        let model = NeuTrajModel::from_bytes(section(&mut r)?)?;
+        let corpus = decode_binary(section(&mut r)?)
+            .map_err(|e| fail(format!("stored corpus: {e}")))?
+            .into_trajectories();
+        // Each shard section takes at least its 8-byte length.
+        if nshards == 0 || nshards > (r.rest().len() / 8) as u64 {
+            let left = r.rest().len();
+            return Err(fail(format!(
+                "{nshards} shards declared, {left} bytes left"
+            )));
+        }
+        let cfg = ShardConfig {
+            build_threads,
+            ..ShardConfig::new(nshards as usize)
         };
-        let graph = if flags & FLAG_GRAPH != 0 {
-            let params = HnswParams {
-                m: r.u64()? as usize,
-                m0: r.u64()? as usize,
-                ef_construction: r.u64()? as usize,
-                seed: r.u64()?,
-            };
-            params
-                .validate()
-                .map_err(|e| fail(format!("stored graph params are invalid: {e}")))?;
-            Some(params)
-        } else {
-            None
-        };
-        let model_len = r.u64()? as usize;
-        let model = NeuTrajModel::from_bytes(r.take(model_len)?)?;
-        let ntraj = r.u64()? as usize;
-        let mut corpus = Vec::with_capacity(ntraj.min(1 << 20));
-        for g in 0..ntraj {
-            let id = r.u64()?;
-            let npts = r.u64()? as usize;
-            let points = r
-                .f64s(npts.saturating_mul(2))?
-                .chunks_exact(2)
-                .map(|c| Point::new(c[0], c[1]))
-                .collect();
-            let t = Trajectory::new(id, points)
-                .map_err(|e| fail(format!("invalid stored trajectory {g} (id {id}): {e}")))?;
-            corpus.push(t);
+        let mut snapshot = Snapshot::build(&model, corpus, &cfg)
+            .map_err(|e| fail(format!("stored snapshot fails to re-embed: {e}")))?;
+        for s in 0..snapshot.nshards() {
+            let mut shard = Reader::new(section(&mut r)?);
+            install::<IvfIndex>(&mut snapshot, s, &mut shard, flags & FLAG_ANN != 0)?;
+            install::<HnswIndex>(&mut snapshot, s, &mut shard, flags & FLAG_GRAPH != 0)?;
+            if !shard.rest().is_empty() {
+                return Err(fail(format!("trailing bytes in shard {s}'s section")));
+            }
         }
         if !r.rest().is_empty() {
             return Err(fail(format!(
@@ -160,15 +165,6 @@ impl Snapshot {
                 r.rest().len()
             )));
         }
-        let cfg = ShardConfig {
-            nshards,
-            build_threads: build_threads.max(1),
-            ann,
-            graph,
-            quantized: flags & FLAG_QUANTIZED != 0,
-        };
-        let snapshot = Snapshot::build(&model, corpus, &cfg)
-            .map_err(|e| fail(format!("stored snapshot fails to rebuild: {e}")))?;
         Ok(snapshot.with_epoch(epoch))
     }
 
@@ -179,8 +175,8 @@ impl Snapshot {
         save_sealed(path.as_ref(), &self.to_bytes())
     }
 
-    /// Loads a snapshot saved by [`Snapshot::save`], rebuilding shards
-    /// with `build_threads`-way embed parallelism. Pair with
+    /// Loads a snapshot saved by [`Snapshot::save`], re-embedding shards
+    /// with `build_threads`-way parallelism. Pair with
     /// [`SimilarityService::from_snapshot`](crate::SimilarityService::from_snapshot)
     /// to resume serving at the saved epoch.
     pub fn load<P: AsRef<Path>>(path: P, build_threads: usize) -> Result<Self, PersistError> {

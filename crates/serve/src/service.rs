@@ -101,9 +101,9 @@ pub struct ServiceConfig {
     /// Build a per-shard HNSW graph index at construction when set.
     pub graph: Option<neutraj_model::HnswParams>,
     /// Inert: every shard keeps its store's int8 codes, and the exact
-    /// scan reads them whenever that is faster, whatever this says. Kept
-    /// so existing configurations compile, and saved with a snapshot so
-    /// its byte format holds; slated for removal.
+    /// scan reads them whenever that is faster, whatever this says; a
+    /// saved snapshot does not record it. Kept so existing
+    /// configurations compile; slated for removal.
     pub quantized: bool,
     /// Bounded admission: at most this many requests may wait in the
     /// coalescing queue; overflow is answered

@@ -32,7 +32,8 @@
 use crate::request::QuerySpec;
 use neutraj_measures::{neighbor_order, Neighbor};
 use neutraj_model::{
-    rerank_exact, AnnParams, DbError, HnswParams, NeuTrajModel, ScanStats, SimilarityDb,
+    rerank_exact, AnnParams, DbError, HnswParams, NeuTrajModel, ScanStats, ShortlistView,
+    SimilarityDb,
 };
 use neutraj_trajectory::{par, Trajectory};
 use std::any::Any;
@@ -109,9 +110,9 @@ pub struct ShardConfig {
     /// Build a per-shard HNSW graph index over each partition when set.
     pub graph: Option<HnswParams>,
     /// Inert: every shard keeps its store's int8 codes whatever this
-    /// says (see `ServiceConfig::quantized`). Kept so existing
-    /// configurations compile and saved in the `NTSNAP01` flag byte so
-    /// the format holds; slated for removal.
+    /// says (see `ServiceConfig::quantized`), and a saved snapshot does
+    /// not record it. Kept so existing configurations compile; slated
+    /// for removal.
     pub quantized: bool,
 }
 
@@ -138,10 +139,9 @@ pub struct Snapshot {
     /// both epochs.
     shards: Vec<Arc<SimilarityDb>>,
     len: usize,
-    /// What the shards were built with — retained so a saved snapshot
-    /// can rebuild its per-shard views on load (the index params are not
-    /// recoverable from a built index alone).
-    cfg: ShardConfig,
+    /// Embed workers for [`Snapshot::inserted`] (a load-time choice,
+    /// never saved).
+    build_threads: usize,
 }
 
 impl Snapshot {
@@ -189,15 +189,15 @@ impl Snapshot {
             epoch: 0,
             shards,
             len,
-            cfg: cfg.clone(),
+            build_threads: threads,
         })
     }
 
-    /// The [`ShardConfig`] this snapshot was built with (the persistence
-    /// codec saves its view fields; `build_threads` is a load-time
-    /// choice, not a property of the snapshot).
-    pub(crate) fn shard_config(&self) -> &ShardConfig {
-        &self.cfg
+    /// Installs `view` on shard `s` through [`SimilarityDb::set_view`] —
+    /// how the persistence loader puts the saved views back on a freshly
+    /// built snapshot (whose shards nothing shares yet, so no copy).
+    pub(crate) fn set_view<V: ShortlistView>(&mut self, s: usize, view: V) -> Result<(), DbError> {
+        Arc::make_mut(&mut self.shards[s]).set_view(view)
     }
 
     /// Renames the epoch — the persistence loader restores the saved
@@ -278,18 +278,17 @@ impl Snapshot {
         for (k, t) in ts.iter().enumerate() {
             parts[(self.len + k) % s].push(t);
         }
-        let threads = self.cfg.build_threads.max(1);
         let mut shards = self.shards.clone();
         for (shard, part) in shards.iter_mut().zip(&parts) {
             if !part.is_empty() {
-                *shard = Arc::new(shard.inserted(part, threads)?);
+                *shard = Arc::new(shard.inserted(part, self.build_threads)?);
             }
         }
         Ok(Self {
             epoch: self.epoch + 1,
             shards,
             len: self.len + ts.len(),
-            cfg: self.cfg.clone(),
+            build_threads: self.build_threads,
         })
     }
 

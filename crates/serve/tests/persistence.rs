@@ -1,16 +1,24 @@
 //! Snapshot persistence suite: save/load through the sealed `NTFILE01`
-//! envelope round-trips the served corpus bit-identically (exact,
-//! quantized, and ANN paths), preserves the epoch across restart, and —
-//! the crash-recovery contract — rejects every damaged file `load` is
-//! handed, so a damaged snapshot can never be adopted. The damage cases
-//! are `neutraj-model`'s matrix, shared with its corruption suite.
+//! envelope restores the served state bit-identically — the corpus, and
+//! each shard's IVF index and graph as they stood after inserts, so
+//! every query path answers the same before and after, and keeps doing
+//! so as both copies take more writes — preserves the epoch across
+//! restart, refuses a shard count the payload cannot back and, the
+//! crash-recovery contract, rejects every damaged file `load` is handed,
+//! so a damaged snapshot can never be adopted. The damage cases are
+//! `neutraj-model`'s matrix, shared with its corruption suite.
 
 #[path = "../../model/tests/damage/mod.rs"]
 mod damage;
 
 use damage::Sealed;
-use neutraj_model::{AnnParams, Backbone, BackboneKind, NeuTrajModel, TrainConfig};
-use neutraj_serve::{QuerySpec, ServeRequest, ServiceConfig, SimilarityService, Snapshot};
+use neutraj_measures::MeasureKind;
+use neutraj_model::{
+    AnnParams, Backbone, BackboneKind, HnswParams, NeuTrajModel, PersistError, TrainConfig,
+};
+use neutraj_serve::{
+    QuerySpec, ServeRequest, ServiceConfig, ShardConfig, SimilarityService, Snapshot,
+};
 use neutraj_trajectory::{BoundingBox, Grid, Point, Trajectory};
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -61,10 +69,134 @@ fn full_config() -> ServiceConfig {
     }
 }
 
-/// Round-trip through the in-memory codec: the rebuilt snapshot answers
-/// every query shape bit-identically to the original (the rebuild
-/// pipeline — lockstep embed, seeded k-means, int8 views — is
-/// deterministic, so recomputing derived state loses nothing).
+/// [`full_config`] plus a per-shard graph: every stored view on.
+fn views_config() -> ServiceConfig {
+    ServiceConfig {
+        graph: Some(HnswParams::default()),
+        ..full_config()
+    }
+}
+
+/// A two-shard service with both views that has taken inserts in
+/// several batches (IVF lists and graphs grown past their build).
+fn inserted_service(n: usize) -> SimilarityService {
+    let service = SimilarityService::new(model(), corpus(n), &views_config()).unwrap();
+    for (lo, hi) in [(n, n + 5), (n + 5, n + 6), (n + 6, n + 13)] {
+        let batch = (lo..hi).map(|i| traj(i as u64, 5 + (i * 5) % 13)).collect();
+        service.insert_batch(batch).unwrap();
+    }
+    service
+}
+
+/// `a` and `b` hold the same state: epoch, rows, every shard's view
+/// bytes, and the same answers on every query path.
+fn assert_same_state(a: &Snapshot, b: &Snapshot) {
+    assert_eq!(
+        (a.epoch(), a.len(), a.nshards()),
+        (b.epoch(), b.len(), b.nshards())
+    );
+    for s in 0..a.nshards() {
+        let (x, y) = (a.shard(s), b.shard(s));
+        let ann = |db: &neutraj_model::SimilarityDb| db.ann_index().map(|ix| ix.to_bytes());
+        let graph = |db: &neutraj_model::SimilarityDb| db.graph_index().map(|g| g.to_bytes());
+        assert_eq!(ann(x), ann(y), "shard {s}'s IVF index differs");
+        assert_eq!(graph(x), graph(y), "shard {s}'s graph differs");
+    }
+    for q in 0..20 {
+        let query = traj(7000 + q, 6 + (q as usize * 3) % 11);
+        for spec in [
+            QuerySpec::new(5),
+            QuerySpec::new(5).shortlist_ann(1),
+            QuerySpec::new(5).shortlist_graph(5),
+            QuerySpec::new(3).rerank(MeasureKind::Hausdorff),
+            QuerySpec::new(3)
+                .shortlist_graph(3)
+                .rerank(MeasureKind::Hausdorff),
+        ] {
+            assert_eq!(
+                a.search(&query, &spec).unwrap(),
+                b.search(&query, &spec).unwrap(),
+                "query {q} diverged for {spec:?}"
+            );
+        }
+    }
+}
+
+/// The saved views are the served views: a snapshot that has taken
+/// inserts comes back with the same IVF lists and graphs byte for byte
+/// (a rebuild would refit k-means and rebuild the graph over all rows),
+/// answers every query path the same, and stays in step with the
+/// original as both take more inserts.
+#[test]
+fn restored_views_equal_the_served_views_through_later_inserts() {
+    let dir = std::env::temp_dir().join(format!("neutraj_serve_views_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("snapshot.nts");
+
+    let service = inserted_service(40);
+    assert_eq!(service.epoch(), 3);
+    service.save_snapshot(&path).unwrap();
+    let resumed =
+        SimilarityService::from_snapshot(Snapshot::load(&path, 2).unwrap(), &views_config())
+            .unwrap();
+    assert_same_state(&service.snapshot(), &resumed.snapshot());
+
+    for (lo, hi) in [(100, 104), (104, 111)] {
+        for copy in [&service, &resumed] {
+            let batch = (lo..hi)
+                .map(|i| traj(i, 4 + (i as usize * 3) % 17))
+                .collect();
+            copy.insert_batch(batch).unwrap();
+        }
+        assert_same_state(&service.snapshot(), &resumed.snapshot());
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A shard count the payload cannot back is a typed error returned
+/// before anything is allocated per shard — not an allocation abort
+/// (`2^40`) or a 200 000-shard snapshot over four rows.
+#[test]
+fn a_shard_count_the_payload_cannot_back_is_rejected() {
+    let snapshot = Snapshot::build(&model(), corpus(4), &ShardConfig::new(1)).unwrap();
+    let payload = snapshot.to_bytes();
+    // `magic:8 ‖ epoch:u64 ‖ nshards:u64 ‖ …`
+    for nshards in [1u64 << 40, 200_000] {
+        let mut bad = payload.clone();
+        bad[16..24].copy_from_slice(&nshards.to_le_bytes());
+        let res = Snapshot::from_bytes(&bad, 1);
+        assert!(
+            matches!(res, Err(PersistError::Format(_))),
+            "{nshards} shards over 4 rows: {:?}",
+            res.map(|s| s.nshards())
+        );
+    }
+}
+
+/// Every snapshot `save` can write loads — more shards than rows, an
+/// empty corpus — and the superseded `NTSNAP01` format is a typed error.
+#[test]
+fn edge_snapshots_roundtrip_and_ntsnap01_is_refused() {
+    for (n, nshards) in [(3, 5), (0, 2), (0, 1)] {
+        let snapshot = Snapshot::build(&model(), corpus(n), &ShardConfig::new(nshards)).unwrap();
+        let bytes = snapshot.to_bytes();
+        let back = Snapshot::from_bytes(&bytes, 2).unwrap();
+        assert_eq!((back.len(), back.nshards()), (n, nshards));
+        assert_eq!(back.to_bytes(), bytes, "{n} rows over {nshards} shards");
+    }
+    let mut old = snapshot_file().payload().to_vec();
+    old[..8].copy_from_slice(b"NTSNAP01");
+    assert!(matches!(
+        Snapshot::from_bytes(&old, 1),
+        Err(PersistError::Format(_))
+    ));
+}
+
+/// Round-trip through the in-memory codec: the restored snapshot answers
+/// every query shape bit-identically to the original (the re-embed is
+/// the pinned lockstep forward, the int8 codes follow from it, and the
+/// IVF index comes back as saved).
 #[test]
 fn snapshot_roundtrip_is_bit_identical_across_query_shapes() {
     let service = SimilarityService::new(model(), corpus(30), &full_config()).unwrap();
@@ -143,12 +275,13 @@ fn save_load_resumes_service_at_the_saved_epoch() {
 }
 
 /// The snapshot file `Snapshot::save` writes, over a service with every
-/// optional part on (two shards, IVF, the inert int8 flag), built once.
+/// optional part on (two shards, IVF, graph, the inert int8 flag) that
+/// has taken inserts, built once: damage lands in the model, the corpus
+/// and both views' sections.
 fn snapshot_file() -> &'static Sealed {
     static IMG: OnceLock<Sealed> = OnceLock::new();
     IMG.get_or_init(|| {
-        let service = SimilarityService::new(model(), corpus(16), &full_config()).unwrap();
-        let snapshot = service.snapshot();
+        let snapshot = inserted_service(16).snapshot();
         Sealed::new(
             "snapshot",
             snapshot.to_bytes(),
@@ -175,7 +308,8 @@ fn corrupted_snapshot_images_are_rejected_never_adopted() {
 }
 
 /// Damage below the envelope, resealed under a valid checksum, reaches
-/// the `NTSNAP01` decoder and the rebuild: neither may panic.
+/// the `NTSNAP02` decoder, the re-embed and the view install: none may
+/// panic.
 #[test]
 fn resealed_snapshot_payload_damage_never_panics() {
     damage::resealed_payload_damage_never_panics(snapshot_file(), 64);

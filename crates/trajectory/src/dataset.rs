@@ -175,6 +175,15 @@ impl FromIterator<Trajectory> for Dataset {
     }
 }
 
+impl<'a> IntoIterator for &'a Dataset {
+    type Item = &'a Trajectory;
+    type IntoIter = std::slice::Iter<'a, Trajectory>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.trajectories.iter()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -89,13 +89,20 @@ pub fn read_csv_file<P: AsRef<Path>>(path: P) -> Result<Dataset> {
     read_csv(File::open(path)?)
 }
 
-/// Encodes a dataset into the compact binary format.
-pub fn encode_binary(ds: &Dataset) -> Vec<u8> {
-    let total_pts: usize = ds.trajectories().iter().map(Trajectory::len).sum();
-    let mut buf = Vec::with_capacity(16 + ds.len() * 12 + total_pts * 16);
+/// Encodes trajectories into the compact binary format. Takes them by
+/// reference, so a `&Dataset`, a slice or any exact-size iterator of
+/// borrowed rows encodes without copying the corpus first.
+pub fn encode_binary<'a, I>(rows: I) -> Vec<u8>
+where
+    I: IntoIterator<Item = &'a Trajectory>,
+    I::IntoIter: ExactSizeIterator + Clone,
+{
+    let rows = rows.into_iter();
+    let total_pts: usize = rows.clone().map(Trajectory::len).sum();
+    let mut buf = Vec::with_capacity(16 + rows.len() * 12 + total_pts * 16);
     buf.put_slice(MAGIC);
-    buf.put_u64_le(ds.len() as u64);
-    for t in ds.trajectories() {
+    buf.put_u64_le(rows.len() as u64);
+    for t in rows {
         buf.put_u64_le(t.id);
         buf.put_u32_le(t.len() as u32);
         for p in t.points() {
@@ -107,13 +114,16 @@ pub fn encode_binary(ds: &Dataset) -> Vec<u8> {
 }
 
 /// Decodes a dataset from the binary format produced by [`encode_binary`].
+/// Bytes past the last trajectory are an error.
 pub fn decode_binary(data: &[u8]) -> Result<Dataset> {
     let mut r = Reader::new(data);
     if r.take(MAGIC.len())? != MAGIC {
         return Err(parse_err(0, "bad magic header"));
     }
     let n = r.u64()? as usize;
-    let mut out = Vec::with_capacity(n.min(1 << 20));
+    // A trajectory takes at least 12 bytes: a count the data cannot back
+    // reserves no more than the data can.
+    let mut out = Vec::with_capacity(n.min(r.rest().len() / 12));
     for _ in 0..n {
         let id = r.u64()?;
         let len = r.u32()? as usize;
@@ -123,6 +133,9 @@ pub fn decode_binary(data: &[u8]) -> Result<Dataset> {
             .map(|c| Point::new(c[0], c[1]))
             .collect();
         out.push(Trajectory::new(id, points).map_err(|e| parse_err(0, &e.to_string()))?);
+    }
+    if !r.rest().is_empty() {
+        return Err(parse_err(0, "trailing bytes after the last trajectory"));
     }
     Ok(Dataset::new(out))
 }
@@ -210,6 +223,10 @@ mod tests {
         assert!(decode_binary(&bad).is_err());
         // truncated tail
         assert!(decode_binary(&bytes[..bytes.len() - 3]).is_err());
+        // trailing bytes
+        let mut long = bytes.clone();
+        long.push(0);
+        assert!(decode_binary(&long).is_err());
     }
 
     #[test]
