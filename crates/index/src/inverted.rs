@@ -53,21 +53,9 @@ impl GridInvertedIndex {
         &self.grid
     }
 
-    /// Number of non-empty cells.
-    pub fn occupied_cells(&self) -> usize {
-        self.postings.len()
-    }
-
-    /// Posting list of a cell (empty slice when no trajectory crosses it).
-    pub fn posting(&self, cell: GridCell) -> &[usize] {
-        self.postings
-            .get(&self.grid.index_of(cell))
-            .map_or(&[], Vec::as_slice)
-    }
-
     /// Candidates sharing at least one cell with the query's cell set
     /// dilated by `dilation` cells (Chebyshev).
-    pub fn candidates_dilated(&self, query: &Trajectory, dilation: u32) -> Vec<usize> {
+    fn candidates_dilated(&self, query: &Trajectory, dilation: u32) -> Vec<usize> {
         let mut query_cells: Vec<GridCell> = query
             .points()
             .iter()
@@ -128,11 +116,15 @@ mod tests {
     fn build_and_postings() {
         let ts = vec![hline(0, 5.0), hline(1, 5.0), hline(2, 95.0)];
         let idx = GridInvertedIndex::build(grid(), &ts);
+        let posting = |col, row| {
+            let cell = idx.grid.index_of(GridCell::new(col, row));
+            idx.postings.get(&cell).map_or(&[][..], Vec::as_slice)
+        };
         assert_eq!(idx.len(), 3);
-        assert_eq!(idx.posting(GridCell::new(0, 0)), &[0, 1]);
-        assert_eq!(idx.posting(GridCell::new(0, 9)), &[2]);
-        assert!(idx.posting(GridCell::new(0, 5)).is_empty());
-        assert_eq!(idx.occupied_cells(), 20);
+        assert_eq!(posting(0, 0), &[0, 1]);
+        assert_eq!(posting(0, 9), &[2]);
+        assert!(posting(0, 5).is_empty());
+        assert_eq!(idx.postings.len(), 20);
     }
 
     #[test]

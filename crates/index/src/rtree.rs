@@ -57,33 +57,6 @@ impl RTree {
         }
     }
 
-    /// Indices of all trajectories whose MBR intersects `query`.
-    pub fn range_query(&self, query: &BoundingBox) -> Vec<usize> {
-        let mut out = Vec::new();
-        if let Some(root) = &self.root {
-            let mut stack = vec![root];
-            while let Some(node) = stack.pop() {
-                if !node.bbox().intersects(query) {
-                    continue;
-                }
-                match node {
-                    Node::Leaf { entries, .. } => {
-                        for (bb, idx) in entries {
-                            if bb.intersects(query) {
-                                out.push(*idx);
-                            }
-                        }
-                    }
-                    Node::Internal { children, .. } => {
-                        stack.extend(children.iter());
-                    }
-                }
-            }
-        }
-        out.sort_unstable();
-        out
-    }
-
     /// Indices of trajectories whose MBR lies within `radius` of `bbox`
     /// (MBR-to-MBR minimum distance).
     pub fn within(&self, bbox: &BoundingBox, radius: f64) -> Vec<usize> {
@@ -109,88 +82,6 @@ impl RTree {
             }
         }
         out.sort_unstable();
-        out
-    }
-
-    /// The `k` indexed trajectories with smallest MBR-to-MBR distance to
-    /// `query`, ascending (ties by index) — best-first search (Hjaltason
-    /// & Samet). Because MBR distance lower-bounds Hausdorff and Fréchet,
-    /// this is an exact-k candidate generator for those measures: the
-    /// true top-k under the measure is contained in the MBR top-k' for a
-    /// sufficiently enlarged k', and the returned bound values tell the
-    /// caller when it may stop refining.
-    pub fn knn_mbr(&self, query: &BoundingBox, k: usize) -> Vec<(usize, f64)> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        /// Heap entry ordered by (distance, tie) — f64 wrapped for Ord.
-        struct Entry<'a> {
-            dist: f64,
-            node: Option<&'a Node>,
-            leaf: Option<usize>,
-        }
-        impl PartialEq for Entry<'_> {
-            fn eq(&self, other: &Self) -> bool {
-                self.dist == other.dist && self.leaf == other.leaf
-            }
-        }
-        impl Eq for Entry<'_> {}
-        impl PartialOrd for Entry<'_> {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for Entry<'_> {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                self.dist
-                    .partial_cmp(&other.dist)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(self.leaf.cmp(&other.leaf))
-            }
-        }
-
-        let mut out = Vec::with_capacity(k.min(self.len));
-        let Some(root) = &self.root else {
-            return out;
-        };
-        if k == 0 {
-            return out;
-        }
-        let mut heap: BinaryHeap<Reverse<Entry>> = BinaryHeap::new();
-        heap.push(Reverse(Entry {
-            dist: root.bbox().min_dist_box(query),
-            node: Some(root),
-            leaf: None,
-        }));
-        while let Some(Reverse(e)) = heap.pop() {
-            match (e.node, e.leaf) {
-                (_, Some(idx)) => {
-                    out.push((idx, e.dist));
-                    if out.len() == k {
-                        break;
-                    }
-                }
-                (Some(Node::Internal { children, .. }), _) => {
-                    for c in children {
-                        heap.push(Reverse(Entry {
-                            dist: c.bbox().min_dist_box(query),
-                            node: Some(c),
-                            leaf: None,
-                        }));
-                    }
-                }
-                (Some(Node::Leaf { entries, .. }), _) => {
-                    for (bb, idx) in entries {
-                        heap.push(Reverse(Entry {
-                            dist: bb.min_dist_box(query),
-                            node: None,
-                            leaf: Some(*idx),
-                        }));
-                    }
-                }
-                (None, None) => unreachable!("entry must carry a node or a leaf"),
-            }
-        }
         out
     }
 
@@ -310,7 +201,8 @@ mod tests {
             .filter(|(_, t)| t.mbr().intersects(&query))
             .map(|(i, _)| i)
             .collect();
-        assert_eq!(tree.range_query(&query), expected);
+        // Radius 0 is the box-intersection (range) query.
+        assert_eq!(tree.within(&query, 0.0), expected);
     }
 
     #[test]
@@ -352,55 +244,13 @@ mod tests {
         assert!(tree.is_empty());
         assert_eq!(tree.height(), 0);
         assert!(tree
-            .range_query(&BoundingBox::new(0.0, 0.0, 1.0, 1.0))
+            .within(&BoundingBox::new(0.0, 0.0, 1.0, 1.0), 0.0)
             .is_empty());
         let ts = corpus(1, 4);
         let tree = RTree::build(&ts);
         assert_eq!(tree.len(), 1);
         assert_eq!(tree.height(), 1);
-        assert_eq!(tree.range_query(&ts[0].mbr()), vec![0]);
-    }
-
-    #[test]
-    fn knn_mbr_matches_linear_scan() {
-        let ts = corpus(250, 8);
-        let tree = RTree::build(&ts);
-        let q = ts[42].mbr();
-        for k in [1usize, 7, 30] {
-            let got = tree.knn_mbr(&q, k);
-            // Linear-scan reference with the same tie-break.
-            let mut expected: Vec<(usize, f64)> = ts
-                .iter()
-                .enumerate()
-                .map(|(i, t)| (i, t.mbr().min_dist_box(&q)))
-                .collect();
-            expected.sort_by(|a, b| {
-                a.1.partial_cmp(&b.1)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.0.cmp(&b.0))
-            });
-            expected.truncate(k);
-            assert_eq!(got.len(), k);
-            for ((gi, gd), (ei, ed)) in got.iter().zip(&expected) {
-                assert_eq!(gi, ei, "k={k}");
-                assert!((gd - ed).abs() < 1e-12);
-            }
-        }
-        // Self query: item 42 at distance 0 first.
-        assert_eq!(tree.knn_mbr(&q, 1)[0], (42, 0.0));
-    }
-
-    #[test]
-    fn knn_mbr_edge_cases() {
-        let empty = RTree::build(&[]);
-        assert!(empty
-            .knn_mbr(&BoundingBox::new(0.0, 0.0, 1.0, 1.0), 5)
-            .is_empty());
-        let ts = corpus(5, 9);
-        let tree = RTree::build(&ts);
-        assert!(tree.knn_mbr(&ts[0].mbr(), 0).is_empty());
-        // Over-asking returns everything.
-        assert_eq!(tree.knn_mbr(&ts[0].mbr(), 100).len(), 5);
+        assert_eq!(tree.within(&ts[0].mbr(), 0.0), vec![0]);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Property-based tests of the spatial indexes: candidate soundness and
-//! best-first kNN correctness on random corpora.
+//! Property-based tests of the spatial indexes on random corpora: the
+//! R-tree's range query and the candidate soundness of both indexes.
 
 use neutraj_index::{GridInvertedIndex, RTree, SpatialIndex};
 use neutraj_trajectory::rng::{cases, Rng};
@@ -22,7 +22,7 @@ fn rtree_range_query_equals_linear_filter() {
         let corpus = arb_corpus(rng);
         let tree = RTree::build(&corpus);
         let query = corpus[0].mbr().inflated(25.0);
-        let got = tree.range_query(&query);
+        let got = tree.within(&query, 0.0);
         let expected: Vec<usize> = corpus
             .iter()
             .enumerate()
@@ -34,37 +34,17 @@ fn rtree_range_query_equals_linear_filter() {
 }
 
 #[test]
-fn rtree_knn_distances_are_sorted_and_tight() {
-    cases(48, |rng| {
-        let corpus = arb_corpus(rng);
-        let k = rng.gen_range(1usize..10);
-        let tree = RTree::build(&corpus);
-        let q = corpus[0].mbr();
-        let got = tree.knn_mbr(&q, k);
-        assert_eq!(got.len(), k.min(corpus.len()));
-        for w in got.windows(2) {
-            assert!(w[0].1 <= w[1].1 + 1e-12, "knn distances unsorted");
-        }
-        // No non-returned item may be strictly closer than the worst
-        // returned one.
-        if let Some(&(_, worst)) = got.last() {
-            for (i, t) in corpus.iter().enumerate() {
-                if !got.iter().any(|(gi, _)| *gi == i) {
-                    assert!(
-                        t.mbr().min_dist_box(&q) >= worst - 1e-12,
-                        "missed closer item {i}"
-                    );
-                }
-            }
-        }
-    });
-}
-
-#[test]
 fn both_indexes_are_sound_candidate_generators() {
     cases(48, |rng| {
         let corpus = arb_corpus(rng);
-        let radius = rng.gen_range(0.0f64..100.0);
+        // Besides ordinary radii, one wider than the whole grid can
+        // address (2^33 cells of 20 m) and an infinite one: both must
+        // keep every trajectory.
+        let radius = match rng.gen_range(0u8..4) {
+            0 => f64::INFINITY,
+            1 => 20.0 * 2f64.powi(33),
+            _ => rng.gen_range(0.0f64..100.0),
+        };
         // "Sound" = no trajectory whose true nearest-point distance to the
         // query is within the radius may be pruned.
         let rtree = RTree::build(&corpus);

@@ -1,115 +1,11 @@
-//! Additional measures demonstrating the "generic" claim.
+//! An additional measure demonstrating the "generic" claim.
 //!
-//! The paper argues NeuTraj accommodates *any* trajectory measure; these
-//! three extensions (EDR, LCSS, SSPD) exercise that claim in tests and
-//! examples beyond the four measures of the paper's evaluation.
+//! The paper argues NeuTraj accommodates *any* trajectory measure; SSPD
+//! exercises that claim in tests and `examples/custom_measure.rs` beyond
+//! the four measures of the paper's evaluation.
 
 use crate::Measure;
 use neutraj_trajectory::Point;
-
-/// Edit Distance on Real sequence (Chen et al., SIGMOD'05).
-///
-/// Counts the minimum number of edit operations to transform one sequence
-/// into the other, where two points "match" when within `epsilon`. Values
-/// are integers in `0..=max(|a|,|b|)`; we normalize by `max(|a|,|b|)` so
-/// corpora of mixed lengths remain comparable.
-#[derive(Debug, Clone, Copy)]
-pub struct Edr {
-    /// Matching tolerance (same unit as coordinates).
-    pub epsilon: f64,
-}
-
-impl Edr {
-    /// Creates EDR with the given matching tolerance.
-    pub fn new(epsilon: f64) -> Self {
-        Self { epsilon }
-    }
-}
-
-impl Measure for Edr {
-    fn dist(&self, a: &[Point], b: &[Point]) -> f64 {
-        if a.is_empty() || b.is_empty() {
-            return f64::INFINITY;
-        }
-        let (outer, inner) = if a.len() >= b.len() { (a, b) } else { (b, a) };
-        let cols = inner.len();
-        let mut prev: Vec<f64> = (0..=cols).map(|j| j as f64).collect();
-        let mut cur = vec![0.0; cols + 1];
-        for (i, pi) in outer.iter().enumerate() {
-            cur[0] = (i + 1) as f64;
-            for j in 1..=cols {
-                let subcost = if pi.dist(&inner[j - 1]) <= self.epsilon {
-                    0.0
-                } else {
-                    1.0
-                };
-                cur[j] = (prev[j - 1] + subcost)
-                    .min(prev[j] + 1.0)
-                    .min(cur[j - 1] + 1.0);
-            }
-            std::mem::swap(&mut prev, &mut cur);
-        }
-        prev[cols] / outer.len() as f64
-    }
-
-    fn name(&self) -> &'static str {
-        "EDR"
-    }
-
-    fn is_metric(&self) -> bool {
-        false // EDR violates the triangle inequality in general.
-    }
-}
-
-/// Longest Common SubSequence dissimilarity (Vlachos et al., ICDE'02).
-///
-/// `1 - LCSS(a,b) / min(|a|,|b|)`: zero when one sequence is an
-/// ε-approximate subsequence of the other, one when nothing matches.
-#[derive(Debug, Clone, Copy)]
-pub struct Lcss {
-    /// Matching tolerance (same unit as coordinates).
-    pub epsilon: f64,
-}
-
-impl Lcss {
-    /// Creates LCSS with the given matching tolerance.
-    pub fn new(epsilon: f64) -> Self {
-        Self { epsilon }
-    }
-}
-
-impl Measure for Lcss {
-    fn dist(&self, a: &[Point], b: &[Point]) -> f64 {
-        if a.is_empty() || b.is_empty() {
-            return f64::INFINITY;
-        }
-        let (outer, inner) = if a.len() >= b.len() { (a, b) } else { (b, a) };
-        let cols = inner.len();
-        let mut prev = vec![0u32; cols + 1];
-        let mut cur = vec![0u32; cols + 1];
-        for pi in outer {
-            cur[0] = 0;
-            for j in 1..=cols {
-                cur[j] = if pi.dist(&inner[j - 1]) <= self.epsilon {
-                    prev[j - 1] + 1
-                } else {
-                    prev[j].max(cur[j - 1])
-                };
-            }
-            std::mem::swap(&mut prev, &mut cur);
-        }
-        let lcss = prev[cols] as f64;
-        1.0 - lcss / inner.len() as f64
-    }
-
-    fn name(&self) -> &'static str {
-        "LCSS"
-    }
-
-    fn is_metric(&self) -> bool {
-        false
-    }
-}
 
 /// Symmetrized Segment-Path Distance (Besse et al.).
 ///
@@ -174,40 +70,6 @@ mod tests {
     }
 
     #[test]
-    fn edr_identical_zero_and_disjoint_one() {
-        let a = pts(&[(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]);
-        let e = Edr::new(0.5);
-        assert_eq!(e.dist(&a, &a), 0.0);
-        let far = pts(&[(100.0, 100.0), (101.0, 100.0), (102.0, 100.0)]);
-        assert_eq!(e.dist(&a, &far), 1.0);
-    }
-
-    #[test]
-    fn edr_tolerance_controls_matching() {
-        let a = pts(&[(0.0, 0.0), (1.0, 0.0)]);
-        let b = pts(&[(0.3, 0.0), (1.3, 0.0)]);
-        assert_eq!(Edr::new(0.5).dist(&a, &b), 0.0);
-        assert!(Edr::new(0.1).dist(&a, &b) > 0.0);
-    }
-
-    #[test]
-    fn lcss_subsequence_is_zero() {
-        let a = pts(&[(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (3.0, 0.0)]);
-        let sub = pts(&[(1.0, 0.0), (3.0, 0.0)]);
-        assert_eq!(Lcss::new(0.1).dist(&a, &sub), 0.0);
-    }
-
-    #[test]
-    fn lcss_range_is_unit_interval() {
-        let a = pts(&[(0.0, 0.0), (1.0, 0.0)]);
-        let b = pts(&[(50.0, 50.0), (51.0, 50.0), (52.0, 50.0)]);
-        let l = Lcss::new(0.5);
-        let d = l.dist(&a, &b);
-        assert_eq!(d, 1.0);
-        assert!(l.dist(&a, &a) == 0.0);
-    }
-
-    #[test]
     fn sspd_handles_resampling_gracefully() {
         // Same geometric path sampled at different rates: SSPD stays tiny.
         let coarse = pts(&[(0.0, 0.0), (10.0, 0.0)]);
@@ -227,8 +89,8 @@ mod tests {
     #[test]
     fn all_extras_infinite_on_empty() {
         let a = pts(&[(0.0, 0.0)]);
-        assert_eq!(Edr::new(1.0).dist(&a, &[]), f64::INFINITY);
-        assert_eq!(Lcss::new(1.0).dist(&[], &a), f64::INFINITY);
+        assert_eq!(Sspd.dist(&a, &[]), f64::INFINITY);
+        assert_eq!(Sspd.dist(&[], &a), f64::INFINITY);
         assert_eq!(Sspd.dist(&[], &[]), f64::INFINITY);
     }
 

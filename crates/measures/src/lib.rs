@@ -15,9 +15,9 @@
 //! * [`Erp`] — Edit distance with Real Penalty (Chen & Ng, VLDB'04).
 //!
 //! Because the paper's headline claim is that NeuTraj is *generic* over
-//! measures, three further measures are provided as extensions: [`Edr`],
-//! [`Lcss`] and [`Sspd`]. Any type implementing [`Measure`] plugs into the
-//! rest of the system unchanged.
+//! measures, one further measure is provided as an extension: [`Sspd`].
+//! Any type implementing [`Measure`] plugs into the rest of the system
+//! unchanged.
 //!
 //! All dynamic-programming implementations run in `O(len_a · len_b)` time
 //! and `O(min(len_a, len_b))` memory (rolling rows).
@@ -40,7 +40,6 @@ mod hausdorff;
 mod matrix;
 mod pointgrid;
 mod simd;
-pub mod timed;
 
 pub use bounds::TrajCache;
 pub use bruteforce::{
@@ -49,7 +48,7 @@ pub use bruteforce::{
 pub use dtw::Dtw;
 pub use engine::GroundTruthEngine;
 pub use erp::Erp;
-pub use extra::{Edr, Lcss, Sspd};
+pub use extra::Sspd;
 pub use frechet::DiscreteFrechet;
 pub use hausdorff::Hausdorff;
 pub use matrix::{DistanceMatrix, FiniteStats};

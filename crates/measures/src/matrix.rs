@@ -120,12 +120,6 @@ impl DistanceMatrix {
         }
     }
 
-    /// Maximum finite off-diagonal entry; `None` when `n < 2` or all
-    /// entries are infinite.
-    pub fn max_finite(&self) -> Option<f64> {
-        self.finite_stats().max
-    }
-
     /// Mean of the finite off-diagonal entries (0 when there are none).
     pub fn mean_finite(&self) -> f64 {
         self.finite_stats().mean
@@ -203,10 +197,10 @@ mod tests {
     fn aggregates() {
         let ts = corpus(3);
         let m = DistanceMatrix::compute(&Hausdorff, &ts);
-        assert!(m.max_finite().unwrap() > 0.0);
+        assert!(m.finite_stats().max.unwrap() > 0.0);
         assert!(m.mean_finite() > 0.0);
         let empty = DistanceMatrix::from_raw(1, vec![0.0]);
-        assert!(empty.max_finite().is_none());
+        assert!(empty.finite_stats().max.is_none());
         assert_eq!(empty.mean_finite(), 0.0);
     }
 
@@ -225,7 +219,6 @@ mod tests {
         assert_eq!(st.max, Some(4.0));
         assert_eq!(st.mean, 3.0);
         assert_eq!(st.count, 4);
-        assert_eq!(m.max_finite(), Some(4.0));
         assert_eq!(m.mean_finite(), 3.0);
         let empty = DistanceMatrix::from_raw(1, vec![0.0]);
         let st = empty.finite_stats();

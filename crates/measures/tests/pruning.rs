@@ -4,7 +4,7 @@
 //! that perturbs even one ULP is a bug, not an approximation.
 
 use neutraj_measures::{
-    top_k, DistanceMatrix, Edr, GroundTruthEngine, Lcss, Measure, MeasureKind, Neighbor,
+    top_k, DistanceMatrix, GroundTruthEngine, Measure, MeasureKind, Neighbor, Sspd,
 };
 use neutraj_trajectory::rng::{cases, Rng};
 use neutraj_trajectory::{Point, Trajectory};
@@ -24,6 +24,32 @@ fn arb_corpus(rng: &mut Rng, n: usize) -> Vec<Trajectory> {
         .collect()
 }
 
+/// A passthrough measure with many ties: the share of points, over both
+/// directions, that have no partner within 1.5 in the other trajectory.
+struct Unmatched;
+
+impl Measure for Unmatched {
+    fn dist(&self, a: &[Point], b: &[Point]) -> f64 {
+        if a.is_empty() || b.is_empty() {
+            return f64::INFINITY;
+        }
+        let lonely = |xs: &[Point], ys: &[Point]| {
+            xs.iter()
+                .filter(|p| ys.iter().all(|q| p.dist(q) > 1.5))
+                .count()
+        };
+        (lonely(a, b) + lonely(b, a)) as f64 / (a.len() + b.len()) as f64
+    }
+
+    fn name(&self) -> &'static str {
+        "UNMATCHED"
+    }
+
+    fn is_metric(&self) -> bool {
+        false
+    }
+}
+
 /// Every measure with an accelerated kernel, plus two passthrough
 /// measures (no `accel()`) that must still route correctly through the
 /// engine's drivers.
@@ -32,8 +58,8 @@ fn all_measures() -> Vec<(String, Box<dyn Measure>)> {
         .iter()
         .map(|k| (k.name().to_string(), k.measure()))
         .collect();
-    out.push(("EDR".into(), Box::new(Edr::new(1.5))));
-    out.push(("LCSS".into(), Box::new(Lcss::new(1.5))));
+    out.push(("SSPD".into(), Box::new(Sspd)));
+    out.push(("UNMATCHED".into(), Box::new(Unmatched)));
     out
 }
 

@@ -240,19 +240,17 @@ impl Checkpoint {
 
 /// When the trainer writes checkpoints, and where.
 ///
-/// A checkpoint is written at an epoch boundary when **any** trigger
-/// fires: the epoch interval, the elapsed-seconds interval, or the stop
-/// flag (which also ends the run gracefully — the application typically
-/// sets it from a SIGTERM/SIGINT handler). Checkpointing is observational:
-/// training results are bit-identical with any policy, including none.
+/// A checkpoint is written at an epoch boundary when **either** trigger
+/// fires: the epoch interval or the stop flag (which also ends the run
+/// gracefully — the application typically sets it from a SIGTERM/SIGINT
+/// handler). Checkpointing is observational: training results are
+/// bit-identical with any policy, including none.
 #[derive(Debug, Clone)]
 pub struct CheckpointPolicy {
     /// Directory checkpoint files are written into (created on demand).
     pub dir: PathBuf,
     /// Write every `n` completed epochs (0 disables the epoch trigger).
     pub every_epochs: usize,
-    /// Also write when this many seconds elapsed since the last write.
-    pub every_seconds: Option<f64>,
     /// Graceful-shutdown flag: when set, the trainer writes a final
     /// checkpoint at the next epoch boundary and returns early with
     /// [`TrainReport::interrupted`](crate::TrainReport::interrupted).
@@ -273,19 +271,6 @@ impl CheckpointPolicy {
         Self {
             dir: dir.into(),
             every_epochs: n,
-            every_seconds: None,
-            stop: None,
-            keep: 0,
-        }
-    }
-
-    /// Checkpoint into `dir` whenever `seconds` have elapsed since the
-    /// last write (evaluated at epoch boundaries).
-    pub fn every_seconds(dir: impl Into<PathBuf>, seconds: f64) -> Self {
-        Self {
-            dir: dir.into(),
-            every_epochs: 0,
-            every_seconds: Some(seconds),
             stop: None,
             keep: 0,
         }
@@ -303,15 +288,10 @@ impl CheckpointPolicy {
         self
     }
 
-    /// Whether the epoch/time triggers say a checkpoint is due after
-    /// `epochs_done` completed epochs with `since_last` elapsed since the
-    /// previous write.
-    pub(crate) fn due(&self, epochs_done: usize, since_last_secs: f64) -> bool {
-        let by_epoch = self.every_epochs > 0 && epochs_done.is_multiple_of(self.every_epochs);
-        let by_time = self
-            .every_seconds
-            .is_some_and(|t| since_last_secs >= t && t >= 0.0);
-        by_epoch || by_time
+    /// Whether the epoch trigger says a checkpoint is due after
+    /// `epochs_done` completed epochs.
+    pub(crate) fn due(&self, epochs_done: usize) -> bool {
+        self.every_epochs > 0 && epochs_done.is_multiple_of(self.every_epochs)
     }
 
     /// Whether the stop flag is raised.
@@ -461,12 +441,10 @@ mod tests {
     #[test]
     fn policy_triggers() {
         let p = CheckpointPolicy::every_epochs("/tmp/x", 2);
-        assert!(!p.due(1, 0.0));
-        assert!(p.due(2, 0.0));
-        assert!(p.due(4, 0.0));
-        let p = CheckpointPolicy::every_seconds("/tmp/x", 30.0);
-        assert!(!p.due(3, 10.0));
-        assert!(p.due(3, 31.0));
+        assert!(!p.due(1));
+        assert!(p.due(2));
+        assert!(p.due(4));
+        assert!(!CheckpointPolicy::every_epochs("/tmp/x", 0).due(3));
         let flag = Arc::new(AtomicBool::new(false));
         let p = CheckpointPolicy::every_epoch("/tmp/x").with_stop_flag(flag.clone());
         assert!(!p.stop_requested());

@@ -100,6 +100,7 @@ impl<T: Clone> Chunks<Vec<T>> {
         &self.block(i)[i % CHUNK]
     }
 
+    #[cfg(test)]
     pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
         self.blocks.iter().flat_map(|b| b.iter())
     }

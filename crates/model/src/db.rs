@@ -42,7 +42,7 @@ use neutraj_cluster::{KMeans, KMeansParams};
 use neutraj_index::{HnswCodecError, HnswIndex, HnswParams, IvfCodecError, IvfIndex};
 use neutraj_measures::{neighbor_order, Measure, Neighbor};
 use neutraj_obs::{names, Counter, Gauge, Histogram, Registry};
-use neutraj_trajectory::{par, Grid, TrajError, Trajectory};
+use neutraj_trajectory::{Grid, TrajError, Trajectory};
 use std::borrow::Borrow;
 use std::path::Path;
 
@@ -897,55 +897,6 @@ impl SimilarityDb {
     pub fn pair_similarity(&self, i: usize, j: usize) -> f64 {
         pair_similarity(self.embedding(i), self.embedding(j))
     }
-
-    /// Similarity join (the paper's motivating all-pairs workload, §I):
-    /// all stored pairs `(i, j)` with exact distance ≤ `tau` under
-    /// `measure`, found by **embedding-space candidate generation**
-    /// (pairs with embedding distance ≤ `emb_radius`, via the fused
-    /// norm-trick scan of [`EmbeddingStore::pairs_within`]) followed by
-    /// **exact verification** of the survivors only, parallelized across
-    /// the available cores.
-    ///
-    /// Exact distances are computed in grid units (the training scale),
-    /// so `tau` is in grid units too. The result is exact on the
-    /// candidate set; recall depends on `emb_radius` — since the model is
-    /// trained so `exp(-‖E_i−E_j‖) ≈ exp(-α·D_ij)`, a radius of
-    /// `α·tau·slack` with `slack ≈ 2–3` captures nearly all true pairs at
-    /// a fraction of the `O(N²·L²)` exact-join cost. Pairs are returned
-    /// with their exact distance, `i < j`, sorted ascending by distance.
-    pub fn similarity_join(
-        &self,
-        measure: &dyn Measure,
-        tau: f64,
-        emb_radius: f64,
-    ) -> Vec<(usize, usize, f64)> {
-        let grid = self.model.grid();
-        let rescaled: Vec<Trajectory> = self
-            .trajectories
-            .iter()
-            .map(|t| grid.rescale_trajectory(t))
-            .collect();
-        let candidates = self.embeddings.pairs_within(emb_radius);
-        let verify = |chunk: &[(usize, usize)]| -> Vec<(usize, usize, f64)> {
-            chunk
-                .iter()
-                .filter_map(|&(i, j)| {
-                    let d = measure.dist(rescaled[i].points(), rescaled[j].points());
-                    (d <= tau).then_some((i, j, d))
-                })
-                .collect()
-        };
-        // Verified in chunks, re-concatenated in chunk order, so the
-        // pre-sort content is independent of the thread count.
-        let chunk = if candidates.len() < 1024 {
-            candidates.len().max(1)
-        } else {
-            candidates.len().div_ceil(par::threads())
-        };
-        let mut out = par::fan_out(candidates.chunks(chunk), verify).concat();
-        out.sort_by(|a, b| a.2.total_cmp(&b.2).then((a.0, a.1).cmp(&(b.0, b.1))));
-        out
-    }
 }
 
 /// The exact re-rank stage: re-scores an embedding-space `shortlist` by
@@ -1280,44 +1231,6 @@ mod tests {
         };
         assert_eq!(bits(&got), bits(&want));
         assert!(got[29].dist.is_nan(), "NaN distances sort last");
-    }
-
-    #[test]
-    fn similarity_join_is_sound_and_recalls_with_wide_radius() {
-        let (model, trajs) = trained_model_and_corpus();
-        let db = SimilarityDb::with_corpus(model, trajs.clone(), 2);
-        // Exact reference join.
-        let grid = db.model().grid().clone();
-        let rescaled: Vec<Trajectory> = trajs.iter().map(|t| grid.rescale_trajectory(t)).collect();
-        let tau = 3.0; // grid units
-        let mut truth = Vec::new();
-        for i in 0..trajs.len() {
-            for j in i + 1..trajs.len() {
-                let d = Hausdorff.dist(rescaled[i].points(), rescaled[j].points());
-                if d <= tau {
-                    truth.push((i, j));
-                }
-            }
-        }
-        // Infinite radius ⇒ the join must equal the exact join.
-        let full = db.similarity_join(&Hausdorff, tau, f64::INFINITY);
-        let full_pairs: Vec<(usize, usize)> = full.iter().map(|&(i, j, _)| (i, j)).collect();
-        let mut sorted_truth = truth.clone();
-        sorted_truth.sort_unstable();
-        let mut sorted_full = full_pairs.clone();
-        sorted_full.sort_unstable();
-        assert_eq!(sorted_full, sorted_truth);
-        // Soundness at any radius: results ⊆ exact join, distances ≤ tau,
-        // ascending order.
-        let pruned = db.similarity_join(&Hausdorff, tau, 1.0);
-        for w in pruned.windows(2) {
-            assert!(w[0].2 <= w[1].2);
-        }
-        for &(i, j, d) in &pruned {
-            assert!(d <= tau);
-            assert!(sorted_truth.binary_search(&(i, j)).is_ok());
-        }
-        assert!(pruned.len() <= full.len());
     }
 
     #[test]

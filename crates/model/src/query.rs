@@ -8,7 +8,7 @@
 //! embedding, or a stored item). The struct is generic over how the
 //! re-rank measure is named, and that is the only difference between its
 //! two forms: [`Query`] borrows any [`Measure`] (the paper's "generic" —
-//! a caller-owned `Erp` with its own gap, `Edr`, a custom impl), while
+//! a caller-owned `Erp` with its own gap, `Sspd`, a custom impl), while
 //! [`QuerySpec`] names one of the paper's four by [`MeasureKind`], which
 //! makes it owned, `Eq` and `Hash` — it can cross threads, sit in a queue
 //! and key a coalescing group. [`QuerySpec::with_query`] is the one

@@ -493,59 +493,6 @@ impl EmbeddingStore {
             .collect();
         sqrt_dists(top_k(&dists, k))
     }
-
-    /// All stored pairs `(i, j)` with `i < j` whose embedding distance is
-    /// within `radius` — the candidate-generation kernel of
-    /// [`SimilarityDb::similarity_join`](crate::SimilarityDb::similarity_join).
-    ///
-    /// Runs the same fused scan as [`Self::knn_batch`] with every
-    /// threshold fixed at `radius²`: each chunk's rows in turn are the
-    /// queries, that chunk and every later one the corpus, instead of
-    /// `N²/2` memory-bound `euclidean` calls. Pairs are emitted in
-    /// lexicographic `(i, j)` order. Matching the historical scalar loop's
-    /// `!(dist > radius)` test, a NaN radius keeps every pair; a negative
-    /// radius keeps none.
-    pub fn pairs_within(&self, radius: f64) -> Vec<(usize, usize)> {
-        if radius < 0.0 {
-            return Vec::new();
-        }
-        let r2 = radius * radius;
-        // The kernel admits nothing under a NaN threshold.
-        let limit = if r2.is_nan() { f64::INFINITY } else { r2 };
-        let mut out = Vec::new();
-        let mut thresholds = vec![limit; CHUNK];
-        for (ci, queries) in self.rows.blocks().enumerate() {
-            let thresholds = &mut thresholds[..queries.rows()];
-            for (cj, rows) in self.rows.blocks().enumerate().skip(ci) {
-                let input = ScanInput {
-                    dim: self.dim,
-                    queries: &queries.rows,
-                    qnorms: &queries.norms,
-                    rows: &rows.rows,
-                    row_norms: &rows.norms,
-                };
-                scan_rows(
-                    neutraj_obs::simd::level(),
-                    &input,
-                    thresholds,
-                    |io, jo, d2| {
-                        // Stay strictly above the diagonal (i < j).
-                        // `d2 <= r2 || r2.is_nan()`: same keep-set as the
-                        // historical `!(euclidean > radius)` check, where
-                        // a NaN radius keeps every pair.
-                        if (cj > ci || io < jo) && (d2 <= r2 || r2.is_nan()) {
-                            out.push((ci * CHUNK + io, cj * CHUNK + jo));
-                        }
-                        limit
-                    },
-                );
-            }
-        }
-        // The scan emits chunk-major; restore the documented
-        // lexicographic order (cheap next to the O(N²·d) scan above).
-        out.sort_unstable();
-        out
-    }
 }
 
 /// `out` with each squared distance replaced by its square root.
@@ -692,33 +639,6 @@ mod tests {
             }
         }
         assert!(s.knn_batch(&[], 5).is_empty());
-    }
-
-    #[test]
-    fn pairs_within_matches_scalar_loop() {
-        use neutraj_nn::linalg::euclidean;
-        // Enough rows to cross many chunk boundaries.
-        let embs: Vec<Vec<f64>> = (0..700)
-            .map(|i| vec![(i % 53) as f64 * 0.25, ((i * 11) % 17) as f64 * 0.5])
-            .collect();
-        let s = EmbeddingStore::from_embeddings(2, &embs);
-        for radius in [0.0, 0.6, 2.5] {
-            let mut naive = Vec::new();
-            for i in 0..embs.len() {
-                for j in i + 1..embs.len() {
-                    let d = euclidean(&embs[i], &embs[j]);
-                    if d <= radius || radius.is_nan() {
-                        naive.push((i, j));
-                    }
-                }
-            }
-            assert_eq!(s.pairs_within(radius), naive, "radius {radius}");
-        }
-        // Edge semantics of the historical `!(dist > radius)` test.
-        assert!(s.pairs_within(-1.0).is_empty(), "negative radius");
-        let all = 700 * 699 / 2;
-        assert_eq!(s.pairs_within(f64::INFINITY).len(), all);
-        assert_eq!(s.pairs_within(f64::NAN).len(), all, "NaN keeps all");
     }
 
     #[test]

@@ -331,7 +331,6 @@ impl Trainer {
             Some(st) => st.next_epoch,
             None => 0,
         };
-        let mut last_ckpt = Instant::now();
         let metrics = self.metrics.as_ref();
         let d = cfg.dim;
         // Per-batch glue, reused: the row of every involved seed in the
@@ -491,7 +490,7 @@ impl Trainer {
             // now in (backbone, adam, report, best_loss, stale).
             if let Some(policy) = &self.ckpt {
                 let stop = policy.stop_requested();
-                if stop || policy.due(epoch + 1, last_ckpt.elapsed().as_secs_f64()) {
+                if stop || policy.due(epoch + 1) {
                     self.write_checkpoint(
                         policy,
                         &backbone,
@@ -501,7 +500,6 @@ impl Trainer {
                         stale,
                         epoch + 1,
                     )?;
-                    last_ckpt = Instant::now();
                 }
                 if stop && !report.early_stopped {
                     report.interrupted = true;

@@ -513,7 +513,6 @@ fn db_knn_batch_matches_scalar_knn() {
 /// 512-row code-chunk boundaries —
 /// is the store a bulk load builds over the same rows: `==` (rows, norms
 /// and codes), the same exact answers in both scan regimes, the same
-/// `pairs_within` (one pair split across chunks among them), the same
 /// IVF and graph shortlists, and `as_flat` the same bits. A clone does
 /// not carry `as_flat`'s copy.
 #[test]
@@ -566,17 +565,6 @@ fn store_grown_by_inserted_equals_the_bulk_store() {
             }
             assert_scan_matches_oracle_at(grown, &queries[..b], &[10], &what);
         }
-
-        // A radius that keeps the pair of the first and the last row, which
-        // sit in different chunks.
-        let (first, last) = (1, at - 1);
-        let d2: f64 = (grown.get(first).iter().zip(grown.get(last)))
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum();
-        let radius = d2.sqrt() * (1.0 + 1e-9);
-        let pairs = grown.pairs_within(radius);
-        assert!(pairs.contains(&(first, last)), "{what}: cross-chunk pair");
-        assert_eq!(pairs, bulk.pairs_within(radius), "{what}: pairs_within");
 
         let mut views = SimilarityDb::with_corpus(m.clone(), rows.to_vec(), 1);
         let ann = AnnParams {

@@ -41,11 +41,6 @@ impl BoundingBox {
         }
     }
 
-    /// Degenerate box covering a single point.
-    pub fn from_point(p: Point) -> Self {
-        Self::new(p.x, p.y, p.x, p.y)
-    }
-
     /// Smallest box covering every point in `points`; [`Self::EMPTY`] when
     /// `points` is empty.
     pub fn from_points(points: &[Point]) -> Self {
@@ -177,7 +172,7 @@ mod tests {
         let p = Point::new(3.0, 4.0);
         let b = e.expanded_to(p);
         assert!(!b.is_empty());
-        assert_eq!(b, BoundingBox::from_point(p));
+        assert_eq!(b, BoundingBox::new(3.0, 4.0, 3.0, 4.0));
     }
 
     #[test]

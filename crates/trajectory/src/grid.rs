@@ -24,41 +24,6 @@ impl GridCell {
     pub const fn new(col: u32, row: u32) -> Self {
         Self { col, row }
     }
-
-    /// Chebyshev (L∞) distance between cells — the metric that defines the
-    /// SAM reader's `(2w+1)²` scan window.
-    pub fn chebyshev(&self, other: &GridCell) -> u32 {
-        let dc = self.col.abs_diff(other.col);
-        let dr = self.row.abs_diff(other.row);
-        dc.max(dr)
-    }
-}
-
-/// A trajectory mapped into grid space: the cell sequence alongside the
-/// normalized coordinate sequence that the RNN consumes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GridSeq {
-    /// Originating trajectory id.
-    pub id: u64,
-    /// Cell per point (`Xₜᵍ` in the paper).
-    pub cells: Vec<GridCell>,
-    /// Coordinates expressed in *grid units* — `(x - min_x) / cell_size` —
-    /// so that one coordinate unit equals one cell. This is the `Xₜᶜ`
-    /// input of the SAM-LSTM; using grid units keeps network inputs and
-    /// learned distances on a measure-independent scale.
-    pub coords: Vec<(f32, f32)>,
-}
-
-impl GridSeq {
-    /// Number of steps in the sequence.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// Returns `true` when the sequence has no steps.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
 }
 
 /// A uniform `P × Q` grid over a rectangular extent.
@@ -157,15 +122,6 @@ impl Grid {
         c.row as usize * self.cols as usize + c.col as usize
     }
 
-    /// Inverse of [`Self::index_of`].
-    pub fn cell_at(&self, index: usize) -> GridCell {
-        debug_assert!(index < self.num_cells());
-        GridCell::new(
-            (index % self.cols as usize) as u32,
-            (index / self.cols as usize) as u32,
-        )
-    }
-
     /// Centre point of a cell, in coordinate space.
     pub fn cell_center(&self, c: GridCell) -> Point {
         Point::new(
@@ -180,21 +136,6 @@ impl Grid {
             ((p.x - self.extent.min_x) / self.cell_size) as f32,
             ((p.y - self.extent.min_y) / self.cell_size) as f32,
         )
-    }
-
-    /// Maps a trajectory into its [`GridSeq`] (cells + grid-unit coords).
-    pub fn map_trajectory(&self, t: &Trajectory) -> GridSeq {
-        let mut cells = Vec::with_capacity(t.len());
-        let mut coords = Vec::with_capacity(t.len());
-        for p in t.points() {
-            cells.push(self.cell_of(*p));
-            coords.push(self.to_grid_units(*p));
-        }
-        GridSeq {
-            id: t.id,
-            cells,
-            coords,
-        }
     }
 
     /// Returns a copy of `t` with coordinates rescaled to grid units
@@ -215,9 +156,9 @@ impl Grid {
     /// `(2w+1)²` entries.
     pub fn scan_window(&self, center: GridCell, w: u32) -> Vec<GridCell> {
         let c0 = center.col.saturating_sub(w);
-        let c1 = (center.col + w).min(self.cols - 1);
+        let c1 = center.col.saturating_add(w).min(self.cols - 1);
         let r0 = center.row.saturating_sub(w);
-        let r1 = (center.row + w).min(self.rows - 1);
+        let r1 = center.row.saturating_add(w).min(self.rows - 1);
         let mut out = Vec::with_capacity(((c1 - c0 + 1) * (r1 - r0 + 1)) as usize);
         for row in r0..=r1 {
             for col in c0..=c1 {
@@ -264,19 +205,21 @@ mod tests {
         assert_eq!(g.cell_of(Point::new(1e6, -1.0)), GridCell::new(9, 0));
     }
 
+    fn cells(g: &Grid) -> impl Iterator<Item = GridCell> + '_ {
+        (0..g.rows()).flat_map(|row| (0..g.cols()).map(move |col| GridCell::new(col, row)))
+    }
+
     #[test]
     fn index_roundtrip() {
         let g = grid_10x5();
-        for idx in 0..g.num_cells() {
-            assert_eq!(g.index_of(g.cell_at(idx)), idx);
-        }
+        let indices: Vec<usize> = cells(&g).map(|c| g.index_of(c)).collect();
+        assert_eq!(indices, (0..g.num_cells()).collect::<Vec<_>>());
     }
 
     #[test]
     fn cell_center_maps_back() {
         let g = grid_10x5();
-        for idx in 0..g.num_cells() {
-            let c = g.cell_at(idx);
+        for c in cells(&g) {
             assert_eq!(g.cell_of(g.cell_center(c)), c);
         }
     }
@@ -293,7 +236,9 @@ mod tests {
         let g = grid_10x5();
         let win = g.scan_window(GridCell::new(5, 2), 2);
         assert_eq!(win.len(), 25);
-        assert!(win.iter().all(|c| c.chebyshev(&GridCell::new(5, 2)) <= 2));
+        assert!(win
+            .iter()
+            .all(|c| c.col.abs_diff(5) <= 2 && c.row.abs_diff(2) <= 2));
         // corner clips
         let win = g.scan_window(GridCell::new(0, 0), 2);
         assert_eq!(win.len(), 9); // 3 x 3
@@ -304,17 +249,8 @@ mod tests {
             g.scan_window(GridCell::new(3, 3), 0),
             vec![GridCell::new(3, 3)]
         );
-    }
-
-    #[test]
-    fn map_trajectory_lengths_match() {
-        let g = grid_10x5();
-        let t = Trajectory::new_unchecked(1, vec![Point::new(5.0, 5.0), Point::new(95.0, 45.0)]);
-        let gs = g.map_trajectory(&t);
-        assert_eq!(gs.len(), 2);
-        assert_eq!(gs.cells[0], GridCell::new(0, 0));
-        assert_eq!(gs.cells[1], GridCell::new(9, 4));
-        assert_eq!(gs.coords[0], (0.5, 0.5));
+        // a window wider than the address space clips to the whole grid
+        assert_eq!(g.scan_window(GridCell::new(5, 2), u32::MAX).len(), 50);
     }
 
     #[test]
@@ -337,11 +273,5 @@ mod tests {
         let t = Trajectory::new_unchecked(0, vec![Point::new(25.0, 10.0)]);
         let r = g.rescale_trajectory(&t);
         assert_eq!(r.points()[0], Point::new(2.5, 1.0));
-    }
-
-    #[test]
-    fn chebyshev_distance() {
-        assert_eq!(GridCell::new(2, 3).chebyshev(&GridCell::new(5, 1)), 3);
-        assert_eq!(GridCell::new(0, 0).chebyshev(&GridCell::new(0, 0)), 0);
     }
 }

@@ -140,21 +140,6 @@ pub fn decode_binary(data: &[u8]) -> Result<Dataset> {
     Ok(Dataset::new(out))
 }
 
-/// Writes the binary format to a file path.
-pub fn write_binary_file<P: AsRef<Path>>(ds: &Dataset, path: P) -> Result<()> {
-    let bytes = encode_binary(ds);
-    let mut f = BufWriter::new(File::create(path)?);
-    f.write_all(&bytes)?;
-    Ok(())
-}
-
-/// Reads the binary format from a file path.
-pub fn read_binary_file<P: AsRef<Path>>(path: P) -> Result<Dataset> {
-    let mut data = Vec::new();
-    File::open(path)?.read_to_end(&mut data)?;
-    decode_binary(&data)
-}
-
 fn parse_err(line: usize, msg: &str) -> TrajError {
     TrajError::Parse {
         line,
@@ -235,11 +220,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("neutraj_io_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let csv = dir.join("corpus.csv");
-        let bin = dir.join("corpus.bin");
         write_csv_file(&ds, &csv).unwrap();
-        write_binary_file(&ds, &bin).unwrap();
         assert_eq!(read_csv_file(&csv).unwrap(), ds);
-        assert_eq!(read_binary_file(&bin).unwrap(), ds);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

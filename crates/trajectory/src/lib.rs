@@ -42,16 +42,12 @@ pub mod par;
 mod point;
 pub mod rng;
 pub mod stats;
-pub mod timed;
 mod traj;
 
 pub use bbox::BoundingBox;
 pub use dataset::{Dataset, Split, SplitRatios};
 pub use error::TrajError;
-
-/// Former name of [`TrajError`], kept as an alias for downstream code.
-pub type TrajectoryError = TrajError;
-pub use grid::{Grid, GridCell, GridSeq};
+pub use grid::{Grid, GridCell};
 pub use point::Point;
 pub use traj::Trajectory;
 

@@ -43,12 +43,6 @@ impl Point {
         dx * dx + dy * dy
     }
 
-    /// L1 (Manhattan) distance to `other`.
-    #[inline]
-    pub fn dist_l1(&self, other: &Point) -> f64 {
-        (self.x - other.x).abs() + (self.y - other.y).abs()
-    }
-
     /// Linear interpolation between `self` and `other`.
     ///
     /// `t = 0` yields `self`, `t = 1` yields `other`. `t` outside `[0, 1]`
@@ -71,12 +65,6 @@ impl Point {
     #[inline]
     pub fn is_finite(&self) -> bool {
         self.x.is_finite() && self.y.is_finite()
-    }
-
-    /// Midpoint of `self` and `other`.
-    #[inline]
-    pub fn midpoint(&self, other: &Point) -> Point {
-        self.lerp(other, 0.5)
     }
 }
 
@@ -138,20 +126,12 @@ mod tests {
     }
 
     #[test]
-    fn l1_distance() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(-3.0, 4.0);
-        assert_eq!(a.dist_l1(&b), 7.0);
-    }
-
-    #[test]
     fn lerp_endpoints_and_middle() {
         let a = Point::new(0.0, 0.0);
         let b = Point::new(10.0, -20.0);
         assert_eq!(a.lerp(&b, 0.0), a);
         assert_eq!(a.lerp(&b, 1.0), b);
         assert_eq!(a.lerp(&b, 0.5), Point::new(5.0, -10.0));
-        assert_eq!(a.midpoint(&b), Point::new(5.0, -10.0));
     }
 
     #[test]

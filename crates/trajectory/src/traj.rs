@@ -149,72 +149,6 @@ impl Trajectory {
         })
     }
 
-    /// Downsamples by keeping every `stride`-th point (always keeping the
-    /// last point). `stride` of 0 is treated as 1.
-    pub fn downsample(&self, stride: usize) -> Trajectory {
-        let stride = stride.max(1);
-        let mut points: Vec<Point> = self.points.iter().copied().step_by(stride).collect();
-        if let Some(&last) = self.points.last() {
-            if points.last() != Some(&last) {
-                points.push(last);
-            }
-        }
-        Trajectory {
-            id: self.id,
-            points,
-        }
-    }
-
-    /// Douglas–Peucker polyline simplification: keeps the minimal subset
-    /// of points such that no removed point deviates more than `epsilon`
-    /// from the simplified polyline. Endpoints are always kept.
-    ///
-    /// Useful to shrink long GPS traces before quadratic-cost exact
-    /// measures; the approximate baselines use grid snapping instead, but
-    /// user pipelines often prefer DP because the error bound is in
-    /// distance units.
-    pub fn simplify(&self, epsilon: f64) -> Trajectory {
-        assert!(epsilon >= 0.0, "epsilon must be non-negative");
-        if self.points.len() <= 2 {
-            return self.clone();
-        }
-        let mut keep = vec![false; self.points.len()];
-        keep[0] = true;
-        *keep.last_mut().expect("non-empty") = true;
-        // Iterative stack-based DP to avoid recursion depth limits.
-        let mut stack = vec![(0usize, self.points.len() - 1)];
-        while let Some((lo, hi)) = stack.pop() {
-            if hi <= lo + 1 {
-                continue;
-            }
-            let (a, b) = (self.points[lo], self.points[hi]);
-            let mut worst = 0.0;
-            let mut worst_idx = lo;
-            for i in lo + 1..hi {
-                let d = dist_point_segment(self.points[i], a, b);
-                if d > worst {
-                    worst = d;
-                    worst_idx = i;
-                }
-            }
-            if worst > epsilon {
-                keep[worst_idx] = true;
-                stack.push((lo, worst_idx));
-                stack.push((worst_idx, hi));
-            }
-        }
-        Trajectory {
-            id: self.id,
-            points: self
-                .points
-                .iter()
-                .zip(&keep)
-                .filter(|(_, &k)| k)
-                .map(|(p, _)| *p)
-                .collect(),
-        }
-    }
-
     /// Returns a copy clipped to `bbox`: the longest contiguous run of
     /// points inside the box. `None` if no point falls inside.
     ///
@@ -243,17 +177,6 @@ impl Trajectory {
             points: self.points[s..e].to_vec(),
         })
     }
-}
-
-/// Distance from `p` to the segment `a`–`b`.
-fn dist_point_segment(p: Point, a: Point, b: Point) -> f64 {
-    let ab = b - a;
-    let denom = ab.x * ab.x + ab.y * ab.y;
-    if denom == 0.0 {
-        return p.dist(&a);
-    }
-    let t = (((p.x - a.x) * ab.x + (p.y - a.y) * ab.y) / denom).clamp(0.0, 1.0);
-    p.dist(&a.lerp(&b, t))
 }
 
 #[cfg(test)]
@@ -330,18 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn downsample_keeps_last() {
-        let t = line(0, 10);
-        let d = t.downsample(4);
-        assert_eq!(
-            d.points().iter().map(|p| p.x as i64).collect::<Vec<_>>(),
-            vec![0, 4, 8, 9]
-        );
-        // stride 0 behaves as 1
-        assert_eq!(t.downsample(0).len(), 10);
-    }
-
-    #[test]
     fn clip_to_longest_run() {
         let t = Trajectory::new_unchecked(
             0,
@@ -364,66 +275,6 @@ mod tests {
         let t = line(0, 4);
         let bb = BoundingBox::new(100.0, 100.0, 101.0, 101.0);
         assert!(t.clip_to(&bb).is_none());
-    }
-
-    #[test]
-    fn simplify_collinear_to_endpoints() {
-        let t = line(0, 20);
-        let s = t.simplify(0.01);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.first(), t.first());
-        assert_eq!(s.last(), t.last());
-    }
-
-    #[test]
-    fn simplify_keeps_salient_corner() {
-        // An L-shape: the corner must survive any epsilon below its
-        // deviation from the straight chord.
-        let mut pts: Vec<Point> = (0..10).map(|i| Point::new(i as f64, 0.0)).collect();
-        pts.extend((1..10).map(|i| Point::new(9.0, i as f64)));
-        let t = Trajectory::new_unchecked(0, pts);
-        let s = t.simplify(0.5);
-        assert!(s.len() >= 3);
-        assert!(s.points().contains(&Point::new(9.0, 0.0)), "corner dropped");
-    }
-
-    #[test]
-    fn simplify_error_bound_holds() {
-        // Every original point must lie within epsilon of the simplified
-        // polyline.
-        let t = Trajectory::new_unchecked(
-            0,
-            (0..50)
-                .map(|i| Point::new(i as f64, ((i as f64) * 0.3).sin() * 4.0))
-                .collect(),
-        );
-        let eps = 1.0;
-        let s = t.simplify(eps);
-        assert!(s.len() < t.len());
-        for p in t.points() {
-            let d = s
-                .points()
-                .windows(2)
-                .map(|w| dist_point_segment(*p, w[0], w[1]))
-                .fold(f64::INFINITY, f64::min);
-            assert!(d <= eps + 1e-9, "point {p} deviates {d}");
-        }
-    }
-
-    #[test]
-    fn simplify_zero_epsilon_keeps_non_collinear_points() {
-        let t = Trajectory::new_unchecked(
-            0,
-            vec![
-                Point::new(0.0, 0.0),
-                Point::new(1.0, 0.5),
-                Point::new(2.0, 0.0),
-            ],
-        );
-        assert_eq!(t.simplify(0.0).len(), 3);
-        // Tiny inputs pass through untouched.
-        assert_eq!(line(1, 2).simplify(0.0).len(), 2);
-        assert_eq!(line(1, 1).simplify(5.0).len(), 1);
     }
 
     #[test]

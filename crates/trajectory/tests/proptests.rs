@@ -1,11 +1,9 @@
 //! Property-based tests of the trajectory substrate on random inputs:
-//! resampling, simplification, grid mapping, timed interpolation and the
-//! generators.
+//! resampling, grid mapping and the generators.
 
 use neutraj_trajectory::gen::{GeolifeLikeGenerator, PortoLikeGenerator};
 use neutraj_trajectory::rng::{cases, Rng};
-use neutraj_trajectory::timed::{TimedPoint, TimedTrajectory};
-use neutraj_trajectory::{BoundingBox, Grid, Point, Trajectory};
+use neutraj_trajectory::{Grid, Point, Trajectory};
 
 fn arb_traj(rng: &mut Rng, min_len: usize) -> Trajectory {
     let pts = (0..rng.gen_range(min_len..min_len + 30))
@@ -54,25 +52,6 @@ fn resample_points_lie_near_original_polyline() {
                 })
                 .fold(f64::INFINITY, f64::min);
             assert!(d < 1e-6, "resampled point {p} off-polyline by {d}");
-        }
-    });
-}
-
-#[test]
-fn simplify_error_bound_and_subset() {
-    cases(64, |rng| {
-        let t = arb_traj(rng, 3);
-        let eps = rng.gen_range(0.0f64..20.0);
-        let s = t.simplify(eps);
-        assert!(s.len() <= t.len());
-        assert!(s.len() >= 2);
-        // Simplified points are a subsequence of the original points.
-        let mut it = t.points().iter();
-        for sp in s.points() {
-            assert!(
-                it.any(|op| op == sp),
-                "simplified point is not an original point in order"
-            );
         }
     });
 }
@@ -136,33 +115,6 @@ fn mbr_min_dist_lower_bounds_point_distances() {
             lb <= min_pair + 1e-9,
             "MBR bound {lb} > closest pair {min_pair}"
         );
-    });
-}
-
-#[test]
-fn timed_interpolation_stays_on_hull() {
-    cases(64, |rng| {
-        let ts = (0..rng.gen_range(2..10))
-            .map(|_| rng.gen_range(0.01f64..5.0))
-            .collect::<Vec<_>>();
-        // Build strictly increasing times from positive gaps.
-        let mut clock = 0.0;
-        let pts: Vec<TimedPoint> = ts
-            .iter()
-            .enumerate()
-            .map(|(i, gap)| {
-                clock += gap;
-                TimedPoint::new(i as f64 * 3.0, (i as f64).sin(), clock)
-            })
-            .collect();
-        let bb = BoundingBox::from_points(&pts.iter().map(|p| p.pos).collect::<Vec<_>>());
-        let t = TimedTrajectory::new(9, pts).expect("monotone by construction");
-        let (lo, hi) = t.time_span().expect("non-empty");
-        for k in 0..=10 {
-            let q = lo + (hi - lo) * k as f64 / 10.0;
-            let p = t.position_at(q).expect("non-empty");
-            assert!(bb.inflated(1e-9).contains(p), "interpolant left the hull");
-        }
     });
 }
 

@@ -9,7 +9,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`trajectory`] | points, grids, datasets, synthetic workload generators, I/O |
-//! | [`measures`] | exact DTW / Fréchet / Hausdorff / ERP (+ EDR, LCSS, SSPD), distance matrices, brute-force search |
+//! | [`measures`] | exact DTW / Fréchet / Hausdorff / ERP (+ SSPD), distance matrices, brute-force search |
 //! | [`approx`] | the hand-crafted "AP" baselines: curve LSH (Fréchet, DTW), a landmark embedding (Hausdorff) |
 //! | [`nn`] | from-scratch LSTM / GRU / SAM-augmented LSTM with manual BPTT and Adam |
 //! | [`model`] | **NeuTraj itself**: seed-guided training, embedding, linear-time search, Siamese baseline, ablations |
