@@ -4,21 +4,21 @@
 //! Two measurements, both single-threaded (queries/sec is per-core
 //! throughput; `embed_all` parallelism is benchmarked elsewhere):
 //!
-//! * **scan** — `EmbeddingStore::knn_batch` (the norm trick
-//!   `‖q−x‖² = ‖q‖² − 2·q·x + ‖x‖²`, one fused f64 pass over the rows
-//!   from a stripe of 8 queries up, the int8 lower bound below; the
-//!   `gemm_qps` key keeps its historical name) against `knn_naive`
+//! * **scan** — `EmbeddingStore::knn_batch` (one pass over the int8
+//!   codes per batch bounds every row, the few rows the bound lets
+//!   through are scored by the norm trick `‖q−x‖² = ‖q‖² − 2·q·x + ‖x‖²`;
+//!   the `gemm_qps` key keeps its historical name) against `knn_naive`
 //!   (per-row `euclidean_sq` + full top-k buffer), over synthetic
 //!   corpora of N ∈ {10k, 100k} embeddings at d = 32; then what one row
-//!   costs one query at B ∈ {1, 4, 7, 8, 16} through `knn_batch`
-//!   (`scan-batch` lines, `"by_batch"` in the JSON) and through the fused
-//!   f64 pass alone (`EmbeddingStore::knn_fused`, `f64-stripe` lines,
-//!   `"f64_by_batch"`), after both
-//!   are checked equal bit for bit. Gated at N ≥ 100k: a full f64 stripe
-//!   of 8 costs a query no more than a stripe of 7 (`scan-gate:`; the
-//!   packed GEMM this replaced was 1.32× slower at 8), and a lone exact
-//!   query through the int8 bound is ≥ 2.5× the lone f64 pass
-//!   (`quant-gate:`; 64 bytes a row against 264). The `exact-bound` line
+//!   costs one query at B ∈ {1, 4, 8, 16} through `knn_batch`, best of
+//!   30 calls (`scan-batch` lines, `"by_batch"` in the JSON), and the
+//!   same at B = 16 over a corpus of N identical rows, where no bound
+//!   prunes and every row is scored in f64 — the cascade at its worst
+//!   (`scan-worst`, `"worst_b16"`). Gated at N ≥ 100k: a query of a
+//!   batch of 16 costs no more than a lone one (`scan-gate:`; the codes
+//!   are read once per batch). The `int8-pass` line times the code pass
+//!   alone (`quant_scan_block` over 512-row chunks, best of 30) in each
+//!   arm the host has (`"int8_pass"`). The `exact-bound` line
 //!   reports how many rows the bound leaves to the f64 score per lone
 //!   query (`"exact_bound_survivors"`); those scans are recorded into the
 //!   exported registry, so `neutraj_exact_bound_survivors` and the
@@ -28,7 +28,7 @@
 //!   a time (a lockstep batch of one each; the `scalar_qps` key keeps its
 //!   historical name), B = 32, for all three backbones.
 //! * **serving** — the end-to-end `SimilarityDb::search_batch` pipeline
-//!   (embed → fused scan → exact re-rank) with metrics *disabled* vs
+//!   (embed → exact scan → exact re-rank) with metrics *disabled* vs
 //!   *enabled*, backing the "near-zero overhead when off" claim of
 //!   `DESIGN.md`'s Observability section, plus the same pipeline through
 //!   the IVF shortlist (`.shortlist_ann`). The instrumented run's
@@ -86,7 +86,11 @@ use neutraj_model::{
     AnnParams, BackboneKind, DbMetrics, EmbeddingStore, HnswIndex, HnswParams, NeuTrajModel, Query,
     SimilarityDb, TrainConfig,
 };
-use neutraj_nn::simd::SCAN_STRIPE;
+use neutraj_nn::simd::{
+    quant_code_at, quant_query_words, quant_scan_block, quant_tile_bytes, QuantArm, QuantLimit,
+    QuantQueryTerms, QuantRows, QUANT_TILE_ROWS,
+};
+use neutraj_obs::simd::SimdLevel;
 use neutraj_obs::{names, MetricsReport, Registry};
 use neutraj_trajectory::rng::{splitmix64, GOLDEN_GAMMA};
 use neutraj_trajectory::{par, BoundingBox, Grid, Point, Trajectory};
@@ -94,10 +98,12 @@ use neutraj_trajectory::{par, BoundingBox, Grid, Point, Trajectory};
 /// Search depth; k = 10 matches the paper's top-k experiments.
 const K: usize = 10;
 
-/// Batch sizes of the scan's per-row cost sweep: a lone query, half a
-/// stripe, and the two sides of the widths where the kernel changes shape
-/// (7 | 8 was the packed GEMM's threshold, 8 | 16 is one stripe | two).
-const SCAN_BATCHES: [usize; 5] = [1, 4, 7, 8, 16];
+/// Batch sizes of the scan's per-row cost sweep: a lone query, then
+/// batches that share one read of the codes.
+const SCAN_BATCHES: [usize; 4] = [1, 4, 8, 16];
+
+/// Timed calls per kernel-probe point; the fastest is reported.
+const BEST_OF: usize = 30;
 
 /// Smallest corpus at which a throughput *ratio* is asserted rather than
 /// only printed (the scan gates): below it one timed call is
@@ -204,17 +210,19 @@ fn main() {
     println!("wrote {path}");
 }
 
-/// One scan measurement: naive vs fused-scan queries/sec over an N-row
+/// One scan measurement: naive vs exact-scan queries/sec over an N-row
 /// corpus, and what one row costs one query at each of [`SCAN_BATCHES`].
 struct ScanRow {
     n: usize,
     naive_qps: f64,
     gemm_qps: f64,
-    /// `(B, ns per row per query)` through `knn_batch`: the int8 bound
-    /// below a stripe, the fused f64 pass from one up.
+    /// `(B, ns per row per query)` through `knn_batch`, best of
+    /// [`BEST_OF`].
     by_batch: Vec<(usize, f64)>,
-    /// `(B, ns per row per query)` of the fused f64 pass at every `B`.
-    f64_by_batch: Vec<(usize, f64)>,
+    /// ns per row per query at B = 16 over N identical rows.
+    worst_b16: f64,
+    /// `(arm, ns per row)` of the int8 code pass alone.
+    int8_pass: Vec<(&'static str, f64)>,
     /// Rows a lone query scored in f64 after the int8 bound: mean, p90
     /// and max over [`BOUND_QUERIES`] queries.
     survivors: (f64, f64, f64),
@@ -319,7 +327,7 @@ fn bench_scan(n: usize, dim: usize, batch: usize, seed: u64, registry: &Registry
         .collect();
     let qrefs: Vec<&[f64]> = queries.iter().map(|q| q.as_slice()).collect();
 
-    // Result check before timing: the fused scan must agree with the
+    // Result check before timing: the exact scan must agree with the
     // naive one (indices exactly; distances to rounding) and be
     // bit-identical to the scalar `knn` it generalises.
     let batched = store.knn_batch(&qrefs, K);
@@ -345,63 +353,51 @@ fn bench_scan(n: usize, dim: usize, batch: usize, seed: u64, registry: &Registry
         gemm_qps / naive_qps
     );
 
-    // What a row costs a query as the batch grows. Through `knn_batch` a
-    // batch narrower than a stripe reads the int8 codes once per query;
-    // the fused f64 pass shares the fixed part of a stripe (loading and
-    // transposing four rows) among its queries, so its cost falls up to a
-    // full stripe of eight. Both regimes answer identically — checked at
-    // the widths on either side of the switch before anything is timed.
+    // What a row costs a query as the batch grows: the codes are read
+    // once per batch, the survivors scored per query.
     let sweep: Vec<Vec<f64>> = (0..*SCAN_BATCHES.iter().max().expect("non-empty"))
         .map(|_| (0..dim).map(|_| unit_f64(&mut state)).collect())
         .collect();
     let sweep: Vec<&[f64]> = sweep.iter().map(|q| q.as_slice()).collect();
-    for b in [1, SCAN_STRIPE - 1, SCAN_STRIPE] {
-        assert_eq!(
-            store.knn_batch(&sweep[..b], K),
-            store.knn_fused(&sweep[..b], K),
-            "B={b}: knn_batch diverged from the fused f64 pass"
-        );
-    }
-    let per_row = |label: &str, scan: &dyn Fn(&[&[f64]])| -> Vec<(usize, f64)> {
-        (SCAN_BATCHES.iter())
-            .map(|&b| {
-                let qps = time_qps(b, || scan(&sweep[..b]));
-                let ns = 1e9 / (qps * n as f64);
-                println!("  {label} n={n}: B={b} {ns:.2} ns/row/query");
-                (b, ns)
-            })
-            .collect()
-    };
-    let by_batch = per_row("scan-batch", &|qs| {
-        std::hint::black_box(store.knn_batch(qs, K));
-    });
-    let f64_by_batch = per_row("f64-stripe", &|qs| {
-        std::hint::black_box(store.knn_fused(qs, K));
-    });
-    let ns_at = |rows: &[(usize, f64)], b: usize| rows.iter().find(|r| r.0 == b).expect("swept").1;
+    let by_batch: Vec<(usize, f64)> = (SCAN_BATCHES.iter())
+        .map(|&b| {
+            let ns = best_ns(|| {
+                std::hint::black_box(store.knn_batch(&sweep[..b], K));
+            }) / (b * n) as f64;
+            println!("  scan-batch n={n}: B={b} {ns:.2} ns/row/query");
+            (b, ns)
+        })
+        .collect();
+    let ns_at = |b: usize| by_batch.iter().find(|r| r.0 == b).expect("swept").1;
     if n >= GATE_MIN_ROWS {
-        // A full f64 stripe must not cost a query more than a stripe of
-        // seven (the packed GEMM's threshold sat here and was 1.32x
-        // slower at 8); 10 % covers the host's run-to-run noise.
-        let (f8, f7) = (ns_at(&f64_by_batch, 8), ns_at(&f64_by_batch, 7));
+        // 10 % covers the host's run-to-run noise.
+        let (b16, b1) = (ns_at(16), ns_at(1));
         assert!(
-            f8 <= 1.10 * f7,
-            "scan-gate: n={n} B=8 costs {f8:.2} ns/row/query, B=7 {f7:.2}"
+            b16 <= 1.10 * b1,
+            "scan-gate: n={n} B=16 costs {b16:.2} ns/row/query, B=1 {b1:.2}"
         );
-        println!("  scan-gate: n={n} f64 B=8 no slower per query than B=7 (passed)");
-        // A lone query streams 64 bytes a row through the codes where the
-        // f64 pass streams 264 (d = 32), and scores a few rows in f64.
-        let speedup = ns_at(&f64_by_batch, 1) / ns_at(&by_batch, 1);
-        assert!(
-            speedup >= 2.5,
-            "quant-gate: n={n} lone exact query through the int8 bound only {speedup:.2}x the lone f64 pass"
-        );
-        println!(
-            "  quant-gate: n={n} lone exact query through the int8 bound {speedup:.2}x the lone f64 pass (>= 2.5x) (passed)"
-        );
+        println!("  scan-gate: n={n} B=16 no slower per query than B=1 (passed)");
     } else {
         println!("  scan-gate: skipped (corpus under {GATE_MIN_ROWS} rows)");
     }
+
+    // No bound prunes a corpus of identical rows: every row is a survivor
+    // and is scored in f64.
+    let worst_b16 = {
+        let same = EmbeddingStore::from_embeddings(dim, &vec![sweep[0].to_vec(); n]);
+        let (_, stats) = same.knn_batch_with_stats(&sweep, K);
+        assert_eq!(
+            stats.bound_survivors,
+            sweep.len() * n,
+            "a bound pruned a tie"
+        );
+        let ns = best_ns(|| {
+            std::hint::black_box(same.knn_batch(&sweep, K));
+        }) / (sweep.len() * n) as f64;
+        println!("  scan-worst n={n}: B=16 {ns:.2} ns/row/query over identical rows (every row scored in f64)");
+        ns
+    };
+    let int8_pass = int8_pass(dim);
 
     // How many rows the int8 bound leaves to the f64 score, per lone
     // query over fresh queries from the corpus's own distribution —
@@ -430,7 +426,8 @@ fn bench_scan(n: usize, dim: usize, batch: usize, seed: u64, registry: &Registry
         naive_qps,
         gemm_qps,
         by_batch,
-        f64_by_batch,
+        worst_b16,
+        int8_pass,
         survivors: (mean, p90, max),
     }
 }
@@ -968,6 +965,77 @@ fn time_qps(per_round: usize, mut f: impl FnMut()) -> f64 {
     }
 }
 
+/// The fastest of [`BEST_OF`] timed calls of `f`, in ns, after one
+/// warm-up call.
+fn best_ns(mut f: impl FnMut()) -> f64 {
+    f();
+    (0..BEST_OF)
+        .map(|_| {
+            let start = Instant::now();
+            f();
+            start.elapsed().as_nanos() as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// ns per row of the int8 code pass alone, in each arm this host runs:
+/// `quant_scan_block` over forty 512-row chunks of random codes (one
+/// query, the shape of one exact scan of 20k rows), best of [`BEST_OF`].
+fn int8_pass(dim: usize) -> Vec<(&'static str, f64)> {
+    const ROWS: usize = 512;
+    const CHUNKS: usize = 40;
+    let mut state = GOLDEN_GAMMA;
+    let mut code = || (splitmix64(&mut state) >> 56) as u8;
+    let q: Vec<u8> = (0..dim).map(|_| code()).collect();
+    let mut codes = vec![0u8; ROWS / QUANT_TILE_ROWS * quant_tile_bytes(dim)];
+    for j in 0..ROWS {
+        for p in 0..dim {
+            codes[quant_code_at(dim, j, p)] = code();
+        }
+    }
+    let column: Vec<f64> = (0..ROWS).map(|j| j as f64 / ROWS as f64).collect();
+    let terms = QuantQueryTerms {
+        dqo: 0.5 * dim as f64,
+        qo: 0.5,
+        qs: 0.01,
+        qsum: q.iter().map(|&c| f64::from(c)).sum(),
+        qn: 1.0,
+    };
+    let words = quant_query_words(&q);
+    let rows = QuantRows {
+        codes: &codes,
+        offset: &column,
+        scale: &column,
+        code_sum: &column,
+        dq_norm: &column,
+    };
+    // A limit that lets about half the rows through.
+    let limit = QuantLimit {
+        reach: 0.5,
+        factor: 1.0,
+        rho: 1.0,
+        slack: 0.0,
+    };
+    let (mut out, mut hits) = (vec![0.0; ROWS], [0u64; ROWS / 64]);
+    let mut arms: Vec<(&'static str, f64)> = Vec::new();
+    for level in SimdLevel::ALL {
+        let arm = QuantArm::at(level).name();
+        if arms.iter().any(|&(a, _)| a == arm) {
+            continue;
+        }
+        let ns = best_ns(|| {
+            for _ in 0..CHUNKS {
+                quant_scan_block(level, &words, &terms, &rows, &limit, &mut out, &mut hits);
+                std::hint::black_box((&out, &hits));
+            }
+        }) / (ROWS * CHUNKS) as f64;
+        arms.push((arm, ns));
+    }
+    let line: Vec<String> = arms.iter().map(|(a, ns)| format!("{a} {ns:.3}")).collect();
+    println!("  int8-pass: {} ns/row", line.join(", "));
+    arms
+}
+
 /// splitmix64 step mapped to [-1, 1] — deterministic synthetic
 /// embeddings.
 fn unit_f64(state: &mut u64) -> f64 {
@@ -1012,14 +1080,18 @@ fn render_json(
                     .join(", ")
             };
             let (mean, p90, max) = r.survivors;
+            let int8: Vec<String> = (r.int8_pass.iter())
+                .map(|(arm, ns)| format!("\"{arm}\": {ns:.4}"))
+                .collect();
             format!(
-                "    {{\n      \"n\": {},\n      \"naive_qps\": {:.2},\n      \"gemm_qps\": {:.2},\n      \"speedup\": {:.4},\n      \"by_batch\": [{}],\n      \"f64_by_batch\": [{}],\n      \"exact_bound_survivors\": {{\"mean\": {mean:.2}, \"p90\": {p90:.0}, \"max\": {max:.0}}}\n    }}",
+                "    {{\n      \"n\": {},\n      \"naive_qps\": {:.2},\n      \"gemm_qps\": {:.2},\n      \"speedup\": {:.4},\n      \"by_batch\": [{}],\n      \"worst_b16\": {:.3},\n      \"int8_pass\": {{{}}},\n      \"exact_bound_survivors\": {{\"mean\": {mean:.2}, \"p90\": {p90:.0}, \"max\": {max:.0}}}\n    }}",
                 r.n,
                 r.naive_qps,
                 r.gemm_qps,
                 r.gemm_qps / r.naive_qps,
                 rows(&r.by_batch),
-                rows(&r.f64_by_batch),
+                r.worst_b16,
+                int8.join(", "),
             )
         })
         .collect::<Vec<_>>()

@@ -333,33 +333,6 @@ impl KMeans {
         }
         heap.into_sorted().into_iter().map(|n| n.index).collect()
     }
-
-    /// Mean squared distance of training rows to their centroids — the
-    /// k-means objective, handy for tests and tuning.
-    pub fn inertia(&self, data: &[f64]) -> f64 {
-        assert_eq!(
-            data.len() % self.dim,
-            0,
-            "kmeans: data not a multiple of dim"
-        );
-        let n = data.len() / self.dim;
-        if n == 0 {
-            return 0.0;
-        }
-        let mut assign = Vec::new();
-        self.assign_batch(data, &mut assign);
-        let mut total = 0.0;
-        for (i, &c) in assign.iter().enumerate() {
-            let x = &data[i * self.dim..(i + 1) * self.dim];
-            let cen = self.centroid(c as usize);
-            total += x
-                .iter()
-                .zip(cen)
-                .map(|(a, b)| (a - b) * (a - b))
-                .sum::<f64>();
-        }
-        total / n as f64
-    }
 }
 
 /// Row `r` of a flat row-major matrix.
@@ -430,9 +403,19 @@ mod tests {
             assert!(!blob_owner.contains(&first), "blobs merged");
             blob_owner.push(first);
         }
-        // Tight fit: inertia is at the noise scale, far below the blob
-        // separation scale.
-        assert!(km.inertia(&data) < 1.0, "inertia {}", km.inertia(&data));
+        // Tight fit: the inertia (mean squared distance of a row to its
+        // centroid) is at the noise scale, far below the blob separation
+        // scale.
+        let inertia = (assign.iter().enumerate())
+            .map(|(i, &c)| {
+                let x = &data[i * dim..(i + 1) * dim];
+                (x.iter().zip(km.centroid(c as usize)))
+                    .map(|(a, b)| (a - b) * (a - b))
+                    .sum::<f64>()
+            })
+            .sum::<f64>()
+            / assign.len() as f64;
+        assert!(inertia < 1.0, "inertia {inertia}");
     }
 
     #[test]

@@ -15,8 +15,7 @@ use std::sync::Arc;
 /// Rows per chunk of the trajectories and of the embedding rows. Small
 /// enough that extending a shared last chunk copies little (at most
 /// `CHUNK − 1` rows), large enough that copying the chunk pointers of a
-/// corpus is `N / 64` words. At `d = 32` a chunk of embedding rows is
-/// also one L1 chunk of the fused scan.
+/// corpus is `N / 64` words.
 pub(crate) const CHUNK: usize = 64;
 
 /// Rows per chunk of the int8 codes: eight row chunks. The u8 scan runs

@@ -28,8 +28,8 @@
 //! ([`SimilarityDb::set_view`], [`clear_view`](SimilarityDb::clear_view),
 //! [`save_view`](SimilarityDb::save_view),
 //! [`load_view`](SimilarityDb::load_view)). The store's int8 codes are
-//! no view: they are a column of the store itself, which the exact scan
-//! of a narrow batch reads (see the `search` module).
+//! no view: they are a column of the store itself, which every exact
+//! scan reads (see the `search` module).
 
 use crate::backbone::NeuTrajModel;
 use crate::chunks::Chunks;
@@ -803,8 +803,9 @@ impl SimilarityDb {
     }
 
     /// Answers a whole batch of ad-hoc queries: one lockstep batched
-    /// embed, then one fused norm-trick pass over the corpus shared by
-    /// every query, then (optionally) per-query exact re-ranking. Each
+    /// embed, then one exact scan of the corpus shared by every query (one
+    /// read of its int8 codes), then (optionally) per-query exact
+    /// re-ranking. Each
     /// result is bit-identical to [`Self::search`] on that query.
     ///
     /// All-or-nothing on invalid input: every query trajectory is
@@ -1509,23 +1510,34 @@ mod tests {
         let res = db.search(&trajs[35], &Query::new(1).quantized()).unwrap();
         assert_eq!(res[0].index, idx);
 
-        // The exact scans narrower than a stripe streamed the codes, and
-        // each row cost dim + 32 bytes (vs 8·dim + 8 on the f64 path).
-        let report = registry.snapshot();
-        let counter = |name: &str| {
-            report
-                .counters
-                .iter()
-                .find(|(n, _)| n == name)
-                .unwrap_or_else(|| panic!("missing {name}"))
-                .1
+        // Every exact scan streamed the codes, once per batch: a lone
+        // query's scan and a batch of four cost the same bytes, dim + 32
+        // a row (vs 8·dim + 8 on the f64 path), and the batch four times
+        // the rows.
+        let scanned = || {
+            let report = registry.snapshot();
+            let counter = |name: &str| {
+                (report.counters.iter())
+                    .find(|(n, _)| n == name)
+                    .unwrap_or_else(|| panic!("missing {name}"))
+                    .1
+            };
+            [
+                counter(names::QUANT_ROWS_SCANNED_TOTAL),
+                counter(names::QUANT_BYTES_SCANNED_TOTAL),
+            ]
         };
-        let rows = counter(names::QUANT_ROWS_SCANNED_TOTAL);
-        assert!(rows > 0);
-        assert_eq!(
-            counter(names::QUANT_BYTES_SCANNED_TOTAL),
-            rows * (db.model().dim() as u64 + 32)
-        );
+        let (n, row_bytes) = (db.len() as u64, db.model().dim() as u64 + 32);
+        for b in [1, 4] {
+            let before = scanned();
+            db.search_batch(&trajs[..b], &qq).unwrap();
+            let after = scanned();
+            let b = b as u64;
+            assert_eq!(
+                [after[0] - before[0], after[1] - before[1]],
+                [b * n, n * row_bytes]
+            );
+        }
     }
 
     /// The whole life of one shortlist view, whichever it is: `build`
@@ -1634,8 +1646,8 @@ mod tests {
             EXACT_BOUND_SURVIVORS,
         ];
         let paths: [(&str, Query, &[&str]); 3] = [
-            // A batch of three and a lone query: both narrower than a
-            // stripe, so both stream the codes through the int8 bound.
+            // A batch of three and a lone query: every exact scan streams
+            // the codes through the int8 bound.
             ("exact", Query::new(4), &SERIES[8..]),
             ("ivf", Query::new(4).shortlist_ann(2), &SERIES[..3]),
             ("graph", Query::new(4).shortlist_graph(16), &SERIES[3..8]),

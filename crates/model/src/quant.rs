@@ -1,6 +1,5 @@
 //! Int8 scalar quantization of the embedding store: the per-row codes and
-//! error bound the exact scan of a narrow batch prunes with (`DESIGN.md`
-//! §12).
+//! error bound every exact top-k prunes with (`DESIGN.md` §12).
 //!
 //! # Why
 //!
@@ -8,21 +7,22 @@
 //! bytes of f64 row and norm. Every [`EmbeddingStore`] therefore keeps a
 //! [`QuantizedStore`] of its rows beside them — per-row scale+offset
 //! codes, `d` bytes each plus four f64 row columns, 64 B a row at
-//! `d = 32` against 264 — quantized as each row is pushed. The exact
-//! top-k of a narrow batch ([`EmbeddingStore::knn_batch`] with fewer
-//! queries than one f64 stripe) reads it: one pass over the codes gives
-//! every row an approximate distance, and from it a lower and an upper
-//! bound on the distance the f64 scan would compute. The running `k`-th
-//! smallest upper bound is a threshold no answer can exceed; only rows
-//! whose lower bound is at or under it — a few tenths of a percent on
-//! trained embeddings — are scored in f64, by the f64 scan's own
-//! expression and heap. The bounds are proven, not tuned (`DESIGN.md`
-//! §12), so the answers are the f64 scan's bit for bit. The codes are
-//! derived state: nothing persists them, and a store rebuilds them as
-//! it loads its rows. They live in shared chunks of 512 rows — eight of
-//! the store's row chunks — each holding its rows' codes and, inline,
-//! their four columns; the scan makes one [`quant_scan_block`] call per
-//! chunk, and a snapshot successor shares every full chunk.
+//! `d = 32` against 264 — quantized as each row is pushed. Every exact
+//! top-k ([`EmbeddingStore::knn_batch`]) reads it: one pass over the
+//! codes per batch gives every row an approximate distance to each
+//! query, and from it a lower and an upper bound on the distance the f64
+//! score would compute. The running `k`-th smallest upper bound is a
+//! threshold no answer can exceed; only rows whose lower bound is at or
+//! under it — a few tenths of a percent on trained embeddings — are
+//! scored in f64 into a [`NeighborHeap`] (`EmbeddingStore::knn_batch`).
+//! The bounds are proven, not tuned (`DESIGN.md` §12),
+//! so the answers are those of scoring every row, bit for bit. The codes
+//! are derived state: nothing persists them, and a store rebuilds them
+//! as it loads its rows. They live in shared chunks of 512 rows — eight
+//! of the store's row chunks — each holding its rows' codes in the
+//! kernel's tiles of sixteen rows and, inline, their four columns; the
+//! scan makes one [`quant_scan_block`] call per chunk and query, and a
+//! snapshot successor shares every full chunk.
 //!
 //! # Quantization scheme
 //!
@@ -45,12 +45,16 @@
 use crate::chunks::{Block, Chunks, CODE_CHUNK};
 use crate::search::{EmbeddingStore, ScanStats};
 use neutraj_measures::{Neighbor, NeighborHeap};
-use neutraj_nn::simd::{quant_scan_block, QuantQueryTerms};
+use neutraj_nn::simd::{
+    quant_code_at, quant_query_words, quant_scan_block, quant_tile_bytes, QuantLimit,
+    QuantQueryTerms, QuantRows, QUANT_TILE_ROWS,
+};
 use neutraj_obs::simd::SimdLevel;
+use std::ops::Range;
 
 /// Maximum supported embedding dimensionality — the bound under which
-/// the AVX2 u8 dot's i32 pair accumulators cannot overflow (see
-/// [`neutraj_nn::simd::dot_u8`]).
+/// the int8 pass's i32 accumulators cannot overflow (see
+/// [`quant_scan_block`]).
 pub const QUANT_MAX_DIM: usize = 32768;
 
 /// `2^e` for a normal exponent, as a constant.
@@ -81,9 +85,7 @@ pub struct QuantizedStore {
     /// Largest `|offset| + 256·scale` over the rows with a finite scale:
     /// no component of such a row is larger in magnitude.
     magnitude: f64,
-    /// Largest scale of any row (`+∞` once a row without a bound is in).
-    max_scale: f64,
-    /// Dispatch level for the u8 dot kernel, captured from
+    /// Dispatch level of the int8 pass, captured from
     /// [`neutraj_obs::simd::level`] at construction.
     level: SimdLevel,
 }
@@ -93,7 +95,9 @@ pub struct QuantizedStore {
 /// after another, so a chunk is two streams for the scan, not five.
 #[derive(Debug, Clone, PartialEq)]
 struct CodeBlock {
-    /// Row-major codes, `dim` a row.
+    /// The codes in [`quant_scan_block`]'s layout
+    /// ([`quant_code_at`]): tiles of sixteen rows, the last padded with
+    /// zero codes.
     codes: Vec<u8>,
     /// Rows held.
     rows: usize,
@@ -112,13 +116,6 @@ const CODE_SUM: usize = 2;
 /// `‖dequantized row‖²`.
 const DQ_NORM: usize = 3;
 
-impl CodeBlock {
-    /// Column `c` of the rows held.
-    fn column(&self, c: usize) -> &[f64] {
-        &self.columns[c][..self.rows]
-    }
-}
-
 impl Block for CodeBlock {
     fn rows(&self) -> usize {
         self.rows
@@ -131,6 +128,8 @@ impl Block for CodeBlock {
 #[derive(Debug, Clone)]
 pub(crate) struct QuantizedQuery {
     codes: Vec<u8>,
+    /// `codes` as [`quant_scan_block`] takes them.
+    words: Vec<u32>,
     offset: f64,
     scale: f64,
     code_sum: f64,
@@ -224,7 +223,6 @@ impl QuantizedStore {
             dim,
             blocks: Chunks::default(),
             magnitude: 0.0,
-            max_scale: 0.0,
             level: neutraj_obs::simd::level(),
         }
     }
@@ -241,13 +239,21 @@ impl QuantizedStore {
         assert_eq!(row.len(), self.dim, "embedding dim mismatch");
         let dim = self.dim;
         let block = self.blocks.tail(|| CodeBlock {
-            codes: Vec::with_capacity(CODE_CHUNK * dim),
+            codes: Vec::with_capacity(CODE_CHUNK / QUANT_TILE_ROWS * quant_tile_bytes(dim)),
             rows: 0,
             columns: [[0.0; CODE_CHUNK]; 4],
         });
-        let (off, scale) = quantize_row(row, &mut block.codes);
+        let mut codes = Vec::with_capacity(dim);
+        let (off, scale) = quantize_row(row, &mut codes);
         let i = block.rows;
-        let (sum, dq_norm) = code_stats(&block.codes[i * dim..], off, scale);
+        if i.is_multiple_of(QUANT_TILE_ROWS) {
+            let tile = block.codes.len() + quant_tile_bytes(dim);
+            block.codes.resize(tile, 0);
+        }
+        for (p, &c) in codes.iter().enumerate() {
+            block.codes[quant_code_at(dim, i, p)] = c;
+        }
+        let (sum, dq_norm) = code_stats(&codes, off, scale);
         for (c, v) in [
             (OFFSET, off),
             (SCALE, scale),
@@ -257,7 +263,6 @@ impl QuantizedStore {
             block.columns[c][i] = v;
         }
         block.rows += 1;
-        self.max_scale = self.max_scale.max(scale);
         if scale.is_finite() {
             self.magnitude = self.magnitude.max(off.abs() + 256.0 * scale);
         }
@@ -284,9 +289,12 @@ impl QuantizedStore {
         self.dim
     }
 
-    /// The u8 codes of row `i`.
-    pub fn codes(&self, i: usize) -> &[u8] {
-        &self.blocks.block(i).codes[i % CODE_CHUNK * self.dim..][..self.dim]
+    /// The u8 codes of row `i`, gathered from its tile.
+    pub fn codes(&self, i: usize) -> Vec<u8> {
+        let codes = &self.blocks.block(i).codes;
+        (0..self.dim)
+            .map(|p| codes[quant_code_at(self.dim, i % CODE_CHUNK, p)])
+            .collect()
     }
 
     /// Row `i`'s `(offset, scale)`: it dequantizes to
@@ -323,6 +331,7 @@ impl QuantizedStore {
         let (offset, scale) = quantize_row(q, &mut codes);
         let (code_sum, dq_norm) = code_stats(&codes, offset, scale);
         QuantizedQuery {
+            words: quant_query_words(&codes),
             codes,
             offset,
             scale,
@@ -331,76 +340,80 @@ impl QuantizedStore {
         }
     }
 
-    /// Bytes one row costs a scan through the codes: `dim` code bytes and
-    /// the four f64 row columns [`quant_scan_block`] reads.
-    pub(crate) fn row_bytes(&self) -> usize {
-        self.dim + 32
+    /// Rows `range` of `block` as [`quant_scan_block`] reads them; the
+    /// range starts on a tile and ends on one or at the block's end.
+    fn quant_rows<'a>(&self, block: &'a CodeBlock, range: Range<usize>) -> QuantRows<'a> {
+        let tile = quant_tile_bytes(self.dim);
+        let codes =
+            range.start / QUANT_TILE_ROWS * tile..range.end.div_ceil(QUANT_TILE_ROWS) * tile;
+        let column = |c: usize| &block.columns[c][range.clone()];
+        QuantRows {
+            codes: &block.codes[codes],
+            offset: column(OFFSET),
+            scale: column(SCALE),
+            code_sum: column(CODE_SUM),
+            dq_norm: column(DQ_NORM),
+        }
     }
 
-    /// The rows that can be among the `k` nearest to `q` under the exact
-    /// f64 scan's `(d2, index)` order, ascending, into `out` — a superset
-    /// of that answer, usually a few tenths of a percent of the rows
-    /// (`DESIGN.md` §12 derives the bounds used here).
+    /// Bytes one row costs a scan through the codes: its code bytes
+    /// (`dim` rounded up to a multiple of four) and the four f64 row
+    /// columns [`quant_scan_block`] reads.
+    pub(crate) fn row_bytes(&self) -> usize {
+        quant_tile_bytes(self.dim) / QUANT_TILE_ROWS + 32
+    }
+
+    /// Per query of `queries`, the rows that can be among its `k`
+    /// nearest under the `(d2, index)` order of the f64 score, ascending —
+    /// a superset of that answer, usually a few tenths of a percent of
+    /// the rows (`DESIGN.md` §12 derives the bounds used here).
     ///
     /// One pass over the codes gives each row its approximate distance
-    /// `a`. A row's *upper bound* caps the `d2` the f64 scan computes for
-    /// it; the `k`-th smallest upper bound seen so far is a threshold `τ`
-    /// that every answer's `d2` is at or under. A row is kept while its
-    /// *lower bound* is `<= τ` — tested in squared space, as `a` against
-    /// a limit that changes only when `τ` does — and the kept rows are
-    /// filtered once more against the final `τ`.
-    pub(crate) fn bounded_rows(
-        &self,
-        q: &[f64],
-        k: usize,
-        cascade: &mut Cascade,
-        out: &mut Vec<usize>,
-    ) {
-        let qq = self.quantize_query(q);
-        let terms = qq.terms();
-        let mut pass = Pass::new(self, &qq);
-        let Cascade {
-            approx,
-            upper,
-            kept,
-        } = cascade;
-        upper.reset(k);
-        kept.clear();
+    /// `a` to each query. A row's *upper bound* caps the `d2` the f64
+    /// score computes for it; the `k`-th smallest upper bound seen so far
+    /// is a threshold `τ` that every answer's `d2` is at or under. A row
+    /// is kept while its *lower bound* is `<= τ` — tested in squared
+    /// space, as `a` against a limit that changes only when `τ` does —
+    /// and the kept rows are filtered once more against the final `τ`.
+    ///
+    /// The codes are read once per batch: each chunk is scored for every
+    /// query while it is in L1, one [`quant_scan_block`] call a query.
+    /// Each query has its own [`Pass`] and sees the rows in ascending
+    /// order, so its `τ` moves as it would alone.
+    pub(crate) fn bounded_rows(&self, queries: &[&[f64]], k: usize) -> Vec<Vec<u32>> {
+        let mut passes: Vec<Pass> = (queries.iter())
+            .map(|q| Pass::new(self, self.quantize_query(q), k))
+            .collect();
+        let (mut approx, mut hits) = ([0.0; CODE_CHUNK], [0u64; CODE_CHUNK / 64]);
         for (c, block) in self.blocks.blocks().enumerate() {
-            let (start, approx) = (c * CODE_CHUNK, &mut approx[..block.rows()]);
-            // One dispatched call scores the chunk: the exact-integer u8
-            // dots (four rows per step, the chunk's codes and the query
-            // hot in L1) fused with the 4-lane affine tail over the row
-            // columns — `‖q̂ − x̂‖²` of the module docs, clamped at 0.
-            quant_scan_block(
-                self.level,
-                &qq.codes,
-                &block.codes,
-                block.column(OFFSET),
-                block.column(SCALE),
-                block.column(CODE_SUM),
-                block.column(DQ_NORM),
-                &terms,
-                approx,
-            );
-            // A group of eight rows is looked at one by one only when one
-            // of them is under the limit of the worst-bounded row.
-            let scales = block.column(SCALE);
-            let (groups, tail) = approx.as_chunks::<8>();
-            for (g, group) in groups.iter().enumerate() {
-                if group.iter().fold(false, |any, &a| any | (a <= pass.coarse)) {
-                    pass.offer(start + 8 * g, group, &scales[8 * g..], upper, kept);
+            for pass in &mut passes {
+                let mut from = 0;
+                while from < block.rows() {
+                    let to = (from + pass.span()).min(block.rows());
+                    let rows = self.quant_rows(block, from..to);
+                    let n = to - from;
+                    let (approx, hits) = (&mut approx[..n], &mut hits[..n.div_ceil(64)]);
+                    // The exact-integer u8 dots fused with the affine tail
+                    // over the row columns — `‖q̂ − x̂‖²` of the module
+                    // docs, clamped at 0 — and each row tested against its
+                    // limit as `τ` stands; `offer` tests the hits again
+                    // as `τ` falls.
+                    let terms = pass.query.terms();
+                    let (words, level) = (&pass.query.words, self.level);
+                    quant_scan_block(level, words, &terms, &rows, &pass.limit, approx, hits);
+                    pass.offer_hits(c * CODE_CHUNK + from, approx, rows.scale, hits);
+                    from = to;
                 }
             }
-            let at = approx.len() - tail.len();
-            pass.offer(start + at, tail, &scales[at..], upper, kept);
         }
-        out.clear();
-        out.extend(
-            (kept.iter())
-                .filter(|&&(j, a)| a <= pass.limit(self.offset_scale(j).1))
-                .map(|&(j, _)| j),
-        );
+        (passes.iter())
+            .map(|pass| {
+                (pass.kept.iter())
+                    .filter(|&&(j, a)| a <= pass.limit.at(self.offset_scale(j).1))
+                    .map(|&(j, _)| j as u32)
+                    .collect()
+            })
+            .collect()
     }
 
     /// The exact top-`k` of `queries` over `parent`: exactly
@@ -428,56 +441,47 @@ impl QuantizedStore {
     }
 }
 
-/// Scratch of [`QuantizedStore::bounded_rows`], reused across the
-/// queries of a batch.
-pub(crate) struct Cascade {
-    /// One chunk's approximate distances.
-    approx: Vec<f64>,
+/// One query's pass over the codes: the constants of its two bounds
+/// (`DESIGN.md` §12), the threshold so far, and the rows kept. With `a` a
+/// row's computed approximate distance, `e` its error bound and `τ` the
+/// threshold, the row can be an answer only if
+/// `a <= (√(τ + slack) + eps_q + e)² + slack`, and the f64 score for it
+/// is at most `(√(a + slack) + eps_q + e)² + slack`.
+struct Pass {
+    /// `‖q − q̂‖ <=` this.
+    eps_q: f64,
+    /// The first test as `τ` stands: `reach` is `√(τ + slack) + eps_q`
+    /// rounded up, how far from `q̂` an answer can be before the row's own
+    /// error; `factor` a row's error bound per unit of its scale. For
+    /// every row with a finite bound, both `|a − ‖q̂ − x̂‖²|` and
+    /// `|d2 − ‖q − x‖²|` are at most `slack`: the rounding of the
+    /// approximate distance's expansion and of the f64 norm trick.
+    limit: QuantLimit,
+    /// `τ`: the `k`-th smallest upper bound so far (`+∞` until `k` are in).
+    tau: f64,
+    /// The query, quantized.
+    query: QuantizedQuery,
     /// The `k` smallest upper bounds seen so far.
     upper: NeighborHeap,
     /// Rows whose lower bound passed when they were scanned, with `a`.
     kept: Vec<(usize, f64)>,
-}
-
-impl Cascade {
-    pub(crate) fn new(k: usize) -> Self {
-        Self {
-            approx: vec![0.0; CODE_CHUNK],
-            upper: NeighborHeap::new(k),
-            kept: Vec::new(),
-        }
-    }
-}
-
-/// One query's pass over the codes: the constants of its two bounds
-/// (`DESIGN.md` §12) and the threshold so far. With `a` a row's computed
-/// approximate distance, `e` its error bound and `τ` the threshold, the
-/// row can be an answer only if `a <= (√(τ + slack) + eps_q + e)² + slack`,
-/// and the f64 scan's `d2` for it is at most
-/// `(√(a + slack) + eps_q + e)² + slack`.
-struct Pass {
-    /// `‖q − q̂‖ <=` this.
-    eps_q: f64,
-    /// For every row with a finite bound, both `|a − ‖q̂ − x̂‖²|` and
-    /// `|d2 − ‖q − x‖²|` are at most this: the rounding of the
-    /// approximate distance's expansion and of the f64 norm trick.
-    slack: f64,
-    /// A row's error bound per unit of its scale.
-    factor: f64,
-    /// The largest error bound of any row.
-    max_err: f64,
-    /// `τ`: the `k`-th smallest upper bound so far (`+∞` until `k` are in).
-    tau: f64,
-    /// `√(τ + slack) + eps_q`, rounded up: how far from `q̂` an answer can
-    /// be, before the row's own error.
-    reach: f64,
-    /// The limit of a row with error bound `max_err`: no row over it can
-    /// be an answer.
-    coarse: f64,
+    /// Rows the next kernel call covers.
+    span: usize,
 }
 
 impl Pass {
-    fn new(store: &QuantizedStore, qq: &QuantizedQuery) -> Self {
+    /// Rows the next kernel call covers: one tile, then twice as many
+    /// each call, up to a chunk. A call screens its rows against `τ` as
+    /// it stands at the call, and `τ` falls fastest at the start (until
+    /// `k` rows are in, every limit is `+∞`).
+    fn span(&mut self) -> usize {
+        let span = self.span;
+        self.span = (2 * span).min(CODE_CHUNK);
+        span
+    }
+
+    /// The pass of query `qq` for the `k` nearest, before any row.
+    fn new(store: &QuantizedStore, qq: QuantizedQuery, k: usize) -> Self {
         let d = store.dim as f64;
         // `m_q + M` bounds every component of the query and of every row
         // with a finite bound, and the terms of both expansions, so `W`
@@ -485,62 +489,65 @@ impl Pass {
         // finite, none of them overflows.
         let m = qq.offset.abs() + 256.0 * qq.scale + store.magnitude;
         let w = 2.0 * d * m * m;
-        let factor = error_factor(store.dim);
         Self {
             eps_q: qq.error_bound(),
-            // Per unit of `W`: the norm trick's three dot chains of `d`
-            // products and two more roundings (`γ_{d+2}/2`), and the
-            // expansion's products of at most three factors summed in at
-            // most five roundings (`γ₈/2`), both under `(d + 11)·2⁻⁵²`.
-            // Underflow adds up to 2⁻¹⁰⁷⁵ a rounding, amplified at most
-            // 2¹⁸·d-fold by the integer factors: the `d·2⁻¹⁰²²` floor.
-            slack: (d + 11.0) * pow2(-52) * w + d * f64::MIN_POSITIVE,
-            factor,
-            max_err: store.max_scale * factor,
+            limit: QuantLimit {
+                reach: f64::INFINITY,
+                factor: error_factor(store.dim),
+                rho: RHO,
+                // Per unit of `W`: the norm trick's three dot chains of
+                // `d` products and two more roundings (`γ_{d+2}/2`), and
+                // the expansion's products of at most three factors
+                // summed in at most five roundings (`γ₈/2`), both under
+                // `(d + 11)·2⁻⁵²`. Underflow adds up to 2⁻¹⁰⁷⁵ a
+                // rounding, amplified at most 2¹⁸·d-fold by the integer
+                // factors: the `d·2⁻¹⁰²²` floor.
+                slack: (d + 11.0) * pow2(-52) * w + d * f64::MIN_POSITIVE,
+            },
             tau: f64::INFINITY,
-            reach: f64::INFINITY,
-            coarse: f64::INFINITY,
+            query: qq,
+            upper: NeighborHeap::new(k),
+            kept: Vec::new(),
+            span: QUANT_TILE_ROWS,
         }
     }
 
-    /// Sets `τ` and the limits that follow from it.
+    /// Offers the rows of a block from row `start` whose hit bit is set,
+    /// of approximate distances `approx` and scales `scales`. A row
+    /// without one was over its limit as `τ` stood before the block, and
+    /// `τ` only falls, so it could not be kept.
+    fn offer_hits(&mut self, start: usize, approx: &[f64], scales: &[f64], hits: &[u64]) {
+        for (w, &word) in hits.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let r = 64 * w + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                self.offer(start + r, approx[r], scales[r]);
+            }
+        }
+    }
+
+    /// Sets `τ` and the limit that follows from it.
     fn lower_tau(&mut self, tau: f64) {
         self.tau = tau;
-        self.reach = (tau + self.slack).sqrt() * RHO + self.eps_q;
-        self.coarse = self.limit_at(self.max_err);
+        self.limit.reach = (tau + self.limit.slack).sqrt() * RHO + self.eps_q;
     }
 
-    /// The largest `a` a row with error bound `err` can have and still
-    /// be an answer.
-    fn limit_at(&self, err: f64) -> f64 {
-        let r = self.reach + err;
-        r * r * RHO + self.slack
-    }
-
-    /// [`Self::limit_at`] for a row of scale `scale`.
-    fn limit(&self, scale: f64) -> f64 {
-        self.limit_at(scale * self.factor)
-    }
-
-    /// Offers rows `first..first + approx.len()`, of approximate
-    /// distances `approx` and scales `scales`: each one under its limit
-    /// is kept, and its upper bound may lower `τ`.
-    fn offer(
-        &mut self,
-        first: usize,
-        approx: &[f64],
-        scales: &[f64],
-        upper: &mut NeighborHeap,
-        kept: &mut Vec<(usize, f64)>,
-    ) {
-        for (j, (&a, &scale)) in (first..).zip(approx.iter().zip(scales)) {
-            let err = scale * self.factor;
-            if a <= self.limit_at(err) {
-                kept.push((j, a));
-                // An upper bound on the f64 scan's `d2` for this row.
-                let r = (a + self.slack).sqrt() + self.eps_q + err;
-                upper.push(j, (r * r + self.slack) * RHO);
-                if let Some(worst) = upper.threshold() {
+    /// Offers row `j`, of approximate distance `a` and scale `scale`:
+    /// it is kept if it is under its limit, and its upper bound may lower
+    /// `τ`.
+    fn offer(&mut self, j: usize, a: f64, scale: f64) {
+        if a <= self.limit.at(scale) {
+            self.kept.push((j, a));
+            // An upper bound on the f64 score for this row. One at or
+            // over `τ` cannot lower it: before `k` are in, `τ` is `+∞`
+            // with or without an infinite bound in the heap.
+            let slack = self.limit.slack;
+            let r = (a + slack).sqrt() + self.eps_q + scale * self.limit.factor;
+            let upper = (r * r + slack) * RHO;
+            if upper < self.tau {
+                self.upper.push(j, upper);
+                if let Some(worst) = self.upper.threshold() {
                     if worst.dist < self.tau {
                         self.lower_tau(worst.dist);
                     }
@@ -610,7 +617,7 @@ mod tests {
         assert!(qs.row_error_bound(4).is_finite());
         // Neither the bound's magnitude nor any statistic is poisoned.
         assert_eq!(qs.magnitude, 0.25 + 256.0 * qs.offset_scale(4).1);
-        assert!((qs.blocks.blocks()).all(|b| b.column(DQ_NORM).iter().all(|v| v.is_finite())));
+        assert!((qs.blocks.blocks()).all(|b| b.columns[DQ_NORM].iter().all(|v| v.is_finite())));
         assert_eq!(qs, &qs.clone());
     }
 
@@ -621,7 +628,7 @@ mod tests {
         let qq = qs.quantize_query(s.get(2));
         assert_eq!(qq.codes, qs.codes(2));
         assert_eq!((qq.offset, qq.scale), qs.offset_scale(2));
-        assert_eq!(qq.dq_norm, qs.blocks.block(2).column(DQ_NORM)[2]);
+        assert_eq!(qq.dq_norm, qs.blocks.block(2).columns[DQ_NORM][2]);
         assert_eq!(qq.error_bound(), qs.row_error_bound(2));
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! One [`QueryOf`] value describes *how* to search (result size, an
 //! optional IVF or graph shortlist, optional exact re-ranking — the
-//! exhaustive scan is exact whichever of its two regimes answers); a
+//! exhaustive scan is exact at every batch width); a
 //! [`QueryTarget`]
 //! describes *what* to search for (an ad-hoc trajectory, a precomputed
 //! embedding, or a stored item). The struct is generic over how the
@@ -113,10 +113,9 @@ impl<M: Copy> QueryOf<M> {
         self
     }
 
-    /// Returns the query unchanged. A compatibility spelling: the exact
-    /// scan already reads the store's int8 codes whenever that is faster
-    /// (a batch narrower than one f64 stripe) and its answers are exact
-    /// either way, so there is no separate int8 path left to ask for.
+    /// Returns the query unchanged. A compatibility spelling: every exact
+    /// scan already reads the store's int8 codes and its answers are
+    /// exact, so there is no separate int8 path left to ask for.
     pub fn quantized(self) -> Self {
         self
     }

@@ -6,55 +6,35 @@
 //! measure (§VII-C.1); that is `Query::new(k).shortlist(50).rerank(&m)`
 //! through [`SimilarityDb::search`](crate::SimilarityDb::search).
 //!
-//! # Norm-trick scans
+//! # One exact regime
 //!
-//! Scans expand the squared distance as
-//! `‖q − x‖² = ‖q‖² − 2·q·x + ‖x‖²`: the per-row norms `‖x‖²` are
-//! precomputed once at insert time, so a whole batch of queries against
-//! the corpus reduces to dot products (`q·x`) plus a rank-1 correction.
-//! One kernel does all of it in one pass over the row-major store
-//! ([`scan_rows`]): the dot chains of up to eight queries against four
-//! adjacent rows at a time (the unpacked, transposing chain the small
-//! GEMMs use — one accumulator per pair, ascending `p`, separate multiply
-//! and add), the correction on the accumulators while they are still in
-//! registers, and a comparison against each query's current admission
-//! threshold — `+∞` until its [`NeighborHeap`] is full, then the heap
-//! root's distance. Only pairs that pass leave the kernel, a few hundred
-//! of `N` per query, and they go through [`NeighborHeap::push`]: the
-//! comparison is a conservative pre-filter (non-strict, and allowed to be
-//! a few rows stale), the heap's `(dist, index)` total order is what
-//! decides an answer. No packed copy of a corpus block, no `B × block`
-//! score buffer and no `O(N)` distance buffer is ever written. The store
-//! holds its rows in shared chunks of 64 (the `chunks` module), and the
-//! kernel runs once per chunk with every query's threshold carried from
-//! one chunk to the next; within a chunk every stripe of queries runs
-//! over its rows (at `d = 32` one L1 chunk of the kernel) before the next
-//! chunk, so the corpus is read once per batch. The scalar
-//! [`EmbeddingStore::knn`] is the `B = 1` case of the same code path,
-//! making batched and scalar results trivially bit-identical.
-//!
-//! # Two regimes, one answer
-//!
-//! The fused scan reads the corpus once per batch, so its cost per query
-//! falls as a stripe of eight fills and a lone query pays for all 264
-//! bytes of every row (`8·d` of row and 8 of norm, `d = 32`). A batch of
-//! fewer than [`SCAN_STRIPE`] queries therefore takes the exact scan
-//! through the store's int8 codes instead (64 bytes a row; see the
-//! `quant` module): one pass over the codes bounds every row's f64
-//! distance from below and above, and only the rows whose lower bound is
-//! within the `k`-th smallest upper bound — a few tenths of a percent on
-//! trained embeddings — are scored, by [`scan_score`] (the fused scan's
-//! own expression) into the same [`NeighborHeap`]. The bounds are proven
-//! (`DESIGN.md` §12), so both regimes return the same bits, ties
-//! included; the regime is only the batch width.
+//! A squared distance expands as `‖q − x‖² = ‖q‖² − 2·q·x + ‖x‖²`: the
+//! per-row norms `‖x‖²` are precomputed once at insert time, so scoring a
+//! row is one dot product plus a rank-1 correction
+//! ([`neutraj_nn::simd::scan_score`] defines it).
+//! Every exact top-k ([`EmbeddingStore::knn_batch`], whatever the batch
+//! width; [`EmbeddingStore::knn`] is a batch of one) scores only the rows
+//! that can be in its answer. One pass over the store's int8 codes (64
+//! bytes a row at `d = 32`, against 264 of f64 row and norm; see the
+//! `quant` module) bounds every row's f64 distance from below and above,
+//! and only the rows whose lower bound is within the `k`-th smallest
+//! upper bound — a few tenths of a percent on trained embeddings — are
+//! scored in f64 into a [`NeighborHeap`], whose `(dist, index)` total
+//! order decides the answer. The bounds are proven (`DESIGN.md` §12), so
+//! the answer is the one scoring every row would give, bit for bit, ties
+//! included. The codes are read once per batch: each 512-row chunk is
+//! scored for every query while it is in L1. The rows that survive sit
+//! at random places in the store, so their f64 rows are prefetched, then
+//! scored four at a time by the gathered-rows kernel ([`dot_rows`], the
+//! scorer of the IVF and graph paths too).
 
 use crate::backbone::NeuTrajModel;
 use crate::chunks::{Block, Chunks, CHUNK};
-use crate::quant::{Cascade, QuantizedStore};
+use crate::quant::QuantizedStore;
 use neutraj_index::{GraphScratch, HnswIndex, IvfIndex, RowDistance};
 use neutraj_measures::{top_k, Neighbor, NeighborHeap};
 use neutraj_nn::linalg::{dot, euclidean_sq};
-use neutraj_nn::simd::{dot_rows, scan_rows, scan_score, RowSource, ScanInput, SCAN_STRIPE};
+use neutraj_nn::simd::{dot_rows, prefetch, RowSource};
 use neutraj_trajectory::Trajectory;
 use std::cell::RefCell;
 use std::sync::OnceLock;
@@ -100,7 +80,7 @@ impl PartialEq for FlatCache {
 
 /// `N` trajectory embeddings of dimension `d`, with per-row squared norms
 /// maintained for norm-trick scans and the rows' int8 codes for the exact
-/// scan of a narrow batch. Rows and norms are held in shared chunks of 64
+/// top-k's bound. Rows and norms are held in shared chunks of 64
 /// rows and the codes in chunks of 512 (the `chunks` module), so a clone
 /// costs a pointer per chunk and a
 /// [`SimilarityDb::inserted`](crate::SimilarityDb::inserted) successor
@@ -249,112 +229,69 @@ impl EmbeddingStore {
     }
 
     /// Top-k nearest stored items to `query` by embedding distance
-    /// (equivalently, highest learned similarity `exp(-dist)`).
-    ///
-    /// The `B = 1` case of [`Self::knn_batch`] — same fused norm-trick
-    /// scan, so scalar and batched queries return bit-identical results.
+    /// (equivalently, highest learned similarity `exp(-dist)`): the
+    /// `B = 1` case of [`Self::knn_batch`].
     pub fn knn(&self, query: &[f64], k: usize) -> Vec<Neighbor> {
         self.knn_batch(&[query], k)
             .pop()
             .expect("one query in, one result out")
     }
 
-    /// Top-k for a whole batch of queries: one fused pass over the rows,
-    /// or per query one pass over the codes for a batch narrower than a
-    /// stripe (see the module docs). Results are per query, in query
-    /// order; each is identical to [`Self::knn`] on that query, including
-    /// tie ordering, whichever regime answers it.
+    /// Top-k for a whole batch of queries through the int8 bound (see the
+    /// module docs). Results are per query, in query order; each is
+    /// identical to [`Self::knn`] on that query, including tie ordering.
     ///
-    /// Squared distances are compared during the scan (monotonic in the
-    /// true distance, so ranks are unaffected) and the square root is
-    /// taken only for the `k` survivors. `‖q‖² − 2·q·x + ‖x‖²` can go
-    /// epsilon-negative for near-identical rows, so it is clamped at 0;
-    /// for `x == q` bitwise it cancels to exactly 0.
+    /// Squared distances are compared (monotonic in the true distance,
+    /// so ranks are unaffected) and the square root is taken only for the
+    /// `k` kept. `‖q‖² − 2·q·x + ‖x‖²` can go epsilon-negative for
+    /// near-identical rows, so it is clamped at 0; for `x == q` bitwise
+    /// it cancels to exactly 0.
     pub fn knn_batch(&self, queries: &[&[f64]], k: usize) -> Vec<Vec<Neighbor>> {
         self.knn_batch_with_stats(queries, k).0
     }
 
-    /// [`Self::knn_batch`] with the work it did: for a batch answered
-    /// through the codes, the rows scored through them and the bytes
-    /// that cost ([`ScanStats::rows_scanned`],
-    /// [`ScanStats::bytes_scanned`]) and the rows then scored in f64
-    /// ([`ScanStats::bound_survivors`]); zero for a fused f64 pass.
+    /// [`Self::knn_batch`] with the work it did: the rows scored through
+    /// the codes and the bytes that streamed ([`ScanStats::rows_scanned`],
+    /// [`ScanStats::bytes_scanned`]), and the rows then scored in f64
+    /// ([`ScanStats::bound_survivors`]).
     pub fn knn_batch_with_stats(
         &self,
         queries: &[&[f64]],
         k: usize,
     ) -> (Vec<Vec<Neighbor>>, ScanStats) {
-        if queries.len() >= SCAN_STRIPE {
-            return (self.knn_fused(queries, k), ScanStats::default());
-        }
         for q in queries {
             assert_eq!(q.len(), self.dim, "query dim mismatch");
         }
-        if k == 0 {
+        if k == 0 || queries.is_empty() {
             // Nothing can be kept, so no bound would ever arm.
             return (vec![Vec::new(); queries.len()], ScanStats::default());
         }
-        let mut stats = ScanStats::default();
-        let mut cascade = Cascade::new(k);
-        let mut rows = Vec::new();
+        let survivors = self.codes.bounded_rows(queries, k);
+        let mut stats = ScanStats {
+            rows_scanned: queries.len() * self.len(),
+            bytes_scanned: self.len() * self.codes.row_bytes(),
+            ..ScanStats::default()
+        };
+        let mut d2s = Vec::new();
         let results = queries
             .iter()
-            .map(|q| {
-                self.codes.bounded_rows(q, k, &mut cascade, &mut rows);
-                stats.rows_scanned += self.codes.len();
-                stats.bytes_scanned += self.codes.len() * self.codes.row_bytes();
+            .zip(&survivors)
+            .map(|(q, rows)| {
                 stats.bound_survivors += rows.len();
-                let qn = dot(q, q);
+                for &j in rows {
+                    prefetch(self.get(j as usize));
+                }
+                d2s.clear();
+                d2s.resize(rows.len(), 0.0);
+                self.dists_to_rows(q, dot(q, q), rows, &mut d2s);
                 let mut heap = NeighborHeap::new(k);
-                for &j in &rows {
-                    heap.push(j, scan_score(q, qn, self.get(j), self.norm(j)));
+                for (&j, &d2) in rows.iter().zip(&d2s) {
+                    heap.push(j as usize, d2);
                 }
                 sqrt_dists(heap.into_sorted())
             })
             .collect();
         (results, stats)
-    }
-
-    /// The fused f64 pass of [`Self::knn_batch`], at any batch width —
-    /// `knn_batch` takes it from a full stripe up. One [`scan_rows`] call
-    /// per chunk, each query's threshold carried from chunk to chunk.
-    pub fn knn_fused(&self, queries: &[&[f64]], k: usize) -> Vec<Vec<Neighbor>> {
-        for q in queries {
-            assert_eq!(q.len(), self.dim, "query dim mismatch");
-        }
-        if k == 0 {
-            // Nothing can be kept, so no threshold would ever arm.
-            return vec![Vec::new(); queries.len()];
-        }
-        let qflat = queries.concat();
-        let qnorms: Vec<f64> = queries.iter().map(|q| dot(q, q)).collect();
-        let mut heaps: Vec<NeighborHeap> = queries.iter().map(|_| NeighborHeap::new(k)).collect();
-        let mut thresholds = vec![f64::INFINITY; queries.len()];
-        for (c, block) in self.rows.blocks().enumerate() {
-            let input = ScanInput {
-                dim: self.dim,
-                queries: &qflat,
-                qnorms: &qnorms,
-                rows: &block.rows,
-                row_norms: &block.norms,
-            };
-            // The kernel's threshold test only spares the heap rows that
-            // cannot enter it; the heap's `(dist, index)` order decides.
-            scan_rows(
-                neutraj_obs::simd::level(),
-                &input,
-                &mut thresholds,
-                |qi, row, d2| {
-                    let heap = &mut heaps[qi];
-                    heap.push(c * CHUNK + row, d2);
-                    heap.threshold().map_or(f64::INFINITY, |worst| worst.dist)
-                },
-            );
-        }
-        heaps
-            .into_iter()
-            .map(|h| sqrt_dists(h.into_sorted()))
-            .collect()
     }
 
     /// IVF-shortlisted top-k for a batch of queries: probe the `nprobe`
@@ -483,7 +420,7 @@ impl EmbeddingStore {
 
     /// Reference scalar scan — per-row [`euclidean_sq`] into a full
     /// `N`-length distance buffer, then [`top_k`]. This is the
-    /// pre-norm-trick baseline, kept for benchmarking the fused scan
+    /// pre-norm-trick baseline, kept for benchmarking the exact top-k
     /// against (its distances can differ from [`Self::knn`] in the last
     /// ulp because the arithmetic is associated differently).
     pub fn knn_naive(&self, query: &[f64], k: usize) -> Vec<Neighbor> {
@@ -520,15 +457,14 @@ pub struct ScanStats {
     pub hops: usize,
     /// Graph: adjacency entries read (visited-array probes).
     pub links_scanned: usize,
-    /// Exact, narrower than a stripe: rows scored through their u8 codes
-    /// to bound their f64 distances (the corpus once per query).
+    /// Exact: rows scored through their u8 codes to bound their f64
+    /// distances — the corpus once per query, `queries × N`.
     pub rows_scanned: usize,
-    /// Exact, narrower than a stripe: bytes those rows cost (`dim` code
-    /// bytes + the four f64 row columns the kernel reads, 32 bytes), vs
-    /// `8·dim + 8` for the fused f64 pass.
+    /// Exact: bytes the codes streamed — the corpus once per batch, each
+    /// row its code bytes and the four f64 columns the kernel reads (32
+    /// bytes), against `8·dim + 8` a row of f64 row and norm.
     pub bytes_scanned: usize,
-    /// Exact, narrower than a stripe: rows whose lower bound let them
-    /// through to the f64 score.
+    /// Exact: rows whose lower bound let them through to the f64 score.
     pub bound_survivors: usize,
 }
 

@@ -1,14 +1,15 @@
 //! Property tests for the batched serving path: the lockstep GEMM
 //! forward must give every trajectory the embedding it gets alone (a
-//! lockstep batch of one) for every backbone, batch size and length mix, and batched norm-trick scans must return
-//! exactly the scalar scan's neighbours — tie ordering included — and
-//! exactly what a stored score matrix pushed row by row into the bounded
-//! heap returns, whether asked through the store or through a copy of its
-//! int8 codes.
+//! lockstep batch of one) for every backbone, batch size and length mix,
+//! and the exact top-k must return exactly the scalar query's neighbours —
+//! tie ordering included — and exactly what scoring every row into the
+//! bounded heap returns (the naive oracle), at every batch width, whether
+//! asked through the store or through a copy of its int8 codes.
 
 use neutraj_measures::{Neighbor, NeighborHeap};
 use neutraj_model::{BackboneKind, EmbeddingStore, NeuTrajModel, QuantizedStore, TrainConfig};
-use neutraj_nn::linalg::{dot, matmul_nt};
+use neutraj_nn::linalg::dot;
+use neutraj_nn::simd::scan_score;
 use neutraj_trajectory::rng::{cases, Rng};
 use neutraj_trajectory::{BoundingBox, Grid, Point, Trajectory};
 
@@ -109,22 +110,18 @@ fn knn_batch_exactly_matches_scalar_knn() {
     });
 }
 
-/// The scan as it was before the fused kernel, kept as the oracle: the
-/// whole `B × N` score matrix from `matmul_nt`, then the norm-trick
-/// expression and `NeighborHeap::push` for every row in order.
-fn knn_by_score_matrix(store: &EmbeddingStore, queries: &[&[f64]], k: usize) -> Vec<Vec<Neighbor>> {
-    let (b, n, d) = (queries.len(), store.len(), store.dim());
-    let mut scores = vec![0.0; b * n];
-    matmul_nt(&queries.concat(), &store.to_flat(), &mut scores, b, n, d);
+/// The oracle: every row scored by `scan_score` — the exact top-k's own
+/// distance, `max(‖q‖² − 2·q·x + ‖x‖², 0)` — and pushed into a
+/// `NeighborHeap`, no bound and no batching.
+fn knn_naive_oracle(store: &EmbeddingStore, queries: &[&[f64]], k: usize) -> Vec<Vec<Neighbor>> {
     queries
         .iter()
-        .enumerate()
-        .map(|(qi, q)| {
+        .map(|q| {
             let qn = dot(q, q);
             let mut heap = NeighborHeap::new(k);
-            for row in 0..n {
+            for row in 0..store.len() {
                 let x = store.get(row);
-                heap.push(row, (qn - 2.0 * scores[qi * n + row] + dot(x, x)).max(0.0));
+                heap.push(row, scan_score(q, qn, x, dot(x, x)));
             }
             let mut out = heap.into_sorted();
             for nb in &mut out {
@@ -135,9 +132,10 @@ fn knn_by_score_matrix(store: &EmbeddingStore, queries: &[&[f64]], k: usize) -> 
         .collect()
 }
 
-/// `knn_batch` against the oracle, bit for bit, for every `k` that
-/// changes how thresholds arm: none kept, one, ten, exactly `N`, more —
-/// and at the [`CODE_WIDTHS`], `QuantizedStore::knn_batch` too.
+/// `knn_batch` against the oracle, bit for bit, at every [`WIDTHS`]
+/// width `queries` (cycled) fills and for every `k` that changes how the
+/// bound arms: none kept, one, ten, exactly `N`, more — asked through the
+/// store and through a copy of its codes.
 fn assert_scan_matches_oracle(store: &EmbeddingStore, queries: &[Vec<f64>], what: &str) {
     let n = store.len();
     assert_scan_matches_oracle_at(store, queries, &[0, 1, 10, n, n + 5], what);
@@ -150,7 +148,6 @@ fn assert_scan_matches_oracle_at(
     ks: &[usize],
     what: &str,
 ) {
-    let qrefs: Vec<&[f64]> = queries.iter().map(|q| q.as_slice()).collect();
     let n = store.len();
     let bits = |lists: &[Vec<Neighbor>]| -> Vec<Vec<(usize, u64)>> {
         lists
@@ -158,25 +155,27 @@ fn assert_scan_matches_oracle_at(
             .map(|l| l.iter().map(|nb| (nb.index, nb.dist.to_bits())).collect())
             .collect()
     };
-    let codes = CODE_WIDTHS
-        .contains(&queries.len())
-        .then(|| QuantizedStore::from_store(store));
-    for &k in ks {
-        let got = store.knn_batch(&qrefs, k);
-        let want = knn_by_score_matrix(store, &qrefs, k);
-        let shape = format!("B={} N={n} d={} k={k}", queries.len(), store.dim());
-        assert_eq!(bits(&got), bits(&want), "{what}: {shape}");
-        assert!(got.iter().all(|l| l.len() == k.min(n)));
-        if let Some(codes) = &codes {
+    let codes = QuantizedStore::from_store(store);
+    for b in WIDTHS {
+        let qrefs: Vec<&[f64]> = (queries.iter().cycle().take(b))
+            .map(|q| q.as_slice())
+            .collect();
+        for &k in ks {
+            let got = store.knn_batch(&qrefs, k);
+            let want = knn_naive_oracle(store, &qrefs, k);
+            let shape = format!("B={b} N={n} d={} k={k}", store.dim());
+            assert_eq!(bits(&got), bits(&want), "{what}: {shape}");
+            assert!(got.iter().all(|l| l.len() == k.min(n)));
             let (via_codes, _) = codes.knn_batch(store, &qrefs, k);
             assert_eq!(bits(&via_codes), bits(&want), "{what}, via codes: {shape}");
         }
     }
 }
 
-/// The batch widths at which the oracle also asks a copy of the store's
-/// codes: the narrowest and widest on each side of the regime switch.
-const CODE_WIDTHS: [usize; 4] = [1, 7, 8, 16];
+/// Batch widths of the oracle checks: a lone query; either side of eight
+/// and of sixteen, the widths the exact scan used to switch kernels at;
+/// and more than two of those.
+const WIDTHS: [usize; 7] = [1, 7, 8, 9, 16, 17, 33];
 
 fn random_rows(rng: &mut Rng, rows: usize, dim: usize) -> Vec<Vec<f64>> {
     (0..rows)
@@ -184,61 +183,74 @@ fn random_rows(rng: &mut Rng, rows: usize, dim: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// The fused scan equals the stored-score-matrix scan on every shape the
-/// kernel splits differently: batch sizes 1..=17 (each stripe width and
-/// the 8 + 8 + 1 split), row counts of every residue mod 16 with fewer
-/// than four included, and dimensions on both sides of the 4-column
-/// step.
+/// The exact top-k equals the oracle on every shape the code pass splits
+/// differently: row counts of every residue mod 16 (a tile of the codes)
+/// with fewer than four included, a store of 513 rows (a whole code chunk
+/// and one row of the next), and dimensions on both sides of a four-code
+/// word; at every [`WIDTHS`] width.
 #[test]
-fn fused_scan_matches_score_matrix_on_every_shape() {
+fn knn_batch_matches_the_oracle_on_every_shape() {
     let mut rng = Rng::seed_from_u64(24);
     for dim in [1usize, 3, 4, 31, 32, 33] {
-        for n in (0..=16).chain([77, 131]) {
+        for n in (0..=16).chain([77, 131, 513]) {
             let store = EmbeddingStore::from_embeddings(dim, &random_rows(&mut rng, n, dim));
-            for b in 1..=17 {
-                assert_scan_matches_oracle(&store, &random_rows(&mut rng, b, dim), "random");
-            }
+            assert_scan_matches_oracle(&store, &random_rows(&mut rng, 33, dim), "random");
         }
     }
 }
 
-/// ... and where a filter in front of the heap could go wrong: tied
-/// distances (the index decides) and a query that is a stored row (exact
-/// zero); `±0.0`, `NaN` and `±∞` in rows and queries (the store is a
-/// public type; a NaN score is distance 0 and must not be filtered out);
-/// a corpus whose distances fall with every row, so each one tightens
-/// the threshold the next is tested against, and one whose distances
-/// rise, so none does.
+/// ... and where a bound in front of the heap could go wrong: tied
+/// distances and duplicate rows (the index decides), and a query that is a
+/// stored row (exact zero); `±0.0`, subnormals, `NaN` and `±∞` in rows and
+/// queries (the store is a public type; a NaN score is distance 0 and must
+/// not be pruned), and rows without a finite bound — a non-finite
+/// component, a range that overflows, a range under `2⁻¹⁰⁰⁰`; a corpus
+/// whose distances fall with every row, so each one tightens the
+/// threshold the next is tested against, and one whose distances rise,
+/// so none does.
 #[test]
-fn fused_scan_matches_score_matrix_on_ties_specials_and_monotone_corpora() {
+fn knn_batch_matches_the_oracle_on_ties_specials_and_monotone_corpora() {
     cases(6, |rng| {
         let dim = [3usize, 6, 32][rng.gen_range(0usize..3)];
         let n = rng.gen_range(40usize..200);
-        let b = rng.gen_range(1usize..=17);
 
-        let rows: Vec<Vec<f64>> = (0..n)
+        let mut rows: Vec<Vec<f64>> = (0..n)
             .map(|_| (0..dim).map(|_| rng.gen_range(0u8..3) as f64).collect())
             .collect();
-        let mut queries: Vec<Vec<f64>> = (0..b)
+        rows[n - 1] = rows[0].clone();
+        let mut queries: Vec<Vec<f64>> = (0..9)
             .map(|_| (0..dim).map(|_| rng.gen_range(0u8..3) as f64).collect())
             .collect();
         queries[0] = rows[n / 2].clone();
         let store = EmbeddingStore::from_embeddings(dim, &rows);
         assert_scan_matches_oracle(&store, &queries, "ties");
 
-        let special = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let tiny = f64::MIN_POSITIVE;
+        let special = [
+            0.0,
+            -0.0,
+            5e-324,
+            -3.0 * tiny / 4.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
         let mut rows = random_rows(rng, n, dim);
-        let mut queries = random_rows(rng, b, dim);
+        let mut queries = random_rows(rng, 9, dim);
         for v in rows.iter_mut().chain(queries.iter_mut()).flatten() {
             if rng.gen_bool(0.05) {
                 *v = special[rng.gen_range(0usize..special.len())];
             }
         }
+        rows[1][0] = f64::MAX;
+        rows[1][dim - 1] = -f64::MAX;
+        rows[2] = (0..dim).map(|c| tiny * (c % 2) as f64).collect();
+        rows[3] = vec![5e-324; dim];
         let store = EmbeddingStore::from_embeddings(dim, &rows);
         assert_scan_matches_oracle(&store, &queries, "specials");
 
         let base = random_rows(rng, 1, dim).remove(0);
-        let queries: Vec<Vec<f64>> = (0..b)
+        let queries: Vec<Vec<f64>> = (0..9)
             .map(|i| base.iter().map(|v| v + 1e-3 * i as f64).collect())
             .collect();
         for falling in [true, false] {
@@ -253,11 +265,6 @@ fn fused_scan_matches_score_matrix_on_ties_specials_and_monotone_corpora() {
         }
     });
 }
-
-/// Batch widths on both sides of the regime switch: below a stripe of
-/// eight the exact top-k goes through the int8 lower bound, from eight up
-/// through the fused f64 pass.
-const REGIMES: [usize; 6] = [1, 3, 4, 7, 8, 16];
 
 /// `x` moved `n` ulps away from zero.
 fn ulps(x: f64, n: u64) -> f64 {
@@ -283,8 +290,8 @@ fn half_step_row(rng: &mut Rng, dim: usize, s: f64) -> (Vec<f64>, Vec<f64>) {
 }
 
 /// The inputs a bound over int8 codes could get wrong, each through the
-/// stored-score-matrix oracle at every [`REGIMES`] width and at
-/// `k ∈ {0, 1, 3, N, N + 3}` (`DESIGN.md` §12 derives the bound):
+/// oracle at every [`WIDTHS`] width and at `k ∈ {0, 1, 3, N, N + 3}`
+/// (`DESIGN.md` §12 derives the bound):
 ///
 /// * constant rows and queries (`scale = 0`: the error bounds are zero
 ///   and only the rounding slack separates a bound from the approximate
@@ -443,9 +450,7 @@ fn bounded_scan_matches_score_matrix_on_adversarial_rows() {
         for (what, rows, queries) in stores {
             let store = EmbeddingStore::from_embeddings(dim, &rows);
             let n = store.len();
-            for b in REGIMES {
-                assert_scan_matches_oracle_at(&store, &queries[..b], &[0, 1, 3, n, n + 3], what);
-            }
+            assert_scan_matches_oracle_at(&store, &queries, &[0, 1, 3, n, n + 3], what);
         }
     });
 }
@@ -512,7 +517,7 @@ fn db_knn_batch_matches_scalar_knn() {
 /// 63 rows, from corpora on both sides of the 64-row row-chunk and the
 /// 512-row code-chunk boundaries —
 /// is the store a bulk load builds over the same rows: `==` (rows, norms
-/// and codes), the same exact answers in both scan regimes, the same
+/// and codes), the same exact answers as the bulk store and the oracle, the same
 /// IVF and graph shortlists, and `as_flat` the same bits. A clone does
 /// not carry `as_flat`'s copy.
 #[test]
@@ -554,7 +559,7 @@ fn store_grown_by_inserted_equals_the_bulk_store() {
             "{what}: cache cloned"
         );
 
-        for b in CODE_WIDTHS {
+        for b in [1, 8, 16] {
             let qrefs: Vec<&[f64]> = queries[..b].iter().map(|q| q.as_slice()).collect();
             for k in [1, 10, at] {
                 assert_eq!(
@@ -563,8 +568,8 @@ fn store_grown_by_inserted_equals_the_bulk_store() {
                     "{what}: B={b} k={k}"
                 );
             }
-            assert_scan_matches_oracle_at(grown, &queries[..b], &[10], &what);
         }
+        assert_scan_matches_oracle_at(grown, &queries, &[10], &what);
 
         let mut views = SimilarityDb::with_corpus(m.clone(), rows.to_vec(), 1);
         let ann = AnnParams {

@@ -217,7 +217,7 @@ fn quantize_dequantize_error_is_bounded_by_half_scale() {
             // only roundings left are the few below, whose error the
             // final widening covers.
             let mut sq = 0.0;
-            for (&v, &code) in row.iter().zip(qs.codes(i)) {
+            for (&v, &code) in row.iter().zip(&qs.codes(i)) {
                 let (t, et) = two_diff(v, offset);
                 let p = scale * f64::from(code);
                 let ep = scale.mul_add(f64::from(code), -p);

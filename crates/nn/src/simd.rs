@@ -1,6 +1,6 @@
 //! AVX2 and AVX-512 micro-kernels for the register-tiled GEMMs in
-//! [`crate::linalg`] and the u8 integer dot product behind the int8 code
-//! scan (`DESIGN.md` §12).
+//! [`crate::linalg`] and the int8 code pass of the exact top-k
+//! (`DESIGN.md` §12).
 //!
 //! Same policy as the measures DP kernels: every function takes an
 //! explicit [`SimdLevel`] and carries a pure-Rust scalar arm that *is*
@@ -20,20 +20,18 @@
 //! * the gathered-rows dot ([`dot_rows`]) is that arm with the four rows
 //!   named by an id list instead of being adjacent — one `dot` chain per
 //!   lane;
-//! * the fused exact scan ([`scan_rows`]) is that arm again with the
-//!   norm-trick distance and a top-k admission pre-filter applied to the
-//!   accumulators while they are still in registers, so neither a packed
-//!   copy of the corpus nor a score block is ever written;
 //! * the two BPTT kernels — the ordered rank-`T` accumulate
 //!   (`outer_acc_rev`) and the transposed-columns product
 //!   (`matvec_t_cols`) — keep one accumulator per output in a register
 //!   across the whole sum and add the terms in the order the per-step
 //!   sweeps they replace did, vectorized across output columns;
-//! * the u8 dot is exact integer arithmetic, where any summation order
-//!   yields the same value.
+//! * the int8 code pass ([`quant_scan_block`]) dots u8 codes in exact
+//!   integer arithmetic, where any summation order yields the same value,
+//!   and its f64 tail is one operand order in every arm.
 //!
 //! Levels are ordered: a kernel without an AVX-512 arm runs its AVX2 arm
-//! at [`SimdLevel::Avx512`].
+//! at [`SimdLevel::Avx512`]. The int8 code pass has a 512-bit arm that
+//! also needs `avx512vnni` ([`QuantArm`]).
 
 use neutraj_obs::simd::SimdLevel;
 
@@ -325,146 +323,20 @@ fn gathered_row<S: RowSource + ?Sized>(rows: &S, id: u32, k: usize) -> &[f64] {
     row
 }
 
-/// The operands of [`scan_rows`]: `B` queries and `N` corpus rows of
-/// `dim` doubles each, both row-major, with their squared norms.
-#[derive(Debug, Clone, Copy)]
-pub struct ScanInput<'a> {
-    /// Doubles per query and per row.
-    pub dim: usize,
-    /// The `B × dim` queries.
-    pub queries: &'a [f64],
-    /// `‖q‖²` per query.
-    pub qnorms: &'a [f64],
-    /// The `N × dim` corpus rows.
-    pub rows: &'a [f64],
-    /// `‖x‖²` per row.
-    pub row_norms: &'a [f64],
-}
-
-/// Most queries one [`scan_rows`] stripe holds: one accumulator each
-/// beside the four transposed row vectors and a broadcast (13 `ymm`).
-/// A batch narrower than this reads the corpus once per stripe it does
-/// not fill, which is why the exact top-k answers such batches through
-/// the int8 lower bound instead (`DESIGN.md` §6).
-pub const SCAN_STRIPE: usize = 8;
-
-/// Corpus rows per [`scan_rows`] chunk: about 16 KiB of them, so a chunk
-/// read for the first stripe of queries is still in L1 for the last, and
-/// a multiple of 16 so only the last chunk has a ragged tail.
-fn scan_chunk_rows(dim: usize) -> usize {
-    (16 * 1024 / (8 * dim.max(1)) / 16 * 16).max(16)
-}
-
-/// The norm-trick squared distance `‖q − x‖² = ‖q‖² − 2·q·x + ‖x‖²` from
-/// the dot `s = q·x`, clamped at zero (it goes epsilon-negative for
-/// near-identical rows; `max` also maps a NaN score to `0.0`).
-#[inline]
-fn norm_trick_sq(qn: f64, s: f64, xn: f64) -> f64 {
-    (qn - 2.0 * s + xn).max(0.0)
-}
-
-/// The `d2` [`scan_rows`] hands `admit` for query `q` (squared norm `qn`)
-/// and row `x` (squared norm `xn`): the dot from `+0.0` in ascending
-/// `p`, then `max(qn − 2·dot + xn, 0)`. Both arms of the scan produce exactly
-/// these bits, so a caller that scores a few rows on its own through
-/// this function agrees with the scan bit for bit.
+/// The exact scan's squared distance from query `q` (squared norm `qn`)
+/// to row `x` (squared norm `xn`): the dot from `+0.0` in ascending `p`
+/// (the chain of [`crate::linalg::matmul_nt`] and [`dot_rows`]), then
+/// `max(qn − 2·dot + xn, 0)` — clamped because it goes epsilon-negative
+/// for near-identical rows, and `max` maps a NaN to `0.0`. The exact
+/// top-k scores every row that its int8 bound lets through with this,
+/// and its oracle every row.
 #[inline]
 pub fn scan_score(q: &[f64], qn: f64, x: &[f64], xn: f64) -> f64 {
     let mut s = 0.0;
     for (&a, &b) in q.iter().zip(x) {
         s += a * b;
     }
-    norm_trick_sq(qn, s, xn)
-}
-
-/// The exact scan, fused: for every query `qi` and row `j`, the dot
-/// `s = Σ_p q[p]·x[p]` (one accumulator starting at `+0.0`, ascending
-/// `p`, multiply and add separate — [`crate::linalg::matmul_nt`]'s
-/// chain), then `d2 = max(‖q‖² − 2·s + ‖x‖², 0)`, then
-/// `thresholds[qi] = admit(qi, j, d2)` **if** `d2 <= thresholds[qi]`.
-/// A top-k caller starts every threshold at `+∞` and returns its heap's
-/// worst kept distance once the heap is full; a range caller returns its
-/// radius unchanged. A NaN threshold admits nothing.
-///
-/// The threshold test is a *pre-filter*, not the decision: `admit` is
-/// called for every pair at or below the query's threshold as of that
-/// row — and, from the AVX2 arm, for a few above it, because a group of
-/// up to sixteen adjacent rows is tested against the thresholds as they
-/// stood when the group began. A threshold only ever falls, so a stale
-/// one only admits more; `admit` must decide for itself (a heap's own
-/// `(dist, index)` order, an exact radius test). Per query, rows arrive
-/// in ascending order.
-///
-/// Rows are walked in L1-sized chunks and every stripe of up to eight
-/// queries runs over a chunk before the next chunk is touched, so the
-/// corpus is read once however many queries there are. The scalar arm is
-/// the definition above. The AVX2 arm runs `matmul_nt_direct`'s
-/// transposing chain — four adjacent rows per vector, one lane each, no
-/// packed copy — and applies the same `d2` and `<=` lane-wise to the
-/// accumulators in registers; they are spilled only when some lane
-/// passes, and a passing lane's `d2` is recomputed by the scalar
-/// expression, so both arms hand `admit` the same bits.
-/// (`_mm256_max_pd(x, 0)` returns `0` for a NaN `x`, as `f64::max` does,
-/// so the filter never drops a lane the scalar arm keeps.) The first
-/// stripe over a chunk also prefetches the next chunk. A chunk's last
-/// `rows % 4` rows take the scalar arm.
-#[inline]
-#[allow(unsafe_code)]
-pub fn scan_rows<F: FnMut(usize, usize, f64) -> f64>(
-    level: SimdLevel,
-    input: &ScanInput<'_>,
-    thresholds: &mut [f64],
-    mut admit: F,
-) {
-    let (k, b, n) = (input.dim, input.qnorms.len(), input.row_norms.len());
-    assert_eq!(input.queries.len(), b * k, "scan_rows: queries shape");
-    assert_eq!(input.rows.len(), n * k, "scan_rows: rows shape");
-    assert_eq!(thresholds.len(), b, "scan_rows: one threshold per query");
-    #[cfg(target_arch = "x86_64")]
-    let wide = use_avx2(level);
-    let _ = level;
-    let chunk = scan_chunk_rows(k);
-    let mut c0 = 0;
-    while c0 < n {
-        let c1 = (c0 + chunk).min(n);
-        let mut q0 = 0;
-        while q0 < b {
-            let m = (b - q0).min(SCAN_STRIPE);
-            #[allow(unused_mut)]
-            let mut j = c0;
-            #[cfg(target_arch = "x86_64")]
-            if wide {
-                // SAFETY: AVX2 presence just verified; shapes checked
-                // above, `q0 + m <= b`, `c0 <= c1 <= n` and `m` is within
-                // the kernel's register budget.
-                j = unsafe { avx2::scan_stripe(input, q0, m, c0, c1, thresholds, &mut admit) };
-            }
-            scan_rows_scalar(input, q0..q0 + m, j..c1, thresholds, &mut admit);
-            q0 += m;
-        }
-        c0 = c1;
-    }
-}
-
-/// The scalar oracle of [`scan_rows`] over one block of queries and rows.
-fn scan_rows_scalar<F: FnMut(usize, usize, f64) -> f64>(
-    input: &ScanInput<'_>,
-    queries: std::ops::Range<usize>,
-    rows: std::ops::Range<usize>,
-    thresholds: &mut [f64],
-    admit: &mut F,
-) {
-    let k = input.dim;
-    for qi in queries {
-        let q = &input.queries[qi * k..(qi + 1) * k];
-        let qn = input.qnorms[qi];
-        for j in rows.clone() {
-            let d2 = scan_score(q, qn, &input.rows[j * k..(j + 1) * k], input.row_norms[j]);
-            if d2 <= thresholds[qi] {
-                thresholds[qi] = admit(qi, j, d2);
-            }
-        }
-    }
+    (qn - 2.0 * s + xn).max(0.0)
 }
 
 /// `c += Σ_t u_t ⊗ v_t` over the `steps` rows of `u` (`steps × m`) and
@@ -568,27 +440,6 @@ fn matvec_t_cols_from(a: &[f64], cols: usize, x: &[f64], col0: usize, y: &mut [f
     }
 }
 
-/// Exact `Σ a[i]·b[i]` over u8 codes, as u64. Integer arithmetic is
-/// associative, so the wide path is bit-identical by construction; the
-/// `i32` pair accumulators of the AVX2 arm cannot overflow because the
-/// length is capped (`32768 · 255² < 2³¹`).
-#[inline]
-#[allow(unsafe_code)]
-pub fn dot_u8(level: SimdLevel, a: &[u8], b: &[u8]) -> u64 {
-    assert_eq!(a.len(), b.len());
-    assert!(a.len() <= 32768, "dot_u8: dimension cap");
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2(level) {
-        // SAFETY: AVX2 presence just verified; lengths checked above.
-        return unsafe { avx2::dot_u8(a, b) };
-    }
-    let _ = level;
-    a.iter()
-        .zip(b)
-        .map(|(&x, &y)| u64::from(x) * u64::from(y))
-        .sum()
-}
-
 /// Per-query constants of the quantized-scan score (`DESIGN.md` §12):
 /// with query offset/scale `qo`/`qs`, `dqo = d·qo`, `qsum = Σ` query
 /// codes and `qn = ‖q̂‖²`, a row with offset `xo`, scale `xs`, code sum
@@ -618,57 +469,244 @@ fn quant_score(t: &QuantQueryTerms, xo: f64, xs: f64, sx: f64, dn: f64, d: f64) 
     (t.qn - 2.0 * cross + dn).max(0.0)
 }
 
-/// Scores every `q.len()`-sized row of a contiguous u8 code block
-/// against one quantized query: `out[j]` is the approximate squared
-/// distance of row `j` (see [`QuantQueryTerms`]). `xo`/`xs`/`sx`/`dn`
-/// are the per-row offset, scale, code-sum and dequantized-norm
-/// columns.
+/// Rows per tile of the code layout [`quant_scan_block`] reads.
+pub const QUANT_TILE_ROWS: usize = 16;
+
+/// Where code `p` of row `j` sits in a block of `d`-dimensional codes
+/// laid out for [`quant_scan_block`]: tiles of [`QUANT_TILE_ROWS`] rows,
+/// one after another, each `d` rounded up to a multiple of four bytes
+/// per row; within a tile, 64-byte groups of four dimensions, each
+/// holding the tile's rows in order, four bytes a row. One group is one
+/// 512-bit load that gives sixteen rows four codes each. The padding
+/// (dimensions past `d`, rows past the last) holds zero codes.
+#[inline]
+pub fn quant_code_at(d: usize, j: usize, p: usize) -> usize {
+    j / QUANT_TILE_ROWS * quant_tile_bytes(d)
+        + p / 4 * 4 * QUANT_TILE_ROWS
+        + j % QUANT_TILE_ROWS * 4
+        + p % 4
+}
+
+/// Bytes of one tile of `d`-dimensional codes (see [`quant_code_at`]).
+#[inline]
+pub fn quant_tile_bytes(d: usize) -> usize {
+    QUANT_TILE_ROWS * d.next_multiple_of(4)
+}
+
+/// A query's u8 codes as [`quant_scan_block`] takes them: four to a
+/// little-endian word, the last word zero-padded.
+pub fn quant_query_words(codes: &[u8]) -> Vec<u32> {
+    (codes.chunks(4))
+        .map(|c| {
+            let mut w = [0u8; 4];
+            w[..c.len()].copy_from_slice(c);
+            u32::from_le_bytes(w)
+        })
+        .collect()
+}
+
+/// The arm [`quant_scan_block`] runs at a level on this host.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum QuantArm {
+    /// The scalar oracle.
+    Scalar,
+    /// 256-bit `vpmaddwd` dots.
+    Avx2,
+    /// 512-bit `vpdpbusd` dots: at [`SimdLevel::Avx512`] on a host with
+    /// `avx512vnni`.
+    Vnni,
+}
+
+impl QuantArm {
+    /// The arm that runs at `level`: the widest the level allows and the
+    /// host has.
+    pub fn at(level: SimdLevel) -> Self {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if use_avx512(level) && std::arch::is_x86_feature_detected!("avx512vnni") {
+                return Self::Vnni;
+            }
+            if use_avx2(level) {
+                return Self::Avx2;
+            }
+        }
+        let _ = level;
+        Self::Scalar
+    }
+
+    /// Stable lowercase name (`"scalar"` / `"avx2"` / `"vnni"`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::Scalar => "scalar",
+            Self::Avx2 => "avx2",
+            Self::Vnni => "vnni",
+        }
+    }
+}
+
+/// One block of stored rows as [`quant_scan_block`] reads them: their
+/// codes in the tiled layout of [`quant_code_at`] (the last tile whole)
+/// and four per-row columns.
+#[derive(Debug, Clone, Copy)]
+pub struct QuantRows<'a> {
+    /// The codes, `d` a row, in tiles of [`QUANT_TILE_ROWS`] rows.
+    pub codes: &'a [u8],
+    /// Per-row dequantization offset.
+    pub offset: &'a [f64],
+    /// Per-row dequantization scale.
+    pub scale: &'a [f64],
+    /// Per-row sum of the codes.
+    pub code_sum: &'a [f64],
+    /// Per-row squared norm of the dequantized row.
+    pub dq_norm: &'a [f64],
+}
+
+/// The per-row limit [`quant_scan_block`] tests each row against: a row
+/// of scale `s` is a hit iff its approximate distance is at or under
+/// [`Self::at`]`(s) = (reach + s·factor)²·rho + slack` — the exact
+/// top-k's lower-bound test (`DESIGN.md` §12), in this operand order in
+/// every arm.
+#[derive(Debug, Clone, Copy)]
+pub struct QuantLimit {
+    /// How far from the quantized query an answer can be, before the
+    /// row's own error.
+    pub reach: f64,
+    /// A row's error bound per unit of its scale.
+    pub factor: f64,
+    /// The relative widening of the square.
+    pub rho: f64,
+    /// The absolute widening.
+    pub slack: f64,
+}
+
+impl QuantLimit {
+    /// The largest approximate distance a row of scale `scale` can have
+    /// and be a hit.
+    #[inline]
+    pub fn at(&self, scale: f64) -> f64 {
+        let r = self.reach + scale * self.factor;
+        r * r * self.rho + self.slack
+    }
+}
+
+/// Scores every row of a block against one quantized query: `out[j]` is
+/// the approximate squared distance of row `j` (see [`QuantQueryTerms`]),
+/// and bit `j % 64` of `hits[j / 64]` is set iff
+/// `out[j] <= limit.at(scale[j])` (the other bits are cleared). `q` is
+/// the query from [`quant_query_words`], `4·q.len()` codes wide like the
+/// rows.
 ///
-/// One dispatched call scores the whole block: the AVX2 arm fuses the
-/// integer dots (four rows per step, query chunk loaded once,
-/// accumulators folded with an in-register `hadd` transpose) with a
-/// 4-lane affine tail — no per-row dispatch, call, or stack spill.
-/// This is what makes the quantized exhaustive scan beat the f64 GEMM
-/// scan per core (`DESIGN.md` §12). Bit-identical to the scalar arm:
-/// the dots are exact integers either way, and the f64 tail performs
-/// the same operations in the same order lane-wise.
+/// One dispatched call scores the whole block ([`QuantArm::at`] picks the
+/// arm). The VNNI arm dots sixteen rows with one `vpdpbusd` per four
+/// dimensions, the query shifted to i8 (`D = Σx·(q − 128) + 128·Σx`,
+/// exact in i32 up to the 32768-dimension cap: `32768·255·128 < 2³¹`),
+/// four tiles at a time; the AVX2 arm zero-extends to i16 and folds
+/// `vpmaddwd` pairs. Both then run the affine tail lane-wise in
+/// `quant_score`'s operand order, mul and add separate, and test it
+/// against the row's limit in the register. The dots are exact integers
+/// in every arm and the tail is the same operations in the same order,
+/// so all arms agree bit for bit.
 #[inline]
 #[allow(unsafe_code)]
-#[allow(clippy::too_many_arguments)]
 pub fn quant_scan_block(
     level: SimdLevel,
-    q: &[u8],
-    codes: &[u8],
-    xo: &[f64],
-    xs: &[f64],
-    sx: &[f64],
-    dn: &[f64],
+    q: &[u32],
     t: &QuantQueryTerms,
+    rows: &QuantRows<'_>,
+    limit: &QuantLimit,
     out: &mut [f64],
+    hits: &mut [u64],
 ) {
-    let d = q.len();
-    let rows = out.len();
+    let (d, n) = (4 * q.len(), out.len());
     assert!(d <= 32768, "quant_scan_block: dimension cap");
-    assert_eq!(codes.len(), d * rows, "codes/out shape mismatch");
+    assert_eq!(
+        rows.codes.len(),
+        n.div_ceil(QUANT_TILE_ROWS) * quant_tile_bytes(d),
+        "codes/out shape mismatch"
+    );
     assert!(
-        xo.len() == rows && xs.len() == rows && sx.len() == rows && dn.len() == rows,
+        [rows.offset, rows.scale, rows.code_sum, rows.dq_norm]
+            .iter()
+            .all(|c| c.len() == n),
         "row-statistic column length mismatch"
     );
+    assert_eq!(hits.len(), n.div_ceil(64), "one hit word per 64 rows");
+    hits.fill(0);
+    match QuantArm::at(level) {
+        // SAFETY: the arm's features were just detected; shapes checked
+        // above. A block without a dimension has no code bytes to read.
+        #[cfg(target_arch = "x86_64")]
+        QuantArm::Vnni if d > 0 => unsafe {
+            avx512::quant_scan_block(q, t, rows, limit, out, hits)
+        },
+        #[cfg(target_arch = "x86_64")]
+        QuantArm::Avx2 if d > 0 => unsafe { avx2::quant_scan_block(q, t, rows, limit, out, hits) },
+        _ => {
+            // A tile's sixteen dots at a time, one group of four codes a
+            // row after another.
+            for j0 in (0..n).step_by(QUANT_TILE_ROWS) {
+                let tile = &rows.codes[j0 / QUANT_TILE_ROWS * quant_tile_bytes(d)..];
+                let mut dots = [0u64; QUANT_TILE_ROWS];
+                for (group, &w) in tile.chunks_exact(4 * QUANT_TILE_ROWS).zip(q) {
+                    for (dot, x) in dots.iter_mut().zip(group.chunks_exact(4)) {
+                        let pairs = w.to_le_bytes().into_iter().zip(x);
+                        *dot += pairs
+                            .map(|(a, &b)| u64::from(a) * u64::from(b))
+                            .sum::<u64>();
+                    }
+                }
+                for (j, &dot) in (j0..n).zip(&dots) {
+                    out[j] = quant_row(t, rows, j, dot as f64, limit, hits);
+                }
+            }
+        }
+    }
+}
+
+/// Row `j`'s approximate distance from its dot `d`, its hit bit set if it
+/// is at or under its limit — the scalar arm, and the vector arms' ragged
+/// last tile.
+#[inline]
+fn quant_row(
+    t: &QuantQueryTerms,
+    rows: &QuantRows<'_>,
+    j: usize,
+    d: f64,
+    limit: &QuantLimit,
+    hits: &mut [u64],
+) -> f64 {
+    let a = quant_score(
+        t,
+        rows.offset[j],
+        rows.scale[j],
+        rows.code_sum[j],
+        rows.dq_norm[j],
+        d,
+    );
+    hits[j / 64] |= u64::from(a <= limit.at(rows.scale[j])) << (j % 64);
+    a
+}
+
+/// Asks for the cache lines of `data` ahead of a read: a hint that
+/// changes no result (the exact scan issues it for the rows it is about
+/// to score in f64, which sit at random places in the store).
+#[inline]
+#[allow(unsafe_code)]
+pub fn prefetch(data: &[f64]) {
     #[cfg(target_arch = "x86_64")]
-    if use_avx2(level) {
-        // SAFETY: AVX2 presence just verified; shapes checked above.
-        unsafe { avx2::quant_scan_block(q, codes, xo, xs, sx, dn, t, out) };
-        return;
+    if let Some(last) = data.last() {
+        use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        for line in data
+            .chunks(8)
+            .map(|c| c.as_ptr())
+            .chain([last as *const f64])
+        {
+            // SAFETY: a prefetch reads nothing architecturally; the
+            // addresses are inside `data`.
+            unsafe { _mm_prefetch::<_MM_HINT_T0>(line.cast()) };
+        }
     }
-    let _ = level;
-    for (j, o) in out.iter_mut().enumerate() {
-        let dot: u64 = q
-            .iter()
-            .zip(&codes[j * d..(j + 1) * d])
-            .map(|(&x, &y)| u64::from(x) * u64::from(y))
-            .sum();
-        *o = quant_score(t, xo[j], xs[j], sx[j], dn[j], dot as f64);
-    }
+    let _ = data;
 }
 
 /// The `unsafe` lives only here: `#[target_feature(enable = "avx2")]`
@@ -677,7 +715,7 @@ pub fn quant_scan_block(
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx2 {
-    use super::{RowSource, ScanInput, MR, NR};
+    use super::{RowSource, MR, NR};
     use core::arch::x86_64::*;
 
     /// # Safety
@@ -903,159 +941,6 @@ mod avx2 {
             _ => unreachable!("dispatcher admits m in 1..=7"),
         }
         n - n % 4
-    }
-
-    /// [`super::scan_rows`] for queries `q0..q0 + M` against rows
-    /// `j0..j0 + 4·G`: the chains of `nt_chains!`, then the distance and
-    /// the threshold test on the accumulators, lane-wise in
-    /// [`super::norm_trick_sq`]'s operand order — all `4·M·G` lanes
-    /// against the thresholds as they stood on entry, into one bit each.
-    /// Almost always no bit is set and nothing leaves the registers;
-    /// otherwise [`admit_hits`] hands the lanes that passed to `admit`.
-    ///
-    /// # Safety
-    /// AVX2 must be available; `input` must hold the shapes
-    /// [`super::scan_rows`] checks, with `q0 + M` queries,
-    /// `j0 + 4·G` rows and one threshold per query; `M·G <= 8`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn scan_groups<const M: usize, const G: usize, F: FnMut(usize, usize, f64) -> f64>(
-        input: &ScanInput<'_>,
-        q0: usize,
-        j0: usize,
-        thresholds: &mut [f64],
-        admit: &mut F,
-    ) {
-        let k = input.dim;
-        let a = input.queries.as_ptr().add(q0 * k);
-        if q0 == 0 {
-            // The first stripe over a chunk is the one that waits for its
-            // rows; ask for the same rows of the next chunk now, so they
-            // arrive under this chunk's arithmetic. A prefetch past the
-            // end of the corpus does nothing, hence the wrapping offsets.
-            let next = (j0 + super::scan_chunk_rows(k)) * k;
-            let ahead = input.rows.as_ptr().wrapping_add(next).cast::<i8>();
-            for line in (0..4 * G * k * 8).step_by(64) {
-                _mm_prefetch::<_MM_HINT_T0>(ahead.wrapping_add(line));
-            }
-        }
-        let acc = nt_chains!(M, G, a, input.rows.as_ptr(), k, j0);
-        let qnorms: &[f64; M] = input.qnorms[q0..q0 + M].try_into().expect("M norms");
-        let limits: &[f64; M] = thresholds[q0..q0 + M].try_into().expect("M thresholds");
-        let (two, zero) = (_mm256_set1_pd(2.0), _mm256_setzero_pd());
-        let mut hits = 0u32;
-        for (g, sums) in acc.iter().enumerate() {
-            let xn = _mm256_loadu_pd(input.row_norms[j0 + 4 * g..][..4].as_ptr());
-            for (i, &s) in sums.iter().enumerate() {
-                let qn = _mm256_set1_pd(qnorms[i]);
-                let score = _mm256_add_pd(_mm256_sub_pd(qn, _mm256_mul_pd(two, s)), xn);
-                // A NaN score becomes 0 here as in `f64::max`: the second
-                // operand is returned when either is NaN.
-                let d2 = _mm256_max_pd(score, zero);
-                let pass = _mm256_cmp_pd::<_CMP_LE_OQ>(d2, _mm256_set1_pd(limits[i]));
-                hits |= (_mm256_movemask_pd(pass) as u32) << (4 * (g * M + i));
-            }
-        }
-        if hits != 0 {
-            admit_hits(input, q0, j0, &acc, hits, thresholds, admit);
-        }
-    }
-
-    /// The slow end of [`scan_groups`]: bit `4·(g·M + i) + l` of `hits`
-    /// says lane `l` of `acc[g][i]` — query `q0 + i`, row `j0 + 4·g + l`
-    /// — passed the filter. Each goes to `admit` with the scalar
-    /// expression's `d2`, a query's rows in ascending order.
-    ///
-    /// # Safety
-    /// AVX2 must be available.
-    #[inline(never)]
-    #[target_feature(enable = "avx2")]
-    unsafe fn admit_hits<const M: usize, const G: usize, F: FnMut(usize, usize, f64) -> f64>(
-        input: &ScanInput<'_>,
-        q0: usize,
-        j0: usize,
-        acc: &[[__m256d; M]; G],
-        mut hits: u32,
-        thresholds: &mut [f64],
-        admit: &mut F,
-    ) {
-        let mut dots = [[[0.0f64; 4]; M]; G];
-        for (lanes, sums) in dots.iter_mut().zip(acc) {
-            for (lane, &sum) in lanes.iter_mut().zip(sums) {
-                _mm256_storeu_pd(lane.as_mut_ptr(), sum);
-            }
-        }
-        while hits != 0 {
-            let bit = hits.trailing_zeros() as usize;
-            hits &= hits - 1;
-            let (g, i, l) = (bit / 4 / M, bit / 4 % M, bit % 4);
-            let (qi, row) = (q0 + i, j0 + 4 * g + l);
-            let d2 = super::norm_trick_sq(input.qnorms[qi], dots[g][i][l], input.row_norms[row]);
-            thresholds[qi] = admit(qi, row, d2);
-        }
-    }
-
-    /// Every whole group of four rows in `j0..j1` for exactly `M`
-    /// queries, `G` groups per pass while that many remain; returns the
-    /// first row not scanned.
-    ///
-    /// # Safety
-    /// As [`scan_groups`], with `j1` rows.
-    #[target_feature(enable = "avx2")]
-    unsafe fn scan_stripe_rows<
-        const M: usize,
-        const G: usize,
-        F: FnMut(usize, usize, f64) -> f64,
-    >(
-        input: &ScanInput<'_>,
-        q0: usize,
-        j0: usize,
-        j1: usize,
-        thresholds: &mut [f64],
-        admit: &mut F,
-    ) -> usize {
-        let mut j = j0;
-        while j + 4 * G <= j1 {
-            scan_groups::<M, G, F>(input, q0, j, thresholds, admit);
-            j += 4 * G;
-        }
-        // With `G == 1` the loop above took every whole group (and a
-        // second mention of its kernel would keep it from being inlined).
-        while G > 1 && j + 4 <= j1 {
-            scan_groups::<M, 1, F>(input, q0, j, thresholds, admit);
-            j += 4;
-        }
-        j
-    }
-
-    /// One stripe of `m` queries from `q0` over rows `j0..j1`; returns
-    /// the first row left for the scalar arm (`j1 − (j1 − j0) % 4`).
-    ///
-    /// # Safety
-    /// AVX2 must be available, `m` in `1..=8`, and `input` must hold the
-    /// shapes [`super::scan_rows`] checks, with at least `q0 + m`
-    /// queries and thresholds and `j1` rows.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn scan_stripe<F: FnMut(usize, usize, f64) -> f64>(
-        input: &ScanInput<'_>,
-        q0: usize,
-        m: usize,
-        j0: usize,
-        j1: usize,
-        thresholds: &mut [f64],
-        admit: &mut F,
-    ) -> usize {
-        match m {
-            1 => scan_stripe_rows::<1, 4, F>(input, q0, j0, j1, thresholds, admit),
-            2 => scan_stripe_rows::<2, 2, F>(input, q0, j0, j1, thresholds, admit),
-            3 => scan_stripe_rows::<3, 2, F>(input, q0, j0, j1, thresholds, admit),
-            4 => scan_stripe_rows::<4, 2, F>(input, q0, j0, j1, thresholds, admit),
-            5 => scan_stripe_rows::<5, 1, F>(input, q0, j0, j1, thresholds, admit),
-            6 => scan_stripe_rows::<6, 1, F>(input, q0, j0, j1, thresholds, admit),
-            7 => scan_stripe_rows::<7, 1, F>(input, q0, j0, j1, thresholds, admit),
-            8 => scan_stripe_rows::<8, 1, F>(input, q0, j0, j1, thresholds, admit),
-            _ => unreachable!("dispatcher admits m in 1..=8"),
-        }
     }
 
     /// `out[i] = dot(q, row ids[base + i])` for `i < min(4·G, ids.len() −
@@ -1307,121 +1192,112 @@ mod avx2 {
         }
     }
 
+    /// The affine tail of four rows from `j`, lane-wise in
+    /// [`super::quant_score`]'s operand order, stored to `out[j..j + 4]`;
+    /// returns the rows at or under their limit as four bits.
+    ///
+    /// # Safety
+    /// AVX2 must be available; every column and `out` must hold `j + 4`
+    /// rows.
+    #[inline]
     #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn dot_u8(a: &[u8], b: &[u8]) -> u64 {
-        let n = a.len();
-        let (ap, bp) = (a.as_ptr(), b.as_ptr());
-        // 16 u8 lanes per step: zero-extend to i16, vpmaddwd pairs into
-        // i32. Lane bound: (32768/2) pair-terms · 2·255² per term still
-        // fits i32 comfortably (see the dispatcher's length cap).
-        let mut acc = _mm256_setzero_si256();
-        let mut i = 0;
-        while i + 16 <= n {
-            let av = _mm256_cvtepu8_epi16(_mm_loadu_si128(ap.add(i).cast()));
-            let bv = _mm256_cvtepu8_epi16(_mm_loadu_si128(bp.add(i).cast()));
-            acc = _mm256_add_epi32(acc, _mm256_madd_epi16(av, bv));
-            i += 16;
-        }
-        let mut lanes = [0i32; 8];
-        _mm256_storeu_si256(lanes.as_mut_ptr().cast(), acc);
-        let mut sum: u64 = lanes.iter().map(|&v| v as u64).sum();
-        while i < n {
-            sum += u64::from(*ap.add(i)) * u64::from(*bp.add(i));
-            i += 1;
-        }
-        sum
+    unsafe fn quant_tail4(
+        t: &super::QuantQueryTerms,
+        rows: &super::QuantRows<'_>,
+        dot4: __m256d,
+        limit: &super::QuantLimit,
+        out: &mut [f64],
+        j: usize,
+    ) -> u64 {
+        let vxo = _mm256_loadu_pd(rows.offset.as_ptr().add(j));
+        let vxs = _mm256_loadu_pd(rows.scale.as_ptr().add(j));
+        let vsx = _mm256_loadu_pd(rows.code_sum.as_ptr().add(j));
+        let vdn = _mm256_loadu_pd(rows.dq_norm.as_ptr().add(j));
+        let m1 = _mm256_mul_pd(_mm256_set1_pd(t.dqo), vxo);
+        let m2 = _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(t.qo), vxs), vsx);
+        let m3 = _mm256_mul_pd(
+            _mm256_mul_pd(vxo, _mm256_set1_pd(t.qs)),
+            _mm256_set1_pd(t.qsum),
+        );
+        let m4 = _mm256_mul_pd(_mm256_mul_pd(_mm256_set1_pd(t.qs), vxs), dot4);
+        let cross = _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(m1, m2), m3), m4);
+        let two_cross = _mm256_mul_pd(_mm256_set1_pd(2.0), cross);
+        let val = _mm256_add_pd(_mm256_sub_pd(_mm256_set1_pd(t.qn), two_cross), vdn);
+        // `max(NaN, 0)` is 0, as in `f64::max`: the second operand wins.
+        let a = _mm256_max_pd(val, _mm256_setzero_pd());
+        _mm256_storeu_pd(out.as_mut_ptr().add(j), a);
+        let r = _mm256_add_pd(
+            _mm256_set1_pd(limit.reach),
+            _mm256_mul_pd(vxs, _mm256_set1_pd(limit.factor)),
+        );
+        let lim = _mm256_add_pd(
+            _mm256_mul_pd(_mm256_mul_pd(r, r), _mm256_set1_pd(limit.rho)),
+            _mm256_set1_pd(limit.slack),
+        );
+        _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(a, lim)) as u64
     }
 
+    /// [`super::quant_scan_block`] one tile at a time: per four-dimension
+    /// group the query's four codes, zero-extended to i16 and repeated
+    /// for four rows, `vpmaddwd` against each quarter of the group (four
+    /// rows), pairs summed into i32 (`≤ 32768·255² < 2³¹`); a `hadd`
+    /// and a lane permute fold each tile's pairs into its sixteen dots.
+    ///
+    /// # Safety
+    /// AVX2 must be available; shapes as the dispatcher checks them.
     #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
     pub(super) unsafe fn quant_scan_block(
-        q: &[u8],
-        codes: &[u8],
-        xo: &[f64],
-        xs: &[f64],
-        sx: &[f64],
-        dn: &[f64],
+        q: &[u32],
         t: &super::QuantQueryTerms,
+        rows: &super::QuantRows<'_>,
+        limit: &super::QuantLimit,
         out: &mut [f64],
+        hits: &mut [u64],
     ) {
-        let d = q.len();
-        let rows = out.len();
-        let qp = q.as_ptr();
-        let cp = codes.as_ptr();
-        let vdqo = _mm256_set1_pd(t.dqo);
-        let vqo = _mm256_set1_pd(t.qo);
-        let vqs = _mm256_set1_pd(t.qs);
-        let vqsum = _mm256_set1_pd(t.qsum);
-        let vqn = _mm256_set1_pd(t.qn);
-        let vtwo = _mm256_set1_pd(2.0);
-        let vzero = _mm256_setzero_pd();
+        let n = out.len();
         let mut j = 0;
-        while j + 4 <= rows {
-            // Same lane math as `dot_u8` (zero-extend to i16, vpmaddwd
-            // pairs into non-negative i32 partials, bound by the 32768
-            // dimension cap), fused four rows deep: each query chunk is
-            // converted once and shared, and the four accumulators fold
-            // with one hadd transpose instead of four per-row spills.
-            let rp = [
-                cp.add(j * d),
-                cp.add((j + 1) * d),
-                cp.add((j + 2) * d),
-                cp.add((j + 3) * d),
-            ];
+        for tile in rows.codes.chunks_exact(64 * q.len()) {
             let mut acc = [_mm256_setzero_si256(); 4];
-            let mut i = 0;
-            while i + 16 <= d {
-                let qv = _mm256_cvtepu8_epi16(_mm_loadu_si128(qp.add(i).cast()));
-                for (a, p) in acc.iter_mut().zip(&rp) {
-                    let rv = _mm256_cvtepu8_epi16(_mm_loadu_si128(p.add(i).cast()));
-                    *a = _mm256_add_epi32(*a, _mm256_madd_epi16(qv, rv));
+            for (group, &w) in tile.chunks_exact(64).zip(q) {
+                let qv = _mm256_cvtepu8_epi16(_mm_set1_epi32(w as i32));
+                for (h, a) in acc.iter_mut().enumerate() {
+                    let xv =
+                        _mm256_cvtepu8_epi16(_mm_loadu_si128(group.as_ptr().add(16 * h).cast()));
+                    *a = _mm256_add_epi32(*a, _mm256_madd_epi16(qv, xv));
                 }
-                i += 16;
             }
-            // hadd transpose: [Σacc0, Σacc1, Σacc2, Σacc3] in one xmm.
-            let t01 = _mm256_hadd_epi32(acc[0], acc[1]);
-            let t23 = _mm256_hadd_epi32(acc[2], acc[3]);
-            let t0123 = _mm256_hadd_epi32(t01, t23);
-            let sums = _mm_add_epi32(
-                _mm256_castsi256_si128(t0123),
-                _mm256_extracti128_si256(t0123, 1),
-            );
-            let mut s4 = [0i32; 4];
-            _mm_storeu_si128(s4.as_mut_ptr().cast(), sums);
-            while i < d {
-                let qi = i32::from(*qp.add(i));
-                for (s, p) in s4.iter_mut().zip(&rp) {
-                    *s += qi * i32::from(*p.add(i));
+            // hadd gives rows [0, 1, 4, 5 | 2, 3, 6, 7] of a pair of
+            // quarters; the permute puts them in order.
+            let fold = |a, b| _mm256_permute4x64_epi64::<0b11_01_10_00>(_mm256_hadd_epi32(a, b));
+            let halves = [fold(acc[0], acc[1]), fold(acc[2], acc[3])];
+            if j + super::QUANT_TILE_ROWS <= n {
+                let mut mask = 0u64;
+                for (h, &dots) in halves.iter().enumerate() {
+                    let lo = _mm256_cvtepi32_pd(_mm256_castsi256_si128(dots));
+                    let hi = _mm256_cvtepi32_pd(_mm256_extracti128_si256::<1>(dots));
+                    mask |= quant_tail4(t, rows, lo, limit, out, j + 8 * h) << (8 * h);
+                    mask |= quant_tail4(t, rows, hi, limit, out, j + 8 * h + 4) << (8 * h + 4);
                 }
-                i += 1;
+                hits[j / 64] |= mask << (j % 64);
+            } else {
+                let mut dots = [0i32; super::QUANT_TILE_ROWS];
+                for (h, &half) in halves.iter().enumerate() {
+                    _mm256_storeu_si256(dots.as_mut_ptr().add(8 * h).cast(), half);
+                }
+                for (at, &dot) in (j..n).zip(&dots) {
+                    out[at] = super::quant_row(t, rows, at, f64::from(dot), limit, hits);
+                }
             }
-            // Exact: each dot is an integer <= 32768·255² < 2^31 < 2^53.
-            let dot4 = _mm256_cvtepi32_pd(_mm_loadu_si128(s4.as_ptr().cast()));
-            // Affine tail, lane-wise in `quant_score`'s operand order.
-            let vxo = _mm256_loadu_pd(xo.as_ptr().add(j));
-            let vxs = _mm256_loadu_pd(xs.as_ptr().add(j));
-            let vsx = _mm256_loadu_pd(sx.as_ptr().add(j));
-            let vdn = _mm256_loadu_pd(dn.as_ptr().add(j));
-            let m1 = _mm256_mul_pd(vdqo, vxo);
-            let m2 = _mm256_mul_pd(_mm256_mul_pd(vqo, vxs), vsx);
-            let m3 = _mm256_mul_pd(_mm256_mul_pd(vxo, vqs), vqsum);
-            let m4 = _mm256_mul_pd(_mm256_mul_pd(vqs, vxs), dot4);
-            let cross = _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(m1, m2), m3), m4);
-            let val = _mm256_add_pd(_mm256_sub_pd(vqn, _mm256_mul_pd(vtwo, cross)), vdn);
-            _mm256_storeu_pd(out.as_mut_ptr().add(j), _mm256_max_pd(val, vzero));
-            j += 4;
-        }
-        while j < rows {
-            let dot = dot_u8(q, core::slice::from_raw_parts(cp.add(j * d), d));
-            out[j] = super::quant_score(t, xo[j], xs[j], sx[j], dn[j], dot as f64);
-            j += 1;
+            j += super::QUANT_TILE_ROWS;
         }
     }
 }
 
-/// The one 512-bit GEMM kernel, under the same rules as `avx2`: called
-/// only through [`gemm_stripe_nt`] after its bounds checks, and only when
-/// runtime detection reported AVX-512.
+/// The 512-bit kernels, under the same rules as `avx2`: the GEMM tile,
+/// called only through [`gemm_stripe_nt`] after its bounds checks and
+/// only when runtime detection reported AVX-512, and the VNNI int8 pass,
+/// called only through [`quant_scan_block`] when it also reported
+/// `avx512vnni`.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx512 {
@@ -1465,6 +1341,134 @@ mod avx512 {
         for (r, row) in acc.iter_mut().enumerate() {
             _mm512_storeu_pd(row.as_mut_ptr(), vacc[r][0]);
             _mm512_storeu_pd(row.as_mut_ptr().add(NR), vacc[r][1]);
+        }
+    }
+
+    /// The affine tail of eight rows from `j` ([`super::quant_score`]'s
+    /// operand order, lane-wise) from their shifted dots `acc` — the dot
+    /// is `acc + 128·Σx`, an exact integer in f64 — stored to
+    /// `out[j..j + 8]`; returns the rows at or under their limit as eight
+    /// bits.
+    ///
+    /// # Safety
+    /// AVX-512F must be available; every column and `out` must hold
+    /// `j + 8` rows.
+    #[inline]
+    #[target_feature(enable = "avx512f")]
+    unsafe fn quant_tail8(
+        t: &super::QuantQueryTerms,
+        rows: &super::QuantRows<'_>,
+        acc: __m256i,
+        limit: &super::QuantLimit,
+        out: &mut [f64],
+        j: usize,
+    ) -> u64 {
+        let vxo = _mm512_loadu_pd(rows.offset.as_ptr().add(j));
+        let vxs = _mm512_loadu_pd(rows.scale.as_ptr().add(j));
+        let vsx = _mm512_loadu_pd(rows.code_sum.as_ptr().add(j));
+        let vdn = _mm512_loadu_pd(rows.dq_norm.as_ptr().add(j));
+        let dot = _mm512_add_pd(
+            _mm512_cvtepi32_pd(acc),
+            _mm512_mul_pd(_mm512_set1_pd(128.0), vsx),
+        );
+        let m1 = _mm512_mul_pd(_mm512_set1_pd(t.dqo), vxo);
+        let m2 = _mm512_mul_pd(_mm512_mul_pd(_mm512_set1_pd(t.qo), vxs), vsx);
+        let m3 = _mm512_mul_pd(
+            _mm512_mul_pd(vxo, _mm512_set1_pd(t.qs)),
+            _mm512_set1_pd(t.qsum),
+        );
+        let m4 = _mm512_mul_pd(_mm512_mul_pd(_mm512_set1_pd(t.qs), vxs), dot);
+        let cross = _mm512_add_pd(_mm512_add_pd(_mm512_add_pd(m1, m2), m3), m4);
+        let two_cross = _mm512_mul_pd(_mm512_set1_pd(2.0), cross);
+        let val = _mm512_add_pd(_mm512_sub_pd(_mm512_set1_pd(t.qn), two_cross), vdn);
+        // `max(NaN, 0)` is 0, as in `f64::max`: the second operand wins.
+        let a = _mm512_max_pd(val, _mm512_setzero_pd());
+        _mm512_storeu_pd(out.as_mut_ptr().add(j), a);
+        let r = _mm512_add_pd(
+            _mm512_set1_pd(limit.reach),
+            _mm512_mul_pd(vxs, _mm512_set1_pd(limit.factor)),
+        );
+        let lim = _mm512_add_pd(
+            _mm512_mul_pd(_mm512_mul_pd(r, r), _mm512_set1_pd(limit.rho)),
+            _mm512_set1_pd(limit.slack),
+        );
+        u64::from(_mm512_cmp_pd_mask::<_CMP_LE_OQ>(a, lim))
+    }
+
+    /// `T` tiles from the one holding row `j`: per four-dimension group
+    /// one `vpdpbusd` a tile (the codes as u8, the query word as i8
+    /// `q − 128`), `T` independent accumulation chains, then the tail of
+    /// each row below `out.len()`.
+    ///
+    /// # Safety
+    /// AVX-512F and AVX-512 VNNI must be available; `rows` must hold the
+    /// `T` tiles from row `j`, shapes as the dispatcher checks them.
+    #[inline]
+    #[target_feature(enable = "avx512f,avx512vnni")]
+    unsafe fn quant_tiles<const T: usize>(
+        q: &[u32],
+        t: &super::QuantQueryTerms,
+        rows: &super::QuantRows<'_>,
+        limit: &super::QuantLimit,
+        out: &mut [f64],
+        hits: &mut [u64],
+        j: usize,
+    ) {
+        let tile = 64 * q.len();
+        let tiles = rows.codes.as_ptr().add(j / super::QUANT_TILE_ROWS * tile);
+        let mut acc = [_mm512_setzero_si512(); T];
+        for (g, &w) in q.iter().enumerate() {
+            let qv = _mm512_set1_epi32((w ^ 0x8080_8080) as i32);
+            for (i, a) in acc.iter_mut().enumerate() {
+                let xv = _mm512_loadu_si512(tiles.add(i * tile + 64 * g).cast());
+                *a = _mm512_dpbusd_epi32(*a, xv, qv);
+            }
+        }
+        let n = out.len();
+        for (i, &a) in acc.iter().enumerate() {
+            let at = j + super::QUANT_TILE_ROWS * i;
+            let halves = [_mm512_castsi512_si256(a), _mm512_extracti64x4_epi64::<1>(a)];
+            if at + super::QUANT_TILE_ROWS <= n {
+                let lo = quant_tail8(t, rows, halves[0], limit, out, at);
+                let hi = quant_tail8(t, rows, halves[1], limit, out, at + 8);
+                hits[at / 64] |= (lo | hi << 8) << (at % 64);
+            } else {
+                let mut dots = [0i32; super::QUANT_TILE_ROWS];
+                for (h, &half) in halves.iter().enumerate() {
+                    _mm256_storeu_si256(dots.as_mut_ptr().add(8 * h).cast(), half);
+                }
+                for (row, &dot) in (at..n).zip(&dots) {
+                    let d = f64::from(dot) + 128.0 * rows.code_sum[row];
+                    out[row] = super::quant_row(t, rows, row, d, limit, hits);
+                }
+            }
+        }
+    }
+
+    /// [`super::quant_scan_block`] four tiles (64 rows) at a time, then
+    /// one at a time.
+    ///
+    /// # Safety
+    /// AVX-512F and AVX-512 VNNI must be available; shapes as the
+    /// dispatcher checks them.
+    #[target_feature(enable = "avx512f,avx512vnni")]
+    pub(super) unsafe fn quant_scan_block(
+        q: &[u32],
+        t: &super::QuantQueryTerms,
+        rows: &super::QuantRows<'_>,
+        limit: &super::QuantLimit,
+        out: &mut [f64],
+        hits: &mut [u64],
+    ) {
+        let n = out.len();
+        let mut j = 0;
+        while j + 4 * super::QUANT_TILE_ROWS <= n {
+            quant_tiles::<4>(q, t, rows, limit, out, hits, j);
+            j += 4 * super::QUANT_TILE_ROWS;
+        }
+        while j < n {
+            quant_tiles::<1>(q, t, rows, limit, out, hits, j);
+            j += super::QUANT_TILE_ROWS;
         }
     }
 }
@@ -1547,39 +1551,30 @@ mod tests {
     }
 
     /// A kernel with no 512-bit arm runs its AVX2 arm at `Avx512`, not
-    /// the scalar one. Bits cannot tell those apart, so this watches the
-    /// one difference the arms are allowed: the AVX2 scan tests a group
-    /// of rows against the thresholds as they stood when the group began,
-    /// and so calls `admit` for rows the scalar arm has already ruled out.
+    /// the scalar one: every such dispatcher asks [`use_avx2`], which
+    /// admits `Avx512` wherever the host has AVX2. The int8 pass, whose
+    /// 512-bit arm also needs VNNI, takes its AVX2 arm at `Avx512` on a
+    /// host without it. Bits cannot tell arms apart, so this asks the
+    /// dispatch itself.
     #[test]
     fn kernels_without_a_512_arm_run_the_avx2_arm_at_avx512() {
-        let dim = 4;
-        // Distances that rise with every row: with k = 1 the scalar arm
-        // admits row 0 only, a vector arm the rest of its first group too.
-        let rows: Vec<f64> = (0..64 * dim).map(|at| (at / dim) as f64).collect();
-        let queries = vec![-1.0; dim];
-        let norms = (sq_norms(dim, &queries), sq_norms(dim, &rows));
-        let input = scan_input(dim, &queries, &rows, &norms);
-        let calls = |level: SimdLevel| {
-            let mut log = Vec::new();
-            let mut top = TopK { k: 1, kept: vec![] };
-            scan_rows(level, &input, &mut [f64::INFINITY], |_, row, d2| {
-                log.push((row, d2.to_bits()));
-                top.push(row, d2)
-            });
-            log
-        };
-        let (scalar, avx2, avx512) = (
-            calls(SimdLevel::Scalar),
-            calls(SimdLevel::Avx2),
-            calls(SimdLevel::Avx512),
-        );
-        assert_eq!(avx512, avx2);
-        assert_eq!(scalar.len(), 1);
         #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            assert!(avx2.len() > 1, "the AVX2 arm did not run");
+        {
+            let avx2 = std::arch::is_x86_feature_detected!("avx2");
+            assert_eq!(use_avx2(SimdLevel::Avx512), avx2);
+            assert_eq!(use_avx2(SimdLevel::Avx2), avx2);
+            assert!(!use_avx2(SimdLevel::Scalar));
         }
+        let (at2, at512) = (
+            QuantArm::at(SimdLevel::Avx2),
+            QuantArm::at(SimdLevel::Avx512),
+        );
+        assert!(
+            at512 == at2 || at512 == QuantArm::Vnni,
+            "{at512:?} at avx512"
+        );
+        assert_ne!(at2, QuantArm::Vnni);
+        assert_eq!(QuantArm::at(SimdLevel::Scalar), QuantArm::Scalar);
     }
 
     #[test]
@@ -1655,293 +1650,22 @@ mod tests {
         );
     }
 
-    /// The `k` smallest `(d2, row)` under `(total_cmp, row)` — the order
-    /// of the model crate's bounded heap, which this crate cannot name —
-    /// as `(d2 bits, row)`.
-    struct TopK {
-        k: usize,
-        kept: Vec<(f64, usize)>,
+    /// The exact `Σ q·x` of row-major codes, as u64.
+    fn dot_u8(q: &[u8], x: &[u8]) -> u64 {
+        q.iter()
+            .zip(x)
+            .map(|(&a, &b)| u64::from(a) * u64::from(b))
+            .sum()
     }
 
-    impl TopK {
-        /// Offers a pair; returns the admission threshold afterwards.
-        fn push(&mut self, row: usize, d2: f64) -> f64 {
-            let at = self
-                .kept
-                .partition_point(|&(d, r)| d.total_cmp(&d2).then(r.cmp(&row)).is_lt());
-            self.kept.insert(at, (d2, row));
-            self.kept.truncate(self.k);
-            match self.kept.last() {
-                Some(&(worst, _)) if self.kept.len() == self.k => worst,
-                _ => f64::INFINITY,
-            }
-        }
-
-        fn bits(&self) -> Vec<(u64, usize)> {
-            self.kept.iter().map(|&(d, r)| (d.to_bits(), r)).collect()
-        }
-    }
-
-    fn scan_input<'a>(
-        dim: usize,
-        queries: &'a [f64],
-        rows: &'a [f64],
-        norms: &'a (Vec<f64>, Vec<f64>),
-    ) -> ScanInput<'a> {
-        ScanInput {
-            dim,
-            queries,
-            qnorms: &norms.0,
-            rows,
-            row_norms: &norms.1,
-        }
-    }
-
-    fn sq_norms(dim: usize, flat: &[f64]) -> Vec<f64> {
-        flat.chunks_exact(dim)
-            .map(|r| crate::linalg::dot(r, r))
-            .collect()
-    }
-
-    /// Every `d2` of the batch from a plain scalar `matmul_nt` and the
-    /// scalar norm-trick expression, query-major.
-    fn reference_d2(input: &ScanInput<'_>) -> Vec<f64> {
-        let (b, n) = (input.qnorms.len(), input.row_norms.len());
-        let mut scores = vec![0.0; b * n];
-        crate::linalg::matmul_nt_with_level(
-            SimdLevel::Scalar,
-            input.queries,
-            input.rows,
-            &mut scores,
-            b,
-            n,
-            input.dim,
-        );
-        for (qi, row) in scores.chunks_exact_mut(n.max(1)).enumerate() {
-            for (s, &xn) in row.iter_mut().zip(input.row_norms) {
-                *s = (input.qnorms[qi] - 2.0 * *s + xn).max(0.0);
-            }
-        }
-        scores
-    }
-
-    /// Top-`k` per query through [`scan_rows`] at `level`.
-    fn scan_topk(level: SimdLevel, input: &ScanInput<'_>, k: usize) -> Vec<Vec<(u64, usize)>> {
-        let b = input.qnorms.len();
-        let mut tops: Vec<TopK> = (0..b).map(|_| TopK { k, kept: vec![] }).collect();
-        let mut thresholds = vec![f64::INFINITY; b];
-        scan_rows(level, input, &mut thresholds, |qi, row, d2| {
-            tops[qi].push(row, d2)
-        });
-        tops.iter().map(TopK::bits).collect()
-    }
-
-    /// Both arms against the `matmul_nt` reference: the top-`k` for each
-    /// `k` (moving thresholds — the AVX2 arm may call `admit` more often,
-    /// never with other bits), and the exact admitted set under fixed
-    /// thresholds (nothing is stale, so the arms agree call for call).
-    fn check_scan(dim: usize, queries: &[f64], rows: &[f64], ks: &[usize], what: &str) {
-        let norms = (sq_norms(dim, queries), sq_norms(dim, rows));
-        let input = scan_input(dim, queries, rows, &norms);
-        let (b, n) = (norms.0.len(), norms.1.len());
-        let d2 = reference_d2(&input);
-        for &k in ks {
-            let want: Vec<Vec<(u64, usize)>> = (0..b)
-                .map(|qi| {
-                    let mut top = TopK { k, kept: vec![] };
-                    for row in 0..n {
-                        top.push(row, d2[qi * n + row]);
-                    }
-                    top.bits()
-                })
-                .collect();
-            for level in SimdLevel::ALL {
-                let got = scan_topk(level, &input, k);
-                assert_eq!(got, want, "{what}: {level:?} d={dim} b={b} n={n} k={k}");
-            }
-        }
-        // A radius that splits the pairs, then the two ends.
-        let mut sorted = d2.clone();
-        sorted.sort_by(f64::total_cmp);
-        let median = sorted.get(sorted.len() / 2).copied().unwrap_or(0.0);
-        for limit in [median, f64::INFINITY, f64::NAN] {
-            let want: Vec<(usize, usize, u64)> = (0..b * n)
-                .filter(|&at| d2[at] <= limit)
-                .map(|at| (at / n, at % n, d2[at].to_bits()))
-                .collect();
-            for level in SimdLevel::ALL {
-                let mut got = Vec::new();
-                scan_rows(level, &input, &mut vec![limit; b], |qi, row, d2| {
-                    got.push((qi, row, d2.to_bits()));
-                    limit
-                });
-                got.sort_unstable();
-                assert_eq!(
-                    got, want,
-                    "{what}: {level:?} d={dim} b={b} n={n} limit={limit}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn scan_rows_matches_matmul_nt_reference_bitwise_across_levels() {
-        let mut seed = 41u64;
-        // Every residue mod 16 (fewer than four rows included), then
-        // sizes that cross a chunk boundary with a ragged last chunk.
-        let sizes: Vec<usize> = (0..=16).chain([77, 131]).collect();
-        for dim in [1usize, 3, 4, 31, 32, 33] {
-            for &n in &sizes {
-                // Every stripe shape, and the 8 + 8 + 1 split.
-                for b in 1..=17usize {
-                    let rows = fill(n * dim, &mut seed);
-                    let queries = fill(b * dim, &mut seed);
-                    check_scan(dim, &queries, &rows, &[1, 10, n, n + 5], "random");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn scan_rows_keeps_ties_specials_and_monotone_corpora_exact() {
-        let mut seed = 43u64;
-        for dim in [3usize, 32] {
-            for (b, n) in [(1usize, 150usize), (5, 83), (8, 150), (17, 131)] {
-                // Rows from a tiny alphabet: duplicates everywhere, so the
-                // k-th distance is tied and the index decides; the first
-                // queries are rows themselves (the exact-zero cancellation).
-                let small = |s: &mut u64| (lcg(s) >> 33) as usize % 3;
-                let rows: Vec<f64> = (0..n * dim).map(|_| small(&mut seed) as f64).collect();
-                let mut queries: Vec<f64> = (0..b * dim).map(|_| small(&mut seed) as f64).collect();
-                let own = (b / 2 + 1).min(b) * dim;
-                queries[..own].copy_from_slice(&rows[dim..dim + own]);
-                check_scan(dim, &queries, &rows, &[1, 10, n], "ties");
-
-                // Signed zeros, NaN and infinities in rows and queries: a
-                // NaN score is distance 0 under `max`, and the filter must
-                // let it through.
-                let special = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
-                let mut rows = fill(n * dim, &mut seed);
-                let mut queries = fill(b * dim, &mut seed);
-                for v in rows.iter_mut().chain(queries.iter_mut()) {
-                    if lcg(&mut seed) >> 60 == 0 {
-                        *v = special[(lcg(&mut seed) >> 33) as usize % special.len()];
-                    }
-                }
-                check_scan(dim, &queries, &rows, &[1, 10, n], "specials");
-
-                // Distances that fall with every row (each row enters the
-                // heap and tightens the threshold) and that rise with
-                // every row (none does once the heap is full).
-                let base = fill(dim, &mut seed);
-                let queries: Vec<f64> = (0..b * dim)
-                    .map(|at| base[at % dim] + 1e-3 * (at / dim) as f64)
-                    .collect();
-                for falling in [true, false] {
-                    let rows: Vec<f64> = (0..n * dim)
-                        .map(|at| {
-                            let j = at / dim;
-                            let step = if falling { n - j } else { j + 1 };
-                            base[at % dim] + step as f64
-                        })
-                        .collect();
-                    check_scan(dim, &queries, &rows, &[1, 10], "monotone");
-                }
-            }
-        }
-        // No queries, no rows, no dimensions.
-        let none = (vec![], vec![]);
-        scan_rows(
-            SimdLevel::Avx2,
-            &scan_input(4, &[], &[], &none),
-            &mut [],
-            |_, _, _| unreachable!("nothing to admit"),
-        );
-        let norms = (vec![0.0; 2], vec![0.0; 5]);
-        let mut calls = 0;
-        scan_rows(
-            SimdLevel::Avx2,
-            &scan_input(0, &[], &[], &norms),
-            &mut [f64::INFINITY; 2],
-            |_, _, d2| {
-                calls += 1;
-                assert_eq!(d2, 0.0);
-                f64::INFINITY
-            },
-        );
-        assert_eq!(calls, 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "one threshold per query")]
-    fn scan_rows_rejects_a_short_threshold_slice() {
-        let norms = (vec![1.0; 2], vec![1.0; 3]);
-        let input = scan_input(1, &[1.0, 1.0], &[1.0, 1.0, 1.0], &norms);
-        scan_rows(SimdLevel::Avx2, &input, &mut [0.0], |_, _, _| 0.0);
-    }
-
+    /// The integer dot inside [`quant_scan_block`] is exact at every
+    /// length and level: with `qs = 1` and a scale of `−1/2` the score is
+    /// the dot itself. Lengths around the 4-code word and the 16-byte
+    /// step, and all-255 codes up to the 32768-dimension cap, where the
+    /// dot (`32768·255² < 2³¹`) is at its largest.
     #[test]
     fn dot_u8_matches_scalar_all_lengths() {
         let mut seed = 17u64;
-        for n in [0usize, 1, 15, 16, 17, 128, 333] {
-            let a: Vec<u8> = (0..n).map(|_| (lcg(&mut seed) >> 32) as u8).collect();
-            let b: Vec<u8> = (0..n).map(|_| (lcg(&mut seed) >> 32) as u8).collect();
-            let want = dot_u8(SimdLevel::Scalar, &a, &b);
-            for level in SimdLevel::ALL {
-                assert_eq!(dot_u8(level, &a, &b), want, "{level:?} n={n}");
-            }
-        }
-        // Saturation-adjacent extremes exercise the i32 pair bound.
-        let a = vec![255u8; 1024];
-        assert_eq!(dot_u8(SimdLevel::Avx2, &a, &a), 1024 * 255 * 255);
-    }
-
-    #[test]
-    fn quant_scan_block_matches_scalar_bitwise_all_shapes() {
-        let mut seed = 23u64;
-        // Row/dim shapes straddling the 4-row and 16-lane boundaries.
-        for d in [1usize, 15, 16, 17, 32, 77] {
-            for rows in [0usize, 1, 3, 4, 5, 8, 11] {
-                let q: Vec<u8> = (0..d).map(|_| (lcg(&mut seed) >> 32) as u8).collect();
-                let codes: Vec<u8> = (0..rows * d)
-                    .map(|_| (lcg(&mut seed) >> 32) as u8)
-                    .collect();
-                let stat = |s: &mut u64| {
-                    (0..rows)
-                        .map(|_| (lcg(s) >> 11) as f64 / (1u64 << 55) as f64)
-                        .collect()
-                };
-                let (xo, xs): (Vec<f64>, Vec<f64>) = (stat(&mut seed), stat(&mut seed));
-                let (sxv, dn): (Vec<f64>, Vec<f64>) = (stat(&mut seed), stat(&mut seed));
-                let t = QuantQueryTerms {
-                    dqo: d as f64 * 0.125,
-                    qo: 0.125,
-                    qs: 0.03,
-                    qsum: q.iter().map(|&c| f64::from(c)).sum(),
-                    qn: 7.5,
-                };
-                let scored = |level: SimdLevel| {
-                    let mut out = vec![0.0f64; rows];
-                    quant_scan_block(level, &q, &codes, &xo, &xs, &sxv, &dn, &t, &mut out);
-                    out.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-                };
-                let narrow = scored(SimdLevel::Scalar);
-                for level in SimdLevel::ALL {
-                    assert_eq!(scored(level), narrow, "{level:?} d={d} rows={rows}");
-                }
-                // Cross-check one row against the standalone dot + score.
-                if rows > 0 {
-                    let dot = dot_u8(SimdLevel::Scalar, &q, &codes[..d]);
-                    let want = quant_score(&t, xo[0], xs[0], sxv[0], dn[0], dot as f64);
-                    assert_eq!(narrow[0], want.to_bits(), "d={d} rows={rows}");
-                }
-            }
-        }
-        // Saturation-adjacent extremes exercise the i32 dot bound, and a
-        // large-qn query exercises the max(0, ·) clamp in both arms.
-        let q = vec![255u8; 64];
-        let codes = vec![255u8; 64 * 5];
-        let zeros = vec![0.0f64; 5];
         let t = QuantQueryTerms {
             dqo: 0.0,
             qo: 0.0,
@@ -1949,19 +1673,196 @@ mod tests {
             qsum: 0.0,
             qn: 0.0,
         };
-        let mut out = vec![0.0f64; 5];
-        quant_scan_block(
-            SimdLevel::Avx2,
-            &q,
-            &codes,
-            &zeros,
-            &[1.0; 5],
-            &zeros,
-            &zeros,
-            &t,
-            &mut out,
+        let mut shapes: Vec<(Vec<u8>, Vec<u8>)> = [0usize, 1, 15, 16, 17, 128, 333]
+            .iter()
+            .map(|&n| {
+                let mut code = || (lcg(&mut seed) >> 32) as u8;
+                (
+                    (0..n).map(|_| code()).collect(),
+                    (0..17 * n).map(|_| code()).collect(),
+                )
+            })
+            .collect();
+        for n in [1024, 32768] {
+            shapes.push((vec![255; n], vec![255; 17 * n]));
+        }
+        for (q, x) in &shapes {
+            let (d, rows) = (q.len(), 17);
+            let want: Vec<f64> = (0..rows)
+                .map(|j| dot_u8(q, &x[j * d..(j + 1) * d]) as f64)
+                .collect();
+            let code_sum: Vec<f64> = (0..rows)
+                .map(|j| x[j * d..(j + 1) * d].iter().map(|&c| f64::from(c)).sum())
+                .collect();
+            let (zeros, scale) = (vec![0.0; rows], vec![-0.5; rows]);
+            let codes = tiled(d, rows, x);
+            let cols = QuantRows {
+                codes: &codes,
+                offset: &zeros,
+                scale: &scale,
+                code_sum: &code_sum,
+                dq_norm: &zeros,
+            };
+            let limit = QuantLimit {
+                reach: 0.0,
+                factor: 0.0,
+                rho: 1.0,
+                slack: 0.0,
+            };
+            for level in SimdLevel::ALL {
+                let (mut out, mut hits) = (vec![0.0; rows], [0u64]);
+                let q = quant_query_words(q);
+                quant_scan_block(level, &q, &t, &cols, &limit, &mut out, &mut hits);
+                assert_eq!(out, want, "{level:?} d={d}");
+            }
+        }
+    }
+
+    /// Row-major codes laid out as [`quant_scan_block`] reads them, the
+    /// last tile padded with zero rows.
+    fn tiled(d: usize, rows: usize, row_major: &[u8]) -> Vec<u8> {
+        let mut out = vec![0u8; rows.div_ceil(QUANT_TILE_ROWS) * quant_tile_bytes(d)];
+        for j in 0..rows {
+            for p in 0..d {
+                out[quant_code_at(d, j, p)] = row_major[j * d + p];
+            }
+        }
+        out
+    }
+
+    /// Every arm scores a block bit for bit as the scalar arm does, and
+    /// the scalar arm as the row-major `dot_u8` and `quant_score` do, and
+    /// every arm sets exactly the hit bits of the rows at or under their
+    /// limit (one near the median, one that grows with the row's scale,
+    /// 0, `+∞`, and a NaN that admits nothing): on
+    /// ragged last tiles (rows % 16 ≠ 0, and whole tiles on either side
+    /// of the VNNI arm's four-tile step), dimensions on either side of the
+    /// four-code word, and codes at 0 and 255 in the query and rows (the
+    /// ends of the VNNI arm's i8 shift). The VNNI arm runs where the host
+    /// has it; the test prints which arm ran at `Avx512`.
+    #[test]
+    fn quant_scan_block_matches_scalar_bitwise_all_shapes() {
+        println!(
+            "quant_scan_block at avx512: {}",
+            QuantArm::at(SimdLevel::Avx512).name()
         );
-        // qn − 2·dot + dn = −2·64·255² clamps to 0 in every lane.
-        assert_eq!(out, vec![0.0; 5]);
+        let mut seed = 23u64;
+        for d in [1usize, 3, 4, 15, 16, 17, 32, 33, 77] {
+            for rows in [0usize, 1, 3, 4, 5, 11, 16, 17, 47, 64, 65, 100, 512] {
+                for ends in [false, true] {
+                    let mut code = || match (ends, lcg(&mut seed) >> 62) {
+                        (true, 0) => 0u8,
+                        (true, 1) => 255,
+                        _ => (lcg(&mut seed) >> 32) as u8,
+                    };
+                    let q: Vec<u8> = (0..d).map(|_| code()).collect();
+                    let codes: Vec<u8> = (0..rows * d).map(|_| code()).collect();
+                    let stat = |s: &mut u64| {
+                        (0..rows)
+                            .map(|_| (lcg(s) >> 11) as f64 / (1u64 << 55) as f64)
+                            .collect()
+                    };
+                    let (xo, xs): (Vec<f64>, Vec<f64>) = (stat(&mut seed), stat(&mut seed));
+                    let dn: Vec<f64> = stat(&mut seed);
+                    let sxv: Vec<f64> = (codes.chunks(d.max(1)).take(rows))
+                        .map(|r| r.iter().map(|&c| f64::from(c)).sum())
+                        .collect();
+                    let t = QuantQueryTerms {
+                        dqo: d as f64 * 0.125,
+                        qo: 0.125,
+                        qs: 0.03,
+                        qsum: q.iter().map(|&c| f64::from(c)).sum(),
+                        qn: 7.5,
+                    };
+                    let (words, block) = (quant_query_words(&q), tiled(d, rows, &codes));
+                    let cols = QuantRows {
+                        codes: &block,
+                        offset: &xo,
+                        scale: &xs,
+                        code_sum: &sxv,
+                        dq_norm: &dn,
+                    };
+                    let scored = |level: SimdLevel, limit: &QuantLimit| {
+                        let mut out = vec![0.0f64; rows];
+                        let mut hits = vec![u64::MAX; rows.div_ceil(64)];
+                        quant_scan_block(level, &words, &t, &cols, limit, &mut out, &mut hits);
+                        (out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), hits)
+                    };
+                    let limit = |reach: f64, factor: f64| QuantLimit {
+                        reach,
+                        factor,
+                        rho: 1.0 + 2f64.powi(-40),
+                        slack: 1e-12,
+                    };
+                    let (narrow, _) = scored(SimdLevel::Scalar, &limit(0.0, 0.0));
+                    let want: Vec<u64> = (0..rows)
+                        .map(|j| {
+                            let dot = dot_u8(&q, &codes[j * d..(j + 1) * d]);
+                            quant_score(&t, xo[j], xs[j], sxv[j], dn[j], dot as f64).to_bits()
+                        })
+                        .collect();
+                    assert_eq!(narrow, want, "scalar d={d} rows={rows}");
+                    let mut sorted: Vec<f64> = want.iter().map(|&b| f64::from_bits(b)).collect();
+                    sorted.sort_by(f64::total_cmp);
+                    let median = sorted.get(rows / 2).copied().unwrap_or(0.0);
+                    let limits = [
+                        limit(median.sqrt(), 0.0),
+                        limit(0.5 * median.sqrt(), 40.0),
+                        limit(0.0, 0.0),
+                        limit(f64::INFINITY, 1.0),
+                        limit(f64::NAN, 1.0),
+                    ];
+                    for limit in &limits {
+                        let mut hits = vec![0u64; rows.div_ceil(64)];
+                        for (j, &a) in want.iter().enumerate() {
+                            let hit = f64::from_bits(a) <= limit.at(xs[j]);
+                            hits[j / 64] |= u64::from(hit) << (j % 64);
+                        }
+                        for level in SimdLevel::ALL {
+                            let got = scored(level, limit);
+                            assert_eq!(
+                                got,
+                                (want.clone(), hits.clone()),
+                                "{level:?} d={d} rows={rows} {limit:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        // Saturation-adjacent extremes exercise the i32 dot bound, and a
+        // large-qn query exercises the max(0, ·) clamp in every arm.
+        let (d, rows) = (64, 21);
+        let codes = tiled(d, rows, &vec![255u8; d * rows]);
+        let zeros = vec![0.0f64; rows];
+        let t = QuantQueryTerms {
+            dqo: 0.0,
+            qo: 0.0,
+            qs: 1.0,
+            qsum: 0.0,
+            qn: 0.0,
+        };
+        let (scale, sums) = (vec![1.0; rows], vec![255.0 * 64.0; rows]);
+        let cols = QuantRows {
+            codes: &codes,
+            offset: &zeros,
+            scale: &scale,
+            code_sum: &sums,
+            dq_norm: &zeros,
+        };
+        for level in SimdLevel::ALL {
+            let (mut out, mut hits) = (vec![1.0f64; rows], [0u64]);
+            let q = quant_query_words(&[255; 64]);
+            let limit = QuantLimit {
+                reach: 0.0,
+                factor: 0.0,
+                rho: 1.0,
+                slack: 0.0,
+            };
+            quant_scan_block(level, &q, &t, &cols, &limit, &mut out, &mut hits);
+            // qn − 2·dot + dn = −2·64·255² clamps to 0 in every lane.
+            assert_eq!(hits, [(1 << rows) - 1], "{level:?}");
+            assert_eq!(out, vec![0.0; rows], "{level:?}");
+        }
     }
 }

@@ -426,18 +426,18 @@ pub mod names {
     /// is instrumented, so exported snapshots say which path actually ran.
     pub const SIMD_DISPATCH: &str = "neutraj_simd_dispatch";
 
-    /// Counter: bytes the exact scan of a batch narrower than one f64
-    /// stripe read through the int8 codes (codes plus the four f64
-    /// per-row constants, `dim + 32` a row). Compare against
-    /// `dim × 8 + 8` bytes per row for the fused f64 pass to see the
+    /// Counter: bytes the exact scan streamed through the int8 codes, once
+    /// per batch (codes plus the four f64 per-row constants, `dim + 32` a
+    /// row at a `dim` that is a multiple of four). Compare against
+    /// `dim × 8 + 8` bytes a row for a pass over the f64 rows to see the
     /// realized bandwidth saving.
     pub const QUANT_BYTES_SCANNED_TOTAL: &str = "neutraj_quant_bytes_scanned_total";
-    /// Counter: rows that scan bounded through their int8 codes (the
+    /// Counter: rows the exact scan bounded through their int8 codes (the
     /// corpus once per query).
     pub const QUANT_ROWS_SCANNED_TOTAL: &str = "neutraj_quant_rows_scanned_total";
     /// Histogram: rows an exact top-k query scored in f64 after the int8
-    /// lower bound let them through, per query of a batch narrower than
-    /// one f64 stripe (summed over shards). A model whose distances bunch
+    /// lower bound let them through, per query of a batch (summed over
+    /// shards). A model whose distances bunch
     /// up shows here before it shows as latency.
     pub const EXACT_BOUND_SURVIVORS: &str = "neutraj_exact_bound_survivors";
 

@@ -780,9 +780,9 @@ fn form_batch(shared: &Shared, q: &mut Lanes) -> Vec<Pending> {
 ///    servable instead of bouncing off a capability mismatch.
 /// 2. **Overload downgrade**: under queue pressure an exact-scan spec
 ///    falls back to the snapshot's IVF shortlist at `⌈nlists/2⌉` probes
-///    when one is built. (Pressure means batches of eight or more, which
-///    the exact scan already answers in one fused f64 pass; only
-///    scoring fewer rows sheds cost there.)
+///    when one is built. (Pressure means full batches, whose exact scan
+///    already reads the codes once for the whole batch; only scoring
+///    fewer rows sheds cost there.)
 ///
 /// Returns the effective spec and whether it was downgraded.
 fn effective_spec(snapshot: &Snapshot, spec: QuerySpec, pressured: bool) -> (QuerySpec, bool) {

@@ -16,9 +16,10 @@
 //! row `g = l·S + s` — strictly increasing in `l`, so each shard's
 //! `(dist, local)` order *is* its `(dist, global)` order. The per-row
 //! norm-trick score is a pure function of (query row, corpus row):
-//! the fused scan computes every pair as one ascending-index dot
-//! accumulator, independent of batch size, stripe and chunk, so a row scores
-//! identically in any shard of any snapshot. Each shard returns its top
+//! the exact scan scores every pair it scores as one ascending-index dot
+//! accumulator, independent of batch size and chunk, and its int8 bound
+//! only decides which rows need scoring, so a row scores identically in
+//! any shard of any snapshot. Each shard returns its top
 //! `fetch` under the `(dist, index)` total order; the union of the
 //! per-shard top-`fetch` lists contains the global top-`fetch` (every
 //! global winner is a winner within its own shard), so sorting the

@@ -122,14 +122,6 @@ impl Grid {
         c.row as usize * self.cols as usize + c.col as usize
     }
 
-    /// Centre point of a cell, in coordinate space.
-    pub fn cell_center(&self, c: GridCell) -> Point {
-        Point::new(
-            self.extent.min_x + (c.col as f64 + 0.5) * self.cell_size,
-            self.extent.min_y + (c.row as f64 + 0.5) * self.cell_size,
-        )
-    }
-
     /// A point expressed in *grid units*: `(x - min_x)/cell_size`.
     pub fn to_grid_units(&self, p: Point) -> (f32, f32) {
         (
@@ -220,7 +212,11 @@ mod tests {
     fn cell_center_maps_back() {
         let g = grid_10x5();
         for c in cells(&g) {
-            assert_eq!(g.cell_of(g.cell_center(c)), c);
+            let center = Point::new(
+                g.extent.min_x + (c.col as f64 + 0.5) * g.cell_size,
+                g.extent.min_y + (c.row as f64 + 0.5) * g.cell_size,
+            );
+            assert_eq!(g.cell_of(center), c);
         }
     }
 

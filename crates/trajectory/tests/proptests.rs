@@ -66,7 +66,12 @@ fn grid_roundtrip_and_containment() {
             let c = grid.cell_of(*p);
             assert!(c.col < grid.cols() && c.row < grid.rows());
             // The cell centre maps back to the same cell.
-            assert_eq!(grid.cell_of(grid.cell_center(c)), c);
+            let (ext, size) = (grid.extent(), grid.cell_size());
+            let center = Point::new(
+                ext.min_x + (c.col as f64 + 0.5) * size,
+                ext.min_y + (c.row as f64 + 0.5) * size,
+            );
+            assert_eq!(grid.cell_of(center), c);
             // Grid-unit coordinates land inside [0, P] x [0, Q].
             let (gx, gy) = grid.to_grid_units(*p);
             assert!(gx >= 0.0 && gx <= grid.cols() as f32 + 1e-3);
