@@ -306,10 +306,10 @@ impl Default for AnnParams {
 /// A corpus of trajectories indexed by a trained NeuTraj model.
 ///
 /// Inserts cost one `O(L)` embedding; queries cost one embedding plus an
-/// `O(N·d)` norm-trick scan through the backing [`EmbeddingStore`]
-/// (batched queries share one GEMM per corpus block). The database owns
-/// its trajectories so results can be re-ranked with an exact measure on
-/// demand.
+/// `O(N·d)` exact cascade through the backing [`EmbeddingStore`] (a
+/// batch of queries reads the store's int8 codes once). The database
+/// owns its trajectories so results can be re-ranked with an exact
+/// measure on demand.
 #[derive(Debug, Clone)]
 pub struct SimilarityDb {
     model: NeuTrajModel,
@@ -632,8 +632,9 @@ impl SimilarityDb {
     /// merged under the scan's `(dist, index)` total order, and any
     /// re-ranking happens once, globally. Because the per-row norm-trick
     /// score is a pure function of (query row, corpus row) — independent
-    /// of batch size and GEMM blocking — a merged sharded scan is
-    /// bit-identical to the unsharded scan over the concatenated corpus.
+    /// of batch size and of how the cascade reads the codes — a merged
+    /// sharded scan is bit-identical to the unsharded scan over the
+    /// concatenated corpus.
     ///
     /// Validates the query configuration and each embedding (dimension,
     /// finiteness) with the same typed rejections as

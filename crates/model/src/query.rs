@@ -105,9 +105,7 @@ impl<M: Copy> QueryOf<M> {
     /// [`DbError::InvalidConfig`](crate::DbError::InvalidConfig).
     ///
     /// Composes with [`Self::rerank`]: the graph scan retrieves the
-    /// shortlist that the exact measure re-ranks. (A serving snapshot
-    /// with no graph index but an IVF index answers a graph request
-    /// through the IVF shortlist instead, tagged `degraded: true`.)
+    /// shortlist that the exact measure re-ranks.
     pub fn shortlist_graph(mut self, ef: usize) -> Self {
         self.graph = Some(ef);
         self
@@ -148,23 +146,6 @@ impl<M: Copy> QueryOf<M> {
             Some(_) => self.effective_shortlist(),
             None => self.k,
         }
-    }
-
-    /// Whether the scan stage is the full-precision exhaustive scan —
-    /// the only shape the serving overload ladder may downgrade to a
-    /// cheaper shortlist view.
-    pub fn is_exact_scan(&self) -> bool {
-        self.ann.is_none() && self.graph.is_none()
-    }
-
-    /// The degrade-ladder rewrite from the graph backend to the IVF
-    /// backend: clears the beam width and probes `nprobe` lists instead
-    /// (the two are mutually exclusive, so a plain `shortlist_ann` on a
-    /// graph query would not validate).
-    pub fn graph_to_ann(mut self, nprobe: usize) -> Self {
-        self.graph = None;
-        self.ann = Some(nprobe);
-        self
     }
 
     /// The ANN probe width, when [`Self::shortlist_ann`] was configured.
@@ -325,7 +306,6 @@ mod tests {
             assert!(q.rerank_measure().is_none());
         });
         assert_eq!(graph.graph_ef(), Some(40));
-        assert_eq!(graph.graph_to_ann(6), QuerySpec::new(5).shortlist_ann(6));
     }
 
     #[test]

@@ -400,22 +400,6 @@ pub fn matmul_with_level(
     }
 }
 
-impl Mat {
-    /// `C = self·other` into a caller-provided row-major buffer of shape
-    /// `self.rows × other.cols`. Panics on shape mismatch.
-    pub fn matmul_into(&self, other: &Mat, c: &mut [f64]) {
-        assert_eq!(self.cols, other.rows, "matmul: inner dims");
-        matmul(&self.data, &other.data, c, self.rows, other.cols, self.cols);
-    }
-
-    /// `C = self·otherᵀ` into a caller-provided row-major buffer of shape
-    /// `self.rows × other.rows`. Panics on shape mismatch.
-    pub fn matmul_t_into(&self, other: &Mat, c: &mut [f64]) {
-        assert_eq!(self.cols, other.cols, "matmul_t: inner dims");
-        matmul_nt(&self.data, &other.data, c, self.rows, other.rows, self.cols);
-    }
-}
-
 /// `a += b` elementwise.
 pub fn add_assign(a: &mut [f64], b: &[f64]) {
     debug_assert_eq!(a.len(), b.len());
@@ -684,7 +668,7 @@ mod tests {
             let a = Mat::xavier(m, k, 7);
             let b = Mat::xavier(k, n, 9);
             let mut c = vec![f64::NAN; m * n];
-            a.matmul_into(&b, &mut c);
+            matmul(&a.data, &b.data, &mut c, m, n, k);
             let want = naive_matmul(&a, &b);
             for (got, want) in c.iter().zip(&want) {
                 assert!((got - want).abs() < 1e-12, "m={m} n={n} k={k}");
@@ -892,11 +876,11 @@ mod tests {
     }
 
     #[test]
-    fn matmul_t_into_is_b_transposed() {
-        let a = Mat::from_vec(2, 3, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let b = Mat::from_vec(2, 3, vec![1.0, 0.0, -1.0, 0.5, 0.5, 0.5]);
+    fn matmul_nt_is_b_transposed() {
+        let a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+        let b = [1.0, 0.0, -1.0, 0.5, 0.5, 0.5];
         let mut c = vec![0.0; 4];
-        a.matmul_t_into(&b, &mut c);
+        matmul_nt(&a, &b, &mut c, 2, 2, 3);
         assert_eq!(c, vec![-2.0, 3.0, -2.0, 7.5]);
     }
 

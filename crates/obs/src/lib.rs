@@ -503,10 +503,10 @@ pub mod names {
     /// by the between-shard cancellation checks mid-scan. Each is
     /// answered with a typed `DeadlineExceeded` error.
     pub const SERVE_DEADLINE_EXPIRED_TOTAL: &str = "neutraj_serve_deadline_expired_total";
-    /// Counter: requests answered in degraded mode — the pressure ladder
-    /// downgraded an exact-scan spec to the IVF shortlist, or the
-    /// capability ladder a graph spec to it. Responses are tagged
-    /// `degraded: true`.
+    /// Registered by nothing: the service rewrites no spec, so no reply
+    /// is degraded. The name is kept only for the benchmark, which reads
+    /// the counter (always 0) and requires it to stay 0; slated for
+    /// removal.
     pub const SERVE_DEGRADED_TOTAL: &str = "neutraj_serve_degraded_total";
     /// Counter: shard quarantine events — a shard scanner panicked, was
     /// isolated by `catch_unwind`, and entered exponential-backoff

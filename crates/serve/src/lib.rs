@@ -26,9 +26,9 @@
 //! The service is additionally **overload- and failure-hardened**
 //! (`DESIGN.md` §14): bounded admission with typed
 //! [`ServeError::Overloaded`] shedding, per-request deadlines with
-//! cooperative cancellation, graceful degradation of exact scans to the
-//! IVF shortlist under queue pressure, panic-isolated
-//! shard scans with quarantine + backoff re-admission, and
+//! cooperative cancellation, panic-isolated shard scans with
+//! quarantine + backoff re-admission (partial answers, never rewritten
+//! specs), and
 //! crash-recoverable snapshots sealed through the checksummed `NTFILE01`
 //! envelope ([`persist`] module docs carry the codec).
 //!
@@ -55,7 +55,5 @@ pub mod service;
 pub mod snapshot;
 
 pub use request::{Priority, QuerySpec, ServeError, ServeRequest, ServeResponse};
-pub use service::{
-    sequential_reference, unsharded_db, ScanFaultHook, ServiceConfig, SimilarityService,
-};
+pub use service::{sequential_reference, ScanFaultHook, ServiceConfig, SimilarityService};
 pub use snapshot::{ShardConfig, Snapshot};

@@ -87,11 +87,9 @@ pub struct ServeResponse {
     /// Epoch of the snapshot that answered — two responses with the same
     /// epoch saw the identical corpus.
     pub epoch: u64,
-    /// `true` when the overload ladder downgraded this request's
-    /// exact-scan spec to the IVF shortlist under queue pressure (or a
-    /// graph spec to it on a snapshot without graphs): the answer is a best-effort shortlist result, not the
-    /// exact-scan oracle answer. Never set silently — every degraded
-    /// response counts into `neutraj_serve_degraded_total`.
+    /// Always `false`: the service answers the spec it was given and
+    /// rewrites none. Kept only so readers that still test it (the
+    /// benchmark's reply checks) compile; slated for removal.
     pub degraded: bool,
     /// `true` when one or more shards were quarantined (or panicked)
     /// during this scan: the answer covers the healthy shards only.
@@ -160,7 +158,6 @@ impl std::error::Error for ServeError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neutraj_measures::MeasureKind;
 
     #[test]
     fn request_builders_set_deadline_and_priority() {
@@ -173,13 +170,5 @@ mod tests {
             .with_priority(Priority::High);
         assert_eq!(req.deadline, Some(Duration::from_millis(5)));
         assert_eq!(req.priority, Priority::High);
-        // Only the full-precision exhaustive scan is downgrade-eligible.
-        assert!(QuerySpec::new(3).is_exact_scan());
-        assert!(QuerySpec::new(3).rerank(MeasureKind::Dtw).is_exact_scan());
-        // A "quantized" spec is the plain one: an exact scan.
-        assert!(QuerySpec::new(3).quantized().is_exact_scan());
-        assert!(!QuerySpec::new(3).shortlist_ann(2).is_exact_scan());
-        // A graph spec already sits on a shortlist view.
-        assert!(!QuerySpec::new(3).shortlist_graph(8).is_exact_scan());
     }
 }

@@ -40,9 +40,10 @@
 //! them). The deadline stays the upper bound on how long any request is
 //! held. `DESIGN.md` §13 has the regimes, the switches between them and
 //! the two simpler rules that were measured and rejected. Batches group
-//! by [`QuerySpec`] and ride the lockstep batched embed + blocked GEMM
-//! scan, whose per-row arithmetic is batch-size-invariant — coalesced
-//! results are bit-identical to issuing each query sequentially.
+//! by [`QuerySpec`] and ride the lockstep batched embed and the exact
+//! cascade, which reads the int8 codes once per batch and whose per-row
+//! arithmetic is batch-size-invariant — coalesced results are
+//! bit-identical to issuing each query sequentially.
 //!
 //! # The overload and failure ladder
 //!
@@ -58,11 +59,7 @@
 //! 2. **Deadlines** — a request's time budget is checked at dequeue
 //!    (expired work is answered [`ServeError::DeadlineExceeded`] without
 //!    burning a scan) and cooperatively between shard scans.
-//! 3. **Graceful degradation** — when the queue depth at dispatch
-//!    reaches the degrade watermark, exact-scan specs are downgraded to
-//!    the snapshot's IVF shortlist when one is built; responses are
-//!    tagged `degraded: true` and counted.
-//! 4. **Panic isolation and quarantine** — shard scans run under
+//! 3. **Panic isolation and quarantine** — shard scans run under
 //!    `catch_unwind`; a panicking shard is quarantined with exponential
 //!    backoff re-admission (one trial scan per backoff expiry, strikes
 //!    reset on success) while the service keeps answering from healthy
@@ -71,7 +68,7 @@
 
 use crate::request::{Priority, QuerySpec, ServeError, ServeRequest, ServeResponse};
 use crate::snapshot::{ScanFault, ScanGuard, ShardConfig, Snapshot};
-use neutraj_model::{DbError, NeuTrajModel, SimilarityDb};
+use neutraj_model::{DbError, NeuTrajModel};
 use neutraj_obs::{names, Counter, Gauge, Histogram, Registry};
 use neutraj_trajectory::Trajectory;
 use std::collections::VecDeque;
@@ -110,10 +107,6 @@ pub struct ServiceConfig {
     /// [`ServeError::Overloaded`]. Must be nonzero (use `usize::MAX`
     /// for an explicitly unbounded queue, e.g. as a bench baseline).
     pub max_queue: usize,
-    /// Queue depth at dispatch beyond which exact-scan specs degrade to
-    /// the IVF shortlist when one is built (`0` = auto: half of
-    /// `max_queue`).
-    pub degrade_watermark: usize,
     /// Base quarantine backoff after a shard scan panics; doubles per
     /// consecutive strike (capped at 64×), halts at zero strikes.
     pub quarantine_backoff: Duration,
@@ -131,7 +124,6 @@ impl Default for ServiceConfig {
             graph: None,
             quantized: false,
             max_queue: 1024,
-            degrade_watermark: 0,
             quarantine_backoff: Duration::from_millis(100),
         }
     }
@@ -156,7 +148,6 @@ struct ServeMetrics {
     rejects_total: Counter,
     shed_total: Counter,
     deadline_expired_total: Counter,
-    degraded_total: Counter,
     shard_quarantined_total: Counter,
     exact_bound_survivors: Histogram,
 }
@@ -176,7 +167,6 @@ impl ServeMetrics {
             rejects_total: registry.counter(names::DB_REJECTS_TOTAL),
             shed_total: registry.counter(names::SERVE_SHED_TOTAL),
             deadline_expired_total: registry.counter(names::SERVE_DEADLINE_EXPIRED_TOTAL),
-            degraded_total: registry.counter(names::SERVE_DEGRADED_TOTAL),
             shard_quarantined_total: registry.counter(names::SERVE_SHARD_QUARANTINED_TOTAL),
             exact_bound_survivors: registry.histogram(names::EXACT_BOUND_SURVIVORS),
         }
@@ -264,7 +254,6 @@ struct Shared {
     batch_deadline: Duration,
     scan_threads: usize,
     max_queue: usize,
-    degrade_watermark: usize,
     quarantine_backoff: Duration,
     /// Wall time of the scheduler's last dispatch in nanoseconds (0 =
     /// nothing dispatched yet). A statistic for [`Shared::retry_hint`];
@@ -408,10 +397,6 @@ impl SimilarityService {
             m.snapshot_epoch.set(snapshot.epoch() as f64);
         }
         let nshards = snapshot.nshards();
-        let degrade_watermark = match cfg.degrade_watermark {
-            0 => (cfg.max_queue / 2).max(1),
-            w => w,
-        };
         let shared = Arc::new(Shared {
             snapshot: Mutex::new(Arc::new(snapshot)),
             write_lock: Mutex::new(()),
@@ -424,7 +409,6 @@ impl SimilarityService {
             batch_deadline: cfg.batch_deadline,
             scan_threads: cfg.scan_threads,
             max_queue: cfg.max_queue,
-            degrade_watermark,
             quarantine_backoff: cfg.quarantine_backoff,
             last_dispatch_nanos: AtomicU64::new(0),
             metrics,
@@ -551,14 +535,12 @@ impl SimilarityService {
                     reason,
                 })?;
             // Configuration-vs-snapshot checks (ANN / graph index
-            // actually built) — shards are uniform, shard 0
-            // speaks for all. Vets the *effective* spec so a graph
-            // request the degrade ladder can answer through IVF is
-            // admitted rather than bounced. Uses the un-instrumented
-            // scan seam so the rejection is not double-counted below.
-            let snapshot = self.snapshot();
-            let (spec, _) = effective_spec(&snapshot, req.spec, false);
-            snapshot.shard(0).scan_embeddings(&[], 0, &spec)?;
+            // actually built) — shards are uniform, shard 0 speaks for
+            // all. Uses the un-instrumented scan seam so the rejection
+            // is not double-counted below.
+            self.snapshot()
+                .shard(0)
+                .scan_embeddings(&[], 0, &req.spec)?;
             Ok(())
         })();
         if verdict.is_err() {
@@ -686,7 +668,7 @@ impl Drop for SimilarityService {
 fn scheduler_loop(shared: &Shared) {
     let mut target = shared.max_batch;
     loop {
-        let (batch, pressure) = {
+        let batch = {
             let mut q = lock_recover(&shared.queue);
             loop {
                 let shutting_down = shared.shutdown.load(Ordering::Acquire);
@@ -711,16 +693,15 @@ fn scheduler_loop(shared: &Shared) {
                         .unwrap_or_else(PoisonError::into_inner);
                 }
             }
-            let pressure = q.len();
             let batch = form_batch(shared, &mut q);
             if let Some(m) = &shared.metrics {
                 m.queue_depth.set(q.len() as f64);
             }
-            (batch, pressure)
+            batch
         };
         if !batch.is_empty() {
             target = batch.len();
-            dispatch(shared, batch, pressure);
+            dispatch(shared, batch);
         }
     }
 }
@@ -771,36 +752,6 @@ fn form_batch(shared: &Shared, q: &mut Lanes) -> Vec<Pending> {
     batch
 }
 
-/// The degrade rungs of the overload/capability ladder. Two independent
-/// rewrites, both tagged `degraded: true`:
-///
-/// 1. **Graph→IVF fallback** (pressure-independent): a graph spec
-///    against a snapshot whose shards carry no HNSW index is answered
-///    through the IVF shortlist when one is built — the request stays
-///    servable instead of bouncing off a capability mismatch.
-/// 2. **Overload downgrade**: under queue pressure an exact-scan spec
-///    falls back to the snapshot's IVF shortlist at `⌈nlists/2⌉` probes
-///    when one is built. (Pressure means full batches, whose exact scan
-///    already reads the codes once for the whole batch; only scoring
-///    fewer rows sheds cost there.)
-///
-/// Returns the effective spec and whether it was downgraded.
-fn effective_spec(snapshot: &Snapshot, spec: QuerySpec, pressured: bool) -> (QuerySpec, bool) {
-    if spec.graph_ef().is_some() && !snapshot.has_graph() {
-        if let Some(nlists) = snapshot.ann_nlists() {
-            return (spec.graph_to_ann(nlists.div_ceil(2)), true);
-        }
-        return (spec, false);
-    }
-    if !pressured || !spec.is_exact_scan() {
-        return (spec, false);
-    }
-    if let Some(nlists) = snapshot.ann_nlists() {
-        return (spec.shortlist_ann(nlists.div_ceil(2)), true);
-    }
-    (spec, false)
-}
-
 /// Resolves the quarantine mask for this dispatch: quarantined shards
 /// whose backoff has not expired are skipped; expired ones get a trial
 /// scan (strikes persist until a success clears them).
@@ -843,10 +794,10 @@ fn update_health(shared: &Shared, nshards: usize, skip: &[bool], failed: &[usize
     }
 }
 
-/// Runs one coalesced micro-batch: degrade under pressure, group members
-/// by effective spec, embed each group in lockstep, scan healthy shards
-/// under panic isolation, merge, reply.
-fn dispatch(shared: &Shared, batch: Vec<Pending>, pressure: usize) {
+/// Runs one coalesced micro-batch: group members by spec, embed each
+/// group in lockstep, scan healthy shards under panic isolation, merge,
+/// reply.
+fn dispatch(shared: &Shared, batch: Vec<Pending>) {
     let dispatched_at = Instant::now();
     if let Some(m) = &shared.metrics {
         m.batches_total.inc();
@@ -862,21 +813,18 @@ fn dispatch(shared: &Shared, batch: Vec<Pending>, pressure: usize) {
         // Lock released here: the whole scan runs against our Arc,
         // unaffected by any concurrent swap.
     };
-    let pressured = pressure >= shared.degrade_watermark;
-    // Group by effective spec, preserving arrival order within each
-    // group (the degrade rewrite is a pure function of the spec and the
-    // snapshot, so equal input specs stay batch-compatible).
-    let mut groups: Vec<(QuerySpec, bool, Vec<Pending>)> = Vec::new();
+    // Group by spec, preserving arrival order within each group.
+    let mut groups: Vec<(QuerySpec, Vec<Pending>)> = Vec::new();
     for p in batch {
-        let (spec, degraded) = effective_spec(&snapshot, p.req.spec, pressured);
-        match groups.iter_mut().find(|(s, _, _)| *s == spec) {
-            Some((_, _, members)) => members.push(p),
-            None => groups.push((spec, degraded, vec![p])),
+        let spec = p.req.spec;
+        match groups.iter_mut().find(|(s, _)| *s == spec) {
+            Some((_, members)) => members.push(p),
+            None => groups.push((spec, vec![p])),
         }
     }
     let fault = lock_recover(&shared.fault).clone();
-    for (spec, degraded, members) in groups {
-        run_group(shared, &snapshot, spec, degraded, members, fault.as_deref());
+    for (spec, members) in groups {
+        run_group(shared, &snapshot, spec, members, fault.as_deref());
     }
     let nanos = u64::try_from(dispatched_at.elapsed().as_nanos()).unwrap_or(u64::MAX);
     shared
@@ -890,7 +838,6 @@ fn run_group(
     shared: &Shared,
     snapshot: &Snapshot,
     spec: QuerySpec,
-    degraded: bool,
     members: Vec<Pending>,
     fault: Option<&ScanFault>,
 ) {
@@ -933,16 +880,11 @@ fn run_group(
                     answer(shared, p, Err(ServeError::DeadlineExceeded));
                     continue;
                 }
-                if degraded {
-                    if let Some(m) = &shared.metrics {
-                        m.degraded_total.inc();
-                    }
-                }
                 let resp = ServeResponse {
                     id: p.req.id,
                     neighbors,
                     epoch: snapshot.epoch(),
-                    degraded,
+                    degraded: false,
                     partial,
                 };
                 answer(shared, p, Ok(resp));
@@ -982,7 +924,7 @@ fn run_group(
                         id: p.req.id,
                         neighbors: scan.results.pop().unwrap_or_default(),
                         epoch: snapshot.epoch(),
-                        degraded,
+                        degraded: false,
                         partial: scan.is_partial(),
                     }),
                 };
@@ -1014,11 +956,4 @@ pub fn sequential_reference(
         .iter()
         .map(|r| snapshot.search(&r.trajectory, &r.spec))
         .collect()
-}
-
-/// Convenience: a single-shard snapshot's shard is semantically an
-/// unsharded [`SimilarityDb`] over the same corpus — exposed for tests
-/// and benches that compare against the direct database path.
-pub fn unsharded_db(snapshot: &Snapshot) -> Option<&SimilarityDb> {
-    (snapshot.nshards() == 1).then(|| snapshot.shard(0))
 }

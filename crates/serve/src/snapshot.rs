@@ -81,7 +81,8 @@ pub(crate) struct GuardedScan {
     /// `catch_unwind`; their candidates are absent from `results`).
     pub failed: Vec<usize>,
     /// The first captured panic payload, for callers that want to
-    /// re-raise instead of degrade (the public `search_batch` contract).
+    /// re-raise instead of answering partially (the public `search_batch`
+    /// contract).
     pub first_panic: Option<Box<dyn Any + Send>>,
     /// Number of shards skipped by the quarantine mask.
     pub skipped: usize,
@@ -206,19 +207,6 @@ impl Snapshot {
     pub(crate) fn with_epoch(mut self, epoch: u64) -> Self {
         self.epoch = epoch;
         self
-    }
-
-    /// The per-shard IVF list count when ANN indexes are built (the
-    /// degrade target).
-    pub(crate) fn ann_nlists(&self) -> Option<usize> {
-        self.shards[0].ann_index().map(|ix| ix.nlists())
-    }
-
-    /// Whether every shard carries an HNSW graph index — a graph spec is
-    /// answerable only when they all do (and the graph→IVF degrade rung
-    /// fires only when they don't).
-    pub(crate) fn has_graph(&self) -> bool {
-        self.shards.iter().all(|s| s.graph_index().is_some())
     }
 
     /// The epoch counter: bumped by one on every published mutation.

@@ -2,19 +2,20 @@
 //! storms, and overload bursts. The invariants (DESIGN.md §14):
 //!
 //! * the service never deadlocks and never panics a caller;
-//! * every response is typed — `Ok` with honest `degraded`/`partial`
-//!   markers, or a specific [`ServeError`];
-//! * a non-degraded, non-partial answer is bit-identical to the
-//!   sequential oracle over the same snapshot;
-//! * shedding, deadline expiry, degradation, and quarantine are all
-//!   observable through their `neutraj_serve_*` counters;
+//! * every response is typed — `Ok` with an honest `partial` marker, or
+//!   a specific [`ServeError`];
+//! * a non-partial answer is bit-identical to the sequential oracle over
+//!   the same snapshot, at any queue depth: no spec is ever rewritten;
+//! * shedding, deadline expiry, and quarantine are all observable
+//!   through their `neutraj_serve_*` counters;
 //! * dropping the service drains the queue — every accepted request is
 //!   answered before the scheduler exits.
 
-use neutraj_model::{AnnParams, BackboneKind, NeuTrajModel, TrainConfig};
+use neutraj_model::{AnnParams, BackboneKind, DbError, NeuTrajModel, TrainConfig};
 use neutraj_obs::{names, Registry};
 use neutraj_serve::{
-    Priority, QuerySpec, ServeError, ServeRequest, ServiceConfig, SimilarityService,
+    sequential_reference, Priority, QuerySpec, ServeError, ServeRequest, ServiceConfig,
+    SimilarityService,
 };
 use neutraj_trajectory::{BoundingBox, Grid, Point, Trajectory};
 use std::collections::BTreeSet;
@@ -244,47 +245,37 @@ fn injected_shard_panic_under_graph_queries_quarantines_then_recovers() {
     }
 }
 
-/// A graph spec against a snapshot with no graph index is not an error:
-/// the degrade ladder rewrites it onto the IVF shortlist (nprobe =
-/// ⌈nlists/2⌉), tags the answer `degraded`, counts it, and the result
-/// equals the rewritten spec's own reference.
+/// A graph spec against a snapshot built with IVF but no graph index is
+/// rejected at admission with the database's own `InvalidConfig` — the
+/// answer `SimilarityDb::search` gives — and counted once; nothing
+/// answers it through another view.
 #[test]
-fn graph_spec_on_ann_only_snapshot_degrades_to_ivf() {
+fn graph_spec_on_ann_only_snapshot_is_rejected_typed() {
     let registry = Registry::new();
     let cfg = ServiceConfig {
         nshards: 2,
         scan_threads: 2,
-        batch_deadline: Duration::from_micros(200),
-        ann: Some(neutraj_model::AnnParams {
-            nlists: 4,
-            train_iters: 10,
-            train_sample: 0,
-            seed: 7,
-        }),
+        ann: ivf(4),
         ..ServiceConfig::default()
     };
     let service = SimilarityService::with_metrics(model(), corpus(30), &cfg, &registry).unwrap();
-    let snapshot = service.snapshot();
-    let query = traj(5200, 10);
     let graph_spec = QuerySpec::new(5).shortlist_graph(24);
-    // The ladder's published rewrite: IVF with half the lists probed.
-    let ivf_reference = snapshot
-        .search(&query, &QuerySpec::new(5).shortlist_ann(2))
-        .unwrap();
+    let query = traj(5200, 10);
+    assert!(matches!(
+        service.snapshot().search(&query, &graph_spec),
+        Err(DbError::InvalidConfig(_))
+    ));
 
-    let resp = service
-        .query(ServeRequest::new(1, query.clone(), graph_spec))
+    let reply = service
+        .submit(ServeRequest::new(1, query, graph_spec))
+        .recv()
         .unwrap();
     assert!(
-        resp.degraded,
-        "a graph spec answered through IVF must be tagged degraded"
+        matches!(reply, Err(ServeError::Db(DbError::InvalidConfig(_)))),
+        "a graph spec on a graph-less snapshot must be rejected typed, got {reply:?}"
     );
-    assert!(!resp.partial, "every shard answered — nothing was lost");
-    assert_eq!(
-        resp.neighbors, ivf_reference,
-        "the fallback must answer exactly what its rewritten spec answers"
-    );
-    assert!(counter(&registry, names::SERVE_DEGRADED_TOTAL) >= 1);
+    assert_eq!(counter(&registry, names::DB_REJECTS_TOTAL), 1);
+    assert_eq!(counter(&registry, names::SERVE_REQUESTS_TOTAL), 0);
 }
 
 /// A poisoned queue mutex (a thread panicked while holding it) does not
@@ -452,54 +443,62 @@ fn ivf(nlists: usize) -> Option<AnnParams> {
     })
 }
 
-/// Under queue pressure, exact scans degrade to the IVF shortlist at
-/// `⌈nlists/2⌉` probes: tagged, counted, and answering exactly what that
-/// shortlist spec answers — never silently wrong.
+/// A full queue changes nothing about what is answered: with IVF built
+/// on every shard and the queue filled past half its bound behind a held
+/// scan, every exact read still answers its own spec, bit-identical to
+/// the sequential oracle, and no reply is tagged `degraded`.
 #[test]
-fn pressure_degrades_exact_scans_to_the_ivf_shortlist() {
+fn exact_reads_under_pressure_answer_the_exact_oracle() {
     let registry = Registry::new();
     let cfg = ServiceConfig {
+        nshards: 2,
         ann: ivf(5),
-        max_batch: 64,
-        max_queue: 256,
-        // Any queued request counts as pressure — every dispatch in this
-        // test runs degraded, deterministically.
-        degrade_watermark: 1,
-        batch_deadline: Duration::from_millis(5),
+        max_queue: 4,
+        batch_deadline: Duration::from_millis(2),
         ..ServiceConfig::default()
     };
-    let service = SimilarityService::with_metrics(model(), corpus(30), &cfg, &registry).unwrap();
+    let service = SimilarityService::with_metrics(model(), corpus(40), &cfg, &registry).unwrap();
     let snapshot = service.snapshot();
-    let nlists = snapshot.shard(0).ann_index().unwrap().nlists();
-    let query = traj(9200, 10);
-    let spec = QuerySpec::new(5);
-    let ivf_oracle = snapshot
-        .search(&query, &spec.shortlist_ann(nlists.div_ceil(2)))
-        .unwrap();
-
-    // A "quantized" spec is an exact scan, so it degrades alike.
-    let receivers: Vec<_> = (0..12u64)
+    let requests: Vec<ServeRequest> = (0..5u64)
         .map(|i| {
-            let spec = if i % 2 == 0 { spec } else { spec.quantized() };
-            service.submit(ServeRequest::new(i, query.clone(), spec))
+            let spec = if i % 2 == 0 {
+                QuerySpec::new(5)
+            } else {
+                QuerySpec::new(5).quantized()
+            };
+            ServeRequest::new(i, traj(9200 + i, 8 + i as usize), spec)
         })
         .collect();
-    for rx in receivers {
-        let resp = rx.recv().unwrap().unwrap();
-        assert!(resp.degraded, "dispatch under watermark-1 must degrade");
-        assert_eq!(
-            resp.neighbors, ivf_oracle,
-            "a degraded answer must equal the IVF-shortlist reference"
-        );
-    }
-    assert!(counter(&registry, names::SERVE_DEGRADED_TOTAL) >= 12);
+    let oracle = sequential_reference(&snapshot, &requests);
 
-    // A spec already on the IVF shortlist has nothing to degrade to and
-    // is never tagged.
-    let resp = service
-        .query(ServeRequest::new(99, query.clone(), spec.shortlist_ann(1)))
-        .unwrap();
-    assert!(!resp.degraded);
+    // The first scan meets the test at the barrier twice, so the four
+    // requests behind it fill the queue to its bound before any leaves.
+    let gate = Arc::new(Barrier::new(2));
+    let first = AtomicBool::new(true);
+    let hook = Arc::clone(&gate);
+    service.set_scan_fault(Some(Arc::new(move |_shard| {
+        if first.swap(false, Ordering::SeqCst) {
+            hook.wait();
+            hook.wait();
+        }
+        false
+    })));
+    let held = service.submit(requests[0].clone());
+    gate.wait();
+    let queued: Vec<_> = requests[1..]
+        .iter()
+        .map(|r| service.submit(r.clone()))
+        .collect();
+    assert_eq!(registry.gauge(names::SERVE_QUEUE_DEPTH).get(), 4.0);
+    gate.wait();
+
+    let replies = std::iter::once(held).chain(queued);
+    for (rx, want) in replies.zip(oracle) {
+        let resp = rx.recv().unwrap().unwrap();
+        assert!(!resp.degraded && !resp.partial);
+        assert_eq!(resp.neighbors, want.unwrap());
+    }
+    assert_eq!(counter(&registry, names::SERVE_DEGRADED_TOTAL), 0);
 }
 
 /// Sustained high-priority load cannot starve the normal lane: overdue
@@ -659,7 +658,7 @@ fn note_moved(registry: &Registry, seen: &mut BTreeSet<String>) {
 
 /// The metric catalogue, service half: one instrumented service is driven
 /// through a normal batch, an overloaded burst, a deadline expiry, a
-/// degraded batch, a quarantined shard, an insert and a rejected insert;
+/// quarantined shard, an insert and a rejected insert;
 /// afterwards every series the service registered must have moved at
 /// some point. A registered series that nothing can move is a bug (the
 /// database half is `db::tests::each_scan_path_moves_its_own_series_and_no_other`).
@@ -673,10 +672,8 @@ fn every_registered_serve_series_moves() {
     let registry = Registry::new();
     let cfg = ServiceConfig {
         nshards: 2,
-        ann: ivf(3),
         max_queue: 4,
         max_batch: 8,
-        degrade_watermark: 3,
         batch_deadline: Duration::from_millis(2),
         quarantine_backoff: Duration::from_millis(1),
         ..ServiceConfig::default()
@@ -687,8 +684,7 @@ fn every_registered_serve_series_moves() {
     let request = |id: u64| ServeRequest::new(id, query.clone(), spec);
     let mut moved = BTreeSet::new();
 
-    // A normal batch: a lone request, under every watermark. It leaves
-    // the coalescing target at one, so the next request dispatches alone.
+    // A normal batch: a lone request. It leaves the coalescing target at one, so the next request dispatches alone.
     let resp = service.query(request(1)).unwrap();
     assert!(!resp.degraded && !resp.partial);
     note_moved(&registry, &mut moved);
@@ -726,11 +722,9 @@ fn every_registered_serve_series_moves() {
             Err(ServeError::Overloaded { .. })
         ));
     }
-    // The three survivors leave as one batch at queue depth 3, which is
-    // the degrade watermark: answered through the IVF shortlist, and
-    // tagged.
+    // The three survivors leave as one batch and are answered.
     for rx in queued {
-        assert!(rx.recv().unwrap().unwrap().degraded);
+        assert!(rx.recv().unwrap().is_ok());
     }
 
     // A quarantined shard.
