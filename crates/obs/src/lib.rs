@@ -492,11 +492,9 @@ pub mod names {
     /// `insert_seconds.sum / insert_rows_total` is the served cost of a
     /// new row.
     pub const SERVE_INSERT_ROWS_TOTAL: &str = "neutraj_serve_insert_rows_total";
-    /// Counter: requests shed by the overload ladder — bounded-admission
-    /// rejections when the queue is full, plus queued lower-priority work
-    /// evicted to make room for higher-priority arrivals. Every shed is
-    /// answered with a typed `Overloaded` error carrying a retry hint,
-    /// never dropped silently.
+    /// Counter: requests shed by bounded admission — arrivals rejected
+    /// because the queue was full. Every shed is answered with a typed
+    /// `Overloaded` error carrying a retry hint, never dropped silently.
     pub const SERVE_SHED_TOTAL: &str = "neutraj_serve_shed_total";
     /// Counter: requests whose deadline expired before an answer was
     /// produced — purged at dequeue without burning a scan, or detected

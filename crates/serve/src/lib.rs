@@ -14,9 +14,11 @@
 //!   order; in exact mode the merge is bit-identical to the unsharded
 //!   scan (the module docs carry the proof).
 //! * **Adaptive micro-batching** — concurrent single queries coalesce in
-//!   a deadline-bounded queue and dispatch through the lockstep batched
-//!   embed + fused exact scan, bit-identical to answering each query
-//!   alone ([`service`] module docs carry the scheduling policy).
+//!   one deadline-bounded FIFO queue and dispatch through the lockstep
+//!   batched embed and the exact int8 cascade (one pass over the int8
+//!   codes per batch, the rows it cannot rule out rescored in `f64`),
+//!   bit-identical to answering each query alone ([`service`] module
+//!   docs carry the scheduling policy).
 //!
 //! The typed surface ([`ServeRequest`] / [`ServeResponse`] /
 //! [`ServeError`], with [`QuerySpec`] — the owned form of the library's
@@ -54,6 +56,6 @@ pub mod request;
 pub mod service;
 pub mod snapshot;
 
-pub use request::{Priority, QuerySpec, ServeError, ServeRequest, ServeResponse};
+pub use request::{QuerySpec, ServeError, ServeRequest, ServeResponse};
 pub use service::{sequential_reference, ScanFaultHook, ServiceConfig, SimilarityService};
 pub use snapshot::{ShardConfig, Snapshot};

@@ -3,30 +3,13 @@
 //!
 //! [`QuerySpec`] — the owned, hashable form of the library's query
 //! builder, re-exported from [`neutraj_model`] — says how to search;
-//! [`ServeRequest`] adds the trajectory, a deadline and a priority.
+//! [`ServeRequest`] adds the trajectory and a deadline.
 
 use neutraj_measures::Neighbor;
 use neutraj_model::DbError;
 pub use neutraj_model::QuerySpec;
 use neutraj_trajectory::Trajectory;
 use std::time::Duration;
-
-/// Scheduling class of a request in the coalescing queue. The scheduler
-/// serves the high lane first, with anti-starvation promotion for
-/// overdue normal work (see the [`service`](crate::service) docs); when
-/// the bounded queue is full, an arriving high-priority request may
-/// evict the newest queued normal-priority request (typed
-/// [`ServeError::Overloaded`], counted in `neutraj_serve_shed_total`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Priority {
-    /// Best-effort work: served in arrival order after the high lane,
-    /// sheddable under overload.
-    #[default]
-    Normal,
-    /// Latency-sensitive work: dispatched ahead of the normal lane and
-    /// never evicted by admission shedding.
-    High,
-}
 
 /// One query request: a caller-chosen correlation id, the ad-hoc query
 /// trajectory, and the spec describing how to search.
@@ -45,19 +28,16 @@ pub struct ServeRequest {
     /// burning a scan, or by the cooperative between-shard cancellation
     /// checks mid-scan. `None` means no deadline.
     pub deadline: Option<Duration>,
-    /// Scheduling class (see [`Priority`]).
-    pub priority: Priority,
 }
 
 impl ServeRequest {
-    /// Convenience constructor: no deadline, normal priority.
+    /// Convenience constructor: no deadline.
     pub fn new(id: u64, trajectory: Trajectory, spec: QuerySpec) -> Self {
         Self {
             id,
             trajectory,
             spec,
             deadline: None,
-            priority: Priority::Normal,
         }
     }
 
@@ -65,12 +45,6 @@ impl ServeRequest {
     /// submitted.
     pub fn with_deadline(mut self, budget: Duration) -> Self {
         self.deadline = Some(budget);
-        self
-    }
-
-    /// Sets the scheduling class.
-    pub fn with_priority(mut self, priority: Priority) -> Self {
-        self.priority = priority;
         self
     }
 }
@@ -112,9 +86,8 @@ pub enum ServeError {
     /// The worker dropped the reply channel without answering — only
     /// possible if the service was torn down mid-request.
     Dropped,
-    /// The bounded admission queue is full (or this request was evicted
-    /// to admit higher-priority work). The hint estimates how long the
-    /// backlog needs to drain — callers should back off at least that
+    /// The bounded admission queue is full. The hint estimates how long
+    /// the backlog needs to drain — callers should back off at least that
     /// long before retrying.
     Overloaded {
         /// Estimated backlog drain time at the moment of rejection.
@@ -160,15 +133,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn request_builders_set_deadline_and_priority() {
+    fn request_builder_sets_deadline() {
         let t = Trajectory::new_unchecked(1, vec![]);
-        let req = ServeRequest::new(7, t.clone(), QuerySpec::new(3));
-        assert_eq!(req.priority, Priority::Normal);
+        let req = ServeRequest::new(7, t, QuerySpec::new(3));
         assert!(req.deadline.is_none());
-        let req = req
-            .with_deadline(Duration::from_millis(5))
-            .with_priority(Priority::High);
+        let req = req.with_deadline(Duration::from_millis(5));
         assert_eq!(req.deadline, Some(Duration::from_millis(5)));
-        assert_eq!(req.priority, Priority::High);
     }
 }

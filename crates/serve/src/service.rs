@@ -52,10 +52,9 @@
 //!
 //! 1. **Bounded admission** — the queue holds at most `max_queue`
 //!    requests; overflow is answered [`ServeError::Overloaded`] with a
-//!    backlog-drain retry hint instead of growing without bound. A
-//!    [`Priority::High`](crate::Priority) arrival may evict the newest
-//!    queued normal-priority request (the shed ladder's bottom rung);
-//!    both count into `neutraj_serve_shed_total`.
+//!    backlog-drain retry hint instead of growing without bound, and
+//!    counted into `neutraj_serve_shed_total`. The queue is one FIFO:
+//!    the arrival is what is shed, and what is queued keeps its place.
 //! 2. **Deadlines** — a request's time budget is checked at dequeue
 //!    (expired work is answered [`ServeError::DeadlineExceeded`] without
 //!    burning a scan) and cooperatively between shard scans.
@@ -66,7 +65,7 @@
 //!    shards with responses tagged `partial: true`. Queue locks recover
 //!    from poisoning, so a panic can never wedge admission or dispatch.
 
-use crate::request::{Priority, QuerySpec, ServeError, ServeRequest, ServeResponse};
+use crate::request::{QuerySpec, ServeError, ServeRequest, ServeResponse};
 use crate::snapshot::{ScanFault, ScanGuard, ShardConfig, Snapshot};
 use neutraj_model::{DbError, NeuTrajModel};
 use neutraj_obs::{names, Counter, Gauge, Histogram, Registry};
@@ -197,39 +196,6 @@ impl Pending {
     }
 }
 
-/// The two-lane coalescing queue: the high lane dispatches first, the
-/// normal lane is protected from starvation by overdue promotion (see
-/// [`form_batch`]) and is the shed target when admission overflows.
-#[derive(Default)]
-struct Lanes {
-    high: VecDeque<Pending>,
-    normal: VecDeque<Pending>,
-}
-
-impl Lanes {
-    fn len(&self) -> usize {
-        self.high.len() + self.normal.len()
-    }
-
-    fn push(&mut self, p: Pending) {
-        match p.req.priority {
-            Priority::High => self.high.push_back(p),
-            Priority::Normal => self.normal.push_back(p),
-        }
-    }
-
-    /// Arrival instant of the oldest queued request across both lanes —
-    /// what the coalescing deadline is measured from.
-    fn oldest(&self) -> Option<Instant> {
-        match (self.high.front(), self.normal.front()) {
-            (Some(h), Some(n)) => Some(h.enqueued.min(n.enqueued)),
-            (Some(h), None) => Some(h.enqueued),
-            (None, Some(n)) => Some(n.enqueued),
-            (None, None) => None,
-        }
-    }
-}
-
 /// Per-shard failure bookkeeping for quarantine and re-admission.
 #[derive(Debug, Clone, Copy, Default)]
 struct ShardHealth {
@@ -245,7 +211,8 @@ struct Shared {
     /// Serializes writers so concurrent inserts compose instead of
     /// overwriting each other's snapshots.
     write_lock: Mutex<()>,
-    queue: Mutex<Lanes>,
+    /// The coalescing queue, in arrival order.
+    queue: Mutex<VecDeque<Pending>>,
     notify: Condvar,
     shutdown: AtomicBool,
     health: Mutex<Vec<ShardHealth>>,
@@ -400,7 +367,7 @@ impl SimilarityService {
         let shared = Arc::new(Shared {
             snapshot: Mutex::new(Arc::new(snapshot)),
             write_lock: Mutex::new(()),
-            queue: Mutex::new(Lanes::default()),
+            queue: Mutex::new(VecDeque::new()),
             notify: Condvar::new(),
             shutdown: AtomicBool::new(false),
             health: Mutex::new(vec![ShardHealth::default(); nshards]),
@@ -462,10 +429,8 @@ impl SimilarityService {
     /// arrive on — the open-loop entry point: the call never blocks on
     /// scan work. Invalid requests are answered (with a typed error)
     /// through the same channel without ever occupying the queue, and
-    /// when the bounded queue is full the request (or, for a
-    /// high-priority arrival, the newest queued normal-priority request)
-    /// is answered [`ServeError::Overloaded`] instead of growing the
-    /// backlog.
+    /// when the bounded queue is full the request is answered
+    /// [`ServeError::Overloaded`] instead of growing the backlog.
     pub fn submit(&self, req: ServeRequest) -> Receiver<Result<ServeResponse, ServeError>> {
         let (tx, rx) = sync_channel(1);
         if let Err(e) = self.admit(&req) {
@@ -479,32 +444,20 @@ impl SimilarityService {
             enqueued,
             reply: tx,
         };
-        // Admission under the queue lock; sheds answered after release.
+        // Admission under the queue lock; a shed is answered after release.
         let (depth, shed) = {
             let mut q = lock_recover(&self.shared.queue);
             if q.len() >= self.shared.max_queue {
-                if pending.req.priority == Priority::High {
-                    match q.normal.pop_back() {
-                        // Make room: evict the newest normal request —
-                        // the one that has invested the least wait.
-                        Some(victim) => {
-                            q.push(pending);
-                            (q.len(), Some(victim))
-                        }
-                        None => (q.len(), Some(pending)),
-                    }
-                } else {
-                    (q.len(), Some(pending))
-                }
+                (q.len(), Some(pending))
             } else {
-                q.push(pending);
+                q.push_back(pending);
                 (q.len(), None)
             }
         };
-        if let Some(victim) = shed {
+        if let Some(shed) = shed {
             self.shared.count_shed();
             let hint = self.shared.retry_hint(depth);
-            let _ = victim.reply.try_send(Err(ServeError::Overloaded {
+            let _ = shed.reply.try_send(Err(ServeError::Overloaded {
                 retry_after_hint: hint,
             }));
         }
@@ -658,7 +611,8 @@ impl Drop for SimilarityService {
     }
 }
 
-/// The scheduler: coalesce → purge expired → form batch → dispatch.
+/// The scheduler: coalesce → purge expired → drain the oldest
+/// `max_batch` → dispatch.
 ///
 /// It dispatches when the queue holds `target` requests or the oldest
 /// has waited `batch_deadline`. `target` is the size of the batch it
@@ -673,8 +627,8 @@ fn scheduler_loop(shared: &Shared) {
             loop {
                 let shutting_down = shared.shutdown.load(Ordering::Acquire);
                 purge_expired(shared, &mut q);
-                if let Some(oldest) = q.oldest() {
-                    let deadline = oldest + shared.batch_deadline;
+                if let Some(oldest) = q.front() {
+                    let deadline = oldest.enqueued + shared.batch_deadline;
                     let now = Instant::now();
                     if q.len() >= target || now >= deadline || shutting_down {
                         break;
@@ -693,7 +647,8 @@ fn scheduler_loop(shared: &Shared) {
                         .unwrap_or_else(PoisonError::into_inner);
                 }
             }
-            let batch = form_batch(shared, &mut q);
+            let n = q.len().min(shared.max_batch);
+            let batch: Vec<Pending> = q.drain(..n).collect();
             if let Some(m) = &shared.metrics {
                 m.queue_depth.set(q.len() as f64);
             }
@@ -708,48 +663,21 @@ fn scheduler_loop(shared: &Shared) {
 
 /// Answers and removes every queued request whose deadline has already
 /// passed — the "without burning a scan" half of the deadline contract.
-fn purge_expired(shared: &Shared, q: &mut Lanes) {
+/// One pass from the first expired request: the expired are answered in
+/// arrival order, the rest keep theirs (a queue with none moves nothing).
+fn purge_expired(shared: &Shared, q: &mut VecDeque<Pending>) {
     let now = Instant::now();
-    for lane in [&mut q.high, &mut q.normal] {
-        let mut i = 0;
-        while i < lane.len() {
-            if lane[i].expired(now) {
-                let p = lane.remove(i).expect("index in range");
-                shared.count_deadline();
-                answer(shared, p, Err(ServeError::DeadlineExceeded));
-            } else {
-                i += 1;
-            }
-        }
-    }
-}
-
-/// Drains up to `max_batch` requests: the high lane first, then the
-/// normal lane — with anti-starvation promotion: when the oldest normal
-/// request has waited past the promotion threshold (4× the coalescing
-/// deadline), it ships in this batch ahead of the high lane, so a
-/// sustained high-priority flood can delay normal work by at most a few
-/// deadlines per batch, never indefinitely.
-fn form_batch(shared: &Shared, q: &mut Lanes) -> Vec<Pending> {
-    let now = Instant::now();
-    let promote_after = shared.batch_deadline.saturating_mul(4);
-    let mut batch = Vec::new();
-    if q.normal
-        .front()
-        .is_some_and(|p| now.duration_since(p.enqueued) >= promote_after)
-    {
-        batch.push(q.normal.pop_front().expect("front exists"));
-    }
-    while batch.len() < shared.max_batch {
-        if let Some(p) = q.high.pop_front() {
-            batch.push(p);
-        } else if let Some(p) = q.normal.pop_front() {
-            batch.push(p);
+    let Some(first) = q.iter().position(|p| p.expired(now)) else {
+        return;
+    };
+    for p in q.split_off(first) {
+        if p.expired(now) {
+            shared.count_deadline();
+            answer(shared, p, Err(ServeError::DeadlineExceeded));
         } else {
-            break;
+            q.push_back(p);
         }
     }
-    batch
 }
 
 /// Resolves the quarantine mask for this dispatch: quarantined shards

@@ -14,13 +14,14 @@
 use neutraj_model::{AnnParams, BackboneKind, DbError, NeuTrajModel, TrainConfig};
 use neutraj_obs::{names, Registry};
 use neutraj_serve::{
-    sequential_reference, Priority, QuerySpec, ServeError, ServeRequest, ServiceConfig,
+    sequential_reference, QuerySpec, ServeError, ServeRequest, ServeResponse, ServiceConfig,
     SimilarityService,
 };
 use neutraj_trajectory::{BoundingBox, Grid, Point, Trajectory};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, TryRecvError};
+use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 fn model() -> NeuTrajModel {
@@ -306,12 +307,13 @@ fn poisoned_queue_lock_recovers() {
 
 /// A storm of already-expired deadlines is answered typed — every
 /// request gets `DeadlineExceeded`, counted, without burning scans — and
-/// the service keeps answering fresh work afterwards.
+/// the service keeps answering fresh work afterwards, including live
+/// requests queued between expired ones.
 #[test]
 fn deadline_storm_answers_typed_without_burning_scans() {
     let registry = Registry::new();
     let cfg = ServiceConfig {
-        max_batch: 8,
+        max_batch: 2,
         batch_deadline: Duration::from_millis(5),
         ..ServiceConfig::default()
     };
@@ -350,6 +352,83 @@ fn deadline_storm_answers_typed_without_burning_scans() {
     assert_eq!(
         resp.neighbors,
         service.snapshot().search(&query, &spec).unwrap()
+    );
+
+    // Expired requests queued *between* live ones. The first scan below
+    // is held, so six requests queue behind it, out-of-time and
+    // un-deadlined in turn; the purge answers the three expired and
+    // leaves the three live ones in arrival order. At `max_batch` 2 the
+    // older two leave first, and the third scan — the youngest live
+    // request's — is held too while the test checks that everything
+    // older has been answered and it has not. A held scan says it has
+    // started and waits for `go`; a failing assert drops `go`, which
+    // lets it go, so no failure hangs the test.
+    let (started_tx, started) = channel();
+    let (go, go_rx) = channel();
+    let go_rx = Mutex::new(go_rx);
+    let scans = AtomicUsize::new(0);
+    service.set_scan_fault(Some(Arc::new(move |_shard| {
+        if matches!(scans.fetch_add(1, Ordering::SeqCst), 0 | 2) {
+            let _ = started_tx.send(());
+            let _ = go_rx.lock().unwrap().recv_timeout(Duration::from_secs(10));
+        }
+        false
+    })));
+    let scan_started = || {
+        started
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the held scan never started")
+    };
+    let expired_before = counter(&registry, names::SERVE_DEADLINE_EXPIRED_TOTAL);
+    let dispatched_before = counter(&registry, names::SERVE_REQUESTS_TOTAL);
+    let held = service.submit(ServeRequest::new(2000, query.clone(), spec));
+    scan_started();
+    let mut behind: Vec<_> = (0..6u64)
+        .map(|i| {
+            let t = traj(8100 + i, 6 + i as usize);
+            let req = ServeRequest::new(2001 + i, t.clone(), spec);
+            let req = if i % 2 == 0 {
+                req.with_deadline(Duration::ZERO)
+            } else {
+                req
+            };
+            (i % 2 == 0, t, service.submit(req))
+        })
+        .collect();
+    assert_eq!(registry.gauge(names::SERVE_QUEUE_DEPTH).get(), 6.0);
+    go.send(()).unwrap();
+    assert!(held.recv().unwrap().is_ok());
+    let snapshot = service.snapshot();
+    let check = |expired: bool, t: &Trajectory, reply| match reply {
+        Err(ServeError::DeadlineExceeded) if expired => {}
+        Ok(ServeResponse {
+            neighbors,
+            partial: false,
+            degraded: false,
+            ..
+        }) if !expired => assert_eq!(neighbors, snapshot.search(t, &spec).unwrap()),
+        other => panic!("request {} (expired: {expired}) got {other:?}", t.id),
+    };
+    let (_, youngest, youngest_rx) = behind.pop().unwrap();
+    scan_started();
+    for (expired, t, rx) in behind {
+        check(
+            expired,
+            &t,
+            rx.try_recv().expect("answered before a younger scan"),
+        );
+    }
+    assert!(matches!(youngest_rx.try_recv(), Err(TryRecvError::Empty)));
+    go.send(()).unwrap();
+    check(false, &youngest, youngest_rx.recv().unwrap());
+    assert_eq!(
+        counter(&registry, names::SERVE_DEADLINE_EXPIRED_TOTAL) - expired_before,
+        3
+    );
+    // Only the held request and the three live ones reached a scan.
+    assert_eq!(
+        counter(&registry, names::SERVE_REQUESTS_TOTAL) - dispatched_before,
+        4
     );
 }
 
@@ -403,36 +482,6 @@ fn overload_burst_sheds_typed_and_answers_the_rest() {
     );
     assert!(accepted >= 4, "the queue's capacity must still be served");
     assert_eq!(counter(&registry, names::SERVE_SHED_TOTAL), shed);
-}
-
-/// Bounded admission is priority-aware: when the queue is full, a
-/// high-priority arrival evicts the newest queued normal request rather
-/// than being turned away.
-#[test]
-fn high_priority_arrival_evicts_newest_normal_when_full() {
-    let cfg = ServiceConfig {
-        max_queue: 2,
-        max_batch: 8,
-        batch_deadline: Duration::from_millis(100),
-        ..ServiceConfig::default()
-    };
-    let service = SimilarityService::new(model(), corpus(20), &cfg).unwrap();
-    let query = traj(9100, 9);
-    let spec = QuerySpec::new(3);
-
-    let normal_1 = service.submit(ServeRequest::new(1, query.clone(), spec));
-    let normal_2 = service.submit(ServeRequest::new(2, query.clone(), spec));
-    let high =
-        service.submit(ServeRequest::new(3, query.clone(), spec).with_priority(Priority::High));
-
-    // The newest normal request was evicted to make room…
-    match normal_2.recv().unwrap() {
-        Err(ServeError::Overloaded { .. }) => {}
-        other => panic!("expected the newest normal request to be shed, got {other:?}"),
-    }
-    // …while the older normal and the high-priority request both answer.
-    assert!(normal_1.recv().unwrap().is_ok());
-    assert!(high.recv().unwrap().is_ok());
 }
 
 /// An IVF index over each shard with `nlists` lists.
@@ -499,74 +548,6 @@ fn exact_reads_under_pressure_answer_the_exact_oracle() {
         assert_eq!(resp.neighbors, want.unwrap());
     }
     assert_eq!(counter(&registry, names::SERVE_DEGRADED_TOTAL), 0);
-}
-
-/// Sustained high-priority load cannot starve the normal lane: overdue
-/// normal requests are promoted into dispatch, so they all complete
-/// while the flood is still running.
-#[test]
-fn normal_lane_is_not_starved_by_sustained_high_priority_load() {
-    let cfg = ServiceConfig {
-        max_batch: 2,
-        max_queue: 8,
-        batch_deadline: Duration::from_millis(1),
-        ..ServiceConfig::default()
-    };
-    let service = SimilarityService::new(model(), corpus(20), &cfg).unwrap();
-    let query = traj(9300, 8);
-    let spec = QuerySpec::new(3);
-    let normals_done = Arc::new(AtomicBool::new(false));
-
-    std::thread::scope(|scope| {
-        let flood_flag = Arc::clone(&normals_done);
-        let flood_service = &service;
-        let flood_query = query.clone();
-        let flood = scope.spawn(move || {
-            let mut receivers = Vec::new();
-            let mut i = 10_000u64;
-            let cap = Instant::now() + Duration::from_secs(30);
-            while !flood_flag.load(Ordering::SeqCst) && Instant::now() < cap {
-                receivers.push(flood_service.submit(
-                    ServeRequest::new(i, flood_query.clone(), spec).with_priority(Priority::High),
-                ));
-                i += 1;
-                // Keep the high lane non-empty without unbounded memory.
-                if receivers.len() >= 64 {
-                    for rx in receivers.drain(..) {
-                        let _ = rx.recv();
-                    }
-                }
-            }
-            for rx in receivers {
-                let _ = rx.recv();
-            }
-        });
-
-        // Give the flood a head start, then ask for normal service. A
-        // normal arriving at a full queue of highs is legitimately shed
-        // (bounded admission outranks fairness), so retry until one is
-        // *admitted* — the starvation contract is that an admitted
-        // normal must then complete despite the sustained high load.
-        std::thread::sleep(Duration::from_millis(20));
-        for i in 0..5u64 {
-            let admission_cap = Instant::now() + Duration::from_secs(15);
-            let answer = loop {
-                let rx = service.submit(ServeRequest::new(i, query.clone(), spec));
-                let answer = rx
-                    .recv_timeout(Duration::from_secs(20))
-                    .expect("normal request starved under high-priority flood");
-                match answer {
-                    Err(ServeError::Overloaded { .. }) if Instant::now() < admission_cap => {
-                        std::thread::sleep(Duration::from_micros(200));
-                    }
-                    other => break other,
-                }
-            };
-            assert!(answer.is_ok(), "normal request failed: {answer:?}");
-        }
-        normals_done.store(true, Ordering::SeqCst);
-        flood.join().unwrap();
-    });
 }
 
 /// Dropping the service drains the queue: every request accepted before

@@ -71,8 +71,8 @@ pub mod prelude {
     };
     pub use neutraj_obs::{MetricsReport, Registry};
     pub use neutraj_serve::{
-        Priority, QuerySpec, ServeError, ServeRequest, ServeResponse, ServiceConfig,
-        SimilarityService, Snapshot,
+        QuerySpec, ServeError, ServeRequest, ServeResponse, ServiceConfig, SimilarityService,
+        Snapshot,
     };
     pub use neutraj_trajectory::gen::{
         GeolifeLikeGenerator, PortoLikeGenerator, RoadNetwork, RoadWalkGenerator,
