@@ -24,6 +24,18 @@
 //! recorded without a gate. Hosts without AVX2 print a
 //! `simd-gate: skipped` marker instead.
 //!
+//! A fourth, **rerank**, times the re-rank stage of a shortlist search
+//! (`DESIGN.md` §13) per measure: each query's exact top-50 (from the
+//! knn section's workload, so every candidate is a near neighbour and the
+//! bounds have the least to prune) re-ranked to the top 10, one query at
+//! a time on one thread, by a local copy of the per-candidate loop the
+//! stage ran before (`Measure::dist` per candidate, sorted, truncated)
+//! and by `GroundTruthEngine::rerank`, best of 30 passes each, in ns per
+//! candidate, with the share of candidates the cascade pruned unscored.
+//! At the default size the run **asserts** the Fréchet engine path at
+//! least 2× the loop (`rerank-gate`); smaller corpora print a skip
+//! marker.
+//!
 //! Every result pair is asserted **bit-identical** before its timing is
 //! reported — the speedups below are for exact answers, not
 //! approximations. The engine runs instrumented; the final
@@ -46,10 +58,12 @@ use std::time::Instant;
 
 use neutraj_bench::Cli;
 use neutraj_eval::harness::DatasetKind;
-use neutraj_measures::{top_k, DistanceMatrix, GroundTruthEngine, Measure, MeasureKind, Neighbor};
+use neutraj_measures::{
+    neighbor_order, top_k, DistanceMatrix, GroundTruthEngine, Measure, MeasureKind, Neighbor,
+};
 use neutraj_obs::simd::SimdLevel;
-use neutraj_obs::Registry;
-use neutraj_trajectory::{par, Trajectory};
+use neutraj_obs::{names, Registry};
+use neutraj_trajectory::{par, Point, Trajectory};
 
 /// knn depth; matches `GroundTruth::MIN_DEPTH` (R10@50 needs 50).
 const K: usize = 50;
@@ -120,6 +134,27 @@ fn main() {
         println!("simd-gate: skipped (no AVX2 host)");
     }
 
+    let rerank_rows: Vec<RerankRow> = MeasureKind::ALL
+        .iter()
+        .map(|&kind| bench_rerank(kind, corpus, &queries, threads))
+        .collect();
+    let rerank_gate = if n >= 500 {
+        let f = rerank_rows
+            .iter()
+            .find(|r| r.kind == MeasureKind::Frechet)
+            .expect("Frechet rerank row");
+        let speedup = f.loop_ns / f.engine_ns;
+        assert!(
+            speedup >= RERANK_GATE,
+            "rerank-gate: Frechet re-rank speedup {speedup:.2}x < {RERANK_GATE}x"
+        );
+        println!("rerank-gate: Frechet re-rank {speedup:.2}x >= {RERANK_GATE}x");
+        "frechet_rerank_2x: passed"
+    } else {
+        println!("rerank-gate: skipped (corpus under 500 rows, timings too noisy)");
+        "skipped (corpus under 500 rows)"
+    };
+
     neutraj_obs::simd::publish(&registry);
     let report = registry.snapshot();
 
@@ -131,6 +166,8 @@ fn main() {
         &rows,
         &simd_rows,
         detected,
+        &rerank_rows,
+        rerank_gate,
         &report.to_json_indented(2),
     );
     let path = "BENCH_measures.json";
@@ -240,6 +277,127 @@ fn bench_simd(kind: MeasureKind, corpus: &[Trajectory], threads: usize) -> SimdR
     }
 }
 
+/// Shortlist length and re-ranked depth of the rerank section: the
+/// paper's top-50 re-ranked to the top 10 (§VII-C.1).
+const SHORTLIST: usize = 50;
+const RERANK_K: usize = 10;
+
+/// Timed passes of the rerank section; the fastest is reported.
+const RERANK_REPEATS: usize = 30;
+
+/// The rerank section's floor for the Fréchet engine path over the loop.
+const RERANK_GATE: f64 = 2.0;
+
+/// A shortlisted trajectory: its corpus index and points.
+type Candidate<'t> = (usize, &'t [Point]);
+
+/// One measure's re-rank cost: the per-candidate loop versus the engine.
+struct RerankRow {
+    kind: MeasureKind,
+    loop_ns: f64,
+    engine_ns: f64,
+    pruned_share: f64,
+}
+
+/// Times re-ranking each query's exact top-[`SHORTLIST`] to the top
+/// [`RERANK_K`] — per-candidate loop against `GroundTruthEngine::rerank`,
+/// interleaved, best of [`RERANK_REPEATS`], both on this thread — and
+/// asserts the two answers bit-identical on every pass.
+fn bench_rerank(
+    kind: MeasureKind,
+    corpus: &[Trajectory],
+    queries: &[usize],
+    threads: usize,
+) -> RerankRow {
+    let measure = kind.measure();
+    let shortlists =
+        GroundTruthEngine::new(&*measure, corpus).knn_lists(queries, SHORTLIST, threads);
+    let work: Vec<(&[Point], Vec<Candidate>)> = queries
+        .iter()
+        .zip(&shortlists)
+        .map(|(&q, short)| {
+            let cands = short
+                .iter()
+                .map(|n| (n.index, corpus[n.index].points()))
+                .collect();
+            (corpus[q].points(), cands)
+        })
+        .collect();
+    let candidates: usize = work.iter().map(|(_, c)| c.len()).sum();
+    let bits = |lists: &[Vec<Neighbor>]| -> Vec<Vec<(usize, u64)>> {
+        lists
+            .iter()
+            .map(|l| l.iter().map(|n| (n.index, n.dist.to_bits())).collect())
+            .collect()
+    };
+
+    // One instrumented pass (its own registry, so the counters above keep
+    // their meaning) for the pruned share.
+    let registry = Registry::new();
+    let engine = GroundTruthEngine::new(&*measure, &[]).with_metrics(&registry);
+    for (q, cands) in &work {
+        engine.rerank(q, cands, RERANK_K);
+    }
+    let pruned = registry.counter(names::MEASURES_LB_PRUNED_TOTAL).get();
+
+    let mut loop_s = f64::INFINITY;
+    let mut engine_s = f64::INFINITY;
+    for _ in 0..RERANK_REPEATS {
+        let start = Instant::now();
+        let want: Vec<Vec<Neighbor>> = work
+            .iter()
+            .map(|(q, cands)| rerank_loop(&*measure, q, cands))
+            .collect();
+        loop_s = loop_s.min(start.elapsed().as_secs_f64());
+
+        let start = Instant::now();
+        let got: Vec<Vec<Neighbor>> = work
+            .iter()
+            .map(|(q, cands)| GroundTruthEngine::new(&*measure, &[]).rerank(q, cands, RERANK_K))
+            .collect();
+        engine_s = engine_s.min(start.elapsed().as_secs_f64());
+        assert_eq!(
+            bits(&got),
+            bits(&want),
+            "{kind}: engine re-rank diverged from the loop"
+        );
+    }
+    let per = |s: f64| s * 1e9 / candidates.max(1) as f64;
+    let row = RerankRow {
+        kind,
+        loop_ns: per(loop_s),
+        engine_ns: per(engine_s),
+        pruned_share: pruned as f64 / candidates.max(1) as f64,
+    };
+    println!(
+        "  rerank {kind}: {:.0} -> {:.0} ns per candidate ({:.2}x), {:.1}% pruned",
+        row.loop_ns,
+        row.engine_ns,
+        row.loop_ns / row.engine_ns,
+        row.pruned_share * 100.0
+    );
+    row
+}
+
+/// The re-rank stage as it was before the engine served it: one
+/// `Measure::dist` per candidate, sorted by `neighbor_order`, truncated.
+fn rerank_loop(
+    measure: &dyn Measure,
+    query: &[Point],
+    cands: &[(usize, &[Point])],
+) -> Vec<Neighbor> {
+    let mut out: Vec<Neighbor> = cands
+        .iter()
+        .map(|&(index, pts)| Neighbor {
+            index,
+            dist: measure.dist(query, pts),
+        })
+        .collect();
+    out.sort_by(neighbor_order);
+    out.truncate(RERANK_K);
+    out
+}
+
 /// The pre-engine `DistanceMatrix::compute_parallel` as the baseline:
 /// per-pair `measure.dist` over upper-triangle rows dealt round-robin to
 /// the workers.
@@ -316,6 +474,8 @@ fn render_json(
     rows: &[MeasureRow],
     simd_rows: &[SimdRow],
     detected: SimdLevel,
+    rerank_rows: &[RerankRow],
+    rerank_gate: &str,
     metrics_json: &str,
 ) -> String {
     let measure_objs = rows
@@ -364,8 +524,25 @@ fn render_json(
         "{{\n    \"detected\": \"{:?}\",\n    \"gate\": \"{gate}\",\n    \"measures\": [\n{simd_objs}\n    ]\n  }}",
         detected
     );
+    let rerank_objs = rerank_rows
+        .iter()
+        .map(|r| {
+            format!(
+                "      {{\n        \"measure\": \"{}\",\n        \"loop_ns_per_candidate\": {:.1},\n        \"engine_ns_per_candidate\": {:.1},\n        \"speedup\": {:.4},\n        \"pruned_share\": {:.4}\n      }}",
+                r.kind,
+                r.loop_ns,
+                r.engine_ns,
+                r.loop_ns / r.engine_ns,
+                r.pruned_share
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(",\n");
+    let rerank_json = format!(
+        "{{\n    \"shortlist\": {SHORTLIST},\n    \"k\": {RERANK_K},\n    \"repeats\": {RERANK_REPEATS},\n    \"gate\": \"{rerank_gate}\",\n    \"measures\": [\n{rerank_objs}\n    ]\n  }}"
+    );
     format!(
-        "{{\n  \"bench\": \"measures\",\n  \"n\": {n},\n  \"k\": {K},\n  \"queries\": {},\n  \"threads\": {threads},\n  \"seed\": {},\n  \"measures\": [\n{measure_objs}\n  ],\n  \"naive_total_s\": {naive_total:.4},\n  \"engine_total_s\": {engine_total:.4},\n  \"total_speedup\": {:.4},\n  \"simd\": {simd_json},\n  \"metrics\": {metrics_json}\n}}\n",
+        "{{\n  \"bench\": \"measures\",\n  \"n\": {n},\n  \"k\": {K},\n  \"queries\": {},\n  \"threads\": {threads},\n  \"seed\": {},\n  \"measures\": [\n{measure_objs}\n  ],\n  \"naive_total_s\": {naive_total:.4},\n  \"engine_total_s\": {engine_total:.4},\n  \"total_speedup\": {:.4},\n  \"simd\": {simd_json},\n  \"rerank\": {rerank_json},\n  \"metrics\": {metrics_json}\n}}\n",
         queries.len(),
         cli.seed,
         naive_total / engine_total

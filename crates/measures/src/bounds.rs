@@ -20,9 +20,10 @@
 //! naming its kernel in [`crate::Measure::accel`]; a measure that names
 //! none is computed in full for every pair.
 
+use crate::engine::HAUSDORFF_GRID_MIN;
 use crate::pointgrid::PointGrid;
 use crate::Accel;
-use neutraj_trajectory::{BoundingBox, Point, Trajectory};
+use neutraj_trajectory::{BoundingBox, Point};
 
 /// Cached per-trajectory summary used by the bound cascade and the
 /// vectorized DP kernels.
@@ -42,14 +43,16 @@ pub struct TrajCache {
     pub gap_dists: Vec<f64>,
     /// ERP only: sum of `gap_dists`.
     pub gap_sum: f64,
-    /// Hausdorff only: point-bucket grid for exact nearest-point queries.
+    /// Hausdorff only, and only at [`HAUSDORFF_GRID_MIN`] points or more
+    /// (the directed scan reads it for no smaller target): point-bucket
+    /// grid for exact nearest-point queries.
     pub(crate) grid: Option<PointGrid>,
 }
 
 impl TrajCache {
-    /// Summarizes one trajectory for the given accelerated measure.
-    pub fn build(traj: &Trajectory, accel: Accel) -> Self {
-        let pts = traj.points();
+    /// Summarizes one trajectory's points for the given accelerated
+    /// measure.
+    pub fn build(pts: &[Point], accel: Accel) -> Self {
         let bbox = BoundingBox::from_points(pts);
         let (first, last) = match (pts.first(), pts.last()) {
             (Some(&f), Some(&l)) => (f, l),
@@ -64,7 +67,7 @@ impl TrajCache {
         } else {
             (Vec::new(), 0.0)
         };
-        let grid = if matches!(accel, Accel::Hausdorff) {
+        let grid = if matches!(accel, Accel::Hausdorff) && pts.len() >= HAUSDORFF_GRID_MIN {
             PointGrid::build(pts)
         } else {
             None
@@ -178,6 +181,7 @@ fn max_mbr_dist(s: &TrajCache, other: &BoundingBox) -> f64 {
 mod tests {
     use super::*;
     use crate::{DiscreteFrechet, Dtw, Erp, Hausdorff, Measure};
+    use neutraj_trajectory::Trajectory;
 
     fn traj(id: u64, coords: &[(f64, f64)]) -> Trajectory {
         Trajectory::new_unchecked(id, coords.iter().map(|&(x, y)| Point::new(x, y)).collect())
@@ -206,7 +210,10 @@ mod tests {
             (Accel::Erp { gap: Point::ORIGIN }, Box::new(Erp::default())),
         ];
         for (accel, measure) in &cases {
-            let caches: Vec<TrajCache> = ts.iter().map(|t| TrajCache::build(t, *accel)).collect();
+            let caches: Vec<TrajCache> = ts
+                .iter()
+                .map(|t| TrajCache::build(t.points(), *accel))
+                .collect();
             for i in 0..ts.len() {
                 for j in 0..ts.len() {
                     let d = measure.dist(ts[i].points(), ts[j].points());
@@ -230,8 +237,8 @@ mod tests {
 
     #[test]
     fn empty_trajectory_bounds_are_zero() {
-        let a = TrajCache::build(&Trajectory::new_unchecked(0, vec![]), Accel::Dtw);
-        let b = TrajCache::build(&traj(1, &[(1.0, 1.0)]), Accel::Dtw);
+        let a = TrajCache::build(&[], Accel::Dtw);
+        let b = TrajCache::build(traj(1, &[(1.0, 1.0)]).points(), Accel::Dtw);
         assert!(a.is_empty());
         assert_eq!(lb_cheap(Accel::Dtw, &a, &b), 0.0);
         assert_eq!(lb_tight(Accel::Dtw, &a, &b), 0.0);

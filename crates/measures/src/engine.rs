@@ -9,7 +9,9 @@
 //! DP chain, for every pair of `matrix` and `distances` and every pair a
 //! `knn_lists` query scores. A knn query skips the rest through the
 //! [`crate::bounds`] cascade (tier-0 endpoints + MBRs, tier-1 envelopes)
-//! against its running k-th best distance.
+//! against its running k-th best distance. The same cascade, the one
+//! private `Kernels::knn`, serves the re-rank stage of a shortlist search
+//! ([`GroundTruthEngine::rerank`]) over the candidates a caller hands in.
 //!
 //! Hausdorff has one directed scan (locality probes, then the
 //! crate-private `PointGrid` buckets) that abandons past a knn
@@ -339,7 +341,7 @@ const HAUSDORFF_PROBES: usize = 4;
 /// wraparound scan from the last hit index settles most points in one or
 /// two squared distances, and ring bookkeeping can't beat that while the
 /// whole point set fits in a few cache lines.
-const HAUSDORFF_GRID_MIN: usize = 64;
+pub(crate) const HAUSDORFF_GRID_MIN: usize = 64;
 
 /// Directed Hausdorff via the target's point grid. The running `worst` is
 /// exactly the naive scan's: the grid either returns the exact inner
@@ -489,12 +491,164 @@ fn hausdorff_kernel(a: &TrajCache, b: &TrajCache, threshold: f64, t: &mut Tally)
 }
 
 // ---------------------------------------------------------------------------
+// The cascade
+// ---------------------------------------------------------------------------
+
+/// The exact kernels of one accelerated measure over one list of cached
+/// trajectories: an engine's corpus, or the candidates of one re-rank.
+/// Every exact pair [`GroundTruthEngine`] scores goes through here.
+#[derive(Clone, Copy)]
+struct Kernels<'c> {
+    acc: Accel,
+    level: SimdLevel,
+    caches: &'c [TrajCache],
+}
+
+impl Kernels<'_> {
+    /// Whether this measure has a lane kernel (the three DP measures).
+    fn has_lanes(&self) -> bool {
+        matches!(self.acc, Accel::Dtw | Accel::Frechet | Accel::Erp { .. })
+    }
+
+    /// Lane groups over the trajectories `ids` names, in that order; `None`
+    /// for Hausdorff, which has no lane kernel.
+    fn lane_groups(&self, ids: &[usize]) -> Option<Vec<LaneGroup>> {
+        let erp = matches!(self.acc, Accel::Erp { .. });
+        self.has_lanes()
+            .then(|| build_lane_groups(self.caches, ids, erp))
+    }
+
+    /// Exact distances from `outer` to `caches[ids[p]]` for every
+    /// `p >= from`, handed to `emit(p, dist)`: one lane-kernel call per
+    /// group of `groups` (built over `ids` by [`Self::lane_groups`]) from
+    /// the one holding `from` on, or one unthresholded directed-scan pair
+    /// at a time for Hausdorff.
+    fn row(
+        &self,
+        outer: &TrajCache,
+        ids: &[usize],
+        groups: Option<&[LaneGroup]>,
+        from: usize,
+        s: &mut Scratch,
+        mut emit: impl FnMut(usize, f64),
+    ) {
+        let Some(groups) = groups else {
+            for (p, &j) in ids.iter().enumerate().skip(from) {
+                s.tally.pairs += 1;
+                let d = hausdorff_kernel(outer, &self.caches[j], f64::INFINITY, &mut s.tally)
+                    .expect("nothing is abandoned without a threshold");
+                emit(p, d);
+            }
+            return;
+        };
+        let last = ids.len().div_ceil(LANES);
+        for (gi, g) in groups.iter().enumerate().take(last).skip(from / LANES) {
+            let res = lane_batch(self.acc, outer, g, s, self.level);
+            for (l, &d) in res.iter().enumerate().take(g.count) {
+                let p = gi * LANES + l;
+                if p < from {
+                    continue;
+                }
+                s.tally.pairs += 1;
+                s.tally.dp_cells += (outer.len() * g.len[l]) as u64;
+                emit(p, d);
+            }
+        }
+    }
+
+    /// The exact top-`k` of `cands` (positions in `caches`) to `query`,
+    /// each reported under `id(position)`, ascending by `(dist, id)`.
+    ///
+    /// Candidates are visited in ascending cheap-bound order, so good
+    /// neighbours tighten the threshold early and the sorted bounds let
+    /// one comparison discard the whole remaining tail. The first `k`
+    /// have no threshold to prune against: they fill the heap exactly, as
+    /// one set of lane groups, sorted by length so that co-grouped lanes
+    /// pad little. For a lane measure the fill takes the first `k` rounded
+    /// up to whole groups: a group costs the same with one live lane as
+    /// with `LANES`, and the extra lanes tighten the root before the tail
+    /// is read. The tail then faces the heap's root: the bulk cut ends
+    /// the query, the tight bound drops one candidate, and each batch of
+    /// up to `LANES` survivors is scored in one lane group before the
+    /// root is re-read (Hausdorff, with no lanes, takes one directed scan
+    /// per survivor, abandoned past the root). A candidate is skipped
+    /// only when its bound exceeds the root at that moment, and the root
+    /// never falls below the final k-th best, so the list is exact; which
+    /// pushes happen in which order changes nothing, because the heap's
+    /// `(dist, id)` total order decides every admission.
+    fn knn(
+        &self,
+        query: &TrajCache,
+        cands: impl Iterator<Item = usize>,
+        id: impl Fn(usize) -> usize,
+        k: usize,
+        s: &mut Scratch,
+    ) -> Vec<Neighbor> {
+        let mut heap = NeighborHeap::new(k);
+        if k == 0 {
+            return heap.into_sorted();
+        }
+        let (acc, caches) = (self.acc, self.caches);
+        let mut order: Vec<(f64, usize)> = cands
+            .map(|j| (lb_cheap(acc, query, &caches[j]), j))
+            .collect();
+        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let lanes = self.has_lanes();
+        let warm_len = if lanes { k.next_multiple_of(LANES) } else { k };
+        let mut warm: Vec<usize> = order.iter().take(warm_len).map(|&(_, j)| j).collect();
+        warm.sort_by_key(|&j| caches[j].len());
+        let groups = self.lane_groups(&warm);
+        self.row(query, &warm, groups.as_deref(), 0, s, |p, d| {
+            heap.push(id(warm[p]), d)
+        });
+        let batch_len = if lanes { LANES } else { 1 };
+        let mut batch = Vec::with_capacity(batch_len);
+        let mut pos = warm.len();
+        while pos < order.len() {
+            let thr = heap.threshold().expect("the first k filled the heap").dist;
+            batch.clear();
+            while pos < order.len() && batch.len() < batch_len {
+                let (lb, j) = order[pos];
+                if lb > thr {
+                    s.tally.prune(order.len() - pos);
+                    pos = order.len();
+                } else {
+                    pos += 1;
+                    if lb_tight(acc, query, &caches[j]) > thr {
+                        s.tally.prune(1);
+                    } else {
+                        batch.push(j);
+                    }
+                }
+            }
+            if lanes {
+                let groups = self.lane_groups(&batch);
+                self.row(query, &batch, groups.as_deref(), 0, s, |p, d| {
+                    heap.push(id(batch[p]), d)
+                });
+            } else {
+                for &j in &batch {
+                    s.tally.pairs += 1;
+                    match hausdorff_kernel(query, &caches[j], thr, &mut s.tally) {
+                        Some(d) => heap.push(id(j), d),
+                        None => s.tally.ea_abandoned += 1,
+                    }
+                }
+            }
+        }
+        heap.into_sorted()
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Engine
 // ---------------------------------------------------------------------------
 
 /// Pruned exact ground-truth driver over a fixed corpus: distance
 /// matrices, sparse exact rows and top-k supervision lists, all
-/// bit-identical to the naive per-pair DPs at any thread count.
+/// bit-identical to the naive per-pair DPs at any thread count. It also
+/// serves the re-rank stage of a shortlist search ([`Self::rerank`]),
+/// over candidates the caller hands in.
 ///
 /// Construction summarizes every trajectory once ([`TrajCache`]); measures
 /// without an accelerated kernel ([`Measure::accel`] `== None`, e.g. EDR /
@@ -526,7 +680,10 @@ impl<'a> GroundTruthEngine<'a> {
     pub fn new(measure: &'a dyn Measure, trajs: &'a [Trajectory]) -> Self {
         let accel = measure.accel();
         let caches = match accel {
-            Some(acc) => trajs.iter().map(|t| TrajCache::build(t, acc)).collect(),
+            Some(acc) => trajs
+                .iter()
+                .map(|t| TrajCache::build(t.points(), acc))
+                .collect(),
             None => Vec::new(),
         };
         Self {
@@ -584,7 +741,7 @@ impl<'a> GroundTruthEngine<'a> {
         // The lane kernels want the corpus sorted by length, so co-grouped
         // lanes pad little; measures without them keep corpus order.
         let mut order: Vec<usize> = (0..n).collect();
-        if self.has_lanes() {
+        if self.kernels().is_some_and(|kn| kn.has_lanes()) {
             order.sort_by_key(|&i| (self.caches[i].len(), i));
         }
         let groups = self.lane_groups(&order);
@@ -635,7 +792,58 @@ impl<'a> GroundTruthEngine<'a> {
     /// Identical to `top_k` over a naive exact row at any thread count.
     pub fn knn_lists(&self, queries: &[usize], k: usize, threads: usize) -> Vec<Vec<Neighbor>> {
         let _span = self.metrics.as_ref().map(|m| m.knn_seconds.start_timer());
-        self.query_map(queries, threads, |q, s| self.knn_one(q, k, s))
+        let n = self.trajs.len();
+        self.query_map(queries, threads, |q, s| {
+            let others = (0..n).filter(move |&j| j != q);
+            match self.kernels() {
+                Some(kn) => kn.knn(&self.caches[q], others, |j| j, k, s),
+                None => {
+                    let others = others.map(|j| (j, self.trajs[j].points()));
+                    self.dist_knn(self.trajs[q].points(), others, k, s)
+                }
+            }
+        })
+    }
+
+    /// The exact top-`k` of `candidates` to `query`, ascending under
+    /// [`crate::neighbor_order`] with ties broken by each candidate's
+    /// `id` — the re-rank stage of a shortlist search (`DESIGN.md` §13).
+    /// The candidates are the caller's `(id, points)` pairs, not the
+    /// corpus, which plays no part: an engine over no trajectories
+    /// re-ranks as well as any.
+    ///
+    /// Accelerated measures run [`Self::knn_lists`]' cascade over the
+    /// candidates (bound order, the first `k` through the lane kernels,
+    /// the tail pruned against the heap's root and its survivors scored
+    /// `LANES` at a time); other measures call [`Measure::dist`] once per
+    /// candidate, in `candidates` order. Either way the answer equals
+    /// `Measure::dist` per candidate, sorted by `neighbor_order` and
+    /// truncated to `k`, bit for bit.
+    pub fn rerank(
+        &self,
+        query: &[Point],
+        candidates: &[(usize, &[Point])],
+        k: usize,
+    ) -> Vec<Neighbor> {
+        let mut s = Scratch::default();
+        let out = match self.accel {
+            Some(acc) => {
+                let caches: Vec<TrajCache> = candidates
+                    .iter()
+                    .map(|&(_, pts)| TrajCache::build(pts, acc))
+                    .collect();
+                let kn = Kernels {
+                    acc,
+                    level: self.simd,
+                    caches: &caches,
+                };
+                let query = TrajCache::build(query, acc);
+                kn.knn(&query, 0..caches.len(), |p| candidates[p].0, k, &mut s)
+            }
+            None => self.dist_knn(query, candidates.iter().copied(), k, &mut s),
+        };
+        self.flush(s);
+        out
     }
 
     /// Exact distances from `from` to each index in `to` (sparse row, any
@@ -651,105 +859,26 @@ impl<'a> GroundTruthEngine<'a> {
         rows.pop().expect("one query, one row")
     }
 
-    fn knn_one(&self, q: usize, k: usize, s: &mut Scratch) -> Vec<Neighbor> {
-        let n = self.trajs.len();
-        let mut heap = NeighborHeap::new(k);
-        if k == 0 {
-            return heap.into_sorted();
-        }
-        let Some(acc) = self.accel else {
-            for j in (0..n).filter(|&j| j != q) {
-                heap.push(j, self.pair_exact(q, j, s));
-            }
-            return heap.into_sorted();
-        };
-        let cq = &self.caches[q];
-        // Visit candidates in ascending cheap-bound order: good neighbours
-        // tighten the threshold early and the sorted bounds let one
-        // comparison discard the whole remaining tail.
-        let mut order: Vec<(f64, usize)> = (0..n)
-            .filter(|&j| j != q)
-            .map(|j| (lb_cheap(acc, cq, &self.caches[j]), j))
-            .collect();
-        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        // The first `k` have no threshold to prune against: fill the heap
-        // exactly, as one set of lane groups, sorted by length so that
-        // co-grouped lanes pad little. Which pushes happen in which order
-        // changes nothing — the heap's `(dist, index)` total order decides
-        // every admission.
-        let mut warm: Vec<usize> = order.iter().take(k).map(|&(_, j)| j).collect();
-        warm.sort_by_key(|&j| self.caches[j].len());
-        let groups = self.lane_groups(&warm);
-        self.exact_row(q, &warm, groups.as_deref(), 0, s, |p, d| {
-            heap.push(warm[p], d)
-        });
-        // The tail, against the heap's root: the bulk cut ends the query,
-        // the tight bound drops one candidate, and each batch of up to
-        // `LANES` survivors is scored in one lane group before the root is
-        // re-read (Hausdorff, with no lanes, takes one directed scan per
-        // survivor, abandoned past the root). A candidate is skipped only
-        // when its bound exceeds the root at that moment, and the root
-        // never falls below the final k-th best, so the lists are exact.
-        let lanes = self.has_lanes();
-        let batch_len = if lanes { LANES } else { 1 };
-        let mut batch = Vec::with_capacity(batch_len);
-        let mut pos = warm.len();
-        while pos < order.len() {
-            let thr = heap.threshold().expect("the first k filled the heap").dist;
-            batch.clear();
-            while pos < order.len() && batch.len() < batch_len {
-                let (lb, j) = order[pos];
-                if lb > thr {
-                    s.tally.prune(order.len() - pos);
-                    pos = order.len();
-                } else {
-                    pos += 1;
-                    if lb_tight(acc, cq, &self.caches[j]) > thr {
-                        s.tally.prune(1);
-                    } else {
-                        batch.push(j);
-                    }
-                }
-            }
-            if lanes {
-                let groups = self.lane_groups(&batch);
-                self.exact_row(q, &batch, groups.as_deref(), 0, s, |p, d| {
-                    heap.push(batch[p], d)
-                });
-            } else {
-                for &j in &batch {
-                    s.tally.pairs += 1;
-                    match hausdorff_kernel(cq, &self.caches[j], thr, &mut s.tally) {
-                        Some(d) => heap.push(j, d),
-                        None => s.tally.ea_abandoned += 1,
-                    }
-                }
-            }
-        }
-        heap.into_sorted()
+    /// The kernels over this engine's corpus; `None` for a measure
+    /// without an accelerated kernel.
+    fn kernels(&self) -> Option<Kernels<'_>> {
+        self.accel.map(|acc| Kernels {
+            acc,
+            level: self.simd,
+            caches: &self.caches,
+        })
     }
 
-    /// Whether this measure has a lane kernel (the three DP measures).
-    fn has_lanes(&self) -> bool {
-        matches!(
-            self.accel,
-            Some(Accel::Dtw | Accel::Frechet | Accel::Erp { .. })
-        )
-    }
-
-    /// Lane groups over the trajectories `ids` names, in that order; `None`
-    /// for measures without a lane kernel.
+    /// Lane groups over the corpus members `ids` names, in that order;
+    /// `None` for measures without a lane kernel.
     fn lane_groups(&self, ids: &[usize]) -> Option<Vec<LaneGroup>> {
-        let erp = matches!(self.accel, Some(Accel::Erp { .. }));
-        self.has_lanes()
-            .then(|| build_lane_groups(&self.caches, ids, erp))
+        self.kernels().and_then(|kn| kn.lane_groups(ids))
     }
 
     /// Exact distances from corpus member `i` to `ids[p]` for every
-    /// `p >= from`, handed to `emit(p, dist)`: one lane-kernel call per
-    /// group of `groups` (built over `ids` by [`Self::lane_groups`]) from
-    /// the one holding `from` on, or one [`Self::pair_exact`] per pair
-    /// when the measure has no lane kernel.
+    /// `p >= from`, handed to `emit(p, dist)`: [`Kernels::row`], or one
+    /// [`Measure::dist`] per pair for a measure without an accelerated
+    /// kernel.
     fn exact_row(
         &self,
         i: usize,
@@ -759,46 +888,42 @@ impl<'a> GroundTruthEngine<'a> {
         s: &mut Scratch,
         mut emit: impl FnMut(usize, f64),
     ) {
-        let (Some(acc), Some(groups)) = (self.accel, groups) else {
-            for (p, &j) in ids.iter().enumerate().skip(from) {
-                emit(p, self.pair_exact(i, j, s));
-            }
-            return;
-        };
-        let outer = &self.caches[i];
-        let last = ids.len().div_ceil(LANES);
-        for (gi, g) in groups.iter().enumerate().take(last).skip(from / LANES) {
-            let res = lane_batch(acc, outer, g, s, self.simd);
-            for (l, &d) in res.iter().enumerate().take(g.count) {
-                let p = gi * LANES + l;
-                if p < from {
-                    continue;
+        match self.kernels() {
+            Some(kn) => kn.row(&self.caches[i], ids, groups, from, s, emit),
+            None => {
+                for (p, &j) in ids.iter().enumerate().skip(from) {
+                    emit(
+                        p,
+                        self.pair_dist(self.trajs[i].points(), self.trajs[j].points(), s),
+                    );
                 }
-                s.tally.pairs += 1;
-                s.tally.dp_cells += (outer.len() * g.len[l]) as u64;
-                emit(p, d);
             }
         }
     }
 
-    /// Exact distance of one pair for the measures without a lane kernel
-    /// (Hausdorff and unaccelerated measures), orientation `(i, j)` — the
-    /// call order of the naive drivers.
-    fn pair_exact(&self, i: usize, j: usize, s: &mut Scratch) -> f64 {
+    /// [`Measure::dist`] of one pair, orientation `(a, b)` — the call
+    /// order of the naive drivers — for a measure without an accelerated
+    /// kernel.
+    fn pair_dist(&self, a: &[Point], b: &[Point], s: &mut Scratch) -> f64 {
         s.tally.pairs += 1;
-        match self.accel {
-            Some(Accel::Hausdorff) => hausdorff_kernel(
-                &self.caches[i],
-                &self.caches[j],
-                f64::INFINITY,
-                &mut s.tally,
-            )
-            .expect("nothing is abandoned without a threshold"),
-            Some(_) => unreachable!("the DP measures take the lane kernels"),
-            None => self
-                .measure
-                .dist(self.trajs[i].points(), self.trajs[j].points()),
+        self.measure.dist(a, b)
+    }
+
+    /// The top-`k` of `cands` to `query` for a measure without an
+    /// accelerated kernel: one [`Self::pair_dist`] per candidate, in
+    /// `cands` order, into a heap under the `(dist, id)` order.
+    fn dist_knn<'p>(
+        &self,
+        query: &[Point],
+        cands: impl Iterator<Item = (usize, &'p [Point])>,
+        k: usize,
+        s: &mut Scratch,
+    ) -> Vec<Neighbor> {
+        let mut heap = NeighborHeap::new(k);
+        for (id, pts) in cands {
+            heap.push(id, self.pair_dist(query, pts, s));
         }
+        heap.into_sorted()
     }
 
     /// Maps queries through `f` on up to `threads` workers (order

@@ -35,7 +35,10 @@ fn lower_bounds_are_valid_for_all_measures() {
         for kind in MeasureKind::ALL {
             let m = kind.measure();
             let accel = m.accel().expect("the paper measures are accelerated");
-            let (ca, cb) = (TrajCache::build(&a, accel), TrajCache::build(&b, accel));
+            let (ca, cb) = (
+                TrajCache::build(a.points(), accel),
+                TrajCache::build(b.points(), accel),
+            );
             let d = m.dist(a.points(), b.points());
             for (x, y) in [(&ca, &cb), (&cb, &ca)] {
                 let cheap = lb_cheap(accel, x, y);

@@ -1,11 +1,13 @@
 //! Property-based bit-identity tests of the pruned ground-truth engine:
-//! for every measure, every engine entry point must return **exactly** the
-//! bits the naive per-pair kernels produce, at any thread count. Pruning
+//! for every measure, every engine entry point — the re-rank of a
+//! caller's shortlist included — must return **exactly** the bits the
+//! naive per-pair kernels produce, at any thread count. Pruning
 //! that perturbs even one ULP is a bug, not an approximation.
 
 use neutraj_measures::{
-    top_k, DistanceMatrix, GroundTruthEngine, Measure, MeasureKind, Neighbor, Sspd,
+    neighbor_order, top_k, DistanceMatrix, GroundTruthEngine, Measure, MeasureKind, Neighbor, Sspd,
 };
+use neutraj_obs::simd::SimdLevel;
 use neutraj_trajectory::rng::{cases, Rng};
 use neutraj_trajectory::{Point, Trajectory};
 
@@ -242,4 +244,89 @@ fn distance_matrix_forwards_match_engine() {
             "{kind}"
         );
     }
+}
+
+/// The naive re-rank: one `Measure::dist` per candidate, sorted by
+/// `neighbor_order`, truncated to `k`.
+fn naive_rerank(
+    measure: &dyn Measure,
+    query: &[Point],
+    candidates: &[(usize, &[Point])],
+    k: usize,
+) -> Vec<Neighbor> {
+    let mut out: Vec<Neighbor> = candidates
+        .iter()
+        .map(|&(index, pts)| Neighbor {
+            index,
+            dist: measure.dist(query, pts),
+        })
+        .collect();
+    out.sort_by(neighbor_order);
+    out.truncate(k);
+    out
+}
+
+fn neighbor_bits(v: &[Neighbor]) -> Vec<(usize, u64)> {
+    v.iter().map(|n| (n.index, n.dist.to_bits())).collect()
+}
+
+/// A shortlist drawn from `ts`: up to `ts.len() + 4` members picked with
+/// repeats (one trajectory under several ids, so equal distances must
+/// break by id), under distinct ids that are shuffled and never left
+/// ascending.
+fn arb_shortlist<'t>(rng: &mut Rng, ts: &'t [Trajectory]) -> Vec<(usize, &'t [Point])> {
+    if ts.is_empty() {
+        return Vec::new();
+    }
+    let len = rng.gen_range(0..ts.len() + 5);
+    let mut ids: Vec<usize> = (0..len).map(|i| 1_000 + 7 * i).collect();
+    rng.shuffle(&mut ids);
+    if ids.is_sorted() {
+        ids.reverse();
+    }
+    ids.into_iter()
+        .map(|id| (id, ts[rng.gen_range(0..ts.len())].points()))
+        .collect()
+}
+
+/// The re-rank entry point equals the naive re-rank bit for bit — same
+/// ids, same distance bits, same tie order — for every measure, the
+/// passthrough ones included, at every forced dispatch level and every
+/// `k` from 0 to past the shortlist's length, on random and tied
+/// shortlists, an empty one, and one-point queries and candidates.
+#[test]
+fn rerank_is_bit_identical_to_the_naive_rerank() {
+    let one_point = |x: f64, y: f64| Trajectory::new_unchecked(0, vec![Point::new(x, y)]);
+    let check = |query: &[Point], short: &[(usize, &[Point])]| {
+        for (name, measure) in all_measures() {
+            for k in [0, 1, 2, 5, 9, short.len(), short.len() + 3] {
+                let want = neighbor_bits(&naive_rerank(&*measure, query, short, k));
+                for level in SimdLevel::ALL {
+                    let engine = GroundTruthEngine::new(&*measure, &[]).with_simd_level(level);
+                    let got = neighbor_bits(&engine.rerank(query, short, k));
+                    assert_eq!(got, want, "{name} level={level:?} k={k} m={}", short.len());
+                }
+            }
+        }
+    };
+    cases(24, |rng| {
+        let ts = arb_corpus(rng, 16);
+        let short = arb_shortlist(rng, &ts);
+        let q = &ts[rng.gen_range(0..ts.len())];
+        check(q.points(), &short);
+        // One-point query and one-point candidates among the others.
+        let dot = one_point(rng.gen_range(-8.0..70.0), rng.gen_range(-50.0..8.0));
+        check(dot.points(), &short);
+        let mut dotted = short.clone();
+        for cand in dotted.iter_mut().step_by(3) {
+            cand.1 = dot.points();
+        }
+        check(q.points(), &dotted);
+        check(q.points(), &[]);
+    });
+    let ts = tied_corpus();
+    cases(8, |rng| {
+        let short = arb_shortlist(rng, &ts);
+        check(ts[rng.gen_range(0..ts.len())].points(), &short);
+    });
 }

@@ -40,9 +40,9 @@ use crate::query::{Query, QueryOf, QueryTarget};
 use crate::search::{EmbeddingStore, ScanStats};
 use neutraj_cluster::{KMeans, KMeansParams};
 use neutraj_index::{HnswCodecError, HnswIndex, HnswParams, IvfCodecError, IvfIndex};
-use neutraj_measures::{neighbor_order, Measure, Neighbor};
+use neutraj_measures::{GroundTruthEngine, Measure, Neighbor};
 use neutraj_obs::{names, Counter, Gauge, Histogram, Registry};
-use neutraj_trajectory::{Grid, TrajError, Trajectory};
+use neutraj_trajectory::{Grid, Point, TrajError, Trajectory};
 use std::borrow::Borrow;
 use std::path::Path;
 
@@ -903,11 +903,17 @@ impl SimilarityDb {
 
 /// The exact re-rank stage: re-scores an embedding-space `shortlist` by
 /// `measure` on grid-rescaled coordinates (so values match the training
-/// scale), in [`neighbor_order`] (ties by index, a NaN distance last),
-/// truncated to `k`. `row` resolves a
+/// scale), in [`neighbor_order`](neutraj_measures::neighbor_order) (ties
+/// by index, a NaN distance last), truncated to `k`. `row` resolves a
 /// shortlisted index to its trajectory — a database's own rows, or a
 /// sharded snapshot's global ones — so both re-rank with this one
 /// comparator.
+///
+/// The scoring is [`GroundTruthEngine::rerank`]: for the four paper
+/// measures the ground-truth engine's bound cascade and lane kernels,
+/// which return the bits of one [`Measure::dist`] per candidate without
+/// computing most of them; any other measure takes `Measure::dist` per
+/// candidate.
 pub fn rerank_exact<'t>(
     grid: &Grid,
     shortlist: Vec<Neighbor>,
@@ -917,16 +923,16 @@ pub fn rerank_exact<'t>(
     k: usize,
 ) -> Vec<Neighbor> {
     let q = grid.rescale_trajectory(query);
-    let mut out: Vec<Neighbor> = shortlist
-        .into_iter()
-        .map(|n| Neighbor {
-            index: n.index,
-            dist: measure.dist(q.points(), grid.rescale_trajectory(row(n.index)).points()),
-        })
+    let rows: Vec<Trajectory> = shortlist
+        .iter()
+        .map(|n| grid.rescale_trajectory(row(n.index)))
         .collect();
-    out.sort_by(neighbor_order);
-    out.truncate(k);
-    out
+    let candidates: Vec<(usize, &[Point])> = shortlist
+        .iter()
+        .zip(&rows)
+        .map(|(n, t)| (n.index, t.points()))
+        .collect();
+    GroundTruthEngine::new(measure, &[]).rerank(q.points(), &candidates, k)
 }
 
 #[cfg(test)]

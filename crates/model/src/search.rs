@@ -4,7 +4,13 @@
 //! embedding plus an `O(N·d)` scan — the linear-time claim of the paper.
 //! The paper's protocol re-ranks the learned top-50 with the exact
 //! measure (§VII-C.1); that is `Query::new(k).shortlist(50).rerank(&m)`
-//! through [`SimilarityDb::search`](crate::SimilarityDb::search).
+//! through [`SimilarityDb::search`](crate::SimilarityDb::search). That
+//! stage is [`rerank_exact`](crate::rerank_exact), which hands the
+//! shortlist to the exact ground-truth engine
+//! ([`GroundTruthEngine::rerank`](neutraj_measures::GroundTruthEngine::rerank)):
+//! its bound cascade skips the candidates that cannot make the top `k`
+//! and its lane kernels score the rest eight at a time, bit-identical
+//! to one `Measure::dist` per candidate.
 //!
 //! # One exact regime
 //!

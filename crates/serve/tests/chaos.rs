@@ -20,8 +20,8 @@ use neutraj_serve::{
 use neutraj_trajectory::{BoundingBox, Grid, Point, Trajectory};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, TryRecvError};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 fn model() -> NeuTrajModel {
@@ -53,6 +53,49 @@ fn traj(id: u64, len: usize) -> Trajectory {
 
 fn corpus(n: usize) -> Vec<Trajectory> {
     (0..n).map(|i| traj(i as u64, 3 + (i * 7) % 23)).collect()
+}
+
+/// Holds the shard scans `hold` picks (by their order, from 0) until the
+/// test lets them go: a held scan says on `started` that it has begun,
+/// then waits for one message on `go`. A failing assert drops `go` as it
+/// unwinds (declare the hold after the service, so it drops first), which
+/// lets the scan go, so no failure hangs the test; the wait also ends on
+/// its own after ten seconds.
+struct ScanHold {
+    started: Receiver<()>,
+    go: Sender<()>,
+}
+
+impl ScanHold {
+    fn install(
+        service: &SimilarityService,
+        hold: impl Fn(usize) -> bool + Send + Sync + 'static,
+    ) -> Self {
+        let (started_tx, started) = channel();
+        let (go, go_rx) = channel();
+        let go_rx = Mutex::new(go_rx);
+        let scans = AtomicUsize::new(0);
+        service.set_scan_fault(Some(Arc::new(move |_shard| {
+            if hold(scans.fetch_add(1, Ordering::SeqCst)) {
+                let _ = started_tx.send(());
+                let _ = go_rx.lock().unwrap().recv_timeout(Duration::from_secs(10));
+            }
+            false
+        })));
+        Self { started, go }
+    }
+
+    /// Waits until the next held scan has begun.
+    fn started(&self) {
+        self.started
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the held scan never started");
+    }
+
+    /// Lets the held scan go.
+    fn release(&self) {
+        self.go.send(()).unwrap();
+    }
 }
 
 /// Silences the *injected* panics (they are supposed to fire — their
@@ -360,29 +403,12 @@ fn deadline_storm_answers_typed_without_burning_scans() {
     // leaves the three live ones in arrival order. At `max_batch` 2 the
     // older two leave first, and the third scan — the youngest live
     // request's — is held too while the test checks that everything
-    // older has been answered and it has not. A held scan says it has
-    // started and waits for `go`; a failing assert drops `go`, which
-    // lets it go, so no failure hangs the test.
-    let (started_tx, started) = channel();
-    let (go, go_rx) = channel();
-    let go_rx = Mutex::new(go_rx);
-    let scans = AtomicUsize::new(0);
-    service.set_scan_fault(Some(Arc::new(move |_shard| {
-        if matches!(scans.fetch_add(1, Ordering::SeqCst), 0 | 2) {
-            let _ = started_tx.send(());
-            let _ = go_rx.lock().unwrap().recv_timeout(Duration::from_secs(10));
-        }
-        false
-    })));
-    let scan_started = || {
-        started
-            .recv_timeout(Duration::from_secs(10))
-            .expect("the held scan never started")
-    };
+    // older has been answered and it has not.
+    let hold = ScanHold::install(&service, |scan| matches!(scan, 0 | 2));
     let expired_before = counter(&registry, names::SERVE_DEADLINE_EXPIRED_TOTAL);
     let dispatched_before = counter(&registry, names::SERVE_REQUESTS_TOTAL);
     let held = service.submit(ServeRequest::new(2000, query.clone(), spec));
-    scan_started();
+    hold.started();
     let mut behind: Vec<_> = (0..6u64)
         .map(|i| {
             let t = traj(8100 + i, 6 + i as usize);
@@ -396,7 +422,7 @@ fn deadline_storm_answers_typed_without_burning_scans() {
         })
         .collect();
     assert_eq!(registry.gauge(names::SERVE_QUEUE_DEPTH).get(), 6.0);
-    go.send(()).unwrap();
+    hold.release();
     assert!(held.recv().unwrap().is_ok());
     let snapshot = service.snapshot();
     let check = |expired: bool, t: &Trajectory, reply| match reply {
@@ -410,7 +436,7 @@ fn deadline_storm_answers_typed_without_burning_scans() {
         other => panic!("request {} (expired: {expired}) got {other:?}", t.id),
     };
     let (_, youngest, youngest_rx) = behind.pop().unwrap();
-    scan_started();
+    hold.started();
     for (expired, t, rx) in behind {
         check(
             expired,
@@ -419,7 +445,7 @@ fn deadline_storm_answers_typed_without_burning_scans() {
         );
     }
     assert!(matches!(youngest_rx.try_recv(), Err(TryRecvError::Empty)));
-    go.send(()).unwrap();
+    hold.release();
     check(false, &youngest, youngest_rx.recv().unwrap());
     assert_eq!(
         counter(&registry, names::SERVE_DEADLINE_EXPIRED_TOTAL) - expired_before,
@@ -520,26 +546,17 @@ fn exact_reads_under_pressure_answer_the_exact_oracle() {
         .collect();
     let oracle = sequential_reference(&snapshot, &requests);
 
-    // The first scan meets the test at the barrier twice, so the four
-    // requests behind it fill the queue to its bound before any leaves.
-    let gate = Arc::new(Barrier::new(2));
-    let first = AtomicBool::new(true);
-    let hook = Arc::clone(&gate);
-    service.set_scan_fault(Some(Arc::new(move |_shard| {
-        if first.swap(false, Ordering::SeqCst) {
-            hook.wait();
-            hook.wait();
-        }
-        false
-    })));
+    // The first scan is held, so the four requests behind it fill the
+    // queue to its bound before any leaves.
+    let hold = ScanHold::install(&service, |scan| scan == 0);
     let held = service.submit(requests[0].clone());
-    gate.wait();
+    hold.started();
     let queued: Vec<_> = requests[1..]
         .iter()
         .map(|r| service.submit(r.clone()))
         .collect();
     assert_eq!(registry.gauge(names::SERVE_QUEUE_DEPTH).get(), 4.0);
-    gate.wait();
+    hold.release();
 
     let replies = std::iter::once(held).chain(queued);
     for (rx, want) in replies.zip(oracle) {
@@ -670,28 +687,18 @@ fn every_registered_serve_series_moves() {
     assert!(!resp.degraded && !resp.partial);
     note_moved(&registry, &mut moved);
 
-    // The next scan meets the test at the barrier twice — once to say it
-    // has started, once to be let go — so the queue behind it is filled
-    // while the scheduler provably cannot drain it.
-    let gate = Arc::new(Barrier::new(2));
-    let first = AtomicBool::new(true);
-    let hook = Arc::clone(&gate);
-    service.set_scan_fault(Some(Arc::new(move |_shard| {
-        if first.swap(false, Ordering::SeqCst) {
-            hook.wait();
-            hook.wait();
-        }
-        false
-    })));
+    // The next scan is held until the test lets it go, so the queue
+    // behind it is filled while the scheduler provably cannot drain it.
+    let hold = ScanHold::install(&service, |scan| scan == 0);
     let held = service.submit(request(2));
-    gate.wait();
+    hold.started();
     // Behind the held scan: one request that is already out of time, three
     // that fill the queue to its bound of four, three more that are shed.
     let expired = service.submit(request(3).with_deadline(Duration::ZERO));
     let queued: Vec<_> = (4..7).map(|id| service.submit(request(id))).collect();
     let shed: Vec<_> = (7..10).map(|id| service.submit(request(id))).collect();
     note_moved(&registry, &mut moved); // the queue-depth gauge reads 4 now
-    gate.wait();
+    hold.release();
     assert!(held.recv().unwrap().is_ok());
     assert!(matches!(
         expired.recv().unwrap(),
