@@ -3,8 +3,13 @@
 //! vs NeuTraj, per measure.
 //!
 //! Every approximate method follows the paper's protocol: retrieve top-50,
-//! then re-rank those 50 by the exact distance (§VII-C.1). Reported value
-//! is mean seconds per query.
+//! then re-rank those 50 by the exact distance (§VII-C.1). The learned rows
+//! time `SimilarityDb::search`, the path the library and the service run;
+//! AP's shortlist goes through that path's re-rank stage,
+//! `GroundTruthEngine::rerank`. BruteForce is the paper's naive scan, one
+//! `Measure::dist` per row. The corpus is the training world's city: the
+//! rows its generator draws after the 400 the models trained on. Reported
+//! value is mean seconds per query.
 //!
 //! ```text
 //! cargo run -p neutraj-bench --release --bin table4 [-- --full]
@@ -13,13 +18,16 @@
 use neutraj_bench::Cli;
 use neutraj_eval::harness::{build_ap_for_world, DatasetKind, ExperimentWorld, WorldConfig};
 use neutraj_eval::report::{fmt_seconds, Table};
-use neutraj_measures::{knn_scan, MeasureKind};
-use neutraj_model::{EmbeddingStore, NeuTrajModel, TrainConfig};
+use neutraj_measures::{knn_scan, GroundTruthEngine, MeasureKind};
+use neutraj_model::{NeuTrajModel, Query, SimilarityDb, TrainConfig};
 use neutraj_trajectory::gen::PortoLikeGenerator;
-use neutraj_trajectory::{par, Trajectory};
+use neutraj_trajectory::{par, Point, Trajectory};
+use std::hint::black_box;
 use std::time::Instant;
 
 const K: usize = 50;
+/// Rows of the training world; the search corpus starts after them.
+const WORLD: usize = 400;
 
 fn main() {
     let mut cli = Cli::parse(Cli {
@@ -44,19 +52,22 @@ fn main() {
     // Train the two learned methods once on a small training world; query
     // timing is independent of model quality.
     let train_world = ExperimentWorld::build(WorldConfig {
-        size: 400,
+        size: WORLD,
         seed: cli.seed,
         ..WorldConfig::small(DatasetKind::PortoLike)
     });
 
-    // The large search corpus, rescaled to the training world's grid so
-    // the learned models see coordinates on the scale they trained at.
-    let big = PortoLikeGenerator {
-        num_trajectories: *sizes.last().expect("non-empty sizes"),
+    // The search corpus continues the training world's generator stream:
+    // the same seed draws the same hubs and route templates, so the rows
+    // after the first `WORLD` are more of the city the models trained on,
+    // and none of them is a training row. Rescaled to the world's grid
+    // for the measures that score it directly.
+    let city = PortoLikeGenerator {
+        num_trajectories: WORLD + *sizes.last().expect("non-empty sizes"),
         ..Default::default()
     }
-    .generate(cli.seed ^ 0xB16);
-    let db_all: Vec<Trajectory> = big.trajectories().to_vec();
+    .generate(cli.seed);
+    let db_all: Vec<Trajectory> = city.trajectories()[WORLD..].to_vec();
     let db_all_rescaled: Vec<Trajectory> = db_all
         .iter()
         .map(|t| train_world.grid.rescale_trajectory(t))
@@ -65,6 +76,8 @@ fn main() {
     for measure_kind in MeasureKind::ALL {
         println!("[{measure_kind}]");
         let measure = measure_kind.measure();
+        let engine = GroundTruthEngine::new(&*measure, &[]);
+        let search = Query::new(K).shortlist(K).rerank(&*measure);
         let neutraj = train_once(
             &train_world,
             measure_kind,
@@ -87,12 +100,12 @@ fn main() {
 
         for &size in &sizes {
             let db = &db_all_rescaled[..size];
-            let queries: Vec<&Trajectory> = db.iter().take(cli.queries).collect();
+            let queries = &db[..cli.queries.min(size)];
 
-            // BruteForce: exact scan.
+            // BruteForce: the naive exact scan.
             let t0 = Instant::now();
-            for q in &queries {
-                let _ = knn_scan(&*measure, q, db, K);
+            for q in queries {
+                black_box(knn_scan(&*measure, q, db.iter().enumerate(), K));
             }
             brute_row.push(fmt_seconds(
                 t0.elapsed().as_secs_f64() / queries.len() as f64,
@@ -102,9 +115,13 @@ fn main() {
             match build_ap_for_world(measure_kind, db, cli.seed) {
                 Some(ap) => {
                     let t0 = Instant::now();
-                    for q in &queries {
+                    for q in queries {
                         let short = ap.knn(q, K);
-                        rerank(&*measure, q, db, &short);
+                        let rows: Vec<(usize, &[Point])> = short
+                            .iter()
+                            .map(|n| (n.index, db[n.index].points()))
+                            .collect();
+                        black_box(engine.rerank(q.points(), &rows, K));
                     }
                     ap_row.push(fmt_seconds(
                         t0.elapsed().as_secs_f64() / queries.len() as f64,
@@ -113,17 +130,17 @@ fn main() {
                 None => ap_row.push("-".to_string()),
             }
 
-            // Learned methods: embed db offline, time embed-query + scan +
-            // exact re-rank of 50. The db is in original coordinates for
-            // the model (it normalizes internally via the grid).
+            // Learned methods: embed the corpus offline, then time the
+            // served search — embed the query, scan, re-rank the 50. The
+            // database holds original coordinates (the model normalizes
+            // through its grid, and the re-rank rescales with it).
             let db_orig = &db_all[..size];
             for (model, row) in [(&no_sam, &mut nosam_row), (&neutraj, &mut neutraj_row)] {
-                let store = EmbeddingStore::build(model, db_orig, par::threads());
+                let sdb =
+                    SimilarityDb::with_corpus(model.clone(), db_orig.to_vec(), par::threads());
                 let t0 = Instant::now();
-                for (qi, _q) in queries.iter().enumerate() {
-                    let q_emb = model.embed(&db_orig[qi]);
-                    let short = store.knn(&q_emb, K);
-                    rerank(&*measure, &db[qi], db, &short);
+                for q in &db_orig[..queries.len()] {
+                    black_box(sdb.search(q, &search).expect("a generated query is valid"));
                 }
                 row.push(fmt_seconds(
                     t0.elapsed().as_secs_f64() / queries.len() as f64,
@@ -141,18 +158,4 @@ fn main() {
 fn train_once(world: &ExperimentWorld, kind: MeasureKind, cfg: TrainConfig) -> NeuTrajModel {
     let measure = kind.measure();
     world.train(&*measure, cfg).0
-}
-
-fn rerank(
-    measure: &dyn neutraj_measures::Measure,
-    q: &Trajectory,
-    db: &[Trajectory],
-    short: &[neutraj_measures::Neighbor],
-) {
-    let mut exact: Vec<(usize, f64)> = short
-        .iter()
-        .map(|n| (n.index, measure.dist(q.points(), db[n.index].points())))
-        .collect();
-    exact.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
-    std::hint::black_box(exact);
 }

@@ -3,6 +3,12 @@
 //! BruteForce vs AP vs NeuTraj ranking of the pruned candidate set, plus
 //! the number of involved trajectories.
 //!
+//! BruteForce is the paper's naive scan of the index's candidates, one
+//! `Measure::dist` each. AP and NeuTraj rank the candidates, and their
+//! top-50 go through the served path's re-rank stage,
+//! `GroundTruthEngine::rerank`. The corpus is the training world's city:
+//! the rows its generator draws after the 400 the model trained on.
+//!
 //! ```text
 //! cargo run -p neutraj-bench --release --bin table5 [-- --full]
 //! ```
@@ -11,14 +17,19 @@ use neutraj_bench::Cli;
 use neutraj_eval::harness::{build_ap_for_world, DatasetKind, ExperimentWorld, WorldConfig};
 use neutraj_eval::report::{fmt_seconds, Table};
 use neutraj_index::{GridInvertedIndex, RTree, SpatialIndex};
-use neutraj_measures::{knn_query, partial_sort_neighbors, MeasureKind, Neighbor};
+use neutraj_measures::{
+    knn_scan, partial_sort_neighbors, GroundTruthEngine, MeasureKind, Neighbor,
+};
 use neutraj_model::{EmbeddingStore, TrainConfig};
 use neutraj_nn::linalg::euclidean_sq;
 use neutraj_trajectory::gen::PortoLikeGenerator;
-use neutraj_trajectory::{par, Grid, Trajectory};
+use neutraj_trajectory::{par, Grid, Point, Trajectory};
+use std::hint::black_box;
 use std::time::Instant;
 
 const K: usize = 50;
+/// Rows of the training world; the search corpus starts after them.
+const WORLD: usize = 400;
 
 fn main() {
     let mut cli = Cli::parse(Cli {
@@ -42,20 +53,23 @@ fn main() {
 
     let kind = MeasureKind::Frechet;
     let measure = kind.measure();
+    let engine = GroundTruthEngine::new(&*measure, &[]);
 
     let train_world = ExperimentWorld::build(WorldConfig {
-        size: 400,
+        size: WORLD,
         seed: cli.seed,
         ..WorldConfig::small(DatasetKind::PortoLike)
     });
     let (model, _) = train_world.train(&*measure, cli.train_config(TrainConfig::neutraj()));
 
-    let big = PortoLikeGenerator {
-        num_trajectories: *sizes.last().expect("non-empty"),
+    // The same generator stream as the training world: its rows after the
+    // first `WORLD` are more of the same city, none of them a training row.
+    let city = PortoLikeGenerator {
+        num_trajectories: WORLD + *sizes.last().expect("non-empty"),
         ..Default::default()
     }
-    .generate(cli.seed ^ 0xB16);
-    let db_all: Vec<Trajectory> = big.trajectories().to_vec();
+    .generate(cli.seed);
+    let db_all: Vec<Trajectory> = city.trajectories()[WORLD..].to_vec();
     let db_all_rescaled: Vec<Trajectory> = db_all
         .iter()
         .map(|t| train_world.grid.rescale_trajectory(t))
@@ -102,10 +116,20 @@ fn main() {
                 involved_total += c.len();
             }
 
+            // The served re-rank stage over a method's top-K candidates.
+            let rerank = |q: usize, short: &[Neighbor]| {
+                let rows: Vec<(usize, &[Point])> = short
+                    .iter()
+                    .map(|n| (n.index, db[n.index].points()))
+                    .collect();
+                black_box(engine.rerank(db[q].points(), &rows, K));
+            };
+
             // BruteForce over candidates.
             let t0 = Instant::now();
             for (qi, &q) in queries.iter().enumerate() {
-                let _ = knn_query(&*measure, &db[q], db, &candidate_sets[qi], K);
+                let rows = candidate_sets[qi].iter().map(|&i| (i, &db[i]));
+                black_box(knn_scan(&*measure, &db[q], rows, K));
             }
             brute_row.push(fmt_seconds(
                 t0.elapsed().as_secs_f64() / queries.len() as f64,
@@ -114,14 +138,7 @@ fn main() {
             // AP over candidates (+ exact re-rank of the 50).
             let t0 = Instant::now();
             for (qi, &q) in queries.iter().enumerate() {
-                let short = ap.knn_candidates(&db[q], &candidate_sets[qi], K);
-                let _ = knn_query(
-                    &*measure,
-                    &db[q],
-                    db,
-                    &short.iter().map(|n| n.index).collect::<Vec<_>>(),
-                    K,
-                );
+                rerank(q, &ap.knn_candidates(&db[q], &candidate_sets[qi], K));
             }
             ap_row.push(fmt_seconds(
                 t0.elapsed().as_secs_f64() / queries.len() as f64,
@@ -131,14 +148,7 @@ fn main() {
             let t0 = Instant::now();
             for (qi, &q) in queries.iter().enumerate() {
                 let q_emb = model.embed(&db_orig[q]);
-                let short = nearest_candidates(&store, &q_emb, &candidate_sets[qi]);
-                let _ = knn_query(
-                    &*measure,
-                    &db[q],
-                    db,
-                    &short.iter().map(|n| n.index).collect::<Vec<_>>(),
-                    K,
-                );
+                rerank(q, &nearest_candidates(&store, &q_emb, &candidate_sets[qi]));
             }
             neutraj_row.push(fmt_seconds(
                 t0.elapsed().as_secs_f64() / queries.len() as f64,

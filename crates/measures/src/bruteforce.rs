@@ -13,39 +13,26 @@ pub struct Neighbor {
     pub dist: f64,
 }
 
-/// Scans the whole `database` and returns the `k` nearest trajectories to
-/// `query` under `measure`, ascending by distance (ties by index).
+/// Scores every `(index, trajectory)` row against `query` under
+/// `measure` and returns the `k` nearest, ascending by distance (ties by
+/// index, a NaN distance last). The rows are the whole corpus
+/// (`db.iter().enumerate()`) or the candidates an index kept
+/// (`cands.iter().map(|&i| (i, &db[i]))`) — the shape index-assisted
+/// search takes.
 ///
-/// This is exact and `O(N · L²)` — the quadratic per-pair cost the paper
-/// sets out to remove.
-pub fn knn_scan(
+/// This is exact and one naive `Measure::dist` per row, `O(N · L²)` — the
+/// quadratic per-pair cost the paper sets out to remove.
+pub fn knn_scan<'a>(
     measure: &dyn Measure,
     query: &Trajectory,
-    database: &[Trajectory],
+    rows: impl IntoIterator<Item = (usize, &'a Trajectory)>,
     k: usize,
 ) -> Vec<Neighbor> {
-    let dists: Vec<f64> = database
-        .iter()
-        .map(|t| measure.dist(query.points(), t.points()))
-        .collect();
-    top_k(&dists, k)
-}
-
-/// Like [`knn_scan`] but restricted to `candidates` (indices into
-/// `database`) — the shape index-assisted search takes: an index prunes to
-/// candidates, an exact or learned measure ranks them.
-pub fn knn_query(
-    measure: &dyn Measure,
-    query: &Trajectory,
-    database: &[Trajectory],
-    candidates: &[usize],
-    k: usize,
-) -> Vec<Neighbor> {
-    let mut out: Vec<Neighbor> = candidates
-        .iter()
-        .map(|&i| Neighbor {
-            index: i,
-            dist: measure.dist(query.points(), database[i].points()),
+    let mut out: Vec<Neighbor> = rows
+        .into_iter()
+        .map(|(index, t)| Neighbor {
+            index,
+            dist: measure.dist(query.points(), t.points()),
         })
         .collect();
     partial_sort_neighbors(&mut out, k);
@@ -222,23 +209,81 @@ mod tests {
             .collect()
     }
 
+    /// Distance between the first points' `x`, NaN when the row's is
+    /// negative — exact ties and a NaN where a test wants them.
+    struct FirstX;
+
+    impl Measure for FirstX {
+        fn dist(&self, a: &[Point], b: &[Point]) -> f64 {
+            if b[0].x < 0.0 {
+                f64::NAN
+            } else {
+                (a[0].x - b[0].x).abs()
+            }
+        }
+        fn name(&self) -> &'static str {
+            "first_x"
+        }
+    }
+
     #[test]
     fn scan_finds_nearest_in_order() {
         let db = corpus(10);
-        let res = knn_scan(&Hausdorff, &db[3], &db, 3);
+        let res = knn_scan(&Hausdorff, &db[3], db.iter().enumerate(), 3);
         assert_eq!(res[0].index, 3);
         assert_eq!(res[0].dist, 0.0);
         assert_eq!(res[1].index, 2); // tie with 4 broken by index
         assert_eq!(res[2].index, 4);
+        // k beyond the rows returns every row, sorted.
+        let all = knn_scan(&Hausdorff, &db[3], db.iter().enumerate(), 25);
+        assert_eq!(all.len(), db.len());
+        assert!(all.windows(2).all(|w| neighbor_order(&w[0], &w[1]).is_lt()));
+        assert!(knn_scan(&Hausdorff, &db[3], db.iter().enumerate(), 0).is_empty());
     }
 
     #[test]
     fn query_respects_candidate_set() {
         let db = corpus(10);
-        let res = knn_query(&Hausdorff, &db[0], &db, &[9, 5, 7], 2);
+        let cands = [9, 5, 7];
+        let res = knn_scan(&Hausdorff, &db[0], cands.iter().map(|&i| (i, &db[i])), 2);
         assert_eq!(res.len(), 2);
         assert_eq!(res[0].index, 5);
         assert_eq!(res[1].index, 7);
+    }
+
+    #[test]
+    fn candidate_scan_breaks_ties_by_index_and_sorts_nan_last() {
+        // Rows 0..6 repeat three trajectories (x = 0, 1, 2) twice; row 6
+        // carries a NaN distance.
+        let mut db: Vec<Trajectory> = (0..6u64)
+            .map(|id| Trajectory::new_unchecked(id, vec![Point::new((id % 3) as f64, 0.0)]))
+            .collect();
+        db.push(Trajectory::new_unchecked(6, vec![Point::new(-1.0, 0.0)]));
+        let q = Trajectory::new_unchecked(99, vec![Point::new(0.0, 0.0)]);
+        // Shuffled, and a subset: row 4 is not a candidate.
+        let cands = [6usize, 5, 3, 1, 0, 2];
+        let rows = || cands.iter().map(|&i| (i, &db[i]));
+        let got: Vec<(usize, f64)> = knn_scan(&FirstX, &q, rows(), 10)
+            .iter()
+            .map(|n| (n.index, n.dist))
+            .collect();
+        assert_eq!(got.len(), cands.len(), "k beyond the candidates");
+        assert_eq!(
+            &got[..5],
+            &[(0, 0.0), (3, 0.0), (1, 1.0), (2, 2.0), (5, 2.0)],
+            "equal distances order by index"
+        );
+        assert_eq!(got[5].0, 6);
+        assert!(got[5].1.is_nan(), "NaN sorts last");
+        // A narrower k is the prefix.
+        let top3 = knn_scan(&FirstX, &q, rows(), 3);
+        assert_eq!(top3.iter().map(|n| n.index).collect::<Vec<_>>(), [0, 3, 1]);
+        // The whole corpus through the same function: row 4 joins.
+        let whole = knn_scan(&FirstX, &q, db.iter().enumerate(), 4);
+        assert_eq!(
+            whole.iter().map(|n| n.index).collect::<Vec<_>>(),
+            [0, 3, 1, 4]
+        );
     }
 
     #[test]

@@ -43,7 +43,7 @@ mod simd;
 
 pub use bounds::TrajCache;
 pub use bruteforce::{
-    knn_query, knn_scan, neighbor_order, partial_sort_neighbors, top_k, Neighbor, NeighborHeap,
+    knn_scan, neighbor_order, partial_sort_neighbors, top_k, Neighbor, NeighborHeap,
 };
 pub use dtw::Dtw;
 pub use engine::GroundTruthEngine;

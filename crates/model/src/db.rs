@@ -7,10 +7,12 @@
 //! the new trajectory and perform search based on the distance of
 //! embeddings").
 //!
-//! Queries go through one front door: [`SimilarityDb::search`] /
-//! [`SimilarityDb::search_batch`] take a [`QueryTarget`] (ad-hoc
-//! trajectory, raw embedding, or stored index) plus a [`Query`] describing
-//! `k`, the shortlist width, and optional exact re-ranking. When
+//! Queries go through one front door: [`SimilarityDb::search`] takes a
+//! [`QueryTarget`] (an ad-hoc trajectory or a stored index) and
+//! [`SimilarityDb::search_batch`] many trajectories, each with a [`Query`]
+//! describing `k`, the shortlist width, and optional exact re-ranking. A
+//! trajectory target is a batch of one, and every search runs the same
+//! stages: embed, scan, then [`rerank_exact`] when asked. When
 //! instrumented via [`SimilarityDb::instrument`], every query records
 //! per-stage latencies (embed / scan / re-rank) and counters into a
 //! [`Registry`](neutraj_obs::Registry).
@@ -636,9 +638,9 @@ impl SimilarityDb {
     /// sharded scan is bit-identical to the unsharded scan over the
     /// concatenated corpus.
     ///
-    /// Validates the query configuration and each embedding (dimension,
-    /// finiteness) with the same typed rejections as
-    /// [`SimilarityDb::search`].
+    /// Validates the query configuration ([`DbError::InvalidConfig`]) and
+    /// each embedding's dimension and finiteness
+    /// ([`DbError::InvalidEmbedding`]), counted like every other reject.
     pub fn scan_embeddings<M: Copy>(
         &self,
         qrefs: &[&[f64]],
@@ -751,54 +753,40 @@ impl SimilarityDb {
         ]
     }
 
-    /// Answers one query: embeds the target if needed (a no-op for
-    /// [`QueryTarget::Embedding`] / [`QueryTarget::Stored`]), runs the
-    /// norm-trick scan, and — when [`Query::rerank`] is set — re-ranks
-    /// the shortlist with the exact measure. A [`QueryTarget::Stored`]
-    /// target never returns itself.
+    /// Answers one query. A [`QueryTarget::Trajectory`] is
+    /// [`Self::search_batch`] of one; a [`QueryTarget::Stored`] target
+    /// scans the item's stored embedding and never returns the item
+    /// itself. Either way the scan and the optional exact re-rank are the
+    /// stage every search runs.
     ///
     /// Targets convert implicitly: `db.search(&trajectory, &q)`,
-    /// `db.search(&embedding[..], &q)`, `db.search(stored_idx, &q)`.
+    /// `db.search(stored_idx, &q)`.
     ///
     /// Invalid input — an empty/non-finite trajectory, an out-of-range
-    /// stored index, a wrong-dimension or non-finite raw embedding —
-    /// returns a typed [`DbError`] before any scan work (and counts into
-    /// `neutraj_db_rejects_total` when instrumented). So does re-ranking
-    /// a raw-embedding target ([`DbError::InvalidConfig`]): there is no
-    /// trajectory to hand to the exact measure.
+    /// stored index — returns a typed [`DbError`] before any scan work
+    /// (and counts into `neutraj_db_rejects_total` when instrumented).
     pub fn search<'a>(
         &self,
         target: impl Into<QueryTarget<'a>>,
         query: &Query,
     ) -> Result<Vec<Neighbor>, DbError> {
-        self.check_query(query)?;
+        const ONE: &str = "one query in, one result out";
         match target.into() {
-            QueryTarget::Trajectory(t) => {
-                self.check(t)?;
-                let span = self.metrics.as_ref().map(|m| m.embed_seconds.start_timer());
-                let qe = self.model.embed(t);
-                drop(span);
-                Ok(self.search_resolved(&qe, Some(t), None, query))
-            }
-            QueryTarget::Embedding(e) => {
-                self.check_embedding(e)?;
-                if query.rerank_measure().is_some() {
-                    return Err(self.reject(DbError::InvalidConfig(
-                        "re-ranking needs a trajectory-backed target (a trajectory or a \
-                         stored index), not a raw embedding"
-                            .into(),
-                    )));
-                }
-                Ok(self.search_resolved(e, None, None, query))
-            }
+            QueryTarget::Trajectory(t) => Ok(self
+                .search_batch(std::slice::from_ref(t), query)?
+                .pop()
+                .expect(ONE)),
             QueryTarget::Stored(idx) => {
+                self.check_query(query)?;
                 let Some(stored) = self.trajectories.get(idx) else {
                     return Err(self.reject(DbError::UnknownIndex {
                         index: idx,
                         len: self.len(),
                     }));
                 };
-                Ok(self.search_resolved(self.embeddings.get(idx), Some(stored), Some(idx), query))
+                let emb = self.embeddings.get(idx);
+                let mut out = self.scan_rerank(&[emb], &[stored], Some(idx), query);
+                Ok(out.pop().expect(ONE))
             }
         }
     }
@@ -806,8 +794,8 @@ impl SimilarityDb {
     /// Answers a whole batch of ad-hoc queries: one lockstep batched
     /// embed, then one exact scan of the corpus shared by every query (one
     /// read of its int8 codes), then (optionally) per-query exact
-    /// re-ranking. Each
-    /// result is bit-identical to [`Self::search`] on that query.
+    /// re-ranking. A trajectory target of [`Self::search`] is this with
+    /// one query.
     ///
     /// All-or-nothing on invalid input: every query trajectory is
     /// validated first, and one bad query rejects the batch.
@@ -820,79 +808,56 @@ impl SimilarityDb {
         for q in queries {
             self.check(q)?;
         }
-        let m = self.metrics.as_ref();
-        if let Some(m) = m {
-            m.queries_total.add(queries.len() as u64);
-        }
-        let span = m.map(|m| m.embed_seconds.start_timer());
+        let span = self.metrics.as_ref().map(|m| m.embed_seconds.start_timer());
         let qembs = self.model.embed_batch(queries);
         drop(span);
         let qrefs: Vec<&[f64]> = qembs.iter().map(|e| e.as_slice()).collect();
-        let span = m.map(|m| m.scan_seconds.start_timer());
-        let (shorts, _) = self.scan_batch(&qrefs, query.scan_fetch(), query);
-        drop(span);
-        if let Some(m) = m {
-            m.candidates_total
-                .add(shorts.iter().map(|s| s.len() as u64).sum());
-        }
-        match query.rerank_measure() {
-            None => Ok(shorts),
-            Some(measure) => {
-                let span = m.map(|m| m.rerank_seconds.start_timer());
-                let out = shorts
-                    .into_iter()
-                    .zip(queries)
-                    .map(|(short, q)| {
-                        let row = |i: usize| self.trajectories.row(i);
-                        rerank_exact(self.model.grid(), short, q, row, measure, query.k())
-                    })
-                    .collect();
-                drop(span);
-                Ok(out)
-            }
-        }
+        Ok(self.scan_rerank(&qrefs, queries, None, query))
     }
 
-    /// The scan + (optional) re-rank stages, after the query embedding is
-    /// in hand. `exclude` implements stored-target self-exclusion.
-    fn search_resolved(
+    /// The scan and (optional) exact re-rank stages of every search, once
+    /// the query embeddings `qrefs` of `qtrajs` are in hand. `exclude`
+    /// drops one stored row from every list (a stored target's
+    /// self-exclusion), fetching one row more so the list stays full.
+    fn scan_rerank<T: Borrow<Trajectory>>(
         &self,
-        emb: &[f64],
-        qtraj: Option<&Trajectory>,
+        qrefs: &[&[f64]],
+        qtrajs: &[T],
         exclude: Option<usize>,
         query: &Query,
-    ) -> Vec<Neighbor> {
+    ) -> Vec<Vec<Neighbor>> {
         let m = self.metrics.as_ref();
         if let Some(m) = m {
-            m.queries_total.inc();
+            m.queries_total.add(qtrajs.len() as u64);
         }
         let want = query.scan_fetch();
         let fetch = want + usize::from(exclude.is_some());
         let span = m.map(|m| m.scan_seconds.start_timer());
-        let mut short = self
-            .scan_batch(&[emb], fetch, query)
-            .0
-            .pop()
-            .expect("one query in, one result out");
+        let (mut shorts, _) = self.scan_batch(qrefs, fetch, query);
         drop(span);
         if let Some(idx) = exclude {
-            short.retain(|n| n.index != idx);
-            short.truncate(want);
-        }
-        if let Some(m) = m {
-            m.candidates_total.add(short.len() as u64);
-        }
-        match query.rerank_measure() {
-            None => short,
-            Some(measure) => {
-                let qtraj = qtraj.expect("search rejected re-ranking a raw embedding");
-                let span = m.map(|m| m.rerank_seconds.start_timer());
-                let row = |i: usize| self.trajectories.row(i);
-                let out = rerank_exact(self.model.grid(), short, qtraj, row, measure, query.k());
-                drop(span);
-                out
+            for short in &mut shorts {
+                short.retain(|n| n.index != idx);
+                short.truncate(want);
             }
         }
+        if let Some(m) = m {
+            m.candidates_total
+                .add(shorts.iter().map(|s| s.len() as u64).sum());
+        }
+        let Some(measure) = query.rerank_measure() else {
+            return shorts;
+        };
+        let span = m.map(|m| m.rerank_seconds.start_timer());
+        let row = |i: usize| self.trajectories.row(i);
+        let grid = self.model.grid();
+        let out = shorts
+            .into_iter()
+            .zip(qtrajs)
+            .map(|(short, q)| rerank_exact(grid, short, q.borrow(), row, measure, query.k()))
+            .collect();
+        drop(span);
+        out
     }
 
     /// Learned similarity `g` between two *stored* items.
@@ -1004,11 +969,8 @@ mod tests {
         let (model, trajs) = trained_model_and_corpus();
         let db = SimilarityDb::with_corpus(model, trajs.clone(), 2);
         let q = Query::new(4);
-        // Trajectory target == knn; embedding target == knn_embedding.
+        // Trajectory target == knn.
         let by_traj = db.search(&trajs[5], &q).unwrap();
-        let emb = db.embedding(5).to_vec();
-        let by_emb = db.search(&emb[..], &q).unwrap();
-        assert_eq!(by_traj, by_emb);
         assert_eq!(by_traj[0].index, 5);
         // Stored target excludes self.
         let by_idx = db.search(5usize, &q).unwrap();
@@ -1077,45 +1039,20 @@ mod tests {
         assert!(matches!(err, DbError::InvalidTrajectory { id: 900, .. }));
         assert_eq!(db.len(), before, "failed insert mutated the store");
 
-        // Query-side: empty trajectory, out-of-range index, bad embedding.
+        // Query-side: empty trajectory, out-of-range index.
         assert!(db.search(&empty, &Query::new(3)).is_err());
         let err = db.search(db.len() + 5, &Query::new(3)).unwrap_err();
         assert!(matches!(err, DbError::UnknownIndex { .. }), "{err}");
-        let short = vec![0.0; db.model().dim() - 1];
-        let err = db.search(&short[..], &Query::new(3)).unwrap_err();
-        assert!(matches!(err, DbError::InvalidEmbedding(_)), "{err}");
-        let nan = vec![f64::NAN; db.model().dim()];
-        assert!(db.search(&nan[..], &Query::new(3)).is_err());
         let err = db
             .search_batch(&[trajs[0].clone(), empty], &Query::new(3))
             .unwrap_err();
         assert!(matches!(err, DbError::InvalidTrajectory { .. }));
 
         // Every rejection above was counted.
-        assert_eq!(registry.counter(names::DB_REJECTS_TOTAL).get(), 8);
+        assert_eq!(registry.counter(names::DB_REJECTS_TOTAL).get(), 6);
         // Valid traffic still flows.
         assert!(db.insert(trajs[2].clone()).is_ok());
         assert_eq!(db.search(&trajs[0], &Query::new(3)).unwrap().len(), 3);
-    }
-
-    #[test]
-    fn rerank_of_raw_embedding_is_a_typed_error() {
-        let (model, trajs) = trained_model_and_corpus();
-        let registry = Registry::new();
-        let mut db = SimilarityDb::with_corpus(model, trajs, 2);
-        db.instrument(&registry);
-        let emb = db.embedding(0).to_vec();
-        let err = db
-            .search(&emb[..], &Query::new(2).rerank(&Hausdorff))
-            .unwrap_err();
-        assert!(matches!(err, DbError::InvalidConfig(_)), "{err}");
-        assert!(
-            err.to_string().contains("trajectory-backed target"),
-            "{err}"
-        );
-        assert_eq!(registry.counter(names::DB_REJECTS_TOTAL).get(), 1);
-        // The same embedding without the re-rank is served.
-        assert_eq!(db.search(&emb[..], &Query::new(2)).unwrap()[0].index, 0);
     }
 
     #[test]

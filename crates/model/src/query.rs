@@ -4,8 +4,8 @@
 //! optional IVF or graph shortlist, optional exact re-ranking — the
 //! exhaustive scan is exact at every batch width); a
 //! [`QueryTarget`]
-//! describes *what* to search for (an ad-hoc trajectory, a precomputed
-//! embedding, or a stored item). The struct is generic over how the
+//! describes *what* to search for (an ad-hoc trajectory or a stored
+//! item). The struct is generic over how the
 //! re-rank measure is named, and that is the only difference between its
 //! two forms: [`Query`] borrows any [`Measure`] (the paper's "generic" —
 //! a caller-owned `Erp` with its own gap, `Sspd`, a custom impl), while
@@ -235,16 +235,12 @@ impl QuerySpec {
 }
 
 /// What to search for. Usually built implicitly through `Into`:
-/// `db.search(&trajectory, &q)`, `db.search(&embedding[..], &q)`, or
-/// `db.search(stored_index, &q)`.
+/// `db.search(&trajectory, &q)` or `db.search(stored_index, &q)`.
 #[derive(Debug, Clone, Copy)]
 pub enum QueryTarget<'a> {
     /// An ad-hoc trajectory: embedded (one `O(L)` forward pass), then
     /// scanned.
     Trajectory(&'a Trajectory),
-    /// A precomputed query embedding: scanned directly. Cannot be
-    /// re-ranked (there is no trajectory to hand to the exact measure).
-    Embedding(&'a [f64]),
     /// A stored item by index: its own embedding is scanned and the item
     /// itself is excluded from the results.
     Stored(usize),
@@ -253,18 +249,6 @@ pub enum QueryTarget<'a> {
 impl<'a> From<&'a Trajectory> for QueryTarget<'a> {
     fn from(t: &'a Trajectory) -> Self {
         QueryTarget::Trajectory(t)
-    }
-}
-
-impl<'a> From<&'a [f64]> for QueryTarget<'a> {
-    fn from(e: &'a [f64]) -> Self {
-        QueryTarget::Embedding(e)
-    }
-}
-
-impl<'a> From<&'a Vec<f64>> for QueryTarget<'a> {
-    fn from(e: &'a Vec<f64>) -> Self {
-        QueryTarget::Embedding(e.as_slice())
     }
 }
 

@@ -111,7 +111,7 @@ fn old_knn_reranked_batch(
 }
 
 /// `search` with each target kind is bit-identical to the historical
-/// `knn` / `knn_embedding` / `knn_of` pipelines.
+/// `knn` / `knn_of` pipelines.
 #[test]
 fn search_bit_identical_to_old_scalar_paths() {
     cases(10, |rng| {
@@ -125,9 +125,6 @@ fn search_bit_identical_to_old_scalar_paths() {
         // Ad-hoc trajectory target == old knn.
         let ad_hoc = traj(999, 3 + probe * 2);
         assert_eq!(db.search(&ad_hoc, &q).unwrap(), old_knn(&db, &ad_hoc, k));
-        // Raw embedding target == old knn_embedding.
-        let emb = db.embedding(probe).to_vec();
-        assert_eq!(db.search(&emb[..], &q).unwrap(), db.store().knn(&emb, k));
         // Stored target == old knn_of (self-excluded).
         assert_eq!(db.search(probe, &q).unwrap(), old_knn_of(&db, probe, k));
     });
@@ -135,7 +132,8 @@ fn search_bit_identical_to_old_scalar_paths() {
 
 /// `search_batch` (plain and re-ranked) is bit-identical to the
 /// historical `knn_batch` / `knn_reranked_batch` pipelines, and the
-/// re-ranked single-query `search` matches the batch's first row.
+/// re-ranked single-query `search` matches the batch's first row on the
+/// exhaustive scan, the IVF probe and the graph walk alike.
 #[test]
 fn search_batch_bit_identical_to_old_batch_paths() {
     cases(10, |rng| {
@@ -147,7 +145,13 @@ fn search_batch_bit_identical_to_old_batch_paths() {
             .collect::<Vec<_>>();
         let k = rng.gen_range(1usize..8);
         let extra = rng.gen_range(0usize..20);
-        let (db, _corpus) = db_from(&lens);
+        let (mut db, _corpus) = db_from(&lens);
+        db.build_ann_index(&AnnParams {
+            nlists: 3,
+            ..Default::default()
+        })
+        .unwrap();
+        db.build_graph_index(&HnswParams::default(), 2).unwrap();
         let queries: Vec<Trajectory> = qlens
             .iter()
             .enumerate()
@@ -164,7 +168,14 @@ fn search_batch_bit_identical_to_old_batch_paths() {
             &got,
             &old_knn_reranked_batch(&db, &queries, &Hausdorff, shortlist, k)
         );
-        assert_eq!(&db.search(&queries[0], &reranked).unwrap(), &got[0]);
+        for spec in [
+            reranked,
+            reranked.shortlist_ann(2),
+            reranked.shortlist_graph(shortlist),
+        ] {
+            let batch = db.search_batch(&queries, &spec).unwrap();
+            assert_eq!(&db.search(&queries[0], &spec).unwrap(), &batch[0]);
+        }
     });
 }
 

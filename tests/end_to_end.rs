@@ -124,13 +124,15 @@ fn siamese_trains_and_is_finite() {
 #[test]
 fn index_assisted_search_agrees_with_full_search_at_large_radius() {
     use neutraj::index::{RTree, SpatialIndex};
+    use neutraj::measures::knn_scan;
     let w = world(150, 9);
     let db = w.test_db_rescaled();
     let tree = RTree::build(&db);
     // A radius covering everything makes pruned search == full search.
     let candidates = tree.candidates(&db[0], f64::INFINITY);
     assert_eq!(candidates.len(), db.len());
-    let full = neutraj::measures::knn_scan(&Hausdorff, &db[0], &db, 10);
-    let pruned = neutraj::measures::knn_query(&Hausdorff, &db[0], &db, &candidates, 10);
+    let full = knn_scan(&Hausdorff, &db[0], db.iter().enumerate(), 10);
+    let rows = candidates.iter().map(|&i| (i, &db[i]));
+    let pruned = knn_scan(&Hausdorff, &db[0], rows, 10);
     assert_eq!(full, pruned);
 }
