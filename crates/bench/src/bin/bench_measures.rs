@@ -14,17 +14,13 @@
 //!   against a full-scan `top_k` over naive per-pair rows, one contiguous
 //!   chunk of queries per worker.
 //!
-//! A third section measures the SIMD dispatch (`DESIGN.md` §12): the
-//! matrix workload with the lane kernels forced scalar versus forced
-//! AVX2, for the three DP measures (the lane kernels have no AVX-512
-//! arm, so an AVX-512 host runs them there too). On an AVX2 or AVX-512
-//! host the run **asserts**
-//! the Fréchet matrix speedup ≥ 1.5× (the squared-space kernel removes
-//! the per-cell `vsqrtpd`); DTW/ERP remain sqrt-throughput-bound and are
-//! recorded without a gate. Hosts without AVX2 print a
-//! `simd-gate: skipped` marker instead.
+//! At 500 rows and up the run **asserts** the engine's Fréchet matrix at
+//! least 4× the naive per-pair DP (`frechet-gate`): its lane rows run in
+//! squared-distance space, with no `sqrt` per cell, and vectorize
+//! (`DESIGN.md` §12); losing either drops the ratio to ≈ 2.7×. Smaller
+//! corpora print a `frechet-gate: skipped` marker.
 //!
-//! A fourth, **rerank**, times the re-rank stage of a shortlist search
+//! A third section, **rerank**, times the re-rank stage of a shortlist search
 //! (`DESIGN.md` §13) per measure: each query's exact top-50 (from the
 //! knn section's workload, so every candidate is a near neighbour and the
 //! bounds have the least to prune) re-ranked to the top 10, one query at
@@ -61,7 +57,6 @@ use neutraj_eval::harness::DatasetKind;
 use neutraj_measures::{
     neighbor_order, top_k, DistanceMatrix, GroundTruthEngine, Measure, MeasureKind, Neighbor,
 };
-use neutraj_obs::simd::SimdLevel;
 use neutraj_obs::{names, Registry};
 use neutraj_trajectory::{par, Point, Trajectory};
 
@@ -70,6 +65,9 @@ const K: usize = 50;
 
 /// Timed passes per measurement; the fastest is reported.
 const REPEATS: usize = 3;
+
+/// The floor for the engine's Fréchet matrix over the naive per-pair DP.
+const FRECHET_GATE: f64 = 4.0;
 
 fn main() {
     let cli = Cli::parse(Cli {
@@ -98,41 +96,25 @@ fn main() {
         .map(|&kind| bench_measure(kind, corpus, &queries, threads, &registry))
         .collect();
 
-    // SIMD before/after: the PR 5 scalar lane kernels versus the AVX2
-    // dispatch, forced in-process on the same engine workload. Only the
-    // DP measures have lane kernels (Hausdorff takes the pairwise grid
-    // path), and `matrix` is all lane kernels — the knn path runs the same
-    // ones, but behind its bound cascade, which would blur the A/B.
-    let detected = neutraj_obs::simd::detect();
-    println!("simd: host dispatch level {detected:?}");
-    let simd_rows: Vec<SimdRow> = [MeasureKind::Frechet, MeasureKind::Erp, MeasureKind::Dtw]
-        .iter()
-        .map(|&kind| bench_simd(kind, corpus, threads))
-        .collect();
-    if detected >= SimdLevel::Avx2 && n >= 500 {
-        // In-process gate (DESIGN.md §12): the squared-space Fréchet
-        // kernel must clear 1.5x on an AVX2 host. DTW/ERP stay
-        // sqrt-throughput-bound (the scalar oracle takes a square root
-        // per DP cell, and `vsqrtpd` throughput caps the wide version at
-        // parity) — they are recorded, not gated. Tiny smoke corpora
-        // (CI runs --size 120) finish a matrix in well under a
-        // millisecond, where timer noise would make the ratio a coin
-        // flip — the gate needs the default-size workload.
-        let f = simd_rows
+    // Tiny smoke corpora (CI runs --size 120) finish a matrix in well
+    // under a millisecond, where timer noise would make the ratio a coin
+    // flip: the gate needs the default-size workload.
+    let frechet_gate = if n >= 500 {
+        let f = rows
             .iter()
             .find(|r| r.kind == MeasureKind::Frechet)
-            .expect("Frechet simd row");
-        let speedup = f.scalar_s / f.avx2_s;
+            .expect("Frechet row");
+        let speedup = f.naive_matrix_s / f.engine_matrix_s;
         assert!(
-            speedup >= 1.5,
-            "simd-gate: Frechet matrix speedup {speedup:.2}x < 1.5x on AVX2 host"
+            speedup >= FRECHET_GATE,
+            "frechet-gate: Frechet matrix speedup {speedup:.2}x < {FRECHET_GATE}x over naive"
         );
-        println!("simd-gate: Frechet matrix {speedup:.2}x >= 1.5x (AVX2)");
-    } else if detected >= SimdLevel::Avx2 {
-        println!("simd-gate: skipped (corpus under 500 rows, timings too noisy)");
+        println!("frechet-gate: Frechet matrix {speedup:.2}x >= {FRECHET_GATE}x over naive");
+        "frechet_matrix_4x: passed"
     } else {
-        println!("simd-gate: skipped (no AVX2 host)");
-    }
+        println!("frechet-gate: skipped (corpus under 500 rows, timings too noisy)");
+        "skipped (corpus under 500 rows)"
+    };
 
     let rerank_rows: Vec<RerankRow> = MeasureKind::ALL
         .iter()
@@ -164,8 +146,7 @@ fn main() {
         &queries,
         threads,
         &rows,
-        &simd_rows,
-        detected,
+        frechet_gate,
         &rerank_rows,
         rerank_gate,
         &report.to_json_indented(2),
@@ -236,44 +217,6 @@ fn bench_measure(
         engine_matrix_s,
         naive_knn_s,
         engine_knn_s,
-    }
-}
-
-/// One DP measure's matrix timing at each forced dispatch level.
-struct SimdRow {
-    kind: MeasureKind,
-    scalar_s: f64,
-    avx2_s: f64,
-}
-
-/// Times `GroundTruthEngine::matrix` with dispatch forced to scalar and
-/// to AVX2 (interleaved best-of-N, like [`bench_measure`]), asserting
-/// the two matrices bit-identical on every pass. On a host without AVX2
-/// the forced request falls back to scalar and the ratio is ~1.0.
-fn bench_simd(kind: MeasureKind, corpus: &[Trajectory], threads: usize) -> SimdRow {
-    let measure = kind.measure();
-    let scalar = GroundTruthEngine::new(&*measure, corpus).with_simd_level(SimdLevel::Scalar);
-    let wide = GroundTruthEngine::new(&*measure, corpus).with_simd_level(SimdLevel::Avx2);
-    let mut scalar_s = f64::INFINITY;
-    let mut avx2_s = f64::INFINITY;
-    for _ in 0..REPEATS {
-        let start = Instant::now();
-        let base = scalar.matrix(threads);
-        scalar_s = scalar_s.min(start.elapsed().as_secs_f64());
-
-        let start = Instant::now();
-        let got = wide.matrix(threads);
-        avx2_s = avx2_s.min(start.elapsed().as_secs_f64());
-        assert_eq!(got, base, "{kind}: AVX2 matrix diverged from scalar");
-    }
-    println!(
-        "  simd {kind}: matrix {scalar_s:.2}s (scalar) -> {avx2_s:.2}s (avx2) ({:.2}x)",
-        scalar_s / avx2_s
-    );
-    SimdRow {
-        kind,
-        scalar_s,
-        avx2_s,
     }
 }
 
@@ -472,8 +415,7 @@ fn render_json(
     queries: &[usize],
     threads: usize,
     rows: &[MeasureRow],
-    simd_rows: &[SimdRow],
-    detected: SimdLevel,
+    frechet_gate: &str,
     rerank_rows: &[RerankRow],
     rerank_gate: &str,
     metrics_json: &str,
@@ -500,30 +442,6 @@ fn render_json(
             b + r.engine_matrix_s + r.engine_knn_s,
         )
     });
-    let simd_objs = simd_rows
-        .iter()
-        .map(|r| {
-            format!(
-                "      {{\n        \"measure\": \"{}\",\n        \"scalar_matrix_s\": {:.4},\n        \"avx2_matrix_s\": {:.4},\n        \"matrix_speedup\": {:.4}\n      }}",
-                r.kind,
-                r.scalar_s,
-                r.avx2_s,
-                r.scalar_s / r.avx2_s
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",\n");
-    let gate = if detected >= SimdLevel::Avx2 && n >= 500 {
-        "frechet_matrix_1.5x: passed"
-    } else if detected >= SimdLevel::Avx2 {
-        "skipped (corpus under 500 rows)"
-    } else {
-        "skipped (no AVX2 host)"
-    };
-    let simd_json = format!(
-        "{{\n    \"detected\": \"{:?}\",\n    \"gate\": \"{gate}\",\n    \"measures\": [\n{simd_objs}\n    ]\n  }}",
-        detected
-    );
     let rerank_objs = rerank_rows
         .iter()
         .map(|r| {
@@ -542,7 +460,7 @@ fn render_json(
         "{{\n    \"shortlist\": {SHORTLIST},\n    \"k\": {RERANK_K},\n    \"repeats\": {RERANK_REPEATS},\n    \"gate\": \"{rerank_gate}\",\n    \"measures\": [\n{rerank_objs}\n    ]\n  }}"
     );
     format!(
-        "{{\n  \"bench\": \"measures\",\n  \"n\": {n},\n  \"k\": {K},\n  \"queries\": {},\n  \"threads\": {threads},\n  \"seed\": {},\n  \"measures\": [\n{measure_objs}\n  ],\n  \"naive_total_s\": {naive_total:.4},\n  \"engine_total_s\": {engine_total:.4},\n  \"total_speedup\": {:.4},\n  \"simd\": {simd_json},\n  \"rerank\": {rerank_json},\n  \"metrics\": {metrics_json}\n}}\n",
+        "{{\n  \"bench\": \"measures\",\n  \"n\": {n},\n  \"k\": {K},\n  \"queries\": {},\n  \"threads\": {threads},\n  \"seed\": {},\n  \"measures\": [\n{measure_objs}\n  ],\n  \"naive_total_s\": {naive_total:.4},\n  \"engine_total_s\": {engine_total:.4},\n  \"total_speedup\": {:.4},\n  \"frechet_gate\": \"{frechet_gate}\",\n  \"rerank\": {rerank_json},\n  \"metrics\": {metrics_json}\n}}\n",
         queries.len(),
         cli.seed,
         naive_total / engine_total

@@ -39,7 +39,7 @@
 //! overload pair came within 4 % of each other and crossed (1 of 10). So
 //! a smaller run prints `SERVING_GATE coalesce: skipped (corpus under
 //! 20000 rows)` and records the same numbers without asserting them, the
-//! way `bench_measures` prints `simd-gate: skipped`. What does not depend
+//! way `bench_measures` prints `frechet-gate: skipped`. What does not depend
 //! on timing is asserted at every size: every answer bit-identical to
 //! the sequential reference, and a nonzero shed count under overload.
 //!

@@ -72,14 +72,18 @@ pub fn fmt_metres(v: f64) -> String {
     format!("{}", v.round() as i64)
 }
 
-/// Formats a duration in seconds with adaptive precision.
+/// Formats a duration in seconds with adaptive precision: whole
+/// microseconds under a millisecond, so a sub-millisecond query time keeps
+/// three significant digits.
 pub fn fmt_seconds(s: f64) -> String {
     if s >= 100.0 {
         format!("{s:.1}s")
     } else if s >= 1.0 {
         format!("{s:.2}s")
-    } else {
+    } else if s >= 1e-3 {
         format!("{:.1}ms", s * 1e3)
+    } else {
+        format!("{:.0}us", s * 1e6)
     }
 }
 
@@ -110,5 +114,9 @@ mod tests {
         assert_eq!(fmt_seconds(0.0021), "2.1ms");
         assert_eq!(fmt_seconds(5.25), "5.25s");
         assert_eq!(fmt_seconds(1639.834), "1639.8s");
+        assert_eq!(fmt_seconds(0.000_412_3), "412us");
+        assert_eq!(fmt_seconds(0.000_038_4), "38us");
+        assert_eq!(fmt_seconds(0.001), "1.0ms");
+        assert_eq!(fmt_seconds(0.0), "0us");
     }
 }

@@ -31,7 +31,6 @@ use crate::bounds::{lb_cheap, lb_tight, TrajCache};
 use crate::bruteforce::{Neighbor, NeighborHeap};
 use crate::simd::{self, LANES};
 use crate::{Accel, DistanceMatrix, Measure};
-use neutraj_obs::simd::SimdLevel;
 use neutraj_obs::{names, Counter, Histogram, Registry};
 use neutraj_trajectory::{par, Point, Trajectory};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -213,28 +212,21 @@ fn build_lane_groups(caches: &[TrajCache], ids: &[usize], erp: bool) -> Vec<Lane
 
 /// `outer` against every lane of `g` under the lane kernel of `accel`
 /// (`+inf` where either side is empty, the naive convention).
-fn lane_batch(
-    accel: Accel,
-    outer: &TrajCache,
-    g: &LaneGroup,
-    s: &mut Scratch,
-    level: SimdLevel,
-) -> [f64; LANES] {
+fn lane_batch(accel: Accel, outer: &TrajCache, g: &LaneGroup, s: &mut Scratch) -> [f64; LANES] {
     if outer.is_empty() || g.maxc == 0 {
         return [f64::INFINITY; LANES];
     }
     match accel {
-        Accel::Dtw => dtw_batch(outer, g, s, level),
-        Accel::Frechet => frechet_batch(outer, g, s, level),
-        Accel::Erp { .. } => erp_batch(outer, g, s, level),
+        Accel::Dtw => dtw_batch(outer, g, s),
+        Accel::Frechet => frechet_batch(outer, g, s),
+        Accel::Erp { .. } => erp_batch(outer, g, s),
         Accel::Hausdorff => unreachable!("Hausdorff has no lane kernel"),
     }
 }
 
 /// Batched [`crate::Dtw::full`]: `outer` against every lane of `g`. The
-/// per-row chain runs in `crate::simd` at the requested dispatch level
-/// (scalar oracle or AVX2 — bit-identical either way).
-fn dtw_batch(outer: &TrajCache, g: &LaneGroup, s: &mut Scratch, level: SimdLevel) -> [f64; LANES] {
+/// per-row chain runs in `crate::simd`.
+fn dtw_batch(outer: &TrajCache, g: &LaneGroup, s: &mut Scratch) -> [f64; LANES] {
     let maxc = g.maxc;
     let w = (maxc + 1) * LANES;
     s.prev.clear();
@@ -245,7 +237,7 @@ fn dtw_batch(outer: &TrajCache, g: &LaneGroup, s: &mut Scratch, level: SimdLevel
     for i in 0..outer.len() {
         let (ox, oy) = (outer.xs[i], outer.ys[i]);
         s.cur[..LANES].fill(f64::INFINITY);
-        simd::dtw_row(level, ox, oy, &g.gx, &g.gy, &s.prev, &mut s.cur);
+        simd::dtw_row(ox, oy, &g.gx, &g.gy, &s.prev, &mut s.cur);
         std::mem::swap(&mut s.prev, &mut s.cur);
     }
     std::array::from_fn(|l| {
@@ -257,13 +249,9 @@ fn dtw_batch(outer: &TrajCache, g: &LaneGroup, s: &mut Scratch, level: SimdLevel
     })
 }
 
-/// Batched [`crate::DiscreteFrechet::compute`].
-fn frechet_batch(
-    outer: &TrajCache,
-    g: &LaneGroup,
-    s: &mut Scratch,
-    level: SimdLevel,
-) -> [f64; LANES] {
+/// Batched [`crate::DiscreteFrechet::compute`], in squared-distance
+/// space until the readout.
+fn frechet_batch(outer: &TrajCache, g: &LaneGroup, s: &mut Scratch) -> [f64; LANES] {
     let maxc = g.maxc;
     let w = maxc * LANES;
     s.prev.clear();
@@ -271,39 +259,24 @@ fn frechet_batch(
     s.cur.clear();
     s.cur.resize(w, 0.0);
     // Row 0: a horizontal running-max chain per lane.
-    simd::frechet_row0(level, outer.xs[0], outer.ys[0], &g.gx, &g.gy, &mut s.prev);
+    simd::frechet_row0(outer.xs[0], outer.ys[0], &g.gx, &g.gy, &mut s.prev);
     for i in 1..outer.len() {
-        simd::frechet_row(
-            level,
-            outer.xs[i],
-            outer.ys[i],
-            &g.gx,
-            &g.gy,
-            &s.prev,
-            &mut s.cur,
-        );
+        simd::frechet_row(outer.xs[i], outer.ys[i], &g.gx, &g.gy, &s.prev, &mut s.cur);
         std::mem::swap(&mut s.prev, &mut s.cur);
     }
-    // The AVX2 rows run the min/max DP over squared distances; one sqrt
-    // per lane here reproduces the scalar result bitwise (monotone sqrt
-    // commutes with min/max — see `simd::frechet_squared`).
-    let squared = simd::frechet_squared(level);
+    // One sqrt per lane reproduces the distance-space DP bitwise
+    // (monotone sqrt commutes with min/max — see `crate::simd`).
     std::array::from_fn(|l| {
         if g.len[l] == 0 {
             f64::INFINITY
         } else {
-            let v = s.prev[(g.len[l] - 1) * LANES + l];
-            if squared {
-                v.sqrt()
-            } else {
-                v
-            }
+            s.prev[(g.len[l] - 1) * LANES + l].sqrt()
         }
     })
 }
 
 /// Batched [`crate::Erp::compute`].
-fn erp_batch(outer: &TrajCache, g: &LaneGroup, s: &mut Scratch, level: SimdLevel) -> [f64; LANES] {
+fn erp_batch(outer: &TrajCache, g: &LaneGroup, s: &mut Scratch) -> [f64; LANES] {
     let maxc = g.maxc;
     let w = (maxc + 1) * LANES;
     s.prev.clear();
@@ -318,9 +291,7 @@ fn erp_batch(outer: &TrajCache, g: &LaneGroup, s: &mut Scratch, level: SimdLevel
         let gi = outer.gap_dists[i];
         edge += gi;
         s.cur[..LANES].fill(edge);
-        simd::erp_row(
-            level, ox, oy, gi, edge, &g.gx, &g.gy, &g.gg, &s.prev, &mut s.cur,
-        );
+        simd::erp_row(ox, oy, gi, edge, &g.gx, &g.gy, &g.gg, &s.prev, &mut s.cur);
         std::mem::swap(&mut s.prev, &mut s.cur);
     }
     std::array::from_fn(|l| {
@@ -500,7 +471,6 @@ fn hausdorff_kernel(a: &TrajCache, b: &TrajCache, threshold: f64, t: &mut Tally)
 #[derive(Clone, Copy)]
 struct Kernels<'c> {
     acc: Accel,
-    level: SimdLevel,
     caches: &'c [TrajCache],
 }
 
@@ -543,7 +513,7 @@ impl Kernels<'_> {
         };
         let last = ids.len().div_ceil(LANES);
         for (gi, g) in groups.iter().enumerate().take(last).skip(from / LANES) {
-            let res = lane_batch(self.acc, outer, g, s, self.level);
+            let res = lane_batch(self.acc, outer, g, s);
             for (l, &d) in res.iter().enumerate().take(g.count) {
                 let p = gi * LANES + l;
                 if p < from {
@@ -660,9 +630,6 @@ pub struct GroundTruthEngine<'a> {
     accel: Option<Accel>,
     caches: Vec<TrajCache>,
     metrics: Option<EngineMetrics>,
-    /// Dispatch level for the lane-batched kernels: the process-wide
-    /// detection by default, overridable per engine for A/B tests.
-    simd: SimdLevel,
 }
 
 impl std::fmt::Debug for GroundTruthEngine<'_> {
@@ -692,7 +659,6 @@ impl<'a> GroundTruthEngine<'a> {
             accel,
             caches,
             metrics: None,
-            simd: neutraj_obs::simd::level(),
         }
     }
 
@@ -700,20 +666,6 @@ impl<'a> GroundTruthEngine<'a> {
     pub fn with_metrics(mut self, registry: &Registry) -> Self {
         self.metrics = Some(EngineMetrics::new(registry));
         self
-    }
-
-    /// Forces the lane-kernel dispatch level (default: the process-wide
-    /// [`neutraj_obs::simd::level`]). Results are bit-identical at every
-    /// level — this exists for A/B benchmarks and the bit-identity
-    /// property tests, which compare both paths in one process.
-    pub fn with_simd_level(mut self, level: SimdLevel) -> Self {
-        self.simd = level;
-        self
-    }
-
-    /// The dispatch level the lane-batched kernels will run at.
-    pub fn simd_level(&self) -> SimdLevel {
-        self.simd
     }
 
     /// Corpus size.
@@ -834,7 +786,6 @@ impl<'a> GroundTruthEngine<'a> {
                     .collect();
                 let kn = Kernels {
                     acc,
-                    level: self.simd,
                     caches: &caches,
                 };
                 let query = TrajCache::build(query, acc);
@@ -864,7 +815,6 @@ impl<'a> GroundTruthEngine<'a> {
     fn kernels(&self) -> Option<Kernels<'_>> {
         self.accel.map(|acc| Kernels {
             acc,
-            level: self.simd,
             caches: &self.caches,
         })
     }

@@ -22,11 +22,7 @@
 //! All dynamic-programming implementations run in `O(len_a · len_b)` time
 //! and `O(min(len_a, len_b))` memory (rolling rows).
 
-// `deny` rather than `forbid`: the AVX2 row kernels in `simd.rs` opt
-// back in with a module-scoped `#[allow(unsafe_code)]` — every other
-// module stays unsafe-free, and `target_feature` never leaks into safe
-// code (the dispatchers are safe fns that check lengths first).
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bounds;

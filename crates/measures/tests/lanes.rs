@@ -1,17 +1,10 @@
-//! Property-based bit-identity tests for the SIMD-dispatched DP kernels
-//! (`DESIGN.md` §12): with dispatch forced to any level, every engine
-//! entry point that runs the lane-batched kernels — `matrix`,
-//! `distances` and every DP pair `knn_lists` scores — must reproduce the naive per-pair DPs *bitwise*, at every thread count.
-//!
-//! The forcing is in-process ([`GroundTruthEngine::with_simd_level`]) so
-//! one test run exercises every arm regardless of the `NEUTRAJ_NO_SIMD`
-//! environment override; the DP lanes have no AVX-512 arm, so `Avx512`
-//! runs the AVX2 one, and on hosts without AVX2 a vector request safely
-//! falls back to the scalar arm and the assertions still hold (every
-//! level then runs the same code).
+//! Property-based bit-identity tests for the lane-batched DP kernels
+//! (`DESIGN.md` §12): every engine entry point that runs them —
+//! `matrix`, `distances` and every DP pair `knn_lists` scores — must
+//! reproduce the naive per-pair DPs *bitwise*, at every thread count, on
+//! corpora whose lengths straddle the lane tiling.
 
 use neutraj_measures::{top_k, DistanceMatrix, GroundTruthEngine, Measure, MeasureKind, Neighbor};
-use neutraj_obs::simd::SimdLevel;
 use neutraj_trajectory::rng::{cases, Rng};
 use neutraj_trajectory::{Point, Trajectory};
 
@@ -73,14 +66,14 @@ fn naive_knn(measure: &dyn Measure, ts: &[Trajectory], q: usize, k: usize) -> Ve
     nn
 }
 
-/// Engines forced to every level agree bitwise with the naive
-/// `Measure::dist` for every measure and thread count — the end-to-end
-/// form of the per-row kernel bit-identity tests inside
+/// The engine agrees bitwise with the naive `Measure::dist` for every
+/// measure and thread count — the end-to-end form of the per-row oracle
+/// tests inside
 /// `neutraj_measures::simd`: the matrix, dense rows of every query, and
 /// a sparse row over an unsorted `to` list holding repeats and the query
 /// itself.
 #[test]
-fn matrix_is_bit_identical_across_simd_levels_and_threads() {
+fn matrix_is_bit_identical_across_threads() {
     cases(24, |rng| {
         let corpus = arb_corpus(rng);
         for ts in with_prefix(&corpus) {
@@ -105,26 +98,23 @@ fn matrix_is_bit_identical_across_simd_levels_and_threads() {
                     .iter()
                     .map(|&q| bits(&(0..n).map(|j| dist(q, j)).collect::<Vec<_>>()))
                     .collect();
-                for level in SimdLevel::ALL {
-                    let engine = GroundTruthEngine::new(&*measure, ts).with_simd_level(level);
-                    assert_eq!(engine.simd_level(), level);
-                    for threads in [1usize, 2, 4] {
-                        let what = format!("{kind} level={level:?} threads={threads}");
-                        assert_matrices_bitwise(&engine.matrix(threads), &naive, &what);
-                    }
-                    let rows: Vec<Vec<u64>> = queries
-                        .iter()
-                        .map(|&q| bits(&engine.distances(q, &queries)))
-                        .collect();
-                    assert_eq!(rows, naive_rows, "{kind} level={level:?}: rows");
-                    if n > 0 {
-                        let want: Vec<f64> = to.iter().map(|&j| dist(q, j)).collect();
-                        assert_eq!(
-                            bits(&engine.distances(q, &to)),
-                            bits(&want),
-                            "{kind} level={level:?}: distances from {q} to {to:?}"
-                        );
-                    }
+                let engine = GroundTruthEngine::new(&*measure, ts);
+                for threads in [1usize, 2, 4] {
+                    let what = format!("{kind} threads={threads}");
+                    assert_matrices_bitwise(&engine.matrix(threads), &naive, &what);
+                }
+                let rows: Vec<Vec<u64>> = queries
+                    .iter()
+                    .map(|&q| bits(&engine.distances(q, &queries)))
+                    .collect();
+                assert_eq!(rows, naive_rows, "{kind}: rows");
+                if n > 0 {
+                    let want: Vec<f64> = to.iter().map(|&j| dist(q, j)).collect();
+                    assert_eq!(
+                        bits(&engine.distances(q, &to)),
+                        bits(&want),
+                        "{kind}: distances from {q} to {to:?}"
+                    );
                 }
             }
         }
@@ -132,11 +122,10 @@ fn matrix_is_bit_identical_across_simd_levels_and_threads() {
 }
 
 /// The k-nearest lists (lane kernels fill the heap and score the tail's
-/// survivors) equal a naive top-k of the exact row at every
-/// forced dispatch level and every thread count, for `k` from 1 to past
-/// the corpus size.
+/// survivors) equal a naive top-k of the exact row at every thread
+/// count, for `k` from 1 to past the corpus size.
 #[test]
-fn knn_lists_agree_across_simd_levels() {
+fn knn_lists_agree_with_the_naive_top_k() {
     cases(24, |rng| {
         let corpus = arb_corpus(rng);
         for ts in with_prefix(&corpus) {
@@ -149,15 +138,13 @@ fn knn_lists_agree_across_simd_levels() {
                         .iter()
                         .map(|&q| naive_knn(&*measure, ts, q, k))
                         .collect();
-                    for level in SimdLevel::ALL {
-                        let engine = GroundTruthEngine::new(&*measure, ts).with_simd_level(level);
-                        for threads in [1usize, 2, 4] {
-                            assert_eq!(
-                                engine.knn_lists(&queries, k, threads),
-                                want,
-                                "{kind} level={level:?} k={k} threads={threads}"
-                            );
-                        }
+                    let engine = GroundTruthEngine::new(&*measure, ts);
+                    for threads in [1usize, 2, 4] {
+                        assert_eq!(
+                            engine.knn_lists(&queries, k, threads),
+                            want,
+                            "{kind} k={k} threads={threads}"
+                        );
                     }
                 }
             }

@@ -7,7 +7,6 @@
 use neutraj_measures::{
     neighbor_order, top_k, DistanceMatrix, GroundTruthEngine, Measure, MeasureKind, Neighbor, Sspd,
 };
-use neutraj_obs::simd::SimdLevel;
 use neutraj_trajectory::rng::{cases, Rng};
 use neutraj_trajectory::{Point, Trajectory};
 
@@ -291,9 +290,9 @@ fn arb_shortlist<'t>(rng: &mut Rng, ts: &'t [Trajectory]) -> Vec<(usize, &'t [Po
 
 /// The re-rank entry point equals the naive re-rank bit for bit — same
 /// ids, same distance bits, same tie order — for every measure, the
-/// passthrough ones included, at every forced dispatch level and every
-/// `k` from 0 to past the shortlist's length, on random and tied
-/// shortlists, an empty one, and one-point queries and candidates.
+/// passthrough ones included, at every `k` from 0 to past the
+/// shortlist's length, on random and tied shortlists, an empty one, and
+/// one-point queries and candidates.
 #[test]
 fn rerank_is_bit_identical_to_the_naive_rerank() {
     let one_point = |x: f64, y: f64| Trajectory::new_unchecked(0, vec![Point::new(x, y)]);
@@ -301,11 +300,9 @@ fn rerank_is_bit_identical_to_the_naive_rerank() {
         for (name, measure) in all_measures() {
             for k in [0, 1, 2, 5, 9, short.len(), short.len() + 3] {
                 let want = neighbor_bits(&naive_rerank(&*measure, query, short, k));
-                for level in SimdLevel::ALL {
-                    let engine = GroundTruthEngine::new(&*measure, &[]).with_simd_level(level);
-                    let got = neighbor_bits(&engine.rerank(query, short, k));
-                    assert_eq!(got, want, "{name} level={level:?} k={k} m={}", short.len());
-                }
+                let engine = GroundTruthEngine::new(&*measure, &[]);
+                let got = neighbor_bits(&engine.rerank(query, short, k));
+                assert_eq!(got, want, "{name} k={k} m={}", short.len());
             }
         }
     };
