@@ -5,17 +5,18 @@
 //! platform's libm made those calls the larger half of the step and tied
 //! every embedding to one libm build. The functions here use nothing but
 //! IEEE-754 `+ − × ÷`, comparisons and integer operations on the bit
-//! pattern, so a result is the same on every host, and they come in two
-//! arms under the usual policy of [`crate::simd`]:
+//! pattern, so a result is the same on every host:
 //!
 //! * the scalar functions [`exp`], [`sigmoid`], [`tanh`] **are** the
-//!   oracle;
+//!   definition;
 //! * [`exp_slice`], [`sigmoid_slice`], [`tanh_slice`] map a whole slice
-//!   in place. Their scalar arm calls the functions above; their AVX2 arm
-//!   performs the same operations on four lanes at a time, and their
-//!   AVX-512 arm on eight, in the same order, with separate multiply and
-//!   add (no FMA in any arm: rustc never contracts, and a fused step
-//!   would round once where the oracle rounds twice). The arms agree bit
+//!   in place. Their portable loop calls the functions above inlined;
+//!   they are branch-free, so `target-cpu=native` vectorizes it across
+//!   elements. At [`SimdLevel::Avx512`] an `unsafe` arm maps the whole
+//!   groups of eight first, with the same operations on eight lanes in
+//!   the same order, and the loop takes the rest. Multiply and add stay
+//!   separate everywhere (rustc never contracts, and a fused step would
+//!   round once where the definition rounds twice), so both agree bit
 //!   for bit, including on NaN, ±inf and subnormal inputs.
 //!
 //! `exp`: `x = k·ln2 + r` with `k = round(x·log₂e)` taken by the
@@ -46,7 +47,7 @@
 //! ulp below `|x| = 1`); `sigmoid` never by more than 2 above `x = −35`.
 
 #[cfg(target_arch = "x86_64")]
-use crate::simd::{use_avx2, use_avx512};
+use crate::simd::use_avx512;
 use neutraj_obs::simd::SimdLevel;
 
 const LOG2E: f64 = std::f64::consts::LOG2_E;
@@ -158,7 +159,7 @@ fn scale(e: f64, t: f64) -> f64 {
 /// `e^x`. Total: NaN in → that NaN out, `exp(−inf) = 0`, overflow to
 /// `inf` above `709.78…`, gradual underflow to `0` below `−745.13…`.
 /// Within 1 ulp of libm.
-#[inline]
+#[inline(always)]
 pub fn exp(x: f64) -> f64 {
     let (e, t) = exp_reduced(clamp(x));
     keep_nan(x, scale(e, t))
@@ -167,7 +168,7 @@ pub fn exp(x: f64) -> f64 {
 /// Logistic sigmoid `1/(1 + e^{−x})`; `sigmoid(0) == 0.5` exactly.
 /// Within 2 ulp of the same expression over libm's `exp` (wherever that
 /// expression is itself that accurate: above `x ≈ −35`).
-#[inline]
+#[inline(always)]
 pub fn sigmoid(x: f64) -> f64 {
     let (e, t) = exp_reduced(clamp(-x));
     keep_nan(x, 1.0 / (1.0 + scale(e, t)))
@@ -175,7 +176,7 @@ pub fn sigmoid(x: f64) -> f64 {
 
 /// Hyperbolic tangent. Odd exactly (`tanh(−x) == −tanh(x)`, `tanh(±0) =
 /// ±0`), `tanh(±inf) = ±1`, NaN in → that NaN out. Within 2 ulp of libm.
-#[inline]
+#[inline(always)]
 pub fn tanh(x: f64) -> f64 {
     let a = f64::from_bits(x.to_bits() & !SIGN);
     let z = a * a;
@@ -198,35 +199,27 @@ enum Map {
     Tanh,
 }
 
-/// The widest arm maps the whole groups of its width; each narrower arm
-/// takes what the wider one left (the AVX2 arm a last group of four,
-/// the scalar functions the rest).
+/// At [`SimdLevel::Avx512`] the 512-bit arm maps the whole groups of
+/// eight; the portable loop maps what it left (all of `x` at any other
+/// level). Each loop calls its function directly, so it is inlined and
+/// vectorized (through a function pointer it would stay scalar).
 #[inline]
 #[allow(unsafe_code)]
 fn map_slice(level: SimdLevel, map: Map, x: &mut [f64]) {
     #[allow(unused_mut)]
     let mut done = 0;
     #[cfg(target_arch = "x86_64")]
-    {
-        if use_avx512(level) {
-            // SAFETY: AVX-512F/DQ presence just verified; the kernel
-            // stays inside `x`.
-            done = unsafe { avx512::map_slice(map, x) };
-        }
-        if use_avx2(level) {
-            // SAFETY: AVX2 presence just verified; the kernel stays
-            // inside `x[done..]`.
-            done += unsafe { avx2::map_slice(map, &mut x[done..]) };
-        }
+    if use_avx512(level) {
+        // SAFETY: AVX-512F/DQ presence just verified; the kernel stays
+        // inside `x`.
+        done = unsafe { avx512::map_slice(map, x) };
     }
     let _ = level;
-    let f = match map {
-        Map::Exp => exp,
-        Map::Sigmoid => sigmoid,
-        Map::Tanh => tanh,
-    };
-    for v in &mut x[done..] {
-        *v = f(*v);
+    let rest = &mut x[done..];
+    match map {
+        Map::Exp => rest.iter_mut().for_each(|v| *v = exp(*v)),
+        Map::Sigmoid => rest.iter_mut().for_each(|v| *v = sigmoid(*v)),
+        Map::Tanh => rest.iter_mut().for_each(|v| *v = tanh(*v)),
     }
 }
 
@@ -261,154 +254,16 @@ pub fn tanh_slice_with_level(level: SimdLevel, x: &mut [f64]) {
     map_slice(level, Map::Tanh, x);
 }
 
-/// The scalar functions above, four lanes at a time: every line is the
-/// line of the same name there. The lane functions take and return
+/// The scalar functions above, eight lanes at a time: every line is the
+/// line of the same name there, each operation its `_mm512_` instruction;
+/// the two selects compare into a mask register (`_mm512_cmp_pd_mask`)
+/// and blend by it (`_mm512_mask_blend_pd`). `min`/`max` keep their
+/// operand order (`vminpd`/`vmaxpd` return the second operand on NaN, as
+/// the scalar ones do), so NaN lanes take the same operand. The bitwise
+/// `pd` operations are AVX512DQ. The lane functions take and return
 /// values only, so they are safe `#[target_feature]` functions (callable
-/// from AVX2 code alone); the `unsafe` is the slice walk in `map_slice`.
-#[cfg(target_arch = "x86_64")]
-#[allow(unsafe_code)]
-mod avx2 {
-    use super::*;
-    use core::arch::x86_64::*;
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn splat_bits(b: u64) -> __m256i {
-        _mm256_set1_epi64x(b as i64)
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn exp_reduced(x: __m256d) -> (__m256d, __m256d) {
-        let s = |v: f64| _mm256_set1_pd(v);
-        let round = s(ROUND);
-        let t = _mm256_add_pd(_mm256_mul_pd(x, s(LOG2E)), round);
-        let k = _mm256_sub_pd(t, round);
-        let hi = _mm256_sub_pd(x, _mm256_mul_pd(k, s(LN2_HI)));
-        let lo = _mm256_mul_pd(k, s(LN2_LO));
-        let r = _mm256_sub_pd(hi, lo);
-        let c = _mm256_sub_pd(_mm256_sub_pd(hi, r), lo);
-        let r2 = _mm256_mul_pd(r, r);
-        let c_ = &INV_FACT;
-        let mut even = s(c_[12]);
-        let mut odd = s(c_[13]);
-        for n in [10, 8, 6, 4, 2] {
-            even = _mm256_add_pd(_mm256_mul_pd(even, r2), s(c_[n]));
-            odd = _mm256_add_pd(_mm256_mul_pd(odd, r2), s(c_[n + 1]));
-        }
-        let q = _mm256_add_pd(even, _mm256_mul_pd(r, odd));
-        let tail = _mm256_add_pd(_mm256_mul_pd(r2, q), c);
-        let u = _mm256_add_pd(s(1.0), r);
-        let lost = _mm256_add_pd(_mm256_sub_pd(s(1.0), u), r);
-        (_mm256_add_pd(u, _mm256_add_pd(lost, tail)), t)
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn scale(e: __m256d, t: __m256d) -> __m256d {
-        let one = splat_bits(1);
-        let w = _mm256_sub_epi64(_mm256_castpd_si256(t), splat_bits(ROUND.to_bits() - 2048));
-        let h = _mm256_srli_epi64::<1>(w);
-        let lower = _mm256_slli_epi64::<52>(_mm256_sub_epi64(h, one));
-        let upper = _mm256_slli_epi64::<52>(_mm256_sub_epi64(_mm256_sub_epi64(w, h), one));
-        _mm256_mul_pd(
-            _mm256_mul_pd(e, _mm256_castsi256_pd(lower)),
-            _mm256_castsi256_pd(upper),
-        )
-    }
-
-    /// `x` where `x` is NaN, else `y`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn keep_nan(x: __m256d, y: __m256d) -> __m256d {
-        _mm256_blendv_pd(y, x, _mm256_cmp_pd::<_CMP_UNORD_Q>(x, x))
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn clamp(x: __m256d) -> __m256d {
-        _mm256_min_pd(
-            _mm256_max_pd(x, _mm256_set1_pd(EXP_LO)),
-            _mm256_set1_pd(EXP_HI),
-        )
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn exp(x: __m256d) -> __m256d {
-        let (e, t) = exp_reduced(clamp(x));
-        keep_nan(x, scale(e, t))
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn sigmoid(x: __m256d) -> __m256d {
-        let sign = _mm256_castsi256_pd(splat_bits(SIGN));
-        let (e, t) = exp_reduced(clamp(_mm256_xor_pd(x, sign)));
-        let one = _mm256_set1_pd(1.0);
-        keep_nan(x, _mm256_div_pd(one, _mm256_add_pd(one, scale(e, t))))
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    fn tanh(x: __m256d) -> __m256d {
-        let s = |v: f64| _mm256_set1_pd(v);
-        let sign = _mm256_castsi256_pd(splat_bits(SIGN));
-        let a = _mm256_andnot_pd(sign, x);
-        let z = _mm256_mul_pd(a, a);
-        let mut n = s(44.0);
-        for c in [12_870.0, 810_810.0, 11_486_475.0] {
-            n = _mm256_add_pd(_mm256_mul_pd(n, z), s(c));
-        }
-        let mut d = s(45.0);
-        for c in [13_860.0, 945_945.0, 16_216_200.0, 34_459_425.0] {
-            d = _mm256_add_pd(_mm256_mul_pd(d, z), s(c));
-        }
-        let small = _mm256_sub_pd(a, _mm256_mul_pd(a, _mm256_mul_pd(z, _mm256_div_pd(n, d))));
-        let (e, t) = exp_reduced(_mm256_mul_pd(s(2.0), _mm256_min_pd(a, s(TANH_ONE))));
-        let pow = _mm256_slli_epi64::<52>(_mm256_sub_epi64(
-            _mm256_castpd_si256(t),
-            splat_bits(ROUND.to_bits() - 1023),
-        ));
-        let e = _mm256_mul_pd(e, _mm256_castsi256_pd(pow));
-        let one = s(1.0);
-        let big = _mm256_sub_pd(one, _mm256_div_pd(s(2.0), _mm256_add_pd(e, one)));
-        let y = _mm256_blendv_pd(big, small, _mm256_cmp_pd::<_CMP_LT_OQ>(a, s(TANH_SMALL)));
-        keep_nan(x, _mm256_or_pd(y, _mm256_and_pd(x, sign)))
-    }
-
-    /// Maps the whole groups of four in `x` and returns how many elements
-    /// that was; the caller finishes the rest with the scalar function.
-    ///
-    /// # Safety
-    /// AVX2 must be available.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn map_slice(map: Map, x: &mut [f64]) -> usize {
-        let done = x.len() - x.len() % 4;
-        let p = x.as_mut_ptr();
-        macro_rules! each4 {
-            ($f:ident) => {
-                for i in (0..done).step_by(4) {
-                    // SAFETY (of the loads and stores): i + 4 <= done <= len.
-                    _mm256_storeu_pd(p.add(i), $f(_mm256_loadu_pd(p.add(i))));
-                }
-            };
-        }
-        match map {
-            Map::Exp => each4!(exp),
-            Map::Sigmoid => each4!(sigmoid),
-            Map::Tanh => each4!(tanh),
-        }
-        done
-    }
-}
-
-/// The AVX2 arm above at eight lanes, translated line for line: every
-/// `_mm256_` operation is its `_mm512_` namesake, and the two selects
-/// take a mask register (`_mm512_cmp_pd_mask` for the compare,
-/// `_mm512_mask_blend_pd(mask, y, x)` for `_mm256_blendv_pd(y, x,
-/// mask)`). `min`/`max` keep their operand order, so NaN lanes take the
-/// same operand. The bitwise `pd` operations are AVX512DQ.
+/// from AVX-512 code alone); the `unsafe` is the slice walk in
+/// `map_slice`.
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx512 {
@@ -686,10 +541,11 @@ mod tests {
         }
     }
 
-    /// Every arm equals the scalar arm bit for bit, for every slice
-    /// length around the four- and eight-lane steps, so the `len % 8` tail
-    /// that falls to the AVX2 and scalar arms is covered too (on a host
-    /// without a tier, its level runs the arm below).
+    /// Every level equals the scalar functions bit for bit, at every
+    /// slice length up to 40 and at 512: the portable loop's vector body
+    /// and its remainder, and the AVX-512 arm followed by every tail of 1
+    /// to 7 that the portable loop maps (on a host without AVX-512 that
+    /// level runs the portable loop alone).
     #[test]
     fn slices_agree_bit_for_bit_across_levels() {
         type Oracle = fn(f64) -> f64;
@@ -700,7 +556,7 @@ mod tests {
             (tanh, tanh_slice_with_level),
         ];
         cases(512, |rng| {
-            for len in 0..=17 {
+            for len in (0..=40).chain([512]) {
                 let x: Vec<f64> = (0..len).map(|_| salted(rng)).collect();
                 for (f, slice) in maps {
                     for level in SimdLevel::ALL {

@@ -11,7 +11,8 @@
 //! * [`linalg`] — dense row-major `f64` matrices and the handful of BLAS-1/2
 //!   kernels recurrent nets need.
 //! * [`activation`] — the one `exp`/`tanh`/`sigmoid` every cell uses:
-//!   IEEE-exact operations only (no libm), scalar oracle + AVX2 arm.
+//!   IEEE-exact operations only (no libm), one portable slice loop plus
+//!   an AVX-512 arm.
 //! * [`LstmCell`] — a standard LSTM used by the Siamese baseline and the
 //!   NT-No-SAM ablation.
 //! * [`GruCell`] — a GRU backbone option (the paper notes SAM can augment
@@ -49,8 +50,8 @@
 //!   the intermediate cell state `ĉ_t`. This matches the reference
 //!   implementation of the paper, which detaches the memory tensor.
 
-// `deny` rather than `forbid`: the AVX2 arms — the GEMM/u8-dot
-// micro-kernels in `simd.rs`, the `exp`/`tanh`/`sigmoid` lanes in
+// `deny` rather than `forbid`: the hand-written vector arms — the
+// micro-kernels in `simd.rs`, the AVX-512 `exp`/`tanh`/`sigmoid` lanes in
 // `activation.rs` — opt back in with scoped `#[allow(unsafe_code)]`;
 // every other module stays unsafe-free, and `target_feature` never leaks
 // into safe code (the dispatchers are safe fns that check bounds first).

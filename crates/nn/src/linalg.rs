@@ -179,20 +179,8 @@ impl Mat {
     /// of [`Self::matvec_t_into`] a caller needs, each output one
     /// ascending-row chain held in a register.
     pub fn matvec_t_cols_into(&self, x: &[f64], col0: usize, y: &mut [f64]) {
-        self.matvec_t_cols_into_with_level(neutraj_obs::simd::level(), x, col0, y);
-    }
-
-    /// [`Self::matvec_t_cols_into`] with the dispatch level pinned (see
-    /// [`matmul_nt_with_level`]).
-    pub fn matvec_t_cols_into_with_level(
-        &self,
-        level: SimdLevel,
-        x: &[f64],
-        col0: usize,
-        y: &mut [f64],
-    ) {
         assert_eq!(x.len(), self.rows, "matvec_t_cols: x length");
-        simd::matvec_t_cols(level, &self.data, self.cols, x, col0, y);
+        simd::matvec_t_cols(&self.data, self.cols, x, col0, y);
     }
 }
 
@@ -353,20 +341,6 @@ impl<'a> PackedNt<'a> {
 /// Register-tiled like [`matmul_nt`]; each output element is one
 /// accumulator summed in ascending `p` order.
 pub fn matmul(a: &[f64], b: &[f64], c: &mut [f64], m: usize, n: usize, k: usize) {
-    matmul_with_level(neutraj_obs::simd::level(), a, b, c, m, n, k);
-}
-
-/// [`matmul`] with the micro-kernel dispatch level pinned (see
-/// [`matmul_nt_with_level`]).
-pub fn matmul_with_level(
-    level: SimdLevel,
-    a: &[f64],
-    b: &[f64],
-    c: &mut [f64],
-    m: usize,
-    n: usize,
-    k: usize,
-) {
     assert_eq!(a.len(), m * k, "matmul: A shape");
     assert_eq!(b.len(), k * n, "matmul: B shape");
     assert_eq!(c.len(), m * n, "matmul: C shape");
@@ -379,7 +353,7 @@ pub fn matmul_with_level(
             if mh == MR && nh == NR {
                 let mut acc = [[0.0f64; NR]; MR];
                 let arows: [&[f64]; MR] = std::array::from_fn(|r| &a[(i + r) * k..(i + r + 1) * k]);
-                simd::gemm_tile_nn(level, arows, b, n, j, &mut acc);
+                simd::gemm_tile_nn(arows, b, n, j, &mut acc);
                 for (ii, accr) in acc.iter().enumerate() {
                     c[(i + ii) * n + j..(i + ii) * n + j + NR].copy_from_slice(accr);
                 }
@@ -813,7 +787,7 @@ mod tests {
 
     /// The transposed-columns product is the matching slice of
     /// `matvec_t_into` on a zeroed buffer, for every column window of the
-    /// BPTT shapes and a ragged one, at every SIMD level.
+    /// BPTT shapes and a ragged one.
     #[test]
     fn matvec_t_cols_bit_identical_to_the_slice_of_matvec_t() {
         let mut rng = Rng::seed_from_u64(61);
@@ -824,15 +798,13 @@ mod tests {
             a.matvec_t_into(&x, &mut full);
             for col0 in [0, 1, 2, cols / 2] {
                 for len in (0..=cols - col0).rev().step_by(3) {
-                    for level in SimdLevel::ALL {
-                        let mut got = vec![f64::NAN; len];
-                        a.matvec_t_cols_into_with_level(level, &x, col0, &mut got);
-                        assert_eq!(
-                            bits(&got),
-                            bits(&full[col0..col0 + len]),
-                            "{rows}x{cols} [{col0}..+{len}] {level:?}"
-                        );
-                    }
+                    let mut got = vec![f64::NAN; len];
+                    a.matvec_t_cols_into(&x, col0, &mut got);
+                    assert_eq!(
+                        bits(&got),
+                        bits(&full[col0..col0 + len]),
+                        "{rows}x{cols} [{col0}..+{len}]"
+                    );
                 }
             }
         }
@@ -844,7 +816,9 @@ mod tests {
     /// the step shapes (160×35 gates, 32×64 `W_his`) and ragged ones with
     /// odd and even panel counts, for every block height from 1 to 17 (the
     /// narrow ones take the direct arm on the unpacked `B`). Every level
-    /// also equals the scalar one.
+    /// also equals the definition: one chain per output from `+0.0` in
+    /// ascending `p` (at `m ≥ 8` the scalar level runs the same portable
+    /// tile as the AVX2 one, so it is no oracle there).
     #[test]
     fn panels_packed_once_equal_per_call_matmul_nt() {
         let mut rng = Rng::seed_from_u64(29);
@@ -861,8 +835,14 @@ mod tests {
             let packed = PackedNt::new(&b, 17, &mut buf);
             for m in (1..=17).chain((1..=17).rev()) {
                 let a = salted(&mut rng, m * k);
-                let mut want = vec![f64::NAN; m * n];
-                matmul_nt_with_level(SimdLevel::Scalar, &a, b.as_slice(), &mut want, m, n, k);
+                let mut want = vec![0.0f64; m * n];
+                for (i, w) in want.chunks_exact_mut(n).enumerate() {
+                    for (j, wj) in w.iter_mut().enumerate() {
+                        for p in 0..k {
+                            *wj += a[i * k + p] * b.get(j, p);
+                        }
+                    }
+                }
                 for level in SimdLevel::ALL {
                     let mut per_call = vec![f64::NAN; m * n];
                     matmul_nt_with_level(level, &a, b.as_slice(), &mut per_call, m, n, k);

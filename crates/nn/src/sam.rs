@@ -431,8 +431,7 @@ impl SamLstmCell {
                 dpre_his[k] = d_c_total * gs[k] * (1.0 - c_his[k] * c_his[k]);
             }
             add_assign(&mut grads.b_his, dpre_his);
-            self.w_his
-                .matvec_t_cols_into_with_level(level, dpre_his, 0, dccat);
+            self.w_his.matvec_t_cols_into(dpre_his, 0, dccat);
             for k in 0..d {
                 d_c_hat[k] += dccat[k];
             }
@@ -480,7 +479,7 @@ impl SamLstmCell {
                 da[3 * d + k] = d_o[k] * go[k] * (1.0 - go[k]);
                 da[4 * d + k] = d_g * (1.0 - gg[k] * gg[k]);
             }
-            self.p.matvec_t_cols_into_with_level(level, da, 2, dh);
+            self.p.matvec_t_cols_into(da, 2, dh);
         }
         grads
             .w_his

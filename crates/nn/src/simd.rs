@@ -1,37 +1,39 @@
-//! AVX2 and AVX-512 micro-kernels for the register-tiled GEMMs in
-//! [`crate::linalg`] and the int8 code pass of the exact top-k
+//! The column-parallel micro-kernels of [`crate::linalg`] and the
+//! recurrent cells, and the int8 code pass of the exact top-k
 //! (`DESIGN.md` §12).
 //!
-//! Same policy as the measures DP kernels: every function takes an
-//! explicit [`SimdLevel`] and carries a pure-Rust scalar arm that *is*
-//! the oracle — the vector arms compute the same expression per output
-//! element in the same order, so results are bit-identical:
+//! Every kernel computes one fixed chain per output element, and every
+//! arm of it computes that chain with the same operations in the same
+//! order, so results are bit-identical whichever arm runs:
 //!
 //! * the GEMM tiles keep one accumulator per output element, summed in
-//!   ascending `p` with separate `mul`/`add` instructions (no FMA — the
-//!   scalar oracle never contracts), vectorized only across the
-//!   *independent* accumulator columns: `NR` of them per AVX2 tile, `2·NR`
-//!   (two adjacent panels) per AVX-512 tile, the only kernel here with a
-//!   512-bit arm;
+//!   ascending `p` with separate `mul`/`add` instructions (no FMA — rustc
+//!   never contracts), across the *independent* accumulator columns. The
+//!   `MR×NR` tiles of `A·Bᵀ` and `A·B` are one portable body each, which
+//!   `target-cpu=native` vectorizes into the ymm code a hand-written arm
+//!   would be; `gemm_stripe_nt` also has an AVX-512 arm over two
+//!   adjacent panels (`2·NR` columns), the only GEMM kernel with one;
 //! * the small-`m` `A·Bᵀ` arm keeps the same one-accumulator,
-//!   ascending-`p`, mul-then-add chain per output and vectorizes across
-//!   four `B` rows (four independent outputs), transposing `B` in
-//!   registers instead of packing it;
+//!   ascending-`p`, mul-then-add chain per output and its AVX2 arm
+//!   vectorizes across four `B` rows (four independent outputs),
+//!   transposing `B` in registers instead of packing it;
 //! * the gathered-rows dot ([`dot_rows`]) is that arm with the four rows
 //!   named by an id list instead of being adjacent — one `dot` chain per
 //!   lane;
 //! * the two BPTT kernels — the ordered rank-`T` accumulate
-//!   (`outer_acc_rev`) and the transposed-columns product
-//!   (`matvec_t_cols`) — keep one accumulator per output in a register
-//!   across the whole sum and add the terms in the order the per-step
-//!   sweeps they replace did, vectorized across output columns;
+//!   (`outer_acc_rev`, with an AVX2 arm) and the transposed-columns
+//!   product (`matvec_t_cols`, one portable body) — keep one accumulator
+//!   per output in a register across the whole sum and add the terms in
+//!   the order the per-step sweeps they replace did, across output
+//!   columns;
 //! * the int8 code pass ([`quant_scan_block`]) dots u8 codes in exact
 //!   integer arithmetic, where any summation order yields the same value,
 //!   and its f64 tail is one operand order in every arm.
 //!
-//! Levels are ordered: a kernel without an AVX-512 arm runs its AVX2 arm
-//! at [`SimdLevel::Avx512`]. The int8 code pass has a 512-bit arm that
-//! also needs `avx512vnni` ([`QuantArm`]).
+//! A kernel with an `unsafe` arm takes an explicit [`SimdLevel`], and its
+//! scalar arm is the oracle. Levels are ordered: a kernel without an
+//! AVX-512 arm runs its AVX2 arm at [`SimdLevel::Avx512`]. The int8 code
+//! pass has a 512-bit arm that also needs `avx512vnni` ([`QuantArm`]).
 
 use neutraj_obs::simd::SimdLevel;
 
@@ -70,7 +72,7 @@ pub(crate) fn use_avx512(level: SimdLevel) -> bool {
 /// Every panel runs [`gemm_tile_nt`], except at [`SimdLevel::Avx512`],
 /// where each pair of adjacent panels runs one AVX-512 tile — the same
 /// chain per output, eight lanes a vector — and an odd last panel takes
-/// the AVX2 tile. The panel layout does not depend on the level.
+/// the portable tile. The panel layout does not depend on the level.
 #[inline]
 #[allow(unsafe_code)]
 pub(crate) fn gemm_stripe_nt(
@@ -105,7 +107,7 @@ pub(crate) fn gemm_stripe_nt(
     }
     while jt < ntiles {
         let mut acc = [[0.0f64; NR]; MR];
-        gemm_tile_nt(level, arows, &panels[jt * k * NR..][..k * NR], &mut acc);
+        gemm_tile_nt(arows, &panels[jt * k * NR..][..k * NR], &mut acc);
         store_tile(&acc, c, n, jt * NR);
         jt += 1;
     }
@@ -131,41 +133,40 @@ fn store_tile<const W: usize>(acc: &[[f64; W]; MR], c: &mut [f64], n: usize, j0:
 /// the `MR` A rows (`k` each), `panel` the `k`-major B panel (`k·NR`);
 /// `acc[r][c] += Σ_p arows[r][p] · panel[p·NR+c]` in ascending `p`, one
 /// accumulator per element.
+///
+/// One portable body: the tile is summed in a local copy, which the
+/// optimizer keeps in registers (eight ymm under `target-cpu=native`,
+/// one `vmulpd` and one `vaddpd` per row half and `p`), where adding
+/// through `acc` would store it back every step.
 #[inline]
-#[allow(unsafe_code)]
-fn gemm_tile_nt(level: SimdLevel, arows: [&[f64]; MR], panel: &[f64], acc: &mut [[f64; NR]; MR]) {
+fn gemm_tile_nt(arows: [&[f64]; MR], panel: &[f64], acc: &mut [[f64; NR]; MR]) {
     let k = arows[0].len();
     for row in &arows {
         assert_eq!(row.len(), k);
     }
     assert_eq!(panel.len(), k * NR);
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2(level) {
-        // SAFETY: AVX2 presence just verified; lengths checked above.
-        unsafe { avx2::gemm_tile_nt(arows, panel, acc) };
-        return;
-    }
-    let _ = level;
+    let mut t = *acc;
     for (p, bv) in panel.chunks_exact(NR).enumerate() {
         // A fixed-size view gives the optimizer exact trip counts for the
         // MR×NR unrolled multiply-add block.
         let bv: &[f64; NR] = bv.try_into().expect("B panel chunk");
-        for (accr, arow) in acc.iter_mut().zip(&arows) {
+        for (tr, arow) in t.iter_mut().zip(&arows) {
             let ar = arow[p];
-            for cc in 0..NR {
-                accr[cc] += ar * bv[cc];
+            for c in 0..NR {
+                tr[c] += ar * bv[c];
             }
         }
     }
+    *acc = t;
 }
 
 /// The full `MR×NR` tile of [`crate::linalg::matmul`] (`C = A·B`):
 /// `arows` are the `MR` A rows (each of length `k`), `b` is the packed
-/// row-major `k×n` B with the tile starting at column `j`.
+/// row-major `k×n` B with the tile starting at column `j`;
+/// `acc[r][c] += Σ_p arows[r][p] · b[p·n + j + c]` in ascending `p`. One
+/// portable body, summed in a local copy like [`gemm_tile_nt`].
 #[inline]
-#[allow(unsafe_code)]
 pub(crate) fn gemm_tile_nn(
-    level: SimdLevel,
     arows: [&[f64]; MR],
     b: &[f64],
     n: usize,
@@ -178,22 +179,17 @@ pub(crate) fn gemm_tile_nn(
     }
     assert!(j + NR <= n);
     assert!(k * n <= b.len());
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2(level) {
-        // SAFETY: AVX2 presence just verified; bounds checked above.
-        unsafe { avx2::gemm_tile_nn(arows, b, n, j, acc) };
-        return;
-    }
-    let _ = level;
+    let mut t = *acc;
     for p in 0..k {
-        let av = [arows[0][p], arows[1][p], arows[2][p], arows[3][p]];
-        let brow = &b[p * n + j..p * n + j + NR];
-        for (accr, &avr) in acc.iter_mut().zip(&av) {
-            for (accc, &bvc) in accr.iter_mut().zip(brow) {
-                *accc += avr * bvc;
+        let brow: &[f64; NR] = b[p * n + j..][..NR].try_into().expect("B row");
+        for (tr, arow) in t.iter_mut().zip(&arows) {
+            let ar = arow[p];
+            for c in 0..NR {
+                tr[c] += ar * brow[c];
             }
         }
     }
+    *acc = t;
 }
 
 /// Most `A` rows the vector arm of [`matmul_nt_direct`] keeps in
@@ -400,35 +396,57 @@ pub(crate) fn outer_acc_rev(
 /// touching the other columns. BPTT needs only the hidden-state columns
 /// of `Pᵀ·da`, not the input and bias ones.
 ///
-/// The scalar arm is the row sweep over that slice. The AVX2 arm keeps up
-/// to 32 outputs in registers across all rows (`y` is written once),
-/// vectorized across columns. Same operations, same operands per output:
-/// bit-identical. Zero rule as in [`outer_acc_rev`]: `x[r] == 0` terms
-/// are added, which `matvec_t_into`'s skip matches bit for bit on a
-/// zeroed `y` and finite `a`.
+/// One portable body: blocks of 32, 16, 8 and 4 outputs each keep a
+/// local array across all rows (`y` is written once), which
+/// `target-cpu=native` holds in ymm registers, vectorized across columns;
+/// the last `y.len() % 4` outputs take the row sweep. Same operations,
+/// same operands per output as the sweep: bit-identical. Zero rule as in
+/// [`outer_acc_rev`]: `x[r] == 0` terms are added, which
+/// `matvec_t_into`'s skip matches bit for bit on a zeroed `y` and finite
+/// `a`.
 #[inline]
-#[allow(unsafe_code)]
-pub(crate) fn matvec_t_cols(
-    level: SimdLevel,
-    a: &[f64],
-    cols: usize,
-    x: &[f64],
-    col0: usize,
-    y: &mut [f64],
-) {
+pub(crate) fn matvec_t_cols(a: &[f64], cols: usize, x: &[f64], col0: usize, y: &mut [f64]) {
     assert_eq!(a.len(), x.len() * cols, "matvec_t_cols: A shape");
     assert!(col0 + y.len() <= cols, "matvec_t_cols: column range");
-    #[cfg(target_arch = "x86_64")]
-    if use_avx2(level) {
-        // SAFETY: AVX2 presence just verified; shapes checked above.
-        unsafe { avx2::matvec_t_cols(a, cols, x, col0, y) };
-        return;
+    let n = y.len();
+    let mut j = 0;
+    while j + 32 <= n {
+        t_cols_block::<32>(a, cols, x, col0 + j, &mut y[j..]);
+        j += 32;
     }
-    let _ = level;
-    matvec_t_cols_from(a, cols, x, col0, y, 0);
+    if j + 16 <= n {
+        t_cols_block::<16>(a, cols, x, col0 + j, &mut y[j..]);
+        j += 16;
+    }
+    if j + 8 <= n {
+        t_cols_block::<8>(a, cols, x, col0 + j, &mut y[j..]);
+        j += 8;
+    }
+    if j + 4 <= n {
+        t_cols_block::<4>(a, cols, x, col0 + j, &mut y[j..]);
+        j += 4;
+    }
+    if j < n {
+        matvec_t_cols_from(a, cols, x, col0, y, j);
+    }
 }
 
-/// The scalar oracle of [`matvec_t_cols`] over outputs `j0..`.
+/// Outputs `y[..W]` of [`matvec_t_cols`] for the columns starting at
+/// `col`, `W` accumulators held across every row of `a` (`cols ≥ col +
+/// W ≥ 4` wide).
+#[inline(always)]
+fn t_cols_block<const W: usize>(a: &[f64], cols: usize, x: &[f64], col: usize, y: &mut [f64]) {
+    let mut acc = [0.0f64; W];
+    for (row, &xr) in a.chunks_exact(cols).zip(x) {
+        let row: &[f64; W] = row[col..col + W].try_into().expect("A row");
+        for c in 0..W {
+            acc[c] += xr * row[c];
+        }
+    }
+    y[..W].copy_from_slice(&acc);
+}
+
+/// The row sweep of [`matvec_t_cols`] over outputs `j0..`.
 fn matvec_t_cols_from(a: &[f64], cols: usize, x: &[f64], col0: usize, y: &mut [f64], j0: usize) {
     let y = &mut y[j0..];
     y.fill(0.0);
@@ -715,75 +733,8 @@ pub fn prefetch(data: &[f64]) {
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod avx2 {
-    use super::{RowSource, MR, NR};
+    use super::RowSource;
     use core::arch::x86_64::*;
-
-    /// # Safety
-    /// AVX2 must be available; every row of `arows` must hold `k`
-    /// doubles and `panel` `k·NR`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gemm_tile_nt(
-        arows: [&[f64]; MR],
-        panel: &[f64],
-        acc: &mut [[f64; NR]; MR],
-    ) {
-        let k = arows[0].len();
-        // Eight ymm accumulators: rows r=0..4 × column halves h=0..2.
-        let mut vacc = [[_mm256_setzero_pd(); 2]; MR];
-        for (r, row) in acc.iter().enumerate() {
-            vacc[r] = [
-                _mm256_loadu_pd(row.as_ptr()),
-                _mm256_loadu_pd(row.as_ptr().add(4)),
-            ];
-        }
-        let bpp = panel.as_ptr();
-        for p in 0..k {
-            let b0 = _mm256_loadu_pd(bpp.add(p * NR));
-            let b1 = _mm256_loadu_pd(bpp.add(p * NR + 4));
-            for (r, vr) in vacc.iter_mut().enumerate() {
-                let ar = _mm256_set1_pd(*arows[r].get_unchecked(p));
-                // Separate mul+add: the scalar oracle does not contract.
-                vr[0] = _mm256_add_pd(vr[0], _mm256_mul_pd(ar, b0));
-                vr[1] = _mm256_add_pd(vr[1], _mm256_mul_pd(ar, b1));
-            }
-        }
-        for (r, row) in acc.iter_mut().enumerate() {
-            _mm256_storeu_pd(row.as_mut_ptr(), vacc[r][0]);
-            _mm256_storeu_pd(row.as_mut_ptr().add(4), vacc[r][1]);
-        }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn gemm_tile_nn(
-        arows: [&[f64]; MR],
-        b: &[f64],
-        n: usize,
-        j: usize,
-        acc: &mut [[f64; NR]; MR],
-    ) {
-        let k = arows[0].len();
-        let mut vacc = [[_mm256_setzero_pd(); 2]; MR];
-        for (r, row) in acc.iter().enumerate() {
-            vacc[r] = [
-                _mm256_loadu_pd(row.as_ptr()),
-                _mm256_loadu_pd(row.as_ptr().add(4)),
-            ];
-        }
-        let bp = b.as_ptr();
-        for p in 0..k {
-            let b0 = _mm256_loadu_pd(bp.add(p * n + j));
-            let b1 = _mm256_loadu_pd(bp.add(p * n + j + 4));
-            for (r, vr) in vacc.iter_mut().enumerate() {
-                let ar = _mm256_set1_pd(*arows[r].get_unchecked(p));
-                vr[0] = _mm256_add_pd(vr[0], _mm256_mul_pd(ar, b0));
-                vr[1] = _mm256_add_pd(vr[1], _mm256_mul_pd(ar, b1));
-            }
-        }
-        for (r, row) in acc.iter_mut().enumerate() {
-            _mm256_storeu_pd(row.as_mut_ptr(), vacc[r][0]);
-            _mm256_storeu_pd(row.as_mut_ptr().add(4), vacc[r][1]);
-        }
-    }
 
     /// Transposes the 4×4 block whose row `l` is the four doubles at
     /// `rows[l]`: lane `l` of result `q` is `rows[l][q]`.
@@ -1129,69 +1080,6 @@ mod avx2 {
         }
     }
 
-    /// Outputs `y[..4·NV]` of [`super::matvec_t_cols`] for the columns
-    /// starting at `col`: `NV` accumulators held across every row.
-    ///
-    /// # Safety
-    /// AVX2 must be available; `a` must be valid for `x.len()·cols`
-    /// doubles with `col + 4·NV <= cols`, and `y` writable for `4·NV`.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn t_cols_block<const NV: usize>(
-        a: *const f64,
-        cols: usize,
-        x: &[f64],
-        col: usize,
-        y: *mut f64,
-    ) {
-        let mut acc = [_mm256_setzero_pd(); NV];
-        for (r, &xr) in x.iter().enumerate() {
-            let xv = _mm256_set1_pd(xr);
-            let row = a.add(r * cols + col);
-            for (q, sum) in acc.iter_mut().enumerate() {
-                // Separate mul+add: the scalar oracle does not contract.
-                *sum = _mm256_add_pd(*sum, _mm256_mul_pd(xv, _mm256_loadu_pd(row.add(4 * q))));
-            }
-        }
-        for (q, &sum) in acc.iter().enumerate() {
-            _mm256_storeu_pd(y.add(4 * q), sum);
-        }
-    }
-
-    /// # Safety
-    /// AVX2 must be available; `a` is `x.len() × cols` and
-    /// `col0 + y.len() <= cols`.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn matvec_t_cols(
-        a: &[f64],
-        cols: usize,
-        x: &[f64],
-        col0: usize,
-        y: &mut [f64],
-    ) {
-        let (ap, yp, n) = (a.as_ptr(), y.as_mut_ptr(), y.len());
-        let mut j = 0;
-        while j + 32 <= n {
-            t_cols_block::<8>(ap, cols, x, col0 + j, yp.add(j));
-            j += 32;
-        }
-        if j + 16 <= n {
-            t_cols_block::<4>(ap, cols, x, col0 + j, yp.add(j));
-            j += 16;
-        }
-        if j + 8 <= n {
-            t_cols_block::<2>(ap, cols, x, col0 + j, yp.add(j));
-            j += 8;
-        }
-        if j + 4 <= n {
-            t_cols_block::<1>(ap, cols, x, col0 + j, yp.add(j));
-            j += 4;
-        }
-        if j < n {
-            super::matvec_t_cols_from(a, cols, x, col0, y, j);
-        }
-    }
-
     /// The affine tail of four rows from `j`, lane-wise in
     /// [`super::quant_score`]'s operand order, stored to `out[j..j + 4]`;
     /// returns the rows at or under their limit as four bits.
@@ -1308,7 +1196,7 @@ mod avx512 {
     /// `acc[r][h·NR + c] += Σ_p arows[r][p] · panels[h·k·NR + p·NR + c]`
     /// in ascending `p`, in eight zmm accumulators (rows `r = 0..4` ×
     /// panels `h = 0..2`), lane `c` of `[r][h]` the chain of output
-    /// column `h·NR + c` — the AVX2 tile's operations, eight lanes wide.
+    /// column `h·NR + c` — the portable tile's operations, eight lanes wide.
     ///
     /// # Safety
     /// AVX-512F must be available; every row of `arows` must hold `k`
@@ -1333,7 +1221,7 @@ mod avx512 {
             let b1 = _mm512_loadu_pd(b1p.add(p * NR));
             for (r, vr) in vacc.iter_mut().enumerate() {
                 let ar = _mm512_set1_pd(*arows[r].get_unchecked(p));
-                // Separate mul+add: the scalar oracle does not contract.
+                // Separate mul+add: the portable tile does not contract.
                 vr[0] = _mm512_add_pd(vr[0], _mm512_mul_pd(ar, b0));
                 vr[1] = _mm512_add_pd(vr[1], _mm512_mul_pd(ar, b1));
             }
@@ -1493,7 +1381,8 @@ mod tests {
     /// The stripe over packed panels is the scalar definition bit for
     /// bit at every level: one to four live rows, panel counts odd and
     /// even (the AVX-512 pairs and the odd last panel), ragged last
-    /// panels, signed zeros and subnormals salted in.
+    /// panels, signed zeros and subnormals salted in. The `A·B` tile is
+    /// its definition too, accumulating onto a nonzero tile.
     #[test]
     fn gemm_tiles_agree_bitwise_across_levels() {
         let mut seed = 9u64;
@@ -1541,12 +1430,16 @@ mod tests {
             let bmat = fill(k * n, &mut seed);
             let arows: [&[f64]; MR] = std::array::from_fn(|r| &rows[r * k..(r + 1) * k]);
             let mut want = [[0.25f64; NR]; MR];
-            gemm_tile_nn(SimdLevel::Scalar, arows, &bmat, n, 2, &mut want);
-            for level in SimdLevel::ALL {
-                let mut got = [[0.25f64; NR]; MR];
-                gemm_tile_nn(level, arows, &bmat, n, 2, &mut got);
-                assert_eq!(got, want, "nn {level:?} k={k}");
+            for (w, arow) in want.iter_mut().zip(&arows) {
+                for (c, wc) in w.iter_mut().enumerate() {
+                    for (p, &ar) in arow.iter().enumerate() {
+                        *wc += ar * bmat[p * n + 2 + c];
+                    }
+                }
             }
+            let mut got = [[0.25f64; NR]; MR];
+            gemm_tile_nn(arows, &bmat, n, 2, &mut got);
+            assert_eq!(got, want, "nn k={k}");
         }
     }
 

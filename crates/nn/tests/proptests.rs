@@ -255,7 +255,7 @@ fn salted(state: &mut u64) -> f64 {
 /// packed one: `m` on both sides of the packing threshold (8) up to 17
 /// (a second stripe of four, a short last stripe), every `n % 4` and
 /// `k % 4` remainder, and panel counts odd and even (the AVX-512 tile
-/// takes panels in pairs, an odd last one the AVX2 tile). On a host
+/// takes panels in pairs, an odd last one the portable tile). On a host
 /// without a tier its level runs the arm below and the test still pins
 /// GEMM == `dot`.
 #[test]

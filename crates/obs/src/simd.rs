@@ -1,7 +1,9 @@
-//! Runtime SIMD dispatch policy, shared by every crate with a
-//! hand-vectorized kernel (`neutraj-measures` DP lanes, `neutraj-nn`
-//! GEMM microkernels and activation lanes, the int8 code scan in
-//! `neutraj-nn`).
+//! Runtime SIMD dispatch policy for the kernels that keep a hand-written
+//! vector arm, all in `neutraj-nn`: the AVX-512 packed GEMM tile and
+//! activation lanes, the AVX2 small-`m` `A·Bᵀ` product, gathered-rows dot
+//! and BPTT rank-`T` accumulate, and the int8 code scan. Every other
+//! kernel (the `neutraj-measures` DP lane rows among them) is one portable
+//! body that `target-cpu=native` vectorizes, with no level to dispatch.
 //!
 //! The policy is deliberately tiny (see DESIGN.md §12):
 //!
@@ -18,15 +20,15 @@
 //!   except `0` or the empty string) forces [`SimdLevel::Scalar`], so CI
 //!   can run the whole workspace suite with the vector paths off and the
 //!   scalar oracles on.
-//! * **Explicit levels for tests.** Every vectorized kernel in the
-//!   workspace also has an entry point taking a [`SimdLevel`] parameter,
-//!   so property tests compare every arm *in one process* (looping over
+//! * **Explicit levels for tests.** Every kernel with a hand-written arm
+//!   also has an entry point taking a [`SimdLevel`] parameter, so
+//!   property tests compare every arm *in one process* (looping over
 //!   [`SimdLevel::ALL`]) without racing on environment variables
 //!   ([`level`] is only the default argument, never the only switch).
 //!
 //! Detection itself is safe code (`is_x86_feature_detected!`); the
-//! `unsafe` lives next to the intrinsics in the crates that own them,
-//! scoped by `#[allow(unsafe_code)]` on their `simd` modules only.
+//! `unsafe` lives next to the intrinsics in `neutraj-nn`, scoped by
+//! `#[allow(unsafe_code)]` on the items that hold them.
 
 use std::sync::OnceLock;
 
@@ -42,9 +44,10 @@ pub enum SimdLevel {
     /// (rustc never contracts `a * b + c` on its own).
     Avx2,
     /// AVX-512 (`avx512f` + `avx512dq`) 512-bit vectors (8 × f64 lanes),
-    /// for the multiply/add-bound kernels that have an arm for it (the
-    /// packed GEMM tile, the activation lanes); every other kernel runs
-    /// its AVX2 arm here. Same no-FMA rule.
+    /// for the kernels that have an arm for it (the packed GEMM tile, the
+    /// activation lanes, and with `avx512vnni` the int8 code scan); a
+    /// kernel whose widest arm is AVX2 runs that arm here. Same no-FMA
+    /// rule.
     Avx512,
 }
 
